@@ -56,28 +56,6 @@ let test_engine_schedule =
               : Des.Engine.handle);
           ignore (Des.Engine.step e : bool)))
 
-let test_heap_push_pop =
-  Test.make ~name:"heap.push+pop (polymorphic cmp)"
-    (Staged.stage
-       (let h = Des.Heap.create ~cmp:compare in
-        List.iter (Des.Heap.push h) [ 5; 3; 9; 1; 7 ];
-        let i = ref 0 in
-        fun () ->
-          incr i;
-          Des.Heap.push h (!i mod 1000);
-          ignore (Des.Heap.pop h : int option)))
-
-let test_heap_push_pop_int =
-  Test.make ~name:"heap.push+pop (Int.compare)"
-    (Staged.stage
-       (let h = Des.Heap.create ~cmp:Int.compare in
-        List.iter (Des.Heap.push h) [ 5; 3; 9; 1; 7 ];
-        let i = ref 0 in
-        fun () ->
-          incr i;
-          Des.Heap.push h (!i mod 1000);
-          ignore (Des.Heap.pop h : int option)))
-
 let test_event_heap_push_pop =
   Test.make ~name:"event_heap.schedule+pop (specialized)"
     (Staged.stage
@@ -215,8 +193,6 @@ let tests =
     test_loss_observe;
     test_window_push;
     test_engine_schedule;
-    test_heap_push_pop;
-    test_heap_push_pop_int;
     test_event_heap_push_pop;
     test_engine_cancel_churn;
     test_wheel_churn;
@@ -299,67 +275,6 @@ let allocation_report ppf =
       i := (!i mod 900) + 1;
       ignore (Raft.Log.slice log ~from:!i ~max:64 : Raft.Log.entry array))
 
-
-(* Direct wall-clock comparison of the seed event queue (generic heap
-   with a boxed comparator over event records) against the specialized
-   [Event_heap], reported as a ratio so the speedup is visible without
-   reading bechamel tables.  A resident population of 4k events
-   approximates a mid-campaign queue: each push/pop then costs ~12
-   comparisons, so the comparator path dominates as it does in real
-   runs. *)
-let heap_throughput_ratio ppf =
-  let ops = 1_000_000 in
-  let resident = 4096 in
-  let module Ev = struct
-    type t = { at : int; seq : int }
-
-    let compare a b =
-      match Int.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c
-  end in
-  let generic () =
-    let h = Des.Heap.create ~cmp:Ev.compare in
-    for i = 1 to resident do
-      Des.Heap.push h { Ev.at = (i * 7919) mod 65536; seq = i }
-    done;
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to ops do
-      Des.Heap.push h { Ev.at = (i * 7919) mod 65536; seq = i };
-      ignore (Des.Heap.pop h : Ev.t option)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let specialized () =
-    let h = Des.Event_heap.create () in
-    for i = 1 to resident do
-      ignore
-        (Des.Event_heap.schedule h
-           ~at:((i * 7919) mod 65536)
-           ~seq:i
-           (fun () -> ())
-          : Des.Event_heap.event)
-    done;
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to ops do
-      ignore
-        (Des.Event_heap.schedule h
-           ~at:((i * 7919) mod 65536)
-           ~seq:i
-           (fun () -> ())
-          : Des.Event_heap.event);
-      ignore (Des.Event_heap.pop_live h : Des.Event_heap.event option)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* Best of three to damp scheduler noise. *)
-  let best f = Stdlib.min (f ()) (Stdlib.min (f ()) (f ())) in
-  let g = best generic and s = best specialized in
-  Format.fprintf ppf
-    "  event queue push+pop: generic heap %.2f Mops/s, specialized %.2f \
-     Mops/s (%.2fx)@."
-    (float_of_int ops /. g /. 1e6)
-    (float_of_int ops /. s /. 1e6)
-    (g /. s)
-
 let run ppf =
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -368,7 +283,6 @@ let run ppf =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
-  heap_throughput_ratio ppf;
   allocation_report ppf;
   forensics_pair ppf;
   Format.fprintf ppf "  %-40s %14s %8s@." "operation" "time/run" "r^2";

@@ -1,8 +1,7 @@
-(* AST-level determinism analyzer, CLI (see DESIGN.md §12).
+(* The static checker's CLI (see DESIGN.md §12).
 
-   Where bin/lint.ml scans tokens line by line, this parses every
-   .ml/.mli under the given directories into a Parsetree (via
-   compiler-libs) and runs the semantics-aware rules of lib/analysis:
+   Parses every .ml/.mli under the given directories into a Parsetree
+   (via compiler-libs) and runs the rules of lib/analysis:
 
      effect-taint        call paths from DES/raft/parallel entry points
                          to banned ambient effects, through wrappers
@@ -11,15 +10,20 @@
      protocol-wildcard   catch-all arms in matches over [@@protocol]
                          variant constructors
      parse-error         a file the frontend cannot parse
+     wall-clock, global-rng, obj-magic, poly-compare, direct-print,
+     stdlib-exit, raw-fabric-send, mutable-global, hot-alloc
+                         lib/'s source discipline (lib/analysis/
+                         discipline.ml); lib/ only
 
    Usage:
      analyze.exe [--allow FILE] DIR...   scan; exit 1 on unsuppressed hits
+                                         or on a stale allowlist entry
      analyze.exe --self-test DIR         fixture mode: every rule must fire
                                          in bad*.ml files, none in good*.ml
 
-   The allowlist is the same file and format as the lint's
-   ([path-suffix:rule-id] lines, # comments); rule ids are disjoint
-   from the lint's, so both tools share lint.allow. *)
+   The allowlist (lint.allow) holds [path-suffix:rule-id] lines and #
+   comments.  An entry that suppresses no finding is stale and fails the
+   scan, so the list only ever shrinks with the code it excuses. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -50,22 +54,30 @@ let load_allow path =
       prerr_endline ("analyze: malformed allowlist entry: " ^ line);
       exit 2
 
-let run_scan ~allow dirs =
+let run_scan ~allow_file dirs =
+  let allow = Option.fold ~none:[] ~some:load_allow allow_file in
   let config = Analysis.Driver.default_config ~allow () in
-  let findings = Analysis.analyze ~config (load_files dirs) in
+  let findings, stale = Analysis.analyze ~config (load_files dirs) in
   List.iter
     (fun f -> prerr_endline (Analysis.Finding.render f))
     findings;
-  if findings = [] then print_endline "analysis: clean"
+  List.iter
+    (fun (e : Analysis.Finding.entry) ->
+      Printf.eprintf "%s:%d: stale allowlist entry `%s:%s` suppresses no finding\n"
+        (Option.value ~default:"" allow_file)
+        e.lineno e.suffix e.rule_id)
+    stale;
+  if findings = [] && stale = [] then print_endline "analysis: clean"
   else begin
-    Printf.eprintf "analysis: %d finding(s)\n" (List.length findings);
+    Printf.eprintf "analysis: %d finding(s), %d stale allowlist entry(ies)\n"
+      (List.length findings) (List.length stale);
     exit 1
   end
 
-(* Fixture mode, mirroring lint --self-test: fixtures are given virtual
-   paths under lib/raft/ so they sit in a taint entry domain; every
-   rule must fire at least once across bad*.ml, and good*.ml must stay
-   entirely clean. *)
+(* Fixture mode: fixtures are given virtual paths under lib/raft/ so
+   they sit in a taint entry domain and in every discipline rule's
+   scope; every rule must fire at least once across bad*.ml, and
+   good*.ml must stay entirely clean. *)
 let self_test dir =
   let files = List.filter (fun p -> Filename.check_suffix p ".ml") (source_files dir) in
   if files = [] then begin
@@ -81,7 +93,7 @@ let self_test dir =
         })
       files
   in
-  let findings = Analysis.analyze virtual_files in
+  let findings, _stale = Analysis.analyze virtual_files in
   let is_bad (f : Analysis.Finding.t) =
     let base = Filename.basename f.path in
     String.length base >= 3 && String.equal (String.sub base 0 3) "bad"
@@ -117,12 +129,12 @@ let () =
   match Array.to_list Sys.argv with
   | [ _; "--self-test"; dir ] -> self_test dir
   | _ :: "--allow" :: allow :: dirs when dirs <> [] ->
-      run_scan ~allow:(load_allow allow) dirs
+      run_scan ~allow_file:(Some allow) dirs
   | _ :: dirs
     when dirs <> []
          && not (List.exists (fun d -> d = "--allow" || d = "--self-test") dirs)
     ->
-      run_scan ~allow:[] dirs
+      run_scan ~allow_file:None dirs
   | _ ->
       prerr_endline
         "usage: analyze [--allow FILE] DIR...\n       analyze --self-test DIR";

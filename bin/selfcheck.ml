@@ -15,11 +15,7 @@
       trace digests and metrics snapshots with one worker and with
       many;
    4. a deliberately broken fixture — two leaders sharing a term — that
-      the checker is required to catch;
-   5. an AST-analyzer smoke: each of the three semantic rules
-      (effect-taint, shared-state, protocol-wildcard) must fire on an
-      inline bad source and stay silent on a clean one, proving the
-      @analysis gate can actually bite.
+      the checker is required to catch.
 
    `selfcheck --perf BASELINE.json` (the @perf alias) instead replays
    the pinned perf-guard plans from the committed bench report: the
@@ -360,32 +356,6 @@ let broken_fixture () =
       if v.Check.invariant <> "election-safety" then
         fail "wrong invariant caught: %s" v.Check.invariant
 
-(* The AST determinism analyzer (lib/analysis, the @analysis alias) has
-   its own fixtures and unit tests; this smoke only proves the library
-   wired into this binary still detects each semantic rule and reports
-   nothing on clean input. *)
-let analyzer_smoke () =
-  let analyze path content = Analysis.analyze [ { Analysis.path; content } ] in
-  let expect rule path content =
-    let fs = analyze path content in
-    if
-      not
-        (List.exists (fun (f : Analysis.Finding.t) -> f.rule = rule) fs)
-    then fail "analyzer smoke: rule %s did not fire" rule
-  in
-  expect "effect-taint" "lib/raft/smoke.ml" "let tick () = Unix.gettimeofday ()";
-  expect "shared-state" "lib/raft/smoke.ml"
-    "let t = Hashtbl.create 4\n\
-     let work x = Hashtbl.length t + x\n\
-     let run p xs = Pool.map p work xs";
-  expect "protocol-wildcard" "lib/raft/smoke.ml"
-    "type m = A | B [@@protocol]\nlet f = function A -> 0 | _ -> 1";
-  match analyze "lib/raft/smoke.ml" "let pure x = x + 1" with
-  | [] -> ()
-  | f :: _ ->
-      fail "analyzer smoke: clean source flagged: %s"
-        (Analysis.Finding.render f)
-
 (* --perf mode ---------------------------------------------------------- *)
 
 (* The baseline report is flat hand-written JSON (bench/main.ml), so a
@@ -598,13 +568,12 @@ let () =
         multiraft_chaos ~seed:(Int64.of_int (3000 + i))
       done;
       broken_fixture ();
-      analyzer_smoke ();
       digest_determinism ();
       reconfig_determinism ();
       multiraft_determinism ();
       print_endline
         "selfcheck: invariants hold, digests deterministic, broken fixture \
-         caught, analyzer rules fire"
+         caught"
   | _ ->
       prerr_endline "usage: selfcheck [--perf [BASELINE.json]]";
       exit 2

@@ -1,0 +1,277 @@
+(* The source discipline of lib/: per-file rules that need no call
+   graph.
+
+   - Identifier bans ([wall-clock], [global-rng], [obj-magic],
+     [poly-compare], [direct-print], [stdlib-exit], [raw-fabric-send]):
+     one pass over every [Pexp_ident], checked against a table of
+     (rule, doc, path scope, predicate).  Record fields, labels and
+     binding names are not identifiers, and an unqualified identifier
+     bound by an enclosing pattern is a local, not the stdlib value it
+     shadows — so a field, pun or parameter named [exit] never fires.
+   - [mutable-global]: a module-level binding in lib/raft/ whose
+     right-hand side allocates mutable state (protocol state belongs in
+     [Server.t], so that campaign domains share nothing).
+   - [hot-alloc]: a binding marked [[@hot]]/[[@@hot]] (the append,
+     heartbeat and delivery hot paths) whose body, below its own
+     parameters, calls an allocating list/array combinator, formats
+     ([Printf]/[Format] build closures and buffers per call), or holds a
+     lambda (a closure allocation per call unless hoisted).
+
+   Every rule applies to lib/ only: bin/ legitimately prints and
+   exits. *)
+
+let in_lib path = Source.contains path "lib/"
+let in_raft path = Source.contains path "lib/raft/"
+let anywhere _ = true
+
+type ident_rule = {
+  id : string;
+  doc : string;
+  scope : string -> bool;  (* within lib/, does it apply to this path? *)
+  bans : string list -> bool;  (* on the flattened identifier *)
+}
+
+let named names parts = List.mem (String.concat "." parts) names
+
+(* [wall-clock] and [global-rng] are the zero-hop case of effect-taint. *)
+let effect category parts =
+  Option.equal String.equal (Effects.classify parts) (Some category)
+
+let ident_rules =
+  [
+    {
+      id = "wall-clock";
+      doc = "wall-clock read (the DES virtual clock is the only clock)";
+      scope = anywhere;
+      bans = effect "wall clock";
+    };
+    {
+      id = "global-rng";
+      doc = "global Random state (use seeded Stats.Rng streams)";
+      scope = anywhere;
+      bans = effect "global Random";
+    };
+    {
+      id = "obj-magic";
+      doc = "Obj.magic defeats the type system";
+      scope = anywhere;
+      bans = named [ "Obj.magic" ];
+    };
+    {
+      id = "poly-compare";
+      doc = "polymorphic compare/hash on message or state values";
+      scope = anywhere;
+      bans = named [ "Stdlib.compare"; "Hashtbl.hash" ];
+    };
+    {
+      id = "direct-print";
+      doc =
+        "direct printing from lib/ (take a formatter or return data; only \
+         scenarios/report.ml owns rendering)";
+      scope =
+        (fun path -> not (Filename.check_suffix path "scenarios/report.ml"));
+      bans =
+        named
+          [
+            "Printf.printf";
+            "Printf.eprintf";
+            "Format.printf";
+            "Format.eprintf";
+            "print_endline";
+            "prerr_endline";
+            "print_string";
+            "print_newline";
+            "Format.std_formatter";
+            "Format.err_formatter";
+          ];
+    };
+    {
+      id = "stdlib-exit";
+      doc =
+        "exit from lib/ (raise or return a result; only bin/ may end the \
+         process)";
+      scope = anywhere;
+      bans = named [ "exit"; "Stdlib.exit" ];
+    };
+    {
+      id = "raw-fabric-send";
+      doc =
+        "direct Fabric.send from lib/raft (every RPC leaves through \
+         Replication.transmit so bulk appends cannot bypass the \
+         lane/backpressure policy)";
+      scope =
+        (fun path ->
+          in_raft path && not (Source.contains path "/replication."));
+      bans = named [ "Fabric.send"; "Netsim.Fabric.send" ];
+    };
+  ]
+
+let mutable_global = "mutable-global"
+
+let mutable_global_doc =
+  "top-level mutable value in lib/raft (protocol state belongs in Server.t)"
+
+let hot_alloc = "hot-alloc"
+
+let hot_alloc_why =
+  "hot-path functions may not call allocating list/array combinators, \
+   Printf/Format, or contain lambda literals"
+
+let hot_alloc_doc = "allocation inside a [@hot] binding (" ^ hot_alloc_why ^ ")"
+
+let rules =
+  List.map (fun r -> (r.id, r.doc)) ident_rules
+  @ [ (mutable_global, mutable_global_doc); (hot_alloc, hot_alloc_doc) ]
+
+(* {1 Identifier bans} *)
+
+let ident_findings path str rules =
+  let acc = ref [] in
+  let locals = ref [] in
+  let within pats f =
+    let saved = !locals in
+    locals := List.concat_map Callgraph.pattern_names pats @ saved;
+    f ();
+    locals := saved
+  in
+  let case self (c : Parsetree.case) =
+    within [ c.pc_lhs ] (fun () -> self.Ast_iterator.case self c)
+  in
+  let expr self (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Parsetree.Pexp_ident lid -> (
+        match Source.flatten_longident lid.Asttypes.txt with
+        | Some [ name ] when List.mem name !locals -> ()
+        | Some parts ->
+            List.iter
+              (fun r ->
+                if r.bans parts then
+                  acc :=
+                    Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc)
+                      ~rule:r.id
+                      (Printf.sprintf "`%s`: %s" (String.concat "." parts)
+                         r.doc)
+                    :: !acc)
+              rules
+        | None -> ())
+    | Parsetree.Pexp_fun (_, default, pat, body) ->
+        Option.iter (self.Ast_iterator.expr self) default;
+        within [ pat ] (fun () -> self.Ast_iterator.expr self body)
+    | Parsetree.Pexp_function cases -> List.iter (case self) cases
+    | Parsetree.Pexp_match (scrutinee, cases)
+    | Parsetree.Pexp_try (scrutinee, cases) ->
+        self.Ast_iterator.expr self scrutinee;
+        List.iter (case self) cases
+    | Parsetree.Pexp_let (rec_flag, vbs, body) ->
+        let pats =
+          List.map (fun (vb : Parsetree.value_binding) -> vb.pvb_pat) vbs
+        in
+        let rhs () =
+          List.iter
+            (fun (vb : Parsetree.value_binding) ->
+              self.Ast_iterator.expr self vb.pvb_expr)
+            vbs
+        in
+        (match rec_flag with
+        | Asttypes.Recursive -> within pats rhs
+        | Asttypes.Nonrecursive -> rhs ());
+        within pats (fun () -> self.Ast_iterator.expr self body)
+    | _ -> Ast_iterator.default_iterator.expr self e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it str;
+  !acc
+
+(* {1 hot-alloc} *)
+
+let hot_banned parts =
+  match parts with
+  | ("Printf" | "Format") :: _ :: _ -> true
+  | _ ->
+      named
+        [
+          "List.map"; "List.mapi"; "List.rev_map"; "List.concat_map";
+          "List.filter_map"; "List.filter"; "List.append"; "List.concat";
+          "Array.append"; "Array.concat"; "Array.of_list"; "Array.to_list";
+        ]
+        parts
+
+(* What in a hot body allocates, if anything. *)
+let allocation (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ ->
+      Some "a lambda literal"
+  | Parsetree.Pexp_ident lid -> (
+      match Source.flatten_longident lid.Asttypes.txt with
+      | Some parts when hot_banned parts ->
+          Some ("`" ^ String.concat "." parts ^ "`")
+      | Some _ | None -> None)
+  | _ -> None
+
+let hot_findings path str =
+  let acc = ref [] in
+  let scan name =
+    let expr self (e : Parsetree.expression) =
+      Option.iter
+        (fun what ->
+          acc :=
+            Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc)
+              ~rule:hot_alloc
+              (Printf.sprintf "%s in [@hot] binding `%s`: %s" what name
+                 hot_alloc_why)
+            :: !acc)
+        (allocation e);
+      Ast_iterator.default_iterator.expr self e
+    in
+    { Ast_iterator.default_iterator with expr }
+  in
+  (* The binding's own parameter chain is the function being defined,
+     not an allocation inside it. *)
+  let rec body it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Parsetree.Pexp_fun (_, _, _, e)
+    | Parsetree.Pexp_newtype (_, e)
+    | Parsetree.Pexp_constraint (e, _) ->
+        body it e
+    | Parsetree.Pexp_function cases ->
+        List.iter (it.Ast_iterator.case it) cases
+    | _ -> it.Ast_iterator.expr it e
+  in
+  let value_binding self (vb : Parsetree.value_binding) =
+    if
+      List.exists
+        (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt "hot")
+        vb.pvb_attributes
+    then begin
+      let name = String.concat ", " (Callgraph.pattern_names vb.pvb_pat) in
+      body (scan name) vb.pvb_expr
+    end;
+    Ast_iterator.default_iterator.value_binding self vb
+  in
+  let it = { Ast_iterator.default_iterator with value_binding } in
+  it.structure it str;
+  !acc
+
+(* {1 Driver entry} *)
+
+let findings (sources : Source.t list) =
+  let mutable_bindings = Shared_state.mutable_bindings sources in
+  List.concat_map
+    (fun (s : Source.t) ->
+      match s.kind with
+      | Source.Impl str when in_lib s.path ->
+          let globals =
+            if in_raft s.path then
+              List.map
+                (fun (b : Shared_state.binding) ->
+                  Finding.v ~path:s.path ~line:b.bline ~rule:mutable_global
+                    (Printf.sprintf "`%s` (%s): %s" b.bname b.bshape
+                       mutable_global_doc))
+                (mutable_bindings s)
+            else []
+          in
+          ident_findings s.path str
+            (List.filter (fun r -> r.scope s.path) ident_rules)
+          @ globals @ hot_findings s.path str
+      | Source.Impl _ | Source.Intf _ | Source.Broken _ -> [])
+    sources

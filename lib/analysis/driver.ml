@@ -1,6 +1,7 @@
 (* The analyzer driver: parse every file, run the rule passes, apply
-   the allowlist, and return sorted findings.  Pure — the caller
-   (bin/analyze.ml, selfcheck, tests) owns printing and process exit. *)
+   the allowlist, and return sorted findings plus the allowlist entries
+   that suppressed nothing.  Pure — the caller (bin/analyze.ml, tests)
+   owns printing and process exit. *)
 
 type file = { path : string; content : string }
 
@@ -63,17 +64,13 @@ let rules =
       "catch-all arm in a match over [@@protocol] variant constructors \
        (growing the protocol would be silently swallowed)" );
   ]
-
-let contains path dir =
-  let n = String.length path and m = String.length dir in
-  let rec go i =
-    i + m <= n && (String.equal (String.sub path i m) dir || go (i + 1))
-  in
-  go 0
+  @ Discipline.rules
 
 let library_of config path =
   match
-    List.find_opt (fun (dir, _) -> contains path (dir ^ "/")) config.libraries
+    List.find_opt
+      (fun (dir, _) -> Source.contains path (dir ^ "/"))
+      config.libraries
   with
   | Some (_, wrapper) -> wrapper
   | None -> ""
@@ -96,16 +93,22 @@ let analyze ?config files =
       files
   in
   let cg = Callgraph.build sources in
-  let exempt_taint path =
-    Finding.allowed config.allow ~path ~rule:Effects.rule
-  in
-  let findings =
+  let raw =
     List.concat_map parse_findings sources
-    @ Effects.findings ~entry_dirs:config.entry_dirs ~exempt:exempt_taint cg
+    @ Effects.findings ~entry_dirs:config.entry_dirs cg
     @ Shared_state.findings cg sources
     @ Exhaustive.findings sources
+    @ Discipline.findings sources
   in
-  findings
-  |> List.filter (fun (f : Finding.t) ->
-         not (Finding.allowed config.allow ~path:f.path ~rule:f.rule))
-  |> List.sort_uniq Finding.compare
+  let findings =
+    raw
+    |> List.filter (fun f ->
+           not (List.exists (fun e -> Finding.suppresses e f) config.allow))
+    |> List.sort_uniq Finding.compare
+  in
+  let stale =
+    List.filter
+      (fun e -> not (List.exists (Finding.suppresses e) raw))
+      config.allow
+  in
+  (findings, stale)

@@ -15,14 +15,16 @@ val default_libraries : (string * string) list
     -> [Harness], every other [lib/<d>] -> capitalized [<d>]. *)
 
 val default_entry_dirs : string list
-(** [lib/des/], [lib/raft/], [lib/parallel/]. *)
+(** [lib/des/], [lib/raft/], [lib/parallel/], [lib/multiraft/] and the
+    forensics modules of [lib/telemetry]. *)
 
 val default_config : ?allow:Finding.allow -> unit -> config
 
 val rules : (string * string) list
 (** [(rule-id, one-line doc)] for every rule the driver can emit. *)
 
-val analyze : ?config:config -> file list -> Finding.t list
-(** Returns unsuppressed findings, sorted and de-duplicated.  Pure:
-    never prints, never exits, never raises on malformed input (parse
-    failures come back as [parse-error] findings). *)
+val analyze : ?config:config -> file list -> Finding.t list * Finding.allow
+(** Unsuppressed findings, sorted and de-duplicated, and the stale
+    allowlist entries: those that suppressed no finding.  Pure: never
+    prints, never exits, never raises on malformed input (parse failures
+    come back as [parse-error] findings). *)

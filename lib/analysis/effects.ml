@@ -3,16 +3,16 @@
    The determinism contract says simulation code — everything reachable
    from the DES, the Raft protocol, and the parallel campaign runner —
    may not read the wall clock, draw from the global [Random] state,
-   query the ambient system, or perform ambient I/O.  The token lint
-   catches direct textual uses; this pass catches them through any
-   number of local wrappers: it walks the call graph forward from every
-   value defined under the entry directories and reports each reached
-   value that directly references a banned effect, with the full call
-   chain as evidence.
+   query the ambient system, or perform ambient I/O.  The [wall-clock]
+   and [global-rng] rules (Discipline) catch direct uses anywhere in
+   lib/; this pass catches them through any number of local wrappers:
+   it walks the call graph forward from every value defined under the
+   entry directories and reports each reached value that directly
+   references a banned effect, with the full call chain as evidence.
 
-   Files allowlisted for [effect-taint] (e.g. [lib/stats/rng.ml], the
-   sanctioned home of randomness primitives) contribute no direct
-   effects, which is what keeps their callers untainted. *)
+   A finding points at the value that references the effect, never at
+   its callers, so allowlisting a file for [effect-taint] cuts the taint
+   at that file. *)
 
 let rule = "effect-taint"
 
@@ -65,7 +65,8 @@ let io_prims =
 (* [Some category] when the identifier is a banned ambient effect. *)
 let rec classify parts =
   match parts with
-  | [ "Unix"; ("gettimeofday" | "time") ] -> Some "wall clock"
+  | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] ->
+      Some "wall clock"
   | "Unix" :: _ :: _ -> Some "ambient Unix"
   | [ "Sys"; f ] when not (List.mem f benign_sys) -> Some "ambient Sys"
   | "Random" :: _ :: _ -> Some "global Random"
@@ -78,13 +79,8 @@ let rec classify parts =
   | "Stdlib" :: (_ :: _ as rest) -> classify rest
   | _ -> None
 
-let findings ~entry_dirs ~exempt (cg : Callgraph.t) =
-  let contains path dir =
-    let n = String.length path and m = String.length dir in
-    let rec go i = i + m <= n && (String.equal (String.sub path i m) dir || go (i + 1)) in
-    go 0
-  in
-  let is_entry path = List.exists (contains path) entry_dirs in
+let findings ~entry_dirs (cg : Callgraph.t) =
+  let is_entry path = List.exists (Source.contains path) entry_dirs in
   let roots =
     List.filter (fun (v : Callgraph.value) -> is_entry v.vpath) cg.values
   in
@@ -92,29 +88,27 @@ let findings ~entry_dirs ~exempt (cg : Callgraph.t) =
   let seen = Hashtbl.create 64 in
   List.concat_map
     (fun (v : Callgraph.value) ->
-      if exempt v.vpath then []
-      else
-        List.filter_map
-          (fun (parts, line) ->
-            match classify parts with
-            | None -> None
-            | Some category ->
-                let effect_name = String.concat "." parts in
-                let k = Callgraph.value_key v ^ "!" ^ effect_name in
-                if Hashtbl.mem seen k then None
-                else begin
-                  Hashtbl.replace seen k ();
-                  let chain =
-                    List.map Callgraph.display (Callgraph.chain walk v)
-                    @ [ effect_name ]
-                  in
-                  Some
-                    (Finding.v ~path:v.vpath ~line ~rule
-                       (Printf.sprintf
-                          "%s reaches banned effect `%s` (%s) from a \
-                           DES/raft/parallel entry point: %s"
-                          (Callgraph.display v) effect_name category
-                          (String.concat " -> " chain)))
-                end)
-          v.vrefs)
+      List.filter_map
+        (fun (parts, line) ->
+          match classify parts with
+          | None -> None
+          | Some category ->
+              let effect_name = String.concat "." parts in
+              let k = Callgraph.value_key v ^ "!" ^ effect_name in
+              if Hashtbl.mem seen k then None
+              else begin
+                Hashtbl.replace seen k ();
+                let chain =
+                  List.map Callgraph.display (Callgraph.chain walk v)
+                  @ [ effect_name ]
+                in
+                Some
+                  (Finding.v ~path:v.vpath ~line ~rule
+                     (Printf.sprintf
+                        "%s reaches banned effect `%s` (%s) from a \
+                         DES/raft/parallel entry point: %s"
+                        (Callgraph.display v) effect_name category
+                        (String.concat " -> " chain)))
+              end)
+        v.vrefs)
     walk.order

@@ -8,12 +8,10 @@
 val rule : string
 
 val classify : string list -> string option
-(** [Some category] when the flattened identifier is a banned effect. *)
+(** [Some category] when the flattened identifier is a banned effect:
+    ["wall clock"], ["global Random"], ["ambient Sys"], ["ambient Unix"]
+    or ["ambient I/O"]. *)
 
-val findings :
-  entry_dirs:string list ->
-  exempt:(string -> bool) ->
-  Callgraph.t ->
-  Finding.t list
-(** [exempt path] cuts taint at allowlisted files: their direct effect
-    references are neither reported nor propagated. *)
+val findings : entry_dirs:string list -> Callgraph.t -> Finding.t list
+(** Each finding points at the value that references the effect, so an
+    allowlist entry for a file cuts the taint there. *)

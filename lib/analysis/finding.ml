@@ -1,8 +1,7 @@
-(* A structured finding from the AST analyzer, plus the allowlist that
-   suppresses sanctioned hits.  The allowlist shares its format with
-   [bin/lint.ml]: one [path-suffix:rule-id] per line, [#] comments and
-   blanks ignored; a finding is suppressed when its path ends with the
-   suffix and the rule id matches. *)
+(* A structured finding from the analyzer, plus the allowlist that
+   suppresses sanctioned hits ([lint.allow]): one [path-suffix:rule-id]
+   per line, [#] comments and blanks ignored; a finding is suppressed
+   when its path ends with the suffix and the rule id matches. *)
 
 type t = {
   path : string;  (** path of the file the finding points at *)
@@ -27,29 +26,23 @@ let compare a b =
 
 (* {1 Allowlist} *)
 
-type allow = (string * string) list
-(* [(path-suffix, rule-id)] pairs *)
+type entry = { suffix : string; rule_id : string; lineno : int }
+type allow = entry list
 
 let parse_allow source =
   String.split_on_char '\n' source
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  |> List.map (fun l ->
-         match String.rindex_opt l ':' with
-         | Some c ->
-             Ok (String.sub l 0 c, String.sub l (c + 1) (String.length l - c - 1))
-         | None -> Error l)
+  |> List.mapi (fun i l -> (i + 1, String.trim l))
+  |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
   |> List.fold_left
-       (fun acc entry ->
-         match (acc, entry) with
+       (fun acc (lineno, l) ->
+         match (acc, String.rindex_opt l ':') with
          | Error e, _ -> Error e
-         | Ok _, Error l -> Error l
-         | Ok entries, Ok e -> Ok (e :: entries))
+         | Ok _, None -> Error l
+         | Ok entries, Some c ->
+             let rule_id = String.sub l (c + 1) (String.length l - c - 1) in
+             Ok ({ suffix = String.sub l 0 c; rule_id; lineno } :: entries))
        (Ok [])
   |> Result.map List.rev
 
-let allowed (allow : allow) ~path ~rule =
-  List.exists
-    (fun (suffix, rule_id) ->
-      String.equal rule_id rule && Filename.check_suffix path suffix)
-    allow
+let suppresses e f =
+  String.equal e.rule_id f.rule && Filename.check_suffix f.path e.suffix

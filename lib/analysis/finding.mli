@@ -1,9 +1,8 @@
 (** Structured analyzer findings and the [suffix:rule] allowlist.
 
-    The allowlist format is shared with [bin/lint.ml]'s [lint.allow]: one
-    [path-suffix:rule-id] per line, [#] comments and blank lines ignored.
-    A finding is suppressed when its path ends with the suffix and the
-    rule id matches exactly. *)
+    The allowlist ([lint.allow]) holds one [path-suffix:rule-id] per
+    line, [#] comments and blank lines ignored.  A finding is suppressed
+    when its path ends with the suffix and the rule id matches exactly. *)
 
 type t = {
   path : string;  (** path of the file the finding points at *)
@@ -14,15 +13,20 @@ type t = {
 
 val v : path:string -> line:int -> rule:string -> string -> t
 val render : t -> string
-(** ["path:line: [rule] message"], the same shape [bin/lint.ml] prints. *)
+(** ["path:line: [rule] message"]. *)
 
 val compare : t -> t -> int
 (** Path, then line, then rule, then message. *)
 
-type allow = (string * string) list
-(** [(path-suffix, rule-id)] pairs. *)
+type entry = {
+  suffix : string;
+  rule_id : string;
+  lineno : int;  (** 1-based line of the entry in its file *)
+}
+
+type allow = entry list
 
 val parse_allow : string -> (allow, string) result
 (** Parse allowlist file contents; [Error line] on a malformed entry. *)
 
-val allowed : allow -> path:string -> rule:string -> bool
+val suppresses : entry -> t -> bool

@@ -221,6 +221,18 @@ let rec mutable_bindings_of_structure ~field_mutable ~path ~prefix items acc =
       | _ -> acc)
     acc items
 
+let mutable_bindings sources =
+  let table = field_table sources in
+  fun (s : Source.t) ->
+    match s.kind with
+    | Source.Impl str ->
+        List.rev
+          (mutable_bindings_of_structure
+             ~field_mutable:
+               (field_mutable table ~lib:s.library ~modname:s.modname)
+             ~path:s.path ~prefix:"" str [])
+    | Source.Intf _ | Source.Broken _ -> []
+
 (* {1 Domain roots} *)
 
 (* Values referenced inside the argument expressions of spawn call
@@ -276,19 +288,12 @@ let findings (cg : Callgraph.t) (sources : Source.t list) =
     List.sort_uniq String.compare
       (List.map (fun (v : Callgraph.value) -> v.vpath) walk.order)
   in
-  let table = field_table sources in
+  let bindings_of = mutable_bindings sources in
   let bindings =
-    List.fold_left
-      (fun acc (s : Source.t) ->
-        match s.kind with
-        | Source.Impl str when List.mem s.path reached_files ->
-            mutable_bindings_of_structure
-              ~field_mutable:
-                (field_mutable table ~lib:s.library ~modname:s.modname)
-              ~path:s.path ~prefix:"" str acc
-        | _ -> acc)
-      [] sources
-    |> List.rev
+    List.concat_map
+      (fun (s : Source.t) ->
+        if List.mem s.path reached_files then bindings_of s else [])
+      sources
   in
   List.map
     (fun b ->

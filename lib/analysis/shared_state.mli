@@ -15,4 +15,17 @@ val mutable_ctor : string list -> bool
 (** Does this identifier allocate mutable state ([ref],
     [Hashtbl.create], [Array.make], [Atomic.make], ...)? *)
 
+type binding = {
+  bpath : string;
+  bname : string;  (** ["x"], or ["Sub.x"] inside [module Sub = struct] *)
+  bline : int;
+  bshape : string;  (** what allocates, e.g. ["Hashtbl.create"] *)
+}
+
+val mutable_bindings : Source.t list -> Source.t -> binding list
+(** [mutable_bindings tree file]: the module-level bindings of [file]
+    (nested [struct]s included) whose right-hand side allocates mutable
+    state at initialization.  Functions never count; record literals
+    count when a field is mutable in the type [tree] declares for it. *)
+
 val findings : Callgraph.t -> Source.t list -> Finding.t list

@@ -51,6 +51,13 @@ let parse ~library ~path content =
 
 let line_of_loc (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
+let contains path sub =
+  let n = String.length path and m = String.length sub in
+  let rec go i =
+    i + m <= n && (String.equal (String.sub path i m) sub || go (i + 1))
+  in
+  go 0
+
 (* [Longident.flatten] raises on [Lapply]; the analyzer treats those
    (functor applications in paths) as unresolvable instead. *)
 let rec flatten_longident (lid : Longident.t) =

@@ -22,6 +22,10 @@ val parse : library:string -> path:string -> string -> t
 val line_of_loc : Location.t -> int
 (** 1-based start line. *)
 
+val contains : string -> string -> bool
+(** [contains path sub]: [sub] occurs in [path] (rule scopes such as
+    ["lib/raft/"] are substrings of the path as given). *)
+
 val flatten_longident : Longident.t -> string list option
 (** Like [Longident.flatten], but [None] on functor-application paths
     instead of raising. *)

@@ -4,8 +4,7 @@
     [(at, seq)] lexicographic comparison is inlined into the sift loops
     instead of going through a boxed ['a -> 'a -> int] closure, which is
     worth ~1.6x on push/pop throughput (the hottest loop in every
-    campaign).  The generic {!Heap} remains for other priority-queue
-    users.
+    campaign).
 
     Events are {e flattened} and {e pooled}: instead of a
     [unit -> unit] closure per schedule, an event carries an int opcode

@@ -1,7 +1,8 @@
 (* The single seam between the Raft layer and the fabric's egress.
    Every RPC a node sends leaves through [transmit], which classifies it
    into a wire lane and sizes its serialization cost; nothing else in
-   lib/raft may call [Netsim.Fabric.send] (lint-enforced), so bulk
+   lib/raft may call [Netsim.Fabric.send] (the analyzer's
+   raw-fabric-send rule), so bulk
    replication traffic cannot bypass the priority/backpressure policy. *)
 
 (* Control traffic — heartbeats, votes, acks, TimeoutNow, and the empty

@@ -3,8 +3,8 @@
     Classifies outgoing RPCs into the fabric's two egress lanes and
     sizes their serialization cost, so that on links with a wire model
     ({!Netsim.Fabric.set_serialization}) control traffic overtakes
-    queued replication bursts.  A lint rule keeps every other module in
-    [lib/raft] from sending directly. *)
+    queued replication bursts.  The analyzer's [raw-fabric-send] rule
+    keeps every other module in [lib/raft] from sending directly. *)
 
 val lane_of : Rpc.message -> Netsim.Transport.lane
 (** [Bulk] for payload-bearing transfers (entry-carrying AppendEntries,

@@ -112,18 +112,8 @@ let render_record r =
   Format.asprintf "%a n%d t%d %s<-%s %a" Des.Time.pp r.at r.node r.term
     (Cause.to_string r.cause) (Cause.to_string r.parent) pp_event r.ev
 
-let render t = List.map render_record (records t)
-
 let tail t n =
   let all = records t in
   let len = List.length all in
   let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl in
   List.map render_record (drop (len - n) all)
-
-let merge_rendered dumps =
-  List.concat
-    (List.mapi
-       (fun i lines ->
-         let prefix = "s" ^ string_of_int i ^ " " in
-         List.map (fun l -> prefix ^ l) lines)
-       dumps)

@@ -14,10 +14,10 @@
       never mutates shared state; callers gate their instrumentation on
       {!enabled} so the disabled path stays allocation-free.
     - {b Deterministic.}  Records are appended in DES event order and
-      cause sequence numbers are drawn from a per-ring counter, so for a
-      fixed (seed, shard plan) the rendered dump is byte-identical — the
-      shard merge ({!merge_rendered}) concatenates per-shard dumps in
-      shard order, making [--jobs 1] and [--jobs N] dumps equal. *)
+      cause sequence numbers are drawn from a per-ring counter.  A ring
+      belongs to one cluster, which runs inside one campaign shard, so
+      for a fixed (seed, shard plan) its rendered records are
+      byte-identical at [--jobs 1] and [--jobs N]. *)
 
 (** One structured transition.  Node ids are plain ints and roles /
     reasons are strings: this library sits below [lib/raft] and cannot
@@ -100,15 +100,6 @@ val render_record : record -> string
 (** One deterministic line:
     ["<time> n<id> t<term> <cause><-<parent> <event>"]. *)
 
-val render : t -> string list
-(** Every retained record, oldest first, via {!render_record}. *)
-
 val tail : t -> int -> string list
 (** The last [n] retained records, rendered, oldest first (the flight
     recorder's window). *)
-
-val merge_rendered : string list list -> string list
-(** Shard merge: per-shard dumps concatenated in the given (shard)
-    order, each line prefixed ["s<i> "].  Associative in the sense the
-    determinism contract needs: the result depends only on the shard
-    plan, not on how many workers produced the parts. *)

@@ -1,5 +1,5 @@
-(* Lint self-test fixture: every forbidden pattern, one per rule.  This
-   file is never compiled — it only feeds [lint --self-test]. *)
+(* Analyzer self-test fixture for lib/'s source discipline: every
+   pattern the nine rules forbid.  Never compiled. *)
 
 (* wall-clock *)
 let now () = Unix.gettimeofday ()
@@ -41,3 +41,15 @@ let show x = Printf.printf "%d\n" x
 let complain msg = Format.eprintf "%s@." msg
 let announce () = print_endline "ready"
 let default_ppf = Format.std_formatter
+
+(* hot-alloc, continued: an [and] binding marked [@@hot] whose lambda
+   follows [@@] with no parenthesis to give it away, and a [@hot]
+   binding nested in a module *)
+let plain xs = xs
+and drain t f =
+  Mutex.protect t.lock @@ fun () -> Queue.iter f t.queue
+[@@hot]
+
+module Relay = struct
+  let[@hot] wrap msg = Printf.sprintf "<%s>" msg
+end

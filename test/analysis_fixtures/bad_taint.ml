@@ -2,7 +2,7 @@
    Never compiled — parsed by [analyze --self-test] under a virtual
    lib/raft/ path, so every value here is a taint entry point.  The
    banned effects hide behind one and two levels of wrapping; the
-   line/token lint would only see the direct lines, the taint pass
+   per-file discipline rules only see the direct uses, the taint pass
    must also walk [stamp] and [doubly_wrapped] to them. *)
 
 (* wall clock, direct and wrapped *)

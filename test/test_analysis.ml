@@ -1,14 +1,15 @@
-(* Unit tests for the AST determinism analyzer (lib/analysis): call
-   graph construction and resolution, interprocedural effect taint,
+(* Unit tests for the static checker (lib/analysis): call graph
+   construction and resolution, interprocedural effect taint,
    cross-domain shared-state detection, protocol-match exhaustiveness,
-   parse-error surfacing and the allowlist. *)
+   parse-error surfacing, the allowlist and its stale-entry gate, and
+   the cases where lib/'s source discipline is exact on the AST. *)
 
 module A = Analysis
 module F = Analysis.Finding
 module Cg = Analysis.Callgraph
 
 let file path content = { A.path; content }
-let analyze ?config files = A.analyze ?config files
+let analyze ?config files = fst (A.analyze ?config files)
 let with_rule rule fs = List.filter (fun (f : F.t) -> f.rule = rule) fs
 
 let contains hay needle =
@@ -121,12 +122,38 @@ let test_taint_forensics_entry () =
   Alcotest.(check int) "chrome_trace stays exempt" 0
     (List.length (with_rule "effect-taint" fs))
 
+let allow_of source =
+  match F.parse_allow source with
+  | Ok allow -> allow
+  | Error line -> Alcotest.failf "parse_allow failed: %s" line
+
 let test_taint_allowlist () =
   let config =
-    A.Driver.default_config ~allow:[ ("util.ml", "effect-taint") ] ()
+    A.Driver.default_config ~allow:(allow_of "util.ml:effect-taint") ()
   in
   let fs = with_rule "effect-taint" (analyze ~config taint_files) in
   Alcotest.(check int) "suppressed" 0 (List.length fs)
+
+let test_stale_allow_entries () =
+  (* util.ml holds the sink, so its entry cuts the taint; entry.ml only
+     calls a wrapper and the shared-state entry matches nothing. *)
+  let allow =
+    allow_of
+      "# header\n\
+       util.ml:effect-taint\n\
+       entry.ml:effect-taint\n\n\
+       util.ml:shared-state\n"
+  in
+  let config = A.Driver.default_config ~allow () in
+  let findings, stale = A.analyze ~config taint_files in
+  Alcotest.(check int) "taint suppressed" 0
+    (List.length (with_rule "effect-taint" findings));
+  Alcotest.(check (list (pair int string)))
+    "stale entries, by line"
+    [ (3, "entry.ml:effect-taint"); (5, "util.ml:shared-state") ]
+    (List.map
+       (fun (e : F.entry) -> (e.lineno, e.suffix ^ ":" ^ e.rule_id))
+       stale)
 
 (* {2 Shared state} *)
 
@@ -192,16 +219,90 @@ let test_render () =
   Alcotest.(check string) "render" "lib/x.ml:3: [effect-taint] msg" (F.render f)
 
 let test_parse_allow () =
-  (match F.parse_allow "# comment\n\nlib/x.ml:effect-taint\n" with
-  | Ok allow ->
+  (match allow_of "# comment\n\nlib/x.ml:effect-taint\n" with
+  | [ e ] ->
+      Alcotest.(check int) "line" 3 e.F.lineno;
+      let finding rule = F.v ~path:"lib/x.ml" ~line:1 ~rule "" in
       Alcotest.(check bool) "suffix match" true
-        (F.allowed allow ~path:"lib/x.ml" ~rule:"effect-taint");
+        (F.suppresses e (finding "effect-taint"));
       Alcotest.(check bool) "rule must match" false
-        (F.allowed allow ~path:"lib/x.ml" ~rule:"shared-state")
-  | Error line -> Alcotest.failf "parse_allow failed: %s" line);
+        (F.suppresses e (finding "shared-state"))
+  | entries -> Alcotest.failf "expected one entry, got %d" (List.length entries));
   match F.parse_allow "garbage-without-colon" with
   | Ok _ -> Alcotest.fail "malformed entry accepted"
   | Error _ -> ()
+
+(* {2 Source discipline (lib/ only)} *)
+
+let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
+
+let test_exit_exact () =
+  let source =
+    "type o = { mutable exit : int }\n\
+     let bail () = exit 1\n\
+     let die c = Stdlib.exit c\n\
+     let mk exit = { exit }\n\
+     let field o = o.exit\n\
+     let labelled ~exit = exit + 1\n\
+     let optional ?(exit = 0) () = exit\n\
+     let call f exit = f ~exit\n\
+     let matched = function { exit } -> exit\n\
+     let local () = let exit = 2 in exit\n\
+     let rec loop n = n and exit = 3\n\
+     let set o = o.exit <- o.exit + 1\n"
+  in
+  Alcotest.(check (list int)) "only real exits fire" [ 2; 3 ]
+    (lines_of "stdlib-exit" (analyze [ file "lib/kvsm/x.ml" source ]));
+  Alcotest.(check (list int)) "bin/ may exit" []
+    (lines_of "stdlib-exit" (analyze [ file "bin/x.ml" source ]))
+
+let test_hot_and_binding () =
+  let fs =
+    analyze
+      [
+        file "lib/netsim/h.ml"
+          "let cold xs = List.map succ xs\n\
+           and warm xs =\n\
+          \  List.map succ xs\n\
+           [@@hot]\n";
+      ]
+  in
+  Alcotest.(check (list int)) "only the marked and-binding" [ 3 ]
+    (lines_of "hot-alloc" fs)
+
+let test_hot_unparenthesized_lambda () =
+  let fs =
+    analyze
+      [
+        file "lib/netsim/h.ml"
+          "let[@hot] each f xs =\n\
+          \  List.iter f xs;\n\
+          \  List.iter ignore @@ fun x -> f x\n";
+      ]
+  in
+  Alcotest.(check (list int)) "lambda after @@" [ 3 ] (lines_of "hot-alloc" fs)
+
+let test_hot_own_parameters () =
+  let fs =
+    analyze
+      [
+        file "lib/netsim/h.ml"
+          "let[@hot] step t ~dt ?(k = 1) = t + (dt * k)\n\
+           let classify = function 0 -> `Zero | _ -> `Other [@@hot]\n\
+           module Inner = struct\n\
+          \  let[@hot] pair = fun a b -> a + b\n\
+           end\n";
+      ]
+  in
+  Alcotest.(check (list int)) "parameters are not lambdas" []
+    (lines_of "hot-alloc" fs)
+
+let test_mutable_global_without_spawn () =
+  let source = "let counter = ref 0\nlet fresh () = ref 0\nlet n = 3\n" in
+  Alcotest.(check (list int)) "lib/raft top-level ref" [ 1 ]
+    (lines_of "mutable-global" (analyze [ file "lib/raft/g.ml" source ]));
+  Alcotest.(check (list int)) "outside lib/raft" []
+    (lines_of "mutable-global" (analyze [ file "lib/stats/g.ml" source ]))
 
 let tests =
   [
@@ -213,6 +314,7 @@ let tests =
     Alcotest.test_case "taint-forensics-entry" `Quick
       test_taint_forensics_entry;
     Alcotest.test_case "taint-allowlist" `Quick test_taint_allowlist;
+    Alcotest.test_case "stale-allow-entries" `Quick test_stale_allow_entries;
     Alcotest.test_case "shared-state-fires" `Quick test_shared_state_fires;
     Alcotest.test_case "shared-state-needs-spawn" `Quick
       test_shared_state_needs_spawn;
@@ -222,4 +324,11 @@ let tests =
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "finding-render" `Quick test_render;
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
+    Alcotest.test_case "stdlib-exit-exact" `Quick test_exit_exact;
+    Alcotest.test_case "hot-and-binding" `Quick test_hot_and_binding;
+    Alcotest.test_case "hot-unparenthesized-lambda" `Quick
+      test_hot_unparenthesized_lambda;
+    Alcotest.test_case "hot-own-parameters" `Quick test_hot_own_parameters;
+    Alcotest.test_case "mutable-global-no-spawn" `Quick
+      test_mutable_global_without_spawn;
   ]

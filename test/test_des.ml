@@ -1,7 +1,6 @@
 (* Unit tests for the discrete-event simulation kernel. *)
 
 module Time = Des.Time
-module Heap = Des.Heap
 module Engine = Des.Engine
 module Timer = Des.Timer
 module Mtrace = Des.Mtrace
@@ -23,40 +22,6 @@ let test_time_clamp () =
 
 let test_time_scale () =
   Alcotest.(check int) "halving" (Time.ms 50) (Time.scale (Time.ms 100) 0.5)
-
-(* {2 Heap} *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let drained = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some v ->
-        drained := v :: !drained;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted output" [ 1; 1; 2; 3; 4; 5; 9 ]
-    (List.rev !drained)
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "peek does not remove" 2 (Heap.length h)
-
-let test_heap_random_drain () =
-  let rng = Stats.Rng.create ~seed:77L () in
-  let h = Heap.create ~cmp:compare in
-  let l = List.init 1000 (fun _ -> Stats.Rng.int rng 10_000) in
-  List.iter (Heap.push h) l;
-  let expected = List.sort compare l in
-  let got = List.filter_map (fun _ -> Heap.pop h) l in
-  Alcotest.(check (list int)) "heapsort matches" expected got
 
 (* {2 Engine} *)
 
@@ -320,9 +285,6 @@ let tests =
     Alcotest.test_case "time: conversions" `Quick test_time_conversions;
     Alcotest.test_case "time: clamp" `Quick test_time_clamp;
     Alcotest.test_case "time: scale" `Quick test_time_scale;
-    Alcotest.test_case "heap: ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap: peek" `Quick test_heap_peek;
-    Alcotest.test_case "heap: random drain" `Quick test_heap_random_drain;
     Alcotest.test_case "engine: time ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine: FIFO on ties" `Quick test_engine_fifo_ties;
     Alcotest.test_case "engine: clock advances" `Quick

@@ -84,8 +84,8 @@ let test_ring_eviction_order () =
   let tail = Forensics.tail ring 2 in
   Alcotest.(check int) "tail length" 2 (List.length tail);
   Alcotest.(check (list string)) "tail = last renders" tail
-    (match List.rev (Forensics.render ring) with
-    | b :: a :: _ -> [ a; b ]
+    (match List.rev (Forensics.records ring) with
+    | b :: a :: _ -> List.map Forensics.render_record [ a; b ]
     | _ -> [])
 
 let test_ring_capacity_validation () =
@@ -104,16 +104,6 @@ let test_forensics_disabled_inert () =
       Alcotest.(check int) "nothing retained" 0 (Forensics.length ring);
       Alcotest.(check int) "nothing dropped" 0 (Forensics.dropped ring))
     [ Forensics.noop; Forensics.create ~enabled:false () ]
-
-let test_merge_rendered_prefixes () =
-  let merged =
-    Forensics.merge_rendered [ [ "a"; "b" ]; []; [ "c" ] ]
-  in
-  Alcotest.(check (list string))
-    "shard-order concatenation with s<i> prefixes"
-    [ "s0 a"; "s0 b"; "s2 c" ]
-    merged;
-  Alcotest.(check (list string)) "empty merge" [] (Forensics.merge_rendered [])
 
 (* {1 Recorder} *)
 
@@ -479,8 +469,6 @@ let tests =
       test_ring_capacity_validation;
     Alcotest.test_case "ring: disabled is inert" `Quick
       test_forensics_disabled_inert;
-    Alcotest.test_case "ring: merge_rendered shard prefixes" `Quick
-      test_merge_rendered_prefixes;
     Alcotest.test_case "recorder: cadence, dump, exports" `Quick
       test_recorder_cadence;
     Alcotest.test_case "recorder: disabled is inert" `Quick

@@ -41,17 +41,6 @@ let prop_window_keeps_newest =
       in
       Stats.Window.to_list w = expected)
 
-(* {2 Heap} *)
-
-let prop_heap_sorts =
-  Q.Test.make ~count:300 ~name:"heap drains in sorted order"
-    Q.(list Q.small_int)
-    (fun l ->
-      let h = Des.Heap.create ~cmp:compare in
-      List.iter (Des.Heap.push h) l;
-      let drained = List.filter_map (fun _ -> Des.Heap.pop h) l in
-      drained = List.sort compare l)
-
 (* {2 Engine ordering} *)
 
 let prop_engine_orders_events =
@@ -640,7 +629,6 @@ let tests =
       prop_wheel_matches_heap;
       prop_window_matches_batch;
       prop_window_keeps_newest;
-      prop_heap_sorts;
       prop_engine_orders_events;
       prop_loss_rate_bounds;
       prop_loss_rate_exact_on_sets;
