@@ -276,6 +276,16 @@ let make_snapshot_install_loop () =
     release_sends pool
       (Raft.Server.handle follower ~now:(Des.Time.ms (!i + 50)) snap)
 
+(* The DES kernel alone: schedule one opcode event and fire it.  After
+   the first call the event record comes from the pool, so the loop must
+   allocate nothing at all. *)
+let make_schedule_op_loop () =
+  let engine = Des.Engine.create () in
+  let op = Des.Engine.register_op engine (fun () () (_ : int) -> ()) in
+  fun () ->
+    Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
+    ignore (Des.Engine.step engine : bool)
+
 (* Minor-heap allocation per operation, by [Gc.minor_words] delta: the
    number bechamel's timing tables can't show.  [Gc.minor_words] counts
    words allocated on the minor heap since program start, so the delta

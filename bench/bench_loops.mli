@@ -35,6 +35,11 @@ val make_snapshot_install_loop : unit -> unit -> unit
     point already covers the boundary): the receive path minus the
     one-off log wipe. *)
 
+val make_schedule_op_loop : unit -> unit -> unit
+(** One opcode event through the DES kernel: [Engine.schedule_op_after]
+    then [Engine.step].  Allocates exactly 0 minor words per call once
+    the event pool is warm. *)
+
 val words_per_op : (unit -> unit) -> float
 (** Minor words allocated per call of [f], measured over 100k iterations
     after a 100-call warmup. *)

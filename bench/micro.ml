@@ -56,15 +56,20 @@ let test_engine_schedule =
               : Des.Engine.handle);
           ignore (Des.Engine.step e : bool)))
 
-let test_event_heap_push_pop =
-  Test.make ~name:"event_heap.schedule+pop (specialized)"
+(* Push one event ahead of everything queued, then pop the minimum, at
+   a fixed heap depth: both sifts run the heap's full height.  Depth
+   1,500 is the fanout workload's heap high-water mark. *)
+let test_event_heap_push_pop depth =
+  Test.make
+    ~name:(Printf.sprintf "event_heap.schedule+pop depth %d" depth)
     (Staged.stage
        (let h = Des.Event_heap.create () in
+        let noop () = () in
         let seq = ref 0 in
-        for _ = 1 to 5 do
+        for _ = 1 to depth do
           incr seq;
           ignore
-            (Des.Event_heap.schedule h ~at:(!seq * 7919) ~seq:!seq (fun () -> ())
+            (Des.Event_heap.schedule h ~at:(!seq * 7919) ~seq:!seq noop
               : Des.Event_heap.event)
         done;
         fun () ->
@@ -72,10 +77,14 @@ let test_event_heap_push_pop =
           ignore
             (Des.Event_heap.schedule h
                ~at:((!seq * 7919) mod 1000)
-               ~seq:!seq
-               (fun () -> ())
+               ~seq:!seq noop
               : Des.Event_heap.event);
-          ignore (Des.Event_heap.pop_live h : Des.Event_heap.event option)))
+          ignore (Des.Event_heap.top_live h : Des.Event_heap.event);
+          Des.Event_heap.pop_top h))
+
+let test_engine_schedule_op =
+  Test.make ~name:"engine.schedule_op_after+step"
+    (Staged.stage (Bench_loops.make_schedule_op_loop ()))
 
 let test_engine_cancel_churn =
   (* The heartbeat-timer pattern: schedule a timeout far out, cancel it,
@@ -193,7 +202,9 @@ let tests =
     test_loss_observe;
     test_window_push;
     test_engine_schedule;
-    test_event_heap_push_pop;
+    test_engine_schedule_op;
+    test_event_heap_push_pop 5;
+    test_event_heap_push_pop 1_500;
     test_engine_cancel_churn;
     test_wheel_churn;
     test_wheel_fire;
@@ -265,6 +276,8 @@ let allocation_report ppf =
     (Bench_loops.make_vote_round_loop ());
   words_per_op ppf "server.handle stale snapshot install"
     (Bench_loops.make_snapshot_install_loop ());
+  words_per_op ppf "engine.schedule_op_after+step"
+    (Bench_loops.make_schedule_op_loop ());
   (let e = Des.Engine.create () in
    words_per_op ppf "wheel timer schedule+cancel" (fun () ->
        Des.Engine.cancel

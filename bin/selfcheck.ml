@@ -21,7 +21,8 @@
    the pinned perf-guard plans from the committed bench report: the
    fig4 and multiraft trace digests must match the baseline bit for
    bit, the hot-path words/op figures (Bench_loops) must stay within a
-   small headroom of the recorded ones, and events/sec must stay within
+   small headroom of the recorded ones (the DES opcode
+   schedule-and-fire loop at exactly 0), and events/sec must stay within
    30% of the recorded figure (the throughput gate is skippable with
    DYNATUNE_PERF_SKIP_THROUGHPUT=1 for hopelessly noisy hosts; the
    digest and allocation gates never are). *)
@@ -503,6 +504,14 @@ let run_perf ~baseline =
       ("vote_round_words", Bench_loops.make_vote_round_loop);
       ("snapshot_install_words", Bench_loops.make_snapshot_install_loop);
     ];
+  (* The DES kernel's opcode path has an absolute budget, not a ratchet:
+     a pooled event scheduled and fired allocates nothing. *)
+  (let now = Bench_loops.words_per_op (Bench_loops.make_schedule_op_loop ()) in
+   if now <> 0. then
+     fail
+       "perf guard allocation regression: engine schedule_op_after+step = \
+        %.2f words/op; the opcode path must allocate 0"
+       now);
   (* Minor words per DES event of a steady-state cluster: the end-to-end
      allocation figure the pooling work moves (the loop ratchets above
      only cover the server in isolation).  A pinned-seed DES run's

@@ -12,15 +12,31 @@ module Digest = struct
 
   let create () = { h = fnv_offset }
 
-  let feed_byte t b =
-    t.h <- Int64.mul (Int64.logxor t.h (Int64.of_int (b land 0xff))) fnv_prime
+  (* Each feed folds its bytes through a local accumulator, which the
+     native compiler keeps unboxed, and stores the boxed field once. *)
+  let[@inline] fold_byte h b =
+    Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
-  let feed_string t s = String.iter (fun c -> feed_byte t (Char.code c)) s
+  let feed_string t s =
+    let h = ref t.h in
+    for i = 0 to String.length s - 1 do
+      h := fold_byte !h (Char.code s.[i])
+    done;
+    t.h <- !h
+
+  let feed_buffer t b =
+    let h = ref t.h in
+    for i = 0 to Buffer.length b - 1 do
+      h := fold_byte !h (Char.code (Buffer.nth b i))
+    done;
+    t.h <- !h
 
   let feed_int64 t i =
+    let h = ref t.h in
     for shift = 0 to 7 do
-      feed_byte t (Int64.to_int (Int64.shift_right_logical i (8 * shift)))
-    done
+      h := fold_byte !h (Int64.to_int (Int64.shift_right_logical i (8 * shift)))
+    done;
+    t.h <- !h
 
   let feed_int t i = feed_int64 t (Int64.of_int i)
   let value t = t.h

@@ -32,6 +32,10 @@ module Digest : sig
   val create : unit -> t
 
   val feed_string : t -> string -> unit
+
+  val feed_buffer : t -> Buffer.t -> unit
+  (** Same as [feed_string t (Buffer.contents b)], without the copy. *)
+
   val feed_int : t -> int -> unit
   (** Folded in as 8 little-endian bytes. *)
 

@@ -187,11 +187,15 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
            ~telemetry ~forensics ~config ~joining:false ~pool ~id ~peers))
     ids;
   (* The digest accumulates online through a subscription, so it survives
-     the trace clears the measurement loop performs between failures. *)
+     the trace clears the measurement loop performs between failures.
+     Each probe is rendered into one reused buffer. *)
   let digest = Check.Digest.create () in
+  let rendered = Buffer.create 128 in
   Des.Mtrace.subscribe trace (fun time probe ->
       Check.Digest.feed_int digest time;
-      Check.Digest.feed_string digest (Format.asprintf "%a" Raft.Probe.pp probe));
+      Buffer.clear rendered;
+      Raft.Probe.add_to_buffer rendered probe;
+      Check.Digest.feed_buffer digest rendered);
   let checker =
     match check with
     | Check.Off -> None

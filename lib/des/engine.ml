@@ -8,7 +8,6 @@ type t = {
   mutable synced : int;  (* portion of [processed] already in [grand_total] *)
   mutable post_hook : (unit -> unit) option;
   queue : Event_heap.t;
-  wheel : Wheel.t;
   rng : Stats.Rng.t;
   mutable handlers : (Obj.t -> Obj.t -> int -> unit) array;
   mutable n_handlers : int;
@@ -33,15 +32,13 @@ let slot_timer = 0
 let n_cached_slots = 8
 
 let create ?seed () =
-  let queue = Event_heap.create () in
   {
     clock = Time.zero;
     seq = 0;
     processed = 0;
     synced = 0;
     post_hook = None;
-    queue;
-    wheel = Wheel.create queue;
+    queue = Event_heap.create ();
     rng = Stats.Rng.create ?seed ();
     handlers = Array.make 8 no_handler;
     n_handlers = 1;
@@ -103,14 +100,11 @@ let schedule_timer_after t span action =
   let at = Time.add t.clock (Time.max_span 0 span) in
   let ev = Event_heap.make t.queue ~at ~seq:t.seq action in
   t.seq <- t.seq + 1;
-  if not (Wheel.insert t.wheel ev) then Event_heap.push_event t.queue ev;
+  Event_heap.push_timer t.queue ev;
   ev
 
 let[@inline] fill_op ev op a b arg =
-  ev.Event_heap.op <- op;
-  ev.Event_heap.a <- Obj.repr a;
-  ev.Event_heap.b <- Obj.repr b;
-  ev.Event_heap.arg <- arg
+  Event_heap.set_payload ev op (Obj.repr a) (Obj.repr b) arg
 
 let schedule_op_at t at op a b arg =
   if at < t.clock then invalid_arg "Engine.schedule_op_at: past deadline";
@@ -127,7 +121,7 @@ let schedule_timer_op t span op a b arg =
   let ev = Event_heap.alloc t.queue ~at ~seq:t.seq in
   t.seq <- t.seq + 1;
   fill_op ev op a b arg;
-  if not (Wheel.insert t.wheel ev) then Event_heap.push_event t.queue ev;
+  Event_heap.push_timer t.queue ev;
   ev
 
 let cancel = Event_heap.cancel
@@ -142,31 +136,29 @@ let is_pending = Event_heap.is_pending
 
    Returns the next live event without removing it ([Event_heap.never]
    when none): allocation-free, and after it returns the event is the
-   heap top, so [exec] can [drop_top] it. *)
+   heap top, so [exec] can [pop_top] it. *)
 let rec next_live t =
   let top = Event_heap.top_live t.queue in
-  let lb = Wheel.next_due_ns t.wheel in
+  let lb = Event_heap.next_due_ns t.queue in
   if lb = max_int || (top != Event_heap.never && top.Event_heap.at < lb) then
     top
   else begin
-    Wheel.flush_next t.wheel;
+    Event_heap.flush_next t.queue;
     next_live t
   end
 
 (* Read the payload into locals, then recycle the event {e before}
    dispatching: the handler may schedule new events, and letting it
    reuse this one keeps the pool at its high-water mark.  Safe because
-   handles are forgotten before their event can recycle (see
-   [Event_heap.release]). *)
+   handles are forgotten once their event fires (see [handle]). *)
 let[@hot] exec t ev =
-  Event_heap.drop_top t.queue;
   t.clock <- ev.Event_heap.at;
   t.processed <- t.processed + 1;
   let op = ev.Event_heap.op
   and a = ev.Event_heap.a
   and b = ev.Event_heap.b
   and arg = ev.Event_heap.arg in
-  Event_heap.release t.queue ev;
+  Event_heap.pop_top t.queue;
   if op = 0 then (Obj.obj a : unit -> unit) () else t.handlers.(op) a b arg;
   match t.post_hook with None -> () | Some f -> f ()
 
@@ -214,6 +206,7 @@ type stats = {
   cascades : int;
   wheel_occupancy : int;
   wheel_high_water : int;
+  pool_size : int;
 }
 
 let stats t =
@@ -228,4 +221,5 @@ let stats t =
     cascades = hs.Event_heap.cascades;
     wheel_occupancy = hs.Event_heap.wheel_occupancy;
     wheel_high_water = hs.Event_heap.wheel_high_water;
+    pool_size = Event_heap.pool_size t.queue;
   }

@@ -21,11 +21,11 @@ type t
 
 type handle
 (** A cancellation handle for a scheduled event.  Handles are pooled:
-    after the event fires or its cancellation is reclaimed, the handle
-    may be recycled for an unrelated event.  Holders must forget a
-    handle (overwrite it with {!never}) once they learn it fired, and
-    must not retain handles they have cancelled — {!Timer} is the
-    reference implementation of this discipline. *)
+    after the event fires or is cancelled, the handle may be recycled
+    for an unrelated event — a timer-wheel cancel recycles it at once.
+    Holders must forget a handle (overwrite it with {!never}) once they
+    learn it fired, and must not retain handles they have cancelled —
+    {!Timer} is the reference implementation of this discipline. *)
 
 val create : ?seed:int64 -> unit -> t
 (** Fresh engine at time zero.  [seed] initializes the root PRNG. *)
@@ -90,8 +90,9 @@ val schedule_timer_op : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> hand
 
 val cancel : handle -> unit
 (** Cancel a scheduled event; cancelling a fired or already-cancelled
-    event is a no-op.  Events still parked in the timing wheel are
-    dropped in place without ever touching the heap. *)
+    event is a no-op (as long as its record has not been reused).
+    Events still parked in the timing wheel are unlinked and recycled
+    at once, without ever touching the heap. *)
 
 val is_pending : handle -> bool
 
@@ -133,11 +134,14 @@ type stats = {
   compactions : int;  (** lazy-cancel heap sweeps performed *)
   heap_high_water : int;  (** deepest the event heap has ever been *)
   cancelled_in_place : int;
-      (** cancels absorbed by the timing wheel: the event was dropped
+      (** cancels absorbed by the timing wheel: the event was unlinked
           from its slot without a heap push, sift, or tombstone *)
   cascades : int;  (** wheel slot redistributions between levels *)
-  wheel_occupancy : int;  (** live events currently parked in the wheel *)
-  wheel_high_water : int;  (** peak live wheel occupancy *)
+  wheel_occupancy : int;  (** events currently parked in the wheel *)
+  wheel_high_water : int;  (** peak wheel occupancy *)
+  pool_size : int;
+      (** event records ever allocated; never exceeds
+          [heap_high_water + wheel_high_water] *)
 }
 (** Engine self-instrumentation.  [cancelled] vs [processed] shows how
     much timer churn (heartbeat re-arming, election resets) the workload

@@ -9,32 +9,67 @@ type stats = {
   mutable wheel_high_water : int;
 }
 
-(* Flattened, pooled event record.  The payload is an int-encoded opcode
-   plus two uniform operand words and one immediate word, interpreted by
-   the engine's handler table ([op] = 0 means [a] holds a plain
-   [unit -> unit] closure).  All fields are mutable so fired and
-   cancelled events can be recycled through a per-heap free list instead
-   of being re-allocated: on the steady-state replication workload every
-   event alloc after warm-up is a free-list pop, so scheduling allocates
-   zero minor words. *)
+(* [state] encoding: one int instead of separate cancelled / queued /
+   slot fields.  Non-negative means pending — the event will fire unless
+   cancelled. *)
+let st_free = -2 (* in the pool, fired, or cancelled off the heap *)
+let st_tomb = -1 (* cancelled while stored in the heap *)
+let st_heap = 0 (* live, stored in the heap *)
+let st_idle = 1 (* live, allocated but not yet queued *)
+let st_slot0 = 2 (* live, parked in wheel slot [state - st_slot0] *)
+
+(* Timing-wheel geometry: 3 levels x 256 slots, tick = 2^20 ns
+   (~1.05 ms).  Level [l]'s slot [i] is slot [256 * l + i] of the
+   queue's chain heads, and its occupancy bit is bit [i land 31] of word
+   [8 * l + i lsr 5]. *)
+let tick_bits = 20
+let level_bits = 8
+let level_slots = 1 lsl level_bits
+let wheel_slots = 3 * level_slots
+
+(* Pooled event record.  The payload is an int-encoded opcode plus two
+   uniform operand words and one immediate word, interpreted by the
+   engine's handler table ([op] = 0 means [a] holds a plain
+   [unit -> unit] closure).
+
+   Records are long-lived, so they sit in the major heap, where every
+   pointer store pays the write barrier (and, while the GC marks,
+   darkens its old target).  The queue therefore never stores a record
+   pointer after the record is first allocated: each record has a fixed
+   [id], [by_id] maps ids back to records, and the heap, the wheel-slot
+   chains and the free list hold ids only.  Ordering and linking move
+   immediate ints, which compile to plain stores. *)
 type event = {
+  id : int;
   mutable at : Time.t;
   mutable seq : int;
   mutable op : int;
   mutable a : Obj.t;
   mutable b : Obj.t;
   mutable arg : int;
-  mutable cancelled : bool;
-  mutable queued : bool;
-  mutable w_next : event;
-  stats : stats;
+  mutable state : int;
+  mutable next : int; (* slot chain or free list, by id; -1 ends it *)
+  mutable prev : int; (* slot chain only *)
+  owner : t;
 }
 
-type t = {
-  mutable data : event array;
+and t = {
+  (* The binary min-heap, as three parallel unboxed arrays: entry [i] is
+     the event [h_id.(i)], keyed by [(h_at.(i), h_seq.(i))].  Keeping
+     [seq] beside [at] means a sift never dereferences a record, even on
+     a tie. *)
+  mutable h_at : int array;
+  mutable h_seq : int array;
+  mutable h_id : int array;
   mutable len : int;
+  mutable by_id : event array; (* written once per record, at allocation *)
+  mutable n_ids : int; (* records ever allocated: the pool's size *)
+  mutable free : int; (* free-list head; -1 = empty *)
+  slot_head : int array; (* wheel-slot chain heads, by id; -1 = empty *)
+  slot_bits : int array; (* wheel-slot occupancy, 32 slots per word *)
+  mutable cursor : int; (* tick; every parked event's tick is >= this *)
+  mutable due_lb : int; (* cached [next_due_tick]; -1 = recompute *)
   stats : stats;
-  mutable free : event;  (* free-list head, chained via [w_next] *)
 }
 
 let fresh_stats () =
@@ -49,216 +84,461 @@ let fresh_stats () =
     wheel_high_water = 0;
   }
 
+let create () =
+  {
+    h_at = [||];
+    h_seq = [||];
+    h_id = [||];
+    len = 0;
+    by_id = [||];
+    n_ids = 0;
+    free = -1;
+    slot_head = Array.make wheel_slots (-1);
+    slot_bits = Array.make (wheel_slots / 32) 0;
+    cursor = 0;
+    due_lb = -1;
+    stats = fresh_stats ();
+  }
+
 let unit_obj = Obj.repr ()
 
-(* A permanently-cancelled placeholder: lets handle holders (timers) use
-   a plain [event] field instead of an [event option], and terminates
-   both wheel-slot chains and the free list.  Cancelling it is a no-op
-   (already cancelled), and no code path ever writes it, so it is safe
-   to share — even across domains. *)
-let never =
-  let rec ev =
-    {
-      at = 0;
-      seq = -1;
-      op = 0;
-      a = unit_obj;
-      b = unit_obj;
-      arg = 0;
-      cancelled = true;
-      queued = false;
-      w_next = ev;
-      stats = fresh_stats ();
-    }
-  in
-  ev
+let record owner id =
+  {
+    id;
+    at = 0;
+    seq = -1;
+    op = 0;
+    a = unit_obj;
+    b = unit_obj;
+    arg = 0;
+    state = st_free;
+    next = -1;
+    prev = -1;
+    owner;
+  }
 
-let create () = { data = [||]; len = 0; stats = fresh_stats (); free = never }
-let length t = t.len
+(* A permanently-free placeholder: lets handle holders (timers) use a
+   plain [event] field instead of an [event option].  Cancelling it is a
+   no-op (it is not pending), and no code path ever writes it or its
+   empty owner queue, so it is safe to share — even across domains. *)
+let never = record (create ()) (-1)
+
 let live_length t = t.len - t.stats.dead
 let stats t = t.stats
+let pool_size t = t.n_ids
+let cursor_tick t = t.cursor
 let compact_min_dead = 64
 
-(* Pop a recycled event, or allocate a fresh one if the pool is dry.
-   The caller overwrites [op]/[a]/[b]/[arg]; a pooled event may pin its
-   previous payload until then, which is bounded by the pool size. *)
-let alloc t ~at ~seq =
-  let ev = t.free in
-  if ev == never then
-    let rec ev =
-      {
-        at;
-        seq;
-        op = 0;
-        a = unit_obj;
-        b = unit_obj;
-        arg = 0;
-        cancelled = false;
-        queued = false;
-        w_next = ev;
-        stats = t.stats;
-      }
-    in
-    ev
-  else begin
-    t.free <- ev.w_next;
-    ev.w_next <- ev;
-    ev.at <- at;
-    ev.seq <- seq;
-    ev.cancelled <- false;
-    ev
-  end
-
-(* Return a fired or discarded event to the pool.  The caller must have
-   removed it from the heap and any wheel slot first; the DES gives
-   exact reclaim points (execution, tombstone discard, slot visit), so
-   no generation counter is needed — only {!Timer} retains handles, and
-   it forgets them before the event can be recycled. *)
+(* Return an event to the pool.  The caller must have taken it out of
+   the heap and any wheel slot first.  A closure payload is dropped so a
+   free record does not keep the closure's environment alive; opcode
+   operands are long-lived objects (ports, timers, pooled messages), so
+   they are left in place rather than paying a barrier store. *)
 let release t ev =
-  if ev != never then begin
-    ev.cancelled <- true;
-    ev.queued <- false;
-    ev.w_next <- t.free;
-    t.free <- ev
-  end
+  if ev.op = 0 then ev.a <- unit_obj;
+  ev.state <- st_free;
+  ev.next <- t.free;
+  t.free <- ev.id
 
-(* The ordering [compare_events] implements, with the comparison inlined
-   so sift loops never make an indirect call.  [at] and [seq] are
-   immediate ints. *)
-let[@inline] lt a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
+(* {2 Heap} *)
 
-let grow t x =
-  let cap = Array.length t.data in
-  if cap = 0 then t.data <- Array.make 16 x
-  else begin
-    let data = Array.make (2 * cap) x in
-    Array.blit t.data 0 data 0 t.len;
-    t.data <- data
-  end
+(* Hole-based sifts: the moving entry's key stays in registers and each
+   level costs three int loads and three int stores, with no write
+   barrier.  [(at, seq)] is compared inline; [seq] is unique, so the
+   order is total and does not depend on the heap's shape. *)
+let[@inline] place (ha : int array) (hs : int array) (hi : int array) i
+    (at : int) (seq : int) (id : int) =
+  ha.(i) <- at;
+  hs.(i) <- seq;
+  hi.(i) <- id
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
+let rec sift_up ha hs hi i (at : int) (seq : int) id =
+  if i = 0 then place ha hs hi 0 at seq id
+  else
+    let p = (i - 1) lsr 1 in
+    let pa = ha.(p) in
+    if at < pa || (at = pa && seq < hs.(p)) then begin
+      place ha hs hi i pa hs.(p) hi.(p);
+      sift_up ha hs hi p at seq id
     end
-  end
+    else place ha hs hi i at seq id
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && lt t.data.(l) t.data.(!smallest) then smallest := l;
-  if r < t.len && lt t.data.(r) t.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let rec sift_down ha hs hi n i (at : int) (seq : int) id =
+  let l = (2 * i) + 1 in
+  if l >= n then place ha hs hi i at seq id
+  else
+    let r = l + 1 in
+    let c =
+      if r < n && (ha.(r) < ha.(l) || (ha.(r) = ha.(l) && hs.(r) < hs.(l)))
+      then r
+      else l
+    in
+    let ca = ha.(c) in
+    if ca < at || (ca = at && hs.(c) < seq) then begin
+      place ha hs hi i ca hs.(c) hi.(c);
+      sift_down ha hs hi n c at seq id
+    end
+    else place ha hs hi i at seq id
 
-let push t x =
-  if t.len = Array.length t.data then grow t x;
-  t.data.(t.len) <- x;
-  t.len <- t.len + 1;
-  if t.len > t.stats.high_water then t.stats.high_water <- t.len;
-  sift_up t (t.len - 1)
+let grow t =
+  let cap = if t.len = 0 then 16 else 2 * t.len in
+  let extend a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.h_at <- extend t.h_at;
+  t.h_seq <- extend t.h_seq;
+  t.h_id <- extend t.h_id
 
 (* Drop every cancelled entry (recycling it) and re-heapify.  O(len),
-   amortized against the >= len/2 pushes it took to accumulate that many
-   dead entries. *)
+   amortized against the >= len/2 cancels it took to accumulate that
+   many dead entries. *)
 let compact t =
+  let ha = t.h_at and hs = t.h_seq and hi = t.h_id in
   let j = ref 0 in
   for i = 0 to t.len - 1 do
-    let ev = t.data.(i) in
-    if ev.cancelled then release t ev
+    let ev = t.by_id.(hi.(i)) in
+    if ev.state = st_tomb then release t ev
     else begin
-      t.data.(!j) <- ev;
+      ha.(!j) <- ha.(i);
+      hs.(!j) <- hs.(i);
+      hi.(!j) <- hi.(i);
       incr j
     end
   done;
-  for i = !j to t.len - 1 do
-    t.data.(i) <- never
-  done;
-  t.len <- !j;
+  let n = !j in
+  t.len <- n;
   t.stats.dead <- 0;
   t.stats.compactions <- t.stats.compactions + 1;
-  for i = (t.len / 2) - 1 downto 0 do
-    sift_down t i
+  for i = (n / 2) - 1 downto 0 do
+    sift_down ha hs hi n i ha.(i) hs.(i) hi.(i)
   done
+
+(* A new record, registered under the next id.  [by_id] grows by
+   doubling, the new record as filler. *)
+let fresh t =
+  let id = t.n_ids in
+  let ev = record t id in
+  if id = Array.length t.by_id then begin
+    let by_id = Array.make (if id = 0 then 16 else 2 * id) ev in
+    Array.blit t.by_id 0 by_id 0 id;
+    t.by_id <- by_id
+  end;
+  t.by_id.(id) <- ev;
+  t.n_ids <- id + 1;
+  ev
+
+(* Compaction runs here, before the free list is read, rather than at
+   push time: a record is then added only when every existing one sits
+   in the heap or a wheel slot, and the new one goes straight into one
+   of them, so [pool_size <= high_water + wheel_high_water] holds
+   exactly.  The caller overwrites [op]/[a]/[b]/[arg]. *)
+let alloc t ~at ~seq =
+  let s = t.stats in
+  if s.dead > compact_min_dead && 2 * s.dead > t.len then compact t;
+  let id = t.free in
+  let ev =
+    if id >= 0 then begin
+      let ev = t.by_id.(id) in
+      t.free <- ev.next;
+      ev
+    end
+    else fresh t
+  in
+  ev.at <- at;
+  ev.seq <- seq;
+  ev.state <- st_idle;
+  ev
+
+let[@inline] set_payload ev op a b arg =
+  ev.op <- op;
+  ev.a <- a;
+  ev.b <- b;
+  ev.arg <- arg
 
 let make t ~at ~seq action =
   let ev = alloc t ~at ~seq in
-  ev.op <- 0;
-  ev.a <- Obj.repr action;
-  ev.b <- unit_obj;
+  set_payload ev 0 (Obj.repr action) unit_obj 0;
   ev
 
 let push_event t ev =
-  if t.stats.dead > compact_min_dead && 2 * t.stats.dead > t.len then compact t;
-  ev.queued <- true;
-  push t ev
+  let n = t.len in
+  if n = Array.length t.h_id then grow t;
+  t.len <- n + 1;
+  if n >= t.stats.high_water then t.stats.high_water <- n + 1;
+  ev.state <- st_heap;
+  sift_up t.h_at t.h_seq t.h_id n ev.at ev.seq ev.id
 
 let schedule t ~at ~seq action =
   let ev = make t ~at ~seq action in
   push_event t ev;
   ev
 
-(* For direct heap users (tests, microbenchmarks) that execute events
-   themselves: run a closure-form event's payload. *)
-let run_closure ev =
-  if ev.op = 0 then (Obj.obj ev.a : unit -> unit) ()
-  else invalid_arg "Event_heap.run_closure: opcode event"
+(* {2 Timing wheel}
 
-let cancel ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    ev.stats.cancelled <- ev.stats.cancelled + 1;
-    if ev.queued then ev.stats.dead <- ev.stats.dead + 1
-    else if ev.w_next != ev then begin
-      (* Parked in a timing-wheel slot: it never reaches the heap, so it
-         costs no sift or compaction work — the wheel drops it when its
-         slot is next visited. *)
-      ev.stats.cancelled_in_place <- ev.stats.cancelled_in_place + 1;
-      ev.stats.wheel_occupancy <- ev.stats.wheel_occupancy - 1
+   A hierarchical timing wheel (Varghese & Lauck) in front of the heap.
+   It is a front-buffer, not an arbiter: events park in coarse
+   tick-granularity slots while far from due, and are pushed into the
+   heap — carrying their original (at, seq) — just before the engine
+   could need them.  The heap then decides firing order exactly as it
+   would have without the wheel, which is what keeps trace digests
+   bit-identical (see DESIGN.md, "Timer wheel and the determinism
+   contract").
+
+   What the wheel buys is the churn case: a timer armed far ahead and
+   cancelled before coming due (election resets, heartbeat re-arms) is
+   linked and unlinked in O(1) without ever touching the heap — no
+   sift_up, no tombstone, no compaction debt.
+
+   Level 0 spans ~268 ms at tick resolution, level 1 ~68.7 s, level 2
+   ~4.9 h; deadlines beyond that, or behind the cursor, go to the heap
+   directly.  Slot chains are doubly linked by event id so a cancel can
+   unlink in place; chain order is irrelevant because the heap re-orders
+   on flush.
+
+   Invariant: every parked event's tick is >= [cursor], and a slot is
+   non-empty iff its occupancy bit is set. *)
+
+let[@inline] set_bit bits slot =
+  bits.(slot lsr 5) <- bits.(slot lsr 5) lor (1 lsl (slot land 31))
+
+let[@inline] clear_bit bits slot =
+  bits.(slot lsr 5) <- bits.(slot lsr 5) land lnot (1 lsl (slot land 31))
+
+let link t slot ev =
+  let head = t.slot_head.(slot) in
+  ev.state <- st_slot0 + slot;
+  ev.prev <- -1;
+  ev.next <- head;
+  if head >= 0 then t.by_id.(head).prev <- ev.id
+  else set_bit t.slot_bits slot;
+  t.slot_head.(slot) <- ev.id
+
+(* Empty a slot, returning the id at the head of its chain. *)
+let take_slot t slot =
+  let head = t.slot_head.(slot) in
+  t.slot_head.(slot) <- -1;
+  clear_bit t.slot_bits slot;
+  head
+
+(* O(1) removal of a parked event.  Emptying a slot may raise the
+   earliest occupied tick, so the cached due bound is dropped. *)
+let unlink t slot ev =
+  let prev = ev.prev and next = ev.next in
+  if next >= 0 then t.by_id.(next).prev <- prev;
+  if prev >= 0 then t.by_id.(prev).next <- next
+  else begin
+    t.slot_head.(slot) <- next;
+    if next < 0 then begin
+      clear_bit t.slot_bits slot;
+      t.due_lb <- -1
     end
   end
 
-let is_pending ev = not ev.cancelled
+(* De Bruijn count-trailing-zeros over a non-zero 32-bit word.  A string
+   table: immutable, so it is safe to share across domains. *)
+let ctz_table =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
 
-let pop t =
-  if t.len = 0 then None
+let[@inline] ctz v =
+  Char.code ctz_table.[(((v land -v) * 0x077CB531) lsr 27) land 31]
+
+(* Distance (in slots, 0..255) from [pos] to the first occupied slot of
+   the level whose bitmap starts at word [base], scanning circularly; -1
+   when the level is empty.  A top-level recursive worker, not a nested
+   one: nesting would capture the scan state in a fresh closure on every
+   call, and this runs per flush. *)
+let rec scan_from bm base pos w0 b0 k =
+  if k > 8 then -1
+  else
+    let wi = (w0 + k) land 7 in
+    let v = bm.(base + wi) in
+    let v =
+      if k = 0 then v land lnot ((1 lsl b0) - 1)
+      else if k = 8 then v land ((1 lsl b0) - 1)
+      else v
+    in
+    if v = 0 then scan_from bm base pos w0 b0 (k + 1)
+    else (((wi lsl 5) + ctz v) - pos) land 255
+
+let[@inline] first_set_from t level pos =
+  scan_from t.slot_bits (8 * level) pos (pos lsr 5) (pos land 31) 0
+
+(* Park [ev] in the slot its deadline selects; false = out of range
+   (past the cursor, or beyond level 2) and the caller must heap it.
+
+   Levels are selected by slot-number distance, not raw tick delta: the
+   window [cursor, cursor + span1) covers 257 distinct values of
+   [tick lsr 8], so an event just under the span-1 horizon can share a
+   slot index with the cursor's own position one rotation ahead —
+   [cascade] would then re-file it into the very slot it is emptying,
+   without moving the cursor, and the flush loop would never terminate.
+   Requiring the slot number itself to be within one rotation
+   ([dist1 < level_slots]) pushes those boundary events up a level (or,
+   at level 2, out to the heap), which guarantees every cascade strictly
+   demotes its events. *)
+let file t ev =
+  let tick = ev.at lsr tick_bits in
+  if tick < t.cursor then false
+  else if tick - t.cursor < level_slots then begin
+    link t (tick land 0xFF) ev;
+    true
+  end
   else begin
-    let top = t.data.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.data.(0) <- t.data.(t.len);
-      sift_down t 0
-    end;
-    top.queued <- false;
-    Some top
+    let dist1 = (tick lsr level_bits) - (t.cursor lsr level_bits) in
+    if dist1 < level_slots then begin
+      link t (level_slots + ((tick lsr level_bits) land 0xFF)) ev;
+      true
+    end
+    else begin
+      let dist2 =
+        (tick lsr (2 * level_bits)) - (t.cursor lsr (2 * level_bits))
+      in
+      if dist2 < level_slots then begin
+        link t
+          ((2 * level_slots) + ((tick lsr (2 * level_bits)) land 0xFF))
+          ev;
+        true
+      end
+      else false
+    end
   end
 
-let rec pop_live t =
-  match pop t with
-  | None -> None
-  | Some ev when ev.cancelled ->
-      t.stats.dead <- t.stats.dead - 1;
-      release t ev;
-      pop_live t
-  | some -> some
+let push_timer t ev =
+  if file t ev then begin
+    let s = t.stats in
+    s.wheel_occupancy <- s.wheel_occupancy + 1;
+    if s.wheel_occupancy > s.wheel_high_water then
+      s.wheel_high_water <- s.wheel_occupancy;
+    if t.due_lb >= 0 then begin
+      let tick = ev.at lsr tick_bits in
+      if tick < t.due_lb then t.due_lb <- tick
+    end
+  end
+  else push_event t ev
+
+(* Candidate due lower bounds, in ticks.  Level 0's first occupied slot
+   pins an exact tick; levels 1/2 pin only their slot's range start,
+   clamped to the cursor (the d = 0 slot's range began in the past). *)
+let cand0 t =
+  let d = first_set_from t 0 (t.cursor land 0xFF) in
+  if d < 0 then max_int else t.cursor + d
+
+let cand_hi t level =
+  let shift = level * level_bits in
+  let c = t.cursor lsr shift in
+  let d = first_set_from t level (c land 0xFF) in
+  if d < 0 then max_int else Stdlib.max t.cursor ((c + d) lsl shift)
+
+let next_due_tick t =
+  if t.stats.wheel_occupancy = 0 then max_int
+  else if t.due_lb >= 0 then t.due_lb
+  else begin
+    let lb = Stdlib.min (cand0 t) (Stdlib.min (cand_hi t 1) (cand_hi t 2)) in
+    t.due_lb <- lb;
+    lb
+  end
+
+(* A lower bound: actual deadlines within the boundary tick may be up
+   to one tick later. *)
+let next_due_ns t =
+  let lb = next_due_tick t in
+  if lb = max_int then max_int else lb lsl tick_bits
+
+let rec cascade_chain t id =
+  if id >= 0 then begin
+    let ev = t.by_id.(id) in
+    let next = ev.next in
+    if not (file t ev) then assert false;
+    cascade_chain t next
+  end
+
+(* Move one slot's events down a level (level 1/2 -> finer slots).  The
+   cursor first advances to the slot's range start, so every re-filed
+   event lands within the finer level's span. *)
+let cascade t slot start =
+  t.cursor <- start;
+  t.stats.cascades <- t.stats.cascades + 1;
+  cascade_chain t (take_slot t slot)
+
+let rec drain_chain t id =
+  if id >= 0 then begin
+    let ev = t.by_id.(id) in
+    let next = ev.next in
+    t.stats.wheel_occupancy <- t.stats.wheel_occupancy - 1;
+    push_event t ev;
+    drain_chain t next
+  end
+
+(* Push one level-0 slot's events into the heap. *)
+let drain t idx tick =
+  t.cursor <- tick + 1;
+  drain_chain t (take_slot t idx)
+
+(* Process exactly one slot: cascade the earliest-due level-1/2 slot, or
+   drain the earliest level-0 slot into the heap.  Ties go to the
+   coarser level — its range may contain deadlines earlier than the
+   level-0 candidate. *)
+let flush_next t =
+  t.due_lb <- -1;
+  let a = cand0 t in
+  let c1 = t.cursor lsr level_bits in
+  let d1 = first_set_from t 1 (c1 land 0xFF) in
+  let b =
+    if d1 < 0 then max_int else Stdlib.max t.cursor ((c1 + d1) lsl level_bits)
+  in
+  let c2 = t.cursor lsr (2 * level_bits) in
+  let d2 = first_set_from t 2 (c2 land 0xFF) in
+  let c =
+    if d2 < 0 then max_int
+    else Stdlib.max t.cursor ((c2 + d2) lsl (2 * level_bits))
+  in
+  if c <= a && c <= b then
+    cascade t ((2 * level_slots) + ((c2 + d2) land 0xFF)) c
+  else if b <= a then cascade t (level_slots + ((c1 + d1) land 0xFF)) b
+  else drain t (a land 0xFF) a
+
+(* {2 Cancellation and draining} *)
+
+let cancel ev =
+  let st = ev.state in
+  if st >= 0 then begin
+    let t = ev.owner in
+    let s = t.stats in
+    s.cancelled <- s.cancelled + 1;
+    if st = st_heap then begin
+      ev.state <- st_tomb;
+      s.dead <- s.dead + 1
+    end
+    else begin
+      if st >= st_slot0 then begin
+        unlink t (st - st_slot0) ev;
+        s.cancelled_in_place <- s.cancelled_in_place + 1;
+        s.wheel_occupancy <- s.wheel_occupancy - 1
+      end;
+      release t ev
+    end
+  end
+
+let is_pending ev = ev.state >= 0
+
+let remove_top t =
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then
+    let ha = t.h_at and hs = t.h_seq and hi = t.h_id in
+    sift_down ha hs hi n 0 ha.(n) hs.(n) hi.(n)
 
 (* Allocation-free peek for the engine's hot loop: [never] means empty.
-   Like [peek_live], discards (and recycles) cancelled entries from the
-   top. *)
+   Discards (and recycles) cancelled entries from the top. *)
 let rec top_live t =
   if t.len = 0 then never
   else begin
-    let top = t.data.(0) in
-    if top.cancelled then begin
-      ignore (pop t : event option);
+    let top = t.by_id.(t.h_id.(0)) in
+    if top.state = st_tomb then begin
+      remove_top t;
       t.stats.dead <- t.stats.dead - 1;
       release t top;
       top_live t
@@ -266,26 +546,7 @@ let rec top_live t =
     else top
   end
 
-(* Remove the top event; caller has just verified via [top_live] that it
-   is live. *)
-let drop_top t =
-  let top = t.data.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.data.(0) <- t.data.(t.len);
-    sift_down t 0
-  end;
-  top.queued <- false
-
-let rec peek_live t =
-  if t.len = 0 then None
-  else begin
-    let top = t.data.(0) in
-    if top.cancelled then begin
-      ignore (pop t : event option);
-      t.stats.dead <- t.stats.dead - 1;
-      release t top;
-      peek_live t
-    end
-    else Some top
-  end
+let pop_top t =
+  let top = t.by_id.(t.h_id.(0)) in
+  remove_top t;
+  release t top

@@ -1,52 +1,65 @@
 (** Monomorphic event queue for the DES engine.
 
-    A binary min-heap specialized to the engine's event records: the
-    [(at, seq)] lexicographic comparison is inlined into the sift loops
-    instead of going through a boxed ['a -> 'a -> int] closure, which is
-    worth ~1.6x on push/pop throughput (the hottest loop in every
-    campaign).
+    A binary min-heap on [(at, seq)] lexicographic order, a hierarchical
+    timing wheel in front of it for timer deadlines, and the record pool
+    behind both.
 
     Events are {e flattened} and {e pooled}: instead of a
     [unit -> unit] closure per schedule, an event carries an int opcode
     plus two uniform operand words and one immediate word, dispatched
     through the engine's handler table ([op] = 0 keeps the closure form,
-    stored in [a]).  Fired and discarded events return to a per-heap
-    free list ({!release}) and are recycled by {!alloc}, so steady-state
-    scheduling allocates zero minor words.
+    stored in [a]).  Fired and cancelled events return to a free list
+    and are recycled by {!alloc}, so steady-state scheduling allocates
+    zero minor words.
 
-    Cancellation is lazy — [cancel] only marks the event — but the heap
-    counts its dead entries and compacts itself once they pass a
-    threshold, so workloads that cancel and re-arm timers at a high rate
-    (heartbeat churn over long holds) cannot grow the queue without
-    bound.
+    {b Barrier-free layout.}  Pooled records live in the major heap,
+    where a pointer store costs a write-barrier call.  So each record
+    has a fixed int [id] and the queue holds ids only: the heap is three
+    parallel unboxed [int array]s ([at], [seq], [id]) with hole-based
+    sifts, and the wheel-slot chains and the free list are doubly or
+    singly linked through int fields.  A record pointer is stored once,
+    in [by_id], when the record is first allocated.
 
-    The heap is also the overflow store and final arbiter for {!Wheel}:
-    near-deadline events park in wheel slots and are pushed here (with
-    their original [at]/[seq]) just before they come due, so firing
-    order is decided by this heap alone whether or not an event took the
-    wheel shortcut.  Not thread-safe: each simulation runs
-    single-domain. *)
+    {b Timing wheel.}  3 levels x 256 slots at 2^20 ns (~1.05 ms) per
+    tick: level 0 spans ~268 ms, level 1 ~68.7 s, level 2 ~4.9 h.
+    {!push_timer} parks an event in the slot its deadline selects;
+    deeper deadlines, and deadlines behind the wheel's cursor, go to the
+    heap.  Parked events are pushed into the heap with their original
+    [(at, seq)] just before they come due ({!flush_next}), so the heap
+    alone decides firing order whether or not an event took the wheel
+    shortcut.
+
+    Cancellation: a heap-resident event is marked dead in place, and
+    the heap compacts once more than 64 entries are dead and the dead
+    outnumber the live (amortized O(1) per event), so re-arming timers
+    at a high rate cannot grow it without bound.  A wheel-resident
+    event is unlinked from its slot and recycled at once.  The pool
+    therefore never holds more records than
+    [high_water + wheel_high_water].
+
+    Not thread-safe: each simulation runs single-domain. *)
 
 type stats = {
   mutable dead : int;  (** cancelled-but-still-queued entries, right now *)
-  mutable cancelled : int;  (** lifetime count of {!cancel} marks *)
+  mutable cancelled : int;  (** lifetime {!cancel}s of pending events *)
   mutable compactions : int;  (** lifetime count of lazy-cancel sweeps *)
   mutable high_water : int;  (** deepest the heap has ever been *)
   mutable cancelled_in_place : int;
-      (** cancels that hit a wheel slot — the event was dropped without
+      (** cancels that hit a wheel slot — the event was unlinked without
           ever being pushed into the heap *)
   mutable cascades : int;  (** wheel slot redistributions between levels *)
-  mutable wheel_occupancy : int;  (** live events parked in wheel slots *)
-  mutable wheel_high_water : int;  (** peak live wheel occupancy *)
+  mutable wheel_occupancy : int;
+      (** events parked in wheel slots; every one is pending *)
+  mutable wheel_high_water : int;  (** peak wheel occupancy *)
 }
 (** Self-instrumentation counters, maintained unconditionally — they are
     single field mutations on paths that already mutate the structure,
-    too cheap to be worth gating.  Shared between a heap and the wheel
-    layered on top of it, because {!cancel} takes only the event and
-    must be able to account for both residencies.  Read them via
-    {!stats}. *)
+    too cheap to be worth gating.  Read them via {!stats}. *)
 
-type event = {
+type t
+
+type event = private {
+  id : int;  (** fixed index of this record in its queue's pool *)
   mutable at : Time.t;
   mutable seq : int;  (** tie-break: strictly increasing scheduling order *)
   mutable op : int;
@@ -54,92 +67,95 @@ type event = {
   mutable a : Obj.t;  (** first operand word (uniform representation) *)
   mutable b : Obj.t;  (** second operand word *)
   mutable arg : int;  (** immediate operand (packed ints, cause IDs) *)
-  mutable cancelled : bool;
-  mutable queued : bool;  (** currently stored in the heap *)
-  mutable w_next : event;
-      (** intrusive chain: wheel slot when parked, free list when
-          recycled; self-linked when in neither *)
-  stats : stats;  (** owning heap's counters *)
+  mutable state : int;
+      (** pending iff [>= 0]: queued in the heap, parked in a wheel slot,
+          or allocated and not yet queued *)
+  mutable next : int;  (** wheel-slot chain or free list, by id; -1 ends *)
+  mutable prev : int;  (** wheel-slot chain, by id; -1 at the head *)
+  owner : t;
 }
-(** The record is exposed (not private) so {!Wheel} can link events into
-    its slots and {!Engine} can dispatch without an indirection layer;
-    outside [lib/des], treat it as an abstract handle and only construct
-    via {!make}/{!schedule}. *)
-
-type t
+(** Private: {!Engine} reads the payload; only this module writes a
+    record, except the payload fields {!Engine} fills through
+    {!set_payload}. *)
 
 val create : unit -> t
 
 val never : event
-(** A shared, permanently-cancelled event: a null object for handle
-    fields that would otherwise be [event option].  {!cancel} and
-    {!is_pending} treat it as already fired; it is never stored. *)
+(** A shared event that is never pending: a null object for handle
+    fields that would otherwise be [event option].  {!cancel} is a
+    no-op on it and {!is_pending} is [false]; it is never stored. *)
 
 val alloc : t -> at:Time.t -> seq:int -> event
-(** Pop a recycled event from the free list (or allocate a fresh one),
-    live and unqueued.  The caller must set [op]/[a]/[b]/[arg] before
-    the event fires. *)
+(** A recycled record from the free list (or a fresh one), live and not
+    yet queued.  Compacts the heap first when dead entries dominate.
+    The caller must set the payload ({!set_payload}) before the event
+    fires. *)
 
-val release : t -> event -> unit
-(** Return an event to the free list for reuse.  The caller must have
-    removed it from the heap and any wheel slot; the engine releases at
-    execution, the heap at tombstone discard, the wheel at slot visit.
-    Releasing {!never} is a no-op. *)
+val set_payload : event -> int -> Obj.t -> Obj.t -> int -> unit
+(** [set_payload ev op a b arg] fills an allocated event's payload. *)
 
 val make : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
 (** {!alloc} an event carrying a closure payload ([op] = 0) {e without}
-    queueing it — the caller either parks it in a wheel slot or hands it
-    to {!push_event}. *)
+    queueing it — the caller hands it to {!push_event} or
+    {!push_timer}. *)
 
 val push_event : t -> event -> unit
-(** Push an event obtained from {!make}/{!alloc} (or one the wheel is
-    flushing back).  May trigger compaction first. *)
+(** Push an event obtained from {!make}/{!alloc} into the heap. *)
+
+val push_timer : t -> event -> unit
+(** Queue an event obtained from {!make}/{!alloc} through the timing
+    wheel: parked in a slot when its deadline is in the wheel's range,
+    pushed into the heap otherwise.  For deadlines likely to be
+    cancelled before they come due. *)
 
 val schedule : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
 (** [make] + [push_event]. *)
 
-val run_closure : event -> unit
-(** Execute a closure-form event's payload ([op] = 0) — for direct heap
-    users (tests, microbenchmarks) that drive the queue themselves.
-    Raises [Invalid_argument] on an opcode event: those belong to an
-    engine's handler table. *)
-
 val cancel : event -> unit
-(** Mark the event dead; it will be skipped and eventually reclaimed.
-    Wheel-resident events are accounted as cancelled-in-place (their
-    slot drops them on its next visit).  Cancelling a fired or
-    already-cancelled event is a no-op. *)
+(** Cancel a pending event.  A heap-resident event becomes a dead entry
+    that is skipped and later reclaimed; a wheel-resident one is
+    unlinked from its slot and recycled at once (counted as
+    cancelled-in-place).  Cancelling an event that is not pending —
+    fired, already cancelled, or {!never} — is a no-op. *)
 
 val is_pending : event -> bool
-(** [not cancelled] — mirrors the seed engine's handle semantics. *)
-
-val pop_live : t -> event option
-(** Remove and return the earliest non-cancelled event, discarding any
-    cancelled entries encountered on the way.  The returned event is
-    {e not} released — callers outside the engine own it (and may simply
-    drop it; unreleased events are garbage-collected normally). *)
-
-val peek_live : t -> event option
-(** Earliest non-cancelled event without removing it; discards cancelled
-    entries from the top as a side effect. *)
 
 val top_live : t -> event
-(** Allocation-free {!peek_live}: returns {!never} when empty.  The
-    engine's hot loop uses this to avoid boxing an option per event. *)
+(** The heap's earliest live event without removing it, or {!never}
+    when the heap is empty.  Discards (and recycles) dead entries from
+    the top.  Allocation-free: the engine's hot loop.  Wheel events are
+    not considered; see {!next_due_ns}. *)
 
-val drop_top : t -> unit
-(** Remove the top event.  Only call immediately after {!top_live}
-    returned it (the top must be live). *)
+val pop_top : t -> unit
+(** Remove the top event and return it to the pool.  Only call right
+    after {!top_live} returned it.  Its fields stay readable until the
+    next {!alloc}. *)
 
-val length : t -> int
-(** Entries currently stored, including cancelled ones. *)
+val next_due_ns : t -> int
+(** Lower bound on the earliest instant any parked event could be due
+    (its slot's tick start), or [max_int] when the wheel is empty.  The
+    heap top may fire only while it is strictly below this bound;
+    otherwise call {!flush_next} and look again. *)
+
+val flush_next : t -> unit
+(** Advance the wheel to its earliest occupied slot and process it:
+    cascade it to a finer level, or (at level 0) push its events into
+    the heap.  Requires a non-empty wheel.  Repeated calls make
+    progress: every parked event eventually reaches the heap. *)
 
 val live_length : t -> int
-(** Entries that are still scheduled to fire. *)
+(** Heap entries that are still scheduled to fire (parked wheel events
+    are counted by [wheel_occupancy]). *)
+
+val pool_size : t -> int
+(** Event records ever allocated by this queue. *)
 
 val stats : t -> stats
-(** The heap's live counter record (not a copy). *)
+(** The queue's live counter record (not a copy). *)
 
-val compact_min_dead : int
-(** Compaction triggers when more than [compact_min_dead] entries are
-    dead AND the dead outnumber the live (amortized O(1) per push). *)
+val tick_bits : int
+(** log2 of the wheel's tick size in ns (for tests). *)
+
+val cursor_tick : t -> int
+(** The wheel's position, in ticks: every parked event's tick is at or
+    after it (for diagnostics). *)

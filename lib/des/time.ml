@@ -21,4 +21,8 @@ let clamp s ~lo ~hi =
   if s < lo then lo else if s > hi then hi else s
 
 let pp ppf t = Format.fprintf ppf "%.3fs" (to_sec_f t)
-let pp_ms ppf s = Format.fprintf ppf "%.1fms" (to_ms_f s)
+(* One format for both millisecond printers: probe text rendered with
+   either is hashed into trace digests. *)
+let ms_format : (float -> unit, 'b, unit) format = "%.1fms"
+let pp_ms ppf s = Format.fprintf ppf ms_format (to_ms_f s)
+let add_ms_to_buffer b s = Printf.bprintf b ms_format (to_ms_f s)

@@ -43,3 +43,6 @@ val pp : Format.formatter -> t -> unit
 
 val pp_ms : Format.formatter -> span -> unit
 (** Render as milliseconds, e.g. ["237.1ms"]. *)
+
+val add_ms_to_buffer : Buffer.t -> span -> unit
+(** Append the {!pp_ms} text. *)

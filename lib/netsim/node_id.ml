@@ -8,7 +8,11 @@ let to_int i = i
 let equal = Int.equal
 let compare = Int.compare
 let hash i = i
-let pp ppf i = Format.fprintf ppf "n%d" i
+(* One format for both printers: probe text rendered with either is
+   hashed into trace digests. *)
+let format : (int -> unit, 'b, unit) format = "n%d"
+let pp ppf i = Format.fprintf ppf format i
+let add_to_buffer b i = Printf.bprintf b format i
 let range n = List.init n (fun i -> i)
 
 module Map = Map.Make (Int)

@@ -13,6 +13,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
+(** Render as ["n<id>"], e.g. ["n3"]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the {!pp} text. *)
 
 val range : int -> t list
 (** [range n] is the ids [0 .. n-1] — a convenience for building

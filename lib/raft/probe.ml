@@ -41,41 +41,42 @@ let reason_name = function
   | Retuned -> "retuned"
   | Reconfigured -> "reconfigured"
 
-let pp ppf = function
+let add_node = Netsim.Node_id.add_to_buffer
+let add_ms = Des.Time.add_ms_to_buffer
+
+let add_to_buffer b = function
   | Role_change { id; role; term } ->
-      Format.fprintf ppf "%a -> %s (term %d)" Netsim.Node_id.pp id
+      Printf.bprintf b "%a -> %s (term %d)" add_node id
         (Types.role_name role) term
   | Timeout_expired { id; term; randomized } ->
-      Format.fprintf ppf "%a timeout (%a) in term %d" Netsim.Node_id.pp id
-        Des.Time.pp_ms randomized term
+      Printf.bprintf b "%a timeout (%a) in term %d" add_node id add_ms
+        randomized term
   | Pre_vote_aborted { id; term } ->
-      Format.fprintf ppf "%a pre-vote aborted (term %d)" Netsim.Node_id.pp id
-        term
-  | Tuner_reset { id } ->
-      Format.fprintf ppf "%a tuner reset" Netsim.Node_id.pp id
+      Printf.bprintf b "%a pre-vote aborted (term %d)" add_node id term
+  | Tuner_reset { id } -> Printf.bprintf b "%a tuner reset" add_node id
   | Tuner_decision { id; rtt_ms; rtt_std_ms; loss; k; et; h; reason } ->
-      Format.fprintf ppf
-        "%a tuner %s: rtt %.3f±%.3fms loss %.4f -> Et %a H %a k %d"
-        Netsim.Node_id.pp id (reason_name reason) rtt_ms rtt_std_ms loss
-        Des.Time.pp_ms et Des.Time.pp_ms h k
+      Printf.bprintf b
+        "%a tuner %s: rtt %.3f±%.3fms loss %.4f -> Et %a H %a k %d" add_node
+        id (reason_name reason) rtt_ms rtt_std_ms loss add_ms et add_ms h k
   | Election_started { id; term } ->
-      Format.fprintf ppf "%a election started (term %d)" Netsim.Node_id.pp id
-        term
-  | Node_paused { id } ->
-      Format.fprintf ppf "%a paused" Netsim.Node_id.pp id
-  | Node_resumed { id } ->
-      Format.fprintf ppf "%a resumed" Netsim.Node_id.pp id
+      Printf.bprintf b "%a election started (term %d)" add_node id term
+  | Node_paused { id } -> Printf.bprintf b "%a paused" add_node id
+  | Node_resumed { id } -> Printf.bprintf b "%a resumed" add_node id
   | Config_change { id; term; index; change; committed } ->
-      Format.fprintf ppf "%a config %s %a at index %d (term %d)"
-        Netsim.Node_id.pp id
+      Printf.bprintf b "%a config %s %s at index %d (term %d)" add_node id
         (if committed then "committed" else "appended")
-        Log.pp_change change index term
+        (Log.show_change change)
+        index term
   | Transfer_started { id; term; target } ->
-      Format.fprintf ppf "%a transfer to %a (term %d)" Netsim.Node_id.pp id
-        Netsim.Node_id.pp target term
+      Printf.bprintf b "%a transfer to %a (term %d)" add_node id add_node
+        target term
   | Transfer_aborted { id; term } ->
-      Format.fprintf ppf "%a transfer aborted (term %d)" Netsim.Node_id.pp id
-        term
+      Printf.bprintf b "%a transfer aborted (term %d)" add_node id term
+
+let pp ppf p =
+  let b = Buffer.create 64 in
+  add_to_buffer b p;
+  Format.pp_print_string ppf (Buffer.contents b)
 
 let node = function
   | Role_change { id; _ }

@@ -62,5 +62,11 @@ type t =
 val reason_name : decision_reason -> string
 (** ["warmed"] / ["retuned"] / ["reconfigured"]. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the event's one-line rendering.  Trace digests hash exactly
+    these bytes, so the text is part of every pinned digest. *)
+
 val pp : Format.formatter -> t -> unit
+(** The same text as {!add_to_buffer}. *)
+
 val node : t -> Netsim.Node_id.t

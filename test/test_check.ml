@@ -30,6 +30,70 @@ let test_digest_order_sensitive () =
     "of_string separates ab from ba" false
     (Int64.equal (Check.Digest.of_string "ab") (Check.Digest.of_string "ba"))
 
+let test_digest_buffer_feed () =
+  let s = String.init 1000 (fun i -> Char.chr (i land 0xff)) in
+  let a = Check.Digest.create () and b = Check.Digest.create () in
+  let buf = Buffer.create 1000 in
+  Buffer.add_string buf s;
+  Check.Digest.feed_string a s;
+  Check.Digest.feed_buffer b buf;
+  Alcotest.(check int64)
+    "feed_buffer = feed_string" (Check.Digest.value a) (Check.Digest.value b);
+  (* One boxed store per call, not one per byte. *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    Check.Digest.feed_string a s;
+    Check.Digest.feed_buffer b buf;
+    Check.Digest.feed_int a 42
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. 300. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per feed" per_call)
+    true (per_call <= 3.)
+
+(* The probe text is hashed into every trace digest, so it must not
+   drift: [pp] and [add_to_buffer] print the same bytes. *)
+let test_probe_rendering () =
+  let id = Node_id.of_int 3 in
+  let probes =
+    [
+      ( Raft.Probe.Timeout_expired
+          { id; term = 2; randomized = Des.Time.of_ms_f 153.4 },
+        "n3 timeout (153.4ms) in term 2" );
+      ( Raft.Probe.Tuner_decision
+          {
+            id;
+            rtt_ms = 100.5;
+            rtt_std_ms = 2.25;
+            loss = 0.125;
+            k = 4;
+            et = Des.Time.ms 600;
+            h = Des.Time.ms 150;
+            reason = Raft.Probe.Retuned;
+          },
+        "n3 tuner retuned: rtt 100.500±2.250ms loss 0.1250 -> Et 600.0ms H \
+         150.0ms k 4" );
+      ( Raft.Probe.Config_change
+          {
+            id;
+            term = 7;
+            index = 42;
+            change = Raft.Log.Promote (Node_id.of_int 5);
+            committed = true;
+          },
+        Format.asprintf "n3 config committed %a at index 42 (term 7)"
+          Raft.Log.pp_change
+          (Raft.Log.Promote (Node_id.of_int 5)) );
+    ]
+  in
+  List.iter
+    (fun (p, want) ->
+      let b = Buffer.create 16 in
+      Raft.Probe.add_to_buffer b p;
+      Alcotest.(check string) "add_to_buffer" want (Buffer.contents b);
+      Alcotest.(check string) "pp" want (Format.asprintf "%a" Raft.Probe.pp p))
+    probes
+
 (* {1 Broken toy nodes} *)
 
 (* A hand-driven server state: tests mutate it between checker passes to
@@ -312,6 +376,10 @@ let tests =
   [
     Alcotest.test_case "digest: FNV-1a known values" `Quick
       test_digest_known_values;
+    Alcotest.test_case "digest: buffer feed, one store per call" `Quick
+      test_digest_buffer_feed;
+    Alcotest.test_case "digest: probe rendering is stable" `Quick
+      test_probe_rendering;
     Alcotest.test_case "digest: order sensitivity" `Quick
       test_digest_order_sensitive;
     Alcotest.test_case "catches: election safety" `Quick

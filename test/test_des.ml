@@ -114,6 +114,59 @@ let test_engine_counters () =
   Alcotest.(check int) "processed" 5 (Engine.processed_events e);
   Alcotest.(check int) "drained" 0 (Engine.pending_events e)
 
+(* {2 Event pool} *)
+
+let test_wheel_cancel_recycles () =
+  let e = Engine.create () in
+  let noop () = () in
+  for _ = 1 to 1000 do
+    Engine.cancel (Engine.schedule_timer_after e (Time.ms 500) noop)
+  done;
+  let st = Engine.stats e in
+  Alcotest.(check int) "every cancel absorbed in place" 1000
+    st.Engine.cancelled_in_place;
+  Alcotest.(check int) "one record serves every arm" 1 st.Engine.pool_size;
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e)
+
+let test_heap_tombstones_compact () =
+  let e = Engine.create () in
+  let noop () = () in
+  let hs = List.init 100 (fun i -> Engine.schedule_at e (Time.ms (i + 1)) noop) in
+  List.iter Engine.cancel hs;
+  ignore (Engine.schedule_at e (Time.ms 1) noop : Engine.handle);
+  let st = Engine.stats e in
+  Alcotest.(check int) "dead entries swept" 1 st.Engine.compactions;
+  Alcotest.(check int) "swept records reused" 100 st.Engine.pool_size;
+  Alcotest.(check int) "one pending" 1 (Engine.pending_events e)
+
+(* Pool bound: a record is only ever added when every existing one is in
+   the heap or a wheel slot. *)
+let check_pool_bound (st : Engine.stats) =
+  Alcotest.(check bool)
+    (Printf.sprintf "pool %d <= heap high water %d + wheel high water %d"
+       st.Engine.pool_size st.Engine.heap_high_water st.Engine.wheel_high_water)
+    true
+    (st.Engine.pool_size
+    <= st.Engine.heap_high_water + st.Engine.wheel_high_water)
+
+let test_pool_bound_timer_churn () =
+  (* 64 election-style timers of ~150 ms, one re-armed per ms from a
+     message-like event — each every 64 ms, long before it can fire —
+     over 20 s of sim time. *)
+  let e = Engine.create () in
+  let timers = Array.init 64 (fun _ -> Timer.create e (fun () -> ())) in
+  let rec tick i () =
+    Timer.arm timers.(i mod 64) (Time.ms (150 + (i mod 7)));
+    if i < 20_000 then
+      ignore (Engine.schedule_after e (Time.ms 1) (tick (i + 1)))
+  in
+  ignore (Engine.schedule_at e Time.zero (tick 0));
+  Engine.run e;
+  let st = Engine.stats e in
+  Alcotest.(check bool) "churn was absorbed by the wheel" true
+    (st.Engine.cancelled_in_place > 10_000);
+  check_pool_bound st
+
 (* {2 Timer} *)
 
 let test_timer_fires_once () =
@@ -298,6 +351,12 @@ let tests =
       test_engine_schedule_during_run;
     Alcotest.test_case "engine: past rejected" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine: counters" `Quick test_engine_counters;
+    Alcotest.test_case "pool: wheel cancel recycles at once" `Quick
+      test_wheel_cancel_recycles;
+    Alcotest.test_case "pool: heap tombstones compact" `Quick
+      test_heap_tombstones_compact;
+    Alcotest.test_case "pool: bounded under timer churn" `Quick
+      test_pool_bound_timer_churn;
     Alcotest.test_case "timer: fires once" `Quick test_timer_fires_once;
     Alcotest.test_case "timer: re-arm cancels previous" `Quick
       test_timer_rearm_cancels_previous;

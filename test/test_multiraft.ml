@@ -286,6 +286,26 @@ let test_scenario_smoke () =
     "router was exercised" true
     (c.Scenarios.Multiraft.hint_hits + c.Scenarios.Multiraft.hint_misses > 0)
 
+(* The DES event pool's stated bound, on the cell `selfcheck --perf`
+   pins (same derived seed, group count and rates). *)
+let test_pinned_plan_pool_bound () =
+  let engine = ref None in
+  let cell =
+    Scenarios.Multiraft.run_one ~seed:(Stats.Rng.derive 11L 0) ~groups:4
+      ~rates:[ 500.; 1000. ]
+      ~on_manager:(fun m -> engine := Some (Gm.engine m))
+      ()
+  in
+  let st = Des.Engine.stats (Option.get !engine) in
+  Alcotest.(check bool) "ran" true (cell.Scenarios.Multiraft.events > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pool %d <= heap high water %d + wheel high water %d"
+       st.Des.Engine.pool_size st.Des.Engine.heap_high_water
+       st.Des.Engine.wheel_high_water)
+    true
+    (st.Des.Engine.pool_size
+    <= st.Des.Engine.heap_high_water + st.Des.Engine.wheel_high_water)
+
 let tests =
   [
     Alcotest.test_case "manager: shape and id partition" `Quick
@@ -307,4 +327,6 @@ let tests =
     Alcotest.test_case "sweep: jobs 1 and 2 bit-identical" `Slow
       test_sweep_jobs_identical;
     Alcotest.test_case "scenario: multiraft smoke" `Slow test_scenario_smoke;
+    Alcotest.test_case "scenario: pinned plan keeps the event pool bound"
+      `Slow test_pinned_plan_pool_bound;
   ]

@@ -350,19 +350,31 @@ let prop_conditions_piecewise_lookup =
       (Netsim.Conditions.at c query).Netsim.Conditions.rtt_ms
       = List.nth rtts expected_idx)
 
-(* {2 Timing wheel vs. event heap}
+(* {2 Event queue vs. a sorted-list model}
 
-   The wheel is a scheduling shortcut, not a semantics change: any
-   interleaving of schedule / cancel / advance must fire the same events
-   in the same (at, seq) order whether timers park in wheel slots or go
-   straight onto the heap.  The offset generator deliberately lands on
-   same-tick bursts, level-0/1 and level-1/2 cascade boundaries, and
-   past-horizon deadlines (which overflow to the heap). *)
+   The engine's queue (a lazy-cancel heap with a timing wheel in front
+   of it and an event pool behind both) must behave like the obvious
+   specification: the pending events in a list, each step firing the
+   smallest [(at, seq)].  Ops schedule on the heap path ([push_event])
+   and on the wheel path ([push_timer]), cancel heap- and wheel-resident
+   events, and cancel bursts of heap entries large enough to force
+   compaction.  The offset generator lands on same-tick bursts, on the
+   level-0/1 and level-1/2 cascade boundaries, and on past-horizon
+   deadlines (which overflow to the heap).
 
-type wheel_op = W_schedule of int | W_cancel of int | W_advance of int
+   Firing runs the engine's merged drain by hand, with a flush budget,
+   so a wheel flush that never terminates fails with the wheel's state
+   instead of hanging the suite. *)
 
-let wheel_op_gen =
-  let tick = 1 lsl Des.Wheel.tick_bits in
+type queue_op =
+  | Q_heap of int  (** schedule at now + offset on the heap path *)
+  | Q_timer of int  (** schedule at now + offset on the wheel path *)
+  | Q_cancel of int  (** cancel the k-th pending event (mod count) *)
+  | Q_dead_burst of int  (** schedule n heap events, then cancel them all *)
+  | Q_advance of int  (** fire n events *)
+
+let queue_op_gen =
+  let tick = 1 lsl Des.Event_heap.tick_bits in
   let offset =
     Q.Gen.oneof
       [
@@ -380,106 +392,124 @@ let wheel_op_gen =
   in
   Q.Gen.frequency
     [
-      (5, Q.Gen.map (fun o -> W_schedule o) offset);
-      (3, Q.Gen.map (fun k -> W_cancel k) (Q.Gen.int_range 0 100));
-      (2, Q.Gen.map (fun n -> W_advance n) (Q.Gen.int_range 1 20));
+      (3, Q.Gen.map (fun o -> Q_heap o) offset);
+      (3, Q.Gen.map (fun o -> Q_timer o) offset);
+      (3, Q.Gen.map (fun k -> Q_cancel k) (Q.Gen.int_range 0 100));
+      (1, Q.Gen.map (fun n -> Q_dead_burst n) (Q.Gen.int_range 65 150));
+      (2, Q.Gen.map (fun n -> Q_advance n) (Q.Gen.int_range 1 20));
     ]
 
-let wheel_op_print = function
-  | W_schedule o -> Printf.sprintf "schedule(+%d)" o
-  | W_cancel k -> Printf.sprintf "cancel(%d)" k
-  | W_advance n -> Printf.sprintf "advance(%d)" n
+let queue_op_print = function
+  | Q_heap o -> Printf.sprintf "heap(+%d)" o
+  | Q_timer o -> Printf.sprintf "timer(+%d)" o
+  | Q_cancel k -> Printf.sprintf "cancel(%d)" k
+  | Q_dead_burst n -> Printf.sprintf "dead_burst(%d)" n
+  | Q_advance n -> Printf.sprintf "advance(%d)" n
 
-let prop_wheel_matches_heap =
+let prop_queue_matches_model =
   Q.Test.make ~count:200 ~name:"wheel and heap fire identically"
     (Q.make
-       ~print:Q.Print.(list wheel_op_print)
-       (Q.Gen.list_size (Q.Gen.int_range 0 120) wheel_op_gen))
+       ~print:Q.Print.(list queue_op_print)
+       (Q.Gen.list_size (Q.Gen.int_range 0 120) queue_op_gen))
     (fun ops ->
       let module H = Des.Event_heap in
-      (* Reference: every event straight onto a heap. *)
-      let ref_heap = H.create () in
-      (* Subject: heap + wheel, drained in merged order like the engine. *)
-      let sub_heap = H.create () in
-      let wheel = Des.Wheel.create sub_heap in
-      let ref_fired = ref [] and sub_fired = ref [] in
-      let handles = ref [] (* (ref_ev, sub_ev), newest first *) in
-      let seq = ref 0 and now = ref 0 in
+      let h = H.create () in
+      let noop () = () in
       let ok = ref true in
-      (* The engine's merged drain: pop the heap only while its top is
-         strictly before everything the wheel could still owe. *)
-      let fuel = ref 10_000_000 in
-      let rec sub_next_live () =
-        decr fuel;
-        if !fuel <= 0 then begin
-          let top = H.top_live sub_heap in
+      let expect b = if not b then ok := false in
+      let now = ref 0 and next_seq = ref 0 in
+      let model = ref [] (* pending (at, seq) *) in
+      let handles = ref [] (* (seq, event) of pending events *) in
+      let pending () = H.live_length h + (H.stats h).H.wheel_occupancy in
+      let schedule ~wheel offset =
+        let s = !next_seq in
+        incr next_seq;
+        let at = !now + offset in
+        let ev = H.make h ~at ~seq:s noop in
+        if wheel then H.push_timer h ev else H.push_event h ev;
+        model := (at, s) :: !model;
+        handles := (s, ev) :: !handles;
+        s
+      in
+      let cancel s =
+        let ev = List.assoc s !handles in
+        handles := List.remove_assoc s !handles;
+        model := List.filter (fun (_, s') -> s' <> s) !model;
+        H.cancel ev;
+        expect (not (H.is_pending ev));
+        (* Cancel-after-recycle: a wheel-resident cancel has already put
+           the record back in the pool, and nothing has reused it yet,
+           so cancelling the stale handle again must change nothing. *)
+        let cancelled = (H.stats h).H.cancelled
+        and pending_before = pending ()
+        and pool = H.pool_size h in
+        H.cancel ev;
+        expect
+          ((H.stats h).H.cancelled = cancelled
+          && pending () = pending_before
+          && H.pool_size h = pool)
+      in
+      (* The engine's merged drain: the heap top may fire only while it
+         is strictly before everything the wheel could still owe. *)
+      let rec next_live fuel =
+        let top = H.top_live h in
+        let lb = H.next_due_ns h in
+        if lb = max_int || (top != H.never && top.H.at < lb) then top
+        else if fuel = 0 then
           failwith
             (Printf.sprintf
-               "wheel prop: flush fuel exhausted: cursor=%d linked=%d lb=%d                 top_at=%s now=%d"
-               (Des.Wheel.cursor_tick wheel)
-               (Des.Wheel.linked wheel)
-               (Des.Wheel.next_due_ns wheel)
+               "flush budget exhausted: cursor=%d linked=%d lb=%d top_at=%s \
+                now=%d"
+               (H.cursor_tick h) (H.stats h).H.wheel_occupancy lb
                (if top == H.never then "none" else string_of_int top.H.at)
                !now)
-        end;
-        let top = H.top_live sub_heap in
-        let lb = Des.Wheel.next_due_ns wheel in
-        if lb = max_int || (top != H.never && top.H.at < lb) then top
         else begin
-          Des.Wheel.flush_next wheel;
-          sub_next_live ()
+          H.flush_next h;
+          next_live (fuel - 1)
         end
       in
       let fire_one () =
-        let sub = sub_next_live () in
-        (match H.pop_live ref_heap with
-        | Some r -> H.run_closure r
-        | None -> if sub != H.never then ok := false);
-        if sub != H.never then begin
-          H.drop_top sub_heap;
-          now := sub.H.at;
-          H.run_closure sub
-        end
+        let top = next_live 100_000 in
+        match List.sort compare !model with
+        | [] -> expect (top == H.never)
+        | next :: rest ->
+            model := rest;
+            if top == H.never then expect false
+            else begin
+              let at = top.H.at and s = top.H.seq in
+              H.pop_top h;
+              now := at;
+              handles := List.remove_assoc s !handles;
+              expect ((at, s) = next)
+            end
       in
       let step = function
-        | W_schedule offset ->
-            let at = !now + offset and s = !seq in
-            incr seq;
-            let r = H.schedule ref_heap ~at ~seq:s (fun () ->
-                ref_fired := s :: !ref_fired)
-            in
-            let e = H.make sub_heap ~at ~seq:s (fun () ->
-                sub_fired := s :: !sub_fired)
-            in
-            if not (Des.Wheel.insert wheel e) then H.push_event sub_heap e;
-            handles := (r, e) :: !handles
-        | W_cancel k -> (
+        | Q_heap o -> ignore (schedule ~wheel:false o : int)
+        | Q_timer o -> ignore (schedule ~wheel:true o : int)
+        | Q_cancel k -> (
             match !handles with
             | [] -> ()
-            | hs ->
-                let i = k mod List.length hs in
-                let r, e = List.nth hs i in
-                H.cancel r;
-                H.cancel e;
-                if H.is_pending r <> H.is_pending e then ok := false;
-                (* Pool discipline: a cancelled handle must be forgotten —
-                   once the tombstone is discarded the event recycles, and
-                   the two heaps recycle in different orders, so a stale
-                   handle would alias different live events in each. *)
-                handles := List.filteri (fun j _ -> j <> i) hs)
-        | W_advance n ->
+            | hs -> cancel (fst (List.nth hs (k mod List.length hs))))
+        | Q_dead_burst n ->
+            List.iter cancel
+              (List.init n (fun i -> schedule ~wheel:false (i * 1000)))
+        | Q_advance n ->
             for _ = 1 to n do
               fire_one ()
             done
       in
-      List.iter step ops;
-      (* Drain whatever is left on both sides. *)
-      while H.live_length ref_heap > 0 || H.live_length sub_heap > 0
-            || Des.Wheel.linked wheel > 0
-      do
+      List.iter
+        (fun op ->
+          step op;
+          expect (pending () = List.length !model))
+        ops;
+      while !model <> [] do
         fire_one ()
       done;
-      !ok && !ref_fired = !sub_fired)
+      fire_one ();
+      let st = H.stats h in
+      expect (H.pool_size h <= st.H.high_water + st.H.wheel_high_water);
+      !ok)
 
 (* {2 Pipelined replication}
 
@@ -626,7 +656,7 @@ let prop_pool_recycle_never_aliases_inflight =
 let tests =
   List.map to_alcotest
     [
-      prop_wheel_matches_heap;
+      prop_queue_matches_model;
       prop_window_matches_batch;
       prop_window_keeps_newest;
       prop_engine_orders_events;
