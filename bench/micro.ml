@@ -256,7 +256,7 @@ let cluster_words_per_event ?forensics () =
 let forensics_pair ppf =
   let off = cluster_words_per_event () in
   let on_ =
-    cluster_words_per_event ~forensics:(Telemetry.Forensics.create ()) ()
+    cluster_words_per_event ~forensics:(Raft.Forensics.create ()) ()
   in
   Format.fprintf ppf "  %-40s %10.1f minor words/event@."
     "cluster heartbeat loop (forensics off)" off;

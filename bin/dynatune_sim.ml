@@ -384,7 +384,7 @@ let explain_cmd =
       List.iter
         (fun r ->
           Format.fprintf ppf "  %s@."
-            (Telemetry.Forensics.render_record r))
+            (Raft.Forensics.render_record r))
         records
     end
   in

@@ -419,7 +419,7 @@ let forensics_off_allocation_gate () =
      initialized on the first pass would otherwise bias the baseline. *)
   ignore (minor_words None : float);
   let base = minor_words None in
-  let off = minor_words (Some (Telemetry.Forensics.create ~enabled:false ())) in
+  let off = minor_words (Some (Raft.Forensics.create ~enabled:false ())) in
   if base <> off then
     fail
       "forensics disabled path allocates: %.0f minor words with no ring vs \

@@ -30,11 +30,11 @@ let default_libraries =
     ("lib/analysis", "Analysis");
   ]
 
-(* The forensics layer (cause allocation, ring appends, recorder
-   sampling) rides the hot paths it observes, so its entry points are
-   taint roots like the DES/raft ones.  File-level prefixes, not the
-   whole directory: the exporters (chrome_trace) legitimately write
-   files when asked. *)
+(* The forensics layer (cause allocation, recorder sampling) rides the
+   hot paths it observes, so its entry points are taint roots like the
+   DES/raft ones (the ring itself lives in lib/raft).  File-level
+   prefixes, not the whole directory: the exporters (chrome_trace)
+   legitimately write files when asked. *)
 let default_entry_dirs =
   [
     "lib/des/";
@@ -42,7 +42,6 @@ let default_entry_dirs =
     "lib/parallel/";
     "lib/multiraft/";
     "lib/telemetry/cause";
-    "lib/telemetry/forensics";
     "lib/telemetry/recorder";
   ]
 

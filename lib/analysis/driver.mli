@@ -16,7 +16,7 @@ val default_libraries : (string * string) list
 
 val default_entry_dirs : string list
 (** [lib/des/], [lib/raft/], [lib/parallel/], [lib/multiraft/] and the
-    forensics modules of [lib/telemetry]. *)
+    cause and recorder modules of [lib/telemetry]. *)
 
 val default_config : ?allow:Finding.allow -> unit -> config
 

@@ -20,7 +20,7 @@ type t = {
   checker : Check.t option;
   digest : Check.Digest.t;
   telemetry : Telemetry.Metrics.t;
-  forensics : Telemetry.Forensics.t;
+  forensics : Raft.Forensics.t;
   recorder : Telemetry.Recorder.t;
   pool : Raft.Rpc.Pool.t;
       (* one message free-list for the whole group, so a record released
@@ -145,7 +145,7 @@ let make_member ~engine ~fabric ~trace ~costs ~cores ~flush_delay ~telemetry
 
 let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
     ?(check = Check.Off) ?(telemetry = Telemetry.Metrics.noop)
-    ?(forensics = Telemetry.Forensics.noop)
+    ?(forensics = Raft.Forensics.create ~enabled:false ())
     ?(recorder = Telemetry.Recorder.noop) ?(scope = "") ?shared ~n ~config ()
     =
   if n <= 0 then invalid_arg "Cluster.create: n must be positive";
@@ -211,11 +211,11 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
            the tail of the forensics ring and the recorder's last ticks —
            captured lazily, only on an actual failure. *)
         if
-          Telemetry.Forensics.enabled forensics
+          Raft.Forensics.enabled forensics
           || Telemetry.Recorder.enabled recorder
         then
           Check.set_flight_recorder c (fun () ->
-              Telemetry.Forensics.tail forensics 32
+              Raft.Forensics.tail forensics 32
               @ Telemetry.Recorder.window recorder 8);
         (* The engine supports a single post hook.  A shared-infra host
            (multiraft) owns it and steps every group's checker from one
@@ -257,7 +257,6 @@ let fabric t = t.fabric
 let trace t = t.trace
 let checker t = t.checker
 let telemetry t = t.telemetry
-let forensics t = t.forensics
 let recorder t = t.recorder
 
 (* Fold the pull-style sources (engine, fabric, links) into the registry.

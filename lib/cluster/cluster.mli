@@ -28,7 +28,7 @@ val create :
   ?flush_delay:Des.Time.span ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
-  ?forensics:Telemetry.Forensics.t ->
+  ?forensics:Raft.Forensics.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?scope:string ->
   ?shared:shared ->
@@ -53,9 +53,9 @@ val create :
     {!collect_metrics} to fold in the pull-style engine/fabric/link
     statistics before taking the snapshot.
 
-    [forensics] (default {!Telemetry.Forensics.noop}) is handed to every
-    node: causally stamped transition records accumulate in the shared
-    ring (see {!Raft.Node.create}).  [recorder] (default
+    [forensics] (default: a disabled ring) is handed to every node:
+    every probe on {!trace} is also recorded there, causally stamped
+    (see {!Raft.Node.create}).  [recorder] (default
     {!Telemetry.Recorder.noop}) samples the telemetry registry on the
     DES clock.  When either is enabled and checking is on, invariant
     violations carry a flight-recorder dump (ring tail + last recorder
@@ -78,10 +78,6 @@ val checker : t -> Check.t option
 val telemetry : t -> Telemetry.Metrics.t
 (** The registry passed at creation ({!Telemetry.Metrics.noop} when none
     was). *)
-
-val forensics : t -> Telemetry.Forensics.t
-(** The forensics ring passed at creation ({!Telemetry.Forensics.noop}
-    when none was). *)
 
 val recorder : t -> Telemetry.Recorder.t
 (** The time-series recorder passed at creation

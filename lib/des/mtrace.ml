@@ -1,53 +1,18 @@
 type 'a t = {
   engine : Engine.t;
-  capacity : int; (* max_int when unbounded *)
   mutable events : (Time.t * 'a) list; (* newest first *)
-  mutable len : int; (* physical length of [events] *)
-  mutable total : int; (* lifetime emits since creation / last clear *)
   mutable observers : (Time.t -> 'a -> unit) list;
 }
 
-let create ?capacity engine =
-  let capacity =
-    match capacity with
-    | None -> max_int
-    | Some c ->
-        if c <= 0 then invalid_arg "Mtrace.create: capacity must be positive";
-        c
-  in
-  { engine; capacity; events = []; len = 0; total = 0; observers = [] }
-
+let create engine = { engine; events = []; observers = [] }
 let engine t = t.engine
 
-(* First [n] elements of a newest-first list, reversed — i.e. the newest
-   [n] events in oldest-first order.  Tail-recursive: traces from long
-   campaigns overflow the stack under plain [List.rev]. *)
-let newest_rev n events =
-  let rec go n acc = function
-    | [] -> acc
-    | _ when n = 0 -> acc
-    | hd :: tl -> go (n - 1) (hd :: acc) tl
-  in
-  go n [] events
-
-(* Eviction is amortized: entries beyond [capacity] are logically dropped
-   immediately (readers never see them) but physically trimmed only when
-   the backlog doubles, so [emit] stays O(1) amortized instead of O(cap)
-   per call. *)
 let emit t ev =
   let now = Engine.now t.engine in
   t.events <- (now, ev) :: t.events;
-  t.len <- t.len + 1;
-  t.total <- t.total + 1;
-  if t.len > 2 * t.capacity && t.capacity < max_int then begin
-    t.events <- List.rev (newest_rev t.capacity t.events);
-    t.len <- t.capacity
-  end;
   List.iter (fun f -> f now ev) t.observers
 
-let length t = if t.len < t.capacity then t.len else t.capacity
-let dropped t = t.total - length t
-let events t = newest_rev (length t) t.events
+let events t = List.rev t.events
 let iter t ~f = List.iter (fun (time, ev) -> f time ev) (events t)
 
 let find_first t ~after ~f =
@@ -58,9 +23,5 @@ let find_first t ~after ~f =
   in
   scan (events t)
 
-let clear t =
-  t.events <- [];
-  t.len <- 0;
-  t.total <- 0
-
+let clear t = t.events <- []
 let subscribe t f = t.observers <- t.observers @ [ f ]

@@ -6,35 +6,23 @@
     parsing etcd log files: the shared virtual clock makes the timestamps
     exact.
 
-    {b Retention contract.}  By default a trace is unbounded, and replay
-    monitors rely on that: [Harness.Monitor.leaderless_intervals] replays
-    every retained event, so its results are only exact if the trace was
-    neither {!clear}ed nor capacity-trimmed during the window being
-    measured (the failover harness honours this by measuring each failure
-    before clearing).  Pass [?capacity] only for long free-running
-    simulations where live {!subscribe} observers carry the analysis and
-    the retained list is just a debugging tail. *)
+    {b Retention contract.}  A trace keeps every event since creation or
+    the last {!clear}, and replay monitors rely on that:
+    [Harness.Monitor.leaderless_intervals] replays every retained event,
+    so its results are only exact if the trace was not {!clear}ed during
+    the window being measured (the failover harness honours this by
+    measuring each failure before clearing).  Whole-run consumers
+    (metrics, digests, the tracing bridge) are live {!subscribe}
+    observers, so clears do not affect them. *)
 
 type 'a t
 
-val create : ?capacity:int -> Engine.t -> 'a t
-(** [capacity] bounds the number of retained events: once exceeded, the
-    oldest events are evicted (count them with {!dropped}).  Eviction is
-    amortized O(1) per emit.  Omitted means unbounded.  Raises
-    [Invalid_argument] if [capacity <= 0].  Observers are unaffected by
-    the bound — they see every emit. *)
+val create : Engine.t -> 'a t
 
 val engine : 'a t -> Engine.t
 
 val emit : 'a t -> 'a -> unit
 (** Record an event at the current simulation time. *)
-
-val length : 'a t -> int
-(** Events currently retained (at most the capacity). *)
-
-val dropped : 'a t -> int
-(** Events evicted by the capacity bound since creation or the last
-    {!clear}.  Always [0] for an unbounded trace. *)
 
 val events : 'a t -> (Time.t * 'a) list
 (** Retained events, oldest first. *)
@@ -46,8 +34,7 @@ val find_first : 'a t -> after:Time.t -> f:('a -> bool) -> (Time.t * 'a) option
     predicate. *)
 
 val clear : 'a t -> unit
-(** Drop all retained events and reset the {!dropped} counter.
-    Observers stay subscribed. *)
+(** Drop all retained events.  Observers stay subscribed. *)
 
 val subscribe : 'a t -> (Time.t -> 'a -> unit) -> unit
 (** Register a live observer called on every subsequent [emit] (after the

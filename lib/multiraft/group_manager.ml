@@ -24,9 +24,7 @@ type t = {
 let scope_of_group g = Printf.sprintf "g%d/" g
 
 let create ?seed ?costs ?cores ?conditions ?flush_delay ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop)
-    ?(forensics = Telemetry.Forensics.noop)
-    ?(recorder = Telemetry.Recorder.noop) ~groups ~replicas ~config () =
+    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop) ~groups ~replicas ~config () =
   if groups <= 0 then
     invalid_arg "Group_manager.create: groups must be positive";
   if replicas <= 0 then
@@ -36,7 +34,7 @@ let create ?seed ?costs ?cores ?conditions ?flush_delay ?(check = Check.Off)
   let clusters =
     Array.init groups (fun g ->
         Harness.Cluster.create ?costs ?cores ?conditions ?flush_delay ~check
-          ~telemetry ~forensics ~recorder ~scope:(scope_of_group g)
+          ~telemetry ~recorder ~scope:(scope_of_group g)
           ~shared:
             {
               Harness.Cluster.sh_engine = engine;

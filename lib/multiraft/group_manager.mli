@@ -29,7 +29,6 @@ val create :
   ?flush_delay:Des.Time.span ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
-  ?forensics:Telemetry.Forensics.t ->
   ?recorder:Telemetry.Recorder.t ->
   groups:int ->
   replicas:int ->

@@ -23,12 +23,12 @@ type t = {
   install_sm : string -> unit;
   flush_delay : Des.Time.span;
   instrumented : bool;
-  fo : Telemetry.Forensics.t;
+  fo : Forensics.t;
   fo_on : bool;
   mutable cur_cause : int;
       (* the causal token of the event being processed: stamped at every
-         timer fire / message delivery, read by every forensics record
-         and piggybacked on every send *)
+         timer fire / message delivery, read by every ring record and
+         piggybacked on every send *)
   mutable election_arm_cause : int;
       (* [cur_cause] when the election timer was last armed — the parent
          of the timeout that fires from it *)
@@ -50,6 +50,33 @@ let cpu t = t.cpu
 let is_paused t = t.paused
 let incarnation t = t.incarnation
 
+(* The one probe emission path: record the probe in the ring, stamped
+   with the causal context of the event being processed, then emit it
+   to the trace.  Terms come from the probe where it carries one: by
+   the time actions are interpreted the server may already have moved
+   on (a timeout increments the term before its probe is seen here). *)
+let emit t p =
+  if t.fo_on then begin
+    let term, parent =
+      match p with
+      | Probe.Timeout_expired { term; _ } | Probe.Election_started { term; _ }
+        ->
+          (term, t.election_arm_cause)
+      | Probe.Role_change { term; _ }
+      | Probe.Pre_vote_aborted { term; _ }
+      | Probe.Config_change { term; _ }
+      | Probe.Transfer_started { term; _ }
+      | Probe.Transfer_aborted { term; _ } ->
+          (term, Telemetry.Cause.none)
+      | Probe.Tuner_reset _ | Probe.Tuner_decision _ | Probe.Node_paused _
+      | Probe.Node_resumed _ ->
+          (Server.term t.server, Telemetry.Cause.none)
+    in
+    Forensics.record t.fo ~at:(Des.Engine.now t.engine) ~node:(id t) ~term
+      ~cause:t.cur_cause ~parent (Forensics.Probe p)
+  end;
+  Des.Mtrace.emit t.trace p
+
 let[@hot] rec dispatch t event =
   let actions = Server.handle t.server ~now:(Des.Engine.now t.engine) event in
   interpret_all t actions
@@ -67,7 +94,7 @@ and interpret_all t = function
    request, fault), stamped as the current causal context. *)
 and new_cause t kind =
   t.cur_cause <-
-    Telemetry.Forensics.new_cause t.fo ~kind
+    Forensics.new_cause t.fo ~kind
       ~node:(Netsim.Node_id.to_int (Server.id t.server))
       ~term:(Server.term t.server)
 
@@ -142,51 +169,7 @@ and interpret t = function
           Hashtbl.remove t.waiters (client_id, seq);
           k ~committed:false
       | None -> ())
-  | Server.Probe p ->
-      if t.fo_on then forensics_probe t p;
-      Des.Mtrace.emit t.trace p
-
-(* Mirror the probe into the forensics ring, stamped with the causal
-   context of the event being processed.  Terms come from the probe
-   where it carries one: by the time actions are interpreted the server
-   may already have moved on (a timeout increments the term before its
-   probe is seen here). *)
-and forensics_probe t p =
-  let at = Des.Engine.now t.engine in
-  let node = Node_id.to_int (Server.id t.server) in
-  let record ?(parent = Telemetry.Cause.none) ~term ev =
-    Telemetry.Forensics.record t.fo ~at ~node ~term ~cause:t.cur_cause ~parent
-      ev
-  in
-  match p with
-  | Probe.Timeout_expired { term; randomized; _ } ->
-      let et, h, k = Server.tuning_snapshot t.server in
-      record ~parent:t.election_arm_cause ~term
-        (Telemetry.Forensics.Timeout { randomized; et; h; k })
-  | Probe.Election_started { term; _ } ->
-      record ~parent:t.election_arm_cause ~term
-        (Telemetry.Forensics.Campaign { pre = false })
-  | Probe.Role_change { role; term; _ } ->
-      record ~term (Telemetry.Forensics.Role { role = Types.role_name role })
-  | Probe.Pre_vote_aborted { term; _ } ->
-      record ~term Telemetry.Forensics.Prevote_abort
-  | Probe.Tuner_reset _ ->
-      record ~term:(Server.term t.server) Telemetry.Forensics.Tuner_reset
-  | Probe.Tuner_decision { rtt_ms; loss; k; et; h; reason; _ } ->
-      record ~term:(Server.term t.server)
-        (Telemetry.Forensics.Tuner
-           { rtt_ms; loss; et; h; k; reason = Probe.reason_name reason })
-  | Probe.Config_change { term; change; committed; _ } ->
-      record ~term
-        (Telemetry.Forensics.Config
-           { change = Format.asprintf "%a" Log.pp_change change; committed })
-  | Probe.Transfer_started { term; target; _ } ->
-      record ~term
-        (Telemetry.Forensics.Transfer { target = Node_id.to_int target })
-  | Probe.Node_paused _ | Probe.Node_resumed _ | Probe.Transfer_aborted _ ->
-      (* pause/resume are recorded at the fault-injection site, where the
-         fault cause is minted; transfer expiry adds nothing causal *)
-      ()
+  | Server.Probe p -> emit t p
 
 and hb_timer t peer =
   let i = Node_id.to_int peer in
@@ -231,7 +214,7 @@ let datagram_overflow t msg =
 let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
     ?install_sm ?(flush_delay = Des.Time.ms 1)
     ?(metrics = Telemetry.Metrics.noop)
-    ?(forensics = Telemetry.Forensics.noop) ?(joining = false) ?pool
+    ?(forensics = Forensics.create ~enabled:false ()) ?(joining = false) ?pool
     ~id:node_id ~peers ~config () =
   let engine = Netsim.Fabric.engine fabric in
   let node_label = "n" ^ string_of_int (Node_id.to_int node_id) in
@@ -299,7 +282,7 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
         waiters = Hashtbl.create 64;
         instrumented = Telemetry.Metrics.enabled metrics;
         fo = forensics;
-        fo_on = Telemetry.Forensics.enabled forensics;
+        fo_on = Forensics.enabled forensics;
         cur_cause = 0;
         election_arm_cause = 0;
         m_sent =
@@ -383,12 +366,11 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
             t.cur_cause <- Netsim.Fabric.delivery_cause t.fabric;
             match msg with
             | Rpc.Vote_response { granted; pre_vote; _ } ->
-                Telemetry.Forensics.record t.fo
+                Forensics.record t.fo
                   ~at:(Des.Engine.now t.engine)
-                  ~node:(Node_id.to_int node_id) ~term:(Server.term t.server)
+                  ~node:node_id ~term:(Server.term t.server)
                   ~cause:t.cur_cause ~parent:Telemetry.Cause.none
-                  (Telemetry.Forensics.Vote
-                     { from = Node_id.to_int src; granted; pre = pre_vote })
+                  (Forensics.Vote { from = src; granted; pre = pre_vote })
             | Rpc.Heartbeat _ | Rpc.Heartbeat_response _ | Rpc.Vote_request _
             | Rpc.Append_request _ | Rpc.Append_response _
             | Rpc.Install_snapshot _ | Rpc.Install_snapshot_response _
@@ -413,16 +395,10 @@ let start t =
 
 (* Fault-injection transitions root fresh causal chains: whatever the
    cluster does next — elections after a leader pause, catch-up after a
-   resume — traces back to this record. *)
-let forensics_fault t ev =
-  if t.fo_on then begin
-    new_cause t Telemetry.Cause.Fault;
-    Telemetry.Forensics.record t.fo
-      ~at:(Des.Engine.now t.engine)
-      ~node:(Node_id.to_int (id t))
-      ~term:(Server.term t.server)
-      ~cause:t.cur_cause ~parent:Telemetry.Cause.none ev
-  end
+   resume — traces back to this probe's record. *)
+let emit_fault t p =
+  if t.fo_on then new_cause t Telemetry.Cause.Fault;
+  emit t p
 
 let submit t ~payload ~client_id ~seq ~on_result () =
   if t.paused || not (Types.is_leader (Server.role t.server)) then
@@ -468,14 +444,12 @@ let reconfigure t change =
 let pause t =
   t.paused <- true;
   Netsim.Fabric.pause t.fabric (id t);
-  forensics_fault t Telemetry.Forensics.Paused;
-  Des.Mtrace.emit t.trace (Probe.Node_paused { id = id t })
+  emit_fault t (Probe.Node_paused { id = id t })
 
 let resume t =
   t.paused <- false;
   Netsim.Fabric.resume t.fabric (id t);
-  forensics_fault t Telemetry.Forensics.Resumed;
-  Des.Mtrace.emit t.trace (Probe.Node_resumed { id = id t });
+  emit_fault t (Probe.Node_resumed { id = id t });
   dispatch t Server.Restarted
 
 let disarm_all t =
@@ -495,8 +469,7 @@ let crash t =
   let pending = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.waiters [] in
   Hashtbl.reset t.waiters;
   List.iter (fun (_, k) -> k ~committed:false) pending;
-  forensics_fault t Telemetry.Forensics.Paused;
-  Des.Mtrace.emit t.trace (Probe.Node_paused { id = id t })
+  emit_fault t (Probe.Node_paused { id = id t })
 
 let restart t =
   let restore = Server.persisted t.server in
@@ -519,6 +492,5 @@ let restart t =
   | None -> ());
   t.paused <- false;
   Netsim.Fabric.resume t.fabric (id t);
-  forensics_fault t Telemetry.Forensics.Resumed;
-  Des.Mtrace.emit t.trace (Probe.Node_resumed { id = id t });
+  emit_fault t (Probe.Node_resumed { id = id t });
   interpret_all t (Server.start t.server)

@@ -18,7 +18,7 @@ val create :
   ?install_sm:(string -> unit) ->
   ?flush_delay:Des.Time.span ->
   ?metrics:Telemetry.Metrics.t ->
-  ?forensics:Telemetry.Forensics.t ->
+  ?forensics:Forensics.t ->
   ?joining:bool ->
   ?pool:Rpc.Pool.t ->
   id:Netsim.Node_id.t ->
@@ -42,13 +42,14 @@ val create :
     on [Server.set_instrument] (and keeps it on across {!restart}), so
     tuner decisions reach the trace.
 
-    [forensics] (default {!Telemetry.Forensics.noop}) receives causally
-    stamped transition records: every timer fire, client request and
+    [forensics] (default: a disabled ring) receives every probe the
+    node emits, causally stamped: every timer fire, client request and
     injected fault mints a fresh {!Telemetry.Cause.t}, sends piggyback
-    the current cause across the fabric, and probes are mirrored into
-    the ring with it.  When enabled the node turns on the fabric's
-    cause tracking; when disabled every added branch is on a cached
-    [bool] and the node allocates exactly what it did before.
+    the current cause across the fabric, and each probe is recorded
+    with it just before it reaches [trace].  When enabled the node turns
+    on the fabric's cause tracking; when disabled every added branch is
+    on a cached [bool] and the node allocates exactly what it did
+    before.
 
     [pool] is the message free-list handed to {!Server.create} (and kept
     across {!restart}); a cluster passes one shared pool to all its

@@ -6,6 +6,9 @@ type t =
       id : Netsim.Node_id.t;
       term : Types.term;
       randomized : Des.Time.span;
+      et : Des.Time.span;
+      h : Des.Time.span;
+      k : int;
     }
   | Pre_vote_aborted of { id : Netsim.Node_id.t; term : Types.term }
   | Tuner_reset of { id : Netsim.Node_id.t }
@@ -48,7 +51,7 @@ let add_to_buffer b = function
   | Role_change { id; role; term } ->
       Printf.bprintf b "%a -> %s (term %d)" add_node id
         (Types.role_name role) term
-  | Timeout_expired { id; term; randomized } ->
+  | Timeout_expired { id; term; randomized; _ } ->
       Printf.bprintf b "%a timeout (%a) in term %d" add_node id add_ms
         randomized term
   | Pre_vote_aborted { id; term } ->

@@ -18,7 +18,16 @@ type t =
       id : Netsim.Node_id.t;
       term : Types.term;
       randomized : Des.Time.span;  (** the randomizedTimeout that expired *)
+      et : Des.Time.span;
+          (** the base [Et] the expired timer was drawn from: the tuned
+              value, sampled before the fallback to defaults *)
+      h : Des.Time.span;
+          (** the heartbeat interval in force (the configured one while
+              warming or untuned) *)
+      k : int;  (** required heartbeats [K]; [0] when no tuner exists *)
     }
+      (** {!add_to_buffer} omits [et]/[h]/[k]: trace digests do not
+          depend on them. *)
   | Pre_vote_aborted of { id : Netsim.Node_id.t; term : Types.term }
       (** leader contact arrived during a pre-campaign *)
   | Tuner_reset of { id : Netsim.Node_id.t }

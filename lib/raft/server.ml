@@ -432,21 +432,25 @@ let piggyback_h t =
         t.pb_h <- boxed;
         boxed
 
-(* The tuning parameters in force at this instant, for forensics
-   records: (Et, h, K).  h falls back to the configured interval while
-   warming (or in static mode); K is 0 when no tuner exists. *)
-let tuning_snapshot t =
-  let et = election_timeout_now t in
-  let h =
-    let v = piggyback_h_value t in
-    if v >= 0 then v else t.config.Config.heartbeat_interval
-  in
-  let k =
-    match t.tuner with
-    | Some tuner -> Dynatune.Tuner.required_heartbeats tuner
-    | None -> 0
-  in
-  (et, h, k)
+(* The expiry probe, carrying the (Et, h, K) the expired timer ran
+   under.  Built before the fallback resets the tuner, so a tuned
+   follower reports its tuned values.  h falls back to the configured
+   interval while warming (or in static mode); K is 0 when no tuner
+   exists. *)
+let timeout_probe t =
+  let h = piggyback_h_value t in
+  Probe.Timeout_expired
+    {
+      id = t.id;
+      term = t.term;
+      randomized = t.randomized;
+      et = election_timeout_now t;
+      h = (if h >= 0 then h else t.config.Config.heartbeat_interval);
+      k =
+        (match t.tuner with
+        | Some tuner -> Dynatune.Tuner.required_heartbeats tuner
+        | None -> 0);
+    }
 
 (* {2 Action accumulation} *)
 
@@ -1087,10 +1091,7 @@ let on_election_timeout t ctx =
         arm_election t ctx
       end
       else begin
-        emit ctx
-          (Probe
-             (Probe.Timeout_expired
-                { id = t.id; term = t.term; randomized = t.randomized }));
+        emit ctx (Probe (timeout_probe t));
         (* Fall back to the default parameters: discard measurements
            (Section III-B).  The lease is gone: we no longer trust the
            leader. *)

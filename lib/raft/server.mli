@@ -165,12 +165,6 @@ val election_timeout_now : t -> Des.Time.span
 val tuner : t -> Dynatune.Tuner.t option
 (** The follower-side tuner, when a tuned mode is configured. *)
 
-val tuning_snapshot : t -> Des.Time.span * Des.Time.span * int
-(** The election parameters in force right now, as [(Et, h, K)]: the
-    provenance the forensics layer stamps on every timeout record.  [h]
-    is the configured heartbeat interval while warming or in static
-    mode; [K] is [0] when no tuner exists. *)
-
 val set_instrument : t -> bool -> unit
 (** Enable (or disable) emission of [Probe.Tuner_decision] events.  Off
     by default so plain campaigns pay nothing; the telemetry harness

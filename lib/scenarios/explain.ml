@@ -1,6 +1,7 @@
 module Cluster = Harness.Cluster
 module Fault = Harness.Fault
-module Forensics = Telemetry.Forensics
+module Forensics = Raft.Forensics
+module Probe = Raft.Probe
 
 type election = {
   term : int;
@@ -24,11 +25,9 @@ let analyze records =
   in
   List.iter
     (fun (r : Forensics.record) ->
-      if not (Telemetry.Cause.is_none r.Forensics.cause) then
-        Hashtbl.replace by_cause r.Forensics.cause
-          (r
-          :: Option.value ~default:[]
-               (Hashtbl.find_opt by_cause r.Forensics.cause)))
+      if not (Telemetry.Cause.is_none r.cause) then
+        Hashtbl.replace by_cause r.cause
+          (r :: Option.value ~default:[] (Hashtbl.find_opt by_cause r.cause)))
     records;
   let chain_of c =
     List.rev (Option.value ~default:[] (Hashtbl.find_opt by_cause c))
@@ -39,31 +38,36 @@ let analyze records =
   let out = ref [] in
   List.iter
     (fun (r : Forensics.record) ->
-      match r.Forensics.ev with
-      | Forensics.Paused -> Hashtbl.replace down r.Forensics.node ()
-      | Forensics.Resumed -> Hashtbl.remove down r.Forensics.node
-      | Forensics.Tuner _ -> Hashtbl.replace last_tuner r.Forensics.node r
-      | Forensics.Role { role } when String.equal role "leader" ->
+      let node = Netsim.Node_id.to_int r.node in
+      match r.ev with
+      | Forensics.Probe (Probe.Node_paused _) -> Hashtbl.replace down node ()
+      | Forensics.Probe (Probe.Node_resumed _) -> Hashtbl.remove down node
+      | Forensics.Probe (Probe.Tuner_decision _) ->
+          Hashtbl.replace last_tuner node r
+      | Forensics.Probe (Probe.Role_change { role = Raft.Types.Leader; _ }) ->
           let prior = !cur_leader in
           let justified =
             match prior with None -> true | Some l -> Hashtbl.mem down l
           in
-          cur_leader := Some r.Forensics.node;
+          cur_leader := Some node;
           out :=
             {
-              term = r.Forensics.term;
-              winner = r.Forensics.node;
-              won_at = r.Forensics.at;
-              cause = r.Forensics.cause;
+              term = r.term;
+              winner = node;
+              won_at = r.at;
+              cause = r.cause;
               justified;
               prior_leader = prior;
-              provenance = Hashtbl.find_opt last_tuner r.Forensics.node;
-              chain = chain_of r.Forensics.cause;
+              provenance = Hashtbl.find_opt last_tuner node;
+              chain = chain_of r.cause;
             }
             :: !out
-      | Forensics.Role _ | Forensics.Timeout _ | Forensics.Campaign _
-      | Forensics.Vote _ | Forensics.Tuner_reset | Forensics.Prevote_abort
-      | Forensics.Transfer _ | Forensics.Config _ ->
+      | Forensics.Probe
+          ( Probe.Role_change _ | Probe.Timeout_expired _
+          | Probe.Election_started _ | Probe.Tuner_reset _
+          | Probe.Pre_vote_aborted _ | Probe.Transfer_started _
+          | Probe.Transfer_aborted _ | Probe.Config_change _ )
+      | Forensics.Vote _ ->
           ())
     records;
   List.rev !out

@@ -30,16 +30,16 @@ type election = {
   prior_leader : int option;
       (** the leader deposed (or succeeded), [None] for the first
           election *)
-  provenance : Telemetry.Forensics.record option;
+  provenance : Raft.Forensics.record option;
       (** the winner's last tuner decision before the win: where the
           [Et]/[h]/[K] in force came from ([None] = defaults) *)
-  chain : Telemetry.Forensics.record list;
+  chain : Raft.Forensics.record list;
       (** every record sharing [cause], oldest first: timeout, campaign,
           votes, role changes *)
 }
 
-val analyze : Telemetry.Forensics.record list -> election list
-(** Walk a ring dump (oldest first, as {!Telemetry.Forensics.records}
+val analyze : Raft.Forensics.record list -> election list
+(** Walk a ring dump (oldest first, as {!Raft.Forensics.records}
     returns it) and reconstruct one {!election} per record of a node
     becoming leader. *)
 
@@ -48,7 +48,7 @@ val run :
   ?failures:int ->
   ?config:Raft.Config.t ->
   unit ->
-  Telemetry.Forensics.record list
+  Raft.Forensics.record list
 (** The pinned scenario the CLI replays: a 5-server cluster on the
     Fig 8 geo WAN (default [config]: Dynatune, [seed = 23], [failures =
     3] leader kills with recovery), forensics ring and telemetry

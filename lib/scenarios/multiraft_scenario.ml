@@ -44,9 +44,7 @@ let default_group_counts = [ 16; 64 ]
 let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
     ?(hold = Des.Time.sec 2) ?(rtt_ms = 50.) ?(serialization = Des.Time.us 100)
     ?(warmup = Des.Time.sec 10) ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop)
-    ?(forensics = Telemetry.Forensics.noop)
-    ?(recorder = Telemetry.Recorder.noop) ?on_manager ~groups () =
+    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop) ?on_manager ~groups () =
   let config =
     Raft.Config.with_replication ~max_inflight_appends:16
       ~append_backpressure:64 ~max_entries_per_append:64 ~priority_lanes:true
@@ -56,7 +54,7 @@ let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
     Netsim.Conditions.(constant (profile ~rtt_ms ~jitter:0.05 ()))
   in
   let m =
-    Gm.create ~seed ~conditions ~check ~telemetry ~forensics ~recorder ~groups
+    Gm.create ~seed ~conditions ~check ~telemetry ~recorder ~groups
       ~replicas ~config ()
   in
   Netsim.Fabric.set_uniform_serialization (Gm.fabric m) serialization;

@@ -45,7 +45,6 @@ val run_one :
   ?warmup:Des.Time.span ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
-  ?forensics:Telemetry.Forensics.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?on_manager:(Multiraft.Group_manager.t -> unit) ->
   groups:int ->

@@ -97,12 +97,9 @@ let test_taint_forensics_entry () =
      effect reachable from one fires without any lib/raft caller... *)
   let fs =
     analyze
-      [
-        file "lib/telemetry/forensics.ml"
-          "let stamp () = Unix.gettimeofday ()";
-      ]
+      [ file "lib/telemetry/cause.ml" "let stamp () = Unix.gettimeofday ()" ]
   in
-  Alcotest.(check int) "forensics is an entry dir" 1
+  Alcotest.(check int) "cause is an entry dir" 1
     (List.length (with_rule "effect-taint" fs));
   let fs =
     analyze

@@ -58,7 +58,14 @@ let test_probe_rendering () =
   let probes =
     [
       ( Raft.Probe.Timeout_expired
-          { id; term = 2; randomized = Des.Time.of_ms_f 153.4 },
+          {
+            id;
+            term = 2;
+            randomized = Des.Time.of_ms_f 153.4;
+            et = Des.Time.ms 120;
+            h = Des.Time.ms 40;
+            k = 3;
+          },
         "n3 timeout (153.4ms) in term 2" );
       ( Raft.Probe.Tuner_decision
           {

@@ -281,45 +281,14 @@ let emit_seq trace e values =
     values;
   Engine.run e
 
-let test_mtrace_capacity_trims () =
-  let e = Engine.create () in
-  let trace : int Mtrace.t = Mtrace.create ~capacity:2 e in
-  emit_seq trace e [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "length capped" 2 (Mtrace.length trace);
-  Alcotest.(check int) "dropped counts evictions" 3 (Mtrace.dropped trace);
-  Alcotest.(check (list (pair int int)))
-    "newest survive, oldest-first order"
-    [ (Time.ms 4, 4); (Time.ms 5, 5) ]
-    (Mtrace.events trace);
-  (* find_first scans only the retained window. *)
-  Alcotest.(check (option (pair int int)))
-    "find_first sees retained only" None
-    (Mtrace.find_first trace ~after:Time.zero ~f:(fun v -> v = 1))
-
 let test_mtrace_unbounded_keeps_all () =
   let e = Engine.create () in
   let trace : int Mtrace.t = Mtrace.create e in
   emit_seq trace e [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "nothing dropped" 0 (Mtrace.dropped trace);
-  Alcotest.(check int) "all retained" 5 (Mtrace.length trace)
-
-let test_mtrace_capacity_observers_see_all () =
-  let e = Engine.create () in
-  let trace : int Mtrace.t = Mtrace.create ~capacity:1 e in
-  let seen = ref [] in
-  Mtrace.subscribe trace (fun _ v -> seen := v :: !seen);
-  emit_seq trace e [ 1; 2; 3 ];
-  Alcotest.(check (list int))
-    "bound trims storage, not observers" [ 1; 2; 3 ] (List.rev !seen)
-
-let test_mtrace_capacity_invalid () =
-  let e = Engine.create () in
-  List.iter
-    (fun capacity ->
-      match Mtrace.create ~capacity e with
-      | (_ : int Mtrace.t) -> Alcotest.failf "capacity %d accepted" capacity
-      | exception Invalid_argument _ -> ())
-    [ 0; -1 ]
+  Alcotest.(check (list (pair int int)))
+    "every event retained, oldest first"
+    (List.init 5 (fun i -> (Time.ms (i + 1), i + 1)))
+    (Mtrace.events trace)
 
 (* [Monitor.leaderless_intervals]'s documented precondition: a cleared
    trace yields no events to replay — replay-based monitors only see
@@ -329,8 +298,11 @@ let test_mtrace_clear_drops_history () =
   let trace : int Mtrace.t = Mtrace.create e in
   emit_seq trace e [ 1; 2; 3 ];
   Mtrace.clear trace;
-  Alcotest.(check int) "empty after clear" 0 (Mtrace.length trace);
   Alcotest.(check (list (pair int int))) "no replayable history" []
+    (Mtrace.events trace);
+  Mtrace.emit trace 4;
+  Alcotest.(check (list (pair int int))) "only what followed the clear"
+    [ (Time.ms 3, 4) ]
     (Mtrace.events trace)
 
 let tests =
@@ -369,14 +341,8 @@ let tests =
     Alcotest.test_case "mtrace: records time" `Quick test_mtrace_records_time;
     Alcotest.test_case "mtrace: find_first" `Quick test_mtrace_find_first;
     Alcotest.test_case "mtrace: subscribe" `Quick test_mtrace_subscribe;
-    Alcotest.test_case "mtrace: capacity trims" `Quick
-      test_mtrace_capacity_trims;
     Alcotest.test_case "mtrace: unbounded keeps all" `Quick
       test_mtrace_unbounded_keeps_all;
-    Alcotest.test_case "mtrace: bounded observers see all" `Quick
-      test_mtrace_capacity_observers_see_all;
-    Alcotest.test_case "mtrace: invalid capacity" `Quick
-      test_mtrace_capacity_invalid;
     Alcotest.test_case "mtrace: clear drops history" `Quick
       test_mtrace_clear_drops_history;
   ]

@@ -1,11 +1,14 @@
-(* The causal forensics layer: cause-ID packing, the bounded ring and
-   its eviction/merge semantics, the time-series recorder (cadence,
-   exports, shard merge, digest neutrality), the explain analysis over
-   synthetic and live rings (with a golden file pinning the rendered
-   output), and the flight recorder attached to invariant violations. *)
+(* The causal forensics layer: cause-ID packing, the bounded ring (its
+   eviction order, its rendering, and its agreement with the probe
+   trace it mirrors), the time-series recorder (cadence, exports, shard
+   merge, digest neutrality), the explain analysis over synthetic and
+   live rings (with a golden file pinning the rendered output), and the
+   flight recorder attached to invariant violations. *)
 
 module Cause = Telemetry.Cause
-module Forensics = Telemetry.Forensics
+module Forensics = Raft.Forensics
+module Probe = Raft.Probe
+module Node_id = Netsim.Node_id
 module Recorder = Telemetry.Recorder
 module Metrics = Telemetry.Metrics
 module Q = QCheck
@@ -60,27 +63,33 @@ let prop_cause_roundtrip =
 
 (* {1 The ring} *)
 
+let n0 = Node_id.of_int 0
+
 let record_n ring n =
   for i = 1 to n do
     let cause =
       Forensics.new_cause ring ~kind:Cause.Internal ~node:0 ~term:1
     in
-    Forensics.record ring ~at:(Des.Time.ms i) ~node:0 ~term:1
+    Forensics.record ring ~at:(Des.Time.ms i) ~node:n0 ~term:1
       ~cause ~parent:Cause.none
-      (Forensics.Role { role = Printf.sprintf "r%d" i })
+      (Forensics.Probe (Probe.Tuner_reset { id = n0 }))
   done
 
 let test_ring_eviction_order () =
-  let ring = Forensics.create ~capacity:4 () in
-  record_n ring 7;
-  Alcotest.(check int) "length capped" 4 (Forensics.length ring);
+  let ring = Forensics.create () in
+  let cap = Forensics.capacity in
+  record_n ring (cap + 3);
+  Alcotest.(check int) "length capped" cap (Forensics.length ring);
   Alcotest.(check int) "dropped counts evictions" 3 (Forensics.dropped ring);
-  (* Oldest-first: the survivors are records 4..7 in insertion order. *)
+  (* Oldest-first: the survivors are records 4..cap+3 in insertion
+     order. *)
   let seqs =
     List.map (fun (r : Forensics.record) -> Cause.seq r.cause)
       (Forensics.records ring)
   in
-  Alcotest.(check (list int)) "oldest evicted first" [ 4; 5; 6; 7 ] seqs;
+  Alcotest.(check (list int)) "oldest evicted first"
+    (List.init cap (fun i -> i + 4))
+    seqs;
   let tail = Forensics.tail ring 2 in
   Alcotest.(check int) "tail length" 2 (List.length tail);
   Alcotest.(check (list string)) "tail = last renders" tail
@@ -88,22 +97,106 @@ let test_ring_eviction_order () =
     | b :: a :: _ -> List.map Forensics.render_record [ a; b ]
     | _ -> [])
 
-let test_ring_capacity_validation () =
-  match Forensics.create ~capacity:0 () with
-  | _ -> Alcotest.fail "capacity 0 accepted"
-  | exception Invalid_argument _ -> ()
-
 let test_forensics_disabled_inert () =
+  let ring = Forensics.create ~enabled:false () in
+  Alcotest.(check bool) "disabled" false (Forensics.enabled ring);
+  let c = Forensics.new_cause ring ~kind:Cause.Fault ~node:3 ~term:9 in
+  Alcotest.(check bool) "new_cause is none" true (Cause.is_none c);
+  Forensics.record ring ~at:Des.Time.zero ~node:n0 ~term:0 ~cause:c
+    ~parent:Cause.none
+    (Forensics.Probe (Probe.Node_paused { id = n0 }));
+  Alcotest.(check int) "nothing retained" 0 (Forensics.length ring);
+  Alcotest.(check int) "nothing dropped" 0 (Forensics.dropped ring);
+  Alcotest.(check (list string)) "empty tail" [] (Forensics.tail ring 4)
+
+(* Every line of explain, --raw and the flight recorder goes through
+   [render_record]; these are the shapes the explain golden lacks. *)
+let test_ring_render_other_events () =
+  let n1 = Node_id.of_int 1 and n2 = Node_id.of_int 2 in
+  let promote = Raft.Log.Promote n2 in
   List.iter
-    (fun ring ->
-      Alcotest.(check bool) "disabled" false (Forensics.enabled ring);
-      let c = Forensics.new_cause ring ~kind:Cause.Fault ~node:3 ~term:9 in
-      Alcotest.(check bool) "new_cause is none" true (Cause.is_none c);
-      Forensics.record ring ~at:Des.Time.zero ~node:0 ~term:0 ~cause:c
-        ~parent:Cause.none Forensics.Paused;
-      Alcotest.(check int) "nothing retained" 0 (Forensics.length ring);
-      Alcotest.(check int) "nothing dropped" 0 (Forensics.dropped ring))
-    [ Forensics.noop; Forensics.create ~enabled:false () ]
+    (fun (p, text) ->
+      Alcotest.(check string) text ("1.500s n1 t5 -<-- " ^ text)
+        (Forensics.render_record
+           {
+             Forensics.at = Des.Time.ms 1500;
+             node = n1;
+             term = 5;
+             cause = Cause.none;
+             parent = Cause.none;
+             ev = Forensics.Probe p;
+           }))
+    [
+      (Probe.Pre_vote_aborted { id = n1; term = 5 }, "pre-vote aborted");
+      (Probe.Tuner_reset { id = n1 }, "tuner reset");
+      (Probe.Node_paused { id = n1 }, "paused");
+      (Probe.Node_resumed { id = n1 }, "resumed");
+      (Probe.Transfer_started { id = n1; term = 5; target = n2 }, "transfer to n2");
+      (Probe.Transfer_aborted { id = n1; term = 5 }, "transfer aborted");
+      ( Probe.Config_change
+          { id = n1; term = 5; index = 7; change = promote; committed = true },
+        "config committed " ^ Raft.Log.show_change promote );
+    ]
+
+(* The ring is a sink of the probe stream: on a forensics-on cluster
+   through a leader kill and recovery, its probe records are exactly
+   the trace's emissions, in order and at the same instants, and every
+   pause/resume roots a fault cause. *)
+let test_ring_mirrors_trace () =
+  let forensics = Forensics.create () in
+  let c =
+    Harness.Cluster.create ~seed:7L ~n:3
+      ~config:(Raft.Config.dynatune ())
+      ~telemetry:(Metrics.create ~enabled:true ())
+      ~forensics ()
+  in
+  let emitted = ref [] in
+  Des.Mtrace.subscribe (Harness.Cluster.trace c) (fun at p ->
+      emitted := (at, p) :: !emitted);
+  Harness.Cluster.start c;
+  let await () =
+    if Harness.Cluster.await_leader c ~timeout:(Des.Time.sec 60) = None then
+      Alcotest.fail "no leader"
+  in
+  await ();
+  Harness.Cluster.run_for c (Des.Time.sec 10);
+  (match Harness.Fault.kill_leader c with
+  | Some (failed, _) ->
+      await ();
+      Harness.Fault.recover c failed;
+      Harness.Cluster.run_for c (Des.Time.sec 5)
+  | None -> Alcotest.fail "no leader to kill");
+  let records = Forensics.records forensics in
+  let mirrored =
+    List.filter_map
+      (fun (r : Forensics.record) ->
+        match r.ev with
+        | Forensics.Probe p -> Some (r.at, p)
+        | Forensics.Vote _ -> None)
+      records
+  in
+  Alcotest.(check int) "nothing evicted" 0 (Forensics.dropped forensics);
+  Alcotest.(check int) "one record per emitted probe" (List.length !emitted)
+    (List.length mirrored);
+  Alcotest.(check bool) "same probes, same order, same instants" true
+    (List.for_all2
+       (fun (a, p) (b, q) -> a = b && p == q)
+       (List.rev !emitted) mirrored);
+  let fault_causes =
+    List.filter_map
+      (fun (r : Forensics.record) ->
+        match r.ev with
+        | Forensics.Probe (Probe.Node_paused _ | Probe.Node_resumed _) ->
+            Some r.cause
+        | Forensics.Probe _ | Forensics.Vote _ -> None)
+      records
+  in
+  Alcotest.(check bool) "kill and recovery recorded" true
+    (List.length fault_causes >= 2);
+  Alcotest.(check bool) "pause/resume carry a fault cause" true
+    (List.for_all
+       (fun c -> (not (Cause.is_none c)) && Cause.kind c = Cause.Fault)
+       fault_causes)
 
 (* {1 Recorder} *)
 
@@ -234,8 +327,31 @@ let prop_recorder_jobs_invariant =
 let synthetic_ring () =
   let c ~kind ~node ~term ~seq = Cause.make ~kind ~node ~term ~seq in
   let ms = Des.Time.ms in
+  (* [ev] builds the event for the recording node and term. *)
   let r ~at ~node ~term ~cause ?(parent = Cause.none) ev =
-    { Forensics.at = ms at; node; term; cause; parent; ev }
+    let id = Node_id.of_int node in
+    { Forensics.at = ms at; node = id; term; cause; parent; ev = ev id term }
+  in
+  let p probe = Forensics.Probe probe in
+  let timeout randomized id term =
+    let et, h, randomized = (ms 1000, ms 100, ms randomized) in
+    p (Probe.Timeout_expired { id; term; randomized; et; h; k = 1 })
+  in
+  let campaign id term = p (Probe.Election_started { id; term }) in
+  let role role id term = p (Probe.Role_change { id; role; term }) in
+  let candidate = role Raft.Types.Candidate
+  and leader = role Raft.Types.Leader in
+  let vote from _ _ =
+    Forensics.Vote { from = Node_id.of_int from; granted = true; pre = false }
+  in
+  let paused id _ = p (Probe.Node_paused { id })
+  and resumed id _ = p (Probe.Node_resumed { id }) in
+  let tuned id _ =
+    let et = ms 120 in
+    p
+      (Probe.Tuner_decision
+         { id; rtt_ms = 100.; rtt_std_ms = 0.; loss = 0.; k = 1; et; h = et;
+           reason = Probe.Retuned })
   in
   let boot = c ~kind:Cause.Internal ~node:0 ~term:0 ~seq:1 in
   let e1 = c ~kind:Cause.Election_timer ~node:0 ~term:0 ~seq:2 in
@@ -245,57 +361,26 @@ let synthetic_ring () =
   let e3 = c ~kind:Cause.Election_timer ~node:2 ~term:2 ~seq:6 in
   [
     (* Election 1: cold start, n0 wins term 1. *)
-    r ~at:150 ~node:0 ~term:0 ~cause:e1 ~parent:boot
-      (Forensics.Timeout
-         {
-           randomized = ms 150;
-           et = ms 1000;
-           h = ms 100;
-           k = 1;
-         });
-    r ~at:150 ~node:0 ~term:1 ~cause:e1 (Forensics.Campaign { pre = false });
-    r ~at:150 ~node:0 ~term:1 ~cause:e1 (Forensics.Role { role = "candidate" });
-    r ~at:200 ~node:0 ~term:1 ~cause:e1
-      (Forensics.Vote { from = 1; granted = true; pre = false });
-    r ~at:200 ~node:0 ~term:1 ~cause:e1 (Forensics.Role { role = "leader" });
+    r ~at:150 ~node:0 ~term:0 ~cause:e1 ~parent:boot (timeout 150);
+    r ~at:150 ~node:0 ~term:1 ~cause:e1 campaign;
+    r ~at:150 ~node:0 ~term:1 ~cause:e1 candidate;
+    r ~at:200 ~node:0 ~term:1 ~cause:e1 (vote 1);
+    r ~at:200 ~node:0 ~term:1 ~cause:e1 leader;
     (* n1 tunes from measurements. *)
     r ~at:5000 ~node:1 ~term:1
       ~cause:(c ~kind:Cause.Internal ~node:1 ~term:1 ~seq:7)
-      (Forensics.Tuner
-         {
-           rtt_ms = 100.;
-           loss = 0.;
-           et = ms 120;
-           h = ms 120;
-           k = 1;
-           reason = "periodic";
-         });
+      tuned;
     (* Election 2: n0 pauses, n1 takes over — justified. *)
-    r ~at:9000 ~node:0 ~term:1 ~cause:f1 Forensics.Paused;
-    r ~at:9150 ~node:1 ~term:1 ~cause:e2
-      (Forensics.Timeout
-         {
-           randomized = ms 140;
-           et = ms 1000;
-           h = ms 100;
-           k = 1;
-         });
-    r ~at:9150 ~node:1 ~term:2 ~cause:e2 (Forensics.Campaign { pre = false });
-    r ~at:9200 ~node:1 ~term:2 ~cause:e2
-      (Forensics.Vote { from = 2; granted = true; pre = false });
-    r ~at:9200 ~node:1 ~term:2 ~cause:e2 (Forensics.Role { role = "leader" });
-    r ~at:9500 ~node:0 ~term:2 ~cause:f2 Forensics.Resumed;
+    r ~at:9000 ~node:0 ~term:1 ~cause:f1 paused;
+    r ~at:9150 ~node:1 ~term:1 ~cause:e2 (timeout 140);
+    r ~at:9150 ~node:1 ~term:2 ~cause:e2 campaign;
+    r ~at:9200 ~node:1 ~term:2 ~cause:e2 (vote 2);
+    r ~at:9200 ~node:1 ~term:2 ~cause:e2 leader;
+    r ~at:9500 ~node:0 ~term:2 ~cause:f2 resumed;
     (* Election 3: n1 is live, yet n2 deposes it — spurious. *)
-    r ~at:12000 ~node:2 ~term:2 ~cause:e3
-      (Forensics.Timeout
-         {
-           randomized = ms 130;
-           et = ms 1000;
-           h = ms 100;
-           k = 1;
-         });
-    r ~at:12000 ~node:2 ~term:3 ~cause:e3 (Forensics.Campaign { pre = false });
-    r ~at:12050 ~node:2 ~term:3 ~cause:e3 (Forensics.Role { role = "leader" });
+    r ~at:12000 ~node:2 ~term:2 ~cause:e3 (timeout 130);
+    r ~at:12000 ~node:2 ~term:3 ~cause:e3 campaign;
+    r ~at:12050 ~node:2 ~term:3 ~cause:e3 leader;
   ]
 
 let test_explain_analyze_synthetic () =
@@ -313,7 +398,7 @@ let test_explain_analyze_synthetic () =
     (List.length e1.Scenarios.Explain.chain);
   Alcotest.(check bool) "chain starts at the timeout" true
     (match (List.hd e1.Scenarios.Explain.chain).Forensics.ev with
-    | Forensics.Timeout _ -> true
+    | Forensics.Probe (Probe.Timeout_expired _) -> true
     | _ -> false);
   Alcotest.(check int) "failover winner" 1 e2.Scenarios.Explain.winner;
   Alcotest.(check bool) "failover justified" true e2.Scenarios.Explain.justified;
@@ -321,7 +406,9 @@ let test_explain_analyze_synthetic () =
     e2.Scenarios.Explain.prior_leader;
   Alcotest.(check bool) "provenance = last tuner decision" true
     (match e2.Scenarios.Explain.provenance with
-    | Some { Forensics.ev = Forensics.Tuner _; node = 1; _ } -> true
+    | Some { Forensics.ev = Forensics.Probe (Probe.Tuner_decision _); node; _ }
+      ->
+        Node_id.to_int node = 1
     | _ -> false);
   Alcotest.(check bool) "live leader deposed is spurious" false
     e3.Scenarios.Explain.justified;
@@ -371,12 +458,12 @@ let test_explain_live_chains_complete () =
       Alcotest.(check bool) "chain has the timeout" true
         (has (fun r ->
              match r.Forensics.ev with
-             | Forensics.Timeout _ -> true
+             | Forensics.Probe (Probe.Timeout_expired _) -> true
              | _ -> false));
       Alcotest.(check bool) "chain has the campaign" true
         (has (fun r ->
              match r.Forensics.ev with
-             | Forensics.Campaign _ -> true
+             | Forensics.Probe (Probe.Election_started _) -> true
              | _ -> false));
       Alcotest.(check bool) "chain has granted votes" true
         (has (fun r ->
@@ -396,7 +483,9 @@ let test_explain_live_chains_complete () =
       Alcotest.(check bool) "chain contains the winning role change" true
         (has (fun r ->
              match r.Forensics.ev with
-             | Forensics.Role { role = "leader" } -> r.Forensics.node = e.winner
+             | Forensics.Probe
+                 (Probe.Role_change { role = Raft.Types.Leader; _ }) ->
+                 Node_id.to_int r.Forensics.node = e.winner
              | _ -> false));
       Alcotest.(check bool) "kill-driven elections are justified" true
         e.justified)
@@ -415,7 +504,7 @@ let test_violation_carries_flight_dump () =
       ~nodes:(List.map Test_check.view [ a; b ])
       ()
   in
-  let ring = Forensics.create ~capacity:4 () in
+  let ring = Forensics.create () in
   record_n ring 2;
   Check.set_flight_recorder t (fun () -> Forensics.tail ring 4);
   Check.check_now t;
@@ -465,10 +554,12 @@ let tests =
     to_alcotest prop_cause_roundtrip;
     Alcotest.test_case "ring: eviction order and dropped count" `Quick
       test_ring_eviction_order;
-    Alcotest.test_case "ring: capacity validated" `Quick
-      test_ring_capacity_validation;
     Alcotest.test_case "ring: disabled is inert" `Quick
       test_forensics_disabled_inert;
+    Alcotest.test_case "ring: renders fault, transfer and config lines" `Quick
+      test_ring_render_other_events;
+    Alcotest.test_case "ring: mirrors the probe trace" `Quick
+      test_ring_mirrors_trace;
     Alcotest.test_case "recorder: cadence, dump, exports" `Quick
       test_recorder_cadence;
     Alcotest.test_case "recorder: disabled is inert" `Quick

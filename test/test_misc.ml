@@ -80,7 +80,15 @@ let test_probe_pp_total () =
         (String.length (asprintf "%a" Raft.Probe.pp p) > 2))
     [
       Raft.Probe.Role_change { id; role = Raft.Types.Leader; term = 3 };
-      Raft.Probe.Timeout_expired { id; term = 3; randomized = Time.ms 120 };
+      Raft.Probe.Timeout_expired
+        {
+          id;
+          term = 3;
+          randomized = Time.ms 120;
+          et = Time.ms 100;
+          h = Time.ms 50;
+          k = 2;
+        };
       Raft.Probe.Tuner_decision
         {
           id;

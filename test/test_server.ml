@@ -524,23 +524,36 @@ let test_dynatune_follower_piggybacks_h () =
         (Time.ms 50) h
   | _ -> Alcotest.fail "expected a piggybacked h"
 
-let test_dynatune_timeout_resets_tuner () =
+(* An instrumented dynatune follower warmed by two 50 ms heartbeat RTTs
+   (min_list_size = 2), so its tuned Et is 50 ms; also returns the
+   (Et, h, K) of its tuner decisions, newest first. *)
+let tuned_follower () =
   let cfg =
     Config.dynatune
       ~cfg:{ Dynatune.Config.default with Dynatune.Config.min_list_size = 2 }
       ()
   in
   let s = make ~config:cfg ~self:0 () in
+  Server.set_instrument s true;
   ignore (Server.start s);
   let hb i rtt now =
-    ignore
-      (recv s ~from:3
-         (heartbeat ~id:i ~sent_at:now ?rtt ~term:1 ~commit:0 ())
-         ~now)
+    recv s ~from:3 (heartbeat ~id:i ~sent_at:now ?rtt ~term:1 ~commit:0 ()) ~now
   in
-  hb 0 None Time.zero;
-  hb 1 (Some (Time.ms 50)) (Time.ms 100);
-  hb 2 (Some (Time.ms 50)) (Time.ms 200);
+  let acts =
+    hb 0 None Time.zero
+    @ hb 1 (Some (Time.ms 50)) (Time.ms 100)
+    @ hb 2 (Some (Time.ms 50)) (Time.ms 200)
+  in
+  ( s,
+    List.rev
+      (List.filter_map
+         (function
+           | Server.Probe (Probe.Tuner_decision { et; h; k; _ }) -> Some (et, h, k)
+           | _ -> None)
+         acts) )
+
+let test_dynatune_timeout_resets_tuner () =
+  let s, _ = tuned_follower () in
   Alcotest.(check int) "tuned Et" (Time.ms 50) (Server.election_timeout_now s);
   let acts = Server.handle s ~now:(Time.ms 400) Server.Election_timeout_fired in
   Alcotest.(check bool) "tuner reset probe" true
@@ -555,6 +568,25 @@ let test_dynatune_timeout_resets_tuner () =
       Alcotest.(check bool) "randomized from defaults" true
         (span >= Time.ms 1000 && span < Time.ms 2000)
   | _ -> Alcotest.fail "expected a re-arm"
+
+(* The expiry probe reports the parameters the expired timer ran under:
+   sampled before the fallback, so a tuned follower shows its tuned Et,
+   not the default it is about to reset to. *)
+let test_dynatune_timeout_probe_reports_tuned_params () =
+  let s, decisions = tuned_follower () in
+  let acts = Server.handle s ~now:(Time.ms 400) Server.Election_timeout_fired in
+  match
+    ( decisions,
+      List.filter_map
+        (function
+          | Server.Probe (Probe.Timeout_expired { et; h; k; _ }) -> Some (et, h, k)
+          | _ -> None)
+        acts )
+  with
+  | last :: _, [ ((et, _, _) as fired) ] ->
+      Alcotest.(check (triple int int int)) "= last tuner decision" last fired;
+      Alcotest.(check bool) "not the default Et" true (et <> Time.ms 1000)
+  | _ -> Alcotest.fail "expected a tuner decision and one Timeout_expired"
 
 let test_leader_applies_piggybacked_h () =
   let s = make ~config:(dynatune_config ()) ~self:0 () in
@@ -788,6 +820,8 @@ let tests =
       test_dynatune_follower_piggybacks_h;
     Alcotest.test_case "dynatune: timeout resets tuner" `Quick
       test_dynatune_timeout_resets_tuner;
+    Alcotest.test_case "dynatune: timeout probe reports tuned Et/h/K" `Quick
+      test_dynatune_timeout_probe_reports_tuned_params;
     Alcotest.test_case "dynatune: leader applies h" `Quick
       test_leader_applies_piggybacked_h;
     Alcotest.test_case "static leader broadcast timer" `Quick
