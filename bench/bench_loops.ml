@@ -286,6 +286,37 @@ let make_schedule_op_loop () =
     Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
     ignore (Des.Engine.step engine : bool)
 
+(* The KV request path, one layer per loop: the client's Put encoder,
+   the decoder on that payload, and a replica applying it with its key
+   already present (the steady state of a ramp, whose clients cycle
+   through 1024 keys each).  All three carry the workload's 64-byte
+   value. *)
+let kv_value = String.make 64 'v'
+
+let kv_payload =
+  Kvsm.Command.client_put_payload ~client_id:1 ~slot:123 ~value:kv_value
+
+let make_client_encode_loop () () =
+  ignore
+    (Kvsm.Command.client_put_payload ~client_id:1 ~slot:123 ~value:kv_value
+      : string)
+
+let make_decode_put_loop () () =
+  ignore (Kvsm.Command.of_payload kv_payload : (Kvsm.Command.t, string) result)
+
+let make_store_put_loop () =
+  let store = Kvsm.Store.create () in
+  let entry =
+    {
+      Raft.Log.term = 1;
+      index = 1;
+      command = Raft.Log.Data { payload = kv_payload; client_id = 1; seq = 123 };
+    }
+  in
+  ignore (Kvsm.Store.apply_entry store entry : Kvsm.Store.result option);
+  fun () ->
+    ignore (Kvsm.Store.apply_entry store entry : Kvsm.Store.result option)
+
 (* Minor-heap allocation per operation, by [Gc.minor_words] delta: the
    number bechamel's timing tables can't show.  [Gc.minor_words] counts
    words allocated on the minor heap since program start, so the delta

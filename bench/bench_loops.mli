@@ -40,6 +40,18 @@ val make_schedule_op_loop : unit -> unit -> unit
     then [Engine.step].  Allocates exactly 0 minor words per call once
     the event pool is warm. *)
 
+val make_client_encode_loop : unit -> unit -> unit
+(** [Kvsm.Command.client_put_payload] of one write with a 64-byte
+    value: the payload string is its only allocation. *)
+
+val make_decode_put_loop : unit -> unit -> unit
+(** [Kvsm.Command.of_payload] on that write: the key, the value, the
+    command and the result. *)
+
+val make_store_put_loop : unit -> unit -> unit
+(** [Kvsm.Store.apply_entry] of that write with its key already present:
+    the value is kept by reference, so only the key is copied. *)
+
 val words_per_op : (unit -> unit) -> float
 (** Minor words allocated per call of [f], measured over 100k iterations
     after a 100-call warmup. *)

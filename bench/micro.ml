@@ -195,6 +195,18 @@ let test_codec =
          in
          ignore (Kvsm.Command.of_payload payload)))
 
+let test_client_encode =
+  Test.make ~name:"kv client put encode"
+    (Staged.stage (Bench_loops.make_client_encode_loop ()))
+
+let test_decode_put =
+  Test.make ~name:"kv decode put"
+    (Staged.stage (Bench_loops.make_decode_put_loop ()))
+
+let test_store_put =
+  Test.make ~name:"kv store apply put (key present)"
+    (Staged.stage (Bench_loops.make_store_put_loop ()))
+
 let tests =
   [
     test_tuner_observe;
@@ -217,6 +229,9 @@ let tests =
     test_vote_round;
     test_snapshot_install;
     test_codec;
+    test_client_encode;
+    test_decode_put;
+    test_store_put;
   ]
 
 (* Minor-heap allocation per operation (Bench_loops.words_per_op): the
@@ -278,6 +293,11 @@ let allocation_report ppf =
     (Bench_loops.make_snapshot_install_loop ());
   words_per_op ppf "engine.schedule_op_after+step"
     (Bench_loops.make_schedule_op_loop ());
+  words_per_op ppf "kv client put encode"
+    (Bench_loops.make_client_encode_loop ());
+  words_per_op ppf "kv decode put" (Bench_loops.make_decode_put_loop ());
+  words_per_op ppf "kv store apply put (key present)"
+    (Bench_loops.make_store_put_loop ());
   (let e = Des.Engine.create () in
    words_per_op ppf "wheel timer schedule+cancel" (fun () ->
        Des.Engine.cancel

@@ -22,7 +22,8 @@
    fig4 and multiraft trace digests must match the baseline bit for
    bit, the hot-path words/op figures (Bench_loops) must stay within a
    small headroom of the recorded ones (the DES opcode
-   schedule-and-fire loop at exactly 0), and events/sec must stay within
+   schedule-and-fire loop at exactly 0, the KV request path under fixed
+   budgets), and events/sec must stay within
    30% of the recorded figure (the throughput gate is skippable with
    DYNATUNE_PERF_SKIP_THROUGHPUT=1 for hopelessly noisy hosts; the
    digest and allocation gates never are). *)
@@ -512,6 +513,20 @@ let run_perf ~baseline =
        "perf guard allocation regression: engine schedule_op_after+step = \
         %.2f words/op; the opcode path must allocate 0"
        now);
+  (* So does the KV request path: the encoder allocates only its
+     payload, the decoder only what it returns, and a Put on a present
+     key only its key. *)
+  List.iter
+    (fun (name, make, budget) ->
+      let now = Bench_loops.words_per_op (make ()) in
+      if now > budget then
+        fail "perf guard allocation regression: %s = %.1f words/op, budget %.0f"
+          name now budget)
+    [
+      ("kv client put encode", Bench_loops.make_client_encode_loop, 12.);
+      ("kv decode put", Bench_loops.make_decode_put_loop, 20.);
+      ("kv store apply put (key present)", Bench_loops.make_store_put_loop, 8.);
+    ];
   (* Minor words per DES event of a steady-state cluster: the end-to-end
      allocation figure the pooling work moves (the loop ratchets above
      only cover the server in isolation).  A pinned-seed DES run's

@@ -61,7 +61,7 @@ let ident_rules =
       id = "poly-compare";
       doc = "polymorphic compare/hash on message or state values";
       scope = anywhere;
-      bans = named [ "Stdlib.compare"; "Hashtbl.hash" ];
+      bans = named [ "compare"; "Stdlib.compare"; "Hashtbl.hash" ];
     };
     {
       id = "direct-print";

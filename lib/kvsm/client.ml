@@ -25,7 +25,10 @@ type t = {
   mutable rejected : int;
   mutable redirected : int;
   mutable abandoned : int;
-  mutable latencies : float list; (* ms, newest first *)
+  mutable latencies : Float.Array.t;
+      (* ms, in completion order, in the first [n_latencies] slots:
+         unboxed, so a sample costs neither a list cell nor a float box *)
+  mutable n_latencies : int;
 }
 
 let create ~engine ~target ~client_id ~rate ?(value_size = 64)
@@ -55,16 +58,27 @@ let create ~engine ~target ~client_id ~rate ?(value_size = 64)
     rejected = 0;
     redirected = 0;
     abandoned = 0;
-    latencies = [];
+    latencies = Float.Array.create 0;
+    n_latencies = 0;
   }
+
+let record_latency t elapsed =
+  let n = t.n_latencies in
+  if n = Float.Array.length t.latencies then begin
+    let bigger = Float.Array.create (Stdlib.max 8 (2 * n)) in
+    Float.Array.blit t.latencies 0 bigger 0 n;
+    t.latencies <- bigger
+  end;
+  Float.Array.set t.latencies n (Des.Time.to_ms_f elapsed);
+  t.n_latencies <- n + 1
 
 let issue t =
   let seq = t.seq in
   t.seq <- seq + 1;
   t.offered <- t.offered + 1;
-  let key = Printf.sprintf "c%d-k%d" t.client_id (seq mod 1024) in
   let payload =
-    Command.to_payload (Command.Put { key; value = t.value })
+    Command.client_put_payload ~client_id:t.client_id ~slot:(seq mod 1024)
+      ~value:t.value
   in
   let sent_at = Des.Engine.now t.engine in
   let on_result ~committed =
@@ -72,10 +86,8 @@ let issue t =
       t.completed <- t.completed + 1;
       (* Latency runs from the {e first} send, so redirect hops are
          charged to the request that needed them. *)
-      let elapsed =
-        Des.Time.diff (Des.Engine.now t.engine) sent_at + t.client_rtt
-      in
-      t.latencies <- Des.Time.to_ms_f elapsed :: t.latencies
+      record_latency t
+        (Des.Time.diff (Des.Engine.now t.engine) sent_at + t.client_rtt)
     end
     else t.rejected <- t.rejected + 1
   in
@@ -116,4 +128,4 @@ let completed t = t.completed
 let rejected t = t.rejected
 let redirected t = t.redirected
 let abandoned t = t.abandoned
-let latencies_ms t = List.rev t.latencies
+let latencies_ms t = List.init t.n_latencies (Float.Array.get t.latencies)

@@ -63,12 +63,6 @@ let hint_hits t = t.hits
 let hint_misses t = t.misses
 let hint_refreshes t = t.refreshes
 
-let key_of_command = function
-  | Kvsm.Command.Put { key; _ } -> key
-  | Kvsm.Command.Get key -> key
-  | Kvsm.Command.Delete key -> key
-  | Kvsm.Command.Cas { key; _ } -> key
-
 let submit_group t g ~payload ~client_id ~seq ~on_result =
   let cluster = Group_manager.group t.manager g in
   let result =
@@ -99,14 +93,13 @@ let submit_group t g ~payload ~client_id ~seq ~on_result =
       t.hints.(g) <- h);
   result
 
-(* The open-loop client's [target]: decode the payload just enough to
-   find the key, then shard-route. *)
+(* The open-loop client's [target]: read just the payload's key, then
+   shard-route. *)
 let target t ~payload ~client_id ~seq ~on_result =
-  match Kvsm.Command.of_payload payload with
+  match Kvsm.Command.payload_key payload with
   | Error _ -> `Not_leader None
-  | Ok cmd ->
-      let g = group_of_key t (key_of_command cmd) in
-      submit_group t g ~payload ~client_id ~seq ~on_result
+  | Ok key ->
+      submit_group t (group_of_key t key) ~payload ~client_id ~seq ~on_result
 
 (* The client's [route]: a [`Not_leader (Some h)] redirect names a
    fabric node, which names its group; install the hint and pin the

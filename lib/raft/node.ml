@@ -1,5 +1,15 @@
 module Node_id = Netsim.Node_id
 
+(* Outstanding client requests by (client_id, seq).  Monomorphic: a
+   lookup hashes and compares two ints, where a polymorphic table pays
+   [caml_hash] and [compare_val] on the pair. *)
+module Waiters = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (c1, s1) (c2, s2) = Int.equal c1 c2 && Int.equal s1 s2
+  let hash (c, s) = ((c * 65_599) + s) land max_int
+end)
+
 type t = {
   engine : Des.Engine.t;
   fabric : Rpc.message Netsim.Fabric.t;
@@ -17,7 +27,7 @@ type t = {
   (* indexed by [Node_id.to_int peer]: the per-follower heartbeat timer
      is re-armed on every beat, so the lookup must not hash *)
   mutable hb_timers : Des.Timer.t option array;
-  waiters : (int * int, committed:bool -> unit) Hashtbl.t;
+  waiters : (committed:bool -> unit) Waiters.t;
   apply : Log.entry -> unit;
   snapshot_of : unit -> string;
   install_sm : string -> unit;
@@ -49,6 +59,19 @@ let server t = t.server
 let cpu t = t.cpu
 let is_paused t = t.paused
 let incarnation t = t.incarnation
+
+(* Answer the client waiting on (client_id, seq), if this node holds it.
+   Only a node that accepted requests holds waiters, so a follower
+   applying the same entries skips the lookup. *)
+let complete t ~client_id ~seq ~committed =
+  if Waiters.length t.waiters > 0 then begin
+    let key = (client_id, seq) in
+    match Waiters.find_opt t.waiters key with
+    | Some k ->
+        Waiters.remove t.waiters key;
+        k ~committed
+    | None -> ()
+  end
 
 (* The one probe emission path: record the probe in the ring, stamped
    with the causal context of the event being processed, then emit it
@@ -146,29 +169,17 @@ and interpret t = function
           t.apply entry;
           match entry.command with
           | Log.Noop | Log.Config _ -> ()
-          | Log.Data { client_id; seq; _ } -> (
-              match Hashtbl.find_opt t.waiters (client_id, seq) with
-              | Some k ->
-                  Hashtbl.remove t.waiters (client_id, seq);
-                  k ~committed:true
-              | None -> ()))
+          | Log.Data { client_id; seq; _ } ->
+              complete t ~client_id ~seq ~committed:true)
         entries
   | Server.Take_snapshot { upto } ->
       let data = t.snapshot_of () in
       dispatch t (Server.Snapshot_ready { upto; data })
   | Server.Install_sm { data; last_index = _ } -> t.install_sm data
-  | Server.Serve_read { client_id; seq; read_index = _ } -> (
-      match Hashtbl.find_opt t.waiters (client_id, seq) with
-      | Some k ->
-          Hashtbl.remove t.waiters (client_id, seq);
-          k ~committed:true
-      | None -> ())
-  | Server.Reject_proposal { client_id; seq } -> (
-      match Hashtbl.find_opt t.waiters (client_id, seq) with
-      | Some k ->
-          Hashtbl.remove t.waiters (client_id, seq);
-          k ~committed:false
-      | None -> ())
+  | Server.Serve_read { client_id; seq; read_index = _ } ->
+      complete t ~client_id ~seq ~committed:true
+  | Server.Reject_proposal { client_id; seq } ->
+      complete t ~client_id ~seq ~committed:false
   | Server.Probe p -> emit t p
 
 and hb_timer t peer =
@@ -279,7 +290,7 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
                 dispatch t Server.Flush_due
               end);
         hb_timers = [||];
-        waiters = Hashtbl.create 64;
+        waiters = Waiters.create 64;
         instrumented = Telemetry.Metrics.enabled metrics;
         fo = forensics;
         fo_on = Forensics.enabled forensics;
@@ -404,7 +415,7 @@ let submit t ~payload ~client_id ~seq ~on_result () =
   if t.paused || not (Types.is_leader (Server.role t.server)) then
     `Not_leader (Server.leader t.server)
   else begin
-    Hashtbl.replace t.waiters (client_id, seq) on_result;
+    Waiters.replace t.waiters (client_id, seq) on_result;
     if t.fo_on then new_cause t Telemetry.Cause.Client;
     Netsim.Cpu.execute t.cpu ~cost:t.costs.Cost_model.propose (fun () ->
         dispatch t (Server.Propose { payload; client_id; seq }));
@@ -415,7 +426,7 @@ let read t ~client_id ~seq ~on_result () =
   if t.paused || not (Types.is_leader (Server.role t.server)) then
     `Not_leader (Server.leader t.server)
   else begin
-    Hashtbl.replace t.waiters (client_id, seq) on_result;
+    Waiters.replace t.waiters (client_id, seq) on_result;
     if t.fo_on then new_cause t Telemetry.Cause.Client;
     Netsim.Cpu.execute t.cpu ~cost:t.costs.Cost_model.apply (fun () ->
         dispatch t (Server.Read { client_id; seq }));
@@ -466,9 +477,9 @@ let crash t =
   Netsim.Fabric.pause t.fabric (id t);
   disarm_all t;
   (* Outstanding client requests die with the process. *)
-  let pending = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.waiters [] in
-  Hashtbl.reset t.waiters;
-  List.iter (fun (_, k) -> k ~committed:false) pending;
+  let pending = Waiters.fold (fun _ k acc -> k :: acc) t.waiters [] in
+  Waiters.reset t.waiters;
+  List.iter (fun k -> k ~committed:false) pending;
   emit_fault t (Probe.Node_paused { id = id t })
 
 let restart t =

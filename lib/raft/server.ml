@@ -943,7 +943,7 @@ let maybe_advance_commit t ctx =
         t.others
   in
   if List.length matches >= q then begin
-    let sorted = List.sort (fun a b -> compare b a) matches in
+    let sorted = List.sort (fun a b -> Int.compare b a) matches in
     (* The quorum-th largest match index is replicated on a majority. *)
     let candidate = List.nth sorted (q - 1) in
     if

@@ -2,7 +2,7 @@ type t = { sorted : float array; mean : float; std : float }
 
 let of_array a =
   let sorted = Array.copy a in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let w = Welford.create () in
   Array.iter (Welford.add w) sorted;
   { sorted; mean = Welford.mean w; std = Welford.std w }

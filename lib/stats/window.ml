@@ -40,15 +40,25 @@ let get t i =
    where every store to a ref (and every float argument to a non-inlined
    recursive call) allocates a fresh box.  [std] runs on the tuner's
    per-heartbeat path, so the accumulator is the difference between a
-   constant-size scratch cell and two words of garbage per sample. *)
+   constant-size scratch cell and two words of garbage per sample.
+
+   The ring's contents are two contiguous runs, [head, head + first)
+   then [0, len - first).  Looping over them in that order visits the
+   samples oldest first, the summation order of indexing each one by
+   [mod], so results are bit-identical without a division per sample. *)
+let first_run t = Stdlib.min t.len (Array.length t.buf - t.head)
+
 let rebuild t =
   (* [get] is not inlined, and a non-inlined float return is a fresh box
      per sample; indexing the buffer directly keeps the loop
      allocation-free. *)
-  let buf = t.buf and cap = Array.length t.buf and head = t.head in
+  let buf = t.buf and head = t.head and first = first_run t in
   let acc = [| 0. |] in
-  for i = 0 to t.len - 1 do
-    acc.(0) <- acc.(0) +. buf.((head + i) mod cap)
+  for i = head to head + first - 1 do
+    acc.(0) <- acc.(0) +. buf.(i)
+  done;
+  for i = 0 to t.len - first - 1 do
+    acc.(0) <- acc.(0) +. buf.(i)
   done;
   t.sum <- acc.(0);
   t.pushes_since_rebuild <- 0
@@ -79,10 +89,14 @@ let std t =
   else begin
     let n = float_of_int t.len in
     let m = t.sum /. n in
-    let buf = t.buf and cap = Array.length t.buf and head = t.head in
+    let buf = t.buf and head = t.head and first = first_run t in
     let acc = [| 0. |] in
-    for i = 0 to t.len - 1 do
-      let d = buf.((head + i) mod cap) -. m in
+    for i = head to head + first - 1 do
+      let d = buf.(i) -. m in
+      acc.(0) <- acc.(0) +. (d *. d)
+    done;
+    for i = 0 to t.len - first - 1 do
+      let d = buf.(i) -. m in
       acc.(0) <- acc.(0) +. (d *. d)
     done;
     sqrt (acc.(0) /. n)

@@ -16,6 +16,7 @@ let cast x = Obj.magic x
 (* poly-compare *)
 let cmp a b = Stdlib.compare a b
 let bucket x = Hashtbl.hash x
+let order xs = List.sort compare xs
 
 (* mutable-global *)
 let counter = ref 0

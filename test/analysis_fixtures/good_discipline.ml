@@ -4,6 +4,10 @@
 let exit_code_of_result = function Ok _ -> 0 | Error _ -> 1
 let compare_ints (a : int) b = Int.compare a b
 
+(* A comparator parameter named [compare] is a local, not the
+   polymorphic one. *)
+let sort_with compare xs = List.sort compare xs
+
 (* A function returning a fresh ref is not a mutable global... *)
 let fresh_counter () = ref 0
 

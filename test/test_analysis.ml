@@ -253,6 +253,18 @@ let test_exit_exact () =
   Alcotest.(check (list int)) "bin/ may exit" []
     (lines_of "stdlib-exit" (analyze [ file "bin/x.ml" source ]))
 
+let test_compare_exact () =
+  let source =
+    "let a xs = List.sort compare xs\n\
+     let b x y = Stdlib.compare x y\n\
+     let c xs = List.sort Int.compare xs\n\
+     let d compare xs = List.sort compare xs\n\
+     let e xs = let compare = Float.compare in List.sort compare xs\n\
+     let f = function compare -> compare 1 2\n"
+  in
+  Alcotest.(check (list int)) "only the polymorphic compares fire" [ 1; 2 ]
+    (lines_of "poly-compare" (analyze [ file "lib/kvsm/x.ml" source ]))
+
 let test_hot_and_binding () =
   let fs =
     analyze
@@ -322,6 +334,7 @@ let tests =
     Alcotest.test_case "finding-render" `Quick test_render;
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
     Alcotest.test_case "stdlib-exit-exact" `Quick test_exit_exact;
+    Alcotest.test_case "poly-compare-exact" `Quick test_compare_exact;
     Alcotest.test_case "hot-and-binding" `Quick test_hot_and_binding;
     Alcotest.test_case "hot-unparenthesized-lambda" `Quick
       test_hot_unparenthesized_lambda;

@@ -24,13 +24,86 @@ let test_codec_roundtrip () =
       Command.Put { key = String.make 1000 'K'; value = String.make 5000 'V' };
     ]
 
+(* Every malformation with the error the format reports for it; a log
+   entry carrying one applies as [Invalid] with the same text. *)
+let malformed =
+  [
+    ("", "empty payload");
+    ("Z", "unknown tag 'Z'");
+    ("\n1:a", "unknown tag '\\n'");
+    ("P", "missing length delimiter");
+    ("P2", "missing length delimiter");
+    ("D", "missing length delimiter");
+    ("P2:ab", "missing length delimiter");
+    ("N1:a", "missing length delimiter");
+    ("C1:a1:b", "missing length delimiter");
+    ("P:ab1:c", "malformed length");
+    ("Px:ab1:c", "malformed length");
+    ("P99999999999999999999:a", "malformed length");
+    ("P9:ab", "length out of range");
+    ("P-1:a1:b", "length out of range");
+    ("P2:ab3:xy", "length out of range");
+    ("P2:ab3:xyztrailing", "trailing bytes");
+    ("G1:ab", "trailing bytes");
+  ]
+
 let test_codec_rejects_garbage () =
   List.iter
-    (fun payload ->
-      match Command.of_payload payload with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted garbage: %S" payload)
-    [ ""; "Z"; "P"; "P9:ab"; "P2:ab"; "P2:ab3:xyztrailing"; "P-1:a1:b" ]
+    (fun (payload, expected) ->
+      let what = Printf.sprintf "%S" payload in
+      (match Command.of_payload payload with
+      | Error msg -> Alcotest.(check string) ("of_payload " ^ what) expected msg
+      | Ok _ -> Alcotest.failf "accepted garbage: %s" what);
+      (match Command.payload_key payload with
+      | Error msg ->
+          Alcotest.(check string) ("payload_key " ^ what) expected msg
+      | Ok _ -> Alcotest.failf "payload_key accepted garbage: %s" what);
+      Alcotest.(check int) ("put_key_end " ^ what) (-1)
+        (Command.put_key_end payload);
+      let entry =
+        {
+          Raft.Log.term = 1;
+          index = 1;
+          command = Raft.Log.Data { payload; client_id = 1; seq = 1 };
+        }
+      in
+      match Store.apply_entry (Store.create ()) entry with
+      | Some (Store.Invalid msg) ->
+          Alcotest.(check string) ("apply_entry " ^ what) expected msg
+      | _ -> Alcotest.failf "apply_entry accepted garbage: %s" what)
+    malformed
+
+(* A length near [max_int] must not wrap the range check around. *)
+let test_codec_length_overflow () =
+  match Command.of_payload (Printf.sprintf "P%d:a1:b" max_int) with
+  | Error msg -> Alcotest.(check string) "rejected" "length out of range" msg
+  | Ok _ -> Alcotest.fail "accepted an overflowing length"
+
+(* The wire format, pinned byte for byte. *)
+let test_codec_wire_format () =
+  List.iter
+    (fun (cmd, expected) ->
+      Alcotest.(check string)
+        (Format.asprintf "%a" Command.pp cmd)
+        expected (Command.to_payload cmd))
+    [
+      (Command.Put { key = "k"; value = "" }, "P1:k0:");
+      ( Command.Put { key = "c1-k10"; value = String.make 10 'v' },
+        "P6:c1-k1010:vvvvvvvvvv" );
+      (Command.Get "x", "G1:x");
+      (Command.Delete "", "D0:");
+      (Command.Cas { key = "k"; expect = Some "old"; value = "new" }, "C1:k3:old3:new");
+      (Command.Cas { key = "k"; expect = None; value = "v" }, "N1:k1:v");
+    ];
+  let value = String.make 64 'v' in
+  List.iter
+    (fun (client_id, slot) ->
+      Alcotest.(check string)
+        (Printf.sprintf "client %d slot %d" client_id slot)
+        (Command.to_payload
+           (Command.Put { key = Printf.sprintf "c%d-k%d" client_id slot; value }))
+        (Command.client_put_payload ~client_id ~slot ~value))
+    [ (0, 0); (1, 9); (1, 10); (7, 1023); (-3, 42); (max_int, min_int); (min_int, max_int) ]
 
 let test_store_put_get () =
   let s = Store.create () in
@@ -221,6 +294,8 @@ let tests =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
+    Alcotest.test_case "codec: length overflow" `Quick test_codec_length_overflow;
+    Alcotest.test_case "codec: wire format" `Quick test_codec_wire_format;
     Alcotest.test_case "store: put/get" `Quick test_store_put_get;
     Alcotest.test_case "store: delete" `Quick test_store_delete;
     Alcotest.test_case "store: cas" `Quick test_store_cas;

@@ -41,6 +41,88 @@ let prop_window_keeps_newest =
       in
       Stats.Window.to_list w = expected)
 
+(* [Window] indexing its ring with a [mod] per sample: the reference the
+   split loops must match bit for bit, rebuilds included. *)
+module Mod_window = struct
+  type t = {
+    buf : float array;
+    mutable head : int;
+    mutable len : int;
+    mutable sum : float;
+    mutable pushes : int;
+  }
+
+  (* Stats.Window's rebuild period. *)
+  let rebuild_period = 4096
+
+  let create capacity =
+    { buf = Array.make capacity 0.; head = 0; len = 0; sum = 0.; pushes = 0 }
+
+  let rebuild t =
+    let cap = Array.length t.buf in
+    let acc = ref 0. in
+    for i = 0 to t.len - 1 do
+      acc := !acc +. t.buf.((t.head + i) mod cap)
+    done;
+    t.sum <- !acc;
+    t.pushes <- 0
+
+  let push t x =
+    let cap = Array.length t.buf in
+    if t.len = cap then begin
+      t.sum <- t.sum -. t.buf.(t.head);
+      t.buf.(t.head) <- x;
+      t.head <- (t.head + 1) mod cap
+    end
+    else begin
+      t.buf.((t.head + t.len) mod cap) <- x;
+      t.len <- t.len + 1
+    end;
+    t.sum <- t.sum +. x;
+    t.pushes <- t.pushes + 1;
+    if t.pushes >= rebuild_period then rebuild t
+
+  let mean t = if t.len = 0 then 0. else t.sum /. float_of_int t.len
+
+  let std t =
+    if t.len < 2 then 0.
+    else begin
+      let n = float_of_int t.len in
+      let m = t.sum /. n in
+      let cap = Array.length t.buf in
+      let acc = ref 0. in
+      for i = 0 to t.len - 1 do
+        let d = t.buf.((t.head + i) mod cap) -. m in
+        acc := !acc +. (d *. d)
+      done;
+      sqrt (!acc /. n)
+    end
+end
+
+let prop_window_matches_mod_indexing =
+  Q.Test.make ~count:40 ~name:"window std/mean equal the mod-indexed sums bit for bit"
+    Q.(triple (int_range 1 64) (int_range 1 9000) small_nat)
+    (fun (capacity, extra, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let w = Stats.Window.create ~capacity and m = Mod_window.create capacity in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let ok = ref true in
+      for _ = 1 to capacity + extra do
+        (* Magnitudes six orders apart make the sums order-sensitive. *)
+        let x =
+          Random.State.float rng 1e6
+          *. if Random.State.bool rng then 1. else 1e-6
+        in
+        Stats.Window.push w x;
+        Mod_window.push m x;
+        if
+          not
+            (same (Stats.Window.mean w) (Mod_window.mean m)
+            && same (Stats.Window.std w) (Mod_window.std m))
+        then ok := false
+      done;
+      !ok)
+
 (* {2 Engine ordering} *)
 
 let prop_engine_orders_events =
@@ -187,25 +269,302 @@ let prop_summary_mean_within_range =
 
 let printable_string = Q.string_gen Q.Gen.printable
 
+module C = Kvsm.Command
+
+(* The codec as the length-prefixed format was first written: a
+   [Buffer] encoder, and a decoder that copies each length header out
+   and parses it with [int_of_string_opt].  The exact-size encoders must
+   match its bytes and the in-place decoder its every result. *)
+module Reference_codec = struct
+  let field buf s =
+    Buffer.add_string buf (string_of_int (String.length s));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s
+
+  let to_payload (c : C.t) =
+    let buf = Buffer.create 32 in
+    (match c with
+    | C.Put { key; value } ->
+        Buffer.add_char buf 'P';
+        field buf key;
+        field buf value
+    | C.Get key ->
+        Buffer.add_char buf 'G';
+        field buf key
+    | C.Delete key ->
+        Buffer.add_char buf 'D';
+        field buf key
+    | C.Cas { key; expect = Some e; value } ->
+        Buffer.add_char buf 'C';
+        field buf key;
+        field buf e;
+        field buf value
+    | C.Cas { key; expect = None; value } ->
+        Buffer.add_char buf 'N';
+        field buf key;
+        field buf value);
+    Buffer.contents buf
+
+  let parse_field s pos =
+    match String.index_from_opt s pos ':' with
+    | None -> Error "missing length delimiter"
+    | Some colon -> (
+        match int_of_string_opt (String.sub s pos (colon - pos)) with
+        | None -> Error "malformed length"
+        | Some len when len < 0 || colon + 1 + len > String.length s ->
+            Error "length out of range"
+        | Some len -> Ok (String.sub s (colon + 1) len, colon + 1 + len))
+
+  let ( let* ) = Result.bind
+
+  let of_payload s =
+    if s = "" then Error "empty payload"
+    else
+      let finish v pos =
+        if pos = String.length s then Ok v else Error "trailing bytes"
+      in
+      match s.[0] with
+      | 'P' ->
+          let* key, pos = parse_field s 1 in
+          let* value, pos = parse_field s pos in
+          finish (C.Put { key; value }) pos
+      | 'G' ->
+          let* key, pos = parse_field s 1 in
+          finish (C.Get key) pos
+      | 'D' ->
+          let* key, pos = parse_field s 1 in
+          finish (C.Delete key) pos
+      | 'C' ->
+          let* key, pos = parse_field s 1 in
+          let* expect, pos = parse_field s pos in
+          let* value, pos = parse_field s pos in
+          finish (C.Cas { key; expect = Some expect; value }) pos
+      | 'N' ->
+          let* key, pos = parse_field s 1 in
+          let* value, pos = parse_field s pos in
+          finish (C.Cas { key; expect = None; value }) pos
+      | c -> Error (Printf.sprintf "unknown tag %C" c)
+end
+
+(* 0..300 arbitrary bytes: empty fields, one- to three-digit length
+   headers, and field bytes that look like headers. *)
+let field_string = Q.string_of_size (Q.Gen.int_range 0 300)
+
+let key_of = function
+  | C.Put { key; _ } | C.Get key | C.Delete key | C.Cas { key; _ } -> key
+
+let all_tags key value other =
+  [
+    C.Put { key; value };
+    C.Get key;
+    C.Delete key;
+    C.Cas { key; expect = Some other; value };
+    C.Cas { key; expect = None; value };
+  ]
+
 let prop_codec_roundtrip =
   Q.Test.make ~count:500 ~name:"command codec roundtrips"
-    Q.(pair printable_string printable_string)
-    (fun (key, value) ->
-      let cmds =
-        [
-          Kvsm.Command.Put { key; value };
-          Kvsm.Command.Get key;
-          Kvsm.Command.Delete key;
-          Kvsm.Command.Cas { key; expect = Some value; value = key };
-          Kvsm.Command.Cas { key; expect = None; value };
-        ]
-      in
+    Q.(triple field_string field_string field_string)
+    (fun (key, value, other) ->
       List.for_all
         (fun c ->
-          match Kvsm.Command.of_payload (Kvsm.Command.to_payload c) with
-          | Ok d -> Kvsm.Command.equal c d
-          | Error _ -> false)
-        cmds)
+          let p = C.to_payload c in
+          String.equal p (Reference_codec.to_payload c)
+          && (match C.of_payload p with
+             | Ok d -> C.equal c d
+             | Error _ -> false)
+          && (match C.payload_key p with
+             | Ok k -> String.equal k key
+             | Error _ -> false)
+          && C.put_key_end p >= 0
+             = match c with C.Put _ -> true | C.Get _ | C.Delete _ | C.Cas _ -> false)
+        (all_tags key value other))
+
+let prop_client_encoder_matches_sprintf_key =
+  Q.Test.make ~count:500 ~name:"client Put encoder matches the sprintf key"
+    Q.(triple int int field_string)
+    (fun (client_id, slot, value) ->
+      String.equal
+        (C.client_put_payload ~client_id ~slot ~value)
+        (Reference_codec.to_payload
+           (C.Put { key = Printf.sprintf "c%d-k%d" client_id slot; value })))
+
+(* Bytes near the format (tags, digits, signs, base prefixes,
+   separators): free strings, one-byte mutations and truncations of
+   valid payloads. *)
+let near_payload_gen =
+  let open Q.Gen in
+  let alphabet = "PGDCNZ0123456789:-+_xab" in
+  let byte = map (String.get alphabet) (int_bound (String.length alphabet - 1)) in
+  let text = string_size ~gen:byte (int_range 0 12) in
+  let valid =
+    map3
+      (fun tag key value -> C.to_payload (List.nth (all_tags key value key) tag))
+      (int_bound 4) text text
+  in
+  let mutate p i c =
+    if p = "" then p
+    else begin
+      let b = Bytes.of_string p in
+      Bytes.set b (i mod String.length p) c;
+      Bytes.to_string b
+    end
+  in
+  oneof
+    [
+      string_size ~gen:byte (int_range 0 24);
+      map3 mutate valid nat byte;
+      map2 (fun p n -> String.sub p 0 (n mod (String.length p + 1))) valid nat;
+    ]
+
+let prop_decoder_matches_reference =
+  Q.Test.make ~count:3000 ~name:"in-place decoder agrees with the reference"
+    (Q.make ~print:(Printf.sprintf "%S") near_payload_gen)
+    (fun p ->
+      match Reference_codec.of_payload p with
+      | exception Invalid_argument _ -> true
+      | expected ->
+          (match (expected, C.of_payload p) with
+          | Ok a, Ok b -> C.equal a b
+          | Error a, Error b -> String.equal a b
+          | Ok _, Error _ | Error _, Ok _ -> false)
+          && (match (expected, C.payload_key p) with
+             | Ok c, Ok k -> String.equal k (key_of c)
+             | Error a, Error b -> String.equal a b
+             | Ok _, Error _ | Error _, Ok _ -> false)
+          && C.put_key_end p >= 0
+             = match expected with Ok (C.Put _) -> true | Ok _ | Error _ -> false)
+
+(* {2 Store against a copying model}
+
+   [Store] keeps a Put's value as a reference into the committed
+   payload.  The model is the plain copying table: every result, lookup,
+   digest and snapshot must agree with it, also after the log that held
+   the payloads has been compacted. *)
+
+type store_op =
+  | S_put of int * string
+  | S_get of int
+  | S_delete of int
+  | S_cas of int * string option * string
+  | S_cas_current of int * string  (** expect the model's current value *)
+
+let store_keys = [| ""; "k"; "c1-k7"; "key:with:colons"; String.make 12 'K' |]
+
+let store_op_gen =
+  let open Q.Gen in
+  let key = int_bound (Array.length store_keys - 1) in
+  let value = string_size ~gen:printable (int_range 0 120) in
+  frequency
+    [
+      (4, map2 (fun k v -> S_put (k, v)) key value);
+      (2, map (fun k -> S_get k) key);
+      (1, map (fun k -> S_delete k) key);
+      (1, map3 (fun k e v -> S_cas (k, e, v)) key (opt value) value);
+      (2, map2 (fun k v -> S_cas_current (k, v)) key value);
+    ]
+
+let store_op_print = function
+  | S_put (k, v) -> Printf.sprintf "put %d %S" k v
+  | S_get k -> Printf.sprintf "get %d" k
+  | S_delete k -> Printf.sprintf "del %d" k
+  | S_cas (k, e, v) ->
+      Printf.sprintf "cas %d %s %S" k
+        (match e with None -> "-" | Some e -> Printf.sprintf "%S" e)
+        v
+  | S_cas_current (k, v) -> Printf.sprintf "cas-current %d %S" k v
+
+(* The digest and snapshot formats over the model's bindings, sorted by
+   polymorphic compare as the store once sorted them. *)
+let model_bindings model =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+
+let model_digest model =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf k;
+      Buffer.add_char buf '\x00';
+      Buffer.add_string buf v;
+      Buffer.add_char buf '\x01')
+    (model_bindings model);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let model_snapshot ~applied model =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (string_of_int applied);
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun (k, v) ->
+      Reference_codec.field buf k;
+      Reference_codec.field buf v)
+    (model_bindings model);
+  Buffer.contents buf
+
+let prop_store_matches_copying_model =
+  Q.Test.make ~count:300 ~name:"store applies Puts by reference like a copying table"
+    (Q.make
+       ~print:Q.Print.(list store_op_print)
+       (Q.Gen.list_size (Q.Gen.int_range 0 80) store_op_gen))
+    (fun ops ->
+      let module S = Kvsm.Store in
+      let log = Raft.Log.create () and store = S.create () in
+      let model = Hashtbl.create 8 in
+      let command = function
+        | S_put (k, value) -> C.Put { key = store_keys.(k); value }
+        | S_get k -> C.Get store_keys.(k)
+        | S_delete k -> C.Delete store_keys.(k)
+        | S_cas (k, expect, value) -> C.Cas { key = store_keys.(k); expect; value }
+        | S_cas_current (k, value) ->
+            let key = store_keys.(k) in
+            C.Cas { key; expect = Hashtbl.find_opt model key; value }
+      in
+      let expected = function
+        | C.Put { key; value } ->
+            Hashtbl.replace model key value;
+            S.Written
+        | C.Get key -> S.Value (Hashtbl.find_opt model key)
+        | C.Delete key ->
+            let existed = Hashtbl.mem model key in
+            Hashtbl.remove model key;
+            S.Deleted existed
+        | C.Cas { key; expect; value } ->
+            if Hashtbl.find_opt model key = expect then begin
+              Hashtbl.replace model key value;
+              S.Swapped true
+            end
+            else S.Swapped false
+      in
+      let agrees s =
+        Array.for_all (fun k -> S.find s k = Hashtbl.find_opt model k) store_keys
+        && S.size s = Hashtbl.length model
+        && String.equal (S.state_digest s) (model_digest model)
+      in
+      let snapshot_agrees () =
+        let snap = S.serialize store in
+        String.equal snap (model_snapshot ~applied:(List.length ops) model)
+        && match S.of_serialized snap with Ok r -> agrees r | Error _ -> false
+      in
+      let applied =
+        List.for_all
+          (fun op ->
+            let cmd = command op in
+            let entry =
+              Raft.Log.append_new log ~term:1
+                (Raft.Log.Data
+                   { payload = C.to_payload cmd; client_id = 1; seq = 0 })
+            in
+            let got = S.apply_entry store entry in
+            got = Some (expected cmd))
+          ops
+      in
+      applied && agrees store && snapshot_agrees ()
+      && begin
+           if Raft.Log.last_index log > 0 then
+             Raft.Log.compact log ~upto:(Raft.Log.last_index log);
+           Gc.minor ();
+           agrees store && snapshot_agrees ()
+         end)
 
 (* {2 Log invariants} *)
 
@@ -659,6 +1018,7 @@ let tests =
       prop_queue_matches_model;
       prop_window_matches_batch;
       prop_window_keeps_newest;
+      prop_window_matches_mod_indexing;
       prop_engine_orders_events;
       prop_loss_rate_bounds;
       prop_loss_rate_exact_on_sets;
@@ -670,6 +1030,9 @@ let tests =
       prop_summary_percentile_monotone;
       prop_summary_mean_within_range;
       prop_codec_roundtrip;
+      prop_client_encoder_matches_sprintf_key;
+      prop_decoder_matches_reference;
+      prop_store_matches_copying_model;
       prop_log_append_grows_monotonically;
       prop_log_compaction_preserves_suffix;
       prop_log_compaction_then_append_consistent;
