@@ -278,13 +278,20 @@ let test_fig6_radical_smoke () =
   Alcotest.(check string) "mode" "dynatune" r.Scenarios.Fig6.mode
 
 let test_fig7_smoke () =
-  let r =
-    Scenarios.Fig7.run ~seed:1L ~hold:(Time.sec 2) ~n:3
-      ~config:(Raft.Config.fix_k ~k:10 ()) ()
+  let run config =
+    Scenarios.Fig7.run ~seed:1L ~hold:(Time.sec 2) ~n:3 ~config ()
   in
+  let r = run (Raft.Config.fix_k ~k:10 ()) in
   Alcotest.(check string) "mode" "fix-k" r.Scenarios.Fig7.mode;
   Alcotest.(check int) "n recorded" 3 r.Scenarios.Fig7.n;
-  Alcotest.(check int) "no unnecessary elections" 0 r.Scenarios.Fig7.elections
+  Alcotest.(check int) "no unnecessary elections" 0 r.Scenarios.Fig7.elections;
+  Alcotest.(check int) "no timer expiries" 0 r.Scenarios.Fig7.timer_expiries;
+  (* Dynatune's window counts are pinned exactly: its tuned Et trips a
+     few times under the loss ramp, and no trip becomes an election. *)
+  let d = run (Raft.Config.dynatune ()) in
+  Alcotest.(check int) "dynatune timer expiries" 3
+    d.Scenarios.Fig7.timer_expiries;
+  Alcotest.(check int) "dynatune elections" 0 d.Scenarios.Fig7.elections
 
 let test_extensions_variants () =
   let vs = Scenarios.Extensions.variants () in
