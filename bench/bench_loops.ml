@@ -286,6 +286,13 @@ let make_schedule_op_loop () =
     Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
     ignore (Des.Engine.step engine : bool)
 
+let make_mtrace_emit_loop () =
+  let trace = Des.Mtrace.create (Des.Engine.create ()) in
+  let seen = ref 0 in
+  Des.Mtrace.subscribe trace (fun _ _ -> incr seen);
+  let probe = Raft.Probe.Node_paused { id = Netsim.Node_id.of_int 0 } in
+  fun () -> Des.Mtrace.emit trace probe
+
 (* The KV request path, one layer per loop: the client's Put encoder,
    the decoder on that payload, and a replica applying it with its key
    already present (the steady state of a ramp, whose clients cycle

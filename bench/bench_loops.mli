@@ -40,6 +40,10 @@ val make_schedule_op_loop : unit -> unit -> unit
     then [Engine.step].  Allocates exactly 0 minor words per call once
     the event pool is warm. *)
 
+val make_mtrace_emit_loop : unit -> unit -> unit
+(** One probe through [Des.Mtrace.emit] to a single counting observer:
+    the bus retains nothing, so this allocates exactly 0 minor words. *)
+
 val make_client_encode_loop : unit -> unit -> unit
 (** [Kvsm.Command.client_put_payload] of one write with a 64-byte
     value: the payload string is its only allocation. *)

@@ -86,6 +86,10 @@ let test_engine_schedule_op =
   Test.make ~name:"engine.schedule_op_after+step"
     (Staged.stage (Bench_loops.make_schedule_op_loop ()))
 
+let test_mtrace_emit =
+  Test.make ~name:"mtrace.emit (one observer)"
+    (Staged.stage (Bench_loops.make_mtrace_emit_loop ()))
+
 let test_engine_cancel_churn =
   (* The heartbeat-timer pattern: schedule a timeout far out, cancel it,
      re-arm, fire a near event.  Exercises lazy discard plus the event
@@ -215,6 +219,7 @@ let tests =
     test_window_push;
     test_engine_schedule;
     test_engine_schedule_op;
+    test_mtrace_emit;
     test_event_heap_push_pop 5;
     test_event_heap_push_pop 1_500;
     test_engine_cancel_churn;

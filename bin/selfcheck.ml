@@ -505,14 +505,21 @@ let run_perf ~baseline =
       ("vote_round_words", Bench_loops.make_vote_round_loop);
       ("snapshot_install_words", Bench_loops.make_snapshot_install_loop);
     ];
-  (* The DES kernel's opcode path has an absolute budget, not a ratchet:
-     a pooled event scheduled and fired allocates nothing. *)
-  (let now = Bench_loops.words_per_op (Bench_loops.make_schedule_op_loop ()) in
-   if now <> 0. then
-     fail
-       "perf guard allocation regression: engine schedule_op_after+step = \
-        %.2f words/op; the opcode path must allocate 0"
-       now);
+  (* The DES kernel's opcode path and the probe bus have absolute
+     budgets, not ratchets: a pooled event scheduled and fired allocates
+     nothing, and neither does a probe delivered to an observer. *)
+  List.iter
+    (fun (name, make) ->
+      let now = Bench_loops.words_per_op (make ()) in
+      if now <> 0. then
+        fail
+          "perf guard allocation regression: %s = %.2f words/op; it must \
+           allocate 0"
+          name now)
+    [
+      ("engine schedule_op_after+step", Bench_loops.make_schedule_op_loop);
+      ("mtrace emit", Bench_loops.make_mtrace_emit_loop);
+    ];
   (* So does the KV request path: the encoder allocates only its
      payload, the decoder only what it returns, and a Put on a present
      key only its key. *)

@@ -46,7 +46,7 @@ let roster_of ~members ~ids =
   Array.of_list (List.map (fun id -> Node_id.Table.find members id) ids)
 
 (* Per-node protocol counters, filled through a live trace subscription
-   so they survive the measurement loop's [Mtrace.clear]s. *)
+   made at creation, so they count the whole run. *)
 type probe_counters = {
   c_timeouts : Telemetry.Metrics.Counter.t;
   c_elections : Telemetry.Metrics.Counter.t;
@@ -186,9 +186,9 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
         (make_member ~engine ~fabric ~trace ~costs ~cores ~flush_delay
            ~telemetry ~forensics ~config ~joining:false ~pool ~id ~peers))
     ids;
-  (* The digest accumulates online through a subscription, so it survives
-     the trace clears the measurement loop performs between failures.
-     Each probe is rendered into one reused buffer. *)
+  (* The digest accumulates online through a subscription made before
+     any probe, so it covers the whole run.  Each probe is rendered into
+     one reused buffer. *)
   let digest = Check.Digest.create () in
   let rendered = Buffer.create 128 in
   Des.Mtrace.subscribe trace (fun time probe ->

@@ -111,9 +111,9 @@ val check_now : t -> unit
 val trace_digest : t -> int64
 (** Order-sensitive FNV-1a digest of every probe emitted on this
     cluster's trace so far (timestamps included).  Accumulated through a
-    live subscription, so it is immune to [Mtrace.clear] and usable as a
-    determinism sanitizer: equal seeds and schedules must yield equal
-    digests. *)
+    live subscription made at creation, so it covers the whole run and
+    serves as a determinism sanitizer: equal seeds and schedules must
+    yield equal digests. *)
 
 val size : t -> int
 val quorum : t -> int

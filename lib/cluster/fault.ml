@@ -30,44 +30,43 @@ type failure_outcome = {
   election_rounds : int;
 }
 
-(* Scan the trace for the measurements of one failure window. *)
-let analyse t ~failed ~failed_at ~new_leader_at ~new_leader =
-  let timeouts = ref [] in
-  let rounds = ref 0 in
-  (* The precise establishment instant is the new leader's Role_change
-     probe (the polling loop only brackets it to the millisecond). *)
-  let new_leader_at =
-    match
-      Des.Mtrace.find_first (Cluster.trace t) ~after:failed_at ~f:(function
-          | Raft.Probe.Role_change { id; role = Raft.Types.Leader; _ } ->
-              not (Node_id.equal id failed)
-          | Raft.Probe.Role_change _ | Raft.Probe.Timeout_expired _
-          | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
-          | Raft.Probe.Tuner_decision _ | Raft.Probe.Election_started _
-          | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
-          | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-          | Raft.Probe.Transfer_aborted _ ->
-              false)
-    with
-    | Some (time, _) -> time
-    | None -> new_leader_at
+(* What one failure window showed on the probe stream, folded live from
+   the kill until [analyse].  The kill stamps [failed_at] and no event
+   runs between it and the subscription, so every probe stamped after
+   [failed_at] reaches the observer. *)
+type window = {
+  mutable leader_at : Des.Time.t option;
+      (* the new leader's Role_change: the precise establishment instant
+         (the polling loop only brackets it to the millisecond) *)
+  mutable timeouts : (Node_id.t * Des.Time.t * Des.Time.span) list;
+      (* each surviving node's first expiry, newest first *)
+  mutable rounds : int;
+}
+
+let observe w ~failed ~failed_at time probe =
+  let before_leader =
+    match w.leader_at with None -> true | Some at -> time <= at
   in
-  Des.Mtrace.iter (Cluster.trace t) ~f:(fun time probe ->
-      if time > failed_at && time <= new_leader_at then
-        match probe with
-        | Raft.Probe.Timeout_expired { id; randomized; _ }
-          when not (Node_id.equal id failed) ->
-            (* Keep each node's first expiry only. *)
-            if not (List.exists (fun (i, _, _) -> Node_id.equal i id) !timeouts)
-            then timeouts := (id, time, randomized) :: !timeouts
-        | Raft.Probe.Election_started _ -> incr rounds
-        | Raft.Probe.Timeout_expired _ | Raft.Probe.Role_change _
-        | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
-        | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
-        | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
-            ());
-  match List.rev !timeouts with
+  if time > failed_at && before_leader then
+    match probe with
+    | Raft.Probe.Role_change { id; role = Raft.Types.Leader; _ }
+      when not (Node_id.equal id failed) ->
+        if Option.is_none w.leader_at then w.leader_at <- Some time
+    | Raft.Probe.Timeout_expired { id; randomized; _ }
+      when not (Node_id.equal id failed) ->
+        if not (List.exists (fun (i, _, _) -> Node_id.equal i id) w.timeouts)
+        then w.timeouts <- (id, time, randomized) :: w.timeouts
+    | Raft.Probe.Election_started _ -> w.rounds <- w.rounds + 1
+    | Raft.Probe.Role_change _ | Raft.Probe.Timeout_expired _
+    | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
+    | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
+    | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
+    | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
+        ()
+
+let analyse t w ~failed ~failed_at ~new_leader_at ~new_leader =
+  let new_leader_at = Option.value w.leader_at ~default:new_leader_at in
+  match List.rev w.timeouts with
   | [] -> Error "no follower detected the failure"
   | (_, first_time, first_randomized) :: _ as ordered ->
       let f = Cluster.size t / 2 in
@@ -86,7 +85,7 @@ let analyse t ~failed ~failed_at ~new_leader_at ~new_leader =
           randomized_at_detection_ms = Des.Time.to_ms_f first_randomized;
           ots_ms = Des.Time.to_ms_f (Des.Time.diff new_leader_at failed_at);
           new_leader;
-          election_rounds = !rounds;
+          election_rounds = w.rounds;
         }
 
 let await_new_leader t ~excluding ~limit =
@@ -151,7 +150,6 @@ let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
     Stats.Rng.int (Des.Engine.rng (Cluster.engine t)) (Des.Time.ms 250)
   in
   Cluster.run_for t jitter;
-  Des.Mtrace.clear (Cluster.trace t);
   (* The previous iteration can leave the cluster mid-election; wait for
      a leader to exist before injecting the next failure. *)
   let kill =
@@ -165,14 +163,19 @@ let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
   match kill with
   | None -> Error "no leader to kill"
   | Some (failed, failed_at) -> (
-      match await_new_leader t ~excluding:failed ~limit:detect_limit with
+      let w = { leader_at = None; timeouts = []; rounds = 0 } in
+      let measured =
+        Des.Mtrace.during (Cluster.trace t) (observe w ~failed ~failed_at)
+          (fun () ->
+            await_new_leader t ~excluding:failed ~limit:detect_limit
+            |> Option.map (fun (new_leader, new_leader_at) ->
+                   analyse t w ~failed ~failed_at ~new_leader_at ~new_leader))
+      in
+      match measured with
       | None ->
           recover t failed;
           Error "no new leader elected within the limit"
-      | Some (new_leader, new_leader_at) ->
-          let outcome =
-            analyse t ~failed ~failed_at ~new_leader_at ~new_leader
-          in
+      | Some outcome ->
           recover t failed;
           (* Let the old leader rejoin and the cluster settle before the
              next iteration. *)
@@ -186,5 +189,4 @@ let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
              so the next iteration measures tuned behaviour, as the
              paper's repeated-failure campaign does. *)
           settle_until_tuned t;
-          Des.Mtrace.clear (Cluster.trace t);
           outcome)

@@ -44,4 +44,6 @@ val fail_and_measure :
 (** One iteration of the Section IV-B1 campaign: kill the current leader,
     run until a new leader is established (up to [detect_limit], default
     60 s), measure, then recover the old leader and let it rejoin.
-    The cluster trace is cleared before and after. *)
+    The measurements come from a scoped observer ({!Des.Mtrace.during})
+    on the cluster trace that lives from the kill until they are
+    computed; other observers are unaffected. *)

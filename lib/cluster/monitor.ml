@@ -55,69 +55,86 @@ let watch t ~every ~duration ~probes =
   Des.Engine.run_until engine stop_at;
   List.map (fun (p, ts) -> (p.name, ts)) series
 
-let role_changes t ~until =
-  let events = ref [] in
-  Des.Mtrace.iter (Cluster.trace t) ~f:(fun time probe ->
-      if time <= until then
-        match probe with
-        | Raft.Probe.Role_change { id; role; _ } ->
-            events := (time, id, `Role role) :: !events
-        | Raft.Probe.Node_paused { id } -> events := (time, id, `Paused) :: !events
-        | Raft.Probe.Node_resumed { id } ->
-            events := (time, id, `Resumed) :: !events
-        | Raft.Probe.Timeout_expired _ | Raft.Probe.Pre_vote_aborted _
-        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-        | Raft.Probe.Election_started _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
-            ());
-  List.rev !events
+type window = {
+  timeouts : int;
+  pre_vote_aborts : int;
+  elections : int;
+  leaderless : (Des.Time.t * Des.Time.t) list;
+}
 
-let leaderless_intervals t ~from ~until =
-  let roles : Raft.Types.role Node_id.Table.t =
-    Node_id.Table.create (Cluster.size t)
-  in
+let observe t f =
+  let from = Cluster.now t in
+  let timeouts = ref 0 and aborts = ref 0 and elections = ref 0 in
+  (* Seeded from the live roles and pause flags: [Server.set_role]
+     always emits Role_change and [Node.pause]/[resume] always emit
+     Node_paused/Node_resumed, so this is the state that folding every
+     earlier probe would reach.  A paused leader does not count
+     (the container-sleep fault takes it out of service even though its
+     role never changed). *)
+  let leading = Node_id.Table.create (Cluster.size t) in
   let paused = Node_id.Table.create (Cluster.size t) in
-  let count_leaders () =
-    Node_id.Table.fold
-      (fun id role acc ->
-        if Raft.Types.is_leader role && not (Node_id.Table.mem paused id) then
-          acc + 1
-        else acc)
-      roles 0
-  in
-  (* Replay role and fault events from the beginning of the trace;
-     everyone starts as a follower, so the run begins leaderless.  A
-     paused leader does not count as a leader (the container-sleep fault
-     takes it out of service even though its role never changed). *)
-  let intervals = ref [] in
-  let gap_start = ref (Some Des.Time.zero) in
   List.iter
-    (fun (time, id, event) ->
-      let before = count_leaders () in
-      (match event with
-      | `Role role -> Node_id.Table.replace roles id role
-      | `Paused -> Node_id.Table.replace paused id ()
-      | `Resumed -> Node_id.Table.remove paused id);
-      let after = count_leaders () in
-      if before = 0 && after > 0 then begin
-        (match !gap_start with
-        | Some s when time > s -> intervals := (s, time) :: !intervals
-        | Some _ | None -> ());
+    (fun node ->
+      let id = Raft.Node.id node in
+      if Raft.Types.is_leader (Raft.Server.role (Raft.Node.server node)) then
+        Node_id.Table.replace leading id ();
+      if Raft.Node.is_paused node then Node_id.Table.replace paused id ())
+    (Cluster.nodes t);
+  let live_leaders () =
+    Node_id.Table.fold
+      (fun id () acc -> if Node_id.Table.mem paused id then acc else acc + 1)
+      leading 0
+  in
+  let intervals = ref [] in
+  let gap_start = ref (if live_leaders () = 0 then Some from else None) in
+  let close_gap time =
+    match !gap_start with
+    | Some s when time > s -> intervals := (s, time) :: !intervals
+    | Some _ | None -> ()
+  in
+  let transition time update =
+    let before = live_leaders () in
+    update ();
+    match (before, live_leaders ()) with
+    | 0, after when after > 0 ->
+        close_gap time;
         gap_start := None
-      end
-      else if before > 0 && after = 0 then gap_start := Some time)
-    (role_changes t ~until);
-  (match !gap_start with
-  | Some s when until > s -> intervals := (s, until) :: !intervals
-  | Some _ | None -> ());
-  (* Clip to the requested window. *)
-  List.rev !intervals
-  |> List.filter_map (fun (s, e) ->
-         let s = Stdlib.max s from and e = Stdlib.min e until in
-         if e > s then Some (s, e) else None)
+    | before, 0 when before > 0 -> gap_start := Some time
+    | _ -> ()
+  in
+  (* Probes stamped [from] itself can still be queued when [f] starts:
+     they move the state but are not counted. *)
+  let count time r = if time > from then incr r in
+  let observer time probe =
+    match probe with
+    | Raft.Probe.Timeout_expired _ -> count time timeouts
+    | Raft.Probe.Pre_vote_aborted _ -> count time aborts
+    | Raft.Probe.Election_started _ -> count time elections
+    | Raft.Probe.Role_change { id; role; _ } ->
+        transition time (fun () ->
+            if Raft.Types.is_leader role then
+              Node_id.Table.replace leading id ()
+            else Node_id.Table.remove leading id)
+    | Raft.Probe.Node_paused { id } ->
+        transition time (fun () -> Node_id.Table.replace paused id ())
+    | Raft.Probe.Node_resumed { id } ->
+        transition time (fun () -> Node_id.Table.remove paused id)
+    | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
+    | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
+    | Raft.Probe.Transfer_aborted _ ->
+        ()
+  in
+  let result = Des.Mtrace.during (Cluster.trace t) observer f in
+  close_gap (Cluster.now t);
+  ( result,
+    {
+      timeouts = !timeouts;
+      pre_vote_aborts = !aborts;
+      elections = !elections;
+      leaderless = List.rev !intervals;
+    } )
 
-let total_ots_ms t ~from ~until =
-  leaderless_intervals t ~from ~until
-  |> List.fold_left
-       (fun acc (s, e) -> acc +. Des.Time.to_ms_f (Des.Time.diff e s))
-       0.
+let ots_ms w =
+  List.fold_left
+    (fun acc (s, e) -> acc +. Des.Time.to_ms_f (Des.Time.diff e s))
+    0. w.leaderless

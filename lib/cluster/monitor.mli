@@ -2,9 +2,9 @@
 
     These implement the paper's observation methodology: per-second
     sampling of the (f+1)-th smallest randomizedTimeout (Fig 6), of the
-    applied heartbeat interval (Fig 7a), and reconstruction of
-    out-of-service intervals from the role-change trace (the background
-    shading of Fig 6). *)
+    applied heartbeat interval (Fig 7a), and observation windows over
+    the probe stream: false detections, pre-vote aborts, elections and
+    out-of-service intervals (the background shading of Fig 6). *)
 
 val randomized_timeouts_ms : Cluster.t -> float list
 (** Current randomizedTimeout of every non-leader node, ms, unsorted. *)
@@ -38,15 +38,24 @@ val watch :
     given period; returns one time series (times in seconds) per probe.
     NaN samples are recorded as-is (plotted series show gaps). *)
 
-val leaderless_intervals :
-  Cluster.t -> from:Des.Time.t -> until:Des.Time.t ->
-  (Des.Time.t * Des.Time.t) list
-(** Out-of-service intervals within the window, reconstructed from the
-    role-change trace.  Requires the trace not to have been cleared since
-    before [from], {e and} not capacity-trimmed over the window: replay
-    only sees what [Mtrace.events] retains, so clusters measured with
-    this must keep the default unbounded trace (see the retention
-    contract in {!Des.Mtrace}). *)
+type window = {
+  timeouts : int;  (** election-timer expiries *)
+  pre_vote_aborts : int;
+  elections : int;  (** real campaigns started *)
+  leaderless : (Des.Time.t * Des.Time.t) list;
+      (** out-of-service intervals (no unpaused leader), oldest first,
+          clipped to the window *)
+}
 
-val total_ots_ms : Cluster.t -> from:Des.Time.t -> until:Des.Time.t -> float
-(** Sum of the leaderless interval lengths in the window. *)
+val observe : Cluster.t -> (unit -> 'a) -> 'a * window
+(** [observe t f] runs [f], which advances the simulation, and returns
+    its result with what the probe stream showed over the window
+    [(from, until]]: [from] is the instant [f] starts, [until] the one
+    it returns at.  The counts cover probes stamped inside the window.
+    The leaderless intervals are seeded from the nodes' roles and pause
+    flags when the window opens, which is exact: every role change and
+    every pause/resume emits a probe.  Nothing before [from] is needed,
+    and nothing is retained after [f] returns. *)
+
+val ots_ms : window -> float
+(** Sum of the window's leaderless interval lengths, ms. *)

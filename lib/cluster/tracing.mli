@@ -8,8 +8,7 @@
     ({{:https://ui.perfetto.dev}ui.perfetto.dev}) or [chrome://tracing].
 
     The bridge rides a live {!Des.Mtrace.subscribe} observer, so it sees
-    every probe even though the failover harness clears the trace between
-    failures. *)
+    every probe emitted after {!attach}. *)
 
 type t
 

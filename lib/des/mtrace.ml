@@ -1,27 +1,24 @@
 type 'a t = {
   engine : Engine.t;
-  mutable events : (Time.t * 'a) list; (* newest first *)
   mutable observers : (Time.t -> 'a -> unit) list;
+      (* in subscription order *)
 }
 
-let create engine = { engine; events = []; observers = [] }
-let engine t = t.engine
+let create engine = { engine; observers = [] }
 
-let emit t ev =
-  let now = Engine.now t.engine in
-  t.events <- (now, ev) :: t.events;
-  List.iter (fun f -> f now ev) t.observers
+let[@hot] rec notify now ev = function
+  | [] -> ()
+  | f :: rest ->
+      f now ev;
+      notify now ev rest
 
-let events t = List.rev t.events
-let iter t ~f = List.iter (fun (time, ev) -> f time ev) (events t)
-
-let find_first t ~after ~f =
-  let rec scan = function
-    | [] -> None
-    | (time, ev) :: rest ->
-        if time > after && f ev then Some (time, ev) else scan rest
-  in
-  scan (events t)
-
-let clear t = t.events <- []
+let[@hot] emit t ev = notify (Engine.now t.engine) ev t.observers
 let subscribe t f = t.observers <- t.observers @ [ f ]
+
+let during t f body =
+  subscribe t f;
+  let rec remove = function
+    | [] -> []
+    | g :: rest -> if g == f then rest else g :: remove rest
+  in
+  Fun.protect ~finally:(fun () -> t.observers <- remove t.observers) body

@@ -1,41 +1,29 @@
-(** In-simulation trace recorder.
+(** In-simulation probe bus.
 
-    Components emit typed events against the virtual clock; monitors
-    consume the trace afterwards to measure detection time, out-of-service
-    intervals, election rounds, etc.  This replaces the paper's practice of
-    parsing etcd log files: the shared virtual clock makes the timestamps
-    exact.
+    Components emit typed events against the virtual clock; observers
+    receive each one, stamped with the current simulation time, the
+    moment it is emitted.  This replaces the paper's practice of parsing
+    etcd log files: the shared virtual clock makes the timestamps exact.
 
-    {b Retention contract.}  A trace keeps every event since creation or
-    the last {!clear}, and replay monitors rely on that:
-    [Harness.Monitor.leaderless_intervals] replays every retained event,
-    so its results are only exact if the trace was not {!clear}ed during
-    the window being measured (the failover harness honours this by
-    measuring each failure before clearing).  Whole-run consumers
-    (metrics, digests, the tracing bridge) are live {!subscribe}
-    observers, so clears do not affect them. *)
+    {b Retention contract.}  A trace retains nothing: an event reaches
+    the observers subscribed when it is emitted and is then gone.  A
+    measurement over a window of the run is therefore a scoped observer
+    ({!during}) that folds what it needs as the window runs, and
+    whole-run consumers (metrics, digests, the checker, the tracing
+    bridge) are permanent {!subscribe} observers. *)
 
 type 'a t
 
 val create : Engine.t -> 'a t
 
-val engine : 'a t -> Engine.t
-
 val emit : 'a t -> 'a -> unit
-(** Record an event at the current simulation time. *)
-
-val events : 'a t -> (Time.t * 'a) list
-(** Retained events, oldest first. *)
-
-val iter : 'a t -> f:(Time.t -> 'a -> unit) -> unit
-
-val find_first : 'a t -> after:Time.t -> f:('a -> bool) -> (Time.t * 'a) option
-(** First retained event strictly after [after] satisfying the
-    predicate. *)
-
-val clear : 'a t -> unit
-(** Drop all retained events.  Observers stay subscribed. *)
+(** Deliver an event, stamped with the current simulation time, to every
+    observer in subscription order.  Allocates nothing itself. *)
 
 val subscribe : 'a t -> (Time.t -> 'a -> unit) -> unit
-(** Register a live observer called on every subsequent [emit] (after the
-    event is recorded).  Monitors use this to react during the run. *)
+(** Register an observer for every subsequent [emit], for the life of
+    the trace. *)
+
+val during : 'a t -> (Time.t -> 'a -> unit) -> (unit -> 'b) -> 'b
+(** [during t f body] subscribes [f] while [body] runs and returns its
+    result.  [f] is unsubscribed when [body] returns or raises. *)

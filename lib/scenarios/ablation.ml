@@ -12,20 +12,6 @@ type safety_row = {
 
 let dynatune_with f = Raft.Config.dynatune ~cfg:(f Dynatune.Config.default) ()
 
-let count_expiries cluster ~from ~until =
-  let n = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster) ~f:(fun time probe ->
-      if time > from && time <= until then
-        match probe with
-        | Raft.Probe.Timeout_expired _ -> incr n
-        | Raft.Probe.Role_change _ | Raft.Probe.Pre_vote_aborted _
-        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-        | Raft.Probe.Election_started _ | Raft.Probe.Node_paused _
-        | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
-            ());
-  !n
-
 (* Mean of a per-second-sampled quantity over a window, ignoring NaNs
    (samples taken while warming / leaderless are excluded). *)
 let sampled_mean cluster ~duration ~read =
@@ -93,13 +79,9 @@ let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
       Cluster.run_for cluster (Des.Time.sec 30);
       (* Quiet period: sample the tuned Et and count false detections
          under jitter. *)
-      Des.Mtrace.clear (Cluster.trace cluster);
-      let from = Cluster.now cluster in
-      let et_mean_ms =
-        sampled_mean cluster ~duration:quiet ~read:tuned_follower_et
-      in
-      let false_timeouts =
-        count_expiries cluster ~from ~until:(Cluster.now cluster)
+      let et_mean_ms, quiet_window =
+        Monitor.observe cluster (fun () ->
+            sampled_mean cluster ~duration:quiet ~read:tuned_follower_et)
       in
       (* Failure campaign. *)
       let det = ref [] and ots = ref [] in
@@ -118,7 +100,7 @@ let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
         detection_mean_ms = Stats.Summary.(mean (of_list !det));
         ots_mean_ms = Stats.Summary.(mean (of_list !ots));
         et_mean_ms;
-        false_timeouts;
+        false_timeouts = quiet_window.Monitor.timeouts;
       })
        values
 
@@ -150,8 +132,6 @@ let arrival_probability_sweep ?(seed = 37L)
       | Some _ -> ()
       | None -> failwith "ablation: initial election failed");
       Cluster.run_for cluster (Des.Time.sec 60);
-      Des.Mtrace.clear (Cluster.trace cluster);
-      let from = Cluster.now cluster in
       (* Sample the h the leader actually applies toward one follower
          over the quiet period (warming dips excluded as NaN). *)
       let follower =
@@ -162,12 +142,10 @@ let arrival_probability_sweep ?(seed = 37L)
             | None -> true)
           (Cluster.node_ids cluster)
       in
-      let h_ms =
-        sampled_mean cluster ~duration:quiet ~read:(fun c ->
-            Monitor.leader_h_ms c ~follower)
-      in
-      let false_timeouts =
-        count_expiries cluster ~from ~until:(Cluster.now cluster)
+      let h_ms, quiet_window =
+        Monitor.observe cluster (fun () ->
+            sampled_mean cluster ~duration:quiet ~read:(fun c ->
+                Monitor.leader_h_ms c ~follower))
       in
       let k = Dynatune.Tuner.required_heartbeats_for ~p:loss ~x in
       {
@@ -175,7 +153,7 @@ let arrival_probability_sweep ?(seed = 37L)
         k;
         h_ms;
         heartbeat_rate_hz = (if h_ms > 0. then 1000. /. h_ms else nan);
-        false_timeouts;
+        false_timeouts = quiet_window.Monitor.timeouts;
       })
        values
 
@@ -306,11 +284,9 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
       | None -> failwith "ablation: initial election failed");
       Cluster.run_for cluster (Des.Time.sec 30);
       (* Steady jittery period: Et level, Et stability, false trips. *)
-      Des.Mtrace.clear (Cluster.trace cluster);
-      let from = Cluster.now cluster in
       let et = Stats.Welford.create () in
       let engine = Cluster.engine cluster in
-      let stop_at = Des.Time.add from (Des.Time.sec 100) in
+      let stop_at = Des.Time.add (Cluster.now cluster) (Des.Time.sec 100) in
       let rec arm () =
         ignore
           (Des.Engine.schedule_after engine (Des.Time.sec 1) (fun () ->
@@ -320,10 +296,10 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
                if Des.Engine.now engine < stop_at then arm ())
             : Des.Engine.handle)
       in
-      arm ();
-      Des.Engine.run_until engine stop_at;
-      let false_timeouts =
-        count_expiries cluster ~from ~until:(Cluster.now cluster)
+      let (), steady_window =
+        Monitor.observe cluster (fun () ->
+            arm ();
+            Des.Engine.run_until engine stop_at)
       in
       (* Adaptation to the RTT step. *)
       Des.Engine.run_until engine step_at;
@@ -375,7 +351,7 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
         et_jitter_ms = Stats.Welford.std et;
         adaptation_up_ms =
           Des.Time.to_ms_f (Des.Time.diff adapted_at step_at);
-        false_timeouts;
+        false_timeouts = steady_window.Monitor.timeouts;
         detection_mean_ms = Stats.Summary.(mean (of_list !det));
       })
        backends

@@ -52,19 +52,18 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
   | Some _ -> ()
   | None -> failwith "fig6: initial election failed");
   Des.Engine.run_until (Cluster.engine cluster) warmup;
-  let measure_from = Cluster.now cluster in
   let duration = List.length values * hold in
-  let watched =
-    Monitor.watch cluster ~every:sample_every ~duration
-      ~probes:
-        [
-          {
-            Monitor.name = "majority_timeout";
-            read = (fun c -> Monitor.gap (Monitor.majority_randomized_ms c));
-          };
-        ]
+  let watched, window =
+    Monitor.observe cluster (fun () ->
+        Monitor.watch cluster ~every:sample_every ~duration
+          ~probes:
+            [
+              {
+                Monitor.name = "majority_timeout";
+                read = (fun c -> Monitor.gap (Monitor.majority_randomized_ms c));
+              };
+            ])
   in
-  let measure_until = Cluster.now cluster in
   let majority_timeout =
     match watched with
     | [ (_, ts) ] -> Stats.Timeseries.points ts
@@ -77,32 +76,15 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
         (sec, (Netsim.Conditions.at conditions t).Netsim.Conditions.rtt_ms))
       majority_timeout
   in
-  let false_timeouts = ref 0 and aborts = ref 0 and elections = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster) ~f:(fun time probe ->
-      if time > measure_from && time <= measure_until then
-        match probe with
-        | Raft.Probe.Timeout_expired _ -> incr false_timeouts
-        | Raft.Probe.Pre_vote_aborted _ -> incr aborts
-        | Raft.Probe.Election_started _ -> incr elections
-        | Raft.Probe.Role_change _ | Raft.Probe.Tuner_reset _
-        | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
-        | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
-            ());
-  let ots =
-    Monitor.leaderless_intervals cluster ~from:measure_from
-      ~until:measure_until
-  in
   {
     mode = Raft.Config.mode_name config;
     rtt;
     majority_timeout;
-    ots;
-    ots_total_ms =
-      Monitor.total_ots_ms cluster ~from:measure_from ~until:measure_until;
-    false_timeouts = !false_timeouts;
-    pre_vote_aborts = !aborts;
-    elections = !elections;
+    ots = window.Monitor.leaderless;
+    ots_total_ms = Monitor.ots_ms window;
+    false_timeouts = window.Monitor.timeouts;
+    pre_vote_aborts = window.Monitor.pre_vote_aborts;
+    elections = window.Monitor.elections;
   }
 
 let compare_modes ?(seed = 11L) ?hold ?(jobs = 1) ~pattern () =

@@ -38,7 +38,6 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
   | Some _ -> ()
   | None -> failwith "fig7: initial election failed");
   Des.Engine.run_until (Cluster.engine cluster) warmup;
-  let measure_from = Cluster.now cluster in
   (* Fix the observed leader/follower pair at measurement start (the paper
      plots one leader and one follower). *)
   let leader_node =
@@ -60,20 +59,21 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
       ~hi_sec:(Stdlib.max window_sec now_sec)
   in
   let duration = List.length loss_schedule * hold in
-  let watched =
-    Monitor.watch cluster ~every:sample_every ~duration
-      ~probes:
-        [
-          {
-            Monitor.name = "h";
-            read =
-              (fun c -> Monitor.gap (Monitor.leader_h_ms c ~follower:follower_id));
-          };
-          { Monitor.name = "leader_cpu"; read = cpu_probe leader_node };
-          { Monitor.name = "follower_cpu"; read = cpu_probe follower_node };
-        ]
+  let watched, window =
+    Monitor.observe cluster (fun () ->
+        Monitor.watch cluster ~every:sample_every ~duration
+          ~probes:
+            [
+              {
+                Monitor.name = "h";
+                read =
+                  (fun c ->
+                    Monitor.gap (Monitor.leader_h_ms c ~follower:follower_id));
+              };
+              { Monitor.name = "leader_cpu"; read = cpu_probe leader_node };
+              { Monitor.name = "follower_cpu"; read = cpu_probe follower_node };
+            ])
   in
-  let measure_until = Cluster.now cluster in
   let series name =
     match List.assoc_opt name watched with
     | Some ts -> Stats.Timeseries.points ts
@@ -87,18 +87,6 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
         (sec, 100. *. (Netsim.Conditions.at conditions t).Netsim.Conditions.loss))
       h
   in
-  let elections = ref 0 and expiries = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster) ~f:(fun time probe ->
-      if time > measure_from && time <= measure_until then
-        match probe with
-        | Raft.Probe.Election_started _ -> incr elections
-        | Raft.Probe.Timeout_expired _ -> incr expiries
-        | Raft.Probe.Role_change _ | Raft.Probe.Pre_vote_aborted _
-        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-        | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
-        | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-        | Raft.Probe.Transfer_aborted _ ->
-            ());
   {
     mode = Raft.Config.mode_name config;
     n;
@@ -106,8 +94,8 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
     h;
     leader_cpu = series "leader_cpu";
     follower_cpu = series "follower_cpu";
-    elections = !elections;
-    timer_expiries = !expiries;
+    elections = window.Monitor.elections;
+    timer_expiries = window.Monitor.timeouts;
   }
 
 let compare_modes ?(seed = 19L) ?hold ?(jobs = 1) ~ns () =

@@ -18,6 +18,19 @@ type tracked_write = { key : string; mutable committed : bool }
 let lan () =
   Netsim.Conditions.(constant (profile ~rtt_ms:20. ~jitter:0.1 ~loss:0.01 ()))
 
+(* Election safety, checked live on every probe of the episode. *)
+let watch_election_safety c =
+  let leaders_by_term = Hashtbl.create 64 in
+  Des.Mtrace.subscribe (Cluster.trace c) (fun _ probe ->
+      match probe with
+      | Raft.Probe.Role_change { id; role = Raft.Types.Leader; term } -> (
+          match Hashtbl.find_opt leaders_by_term term with
+          | Some other when not (Node_id.equal other id) ->
+              Alcotest.failf "two leaders in term %d: %a and %a" term
+                Node_id.pp other Node_id.pp id
+          | Some _ | None -> Hashtbl.replace leaders_by_term term id)
+      | _ -> ())
+
 (* One chaos episode: [steps] random actions against an [n]-node cluster;
    returns the acknowledged writes for the final durability check. *)
 let run_chaos ~seed ~config ~steps =
@@ -25,6 +38,7 @@ let run_chaos ~seed ~config ~steps =
   let c =
     Cluster.create ~seed ~n ~config ~conditions:(lan ()) ~check:Check.Always ()
   in
+  watch_election_safety c;
   Cluster.start c;
   let rng = Stats.Rng.create ~seed:(Int64.add seed 1000L) () in
   let ids = Array.of_list (Cluster.node_ids c) in
@@ -96,18 +110,6 @@ let run_chaos ~seed ~config ~steps =
   Cluster.run_for c (Time.sec 10);
   (c, List.rev !writes)
 
-let check_election_safety c =
-  let leaders_by_term = Hashtbl.create 64 in
-  Des.Mtrace.iter (Cluster.trace c) ~f:(fun _ probe ->
-      match probe with
-      | Raft.Probe.Role_change { id; role = Raft.Types.Leader; term } -> (
-          match Hashtbl.find_opt leaders_by_term term with
-          | Some other when not (Node_id.equal other id) ->
-              Alcotest.failf "two leaders in term %d: %a and %a" term
-                Node_id.pp other Node_id.pp id
-          | Some _ | None -> Hashtbl.replace leaders_by_term term id)
-      | _ -> ())
-
 let check_convergence c =
   let digests =
     List.map (fun id -> Kvsm.Store.state_digest (Cluster.store c id))
@@ -138,7 +140,6 @@ let check_durability c writes =
 
 let chaos_case ~config ~seed () =
   let c, writes = run_chaos ~seed ~config ~steps:40 in
-  check_election_safety c;
   check_convergence c;
   let acked = check_durability c writes in
   (* The schedule keeps quorum most of the time: a healthy fraction of

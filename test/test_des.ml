@@ -238,29 +238,18 @@ let test_timer_rearm_from_callback () =
 
 (* {2 Mtrace} *)
 
-let test_mtrace_records_time () =
+let test_mtrace_stamps_time () =
   let e = Engine.create () in
   let trace : string Mtrace.t = Mtrace.create e in
+  let seen = ref [] in
+  Mtrace.subscribe trace (fun t v -> seen := (t, v) :: !seen);
   ignore (Engine.schedule_at e (Time.ms 5) (fun () -> Mtrace.emit trace "a"));
   ignore (Engine.schedule_at e (Time.ms 9) (fun () -> Mtrace.emit trace "b"));
   Engine.run e;
   Alcotest.(check (list (pair int string)))
     "events with timestamps"
     [ (Time.ms 5, "a"); (Time.ms 9, "b") ]
-    (Mtrace.events trace)
-
-let test_mtrace_find_first () =
-  let e = Engine.create () in
-  let trace : int Mtrace.t = Mtrace.create e in
-  List.iter
-    (fun (t, v) ->
-      ignore (Engine.schedule_at e t (fun () -> Mtrace.emit trace v)))
-    [ (Time.ms 1, 10); (Time.ms 2, 20); (Time.ms 3, 20) ];
-  Engine.run e;
-  Alcotest.(check (option (pair int int)))
-    "first match after cutoff"
-    (Some (Time.ms 2, 20))
-    (Mtrace.find_first trace ~after:(Time.ms 1) ~f:(fun a -> a = 20))
+    (List.rev !seen)
 
 let test_mtrace_subscribe () =
   let e = Engine.create () in
@@ -272,38 +261,56 @@ let test_mtrace_subscribe () =
   Engine.run e;
   Alcotest.(check (list int)) "observer sees all" [ 1; 2 ] (List.rev !seen)
 
-let emit_seq trace e values =
-  List.iteri
-    (fun i v ->
-      ignore
-        (Engine.schedule_at e (Time.ms (i + 1)) (fun () ->
-             Mtrace.emit trace v)))
-    values;
-  Engine.run e
-
-let test_mtrace_unbounded_keeps_all () =
+let test_mtrace_subscription_order () =
   let e = Engine.create () in
   let trace : int Mtrace.t = Mtrace.create e in
-  emit_seq trace e [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list (pair int int)))
-    "every event retained, oldest first"
-    (List.init 5 (fun i -> (Time.ms (i + 1), i + 1)))
-    (Mtrace.events trace)
+  let calls = ref [] in
+  List.iter
+    (fun name -> Mtrace.subscribe trace (fun _ v -> calls := (name, v) :: !calls))
+    [ "a"; "b"; "c" ];
+  Mtrace.emit trace 1;
+  Mtrace.emit trace 2;
+  Alcotest.(check (list (pair string int)))
+    "each event reaches every observer, in subscription order"
+    [ ("a", 1); ("b", 1); ("c", 1); ("a", 2); ("b", 2); ("c", 2) ]
+    (List.rev !calls)
 
-(* [Monitor.leaderless_intervals]'s documented precondition: a cleared
-   trace yields no events to replay — replay-based monitors only see
-   what happened since the last [clear]. *)
-let test_mtrace_clear_drops_history () =
+let test_mtrace_during_scopes () =
   let e = Engine.create () in
   let trace : int Mtrace.t = Mtrace.create e in
-  emit_seq trace e [ 1; 2; 3 ];
-  Mtrace.clear trace;
-  Alcotest.(check (list (pair int int))) "no replayable history" []
-    (Mtrace.events trace);
+  let all = ref [] and scoped = ref [] in
+  Mtrace.subscribe trace (fun _ v -> all := v :: !all);
+  Mtrace.emit trace 1;
+  let r =
+    Mtrace.during trace
+      (fun _ v -> scoped := v :: !scoped)
+      (fun () ->
+        Mtrace.emit trace 2;
+        Mtrace.emit trace 3;
+        "body result")
+  in
   Mtrace.emit trace 4;
-  Alcotest.(check (list (pair int int))) "only what followed the clear"
-    [ (Time.ms 3, 4) ]
-    (Mtrace.events trace)
+  Alcotest.(check string) "returns the body's result" "body result" r;
+  Alcotest.(check (list int)) "window sees only its body" [ 2; 3 ]
+    (List.rev !scoped);
+  Alcotest.(check (list int)) "permanent observer untouched" [ 1; 2; 3; 4 ]
+    (List.rev !all)
+
+let test_mtrace_during_unsubscribes_on_raise () =
+  let e = Engine.create () in
+  let trace : int Mtrace.t = Mtrace.create e in
+  let scoped = ref 0 in
+  (match
+     Mtrace.during trace
+       (fun _ _ -> incr scoped)
+       (fun () ->
+         Mtrace.emit trace 1;
+         failwith "body failed")
+   with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Failure _ -> ());
+  Mtrace.emit trace 2;
+  Alcotest.(check int) "observer gone after the raise" 1 !scoped
 
 let tests =
   [
@@ -338,11 +345,12 @@ let tests =
       test_timer_armed_span_persists;
     Alcotest.test_case "timer: re-arm from callback" `Quick
       test_timer_rearm_from_callback;
-    Alcotest.test_case "mtrace: records time" `Quick test_mtrace_records_time;
-    Alcotest.test_case "mtrace: find_first" `Quick test_mtrace_find_first;
+    Alcotest.test_case "mtrace: stamps time" `Quick test_mtrace_stamps_time;
     Alcotest.test_case "mtrace: subscribe" `Quick test_mtrace_subscribe;
-    Alcotest.test_case "mtrace: unbounded keeps all" `Quick
-      test_mtrace_unbounded_keeps_all;
-    Alcotest.test_case "mtrace: clear drops history" `Quick
-      test_mtrace_clear_drops_history;
+    Alcotest.test_case "mtrace: subscription order" `Quick
+      test_mtrace_subscription_order;
+    Alcotest.test_case "mtrace: during scopes an observer" `Quick
+      test_mtrace_during_scopes;
+    Alcotest.test_case "mtrace: during unsubscribes on raise" `Quick
+      test_mtrace_during_unsubscribes_on_raise;
   ]

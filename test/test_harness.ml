@@ -135,17 +135,28 @@ let test_monitor_leaderless_intervals () =
   let c = make () in
   ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
   Cluster.run_for c (Time.sec 5);
-  let t0 = Cluster.now c in
-  (* Kill the leader without clearing the trace; measure the gap. *)
-  (match Fault.kill_leader c with Some _ -> () | None -> Alcotest.fail "no leader");
-  (match Cluster.await_leader c ~timeout:(Time.sec 30) with
-  | Some _ -> ()
-  | None -> Alcotest.fail "no recovery");
-  Cluster.run_for c (Time.sec 2);
-  let until = Cluster.now c in
-  let intervals = Monitor.leaderless_intervals c ~from:t0 ~until in
-  Alcotest.(check int) "exactly one gap" 1 (List.length intervals);
-  let ots = Monitor.total_ots_ms c ~from:t0 ~until in
+  (* Kill the leader inside the window; measure the gap. *)
+  let (killed_at, healed_at), w =
+    Monitor.observe c (fun () ->
+        let killed_at =
+          match Fault.kill_leader c with
+          | Some (_, at) -> at
+          | None -> Alcotest.fail "no leader"
+        in
+        (match Cluster.await_leader c ~timeout:(Time.sec 30) with
+        | Some _ -> ()
+        | None -> Alcotest.fail "no recovery");
+        let healed_at = Cluster.now c in
+        Cluster.run_for c (Time.sec 2);
+        (killed_at, healed_at))
+  in
+  (match w.Monitor.leaderless with
+  | [ (s, e) ] ->
+      Alcotest.(check int) "gap opens at the kill" killed_at s;
+      Alcotest.(check bool) "gap closes by the poll" true
+        (e > s && e <= healed_at)
+  | l -> Alcotest.failf "expected one gap, got %d" (List.length l));
+  let ots = Monitor.ots_ms w in
   Alcotest.(check bool)
     (Printf.sprintf "gap %.0fms plausible" ots)
     true
@@ -154,10 +165,8 @@ let test_monitor_leaderless_intervals () =
 let test_monitor_no_ots_in_steady_state () =
   let c = make () in
   ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
-  let t0 = Cluster.now c in
-  Cluster.run_for c (Time.sec 30);
-  Alcotest.(check (float 1e-6)) "zero OTS" 0.
-    (Monitor.total_ots_ms c ~from:t0 ~until:(Cluster.now c))
+  let (), w = Monitor.observe c (fun () -> Cluster.run_for c (Time.sec 30)) in
+  Alcotest.(check (float 1e-6)) "zero OTS" 0. (Monitor.ots_ms w)
 
 (* {2 Congestion} *)
 

@@ -60,18 +60,18 @@ let start rig = List.iter Raft.Node.start rig.nodes
 
 let test_paused_node_stays_silent () =
   let rig = make_rig () in
-  start rig;
   let victim = List.hd rig.nodes in
-  Raft.Node.pause victim;
-  Des.Engine.run_until rig.engine (Time.sec 20);
-  (* The paused node emitted no protocol probes: its timers are inert.
+  (* The paused node emits no protocol probes: its timers are inert.
      (The fault-injection marker itself is expected.) *)
-  Des.Mtrace.iter rig.trace ~f:(fun _ probe ->
+  Des.Mtrace.subscribe rig.trace (fun _ probe ->
       match probe with
       | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _ -> ()
       | _ ->
           if Node_id.equal (Raft.Probe.node probe) (Raft.Node.id victim) then
             Alcotest.failf "paused node acted: %a" Raft.Probe.pp probe);
+  start rig;
+  Raft.Node.pause victim;
+  Des.Engine.run_until rig.engine (Time.sec 20);
   (* The other two still elected a leader. *)
   Alcotest.(check bool) "majority elects without it" true
     (await_leader rig ~timeout:(Time.sec 1) <> None)
