@@ -16,6 +16,31 @@ let ppf = Format.std_formatter
 
 (* {2 Shared options} *)
 
+(* Out-of-range values are usage errors (exit 124, with the option
+   named), not exceptions from deep inside the simulator. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let non_negative_float =
+  checked Arg.float ~expected:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.)
+
+let positive_float =
+  checked Arg.float ~expected:"a finite number > 0" (fun x ->
+      Float.is_finite x && x > 0.)
+
+let probability =
+  checked Arg.float ~expected:"a probability in [0,1)" (fun p ->
+      p >= 0. && p < 1.)
+
 let mode_conv =
   let parse = function
     | "raft" -> Ok (Raft.Config.static ())
@@ -41,12 +66,12 @@ let seed =
 
 let servers =
   Arg.(
-    value & opt int 5
+    value & opt positive_int 5
     & info [ "n"; "servers" ] ~docv:"N" ~doc:"Cluster size (odd).")
 
 let rtt =
   Arg.(
-    value & opt float 100.
+    value & opt non_negative_float 100.
     & info [ "rtt" ] ~docv:"MS" ~doc:"Link round-trip time in milliseconds.")
 
 let jitter =
@@ -57,7 +82,7 @@ let jitter =
 
 let loss =
   Arg.(
-    value & opt float 0.
+    value & opt probability 0.
     & info [ "loss" ] ~docv:"P" ~doc:"Packet loss probability in [0,1).")
 
 (* {2 failover} *)
@@ -81,7 +106,7 @@ let failover_cmd =
   let record_every =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "record" ] ~docv:"MS"
           ~doc:
             "Sample every counter and gauge each MS of virtual time \
@@ -219,13 +244,13 @@ let watch_cmd =
   let rtts =
     Arg.(
       value
-      & opt (list float) [ 50.; 100.; 200.; 100.; 50. ]
+      & opt (list non_negative_float) [ 50.; 100.; 200.; 100.; 50. ]
       & info [ "rtts" ] ~docv:"MS,MS,..." ~doc:"RTT schedule, one step each.")
   in
   let losses =
     Arg.(
       value
-      & opt (list float) []
+      & opt (list probability) []
       & info [ "losses" ] ~docv:"P,P,..."
           ~doc:"Loss schedule (overrides a constant --loss).")
   in
