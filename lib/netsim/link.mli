@@ -52,4 +52,11 @@ val sample_reliable : t -> Des.Time.span
 (** Reliable (TCP-like) transmission latency: message loss is converted to
     retransmission delay with exponential RTO backoff (minimum RTO 200 ms,
     initial RTO [max(200ms, 2·RTT)]), so the message always arrives but
-    late under loss. *)
+    late under loss.
+
+    {b Bound.}  A message gets at most 8 retransmissions, the RTO
+    doubling each time, after which it is delivered regardless.  The
+    worst-case penalty is therefore [255·RTO] on top of the one-way
+    delay: 102.1 s at RTT 200 ms (RTO 400 ms), 51 s on any link with
+    RTT ≤ 100 ms (RTO 200 ms).  No cap on the backed-off RTO applies
+    (TCP's RTO max is not modelled). *)

@@ -129,6 +129,24 @@ let test_link_reliable_never_drops () =
     if d < Time.ms 5 then Alcotest.fail "latency below one-way minimum"
   done
 
+(* The documented worst case: at loss 1.0 every one of the 8
+   retransmissions fires, with the RTO doubling from max(200ms, 2*RTT),
+   so a message arrives 255*RTO plus the one-way delay late. *)
+let test_link_reliable_worst_case_bound () =
+  List.iter
+    (fun (rtt_ms, rto_ms) ->
+      let _, l =
+        make_link (Conditions.constant (profile ~rtt_ms ~loss:1.0 ()))
+      in
+      let one_way = Time.of_ms_f (rtt_ms /. 2.) in
+      Alcotest.(check int)
+        (Printf.sprintf "RTT %.0fms: 255 RTOs of %dms + one way" rtt_ms rto_ms)
+        ((255 * Time.ms rto_ms) + one_way)
+        (Link.sample_reliable l);
+      Alcotest.(check int) "every retransmission spent" 8
+        (Link.counters l).Link.retransmissions)
+    [ (200., 400); (10., 200) ]
+
 let test_link_reliable_loss_adds_delay () =
   let _, lossy =
     make_link (Conditions.constant (profile ~rtt_ms:10. ~loss:0.5 ()))
@@ -310,6 +328,8 @@ let tests =
       test_link_jitter_mean_preserved;
     Alcotest.test_case "link: reliable never drops" `Quick
       test_link_reliable_never_drops;
+    Alcotest.test_case "link: reliable worst-case bound" `Quick
+      test_link_reliable_worst_case_bound;
     Alcotest.test_case "link: reliable loss adds delay" `Slow
       test_link_reliable_loss_adds_delay;
     Alcotest.test_case "link: duplication" `Quick test_link_duplication;
