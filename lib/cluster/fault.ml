@@ -31,9 +31,9 @@ type failure_outcome = {
 }
 
 (* What one failure window showed on the probe stream, folded live from
-   the kill until [analyse].  The kill stamps [failed_at] and no event
-   runs between it and the subscription, so every probe stamped after
-   [failed_at] reaches the observer. *)
+   the kill until the new leader is found.  The kill stamps [failed_at]
+   and no event runs between it and the subscription, so every probe
+   stamped after [failed_at] reaches the observer. *)
 type window = {
   mutable leader_at : Des.Time.t option;
       (* the new leader's Role_change: the precise establishment instant
@@ -164,18 +164,17 @@ let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
   | None -> Error "no leader to kill"
   | Some (failed, failed_at) -> (
       let w = { leader_at = None; timeouts = []; rounds = 0 } in
-      let measured =
+      match
         Des.Mtrace.during (Cluster.trace t) (observe w ~failed ~failed_at)
-          (fun () ->
-            await_new_leader t ~excluding:failed ~limit:detect_limit
-            |> Option.map (fun (new_leader, new_leader_at) ->
-                   analyse t w ~failed ~failed_at ~new_leader_at ~new_leader))
-      in
-      match measured with
+          (fun () -> await_new_leader t ~excluding:failed ~limit:detect_limit)
+      with
       | None ->
           recover t failed;
           Error "no new leader elected within the limit"
-      | Some outcome ->
+      | Some (new_leader, new_leader_at) ->
+          let outcome =
+            analyse t w ~failed ~failed_at ~new_leader_at ~new_leader
+          in
           recover t failed;
           (* Let the old leader rejoin and the cluster settle before the
              next iteration. *)

@@ -45,5 +45,5 @@ val fail_and_measure :
     run until a new leader is established (up to [detect_limit], default
     60 s), measure, then recover the old leader and let it rejoin.
     The measurements come from a scoped observer ({!Des.Mtrace.during})
-    on the cluster trace that lives from the kill until they are
-    computed; other observers are unaffected. *)
+    on the cluster trace that lives from the kill until the new leader
+    is found; other observers are unaffected. *)

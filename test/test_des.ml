@@ -238,7 +238,7 @@ let test_timer_rearm_from_callback () =
 
 (* {2 Mtrace} *)
 
-let test_mtrace_stamps_time () =
+let test_mtrace_subscribe () =
   let e = Engine.create () in
   let trace : string Mtrace.t = Mtrace.create e in
   let seen = ref [] in
@@ -247,19 +247,9 @@ let test_mtrace_stamps_time () =
   ignore (Engine.schedule_at e (Time.ms 9) (fun () -> Mtrace.emit trace "b"));
   Engine.run e;
   Alcotest.(check (list (pair int string)))
-    "events with timestamps"
+    "observer sees every event, stamped with its time"
     [ (Time.ms 5, "a"); (Time.ms 9, "b") ]
     (List.rev !seen)
-
-let test_mtrace_subscribe () =
-  let e = Engine.create () in
-  let trace : int Mtrace.t = Mtrace.create e in
-  let seen = ref [] in
-  Mtrace.subscribe trace (fun _ v -> seen := v :: !seen);
-  ignore (Engine.schedule_at e (Time.ms 1) (fun () -> Mtrace.emit trace 1));
-  ignore (Engine.schedule_at e (Time.ms 2) (fun () -> Mtrace.emit trace 2));
-  Engine.run e;
-  Alcotest.(check (list int)) "observer sees all" [ 1; 2 ] (List.rev !seen)
 
 let test_mtrace_subscription_order () =
   let e = Engine.create () in
@@ -345,7 +335,6 @@ let tests =
       test_timer_armed_span_persists;
     Alcotest.test_case "timer: re-arm from callback" `Quick
       test_timer_rearm_from_callback;
-    Alcotest.test_case "mtrace: stamps time" `Quick test_mtrace_stamps_time;
     Alcotest.test_case "mtrace: subscribe" `Quick test_mtrace_subscribe;
     Alcotest.test_case "mtrace: subscription order" `Quick
       test_mtrace_subscription_order;
