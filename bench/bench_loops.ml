@@ -1,12 +1,12 @@
 (* The hot-path loop builders shared between the bechamel
    microbenchmarks (bench/micro.ml) and the perf-regression guard
    (`selfcheck --perf`): both must price exactly the same code, or the
-   guard would ratchet numbers the benchmark never reported.
+   guard would budget numbers the benchmark never reported.
 
    Each builder returns a closure whose per-call minor-heap allocation
    is a constant of the code path alone (no GC- or time-dependent
    branching), so [words_per_op] is exact and host-independent — the
-   committed baseline can be compared with a tight margin. *)
+   guard's budgets are those constants. *)
 
 let bench_payload =
   Kvsm.Command.to_payload (Kvsm.Command.Put { key = "bench-key"; value = "v" })
@@ -340,3 +340,33 @@ let words_per_op f =
   done;
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int iters
+
+(* Minor words per DES event over [f ()]: a pinned-seed run is
+   deterministic, so this is a constant of the code too.  Events come
+   from the process-wide engine counter, so [f] must run its engines on
+   this domain (jobs = 1). *)
+let words_per_event f =
+  let w0 = Gc.minor_words () in
+  let e0 = Des.Engine.global_processed () in
+  let r = f () in
+  let e1 = Des.Engine.global_processed () in
+  let w1 = Gc.minor_words () in
+  (r, (w1 -. w0) /. float_of_int (e1 - e0))
+
+(* A steady-state 3-node dynatune cluster — the follower heartbeat path
+   end to end, timers through fabric to delivery — measured over 120 s
+   of virtual time after election and a 10 s settle. *)
+let cluster_words_per_event ?forensics () =
+  let cluster =
+    Harness.Cluster.create ~seed:5L ~n:3
+      ~config:(Raft.Config.dynatune ())
+      ?forensics ()
+  in
+  Harness.Cluster.start cluster;
+  (match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
+  | Some _ -> ()
+  | None -> failwith "steady-state cluster elected no leader");
+  Harness.Cluster.run_for cluster (Des.Time.sec 10);
+  snd
+    (words_per_event (fun () ->
+         Harness.Cluster.run_for cluster (Des.Time.sec 120)))

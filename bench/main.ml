@@ -142,8 +142,10 @@ let figures =
   ]
 
 (* The report is flat and the values are numbers/strings, so the JSON is
-   written by hand rather than pulling in a serialization library. *)
-let write_json path ~full ~jobs ~metrics ~recorder ~multiraft ~guard =
+   written by hand rather than pulling in a serialization library.  The
+   wall-clock rows follow the host, so the report names it: core count
+   and compiler version. *)
+let write_json path ~full ~jobs ~metrics ~recorder ~multiraft =
   match open_out path with
   | exception Sys_error msg ->
       (* The figures already went to stdout; don't let a bad report path
@@ -152,7 +154,11 @@ let write_json path ~full ~jobs ~metrics ~recorder ~multiraft ~guard =
   | oc ->
       let rows = List.rev !records in
       Printf.fprintf oc
-        "{\n  \"full\": %b,\n  \"jobs\": %d,\n  \"figures\": [\n" full jobs;
+        "{\n  \"full\": %b,\n  \"jobs\": %d,\n  \"nproc\": %d,\n  \"ocaml\": \
+         %S,\n  \"figures\": [\n"
+        full jobs
+        (Domain.recommended_domain_count ())
+        Sys.ocaml_version;
       List.iteri
         (fun i r ->
           let eps =
@@ -166,9 +172,9 @@ let write_json path ~full ~jobs ~metrics ~recorder ~multiraft ~guard =
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc
-        "  ],\n  \"perf_guard\": %s,\n  \"multiraft\": %s,\n  \"recorder\": \
-         %s,\n  \"metrics\": %s\n}\n"
-        guard multiraft recorder metrics;
+        "  ],\n  \"multiraft\": %s,\n  \"recorder\": %s,\n  \"metrics\": \
+         %s\n}\n"
+        multiraft recorder metrics;
       close_out oc;
       Format.fprintf ppf "[wrote %s]@." path
 
@@ -258,45 +264,6 @@ let multiraft_json () =
     multi.M.peak_rps multi.M.events
     (multi_rps /. single_rps)
 
-(* The perf_guard section: the pinned plans `selfcheck --perf` replays.
-   Always sequential (jobs = 1) so the recorded events/sec is comparable
-   across report generations regardless of the --jobs flag; the digests
-   are jobs-invariant by the determinism contract.  The words/op rows
-   are exact allocation constants of the hot-path loops (Bench_loops),
-   ratcheted by the guard with a small headroom. *)
-let guard_json () =
-  let t0 = Unix.gettimeofday () in
-  let e0 = Des.Engine.global_processed () in
-  let r =
-    Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
-      ~config:(Raft.Config.dynatune ()) ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let events = Des.Engine.global_processed () - e0 in
-  let mr =
-    Scenarios.Multiraft.sweep ~seed:11L ~group_counts:[ 4 ] ~replicas:3
-      ~rates:[ 500.; 1000. ] ~jobs:1 ()
-  in
-  let words f = Bench_loops.words_per_op (f ()) in
-  Printf.sprintf
-    "{\"plan\": \"fig4 seed=42 failures=400 shards=4 jobs=1\", \"digest\": \
-     \"%Lx\", \"wall_s\": %.3f, \"events\": %d, \"events_per_s\": %.0f, \
-     \"multiraft_plan\": \"multiraft seed=11 groups=4 replicas=3 \
-     rates=500,1000 jobs=1\", \"multiraft_digest\": \"%Lx\", \"hb_words\": \
-     %.1f, \"rebatch_words\": %.1f, \"follower_append_words\": %.1f, \
-     \"try_append_words\": %.1f, \"vote_round_words\": %.1f, \
-     \"snapshot_install_words\": %.1f, \"words_per_event\": %.2f}"
-    r.Fig4.digest wall events
-    (if wall > 0. then float_of_int events /. wall else 0.)
-    mr.Scenarios.Multiraft.digest
-    (words Bench_loops.make_heartbeat_loop)
-    (words Bench_loops.make_leader_append_loop)
-    (words Bench_loops.make_follower_append_loop)
-    (words Bench_loops.make_try_append_loop)
-    (words Bench_loops.make_vote_round_loop)
-    (words Bench_loops.make_snapshot_install_loop)
-    (Micro.cluster_words_per_event ())
-
 let usage () =
   Format.eprintf
     "usage: main.exe [--full] [--jobs N] [--json FILE] [FIGURE...]@.available figures: %s@."
@@ -366,7 +333,6 @@ let () =
   Option.iter
     (fun path ->
       write_json path ~full:!full ~jobs ~metrics:(metrics_json ~jobs)
-        ~recorder:(recorder_json ~jobs) ~multiraft:(multiraft_json ())
-        ~guard:(guard_json ()))
+        ~recorder:(recorder_json ~jobs) ~multiraft:(multiraft_json ()))
     !json;
   Format.pp_print_flush ppf ()

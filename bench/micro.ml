@@ -241,42 +241,21 @@ let tests =
 
 (* Minor-heap allocation per operation (Bench_loops.words_per_op): the
    number bechamel's timing tables can't show, and the one the
-   allocation-lean RPC work moves.  `selfcheck --perf` ratchets the four
-   server/log rows against the committed baseline. *)
+   allocation-lean RPC work moves.  `selfcheck --perf` budgets every
+   Bench_loops row at its constant. *)
 let words_per_op ppf name f =
   Format.fprintf ppf "  %-40s %10.1f minor words/op@." name
     (Bench_loops.words_per_op f)
 
-(* The forensics contract, measured: a steady-state 3-node cluster —
-   the follower heartbeat path end to end, timers through fabric to
-   delivery — as minor words per DES event.  With the ring disabled the
-   loop must allocate exactly like a cluster with no ring at all (the
-   [fo_on] guards keep the disabled path allocation-free; `selfcheck
-   --perf` gates that equality); the enabled figure prices turning it
-   on.  DES runs are deterministic, so each figure is a constant for
-   the pinned seed. *)
-let cluster_words_per_event ?forensics () =
-  let cluster =
-    Harness.Cluster.create ~seed:5L ~n:3
-      ~config:(Raft.Config.dynatune ())
-      ?forensics ()
-  in
-  Harness.Cluster.start cluster;
-  (match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "micro: steady-state cluster elected no leader");
-  Harness.Cluster.run_for cluster (Des.Time.sec 10);
-  let w0 = Gc.minor_words () in
-  let e0 = Des.Engine.global_processed () in
-  Harness.Cluster.run_for cluster (Des.Time.sec 120);
-  let e1 = Des.Engine.global_processed () in
-  let w1 = Gc.minor_words () in
-  (w1 -. w0) /. float_of_int (e1 - e0)
-
+(* The forensics contract, measured: Bench_loops' steady-state cluster
+   as minor words per DES event.  With the ring disabled the loop must
+   allocate exactly like a cluster given no ring (the [fo_on] guards
+   keep the disabled path allocation-free; `selfcheck --perf` gates that
+   equality); the enabled figure prices turning it on. *)
 let forensics_pair ppf =
-  let off = cluster_words_per_event () in
+  let off = Bench_loops.cluster_words_per_event () in
   let on_ =
-    cluster_words_per_event ~forensics:(Raft.Forensics.create ()) ()
+    Bench_loops.cluster_words_per_event ~forensics:(Raft.Forensics.create ()) ()
   in
   Format.fprintf ppf "  %-40s %10.1f minor words/event@."
     "cluster heartbeat loop (forensics off)" off;

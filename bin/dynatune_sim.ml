@@ -256,7 +256,7 @@ let watch_cmd =
   in
   let hold =
     Arg.(
-      value & opt int 15
+      value & opt positive_int 15
       & info [ "hold" ] ~docv:"SEC" ~doc:"Seconds per schedule step.")
   in
   let run config n rtts losses hold jitter seed =
@@ -321,17 +321,17 @@ let watch_cmd =
 let throughput_cmd =
   let max_rps =
     Arg.(
-      value & opt int 17000
+      value & opt positive_int 17000
       & info [ "max-rps" ] ~docv:"RPS" ~doc:"Top of the offered-load ramp.")
   in
   let step =
     Arg.(
-      value & opt int 1000
+      value & opt positive_int 1000
       & info [ "step" ] ~docv:"RPS" ~doc:"Ramp increment per level.")
   in
   let hold =
     Arg.(
-      value & opt int 5
+      value & opt positive_int 5
       & info [ "hold" ] ~docv:"SEC" ~doc:"Seconds per load level.")
   in
   let run config max_rps step hold rtt_ms seed =
@@ -434,31 +434,31 @@ let multiraft_cmd =
   let group_counts =
     Arg.(
       value
-      & opt (list int) [ 64 ]
+      & opt (list positive_int) [ 64 ]
       & info [ "groups" ] ~docv:"N,N,..."
           ~doc:"Raft group counts to sweep (one cell each).")
   in
   let replicas =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "replicas" ] ~docv:"R" ~doc:"Servers per group.")
   in
   let rates =
     Arg.(
       value
-      & opt (list float) Scenarios.Multiraft.default_rates
+      & opt (list positive_float) Scenarios.Multiraft.default_rates
       & info [ "rates" ] ~docv:"RPS,RPS,..."
           ~doc:"Aggregate offered rates (spread over the groups by the \
                 shard router).")
   in
   let hold =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "hold" ] ~docv:"SEC" ~doc:"Seconds per load level.")
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "j"; "jobs" ] ~docv:"J"
           ~doc:
             "Campaign workers (one cell per worker; results are \

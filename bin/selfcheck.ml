@@ -17,16 +17,10 @@
    4. a deliberately broken fixture — two leaders sharing a term — that
       the checker is required to catch.
 
-   `selfcheck --perf BASELINE.json` (the @perf alias) instead replays
-   the pinned perf-guard plans from the committed bench report: the
-   fig4 and multiraft trace digests must match the baseline bit for
-   bit, the hot-path words/op figures (Bench_loops) must stay within a
-   small headroom of the recorded ones (the DES opcode
-   schedule-and-fire loop at exactly 0, the KV request path under fixed
-   budgets), and events/sec must stay within
-   30% of the recorded figure (the throughput gate is skippable with
-   DYNATUNE_PERF_SKIP_THROUGHPUT=1 for hopelessly noisy hosts; the
-   digest and allocation gates never are). *)
+   `selfcheck --perf` (the @perf alias) instead checks one table of
+   host-independent constants: the fig4 and multiraft trace digests bit
+   for bit, and minor words per operation (the Bench_loops hot paths)
+   or per DES event (pinned runs) under fixed budgets. *)
 
 module Cluster = Harness.Cluster
 
@@ -37,6 +31,33 @@ let fail fmt =
       exit 1)
     fmt
 
+(* The checks every chaos run shares.  [what] names the sweep (and the
+   group, where there is one) in failure messages. *)
+let await_leader what ~seed cluster =
+  match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
+  | Some _ -> ()
+  | None -> fail "%s: no initial leader (seed %Ld)" what seed
+
+(* The checker was installed and actually ran. *)
+let checker_ran what ~seed cluster =
+  match Cluster.checker cluster with
+  | Some c ->
+      if Check.checks_run c = 0 then
+        fail "%s: checker never ran (seed %Ld)" what seed
+  | None -> fail "%s: checker missing despite Check.Always (seed %Ld)" what seed
+
+(* After the quiet period every replica holds the same store. *)
+let stores_converged what ~seed cluster =
+  match
+    List.map
+      (fun id -> Kvsm.Store.state_digest (Cluster.store cluster id))
+      (Cluster.node_ids cluster)
+  with
+  | [] -> fail "%s: no stores (seed %Ld)" what seed
+  | d :: rest ->
+      if not (List.for_all (String.equal d) rest) then
+        fail "%s: replicas diverged after quiet period (seed %Ld)" what seed
+
 let mini_chaos ~seed =
   let conditions =
     Netsim.Conditions.(constant (profile ~rtt_ms:50. ~jitter:0.05 ()))
@@ -46,9 +67,7 @@ let mini_chaos ~seed =
       ~check:Check.Always ()
   in
   Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> fail "no initial leader (seed %Ld)" seed);
+  await_leader "chaos" ~seed cluster;
   Cluster.run_for cluster (Des.Time.sec 10);
   for round = 1 to 3 do
     (match Cluster.leader cluster with
@@ -64,11 +83,7 @@ let mini_chaos ~seed =
     Cluster.run_for cluster (Des.Time.sec 4)
   done;
   Cluster.check_now cluster;
-  match Cluster.checker cluster with
-  | Some c ->
-      if Check.checks_run c = 0 then
-        fail "checker installed but never ran (seed %Ld)" seed
-  | None -> fail "checker missing despite Check.Always"
+  checker_ran "chaos" ~seed cluster
 
 (* Random single-server add/remove (plus leader pauses) mid-campaign,
    with every safety and reconfiguration invariant checked after every
@@ -82,9 +97,7 @@ let reconfig_chaos ~seed =
       ~check:Check.Always ()
   in
   Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> fail "reconfig chaos: no initial leader (seed %Ld)" seed);
+  await_leader "reconfig chaos" ~seed cluster;
   Cluster.run_for cluster (Des.Time.sec 2);
   let rng =
     Stats.Rng.split (Des.Engine.rng (Cluster.engine cluster)) "selfcheck-chaos"
@@ -128,11 +141,7 @@ let reconfig_chaos ~seed =
   done;
   ignore (Cluster.await_config_quiet cluster ~timeout:(Des.Time.sec 30) : bool);
   Cluster.check_now cluster;
-  match Cluster.checker cluster with
-  | Some c ->
-      if Check.checks_run c = 0 then
-        fail "reconfig chaos: checker never ran (seed %Ld)" seed
-  | None -> fail "reconfig chaos: checker missing despite Check.Always"
+  checker_ran "reconfig chaos" ~seed cluster
 
 (* Replication engine v2 under fire: a small pipelining window and tiny
    batches over a lossy, duplicating, serializing wire, with followers
@@ -156,9 +165,7 @@ let pipelined_chaos ~seed =
   Netsim.Fabric.set_uniform_serialization (Cluster.fabric cluster)
     (Des.Time.us 50);
   Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> fail "pipelined chaos: no initial leader (seed %Ld)" seed);
+  await_leader "pipelined chaos" ~seed cluster;
   Cluster.run_for cluster (Des.Time.sec 2);
   let rng =
     Stats.Rng.split (Des.Engine.rng (Cluster.engine cluster)) "selfcheck-pipe"
@@ -188,21 +195,8 @@ let pipelined_chaos ~seed =
   done;
   Cluster.run_for cluster (Des.Time.sec 8);
   Cluster.check_now cluster;
-  (match Cluster.checker cluster with
-  | Some c ->
-      if Check.checks_run c = 0 then
-        fail "pipelined chaos: checker never ran (seed %Ld)" seed
-  | None -> fail "pipelined chaos: checker missing despite Check.Always");
-  match
-    List.map
-      (fun id -> Kvsm.Store.state_digest (Cluster.store cluster id))
-      (Cluster.node_ids cluster)
-  with
-  | [] -> fail "pipelined chaos: no stores (seed %Ld)" seed
-  | d :: rest ->
-      if not (List.for_all (String.equal d) rest) then
-        fail "pipelined chaos: replicas diverged after quiet period (seed %Ld)"
-          seed
+  checker_ran "pipelined chaos" ~seed cluster;
+  stores_converged "pipelined chaos" ~seed cluster
 
 (* Several consensus groups on one shared fabric/clock behind the shard
    router, every delivered event running the full invariant suite in
@@ -256,77 +250,46 @@ let multiraft_chaos ~seed =
   Gm.run_for m (Des.Time.sec 5);
   Gm.check_now m;
   Gm.iter_groups m (fun g cluster ->
-      (match Cluster.checker cluster with
-      | Some c ->
-          if Check.checks_run c = 0 then
-            fail "multiraft chaos: group %d checker never ran (seed %Ld)" g
-              seed
-      | None ->
-          fail "multiraft chaos: group %d checker missing despite \
-                Check.Always (seed %Ld)"
-            g seed);
-      match
-        List.map
-          (fun id -> Kvsm.Store.state_digest (Cluster.store cluster id))
-          (Cluster.node_ids cluster)
-      with
-      | [] -> fail "multiraft chaos: group %d has no stores (seed %Ld)" g seed
-      | d :: rest ->
-          if not (List.for_all (String.equal d) rest) then
-            fail
-              "multiraft chaos: group %d replicas diverged after quiet \
-               period (seed %Ld)"
-              g seed)
+      let what = Printf.sprintf "multiraft chaos: group %d" g in
+      checker_ran what ~seed cluster;
+      stores_converged what ~seed cluster)
 
-let digest_determinism () =
-  let run jobs =
-    Scenarios.Fig4.run ~failures:4 ~jobs ~shards:2 ~check:Check.Sample
-      ~config:(Raft.Config.dynatune ()) ()
-  in
-  let a = run 1 and b = run 2 in
-  if not (Int64.equal a.Scenarios.Fig4.digest b.Scenarios.Fig4.digest) then
-    fail "fig4 digests differ: jobs=1 %Lx vs jobs=2 %Lx"
-      a.Scenarios.Fig4.digest b.Scenarios.Fig4.digest
+(* A pinned shard plan must be a function of the seed alone: the same
+   trace digest and a byte-identical merged metrics snapshot (JSON)
+   whether one worker runs every shard or two share them.  [run jobs]
+   returns both. *)
+let jobs_invariant what run =
+  let da, ma = run 1 in
+  let db, mb = run 2 in
+  if not (Int64.equal da db) then
+    fail "%s digests differ: jobs=1 %Lx vs jobs=2 %Lx" what da db;
+  if not (String.equal ma mb) then
+    fail "%s metrics snapshots differ between jobs=1 and jobs=2" what
 
-(* The reconfig scenario on a pinned 2-shard plan must be a function of
-   the seed alone: same trace digest and byte-identical merged metrics
-   snapshot whether one worker runs both shards or two run one each. *)
-let reconfig_determinism () =
-  let run jobs =
-    Scenarios.Reconfig.run ~rounds:2 ~jobs ~shards:2 ~check:Check.Sample
-      ~instrument:true
-      ~config:(Raft.Config.dynatune ())
-      ()
-  in
-  let a = run 1 and b = run 2 in
-  if not (Int64.equal a.Scenarios.Reconfig.digest b.Scenarios.Reconfig.digest)
-  then
-    fail "reconfig digests differ: jobs=1 %Lx vs jobs=2 %Lx"
-      a.Scenarios.Reconfig.digest b.Scenarios.Reconfig.digest;
-  let ja = Telemetry.Metrics.to_json a.Scenarios.Reconfig.metrics in
-  let jb = Telemetry.Metrics.to_json b.Scenarios.Reconfig.metrics in
-  if not (String.equal ja jb) then
-    fail "reconfig metrics snapshots differ between jobs=1 and jobs=2"
-
-(* The multiraft sweep on a pinned two-cell plan: same merged trace
-   digest and byte-identical merged (group-prefixed) metrics snapshot
-   whether one worker runs both cells or two run one each. *)
-let multiraft_determinism () =
-  let run jobs =
-    Scenarios.Multiraft.sweep ~seed:7L ~group_counts:[ 2; 3 ] ~replicas:3
-      ~rates:[ 300.; 600. ] ~hold:(Des.Time.sec 1) ~check:Check.Sample
-      ~instrument:true ~jobs ()
-  in
-  let a = run 1 and b = run 2 in
-  if
-    not (Int64.equal a.Scenarios.Multiraft.digest b.Scenarios.Multiraft.digest)
-  then
-    fail "multiraft digests differ: jobs=1 %Lx vs jobs=2 %Lx"
-      a.Scenarios.Multiraft.digest b.Scenarios.Multiraft.digest;
-  let ja = Telemetry.Metrics.to_json a.Scenarios.Multiraft.metrics in
-  let jb = Telemetry.Metrics.to_json b.Scenarios.Multiraft.metrics in
-  if not (String.equal ja jb) then
-    fail "multiraft metrics snapshots differ between jobs=1 and jobs=2"
+let determinism () =
+  let json = Telemetry.Metrics.to_json in
+  jobs_invariant "fig4" (fun jobs ->
+      let r =
+        Scenarios.Fig4.run ~failures:4 ~jobs ~shards:2 ~check:Check.Sample
+          ~config:(Raft.Config.dynatune ()) ()
+      in
+      (* Uninstrumented: only the digest is compared. *)
+      (r.Scenarios.Fig4.digest, ""));
+  jobs_invariant "reconfig" (fun jobs ->
+      let r =
+        Scenarios.Reconfig.run ~rounds:2 ~jobs ~shards:2 ~check:Check.Sample
+          ~instrument:true
+          ~config:(Raft.Config.dynatune ())
+          ()
+      in
+      (r.Scenarios.Reconfig.digest, json r.Scenarios.Reconfig.metrics));
+  jobs_invariant "multiraft" (fun jobs ->
+      let r =
+        Scenarios.Multiraft.sweep ~seed:7L ~group_counts:[ 2; 3 ] ~replicas:3
+          ~rates:[ 300.; 600. ] ~hold:(Des.Time.sec 1) ~check:Check.Sample
+          ~instrument:true ~jobs ()
+      in
+      (r.Scenarios.Multiraft.digest, json r.Scenarios.Multiraft.metrics))
 
 let broken_fixture () =
   let fake id : Check.node_view =
@@ -360,234 +323,125 @@ let broken_fixture () =
 
 (* --perf mode ---------------------------------------------------------- *)
 
-(* The baseline report is flat hand-written JSON (bench/main.ml), so a
-   string scan is enough to pull two fields out of its perf_guard
-   section without a JSON dependency. *)
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) sub then Some (i + m)
-    else go (i + 1)
-  in
-  go from
+(* Every row is a constant of the code, whatever the host's speed or
+   load: a pinned-seed DES run is deterministic, and so is what it
+   allocates.  A digest row must match exactly; a words row fails above
+   its budget.  Wall-clock speed is perfbench's job (same-host
+   compare.py pairs), never this gate's.
 
-let guard_field json key =
-  let start =
-    match find_sub json "\"perf_guard\"" 0 with
-    | Some i -> i
-    | None -> fail "perf baseline has no \"perf_guard\" section"
-  in
-  let i =
-    match find_sub json (Printf.sprintf "%S:" key) start with
-    | Some i -> i
-    | None -> fail "perf baseline guard has no %S field" key
-  in
-  let n = String.length json in
-  let rec skip i =
-    if i < n && (json.[i] = ' ' || json.[i] = '"') then skip (i + 1) else i
-  in
-  let a = skip i in
-  let rec stop i =
-    if i >= n then i
-    else match json.[i] with '"' | ',' | '}' | ' ' | '\n' -> i | _ -> stop (i + 1)
-  in
-  String.sub json a (stop a - a)
+   The words/op budgets are the loops' measured constants.  A whole
+   run's words/event reading moves a little between a process's first
+   and second run of a plan (lazy initialisation), so its budget is the
+   reading, taken in the order below, × 1.10 + 1. *)
+type row =
+  | Digest of string * (unit -> int64)
+  | Budget of float * string * (unit -> float)
 
-(* The forensics disabled-path gate: a steady-state cluster event loop
-   (the follower heartbeat path end to end) must allocate identically
-   with no ring at all and with a present-but-disabled ring — the
-   [fo_on] guards in [Raft.Node] keep the disabled path allocation-free.
-   A DES run's allocation is deterministic for a pinned seed, so the
-   comparison is exact: one extra word per event would fail it. *)
-let forensics_off_allocation_gate () =
-  let minor_words forensics =
-    let cluster =
-      Harness.Cluster.create ~seed:5L ~n:3
-        ~config:(Raft.Config.dynatune ())
-        ?forensics ()
-    in
-    Cluster.start cluster;
-    (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-    | Some _ -> ()
-    | None -> fail "forensics gate: steady-state cluster elected no leader");
-    Cluster.run_for cluster (Des.Time.sec 10);
-    let w0 = Gc.minor_words () in
-    Cluster.run_for cluster (Des.Time.sec 120);
-    Gc.minor_words () -. w0
-  in
-  (* One throwaway run first: lazy state (format strings, registries)
-     initialized on the first pass would otherwise bias the baseline. *)
-  ignore (minor_words None : float);
-  let base = minor_words None in
-  let off = minor_words (Some (Raft.Forensics.create ~enabled:false ())) in
-  if base <> off then
-    fail
-      "forensics disabled path allocates: %.0f minor words with no ring vs \
-       %.0f with a disabled ring over the same pinned run"
-      base off
+let ratchet reading = (reading *. 1.10) +. 1.
 
-(* Minor words per processed DES event, steady-state 3-node dynatune
-   cluster: the same pinned plan as [forensics_off_allocation_gate],
-   normalized by the engine's event count. *)
-let cluster_minor_words_per_event () =
-  let cluster =
-    Harness.Cluster.create ~seed:5L ~n:3 ~config:(Raft.Config.dynatune ()) ()
+let perf_table () =
+  let fig4 =
+    lazy
+      (Bench_loops.words_per_event (fun () ->
+           Scenarios.Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
+             ~config:(Raft.Config.dynatune ()) ()))
   in
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> fail "words/event gate: steady-state cluster elected no leader");
-  Cluster.run_for cluster (Des.Time.sec 10);
-  let w0 = Gc.minor_words () in
-  let e0 = Des.Engine.global_processed () in
-  Cluster.run_for cluster (Des.Time.sec 120);
-  let e1 = Des.Engine.global_processed () in
-  (Gc.minor_words () -. w0) /. float_of_int (e1 - e0)
+  let multiraft =
+    lazy
+      (Bench_loops.words_per_event (fun () ->
+           Scenarios.Multiraft.sweep ~seed:11L ~group_counts:[ 4 ] ~replicas:3
+             ~rates:[ 500.; 1000. ] ~jobs:1 ()))
+  in
+  let per_event plan reading =
+    Budget (ratchet reading, "words/event", fun () -> snd (Lazy.force plan))
+  in
+  let per_op budget make =
+    Budget (budget, "words/op", fun () -> Bench_loops.words_per_op (make ()))
+  in
+  [
+    ( "fig4 seed=42 failures=400 shards=4 digest",
+      Digest
+        ( "3a819493db80435d",
+          fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
+    ("fig4 plan", per_event fig4 58.01);
+    ( "multiraft seed=11 groups=4 rates=500,1000 digest",
+      Digest
+        ( "536b7e1522590f1d",
+          fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
+    ("multiraft plan", per_event multiraft 64.89);
+    ( "fig5sat hold=1s",
+      per_event
+        (lazy
+          (Bench_loops.words_per_event (fun () ->
+               Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
+        93.94 );
+    (* 60 words plus about one per thousand heartbeats, amortized. *)
+    ("server heartbeat", per_op 60.001 Bench_loops.make_heartbeat_loop);
+    ("leader nack + rebatch 64", per_op 17. Bench_loops.make_leader_append_loop);
+    ( "follower duplicate append 64",
+      per_op 42. Bench_loops.make_follower_append_loop );
+    ("log try_append 64", per_op 3. Bench_loops.make_try_append_loop);
+    ("pre-vote round", per_op 16. Bench_loops.make_vote_round_loop);
+    ( "stale snapshot install",
+      per_op 38. Bench_loops.make_snapshot_install_loop );
+    ("engine schedule_op_after+step", per_op 0. Bench_loops.make_schedule_op_loop);
+    ("mtrace emit", per_op 0. Bench_loops.make_mtrace_emit_loop);
+    ("kv client put encode", per_op 11. Bench_loops.make_client_encode_loop);
+    ("kv decode put", per_op 17. Bench_loops.make_decode_put_loop);
+    ("kv store apply put (key present)", per_op 2. Bench_loops.make_store_put_loop);
+    ( "steady-state cluster",
+      Budget
+        (ratchet 42.39, "words/event", fun () ->
+          Bench_loops.cluster_words_per_event ()) );
+    (* The [fo_on] guards in [Raft.Node] keep a disabled forensics ring
+       off the allocation path entirely: not one extra word. *)
+    ( "disabled forensics ring, extra over default",
+      Budget
+        ( 0.,
+          "words/event",
+          fun () ->
+            let base = Bench_loops.cluster_words_per_event () in
+            let off =
+              Bench_loops.cluster_words_per_event
+                ~forensics:(Raft.Forensics.create ~enabled:false ())
+                ()
+            in
+            Float.abs (off -. base) ) );
+  ]
 
-let run_perf ~baseline =
-  let json =
-    match In_channel.with_open_text baseline In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg -> fail "cannot read perf baseline: %s" msg
+(* Every row is measured and printed, "!!" marking a failure, so one
+   run shows everything that moved. *)
+let run_perf () =
+  let failed =
+    List.filter
+      (fun (name, row) ->
+        let ok, reading =
+          match row with
+          | Digest (pinned, measure) ->
+              let got = Printf.sprintf "%Lx" (measure ()) in
+              (String.equal got pinned, Printf.sprintf "%16s  pinned %s" got pinned)
+          | Budget (budget, unit, measure) ->
+              let now = measure () in
+              ( now <= budget,
+                Printf.sprintf "%8.3f %-11s budget %.3f" now unit budget )
+        in
+        Printf.printf "%s %-48s %s\n%!" (if ok then "  " else "!!") name reading;
+        not ok)
+      (perf_table ())
   in
-  let base_digest = guard_field json "digest" in
-  let base_eps =
-    match float_of_string_opt (guard_field json "events_per_s") with
-    | Some f when f > 0. -> f
-    | Some _ | None -> fail "perf baseline has no usable events_per_s"
-  in
-  let plan () =
-    Scenarios.Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
-      ~config:(Raft.Config.dynatune ()) ()
-  in
-  (* Digests first (and always): any drift is a determinism regression,
-     whatever the host's load. *)
-  let digest = Printf.sprintf "%Lx" (plan ()).Scenarios.Fig4.digest in
-  if not (String.equal digest base_digest) then
-    fail "perf guard digest drift: got %s, baseline %s — scheduling order \
-          changed"
-      digest base_digest;
-  let base_mr_digest = guard_field json "multiraft_digest" in
-  let mr =
-    Scenarios.Multiraft.sweep ~seed:11L ~group_counts:[ 4 ] ~replicas:3
-      ~rates:[ 500.; 1000. ] ~jobs:1 ()
-  in
-  let mr_digest = Printf.sprintf "%Lx" mr.Scenarios.Multiraft.digest in
-  if not (String.equal mr_digest base_mr_digest) then
-    fail
-      "perf guard multiraft digest drift: got %s, baseline %s — shared-fabric \
-       scheduling order changed"
-      mr_digest base_mr_digest;
-  (* Allocation ratchets, load-independent: words/op of the hot-path
-     loops is a constant of the code path (Bench_loops), so anything
-     beyond a small headroom over the committed baseline is a real
-     allocation regression. *)
-  List.iter
-    (fun (key, make) ->
-      let base =
-        match float_of_string_opt (guard_field json key) with
-        | Some f when f >= 0. -> f
-        | Some _ | None -> fail "perf baseline has no usable %s" key
-      in
-      let now = Bench_loops.words_per_op (make ()) in
-      if now > (base *. 1.15) +. 8. then
-        fail
-          "perf guard allocation regression: %s = %.1f words/op vs baseline \
-           %.1f (allowed %.1f)"
-          key now base
-          ((base *. 1.15) +. 8.))
-    [
-      ("hb_words", Bench_loops.make_heartbeat_loop);
-      ("rebatch_words", Bench_loops.make_leader_append_loop);
-      ("follower_append_words", Bench_loops.make_follower_append_loop);
-      ("try_append_words", Bench_loops.make_try_append_loop);
-      ("vote_round_words", Bench_loops.make_vote_round_loop);
-      ("snapshot_install_words", Bench_loops.make_snapshot_install_loop);
-    ];
-  (* The DES kernel's opcode path and the probe bus have absolute
-     budgets, not ratchets: a pooled event scheduled and fired allocates
-     nothing, and neither does a probe delivered to an observer. *)
-  List.iter
-    (fun (name, make) ->
-      let now = Bench_loops.words_per_op (make ()) in
-      if now <> 0. then
-        fail
-          "perf guard allocation regression: %s = %.2f words/op; it must \
-           allocate 0"
-          name now)
-    [
-      ("engine schedule_op_after+step", Bench_loops.make_schedule_op_loop);
-      ("mtrace emit", Bench_loops.make_mtrace_emit_loop);
-    ];
-  (* So does the KV request path: the encoder allocates only its
-     payload, the decoder only what it returns, and a Put on a present
-     key only its key. *)
-  List.iter
-    (fun (name, make, budget) ->
-      let now = Bench_loops.words_per_op (make ()) in
-      if now > budget then
-        fail "perf guard allocation regression: %s = %.1f words/op, budget %.0f"
-          name now budget)
-    [
-      ("kv client put encode", Bench_loops.make_client_encode_loop, 12.);
-      ("kv decode put", Bench_loops.make_decode_put_loop, 20.);
-      ("kv store apply put (key present)", Bench_loops.make_store_put_loop, 8.);
-    ];
-  (* Minor words per DES event of a steady-state cluster: the end-to-end
-     allocation figure the pooling work moves (the loop ratchets above
-     only cover the server in isolation).  A pinned-seed DES run's
-     allocation is deterministic, so a tight 10% margin holds. *)
-  (match float_of_string_opt (guard_field json "words_per_event") with
-  | Some base when base > 0. ->
-      let now = cluster_minor_words_per_event () in
-      if now > (base *. 1.10) +. 1. then
-        fail
-          "perf guard allocation regression: %.2f minor words/event in the \
-           steady-state cluster vs baseline %.2f (allowed %.2f)"
-          now base
-          ((base *. 1.10) +. 1.)
-  | Some _ | None -> fail "perf baseline has no usable words_per_event");
-  (* Allocation identity of the forensics-off path, also load-independent. *)
-  forensics_off_allocation_gate ();
-  (* Throughput second, best of three: a single reading on a busy host
-     swings far more than any plausible regression. *)
-  let best = ref 0. in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let e0 = Des.Engine.global_processed () in
-    ignore (plan () : Scenarios.Fig4.result);
-    let wall = Unix.gettimeofday () -. t0 in
-    let events = Des.Engine.global_processed () - e0 in
-    if wall > 0. then best := Stdlib.max !best (float_of_int events /. wall)
-  done;
-  let floor_eps = 0.7 *. base_eps in
-  let skipped = Sys.getenv_opt "DYNATUNE_PERF_SKIP_THROUGHPUT" <> None in
-  if (not skipped) && !best < floor_eps then
-    fail
-      "perf guard throughput regression: best of 3 = %.0f events/s, >30%% \
-       below baseline %.0f (floor %.0f); set DYNATUNE_PERF_SKIP_THROUGHPUT=1 \
-       only if this host is known-noisy"
-      !best base_eps floor_eps;
-  Printf.printf
-    "selfcheck --perf: digests %s and %s (multiraft) match baseline; \
-     allocation ratchets hold; %.0f events/s vs baseline %.0f%s\n"
-    digest mr_digest !best base_eps
-    (if skipped then " (throughput check skipped via env)" else "")
+  if failed <> [] then
+    fail "perf: over budget or drifted: %s"
+      (String.concat ", " (List.map fst failed));
+  print_endline "selfcheck --perf: every row within budget"
+
+let usage () =
+  prerr_endline "usage: selfcheck [--perf]";
+  exit 2
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "--perf" :: rest ->
-      let baseline =
-        match rest with
-        | [] -> "BENCH_10.json"
-        | [ path ] -> path
-        | _ ->
-            prerr_endline "usage: selfcheck [--perf [BASELINE.json]]";
-            exit 2
-      in
-      run_perf ~baseline
-  | [ _ ] ->
+  match Sys.argv with
+  | [| _; "--perf" |] -> run_perf ()
+  | [| _ |] ->
       List.iter (fun seed -> mini_chaos ~seed) [ 11L; 12L; 13L ];
       for i = 0 to 199 do
         reconfig_chaos ~seed:(Int64.of_int (1000 + i))
@@ -599,12 +453,8 @@ let () =
         multiraft_chaos ~seed:(Int64.of_int (3000 + i))
       done;
       broken_fixture ();
-      digest_determinism ();
-      reconfig_determinism ();
-      multiraft_determinism ();
+      determinism ();
       print_endline
         "selfcheck: invariants hold, digests deterministic, broken fixture \
          caught"
-  | _ ->
-      prerr_endline "usage: selfcheck [--perf [BASELINE.json]]";
-      exit 2
+  | _ -> usage ()
