@@ -18,7 +18,7 @@
       the checker is required to catch.
 
    `selfcheck --perf` (the @perf alias) instead checks one table of
-   host-independent constants: the fig4 and multiraft trace digests bit
+   host-independent constants: the fig4, multiraft and fig8 trace digests bit
    for bit, and minor words per operation (the Bench_loops hot paths)
    or per DES event (pinned runs) under fixed budgets. *)
 
@@ -369,6 +369,13 @@ let perf_table () =
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
     ("multiraft plan", per_event multiraft 64.89);
+    ( "fig8 seed=23 failures=40 shards=4 digest",
+      Digest
+        ( "243dba1fc941868e",
+          fun () ->
+            (Scenarios.Fig8.run ~seed:23L ~failures:40 ~shards:4 ~jobs:1
+               ~config:(Raft.Config.dynatune ()) ())
+              .Scenarios.Fig4.digest ) );
     ( "fig5sat hold=1s",
       per_event
         (lazy
