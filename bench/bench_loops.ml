@@ -362,10 +362,8 @@ let cluster_words_per_event ?forensics () =
       ~config:(Raft.Config.dynatune ())
       ?forensics ()
   in
-  Harness.Cluster.start cluster;
-  (match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "steady-state cluster elected no leader");
+  ignore
+    (Harness.Cluster.boot cluster ~label:"steady-state cluster" : Raft.Node.t);
   Harness.Cluster.run_for cluster (Des.Time.sec 10);
   snd
     (words_per_event (fun () ->

@@ -41,6 +41,10 @@ let probability =
   checked Arg.float ~expected:"a probability in [0,1)" (fun p ->
       p >= 0. && p < 1.)
 
+let open_probability =
+  checked Arg.float ~expected:"a probability in (0,1)" (fun p ->
+      p > 0. && p < 1.)
+
 let mode_conv =
   let parse = function
     | "raft" -> Ok (Raft.Config.static ())
@@ -76,7 +80,7 @@ let rtt =
 
 let jitter =
   Arg.(
-    value & opt float 0.02
+    value & opt non_negative_float 0.02
     & info [ "jitter" ] ~docv:"SIGMA"
         ~doc:"Relative delay jitter (lognormal sigma).")
 
@@ -85,12 +89,33 @@ let loss =
     value & opt probability 0.
     & info [ "loss" ] ~docv:"P" ~doc:"Packet loss probability in [0,1).")
 
+(* [--trace-out FILE]: run [f] with [attach], which bridges a cluster's
+   probes into one Chrome trace as process [i + 1] (pid 0 is reserved,
+   so Perfetto shows one collapsible track group each) named
+   "[kind] [i]"; then close every bridge, write FILE and report the
+   event count. *)
+let with_trace_out path f =
+  let sink = Telemetry.Chrome_trace.create () in
+  let bridges = ref [] in
+  let attach ~kind i cluster =
+    let name = Printf.sprintf "%s %d" kind i in
+    bridges :=
+      Harness.Tracing.attach ~pid:(i + 1) ~name cluster sink :: !bridges
+  in
+  let result = f attach in
+  List.iter Harness.Tracing.finish !bridges;
+  Telemetry.Chrome_trace.write sink path;
+  Format.fprintf ppf "@.wrote %d trace events to %s@."
+    (Telemetry.Chrome_trace.event_count sink)
+    path;
+  result
+
 (* {2 failover} *)
 
 let failover_cmd =
   let failures =
     Arg.(
-      value & opt int 100
+      value & opt positive_int 100
       & info [ "failures" ] ~docv:"K" ~doc:"Number of leader kills.")
   in
   let trace_out =
@@ -137,36 +162,26 @@ let failover_cmd =
       | None, _, _ -> Some (Des.Time.sec 1)
     in
     let instrument = trace_out <> None || record <> None in
-    let sink = Telemetry.Chrome_trace.create () in
-    let bridges = ref [] in
-    let on_cluster ~shard cluster =
-      (* Shard s becomes Chrome process s+1 (pid 0 is reserved).
-         With the default jobs=1 there is exactly one. *)
-      let b =
-        Harness.Tracing.attach ~pid:(shard + 1)
-          ~name:(Printf.sprintf "shard %d" shard)
-          cluster sink
+    let campaign ?on_cluster () =
+      let result =
+        Scenarios.Fig4.run ~seed ~n ~failures ~rtt_ms ~jitter ~config
+          ~instrument ?record ?on_cluster ()
       in
-      bridges := b :: !bridges
+      Scenarios.Fig4.print ppf [ result ];
+      if instrument then
+        Format.fprintf ppf "@.telemetry:@.%a" Telemetry.Metrics.pp
+          result.Scenarios.Fig4.metrics;
+      result
     in
     let result =
-      Scenarios.Fig4.run ~seed ~n ~failures ~rtt_ms ~jitter ~config
-        ~instrument ?record
-        ?on_cluster:(if trace_out = None then None else Some on_cluster)
-        ()
+      match trace_out with
+      | None -> campaign ()
+      | Some path ->
+          with_trace_out path (fun attach ->
+              campaign
+                ~on_cluster:(fun ~shard -> attach ~kind:"shard" shard)
+                ())
     in
-    Scenarios.Fig4.print ppf [ result ];
-    if instrument then
-      Format.fprintf ppf "@.telemetry:@.%a" Telemetry.Metrics.pp
-        result.Scenarios.Fig4.metrics;
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        List.iter Harness.Tracing.finish !bridges;
-        Telemetry.Chrome_trace.write sink path;
-        Format.fprintf ppf "@.wrote %d trace events to %s@."
-          (Telemetry.Chrome_trace.event_count sink)
-          path);
     let dump = result.Scenarios.Fig4.recorder in
     let export label render path =
       Out_channel.with_open_bin path (fun oc ->
@@ -190,7 +205,7 @@ let failover_cmd =
 let reconfig_cmd =
   let rounds =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "rounds" ] ~docv:"K"
           ~doc:"Rolling-replace rounds (each replaces all 5 servers).")
   in
@@ -211,27 +226,15 @@ let reconfig_cmd =
         Scenarios.Reconfig.print ppf
           [ Scenarios.Reconfig.run ~seed ~rounds ~config () ]
     | Some path ->
-        let sink = Telemetry.Chrome_trace.create () in
-        let bridges = ref [] in
-        let result =
-          Scenarios.Reconfig.run ~seed ~rounds ~config ~instrument:true
-            ~on_cluster:(fun ~shard cluster ->
-              let b =
-                Harness.Tracing.attach ~pid:(shard + 1)
-                  ~name:(Printf.sprintf "shard %d" shard)
-                  cluster sink
-              in
-              bridges := b :: !bridges)
-            ()
-        in
-        List.iter Harness.Tracing.finish !bridges;
-        Telemetry.Chrome_trace.write sink path;
-        Scenarios.Reconfig.print ppf [ result ];
-        Format.fprintf ppf "@.telemetry:@.%a" Telemetry.Metrics.pp
-          result.Scenarios.Reconfig.metrics;
-        Format.fprintf ppf "@.wrote %d trace events to %s@."
-          (Telemetry.Chrome_trace.event_count sink)
-          path
+        with_trace_out path (fun attach ->
+            let result =
+              Scenarios.Reconfig.run ~seed ~rounds ~config ~instrument:true
+                ~on_cluster:(fun ~shard -> attach ~kind:"shard" shard)
+                ()
+            in
+            Scenarios.Reconfig.print ppf [ result ];
+            Format.fprintf ppf "@.telemetry:@.%a" Telemetry.Metrics.pp
+              result.Scenarios.Reconfig.metrics)
   in
   Cmd.v
     (Cmd.info "reconfig"
@@ -277,10 +280,9 @@ let watch_cmd =
     let cluster =
       Harness.Cluster.create ~seed ~n ~config ~conditions ()
     in
-    Harness.Cluster.start cluster;
-    (match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-    | Some _ -> ()
-    | None -> failwith "no leader elected");
+    ignore
+      (Harness.Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"watch"
+        : Raft.Node.t);
     Format.fprintf ppf "  %6s %10s %8s %16s %8s@." "t(s)" "rtt(ms)" "loss"
       "majority-rTO(ms)" "leader";
     let duration = List.length profiles * hold in
@@ -353,17 +355,17 @@ let throughput_cmd =
 let calc_cmd =
   let x =
     Arg.(
-      value & opt float 0.999
+      value & opt open_probability 0.999
       & info [ "x" ] ~docv:"X" ~doc:"Target heartbeat arrival probability.")
   in
   let s =
     Arg.(
-      value & opt float 2.
+      value & opt non_negative_float 2.
       & info [ "s" ] ~docv:"S" ~doc:"Safety factor in Et = mu + s*sigma.")
   in
   let sigma =
     Arg.(
-      value & opt float 5.
+      value & opt non_negative_float 5.
       & info [ "sigma" ] ~docv:"MS" ~doc:"RTT standard deviation (ms).")
   in
   let run rtt_ms sigma s x loss =
@@ -495,29 +497,13 @@ let multiraft_cmd =
         let groups =
           match group_counts with g :: _ -> g | [] -> 64
         in
-        let sink = Telemetry.Chrome_trace.create () in
-        let bridges = ref [] in
-        let cell =
-          Scenarios.Multiraft.run_one ~seed ~replicas ~rates ~hold ~groups
-            ~telemetry:(Telemetry.Metrics.create ())
-            ~on_manager:(fun m ->
-              (* One Chrome process per Raft group (pid 0 is reserved),
-                 so Perfetto shows one collapsible track group each. *)
-              Multiraft.Group_manager.iter_groups m (fun g cluster ->
-                  let b =
-                    Harness.Tracing.attach ~pid:(g + 1)
-                      ~name:(Printf.sprintf "group %d" g)
-                      cluster sink
-                  in
-                  bridges := b :: !bridges))
-            ()
-        in
-        Scenarios.Multiraft.print_cell ppf cell;
-        List.iter Harness.Tracing.finish !bridges;
-        Telemetry.Chrome_trace.write sink path;
-        Format.fprintf ppf "@.wrote %d trace events to %s@."
-          (Telemetry.Chrome_trace.event_count sink)
-          path
+        with_trace_out path (fun attach ->
+            Scenarios.Multiraft.print_cell ppf
+              (Scenarios.Multiraft.run_one ~seed ~replicas ~rates ~hold ~groups
+                 ~telemetry:(Telemetry.Metrics.create ())
+                 ~on_manager:(fun m ->
+                   Multiraft.Group_manager.iter_groups m (attach ~kind:"group"))
+                 ()))
   in
   Cmd.v
     (Cmd.info "multiraft"
@@ -531,57 +517,23 @@ let multiraft_cmd =
 (* {2 figure} *)
 
 let figure_cmd =
-  let figure_name =
+  let figure =
+    let names = List.map fst Scenarios.Figures.table in
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (enum Scenarios.Figures.table)) None
       & info [] ~docv:"FIGURE"
-          ~doc:"One of: fig4, fig5, fig6a, fig6b, fig7, fig8, ablation.")
+          ~doc:(Printf.sprintf "One of: %s." (String.concat ", " names)))
   in
   let full =
     Arg.(
       value & flag
       & info [ "full" ] ~doc:"Paper-scale parameters (slower).")
   in
-  let run figure_name full =
-    let hold quick f = Des.Time.sec (if full then f else quick) in
-    match figure_name with
-    | "fig4" ->
-        Scenarios.Fig4.print ppf
-          (Scenarios.Fig4.compare_modes
-             ~failures:(if full then 1000 else 200)
-             ())
-    | "fig5" ->
-        Scenarios.Fig5.print ppf
-          (Scenarios.Fig5.compare_modes ~hold:(hold 3 10) ())
-    | "fig6a" ->
-        Scenarios.Fig6.print ppf Scenarios.Fig6.Gradual
-          (Scenarios.Fig6.compare_modes ~hold:(hold 20 60)
-             ~pattern:Scenarios.Fig6.Gradual ())
-    | "fig6b" ->
-        Scenarios.Fig6.print ppf Scenarios.Fig6.Radical
-          (Scenarios.Fig6.compare_modes ~hold:(hold 20 60)
-             ~pattern:Scenarios.Fig6.Radical ())
-    | "fig7" ->
-        Scenarios.Fig7.print ppf
-          (Scenarios.Fig7.compare_modes ~hold:(hold 20 180) ~ns:[ 5; 17; 65 ]
-             ())
-    | "fig8" ->
-        Scenarios.Fig8.print ppf
-          (Scenarios.Fig8.compare_modes
-             ~failures:(if full then 1000 else 150)
-             ())
-    | "ablation" ->
-        Scenarios.Ablation.print ppf
-          ( Scenarios.Ablation.safety_factor_sweep (),
-            Scenarios.Ablation.arrival_probability_sweep (),
-            Scenarios.Ablation.list_size_sweep (),
-            Scenarios.Ablation.estimator_sweep () )
-    | other -> Format.fprintf ppf "unknown figure %S@." other
-  in
+  let run figure full = figure ~full ~jobs:1 ppf in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
-    Term.(const run $ figure_name $ full)
+    Term.(const run $ figure $ full)
 
 let () =
   let default =

@@ -33,10 +33,10 @@ let fail fmt =
 
 (* The checks every chaos run shares.  [what] names the sweep (and the
    group, where there is one) in failure messages. *)
-let await_leader what ~seed cluster =
-  match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> fail "%s: no initial leader (seed %Ld)" what seed
+let boot what ~seed cluster =
+  ignore
+    (Cluster.boot cluster ~label:(Printf.sprintf "%s (seed %Ld)" what seed)
+      : Raft.Node.t)
 
 (* The checker was installed and actually ran. *)
 let checker_ran what ~seed cluster =
@@ -66,8 +66,7 @@ let mini_chaos ~seed =
     Cluster.create ~seed ~n:5 ~config:(Raft.Config.dynatune ()) ~conditions
       ~check:Check.Always ()
   in
-  Cluster.start cluster;
-  await_leader "chaos" ~seed cluster;
+  boot "chaos" ~seed cluster;
   Cluster.run_for cluster (Des.Time.sec 10);
   for round = 1 to 3 do
     (match Cluster.leader cluster with
@@ -96,8 +95,7 @@ let reconfig_chaos ~seed =
     Cluster.create ~seed ~n:3 ~config:(Raft.Config.dynatune ()) ~conditions
       ~check:Check.Always ()
   in
-  Cluster.start cluster;
-  await_leader "reconfig chaos" ~seed cluster;
+  boot "reconfig chaos" ~seed cluster;
   Cluster.run_for cluster (Des.Time.sec 2);
   let rng =
     Stats.Rng.split (Des.Engine.rng (Cluster.engine cluster)) "selfcheck-chaos"
@@ -164,8 +162,7 @@ let pipelined_chaos ~seed =
   in
   Netsim.Fabric.set_uniform_serialization (Cluster.fabric cluster)
     (Des.Time.us 50);
-  Cluster.start cluster;
-  await_leader "pipelined chaos" ~seed cluster;
+  boot "pipelined chaos" ~seed cluster;
   Cluster.run_for cluster (Des.Time.sec 2);
   let rng =
     Stats.Rng.split (Des.Engine.rng (Cluster.engine cluster)) "selfcheck-pipe"

@@ -22,10 +22,7 @@ let () =
     Cluster.create ~seed:3L ~n:5 ~config:(Raft.Config.dynatune ()) ~conditions
       ()
   in
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "no leader elected");
+  ignore (Cluster.boot cluster ~label:"fluctuating_wan" : Raft.Node.t);
 
   printf "RTT staircase: %s ms, %.0fs per step@."
     (String.concat " -> " (List.map (fun r -> Printf.sprintf "%.0f" r) rtts))

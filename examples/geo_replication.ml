@@ -18,11 +18,8 @@ let () =
     Cluster.create ~seed:5L ~n:5 ~config:(Raft.Config.dynatune ()) ()
   in
   Scenarios.Geo.apply cluster ();
-  Cluster.start cluster;
   let leader =
-    match Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-    | Some l -> l
-    | None -> failwith "no leader elected"
+    Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"geo_replication"
   in
   printf "leader elected: %s@."
     (region_name (Raft.Node.id leader));

@@ -20,12 +20,7 @@ let () =
     Cluster.create ~seed:9L ~n:5 ~config:(Raft.Config.dynatune ()) ~conditions
       ()
   in
-  Cluster.start cluster;
-  let leader =
-    match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-    | Some l -> l
-    | None -> failwith "no leader elected"
-  in
+  let leader = Cluster.boot cluster ~label:"lossy_links" in
   let follower =
     List.find
       (fun id -> not (Netsim.Node_id.equal id (Raft.Node.id leader)))

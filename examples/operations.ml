@@ -32,8 +32,7 @@ let () =
     Netsim.Conditions.(constant (profile ~rtt_ms:40. ~jitter:0.05 ()))
   in
   let c = Cluster.create ~seed:77L ~n:5 ~config ~conditions () in
-  Cluster.start c;
-  ignore (Cluster.await_leader c ~timeout:(Time.sec 30));
+  ignore (Cluster.boot c ~label:"operations" : Raft.Node.t);
   printf "cluster up, leader %s@." (leader_name c);
 
   (* 1. Writes + a linearizable read. *)

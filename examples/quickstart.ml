@@ -19,14 +19,9 @@ let () =
     Cluster.create ~seed:1L ~n:5 ~config:(Raft.Config.dynatune ()) ~conditions
       ()
   in
-  Cluster.start cluster;
 
-  (* 1. Elect a leader. *)
-  let leader =
-    match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-    | Some l -> l
-    | None -> failwith "no leader elected"
-  in
+  (* 1. Start the servers and wait for the first leader. *)
+  let leader = Cluster.boot cluster ~label:"quickstart" in
   printf "t=%a: %a became leader@." Des.Time.pp (Cluster.now cluster)
     Netsim.Node_id.pp (Raft.Node.id leader);
 

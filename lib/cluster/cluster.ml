@@ -398,6 +398,15 @@ let await_leader t ~timeout =
   in
   poll ()
 
+let boot ?(timeout = Des.Time.sec 30) t ~label =
+  start t;
+  match await_leader t ~timeout with
+  | Some l -> l
+  | None ->
+      failwith
+        (Format.asprintf "%s: no leader elected within %a" label Des.Time.pp
+           timeout)
+
 let set_uniform_conditions t c = Netsim.Fabric.set_uniform_conditions t.fabric c
 
 let set_pair_conditions t a b c =

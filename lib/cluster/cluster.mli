@@ -138,6 +138,11 @@ val await_leader : t -> timeout:Des.Time.span -> Raft.Node.t option
 (** Run the engine until a leader exists (checking at millisecond
     granularity) or the timeout elapses. *)
 
+val boot : ?timeout:Des.Time.span -> t -> label:string -> Raft.Node.t
+(** {!start} the cluster and {!await_leader} (default [timeout] 30 s);
+    returns the first leader.  Raises [Failure] naming [label] when no
+    leader is elected in time. *)
+
 val set_uniform_conditions : t -> Netsim.Conditions.t -> unit
 
 val set_pair_conditions :

@@ -1,5 +1,4 @@
 module Cluster = Harness.Cluster
-module Fault = Harness.Fault
 module Monitor = Harness.Monitor
 
 type safety_row = {
@@ -12,9 +11,9 @@ type safety_row = {
 
 let dynatune_with f = Raft.Config.dynatune ~cfg:(f Dynatune.Config.default) ()
 
-(* Mean of a per-second-sampled quantity over a window, ignoring NaNs
+(* Sample [read] once a second for [duration], skipping [None]s
    (samples taken while warming / leaderless are excluded). *)
-let sampled_mean cluster ~duration ~read =
+let sample_each_second cluster ~duration ~read =
   let w = Stats.Welford.create () in
   let engine = Cluster.engine cluster in
   let stop_at = Des.Time.add (Des.Engine.now engine) duration in
@@ -29,35 +28,62 @@ let sampled_mean cluster ~duration ~read =
   in
   arm ();
   Des.Engine.run_until engine stop_at;
+  w
+
+let mean_or_nan w =
   if Stats.Welford.count w = 0 then nan else Stats.Welford.mean w
+
+(* Every node but the live leader (all of them while leaderless). *)
+let followers cluster =
+  let leader = Option.map Raft.Node.id (Cluster.leader cluster) in
+  List.filter
+    (fun id ->
+      match leader with
+      | Some l -> not (Netsim.Node_id.equal l id)
+      | None -> true)
+    (Cluster.node_ids cluster)
+
+(* A node's tuner once it has left Step 0. *)
+let tuned_tuner cluster id =
+  match Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id)) with
+  | Some t when Dynatune.Tuner.phase t = Dynatune.Tuner.Tuned -> Some t
+  | Some _ | None -> None
+
+let all_tuned cluster =
+  List.for_all (fun id -> tuned_tuner cluster id <> None) (followers cluster)
 
 (* Mean tuned Et across followers whose tuner has left Step 0; [None]
    when none is tuned right now. *)
 let tuned_follower_et cluster =
-  let leader = Option.map Raft.Node.id (Cluster.leader cluster) in
-  let ets =
+  match
     List.filter_map
       (fun id ->
-        let skip =
-          match leader with
-          | Some l -> Netsim.Node_id.equal l id
-          | None -> false
-        in
-        if skip then None
-        else
-          match
-            Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id))
-          with
-          | Some tuner when Dynatune.Tuner.phase tuner = Dynatune.Tuner.Tuned
-            ->
-              Some (Des.Time.to_ms_f (Dynatune.Tuner.election_timeout tuner))
-          | Some _ | None -> None)
-      (Cluster.node_ids cluster)
-  in
-  match ets with
+        Option.map
+          (fun t -> Des.Time.to_ms_f (Dynatune.Tuner.election_timeout t))
+          (tuned_tuner cluster id))
+      (followers cluster)
+  with
   | [] -> None
-  | _ ->
+  | ets ->
       Some (List.fold_left ( +. ) 0. ets /. float_of_int (List.length ets))
+
+(* Every follower tuned and the majority randomized timeout at least the
+   150 ms RTT the step sweeps move to. *)
+let adapted cluster =
+  all_tuned cluster
+  &&
+  match Monitor.majority_randomized_ms cluster with
+  | Some v -> v >= 150.
+  | None -> false
+
+(* Step the cluster in 100 ms slices until [ready] holds or the clock
+   reaches [limit]; returns the instant it stopped. *)
+let rec wait_until cluster ~limit ready =
+  if ready cluster || Cluster.now cluster >= limit then Cluster.now cluster
+  else begin
+    Cluster.run_for cluster (Des.Time.ms 100);
+    wait_until cluster ~limit ready
+  end
 
 let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
     ?(failures = 100) ?(quiet = Des.Time.sec 120) ?(jitter = 0.15)
@@ -72,34 +98,20 @@ let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
         Netsim.Conditions.(constant (profile ~rtt_ms:100. ~jitter ()))
       in
       let cluster = Cluster.create ~seed ~n:5 ~config ~conditions () in
-      Cluster.start cluster;
-      (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-      | Some _ -> ()
-      | None -> failwith "ablation: initial election failed");
+      ignore (Cluster.boot cluster ~label:"ablation" : Raft.Node.t);
       Cluster.run_for cluster (Des.Time.sec 30);
       (* Quiet period: sample the tuned Et and count false detections
          under jitter. *)
-      let et_mean_ms, quiet_window =
+      let et, quiet_window =
         Monitor.observe cluster (fun () ->
-            sampled_mean cluster ~duration:quiet ~read:tuned_follower_et)
+            sample_each_second cluster ~duration:quiet ~read:tuned_follower_et)
       in
-      (* Failure campaign. *)
-      let det = ref [] and ots = ref [] in
-      let measured = ref 0 and attempts = ref 0 in
-      while !measured < failures && !attempts < 2 * failures do
-        incr attempts;
-        match Fault.fail_and_measure cluster () with
-        | Error _ -> Cluster.run_for cluster (Des.Time.sec 5)
-        | Ok o ->
-            incr measured;
-            det := o.Fault.detection_ms :: !det;
-            ots := o.Fault.ots_ms :: !ots
-      done;
+      let raw = Measure.failures cluster ~quota:failures in
       {
         s;
-        detection_mean_ms = Stats.Summary.(mean (of_list !det));
-        ots_mean_ms = Stats.Summary.(mean (of_list !ots));
-        et_mean_ms;
+        detection_mean_ms = Stats.Summary.(mean (of_list raw.detection));
+        ots_mean_ms = Stats.Summary.(mean (of_list raw.ots));
+        et_mean_ms = mean_or_nan et;
         false_timeouts = quiet_window.Monitor.timeouts;
       })
        values
@@ -127,26 +139,17 @@ let arrival_probability_sweep ?(seed = 37L)
           constant (profile ~rtt_ms:200. ~jitter:0.02 ~loss ()))
       in
       let cluster = Cluster.create ~seed ~n:5 ~config ~conditions () in
-      Cluster.start cluster;
-      (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-      | Some _ -> ()
-      | None -> failwith "ablation: initial election failed");
+      ignore (Cluster.boot cluster ~label:"ablation" : Raft.Node.t);
       Cluster.run_for cluster (Des.Time.sec 60);
       (* Sample the h the leader actually applies toward one follower
          over the quiet period (warming dips excluded as NaN). *)
-      let follower =
-        List.find
-          (fun id ->
-            match Cluster.leader cluster with
-            | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
-            | None -> true)
-          (Cluster.node_ids cluster)
-      in
-      let h_ms, quiet_window =
+      let follower = List.hd (followers cluster) in
+      let h, quiet_window =
         Monitor.observe cluster (fun () ->
-            sampled_mean cluster ~duration:quiet ~read:(fun c ->
+            sample_each_second cluster ~duration:quiet ~read:(fun c ->
                 Monitor.leader_h_ms c ~follower))
       in
+      let h_ms = mean_or_nan h in
       let k = Dynatune.Tuner.required_heartbeats_for ~p:loss ~x in
       {
         x;
@@ -185,58 +188,21 @@ let list_size_sweep ?(seed = 41L) ?(values = [ 5; 20; 50; 100 ]) ?(jobs = 1)
           ]
       in
       let cluster = Cluster.create ~seed ~n:5 ~config ~conditions () in
-      Cluster.start cluster;
-      let elected =
-        match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-        | Some _ -> Cluster.now cluster
-        | None -> failwith "ablation: initial election failed"
-      in
+      ignore (Cluster.boot cluster ~label:"ablation" : Raft.Node.t);
+      let elected = Cluster.now cluster in
       (* Warm-up duration: run until every follower's tuner is Tuned. *)
-      let followers () =
-        List.filter
-          (fun id ->
-            match Cluster.leader cluster with
-            | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
-            | None -> true)
-          (Cluster.node_ids cluster)
-      in
-      let all_tuned () =
-        List.for_all
-          (fun id ->
-            match Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id)) with
-            | Some t -> Dynatune.Tuner.phase t = Dynatune.Tuner.Tuned
-            | None -> false)
-          (followers ())
-      in
-      let rec wait_tuned limit =
-        if all_tuned () then Cluster.now cluster
-        else if Cluster.now cluster >= limit then Cluster.now cluster
-        else begin
-          Cluster.run_for cluster (Des.Time.ms 100);
-          wait_tuned limit
-        end
-      in
-      let tuned_at = wait_tuned (Des.Time.sec 110) in
+      let tuned_at = wait_until cluster ~limit:(Des.Time.sec 110) all_tuned in
       let warmup_ms = Des.Time.to_ms_f (Des.Time.diff tuned_at elected) in
       (* Adaptation: run to the RTT step, then wait until every follower
          has re-tuned (left Step 0 again — the step typically trips timers
          and falls back to defaults) and the majority randomized timeout
          accommodates the new RTT. *)
       Des.Engine.run_until (Cluster.engine cluster) step_at;
-      let rec wait_adapted limit =
-        if
-          all_tuned ()
-          && (match Monitor.majority_randomized_ms cluster with
-             | Some v -> v >= 150.
-             | None -> false)
-        then Cluster.now cluster
-        else if Cluster.now cluster >= limit then Cluster.now cluster
-        else begin
-          Cluster.run_for cluster (Des.Time.ms 100);
-          wait_adapted limit
-        end
+      let adapted_at =
+        wait_until cluster
+          ~limit:(Des.Time.add step_at (Des.Time.sec 120))
+          adapted
       in
-      let adapted_at = wait_adapted (Des.Time.add step_at (Des.Time.sec 120)) in
       {
         min_list_size;
         warmup_ms;
@@ -278,73 +244,24 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
           ]
       in
       let cluster = Cluster.create ~seed ~n:5 ~config ~conditions () in
-      Cluster.start cluster;
-      (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-      | Some _ -> ()
-      | None -> failwith "ablation: initial election failed");
+      ignore (Cluster.boot cluster ~label:"ablation" : Raft.Node.t);
       Cluster.run_for cluster (Des.Time.sec 30);
       (* Steady jittery period: Et level, Et stability, false trips. *)
-      let et = Stats.Welford.create () in
-      let engine = Cluster.engine cluster in
-      let stop_at = Des.Time.add (Cluster.now cluster) (Des.Time.sec 100) in
-      let rec arm () =
-        ignore
-          (Des.Engine.schedule_after engine (Des.Time.sec 1) (fun () ->
-               (match tuned_follower_et cluster with
-               | Some v -> Stats.Welford.add et v
-               | None -> ());
-               if Des.Engine.now engine < stop_at then arm ())
-            : Des.Engine.handle)
-      in
-      let (), steady_window =
+      let et, steady_window =
         Monitor.observe cluster (fun () ->
-            arm ();
-            Des.Engine.run_until engine stop_at)
+            sample_each_second cluster ~duration:(Des.Time.sec 100)
+              ~read:tuned_follower_et)
       in
       (* Adaptation to the RTT step. *)
-      Des.Engine.run_until engine step_at;
-      let all_tuned_and_adapted () =
-        (match Monitor.majority_randomized_ms cluster with
-        | Some v -> v >= 150.
-        | None -> false)
-        && List.for_all
-             (fun id ->
-               match
-                 Raft.Server.tuner
-                   (Raft.Node.server (Cluster.node cluster id))
-               with
-               | Some t -> Dynatune.Tuner.phase t = Dynatune.Tuner.Tuned
-               | None -> false)
-             (List.filter
-                (fun id ->
-                  match Cluster.leader cluster with
-                  | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
-                  | None -> true)
-                (Cluster.node_ids cluster))
-      in
-      let rec wait_adapted limit =
-        if all_tuned_and_adapted () then Cluster.now cluster
-        else if Cluster.now cluster >= limit then Cluster.now cluster
-        else begin
-          Cluster.run_for cluster (Des.Time.ms 100);
-          wait_adapted limit
-        end
-      in
+      Des.Engine.run_until (Cluster.engine cluster) step_at;
       let adapted_at =
-        wait_adapted (Des.Time.add step_at (Des.Time.sec 120))
+        wait_until cluster
+          ~limit:(Des.Time.add step_at (Des.Time.sec 120))
+          adapted
       in
       (* Small failover campaign at the new level. *)
       Cluster.run_for cluster (Des.Time.sec 10);
-      let det = ref [] in
-      let measured = ref 0 and attempts = ref 0 in
-      while !measured < failures && !attempts < 2 * failures do
-        incr attempts;
-        match Fault.fail_and_measure cluster () with
-        | Error _ -> Cluster.run_for cluster (Des.Time.sec 5)
-        | Ok o ->
-            incr measured;
-            det := o.Fault.detection_ms :: !det
-      done;
+      let raw = Measure.failures cluster ~quota:failures in
       {
         estimator = name;
         et_steady_ms = Stats.Welford.mean et;
@@ -352,7 +269,7 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
         adaptation_up_ms =
           Des.Time.to_ms_f (Des.Time.diff adapted_at step_at);
         false_timeouts = steady_window.Monitor.timeouts;
-        detection_mean_ms = Stats.Summary.(mean (of_list !det));
+        detection_mean_ms = Stats.Summary.(mean (of_list raw.detection));
       })
        backends
 

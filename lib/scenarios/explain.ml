@@ -79,10 +79,9 @@ let run ?(seed = 23L) ?(failures = 3) ?(config = Raft.Config.dynatune ()) () =
     Cluster.create ~seed ~n:5 ~config ~telemetry ~forensics ()
   in
   Geo.apply cluster ();
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-  | Some _ -> ()
-  | None -> failwith "explain: initial election failed");
+  ignore
+    (Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"explain"
+      : Raft.Node.t);
   Cluster.run_for cluster (Des.Time.sec 30);
   for _ = 1 to failures do
     match Fault.kill_leader cluster with

@@ -46,10 +46,9 @@ let cpu_probe ~seed ~config =
     Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores:2. ~n:17
       ~config ~conditions ()
   in
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-  | Some _ -> ()
-  | None -> failwith "extensions: initial election failed");
+  ignore
+    (Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"extensions"
+      : Raft.Node.t);
   Cluster.run_for cluster (Des.Time.sec 40);
   let leader =
     match Cluster.leader cluster with
@@ -68,8 +67,7 @@ let failover_probe ~seed ~config =
   let r = Fig4.run ~seed ~failures:50 ~config () in
   (Stats.Summary.mean r.Fig4.detection, Stats.Summary.mean r.Fig4.ots)
 
-let run ?(seed = 29L) ?rates ?(hold = Des.Time.sec 3) ?failures:_ ?(jobs = 1)
-    () =
+let run ?(seed = 29L) ?rates ?(hold = Des.Time.sec 3) ?(jobs = 1) () =
   Parallel.Campaign.all ~jobs
   @@ List.map
        (fun v () ->

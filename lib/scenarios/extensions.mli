@@ -29,11 +29,11 @@ val run :
   ?seed:int64 ->
   ?rates:float list ->
   ?hold:Des.Time.span ->
-  ?failures:int ->
   ?jobs:int ->
   unit ->
   row list
-(** [jobs > 1] evaluates the four variants on parallel domains; each
+(** Each variant's failover probe is a 50-failure {!Fig4.run}.
+    [jobs > 1] evaluates the four variants on parallel domains; each
     variant is a self-contained simulation, so results are identical at
     any [jobs]. *)
 

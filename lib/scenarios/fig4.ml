@@ -17,25 +17,6 @@ type result = {
   recorder : Telemetry.Recorder.dump;
 }
 
-let result_of_raw ~mode ~digest ?(metrics = []) ?(recorder = [])
-    (raw : Measure.raw) =
-  {
-    mode;
-    digest;
-    metrics;
-    recorder;
-    failures = raw.Measure.measured;
-    detection = Stats.Summary.of_list raw.Measure.detection;
-    majority_detection = Stats.Summary.of_list raw.Measure.majority;
-    ots = Stats.Summary.of_list raw.Measure.ots;
-    election = Stats.Summary.of_list raw.Measure.election;
-    randomized = Stats.Summary.of_list raw.Measure.randomized;
-    rounds = Stats.Summary.of_list raw.Measure.rounds;
-    split_vote_rate =
-      (if raw.Measure.measured = 0 then 0.
-       else float_of_int raw.Measure.splits /. float_of_int raw.Measure.measured);
-  }
-
 let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
     ?(jitter = 0.02) ?(warmup = Des.Time.sec 30) ?(jobs = 1) ?shards
     ?(check = Check.Off) ?(instrument = false) ?record ?on_cluster ~config () =
@@ -57,10 +38,7 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
         ~recorder ()
     in
     (match on_cluster with Some f -> f ~shard:s.index cluster | None -> ());
-    Cluster.start cluster;
-    (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-    | Some _ -> ()
-    | None -> failwith "fig4: initial election failed");
+    ignore (Cluster.boot cluster ~label:"fig4" : Raft.Node.t);
     Cluster.run_for cluster warmup;
     let raw = Measure.failures ~metrics:telemetry cluster ~quota:s.quota in
     Cluster.check_now cluster;
@@ -73,18 +51,26 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
   let outcomes =
     Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:failures ~f:shard ()
   in
-  let digest =
-    Check.Digest.combine (List.map (fun (_, d, _, _) -> d) outcomes)
-  in
-  let metrics =
-    Telemetry.Metrics.merge (List.map (fun (_, _, m, _) -> m) outcomes)
-  in
-  let recorder =
-    Telemetry.Recorder.merge (List.map (fun (_, _, _, r) -> r) outcomes)
-  in
-  result_of_raw ~mode:(Raft.Config.mode_name config) ~digest ~metrics
-    ~recorder
-    (Measure.merge (List.map (fun (r, _, _, _) -> r) outcomes))
+  let raw = Measure.merge (List.map (fun (r, _, _, _) -> r) outcomes) in
+  let summary = Stats.Summary.of_list in
+  {
+    mode = Raft.Config.mode_name config;
+    digest = Check.Digest.combine (List.map (fun (_, d, _, _) -> d) outcomes);
+    metrics =
+      Telemetry.Metrics.merge (List.map (fun (_, _, m, _) -> m) outcomes);
+    recorder =
+      Telemetry.Recorder.merge (List.map (fun (_, _, _, r) -> r) outcomes);
+    failures = raw.measured;
+    detection = summary raw.detection;
+    majority_detection = summary raw.majority;
+    ots = summary raw.ots;
+    election = summary raw.election;
+    randomized = summary raw.randomized;
+    rounds = summary raw.rounds;
+    split_vote_rate =
+      (if raw.measured = 0 then 0.
+       else float_of_int raw.splits /. float_of_int raw.measured);
+  }
 
 let compare_modes ?(failures = 1000) ?(seed = 42L) ?(jobs = 1) () =
   [
@@ -92,33 +78,19 @@ let compare_modes ?(failures = 1000) ?(seed = 42L) ?(jobs = 1) () =
     run ~seed ~failures ~jobs ~config:(Raft.Config.dynatune ()) ();
   ]
 
-let print ppf results =
-  Report.banner ppf
-    "Fig 4: detection & OTS time CDFs (5 servers, RTT 100ms, p=0)";
-  List.iter
-    (fun r ->
-      Report.subhead ppf (r.mode ^ " (" ^ string_of_int r.failures ^ " leader failures)");
-      Report.summary_row ppf ~label:"detect" r.detection;
-      Report.summary_row ppf ~label:"majority" r.majority_detection;
-      Report.summary_row ppf ~label:"ots" r.ots;
-      Report.summary_row ppf ~label:"election" r.election;
-      Report.summary_row ppf ~label:"randTO" r.randomized;
-      Report.kv ppf "split-vote rate"
-        (Printf.sprintf "%.1f%% (mean %.2f rounds)" (100. *. r.split_vote_rate)
-           (Stats.Summary.mean r.rounds)))
-    results;
+let print_comparison ppf ~paper:(paper_det, paper_ots) results =
   (match results with
   | [ raft; dynatune ] when raft.mode <> dynatune.mode ->
       Report.subhead ppf "paper comparison (means)";
-      let reduction field =
+      let reduction field paper =
         let a = Stats.Summary.mean (field raft)
         and b = Stats.Summary.mean (field dynatune) in
-        Printf.sprintf "%.0fms -> %.0fms (%.0f%% reduction; paper: 1205 -> 237 = 80%% / 1449 -> 797 = 45%%)"
-          a b
+        Printf.sprintf "%.0fms -> %.0fms (%.0f%% reduction; paper: %s)" a b
           (100. *. (1. -. (b /. a)))
+          paper
       in
-      Report.kv ppf "detection" (reduction (fun r -> r.detection));
-      Report.kv ppf "ots" (reduction (fun r -> r.ots))
+      Report.kv ppf "detection" (reduction (fun r -> r.detection) paper_det);
+      Report.kv ppf "ots" (reduction (fun r -> r.ots) paper_ots)
   | _ -> ());
   Report.subhead ppf "detection CDF (ms)";
   Report.cdf_table ppf ~label:"prob"
@@ -128,3 +100,22 @@ let print ppf results =
   Report.cdf_table ppf ~label:"prob"
     ~series:(List.map (fun r -> (r.mode, r.ots)) results)
     ~points:10
+
+let print ppf results =
+  Report.banner ppf
+    "Fig 4: detection & OTS time CDFs (5 servers, RTT 100ms, p=0)";
+  List.iter
+    (fun r ->
+      Report.subhead ppf
+        (r.mode ^ " (" ^ string_of_int r.failures ^ " leader failures)");
+      Report.summary_row ppf ~label:"detect" r.detection;
+      Report.summary_row ppf ~label:"majority" r.majority_detection;
+      Report.summary_row ppf ~label:"ots" r.ots;
+      Report.summary_row ppf ~label:"election" r.election;
+      Report.summary_row ppf ~label:"randTO" r.randomized;
+      Report.kv ppf "split-vote rate"
+        (Printf.sprintf "%.1f%% (mean %.2f rounds)" (100. *. r.split_vote_rate)
+           (Stats.Summary.mean r.rounds)))
+    results;
+  let paper = "1205 -> 237 = 80% / 1449 -> 797 = 45%" in
+  print_comparison ppf ~paper:(paper, paper) results

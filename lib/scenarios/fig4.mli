@@ -32,16 +32,6 @@ type result = {
           shard-plan determinism as [metrics]. *)
 }
 
-val result_of_raw :
-  mode:string ->
-  digest:int64 ->
-  ?metrics:Telemetry.Metrics.snapshot ->
-  ?recorder:Telemetry.Recorder.dump ->
-  Measure.raw ->
-  result
-(** Summarize the raw samples of a (possibly merged) failure campaign.
-    Shared with {!Fig8}, which produces the same result shape. *)
-
 val run :
   ?seed:int64 ->
   ?n:int ->
@@ -88,11 +78,18 @@ val run :
     the registry it samples) — filling [result.recorder]; the sampling
     events draw no randomness, so [digest] is unchanged by it.
     [on_cluster] is invoked with each shard's cluster right
-    after creation (before [start]); the [--trace-out] exporter uses it
-    to attach a {!Harness.Tracing} bridge per shard. *)
+    after creation (before [start]); {!Fig8} uses it to install the geo
+    WAN, and the [--trace-out] exporter to attach a {!Harness.Tracing}
+    bridge per shard. *)
 
 val compare_modes :
   ?failures:int -> ?seed:int64 -> ?jobs:int -> unit -> result list
 (** The paper's comparison: default Raft vs Dynatune. *)
+
+val print_comparison :
+  Format.formatter -> paper:string * string -> result list -> unit
+(** The part of the report {!Fig8} shares: for a two-mode pair, the
+    mean detection and OTS reductions next to the [paper]'s
+    (detection, OTS) figures; then both CDFs. *)
 
 val print : Format.formatter -> result list -> unit

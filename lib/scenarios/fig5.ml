@@ -19,10 +19,7 @@ let run ?(seed = 7L) ?(n = 5) ?(cores = 4.) ?(rates = default_rates)
     Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores ~n ~config
       ~conditions ()
   in
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "fig5: initial election failed");
+  ignore (Cluster.boot cluster ~label:"fig5" : Raft.Node.t);
   (* Let tuned modes finish warming before offering load. *)
   Cluster.run_for cluster (Des.Time.sec 10);
   let target = Cluster.submit_target cluster in
@@ -77,10 +74,7 @@ let run_saturation_one ~seed ~n ~rates ~hold ~rtt_ms ~serialization ~window
   let cluster = Cluster.create ~seed ~n ~config ~conditions () in
   Netsim.Fabric.set_uniform_serialization (Cluster.fabric cluster)
     serialization;
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "fig5: initial election failed");
+  ignore (Cluster.boot cluster ~label:"fig5" : Raft.Node.t);
   Cluster.run_for cluster (Des.Time.sec 10);
   let target = Cluster.submit_target cluster in
   let levels =

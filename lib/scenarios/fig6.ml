@@ -47,10 +47,7 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
     (Netsim.Congestion.spec ~mean_gap:(Des.Time.sec 12)
        ~extra_lo:(Des.Time.ms 80) ~extra_hi:(Des.Time.ms 170)
        ~duration:(Des.Time.ms 300) ());
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "fig6: initial election failed");
+  ignore (Cluster.boot cluster ~label:"fig6" : Raft.Node.t);
   Des.Engine.run_until (Cluster.engine cluster) warmup;
   let duration = List.length values * hold in
   let watched, window =

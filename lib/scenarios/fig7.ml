@@ -33,10 +33,9 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
     Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores ~n ~config
       ~conditions ()
   in
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-  | Some _ -> ()
-  | None -> failwith "fig7: initial election failed");
+  ignore
+    (Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"fig7"
+      : Raft.Node.t);
   Des.Engine.run_until (Cluster.engine cluster) warmup;
   (* Fix the observed leader/follower pair at measurement start (the paper
      plots one leader and one follower). *)

@@ -1,41 +1,12 @@
-module Cluster = Harness.Cluster
-
-let run ?(seed = 23L) ?(failures = 300) ?jitter ?loss ?(jobs = 1) ?shards
-    ?(check = Check.Off) ?(instrument = false) ?record ~config () =
-  let shard (s : Parallel.Campaign.shard) =
-    let telemetry = Telemetry.Metrics.create ~enabled:instrument () in
-    let recorder =
-      match record with
-      | Some every -> Telemetry.Recorder.create ~every ()
-      | None -> Telemetry.Recorder.noop
-    in
-    let cluster =
-      Cluster.create ~seed:s.seed ~n:5 ~config ~check ~telemetry ~recorder ()
-    in
-    Geo.apply cluster ?jitter ?loss ();
-    Cluster.start cluster;
-    (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-    | Some _ -> ()
-    | None -> failwith "fig8: initial election failed");
-    Cluster.run_for cluster (Des.Time.sec 30);
-    let raw = Measure.failures ~metrics:telemetry cluster ~quota:s.quota in
-    Cluster.check_now cluster;
-    Cluster.collect_metrics cluster;
-    ( raw,
-      Cluster.trace_digest cluster,
-      Telemetry.Metrics.snapshot telemetry,
-      Telemetry.Recorder.dump recorder )
-  in
-  let outcomes =
-    Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:failures ~f:shard ()
-  in
-  Fig4.result_of_raw ~mode:(Raft.Config.mode_name config)
-    ~digest:(Check.Digest.combine (List.map (fun (_, d, _, _) -> d) outcomes))
-    ~metrics:
-      (Telemetry.Metrics.merge (List.map (fun (_, _, m, _) -> m) outcomes))
-    ~recorder:
-      (Telemetry.Recorder.merge (List.map (fun (_, _, _, r) -> r) outcomes))
-    (Measure.merge (List.map (fun (r, _, _, _) -> r) outcomes))
+(* The Fig 4 campaign with the region matrix installed on every shard
+   cluster before it starts: [Geo.apply] overrides all 20 directed
+   links, so the uniform profile [Fig4.run] creates them with never
+   carries a message. *)
+let run ?(seed = 23L) ?(failures = 300) ?jitter ?loss ?jobs ?shards ?check
+    ?instrument ?record ~config () =
+  Fig4.run ~seed ~n:5 ~failures ?jobs ?shards ?check ?instrument ?record
+    ~on_cluster:(fun ~shard:_ cluster -> Geo.apply cluster ?jitter ?loss ())
+    ~config ()
 
 let compare_modes ?(failures = 300) ?(seed = 23L) ?(jobs = 1) () =
   [
@@ -54,27 +25,6 @@ let print ppf results =
       Report.summary_row ppf ~label:"ots" r.Fig4.ots;
       Report.summary_row ppf ~label:"randTO" r.Fig4.randomized)
     results;
-  (match results with
-  | [ raft; dynatune ] when raft.Fig4.mode <> dynatune.Fig4.mode ->
-      Report.subhead ppf "paper comparison (means)";
-      let reduction field paper =
-        let a = Stats.Summary.mean (field raft)
-        and b = Stats.Summary.mean (field dynatune) in
-        Printf.sprintf "%.0fms -> %.0fms (%.0f%% reduction; paper: %s)" a b
-          (100. *. (1. -. (b /. a)))
-          paper
-      in
-      Report.kv ppf "detection"
-        (reduction (fun (r : Fig4.result) -> r.Fig4.detection)
-           "1137 -> 213 = 81%");
-      Report.kv ppf "ots"
-        (reduction (fun (r : Fig4.result) -> r.Fig4.ots) "1718 -> 1145 = 33%")
-  | _ -> ());
-  Report.subhead ppf "detection CDF (ms)";
-  Report.cdf_table ppf ~label:"prob"
-    ~series:(List.map (fun (r : Fig4.result) -> (r.Fig4.mode, r.Fig4.detection)) results)
-    ~points:10;
-  Report.subhead ppf "OTS CDF (ms)";
-  Report.cdf_table ppf ~label:"prob"
-    ~series:(List.map (fun (r : Fig4.result) -> (r.Fig4.mode, r.Fig4.ots)) results)
-    ~points:10
+  Fig4.print_comparison ppf
+    ~paper:("1137 -> 213 = 81%", "1718 -> 1145 = 33%")
+    results

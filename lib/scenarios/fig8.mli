@@ -20,12 +20,10 @@ val run :
   config:Raft.Config.t ->
   unit ->
   Fig4.result
-(** [jobs] shards the campaign exactly as in {!Fig4.run}: [1] (the
-    default) is the sequential run, bit for bit; [> 1] fans the quota
-    out over that many independently seeded clusters on parallel
-    domains.  [shards] pins the shard plan, [check] enables the
-    online invariant checker, and [record] attaches a per-shard
-    time-series recorder, as in {!Fig4.run}. *)
+(** {!Fig4.run} with [n = 5] and {!Geo.apply} ([jitter], [loss])
+    installed on every shard cluster before it starts, so [jobs],
+    [shards], [check], [instrument] and [record] mean exactly what they
+    mean there.  Defaults: seed 23, 300 failures. *)
 
 val compare_modes :
   ?failures:int -> ?seed:int64 -> ?jobs:int -> unit -> Fig4.result list

@@ -1,7 +1,8 @@
 (** Shared leader-failure measurement loop for the failover campaigns.
 
-    Fig 4 (stable links), Fig 8 (geo WAN) and the campaign shards they
-    fan out over all drive the same loop: kill the leader, measure
+    Every shard of the Fig 4 campaign (and so of Fig 8, which is Fig 4
+    on the geo WAN) and the ablation's safety-factor and estimator
+    sweeps all drive the same loop: kill the leader, measure
     detection / out-of-service / election metrics, repeat until a quota
     of successful measurements is reached.  The loop returns the raw
     samples rather than summaries so that shards run on separate

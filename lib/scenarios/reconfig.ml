@@ -114,10 +114,9 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
   let cluster = Cluster.create ~seed ~n:5 ~config ~check ~telemetry () in
   Geo.apply cluster ?jitter ?loss ();
   (match on_cluster with Some f -> f ~shard:shard_index cluster | None -> ());
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 60) with
-  | Some _ -> ()
-  | None -> failwith "reconfig: initial election failed");
+  ignore
+    (Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"reconfig"
+      : Raft.Node.t);
   Cluster.run_for cluster warmup;
   (* Region slot of each node: replacements inherit the slot of the
      member they replace, so the WAN geometry is preserved across

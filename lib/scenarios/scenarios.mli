@@ -13,6 +13,7 @@ module Fig5 = Fig5
 module Fig6 = Fig6
 module Fig7 = Fig7
 module Fig8 = Fig8
+module Figures = Figures
 module Geo = Geo
 module Measure = Measure
 module Multiraft = Multiraft_scenario

@@ -38,7 +38,17 @@ let test_await_leader_times_out_without_quorum () =
   let c = make ~n:3 () in
   List.iter (fun id -> Fault.pause c id) (Cluster.node_ids c);
   Alcotest.(check bool) "no leader from a fully paused cluster" true
-    (Cluster.await_leader c ~timeout:(Time.sec 5) = None)
+    (Cluster.await_leader c ~timeout:(Time.sec 5) = None);
+  (* Singletons never reach a quorum, so [boot] gives up and names the
+     caller's label. *)
+  let c = Cluster.create ~n:3 ~config:(Raft.Config.static ()) () in
+  Cluster.partition c (List.map (fun id -> [ id ]) (Cluster.node_ids c));
+  match Cluster.boot ~timeout:(Time.sec 5) c ~label:"singletons" with
+  | _ -> Alcotest.fail "boot elected a leader across a full partition"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "failure names the label" "singletons: no leader elected within 5.000s"
+        msg
 
 let test_submit_without_leader () =
   let c = make () in
