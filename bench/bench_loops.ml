@@ -324,6 +324,65 @@ let make_store_put_loop () =
   fun () ->
     ignore (Kvsm.Store.apply_entry store entry : Kvsm.Store.result option)
 
+(* The harness's wait loop on an idle engine: one [Engine.await] of 1 s
+   in 1 ms slices, so 1000 [run_until] steps per call.  Nothing fires,
+   so [cond] runs once; what remains is the per-slice cost. *)
+let make_idle_await_loop () =
+  let engine = Des.Engine.create () in
+  let never () = false in
+  fun () ->
+    ignore
+      (Des.Engine.await engine ~slice:(Des.Time.ms 1)
+         ~timeout:(Des.Time.sec 1) never
+        : bool)
+
+type loop = { name : string; budget : float; make : unit -> unit -> unit }
+
+let loops =
+  [
+    (* 60 words plus about one per thousand heartbeats, amortized. *)
+    { name = "server heartbeat"; budget = 60.001; make = make_heartbeat_loop };
+    {
+      name = "leader nack + rebatch 64";
+      budget = 17.;
+      make = make_leader_append_loop;
+    };
+    {
+      name = "follower duplicate append 64";
+      budget = 42.;
+      make = make_follower_append_loop;
+    };
+    { name = "log try_append 64"; budget = 3.; make = make_try_append_loop };
+    { name = "pre-vote round"; budget = 16.; make = make_vote_round_loop };
+    {
+      name = "stale snapshot install";
+      budget = 38.;
+      make = make_snapshot_install_loop;
+    };
+    {
+      name = "engine schedule_op_after+step";
+      budget = 0.;
+      make = make_schedule_op_loop;
+    };
+    {
+      name = "engine idle await 1s/1ms";
+      budget = 0.;
+      make = make_idle_await_loop;
+    };
+    { name = "mtrace emit"; budget = 0.; make = make_mtrace_emit_loop };
+    {
+      name = "kv client put encode";
+      budget = 11.;
+      make = make_client_encode_loop;
+    };
+    { name = "kv decode put"; budget = 17.; make = make_decode_put_loop };
+    {
+      name = "kv store apply put (key present)";
+      budget = 2.;
+      make = make_store_put_loop;
+    };
+  ]
+
 (* Minor-heap allocation per operation, by [Gc.minor_words] delta: the
    number bechamel's timing tables can't show.  [Gc.minor_words] counts
    words allocated on the minor heap since program start, so the delta

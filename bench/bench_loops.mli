@@ -57,6 +57,22 @@ val make_store_put_loop : unit -> unit -> unit
 (** [Kvsm.Store.apply_entry] of that write with its key already present:
     the value is kept by reference, so only the key is copied. *)
 
+val make_idle_await_loop : unit -> unit -> unit
+(** One [Des.Engine.await] of 1 s in 1 ms slices on an engine with no
+    events: the harness's wait loop with nothing to do.  [cond] runs
+    once per call, so this prices the 1000 slices themselves. *)
+
+type loop = {
+  name : string;
+  budget : float;  (** the words/op [selfcheck --perf] allows *)
+  make : unit -> unit -> unit;  (** one of the builders above *)
+}
+
+val loops : loop list
+(** Every loop [selfcheck --perf] gates, in the order it and the
+    microbenchmarks' allocation report print them.  Each budget is the
+    loop's measured constant. *)
+
 val words_per_op : (unit -> unit) -> float
 (** Minor words allocated per call of [f], measured over 100k iterations
     after a 100-call warmup. *)

@@ -242,7 +242,8 @@ let tests =
 (* Minor-heap allocation per operation (Bench_loops.words_per_op): the
    number bechamel's timing tables can't show, and the one the
    allocation-lean RPC work moves.  `selfcheck --perf` budgets every
-   Bench_loops row at its constant. *)
+   Bench_loops.loops row at its constant; the last two rows here are
+   ungated. *)
 let words_per_op ppf name f =
   Format.fprintf ppf "  %-40s %10.1f minor words/op@." name
     (Bench_loops.words_per_op f)
@@ -263,25 +264,9 @@ let forensics_pair ppf =
     "cluster heartbeat loop (forensics on)" on_
 
 let allocation_report ppf =
-  words_per_op ppf "server.handle heartbeat (dynatune)"
-    (Bench_loops.make_heartbeat_loop ());
-  words_per_op ppf "server.handle append nack+rebatch 64"
-    (Bench_loops.make_leader_append_loop ());
-  words_per_op ppf "server.handle duplicate append 64"
-    (Bench_loops.make_follower_append_loop ());
-  words_per_op ppf "log.try_append duplicate 64"
-    (Bench_loops.make_try_append_loop ());
-  words_per_op ppf "server.handle pre-vote round"
-    (Bench_loops.make_vote_round_loop ());
-  words_per_op ppf "server.handle stale snapshot install"
-    (Bench_loops.make_snapshot_install_loop ());
-  words_per_op ppf "engine.schedule_op_after+step"
-    (Bench_loops.make_schedule_op_loop ());
-  words_per_op ppf "kv client put encode"
-    (Bench_loops.make_client_encode_loop ());
-  words_per_op ppf "kv decode put" (Bench_loops.make_decode_put_loop ());
-  words_per_op ppf "kv store apply put (key present)"
-    (Bench_loops.make_store_put_loop ());
+  List.iter
+    (fun { Bench_loops.name; make; _ } -> words_per_op ppf name (make ()))
+    Bench_loops.loops;
   (let e = Des.Engine.create () in
    words_per_op ppf "wheel timer schedule+cancel" (fun () ->
        Des.Engine.cancel

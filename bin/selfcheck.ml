@@ -352,9 +352,6 @@ let perf_table () =
   let per_event plan reading =
     Budget (ratchet reading, "words/event", fun () -> snd (Lazy.force plan))
   in
-  let per_op budget make =
-    Budget (budget, "words/op", fun () -> Bench_loops.words_per_op (make ()))
-  in
   [
     ( "fig4 seed=42 failures=400 shards=4 digest",
       Digest
@@ -379,39 +376,34 @@ let perf_table () =
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
         93.94 );
-    (* 60 words plus about one per thousand heartbeats, amortized. *)
-    ("server heartbeat", per_op 60.001 Bench_loops.make_heartbeat_loop);
-    ("leader nack + rebatch 64", per_op 17. Bench_loops.make_leader_append_loop);
-    ( "follower duplicate append 64",
-      per_op 42. Bench_loops.make_follower_append_loop );
-    ("log try_append 64", per_op 3. Bench_loops.make_try_append_loop);
-    ("pre-vote round", per_op 16. Bench_loops.make_vote_round_loop);
-    ( "stale snapshot install",
-      per_op 38. Bench_loops.make_snapshot_install_loop );
-    ("engine schedule_op_after+step", per_op 0. Bench_loops.make_schedule_op_loop);
-    ("mtrace emit", per_op 0. Bench_loops.make_mtrace_emit_loop);
-    ("kv client put encode", per_op 11. Bench_loops.make_client_encode_loop);
-    ("kv decode put", per_op 17. Bench_loops.make_decode_put_loop);
-    ("kv store apply put (key present)", per_op 2. Bench_loops.make_store_put_loop);
-    ( "steady-state cluster",
-      Budget
-        (ratchet 42.39, "words/event", fun () ->
-          Bench_loops.cluster_words_per_event ()) );
-    (* The [fo_on] guards in [Raft.Node] keep a disabled forensics ring
-       off the allocation path entirely: not one extra word. *)
-    ( "disabled forensics ring, extra over default",
-      Budget
-        ( 0.,
-          "words/event",
-          fun () ->
-            let base = Bench_loops.cluster_words_per_event () in
-            let off =
-              Bench_loops.cluster_words_per_event
-                ~forensics:(Raft.Forensics.create ~enabled:false ())
-                ()
-            in
-            Float.abs (off -. base) ) );
   ]
+  @ List.map
+      (fun { Bench_loops.name; budget; make } ->
+        ( name,
+          Budget
+            (budget, "words/op", fun () -> Bench_loops.words_per_op (make ()))
+        ))
+      Bench_loops.loops
+  @ [
+      ( "steady-state cluster",
+        Budget
+          (ratchet 42.39, "words/event", fun () ->
+            Bench_loops.cluster_words_per_event ()) );
+      (* The [fo_on] guards in [Raft.Node] keep a disabled forensics ring
+         off the allocation path entirely: not one extra word. *)
+      ( "disabled forensics ring, extra over default",
+        Budget
+          ( 0.,
+            "words/event",
+            fun () ->
+              let base = Bench_loops.cluster_words_per_event () in
+              let off =
+                Bench_loops.cluster_words_per_event
+                  ~forensics:(Raft.Forensics.create ~enabled:false ())
+                  ()
+              in
+              Float.abs (off -. base) ) );
+    ]
 
 (* Every row is measured and printed, "!!" marking a failure, so one
    run shows everything that moved. *)

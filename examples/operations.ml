@@ -73,15 +73,13 @@ let () =
     (leader_name c) Node_id.pp target;
   let t0 = Cluster.now c in
   ignore (Cluster.transfer_leadership c target);
-  let rec wait_transfer () =
-    match Cluster.leader c with
-    | Some l when Node_id.equal (Raft.Node.id l) target -> ()
-    | _ when Time.diff (Cluster.now c) t0 > Time.sec 10 -> ()
-    | _ ->
-        Cluster.run_for c (Time.ms 5);
-        wait_transfer ()
-  in
-  wait_transfer ();
+  ignore
+    (Des.Engine.await (Cluster.engine c) ~slice:(Time.ms 5)
+       ~timeout:(Time.sec 10) (fun () ->
+         match Cluster.leader c with
+         | Some l -> Node_id.equal (Raft.Node.id l) target
+         | None -> false)
+      : bool);
   printf "  new leader %s after %.0f ms (no election timeout involved)@."
     (leader_name c)
     (Time.to_ms_f (Time.diff (Cluster.now c) t0));

@@ -28,7 +28,6 @@ type t = {
   (* Creation parameters, kept so [add_server] can build members later. *)
   costs : Raft.Cost_model.t option;
   cores : float;
-  flush_delay : Des.Time.span option;
   config : Raft.Config.t;
   scope : string;  (* metrics-scope prefix, e.g. "g3/" under multiraft *)
   owns_infra : bool;
@@ -113,8 +112,8 @@ let attach_probe_counters ~scope telemetry trace =
 (* The member record is created first so the apply closure reads the
    store through it: a crash-restart swaps in a fresh replica and the
    replayed log rebuilds it. *)
-let make_member ~engine ~fabric ~trace ~costs ~cores ~flush_delay ~telemetry
-    ~forensics ~config ~joining ~pool ~id ~peers =
+let make_member ~engine ~fabric ~trace ~costs ~cores ~telemetry ~forensics
+    ~config ~joining ~pool ~id ~peers =
   let cpu =
     match costs with
     | Some _ -> Some (Netsim.Cpu.create engine ~cores)
@@ -136,15 +135,15 @@ let make_member ~engine ~fabric ~trace ~costs ~cores ~flush_delay ~telemetry
               match Kvsm.Store.of_serialized data with
               | Ok store -> m.store <- store
               | Error _ -> m.store <- Kvsm.Store.create ())
-            ?flush_delay ~metrics:telemetry ~forensics ~joining ~pool ~id
+            ~metrics:telemetry ~forensics ~joining ~pool ~id
             ~peers ~config ();
         store = Kvsm.Store.create ();
       }
   in
   Lazy.force member
 
-let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
-    ?(check = Check.Off) ?(telemetry = Telemetry.Metrics.noop)
+let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
+    ?(telemetry = Telemetry.Metrics.noop)
     ?(forensics = Raft.Forensics.create ~enabled:false ())
     ?(recorder = Telemetry.Recorder.noop) ?(scope = "") ?shared ~n ~config ()
     =
@@ -183,8 +182,8 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
     (fun id ->
       let peers = List.filter (fun p -> not (Node_id.equal p id)) ids in
       Node_id.Table.add members id
-        (make_member ~engine ~fabric ~trace ~costs ~cores ~flush_delay
-           ~telemetry ~forensics ~config ~joining:false ~pool ~id ~peers))
+        (make_member ~engine ~fabric ~trace ~costs ~cores ~telemetry
+           ~forensics ~config ~joining:false ~pool ~id ~peers))
     ids;
   (* The digest accumulates online through a subscription made before
      any probe, so it covers the whole run.  Each probe is rendered into
@@ -243,7 +242,6 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
     recorder;
     costs;
     cores;
-    flush_delay;
     config;
     scope;
     owns_infra;
@@ -349,9 +347,10 @@ let nodes t = List.map (fun id -> node t id) t.ids
 
 let start t = List.iter Raft.Node.start (nodes t)
 
-(* The measurement harness polls this once per simulated millisecond
-   while awaiting elections, so it is a single scan rather than a
-   map/filter/sort chain: the common no-leader poll allocates nothing. *)
+(* The measurement harness polls this from [Des.Engine.await] after
+   every millisecond slice that ran an event while awaiting elections,
+   so it is a single scan rather than a map/filter/sort chain: the
+   common no-leader poll allocates nothing. *)
 let leader t =
   let roster = t.roster in
   let best = ref None and best_term = ref min_int in
@@ -375,28 +374,12 @@ let leader t =
 let run_for t span = Des.Engine.run_for t.engine span
 let now t = Des.Engine.now t.engine
 
+let await t ~timeout cond =
+  Des.Engine.await t.engine ~slice:(Des.Time.ms 1) ~timeout cond
+
 let await_leader t ~timeout =
-  let deadline = Des.Time.add (now t) timeout in
-  (* Leadership only changes when an event runs, so a poll slice that
-     processed nothing can skip the roster scan.  The cadence of the
-     1 ms slices — and thus where the engine clock stops — is
-     unchanged. *)
-  let last_processed = ref (-1) in
-  let rec poll () =
-    let processed = Des.Engine.processed_events t.engine in
-    let l = if processed = !last_processed then None else leader t in
-    last_processed := processed;
-    match l with
-    | Some l -> Some l
-    | None ->
-        if now t >= deadline then None
-        else begin
-          Des.Engine.run_until t.engine
-            (Stdlib.min deadline (Des.Time.add (now t) (Des.Time.ms 1)));
-          poll ()
-        end
-  in
-  poll ()
+  if await t ~timeout (fun () -> Option.is_some (leader t)) then leader t
+  else None
 
 let boot ?(timeout = Des.Time.sec 30) t ~label =
   start t;
@@ -462,7 +445,7 @@ let spawn_joiner t =
   Netsim.Fabric.add_node t.fabric id;
   let m =
     make_member ~engine:t.engine ~fabric:t.fabric ~trace:t.trace
-      ~costs:t.costs ~cores:t.cores ~flush_delay:t.flush_delay
+      ~costs:t.costs ~cores:t.cores
       ~telemetry:t.telemetry ~forensics:t.forensics ~config:t.config
       ~joining:true ~pool:t.pool ~id ~peers:t.ids
   in
@@ -496,23 +479,10 @@ let config_quiet t =
       Raft.Server.pending_config s = None
       && Raft.Server.transfer_pending s = None
 
-let poll_until t ~timeout cond =
-  let deadline = Des.Time.add (now t) timeout in
-  let rec poll () =
-    if cond () then true
-    else if now t >= deadline then false
-    else begin
-      Des.Engine.run_until t.engine
-        (Stdlib.min deadline (Des.Time.add (now t) (Des.Time.ms 1)));
-      poll ()
-    end
-  in
-  poll ()
-
-let await_config_quiet t ~timeout = poll_until t ~timeout (fun () -> config_quiet t)
+let await_config_quiet t ~timeout = await t ~timeout (fun () -> config_quiet t)
 
 let await_voter t target ~timeout =
-  poll_until t ~timeout (fun () ->
+  await t ~timeout (fun () ->
       match leader t with
       | None -> false
       | Some l ->

@@ -25,7 +25,6 @@ val create :
   ?costs:Raft.Cost_model.t ->
   ?cores:float ->
   ?conditions:Netsim.Conditions.t ->
-  ?flush_delay:Des.Time.span ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
   ?forensics:Raft.Forensics.t ->
@@ -135,8 +134,8 @@ val leader : t -> Raft.Node.t option
     claim leadership (stale terms), the one with the highest term. *)
 
 val await_leader : t -> timeout:Des.Time.span -> Raft.Node.t option
-(** Run the engine until a leader exists (checking at millisecond
-    granularity) or the timeout elapses. *)
+(** Run the engine until a leader exists or the timeout elapses: a
+    {!Des.Engine.await} in 1 ms slices. *)
 
 val boot : ?timeout:Des.Time.span -> t -> label:string -> Raft.Node.t
 (** {!start} the cluster and {!await_leader} (default [timeout] 30 s);
@@ -201,11 +200,13 @@ val retire : t -> Netsim.Node_id.t -> unit
 
 val await_config_quiet : t -> timeout:Des.Time.span -> bool
 (** Run until a leader exists with no pending config change and no
-    in-flight leadership transfer (millisecond polling), or time out. *)
+    in-flight leadership transfer, or time out ({!Des.Engine.await} in
+    1 ms slices). *)
 
 val await_voter : t -> Netsim.Node_id.t -> timeout:Des.Time.span -> bool
 (** Run until the leader's configuration lists the node as a voter with
-    no change pending (i.e. its promotion committed), or time out. *)
+    no change pending (i.e. its promotion committed), or time out
+    ({!Des.Engine.await} in 1 ms slices). *)
 
 val run_for : t -> Des.Time.span -> unit
 val now : t -> Des.Time.t

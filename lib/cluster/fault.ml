@@ -64,6 +64,9 @@ let observe w ~failed ~failed_at time probe =
     | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
         ()
 
+(* How long a failover may take before the iteration is abandoned. *)
+let detect_limit = Des.Time.sec 60
+
 let analyse t w ~failed ~failed_at ~new_leader_at ~new_leader =
   let new_leader_at = Option.value w.leader_at ~default:new_leader_at in
   match List.rev w.timeouts with
@@ -88,35 +91,17 @@ let analyse t w ~failed ~failed_at ~new_leader_at ~new_leader =
           election_rounds = w.rounds;
         }
 
-let await_new_leader t ~excluding ~limit =
-  let deadline = Des.Time.add (Cluster.now t) limit in
-  (* As in [Cluster.await_leader]: a 1 ms slice that processed no events
-     cannot have changed leadership, so skip the roster scan.  Slice
-     cadence (where the engine clock stops) is unchanged. *)
-  let engine = Cluster.engine t in
-  let last_processed = ref (-1) in
-  let rec poll () =
-    let processed = Des.Engine.processed_events engine in
-    let fresh =
-      if processed = !last_processed then None
-      else
-        match Cluster.leader t with
-        | Some l when not (Node_id.equal (Raft.Node.id l) excluding) -> Some l
-        | Some _ | None -> None
-    in
-    last_processed := processed;
-    match fresh with
-    | Some l -> Some (Raft.Node.id l, Cluster.now t)
-    | None ->
-        if Cluster.now t >= deadline then None
-        else begin
-          Des.Engine.run_until (Cluster.engine t)
-            (Stdlib.min deadline
-               (Des.Time.add (Cluster.now t) (Des.Time.ms 1)));
-          poll ()
-        end
+let await_new_leader t ~excluding =
+  let fresh () =
+    match Cluster.leader t with
+    | Some l -> not (Node_id.equal (Raft.Node.id l) excluding)
+    | None -> false
   in
-  poll ()
+  if
+    Des.Engine.await (Cluster.engine t) ~slice:(Des.Time.ms 1)
+      ~timeout:detect_limit fresh
+  then Option.map (fun l -> (Raft.Node.id l, Cluster.now t)) (Cluster.leader t)
+  else None
 
 (* Run until every live follower's tuner has left Step 0 (no-op for
    static configurations), so consecutive failure injections measure the
@@ -136,12 +121,12 @@ let settle_until_tuned t =
          (fun node -> Raft.Node.is_paused node || tuned_or_static node)
          (Cluster.nodes t)
   in
-  let deadline = Des.Time.add (Cluster.now t) (Des.Time.sec 60) in
-  while (not (all_settled ())) && Cluster.now t < deadline do
-    Cluster.run_for t (Des.Time.ms 100)
-  done
+  ignore
+    (Des.Engine.await (Cluster.engine t) ~slice:(Des.Time.ms 100)
+       ~timeout:(Des.Time.sec 60) all_settled
+      : bool)
 
-let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
+let fail_and_measure t () =
   (* De-correlate the kill instant from the heartbeat schedule: the
      harness's polling loops otherwise land every kill at the same phase
      of the heartbeat period, which biases the detection-time
@@ -166,7 +151,7 @@ let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
       let w = { leader_at = None; timeouts = []; rounds = 0 } in
       match
         Des.Mtrace.during (Cluster.trace t) (observe w ~failed ~failed_at)
-          (fun () -> await_new_leader t ~excluding:failed ~limit:detect_limit)
+          (fun () -> await_new_leader t ~excluding:failed)
       with
       | None ->
           recover t failed;

@@ -36,14 +36,11 @@ type failure_outcome = {
       (** real campaigns started before one won (>1 ⟹ split votes) *)
 }
 
-val fail_and_measure :
-  Cluster.t ->
-  ?detect_limit:Des.Time.span ->
-  unit ->
-  (failure_outcome, string) result
+val fail_and_measure : Cluster.t -> unit -> (failure_outcome, string) result
 (** One iteration of the Section IV-B1 campaign: kill the current leader,
-    run until a new leader is established (up to [detect_limit], default
-    60 s), measure, then recover the old leader and let it rejoin.
+    run until a new leader is established (up to 60 s, by
+    {!Des.Engine.await} in 1 ms slices), measure, then recover the old
+    leader and let it rejoin.
     The measurements come from a scoped observer ({!Des.Mtrace.during})
     on the cluster trace that lives from the kill until the new leader
     is found; other observers are unaffected. *)

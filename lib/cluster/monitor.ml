@@ -48,7 +48,9 @@ let watch t ~every ~duration ~probes =
              (fun (p, ts) ->
                Stats.Timeseries.push ts ~time:now_sec ~value:(p.read t))
              series;
-           if Des.Engine.now engine < stop_at then arm ())
+           (* Re-arm only inside the window, so nothing outlives it. *)
+           if Des.Time.add (Des.Engine.now engine) every <= stop_at then
+             arm ())
         : Des.Engine.handle)
   in
   arm ();

@@ -36,7 +36,9 @@ val watch :
   (string * Stats.Timeseries.t) list
 (** Advance the simulation by [duration], sampling every probe at the
     given period; returns one time series (times in seconds) per probe.
-    NaN samples are recorded as-is (plotted series show gaps). *)
+    NaN samples are recorded as-is (plotted series show gaps).  No
+    sampling event stays queued after it returns, even when [duration]
+    is not a multiple of [every]. *)
 
 type window = {
   timeouts : int;  (** election-timer expiries *)

@@ -190,6 +190,21 @@ let run_until t limit =
 
 let run_for t span = run_until t (Time.add t.clock span)
 
+(* Simulation state changes only inside events, so a slice that ran none
+   cannot have made [cond] true: skip the re-evaluation.  A top-level
+   loop rather than a local closure, so a wait allocates nothing. *)
+let rec await_from t ~slice ~deadline cond =
+  if t.clock >= deadline then false
+  else begin
+    let before = t.processed in
+    run_until t (Int.min deadline (Time.add t.clock slice));
+    (t.processed <> before && cond ()) || await_from t ~slice ~deadline cond
+  end
+
+let await t ~slice ~timeout cond =
+  if slice <= 0 then invalid_arg "Engine.await: slice must be positive";
+  cond () || await_from t ~slice ~deadline:(Time.add t.clock timeout) cond
+
 let pending_events t =
   Event_heap.live_length t.queue
   + (Event_heap.stats t.queue).Event_heap.wheel_occupancy

@@ -111,6 +111,16 @@ val run_until : t -> Time.t -> unit
 val run_for : t -> Time.span -> unit
 (** [run_until] the current time plus a span. *)
 
+val await : t -> slice:Time.span -> timeout:Time.span -> (unit -> bool) -> bool
+(** [await t ~slice ~timeout cond] runs the engine until [cond ()] holds
+    or the clock reaches [now + timeout]; [true] when [cond] held.
+    [cond] is evaluated first, then after each {!run_until} step of
+    [slice] (the last step clamped to the deadline) — but only after a
+    step that executed at least one event, since nothing else changes
+    simulation state.  On [false] the clock is exactly at the deadline.
+    This is the harness's one wait loop; it allocates nothing per slice.
+    Raises [Invalid_argument] unless [slice > 0]. *)
+
 val step : t -> bool
 (** Process the single next event; [false] if the queue was empty. *)
 

@@ -12,11 +12,8 @@ type t = {
   target : target;
   client_id : int;
   rate : float;
-  value : string;
   client_rtt : Des.Time.span;
   route : (Netsim.Node_id.t -> target) option;
-  max_redirects : int;
-  redirect_backoff : Des.Time.span;
   rng : Stats.Rng.t;
   mutable running : bool;
   mutable seq : int;
@@ -31,22 +28,21 @@ type t = {
   mutable n_latencies : int;
 }
 
-let create ~engine ~target ~client_id ~rate ?(value_size = 64)
-    ?(client_rtt = 0) ?route ?(max_redirects = 3)
-    ?(redirect_backoff = Des.Time.ms 1) () =
+(* Every request writes a 64-byte value; a redirected one is re-sent
+   1 ms after the hint, at most 3 times. *)
+let value = String.make 64 'v'
+let max_redirects = 3
+let redirect_backoff = Des.Time.ms 1
+
+let create ~engine ~target ~client_id ~rate ?(client_rtt = 0) ?route () =
   if rate <= 0. then invalid_arg "Client.create: rate must be positive";
-  if max_redirects < 0 then
-    invalid_arg "Client.create: max_redirects must be non-negative";
   {
     engine;
     target;
     client_id;
     rate;
-    value = String.make value_size 'v';
     client_rtt;
     route;
-    max_redirects;
-    redirect_backoff;
     rng =
       Stats.Rng.split_int
         (Stats.Rng.split (Des.Engine.rng engine) "kv-client")
@@ -78,7 +74,7 @@ let issue t =
   t.offered <- t.offered + 1;
   let payload =
     Command.client_put_payload ~client_id:t.client_id ~slot:(seq mod 1024)
-      ~value:t.value
+      ~value
   in
   let sent_at = Des.Engine.now t.engine in
   let on_result ~committed =
@@ -97,9 +93,9 @@ let issue t =
     | `Not_leader hint -> (
         t.redirected <- t.redirected + 1;
         match (t.route, hint) with
-        | Some route, Some next when hops < t.max_redirects ->
+        | Some route, Some next when hops < max_redirects ->
             ignore
-              (Des.Engine.schedule_after t.engine t.redirect_backoff
+              (Des.Engine.schedule_after t.engine redirect_backoff
                  (fun () -> attempt ~via:(route next) ~hops:(hops + 1))
                 : Des.Engine.handle)
         | _ -> t.abandoned <- t.abandoned + 1)

@@ -23,23 +23,19 @@ val create :
   target:target ->
   client_id:int ->
   rate:float ->
-  ?value_size:int ->
   ?client_rtt:Des.Time.span ->
   ?route:(Netsim.Node_id.t -> target) ->
-  ?max_redirects:int ->
-  ?redirect_backoff:Des.Time.span ->
   unit ->
   t
-(** A stopped client issuing [Put] requests at [rate] per second with
-    exponential inter-arrival gaps.  [client_rtt] is added to every
-    recorded latency (the client→leader network round trip, which the
-    simulation fabric does not carry).  Requires [rate > 0.].
+(** A stopped client issuing [Put] requests of a 64-byte value at [rate]
+    per second with exponential inter-arrival gaps.  [client_rtt] is
+    added to every recorded latency (the client→leader network round
+    trip, which the simulation fabric does not carry).  Requires
+    [rate > 0.].
 
     With [route], the client follows leader hints: a [`Not_leader (Some
-    hint)] reply re-submits the request to [route hint] after
-    [redirect_backoff] (default 1 ms), at most [max_redirects] times per
-    request (default 3; must be non-negative).  Latency still runs from
-    the first send.  A request whose reply carries no hint, or that
+    hint)] reply re-submits the request to [route hint] after 1 ms, at
+    most 3 times per request.  Latency still runs from the first send.  A request whose reply carries no hint, or that
     exhausts the hop budget, is dropped and counted in {!abandoned}.
     Without [route] (the default) behaviour is unchanged: every
     [`Not_leader] is terminal. *)

@@ -23,8 +23,9 @@ type t = {
 
 let scope_of_group g = Printf.sprintf "g%d/" g
 
-let create ?seed ?costs ?cores ?conditions ?flush_delay ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop) ~groups ~replicas ~config () =
+let create ?seed ?costs ?cores ?conditions ?(check = Check.Off)
+    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop)
+    ~groups ~replicas ~config () =
   if groups <= 0 then
     invalid_arg "Group_manager.create: groups must be positive";
   if replicas <= 0 then
@@ -33,7 +34,7 @@ let create ?seed ?costs ?cores ?conditions ?flush_delay ?(check = Check.Off)
   let fabric = Netsim.Fabric.create engine in
   let clusters =
     Array.init groups (fun g ->
-        Harness.Cluster.create ?costs ?cores ?conditions ?flush_delay ~check
+        Harness.Cluster.create ?costs ?cores ?conditions ~check
           ~telemetry ~recorder ~scope:(scope_of_group g)
           ~shared:
             {
@@ -108,17 +109,8 @@ let leaderless t =
   !n
 
 let await_leaders t ~timeout =
-  let deadline = Des.Time.add (now t) timeout in
-  let rec poll () =
-    if leaderless t = 0 then true
-    else if now t >= deadline then false
-    else begin
-      Des.Engine.run_until t.engine
-        (Stdlib.min deadline (Des.Time.add (now t) (Des.Time.ms 1)));
-      poll ()
-    end
-  in
-  poll ()
+  Des.Engine.await t.engine ~slice:(Des.Time.ms 1) ~timeout (fun () ->
+      leaderless t = 0)
 
 (* How evenly leadership landed: counts by replica slot (leader id minus
    the group's base), one cell per slot. *)

@@ -26,7 +26,6 @@ val create :
   ?costs:Raft.Cost_model.t ->
   ?cores:float ->
   ?conditions:Netsim.Conditions.t ->
-  ?flush_delay:Des.Time.span ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
   ?recorder:Telemetry.Recorder.t ->
@@ -71,8 +70,9 @@ val leaderless : t -> int
 (** Number of groups currently without a live leader. *)
 
 val await_leaders : t -> timeout:Des.Time.span -> bool
-(** Run the engine until every group has a leader (millisecond polling)
-    or the timeout elapses; [true] when all groups elected. *)
+(** Run the engine until every group has a leader or the timeout
+    elapses ({!Des.Engine.await} in 1 ms slices); [true] when all groups
+    elected. *)
 
 val leader_distribution : t -> int array
 (** Leadership placement by replica slot: cell [i] counts the groups

@@ -31,7 +31,6 @@ type t = {
   apply : Log.entry -> unit;
   snapshot_of : unit -> string;
   install_sm : string -> unit;
-  flush_delay : Des.Time.span;
   instrumented : bool;
   fo : Forensics.t;
   fo_on : bool;
@@ -100,6 +99,9 @@ let emit t p =
   end;
   Des.Mtrace.emit t.trace p
 
+(* How long the replication flush timer coalesces [Request_flush]es. *)
+let flush_delay = Des.Time.ms 1
+
 let[@hot] rec dispatch t event =
   let actions = Server.handle t.server ~now:(Des.Engine.now t.engine) event in
   interpret_all t actions
@@ -161,7 +163,7 @@ and interpret t = function
         t.hb_timers
   | Server.Request_flush ->
       if not (Des.Timer.is_armed t.flush_timer) then
-        Des.Timer.arm t.flush_timer t.flush_delay
+        Des.Timer.arm t.flush_timer flush_delay
   | Server.Commit entries ->
       Array.iter
         (fun (entry : Log.entry) ->
@@ -223,8 +225,7 @@ let datagram_overflow t msg =
   | Netsim.Transport.Reliable -> false)
 
 let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
-    ?install_sm ?(flush_delay = Des.Time.ms 1)
-    ?(metrics = Telemetry.Metrics.noop)
+    ?install_sm ?(metrics = Telemetry.Metrics.noop)
     ?(forensics = Forensics.create ~enabled:false ()) ?(joining = false) ?pool
     ~id:node_id ~peers ~config () =
   let engine = Netsim.Fabric.engine fabric in
@@ -316,7 +317,6 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
         apply;
         snapshot_of;
         install_sm;
-        flush_delay;
         paused = false;
         incarnation = 0;
       }

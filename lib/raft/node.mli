@@ -16,7 +16,6 @@ val create :
   ?apply:(Log.entry -> unit) ->
   ?snapshot_of:(unit -> string) ->
   ?install_sm:(string -> unit) ->
-  ?flush_delay:Des.Time.span ->
   ?metrics:Telemetry.Metrics.t ->
   ?forensics:Forensics.t ->
   ?joining:bool ->
@@ -29,9 +28,10 @@ val create :
 (** Create a node and register it on the fabric (which must already know
     the id).  With [joining] (default false) the node starts outside the
     cluster configuration and becomes a member only when the leader's
-    [Add_learner] entry reaches it (see {!Server.create}).  [cpu] defaults to a passthrough CPU, [costs] to
-    {!Cost_model.zero}, [flush_delay] to 1 ms.  [apply] is invoked for
-    every committed entry, in log order.  When log compaction is enabled
+    [Add_learner] entry reaches it (see {!Server.create}).  [cpu]
+    defaults to a passthrough CPU, [costs] to {!Cost_model.zero}.
+    Replication flushes coalesce for 1 ms.  [apply] is invoked for every
+    committed entry, in log order.  When log compaction is enabled
     ({!Config.with_snapshots}), [snapshot_of] must serialize the current
     state machine and [install_sm] must replace it with a received
     serialization.

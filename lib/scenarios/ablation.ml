@@ -14,20 +14,16 @@ let dynatune_with f = Raft.Config.dynatune ~cfg:(f Dynatune.Config.default) ()
 (* Sample [read] once a second for [duration], skipping [None]s
    (samples taken while warming / leaderless are excluded). *)
 let sample_each_second cluster ~duration ~read =
-  let w = Stats.Welford.create () in
-  let engine = Cluster.engine cluster in
-  let stop_at = Des.Time.add (Des.Engine.now engine) duration in
-  let rec arm () =
-    ignore
-      (Des.Engine.schedule_after engine (Des.Time.sec 1) (fun () ->
-           (match read cluster with
-           | Some v -> Stats.Welford.add w v
-           | None -> ());
-           if Des.Engine.now engine < stop_at then arm ())
-        : Des.Engine.handle)
+  let probe =
+    { Monitor.name = "sample"; read = (fun c -> Monitor.gap (read c)) }
   in
-  arm ();
-  Des.Engine.run_until engine stop_at;
+  let w = Stats.Welford.create () in
+  List.iter
+    (fun (_, ts) ->
+      List.iter
+        (fun (_, v) -> if not (Float.is_nan v) then Stats.Welford.add w v)
+        (Stats.Timeseries.points ts))
+    (Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration ~probes:[ probe ]);
   w
 
 let mean_or_nan w =
@@ -78,12 +74,13 @@ let adapted cluster =
 
 (* Step the cluster in 100 ms slices until [ready] holds or the clock
    reaches [limit]; returns the instant it stopped. *)
-let rec wait_until cluster ~limit ready =
-  if ready cluster || Cluster.now cluster >= limit then Cluster.now cluster
-  else begin
-    Cluster.run_for cluster (Des.Time.ms 100);
-    wait_until cluster ~limit ready
-  end
+let wait_until cluster ~limit ready =
+  ignore
+    (Des.Engine.await (Cluster.engine cluster) ~slice:(Des.Time.ms 100)
+       ~timeout:(Des.Time.diff limit (Cluster.now cluster))
+       (fun () -> ready cluster)
+      : bool);
+  Cluster.now cluster
 
 let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
     ?(failures = 100) ?(quiet = Des.Time.sec 120) ?(jitter = 0.15)

@@ -22,8 +22,7 @@ let rtt_schedule pattern ~hold:_ =
       up @ down
   | Radical -> [ 50.; 500.; 50. ]
 
-let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
-    ?(sample_every = Des.Time.sec 1) ~pattern ~config () =
+let run ?(seed = 11L) ?(hold = Des.Time.sec 60) ~pattern ~config () =
   let warmup = Des.Time.sec 30 in
   let values = rtt_schedule pattern ~hold in
   let jitter = 0.02 in
@@ -52,7 +51,7 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
   let duration = List.length values * hold in
   let watched, window =
     Monitor.observe cluster (fun () ->
-        Monitor.watch cluster ~every:sample_every ~duration
+        Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration
           ~probes:
             [
               {

@@ -32,12 +32,12 @@ val rtt_schedule : pattern -> hold:Des.Time.span -> float list
 val run :
   ?seed:int64 ->
   ?hold:Des.Time.span ->
-  ?sample_every:Des.Time.span ->
   pattern:pattern ->
   config:Raft.Config.t ->
   unit ->
   series
-(** [hold] is the duration of each RTT step (paper: 60 s). *)
+(** [hold] is the duration of each RTT step (paper: 60 s); the majority
+    randomized timeout is sampled once a second. *)
 
 val compare_modes :
   ?seed:int64 -> ?hold:Des.Time.span -> ?jobs:int -> pattern:pattern ->

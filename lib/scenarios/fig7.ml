@@ -15,8 +15,10 @@ type result = {
 let loss_schedule =
   [ 0.; 5.; 10.; 15.; 20.; 25.; 30.; 25.; 20.; 15.; 10.; 5.; 0. ]
 
-let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
-    ?(sample_every = Des.Time.sec 5) ?(cores = 2.) ~n ~config () =
+(* The sampling period, and the width of the CPU-utilization window. *)
+let sample_every = Des.Time.sec 5
+
+let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ?(cores = 2.) ~n ~config () =
   let warmup = Des.Time.sec 30 in
   let rtt_ms = 200. and jitter = 0.02 in
   let segments =

@@ -27,14 +27,14 @@ val loss_schedule : float list
 val run :
   ?seed:int64 ->
   ?hold:Des.Time.span ->
-  ?sample_every:Des.Time.span ->
   ?cores:float ->
   n:int ->
   config:Raft.Config.t ->
   unit ->
   result
 (** [hold] defaults to the paper's 180 s per loss level; [cores] to 2
-    (the paper's Fig 7 allocation). *)
+    (the paper's Fig 7 allocation).  [h] and CPU utilization are sampled
+    every 5 s. *)
 
 val compare_modes :
   ?seed:int64 -> ?hold:Des.Time.span -> ?jobs:int -> ns:int list -> unit ->

@@ -38,13 +38,18 @@ let default_rates = [ 5000.; 10000.; 20000.; 40000.; 80000. ]
 
 let default_group_counts = [ 16; 64 ]
 
+(* fig5's wire model, and the tuner warm-up before load is offered. *)
+let rtt_ms = 50.
+let serialization = Des.Time.us 100
+let warmup = Des.Time.sec 10
+
 (* One cell: a fixed group count, the full rate ramp.  The replication
    engine runs fig5's best configuration (window 16, priority lanes) on
    top of dynatune, under the same wire model. *)
 let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
-    ?(hold = Des.Time.sec 2) ?(rtt_ms = 50.) ?(serialization = Des.Time.us 100)
-    ?(warmup = Des.Time.sec 10) ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop) ?on_manager ~groups () =
+    ?(hold = Des.Time.sec 2) ?(check = Check.Off)
+    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop)
+    ?on_manager ~groups () =
   let config =
     Raft.Config.with_replication ~max_inflight_appends:16
       ~append_backpressure:64 ~max_entries_per_append:64 ~priority_lanes:true
@@ -93,8 +98,8 @@ let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
    merge in cell order — so the merged digest, metrics and recorder
    bytes are independent of [jobs]. *)
 let sweep ?(seed = 11L) ?(replicas = 3) ?(group_counts = default_group_counts)
-    ?(rates = default_rates) ?hold ?rtt_ms ?serialization ?warmup
-    ?(check = Check.Off) ?(instrument = false) ?record ?(jobs = 1) () =
+    ?(rates = default_rates) ?hold ?(check = Check.Off) ?(instrument = false)
+    ?record ?(jobs = 1) () =
   let outcomes =
     Parallel.Campaign.all ~jobs
       (List.mapi
@@ -107,8 +112,7 @@ let sweep ?(seed = 11L) ?(replicas = 3) ?(group_counts = default_group_counts)
            in
            let cell =
              run_one ~seed:(Stats.Rng.derive seed i) ~replicas ~rates ?hold
-               ?rtt_ms ?serialization ?warmup ~check ~telemetry ~recorder
-               ~groups ()
+               ~check ~telemetry ~recorder ~groups ()
            in
            ( cell,
              Telemetry.Metrics.snapshot telemetry,

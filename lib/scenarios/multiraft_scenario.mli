@@ -40,9 +40,6 @@ val run_one :
   ?replicas:int ->
   ?rates:float list ->
   ?hold:Des.Time.span ->
-  ?rtt_ms:float ->
-  ?serialization:Des.Time.span ->
-  ?warmup:Des.Time.span ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
   ?recorder:Telemetry.Recorder.t ->
@@ -51,11 +48,11 @@ val run_one :
   unit ->
   cell
 (** One cell: [groups] dynatune groups of [replicas] (default 3) under
-    fig5's wire model (RTT [rtt_ms], per-message [serialization]), the
-    replication engine at window 16 with priority lanes, ramped through
-    [rates] (aggregate req/s) held [hold] each.  [on_manager] runs
-    after construction, before [start] — the hook the CLI uses to
-    attach per-group Perfetto tracks. *)
+    fig5's wire model (50 ms RTT, 100 µs per-message serialization), the
+    replication engine at window 16 with priority lanes, warmed for
+    10 s, then ramped through [rates] (aggregate req/s) held [hold]
+    each.  [on_manager] runs after construction, before [start] — the
+    hook the CLI uses to attach per-group Perfetto tracks. *)
 
 val sweep :
   ?seed:int64 ->
@@ -63,9 +60,6 @@ val sweep :
   ?group_counts:int list ->
   ?rates:float list ->
   ?hold:Des.Time.span ->
-  ?rtt_ms:float ->
-  ?serialization:Des.Time.span ->
-  ?warmup:Des.Time.span ->
   ?check:Check.mode ->
   ?instrument:bool ->
   ?record:Des.Time.span ->

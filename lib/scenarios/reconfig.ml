@@ -109,8 +109,13 @@ type phase = Steady | Reactive | Graceful
 
 let spin_timeout = Des.Time.sec 180
 
+(* Tuner warm-up before the first round, and the unsampled operator hold
+   between rounds. *)
+let warmup = Des.Time.sec 30
+let recover = Des.Time.sec 15
+
 let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
-    ~warmup ~recover ~rounds ~seed ~shard_index () =
+    ~rounds ~seed ~shard_index () =
   let cluster = Cluster.create ~seed ~n:5 ~config ~check ~telemetry () in
   Geo.apply cluster ?jitter ?loss ();
   (match on_cluster with Some f -> f ~shard:shard_index cluster | None -> ());
@@ -261,13 +266,12 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
   in
   (raw, Cluster.trace_digest cluster, Telemetry.Metrics.snapshot telemetry)
 
-let run ?(seed = 42L) ?(rounds = 4) ?jitter ?loss ?(rate = 20.)
-    ?(warmup = Des.Time.sec 30) ?(recover = Des.Time.sec 15) ?(jobs = 1)
+let run ?(seed = 42L) ?(rounds = 4) ?jitter ?loss ?(rate = 20.) ?(jobs = 1)
     ?shards ?(check = Check.Off) ?(instrument = false) ?on_cluster ~config () =
   let shard (s : Parallel.Campaign.shard) =
     let telemetry = Telemetry.Metrics.create ~enabled:instrument () in
     shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
-      ~warmup ~recover ~rounds:s.quota ~seed:s.seed ~shard_index:s.index ()
+      ~rounds:s.quota ~seed:s.seed ~shard_index:s.index ()
   in
   let outcomes =
     Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:rounds ~f:shard ()

@@ -51,8 +51,6 @@ val run :
   ?jitter:float ->
   ?loss:float ->
   ?rate:float ->
-  ?warmup:Des.Time.span ->
-  ?recover:Des.Time.span ->
   ?jobs:int ->
   ?shards:int ->
   ?check:Check.mode ->
@@ -65,10 +63,11 @@ val run :
     failover campaigns: [shards] pins the plan independently of [jobs],
     so the merged metrics snapshot and digest are functions of [(seed,
     shards, rounds)] alone.  [rate] is the open-loop client request rate
-    (default 20/s); the client follows leader redirects.  [recover] is
-    the unsampled operator hold between rounds (default 15 s) — the
-    config churn re-warms every tuner, and the hold lets measurement
-    finish before the next round's un-announced failure.  [on_cluster]
+    (default 20/s); the client follows leader redirects.  Each shard
+    warms its tuners for 30 s before the first round and holds 15 s,
+    unsampled, between rounds — the config churn re-warms every tuner,
+    and the hold lets measurement finish before the next round's
+    un-announced failure.  [on_cluster]
     fires once per shard cluster before it starts (trace bridges). *)
 
 val compare_modes :

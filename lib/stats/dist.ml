@@ -14,48 +14,3 @@ let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
 let lognormal_mean_preserving rng ~sigma =
   if sigma = 0. then 1.
   else lognormal rng ~mu:(-.sigma *. sigma /. 2.) ~sigma
-
-let truncated_normal rng ~mu ~sigma ~lo =
-  if sigma = 0. then Float.max mu lo
-  else
-    let rec draw n =
-      if n = 0 then lo
-      else
-        let v = normal rng ~mu ~sigma in
-        if v >= lo then v else draw (n - 1)
-    in
-    draw 64
-
-let pareto rng ~scale ~shape =
-  if scale <= 0. || shape <= 0. then
-    invalid_arg "Dist.pareto: scale and shape must be positive";
-  scale /. ((1. -. Rng.float rng) ** (1. /. shape))
-
-let poisson rng ~mean =
-  if mean < 0. then invalid_arg "Dist.poisson: mean must be non-negative";
-  if mean = 0. then 0
-  else if mean > 60. then
-    (* Normal approximation with continuity correction. *)
-    let v = normal rng ~mu:mean ~sigma:(sqrt mean) in
-    Stdlib.max 0 (int_of_float (Float.round v))
-  else
-    let limit = exp (-.mean) in
-    let rec loop k p =
-      let p = p *. Rng.float rng in
-      if p <= limit then k else loop (k + 1) p
-    in
-    loop 0 1.
-
-let categorical rng ~weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then
-    invalid_arg "Dist.categorical: needs a positive total weight";
-  let x = Rng.float rng *. total in
-  let n = Array.length weights in
-  let rec walk i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else walk (i + 1) acc
-  in
-  walk 0 0.

@@ -20,19 +20,3 @@ val lognormal_mean_preserving : Rng.t -> sigma:float -> float
 (** A lognormal multiplier with expectation exactly 1: [exp(sigma·Z −
     sigma²/2)].  Used as multiplicative delay jitter. [sigma = 0.] always
     yields [1.]. *)
-
-val truncated_normal : Rng.t -> mu:float -> sigma:float -> lo:float -> float
-(** Normal(mu, sigma) resampled until the draw is [>= lo].  Used for
-    additive jitter that must not produce negative delays. *)
-
-val pareto : Rng.t -> scale:float -> shape:float -> float
-(** Pareto(scale, shape): heavy-tailed delays for congestion spikes.
-    Requires [scale > 0] and [shape > 0]. *)
-
-val poisson : Rng.t -> mean:float -> int
-(** Poisson-distributed count (Knuth's algorithm for small means, normal
-    approximation above 60).  Used for batching arrival processes. *)
-
-val categorical : Rng.t -> weights:float array -> int
-(** Index sampled proportionally to [weights].  Requires at least one
-    strictly positive weight. *)

@@ -114,6 +114,55 @@ let test_engine_counters () =
   Alcotest.(check int) "processed" 5 (Engine.processed_events e);
   Alcotest.(check int) "drained" 0 (Engine.pending_events e)
 
+(* {2 Await} *)
+
+let test_await_already_true () =
+  let e = Engine.create () in
+  ignore (Engine.schedule_at e (Time.ms 5) (fun () -> ()));
+  Alcotest.(check bool) "true" true
+    (Engine.await e ~slice:(Time.ms 1) ~timeout:(Time.ms 10) (fun () -> true));
+  Alcotest.(check int) "clock unmoved" Time.zero (Engine.now e);
+  Alcotest.(check int) "nothing ran" 0 (Engine.processed_events e)
+
+let test_await_timeout_exact () =
+  List.iter
+    (fun (slice, timeout) ->
+      let e = Engine.create () in
+      Engine.run_until e (Time.ms 1);
+      ignore (Engine.schedule_at e (Time.ms 4) (fun () -> ()));
+      Alcotest.(check bool) "false" false
+        (Engine.await e ~slice ~timeout (fun () -> false));
+      Alcotest.(check int) "clock at the deadline"
+        (Time.add (Time.ms 1) timeout)
+        (Engine.now e))
+    [ (Time.ms 1, Time.ms 10); (Time.ms 3, Time.ms 10); (Time.ms 4, Time.ms 9) ]
+
+let test_await_skips_idle_slices () =
+  let e = Engine.create () in
+  ignore (Engine.schedule_at e (Time.us 7_500) (fun () -> ()));
+  let calls = ref 0 in
+  let cond () =
+    incr calls;
+    false
+  in
+  Alcotest.(check bool) "false" false
+    (Engine.await e ~slice:(Time.ms 1) ~timeout:(Time.ms 20) cond);
+  (* Once up front, once after the slice (7, 8] ms that ran the event. *)
+  Alcotest.(check int) "evaluations" 2 !calls
+
+let test_await_stops_after_slice () =
+  let e = Engine.create () in
+  let ready = ref false in
+  ignore (Engine.schedule_at e (Time.ms 3) (fun () -> ()));
+  ignore (Engine.schedule_at e (Time.us 7_500) (fun () -> ready := true));
+  ignore (Engine.schedule_at e (Time.us 7_900) (fun () -> ()));
+  ignore (Engine.schedule_at e (Time.us 8_500) (fun () -> ()));
+  Alcotest.(check bool) "true" true
+    (Engine.await e ~slice:(Time.ms 2) ~timeout:(Time.ms 20) (fun () ->
+         !ready));
+  Alcotest.(check int) "end of the slice (6, 8] ms" (Time.ms 8) (Engine.now e);
+  Alcotest.(check int) "later events left queued" 1 (Engine.pending_events e)
+
 (* {2 Event pool} *)
 
 let test_wheel_cancel_recycles () =
@@ -320,6 +369,14 @@ let tests =
       test_engine_schedule_during_run;
     Alcotest.test_case "engine: past rejected" `Quick test_engine_past_rejected;
     Alcotest.test_case "engine: counters" `Quick test_engine_counters;
+    Alcotest.test_case "await: cond already true" `Quick
+      test_await_already_true;
+    Alcotest.test_case "await: timeout stops at the deadline" `Quick
+      test_await_timeout_exact;
+    Alcotest.test_case "await: idle slices skip cond" `Quick
+      test_await_skips_idle_slices;
+    Alcotest.test_case "await: stops after the deciding slice" `Quick
+      test_await_stops_after_slice;
     Alcotest.test_case "pool: wheel cancel recycles at once" `Quick
       test_wheel_cancel_recycles;
     Alcotest.test_case "pool: heap tombstones compact" `Quick

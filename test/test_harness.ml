@@ -141,6 +141,20 @@ let test_monitor_watch_sample_count () =
         (Stats.Timeseries.points ts)
   | _ -> Alcotest.fail "expected one series"
 
+(* A window that is not a multiple of the period leaves no sampler
+   armed: running on afterwards must not grow the returned series. *)
+let test_monitor_watch_leaves_nothing_armed () =
+  let c = make () in
+  let series =
+    Monitor.watch c ~every:(Time.sec 2) ~duration:(Time.sec 5)
+      ~probes:[ { Monitor.name = "const"; read = (fun _ -> 1.) } ]
+  in
+  Cluster.run_for c (Time.sec 10);
+  match series with
+  | [ ("const", ts) ] ->
+      Alcotest.(check int) "two samples" 2 (Stats.Timeseries.length ts)
+  | _ -> Alcotest.fail "expected one series"
+
 let test_monitor_leaderless_intervals () =
   let c = make () in
   ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
@@ -341,6 +355,8 @@ let tests =
       test_monitor_randomized_sampling;
     Alcotest.test_case "monitor: watch sample count" `Quick
       test_monitor_watch_sample_count;
+    Alcotest.test_case "monitor: watch leaves nothing armed" `Quick
+      test_monitor_watch_leaves_nothing_armed;
     Alcotest.test_case "monitor: leaderless intervals" `Quick
       test_monitor_leaderless_intervals;
     Alcotest.test_case "monitor: steady state has no OTS" `Quick

@@ -299,24 +299,6 @@ let test_time_pp () =
   Alcotest.(check string) "milliseconds" "237.1ms"
     (asprintf "%a" Time.pp_ms (Time.of_ms_f 237.1))
 
-(* {2 Dist corners} *)
-
-let test_pareto_bounds () =
-  let rng = Stats.Rng.create ~seed:71L () in
-  for _ = 1 to 5000 do
-    let v = Stats.Dist.pareto rng ~scale:2. ~shape:1.5 in
-    if v < 2. then Alcotest.failf "pareto below scale: %f" v
-  done;
-  Alcotest.(check bool) "invalid scale rejected" true
-    (try
-       ignore (Stats.Dist.pareto rng ~scale:0. ~shape:1.);
-       false
-     with Invalid_argument _ -> true)
-
-let test_poisson_zero_mean () =
-  let rng = Stats.Rng.create ~seed:73L () in
-  Alcotest.(check int) "mean 0 -> 0" 0 (Stats.Dist.poisson rng ~mean:0.)
-
 (* {2 Server misc} *)
 
 let test_server_rejects_self_peer () =
@@ -376,8 +358,6 @@ let tests =
       test_report_series_table_ragged;
     Alcotest.test_case "workload: empty" `Quick test_workload_empty;
     Alcotest.test_case "time: pp" `Quick test_time_pp;
-    Alcotest.test_case "dist: pareto" `Quick test_pareto_bounds;
-    Alcotest.test_case "dist: poisson zero" `Quick test_poisson_zero_mean;
     Alcotest.test_case "server: rejects self peer" `Quick
       test_server_rejects_self_peer;
     Alcotest.test_case "server: single-node self-election" `Quick

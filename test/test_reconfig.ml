@@ -122,8 +122,8 @@ let test_transfer_leadership () =
 (* {2 Client redirect loop bound} *)
 
 (* A service where every server always answers [`Not_leader] with a
-   hint: the client must give up after exactly [max_redirects] hops,
-   never loop. *)
+   hint: the client must give up after exactly 3 redirect hops, never
+   loop. *)
 let test_redirect_loop_bound () =
   let engine = Des.Engine.create ~seed:7L () in
   let attempts = ref 0 in
@@ -133,7 +133,7 @@ let test_redirect_loop_bound () =
   in
   let client =
     Kvsm.Client.create ~engine ~target:bouncing ~route:(fun _ -> bouncing)
-      ~max_redirects:3 ~client_id:1 ~rate:10. ()
+      ~client_id:1 ~rate:10. ()
   in
   Kvsm.Client.start client;
   Des.Engine.run_for engine (Time.sec 2);
@@ -141,7 +141,7 @@ let test_redirect_loop_bound () =
   Des.Engine.run_for engine (Time.sec 1);
   let offered = Kvsm.Client.offered client in
   Alcotest.(check bool) "some arrivals" true (offered > 0);
-  (* Each request: the initial attempt plus max_redirects hops. *)
+  (* Each request: the initial attempt plus 3 redirect hops. *)
   Alcotest.(check int) "attempts bounded" (4 * offered) !attempts;
   Alcotest.(check int) "every hop counted" (4 * offered)
     (Kvsm.Client.redirected client);

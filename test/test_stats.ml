@@ -132,40 +132,6 @@ let test_lognormal_zero_sigma () =
   check_float "sigma 0 gives exactly 1" 1.
     (Dist.lognormal_mean_preserving rng ~sigma:0.)
 
-let test_truncated_normal_respects_floor () =
-  let rng = Rng.create ~seed:47L () in
-  for _ = 1 to 10_000 do
-    let v = Dist.truncated_normal rng ~mu:0. ~sigma:5. ~lo:1. in
-    if v < 1. then Alcotest.failf "below floor: %f" v
-  done
-
-let test_poisson_mean () =
-  let rng = Rng.create ~seed:53L () in
-  let w =
-    sample_stats 50_000 (fun () -> float_of_int (Dist.poisson rng ~mean:6.))
-  in
-  check_close ~eps:0.1 "mean 6" 6. (Welford.mean w)
-
-let test_poisson_large_mean_normal_approx () =
-  let rng = Rng.create ~seed:59L () in
-  let w =
-    sample_stats 20_000 (fun () -> float_of_int (Dist.poisson rng ~mean:200.))
-  in
-  check_close ~eps:2. "mean 200" 200. (Welford.mean w)
-
-let test_categorical_weights () =
-  let rng = Rng.create ~seed:61L () in
-  let counts = Array.make 3 0 in
-  let n = 60_000 in
-  for _ = 1 to n do
-    let i = Dist.categorical rng ~weights:[| 1.; 2.; 3. |] in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_close ~eps:0.02 "weight 1/6" (1. /. 6.)
-    (float_of_int counts.(0) /. float_of_int n);
-  check_close ~eps:0.02 "weight 3/6" 0.5
-    (float_of_int counts.(2) /. float_of_int n)
-
 (* {2 Welford} *)
 
 let test_welford_basic () =
@@ -457,13 +423,6 @@ let tests =
       test_lognormal_mean_preserving;
     Alcotest.test_case "dist: lognormal sigma 0" `Quick
       test_lognormal_zero_sigma;
-    Alcotest.test_case "dist: truncated normal floor" `Quick
-      test_truncated_normal_respects_floor;
-    Alcotest.test_case "dist: poisson mean" `Slow test_poisson_mean;
-    Alcotest.test_case "dist: poisson normal approx" `Slow
-      test_poisson_large_mean_normal_approx;
-    Alcotest.test_case "dist: categorical weights" `Slow
-      test_categorical_weights;
     Alcotest.test_case "welford: basic moments" `Quick test_welford_basic;
     Alcotest.test_case "welford: empty" `Quick test_welford_empty;
     Alcotest.test_case "welford: merge" `Quick test_welford_merge;
