@@ -163,6 +163,31 @@ let test_await_stops_after_slice () =
   Alcotest.(check int) "end of the slice (6, 8] ms" (Time.ms 8) (Engine.now e);
   Alcotest.(check int) "later events left queued" 1 (Engine.pending_events e)
 
+let test_await_zero_timeout () =
+  let e = Engine.create () in
+  ignore (Engine.schedule_at e Time.zero (fun () -> ()));
+  let calls = ref 0 in
+  let cond () =
+    incr calls;
+    false
+  in
+  Alcotest.(check bool) "false" false
+    (Engine.await e ~slice:(Time.ms 1) ~timeout:Time.zero cond);
+  Alcotest.(check int) "tested once" 1 !calls;
+  Alcotest.(check int) "clock unmoved" Time.zero (Engine.now e);
+  Alcotest.(check int) "nothing ran" 0 (Engine.processed_events e)
+
+let test_await_rejects_bad_slice () =
+  List.iter
+    (fun slice ->
+      let e = Engine.create () in
+      Alcotest.check_raises "invalid slice"
+        (Invalid_argument "Engine.await: slice must be positive") (fun () ->
+          ignore
+            (Engine.await e ~slice ~timeout:(Time.ms 10) (fun () -> true)));
+      Alcotest.(check int) "clock unmoved" Time.zero (Engine.now e))
+    [ Time.zero; Time.ms (-1) ]
+
 (* {2 Event pool} *)
 
 let test_wheel_cancel_recycles () =
@@ -377,6 +402,10 @@ let tests =
       test_await_skips_idle_slices;
     Alcotest.test_case "await: stops after the deciding slice" `Quick
       test_await_stops_after_slice;
+    Alcotest.test_case "await: zero timeout tests cond once" `Quick
+      test_await_zero_timeout;
+    Alcotest.test_case "await: rejects a non-positive slice" `Quick
+      test_await_rejects_bad_slice;
     Alcotest.test_case "pool: wheel cancel recycles at once" `Quick
       test_wheel_cancel_recycles;
     Alcotest.test_case "pool: heap tombstones compact" `Quick
