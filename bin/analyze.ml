@@ -14,12 +14,17 @@
      stdlib-exit, raw-fabric-send, mutable-global, hot-alloc
                          lib/'s source discipline (lib/analysis/
                          discipline.ml); lib/ only
+     unset-optional      a ?label on a lib/**/*.mli value that no call
+                         outside its own module passes
 
    Usage:
-     analyze.exe [--allow FILE] DIR...   scan; exit 1 on unsuppressed hits
-                                         or on a stale allowlist entry
-     analyze.exe --self-test DIR         fixture mode: every rule must fire
-                                         in bad*.ml files, none in good*.ml
+     analyze.exe [--allow FILE] [--callers DIR]... [--exclude DIR]... DIR...
+         scan; exit 1 on unsuppressed hits or on a stale allowlist entry.
+         A --callers DIR is read only for the call sites unset-optional
+         counts; an --exclude DIR is not read at all.
+     analyze.exe --self-test DIR
+         fixture mode: every rule must fire in bad*.ml(i) files, none
+         in good*.ml(i)
 
    The allowlist (lint.allow) holds [path-suffix:rule-id] lines and #
    comments.  An entry that suppresses no finding is stale and fails the
@@ -31,10 +36,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec source_files path =
-  if Sys.is_directory path then
+let rec source_files ~exclude path =
+  if List.mem path exclude then []
+  else if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.concat_map (fun entry -> source_files (Filename.concat path entry))
+    |> List.concat_map (fun entry ->
+           source_files ~exclude (Filename.concat path entry))
   else if
     (Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli")
     (* When run under dune the tree also holds ppx-preprocessed [.pp.ml]
@@ -43,9 +50,9 @@ let rec source_files path =
   then [ path ]
   else []
 
-let load_files dirs =
-  List.concat_map source_files dirs
-  |> List.map (fun path -> { Analysis.path; content = read_file path })
+let load_files ~exclude dirs =
+  List.concat_map (source_files ~exclude) dirs
+  |> List.map (fun path -> { Analysis.Driver.path; content = read_file path })
 
 let load_allow path =
   match Analysis.Finding.parse_allow (read_file path) with
@@ -54,10 +61,14 @@ let load_allow path =
       prerr_endline ("analyze: malformed allowlist entry: " ^ line);
       exit 2
 
-let run_scan ~allow_file dirs =
+let run_scan ~allow_file ~callers ~exclude dirs =
   let allow = Option.fold ~none:[] ~some:load_allow allow_file in
   let config = Analysis.Driver.default_config ~allow () in
-  let findings, stale = Analysis.analyze ~config (load_files dirs) in
+  let findings, stale =
+    Analysis.Driver.analyze ~config
+      ~callers:(load_files ~exclude callers)
+      (load_files ~exclude dirs)
+  in
   List.iter
     (fun f -> prerr_endline (Analysis.Finding.render f))
     findings;
@@ -76,10 +87,10 @@ let run_scan ~allow_file dirs =
 
 (* Fixture mode: fixtures are given virtual paths under lib/raft/ so
    they sit in a taint entry domain and in every discipline rule's
-   scope; every rule must fire at least once across bad*.ml, and
-   good*.ml must stay entirely clean. *)
+   scope; every rule must fire at least once across bad*.ml(i), and
+   good*.ml(i) must stay entirely clean. *)
 let self_test dir =
-  let files = List.filter (fun p -> Filename.check_suffix p ".ml") (source_files dir) in
+  let files = source_files ~exclude:[] dir in
   if files = [] then begin
     prerr_endline ("analyze --self-test: no fixtures under " ^ dir);
     exit 2
@@ -88,12 +99,12 @@ let self_test dir =
     List.map
       (fun path ->
         {
-          Analysis.path = "lib/raft/" ^ Filename.basename path;
+          Analysis.Driver.path = "lib/raft/" ^ Filename.basename path;
           content = read_file path;
         })
       files
   in
-  let findings, _stale = Analysis.analyze virtual_files in
+  let findings, _stale = Analysis.Driver.analyze ~callers:[] virtual_files in
   let is_bad (f : Analysis.Finding.t) =
     let base = Filename.basename f.path in
     String.length base >= 3 && String.equal (String.sub base 0 3) "bad"
@@ -113,7 +124,7 @@ let self_test dir =
           rule;
         incr failures
       end)
-    Analysis.rules;
+    Analysis.Driver.rules;
   List.iter
     (fun f ->
       Printf.eprintf "analyze --self-test: false positive in clean fixture:\n  %s\n"
@@ -123,19 +134,28 @@ let self_test dir =
   if !failures > 0 then exit 1;
   Printf.printf
     "analyze --self-test: all %d rules fire, clean fixtures clean\n"
-    (List.length Analysis.rules)
+    (List.length Analysis.Driver.rules)
 
 let () =
-  match Array.to_list Sys.argv with
-  | [ _; "--self-test"; dir ] -> self_test dir
-  | _ :: "--allow" :: allow :: dirs when dirs <> [] ->
-      run_scan ~allow_file:(Some allow) dirs
-  | _ :: dirs
-    when dirs <> []
-         && not (List.exists (fun d -> d = "--allow" || d = "--self-test") dirs)
-    ->
-      run_scan ~allow_file:None dirs
+  let allow_file = ref None and callers = ref [] and exclude = ref [] in
+  let dirs = ref [] and fixtures = ref None in
+  let add r x = r := !r @ [ x ] in
+  let specs =
+    [
+      ("--allow", Arg.String (fun f -> allow_file := Some f), "FILE allowlist");
+      ("--callers", Arg.String (add callers), "DIR read for call sites only");
+      ("--exclude", Arg.String (add exclude), "DIR not read at all");
+      ("--self-test", Arg.String (fun d -> fixtures := Some d), "DIR fixtures");
+    ]
+  in
+  let usage = "usage: analyze [--allow FILE] [--callers DIR]... \
+               [--exclude DIR]... DIR...\n       analyze --self-test DIR" in
+  Arg.parse specs (add dirs) usage;
+  match (!fixtures, !dirs) with
+  | Some dir, [] -> self_test dir
+  | None, _ :: _ ->
+      run_scan ~allow_file:!allow_file ~callers:!callers ~exclude:!exclude
+        !dirs
   | _ ->
-      prerr_endline
-        "usage: analyze [--allow FILE] DIR...\n       analyze --self-test DIR";
+      Arg.usage specs usage;
       exit 2

@@ -17,7 +17,7 @@ let () =
   let cluster =
     Cluster.create ~seed:5L ~n:5 ~config:(Raft.Config.dynatune ()) ()
   in
-  Scenarios.Geo.apply cluster ();
+  Scenarios.Geo.apply cluster;
   let leader =
     Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"geo_replication"
   in

@@ -1,6 +1,6 @@
 (* Root module of the [analysis] library — the repository's static
-   checker (see DESIGN.md §12).  Re-exports the passes and the driver
-   entry point. *)
+   checker (see DESIGN.md §12).  Re-exports the passes and the
+   driver. *)
 
 module Finding = Finding
 module Source = Source
@@ -9,9 +9,5 @@ module Effects = Effects
 module Shared_state = Shared_state
 module Exhaustive = Exhaustive
 module Discipline = Discipline
+module Unset_optional = Unset_optional
 module Driver = Driver
-
-type file = Driver.file = { path : string; content : string }
-
-let analyze = Driver.analyze
-let rules = Driver.rules

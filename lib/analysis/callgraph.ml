@@ -12,6 +12,10 @@
                               wrapper name disambiguates, e.g. the two
                               [Config] modules in core and raft)
    - [Node_id.Set.add]     -> nested value ["Set.add"] of [node_id.ml]
+   - [Gm.create]           -> [Multiraft.Group_manager.create] when the
+                              file says [module Gm = Multiraft.Group_manager];
+                              a library wrapper's aliases count too
+                              ([Scenarios.Multiraft] -> [Multiraft_scenario])
 
    Unresolvable references (locals, parameters, stdlib, external
    libraries) simply contribute no edge: the graph over-approximates
@@ -35,6 +39,8 @@ type t = {
   module_file : (string, string) Hashtbl.t;  (* "Lib.Mod" -> .ml path *)
   mod_paths : (string, string list) Hashtbl.t;  (* "Mod" -> .ml paths *)
   libraries : (string, unit) Hashtbl.t;  (* known wrapper names *)
+  aliases : (string, string list) Hashtbl.t;
+      (* path ^ "#" ^ M -> target of [module M = A.B] in that file *)
 }
 
 let key ~path ~name = path ^ "#" ^ name
@@ -86,6 +92,7 @@ let init_name = "(init)"
 type builder = {
   mutable bvalues : value list;  (* reversed *)
   bby_key : (string, value) Hashtbl.t;
+  baliases : (string, string list) Hashtbl.t;
 }
 
 let add_value b ~path ~lib ~modname ~name ~line refs =
@@ -153,8 +160,13 @@ and bind_module b ~path ~lib ~modname ~prefix (mb : Parsetree.module_binding) =
       | Parsetree.Pmod_structure items ->
           structure_values b ~path ~lib ~modname ~prefix:(prefix ^ m ^ ".")
             items
+      | Parsetree.Pmod_ident target ->
+          Option.iter
+            (Hashtbl.replace b.baliases (key ~path ~name:(prefix ^ m)))
+            (Source.flatten_longident target.Asttypes.txt);
+          add_value b ~path ~lib ~modname ~name:(prefix ^ m) ~line []
       | _ ->
-          (* functor / alias / constrained module: one opaque node *)
+          (* functor / constrained module: one opaque node *)
           add_value b ~path ~lib ~modname ~name:(prefix ^ m) ~line
             (idents_of_module_expr mb.pmb_expr))
   | None ->
@@ -162,7 +174,9 @@ and bind_module b ~path ~lib ~modname ~prefix (mb : Parsetree.module_binding) =
         (idents_of_module_expr mb.pmb_expr)
 
 let build (sources : Source.t list) =
-  let b = { bvalues = []; bby_key = Hashtbl.create 256 } in
+  let b =
+    { bvalues = []; bby_key = Hashtbl.create 256; baliases = Hashtbl.create 64 }
+  in
   let module_file = Hashtbl.create 64 in
   let mod_paths = Hashtbl.create 64 in
   let libraries = Hashtbl.create 16 in
@@ -186,13 +200,24 @@ let build (sources : Source.t list) =
     module_file;
     mod_paths;
     libraries;
+    aliases = b.baliases;
   }
 
 (* {1 Resolution} *)
 
 let lookup t ~path ~name = Hashtbl.find_opt t.by_key (key ~path ~name)
 
-let resolve t ~path ~lib parts =
+let alias t ~path m = Hashtbl.find_opt t.aliases (key ~path ~name:m)
+
+let rec resolve t ~path ~lib parts =
+  let parts =
+    match parts with
+    | m :: (_ :: _ as rest) -> (
+        match alias t ~path m with
+        | Some target -> target @ rest
+        | None -> parts)
+    | _ -> parts
+  in
   match parts with
   | [] -> None
   | [ n ] -> lookup t ~path ~name:n
@@ -208,9 +233,14 @@ let resolve t ~path ~lib parts =
       let in_file file rest = lookup t ~path:file ~name:(String.concat "." (rest @ [ v ])) in
       match mpath with
       | l :: m :: rest when Hashtbl.mem t.libraries l -> (
-          match Hashtbl.find_opt t.module_file (l ^ "." ^ m) with
-          | Some file -> in_file file rest
-          | None -> None)
+          match
+            ( Hashtbl.find_opt t.module_file (l ^ "." ^ m),
+              Hashtbl.find_opt t.module_file (l ^ "." ^ l) )
+          with
+          | Some file, _ -> in_file file rest
+          | None, Some wrapper when Option.is_some (alias t ~path:wrapper m) ->
+              resolve t ~path:wrapper ~lib:l (m :: rest @ [ v ])
+          | None, _ -> None)
       | m :: rest -> (
           match Hashtbl.find_opt t.module_file (lib ^ "." ^ m) with
           | Some file -> in_file file rest

@@ -5,6 +5,9 @@
     per-file ["(init)"] node).  Edges are identifier references,
     resolved same-file first, then same-library module, then
     library-qualified ([Stats.Rng.float]), then unique global module.
+    A module alias of the referencing file ([module Gm =
+    Multiraft.Group_manager]) or of a library wrapper
+    ([Scenarios.Multiraft]) is expanded first.
     Unresolved references (locals, stdlib, external libraries)
     contribute no edge. *)
 
@@ -24,6 +27,8 @@ type t = {
   module_file : (string, string) Hashtbl.t;
   mod_paths : (string, string list) Hashtbl.t;
   libraries : (string, unit) Hashtbl.t;
+  aliases : (string, string list) Hashtbl.t;
+      (** [path ^ "#" ^ M] -> target of [module M = A.B] in that file *)
 }
 
 val value_key : value -> string

@@ -1,7 +1,9 @@
 (* The analyzer driver: parse every file, run the rule passes, apply
    the allowlist, and return sorted findings plus the allowlist entries
-   that suppressed nothing.  Pure — the caller (bin/analyze.ml, tests)
-   owns printing and process exit. *)
+   that suppressed nothing.  Caller-only files (tests, benches,
+   examples) are read for the call sites [unset-optional] counts and
+   are never themselves checked.  Pure — the caller (bin/analyze.ml,
+   tests) owns printing and process exit. *)
 
 type file = { path : string; content : string }
 
@@ -62,6 +64,7 @@ let rules =
     ( "protocol-wildcard",
       "catch-all arm in a match over [@@protocol] variant constructors \
        (growing the protocol would be silently swallowed)" );
+    (Unset_optional.rule, Unset_optional.doc);
   ]
   @ Discipline.rules
 
@@ -80,17 +83,17 @@ let parse_findings (s : Source.t) =
       [ Finding.v ~path:s.path ~line ~rule:"parse-error" error ]
   | Source.Impl _ | Source.Intf _ -> []
 
-let analyze ?config files =
+let analyze ?config ~callers files =
   let config =
     match config with Some c -> c | None -> default_config ()
   in
-  let sources =
-    List.map
-      (fun f ->
+  let parse =
+    List.map (fun f ->
         Source.parse ~library:(library_of config f.path) ~path:f.path
           f.content)
-      files
   in
+  let sources = parse files in
+  let everything = sources @ parse callers in
   let cg = Callgraph.build sources in
   let raw =
     List.concat_map parse_findings sources
@@ -98,6 +101,11 @@ let analyze ?config files =
     @ Shared_state.findings cg sources
     @ Exhaustive.findings sources
     @ Discipline.findings sources
+    (* A graph of its own: caller modules must not change how the other
+       rules resolve lib/ and bin/ names. *)
+    @ Unset_optional.findings
+        (Callgraph.build everything)
+        ~scanned:sources ~callers:everything
   in
   let findings =
     raw

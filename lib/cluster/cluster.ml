@@ -187,14 +187,19 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
     ids;
   (* The digest accumulates online through a subscription made before
      any probe, so it covers the whole run.  Each probe is rendered into
-     one reused buffer. *)
+     one reused buffer.  Tuner decisions are skipped: only instrumented
+     servers emit them, and turning instrumentation on must not move a
+     digest. *)
   let digest = Check.Digest.create () in
   let rendered = Buffer.create 128 in
   Des.Mtrace.subscribe trace (fun time probe ->
-      Check.Digest.feed_int digest time;
-      Buffer.clear rendered;
-      Raft.Probe.add_to_buffer rendered probe;
-      Check.Digest.feed_buffer digest rendered);
+      match probe with
+      | Raft.Probe.Tuner_decision _ -> ()
+      | _ ->
+          Check.Digest.feed_int digest time;
+          Buffer.clear rendered;
+          Raft.Probe.add_to_buffer rendered probe;
+          Check.Digest.feed_buffer digest rendered);
   let checker =
     match check with
     | Check.Off -> None
@@ -260,7 +265,7 @@ let recorder t = t.recorder
 (* Fold the pull-style sources (engine, fabric, links) into the registry.
    Exposed standalone so a multiraft host sharing one engine/fabric
    across clusters can collect the infra statistics exactly once. *)
-let collect_infra_metrics ?(scope = "") ~telemetry ~engine ~fabric () =
+let collect_infra ~scope ~telemetry ~engine ~fabric =
   if Telemetry.Metrics.enabled telemetry then begin
     let m = telemetry in
     let add sc name v =
@@ -321,9 +326,12 @@ let collect_infra_metrics ?(scope = "") ~telemetry ~engine ~fabric () =
 let collect_metrics t =
   if t.owns_infra && not t.collected then begin
     t.collected <- true;
-    collect_infra_metrics ~scope:t.scope ~telemetry:t.telemetry
-      ~engine:t.engine ~fabric:t.fabric ()
+    collect_infra ~scope:t.scope ~telemetry:t.telemetry ~engine:t.engine
+      ~fabric:t.fabric
   end
+
+let collect_infra_metrics = collect_infra ~scope:""
+
 let trace_digest t = Check.Digest.value t.digest
 
 let check_now t =

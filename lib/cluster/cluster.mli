@@ -91,13 +91,12 @@ val collect_metrics : t -> unit
     clusters (the host collects once via {!collect_infra_metrics}). *)
 
 val collect_infra_metrics :
-  ?scope:string ->
   telemetry:Telemetry.Metrics.t ->
   engine:Des.Engine.t ->
   fabric:Raft.Rpc.message Netsim.Fabric.t ->
-  unit ->
   unit
-(** The engine/fabric half of {!collect_metrics}, standalone: a
+(** The engine/fabric half of {!collect_metrics}, standalone and
+    unprefixed (scopes ["des"], ["net"], ["link"], ["fabric"]): a
     multiraft host sharing one engine and fabric across N clusters calls
     this exactly once.  Not idempotent — the counters are cumulative, so
     a second call would double them. *)
@@ -109,7 +108,9 @@ val check_now : t -> unit
 
 val trace_digest : t -> int64
 (** Order-sensitive FNV-1a digest of every probe emitted on this
-    cluster's trace so far (timestamps included).  Accumulated through a
+    cluster's trace so far (timestamps included), except
+    [Tuner_decision]: only instrumented servers emit those, so turning
+    instrumentation on never changes a digest.  Accumulated through a
     live subscription made at creation, so it covers the whole run and
     serves as a determinism sanitizer: equal seeds and schedules must
     yield equal digests. *)

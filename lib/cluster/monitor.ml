@@ -67,24 +67,34 @@ type window = {
 let observe t f =
   let from = Cluster.now t in
   let timeouts = ref 0 and aborts = ref 0 and elections = ref 0 in
-  (* Seeded from the live roles and pause flags: [Server.set_role]
-     always emits Role_change and [Node.pause]/[resume] always emit
-     Node_paused/Node_resumed, so this is the state that folding every
-     earlier probe would reach.  A paused leader does not count
-     (the container-sleep fault takes it out of service even though its
-     role never changed). *)
+  (* Seeded from the live roles, pause flags and pending transfers:
+     [Server.set_role] always emits Role_change, [Node.pause]/[resume]
+     always emit Node_paused/Node_resumed, and a transfer starts with
+     Transfer_started and ends with Transfer_aborted or a role change,
+     so this is the state that folding every earlier probe would reach.
+     A paused leader does not count (the container-sleep fault takes it
+     out of service even though its role never changed), and neither
+     does a leader handing off (it refuses proposals until the transfer
+     ends). *)
   let leading = Node_id.Table.create (Cluster.size t) in
   let paused = Node_id.Table.create (Cluster.size t) in
+  let transferring = Node_id.Table.create (Cluster.size t) in
   List.iter
     (fun node ->
       let id = Raft.Node.id node in
-      if Raft.Types.is_leader (Raft.Server.role (Raft.Node.server node)) then
+      let server = Raft.Node.server node in
+      if Raft.Types.is_leader (Raft.Server.role server) then
         Node_id.Table.replace leading id ();
-      if Raft.Node.is_paused node then Node_id.Table.replace paused id ())
+      if Raft.Node.is_paused node then Node_id.Table.replace paused id ();
+      if Option.is_some (Raft.Server.transfer_pending server) then
+        Node_id.Table.replace transferring id ())
     (Cluster.nodes t);
   let live_leaders () =
     Node_id.Table.fold
-      (fun id () acc -> if Node_id.Table.mem paused id then acc else acc + 1)
+      (fun id () acc ->
+        if Node_id.Table.mem paused id || Node_id.Table.mem transferring id
+        then acc
+        else acc + 1)
       leading 0
   in
   let intervals = ref [] in
@@ -114,16 +124,20 @@ let observe t f =
     | Raft.Probe.Election_started _ -> count time elections
     | Raft.Probe.Role_change { id; role; _ } ->
         transition time (fun () ->
+            Node_id.Table.remove transferring id;
             if Raft.Types.is_leader role then
               Node_id.Table.replace leading id ()
             else Node_id.Table.remove leading id)
+    | Raft.Probe.Transfer_started { id; _ } ->
+        transition time (fun () -> Node_id.Table.replace transferring id ())
+    | Raft.Probe.Transfer_aborted { id; _ } ->
+        transition time (fun () -> Node_id.Table.remove transferring id)
     | Raft.Probe.Node_paused { id } ->
         transition time (fun () -> Node_id.Table.replace paused id ())
     | Raft.Probe.Node_resumed { id } ->
         transition time (fun () -> Node_id.Table.remove paused id)
     | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-    | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-    | Raft.Probe.Transfer_aborted _ ->
+    | Raft.Probe.Config_change _ ->
         ()
   in
   let result = Des.Mtrace.during (Cluster.trace t) observer f in

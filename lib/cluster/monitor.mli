@@ -45,8 +45,11 @@ type window = {
   pre_vote_aborts : int;
   elections : int;  (** real campaigns started *)
   leaderless : (Des.Time.t * Des.Time.t) list;
-      (** out-of-service intervals (no unpaused leader), oldest first,
-          clipped to the window *)
+      (** out-of-service intervals, oldest first, clipped to the
+          window: no leader is serving.  A leader serves unless it is
+          paused or has a leadership transfer pending — from its
+          [Transfer_started] until [Transfer_aborted] or its next
+          [Role_change] it refuses proposals. *)
 }
 
 val observe : Cluster.t -> (unit -> 'a) -> 'a * window
@@ -54,9 +57,10 @@ val observe : Cluster.t -> (unit -> 'a) -> 'a * window
     its result with what the probe stream showed over the window
     [(from, until]]: [from] is the instant [f] starts, [until] the one
     it returns at.  The counts cover probes stamped inside the window.
-    The leaderless intervals are seeded from the nodes' roles and pause
-    flags when the window opens, which is exact: every role change and
-    every pause/resume emits a probe.  Nothing before [from] is needed,
+    The leaderless intervals are seeded from the nodes' roles, pause
+    flags and pending transfers when the window opens, which is exact:
+    every role change, pause/resume and transfer start/abort emits a
+    probe.  Nothing before [from] is needed,
     and nothing is retained after [f] returns. *)
 
 val ots_ms : window -> float

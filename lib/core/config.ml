@@ -50,12 +50,3 @@ let validate t =
   else if t.default_heartbeat_interval <= 0 then
     err "default_heartbeat_interval must be positive"
   else Ok t
-
-let pp ppf t =
-  Format.fprintf ppf
-    "s=%.2f x=%.4f lists=[%d,%d] defaults Et=%a h=%a clamps Et=[%a,%a] h>=%a"
-    t.safety_factor t.arrival_probability t.min_list_size t.max_list_size
-    Des.Time.pp_ms t.default_election_timeout Des.Time.pp_ms
-    t.default_heartbeat_interval Des.Time.pp_ms t.min_election_timeout
-    Des.Time.pp_ms t.max_election_timeout Des.Time.pp_ms
-    t.min_heartbeat_interval

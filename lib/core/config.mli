@@ -55,5 +55,3 @@ val default : t
 val validate : t -> (t, string) result
 (** Check internal consistency (list sizes ordered, probabilities in
     range, clamps ordered). *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,5 +20,4 @@ let election_timeout t ~s =
   if not (warmed_up t) then None
   else Some (Des.Time.of_ms_f (mean_ms t +. (s *. std_ms t)))
 
-let last t = Option.map Des.Time.of_ms_f (Stats.Window.last t.window)
 let clear t = Stats.Window.clear t.window

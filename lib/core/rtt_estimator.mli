@@ -31,8 +31,5 @@ val std_ms : t -> float
 val election_timeout : t -> s:float -> Des.Time.span option
 (** [μ + s·σ], or [None] until warmed up. *)
 
-val last : t -> Des.Time.span option
-(** Most recent sample. *)
-
 val clear : t -> unit
 (** Discard all samples (leader change / timer expiry fallback). *)

@@ -3,8 +3,8 @@
    Each group is a full Harness.Cluster (its own servers, stores, tuners,
    trace, digest and checker) built on shared infrastructure: the
    manager owns the engine, the fabric, the single engine post hook
-   (stepping every group's checker), the recorder attachment and the
-   one-shot infra metrics collection — exactly the pieces
+   (stepping every group's checker) and the one-shot infra metrics
+   collection — exactly the pieces
    [Cluster.create ~shared] declines.  Fabric node ids are the group
    tag: group [g] owns ids [g * replicas .. (g + 1) * replicas - 1], so
    RPC routing through [Raft.Replication.transmit] needs no extra
@@ -23,8 +23,8 @@ type t = {
 
 let scope_of_group g = Printf.sprintf "g%d/" g
 
-let create ?seed ?costs ?cores ?conditions ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop)
+let create ?seed ?conditions ?(check = Check.Off)
+    ?(telemetry = Telemetry.Metrics.noop)
     ~groups ~replicas ~config () =
   if groups <= 0 then
     invalid_arg "Group_manager.create: groups must be positive";
@@ -34,8 +34,8 @@ let create ?seed ?costs ?cores ?conditions ?(check = Check.Off)
   let fabric = Netsim.Fabric.create engine in
   let clusters =
     Array.init groups (fun g ->
-        Harness.Cluster.create ?costs ?cores ?conditions ~check
-          ~telemetry ~recorder ~scope:(scope_of_group g)
+        Harness.Cluster.create ?conditions ~check
+          ~telemetry ~scope:(scope_of_group g)
           ~shared:
             {
               Harness.Cluster.sh_engine = engine;
@@ -54,8 +54,6 @@ let create ?seed ?costs ?cores ?conditions ?(check = Check.Off)
   | _ :: _ ->
       Des.Engine.set_post_hook engine
         (Some (fun () -> List.iter Check.step checkers)));
-  Telemetry.Recorder.attach recorder engine (fun () ->
-      Telemetry.Metrics.snapshot telemetry);
   if Telemetry.Metrics.enabled telemetry then begin
     Telemetry.Metrics.Gauge.set
       (Telemetry.Metrics.gauge telemetry ~scope:"multiraft" ~name:"groups" ())
@@ -99,7 +97,6 @@ let group_of_node t id =
 let iter_groups t f = Array.iteri f t.groups
 let start t = Array.iter Harness.Cluster.start t.groups
 let run_for t span = Des.Engine.run_for t.engine span
-let now t = Des.Engine.now t.engine
 
 let leaderless t =
   let n = ref 0 in
@@ -137,5 +134,5 @@ let collect_metrics t =
   if not t.collected then begin
     t.collected <- true;
     Harness.Cluster.collect_infra_metrics ~telemetry:t.telemetry
-      ~engine:t.engine ~fabric:t.fabric ()
+      ~engine:t.engine ~fabric:t.fabric
   end

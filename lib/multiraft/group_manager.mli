@@ -5,8 +5,8 @@
     tuners, trace, digest, optional checker) built on the manager's
     shared infrastructure; the manager owns the singleton pieces a
     shared cluster declines: the engine post hook (one combined hook
-    steps every group's checker, in group order), the recorder
-    attachment, and the one-shot engine/fabric metrics collection.
+    steps every group's checker, in group order) and the one-shot
+    engine/fabric metrics collection.
 
     Fabric node ids double as the group tag: group [g] owns ids
     [g * replicas .. (g + 1) * replicas - 1], so every RPC routed
@@ -23,19 +23,16 @@ type t
 
 val create :
   ?seed:int64 ->
-  ?costs:Raft.Cost_model.t ->
-  ?cores:float ->
   ?conditions:Netsim.Conditions.t ->
   ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
-  ?recorder:Telemetry.Recorder.t ->
   groups:int ->
   replicas:int ->
   config:Raft.Config.t ->
   unit ->
   t
 (** [groups] clusters of [replicas] servers each, every server running
-    [config].  [conditions] applies to each group's internal links
+    [config] without a CPU cost model.  [conditions] applies to each group's internal links
     (groups never talk to each other, so cross-group pairs are never
     touched).  [check] creates one checker per group; all are stepped
     from the single engine post hook.  Raises [Invalid_argument] unless
@@ -64,7 +61,6 @@ val start : t -> unit
 (** Start every node of every group. *)
 
 val run_for : t -> Des.Time.span -> unit
-val now : t -> Des.Time.t
 
 val leaderless : t -> int
 (** Number of groups currently without a live leader. *)

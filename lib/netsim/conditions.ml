@@ -56,7 +56,3 @@ let at t time =
         if t.starts.(mid) <= time then search mid hi else search lo mid
     in
     search 0 n
-
-let pp_profile ppf p =
-  Format.fprintf ppf "rtt=%.1fms jitter=%.2f loss=%.1f%% dup=%.1f%%" p.rtt_ms
-    p.jitter (100. *. p.loss) (100. *. p.duplicate)

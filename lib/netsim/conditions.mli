@@ -46,5 +46,3 @@ val loss_staircase :
 
 val at : t -> Des.Time.t -> profile
 (** Profile in force at an instant. *)
-
-val pp_profile : Format.formatter -> profile -> unit

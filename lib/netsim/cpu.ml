@@ -84,21 +84,6 @@ let backlog t =
 
 let busy_total t = t.busy_total
 
-let utilization_series t ~bucket_sec =
-  if bucket_sec <= 0. then invalid_arg "Cpu.utilization_series: bucket <= 0";
-  let now_sec = Des.Time.to_sec_f (Des.Engine.now t.engine) in
-  let buckets = int_of_float (ceil (now_sec /. bucket_sec)) in
-  List.init buckets (fun b ->
-      let lo = float_of_int b *. bucket_sec in
-      let hi = lo +. bucket_sec in
-      let busy = ref 0 in
-      Hashtbl.iter
-        (fun sec r ->
-          let s = float_of_int sec in
-          if s >= lo && s < hi then busy := !busy + !r)
-        t.per_second;
-      (lo, float_of_int !busy /. (bucket_sec *. 1e9) *. 100.))
-
 let utilization_in t ~lo_sec ~hi_sec =
   if hi_sec <= lo_sec then invalid_arg "Cpu.utilization_in: empty window";
   let busy = ref 0 in

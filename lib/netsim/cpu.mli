@@ -36,10 +36,5 @@ val backlog : t -> Des.Time.span
 val busy_total : t -> Des.Time.span
 (** Total service time charged since creation. *)
 
-val utilization_series :
-  t -> bucket_sec:float -> (float * float) list
-(** [(bucket_start_sec, percent)] pairs covering the simulation so far.
-    Percent is charged-cost per bucket / bucket length × 100. *)
-
 val utilization_in : t -> lo_sec:float -> hi_sec:float -> float
 (** Mean utilization percent over a window of simulated seconds. *)

@@ -483,7 +483,6 @@ let link_queue_depths t =
 
 let pause t id = (state t id).paused <- true
 let resume t id = (state t id).paused <- false
-let is_paused t id = (state t id).paused
 
 let counters t =
   {

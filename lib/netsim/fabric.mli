@@ -132,7 +132,6 @@ val pause : 'msg t -> Node_id.t -> unit
 (** Start dropping every message delivered to the node. *)
 
 val resume : 'msg t -> Node_id.t -> unit
-val is_paused : 'msg t -> Node_id.t -> bool
 
 type counters = {
   sent : int;

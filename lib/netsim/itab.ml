@@ -31,8 +31,6 @@ let create n =
   let keys, vals = sized_arrays cap in
   { keys; vals; mask = cap - 1; shift = 63 - log2 cap; count = 0 }
 
-let length t = t.count
-
 let rec probe_find t k i =
   let key = t.keys.(i) in
   if key = k then t.vals.(i)
@@ -68,12 +66,6 @@ and grow t =
       if k >= 0 then
         match old_vals.(i) with Some v -> add t k v | None -> ())
     old_keys
-
-let iter t f =
-  Array.iteri
-    (fun i k ->
-      if k >= 0 then match t.vals.(i) with Some v -> f k v | None -> ())
-    t.keys
 
 (* Rebuild keeping only entries the predicate accepts — deletion without
    tombstones, so probe chains stay intact. *)

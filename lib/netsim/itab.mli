@@ -21,6 +21,3 @@ val add : 'a t -> int -> 'a -> unit
 val filter : 'a t -> (int -> 'a -> bool) -> unit
 (** Drop every entry the predicate rejects (rebuilds in place —
     deletion is assumed rare). *)
-
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-val length : 'a t -> int

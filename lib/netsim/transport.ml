@@ -1,14 +1,6 @@
 type kind = Datagram | Reliable
 
-let pp_kind ppf = function
-  | Datagram -> Format.pp_print_string ppf "udp"
-  | Reliable -> Format.pp_print_string ppf "tcp"
-
 type lane = Urgent | Bulk
-
-let pp_lane ppf = function
-  | Urgent -> Format.pp_print_string ppf "urgent"
-  | Bulk -> Format.pp_print_string ppf "bulk"
 
 module Channel = struct
   type t = { mutable last_delivery : Des.Time.t }

@@ -12,8 +12,6 @@ type kind =
       (** TCP-like: per-(src,dst) FIFO delivery; loss becomes
           retransmission delay. *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type lane =
   | Urgent
       (** protocol-critical traffic (heartbeats, votes, TimeoutNow):
@@ -24,8 +22,6 @@ type lane =
 (** Egress scheduling class.  Lanes only matter on a {!Fabric} link with
     a configured serialization delay; without one every message departs
     immediately and the lane is ignored. *)
-
-val pp_lane : Format.formatter -> lane -> unit
 
 module Channel : sig
   (** Per-(src,dst) reliable-channel ordering state. *)

@@ -32,10 +32,6 @@ let with_replication ?max_inflight_appends ?append_backpressure
     priority_lanes = pick t.priority_lanes priority_lanes;
   }
 
-let with_learner_promotion_gap ~gap t =
-  if gap < 0 then invalid_arg "Config.with_learner_promotion_gap: negative gap";
-  { t with learner_promotion_gap = gap }
-
 let with_snapshots ~threshold t =
   if threshold < 0 then invalid_arg "Config.with_snapshots: negative threshold";
   { t with snapshot_threshold = threshold }
@@ -44,8 +40,7 @@ let with_extensions ?(suppress_heartbeats_under_load = true)
     ?(consolidated_timer = false) t =
   { t with suppress_heartbeats_under_load; consolidated_timer }
 
-let static ?(election_timeout = Des.Time.ms 1000)
-    ?(heartbeat_interval = Des.Time.ms 100) () =
+let static_with ~election_timeout ~heartbeat_interval =
   {
     election_timeout;
     heartbeat_interval;
@@ -64,9 +59,13 @@ let static ?(election_timeout = Des.Time.ms 1000)
     priority_lanes = true;
   }
 
+let static () =
+  static_with ~election_timeout:(Des.Time.ms 1000)
+    ~heartbeat_interval:(Des.Time.ms 100)
+
 let raft_low () =
-  static ~election_timeout:(Des.Time.ms 100)
-    ~heartbeat_interval:(Des.Time.ms 10) ()
+  static_with ~election_timeout:(Des.Time.ms 100)
+    ~heartbeat_interval:(Des.Time.ms 10)
 
 let dynatune ?(cfg = Dynatune.Config.default) () =
   {
@@ -87,10 +86,9 @@ let dynatune ?(cfg = Dynatune.Config.default) () =
     priority_lanes = true;
   }
 
-let fix_k ?(cfg = Dynatune.Config.default) ~k () =
+let fix_k ~k () =
   if k <= 0 then invalid_arg "Config.fix_k: k must be positive";
-  let base = dynatune ~cfg () in
-  { base with tuning = Fix_k { cfg; k } }
+  { (dynatune ()) with tuning = Fix_k { cfg = Dynatune.Config.default; k } }
 
 let validate t =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in

@@ -91,11 +91,7 @@ val with_extensions :
 val with_snapshots : threshold:int -> t -> t
 (** Enable log compaction every [threshold] committed entries. *)
 
-val with_learner_promotion_gap : gap:int -> t -> t
-(** Set the catch-up gap under which the leader auto-promotes a learner.
-    Raises [Invalid_argument] if [gap < 0]. *)
-
-val static : ?election_timeout:Des.Time.span -> ?heartbeat_interval:Des.Time.span -> unit -> t
+val static : unit -> t
 (** etcd defaults: [Et = 1000 ms], [h = 100 ms], pre-vote and stickiness
     on, heartbeats over TCP. *)
 
@@ -106,8 +102,8 @@ val raft_low : unit -> t
 val dynatune : ?cfg:Dynatune.Config.t -> unit -> t
 (** Dynatune with the paper's runtime arguments; heartbeats over UDP. *)
 
-val fix_k : ?cfg:Dynatune.Config.t -> k:int -> unit -> t
-(** The Fig 7 ablation. *)
+val fix_k : k:int -> unit -> t
+(** The Fig 7 ablation, on the paper's runtime arguments. *)
 
 val validate : t -> (t, string) result
 

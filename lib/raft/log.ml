@@ -82,8 +82,6 @@ let append_new t ~term command =
    the backing array indefinitely. *)
 let blank = { term = 0; index = 0; command = Noop }
 
-let capacity t = Array.length t.entries
-
 (* Clear slots [t.len, old_len) and shrink the backing array once
    occupancy drops below a quarter, so a log that shrank (truncation,
    compaction, snapshot install) cannot pin its high-water storage. *)

@@ -94,12 +94,6 @@ val slice : t -> from:Types.index -> max:int -> entry array
     cannot be served and are silently skipped — use {!snapshot_index} to
     detect that a snapshot is needed instead. *)
 
-val capacity : t -> int
-(** Size of the backing array.  Exposed so tests can observe that
-    truncation and compaction release storage: capacity shrinks once
-    occupancy falls below a quarter, and freed slots no longer pin their
-    old entries. *)
-
 val up_to_date : t -> last_index:Types.index -> last_term:Types.term -> bool
 (** Raft's voting rule: is a candidate log described by
     [(last_index, last_term)] at least as complete as ours? *)

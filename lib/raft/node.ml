@@ -484,6 +484,7 @@ let crash t =
 
 let restart t =
   let restore = Server.persisted t.server in
+  let role = Server.role t.server in
   (* A fresh PRNG substream keyed by the restart instant: deterministic,
      but not a replay of the pre-crash randomized-timeout draws. *)
   let rng = Stats.Rng.split_int t.rng (Des.Engine.now t.engine) in
@@ -501,6 +502,14 @@ let restart t =
   (match restore.Server.snapshot with
   | Some (_, _, data) -> t.install_sm data
   | None -> ());
+  (* The fresh server boots as a follower: a crashed leader comes back
+     without its leadership, and observers see the role change before
+     the node is live again. *)
+  let fresh = Server.role t.server in
+  if not (Types.equal_role role fresh) then
+    emit_fault t
+      (Probe.Role_change
+         { id = id t; role = fresh; term = Server.term t.server });
   t.paused <- false;
   Netsim.Fabric.resume t.fabric (id t);
   emit_fault t (Probe.Node_resumed { id = id t });

@@ -368,7 +368,6 @@ let learners t =
 
 let members t = t.current.m_order
 let is_voter t n = is_voter_id t n
-let is_learner t n = Node_id.Set.mem n t.current.m_learners
 let votes t = Node_id.Set.elements t.votes
 let transfer_pending t = Option.map (fun tr -> tr.tr_target) t.transfer
 

@@ -201,7 +201,6 @@ val members : t -> Netsim.Node_id.t list
 (** All members (voters then learners interleaved in insertion order). *)
 
 val is_voter : t -> Netsim.Node_id.t -> bool
-val is_learner : t -> Netsim.Node_id.t -> bool
 
 val votes : t -> Netsim.Node_id.t list
 (** The votes gathered in the current campaign (empty outside one).  The

@@ -82,9 +82,9 @@ let wait_until cluster ~limit ready =
       : bool);
   Cluster.now cluster
 
-let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
-    ?(failures = 100) ?(quiet = Des.Time.sec 120) ?(jitter = 0.15)
+let safety_factor_sweep ?(failures = 100) ?(quiet = Des.Time.sec 120)
     ?(jobs = 1) () =
+  let seed = 31L and jitter = 0.15 in
   Parallel.Campaign.all ~jobs
   @@ List.map
        (fun s () ->
@@ -111,7 +111,7 @@ let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
         et_mean_ms = mean_or_nan et;
         false_timeouts = quiet_window.Monitor.timeouts;
       })
-       values
+       [ 0.; 1.; 2.; 3.; 4. ]
 
 type arrival_row = {
   x : float;
@@ -121,9 +121,8 @@ type arrival_row = {
   false_timeouts : int;
 }
 
-let arrival_probability_sweep ?(seed = 37L)
-    ?(values = [ 0.9; 0.99; 0.999; 0.9999 ]) ?(loss = 0.10)
-    ?(quiet = Des.Time.sec 120) ?(jobs = 1) () =
+let arrival_probability_sweep ?(quiet = Des.Time.sec 120) ?(jobs = 1) () =
+  let seed = 37L and loss = 0.10 in
   Parallel.Campaign.all ~jobs
   @@ List.map
        (fun x () ->
@@ -155,7 +154,7 @@ let arrival_probability_sweep ?(seed = 37L)
         heartbeat_rate_hz = (if h_ms > 0. then 1000. /. h_ms else nan);
         false_timeouts = quiet_window.Monitor.timeouts;
       })
-       values
+       [ 0.9; 0.99; 0.999; 0.9999 ]
 
 type list_size_row = {
   min_list_size : int;
@@ -163,8 +162,8 @@ type list_size_row = {
   adaptation_ms : float;
 }
 
-let list_size_sweep ?(seed = 41L) ?(values = [ 5; 20; 50; 100 ]) ?(jobs = 1)
-    () =
+let list_size_sweep ?(jobs = 1) () =
+  let seed = 41L in
   Parallel.Campaign.all ~jobs
   @@ List.map
        (fun min_list_size () ->
@@ -205,7 +204,7 @@ let list_size_sweep ?(seed = 41L) ?(values = [ 5; 20; 50; 100 ]) ?(jobs = 1)
         warmup_ms;
         adaptation_ms = Des.Time.to_ms_f (Des.Time.diff adapted_at step_at);
       })
-       values
+       [ 5; 20; 50; 100 ]
 
 type estimator_row = {
   estimator : string;
@@ -216,7 +215,8 @@ type estimator_row = {
   detection_mean_ms : float;
 }
 
-let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
+let estimator_sweep ?(jobs = 1) () =
+  let seed = 47L and failures = 40 in
   let backends =
     [
       ("window", Dynatune.Config.Sliding_window);

@@ -12,17 +12,10 @@ type safety_row = {
 }
 
 val safety_factor_sweep :
-  ?seed:int64 ->
-  ?values:float list ->
-  ?failures:int ->
-  ?quiet:Des.Time.span ->
-  ?jitter:float ->
-  ?jobs:int ->
-  unit ->
-  safety_row list
-(** For each safety factor: tuned Et, detection/OTS means over a failure
-    campaign, and false detections during a quiet (failure-free) period
-    on a jittery 100 ms link.  Small [s] detects fast but false-triggers;
+  ?failures:int -> ?quiet:Des.Time.span -> ?jobs:int -> unit -> safety_row list
+(** For each safety factor [s] in 0..4 (seed 31): tuned Et, detection/OTS
+    means over a failure campaign, and false detections during a quiet
+    (failure-free) period on a 100 ms link with 15% jitter.  Small [s] detects fast but false-triggers;
     large [s] is safe but slow — the trade-off of Section III-D1. *)
 
 type arrival_row = {
@@ -34,14 +27,9 @@ type arrival_row = {
 }
 
 val arrival_probability_sweep :
-  ?seed:int64 ->
-  ?values:float list ->
-  ?loss:float ->
-  ?quiet:Des.Time.span ->
-  ?jobs:int ->
-  unit ->
-  arrival_row list
-(** For each target arrival probability [x] under 10% link loss: the
+  ?quiet:Des.Time.span -> ?jobs:int -> unit -> arrival_row list
+(** For each target arrival probability [x] in 0.9, 0.99, 0.999 and
+    0.9999 under 10% link loss (seed 37): the
     K/h the tuner converges to and the false detections observed — the
     resource-vs-safety trade-off of Section III-D2. *)
 
@@ -52,9 +40,9 @@ type list_size_row = {
       (** RTT step 50 -> 150 ms -> majority timeout exceeds the new RTT *)
 }
 
-val list_size_sweep :
-  ?seed:int64 -> ?values:int list -> ?jobs:int -> unit -> list_size_row list
-(** Responsiveness cost of larger measurement windows (Section III-E). *)
+val list_size_sweep : ?jobs:int -> unit -> list_size_row list
+(** Responsiveness cost of larger measurement windows (Section III-E):
+    [minListSize] 5, 20, 50 and 100 (seed 41). *)
 
 type estimator_row = {
   estimator : string;
@@ -65,10 +53,10 @@ type estimator_row = {
   detection_mean_ms : float;  (** small failover campaign *)
 }
 
-val estimator_sweep :
-  ?seed:int64 -> ?failures:int -> ?jobs:int -> unit -> estimator_row list
+val estimator_sweep : ?jobs:int -> unit -> estimator_row list
 (** Compare the paper's sliding-window statistics against EWMA
-    (Jacobson/Karels) backends: stability vs. adaptation lag. *)
+    (Jacobson/Karels) backends: stability vs. adaptation lag, with a
+    40-failure campaign per backend (seed 47). *)
 
 val print :
   Format.formatter ->

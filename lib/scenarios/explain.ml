@@ -78,7 +78,7 @@ let run ?(seed = 23L) ?(failures = 3) ?(config = Raft.Config.dynatune ()) () =
   let cluster =
     Cluster.create ~seed ~n:5 ~config ~telemetry ~forensics ()
   in
-  Geo.apply cluster ();
+  Geo.apply cluster;
   ignore
     (Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"explain"
       : Raft.Node.t);

@@ -67,11 +67,12 @@ let failover_probe ~seed ~config =
   let r = Fig4.run ~seed ~failures:50 ~config () in
   (Stats.Summary.mean r.Fig4.detection, Stats.Summary.mean r.Fig4.ots)
 
-let run ?(seed = 29L) ?rates ?(hold = Des.Time.sec 3) ?(jobs = 1) () =
+let run ?(hold = Des.Time.sec 3) ?(jobs = 1) () =
+  let seed = 29L in
   Parallel.Campaign.all ~jobs
   @@ List.map
        (fun v () ->
-         let fig5 = Fig5.run ~seed ?rates ~hold ~config:v.config () in
+         let fig5 = Fig5.run ~seed ~hold ~config:v.config () in
          let leader_cpu_pct, heartbeats_sent =
            cpu_probe ~seed ~config:v.config
          in

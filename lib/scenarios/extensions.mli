@@ -25,14 +25,9 @@ type row = {
   ots_ms : float;
 }
 
-val run :
-  ?seed:int64 ->
-  ?rates:float list ->
-  ?hold:Des.Time.span ->
-  ?jobs:int ->
-  unit ->
-  row list
-(** Each variant's failover probe is a 50-failure {!Fig4.run}.
+val run : ?hold:Des.Time.span -> ?jobs:int -> unit -> row list
+(** Seed 29 throughout; the throughput probe is {!Fig5.run}'s default
+    ramp.  Each variant's failover probe is a 50-failure {!Fig4.run}.
     [jobs > 1] evaluates the four variants on parallel domains; each
     variant is a self-contained simulation, so results are identical at
     any [jobs]. *)

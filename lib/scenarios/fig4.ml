@@ -72,10 +72,10 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
        else float_of_int raw.splits /. float_of_int raw.measured);
   }
 
-let compare_modes ?(failures = 1000) ?(seed = 42L) ?(jobs = 1) () =
+let compare_modes ?(failures = 1000) ?(jobs = 1) () =
   [
-    run ~seed ~failures ~jobs ~config:(Raft.Config.static ()) ();
-    run ~seed ~failures ~jobs ~config:(Raft.Config.dynatune ()) ();
+    run ~failures ~jobs ~config:(Raft.Config.static ()) ();
+    run ~failures ~jobs ~config:(Raft.Config.dynatune ()) ();
   ]
 
 let print_comparison ppf ~paper:(paper_det, paper_ots) results =

@@ -73,7 +73,8 @@ val run :
 
     [instrument] (default false) gives every shard an enabled telemetry
     registry — filling [result.metrics] — and turns on tuner-decision
-    probes.  [record] attaches a per-shard {!Telemetry.Recorder} with
+    probes, which the digest skips, so [digest] is the same with it on
+    or off.  [record] attaches a per-shard {!Telemetry.Recorder} with
     the given sampling period (use with [instrument], which populates
     the registry it samples) — filling [result.recorder]; the sampling
     events draw no randomness, so [digest] is unchanged by it.
@@ -82,9 +83,9 @@ val run :
     WAN, and the [--trace-out] exporter to attach a {!Harness.Tracing}
     bridge per shard. *)
 
-val compare_modes :
-  ?failures:int -> ?seed:int64 -> ?jobs:int -> unit -> result list
-(** The paper's comparison: default Raft vs Dynatune. *)
+val compare_modes : ?failures:int -> ?jobs:int -> unit -> result list
+(** The paper's comparison: default Raft vs Dynatune, at {!run}'s
+    default seed 42. *)
 
 val print_comparison :
   Format.formatter -> paper:string * string -> result list -> unit

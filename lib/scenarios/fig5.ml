@@ -10,14 +10,14 @@ type result = {
 let default_rates =
   List.init 17 (fun i -> float_of_int ((i + 1) * 1000))
 
-let run ?(seed = 7L) ?(n = 5) ?(cores = 4.) ?(rates = default_rates)
-    ?(hold = Des.Time.sec 10) ?(rtt_ms = 100.) ~config () =
+let run ?(seed = 7L) ?(rates = default_rates) ?(hold = Des.Time.sec 10)
+    ?(rtt_ms = 100.) ~config () =
   let conditions =
     Netsim.Conditions.(constant (profile ~rtt_ms ~jitter:0.05 ()))
   in
   let cluster =
-    Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores ~n ~config
-      ~conditions ()
+    Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores:4. ~n:5
+      ~config ~conditions ()
   in
   ignore (Cluster.boot cluster ~label:"fig5" : Raft.Node.t);
   (* Let tuned modes finish warming before offering load. *)
@@ -60,8 +60,11 @@ type sat_result = {
          mistakes for path latency *)
 }
 
-let run_saturation_one ~seed ~n ~rates ~hold ~rtt_ms ~serialization ~window
-    ~lanes () =
+let sat_seed = 11L
+let sat_rtt_ms = 50.
+
+let run_saturation_one ~hold ~window ~lanes () =
+  let rtt_ms = sat_rtt_ms in
   let config =
     Raft.Config.with_replication ~max_inflight_appends:window
       ~append_backpressure:64 ~max_entries_per_append:64
@@ -71,14 +74,15 @@ let run_saturation_one ~seed ~n ~rates ~hold ~rtt_ms ~serialization ~window
   let conditions =
     Netsim.Conditions.(constant (profile ~rtt_ms ~jitter:0.05 ()))
   in
-  let cluster = Cluster.create ~seed ~n ~config ~conditions () in
+  let cluster = Cluster.create ~seed:sat_seed ~n:5 ~config ~conditions () in
   Netsim.Fabric.set_uniform_serialization (Cluster.fabric cluster)
-    serialization;
+    (Des.Time.us 100);
   ignore (Cluster.boot cluster ~label:"fig5" : Raft.Node.t);
   Cluster.run_for cluster (Des.Time.sec 10);
   let target = Cluster.submit_target cluster in
   let levels =
-    Kvsm.Workload.run_ramp ~engine:(Cluster.engine cluster) ~target ~rates
+    Kvsm.Workload.run_ramp ~engine:(Cluster.engine cluster) ~target
+      ~rates:[ 250.; 500.; 1000.; 2000.; 4000.; 8000. ]
       ~hold
       ~client_rtt:(Des.Time.of_ms_f rtt_ms)
       ()
@@ -118,16 +122,10 @@ let run_saturation_one ~seed ~n ~rates ~hold ~rtt_ms ~serialization ~window
     sat_rtt_err;
   }
 
-let default_sat_rates = [ 250.; 500.; 1000.; 2000.; 4000.; 8000. ]
-
-let saturation ?(seed = 11L) ?(n = 5) ?(rates = default_sat_rates)
-    ?(hold = Des.Time.sec 3) ?(rtt_ms = 50.) ?(serialization = Des.Time.us 100)
-    ?(jobs = 1) () =
+let saturation ?(hold = Des.Time.sec 3) ?(jobs = 1) () =
   Parallel.Campaign.all ~jobs
     (List.map
-       (fun (window, lanes) () ->
-         run_saturation_one ~seed ~n ~rates ~hold ~rtt_ms ~serialization
-           ~window ~lanes ())
+       (fun (window, lanes) () -> run_saturation_one ~hold ~window ~lanes ())
        [ (1, false); (1, true); (16, false); (16, true) ])
 
 let print_saturation ppf results =
@@ -161,11 +159,11 @@ let print_saturation ppf results =
            (piped.sat_peak_rps /. base.sat_peak_rps))
   | _ -> ()
 
-let compare_modes ?(seed = 7L) ?rates ?hold ?(jobs = 1) () =
+let compare_modes ?hold ?(jobs = 1) () =
   Parallel.Campaign.all ~jobs
     [
-      (fun () -> run ~seed ?rates ?hold ~config:(Raft.Config.static ()) ());
-      (fun () -> run ~seed ?rates ?hold ~config:(Raft.Config.dynatune ()) ());
+      (fun () -> run ?hold ~config:(Raft.Config.static ()) ());
+      (fun () -> run ?hold ~config:(Raft.Config.dynatune ()) ());
     ]
 
 let print ppf results =

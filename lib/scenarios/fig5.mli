@@ -14,22 +14,19 @@ type result = {
 
 val run :
   ?seed:int64 ->
-  ?n:int ->
-  ?cores:float ->
   ?rates:float list ->
   ?hold:Des.Time.span ->
   ?rtt_ms:float ->
   config:Raft.Config.t ->
   unit ->
   result
-(** Defaults: 5 servers with 4 cores each (the paper's container
-    allocation), RTT 10 ms LAN-like links, +1000 rps levels up to 17k,
-    10 s per level. *)
+(** Always 5 servers with 4 cores each (the paper's container
+    allocation).  Defaults: seed 7, RTT 100 ms links, +1000 rps levels
+    up to 17k, 10 s per level. *)
 
-val compare_modes :
-  ?seed:int64 -> ?rates:float list -> ?hold:Des.Time.span -> ?jobs:int ->
-  unit -> result list
-(** [jobs > 1] runs the two modes on parallel domains.  Each mode's
+val compare_modes : ?hold:Des.Time.span -> ?jobs:int -> unit -> result list
+(** {!run}'s defaults (seed 7) for both modes.  [jobs > 1] runs the two
+    modes on parallel domains.  Each mode's
     ramp is a self-contained deterministic simulation, so the results
     are identical at any [jobs] — only the wall-clock changes. *)
 
@@ -57,18 +54,9 @@ type sat_result = {
           (saturating) level.  [nan] if no follower had samples. *)
 }
 
-val saturation :
-  ?seed:int64 ->
-  ?n:int ->
-  ?rates:float list ->
-  ?hold:Des.Time.span ->
-  ?rtt_ms:float ->
-  ?serialization:Des.Time.span ->
-  ?jobs:int ->
-  unit ->
-  sat_result list
-(** Defaults: 5 servers, 50 ms RTT, 100 us/unit serialization, levels
-    250..8000 rps held 3 s each; variants (window, lanes) in
+val saturation : ?hold:Des.Time.span -> ?jobs:int -> unit -> sat_result list
+(** Seed 11, 5 servers, 50 ms RTT, 100 us/unit serialization, levels
+    250..8000 rps held [hold] (default 3 s) each; variants (window, lanes) in
     [(1,off); (1,on); (16,off); (16,on)].  Each variant is its own
     deterministic simulation, so results are identical at any [jobs]. *)
 

@@ -83,12 +83,12 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60) ~pattern ~config () =
     elections = window.Monitor.elections;
   }
 
-let compare_modes ?(seed = 11L) ?hold ?(jobs = 1) ~pattern () =
+let compare_modes ?hold ?(jobs = 1) ~pattern () =
   Parallel.Campaign.all ~jobs
     [
-      (fun () -> run ~seed ?hold ~pattern ~config:(Raft.Config.dynatune ()) ());
-      (fun () -> run ~seed ?hold ~pattern ~config:(Raft.Config.static ()) ());
-      (fun () -> run ~seed ?hold ~pattern ~config:(Raft.Config.raft_low ()) ());
+      (fun () -> run ?hold ~pattern ~config:(Raft.Config.dynatune ()) ());
+      (fun () -> run ?hold ~pattern ~config:(Raft.Config.static ()) ());
+      (fun () -> run ?hold ~pattern ~config:(Raft.Config.raft_low ()) ());
     ]
 
 let print ppf pattern results =

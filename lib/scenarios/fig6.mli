@@ -40,9 +40,8 @@ val run :
     randomized timeout is sampled once a second. *)
 
 val compare_modes :
-  ?seed:int64 -> ?hold:Des.Time.span -> ?jobs:int -> pattern:pattern ->
-  unit -> series list
-(** Dynatune vs Raft vs Raft-Low.  [jobs > 1] runs the three modes on
+  ?hold:Des.Time.span -> ?jobs:int -> pattern:pattern -> unit -> series list
+(** Dynatune vs Raft vs Raft-Low, seed 11.  [jobs > 1] runs the three modes on
     parallel domains; results are identical at any [jobs]. *)
 
 val print : Format.formatter -> pattern -> series list -> unit

@@ -18,7 +18,7 @@ let loss_schedule =
 (* The sampling period, and the width of the CPU-utilization window. *)
 let sample_every = Des.Time.sec 5
 
-let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ?(cores = 2.) ~n ~config () =
+let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ~n ~config () =
   let warmup = Des.Time.sec 30 in
   let rtt_ms = 200. and jitter = 0.02 in
   let segments =
@@ -32,7 +32,7 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ?(cores = 2.) ~n ~config () =
   in
   let conditions = Netsim.Conditions.piecewise segments in
   let cluster =
-    Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores ~n ~config
+    Cluster.create ~seed ~costs:Raft.Cost_model.etcd_like ~cores:2. ~n ~config
       ~conditions ()
   in
   ignore
@@ -99,13 +99,13 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ?(cores = 2.) ~n ~config () =
     timer_expiries = window.Monitor.timeouts;
   }
 
-let compare_modes ?(seed = 19L) ?hold ?(jobs = 1) ~ns () =
+let compare_modes ?hold ?(jobs = 1) ~ns () =
   Parallel.Campaign.all ~jobs
     (List.concat_map
        (fun n ->
          [
-           (fun () -> run ~seed ?hold ~n ~config:(Raft.Config.dynatune ()) ());
-           (fun () -> run ~seed ?hold ~n ~config:(Raft.Config.fix_k ~k:10 ()) ());
+           (fun () -> run ?hold ~n ~config:(Raft.Config.dynatune ()) ());
+           (fun () -> run ?hold ~n ~config:(Raft.Config.fix_k ~k:10 ()) ());
          ])
        ns)
 

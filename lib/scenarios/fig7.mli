@@ -27,19 +27,17 @@ val loss_schedule : float list
 val run :
   ?seed:int64 ->
   ?hold:Des.Time.span ->
-  ?cores:float ->
   n:int ->
   config:Raft.Config.t ->
   unit ->
   result
-(** [hold] defaults to the paper's 180 s per loss level; [cores] to 2
-    (the paper's Fig 7 allocation).  [h] and CPU utilization are sampled
+(** [hold] defaults to the paper's 180 s per loss level.  Nodes have 2
+    cores (the paper's Fig 7 allocation).  [h] and CPU utilization are sampled
     every 5 s. *)
 
 val compare_modes :
-  ?seed:int64 -> ?hold:Des.Time.span -> ?jobs:int -> ns:int list -> unit ->
-  result list
-(** Dynatune and Fix-K(10) at each cluster size.  [jobs > 1] runs the
+  ?hold:Des.Time.span -> ?jobs:int -> ns:int list -> unit -> result list
+(** Dynatune and Fix-K(10) at each cluster size, seed 19.  [jobs > 1] runs the
     legs on parallel domains; results are identical at any [jobs]. *)
 
 val print : Format.formatter -> result list -> unit

@@ -2,16 +2,16 @@
    cluster before it starts: [Geo.apply] overrides all 20 directed
    links, so the uniform profile [Fig4.run] creates them with never
    carries a message. *)
-let run ?(seed = 23L) ?(failures = 300) ?jitter ?loss ?jobs ?shards ?check
-    ?instrument ?record ~config () =
-  Fig4.run ~seed ~n:5 ~failures ?jobs ?shards ?check ?instrument ?record
-    ~on_cluster:(fun ~shard:_ cluster -> Geo.apply cluster ?jitter ?loss ())
+let run ?(seed = 23L) ?(failures = 300) ?jobs ?shards ?instrument ?record
+    ~config () =
+  Fig4.run ~seed ~n:5 ~failures ?jobs ?shards ?instrument ?record
+    ~on_cluster:(fun ~shard:_ cluster -> Geo.apply cluster)
     ~config ()
 
-let compare_modes ?(failures = 300) ?(seed = 23L) ?(jobs = 1) () =
+let compare_modes ?(failures = 300) ?(jobs = 1) () =
   [
-    run ~seed ~failures ~jobs ~config:(Raft.Config.static ()) ();
-    run ~seed ~failures ~jobs ~config:(Raft.Config.dynatune ()) ();
+    run ~failures ~jobs ~config:(Raft.Config.static ()) ();
+    run ~failures ~jobs ~config:(Raft.Config.dynatune ()) ();
   ]
 
 let print ppf results =

@@ -10,23 +10,19 @@
 val run :
   ?seed:int64 ->
   ?failures:int ->
-  ?jitter:float ->
-  ?loss:float ->
   ?jobs:int ->
   ?shards:int ->
-  ?check:Check.mode ->
   ?instrument:bool ->
   ?record:Des.Time.span ->
   config:Raft.Config.t ->
   unit ->
   Fig4.result
-(** {!Fig4.run} with [n = 5] and {!Geo.apply} ([jitter], [loss])
-    installed on every shard cluster before it starts, so [jobs],
-    [shards], [check], [instrument] and [record] mean exactly what they
-    mean there.  Defaults: seed 23, 300 failures. *)
+(** {!Fig4.run} with [n = 5] and {!Geo.apply}'s default WAN installed
+    on every shard cluster before it starts, so [jobs], [shards],
+    [instrument] and [record] mean exactly what they mean there.
+    Defaults: seed 23, 300 failures. *)
 
-val compare_modes :
-  ?failures:int -> ?seed:int64 -> ?jobs:int -> unit -> Fig4.result list
-(** Default Raft vs Dynatune on the geo WAN. *)
+val compare_modes : ?failures:int -> ?jobs:int -> unit -> Fig4.result list
+(** Default Raft vs Dynatune on the geo WAN, at {!run}'s default seed. *)
 
 val print : Format.formatter -> Fig4.result list -> unit

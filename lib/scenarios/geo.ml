@@ -35,10 +35,11 @@ let rtt_ms a b =
   | 3, 4 -> 308.
   | _ -> assert false
 
-let conditions ?(jitter = 0.08) ?(loss = 0.0005) a b =
-  Netsim.Conditions.(constant (profile ~rtt_ms:(rtt_ms a b) ~jitter ~loss ()))
+let conditions a b =
+  Netsim.Conditions.(
+    constant (profile ~rtt_ms:(rtt_ms a b) ~jitter:0.08 ~loss:0.0005 ()))
 
-let apply cluster ?jitter ?loss () =
+let apply cluster =
   let ids = Cluster.node_ids cluster in
   if List.length ids <> List.length regions then
     invalid_arg "Geo.apply: the geo scenario needs exactly 5 nodes";
@@ -48,6 +49,6 @@ let apply cluster ?jitter ?loss () =
         (fun j b ->
           if i <> j then
             Cluster.set_pair_conditions cluster (List.nth ids i)
-              (List.nth ids j) (conditions ?jitter ?loss a b))
+              (List.nth ids j) (conditions a b))
         regions)
     regions

@@ -16,11 +16,10 @@ val name : region -> string
 val rtt_ms : region -> region -> float
 (** Symmetric mean RTT between two regions; 0.2 ms within a region. *)
 
-val conditions :
-  ?jitter:float -> ?loss:float -> region -> region -> Netsim.Conditions.t
-(** Constant-profile conditions for one region pair; defaults
+val conditions : region -> region -> Netsim.Conditions.t
+(** Constant-profile conditions for one region pair: the pair's RTT,
     [jitter = 0.08], [loss = 0.0005]. *)
 
-val apply : Harness.Cluster.t -> ?jitter:float -> ?loss:float -> unit -> unit
+val apply : Harness.Cluster.t -> unit
 (** Install the region matrix on a 5-node cluster (node ids map to
     {!regions} in order).  Raises [Invalid_argument] for other sizes. *)

@@ -29,7 +29,6 @@ type result = {
       (* cell digests combined in cell order — the jobs-invariance
          witness for the whole sweep *)
   metrics : Telemetry.Metrics.snapshot;
-  recorder : Telemetry.Recorder.dump;
 }
 
 (* Aggregate offered rates: fig5's saturation sweep tops out at 8000
@@ -46,10 +45,10 @@ let warmup = Des.Time.sec 10
 (* One cell: a fixed group count, the full rate ramp.  The replication
    engine runs fig5's best configuration (window 16, priority lanes) on
    top of dynatune, under the same wire model. *)
-let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
-    ?(hold = Des.Time.sec 2) ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop) ?(recorder = Telemetry.Recorder.noop)
-    ?on_manager ~groups () =
+let default_hold = Des.Time.sec 2
+
+let run_cell ~seed ~replicas ~rates ~hold ~check ~telemetry ~on_manager
+    ~groups =
   let config =
     Raft.Config.with_replication ~max_inflight_appends:16
       ~append_backpressure:64 ~max_entries_per_append:64 ~priority_lanes:true
@@ -59,11 +58,10 @@ let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
     Netsim.Conditions.(constant (profile ~rtt_ms ~jitter:0.05 ()))
   in
   let m =
-    Gm.create ~seed ~conditions ~check ~telemetry ~recorder ~groups
-      ~replicas ~config ()
+    Gm.create ~seed ~conditions ~check ~telemetry ~groups ~replicas ~config ()
   in
   Netsim.Fabric.set_uniform_serialization (Gm.fabric m) serialization;
-  (match on_manager with Some f -> f m | None -> ());
+  on_manager m;
   Gm.start m;
   if not (Gm.await_leaders m ~timeout:(Des.Time.sec 30)) then
     failwith "multiraft: initial elections failed";
@@ -92,41 +90,37 @@ let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
     digest = Gm.digest m;
   }
 
+let run_one ?(seed = 11L) ?(replicas = 3) ?(rates = default_rates)
+    ?(hold = default_hold) ?(telemetry = Telemetry.Metrics.noop)
+    ?(on_manager = ignore) ~groups () =
+  run_cell ~seed ~replicas ~rates ~hold ~check:Check.Off ~telemetry
+    ~on_manager ~groups
+
 (* The sweep: group count x offered rate, one campaign task per group
    count.  Each cell derives its own seed from the sweep seed and its
-   position, builds its own registry/recorder, and the per-cell pieces
-   merge in cell order — so the merged digest, metrics and recorder
-   bytes are independent of [jobs]. *)
+   position, builds its own registry, and the per-cell pieces merge in
+   cell order — so the merged digest and metrics are independent of
+   [jobs]. *)
 let sweep ?(seed = 11L) ?(replicas = 3) ?(group_counts = default_group_counts)
-    ?(rates = default_rates) ?hold ?(check = Check.Off) ?(instrument = false)
-    ?record ?(jobs = 1) () =
+    ?(rates = default_rates) ?(hold = default_hold) ?(check = Check.Off)
+    ?(instrument = false) ?(jobs = 1) () =
   let outcomes =
     Parallel.Campaign.all ~jobs
       (List.mapi
          (fun i groups () ->
            let telemetry = Telemetry.Metrics.create ~enabled:instrument () in
-           let recorder =
-             match record with
-             | Some every -> Telemetry.Recorder.create ~every ()
-             | None -> Telemetry.Recorder.noop
-           in
            let cell =
-             run_one ~seed:(Stats.Rng.derive seed i) ~replicas ~rates ?hold
-               ~check ~telemetry ~recorder ~groups ()
+             run_cell ~seed:(Stats.Rng.derive seed i) ~replicas ~rates ~hold
+               ~check ~telemetry ~on_manager:ignore ~groups
            in
-           ( cell,
-             Telemetry.Metrics.snapshot telemetry,
-             Telemetry.Recorder.dump recorder ))
+           (cell, Telemetry.Metrics.snapshot telemetry))
          group_counts)
   in
   {
-    cells = List.map (fun (c, _, _) -> c) outcomes;
+    cells = List.map fst outcomes;
     digest =
-      Check.Digest.combine
-        (List.map (fun ((c : cell), _, _) -> c.digest) outcomes);
-    metrics = Telemetry.Metrics.merge (List.map (fun (_, m, _) -> m) outcomes);
-    recorder =
-      Telemetry.Recorder.merge (List.map (fun (_, _, r) -> r) outcomes);
+      Check.Digest.combine (List.map (fun ((c : cell), _) -> c.digest) outcomes);
+    metrics = Telemetry.Metrics.merge (List.map snd outcomes);
   }
 
 let pp_distribution ppf dist =

@@ -29,7 +29,6 @@ type result = {
       (** cell digests combined in cell order — must be bit-identical
           at [--jobs 1] and [--jobs N] on a pinned sweep *)
   metrics : Telemetry.Metrics.snapshot;
-  recorder : Telemetry.Recorder.dump;
 }
 
 val default_rates : float list
@@ -40,9 +39,7 @@ val run_one :
   ?replicas:int ->
   ?rates:float list ->
   ?hold:Des.Time.span ->
-  ?check:Check.mode ->
   ?telemetry:Telemetry.Metrics.t ->
-  ?recorder:Telemetry.Recorder.t ->
   ?on_manager:(Multiraft.Group_manager.t -> unit) ->
   groups:int ->
   unit ->
@@ -51,7 +48,7 @@ val run_one :
     fig5's wire model (50 ms RTT, 100 µs per-message serialization), the
     replication engine at window 16 with priority lanes, warmed for
     10 s, then ramped through [rates] (aggregate req/s) held [hold]
-    each.  [on_manager] runs after construction, before [start] — the
+    (default 2 s) each, with the checker off.  [on_manager] runs after construction, before [start] — the
     hook the CLI uses to attach per-group Perfetto tracks. *)
 
 val sweep :
@@ -62,14 +59,13 @@ val sweep :
   ?hold:Des.Time.span ->
   ?check:Check.mode ->
   ?instrument:bool ->
-  ?record:Des.Time.span ->
   ?jobs:int ->
   unit ->
   result
 (** The sweep: one campaign task per group count, run on the domain
     pool.  Cell seeds derive from [(seed, cell index)], each cell owns
-    its registry/recorder, and digests/metrics/recorder dumps merge in
-    cell order — all independent of [jobs]. *)
+    its registry, and digests and metrics merge in cell order — all
+    independent of [jobs]. *)
 
 val print : Format.formatter -> result -> unit
 val print_cell : Format.formatter -> cell -> unit

@@ -1,4 +1,5 @@
 module Cluster = Harness.Cluster
+module Monitor = Harness.Monitor
 module Node_id = Netsim.Node_id
 
 type raw = {
@@ -100,24 +101,25 @@ let result_of_raw ~mode ~digest ?(metrics = []) (raw : raw) =
    four are {e graceful}: a removed leader hands off via leadership
    transfer before departing.
 
-   Client-perceived downtime is sampled in 1 ms slices while the engine
-   advances: a slice is down when no live node is a leader able to
-   accept proposals (no leader at all, or the leader is frozen by an
-   in-flight transfer). *)
+   Client-perceived downtime is exact: every wait runs inside a
+   {!Monitor.observe} window, whose leaderless intervals are the
+   spans when no live leader can accept proposals (no leader at all, or
+   the leader is frozen by an in-flight transfer). *)
 
 type phase = Steady | Reactive | Graceful
 
-let spin_timeout = Des.Time.sec 180
+let wait_timeout = Des.Time.sec 180
 
-(* Tuner warm-up before the first round, and the unsampled operator hold
-   between rounds. *)
+(* Tuner warm-up before the first round, the unsampled operator hold
+   between rounds, and the open-loop client's request rate. *)
 let warmup = Des.Time.sec 30
 let recover = Des.Time.sec 15
+let rate = 20.
 
-let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
-    ~rounds ~seed ~shard_index () =
+let shard_campaign ~check ~telemetry ~config ~on_cluster ~rounds ~seed
+    ~shard_index () =
   let cluster = Cluster.create ~seed ~n:5 ~config ~check ~telemetry () in
-  Geo.apply cluster ?jitter ?loss ();
+  Geo.apply cluster;
   (match on_cluster with Some f -> f ~shard:shard_index cluster | None -> ());
   ignore
     (Cluster.boot ~timeout:(Des.Time.sec 60) cluster ~label:"reconfig"
@@ -139,58 +141,35 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
   Kvsm.Client.start client;
   let sampled = ref 0. and reactive = ref 0. and graceful = ref 0. in
   let stalls = ref 0 and replacements = ref 0 and rounds_done = ref 0 in
-  let down () =
-    match Cluster.leader cluster with
-    | None -> true
-    | Some l ->
-        Raft.Server.transfer_pending (Raft.Node.server l) <> None
-  in
-  (* Advance in 1 ms slices until [cond] holds, charging down slices to
-     the phase's bucket.  Returns whether the condition was reached. *)
-  let spin ~phase cond =
-    let deadline = Des.Time.add (Cluster.now cluster) spin_timeout in
-    let rec go () =
-      if cond () then true
-      else if Cluster.now cluster >= deadline then begin
-        incr stalls;
-        false
-      end
-      else begin
-        Cluster.run_for cluster (Des.Time.ms 1);
-        sampled := !sampled +. 1.;
-        (if down () then
-           match phase with
-           | Reactive -> reactive := !reactive +. 1.
-           | Graceful -> graceful := !graceful +. 1.
-           | Steady -> ());
-        go ()
-      end
+  (* Run one wait (at most [wait_timeout]), charging its simulated time
+     to [sampled] and its out-of-service time to the phase's bucket.  A
+     wait that times out is a stall.  Returns whether it succeeded. *)
+  let wait ~phase await =
+    let from = Cluster.now cluster in
+    let ok, window =
+      Monitor.observe cluster (fun () -> await ~timeout:wait_timeout)
     in
-    go ()
+    sampled :=
+      !sampled +. Des.Time.to_ms_f (Des.Time.diff (Cluster.now cluster) from);
+    (match phase with
+    | Reactive -> reactive := !reactive +. Monitor.ots_ms window
+    | Graceful -> graceful := !graceful +. Monitor.ots_ms window
+    | Steady -> ());
+    if not ok then incr stalls;
+    ok
   in
-  let leader_server () =
-    Option.map Raft.Node.server (Cluster.leader cluster)
-  in
-  let quiet () =
-    match leader_server () with
-    | None -> false
-    | Some s ->
-        Raft.Server.pending_config s = None
-        && Raft.Server.transfer_pending s = None
-  in
-  let voter id () =
-    match leader_server () with
-    | None -> false
-    | Some s ->
-        Raft.Server.is_voter s id && Raft.Server.pending_config s = None
+  let await_leader ~timeout =
+    Option.is_some (Cluster.await_leader cluster ~timeout)
   in
   (* Submitting a change retries through leader churn: [`Not_leader] and
      [`Pending] resolve as the engine advances. *)
   let submit ~phase change =
-    spin ~phase (fun () ->
-        match Cluster.reconfigure cluster change with
-        | `Ok _ -> true
-        | `Not_leader | `Pending | `Invalid _ -> false)
+    wait ~phase (fun ~timeout ->
+        Des.Engine.await (Cluster.engine cluster) ~slice:(Des.Time.ms 1)
+          ~timeout (fun () ->
+            match Cluster.reconfigure cluster change with
+            | `Ok _ -> true
+            | `Not_leader | `Pending | `Invalid _ -> false))
   in
   let replace_one ~reactive_step old =
     let slot = Hashtbl.find region (Node_id.to_int old) in
@@ -198,7 +177,7 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
     if reactive_step then begin
       (* The outgoing leader fails before it can be drained. *)
       Raft.Node.pause (Cluster.node cluster old);
-      ignore (spin ~phase:Reactive (fun () -> Cluster.leader cluster <> None))
+      ignore (wait ~phase:Reactive await_leader : bool)
     end;
     let nid = Cluster.spawn_joiner cluster in
     Hashtbl.replace region (Node_id.to_int nid) slot;
@@ -209,20 +188,21 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
           let b =
             List.nth Geo.regions (Hashtbl.find region (Node_id.to_int other))
           in
-          Cluster.set_pair_conditions cluster nid other
-            (Geo.conditions ?jitter ?loss a b))
+          Cluster.set_pair_conditions cluster nid other (Geo.conditions a b))
       (Cluster.node_ids cluster);
     if submit ~phase:entry_phase (Raft.Log.Add_learner nid) then begin
-      ignore (spin ~phase:entry_phase (voter nid));
+      ignore
+        (wait ~phase:entry_phase (Cluster.await_voter cluster nid) : bool);
       if submit ~phase:Graceful (Raft.Log.Remove old) then begin
-        ignore (spin ~phase:Graceful quiet);
+        ignore
+          (wait ~phase:Graceful (Cluster.await_config_quiet cluster) : bool);
         Cluster.retire cluster old;
         incr replacements
       end
     end
   in
   for _ = 1 to rounds do
-    ignore (spin ~phase:Steady (fun () -> Cluster.leader cluster <> None));
+    ignore (wait ~phase:Steady await_leader : bool);
     let originals = Cluster.node_ids cluster in
     let lead =
       match Cluster.leader cluster with
@@ -266,12 +246,12 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
   in
   (raw, Cluster.trace_digest cluster, Telemetry.Metrics.snapshot telemetry)
 
-let run ?(seed = 42L) ?(rounds = 4) ?jitter ?loss ?(rate = 20.) ?(jobs = 1)
-    ?shards ?(check = Check.Off) ?(instrument = false) ?on_cluster ~config () =
+let run ?(seed = 42L) ?(rounds = 4) ?(jobs = 1) ?shards ?(check = Check.Off)
+    ?(instrument = false) ?on_cluster ~config () =
   let shard (s : Parallel.Campaign.shard) =
     let telemetry = Telemetry.Metrics.create ~enabled:instrument () in
-    shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
-      ~rounds:s.quota ~seed:s.seed ~shard_index:s.index ()
+    shard_campaign ~check ~telemetry ~config ~on_cluster ~rounds:s.quota
+      ~seed:s.seed ~shard_index:s.index ()
   in
   let outcomes =
     Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:rounds ~f:shard ()
@@ -287,10 +267,10 @@ let run ?(seed = 42L) ?(rounds = 4) ?jitter ?loss ?(rate = 20.) ?(jobs = 1)
    the between-round recovery holds let the re-warmed tuners reach
    steady state (a one-round shard only ever measures the first
    failover). *)
-let compare_modes ?(rounds = 4) ?(seed = 42L) ?(jobs = 1) () =
+let compare_modes ?(rounds = 4) ?(jobs = 1) () =
   [
-    run ~seed ~rounds ~jobs ~shards:2 ~config:(Raft.Config.static ()) ();
-    run ~seed ~rounds ~jobs ~shards:2 ~config:(Raft.Config.dynatune ()) ();
+    run ~rounds ~jobs ~shards:2 ~config:(Raft.Config.static ()) ();
+    run ~rounds ~jobs ~shards:2 ~config:(Raft.Config.dynatune ()) ();
   ]
 
 let print ppf results =

@@ -56,16 +56,3 @@ let overflow t = t.overflow
 let bin_bounds t i =
   let w = (t.hi -. t.lo) /. float_of_int (bins t) in
   (t.lo +. (w *. float_of_int i), t.lo +. (w *. float_of_int (i + 1)))
-
-let pp ?(width = 40) ppf t =
-  let peak = Array.fold_left Stdlib.max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        let lo, hi = bin_bounds t i in
-        let bar = String.make (Stdlib.max 1 (c * width / peak)) '#' in
-        Format.fprintf ppf "[%10.2f, %10.2f) %6d %s@." lo hi c bar
-      end)
-    t.counts;
-  if t.underflow > 0 then Format.fprintf ppf "underflow: %d@." t.underflow;
-  if t.overflow > 0 then Format.fprintf ppf "overflow: %d@." t.overflow

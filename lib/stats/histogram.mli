@@ -42,6 +42,3 @@ val overflow : t -> int
 
 val bin_bounds : t -> int -> float * float
 (** [bin_bounds t i] is the [(lo, hi)] range of bin [i]. *)
-
-val pp : ?width:int -> Format.formatter -> t -> unit
-(** Multi-line bar rendering, one row per non-empty bin. *)

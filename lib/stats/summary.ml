@@ -58,11 +58,3 @@ let cdf_at t v =
         if t.sorted.(mid) <= v then search (mid + 1) hi else search lo mid
     in
     float_of_int (search 0 n) /. float_of_int n
-
-let pp ppf t =
-  if count t = 0 then Format.fprintf ppf "(empty)"
-  else
-    Format.fprintf ppf
-      "n=%d mean=%.2f std=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f"
-      (count t) (mean t) (std t) (min t) (percentile t 50.)
-      (percentile t 90.) (percentile t 99.) (max t)

@@ -39,6 +39,3 @@ val cdf : t -> points:int -> (float * float) list
 
 val cdf_at : t -> float -> float
 (** [cdf_at t v] is the fraction of samples [<= v]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line rendering: count, mean, std, min, p50, p90, p99, max. *)

@@ -30,9 +30,6 @@ let push t ~time ~value =
 let points t =
   List.init t.len (fun i -> (t.times.(i), t.values.(i)))
 
-let last t =
-  if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
-
 type agg = Mean | Sum | Max | Min | Last | Count
 
 let reduce agg vs =

@@ -18,8 +18,6 @@ val push : t -> time:float -> value:float -> unit
 val points : t -> (float * float) list
 (** All points, oldest first. *)
 
-val last : t -> (float * float) option
-
 type agg = Mean | Sum | Max | Min | Last | Count
 
 val bucket : t -> width:float -> agg:agg -> (float * float) list

@@ -8,13 +8,6 @@ type t = {
 
 let create () = { n = 0; mean = 0.; m2 = 0.; min = nan; max = nan }
 
-let reset t =
-  t.n <- 0;
-  t.mean <- 0.;
-  t.m2 <- 0.;
-  t.min <- nan;
-  t.max <- nan
-
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
@@ -33,9 +26,6 @@ let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int t.n
 let std t = sqrt (variance t)
-
-let sample_variance t =
-  if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
 let min t = t.min
 let max t = t.max

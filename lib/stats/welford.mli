@@ -7,7 +7,6 @@ type t
 (** Mutable accumulator. *)
 
 val create : unit -> t
-val reset : t -> unit
 
 val add : t -> float -> unit
 (** Accumulate one observation. *)
@@ -21,9 +20,6 @@ val variance : t -> float
 
 val std : t -> float
 (** Population standard deviation. *)
-
-val sample_variance : t -> float
-(** Unbiased sample variance ([/(n-1)]); [0.] when fewer than two samples. *)
 
 val min : t -> float
 (** Smallest observation; [nan] when empty. *)

@@ -23,7 +23,6 @@ let create ~capacity =
 
 let capacity t = Array.length t.buf
 let length t = t.len
-let is_full t = t.len = Array.length t.buf
 
 let clear t =
   t.head <- 0;

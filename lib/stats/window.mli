@@ -14,7 +14,6 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 val length : t -> int
-val is_full : t -> bool
 val clear : t -> unit
 
 val push : t -> float -> unit

@@ -148,8 +148,8 @@ let emit t ~ph ~name ~pid ~tid ?at ?(fields = []) ?(args = []) () =
 let duration_begin t ~name ~pid ~tid ~at ?(args = []) () =
   emit t ~ph:"B" ~name ~pid ~tid ~at ~args ()
 
-let duration_end t ~name ~pid ~tid ~at ?(args = []) () =
-  emit t ~ph:"E" ~name ~pid ~tid ~at ~args ()
+let duration_end t ~name ~pid ~tid ~at () =
+  emit t ~ph:"E" ~name ~pid ~tid ~at ~args:[] ()
 
 let instant t ~name ~pid ~tid ~at ?(args = []) () =
   emit t ~ph:"i" ~name ~pid ~tid ~at ~fields:[ ("s", "\"t\"") ] ~args ()

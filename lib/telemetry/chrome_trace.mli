@@ -38,15 +38,9 @@ val duration_begin :
   unit
 
 val duration_end :
-  t ->
-  name:string ->
-  pid:int ->
-  tid:int ->
-  at:Des.Time.t ->
-  ?args:(string * arg) list ->
-  unit ->
-  unit
-(** [B]/[E] pairs must nest properly per [(pid, tid)]; the tracing
+  t -> name:string -> pid:int -> tid:int -> at:Des.Time.t -> unit -> unit
+(** An [E] event carries no arguments; its [B] holds them.  [B]/[E]
+    pairs must nest properly per [(pid, tid)]; the tracing
     bridge guarantees this by closing a node's open span before opening
     the next one. *)
 

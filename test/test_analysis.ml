@@ -8,8 +8,8 @@ module A = Analysis
 module F = Analysis.Finding
 module Cg = Analysis.Callgraph
 
-let file path content = { A.path; content }
-let analyze ?config files = fst (A.analyze ?config files)
+let file path content = { A.Driver.path; content }
+let analyze ?config files = fst (A.Driver.analyze ?config ~callers:[] files)
 let with_rule rule fs = List.filter (fun (f : F.t) -> f.rule = rule) fs
 
 let contains hay needle =
@@ -59,6 +59,36 @@ let test_callgraph_resolution () =
   | None -> Alcotest.fail "Stats.Rng.fresh unresolved");
   Alcotest.(check bool) "locals stay unresolved" true
     (resolve [ "nonexistent" ] = None)
+
+let test_callgraph_aliases () =
+  let cg =
+    Cg.build
+      [
+        src "Multiraft" "lib/multiraft/group_manager.ml" "let create () = 0";
+        src "Scenarios" "lib/scenarios/multiraft_scenario.ml" "let sweep () = 1";
+        src "Scenarios" "lib/scenarios/scenarios.ml"
+          "module Multiraft = Multiraft_scenario";
+        src "" "bin/x.ml"
+          "module Gm = Multiraft.Group_manager
+           let a = Gm.create ()
+           let b = Scenarios.Multiraft.sweep ()";
+      ]
+  in
+  let resolved parts =
+    Option.map
+      (fun v -> v.Cg.vpath)
+      (Cg.resolve cg ~path:"bin/x.ml" ~lib:"" parts)
+  in
+  Alcotest.(check (option string)) "file alias"
+    (Some "lib/multiraft/group_manager.ml") (resolved [ "Gm"; "create" ]);
+  Alcotest.(check (option string)) "library wrapper alias"
+    (Some "lib/scenarios/multiraft_scenario.ml")
+    (resolved [ "Scenarios"; "Multiraft"; "sweep" ]);
+  Alcotest.(check (option string)) "an alias is per file" None
+    (Option.map
+       (fun v -> v.Cg.vpath)
+       (Cg.resolve cg ~path:"lib/scenarios/scenarios.ml" ~lib:"Scenarios"
+          [ "Gm"; "create" ]))
 
 (* {2 Effect taint} *)
 
@@ -142,7 +172,7 @@ let test_stale_allow_entries () =
        util.ml:shared-state\n"
   in
   let config = A.Driver.default_config ~allow () in
-  let findings, stale = A.analyze ~config taint_files in
+  let findings, stale = A.Driver.analyze ~config ~callers:[] taint_files in
   Alcotest.(check int) "taint suppressed" 0
     (List.length (with_rule "effect-taint" findings));
   Alcotest.(check (list (pair int string)))
@@ -313,10 +343,50 @@ let test_mutable_global_without_spawn () =
   Alcotest.(check (list int)) "outside lib/raft" []
     (lines_of "mutable-global" (analyze [ file "lib/stats/g.ml" source ]))
 
+(* {2 unset-optional} *)
+
+let knob_mli = "val make : ?size:int -> unit -> int\nval pick : ?seed:int -> unit -> int\n"
+
+let knob_ml =
+  "let make ?(size = 1) () = size\n\
+   let pick ?(seed = 0) () = seed\n\
+   let own () = make ~size:2 ()\n"
+
+let test_unset_optional () =
+  let unset callers =
+    lines_of "unset-optional"
+      (fst
+         (A.Driver.analyze ~callers
+            [ file "lib/kvsm/k.mli" knob_mli; file "lib/kvsm/k.ml" knob_ml ]))
+  in
+  Alcotest.(check (list int)) "no caller sets either" [ 1; 2 ] (unset []);
+  Alcotest.(check (list int)) "a caller-only file sets ?seed" [ 1 ]
+    (unset [ file "test/t.ml" "module K = Kvsm.K\nlet x = K.pick ~seed:3 ()" ]);
+  Alcotest.(check (list int)) "forwarding an option counts" [ 2 ]
+    (unset [ file "bench/b.ml" "let f size = Kvsm.K.make ?size ()" ])
+
+let test_callers_are_not_checked () =
+  let findings, _ =
+    A.Driver.analyze
+      ~callers:
+        [
+          file "bench/b.mli" "val f : ?x:int -> unit -> float";
+          file "bench/b.ml" "let f ?x () = ignore x; Unix.gettimeofday ()";
+          file "lib/raft/caller.ml" "let counter = ref 0";
+        ]
+      []
+  in
+  Alcotest.(check int) "caller-only files raise nothing" 0
+    (List.length findings)
+
 let tests =
   [
     Alcotest.test_case "callgraph-build" `Quick test_callgraph_build;
     Alcotest.test_case "callgraph-resolution" `Quick test_callgraph_resolution;
+    Alcotest.test_case "callgraph-aliases" `Quick test_callgraph_aliases;
+    Alcotest.test_case "unset-optional" `Quick test_unset_optional;
+    Alcotest.test_case "callers-are-not-checked" `Quick
+      test_callers_are_not_checked;
     Alcotest.test_case "taint-two-hops" `Quick test_taint_two_hops;
     Alcotest.test_case "taint-needs-entry" `Quick
       test_taint_requires_entry_reachability;

@@ -186,6 +186,88 @@ let test_monitor_leaderless_intervals () =
     true
     (ots > 100. && ots < 10_000.)
 
+(* The first Role_change to leader stamped while [body] runs. *)
+let first_election c body =
+  let elected = ref None in
+  let result =
+    Des.Mtrace.during (Cluster.trace c)
+      (fun time -> function
+        | Raft.Probe.Role_change { role = Raft.Types.Leader; _ }
+          when !elected = None ->
+            elected := Some time
+        | _ -> ())
+      body
+  in
+  match !elected with
+  | Some at -> (result, at)
+  | None -> Alcotest.fail "no leader elected"
+
+let test_monitor_restarted_leader () =
+  (* A crashed leader restarts as a follower long before anyone's
+     timer expires: the cluster stays out of service until a new leader
+     is elected, not just until the restart. *)
+  let c = make () in
+  ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
+  Cluster.run_for c (Time.sec 5);
+  let leader =
+    match Cluster.leader c with
+    | Some l -> Raft.Node.id l
+    | None -> Alcotest.fail "no leader"
+  in
+  let ((crashed_at, restarted_at), elected_at), w =
+    Monitor.observe c (fun () ->
+        let crashed_at = Cluster.now c in
+        Fault.crash_and_restart c leader ~downtime:(Time.ms 10);
+        let restarted_at = Cluster.now c in
+        first_election c (fun () ->
+            match Cluster.await_leader c ~timeout:(Time.sec 30) with
+            | Some _ -> (crashed_at, restarted_at)
+            | None -> Alcotest.fail "no recovery"))
+  in
+  Alcotest.(check bool) "elected after the restart" true
+    (elected_at > restarted_at);
+  Alcotest.(check (list (pair int int)))
+    "one gap, from the crash to the new leader" [ (crashed_at, elected_at) ]
+    w.Monitor.leaderless
+
+let test_monitor_transfer_is_out_of_service () =
+  (* A leader handing off refuses proposals: the window is out of
+     service from Transfer_started to the target's election. *)
+  let c = make () in
+  ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
+  Cluster.run_for c (Time.sec 5);
+  let leader =
+    match Cluster.leader c with
+    | Some l -> Raft.Node.id l
+    | None -> Alcotest.fail "no leader"
+  in
+  let target =
+    List.find
+      (fun id -> not (Netsim.Node_id.equal id leader))
+      (Cluster.node_ids c)
+  in
+  let (started_at, elected_at), w =
+    Monitor.observe c (fun () ->
+        Cluster.run_for c (Time.ms 50);
+        let started_at = Cluster.now c in
+        (match Cluster.transfer_leadership c target with
+        | `Ok -> ()
+        | `Not_leader -> Alcotest.fail "leader refused the transfer");
+        let (), elected_at =
+          first_election c (fun () -> Cluster.run_for c (Time.sec 2))
+        in
+        (started_at, elected_at))
+  in
+  (match Cluster.leader c with
+  | Some l ->
+      Alcotest.(check int) "target took over" (Netsim.Node_id.to_int target)
+        (Netsim.Node_id.to_int (Raft.Node.id l))
+  | None -> Alcotest.fail "no leader after the transfer");
+  Alcotest.(check (list (pair int int)))
+    "one gap, from the transfer start to the target's election"
+    [ (started_at, elected_at) ]
+    w.Monitor.leaderless
+
 let test_monitor_no_ots_in_steady_state () =
   let c = make () in
   ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
@@ -273,7 +355,7 @@ let test_geo_requires_five_nodes () =
   let c = make ~n:3 () in
   Alcotest.(check bool) "rejects n=3" true
     (try
-       Scenarios.Geo.apply c ();
+       Scenarios.Geo.apply c;
        false
      with Invalid_argument _ -> true)
 
@@ -301,6 +383,17 @@ let test_fig4_smoke () =
   Alcotest.(check bool) "detection in a plausible band" true
     (Stats.Summary.mean r.Scenarios.Fig4.detection > 500.
     && Stats.Summary.mean r.Scenarios.Fig4.detection < 2500.)
+
+let test_fig4_instrument_keeps_digest () =
+  (* Instrumented servers add Tuner_decision probes; the digest must not
+     see them. *)
+  let digest instrument =
+    (Scenarios.Fig4.run ~seed:42L ~failures:20 ~shards:2 ~instrument
+       ~config:(Raft.Config.dynatune ()) ())
+      .Scenarios.Fig4.digest
+  in
+  Alcotest.(check int64) "same digest instrumented" (digest false)
+    (digest true)
 
 let test_fig6_radical_smoke () =
   let r =
@@ -361,6 +454,10 @@ let tests =
       test_monitor_leaderless_intervals;
     Alcotest.test_case "monitor: steady state has no OTS" `Quick
       test_monitor_no_ots_in_steady_state;
+    Alcotest.test_case "monitor: a restarted leader is not serving" `Quick
+      test_monitor_restarted_leader;
+    Alcotest.test_case "monitor: a transferring leader is not serving" `Quick
+      test_monitor_transfer_is_out_of_service;
     Alcotest.test_case "congestion: episode process" `Quick
       test_congestion_episodes;
     Alcotest.test_case "congestion: spec validation" `Quick
@@ -372,6 +469,8 @@ let tests =
     Alcotest.test_case "geo: worst path" `Quick
       test_geo_longest_path_sydney_saopaulo;
     Alcotest.test_case "scenario smoke: fig4" `Slow test_fig4_smoke;
+    Alcotest.test_case "fig4: instrumentation keeps the digest" `Quick
+      test_fig4_instrument_keeps_digest;
     Alcotest.test_case "scenario smoke: fig6b" `Slow test_fig6_radical_smoke;
     Alcotest.test_case "scenario smoke: fig7" `Slow test_fig7_smoke;
     Alcotest.test_case "extensions: variants valid" `Quick
