@@ -163,13 +163,13 @@ let multiraft_json () =
       ()
   in
   let single_rps, single_p99 =
-    match sustained single.M.levels with
+    match sustained single.M.ramp.levels with
     | Some v -> v
     | None -> failwith "multiraft report: single group sustained no level"
   in
   let multi = M.run_one ~seed:11L ~groups:64 () in
   let multi_rps, multi_p99 =
-    match sustained ~p99_cap:single_p99 multi.M.levels with
+    match sustained ~p99_cap:single_p99 multi.M.ramp.levels with
     | Some v -> v
     | None ->
         failwith
@@ -182,7 +182,7 @@ let multiraft_json () =
      \"sustainable_rps\": %.0f, \"p99_ms\": %.2f, \"peak_rps\": %.0f, \
      \"events\": %d}, \"speedup\": %.2f}"
     single_rps single_p99 multi.M.groups multi.M.replicas multi_rps multi_p99
-    multi.M.peak_rps multi.M.events
+    multi.M.ramp.peak_rps multi.M.events
     (multi_rps /. single_rps)
 
 let usage () =

@@ -249,10 +249,9 @@ let words_per_op ppf name f =
     (Bench_loops.words_per_op f)
 
 (* The forensics contract, measured: Bench_loops' steady-state cluster
-   as minor words per DES event.  With the ring disabled the loop must
-   allocate exactly like a cluster given no ring (the [fo_on] guards
-   keep the disabled path allocation-free; `selfcheck --perf` gates that
-   equality); the enabled figure prices turning it on. *)
+   as minor words per DES event, with the ring off (the default) and
+   on; the difference prices turning it on.  `selfcheck --perf` gates
+   both readings. *)
 let forensics_pair ppf =
   let off = Bench_loops.cluster_words_per_event () in
   let on_ =

@@ -389,20 +389,12 @@ let perf_table () =
         Budget
           (ratchet 42.39, "words/event", fun () ->
             Bench_loops.cluster_words_per_event ()) );
-      (* The [fo_on] guards in [Raft.Node] keep a disabled forensics ring
-         off the allocation path entirely: not one extra word. *)
-      ( "disabled forensics ring, extra over default",
+      ( "steady-state cluster, forensics on",
         Budget
-          ( 0.,
-            "words/event",
-            fun () ->
-              let base = Bench_loops.cluster_words_per_event () in
-              let off =
-                Bench_loops.cluster_words_per_event
-                  ~forensics:(Raft.Forensics.create ~enabled:false ())
-                  ()
-              in
-              Float.abs (off -. base) ) );
+          (ratchet 49.51, "words/event", fun () ->
+            Bench_loops.cluster_words_per_event
+              ~forensics:(Raft.Forensics.create ())
+              ()) );
     ]
 
 (* Every row is measured and printed, "!!" marking a failure, so one

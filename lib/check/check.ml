@@ -156,7 +156,10 @@ type t = {
          Config entries replay on top of it in the deep check *)
   committed : (Types.index, Types.term * Log.command) Hashtbl.t;
   leaders_by_term : (Types.term, Node_id.t) Hashtbl.t;
-  ring : string array;
+  ring_times : Des.Time.t array;
+  ring_probes : Raft.Probe.t array;
+      (* the last [ring_size] probes, rendered only when a violation
+         reports them *)
   mutable ring_len : int;
   mutable ring_next : int;
   mutable events : int;
@@ -189,7 +192,9 @@ let create ~mode ~nodes () =
       (match nodes with [] -> [] | v :: _ -> v.voters ());
     committed = Hashtbl.create 256;
     leaders_by_term = Hashtbl.create 64;
-    ring = Array.make ring_size "";
+    ring_times = Array.make ring_size Des.Time.zero;
+    ring_probes =
+      Array.make ring_size (Raft.Probe.Tuner_reset { id = Node_id.of_int 0 });
     ring_len = 0;
     ring_next = 0;
     events = 0;
@@ -205,14 +210,17 @@ let set_flight_recorder t fn = t.flight_fn <- fn
 let events_seen t = t.events
 let checks_run t = t.checks
 
-let ring_push t line =
-  t.ring.(t.ring_next) <- line;
+let ring_push t time probe =
+  t.ring_times.(t.ring_next) <- time;
+  t.ring_probes.(t.ring_next) <- probe;
   t.ring_next <- (t.ring_next + 1) mod ring_size;
   if t.ring_len < ring_size then t.ring_len <- t.ring_len + 1
 
 let ring_contents t =
   List.init t.ring_len (fun i ->
-      t.ring.((t.ring_next - t.ring_len + i + ring_size) mod ring_size))
+      let slot = (t.ring_next - t.ring_len + i + ring_size) mod ring_size in
+      Format.asprintf "%a %a" Des.Time.pp t.ring_times.(slot) Raft.Probe.pp
+        t.ring_probes.(slot))
 
 let fail t ~invariant ?node ~term fmt =
   Format.kasprintf
@@ -234,7 +242,7 @@ let fail t ~invariant ?node ~term fmt =
 (* The Role_change probe stream is complete even when state checks are
    sampled, so leadership history is checked exactly. *)
 let on_probe t time probe =
-  ring_push t (Format.asprintf "%a %a" Des.Time.pp time Raft.Probe.pp probe);
+  ring_push t time probe;
   match probe with
   | Raft.Probe.Role_change { id; role = Types.Leader; term } -> (
       match Hashtbl.find_opt t.leaders_by_term term with

@@ -30,66 +30,52 @@ type failure_outcome = {
   election_rounds : int;
 }
 
-(* What one failure window showed on the probe stream, folded live from
-   the kill until the new leader is found.  The kill stamps [failed_at]
-   and no event runs between it and the subscription, so every probe
-   stamped after [failed_at] reaches the observer. *)
-type window = {
-  mutable leader_at : Des.Time.t option;
-      (* the new leader's Role_change: the precise establishment instant
-         (the polling loop only brackets it to the millisecond) *)
-  mutable timeouts : (Node_id.t * Des.Time.t * Des.Time.span) list;
-      (* each surviving node's first expiry, newest first *)
-  mutable rounds : int;
-}
-
-let observe w ~failed ~failed_at time probe =
-  let before_leader =
-    match w.leader_at with None -> true | Some at -> time <= at
-  in
-  if time > failed_at && before_leader then
-    match probe with
-    | Raft.Probe.Role_change { id; role = Raft.Types.Leader; _ }
-      when not (Node_id.equal id failed) ->
-        if Option.is_none w.leader_at then w.leader_at <- Some time
-    | Raft.Probe.Timeout_expired { id; randomized; _ }
-      when not (Node_id.equal id failed) ->
-        if not (List.exists (fun (i, _, _) -> Node_id.equal i id) w.timeouts)
-        then w.timeouts <- (id, time, randomized) :: w.timeouts
-    | Raft.Probe.Election_started _ -> w.rounds <- w.rounds + 1
-    | Raft.Probe.Role_change _ | Raft.Probe.Timeout_expired _
-    | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
-    | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
-    | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-    | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
-        ()
-
 (* How long a failover may take before the iteration is abandoned. *)
 let detect_limit = Des.Time.sec 60
 
-let analyse t w ~failed ~failed_at ~new_leader_at ~new_leader =
-  let new_leader_at = Option.value w.leader_at ~default:new_leader_at in
-  match List.rev w.timeouts with
-  | [] -> Error "no follower detected the failure"
-  | (_, first_time, first_randomized) :: _ as ordered ->
-      let f = Cluster.size t / 2 in
-      let majority_time =
-        match List.nth_opt ordered f with
-        | Some (_, time, _) -> time
-        | None -> first_time
+(* [w] opens right after the kill, with the failed leader paused.  The
+   failover ends where its first leaderless interval ends: the instant
+   the new leader was established, which the polling loop only brackets
+   to the millisecond.  Only expiries and campaigns up to that instant
+   belong to it. *)
+let analyse t (w : Monitor.window) ~failed ~failed_at ~new_leader =
+  match w.leaderless with
+  | [] -> Error "the kill left a leader serving"
+  | (_, served_at) :: _ -> (
+      let first_expiries =
+        List.fold_left
+          (fun seen (e : Monitor.expiry) ->
+            if
+              e.at > served_at
+              || Node_id.equal e.node failed
+              || List.exists
+                   (fun (p : Monitor.expiry) -> Node_id.equal p.node e.node)
+                   seen
+            then seen
+            else e :: seen)
+          [] w.timeouts
+        |> List.rev
       in
-      Ok
-        {
-          failed;
-          failed_at;
-          detection_ms = Des.Time.to_ms_f (Des.Time.diff first_time failed_at);
-          majority_detection_ms =
-            Des.Time.to_ms_f (Des.Time.diff majority_time failed_at);
-          randomized_at_detection_ms = Des.Time.to_ms_f first_randomized;
-          ots_ms = Des.Time.to_ms_f (Des.Time.diff new_leader_at failed_at);
-          new_leader;
-          election_rounds = w.rounds;
-        }
+      let campaigns = List.filter (fun at -> at <= served_at) w.elections in
+      let since_failure at = Des.Time.to_ms_f (Des.Time.diff at failed_at) in
+      match first_expiries with
+      | [] -> Error "no follower detected the failure"
+      | first :: _ ->
+          let majority =
+            Option.value ~default:first
+              (List.nth_opt first_expiries (Cluster.size t / 2))
+          in
+          Ok
+            {
+              failed;
+              failed_at;
+              detection_ms = since_failure first.at;
+              majority_detection_ms = since_failure majority.at;
+              randomized_at_detection_ms = Des.Time.to_ms_f first.randomized;
+              ots_ms = since_failure served_at;
+              new_leader;
+              election_rounds = List.length campaigns;
+            })
 
 let await_new_leader t ~excluding =
   let fresh () =
@@ -100,7 +86,7 @@ let await_new_leader t ~excluding =
   if
     Des.Engine.await (Cluster.engine t) ~slice:(Des.Time.ms 1)
       ~timeout:detect_limit fresh
-  then Option.map (fun l -> (Raft.Node.id l, Cluster.now t)) (Cluster.leader t)
+  then Option.map Raft.Node.id (Cluster.leader t)
   else None
 
 (* Run until every live follower's tuner has left Step 0 (no-op for
@@ -148,18 +134,14 @@ let fail_and_measure t () =
   match kill with
   | None -> Error "no leader to kill"
   | Some (failed, failed_at) -> (
-      let w = { leader_at = None; timeouts = []; rounds = 0 } in
       match
-        Des.Mtrace.during (Cluster.trace t) (observe w ~failed ~failed_at)
-          (fun () -> await_new_leader t ~excluding:failed)
+        Monitor.observe t (fun () -> await_new_leader t ~excluding:failed)
       with
-      | None ->
+      | None, _ ->
           recover t failed;
           Error "no new leader elected within the limit"
-      | Some (new_leader, new_leader_at) ->
-          let outcome =
-            analyse t w ~failed ~failed_at ~new_leader_at ~new_leader
-          in
+      | Some new_leader, w ->
+          let outcome = analyse t w ~failed ~failed_at ~new_leader in
           recover t failed;
           (* Let the old leader rejoin and the cluster settle before the
              next iteration. *)

@@ -41,6 +41,8 @@ val fail_and_measure : Cluster.t -> unit -> (failure_outcome, string) result
     run until a new leader is established (up to 60 s, by
     {!Des.Engine.await} in 1 ms slices), measure, then recover the old
     leader and let it rejoin.
-    The measurements come from a scoped observer ({!Des.Mtrace.during})
-    on the cluster trace that lives from the kill until the new leader
-    is found; other observers are unaffected. *)
+    Every field comes from the {!Monitor.observe} window around that
+    wait, opened right after the kill with the failed leader paused:
+    the failover ends where the window's first leaderless interval
+    ends, and only the expiries and campaigns stamped up to that
+    instant count.  Other trace observers are unaffected. *)

@@ -57,16 +57,18 @@ let watch t ~every ~duration ~probes =
   Des.Engine.run_until engine stop_at;
   List.map (fun (p, ts) -> (p.name, ts)) series
 
+type expiry = { at : Des.Time.t; node : Node_id.t; randomized : Des.Time.span }
+
 type window = {
-  timeouts : int;
+  timeouts : expiry list;
   pre_vote_aborts : int;
-  elections : int;
+  elections : Des.Time.t list;
   leaderless : (Des.Time.t * Des.Time.t) list;
 }
 
 let observe t f =
   let from = Cluster.now t in
-  let timeouts = ref 0 and aborts = ref 0 and elections = ref 0 in
+  let timeouts = ref [] and aborts = ref 0 and elections = ref [] in
   (* Seeded from the live roles, pause flags and pending transfers:
      [Server.set_role] always emits Role_change, [Node.pause]/[resume]
      always emit Node_paused/Node_resumed, and a transfer starts with
@@ -89,14 +91,11 @@ let observe t f =
       if Option.is_some (Raft.Server.transfer_pending server) then
         Node_id.Table.replace transferring id ())
     (Cluster.nodes t);
-  let live_leaders () =
-    Node_id.Table.fold
-      (fun id () acc ->
-        if Node_id.Table.mem paused id || Node_id.Table.mem transferring id
-        then acc
-        else acc + 1)
-      leading 0
+  let count_live id () acc =
+    if Node_id.Table.mem paused id || Node_id.Table.mem transferring id then acc
+    else acc + 1
   in
+  let live_leaders () = Node_id.Table.fold count_live leading 0 in
   let intervals = ref [] in
   let gap_start = ref (if live_leaders () = 0 then Some from else None) in
   let close_gap time =
@@ -116,12 +115,14 @@ let observe t f =
   in
   (* Probes stamped [from] itself can still be queued when [f] starts:
      they move the state but are not counted. *)
-  let count time r = if time > from then incr r in
   let observer time probe =
     match probe with
-    | Raft.Probe.Timeout_expired _ -> count time timeouts
-    | Raft.Probe.Pre_vote_aborted _ -> count time aborts
-    | Raft.Probe.Election_started _ -> count time elections
+    | Raft.Probe.Timeout_expired { id; randomized; _ } ->
+        if time > from then
+          timeouts := { at = time; node = id; randomized } :: !timeouts
+    | Raft.Probe.Pre_vote_aborted _ -> if time > from then incr aborts
+    | Raft.Probe.Election_started _ ->
+        if time > from then elections := time :: !elections
     | Raft.Probe.Role_change { id; role; _ } ->
         transition time (fun () ->
             Node_id.Table.remove transferring id;
@@ -144,9 +145,9 @@ let observe t f =
   close_gap (Cluster.now t);
   ( result,
     {
-      timeouts = !timeouts;
+      timeouts = List.rev !timeouts;
       pre_vote_aborts = !aborts;
-      elections = !elections;
+      elections = List.rev !elections;
       leaderless = List.rev !intervals;
     } )
 

@@ -40,10 +40,17 @@ val watch :
     sampling event stays queued after it returns, even when [duration]
     is not a multiple of [every]. *)
 
+type expiry = {
+  at : Des.Time.t;
+  node : Netsim.Node_id.t;
+  randomized : Des.Time.span;  (** the randomizedTimeout that expired *)
+}
+
 type window = {
-  timeouts : int;  (** election-timer expiries *)
+  timeouts : expiry list;  (** election-timer expiries, oldest first *)
   pre_vote_aborts : int;
-  elections : int;  (** real campaigns started *)
+  elections : Des.Time.t list;
+      (** start instants of the real campaigns, oldest first *)
   leaderless : (Des.Time.t * Des.Time.t) list;
       (** out-of-service intervals, oldest first, clipped to the
           window: no leader is serving.  A leader serves unless it is
@@ -56,7 +63,8 @@ val observe : Cluster.t -> (unit -> 'a) -> 'a * window
 (** [observe t f] runs [f], which advances the simulation, and returns
     its result with what the probe stream showed over the window
     [(from, until]]: [from] is the instant [f] starts, [until] the one
-    it returns at.  The counts cover probes stamped inside the window.
+    it returns at.  The expiries, the campaigns and the pre-vote abort
+    count cover probes stamped inside the window.
     The leaderless intervals are seeded from the nodes' roles, pause
     flags and pending transfers when the window opens, which is exact:
     every role change, pause/resume and transfer start/abort emits a

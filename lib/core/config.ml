@@ -8,10 +8,11 @@ type t = {
   max_list_size : int;
   default_election_timeout : Des.Time.span;
   default_heartbeat_interval : Des.Time.span;
-  min_election_timeout : Des.Time.span;
   max_election_timeout : Des.Time.span;
   min_heartbeat_interval : Des.Time.span;
 }
+
+let min_election_timeout = Des.Time.ms 10
 
 let default =
   {
@@ -22,7 +23,6 @@ let default =
     max_list_size = 100;
     default_election_timeout = Des.Time.ms 1000;
     default_heartbeat_interval = Des.Time.ms 100;
-    min_election_timeout = Des.Time.ms 10;
     max_election_timeout = Des.Time.ms 5000;
     min_heartbeat_interval = Des.Time.ms 1;
   }
@@ -39,9 +39,7 @@ let validate t =
   else if t.min_list_size < 2 then err "min_list_size must be at least 2"
   else if t.max_list_size < t.min_list_size then
     err "max_list_size must be >= min_list_size"
-  else if t.min_election_timeout <= 0 then
-    err "min_election_timeout must be positive"
-  else if t.max_election_timeout < t.min_election_timeout then
+  else if t.max_election_timeout < min_election_timeout then
     err "max_election_timeout must be >= min_election_timeout"
   else if t.min_heartbeat_interval <= 0 then
     err "min_heartbeat_interval must be positive"

@@ -36,9 +36,6 @@ type t = {
           expires.  Paper default: 1000 ms (etcd default). *)
   default_heartbeat_interval : Des.Time.span;
       (** Fallback [h].  Paper default: 100 ms (etcd default). *)
-  min_election_timeout : Des.Time.span;
-      (** Lower clamp on tuned [Et] (guards against a zero-variance
-          window on an idealized link). *)
   max_election_timeout : Des.Time.span;
       (** Upper clamp on tuned [Et]; the conservative default is the
           natural ceiling. *)
@@ -47,10 +44,14 @@ type t = {
           leader's resource consumption. *)
 }
 
+val min_election_timeout : Des.Time.span
+(** Lower clamp on tuned [Et], 10 ms (guards against a zero-variance
+    window on an idealized link). *)
+
 val default : t
 (** The paper's experimental configuration: [s = 2], [x = 0.999],
     [min_list_size = 20], [max_list_size = 100], defaults 1000 ms /
-    100 ms, clamps 10 ms / 5000 ms / 1 ms. *)
+    100 ms, clamps 5000 ms on [Et] and 1 ms on [h]. *)
 
 val validate : t -> (t, string) result
 (** Check internal consistency (list sizes ordered, probabilities in

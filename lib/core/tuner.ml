@@ -85,7 +85,7 @@ let required_heartbeats_for ~p ~x =
 let compute_election_timeout t =
   match (phase t, rtt_et t ~s:t.config.safety_factor) with
   | Tuned, Some et ->
-      Des.Time.clamp et ~lo:t.config.min_election_timeout
+      Des.Time.clamp et ~lo:Config.min_election_timeout
         ~hi:t.config.max_election_timeout
   | (Warming | Tuned), _ -> t.config.default_election_timeout
 

@@ -7,15 +7,12 @@ type t = {
   election_timeout : Des.Time.span;
   heartbeat_interval : Des.Time.span;
   pre_vote : bool;
-  leader_stickiness : bool;
   check_quorum : bool;
   tuning : tuning;
-  heartbeat_transport : Netsim.Transport.kind;
   max_entries_per_append : int;
   suppress_heartbeats_under_load : bool;
   consolidated_timer : bool;
   snapshot_threshold : int;
-  learner_promotion_gap : int;
   max_inflight_appends : int;
   append_backpressure : int;
   priority_lanes : bool;
@@ -45,15 +42,12 @@ let static_with ~election_timeout ~heartbeat_interval =
     election_timeout;
     heartbeat_interval;
     pre_vote = true;
-    leader_stickiness = true;
     check_quorum = true;
     tuning = Static;
-    heartbeat_transport = Netsim.Transport.Reliable;
     max_entries_per_append = 1024;
     suppress_heartbeats_under_load = false;
     consolidated_timer = false;
     snapshot_threshold = 0;
-    learner_promotion_gap = 64;
     max_inflight_appends = 1024;
     append_backpressure = 64;
     priority_lanes = true;
@@ -72,15 +66,12 @@ let dynatune ?(cfg = Dynatune.Config.default) () =
     election_timeout = cfg.Dynatune.Config.default_election_timeout;
     heartbeat_interval = cfg.Dynatune.Config.default_heartbeat_interval;
     pre_vote = true;
-    leader_stickiness = true;
     check_quorum = true;
     tuning = Dynatune cfg;
-    heartbeat_transport = Netsim.Transport.Datagram;
     max_entries_per_append = 1024;
     suppress_heartbeats_under_load = false;
     consolidated_timer = false;
     snapshot_threshold = 0;
-    learner_promotion_gap = 64;
     max_inflight_appends = 1024;
     append_backpressure = 64;
     priority_lanes = true;
@@ -101,8 +92,6 @@ let validate t =
     err "max_entries_per_append must be positive"
   else if t.snapshot_threshold < 0 then
     err "snapshot_threshold must be non-negative"
-  else if t.learner_promotion_gap < 0 then
-    err "learner_promotion_gap must be non-negative"
   else if t.max_inflight_appends <= 0 then
     err "max_inflight_appends must be positive"
   else if t.append_backpressure <= 0 then
@@ -114,6 +103,13 @@ let validate t =
         match Dynatune.Config.validate cfg with
         | Ok _ -> Ok t
         | Error msg -> err "tuning config: %s" msg)
+
+let learner_promotion_gap = 64
+
+let heartbeat_transport t =
+  match t.tuning with
+  | Static -> Netsim.Transport.Reliable
+  | Dynatune _ | Fix_k _ -> Netsim.Transport.Datagram
 
 let election_timeout_base t =
   match t.tuning with

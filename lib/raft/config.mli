@@ -25,9 +25,6 @@ type t = {
           their [Dynatune.Config.t]). *)
   heartbeat_interval : Des.Time.span;  (** Base [h] for [Static] mode. *)
   pre_vote : bool;  (** Run the pre-vote phase before real elections. *)
-  leader_stickiness : bool;
-      (** Reject (pre-)votes while a current leader has been heard from
-          within the election timeout (etcd's CheckQuorum lease). *)
   check_quorum : bool;
       (** Leader self-demotion (etcd's CheckQuorum): step down when no
           response from a quorum arrived within one election timeout.
@@ -35,9 +32,6 @@ type t = {
           exceeds [Et], responses always lag and the leader perpetually
           abdicates. *)
   tuning : tuning;
-  heartbeat_transport : Netsim.Transport.kind;
-      (** Dynatune sends heartbeats over UDP, default etcd over TCP
-          (Section III-E). *)
   max_entries_per_append : int;
       (** Replication batch size limit. *)
   suppress_heartbeats_under_load : bool;
@@ -55,10 +49,6 @@ type t = {
           entries have been committed past the previous snapshot;
           laggards behind the boundary catch up via InstallSnapshot.
           [0] disables compaction. *)
-  learner_promotion_gap : int;
-      (** A learner is considered caught up — and auto-promoted by the
-          leader — once its match index is within this many entries of
-          the leader's last index.  [0] requires an exact match. *)
   max_inflight_appends : int;
       (** Pipelining window: how many entry-carrying AppendEntries (or
           snapshots) the leader keeps unacknowledged per follower before
@@ -92,8 +82,9 @@ val with_snapshots : threshold:int -> t -> t
 (** Enable log compaction every [threshold] committed entries. *)
 
 val static : unit -> t
-(** etcd defaults: [Et = 1000 ms], [h = 100 ms], pre-vote and stickiness
-    on, heartbeats over TCP. *)
+(** etcd defaults: [Et = 1000 ms], [h = 100 ms], pre-vote and
+    CheckQuorum on, heartbeats over TCP.  Every mode keeps etcd's
+    leader-stickiness lease. *)
 
 val raft_low : unit -> t
 (** The paper's Raft-Low comparator: static parameters at 1/10 of the
@@ -106,6 +97,15 @@ val fix_k : k:int -> unit -> t
 (** The Fig 7 ablation, on the paper's runtime arguments. *)
 
 val validate : t -> (t, string) result
+
+val learner_promotion_gap : int
+(** A learner is considered caught up — and auto-promoted by the leader
+    — once its match index is within this many entries (64) of the
+    leader's last index. *)
+
+val heartbeat_transport : t -> Netsim.Transport.kind
+(** Dynatune sends heartbeats over UDP, default etcd over TCP (Section
+    III-E): [Reliable] under [Static], [Datagram] under a tuned mode. *)
 
 val election_timeout_base : t -> Des.Time.span
 (** The configured fallback/base [Et] (mode-aware). *)

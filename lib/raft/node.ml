@@ -213,7 +213,7 @@ and hb_timer t peer =
 let udp_drop_backlog = Des.Time.ms 4
 
 let datagram_overflow t msg =
-  (match (Server.config t.server).Config.heartbeat_transport with
+  (match Config.heartbeat_transport (Server.config t.server) with
   | Netsim.Transport.Datagram -> (
       match msg with
       | Rpc.Heartbeat _ | Rpc.Heartbeat_response _ ->

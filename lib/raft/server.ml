@@ -708,7 +708,7 @@ let send_heartbeat t ctx ~now peer =
     (Send
        {
          dst = peer;
-         kind = t.config.Config.heartbeat_transport;
+         kind = Config.heartbeat_transport t.config;
          msg =
            Rpc.Pool.heartbeat t.pool ~term:t.term ~commit ~hb_id ~sent_at:now
              ~measured_rtt;
@@ -982,7 +982,7 @@ let maybe_promote_learner t ctx from =
     && t.latest_config_index <= t.commit_index
     && (not (Option.is_some t.transfer))
     && Progress.match_index (progress_of t from)
-       >= Log.last_index t.log - t.config.Config.learner_promotion_gap
+       >= Log.last_index t.log - Config.learner_promotion_gap
   then ignore (append_config t ctx (Log.Promote from) : Types.index)
 
 (* {2 Leadership} *)
@@ -1147,7 +1147,6 @@ let on_vote_request t ctx ~now ~from (req : Rpc.vote_request) =
      from a leader within the (base, un-randomized) election timeout. *)
   let lease_active =
     (not req.force)
-    && t.config.Config.leader_stickiness
     && t.leader <> None
     && Des.Time.diff now t.last_leader_contact < election_timeout_now t
   in
@@ -1296,7 +1295,7 @@ let on_heartbeat t ctx ~now ~from ~term:hb_term ~commit ~hb_id ~sent_at
       (Send
          {
            dst = from;
-           kind = t.config.Config.heartbeat_transport;
+           kind = Config.heartbeat_transport t.config;
            msg =
              Rpc.Pool.heartbeat_response t.pool ~term:t.term ~hb_id
                ~echo_sent_at:sent_at ~tuned_h:None;
@@ -1326,7 +1325,7 @@ let on_heartbeat t ctx ~now ~from ~term:hb_term ~commit ~hb_id ~sent_at
       (Send
          {
            dst = from;
-           kind = t.config.Config.heartbeat_transport;
+           kind = Config.heartbeat_transport t.config;
            msg =
              Rpc.Pool.heartbeat_response t.pool ~term:t.term ~hb_id
                ~echo_sent_at:sent_at ~tuned_h:(piggyback_h t);

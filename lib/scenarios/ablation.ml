@@ -109,7 +109,7 @@ let safety_factor_sweep ?(failures = 100) ?(quiet = Des.Time.sec 120)
         detection_mean_ms = Stats.Summary.(mean (of_list raw.detection));
         ots_mean_ms = Stats.Summary.(mean (of_list raw.ots));
         et_mean_ms = mean_or_nan et;
-        false_timeouts = quiet_window.Monitor.timeouts;
+        false_timeouts = List.length quiet_window.Monitor.timeouts;
       })
        [ 0.; 1.; 2.; 3.; 4. ]
 
@@ -152,7 +152,7 @@ let arrival_probability_sweep ?(quiet = Des.Time.sec 120) ?(jobs = 1) () =
         k;
         h_ms;
         heartbeat_rate_hz = (if h_ms > 0. then 1000. /. h_ms else nan);
-        false_timeouts = quiet_window.Monitor.timeouts;
+        false_timeouts = List.length quiet_window.Monitor.timeouts;
       })
        [ 0.9; 0.99; 0.999; 0.9999 ]
 
@@ -265,7 +265,7 @@ let estimator_sweep ?(jobs = 1) () =
         et_jitter_ms = Stats.Welford.std et;
         adaptation_up_ms =
           Des.Time.to_ms_f (Des.Time.diff adapted_at step_at);
-        false_timeouts = steady_window.Monitor.timeouts;
+        false_timeouts = List.length steady_window.Monitor.timeouts;
         detection_mean_ms = Stats.Summary.(mean (of_list raw.detection));
       })
        backends

@@ -79,7 +79,7 @@ let run ?(hold = Des.Time.sec 3) ?(jobs = 1) () =
          let detection_ms, ots_ms = failover_probe ~seed ~config:v.config in
          {
            label = v.label;
-           peak_rps = fig5.Fig5.peak_rps;
+           peak_rps = fig5.Fig5.ramp.peak_rps;
            leader_cpu_pct;
            heartbeats_sent;
            detection_ms;

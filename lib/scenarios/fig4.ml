@@ -64,12 +64,14 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
     detection = summary raw.detection;
     majority_detection = summary raw.majority;
     ots = summary raw.ots;
-    election = summary raw.election;
+    election = summary (List.map2 ( -. ) raw.ots raw.detection);
     randomized = summary raw.randomized;
     rounds = summary raw.rounds;
     split_vote_rate =
       (if raw.measured = 0 then 0.
-       else float_of_int raw.splits /. float_of_int raw.measured);
+       else
+         let splits = List.length (List.filter (fun r -> r > 1.) raw.rounds) in
+         float_of_int splits /. float_of_int raw.measured);
   }
 
 let compare_modes ?(failures = 1000) ?(jobs = 1) () =

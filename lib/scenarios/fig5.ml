@@ -1,11 +1,6 @@
 module Cluster = Harness.Cluster
 
-type result = {
-  mode : string;
-  levels : Kvsm.Workload.level_report list;
-  peak_rps : float;
-  saturation_rps : float option;
-}
+type result = { mode : string; ramp : Report.ramp }
 
 let default_rates =
   List.init 17 (fun i -> float_of_int ((i + 1) * 1000))
@@ -29,12 +24,7 @@ let run ?(seed = 7L) ?(rates = default_rates) ?(hold = Des.Time.sec 10)
       ~client_rtt:(Des.Time.of_ms_f rtt_ms)
       ()
   in
-  {
-    mode = Raft.Config.mode_name config;
-    levels;
-    peak_rps = Kvsm.Workload.peak_throughput levels;
-    saturation_rps = Kvsm.Workload.saturation_rate levels;
-  }
+  { mode = Raft.Config.mode_name config; ramp = Report.ramp levels }
 
 (* {2 Saturation sweep (replication engine v2)}
 
@@ -50,9 +40,7 @@ type sat_result = {
   sat_label : string;
   sat_window : int;
   sat_lanes : bool;
-  sat_levels : Kvsm.Workload.level_report list;
-  sat_peak_rps : float;
-  sat_saturation_rps : float option;
+  sat_ramp : Report.ramp;
   sat_rtt_err : float;
       (* mean relative error of the followers' tuned RTT estimate
          against the configured base RTT, sampled after the last
@@ -116,9 +104,7 @@ let run_saturation_one ~hold ~window ~lanes () =
       Printf.sprintf "window=%d lanes=%s" window (if lanes then "on" else "off");
     sat_window = window;
     sat_lanes = lanes;
-    sat_levels = levels;
-    sat_peak_rps = Kvsm.Workload.peak_throughput levels;
-    sat_saturation_rps = Kvsm.Workload.saturation_rate levels;
+    sat_ramp = Report.ramp levels;
     sat_rtt_err;
   }
 
@@ -134,16 +120,7 @@ let print_saturation ppf results =
   List.iter
     (fun r ->
       Report.subhead ppf r.sat_label;
-      List.iter
-        (fun level ->
-          Format.fprintf ppf "  %a@." Kvsm.Workload.pp_report level)
-        r.sat_levels;
-      Report.kv ppf "peak throughput"
-        (Printf.sprintf "%.0f req/s" r.sat_peak_rps);
-      Report.kv ppf "saturation offered rate"
-        (match r.sat_saturation_rps with
-        | Some v -> Printf.sprintf "%.0f req/s" v
-        | None -> "not reached");
+      Report.ramp_block ppf r.sat_ramp;
       Report.kv ppf "tuner RTT estimate error"
         (Printf.sprintf "%.1f%%" (100. *. r.sat_rtt_err)))
     results;
@@ -151,12 +128,12 @@ let print_saturation ppf results =
     ( List.find_opt (fun r -> r.sat_window = 1 && r.sat_lanes) results,
       List.find_opt (fun r -> r.sat_window > 1 && r.sat_lanes) results )
   with
-  | Some base, Some piped when base.sat_peak_rps > 0. ->
+  | Some base, Some piped when base.sat_ramp.peak_rps > 0. ->
       Report.subhead ppf "pipelining effect";
       Report.kv ppf "sustainable throughput"
-        (Printf.sprintf "%.0f -> %.0f req/s (%.1fx)" base.sat_peak_rps
-           piped.sat_peak_rps
-           (piped.sat_peak_rps /. base.sat_peak_rps))
+        (Printf.sprintf "%.0f -> %.0f req/s (%.1fx)" base.sat_ramp.peak_rps
+           piped.sat_ramp.peak_rps
+           (piped.sat_ramp.peak_rps /. base.sat_ramp.peak_rps))
   | _ -> ()
 
 let compare_modes ?hold ?(jobs = 1) () =
@@ -171,16 +148,7 @@ let print ppf results =
   List.iter
     (fun r ->
       Report.subhead ppf r.mode;
-      List.iter
-        (fun level ->
-          Format.fprintf ppf "  %a@." Kvsm.Workload.pp_report level)
-        r.levels;
-      Report.kv ppf "peak throughput"
-        (Printf.sprintf "%.0f req/s" r.peak_rps);
-      Report.kv ppf "saturation offered rate"
-        (match r.saturation_rps with
-        | Some v -> Printf.sprintf "%.0f req/s" v
-        | None -> "not reached"))
+      Report.ramp_block ppf r.ramp)
     results;
   match results with
   | [ raft; dynatune ] when raft.mode <> dynatune.mode ->
@@ -188,6 +156,6 @@ let print ppf results =
       Report.kv ppf "peak throughput"
         (Printf.sprintf
            "%.0f -> %.0f req/s (%.1f%% lower; paper: 13678 -> 12800 = 6.4%% lower)"
-           raft.peak_rps dynatune.peak_rps
-           (100. *. (1. -. (dynatune.peak_rps /. raft.peak_rps))))
+           raft.ramp.peak_rps dynatune.ramp.peak_rps
+           (100. *. (1. -. (dynatune.ramp.peak_rps /. raft.ramp.peak_rps))))
   | _ -> ()

@@ -5,12 +5,7 @@
     heartbeat timers, which shows up as a slightly lower peak throughput
     than default Raft (the paper measures −6.4%). *)
 
-type result = {
-  mode : string;
-  levels : Kvsm.Workload.level_report list;
-  peak_rps : float;
-  saturation_rps : float option;
-}
+type result = { mode : string; ramp : Report.ramp }
 
 val run :
   ?seed:int64 ->
@@ -45,9 +40,7 @@ type sat_result = {
   sat_label : string;  (** e.g. ["window=16 lanes=on"] *)
   sat_window : int;  (** [max_inflight_appends] of the variant *)
   sat_lanes : bool;
-  sat_levels : Kvsm.Workload.level_report list;
-  sat_peak_rps : float;
-  sat_saturation_rps : float option;
+  sat_ramp : Report.ramp;
   sat_rtt_err : float;
       (** Mean relative error of the followers' tuned RTT estimate
           against the configured base RTT, sampled after the last

@@ -78,9 +78,9 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60) ~pattern ~config () =
     majority_timeout;
     ots = window.Monitor.leaderless;
     ots_total_ms = Monitor.ots_ms window;
-    false_timeouts = window.Monitor.timeouts;
+    false_timeouts = List.length window.Monitor.timeouts;
     pre_vote_aborts = window.Monitor.pre_vote_aborts;
-    elections = window.Monitor.elections;
+    elections = List.length window.Monitor.elections;
   }
 
 let compare_modes ?hold ?(jobs = 1) ~pattern () =

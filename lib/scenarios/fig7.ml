@@ -95,8 +95,8 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ~n ~config () =
     h;
     leader_cpu = series "leader_cpu";
     follower_cpu = series "follower_cpu";
-    elections = window.Monitor.elections;
-    timer_expiries = window.Monitor.timeouts;
+    elections = List.length window.Monitor.elections;
+    timer_expiries = List.length window.Monitor.timeouts;
   }
 
 let compare_modes ?hold ?(jobs = 1) ~ns () =

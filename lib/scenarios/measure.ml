@@ -3,11 +3,9 @@ module Fault = Harness.Fault
 
 type raw = {
   measured : int;
-  splits : int;
   detection : float list;
   majority : float list;
   ots : float list;
-  election : float list;
   randomized : float list;
   rounds : float list;
 }
@@ -15,11 +13,9 @@ type raw = {
 let empty =
   {
     measured = 0;
-    splits = 0;
     detection = [];
     majority = [];
     ots = [];
-    election = [];
     randomized = [];
     rounds = [];
   }
@@ -33,8 +29,8 @@ let failures ?(metrics = Telemetry.Metrics.noop) cluster ~quota =
     Telemetry.Metrics.counter metrics ~scope:"measure" ~name:"errors" ()
   in
   let detection = ref [] and majority = ref [] and ots = ref [] in
-  let election = ref [] and randomized = ref [] and rounds = ref [] in
-  let splits = ref 0 and measured = ref 0 and attempts = ref 0 in
+  let randomized = ref [] and rounds = ref [] in
+  let measured = ref 0 and attempts = ref 0 in
   while !measured < quota && !attempts < 2 * quota do
     incr attempts;
     Telemetry.Metrics.Counter.incr m_attempts;
@@ -49,18 +45,14 @@ let failures ?(metrics = Telemetry.Metrics.noop) cluster ~quota =
         detection := o.Fault.detection_ms :: !detection;
         majority := o.Fault.majority_detection_ms :: !majority;
         ots := o.Fault.ots_ms :: !ots;
-        election := (o.Fault.ots_ms -. o.Fault.detection_ms) :: !election;
         randomized := o.Fault.randomized_at_detection_ms :: !randomized;
-        rounds := float_of_int o.Fault.election_rounds :: !rounds;
-        if o.Fault.election_rounds > 1 then incr splits
+        rounds := float_of_int o.Fault.election_rounds :: !rounds
   done;
   {
     measured = !measured;
-    splits = !splits;
     detection = !detection;
     majority = !majority;
     ots = !ots;
-    election = !election;
     randomized = !randomized;
     rounds = !rounds;
   }
@@ -70,11 +62,9 @@ let merge parts =
     (fun acc p ->
       {
         measured = acc.measured + p.measured;
-        splits = acc.splits + p.splits;
         detection = acc.detection @ p.detection;
         majority = acc.majority @ p.majority;
         ots = acc.ots @ p.ots;
-        election = acc.election @ p.election;
         randomized = acc.randomized @ p.randomized;
         rounds = acc.rounds @ p.rounds;
       })

@@ -12,11 +12,9 @@
 
 type raw = {
   measured : int;  (** successful failover measurements *)
-  splits : int;  (** failovers that needed more than one round *)
   detection : float list;  (** ms *)
   majority : float list;  (** ms; (f+1)-th expiry *)
   ots : float list;  (** ms *)
-  election : float list;  (** ms; OTS − detection *)
   randomized : float list;  (** ms; randomizedTimeout at detection *)
   rounds : float list;  (** election rounds per failover *)
 }

@@ -11,10 +11,8 @@ module Router = Multiraft.Router
 type cell = {
   groups : int;
   replicas : int;
-  levels : Kvsm.Workload.level_report list;
+  ramp : Report.ramp;
       (* aggregate (all groups together), one row per offered level *)
-  peak_rps : float;
-  saturation_rps : float option;
   leader_distribution : int array;
   hint_hits : int;
   hint_misses : int;
@@ -79,9 +77,7 @@ let run_cell ~seed ~replicas ~rates ~hold ~check ~telemetry ~on_manager
   {
     groups;
     replicas;
-    levels;
-    peak_rps = Kvsm.Workload.peak_throughput levels;
-    saturation_rps = Kvsm.Workload.saturation_rate levels;
+    ramp = Report.ramp levels;
     leader_distribution = Gm.leader_distribution m;
     hint_hits = Router.hint_hits router;
     hint_misses = Router.hint_misses router;
@@ -134,14 +130,7 @@ let print_cell ppf c =
   Report.subhead ppf
     (Printf.sprintf "%d groups x %d replicas (%d nodes)" c.groups c.replicas
        (c.groups * c.replicas));
-  List.iter
-    (fun level -> Format.fprintf ppf "  %a@." Kvsm.Workload.pp_report level)
-    c.levels;
-  Report.kv ppf "peak throughput" (Printf.sprintf "%.0f req/s" c.peak_rps);
-  Report.kv ppf "saturation offered rate"
-    (match c.saturation_rps with
-    | Some v -> Printf.sprintf "%.0f req/s" v
-    | None -> "not reached");
+  Report.ramp_block ppf c.ramp;
   Report.kv ppf "leader distribution"
     (Format.asprintf "%a" pp_distribution c.leader_distribution);
   Report.kv ppf "router hints"
@@ -154,12 +143,12 @@ let print ppf r =
     "Multiraft: group count x aggregate offered load behind the shard router";
   List.iter (print_cell ppf) r.cells;
   match (r.cells, List.rev r.cells) with
-  | one :: _, widest :: _ when widest.groups > one.groups && one.peak_rps > 0.
-    ->
+  | one :: _, widest :: _
+    when widest.groups > one.groups && one.ramp.peak_rps > 0. ->
       Report.subhead ppf "scale-out effect";
       Report.kv ppf "sustainable throughput"
         (Printf.sprintf "%.0f -> %.0f req/s (%.1fx at %dx groups)"
-           one.peak_rps widest.peak_rps
-           (widest.peak_rps /. one.peak_rps)
+           one.ramp.peak_rps widest.ramp.peak_rps
+           (widest.ramp.peak_rps /. one.ramp.peak_rps)
            (widest.groups / one.groups))
   | _ -> ()

@@ -11,10 +11,8 @@
 type cell = {
   groups : int;
   replicas : int;
-  levels : Kvsm.Workload.level_report list;
+  ramp : Report.ramp;
       (** aggregate over all groups, one row per offered level *)
-  peak_rps : float;
-  saturation_rps : float option;
   leader_distribution : int array;  (** groups led, by replica slot *)
   hint_hits : int;
   hint_misses : int;

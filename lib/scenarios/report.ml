@@ -5,6 +5,29 @@ let banner ppf title =
 let subhead ppf title = Format.fprintf ppf "@.-- %s --@." title
 let kv ppf key value = Format.fprintf ppf "  %-28s %s@." (key ^ ":") value
 
+type ramp = {
+  levels : Kvsm.Workload.level_report list;
+  peak_rps : float;
+  saturation_rps : float option;
+}
+
+let ramp levels =
+  {
+    levels;
+    peak_rps = Kvsm.Workload.peak_throughput levels;
+    saturation_rps = Kvsm.Workload.saturation_rate levels;
+  }
+
+let ramp_block ppf r =
+  List.iter
+    (fun level -> Format.fprintf ppf "  %a@." Kvsm.Workload.pp_report level)
+    r.levels;
+  kv ppf "peak throughput" (Printf.sprintf "%.0f req/s" r.peak_rps);
+  kv ppf "saturation offered rate"
+    (match r.saturation_rps with
+    | Some v -> Printf.sprintf "%.0f req/s" v
+    | None -> "not reached")
+
 let float_cell v =
   if Float.is_nan v then Printf.sprintf "%10s" "-"
   else Printf.sprintf "%10.1f" v

@@ -10,6 +10,21 @@ val subhead : Format.formatter -> string -> unit
 val kv : Format.formatter -> string -> string -> unit
 (** An aligned ["  key: value"] line. *)
 
+type ramp = {
+  levels : Kvsm.Workload.level_report list;
+  peak_rps : float;  (** {!Kvsm.Workload.peak_throughput} of [levels] *)
+  saturation_rps : float option;
+      (** {!Kvsm.Workload.saturation_rate} of [levels] *)
+}
+(** An open-loop ramp's levels and the two summaries every ramp report
+    prints. *)
+
+val ramp : Kvsm.Workload.level_report list -> ramp
+
+val ramp_block : Format.formatter -> ramp -> unit
+(** One line per level, then the peak throughput and the saturation
+    offered rate. *)
+
 val summary_row : Format.formatter -> label:string -> Stats.Summary.t -> unit
 (** One labelled row of count/mean/percentiles. *)
 

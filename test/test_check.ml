@@ -188,6 +188,37 @@ let test_catches_election_safety () =
       b.term <- 3)
     [ a; b ]
 
+(* A violation reports the last 50 probes the checker saw, oldest
+   first, each as its instant and its trace text. *)
+let test_violation_recent_lines () =
+  let a = fake (List.nth two_ids 0) and b = fake (List.nth two_ids 1) in
+  let engine = Des.Engine.create () in
+  let trace = Des.Mtrace.create engine in
+  Check.observe_trace (checker_for [ a; b ]) trace;
+  for i = 1 to 60 do
+    Des.Engine.run_until engine (Des.Time.ms (10 * i));
+    Des.Mtrace.emit trace (Raft.Probe.Election_started { id = a.fid; term = i })
+  done;
+  let elected id =
+    Raft.Probe.Role_change { id; role = Raft.Types.Leader; term = 60 }
+  in
+  Des.Mtrace.emit trace (elected a.fid);
+  match Des.Mtrace.emit trace (elected b.fid) with
+  | () -> Alcotest.fail "checker missed the second leader of term 60"
+  | exception Check.Violation v ->
+      Alcotest.(check int) "ring length" 50 (List.length v.Check.recent);
+      Alcotest.(check (list string))
+        "oldest lines" [ "0.130s n0 election started (term 13)" ]
+        (List.filteri (fun i _ -> i = 0) v.Check.recent);
+      Alcotest.(check (list string))
+        "newest lines"
+        [
+          "0.600s n0 election started (term 60)";
+          "0.600s n0 -> leader (term 60)";
+          "0.600s n1 -> leader (term 60)";
+        ]
+        (List.filteri (fun i _ -> i >= 47) v.Check.recent)
+
 let test_catches_term_monotonic () =
   let a = fake (List.hd two_ids) in
   a.term <- 5;
@@ -393,6 +424,8 @@ let tests =
       test_catches_election_safety;
     Alcotest.test_case "catches: term monotonicity" `Quick
       test_catches_term_monotonic;
+    Alcotest.test_case "violation: recent lines are time and probe" `Quick
+      test_violation_recent_lines;
     Alcotest.test_case "catches: commit monotonicity" `Quick
       test_catches_commit_monotonic;
     Alcotest.test_case "catches: single vote per term" `Quick

@@ -104,6 +104,49 @@ let test_repeated_failovers_stay_healthy () =
     | Error msg -> Alcotest.failf "iteration %d failed: %s" i msg
   done
 
+(* Every field of three seeded failovers, pinned.  Raft-Low without
+   pre-vote on links losing 10% of messages splits the vote each time
+   (3, 10 and 6 rounds), twice with the majority detection lagging the
+   first.  In the second, the new leader is lost again before the poll
+   sees it, so campaigns after its election must not count. *)
+let test_fail_and_measure_pinned () =
+  let c =
+    Cluster.create ~seed:270L ~n:5
+      ~config:{ (Raft.Config.raft_low ()) with pre_vote = false }
+      ~conditions:
+        Netsim.Conditions.(
+          constant (profile ~rtt_ms:10. ~jitter:0.02 ~loss:0.1 ()))
+      ()
+  in
+  Cluster.start c;
+  ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
+  let render (o : Fault.failure_outcome) =
+    Printf.sprintf
+      "n%d at %d: detect %.6f majority %.6f randTO %.6f ots %.6f -> n%d in %d"
+      (Netsim.Node_id.to_int o.failed)
+      o.failed_at o.detection_ms o.majority_detection_ms
+      o.randomized_at_detection_ms o.ots_ms
+      (Netsim.Node_id.to_int o.new_leader)
+      o.election_rounds
+  in
+  let outcomes =
+    List.init 3 (fun _ ->
+        match Fault.fail_and_measure c () with
+        | Ok o -> render o
+        | Error msg -> Alcotest.fail msg)
+  in
+  Alcotest.(check (list string))
+    "outcomes"
+    [
+      "n0 at 326541951: detect 125.658359 majority 125.658359 randTO \
+       146.534615 ots 271.444557 -> n4 in 3";
+      "n2 at 1480222641: detect 126.574244 majority 386.190985 randTO \
+       182.214259 ots 638.214902 -> n3 in 10";
+      "n0 at 3186361377: detect 105.467249 majority 356.150466 randTO \
+       100.468480 ots 509.184092 -> n1 in 6";
+    ]
+    outcomes
+
 (* {2 Monitor} *)
 
 let test_monitor_randomized_sampling () =
@@ -185,6 +228,71 @@ let test_monitor_leaderless_intervals () =
     (Printf.sprintf "gap %.0fms plausible" ots)
     true
     (ots > 100. && ots < 10_000.)
+
+(* Probes emitted by hand on an unstarted cluster, two of them at the
+   instant the window opens: the lists hold exactly the expiries and
+   campaigns stamped after it, oldest first, as many as a counter of
+   those probes sees. *)
+let test_monitor_window_lists () =
+  let c = Cluster.create ~n:3 ~config:(Raft.Config.static ()) () in
+  let trace = Cluster.trace c in
+  let node = Netsim.Node_id.of_int in
+  let expire i ms =
+    Des.Mtrace.emit trace
+      (Raft.Probe.Timeout_expired
+         {
+           id = node i;
+           term = 1;
+           randomized = Time.ms ms;
+           et = Time.ms 1000;
+           h = Time.ms 100;
+           k = 0;
+         })
+  in
+  let campaign i =
+    Des.Mtrace.emit trace
+      (Raft.Probe.Election_started { id = node i; term = 2 })
+  in
+  Cluster.run_for c (Time.sec 1);
+  expire 0 1100;
+  let (opened, (expiries, campaigns)), w =
+    Monitor.observe c (fun () ->
+        let opened = Cluster.now c in
+        let expiries = ref 0 and campaigns = ref 0 in
+        Des.Mtrace.during trace
+          (fun time probe ->
+            if time > opened then
+              match probe with
+              | Raft.Probe.Timeout_expired _ -> incr expiries
+              | Raft.Probe.Election_started _ -> incr campaigns
+              | _ -> ())
+          (fun () ->
+            expire 1 1200;
+            campaign 1;
+            Cluster.run_for c (Time.ms 5);
+            expire 2 1300;
+            campaign 2;
+            Cluster.run_for c (Time.ms 5);
+            expire 0 1400;
+            campaign 0;
+            campaign 2);
+        (opened, (!expiries, !campaigns)))
+  in
+  let at ms = Time.add opened (Time.ms ms) in
+  Alcotest.(check (list (triple int int int)))
+    "expiries after the opening, in order"
+    [ (at 5, 2, Time.ms 1300); (at 10, 0, Time.ms 1400) ]
+    (List.map
+       (fun (e : Monitor.expiry) ->
+         (e.at, Netsim.Node_id.to_int e.node, e.randomized))
+       w.Monitor.timeouts);
+  Alcotest.(check (list int))
+    "campaigns after the opening, in order" [ at 5; at 10; at 10 ]
+    w.Monitor.elections;
+  Alcotest.(check int) "as many expiries as counted" expiries
+    (List.length w.Monitor.timeouts);
+  Alcotest.(check int) "as many campaigns as counted" campaigns
+    (List.length w.Monitor.elections)
 
 (* The first Role_change to leader stamped while [body] runs. *)
 let first_election c body =
@@ -442,6 +550,8 @@ let tests =
       test_kill_leader_none_when_leaderless;
     Alcotest.test_case "fault: outcome sanity" `Quick
       test_fail_and_measure_outcome_sanity;
+    Alcotest.test_case "fault: three failovers pinned" `Quick
+      test_fail_and_measure_pinned;
     Alcotest.test_case "fault: repeated failovers" `Quick
       test_repeated_failovers_stay_healthy;
     Alcotest.test_case "monitor: randomized sampling" `Quick
@@ -452,6 +562,8 @@ let tests =
       test_monitor_watch_leaves_nothing_armed;
     Alcotest.test_case "monitor: leaderless intervals" `Quick
       test_monitor_leaderless_intervals;
+    Alcotest.test_case "monitor: window lists expiries and campaigns" `Quick
+      test_monitor_window_lists;
     Alcotest.test_case "monitor: steady state has no OTS" `Quick
       test_monitor_no_ots_in_steady_state;
     Alcotest.test_case "monitor: a restarted leader is not serving" `Quick

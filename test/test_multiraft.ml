@@ -275,10 +275,10 @@ let test_scenario_smoke () =
   in
   Alcotest.(check int)
     "one level per rate" 1
-    (List.length c.Scenarios.Multiraft.levels);
+    (List.length c.Scenarios.Multiraft.ramp.levels);
   Alcotest.(check bool)
     "served some load" true
-    (c.Scenarios.Multiraft.peak_rps > 0.);
+    (c.Scenarios.Multiraft.ramp.peak_rps > 0.);
   Alcotest.(check int)
     "every group led" 2
     (Array.fold_left ( + ) 0 c.Scenarios.Multiraft.leader_distribution);

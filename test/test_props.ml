@@ -224,7 +224,7 @@ let prop_tuner_et_bounds =
             ~rtt:(Some (Des.Time.of_ms_f rtt)))
         rtts_ms;
       let et = Dynatune.Tuner.election_timeout t in
-      et >= tuner_cfg.Dynatune.Config.min_election_timeout
+      et >= Dynatune.Config.min_election_timeout
       && et <= tuner_cfg.Dynatune.Config.max_election_timeout)
 
 let prop_tuner_reset_restores_defaults =

@@ -208,7 +208,7 @@ let test_tuner_et_clamped_below () =
   let t = Tuner.create small_cfg in
   feed t ~n:5 ~rtt:(Time.us 100) ();
   check_ms "clamped to min_election_timeout"
-    small_cfg.Config.min_election_timeout (Tuner.election_timeout t)
+    Config.min_election_timeout (Tuner.election_timeout t)
 
 let test_tuner_et_clamped_above () =
   let cfg = { small_cfg with Config.max_election_timeout = Time.ms 300 } in
