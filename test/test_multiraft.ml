@@ -212,6 +212,56 @@ let test_dispatch_protocol () =
   Alcotest.(check (option (option string)))
     "read of an absent key" (Some None) !read_miss
 
+(* The ReadIndex path end to end, pinned: 8 groups of 3 under a mixed
+   read/write stream through [Router.dispatch] for 2 s of virtual time.
+   The digest covers every group's trace; the served-read count and the
+   multiset of read latencies (as an MD5 of the sorted values) cover
+   what clients observe. *)
+let test_dispatch_reads_pinned () =
+  let m = make ~seed:55L ~groups:8 () in
+  let router = Router.create m in
+  let engine = Gm.engine m in
+  let served = ref [] and failed = ref 0 and committed = ref 0 in
+  let read key ~seq =
+    let asked = Des.Engine.now engine in
+    ignore
+      (Router.dispatch router (Router.Read { key }) ~client_id:7 ~seq
+         ~on_result:(fun r ->
+           match r with
+           | Router.Value _ ->
+               served := Des.Time.diff (Des.Engine.now engine) asked :: !served
+           | Router.Committed | Router.Failed -> incr failed)
+        : Kvsm.Client.submit_result)
+  in
+  (* Every 2 ms one write and four reads: each group sees a read about
+     every 4 ms against a 10 ms RTT, so several wait at once. *)
+  for i = 0 to 999 do
+    ignore
+      (Router.dispatch router
+         (Router.Write
+            { key = Printf.sprintf "pin:%d" (i mod 37); value = string_of_int i })
+         ~client_id:7 ~seq:(5 * i)
+         ~on_result:(fun r ->
+           match r with Router.Committed -> incr committed | _ -> ())
+        : Kvsm.Client.submit_result);
+    for j = 1 to 4 do
+      read (Printf.sprintf "pin:%d" (((i * 7) + j) mod 37)) ~seq:((5 * i) + j)
+    done;
+    Gm.run_for m (Des.Time.ms 2)
+  done;
+  Gm.run_for m (Des.Time.sec 1);
+  let latencies =
+    List.sort Int.compare !served |> List.map string_of_int |> String.concat ","
+  in
+  Alcotest.(check string) "digest" "d1077af652228c8c"
+    (Printf.sprintf "%016Lx" (Gm.digest m));
+  Alcotest.(check int) "reads served" 4000 (List.length !served);
+  Alcotest.(check int) "reads failed" 0 !failed;
+  Alcotest.(check int) "writes committed" 1000 !committed;
+  Alcotest.(check string) "read latency multiset"
+    "2c43bb186c7a9bf38c2f3d943c46ff13"
+    (Digest.to_hex (Digest.string latencies))
+
 (* {2 Group-scoped metrics} *)
 
 let test_metrics_prefixing () =
@@ -320,6 +370,8 @@ let tests =
       test_hint_learned_and_refreshed;
     Alcotest.test_case "router: front-door protocol" `Quick
       test_dispatch_protocol;
+    Alcotest.test_case "router: reads and writes pinned" `Quick
+      test_dispatch_reads_pinned;
     Alcotest.test_case "metrics: group scopes do not clobber" `Quick
       test_metrics_prefixing;
     to_alcotest prop_shard_total_and_stable;
