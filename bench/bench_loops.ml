@@ -123,6 +123,96 @@ let make_leader_append_loop () =
   let pool = Raft.Server.pool leader in
   fun () -> release_sends pool (Raft.Server.handle leader ~now nack)
 
+(* The leader's ReadIndex round with 32 reads in flight.  Setup elects
+   a 5-node static leader, acks its no-op (so heartbeat responses
+   trigger no catch-up sends) and registers 32 reads, one per ms.  Each
+   op then registers the next read (its four heartbeats are released as
+   the followers would) and delivers the two echoes, from peers 1 and 2,
+   of the heartbeats sent with the read 32 ops earlier: with the
+   leader's own vote that is a quorum of 3, serving exactly that read.
+   The echoes are gen-0 records replayed with a new timestamp. *)
+let make_read_index_loop () =
+  let config = Raft.Config.static () in
+  let rng = Stats.Rng.create ~seed:6L () in
+  let leader =
+    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+      ~peers:(List.tl (Netsim.Node_id.range 5))
+      ~config ~rng ()
+  in
+  let from_peer p m =
+    Raft.Server.Message { from = Netsim.Node_id.of_int p; msg = m }
+  in
+  let now = Des.Time.zero in
+  ignore (Raft.Server.start leader);
+  ignore (Raft.Server.handle leader ~now Raft.Server.Election_timeout_fired);
+  List.iter
+    (fun pre ->
+      List.iter
+        (fun p ->
+          ignore
+            (Raft.Server.handle leader ~now
+               (from_peer p
+                  (Raft.Rpc.Vote_response
+                     { term = 1; granted = true; pre_vote = pre }))))
+        [ 1; 2 ])
+    [ true; false ];
+  assert (Raft.Types.is_leader (Raft.Server.role leader));
+  List.iter
+    (fun p ->
+      ignore
+        (Raft.Server.handle leader ~now
+           (from_peer p
+              (Raft.Rpc.Append_response
+                 {
+                   term = 1;
+                   success = true;
+                   match_index = 1;
+                   conflict_hint = 0;
+                   req_prev = 0;
+                   ap_gen = 0;
+                 }))))
+    [ 1; 2; 3; 4 ];
+  let pool = Raft.Server.pool leader in
+  let i = ref 0 in
+  let read () =
+    incr i;
+    release_sends pool
+      (Raft.Server.handle leader ~now:(Des.Time.ms !i)
+         (Raft.Server.Read { client_id = 1; seq = !i }))
+  in
+  for _ = 1 to 32 do
+    read ()
+  done;
+  let echo_from p =
+    from_peer p
+      (Raft.Rpc.Heartbeat_response
+         { term = 1; hb_id = 0; echo_sent_at = now; tuned_h = None; hr_gen = 0 })
+  in
+  let e1 = echo_from 1 and e2 = echo_from 2 in
+  let deliver event =
+    (match event with
+    | Raft.Server.Message { msg = Raft.Rpc.Heartbeat_response hr; _ } ->
+        hr.echo_sent_at <- Des.Time.ms (!i - 32)
+    | _ -> assert false);
+    let acts = Raft.Server.handle leader ~now:(Des.Time.ms !i) event in
+    release_sends pool acts;
+    acts
+  in
+  (* One round by hand: the second echo serves read 1, and only it. *)
+  read ();
+  ignore (deliver e1 : Raft.Server.action list);
+  (match
+     List.filter
+       (function Raft.Server.Serve_read _ -> true | _ -> false)
+       (deliver e2)
+   with
+  | [ Raft.Server.Serve_read { seq = 1; _ } ] -> ()
+  | _ -> assert false);
+  fun () ->
+    read ();
+    ignore (deliver e1 : Raft.Server.action list);
+    ignore (deliver e2 : Raft.Server.action list)
+
 (* A 64-entry batch as the wire would carry it, built once. *)
 let batch_64 () =
   let scratch = Raft.Log.create () in
@@ -358,6 +448,11 @@ let loops =
       name = "stale snapshot install";
       budget = 38.;
       make = make_snapshot_install_loop;
+    };
+    {
+      name = "leader ReadIndex round, 32 reads in flight";
+      budget = 84.;
+      make = make_read_index_loop;
     };
     {
       name = "engine schedule_op_after+step";

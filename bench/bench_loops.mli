@@ -36,6 +36,11 @@ val make_snapshot_install_loop : unit -> unit -> unit
     point already covers the boundary): the receive path minus the
     one-off log wipe. *)
 
+val make_read_index_loop : unit -> unit -> unit
+(** Leader registering one linearizable read and handling the two
+    heartbeat echoes that serve the read registered 32 ops earlier: the
+    ReadIndex round with 32 reads in flight. *)
+
 val make_schedule_op_loop : unit -> unit -> unit
 (** One opcode event through the DES kernel: [Engine.schedule_op_after]
     then [Engine.step].  Allocates exactly 0 minor words per call once

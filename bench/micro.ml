@@ -190,6 +190,10 @@ let test_snapshot_install =
   Test.make ~name:"server.handle stale snapshot install"
     (Staged.stage (Bench_loops.make_snapshot_install_loop ()))
 
+let test_read_index =
+  Test.make ~name:"server.handle ReadIndex round, 32 reads in flight"
+    (Staged.stage (Bench_loops.make_read_index_loop ()))
+
 let test_codec =
   Test.make ~name:"kv command codec roundtrip"
     (Staged.stage (fun () ->
@@ -233,6 +237,7 @@ let tests =
     test_try_append;
     test_vote_round;
     test_snapshot_install;
+    test_read_index;
     test_codec;
     test_client_encode;
     test_decode_put;

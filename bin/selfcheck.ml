@@ -362,7 +362,7 @@ let perf_table () =
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 64.89);
+    ("multiraft plan", per_event multiraft 56.93);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -375,7 +375,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        93.94 );
+        84.70 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->
@@ -387,11 +387,11 @@ let perf_table () =
   @ [
       ( "steady-state cluster",
         Budget
-          (ratchet 42.39, "words/event", fun () ->
+          (ratchet 41.29, "words/event", fun () ->
             Bench_loops.cluster_words_per_event ()) );
       ( "steady-state cluster, forensics on",
         Budget
-          (ratchet 49.51, "words/event", fun () ->
+          (ratchet 48.40, "words/event", fun () ->
             Bench_loops.cluster_words_per_event
               ~forensics:(Raft.Forensics.create ())
               ()) );

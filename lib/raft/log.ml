@@ -19,6 +19,8 @@ type t = {
   mutable snapshot_index : Types.index;
   mutable snapshot_term : Types.term;
   mutable mutations : int;
+  mutable configs : Types.index list;
+      (* indices of the stored [Config] entries, ascending *)
 }
 
 let create () =
@@ -28,9 +30,11 @@ let create () =
     snapshot_index = 0;
     snapshot_term = 0;
     mutations = 0;
+    configs = [];
   }
 
 let mutations t = t.mutations
+let config_indices t = t.configs
 
 let length t = t.len
 let last_index t = t.snapshot_index + t.len
@@ -70,7 +74,10 @@ let grow t entry =
 let push t entry =
   grow t entry;
   t.entries.(t.len) <- entry;
-  t.len <- t.len + 1
+  t.len <- t.len + 1;
+  match entry.command with
+  | Config _ -> t.configs <- t.configs @ [ entry.index ]
+  | Noop | Data _ -> ()
 
 let append_new t ~term command =
   let entry = { term; index = last_index t + 1; command } in
@@ -103,6 +110,8 @@ let truncate_from t index =
     t.mutations <- t.mutations + 1;
     let old_len = t.len in
     t.len <- len;
+    let last = last_index t in
+    t.configs <- List.filter (fun i -> i <= last) t.configs;
     scrub t ~old_len
   end
 
@@ -160,6 +169,7 @@ let compact t ~upto =
     t.len <- keep;
     t.snapshot_index <- upto;
     t.snapshot_term <- term;
+    t.configs <- List.filter (fun i -> i > upto) t.configs;
     scrub t ~old_len
   end
 
@@ -169,6 +179,7 @@ let install_snapshot t ~index ~term =
   t.snapshot_index <- index;
   t.snapshot_term <- term;
   t.mutations <- t.mutations + 1;
+  t.configs <- [];
   scrub t ~old_len
 
 (* Entries are stored contiguously, so a slice is a single [Array.sub]

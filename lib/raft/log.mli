@@ -44,6 +44,11 @@ val mutations : t -> int
     (suffix truncation, snapshot install).  Configuration state derived
     from a log scan is stale once this changes. *)
 
+val config_indices : t -> Types.index list
+(** Indices of the stored [Config] entries, ascending: kept up to date
+    by appends, suffix truncation, compaction and snapshot install, so
+    deriving the live configuration visits these entries only. *)
+
 val last_index : t -> Types.index
 val last_term : t -> Types.term
 

@@ -19,6 +19,9 @@ type t = {
          acknowledged; cleared wholesale by a rewind *)
   mutable last_response_at : Des.Time.t;
   mutable last_append_sent_at : Des.Time.t;
+  mutable reads_confirmed : int;
+      (* registration number of the newest pending read this follower
+         has confirmed; -1 before its first confirmation *)
 }
 
 let create ~last_index =
@@ -29,10 +32,14 @@ let create ~last_index =
     inflight = 0;
     last_response_at = Des.Time.zero;
     last_append_sent_at = Des.Time.zero;
+    reads_confirmed = -1;
   }
 
 let note_append_sent t ~at = t.last_append_sent_at <- at
 let last_append_sent_at t = t.last_append_sent_at
+let reads_confirmed t = t.reads_confirmed
+
+let set_reads_confirmed t n = t.reads_confirmed <- n
 
 let note_response t ~at = t.last_response_at <- at
 let last_response_at t = t.last_response_at

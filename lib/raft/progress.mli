@@ -69,3 +69,11 @@ val note_append_sent : t -> at:Des.Time.t -> unit
     heartbeat-suppression extension). *)
 
 val last_append_sent_at : t -> Des.Time.t
+
+val reads_confirmed : t -> int
+(** Registration number of the newest pending linearizable read this
+    follower has confirmed (a heartbeat echo sent at or after the read's
+    registration); -1 before any.  Read numbers are the leader's and
+    increase with registration order. *)
+
+val set_reads_confirmed : t -> int -> unit

@@ -52,6 +52,58 @@ type membership = {
   m_order : Node_id.t list;
 }
 
+(* Linearizable reads awaiting confirmation, oldest first, in a ring
+   whose capacity is a power of two.  Reads are numbered in
+   registration order: the read [k] places behind the oldest has number
+   [first + k].  Serving or rejecting reads only advances [first], so
+   numbers are never reused and a confirmation number left over from
+   earlier reads cannot cover a newer one. *)
+module Reads = struct
+  type read = {
+    client : int;
+    seq : int;
+    read_index : Types.index;
+    registered_at : Des.Time.t;
+  }
+
+  type t = {
+    mutable buf : read array;
+    mutable head : int;  (* slot of the oldest read *)
+    mutable len : int;
+    mutable first : int;  (* number of the oldest read *)
+  }
+
+  (* Filler for free slots, so served reads are not kept reachable. *)
+  let free =
+    { client = 0; seq = 0; read_index = 0; registered_at = Des.Time.zero }
+
+  let create () = { buf = [||]; head = 0; len = 0; first = 0 }
+  let slot q k = (q.head + k) land (Array.length q.buf - 1)
+  let get q k = q.buf.(slot q k)
+
+  let push q r =
+    let cap = Array.length q.buf in
+    if q.len = cap then begin
+      let bigger = Array.make (Stdlib.max 8 (2 * cap)) free in
+      for k = 0 to q.len - 1 do
+        bigger.(k) <- get q k
+      done;
+      q.buf <- bigger;
+      q.head <- 0
+    end;
+    q.buf.(slot q q.len) <- r;
+    q.len <- q.len + 1
+
+  (* Retire the [k] oldest reads. *)
+  let drop q k =
+    for i = 0 to k - 1 do
+      q.buf.(slot q i) <- free
+    done;
+    q.head <- slot q k;
+    q.len <- q.len - k;
+    q.first <- q.first + k
+end
+
 type transfer = {
   tr_target : Node_id.t;
   tr_deadline : Des.Time.t;
@@ -80,12 +132,21 @@ type t = {
   mutable role : Types.role;
   mutable leader : Node_id.t option;
   mutable commit_index : Types.index;
+  mutable quorum : int;
+      (* majority of [current.m_voters], cached by [set_current] *)
+  mutable match_scratch : int array;
+      (* [maybe_advance_commit] ranks the voters' match indices here
+         instead of building a list; sized by the leader on first use *)
   mutable votes : Node_id.Set.t;
   mutable quorum_acks : Node_id.Set.t;
   (* Per-peer leader state is kept in option arrays indexed by
      [Node_id.to_int peer]: the lookups run per heartbeat and per
      replication op, so they must not hash. *)
   mutable progress : Progress.t option array;
+  mutable all_progress : Progress.t list;
+      (* every record [progress] has held this leadership, members or
+         not: a voter removed while reads are pending still counts for
+         the reads it confirmed *)
   mutable batches : batch_cache option array;
       (* per-peer reuse of the last sliced entry window: retransmits and
          probes of an unchanged log region ship the same (immutable)
@@ -99,7 +160,7 @@ type t = {
   mutable flush_requested : bool;
   mutable snapshot_data : string option;
   mutable force_campaign : bool;
-  mutable pending_reads : pending_read list;
+  reads : Reads.t;
   mutable instrument : bool;
   mutable last_decision : (Des.Time.span * Des.Time.span * int) option;
   mutable pb_h : Des.Time.span option;
@@ -123,14 +184,6 @@ and batch_cache = {
 }
 
 and ctx = { mutable acts : action list; mutable now : Des.Time.t }
-
-and pending_read = {
-  r_client : int;
-  r_seq : int;
-  read_index : Types.index;
-  registered_at : Des.Time.t;
-  mutable confirmations : Node_id.Set.t;
-}
 
 (* {2 Membership} *)
 
@@ -162,9 +215,9 @@ let apply_change m = function
 
 let set_current t m =
   t.current <- m;
-  t.others <- List.filter (fun n -> not (Node_id.equal n t.id)) m.m_order
+  t.others <- List.filter (fun n -> not (Node_id.equal n t.id)) m.m_order;
+  t.quorum <- (Node_id.Set.cardinal m.m_voters / 2) + 1
 
-let quorum t = (Node_id.Set.cardinal t.current.m_voters / 2) + 1
 let is_voter_id t n = Node_id.Set.mem n t.current.m_voters
 let self_is_voter t = is_voter_id t t.id
 let self_weight t = if self_is_voter t then 1 else 0
@@ -177,13 +230,14 @@ let note_ack t from =
    config entry still stored in the log (applied-on-append). *)
 let refresh_membership t =
   let m = ref t.base and latest = ref 0 in
-  for i = Log.snapshot_index t.log + 1 to Log.last_index t.log do
-    match Log.entry_at t.log i with
-    | Some { Log.command = Log.Config c; Log.index; _ } ->
-        m := apply_change !m c;
-        latest := index
-    | Some _ | None -> ()
-  done;
+  List.iter
+    (fun i ->
+      match Log.entry_at t.log i with
+      | Some { Log.command = Log.Config c; _ } ->
+          m := apply_change !m c;
+          latest := i
+      | Some _ | None -> ())
+    (Log.config_indices t.log);
   set_current t !m;
   t.latest_config_index <- latest.contents;
   t.config_mutations <- Log.mutations t.log
@@ -192,12 +246,13 @@ let refresh_membership t =
    called just before the log compacts to [upto]. *)
 let fold_base t ~upto =
   let m = ref t.base in
-  for i = Log.snapshot_index t.log + 1 to Stdlib.min upto (Log.last_index t.log)
-  do
-    match Log.entry_at t.log i with
-    | Some { Log.command = Log.Config c; _ } -> m := apply_change !m c
-    | Some _ | None -> ()
-  done;
+  List.iter
+    (fun i ->
+      match Log.entry_at t.log i with
+      | Some { Log.command = Log.Config c; _ } when i <= upto ->
+          m := apply_change !m c
+      | Some _ | None -> ())
+    (Log.config_indices t.log);
   t.base <- m.contents
 
 let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
@@ -274,9 +329,12 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       role = Types.Follower;
       leader = None;
       commit_index = Log.snapshot_index log;
+      quorum = 1;
+      match_scratch = [||];
       votes = Node_id.Set.empty;
       quorum_acks = Node_id.Set.empty;
       progress = [||];
+      all_progress = [];
       batches = [||];
       congestion = (fun _ -> 0);
       paths = [||];
@@ -286,7 +344,7 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       flush_requested = false;
       snapshot_data;
       force_campaign = false;
-      pending_reads = [];
+      reads = Reads.create ();
       instrument = false;
       last_decision = None;
       pb_h = None;
@@ -538,12 +596,14 @@ let become_follower t ctx ~term ~leader =
   if Types.is_leader t.role then begin
     emit ctx Disarm_heartbeats;
     (* Linearizable reads awaiting confirmation cannot be served by a
-       deposed leader. *)
-    List.iter
-      (fun r ->
-        emit ctx (Reject_proposal { client_id = r.r_client; seq = r.r_seq }))
-      t.pending_reads;
-    t.pending_reads <- []
+       deposed leader.  Rejected newest first, like served reads. *)
+    let q = t.reads in
+    for k = q.Reads.len - 1 downto 0 do
+      let r = Reads.get q k in
+      emit ctx
+        (Reject_proposal { client_id = r.Reads.client; seq = r.Reads.seq })
+    done;
+    Reads.drop q q.Reads.len
   end;
   t.votes <- Node_id.Set.empty;
   (* A pending transfer ends with deposition — by the transferee on
@@ -563,6 +623,7 @@ let progress_of t peer =
   | None ->
       let p = Progress.create ~last_index:(Log.last_index t.log) in
       t.progress.(i) <- Some p;
+      t.all_progress <- p :: t.all_progress;
       p
 
 (* The sliced windows are immutable once built (receivers must not
@@ -897,28 +958,63 @@ let note_committed t ctx newly =
    registration* — proving the node was still leader when the read
    arrived — and (b) the state machine has applied at least C.  Only
    heartbeat responses qualify: their echoed timestamp dates the
-   evidence (etcd's ReadIndex heartbeat round). *)
-let note_read_confirmation t ctx ~from ~sent_at =
-  if t.pending_reads <> [] then begin
-    List.iter
-      (fun r ->
-        if sent_at >= r.registered_at && is_voter_id t from then
-          r.confirmations <- Node_id.Set.add from r.confirmations)
-      t.pending_reads;
-    let ready, waiting =
-      List.partition
-        (fun r ->
-          self_weight t + Node_id.Set.cardinal r.confirmations >= quorum t
-          && t.commit_index >= r.read_index)
-        t.pending_reads
-    in
-    t.pending_reads <- waiting;
-    List.iter
-      (fun r ->
-        emit ctx
-          (Serve_read
-             { client_id = r.r_client; seq = r.r_seq; read_index = r.read_index }))
-      ready
+   evidence (etcd's ReadIndex heartbeat round).
+
+   Reads register in time order, so an echo sent at [sent_at] confirms
+   a prefix of the queue: every pending read registered at or before
+   it.  A follower's confirmations are therefore one number, the newest
+   read it has confirmed ([Progress.reads_confirmed]), and a read's
+   confirmations are the followers whose number reaches its own.  An
+   older read holds every confirmation of a newer one (and an index no
+   higher), so the servable reads are a prefix too. *)
+let rec confirmations n = function
+  | [] -> 0
+  | pr :: rest ->
+      (if Progress.reads_confirmed pr >= n then 1 else 0)
+      + confirmations n rest
+
+let[@hot] note_read_confirmation t ctx ~from ~sent_at =
+  let q = t.reads in
+  if q.Reads.len > 0 then begin
+    (* Only a voter at the time of the response confirms; the reads it
+       confirms are those pending now, so an echo handled before a read
+       registered (even at the same instant) never covers it. *)
+    if is_voter_id t from then begin
+      (* Scan on from the reads it already covers, so a reordered older
+         echo takes nothing back. *)
+      let pr = progress_of t from in
+      let k =
+        ref (Stdlib.max 0 (Progress.reads_confirmed pr + 1 - q.Reads.first))
+      in
+      while
+        !k < q.Reads.len && (Reads.get q !k).Reads.registered_at <= sent_at
+      do
+        incr k
+      done;
+      Progress.set_reads_confirmed pr (q.Reads.first + !k - 1)
+    end;
+    let needed = t.quorum - self_weight t in
+    let ready = ref 0 in
+    while
+      !ready < q.Reads.len
+      && t.commit_index >= (Reads.get q !ready).Reads.read_index
+      && confirmations (q.Reads.first + !ready) t.all_progress >= needed
+    do
+      incr ready
+    done;
+    (* Served newest first: the replies fire in this order, which the
+       pinned traces record. *)
+    for k = !ready - 1 downto 0 do
+      let r = Reads.get q k in
+      emit ctx
+        (Serve_read
+           {
+             client_id = r.Reads.client;
+             seq = r.Reads.seq;
+             read_index = r.Reads.read_index;
+           })
+    done;
+    Reads.drop q !ready
   end
 
 let maybe_take_snapshot t ctx =
@@ -928,23 +1024,46 @@ let maybe_take_snapshot t ctx =
     && t.commit_index - Log.snapshot_index t.log >= threshold
   then emit ctx (Take_snapshot { upto = t.commit_index })
 
+(* Write the match index of every voter in [peers] into [m] from slot
+   [n] on; returns the next free slot. *)
+let rec gather_matches t m n = function
+  | [] -> n
+  | p :: rest ->
+      if is_voter_id t p then begin
+        m.(n) <- Progress.match_index (progress_of t p);
+        gather_matches t m (n + 1) rest
+      end
+      else gather_matches t m n rest
+
 (* Advance the leader commit index to the highest N with a quorum of
    match indices >= N and log term N = current term. *)
-let maybe_advance_commit t ctx =
-  let q = quorum t in
-  let matches =
-    let own = if self_is_voter t then [ Log.last_index t.log ] else [] in
-    own
-    @ List.filter_map
-        (fun p ->
-          if is_voter_id t p then Some (Progress.match_index (progress_of t p))
-          else None)
-        t.others
+let[@hot] maybe_advance_commit t ctx =
+  let q = t.quorum in
+  let voters = Node_id.Set.cardinal t.current.m_voters in
+  if Array.length t.match_scratch < voters then
+    t.match_scratch <- Array.make voters 0;
+  let m = t.match_scratch in
+  let own =
+    if self_is_voter t then begin
+      m.(0) <- Log.last_index t.log;
+      1
+    end
+    else 0
   in
-  if List.length matches >= q then begin
-    let sorted = List.sort (fun a b -> Int.compare b a) matches in
+  let n = gather_matches t m own t.others in
+  if n >= q then begin
+    (* Insertion sort, descending: a handful of voters. *)
+    for i = 1 to n - 1 do
+      let v = m.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && m.(!j) < v do
+        m.(!j + 1) <- m.(!j);
+        decr j
+      done;
+      m.(!j + 1) <- v
+    done;
     (* The quorum-th largest match index is replicated on a majority. *)
-    let candidate = List.nth sorted (q - 1) in
+    let candidate = m.(q - 1) in
     if
       candidate > t.commit_index
       && Log.term_at t.log candidate = Some t.term
@@ -1021,6 +1140,7 @@ let become_leader t ctx =
   if t.config.Config.check_quorum then
     emit ctx (Arm_quorum_check (Config.election_timeout_base t.config));
   Array.fill t.progress 0 (Array.length t.progress) None;
+  t.all_progress <- [];
   Array.fill t.batches 0 (Array.length t.batches) None;
   Array.iter
     (function Some p -> Dynatune.Leader_path.reset p | None -> ())
@@ -1057,7 +1177,7 @@ let rec campaign t ctx ~pre ~force =
   t.votes <- Node_id.Set.singleton t.id;
   if pre then begin
     set_role t ctx Types.Pre_candidate;
-    if Node_id.Set.cardinal t.votes >= quorum t then
+    if Node_id.Set.cardinal t.votes >= t.quorum then
       campaign t ctx ~pre:false ~force
     else begin
       broadcast_vote_request t ctx ~pre:true ~force;
@@ -1070,7 +1190,7 @@ let rec campaign t ctx ~pre ~force =
     t.force_campaign <- force;
     set_role t ctx Types.Candidate;
     emit ctx (Probe (Probe.Election_started { id = t.id; term = t.term }));
-    if Node_id.Set.cardinal t.votes >= quorum t then become_leader t ctx
+    if Node_id.Set.cardinal t.votes >= t.quorum then become_leader t ctx
     else begin
       broadcast_vote_request t ctx ~pre:false ~force;
       arm_election t ctx
@@ -1210,11 +1330,11 @@ let on_vote_response t ctx ~from (resp : Rpc.vote_response) =
     | Types.Pre_candidate, true
       when resp.granted && resp.term = t.term + 1 ->
         if is_voter_id t from then t.votes <- Node_id.Set.add from t.votes;
-        if Node_id.Set.cardinal t.votes >= quorum t then
+        if Node_id.Set.cardinal t.votes >= t.quorum then
           campaign t ctx ~pre:false ~force:t.force_campaign
     | Types.Candidate, false when resp.granted && resp.term = t.term ->
         if is_voter_id t from then t.votes <- Node_id.Set.add from t.votes;
-        if Node_id.Set.cardinal t.votes >= quorum t then become_leader t ctx
+        if Node_id.Set.cardinal t.votes >= t.quorum then become_leader t ctx
     | _ -> ()
 
 (* Top-level predicate: a per-call closure here would charge every
@@ -1490,7 +1610,7 @@ let handle t ~now event =
           self_weight t
           + Node_id.Set.cardinal
               (Node_id.Set.inter t.quorum_acks t.current.m_voters)
-          >= quorum t
+          >= t.quorum
         then begin
           t.quorum_acks <- Node_id.Set.empty;
           emit ctx (Arm_quorum_check (Config.election_timeout_base t.config))
@@ -1528,15 +1648,13 @@ let handle t ~now event =
           emit ctx
             (Serve_read { client_id; seq; read_index = t.commit_index })
         else begin
-          t.pending_reads <-
+          Reads.push t.reads
             {
-              r_client = client_id;
-              r_seq = seq;
+              client = client_id;
+              seq;
               read_index = t.commit_index;
               registered_at = now;
-              confirmations = Node_id.Set.empty;
-            }
-            :: t.pending_reads;
+            };
           (* Kick off the confirmation round immediately rather than
              waiting for the next scheduled heartbeat (as etcd does). *)
           List.iter (fun peer -> send_heartbeat t ctx ~now peer) t.others

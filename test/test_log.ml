@@ -242,6 +242,65 @@ let prop_append_wholly_compacted_is_noop =
           && Log.mutations l = before_mut
       | `Conflict _ -> false)
 
+(* {2 Config entry index} *)
+
+let config term index change = { Log.term; index; command = Log.Config change }
+
+(* The config indices by a full scan of the stored entries. *)
+let scan_configs l =
+  List.filter
+    (fun i ->
+      match Log.entry_at l i with
+      | Some { Log.command = Log.Config _; _ } -> true
+      | Some _ | None -> false)
+    (List.init (Log.length l) (fun k -> Log.first_available l + k))
+
+let check_configs what expected l =
+  Alcotest.(check (list int)) what expected (Log.config_indices l);
+  Alcotest.(check (list int)) (what ^ " (scan agrees)") (scan_configs l)
+    (Log.config_indices l)
+
+let learner = Log.Add_learner (Netsim.Node_id.of_int 5)
+let promote = Log.Promote (Netsim.Node_id.of_int 5)
+
+let test_config_indices_truncate () =
+  let l = Log.create () in
+  check_configs "empty" [] l;
+  (match
+     Log.try_append l ~prev_index:0 ~prev_term:0
+       ~entries:
+         [| entry 1 1; config 1 2 learner; data 1 3 "x"; config 1 4 promote;
+            entry 1 5 |]
+   with
+  | `Ok _ -> ()
+  | `Conflict _ -> Alcotest.fail "append at origin must succeed");
+  check_configs "appended" [ 2; 4 ] l;
+  (* A new leader's suffix from index 4 retracts the promote. *)
+  (match
+     Log.try_append l ~prev_index:3 ~prev_term:1
+       ~entries:[| entry 2 4; entry 2 5 |]
+   with
+  | `Ok _ -> ()
+  | `Conflict _ -> Alcotest.fail "append after index 3 must succeed");
+  check_configs "truncated past the promote" [ 2 ] l;
+  ignore (Log.append_new l ~term:2 (Log.Config promote) : Log.entry);
+  check_configs "a leader append" [ 2; 6 ] l
+
+let test_config_indices_compact_install () =
+  let l = Log.create () in
+  ignore (Log.append_new l ~term:1 Log.Noop : Log.entry);
+  ignore (Log.append_new l ~term:1 (Log.Config learner) : Log.entry);
+  ignore (Log.append_new l ~term:1 Log.Noop : Log.entry);
+  ignore (Log.append_new l ~term:1 (Log.Config promote) : Log.entry);
+  Log.compact l ~upto:1;
+  check_configs "compaction below every config" [ 2; 4 ] l;
+  Log.compact l ~upto:3;
+  check_configs "compaction past the first" [ 4 ] l;
+  Log.install_snapshot l ~index:10 ~term:2;
+  check_configs "snapshot install clears" [] l;
+  ignore (Log.append_new l ~term:2 (Log.Config learner) : Log.entry);
+  check_configs "append after install" [ 11 ] l
+
 let tests =
   [
     Alcotest.test_case "empty log" `Quick test_empty_log;
@@ -261,6 +320,10 @@ let tests =
       test_heartbeat_append_empty;
     Alcotest.test_case "slice" `Quick test_slice;
     Alcotest.test_case "up_to_date voting rule" `Quick test_up_to_date;
+    Alcotest.test_case "config indices: append and truncate" `Quick
+      test_config_indices_truncate;
+    Alcotest.test_case "config indices: compact and install" `Quick
+      test_config_indices_compact_install;
     to_alcotest prop_append_below_boundary_matches;
     to_alcotest prop_append_conflict_truncates_at_boundary;
     to_alcotest prop_append_wholly_compacted_is_noop;

@@ -1012,6 +1012,179 @@ let prop_pool_recycle_never_aliases_inflight =
       (* Exactly-once release: the free list cannot outgrow the sends. *)
       !ok && ar <= msgs)
 
+(* {2 ReadIndex against the per-read set rule}
+
+   The leader's read bookkeeping replays the rule it replaced: each
+   pending read keeps the set of voters whose heartbeat echo was sent at
+   or after the read's registration, and a read is served once its
+   set, plus the leader's own vote, reaches a quorum — judged on every
+   heartbeat response, with voter status and quorum taken at that
+   response.  Served reads go out newest first; a deposed leader rejects
+   its pending reads newest first.  A random schedule of reads, echoes
+   of any past instant (reordered, and at the same instant as a
+   registration), acks, membership changes (a learner that answers, a
+   voter removed while reads wait) and deposition must draw the same
+   read outcomes, in the same order, from a fresh server as from the
+   model. *)
+
+type read_op =
+  | R_advance of int  (** ms; 0 keeps the same instant *)
+  | R_read
+  | R_echo of int * int  (** peer, pick among past instants *)
+  | R_ack of int  (** an append response covering the whole log *)
+  | R_remove of int
+  | R_add_learner
+  | R_depose
+
+let read_op_print = function
+  | R_advance d -> Printf.sprintf "advance %d" d
+  | R_read -> "read"
+  | R_echo (p, k) -> Printf.sprintf "echo %d/%d" p k
+  | R_ack p -> Printf.sprintf "ack %d" p
+  | R_remove p -> Printf.sprintf "remove %d" p
+  | R_add_learner -> "add learner 5"
+  | R_depose -> "depose"
+
+let read_op_gen =
+  Q.Gen.(
+    frequency
+      [
+        (3, map (fun d -> R_advance d) (int_range 0 3));
+        (3, return R_read);
+        (7, map2 (fun p k -> R_echo (p, k)) (int_range 1 5) (int_range 0 50));
+        (1, map (fun p -> R_ack p) (int_range 1 5));
+        (1, map (fun p -> R_remove p) (int_range 0 5));
+        (1, return R_add_learner);
+        (1, return R_depose);
+      ])
+
+type model_read = {
+  m_seq : int;
+  m_at : Des.Time.t;
+  m_index : int;
+  mutable m_conf : Netsim.Node_id.Set.t;
+}
+
+(* What a read's client is told: served (with its index) or rejected. *)
+let read_outcomes acts =
+  List.filter_map
+    (function
+      | Raft.Server.Serve_read { seq; read_index; _ } -> Some (seq, read_index)
+      | Raft.Server.Reject_proposal { seq; _ } -> Some (seq, -1)
+      | _ -> None)
+    acts
+
+let prop_reads_match_set_model =
+  Q.Test.make ~count:300 ~name:"ReadIndex: served and rejected as the set rule"
+    (Q.make
+       ~print:(fun ops -> String.concat "; " (List.map read_op_print ops))
+       Q.Gen.(list_size (int_range 1 80) read_op_gen))
+    (fun ops ->
+      let module S = Raft.Server in
+      let nid = Netsim.Node_id.of_int in
+      let s =
+        S.create ~id:(nid 0)
+          ~peers:(List.map nid [ 1; 2; 3; 4 ])
+          ~config:(Raft.Config.static ())
+          ~rng:(Stats.Rng.create ~seed:7L ())
+          ()
+      in
+      let recv ~now from msg =
+        S.handle s ~now (S.Message { from = nid from; msg })
+      in
+      ignore (S.start s : S.action list);
+      ignore
+        (S.handle s ~now:Des.Time.zero S.Election_timeout_fired
+          : S.action list);
+      List.iter
+        (fun pre_vote ->
+          let term = if pre_vote then S.term s + 1 else S.term s in
+          List.iter
+            (fun p ->
+              ignore
+                (recv ~now:Des.Time.zero p
+                   (Raft.Rpc.Vote_response { term; granted = true; pre_vote })
+                  : S.action list))
+            [ 1; 2 ])
+        [ true; false ];
+      assert (Raft.Types.is_leader (S.role s));
+      let now = ref Des.Time.zero and seq = ref 0 in
+      let instants = ref [ Des.Time.zero ] in
+      let pending = ref [] (* newest first *) and leader = ref true in
+      let got = ref [] and want = ref [] in
+      let record acts = got := List.rev_append (read_outcomes acts) !got in
+      let expect o = want := o :: !want in
+      List.iter
+        (fun op ->
+          match op with
+          | R_advance d ->
+              now := Des.Time.add !now (Des.Time.ms d);
+              instants := !now :: !instants
+          | R_read ->
+              incr seq;
+              let index = S.commit_index s in
+              if !leader then
+                pending :=
+                  { m_seq = !seq; m_at = !now; m_index = index;
+                    m_conf = Netsim.Node_id.Set.empty }
+                  :: !pending
+              else expect (!seq, -1);
+              record
+                (S.handle s ~now:!now (S.Read { client_id = 1; seq = !seq }))
+          | R_echo (p, k) ->
+              (* Any instant up to now: echoes overtake each other. *)
+              let sent_at = List.nth !instants (k mod List.length !instants) in
+              if !leader && !pending <> [] then begin
+                let voters = S.voters s in
+                if List.exists (Netsim.Node_id.equal (nid p)) voters then
+                  List.iter
+                    (fun r ->
+                      if sent_at >= r.m_at then
+                        r.m_conf <- Netsim.Node_id.Set.add (nid p) r.m_conf)
+                    !pending;
+                let quorum = (List.length voters / 2) + 1 in
+                let self = if S.is_voter s (nid 0) then 1 else 0 in
+                let ready, waiting =
+                  List.partition
+                    (fun r ->
+                      self + Netsim.Node_id.Set.cardinal r.m_conf >= quorum
+                      && S.commit_index s >= r.m_index)
+                    !pending
+                in
+                pending := waiting;
+                List.iter (fun r -> expect (r.m_seq, r.m_index)) ready
+              end;
+              record
+                (recv ~now:!now p
+                   (Raft.Rpc.Heartbeat_response
+                      { term = S.term s; hb_id = 0; echo_sent_at = sent_at;
+                        tuned_h = None; hr_gen = 0 }))
+          | R_ack p ->
+              record
+                (recv ~now:!now p
+                   (Raft.Rpc.Append_response
+                      { term = S.term s; success = true;
+                        match_index = Raft.Log.last_index (S.log s);
+                        conflict_hint = 0; req_prev = 0; ap_gen = 0 }))
+          | R_remove p ->
+              record (fst (S.reconfigure s ~now:!now (Raft.Log.Remove (nid p))))
+          | R_add_learner ->
+              record
+                (fst (S.reconfigure s ~now:!now (Raft.Log.Add_learner (nid 5))))
+          | R_depose ->
+              if !leader then begin
+                List.iter (fun r -> expect (r.m_seq, -1)) !pending;
+                pending := [];
+                leader := false
+              end;
+              record
+                (recv ~now:!now 1
+                   (Raft.Rpc.Heartbeat_response
+                      { term = S.term s + 1; hb_id = 0; echo_sent_at = !now;
+                        tuned_h = None; hr_gen = 0 })))
+        ops;
+      List.rev !got = List.rev !want)
+
 let tests =
   List.map to_alcotest
     [
@@ -1043,4 +1216,5 @@ let tests =
       prop_conditions_piecewise_lookup;
       prop_pipelined_replication_converges;
       prop_pool_recycle_never_aliases_inflight;
+      prop_reads_match_set_model;
     ]

@@ -24,6 +24,113 @@ let await_leader_exn c =
   | Some l -> l
   | None -> Alcotest.fail "no leader elected"
 
+(* {2 Config entries retracted by truncation} *)
+
+(* A follower applies a config entry as soon as it is appended; when a
+   new leader's conflicting suffix truncates it away, the membership
+   reverts to what the surviving log implies. *)
+let test_truncation_retracts_config () =
+  let s =
+    Raft.Server.create ~id:(nid 0) ~peers:[ nid 1; nid 2 ]
+      ~config:(Raft.Config.static ())
+      ~rng:(Stats.Rng.create ~seed:3L ())
+      ()
+  in
+  ignore (Raft.Server.start s : Raft.Server.action list);
+  let append ~from ~term ~prev_index ~prev_term entries =
+    ignore
+      (Raft.Server.handle s ~now:(Time.ms 1)
+         (Raft.Server.Message
+            {
+              from = nid from;
+              msg =
+                Raft.Rpc.Append_request
+                  {
+                    term;
+                    prev_index;
+                    prev_term;
+                    entries;
+                    commit = 0;
+                    ar_gen = 0;
+                  };
+            })
+        : Raft.Server.action list)
+  in
+  let members () = List.map Node_id.to_int (Raft.Server.members s) in
+  append ~from:1 ~term:1 ~prev_index:0 ~prev_term:0
+    [|
+      { Raft.Log.term = 1; index = 1; command = Raft.Log.Noop };
+      {
+        Raft.Log.term = 1;
+        index = 2;
+        command = Raft.Log.Config (Raft.Log.Add_learner (nid 3));
+      };
+    |];
+  Alcotest.(check (list int)) "learner applied on append" [ 0; 1; 2; 3 ]
+    (members ());
+  append ~from:2 ~term:2 ~prev_index:1 ~prev_term:1
+    [| { Raft.Log.term = 2; index = 2; command = Raft.Log.Noop } |];
+  Alcotest.(check (list int)) "truncation retracts it" [ 0; 1; 2 ]
+    (members ());
+  Alcotest.(check (list int)) "no learners" []
+    (List.map Node_id.to_int (Raft.Server.learners s));
+  Alcotest.(check (option int)) "no pending config" None
+    (Raft.Server.pending_config s)
+
+(* Compaction folds the config entries at or below the boundary into
+   the boundary configuration, and only those: a later entry still in
+   the log stays out of it. *)
+let test_compaction_folds_configs () =
+  let module S = Raft.Server in
+  let s =
+    S.create ~id:(nid 0) ~peers:[ nid 1; nid 2 ]
+      ~config:(Raft.Config.static ())
+      ~rng:(Stats.Rng.create ~seed:4L ())
+      ()
+  in
+  let handle ev = ignore (S.handle s ~now:(Time.ms 1) ev : S.action list) in
+  let from p msg = S.Message { from = nid p; msg } in
+  ignore (S.start s : S.action list);
+  handle S.Election_timeout_fired;
+  List.iter
+    (fun pre_vote ->
+      let term = if pre_vote then S.term s + 1 else S.term s in
+      handle
+        (from 1 (Raft.Rpc.Vote_response { term; granted = true; pre_vote })))
+    [ true; false ];
+  let ack () =
+    handle
+      (from 1
+         (Raft.Rpc.Append_response
+            {
+              term = S.term s;
+              success = true;
+              match_index = Raft.Log.last_index (S.log s);
+              conflict_hint = 0;
+              req_prev = 0;
+              ap_gen = 0;
+            }))
+  in
+  let change c =
+    match S.reconfigure s ~now:(Time.ms 1) c with
+    | _, `Ok _ -> ack ()
+    | _ -> Alcotest.fail "change refused"
+  in
+  ack ();
+  change (Raft.Log.Add_learner (nid 3));
+  change (Raft.Log.Remove (nid 3));
+  Alcotest.(check int) "no-op and both changes committed" 3
+    (S.commit_index s);
+  handle (S.Snapshot_ready { upto = 2; data = "" });
+  let p = S.persisted s in
+  let ints = List.map Node_id.to_int in
+  Alcotest.(check (list int))
+    "boundary voters" [ 0; 1; 2 ] (ints p.S.base_voters);
+  Alcotest.(check (list int)) "boundary holds the learner" [ 3 ]
+    (ints p.S.base_learners);
+  Alcotest.(check (list int)) "live config has dropped it" [ 0; 1; 2 ]
+    (ints (S.members s))
+
 (* {2 Add / promote / remove} *)
 
 let test_add_server_becomes_voter () =
@@ -317,6 +424,10 @@ let test_scenario_jobs_invariant () =
 
 let tests =
   [
+    Alcotest.test_case "follower: truncation retracts a config entry" `Quick
+      test_truncation_retracts_config;
+    Alcotest.test_case "leader: compaction folds configs below the boundary"
+      `Quick test_compaction_folds_configs;
     Alcotest.test_case "add_server: learner catches up, becomes voter" `Quick
       test_add_server_becomes_voter;
     Alcotest.test_case "remove_server: removed leader hands off" `Quick
