@@ -258,6 +258,83 @@ let test_fabric_self_send_immediate () =
   Alcotest.(check bool) "delivered synchronously" true !got;
   Engine.run e
 
+let send f kind ~src ~dst msg = Fabric.send f kind ~src ~dst msg
+
+(* The fabric's per-pair observables: which directed pairs
+   [link_counters] and [link_queue_depths] list, what [pending] reports,
+   and that a re-added node starts on fresh links. *)
+let test_fabric_pair_observables () =
+  let pairs l = List.map fst l in
+  let all3 = [ (0, 1); (0, 2); (1, 0); (1, 2); (2, 0); (2, 1) ] in
+  (* Uniform conditions configure every pair. *)
+  let _, f, _ = make_fabric () in
+  Alcotest.(check (list (pair int int))) "configured pairs listed" all3
+    (pairs (Fabric.link_counters f));
+  (* Without configuration, only the pairs that sent are listed. *)
+  let e = Engine.create ~seed:5L () in
+  let f : string Fabric.t = Fabric.create e in
+  let n = Array.of_list (Node_id.range 3) in
+  Array.iter (Fabric.add_node f) n;
+  send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "a";
+  send f Transport.Datagram ~src:n.(2) ~dst:n.(2) "self";
+  Engine.run e;
+  Alcotest.(check (list (pair int int))) "sent pairs listed" [ (0, 1) ]
+    (pairs (Fabric.link_counters f));
+  (* Serialization set before the first send: exactly the pairs that
+     sent get an egress. *)
+  let e, f, _ = make_fabric () in
+  Fabric.set_uniform_serialization f (Time.ms 1);
+  send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "a";
+  send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "b";
+  send f Transport.Reliable ~src:n.(2) ~dst:n.(0) "c";
+  Alcotest.(check int) "queued on 0->1" 2 (Fabric.pending f ~src:n.(0) ~dst:n.(1));
+  Alcotest.(check int) "idle serialized pair" 0
+    (Fabric.pending f ~src:n.(1) ~dst:n.(2));
+  Alcotest.(check int) "unknown pair" 0
+    (Fabric.pending f ~src:(Node_id.of_int 7) ~dst:(Node_id.of_int 8));
+  Engine.run e;
+  Alcotest.(check int) "drained" 0 (Fabric.pending f ~src:n.(0) ~dst:n.(1));
+  Alcotest.(check (list (pair (pair int int) int))) "queue depths of senders"
+    [ ((0, 1), 2); ((2, 0), 1) ]
+    (Fabric.link_queue_depths f);
+  Alcotest.(check (list (pair int int))) "counters unchanged by serialization"
+    all3 (pairs (Fabric.link_counters f));
+  let _, f, _ = make_fabric () in
+  send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "a";
+  Alcotest.(check int) "unserialized pair" 0
+    (Fabric.pending f ~src:n.(0) ~dst:n.(1));
+  Alcotest.(check (list (pair (pair int int) int))) "no egress unserialized" []
+    (Fabric.link_queue_depths f);
+  (* Serialization configures no pair of its own. *)
+  let e = Engine.create ~seed:5L () in
+  let f : string Fabric.t = Fabric.create e in
+  let ids = Node_id.range 6 in
+  List.iter (Fabric.add_node f) ids;
+  let c = Conditions.constant (profile ~rtt_ms:10. ()) in
+  List.iter
+    (fun (a, b) -> Fabric.set_pair_conditions f (Node_id.of_int a) (Node_id.of_int b) c)
+    [ (0, 1); (0, 2); (1, 2); (3, 4); (3, 5); (4, 5) ];
+  let before = pairs (Fabric.link_counters f) in
+  Alcotest.(check int) "intra-group pairs" 12 (List.length before);
+  Fabric.set_uniform_serialization f (Time.ms 1);
+  Alcotest.(check (list (pair int int))) "no pair added" before
+    (pairs (Fabric.link_counters f));
+  (* A node re-added under the same id starts on fresh links. *)
+  let e, f, _ = make_fabric () in
+  let sent_on f pair =
+    (List.assoc pair (Fabric.link_counters f)).Link.sent
+  in
+  Fabric.set_handler f n.(1) (fun ~src:_ _ -> ());
+  send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "a";
+  Engine.run e;
+  Alcotest.(check int) "old link used" 1 (sent_on f (0, 1));
+  Fabric.remove_node f n.(1);
+  Fabric.add_node f n.(1);
+  Fabric.set_handler f n.(1) (fun ~src:_ _ -> ());
+  send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "b";
+  Engine.run e;
+  Alcotest.(check int) "counters restart" 1 (sent_on f (0, 1))
+
 (* {2 Cpu} *)
 
 let test_cpu_queueing () =
@@ -341,6 +418,8 @@ let tests =
     Alcotest.test_case "fabric: per-pair conditions" `Quick
       test_fabric_per_pair_conditions;
     Alcotest.test_case "fabric: self-send" `Quick test_fabric_self_send_immediate;
+    Alcotest.test_case "fabric: per-pair observables" `Quick
+      test_fabric_pair_observables;
     Alcotest.test_case "cpu: queueing" `Quick test_cpu_queueing;
     Alcotest.test_case "cpu: cores speedup" `Quick test_cpu_cores_speedup;
     Alcotest.test_case "cpu: passthrough" `Quick test_cpu_passthrough;
