@@ -23,7 +23,7 @@ type 'msg node_state = {
 type 'msg egress = {
   mutable busy : bool;  (* a message currently occupies the wire *)
   eg_urgent : (Transport.kind * int * int * 'msg) Queue.t;
-      (* (kind, units, cause, msg); cause is 0 unless tracking is on *)
+      (* (kind, units, cause, msg); cause 0 = none *)
   eg_bulk : (Transport.kind * int * int * 'msg) Queue.t;
   mutable depth_high_water : int;
 }
@@ -33,22 +33,15 @@ type 'msg t = {
   rng : Stats.Rng.t;
   nodes : 'msg node_state Node_id.Table.t;
   mutable node_order : Node_id.t list; (* registration order *)
-  (* Directed-pair tables are keyed by [key src dst], a single int:
-     a tuple key would be allocated afresh (and polymorphically hashed)
-     on every message send.  [links]/[channels]/[egresses]/
-     [serialization] remain the canonical configuration stores (they
-     survive port invalidation); [ports] caches everything the send hot
-     path needs behind a single allocation-free lookup. *)
-  links : (int, Link.t) Hashtbl.t;
-  channels : (int, Transport.Channel.t) Hashtbl.t;
-  egresses : (int, 'msg egress) Hashtbl.t;
-  serialization : (int, Des.Time.span) Hashtbl.t;
   ports : 'msg port Itab.t;
+      (* the only per-pair store, keyed by [key src dst], a single int:
+         a tuple key would be allocated afresh on every message send *)
   deliver_op : ('msg port, 'msg) Des.Engine.op;
       (* engine handler delivering [msg] through a port; the schedule's
          int operand carries the causal token, so a delivery event
          allocates nothing *)
-  mutable default_serialization : Des.Time.span;  (* 0 = wire never busy *)
+  mutable default_serialization : Des.Time.span;
+      (* for ports created later; 0 = wire never busy *)
   mutable default_conditions : Conditions.t;
   mutable groups : int Node_id.Table.t option;  (* node -> partition group *)
   mutable sent : int;
@@ -56,16 +49,10 @@ type 'msg t = {
   mutable lost : int;
   mutable dropped_paused : int;
   mutable duplicated : int;
-  (* Causal piggyback channel (the forensics layer).  Causes are opaque
-     int tokens: a sender stages one just before [send], the fabric
-     carries it alongside the message, and the receiver reads the token
-     back during its delivery handler.  All three fields are immediate
-     ints and every use is branch-guarded on [track_causes], so the
-     default path allocates and behaves byte-identically to a fabric
-     without the channel. *)
-  mutable track_causes : bool;
-  mutable staged_cause : int;  (* consumed by the next [send] *)
-  mutable last_cause : int;  (* cause of the delivery in progress *)
+  mutable last_cause : int;
+      (* cause of the delivery in progress: the opaque int token its
+         sender passed to [send] (the forensics layer's causal
+         piggyback), 0 outside a delivery that carries one *)
   mutable dup_clone : 'msg -> 'msg;
       (* applied to the second copy of a duplicated datagram; identity
          unless the host pools messages (a pooled payload must not be
@@ -73,10 +60,11 @@ type 'msg t = {
          release could recycle it under the second) *)
 }
 
-(* Everything one directed src -> dst message needs, resolved once and
-   cached: the send hot path does a single [Itab.find] and then touches
-   only record fields.  Ports are dropped when either endpoint leaves
-   the fabric ([remove_node]), so a found port's states are current. *)
+(* One directed src -> dst pair: its link, channel, wire time and
+   egress, plus both endpoint states, so the send hot path does a single
+   [Itab.find] and then touches only record fields.  Ports are dropped
+   when either endpoint leaves the fabric ([remove_node]), so a found
+   port's states are current. *)
 and 'msg port = {
   pt_fabric : 'msg t;
   pt_src : Node_id.t;
@@ -86,7 +74,7 @@ and 'msg port = {
   pt_src_state : 'msg node_state;
   pt_dst_state : 'msg node_state;
   mutable pt_serialization : Des.Time.span;
-  mutable pt_egress : 'msg egress option;
+  mutable pt_egress : 'msg egress option;  (* made at the first serialized send *)
 }
 
 let[@inline] deliver_port t port msg =
@@ -119,10 +107,6 @@ let create engine =
     rng = Stats.Rng.split (Des.Engine.rng engine) "fabric";
     nodes = Node_id.Table.create 16;
     node_order = [];
-    links = Hashtbl.create 64;
-    channels = Hashtbl.create 64;
-    egresses = Hashtbl.create 64;
-    serialization = Hashtbl.create 64;
     ports = Itab.create 64;
     deliver_op;
     default_serialization = 0;
@@ -133,18 +117,12 @@ let create engine =
     lost = 0;
     dropped_paused = 0;
     duplicated = 0;
-    track_causes = false;
-    staged_cause = 0;
     last_cause = 0;
     dup_clone = (fun msg -> msg);
   }
 
 let engine t = t.engine
-let enable_cause_tracking t = t.track_causes <- true
 let set_dup_clone t clone = t.dup_clone <- clone
-
-let stage_cause t cause =
-  if t.track_causes then t.staged_cause <- cause
 
 let delivery_cause t = t.last_cause
 
@@ -167,19 +145,8 @@ let remove_node t id =
       Node_id.Table.remove t.nodes id;
       t.node_order <-
         List.filter (fun n -> not (Node_id.equal n id)) t.node_order;
-      let touches k =
-        let i = Node_id.to_int id in
-        k lsr 20 = i || k land 0xFFFFF = i
-      in
-      Itab.filter t.ports (fun k _ -> not (touches k));
-      let drop table =
-        let keys = Hashtbl.fold (fun k _ acc -> k :: acc) table [] in
-        List.iter (fun k -> if touches k then Hashtbl.remove table k) keys
-      in
-      drop t.links;
-      drop t.channels;
-      drop t.egresses;
-      drop t.serialization;
+      let i = Node_id.to_int id in
+      Itab.filter t.ports (fun k _ -> k lsr 20 <> i && k land 0xFFFFF <> i);
       (match t.groups with
       | Some table -> Node_id.Table.remove table id
       | None -> ())
@@ -195,22 +162,39 @@ let set_handler t id handler = (state t id).handler <- Some handler
    one immediate int. *)
 let key src dst = (Node_id.to_int src lsl 20) lor Node_id.to_int dst
 
-let link t ~src ~dst =
+(* Find or create the directed pair's port; both endpoints must be
+   registered.  Creation order is digest-irrelevant — [Stats.Rng.split]
+   is pure, so when a link is created does not affect any draw
+   sequence. *)
+let port t ~src ~dst =
   let k = key src dst in
-  match Hashtbl.find_opt t.links k with
-  | Some l -> l
+  match Itab.find t.ports k with
+  | Some p -> p
   | None ->
+      let src_state = state t src in
+      let dst_state = state t dst in
       let name = Printf.sprintf "link-%d-%d" (k lsr 20) (k land 0xFFFFF) in
-      let l =
-        Link.create t.engine
-          ~rng:(Stats.Rng.split t.rng name)
-          t.default_conditions
+      let p =
+        {
+          pt_fabric = t;
+          pt_src = src;
+          pt_dst = dst;
+          pt_link =
+            Link.create t.engine
+              ~rng:(Stats.Rng.split t.rng name)
+              t.default_conditions;
+          pt_channel = Transport.Channel.create ();
+          pt_src_state = src_state;
+          pt_dst_state = dst_state;
+          pt_serialization = t.default_serialization;
+          pt_egress = None;
+        }
       in
-      Hashtbl.add t.links k l;
-      l
+      Itab.add t.ports k p;
+      p
 
 let set_conditions t ~src ~dst conditions =
-  Link.set_conditions (link t ~src ~dst) conditions
+  Link.set_conditions (port t ~src ~dst).pt_link conditions
 
 let set_pair_conditions t a b conditions =
   set_conditions t ~src:a ~dst:b conditions;
@@ -226,15 +210,6 @@ let set_uniform_conditions t conditions =
             set_conditions t ~src ~dst conditions)
         t.node_order)
     t.node_order
-
-let channel t src dst =
-  let k = key src dst in
-  match Hashtbl.find_opt t.channels k with
-  | Some c -> c
-  | None ->
-      let c = Transport.Channel.create () in
-      Hashtbl.add t.channels k c;
-      c
 
 (* Tolerant of unknown destinations: a message in flight toward a node
    that [remove_node] has since deleted counts as dropped, not an
@@ -293,73 +268,10 @@ let reachable t src dst =
       Node_id.equal src dst
       || Node_id.Table.find_opt table src = Node_id.Table.find_opt table dst
 
-let serialization_of t k =
-  match Hashtbl.find_opt t.serialization k with
-  | Some s -> s
-  | None -> t.default_serialization
-
-let egress_of t k =
-  match Hashtbl.find_opt t.egresses k with
-  | Some eg -> eg
-  | None ->
-      let eg =
-        {
-          busy = false;
-          eg_urgent = Queue.create ();
-          eg_bulk = Queue.create ();
-          depth_high_water = 0;
-        }
-      in
-      Hashtbl.add t.egresses k eg;
-      eg
-
-(* Build and cache the port for a directed pair; both endpoints must be
-   registered.  Creation order is digest-irrelevant — [Stats.Rng.split]
-   is pure, so when a link is created does not affect any draw
-   sequence. *)
-let make_port t ~src ~dst k =
-  let src_state = state t src in
-  let dst_state = state t dst in
-  let ser = serialization_of t k in
-  let p =
-    {
-      pt_fabric = t;
-      pt_src = src;
-      pt_dst = dst;
-      pt_link = link t ~src ~dst;
-      pt_channel = channel t src dst;
-      pt_src_state = src_state;
-      pt_dst_state = dst_state;
-      pt_serialization = ser;
-      pt_egress = (if ser > 0 then Some (egress_of t k) else None);
-    }
-  in
-  Itab.add t.ports k p;
-  p
-
-let set_serialization t ~src ~dst span =
-  if span < 0 then invalid_arg "Fabric.set_serialization: negative span";
-  let k = key src dst in
-  Hashtbl.replace t.serialization k span;
-  match Itab.find t.ports k with
-  | None -> ()
-  | Some p ->
-      p.pt_serialization <- span;
-      if span > 0 then
-        match p.pt_egress with
-        | Some _ -> ()
-        | None -> p.pt_egress <- Some (egress_of t k)
-
 let set_uniform_serialization t span =
   if span < 0 then invalid_arg "Fabric.set_uniform_serialization: negative span";
   t.default_serialization <- span;
-  List.iter
-    (fun src ->
-      List.iter
-        (fun dst ->
-          if not (Node_id.equal src dst) then set_serialization t ~src ~dst span)
-        t.node_order)
-    t.node_order
+  Itab.fold (fun _ p () -> p.pt_serialization <- span) t.ports ()
 
 (* Put one message on the (now free) wire: sample the link model and
    schedule the delivery through the engine's handler table.  This is
@@ -427,8 +339,14 @@ let[@hot] send_port t p kind lane units ~cause msg =
       match p.pt_egress with
       | Some eg -> eg
       | None ->
-          (* Serialization was configured before this port existed. *)
-          let eg = egress_of t (key p.pt_src p.pt_dst) in
+          let eg =
+            {
+              busy = false;
+              eg_urgent = Queue.create ();
+              eg_bulk = Queue.create ();
+              depth_high_water = 0;
+            }
+          in
           p.pt_egress <- Some eg;
           eg
     in
@@ -440,12 +358,9 @@ let[@hot] send_port t p kind lane units ~cause msg =
     if not eg.busy then pump t p eg
   end
 
-let[@hot] send t kind ?(lane = Transport.Urgent) ?(units = 1) ~src ~dst msg =
+let[@hot] send t kind ?(lane = Transport.Urgent) ?(units = 1) ~cause ~src ~dst
+    msg =
   t.sent <- t.sent + 1;
-  (* The staged cause is one-shot: whatever happens to this message
-     (delivered, lost, queued), the next send starts clean. *)
-  let cause = t.staged_cause in
-  if cause <> 0 then t.staged_cause <- 0;
   if Node_id.equal src dst then
     if cause = 0 then deliver t ~src ~dst msg
     else begin
@@ -457,7 +372,7 @@ let[@hot] send t kind ?(lane = Transport.Urgent) ?(units = 1) ~src ~dst msg =
     let k = key src dst in
     match Itab.find t.ports k with
     | Some p ->
-        (* A cached port implies both endpoints are registered. *)
+        (* A found port implies both endpoints are registered. *)
         if not (reachable t src dst) then t.lost <- t.lost + 1
         else send_port t p kind lane units ~cause msg
     | None ->
@@ -466,20 +381,28 @@ let[@hot] send t kind ?(lane = Transport.Urgent) ?(units = 1) ~src ~dst msg =
              closed port. *)
           t.lost <- t.lost + 1
         else if not (reachable t src dst) then t.lost <- t.lost + 1
-        else send_port t (make_port t ~src ~dst k) kind lane units ~cause msg
+        else send_port t (port t ~src ~dst) kind lane units ~cause msg
 
 let pending t ~src ~dst =
-  match Hashtbl.find_opt t.egresses (key src dst) with
-  | None -> 0
-  | Some eg -> egress_depth eg
+  match Itab.find t.ports (key src dst) with
+  | Some { pt_egress = Some eg; _ } -> egress_depth eg
+  | Some { pt_egress = None; _ } | None -> 0
 
-let link_queue_depths t =
-  Hashtbl.fold
-    (fun k eg acc ->
-      ((k lsr 20, k land 0xFFFFF), eg.depth_high_water) :: acc)
-    t.egresses []
+(* One row per port that [f] keeps, keyed by [(src, dst)] node ints and
+   sorted by that key, so snapshots built from it are deterministic. *)
+let per_pair t f =
+  Itab.fold
+    (fun k p acc ->
+      match f p with
+      | Some v -> ((k lsr 20, k land 0xFFFFF), v) :: acc
+      | None -> acc)
+    t.ports []
   |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
          match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
+
+let link_queue_depths t =
+  per_pair t (fun p ->
+      Option.map (fun eg -> eg.depth_high_water) p.pt_egress)
 
 let pause t id = (state t id).paused <- true
 let resume t id = (state t id).paused <- false
@@ -493,9 +416,4 @@ let counters t =
     duplicated = t.duplicated;
   }
 
-let link_counters t =
-  Hashtbl.fold
-    (fun k l acc -> ((k lsr 20, k land 0xFFFFF), Link.counters l) :: acc)
-    t.links []
-  |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
-         match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
+let link_counters t = per_pair t (fun p -> Some (Link.counters p.pt_link))

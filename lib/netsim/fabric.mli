@@ -1,8 +1,12 @@
 (** The cluster's message fabric: a full mesh of directed links.
 
     Generic in the message type so the Raft layer supplies its own RPC
-    variant.  The fabric owns per-pair {!Link}s (lazily created, each with
-    its own PRNG substream), applies transport semantics, and implements
+    variant.  Each directed pair's state (its {!Link}, with its own PRNG
+    substream, reliable channel, serialization delay and egress queue)
+    is one record, created the first time the pair is configured
+    ({!set_conditions}) or carries a message; creating it requires both
+    endpoints to be registered.  The fabric applies transport semantics
+    and implements
     the fault model of the paper's experiments: pausing a node (the
     container-sleep fault) silently discards everything addressed to it. *)
 
@@ -28,7 +32,8 @@ val set_handler : 'msg t -> Node_id.t -> (src:Node_id.t -> 'msg -> unit) -> unit
 
 val set_conditions :
   'msg t -> src:Node_id.t -> dst:Node_id.t -> Conditions.t -> unit
-(** Conditions for the directed link [src → dst]. *)
+(** Conditions for the directed link [src → dst].  Both endpoints must
+    be registered ([Invalid_argument] otherwise). *)
 
 val set_pair_conditions :
   'msg t -> Node_id.t -> Node_id.t -> Conditions.t -> unit
@@ -37,22 +42,22 @@ val set_pair_conditions :
 val set_uniform_conditions : 'msg t -> Conditions.t -> unit
 (** Same conditions on every directed link between registered nodes. *)
 
-val link : 'msg t -> src:Node_id.t -> dst:Node_id.t -> Link.t
-(** The directed link (created on demand). *)
-
 val send :
   'msg t ->
   Transport.kind ->
   ?lane:Transport.lane ->
   ?units:int ->
+  cause:int ->
   src:Node_id.t ->
   dst:Node_id.t ->
   'msg ->
   unit
-(** Transmit a message.  Self-sends are delivered immediately.
+(** Transmit a message.  Self-sends are delivered immediately.  [cause]
+    is the message's causal token ([0] = none), read back by the
+    receiver with {!delivery_cause}.
 
     When the link has a serialization delay configured
-    ({!set_serialization}), the message first queues at the sender's
+    ({!set_uniform_serialization}), the message first queues at the sender's
     egress and occupies the wire for [units x serialization] (default
     [units = 1]) before the link's propagation model applies; [lane]
     (default [Urgent]) picks the egress class — urgent messages depart
@@ -60,13 +65,10 @@ val send :
     delay the egress queue does not exist, [lane]/[units] are ignored,
     and the send path is identical to the pre-lane fabric. *)
 
-val set_serialization :
-  'msg t -> src:Node_id.t -> dst:Node_id.t -> Des.Time.span -> unit
-(** Per-message wire time (per {!send} unit) on the directed link.
-    [0] (the default) disables the egress queue entirely. *)
-
 val set_uniform_serialization : 'msg t -> Des.Time.span -> unit
-(** Serialization delay for every directed link (including future ones). *)
+(** Per-message wire time (per {!send} unit) on every directed link,
+    including future ones.  [0] (the default) disables the egress queue
+    entirely; a link's queue is made at its first serialized send. *)
 
 val set_dup_clone : 'msg t -> ('msg -> 'msg) -> unit
 (** Copy function applied to the {e second} delivery of a duplicated
@@ -84,30 +86,22 @@ val pending : 'msg t -> src:Node_id.t -> dst:Node_id.t -> int
 val link_queue_depths : _ t -> ((int * int) * int) list
 (** High-water egress queue depth per directed link, keyed by
     [(src, dst)] node ints and sorted by that key.  Links that never
-    queued (no serialization delay) are absent. *)
+    sent under a serialization delay are absent. *)
 
 (** {2 Causal piggyback}
 
     The forensics layer threads an opaque cause token alongside each
-    message: the sender stages it immediately before {!send}, the fabric
-    carries it through egress queues and link delays, and the receiver
-    reads it back with {!delivery_cause} from inside its delivery
-    handler.  Tokens are plain nonzero ints (packed by the telemetry
-    layer, which this library cannot depend on); [0] means "no cause".
-    Until {!enable_cause_tracking} is called, {!stage_cause} is a no-op
-    and the send path is byte-identical to a fabric without the
-    channel. *)
-
-val enable_cause_tracking : _ t -> unit
-
-val stage_cause : _ t -> int -> unit
-(** Attach a cause to the next {!send} on this fabric (one-shot).  No-op
-    unless tracking is enabled. *)
+    message: the sender passes it to {!send}, the fabric carries it
+    through egress queues and link delays as an immediate int, and the
+    receiver reads it back with {!delivery_cause} from inside its
+    delivery handler.  Tokens are plain nonzero ints (packed by the
+    telemetry layer, which this library cannot depend on); [0] means
+    "no cause". *)
 
 val delivery_cause : _ t -> int
 (** The cause of the delivery currently in progress ([0] outside a
-    tracked delivery).  Only meaningful when called synchronously from a
-    handler installed with {!set_handler}. *)
+    delivery that carries one).  Only meaningful when called
+    synchronously from a handler installed with {!set_handler}. *)
 
 val set_egress_congestion : 'msg t -> Node_id.t -> Congestion.spec -> unit
 (** Attach a sender-side congestion process to a node: during an episode,
@@ -146,5 +140,8 @@ val counters : _ t -> counters
 val link_counters : _ t -> ((int * int) * Link.counters) list
 (** Per-link statistics for every link created so far, keyed by
     [(src, dst)] node ints and sorted by that key, so snapshots built
-    from it are deterministic.  Links are created lazily: a pair that
-    never exchanged a message is absent. *)
+    from it are deterministic.  A link is created when its pair is first
+    configured ({!set_conditions}, {!set_pair_conditions},
+    {!set_uniform_conditions}) or first carries a message: a pair that
+    was neither is absent, a configured pair that stayed silent is
+    listed with zero counts. *)

@@ -67,6 +67,16 @@ and grow t =
         match old_vals.(i) with Some v -> add t k v | None -> ())
     old_keys
 
+let fold f t init =
+  let rec go i acc =
+    if i > t.mask then acc
+    else
+      match t.vals.(i) with
+      | Some v -> go (i + 1) (f t.keys.(i) v acc)
+      | None -> go (i + 1) acc
+  in
+  go 0 init
+
 (* Rebuild keeping only entries the predicate accepts — deletion without
    tombstones, so probe chains stay intact. *)
 let filter t f =

@@ -18,6 +18,10 @@ val find : 'a t -> int -> 'a option
 val add : 'a t -> int -> 'a -> unit
 (** Insert or replace. *)
 
+val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Fold over every entry, in slot order (a function of the keys
+    inserted, not of insertion order). *)
+
 val filter : 'a t -> (int -> 'a -> bool) -> unit
 (** Drop every entry the predicate rejects (rebuilds in place —
     deletion is assumed rare). *)

@@ -146,7 +146,7 @@ and interpret t = function
              msg);
       Replication.transmit t.fabric
         ~lanes:t.config.Config.priority_lanes
-        ~cause:(if t.fo_on then t.cur_cause else 0)
+        ~cause:t.cur_cause
         ~src:(id t) ~dst kind msg
   | Server.Arm_election span ->
       if t.fo_on then t.election_arm_cause <- t.cur_cause;
@@ -369,7 +369,7 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
                 ()
           end;
           if t.fo_on then begin
-            (* The sender's staged cause, surfaced by the fabric for the
+            (* The sender's cause, surfaced by the fabric for the
                duration of this delivery: adopt it as our causal context
                (under a CPU cost model [execute] may defer the dispatch,
                in which case a later delivery can overwrite it — the
@@ -397,7 +397,6 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
               if not t.paused then
                 dispatch t (Server.Message { from = src; msg }))
         end);
-  if t.fo_on then Netsim.Fabric.enable_cause_tracking fabric;
   t
 
 let start t =

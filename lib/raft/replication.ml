@@ -38,6 +38,6 @@ let wire_units (msg : Rpc.message) =
    cross the network without the RPC variants growing a field every
    send would have to fill. *)
 let transmit fabric ~lanes ~cause ~src ~dst kind msg =
-  if cause <> 0 then Netsim.Fabric.stage_cause fabric cause;
   let lane = if lanes then lane_of msg else Netsim.Transport.Urgent in
-  Netsim.Fabric.send fabric kind ~lane ~units:(wire_units msg) ~src ~dst msg
+  Netsim.Fabric.send fabric kind ~lane ~units:(wire_units msg) ~cause ~src ~dst
+    msg

@@ -2,7 +2,7 @@
 
     Classifies outgoing RPCs into the fabric's two egress lanes and
     sizes their serialization cost, so that on links with a wire model
-    ({!Netsim.Fabric.set_serialization}) control traffic overtakes
+    ({!Netsim.Fabric.set_uniform_serialization}) control traffic overtakes
     queued replication bursts.  The analyzer's [raw-fabric-send] rule
     keeps every other module in [lib/raft] from sending directly. *)
 
@@ -26,6 +26,6 @@ val transmit :
   unit
 (** Send one RPC.  With [lanes:false] everything departs urgent — one
     FIFO, the priority-lane ablation.  [cause] (a {!Telemetry.Cause.t}
-    token; [0] = none) is staged on the fabric so the receiver's
-    delivery handler can read its causal parent — see
-    {!Netsim.Fabric.stage_cause}. *)
+    token; [0] = none) is passed straight to {!Netsim.Fabric.send}, so
+    the receiver's delivery handler can read its causal parent with
+    {!Netsim.Fabric.delivery_cause}. *)

@@ -3,8 +3,9 @@
     A cause names the root event a chain of state transitions descends
     from: a timer fire, a client request, an injected fault.  It packs
     into a single immediate integer (like {!Netsim.Fabric}'s directed
-    pair keys) so it can ride through hot paths — staged on the fabric,
-    stored in mutable fields — without allocating.
+    pair keys) so it can ride through hot paths — passed to
+    {!Netsim.Fabric.send}, stored in mutable fields — without
+    allocating.
 
     Layout (63 usable bits, zero is reserved for {!none}):
 

@@ -189,7 +189,8 @@ let test_crashed_node_keeps_vote () =
   Raft.Node.start node;
   (* Grant a vote in term 7 to peer 1. *)
   let dispatch msg =
-    Netsim.Fabric.send fabric Netsim.Transport.Reliable ~src:(List.nth ids 1)
+    Netsim.Fabric.send fabric Netsim.Transport.Reliable ~cause:0
+      ~src:(List.nth ids 1)
       ~dst:(List.hd ids) msg;
     Des.Engine.run_for engine (Time.ms 1)
   in

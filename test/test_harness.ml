@@ -442,7 +442,8 @@ let test_congestion_delays_delivery () =
   let arrival = ref Time.zero in
   Netsim.Fabric.set_handler fabric b (fun ~src:_ _ ->
       arrival := Des.Engine.now engine);
-  Netsim.Fabric.send fabric Netsim.Transport.Datagram ~src:a ~dst:b "x";
+  Netsim.Fabric.send fabric Netsim.Transport.Datagram ~cause:0 ~src:a ~dst:b
+    "x";
   Des.Engine.run engine;
   Alcotest.(check int) "delayed by the episode extra"
     (Time.sec 1 + Time.ms 305) !arrival

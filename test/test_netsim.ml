@@ -199,7 +199,7 @@ let test_fabric_delivers () =
   let n0 = List.nth ids 0 and n1 = List.nth ids 1 in
   Fabric.set_handler f n1 (fun ~src msg ->
       received := (src, msg, Engine.now e) :: !received);
-  Fabric.send f Transport.Datagram ~src:n0 ~dst:n1 "hello";
+  Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n1 "hello";
   Engine.run e;
   match !received with
   | [ (src, "hello", at) ] ->
@@ -213,11 +213,11 @@ let test_fabric_pause_drops () =
   let n0 = List.nth ids 0 and n1 = List.nth ids 1 in
   Fabric.set_handler f n1 (fun ~src:_ _ -> incr received);
   Fabric.pause f n1;
-  Fabric.send f Transport.Datagram ~src:n0 ~dst:n1 "x";
+  Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n1 "x";
   Engine.run e;
   Alcotest.(check int) "paused node receives nothing" 0 !received;
   Fabric.resume f n1;
-  Fabric.send f Transport.Datagram ~src:n0 ~dst:n1 "y";
+  Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n1 "y";
   Engine.run e;
   Alcotest.(check int) "resumed node receives" 1 !received;
   Alcotest.(check int) "drop counted" 1 (Fabric.counters f).Fabric.dropped_paused
@@ -232,7 +232,7 @@ let test_fabric_reliable_fifo_under_loss () =
   let received = ref [] in
   Fabric.set_handler f n1 (fun ~src:_ msg -> received := msg :: !received);
   for i = 1 to 50 do
-    Fabric.send f Transport.Reliable ~src:n0 ~dst:n1 (string_of_int i)
+    Fabric.send f Transport.Reliable ~cause:0 ~src:n0 ~dst:n1 (string_of_int i)
   done;
   Engine.run e;
   let got = List.rev_map int_of_string !received in
@@ -245,7 +245,7 @@ let test_fabric_per_pair_conditions () =
     (Conditions.constant (profile ~rtt_ms:200. ()));
   let at = ref Time.zero in
   Fabric.set_handler f n2 (fun ~src:_ _ -> at := Engine.now e);
-  Fabric.send f Transport.Datagram ~src:n0 ~dst:n2 "slow";
+  Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n2 "slow";
   Engine.run e;
   Alcotest.(check int) "overridden delay" (Time.ms 100) !at
 
@@ -254,11 +254,11 @@ let test_fabric_self_send_immediate () =
   let n0 = List.nth ids 0 in
   let got = ref false in
   Fabric.set_handler f n0 (fun ~src:_ _ -> got := true);
-  Fabric.send f Transport.Datagram ~src:n0 ~dst:n0 "loop";
+  Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n0 "loop";
   Alcotest.(check bool) "delivered synchronously" true !got;
   Engine.run e
 
-let send f kind ~src ~dst msg = Fabric.send f kind ~src ~dst msg
+let send f kind ~src ~dst msg = Fabric.send f kind ~cause:0 ~src ~dst msg
 
 (* The fabric's per-pair observables: which directed pairs
    [link_counters] and [link_queue_depths] list, what [pending] reports,
@@ -334,6 +334,24 @@ let test_fabric_pair_observables () =
   send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "b";
   Engine.run e;
   Alcotest.(check int) "counters restart" 1 (sent_on f (0, 1))
+
+let test_fabric_unregistered_pair_rejected () =
+  let _, f, ids = make_fabric () in
+  let ghost = Node_id.of_int 9 in
+  let c = Conditions.constant (profile ~rtt_ms:10. ()) in
+  let raises g =
+    try
+      g ();
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "unregistered destination" true
+    (raises (fun () -> Fabric.set_conditions f ~src:(List.hd ids) ~dst:ghost c));
+  Alcotest.(check bool) "unregistered source" true
+    (raises (fun () -> Fabric.set_conditions f ~src:ghost ~dst:(List.hd ids) c));
+  Fabric.add_node f ghost;
+  Alcotest.(check bool) "no link inherited" false
+    (List.mem_assoc (0, 9) (Fabric.link_counters f))
 
 (* {2 Cpu} *)
 
@@ -420,6 +438,8 @@ let tests =
     Alcotest.test_case "fabric: self-send" `Quick test_fabric_self_send_immediate;
     Alcotest.test_case "fabric: per-pair observables" `Quick
       test_fabric_pair_observables;
+    Alcotest.test_case "fabric: unregistered pair rejected" `Quick
+      test_fabric_unregistered_pair_rejected;
     Alcotest.test_case "cpu: queueing" `Quick test_cpu_queueing;
     Alcotest.test_case "cpu: cores speedup" `Quick test_cpu_cores_speedup;
     Alcotest.test_case "cpu: passthrough" `Quick test_cpu_passthrough;

@@ -180,7 +180,7 @@ let test_udp_overflow_drops_heartbeats () =
   Netsim.Cpu.charge (Raft.Node.cpu node) ~cost:(Time.sec 2);
   let delivered_before = Des.Engine.processed_events rig.engine in
   ignore delivered_before;
-  Netsim.Fabric.send rig.fabric Netsim.Transport.Datagram
+  Netsim.Fabric.send rig.fabric Netsim.Transport.Datagram ~cause:0
     ~src:(Node_id.of_int 1) ~dst:(Raft.Node.id node)
     (Raft.Rpc.Heartbeat
        {
@@ -212,7 +212,7 @@ let test_reliable_messages_survive_busy_cpu () =
   start rig;
   let node = List.hd rig.nodes in
   Netsim.Cpu.charge (Raft.Node.cpu node) ~cost:(Time.ms 500);
-  Netsim.Fabric.send rig.fabric Netsim.Transport.Reliable
+  Netsim.Fabric.send rig.fabric Netsim.Transport.Reliable ~cause:0
     ~src:(Node_id.of_int 1) ~dst:(Raft.Node.id node)
     (Raft.Rpc.Append_request
        {

@@ -1003,7 +1003,8 @@ let prop_pool_recycle_never_aliases_inflight =
         let c = count_of msg in
         if !c > 0 then ok := false;
         incr c;
-        Netsim.Fabric.send fabric Netsim.Transport.Datagram ~src:a ~dst:b msg;
+        Netsim.Fabric.send fabric Netsim.Transport.Datagram ~cause:0 ~src:a
+          ~dst:b msg;
         (* uneven spacing interleaves in-flight windows across sends *)
         Des.Engine.run_for engine (Des.Time.ms (i mod 7))
       done;
