@@ -362,7 +362,7 @@ let perf_table () =
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 56.93);
+    ("multiraft plan", per_event multiraft 56.59);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -375,7 +375,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        84.70 );
+        84.48 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->
