@@ -430,47 +430,76 @@ type loop = { name : string; budget : float; make : unit -> unit -> unit }
 
 let loops =
   [
-    (* 60 words plus about one per thousand heartbeats, amortized. *)
+    (* Follower handling one dynatune heartbeat (tuner observation
+       included): 60 words plus about one per thousand heartbeats,
+       amortized. *)
     { name = "server heartbeat"; budget = 60.001; make = make_heartbeat_loop };
+    (* Leader handling a conflict nack that forces a 64-entry rebatch — a
+       batch-cache hit in steady state. *)
     {
       name = "leader nack + rebatch 64";
       budget = 17.;
       make = make_leader_append_loop;
     };
+    (* Follower handling a duplicate 64-entry append through
+       [Server.handle]: the full RPC path over the prefix scan. *)
     {
       name = "follower duplicate append 64";
       budget = 42.;
       make = make_follower_append_loop;
     };
+    (* The same duplicate append straight into [Raft.Log.try_append]: the
+       log-matching prefix scan alone, the floor under the follower
+       figure. *)
     { name = "log try_append 64"; budget = 3.; make = make_try_append_loop };
+    (* Follower granting one replayed pre-vote request: the vote checks
+       and the response build, with no durable-state mutation. *)
     { name = "pre-vote round"; budget = 16.; make = make_vote_round_loop };
+    (* Follower handling a replayed stale [Install_snapshot] (its commit
+       point already covers the boundary): the receive path minus the
+       one-off log wipe. *)
     {
       name = "stale snapshot install";
       budget = 38.;
       make = make_snapshot_install_loop;
     };
+    (* Leader registering one linearizable read and handling the two
+       heartbeat echoes that serve the read registered 32 ops earlier. *)
     {
       name = "leader ReadIndex round, 32 reads in flight";
       budget = 84.;
       make = make_read_index_loop;
     };
+    (* One opcode event through the DES kernel: [Engine.schedule_op_after]
+       then [Engine.step], from the event pool once it is warm. *)
     {
       name = "engine schedule_op_after+step";
       budget = 0.;
       make = make_schedule_op_loop;
     };
+    (* One [Des.Engine.await] of 1 s in 1 ms slices on an engine with no
+       events: the harness's wait loop with nothing to do. *)
     {
       name = "engine idle await 1s/1ms";
       budget = 0.;
       make = make_idle_await_loop;
     };
+    (* One probe through [Des.Mtrace.emit] to a single counting observer;
+       the bus retains nothing. *)
     { name = "mtrace emit"; budget = 0.; make = make_mtrace_emit_loop };
+    (* [Kvsm.Command.client_put_payload] of one write with a 64-byte
+       value: the payload string is its only allocation. *)
     {
       name = "kv client put encode";
       budget = 11.;
       make = make_client_encode_loop;
     };
+    (* [Kvsm.Command.of_payload] on that write: the key, the value, the
+       command and the result. *)
     { name = "kv decode put"; budget = 17.; make = make_decode_put_loop };
+    (* [Kvsm.Store.apply_entry] of that write with its key already
+       present: the value is kept by reference, so only the key is
+       copied. *)
     {
       name = "kv store apply put (key present)";
       budget = 2.;

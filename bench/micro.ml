@@ -82,14 +82,6 @@ let test_event_heap_push_pop depth =
           ignore (Des.Event_heap.top_live h : Des.Event_heap.event);
           Des.Event_heap.pop_top h))
 
-let test_engine_schedule_op =
-  Test.make ~name:"engine.schedule_op_after+step"
-    (Staged.stage (Bench_loops.make_schedule_op_loop ()))
-
-let test_mtrace_emit =
-  Test.make ~name:"mtrace.emit (one observer)"
-    (Staged.stage (Bench_loops.make_mtrace_emit_loop ()))
-
 let test_engine_cancel_churn =
   (* The heartbeat-timer pattern: schedule a timeout far out, cancel it,
      re-arm, fire a near event.  Exercises lazy discard plus the event
@@ -137,62 +129,14 @@ let test_wheel_fire =
               : Des.Engine.handle);
           ignore (Des.Engine.step e : bool)))
 
-(* The hot-path loops live in Bench_loops so `selfcheck --perf` can gate
-   words/op against the exact code benchmarked here. *)
-let bench_log = Bench_loops.bench_log
-
 let test_log_slice_array =
   Test.make ~name:"log.slice 64 (array)"
     (Staged.stage
-       (let log = bench_log () in
+       (let log = Bench_loops.bench_log () in
         let i = ref 0 in
         fun () ->
           i := (!i mod 900) + 1;
           ignore (Raft.Log.slice log ~from:!i ~max:64 : Raft.Log.entry array)))
-
-let test_log_slice_list =
-  (* The seed's slice path built a list via [List.init] + per-entry
-     [nth]-style lookups; keep it here as the comparison baseline. *)
-  Test.make ~name:"log.slice 64 (old list path)"
-    (Staged.stage
-       (let log = bench_log () in
-        let i = ref 0 in
-        fun () ->
-          i := (!i mod 900) + 1;
-          ignore
-            (List.init 64 (fun k ->
-                 match Raft.Log.entry_at log (!i + k) with
-                 | Some e -> e
-                 | None -> assert false)
-              : Raft.Log.entry list)))
-
-let test_server_heartbeat =
-  Test.make ~name:"server.handle heartbeat (dynatune)"
-    (Staged.stage (Bench_loops.make_heartbeat_loop ()))
-
-let test_leader_append =
-  Test.make ~name:"server.handle append nack+rebatch 64"
-    (Staged.stage (Bench_loops.make_leader_append_loop ()))
-
-let test_follower_append =
-  Test.make ~name:"server.handle duplicate append 64"
-    (Staged.stage (Bench_loops.make_follower_append_loop ()))
-
-let test_try_append =
-  Test.make ~name:"log.try_append duplicate 64"
-    (Staged.stage (Bench_loops.make_try_append_loop ()))
-
-let test_vote_round =
-  Test.make ~name:"server.handle pre-vote round"
-    (Staged.stage (Bench_loops.make_vote_round_loop ()))
-
-let test_snapshot_install =
-  Test.make ~name:"server.handle stale snapshot install"
-    (Staged.stage (Bench_loops.make_snapshot_install_loop ()))
-
-let test_read_index =
-  Test.make ~name:"server.handle ReadIndex round, 32 reads in flight"
-    (Staged.stage (Bench_loops.make_read_index_loop ()))
 
 let test_codec =
   Test.make ~name:"kv command codec roundtrip"
@@ -203,17 +147,13 @@ let test_codec =
          in
          ignore (Kvsm.Command.of_payload payload)))
 
-let test_client_encode =
-  Test.make ~name:"kv client put encode"
-    (Staged.stage (Bench_loops.make_client_encode_loop ()))
-
-let test_decode_put =
-  Test.make ~name:"kv decode put"
-    (Staged.stage (Bench_loops.make_decode_put_loop ()))
-
-let test_store_put =
-  Test.make ~name:"kv store apply put (key present)"
-    (Staged.stage (Bench_loops.make_store_put_loop ()))
+(* Every loop [selfcheck --perf] gates, timed on the very closure its
+   words/op budget prices. *)
+let loop_tests =
+  List.map
+    (fun { Bench_loops.name; make; _ } ->
+      Test.make ~name (Staged.stage (make ())))
+    Bench_loops.loops
 
 let tests =
   [
@@ -222,27 +162,15 @@ let tests =
     test_loss_observe;
     test_window_push;
     test_engine_schedule;
-    test_engine_schedule_op;
-    test_mtrace_emit;
     test_event_heap_push_pop 5;
     test_event_heap_push_pop 1_500;
     test_engine_cancel_churn;
     test_wheel_churn;
     test_wheel_fire;
     test_log_slice_array;
-    test_log_slice_list;
-    test_server_heartbeat;
-    test_leader_append;
-    test_follower_append;
-    test_try_append;
-    test_vote_round;
-    test_snapshot_install;
-    test_read_index;
     test_codec;
-    test_client_encode;
-    test_decode_put;
-    test_store_put;
   ]
+  @ loop_tests
 
 (* Minor-heap allocation per operation (Bench_loops.words_per_op): the
    number bechamel's timing tables can't show, and the one the
@@ -275,7 +203,7 @@ let allocation_report ppf =
    words_per_op ppf "wheel timer schedule+cancel" (fun () ->
        Des.Engine.cancel
          (Des.Engine.schedule_timer_after e (Des.Time.ms 500) (fun () -> ()))));
-  let log = bench_log () in
+  let log = Bench_loops.bench_log () in
   let i = ref 0 in
   words_per_op ppf "log.slice 64 (array)" (fun () ->
       i := (!i mod 900) + 1;
