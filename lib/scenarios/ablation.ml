@@ -29,6 +29,10 @@ let sample_each_second cluster ~duration ~read =
 let mean_or_nan w =
   if Stats.Welford.count w = 0 then nan else Stats.Welford.mean w
 
+(* Mean of one field over a failover campaign's outcomes. *)
+let mean_of field (outcomes : Harness.Fault.failure_outcome list) =
+  Stats.Summary.(mean (of_list (List.map field outcomes)))
+
 (* Every node but the live leader (all of them while leaderless). *)
 let followers cluster =
   let leader = Option.map Raft.Node.id (Cluster.leader cluster) in
@@ -103,11 +107,11 @@ let safety_factor_sweep ?(failures = 100) ?(quiet = Des.Time.sec 120)
         Monitor.observe cluster (fun () ->
             sample_each_second cluster ~duration:quiet ~read:tuned_follower_et)
       in
-      let raw = Measure.failures cluster ~quota:failures in
+      let measured = Measure.failures cluster ~quota:failures in
       {
         s;
-        detection_mean_ms = Stats.Summary.(mean (of_list raw.detection));
-        ots_mean_ms = Stats.Summary.(mean (of_list raw.ots));
+        detection_mean_ms = mean_of (fun o -> o.detection_ms) measured;
+        ots_mean_ms = mean_of (fun o -> o.ots_ms) measured;
         et_mean_ms = mean_or_nan et;
         false_timeouts = List.length quiet_window.Monitor.timeouts;
       })
@@ -258,7 +262,7 @@ let estimator_sweep ?(jobs = 1) () =
       in
       (* Small failover campaign at the new level. *)
       Cluster.run_for cluster (Des.Time.sec 10);
-      let raw = Measure.failures cluster ~quota:failures in
+      let measured = Measure.failures cluster ~quota:failures in
       {
         estimator = name;
         et_steady_ms = Stats.Welford.mean et;
@@ -266,7 +270,7 @@ let estimator_sweep ?(jobs = 1) () =
         adaptation_up_ms =
           Des.Time.to_ms_f (Des.Time.diff adapted_at step_at);
         false_timeouts = List.length steady_window.Monitor.timeouts;
-        detection_mean_ms = Stats.Summary.(mean (of_list raw.detection));
+        detection_mean_ms = mean_of (fun o -> o.detection_ms) measured;
       })
        backends
 

@@ -40,10 +40,10 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
     (match on_cluster with Some f -> f ~shard:s.index cluster | None -> ());
     ignore (Cluster.boot cluster ~label:"fig4" : Raft.Node.t);
     Cluster.run_for cluster warmup;
-    let raw = Measure.failures ~metrics:telemetry cluster ~quota:s.quota in
+    let measured = Measure.failures ~metrics:telemetry cluster ~quota:s.quota in
     Cluster.check_now cluster;
     Cluster.collect_metrics cluster;
-    ( raw,
+    ( measured,
       Cluster.trace_digest cluster,
       Telemetry.Metrics.snapshot telemetry,
       Telemetry.Recorder.dump recorder )
@@ -51,8 +51,13 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
   let outcomes =
     Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:failures ~f:shard ()
   in
-  let raw = Measure.merge (List.map (fun (r, _, _, _) -> r) outcomes) in
-  let summary = Stats.Summary.of_list in
+  let measured = List.concat_map (fun (o, _, _, _) -> o) outcomes in
+  let failures = List.length measured in
+  let summary field = Stats.Summary.of_list (List.map field measured) in
+  let splits =
+    List.length
+      (List.filter (fun o -> o.Harness.Fault.election_rounds > 1) measured)
+  in
   {
     mode = Raft.Config.mode_name config;
     digest = Check.Digest.combine (List.map (fun (_, d, _, _) -> d) outcomes);
@@ -60,18 +65,16 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
       Telemetry.Metrics.merge (List.map (fun (_, _, m, _) -> m) outcomes);
     recorder =
       Telemetry.Recorder.merge (List.map (fun (_, _, _, r) -> r) outcomes);
-    failures = raw.measured;
-    detection = summary raw.detection;
-    majority_detection = summary raw.majority;
-    ots = summary raw.ots;
-    election = summary (List.map2 ( -. ) raw.ots raw.detection);
-    randomized = summary raw.randomized;
-    rounds = summary raw.rounds;
+    failures;
+    detection = summary (fun o -> o.detection_ms);
+    majority_detection = summary (fun o -> o.majority_detection_ms);
+    ots = summary (fun o -> o.ots_ms);
+    election = summary (fun o -> o.ots_ms -. o.detection_ms);
+    randomized = summary (fun o -> o.randomized_at_detection_ms);
+    rounds = summary (fun o -> float_of_int o.election_rounds);
     split_vote_rate =
-      (if raw.measured = 0 then 0.
-       else
-         let splits = List.length (List.filter (fun r -> r > 1.) raw.rounds) in
-         float_of_int splits /. float_of_int raw.measured);
+      (if failures = 0 then 0.
+       else float_of_int splits /. float_of_int failures);
   }
 
 let compare_modes ?(failures = 1000) ?(jobs = 1) () =

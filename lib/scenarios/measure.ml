@@ -1,25 +1,6 @@
 module Cluster = Harness.Cluster
 module Fault = Harness.Fault
 
-type raw = {
-  measured : int;
-  detection : float list;
-  majority : float list;
-  ots : float list;
-  randomized : float list;
-  rounds : float list;
-}
-
-let empty =
-  {
-    measured = 0;
-    detection = [];
-    majority = [];
-    ots = [];
-    randomized = [];
-    rounds = [];
-  }
-
 let failures ?(metrics = Telemetry.Metrics.noop) cluster ~quota =
   let m_attempts =
     Telemetry.Metrics.counter metrics ~scope:"measure" ~name:"attempts" ()
@@ -28,9 +9,7 @@ let failures ?(metrics = Telemetry.Metrics.noop) cluster ~quota =
   and m_errors =
     Telemetry.Metrics.counter metrics ~scope:"measure" ~name:"errors" ()
   in
-  let detection = ref [] and majority = ref [] and ots = ref [] in
-  let randomized = ref [] and rounds = ref [] in
-  let measured = ref 0 and attempts = ref 0 in
+  let outcomes = ref [] and measured = ref 0 and attempts = ref 0 in
   while !measured < quota && !attempts < 2 * quota do
     incr attempts;
     Telemetry.Metrics.Counter.incr m_attempts;
@@ -42,30 +21,6 @@ let failures ?(metrics = Telemetry.Metrics.noop) cluster ~quota =
     | Ok o ->
         incr measured;
         Telemetry.Metrics.Counter.incr m_measured;
-        detection := o.Fault.detection_ms :: !detection;
-        majority := o.Fault.majority_detection_ms :: !majority;
-        ots := o.Fault.ots_ms :: !ots;
-        randomized := o.Fault.randomized_at_detection_ms :: !randomized;
-        rounds := float_of_int o.Fault.election_rounds :: !rounds
+        outcomes := o :: !outcomes
   done;
-  {
-    measured = !measured;
-    detection = !detection;
-    majority = !majority;
-    ots = !ots;
-    randomized = !randomized;
-    rounds = !rounds;
-  }
-
-let merge parts =
-  List.fold_left
-    (fun acc p ->
-      {
-        measured = acc.measured + p.measured;
-        detection = acc.detection @ p.detection;
-        majority = acc.majority @ p.majority;
-        ots = acc.ots @ p.ots;
-        randomized = acc.randomized @ p.randomized;
-        rounds = acc.rounds @ p.rounds;
-      })
-    empty parts
+  List.rev !outcomes
