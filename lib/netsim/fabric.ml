@@ -74,7 +74,8 @@ and 'msg port = {
   pt_src_state : 'msg node_state;
   pt_dst_state : 'msg node_state;
   mutable pt_serialization : Des.Time.span;
-  mutable pt_egress : 'msg egress option;  (* made at the first serialized send *)
+  mutable pt_egress : 'msg egress option;
+      (* made at the port's first serialized send *)
 }
 
 let[@inline] deliver_port t port msg =

@@ -19,8 +19,8 @@ val add : 'a t -> int -> 'a -> unit
 (** Insert or replace. *)
 
 val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-(** Fold over every entry, in slot order (a function of the keys
-    inserted, not of insertion order). *)
+(** Fold over every entry in slot order: deterministic, but
+    unspecified — sort the result where order matters. *)
 
 val filter : 'a t -> (int -> 'a -> bool) -> unit
 (** Drop every entry the predicate rejects (rebuilds in place —

@@ -345,10 +345,11 @@ let test_fabric_unregistered_pair_rejected () =
       false
     with Invalid_argument _ -> true
   in
+  let n0 = List.hd ids in
   Alcotest.(check bool) "unregistered destination" true
-    (raises (fun () -> Fabric.set_conditions f ~src:(List.hd ids) ~dst:ghost c));
+    (raises (fun () -> Fabric.set_conditions f ~src:n0 ~dst:ghost c));
   Alcotest.(check bool) "unregistered source" true
-    (raises (fun () -> Fabric.set_conditions f ~src:ghost ~dst:(List.hd ids) c));
+    (raises (fun () -> Fabric.set_conditions f ~src:ghost ~dst:n0 c));
   Fabric.add_node f ghost;
   Alcotest.(check bool) "no link inherited" false
     (List.mem_assoc (0, 9) (Fabric.link_counters f))
