@@ -261,9 +261,6 @@ let make_follower_append_loop () =
     release_sends pool
       (Raft.Server.handle follower ~now:(Des.Time.ms (!i + 50)) append)
 
-(* The same duplicate 64-entry append, but straight into [Log.try_append]
-   with no server around it: the log-matching prefix scan alone, the
-   floor under the follower figure above. *)
 let make_try_append_loop () =
   let log = Raft.Log.create () in
   let entries = batch_64 () in
