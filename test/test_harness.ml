@@ -528,6 +528,72 @@ let test_fig7_smoke () =
     d.Scenarios.Fig7.timer_expiries;
   Alcotest.(check int) "dynatune elections" 0 d.Scenarios.Fig7.elections
 
+(* The CPU-model figure's series, pinned exactly: the heartbeat
+   interval toward one follower and the leader's and that follower's
+   5 s CPU windows, 5 nodes on 2 cores under the etcd-like cost model. *)
+let test_fig7_series_pinned () =
+  let series = Alcotest.(list (pair (float 0.) (float 0.))) in
+  let check config ~h ~leader_cpu ~follower_cpu =
+    let r = Scenarios.Fig7.run ~seed:1L ~hold:(Time.sec 2) ~n:5 ~config () in
+    let mode = r.Scenarios.Fig7.mode in
+    Alcotest.check series (mode ^ " h") h r.Scenarios.Fig7.h;
+    Alcotest.check series (mode ^ " leader cpu") leader_cpu
+      r.Scenarios.Fig7.leader_cpu;
+    Alcotest.check series (mode ^ " follower cpu") follower_cpu
+      r.Scenarios.Fig7.follower_cpu
+  in
+  check (Raft.Config.dynatune ())
+    ~h:
+      [
+        (35., 204.87978100000001);
+        (40., 204.84821199999999);
+        (45., 204.84821199999999);
+        (50., 41.176521999999999);
+        (55., 68.499723000000003);
+      ]
+    ~leader_cpu:
+      [
+        (35., 0.66020000000000001);
+        (40., 0.59630000000000005);
+        (45., 1.4390999999999998);
+        (50., 2.6894999999999998);
+        (55., 2.3640000000000003);
+      ]
+    ~follower_cpu:
+      [
+        (35., 0.092999999999999999);
+        (40., 0.076300000000000007);
+        (45., 0.057599999999999998);
+        (50., 0.2412);
+        (55., 0.3276);
+      ];
+  check
+    (Raft.Config.fix_k ~k:10 ())
+    ~h:
+      [
+        (35., 20.455871999999999);
+        (40., 20.399184000000002);
+        (45., 20.492215000000002);
+        (50., 20.524986999999999);
+        (55., 20.625831999999999);
+      ]
+    ~leader_cpu:
+      [
+        (35., 6.5184000000000006);
+        (40., 5.9166000000000007);
+        (45., 5.4066000000000001);
+        (50., 5.7294);
+        (55., 6.3995999999999995);
+      ]
+    ~follower_cpu:
+      [
+        (35., 0.84239999999999993);
+        (40., 0.71999999999999997);
+        (45., 0.6552);
+        (50., 0.73080000000000001);
+        (55., 0.81359999999999988);
+      ]
+
 let test_extensions_variants () =
   let vs = Scenarios.Extensions.variants () in
   Alcotest.(check int) "four variants" 4 (List.length vs);
@@ -586,6 +652,7 @@ let tests =
       test_fig4_instrument_keeps_digest;
     Alcotest.test_case "scenario smoke: fig6b" `Slow test_fig6_radical_smoke;
     Alcotest.test_case "scenario smoke: fig7" `Slow test_fig7_smoke;
+    Alcotest.test_case "fig7: series pinned" `Quick test_fig7_series_pinned;
     Alcotest.test_case "extensions: variants valid" `Quick
       test_extensions_variants;
   ]

@@ -401,6 +401,63 @@ let test_cpu_utilization () =
   let idle = Cpu.utilization_in cpu ~lo_sec:1. ~hi_sec:2. in
   Alcotest.(check (float 0.5)) "second window idle" 0. idle
 
+(* The per-second accounting behind Fig 5 and Fig 7b.  Windows are in
+   whole percent of one core, so [util] reads the cost charged to a
+   window back in milliseconds per second. *)
+let util cpu ~lo ~hi = Cpu.utilization_in cpu ~lo_sec:lo ~hi_sec:hi
+let pct = Alcotest.float 1e-9
+
+let test_cpu_split_across_seconds () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~cores:1. in
+  (* 300 ms of service from 0.9 s: 100 ms in second 0, 200 ms in 1. *)
+  Engine.run_until e (Time.ms 900);
+  Cpu.charge cpu ~cost:(Time.ms 300);
+  Alcotest.(check pct) "second 0" 10. (util cpu ~lo:0. ~hi:1.);
+  Alcotest.(check pct) "second 1" 20. (util cpu ~lo:1. ~hi:2.);
+  Alcotest.(check pct) "both" 15. (util cpu ~lo:0. ~hi:2.);
+  (* Queued behind it, 50 ms more lands wholly in second 1. *)
+  Cpu.charge cpu ~cost:(Time.ms 50);
+  Alcotest.(check pct) "queued work" 25. (util cpu ~lo:1. ~hi:2.);
+  Alcotest.(check int) "busy total" (Time.ms 350) (Cpu.busy_total cpu)
+
+let test_cpu_window_off_grid () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~cores:1. in
+  Engine.run_until e (Time.ms 900);
+  Cpu.charge cpu ~cost:(Time.ms 300);
+  (* A second counts when its start lies in [lo, hi): from 0.5 s that
+     leaves out second 0. *)
+  Alcotest.(check pct) "[0.5, 1.5)" 20. (util cpu ~lo:0.5 ~hi:1.5);
+  Alcotest.(check pct) "[0.5, 2.5)" 10. (util cpu ~lo:0.5 ~hi:2.5);
+  Alcotest.(check pct) "[0.5, 1.0)" 0. (util cpu ~lo:0.5 ~hi:1.);
+  Alcotest.(check pct) "[-1, 1)" 5. (util cpu ~lo:(-1.) ~hi:1.)
+
+let test_cpu_window_past_end () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~cores:1. in
+  Cpu.charge cpu ~cost:(Time.ms 300);
+  Alcotest.(check pct) "past the last charge" 0. (util cpu ~lo:5. ~hi:10.);
+  Alcotest.(check pct) "far past" 0. (util cpu ~lo:1e6 ~hi:2e6);
+  let idle = Cpu.create e ~cores:1. in
+  Alcotest.(check pct) "never charged" 0. (util idle ~lo:0. ~hi:5.)
+
+let test_cpu_multicore_over_100 () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~cores:2. in
+  (* 1.5 s of work on two cores is 0.75 s of service, all in second 0:
+     docker-stats style, 150% of one core. *)
+  Cpu.charge cpu ~cost:(Time.ms 1500);
+  Alcotest.(check int) "service halved" (Time.ms 750) (Cpu.backlog cpu);
+  Alcotest.(check pct) "150%" 150. (util cpu ~lo:0. ~hi:1.);
+  (* From 0.9 s, 300 ms of work is 150 ms of service, 100 ms of it in
+     second 0: charged at the proportional share of the cost. *)
+  let cpu = Cpu.create e ~cores:2. in
+  Engine.run_until e (Time.ms 900);
+  Cpu.charge cpu ~cost:(Time.ms 300);
+  Alcotest.(check pct) "second 0" 20. (util cpu ~lo:0. ~hi:1.);
+  Alcotest.(check pct) "second 1" 10. (util cpu ~lo:1. ~hi:2.)
+
 let test_cpu_backlog () =
   let e = Engine.create () in
   let cpu = Cpu.create e ~cores:1. in
@@ -446,4 +503,12 @@ let tests =
     Alcotest.test_case "cpu: passthrough" `Quick test_cpu_passthrough;
     Alcotest.test_case "cpu: utilization" `Quick test_cpu_utilization;
     Alcotest.test_case "cpu: backlog" `Quick test_cpu_backlog;
+    Alcotest.test_case "cpu: split across seconds" `Quick
+      test_cpu_split_across_seconds;
+    Alcotest.test_case "cpu: window off the grid" `Quick
+      test_cpu_window_off_grid;
+    Alcotest.test_case "cpu: window past the end" `Quick
+      test_cpu_window_past_end;
+    Alcotest.test_case "cpu: multi-core over 100%" `Quick
+      test_cpu_multicore_over_100;
   ]
