@@ -29,6 +29,8 @@ let sync t =
 let global_processed () = Atomic.get grand_total
 let no_handler (_ : Obj.t) (_ : Obj.t) (_ : int) = ()
 let slot_timer = 0
+let slot_node_deliver = 1
+let slot_node_work = 2
 let n_cached_slots = 8
 
 let create ?seed () =
@@ -112,6 +114,8 @@ let schedule_op_at t at op a b arg =
   t.seq <- t.seq + 1;
   fill_op ev op a b arg;
   Event_heap.push_event t.queue ev
+
+let call_op t op a b arg = t.handlers.(op) (Obj.repr a) (Obj.repr b) arg
 
 let schedule_op_after t span op a b arg =
   schedule_op_at t (Time.add t.clock (Time.max_span 0 span)) op a b arg

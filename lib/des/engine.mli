@@ -66,12 +66,19 @@ val cached_op : t -> slot:int -> (unit -> ('a, 'b) op) -> ('a, 'b) op
     slots, for components (like {!Timer}) that are instantiated many
     times per engine but need only one shared handler.  The slot
     registry is a fixed convention: slot {!slot_timer} belongs to
-    {!Timer}; slots above it are unassigned.  The thunk runs on first
+    {!Timer}, slots {!slot_node_deliver} and {!slot_node_work} to
+    [Raft.Node]; slots above them are unassigned.  The thunk runs on first
     use only.  Callers must ensure a slot is always used at one type —
     the memoization is untyped. *)
 
 val slot_timer : int
 (** {!cached_op} slot owned by {!Timer}'s shared fire handler. *)
+
+val slot_node_deliver : int
+(** {!cached_op} slot owned by [Raft.Node]'s message-delivery handler. *)
+
+val slot_node_work : int
+(** {!cached_op} slot owned by [Raft.Node]'s client-request handler. *)
 
 val n_cached_slots : int
 (** Number of {!cached_op} slots ([slot] must be below this). *)
@@ -80,6 +87,11 @@ val schedule_op_at : t -> Time.t -> ('a, 'b) op -> 'a -> 'b -> int -> unit
 (** Opcode form of {!schedule_at}: fire [op]'s handler with the given
     operands.  Returns no handle (the common case never cancels);
     allocation-free once the event pool is warm. *)
+
+val call_op : t -> ('a, 'b) op -> 'a -> 'b -> int -> unit
+(** Run [op]'s handler now, with the given operands: what the event
+    would do when it fires, without scheduling one.  For callers that
+    take an op and sometimes have no reason to defer it. *)
 
 val schedule_op_after : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> unit
 (** Opcode form of {!schedule_after}. *)

@@ -43,16 +43,16 @@ let rtt_staircase ~base ~hold ~rtts_ms =
 let loss_staircase ~base ~hold ~losses =
   staircase ~hold (List.map (fun loss -> { base with loss }) losses)
 
-let at t time =
-  (* Binary search for the last segment with start <= time. *)
-  let n = Array.length t.starts in
-  if time <= t.starts.(0) then t.profiles.(0)
+(* Binary search for the last segment with start <= time.  Invariant:
+   starts.(lo) <= time, hi = first index > time or n.  Top-level, so a
+   lookup (one per message sent) allocates no closure. *)
+let rec search t time lo hi =
+  if lo + 1 >= hi then t.profiles.(lo)
   else
-    let rec search lo hi =
-      (* invariant: starts.(lo) <= time, hi = first index > time or n *)
-      if lo + 1 >= hi then t.profiles.(lo)
-      else
-        let mid = (lo + hi) / 2 in
-        if t.starts.(mid) <= time then search mid hi else search lo mid
-    in
-    search 0 n
+    let mid = (lo + hi) / 2 in
+    if t.starts.(mid) <= time then search t time mid hi
+    else search t time lo mid
+
+let at t time =
+  if time <= t.starts.(0) then t.profiles.(0)
+  else search t time 0 (Array.length t.starts)

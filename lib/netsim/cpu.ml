@@ -4,8 +4,10 @@ type t = {
   passthrough : bool;
   mutable busy_until : Des.Time.t;
   mutable busy_total : Des.Time.span;
-  (* Charged cost per whole simulated second, for utilization reporting. *)
-  per_second : (int, int ref) Hashtbl.t;
+  (* Charged cost per whole simulated second, indexed by second, for
+     utilization reporting.  Grown by doubling; empty until the first
+     charge, so a passthrough CPU never allocates one. *)
+  mutable per_second : int array;
 }
 
 let make engine ~cores ~passthrough =
@@ -15,7 +17,7 @@ let make engine ~cores ~passthrough =
     passthrough;
     busy_until = Des.Time.zero;
     busy_total = 0;
-    per_second = Hashtbl.create 64;
+    per_second = [||];
   }
 
 let create engine ~cores =
@@ -24,6 +26,40 @@ let create engine ~cores =
 
 let passthrough engine = make engine ~cores:1. ~passthrough:true
 let is_passthrough t = t.passthrough
+let sec_len = Des.Time.sec 1
+
+let rec doubled len sec = if len > sec then len else doubled (2 * len) sec
+
+let add_to_second t sec charged =
+  let a = t.per_second in
+  let len = Array.length a in
+  let a =
+    if sec < len then a
+    else begin
+      let bigger = Array.make (doubled (Stdlib.max 64 len) sec) 0 in
+      Array.blit a 0 bigger 0 len;
+      t.per_second <- bigger;
+      bigger
+    end
+  in
+  a.(sec) <- a.(sec) + charged
+
+(* Charge [cost] across the seconds that [at, at + remaining) spans,
+   each proportionally to the fraction of the [span]-long service
+   window that falls in it.  Top-level, so a charge allocates no
+   closure. *)
+let rec spread t ~cost ~span at remaining =
+  if remaining > 0 then begin
+    let sec = at / sec_len in
+    let sec_end = (sec + 1) * sec_len in
+    let here = Stdlib.min remaining (sec_end - at) in
+    let charged =
+      int_of_float
+        (float_of_int cost *. float_of_int here /. float_of_int span)
+    in
+    add_to_second t sec charged;
+    spread t ~cost ~span sec_end (remaining - here)
+  end
 
 (* Attribute [cost] ns of work to the seconds spanned by [start, start+cost).
    The busy window is the *service* window (cost / cores); the charged cost
@@ -31,33 +67,8 @@ let is_passthrough t = t.passthrough
    nodes, matching docker-stats semantics. *)
 let account t ~start ~service ~cost =
   t.busy_total <- t.busy_total + cost;
-  let sec_len = Des.Time.sec 1 in
-  let finish = start + Stdlib.max 1 service in
-  let span = finish - start in
-  let rec spread at remaining =
-    if remaining > 0 then begin
-      let sec = at / sec_len in
-      let sec_end = (sec + 1) * sec_len in
-      let here = Stdlib.min remaining (sec_end - at) in
-      (* Charge proportionally to the fraction of the service window that
-         falls in this second. *)
-      let charged =
-        int_of_float
-          (float_of_int cost *. float_of_int here /. float_of_int span)
-      in
-      let cell =
-        match Hashtbl.find_opt t.per_second sec with
-        | Some r -> r
-        | None ->
-            let r = ref 0 in
-            Hashtbl.add t.per_second sec r;
-            r
-      in
-      cell := !cell + charged;
-      spread sec_end (remaining - here)
-    end
-  in
-  spread start span
+  let span = Stdlib.max 1 service in
+  spread t ~cost ~span start span
 
 let enqueue t ~cost =
   let now = Des.Engine.now t.engine in
@@ -70,12 +81,9 @@ let enqueue t ~cost =
   if cost > 0 then account t ~start ~service ~cost;
   finish
 
-let execute t ~cost k =
-  if t.passthrough then k ()
-  else
-    let finish = enqueue t ~cost in
-    ignore
-      (Des.Engine.schedule_at t.engine finish k : Des.Engine.handle)
+let execute t ~cost op a b arg =
+  if t.passthrough then Des.Engine.call_op t.engine op a b arg
+  else Des.Engine.schedule_op_at t.engine (enqueue t ~cost) op a b arg
 
 let charge t ~cost = if not t.passthrough then ignore (enqueue t ~cost : int)
 
@@ -84,12 +92,26 @@ let backlog t =
 
 let busy_total t = t.busy_total
 
+(* Sum the seconds [sec, ...) whose start lies in [lo_sec, hi_sec). *)
+let rec sum_window a ~lo_sec ~hi_sec sec acc =
+  if sec >= Array.length a then acc
+  else
+    let s = float_of_int sec in
+    if s >= hi_sec then acc
+    else
+      sum_window a ~lo_sec ~hi_sec (sec + 1)
+        (if s >= lo_sec then acc + a.(sec) else acc)
+
 let utilization_in t ~lo_sec ~hi_sec =
   if hi_sec <= lo_sec then invalid_arg "Cpu.utilization_in: empty window";
-  let busy = ref 0 in
-  Hashtbl.iter
-    (fun sec r ->
-      let s = float_of_int sec in
-      if s >= lo_sec && s < hi_sec then busy := !busy + !r)
-    t.per_second;
-  float_of_int !busy /. ((hi_sec -. lo_sec) *. 1e9) *. 100.
+  let a = t.per_second in
+  (* A lower bound on the first second inside the window; the float test
+     in [sum_window] decides the edge. *)
+  let first =
+    if lo_sec > 0. && lo_sec < float_of_int (Array.length a) then
+      int_of_float lo_sec
+    else if lo_sec > 0. then Array.length a
+    else 0
+  in
+  let busy = sum_window a ~lo_sec ~hi_sec first 0 in
+  float_of_int busy /. ((hi_sec -. lo_sec) *. 1e9) *. 100.

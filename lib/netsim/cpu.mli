@@ -20,11 +20,14 @@ val passthrough : Des.Engine.t -> t
 
 val is_passthrough : t -> bool
 
-val execute : t -> cost:Des.Time.span -> (unit -> unit) -> unit
-(** Enqueue work costing [cost]; the continuation runs when the work
-    completes (after queueing behind earlier work).  With [cost = 0] the
-    work still passes through the queue and completes at the current
-    backlog horizon. *)
+val execute :
+  t -> cost:Des.Time.span -> ('a, 'b) Des.Engine.op -> 'a -> 'b -> int -> unit
+(** Enqueue work costing [cost]; [op]'s handler runs with the given
+    operands when the work completes (after queueing behind earlier
+    work), like {!Des.Engine.schedule_op_at}: one event, no closure.
+    With [cost = 0] the work still passes through the queue and
+    completes at the current backlog horizon.  A passthrough CPU runs
+    the handler immediately, before [execute] returns. *)
 
 val charge : t -> cost:Des.Time.span -> unit
 (** Account cost with no continuation (fire-and-forget work such as
@@ -37,4 +40,9 @@ val busy_total : t -> Des.Time.span
 (** Total service time charged since creation. *)
 
 val utilization_in : t -> lo_sec:float -> hi_sec:float -> float
-(** Mean utilization percent over a window of simulated seconds. *)
+(** Mean utilization percent over a window of simulated seconds: the
+    cost charged to each whole second whose start lies in
+    [\[lo_sec, hi_sec)], over the window's length.  Work is charged to
+    the seconds its service window spans, in proportion.  The
+    accounting costs one int per simulated second up to the last one
+    charged, grown by doubling; a passthrough CPU keeps none. *)

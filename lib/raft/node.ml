@@ -51,6 +51,11 @@ type t = {
       (* bumped on every crash-recovery: volatile server state does not
          survive a restart, and observers (the invariant checker) must
          reset their volatile baselines when this changes *)
+  scratch : Server.event;
+      (* the one [Server.Message] every delivery is dispatched through,
+         filled when its receive work completes *)
+  deliver_op : (t, Rpc.message) Des.Engine.op;
+  work_op : (t, Server.event) Des.Engine.op;
 }
 
 let id t = Server.id t.server
@@ -205,6 +210,26 @@ and hb_timer t peer =
       t.hb_timers.(i) <- Some timer;
       timer
 
+(* A delivery's receive work has completed: fill the scratch event now,
+   not when the work was enqueued, so each message queued behind a busy
+   CPU keeps its own sender.  Reusing one event is safe because
+   [Server.handle] consumes its fields at entry, before any action it
+   returns can start another delivery.  A node paused while the work
+   waited drops the message. *)
+let deliver t msg src =
+  if not t.paused then begin
+    (match t.scratch with
+    | Server.Message m ->
+        m.from <- Node_id.of_int src;
+        m.msg <- msg
+    | _ -> assert false);
+    dispatch t t.scratch
+  end
+
+(* A client request's work has completed.  Unlike a delivery it does not
+   re-check [paused]. *)
+let work t event (_ : int) = dispatch t event
+
 (* Datagram heartbeats arrive on a bounded socket buffer: when the node's
    CPU cannot keep up, the buffer overflows and the datagram is silently
    lost (the cost Dynatune pays for taking heartbeats off the reliable
@@ -245,6 +270,14 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
   Server.set_instrument server (Telemetry.Metrics.enabled metrics);
   Server.set_congestion_probe server (fun dst ->
       Netsim.Fabric.pending fabric ~src:node_id ~dst);
+  let deliver_op =
+    Des.Engine.cached_op engine ~slot:Des.Engine.slot_node_deliver (fun () ->
+        Des.Engine.register_op engine deliver)
+  in
+  let work_op =
+    Des.Engine.cached_op engine ~slot:Des.Engine.slot_node_work (fun () ->
+        Des.Engine.register_op engine work)
+  in
   let apply = match apply with Some f -> f | None -> fun _ -> () in
   let snapshot_of = match snapshot_of with Some f -> f | None -> fun () -> "" in
   let install_sm = match install_sm with Some f -> f | None -> fun _ -> () in
@@ -319,37 +352,21 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
         install_sm;
         paused = false;
         incarnation = 0;
+        scratch =
+          Server.Message
+            { from = node_id; msg = Rpc.Timeout_now { term = 0 } };
+        deliver_op;
+        work_op;
       }
   in
   let t = Lazy.force t in
   (* The receiver releases delivered payloads into its pool, so the
      second copy of a duplicated datagram must be a distinct record. *)
   Netsim.Fabric.set_dup_clone fabric Rpc.Pool.clone_for_dup;
-  let fast_path =
-    Netsim.Cpu.is_passthrough t.cpu && (not t.instrumented) && not t.fo_on
-  in
-  if fast_path then begin
-    (* Steady-state delivery without metrics, forensics or a CPU model:
-       one scratch event is reused for every message.  Safe because a
-       passthrough CPU dispatches synchronously (nothing defers and reads
-       the event later), [Server.handle] consumes the fields at entry,
-       and passthrough backlog is always 0 so the datagram-overflow check
-       cannot fire. *)
-    let scratch =
-      Server.Message { from = node_id; msg = Rpc.Timeout_now { term = 0 } }
-    in
-    Netsim.Fabric.set_handler fabric node_id (fun ~src msg ->
-        if not t.paused then begin
-          (match scratch with
-          | Server.Message m ->
-              m.from <- src;
-              m.msg <- msg
-          | _ -> assert false);
-          dispatch t scratch
-        end)
-  end
-  else
-    Netsim.Fabric.set_handler fabric node_id (fun ~src msg ->
+  (* Every delivery takes this one path.  The receive work goes through
+     the CPU model; a passthrough CPU runs [deliver] before [execute]
+     returns, so the message is dispatched synchronously. *)
+  Netsim.Fabric.set_handler fabric node_id (fun ~src msg ->
       if not t.paused then
         if datagram_overflow t msg then ()
         else begin
@@ -393,9 +410,7 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
               (Cost_model.message_recv_cost t.costs
                  ~tuning_active:(Server.tuning_active t.server)
                  msg)
-            (fun () ->
-              if not t.paused then
-                dispatch t (Server.Message { from = src; msg }))
+            t.deliver_op t msg (Node_id.to_int src)
         end);
   t
 
@@ -416,8 +431,9 @@ let submit t ~payload ~client_id ~seq ~on_result () =
   else begin
     Waiters.replace t.waiters (client_id, seq) on_result;
     if t.fo_on then new_cause t Telemetry.Cause.Client;
-    Netsim.Cpu.execute t.cpu ~cost:t.costs.Cost_model.propose (fun () ->
-        dispatch t (Server.Propose { payload; client_id; seq }));
+    Netsim.Cpu.execute t.cpu ~cost:t.costs.Cost_model.propose t.work_op t
+      (Server.Propose { payload; client_id; seq })
+      0;
     `Accepted
   end
 
@@ -427,8 +443,9 @@ let read t ~client_id ~seq ~on_result () =
   else begin
     Waiters.replace t.waiters (client_id, seq) on_result;
     if t.fo_on then new_cause t Telemetry.Cause.Client;
-    Netsim.Cpu.execute t.cpu ~cost:t.costs.Cost_model.apply (fun () ->
-        dispatch t (Server.Read { client_id; seq }));
+    Netsim.Cpu.execute t.cpu ~cost:t.costs.Cost_model.apply t.work_op t
+      (Server.Read { client_id; seq })
+      0;
     `Accepted
   end
 

@@ -267,9 +267,12 @@ let test_workload_saturation_detection () =
   (* A fake service that can commit at most 500 req/s (2ms service). *)
   let engine = Des.Engine.create ~seed:6L () in
   let cpu = Netsim.Cpu.create engine ~cores:1. in
+  let commit =
+    Des.Engine.register_op engine (fun on_result () (_ : int) ->
+        on_result ~committed:true)
+  in
   let target ~payload:_ ~client_id:_ ~seq:_ ~on_result =
-    Netsim.Cpu.execute cpu ~cost:(Des.Time.ms 2) (fun () ->
-        on_result ~committed:true);
+    Netsim.Cpu.execute cpu ~cost:(Des.Time.ms 2) commit on_result () 0;
     `Accepted
   in
   let reports =

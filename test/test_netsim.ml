@@ -360,10 +360,12 @@ let test_cpu_queueing () =
   let e = Engine.create () in
   let cpu = Cpu.create e ~cores:1. in
   let finished = ref [] in
-  Cpu.execute cpu ~cost:(Time.ms 10) (fun () ->
-      finished := ("a", Engine.now e) :: !finished);
-  Cpu.execute cpu ~cost:(Time.ms 5) (fun () ->
-      finished := ("b", Engine.now e) :: !finished);
+  let op =
+    Engine.register_op e (fun finished name (_ : int) ->
+        finished := (name, Engine.now e) :: !finished)
+  in
+  Cpu.execute cpu ~cost:(Time.ms 10) op finished "a" 0;
+  Cpu.execute cpu ~cost:(Time.ms 5) op finished "b" 0;
   Engine.run e;
   match List.rev !finished with
   | [ ("a", ta); ("b", tb) ] ->
@@ -375,7 +377,8 @@ let test_cpu_cores_speedup () =
   let e = Engine.create () in
   let cpu = Cpu.create e ~cores:2. in
   let at = ref Time.zero in
-  Cpu.execute cpu ~cost:(Time.ms 10) (fun () -> at := Engine.now e);
+  let op = Engine.register_op e (fun at () (_ : int) -> at := Engine.now e) in
+  Cpu.execute cpu ~cost:(Time.ms 10) op at () 0;
   Engine.run e;
   Alcotest.(check int) "two cores halve service" (Time.ms 5) !at
 
@@ -383,7 +386,8 @@ let test_cpu_passthrough () =
   let e = Engine.create () in
   let cpu = Cpu.passthrough e in
   let ran = ref false in
-  Cpu.execute cpu ~cost:(Time.sec 100) (fun () -> ran := true);
+  let op = Engine.register_op e (fun ran () (_ : int) -> ran := true) in
+  Cpu.execute cpu ~cost:(Time.sec 100) op ran () 0;
   Alcotest.(check bool) "immediate" true !ran;
   Alcotest.(check int) "nothing accounted" 0 (Cpu.busy_total cpu)
 

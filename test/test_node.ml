@@ -230,6 +230,73 @@ let test_reliable_messages_survive_busy_cpu () =
   Alcotest.(check bool) "append adopted the term" true
     (Raft.Server.term (Raft.Node.server node) >= 5)
 
+(* Deliveries queued behind a busy CPU: each is dispatched, in arrival
+   order, with its own sender and message, and one whose node is paused
+   while it waits is dropped.  Node 0 is the only Raft node; nodes 1 and
+   2 are bare fabric endpoints that send it vote requests and record
+   the replies. *)
+let test_queued_deliveries_keep_their_sender () =
+  let engine = Des.Engine.create ~seed:13L () in
+  let fabric = Netsim.Fabric.create engine in
+  let trace = Des.Mtrace.create engine in
+  let ids = Node_id.range 3 in
+  List.iter (Netsim.Fabric.add_node fabric) ids;
+  Netsim.Fabric.set_uniform_conditions fabric
+    Netsim.Conditions.(constant (profile ~rtt_ms:10. ()));
+  let id = Node_id.of_int 0 and c1 = Node_id.of_int 1 in
+  let node =
+    Raft.Node.create ~fabric ~trace
+      ~cpu:(Netsim.Cpu.create engine ~cores:1.)
+      ~costs:Raft.Cost_model.etcd_like ~id ~peers:(List.tl ids)
+      ~config:(Raft.Config.static ()) ()
+  in
+  let replies = ref [] in
+  List.iter
+    (fun peer ->
+      Netsim.Fabric.set_handler fabric peer (fun ~src:_ msg ->
+          match msg with
+          | Raft.Rpc.Vote_response { granted; term; _ } ->
+              replies := (Node_id.to_int peer, term, granted) :: !replies
+          | _ -> ()))
+    (List.tl ids);
+  let request ~from ~term =
+    Netsim.Fabric.send fabric Netsim.Transport.Reliable ~cause:0 ~src:from
+      ~dst:id
+      (Raft.Rpc.Vote_request
+         {
+           term;
+           last_log_index = 0;
+           last_log_term = 0;
+           pre_vote = false;
+           force = false;
+         })
+  in
+  let cpu = Raft.Node.cpu node in
+  Netsim.Cpu.charge cpu ~cost:(Time.ms 100);
+  request ~from:c1 ~term:5;
+  request ~from:(Node_id.of_int 2) ~term:5;
+  Des.Engine.run_until engine (Time.ms 50);
+  Alcotest.(check bool) "both wait in the CPU queue" true
+    (!replies = [] && Netsim.Cpu.backlog cpu > 0);
+  Des.Engine.run_until engine (Time.ms 200);
+  (* First come, first served: the vote goes to node 1, and node 2,
+     asking second in the same term, is refused. *)
+  Alcotest.(check (list (triple int int bool)))
+    "replies in order, each to its sender"
+    [ (1, 5, true); (2, 5, false) ]
+    (List.rev !replies);
+  Alcotest.(check (option int)) "voted for the first sender" (Some 1)
+    (Option.map Node_id.to_int (Raft.Server.voted_for (Raft.Node.server node)));
+  replies := [];
+  Netsim.Cpu.charge cpu ~cost:(Time.ms 100);
+  request ~from:c1 ~term:6;
+  Des.Engine.run_until engine (Time.ms 250);
+  Raft.Node.pause node;
+  Des.Engine.run_until engine (Time.ms 500);
+  Alcotest.(check int) "paused node dropped the queued request" 5
+    (Raft.Server.term (Raft.Node.server node));
+  Alcotest.(check int) "and sent no reply" 0 (List.length !replies)
+
 let test_deterministic_runs () =
   let run () =
     let rig = make_rig ~n:5 ~config:(Raft.Config.dynatune ()) () in
@@ -262,5 +329,7 @@ let tests =
       test_udp_overflow_drops_heartbeats;
     Alcotest.test_case "reliable survives busy cpu" `Quick
       test_reliable_messages_survive_busy_cpu;
+    Alcotest.test_case "queued deliveries keep their sender" `Quick
+      test_queued_deliveries_keep_their_sender;
     Alcotest.test_case "bit-identical reruns" `Quick test_deterministic_runs;
   ]
