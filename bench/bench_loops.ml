@@ -373,6 +373,19 @@ let make_schedule_op_loop () =
     Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
     ignore (Des.Engine.step engine : bool)
 
+(* One unit of CPU-model work: [Netsim.Cpu.execute] of a 140 us
+   receive on a 2-core CPU, then [Engine.step] to complete it.  The
+   per-second accounting is an int array indexed by simulated second,
+   and a measurement's 100k ops span 7 s, inside its first allocation:
+   nothing is allocated per op. *)
+let make_cpu_execute_loop () =
+  let engine = Des.Engine.create () in
+  let cpu = Netsim.Cpu.create engine ~cores:2. in
+  let op = Des.Engine.register_op engine (fun () () (_ : int) -> ()) in
+  fun () ->
+    Netsim.Cpu.execute cpu ~cost:(Des.Time.us 140) op () () 0;
+    ignore (Des.Engine.step engine : bool)
+
 let make_mtrace_emit_loop () =
   let trace = Des.Mtrace.create (Des.Engine.create ()) in
   let seen = ref 0 in
@@ -428,9 +441,9 @@ type loop = { name : string; budget : float; make : unit -> unit -> unit }
 let loops =
   [
     (* Follower handling one dynatune heartbeat (tuner observation
-       included): 60 words plus about one per thousand heartbeats,
+       included): 58 words plus under one per thousand heartbeats,
        amortized. *)
-    { name = "server heartbeat"; budget = 60.001; make = make_heartbeat_loop };
+    { name = "server heartbeat"; budget = 58.001; make = make_heartbeat_loop };
     (* Leader handling a conflict nack that forces a 64-entry rebatch — a
        batch-cache hit in steady state. *)
     {
@@ -473,6 +486,13 @@ let loops =
       name = "engine schedule_op_after+step";
       budget = 0.;
       make = make_schedule_op_loop;
+    };
+    (* One receive's work through the CPU model: [Netsim.Cpu.execute]
+       then [Engine.step], accounting included. *)
+    {
+      name = "cpu execute+step";
+      budget = 0.;
+      make = make_cpu_execute_loop;
     };
     (* One [Des.Engine.await] of 1 s in 1 ms slices on an engine with no
        events: the harness's wait loop with nothing to do. *)
