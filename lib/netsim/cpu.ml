@@ -25,24 +25,18 @@ let create engine ~cores =
   make engine ~cores ~passthrough:false
 
 let passthrough engine = make engine ~cores:1. ~passthrough:true
-let is_passthrough t = t.passthrough
 let sec_len = Des.Time.sec 1
 
 let rec doubled len sec = if len > sec then len else doubled (2 * len) sec
 
 let add_to_second t sec charged =
-  let a = t.per_second in
-  let len = Array.length a in
-  let a =
-    if sec < len then a
-    else begin
-      let bigger = Array.make (doubled (Stdlib.max 64 len) sec) 0 in
-      Array.blit a 0 bigger 0 len;
-      t.per_second <- bigger;
-      bigger
-    end
-  in
-  a.(sec) <- a.(sec) + charged
+  let len = Array.length t.per_second in
+  if sec >= len then begin
+    let bigger = Array.make (doubled (Stdlib.max 64 len) sec) 0 in
+    Array.blit t.per_second 0 bigger 0 len;
+    t.per_second <- bigger
+  end;
+  t.per_second.(sec) <- t.per_second.(sec) + charged
 
 (* Charge [cost] across the seconds that [at, at + remaining) spans,
    each proportionally to the fraction of the [span]-long service
@@ -108,9 +102,8 @@ let utilization_in t ~lo_sec ~hi_sec =
   (* A lower bound on the first second inside the window; the float test
      in [sum_window] decides the edge. *)
   let first =
-    if lo_sec > 0. && lo_sec < float_of_int (Array.length a) then
-      int_of_float lo_sec
-    else if lo_sec > 0. then Array.length a
+    if lo_sec > 0. then
+      int_of_float (Float.min lo_sec (float_of_int (Array.length a)))
     else 0
   in
   let busy = sum_window a ~lo_sec ~hi_sec first 0 in

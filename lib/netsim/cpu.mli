@@ -18,8 +18,6 @@ val passthrough : Des.Engine.t -> t
     Used by election-timing experiments where processing cost is
     irrelevant. *)
 
-val is_passthrough : t -> bool
-
 val execute :
   t -> cost:Des.Time.span -> ('a, 'b) Des.Engine.op -> 'a -> 'b -> int -> unit
 (** Enqueue work costing [cost]; [op]'s handler runs with the given
