@@ -53,7 +53,13 @@ val create :
 
     [pool] is the message free-list handed to {!Server.create} (and kept
     across {!restart}); a cluster passes one shared pool to all its
-    nodes so records released at receivers refill the senders. *)
+    nodes so records released at receivers refill the senders.
+
+    Every delivery goes through one fabric handler: its receive cost is
+    queued on [cpu] ({!Netsim.Cpu.execute}) and the message is
+    dispatched, with its own sender, when that work completes — at once
+    on a passthrough CPU.  A node paused while a delivery waits in the
+    CPU queue drops it.  The node allocates nothing per delivery. *)
 
 val start : t -> unit
 (** Arm the initial election timer.  Call once, on every node, before
