@@ -373,11 +373,6 @@ let make_schedule_op_loop () =
     Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
     ignore (Des.Engine.step engine : bool)
 
-(* One unit of CPU-model work: [Netsim.Cpu.execute] of a 140 us
-   receive on a 2-core CPU, then [Engine.step] to complete it.  The
-   per-second accounting is an int array indexed by simulated second,
-   and a measurement's 100k ops span 7 s, inside its first allocation:
-   nothing is allocated per op. *)
 let make_cpu_execute_loop () =
   let engine = Des.Engine.create () in
   let cpu = Netsim.Cpu.create engine ~cores:2. in
@@ -487,8 +482,10 @@ let loops =
       budget = 0.;
       make = make_schedule_op_loop;
     };
-    (* One receive's work through the CPU model: [Netsim.Cpu.execute]
-       then [Engine.step], accounting included. *)
+    (* One 140 us receive through a 2-core CPU model:
+       [Netsim.Cpu.execute] then [Engine.step], accounting included.  A
+       measurement's 100k ops span 7 simulated seconds, inside the
+       per-second table's first allocation. *)
     {
       name = "cpu execute+step";
       budget = 0.;
