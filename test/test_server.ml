@@ -781,8 +781,151 @@ let test_backpressure_throttles_stream () =
   Alcotest.(check int) "drained egress resumes" 1
     (List.length (appends_to acts ~dst:1))
 
+(* {2 CheckQuorum against the ack-set rule}
+
+   A leader passes a quorum check when it (if a voter) plus the voters
+   of the live configuration that acknowledged it since the last passed
+   check — acks counted only from a sender that was a voter when the
+   ack arrived — reach a majority of the voters.  [run_quorum_script]
+   replays a script against a server and against that rule kept as a
+   set; each [Check] names the outcome derived by hand, and both the
+   model and the server must agree with it. *)
+
+type quorum_step =
+  | Ack of int  (** a current-term heartbeat response *)
+  | Commit of int list
+      (** current-term append successes at the leader's last index *)
+  | Change of Raft.Log.change
+  | Restart
+  | Check of bool  (** [Quorum_check_due]; [true] = stays leader *)
+
+let run_quorum_script name script =
+  let s = make ~self:0 () in
+  ignore (Server.start s);
+  ignore (elect s ~now:Time.zero);
+  let acks = ref [] in
+  let now = ref Time.zero in
+  let tick () =
+    now := !now + Time.ms 1;
+    !now
+  in
+  let respond from msg =
+    if Server.is_voter s (nid from) && not (List.mem from !acks) then
+      acks := from :: !acks;
+    ignore (recv s ~from msg ~now:(tick ()))
+  in
+  List.iteri
+    (fun i step ->
+      let what = Printf.sprintf "%s, step %d" name i in
+      match step with
+      | Ack from ->
+          respond from
+            (Rpc.Heartbeat_response
+               {
+                 term = Server.term s;
+                 hb_id = 0;
+                 echo_sent_at = !now;
+                 tuned_h = None;
+                 hr_gen = 0;
+               })
+      | Commit froms ->
+          let last = Raft.Log.last_index (Server.log s) in
+          List.iter
+            (fun from ->
+              respond from
+                (Rpc.Append_response
+                   {
+                     term = Server.term s;
+                     success = true;
+                     match_index = last;
+                     conflict_hint = 0;
+                     req_prev = 0;
+                     ap_gen = 0;
+                   }))
+            froms
+      | Change c -> (
+          match snd (Server.reconfigure s ~now:(tick ()) c) with
+          | `Ok _ -> ()
+          | `Not_leader | `Pending | `Invalid _ ->
+              Alcotest.failf "%s: change refused" what)
+      | Restart ->
+          acks := [];
+          ignore (Server.handle s ~now:(tick ()) Server.Restarted)
+      | Check expected ->
+          let voters = List.map Node_id.to_int (Server.voters s) in
+          let self = if List.mem 0 voters then 1 else 0 in
+          let heard = List.filter (fun p -> List.mem p voters) !acks in
+          let model = self + List.length heard >= (List.length voters / 2) + 1 in
+          Alcotest.(check bool) (what ^ ": set rule") expected model;
+          ignore (Server.handle s ~now:(tick ()) Server.Quorum_check_due);
+          Alcotest.(check bool) (what ^ ": leader after the check") expected
+            (Types.is_leader (Server.role s));
+          if expected then acks := [])
+    script
+
+let test_checkquorum_matches_set_rule () =
+  let open Raft.Log in
+  let warm = [ Commit [ 1; 2; 3; 4 ]; Check true ] in
+  (* A voter that acks, then is removed in the same round. *)
+  run_quorum_script "removed after acking"
+    (warm @ [ Ack 1; Ack 2; Change (Remove (nid 1)); Check false ]);
+  run_quorum_script "removed after acking, quorum without it"
+    (warm
+    @ [ Ack 1; Ack 2; Ack 3; Change (Remove (nid 1)); Check true ]
+    @ [ Ack 1; Ack 2; Check false ]);
+  (* A learner's ack never counts, not even once it is promoted. *)
+  run_quorum_script "learner ack"
+    (warm @ [ Change (Add_learner (nid 5)); Ack 5; Ack 1; Check false ]);
+  run_quorum_script "learner ack, then promoted"
+    [
+      Change (Add_learner (nid 5));
+      Commit [ 1; 2 ];
+      Check true;
+      (* Caught up and its change committed: this ack promotes it. *)
+      Ack 5;
+      Ack 1;
+      Ack 2;
+      Check false;
+    ];
+  (* A removed voter re-added: its acks from outside the voter set do
+     not count, its acks as a voter again do. *)
+  let readd =
+    warm
+    @ [
+        Change (Remove (nid 1));
+        Commit [ 2; 3 ];
+        Check true;
+        Change (Add_learner (nid 1));
+        Ack 1;
+        Commit [ 2; 3 ];
+        Check true;
+        (* A learner again, caught up: this ack promotes it. *)
+        Ack 1;
+      ]
+  in
+  run_quorum_script "re-added voter, acked only before promotion"
+    (readd @ [ Ack 2; Check false ]);
+  run_quorum_script "re-added voter, acked as a voter"
+    (readd @ [ Ack 1; Ack 2; Check true ]);
+  run_quorum_script "acked, removed and re-added in one round"
+    (warm
+    @ [
+        Ack 1;
+        Change (Remove (nid 1));
+        Commit [ 2; 3 ];
+        Change (Add_learner (nid 1));
+        Commit [ 2; 3 ];
+        Check true;
+      ]);
+  (* A restart forgets the round's acks. *)
+  run_quorum_script "restart" (warm @ [ Ack 1; Ack 2; Restart; Check false ]);
+  run_quorum_script "restart, then a fresh quorum"
+    (warm @ [ Ack 1; Ack 2; Restart; Ack 3; Ack 4; Check true ])
+
 let tests =
   [
+    Alcotest.test_case "checkquorum: matches the ack-set rule" `Quick
+      test_checkquorum_matches_set_rule;
     Alcotest.test_case "start arms election" `Quick test_start_arms_election;
     Alcotest.test_case "randomization spreads over [Et,2Et)" `Quick
       test_randomization_spread;

@@ -373,6 +373,124 @@ let test_leader_path_reset () =
   check_ms "interval reset"
     Config.default.Config.default_heartbeat_interval (Leader_path.interval p)
 
+(* {2 The tuner against its pre-rewrite reference}
+
+   [Tuner_reference] is a frozen copy of the tuning stack before its
+   allocation-free rewrite.  Random heartbeat streams (fresh ids,
+   duplicates, reorders, gaps, with or without an RTT sample, and
+   resets) drive both; every derived value must agree bit for bit after
+   every step. *)
+
+module Ref = Tuner_reference.Tuner
+
+type step = Beat of int * Time.span option | Reset
+
+let gen_rtt =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return None);
+        (8, map Option.some (int_range 0 2_000_000_000));
+        (2, map Option.some (int_range 0 1_000));
+      ])
+
+(* A beat's int is the id's offset from the highest id sent so far. *)
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (20, map (fun r -> Beat (1, r)) gen_rtt);
+        (3, map (fun r -> Beat (0, r)) gen_rtt);
+        (3, map2 (fun d r -> Beat (-d, r)) (int_range 1 30) gen_rtt);
+        (3, map2 (fun d r -> Beat (d, r)) (int_range 2 300) gen_rtt);
+        (1, return Reset);
+      ])
+
+let gen_config =
+  QCheck.Gen.(
+    let* estimator =
+      frequency
+        [
+          (3, return Config.Sliding_window);
+          (1, map (fun a -> Config.Ewma a) (float_range 0.01 1.));
+        ]
+    in
+    let* min_list_size = int_range 2 30 in
+    let* extra = int_range 0 90 in
+    let* safety_factor = float_range 0. 4. in
+    let* arrival_probability = float_range 0.5 0.99999 in
+    let* min_h = int_range 1 20 in
+    let* max_et = int_range 10 5000 in
+    return
+      {
+        Config.default with
+        Config.rtt_estimator = estimator;
+        min_list_size;
+        max_list_size = min_list_size + extra;
+        safety_factor;
+        arrival_probability;
+        min_heartbeat_interval = Time.ms min_h;
+        max_election_timeout = Time.ms max_et;
+      })
+
+let gen_run =
+  QCheck.Gen.(
+    pair gen_config
+      (list_size
+         (frequency [ (4, int_range 0 400); (1, int_range 4000 9000) ])
+         gen_step))
+
+let print_run ((cfg : Config.t), steps) =
+  Printf.sprintf "min=%d max=%d s=%h x=%h %s, %d steps" cfg.Config.min_list_size
+    cfg.Config.max_list_size cfg.Config.safety_factor
+    cfg.Config.arrival_probability
+    (match cfg.Config.rtt_estimator with
+    | Config.Sliding_window -> "window"
+    | Config.Ewma a -> Printf.sprintf "ewma %h" a)
+    (List.length steps)
+
+let same_tuner i tuner reference =
+  let ints what a b =
+    if a <> b then QCheck.Test.fail_reportf "step %d: %s %d <> %d" i what a b
+  in
+  let bits what a b =
+    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+      QCheck.Test.fail_reportf "step %d: %s %h <> %h" i what a b
+  in
+  ints "Et" (Tuner.election_timeout tuner) (Ref.election_timeout reference);
+  ints "K" (Tuner.required_heartbeats tuner) (Ref.required_heartbeats reference);
+  ints "h" (Tuner.heartbeat_interval tuner) (Ref.heartbeat_interval reference);
+  bits "loss_rate" (Tuner.loss_rate tuner) (Ref.loss_rate reference);
+  ints "rtt_mean" (Tuner.rtt_mean tuner) (Ref.rtt_mean reference);
+  ints "rtt_std" (Tuner.rtt_std tuner) (Ref.rtt_std reference);
+  ints "samples" (Tuner.samples tuner) (Ref.samples reference);
+  ints "phase"
+    (match Tuner.phase tuner with Tuner.Warming -> 0 | Tuner.Tuned -> 1)
+    (match Ref.phase reference with Ref.Warming -> 0 | Ref.Tuned -> 1)
+
+let prop_tuner_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"tuner: bit-identical to the pre-rewrite reference"
+    (QCheck.make ~print:print_run gen_run)
+    (fun (cfg, steps) ->
+      let tuner = Tuner.create cfg and reference = Ref.create cfg in
+      let top = ref (-1) in
+      List.iteri
+        (fun i step ->
+          (match step with
+          | Reset ->
+              Tuner.reset tuner;
+              Ref.reset reference;
+              top := -1
+          | Beat (offset, rtt) ->
+              let hb_id = !top + offset in
+              if hb_id > !top then top := hb_id;
+              Tuner.observe_heartbeat tuner ~hb_id ~rtt;
+              Ref.observe_heartbeat reference ~hb_id ~rtt);
+          same_tuner i tuner reference)
+        steps;
+      true)
+
 let tests =
   [
     Alcotest.test_case "config: default valid" `Quick test_config_default_valid;
@@ -430,4 +548,5 @@ let tests =
     Alcotest.test_case "path: future echo ignored" `Quick
       test_leader_path_future_echo_ignored;
     Alcotest.test_case "path: reset" `Quick test_leader_path_reset;
+    QCheck_alcotest.to_alcotest prop_tuner_matches_reference;
   ]
