@@ -66,6 +66,99 @@ let make_heartbeat_loop () =
     release_sends pool
       (Raft.Server.handle follower ~now:(Des.Time.ms (!i + 50)) event)
 
+(* The follower's tuner on one heartbeat: the observation, then the Et,
+   h and K queries that re-arm the timer and fill the response.  Every
+   tenth id is skipped (10% loss, so K > 1 and the log formula runs) and
+   the RTT samples cycle through prebuilt boxes, so each call records a
+   fresh sample and recomputes every derived value. *)
+let make_tuner_loop () =
+  let tuner = Dynatune.Tuner.create Dynatune.Config.default in
+  let rtts = Array.init 7 (fun k -> Some (Des.Time.us (100_000 + (1_337 * k)))) in
+  let id = ref 0 in
+  let beat () =
+    incr id;
+    if !id mod 10 = 0 then incr id;
+    Dynatune.Tuner.observe_heartbeat tuner ~hb_id:!id
+      ~rtt:rtts.(!id mod Array.length rtts);
+    ignore (Dynatune.Tuner.election_timeout tuner : Des.Time.span);
+    ignore (Dynatune.Tuner.heartbeat_interval tuner : Des.Time.span);
+    ignore (Dynatune.Tuner.required_heartbeats tuner : int)
+  in
+  for _ = 1 to 200 do
+    beat ()
+  done;
+  assert (Dynatune.Tuner.required_heartbeats tuner > 1);
+  beat
+
+(* The leader's side of one heartbeat round on a per-peer timer: the
+   [Heartbeat_due] for peer 1 (membership check, the send, the re-arm)
+   and that peer's response (CheckQuorum ack, RTT measurement, the
+   piggybacked h, the replication nudge).  A 5-node dynatune leader
+   with its no-op acknowledged; the response is a gen-0 record replayed
+   with the heartbeat's send time. *)
+let make_leader_heartbeat_loop () =
+  let config = Raft.Config.dynatune () in
+  let rng = Stats.Rng.create ~seed:7L () in
+  let leader =
+    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+      ~peers:(List.tl (Netsim.Node_id.range 5))
+      ~config ~rng ()
+  in
+  let from_peer p m =
+    Raft.Server.Message { from = Netsim.Node_id.of_int p; msg = m }
+  in
+  let now = Des.Time.zero in
+  ignore (Raft.Server.start leader);
+  ignore (Raft.Server.handle leader ~now Raft.Server.Election_timeout_fired);
+  List.iter
+    (fun pre ->
+      List.iter
+        (fun p ->
+          ignore
+            (Raft.Server.handle leader ~now
+               (from_peer p
+                  (Raft.Rpc.Vote_response
+                     { term = 1; granted = true; pre_vote = pre }))))
+        [ 1; 2 ])
+    [ true; false ];
+  assert (Raft.Types.is_leader (Raft.Server.role leader));
+  List.iter
+    (fun p ->
+      ignore
+        (Raft.Server.handle leader ~now
+           (from_peer p
+              (Raft.Rpc.Append_response
+                 {
+                   term = 1;
+                   success = true;
+                   match_index = 1;
+                   conflict_hint = 0;
+                   req_prev = 0;
+                   ap_gen = 0;
+                 }))))
+    [ 1; 2; 3; 4 ];
+  let pool = Raft.Server.pool leader in
+  let peer = Netsim.Node_id.of_int 1 in
+  let due = Raft.Server.Heartbeat_due peer in
+  let tuned_h = Some (Des.Time.ms 40) in
+  let response =
+    from_peer 1
+      (Raft.Rpc.Heartbeat_response
+         { term = 1; hb_id = 0; echo_sent_at = now; tuned_h; hr_gen = 0 })
+  in
+  let i = ref 0 in
+  fun () ->
+    incr i;
+    let sent_at = Des.Time.ms !i in
+    release_sends pool (Raft.Server.handle leader ~now:sent_at due);
+    (match response with
+    | Raft.Server.Message { msg = Raft.Rpc.Heartbeat_response hr; _ } ->
+        hr.echo_sent_at <- sent_at
+    | _ -> assert false);
+    release_sends pool
+      (Raft.Server.handle leader ~now:(Des.Time.add sent_at (Des.Time.us 200))
+         response)
+
 (* The replication engine's entry path, both ends, as standalone servers
    (no fabric, no engine).  The leader is brought to power by feeding the
    vote flow by hand; each iteration then replays a conflict nack that
@@ -436,9 +529,20 @@ type loop = { name : string; budget : float; make : unit -> unit -> unit }
 let loops =
   [
     (* Follower handling one dynatune heartbeat (tuner observation
-       included): 58 words plus under one per thousand heartbeats,
-       amortized. *)
-    { name = "server heartbeat"; budget = 58.001; make = make_heartbeat_loop };
+       included): the response send, the election re-arm and the action
+       list they travel in. *)
+    { name = "server heartbeat"; budget = 29.; make = make_heartbeat_loop };
+    (* The follower tuner's share of that heartbeat: one observation and
+       the Et, h and K that follow it, recomputed from a fresh sample. *)
+    { name = "tuner observe + refresh"; budget = 0.; make = make_tuner_loop };
+    (* Leader: one per-peer [Heartbeat_due] and that peer's response —
+       the heartbeat send, the timer re-arm, their action list, and the
+       measured RTT's box for the next heartbeat. *)
+    {
+      name = "leader heartbeat round";
+      budget = 21.;
+      make = make_leader_heartbeat_loop;
+    };
     (* Leader handling a conflict nack that forces a 64-entry rebatch — a
        batch-cache hit in steady state. *)
     {
@@ -450,7 +554,7 @@ let loops =
        [Server.handle]: the full RPC path over the prefix scan. *)
     {
       name = "follower duplicate append 64";
-      budget = 42.;
+      budget = 38.;
       make = make_follower_append_loop;
     };
     (* The same duplicate append straight into [Raft.Log.try_append]: the
@@ -465,14 +569,14 @@ let loops =
        one-off log wipe. *)
     {
       name = "stale snapshot install";
-      budget = 38.;
+      budget = 34.;
       make = make_snapshot_install_loop;
     };
     (* Leader registering one linearizable read and handling the two
        heartbeat echoes that serve the read registered 32 ops earlier. *)
     {
       name = "leader ReadIndex round, 32 reads in flight";
-      budget = 84.;
+      budget = 68.;
       make = make_read_index_loop;
     };
     (* One opcode event through the DES kernel: [Engine.schedule_op_after]

@@ -357,12 +357,12 @@ let perf_table () =
       Digest
         ( "3a819493db80435d",
           fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
-    ("fig4 plan", per_event fig4 53.68);
+    ("fig4 plan", per_event fig4 46.39);
     ( "multiraft seed=11 groups=4 rates=500,1000 digest",
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 53.56);
+    ("multiraft plan", per_event multiraft 51.18);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -375,7 +375,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        80.27 );
+        78.90 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->
@@ -387,11 +387,11 @@ let perf_table () =
   @ [
       ( "steady-state cluster",
         Budget
-          (ratchet 37.20, "words/event", fun () ->
+          (ratchet 29.90, "words/event", fun () ->
             Bench_loops.cluster_words_per_event ()) );
       ( "steady-state cluster, forensics on",
         Budget
-          (ratchet 38.22, "words/event", fun () ->
+          (ratchet 30.92, "words/event", fun () ->
             Bench_loops.cluster_words_per_event
               ~forensics:(Raft.Forensics.create ())
               ()) );

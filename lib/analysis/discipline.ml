@@ -4,7 +4,9 @@
    - Identifier bans ([wall-clock], [global-rng], [obj-magic],
      [poly-compare], [direct-print], [stdlib-exit], [raw-fabric-send]):
      one pass over every [Pexp_ident], checked against a table of
-     (rule, doc, path scope, predicate).  Record fields, labels and
+     (rule, doc, path scope, predicate).  [poly-compare] also fires on
+     [=], [<>], [<], [>], [<=], [>=] applied to a constructor with a
+     payload or a tuple literal ([x <> Some y]).  Record fields, labels and
      binding names are not identifiers, and an unqualified identifier
      bound by an enclosing pattern is a local, not the stdlib value it
      shadows — so a field, pun or parameter named [exit] never fires.
@@ -37,6 +39,30 @@ let named names parts = List.mem (String.concat "." parts) names
 let effect category parts =
   Option.equal String.equal (Effects.classify parts) (Some category)
 
+(* Without flambda, [Stdlib.min]/[max] on ints are an out-of-line
+   polymorphic compare; so is [=] or [<>] against a freshly built
+   constructor or tuple, which allocates the operand as well. *)
+let poly_compare = "poly-compare"
+
+let poly_compare_doc =
+  "polymorphic compare/hash/min/max (use Int/Float/String.compare, \
+   Int.min/max, or a typed comparison)"
+
+let boxed_compare_doc =
+  "polymorphic comparison against a constructor with a payload or a tuple \
+   literal (allocates the operand, then calls compare_val; match instead)"
+
+let comparison_ops = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
+
+(* A constructor with a payload, or a tuple, built in place. *)
+let boxed_operand (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Parsetree.Pexp_construct (_, Some _)
+  | Parsetree.Pexp_variant (_, Some _)
+  | Parsetree.Pexp_tuple _ ->
+      true
+  | _ -> false
+
 let ident_rules =
   [
     {
@@ -58,10 +84,15 @@ let ident_rules =
       bans = named [ "Obj.magic" ];
     };
     {
-      id = "poly-compare";
-      doc = "polymorphic compare/hash on message or state values";
+      id = poly_compare;
+      doc = poly_compare_doc;
       scope = anywhere;
-      bans = named [ "compare"; "Stdlib.compare"; "Hashtbl.hash" ];
+      bans =
+        named
+          [
+            "compare"; "Stdlib.compare"; "Hashtbl.hash"; "min"; "max";
+            "Stdlib.min"; "Stdlib.max";
+          ];
     };
     {
       id = "direct-print";
@@ -137,6 +168,15 @@ let ident_findings path str rules =
   let case self (c : Parsetree.case) =
     within [ c.pc_lhs ] (fun () -> self.Ast_iterator.case self c)
   in
+  let boxed_compares =
+    List.exists (fun r -> String.equal r.id poly_compare) rules
+  in
+  let report (e : Parsetree.expression) rule parts doc =
+    acc :=
+      Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc) ~rule
+        (Printf.sprintf "`%s`: %s" (String.concat "." parts) doc)
+      :: !acc
+  in
   let expr self (e : Parsetree.expression) =
     match e.pexp_desc with
     | Parsetree.Pexp_ident lid -> (
@@ -144,16 +184,21 @@ let ident_findings path str rules =
         | Some [ name ] when List.mem name !locals -> ()
         | Some parts ->
             List.iter
-              (fun r ->
-                if r.bans parts then
-                  acc :=
-                    Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc)
-                      ~rule:r.id
-                      (Printf.sprintf "`%s`: %s" (String.concat "." parts)
-                         r.doc)
-                    :: !acc)
+              (fun r -> if r.bans parts then report e r.id parts r.doc)
               rules
         | None -> ())
+    | Parsetree.Pexp_apply
+        ( ({ pexp_desc = Parsetree.Pexp_ident lid; _ } as op),
+          [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] ) ->
+        (match Source.flatten_longident lid.Asttypes.txt with
+        | Some ([ name ] | [ "Stdlib"; name ] as parts)
+          when boxed_compares
+               && List.mem name comparison_ops
+               && (not (List.mem name !locals))
+               && (boxed_operand a || boxed_operand b) ->
+            report op poly_compare parts boxed_compare_doc
+        | Some _ | None -> ());
+        Ast_iterator.default_iterator.expr self e
     | Parsetree.Pexp_fun (_, default, pat, body) ->
         Option.iter (self.Ast_iterator.expr self) default;
         within [ pat ] (fun () -> self.Ast_iterator.expr self body)

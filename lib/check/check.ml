@@ -332,7 +332,7 @@ let leader_completeness t tr =
 (* {2 Cheap per-node checks} *)
 
 let global_max_term t =
-  Array.fold_left (fun acc tr -> Stdlib.max acc (tr.view.term ())) 0 t.nodes
+  Array.fold_left (fun acc tr -> Int.max acc (tr.view.term ())) 0 t.nodes
 
 let check_node t ~max_term tr =
   let v = tr.view in
@@ -490,8 +490,8 @@ let cheap_check t =
    at every index up to and including it. *)
 let log_matching t a b =
   let va = a.view and vb = b.view in
-  let lo = 1 + Stdlib.max (va.snapshot_index ()) (vb.snapshot_index ()) in
-  let hi = Stdlib.min (va.last_index ()) (vb.last_index ()) in
+  let lo = 1 + Int.max (va.snapshot_index ()) (vb.snapshot_index ()) in
+  let hi = Int.min (va.last_index ()) (vb.last_index ()) in
   let rec top_match i =
     if i < lo then None
     else

@@ -1,9 +1,13 @@
+(* The two estimators live in an all-float record: a float field of a
+   record that also holds ints is boxed, so every store to it would
+   allocate. *)
+type est = { mutable srtt : float; (* ms *) mutable rttvar : float (* ms *) }
+
 type t = {
   alpha : float;
   beta : float;
   min_samples : int;
-  mutable srtt : float;  (* ms *)
-  mutable rttvar : float;  (* ms *)
+  est : est;
   mutable count : int;
 }
 
@@ -16,37 +20,36 @@ let create ?(alpha = 0.125) ~min_samples () =
     alpha;
     beta = Float.min 1. (2. *. alpha);
     min_samples;
-    srtt = 0.;
-    rttvar = 0.;
+    est = { srtt = 0.; rttvar = 0. };
     count = 0;
   }
 
 let alpha t = t.alpha
 
 let observe t rtt =
-  let r = Des.Time.to_ms_f rtt in
+  let r = Des.Time.to_ms_f rtt and e = t.est in
   if t.count = 0 then begin
     (* TCP's initialization: first sample seeds both estimators. *)
-    t.srtt <- r;
-    t.rttvar <- r /. 2.
+    e.srtt <- r;
+    e.rttvar <- r /. 2.
   end
   else begin
-    t.rttvar <-
-      ((1. -. t.beta) *. t.rttvar) +. (t.beta *. abs_float (r -. t.srtt));
-    t.srtt <- ((1. -. t.alpha) *. t.srtt) +. (t.alpha *. r)
+    e.rttvar <-
+      ((1. -. t.beta) *. e.rttvar) +. (t.beta *. abs_float (r -. e.srtt));
+    e.srtt <- ((1. -. t.alpha) *. e.srtt) +. (t.alpha *. r)
   end;
   if t.count < max_int then t.count <- t.count + 1
 
 let length t = t.count
 let warmed_up t = t.count >= t.min_samples
-let mean t = Des.Time.of_ms_f t.srtt
-let deviation t = Des.Time.of_ms_f t.rttvar
+let mean t = Des.Time.of_ms_f t.est.srtt
+let deviation t = Des.Time.of_ms_f t.est.rttvar
+let tuned_timeout t ~s = Des.Time.of_ms_f (t.est.srtt +. (s *. t.est.rttvar))
 
 let election_timeout t ~s =
-  if not (warmed_up t) then None
-  else Some (Des.Time.of_ms_f (t.srtt +. (s *. t.rttvar)))
+  if not (warmed_up t) then None else Some (tuned_timeout t ~s)
 
 let clear t =
-  t.srtt <- 0.;
-  t.rttvar <- 0.;
+  t.est.srtt <- 0.;
+  t.est.rttvar <- 0.;
   t.count <- 0

@@ -34,4 +34,8 @@ val deviation : t -> Des.Time.span
 val election_timeout : t -> s:float -> Des.Time.span option
 (** [srtt + s·rttvar], or [None] until warmed up. *)
 
+val tuned_timeout : t -> s:float -> Des.Time.span
+(** [srtt + s·rttvar] whether warmed up or not, with no option to
+    allocate: the tuner asks only once warmed up. *)
+
 val clear : t -> unit

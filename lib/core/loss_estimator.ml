@@ -15,15 +15,17 @@ let create ~min_size ~max_size =
 let get t i = t.buf.((t.head + i) mod t.max_size)
 let set t i v = t.buf.((t.head + i) mod t.max_size) <- v
 
+(* Index of the first stored id >= [id] in [lo, hi).  Top level, with
+   every input a parameter: a local recursive function closing over
+   [t] and [id] would be a closure allocated per call. *)
+let rec search t id lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if get t mid < id then search t id (mid + 1) hi else search t id lo mid
+
 (* Index of the first stored id >= [id], in [0, len]. *)
-let lower_bound t id =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if get t mid < id then search (mid + 1) hi else search lo mid
-  in
-  search 0 t.len
+let lower_bound t id = search t id 0 t.len
 
 let evict_oldest t =
   t.head <- (t.head + 1) mod t.max_size;
@@ -65,14 +67,16 @@ let warmed_up t = t.len >= t.min_size
 let span t =
   if t.len = 0 then None else Some (get t 0, get t (t.len - 1))
 
-let expected t =
-  match span t with None -> 0 | Some (lo, hi) -> hi - lo + 1
+let expected t = if t.len = 0 then 0 else get t (t.len - 1) - get t 0 + 1
 
-let loss_rate t =
+(* [@inline]: the tuner reads it per heartbeat, and a float result
+   crossing a call that is not inlined is boxed. *)
+let[@inline] loss_rate t =
   if t.len < 2 then 0.
   else
     let e = expected t in
-    Stdlib.max 0. (1. -. (float_of_int t.len /. float_of_int e))
+    let p = 1. -. (float_of_int t.len /. float_of_int e) in
+    if 0. >= p then 0. else p
 
 let clear t =
   t.head <- 0;

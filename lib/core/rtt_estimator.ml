@@ -11,13 +11,13 @@ let create ~min_size ~max_size =
 let observe t rtt = Stats.Window.push t.window (Des.Time.to_ms_f rtt)
 let length t = Stats.Window.length t.window
 let warmed_up t = length t >= t.min_size
-let mean_ms t = Stats.Window.mean t.window
-let std_ms t = Stats.Window.std t.window
+let[@inline] mean_ms t = Stats.Window.mean t.window
+let[@inline] std_ms t = Stats.Window.std t.window
 let mean t = Des.Time.of_ms_f (mean_ms t)
 let std t = Des.Time.of_ms_f (std_ms t)
+let tuned_timeout t ~s = Des.Time.of_ms_f (mean_ms t +. (s *. std_ms t))
 
 let election_timeout t ~s =
-  if not (warmed_up t) then None
-  else Some (Des.Time.of_ms_f (mean_ms t +. (s *. std_ms t)))
+  if not (warmed_up t) then None else Some (tuned_timeout t ~s)
 
 let clear t = Stats.Window.clear t.window

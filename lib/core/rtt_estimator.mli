@@ -31,5 +31,9 @@ val std_ms : t -> float
 val election_timeout : t -> s:float -> Des.Time.span option
 (** [μ + s·σ], or [None] until warmed up. *)
 
+val tuned_timeout : t -> s:float -> Des.Time.span
+(** [μ + s·σ] whether warmed up or not, with no option to allocate: the
+    tuner asks only once warmed up. *)
+
 val clear : t -> unit
 (** Discard all samples (leader change / timer expiry fallback). *)

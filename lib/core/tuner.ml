@@ -57,10 +57,11 @@ let rtt_observe t sample =
   | Window w -> Rtt_estimator.observe w sample
   | Smoothed e -> Ewma_estimator.observe e sample
 
+(* Only asked once the estimator is warmed up, so no option is built. *)
 let rtt_et t ~s =
   match t.rtt with
-  | Window w -> Rtt_estimator.election_timeout w ~s
-  | Smoothed e -> Ewma_estimator.election_timeout e ~s
+  | Window w -> Rtt_estimator.tuned_timeout w ~s
+  | Smoothed e -> Ewma_estimator.tuned_timeout e ~s
 
 let phase t =
   if rtt_warmed t && Loss_estimator.warmed_up t.loss then Tuned else Warming
@@ -74,20 +75,22 @@ let observe_heartbeat t ~hb_id ~rtt =
       | Some sample -> rtt_observe t sample
       | None -> ()))
 
-let required_heartbeats_for ~p ~x =
+(* [@inline] keeps [p] unboxed on the per-heartbeat path. *)
+let[@inline] required_heartbeats_for ~p ~x =
   if p <= 0. then 1
   else if p >= 1. then max_int
   else
     (* 1 - p^K >= x  ⟺  K >= log_p(1 - x); both logs are negative. *)
     let k = log (1. -. x) /. log p in
-    Stdlib.max 1 (int_of_float (ceil k))
+    Int.max 1 (int_of_float (ceil k))
 
 let compute_election_timeout t =
-  match (phase t, rtt_et t ~s:t.config.safety_factor) with
-  | Tuned, Some et ->
-      Des.Time.clamp et ~lo:Config.min_election_timeout
-        ~hi:t.config.max_election_timeout
-  | (Warming | Tuned), _ -> t.config.default_election_timeout
+  match phase t with
+  | Tuned ->
+      Des.Time.clamp
+        (rtt_et t ~s:t.config.safety_factor)
+        ~lo:Config.min_election_timeout ~hi:t.config.max_election_timeout
+  | Warming -> t.config.default_election_timeout
 
 let loss_rate t = Loss_estimator.loss_rate t.loss
 
@@ -95,12 +98,12 @@ let compute_required_heartbeats t ~et =
   match phase t with
   | Warming -> 1
   | Tuned ->
-      let p = loss_rate t in
+      let p = Loss_estimator.loss_rate t.loss in
       let k = required_heartbeats_for ~p ~x:t.config.arrival_probability in
       (* K beyond Et / min_h cannot be honoured; clamp so h stays above
          its floor. *)
-      let cap = Stdlib.max 1 (et / t.config.min_heartbeat_interval) in
-      Stdlib.min k cap
+      let cap = Int.max 1 (et / t.config.min_heartbeat_interval) in
+      Int.min k cap
 
 let compute_heartbeat_interval t ~et ~k =
   match phase t with

@@ -430,13 +430,13 @@ let cand_hi t level =
   let shift = level * level_bits in
   let c = t.cursor lsr shift in
   let d = first_set_from t level (c land 0xFF) in
-  if d < 0 then max_int else Stdlib.max t.cursor ((c + d) lsl shift)
+  if d < 0 then max_int else Int.max t.cursor ((c + d) lsl shift)
 
 let next_due_tick t =
   if t.stats.wheel_occupancy = 0 then max_int
   else if t.due_lb >= 0 then t.due_lb
   else begin
-    let lb = Stdlib.min (cand0 t) (Stdlib.min (cand_hi t 1) (cand_hi t 2)) in
+    let lb = Int.min (cand0 t) (Int.min (cand_hi t 1) (cand_hi t 2)) in
     t.due_lb <- lb;
     lb
   end
@@ -487,13 +487,13 @@ let flush_next t =
   let c1 = t.cursor lsr level_bits in
   let d1 = first_set_from t 1 (c1 land 0xFF) in
   let b =
-    if d1 < 0 then max_int else Stdlib.max t.cursor ((c1 + d1) lsl level_bits)
+    if d1 < 0 then max_int else Int.max t.cursor ((c1 + d1) lsl level_bits)
   in
   let c2 = t.cursor lsr (2 * level_bits) in
   let d2 = first_set_from t 2 (c2 land 0xFF) in
   let c =
     if d2 < 0 then max_int
-    else Stdlib.max t.cursor ((c2 + d2) lsl (2 * level_bits))
+    else Int.max t.cursor ((c2 + d2) lsl (2 * level_bits))
   in
   if c <= a && c <= b then
     cascade t ((2 * level_slots) + ((c2 + d2) land 0xFF)) c

@@ -14,10 +14,10 @@ let to_us_f x = float_of_int x /. 1e3
 let add t s = t + s
 let diff a b = a - b
 let scale s k = int_of_float (Float.round (float_of_int s *. k))
-let min_span = Stdlib.min
-let max_span = Stdlib.max
+let min_span = Int.min
+let max_span = Int.max
 
-let clamp s ~lo ~hi =
+let clamp (s : span) ~lo ~hi =
   if s < lo then lo else if s > hi then hi else s
 
 let pp ppf t = Format.fprintf ppf "%.3fs" (to_sec_f t)

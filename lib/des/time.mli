@@ -37,6 +37,9 @@ val min_span : span -> span -> span
 val max_span : span -> span -> span
 
 val clamp : span -> lo:span -> hi:span -> span
+(** [min_span], [max_span] and [clamp] are int-only: they compile to
+    inline integer compares, never OCaml's polymorphic compare, so the
+    event path (every [Engine.schedule_*_after]) can call them freely. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render as seconds with millisecond precision, e.g. ["12.345s"]. *)

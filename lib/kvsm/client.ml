@@ -61,7 +61,7 @@ let create ~engine ~target ~client_id ~rate ?(client_rtt = 0) ?route () =
 let record_latency t elapsed =
   let n = t.n_latencies in
   if n = Float.Array.length t.latencies then begin
-    let bigger = Float.Array.create (Stdlib.max 8 (2 * n)) in
+    let bigger = Float.Array.create (Int.max 8 (2 * n)) in
     Float.Array.blit t.latencies 0 bigger 0 n;
     t.latencies <- bigger
   end;

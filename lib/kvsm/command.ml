@@ -12,7 +12,9 @@ let equal a b =
   | Put a, Put b -> a.key = b.key && a.value = b.value
   | Get a, Get b -> a = b
   | Delete a, Delete b -> a = b
-  | Cas a, Cas b -> a.key = b.key && a.expect = b.expect && a.value = b.value
+  | Cas a, Cas b -> a.key = b.key
+      && Option.equal String.equal a.expect b.expect
+      && a.value = b.value
   | (Put _ | Get _ | Delete _ | Cas _), _ -> false
 
 let pp ppf = function

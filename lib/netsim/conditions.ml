@@ -21,7 +21,7 @@ let piecewise segments =
       if t0 > Des.Time.zero then
         invalid_arg "Conditions.piecewise: schedule must start at time zero";
       let rec check = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
+        | ((a : Des.Time.t), _) :: ((b, _) :: _ as rest) ->
             if b <= a then
               invalid_arg "Conditions.piecewise: segments must be ascending";
             check rest

@@ -32,7 +32,7 @@ let rec doubled len sec = if len > sec then len else doubled (2 * len) sec
 let add_to_second t sec charged =
   let len = Array.length t.per_second in
   if sec >= len then begin
-    let bigger = Array.make (doubled (Stdlib.max 64 len) sec) 0 in
+    let bigger = Array.make (doubled (Int.max 64 len) sec) 0 in
     Array.blit t.per_second 0 bigger 0 len;
     t.per_second <- bigger
   end;
@@ -46,7 +46,7 @@ let rec spread t ~cost ~span at remaining =
   if remaining > 0 then begin
     let sec = at / sec_len in
     let sec_end = (sec + 1) * sec_len in
-    let here = Stdlib.min remaining (sec_end - at) in
+    let here = Int.min remaining (sec_end - at) in
     let charged =
       int_of_float
         (float_of_int cost *. float_of_int here /. float_of_int span)
@@ -61,14 +61,14 @@ let rec spread t ~cost ~span at remaining =
    nodes, matching docker-stats semantics. *)
 let account t ~start ~service ~cost =
   t.busy_total <- t.busy_total + cost;
-  let span = Stdlib.max 1 service in
+  let span = Int.max 1 service in
   spread t ~cost ~span start span
 
 let enqueue t ~cost =
   let now = Des.Engine.now t.engine in
-  let start = Stdlib.max now t.busy_until in
+  let start = Int.max now t.busy_until in
   let service =
-    Stdlib.max 0 (int_of_float (float_of_int cost /. t.cores))
+    Int.max 0 (int_of_float (float_of_int cost /. t.cores))
   in
   let finish = start + service in
   t.busy_until <- finish;
@@ -82,7 +82,7 @@ let execute t ~cost op a b arg =
 let charge t ~cost = if not t.passthrough then ignore (enqueue t ~cost : int)
 
 let backlog t =
-  Stdlib.max 0 (t.busy_until - Des.Engine.now t.engine)
+  Int.max 0 (t.busy_until - Des.Engine.now t.engine)
 
 let busy_total t = t.busy_total
 

@@ -267,7 +267,13 @@ let reachable t src dst =
   | None -> true
   | Some table ->
       Node_id.equal src dst
-      || Node_id.Table.find_opt table src = Node_id.Table.find_opt table dst
+      ||
+      match
+        (Node_id.Table.find_opt table src, Node_id.Table.find_opt table dst)
+      with
+      | Some a, Some b -> Int.equal a b
+      | None, None -> true
+      | Some _, None | None, Some _ -> false
 
 let set_uniform_serialization t span =
   if span < 0 then invalid_arg "Fabric.set_uniform_serialization: negative span";

@@ -9,7 +9,7 @@ module Channel = struct
 
   let delivery_time t ~now ~latency =
     let arrival = Des.Time.add now latency in
-    let ordered = Stdlib.max arrival (t.last_delivery + 1) in
+    let ordered = Int.max arrival (t.last_delivery + 1) in
     t.last_delivery <- ordered;
     ordered
 end

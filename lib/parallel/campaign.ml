@@ -5,8 +5,8 @@ let plan ?shards ~jobs ~seed ~total () =
     match shards with
     | Some s ->
         if s <= 0 then invalid_arg "Campaign.plan: shards must be positive";
-        Stdlib.max 1 (Stdlib.min s total)
-    | None -> if jobs <= 1 || total <= 1 then 1 else Stdlib.min jobs total
+        Int.max 1 (Int.min s total)
+    | None -> if jobs <= 1 || total <= 1 then 1 else Int.min jobs total
   in
   if count = 1 then [ { index = 0; shards = 1; seed; quota = total } ]
   else begin
@@ -31,7 +31,7 @@ let sharded ?shards ~jobs ~seed ~total ~f () =
          run. *)
       List.map f plan
   | plan ->
-      let pool = Pool.create ~domains:(Stdlib.min jobs (List.length plan)) in
+      let pool = Pool.create ~domains:(Int.min jobs (List.length plan)) in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown pool)
         (fun () -> Pool.map pool f plan)
@@ -40,7 +40,7 @@ let all ~jobs thunks =
   let n = List.length thunks in
   if jobs <= 1 || n <= 1 then List.map (fun f -> f ()) thunks
   else begin
-    let pool = Pool.create ~domains:(min jobs n) in
+    let pool = Pool.create ~domains:(Int.min jobs n) in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () -> Pool.map pool (fun f -> f ()) thunks)

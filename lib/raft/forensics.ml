@@ -61,7 +61,7 @@ let dropped t = t.dropped
 
 (* The newest [n] retained records, oldest first. *)
 let newest t n =
-  let n = Stdlib.max 0 (Stdlib.min n t.len) in
+  let n = Int.max 0 (Int.min n t.len) in
   List.init n (fun i -> t.ring.((t.next - n + i + capacity) mod capacity))
 
 let records t = newest t t.len

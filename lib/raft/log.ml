@@ -66,7 +66,7 @@ let entry_at t index =
 let grow t entry =
   let cap = Array.length t.entries in
   if t.len = cap then begin
-    let entries = Array.make (Stdlib.max 16 (2 * cap)) entry in
+    let entries = Array.make (Int.max 16 (2 * cap)) entry in
     Array.blit t.entries 0 entries 0 t.len;
     t.entries <- entries
   end
@@ -98,14 +98,14 @@ let scrub t ~old_len =
   done;
   let cap = Array.length t.entries in
   if cap > 16 && 4 * t.len < cap then begin
-    let entries = Array.make (Stdlib.max 16 (2 * t.len)) blank in
+    let entries = Array.make (Int.max 16 (2 * t.len)) blank in
     Array.blit t.entries 0 entries 0 t.len;
     t.entries <- entries
   end
 
 let truncate_from t index =
   (* Drop entries at [index] and beyond. *)
-  let len = Stdlib.max 0 (Stdlib.min t.len (index - t.snapshot_index - 1)) in
+  let len = Int.max 0 (Int.min t.len (index - t.snapshot_index - 1)) in
   if len <> t.len then begin
     t.mutations <- t.mutations + 1;
     let old_len = t.len in
@@ -149,7 +149,7 @@ let[@hot] try_append t ~prev_index ~prev_term ~entries =
     (* Batches are contiguous and ascending: the last entry carries
        the highest index. *)
     let covered = if n = 0 then prev_index else entries.(n - 1).index in
-    `Ok (Stdlib.max covered t.snapshot_index)
+    `Ok (Int.max covered t.snapshot_index)
   end
 
 let compact t ~upto =
@@ -185,8 +185,8 @@ let install_snapshot t ~index ~term =
 (* Entries are stored contiguously, so a slice is a single [Array.sub]
    (and the empty case is the static atom [| |] — no allocation). *)
 let slice t ~from ~max =
-  let from = Stdlib.max (first_available t) from in
-  let stop = Stdlib.min (last_index t) (from + max - 1) in
+  let from = Int.max (first_available t) from in
+  let stop = Int.min (last_index t) (from + max - 1) in
   if from > stop then [||]
   else Array.sub t.entries (from - t.snapshot_index - 1) (stop - from + 1)
 

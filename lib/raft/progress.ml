@@ -22,6 +22,9 @@ type t = {
   mutable reads_confirmed : int;
       (* registration number of the newest pending read this follower
          has confirmed; -1 before its first confirmation *)
+  mutable acked_round : int;
+      (* the leader's CheckQuorum round in which this follower last
+         acknowledged it as a voter; -1 before any *)
 }
 
 let create ~last_index =
@@ -33,6 +36,7 @@ let create ~last_index =
     last_response_at = Des.Time.zero;
     last_append_sent_at = Des.Time.zero;
     reads_confirmed = -1;
+    acked_round = -1;
   }
 
 let note_append_sent t ~at = t.last_append_sent_at <- at
@@ -40,6 +44,8 @@ let last_append_sent_at t = t.last_append_sent_at
 let reads_confirmed t = t.reads_confirmed
 
 let set_reads_confirmed t n = t.reads_confirmed <- n
+let note_ack t ~round = t.acked_round <- round
+let acked_in t ~round = Int.equal t.acked_round round
 
 let note_response t ~at = t.last_response_at <- at
 let last_response_at t = t.last_response_at
@@ -58,7 +64,7 @@ let record_success t ~upto =
   if t.inflight > 0 then t.inflight <- t.inflight - 1
 
 let record_conflict t ~hint =
-  t.next <- Stdlib.max 1 (Stdlib.min hint t.next);
+  t.next <- Int.max 1 (Int.min hint t.next);
   t.state <- Probing;
   t.inflight <- 0
 

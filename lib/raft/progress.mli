@@ -77,3 +77,10 @@ val reads_confirmed : t -> int
     increase with registration order. *)
 
 val set_reads_confirmed : t -> int -> unit
+
+val note_ack : t -> round:int -> unit
+(** Record a voter's acknowledgement in the leader's CheckQuorum round
+    [round] (a number the leader bumps whenever it starts a round). *)
+
+val acked_in : t -> round:int -> bool
+(** Did this follower acknowledge, as a voter, during [round]? *)

@@ -52,6 +52,60 @@ type membership = {
   m_order : Node_id.t list;
 }
 
+(* The live configuration's roles as an open-addressing table of at
+   least twice as many slots as members, rebuilt by [set_current]: the
+   per-heartbeat membership and voter checks probe it with int compares,
+   where [Node_id.Set.mem] walks a tree through the functor's comparator.
+   A slot holds [id * 2 + 1] for a voter, [id * 2] for a learner, or -1.
+   Ids are small and mostly consecutive, so with the mask as hash nearly
+   every probe ends at its first slot.  [Node_id.Set] stays the canonical
+   membership; this is a cache of it, O(members) in size. *)
+module Roles = struct
+  type t = int array
+
+  let absent = -1
+
+  let rec probe slots mask id i =
+    let v = Array.unsafe_get slots i in
+    if v = absent || v lsr 1 = id then v
+    else probe slots mask id ((i + 1) land mask)
+
+  (* The slot of [id], or -1. *)
+  let find slots id =
+    let mask = Array.length slots - 1 in
+    probe slots mask id (id land mask)
+
+  let rec pow2_above n size = if size >= n then size else pow2_above n (2 * size)
+
+  let of_membership m =
+    let n =
+      Node_id.Set.cardinal m.m_voters + Node_id.Set.cardinal m.m_learners
+    in
+    let slots = Array.make (pow2_above (2 * n) 2) absent in
+    let mask = Array.length slots - 1 in
+    let add role id =
+      let id = Node_id.to_int id in
+      let i = ref (id land mask) in
+      while slots.(!i) <> absent && slots.(!i) lsr 1 <> id do
+        i := (!i + 1) land mask
+      done;
+      if slots.(!i) = absent then slots.(!i) <- (id lsl 1) lor role
+    in
+    Node_id.Set.iter (add 1) m.m_voters;
+    Node_id.Set.iter (add 0) m.m_learners;
+    slots
+
+  let mem slots id = find slots (Node_id.to_int id) >= 0
+
+  let is_voter slots id =
+    let v = find slots (Node_id.to_int id) in
+    v >= 0 && v land 1 = 1
+
+  let is_learner slots id =
+    let v = find slots (Node_id.to_int id) in
+    v >= 0 && v land 1 = 0
+end
+
 (* Linearizable reads awaiting confirmation, oldest first, in a ring
    whose capacity is a power of two.  Reads are numbered in
    registration order: the read [k] places behind the oldest has number
@@ -84,7 +138,7 @@ module Reads = struct
   let push q r =
     let cap = Array.length q.buf in
     if q.len = cap then begin
-      let bigger = Array.make (Stdlib.max 8 (2 * cap)) free in
+      let bigger = Array.make (Int.max 8 (2 * cap)) free in
       for k = 0 to q.len - 1 do
         bigger.(k) <- get q k
       done;
@@ -123,6 +177,9 @@ type t = {
          effective as soon as appended (dissertation §4.1) *)
   mutable others : Node_id.t list;
       (* [current.m_order] minus self, cached for the hot paths *)
+  mutable roles : Roles.t;  (* [current]'s roles, cached by [set_current] *)
+  mutable self_voter : bool;
+  mutable voter_count : int;
   mutable latest_config_index : Types.index;
   mutable config_mutations : int;
   mutable transfer : transfer option;
@@ -138,7 +195,9 @@ type t = {
       (* [maybe_advance_commit] ranks the voters' match indices here
          instead of building a list; sized by the leader on first use *)
   mutable votes : Node_id.Set.t;
-  mutable quorum_acks : Node_id.Set.t;
+  mutable ack_round : int;
+      (* the CheckQuorum round: a voter's ack stamps its [Progress] with
+         it, and bumping it forgets every ack at once *)
   (* Per-peer leader state is kept in option arrays indexed by
      [Node_id.to_int peer]: the lookups run per heartbeat and per
      replication op, so they must not hash. *)
@@ -216,15 +275,16 @@ let apply_change m = function
 let set_current t m =
   t.current <- m;
   t.others <- List.filter (fun n -> not (Node_id.equal n t.id)) m.m_order;
-  t.quorum <- (Node_id.Set.cardinal m.m_voters / 2) + 1
+  t.roles <- Roles.of_membership m;
+  t.self_voter <- Roles.is_voter t.roles t.id;
+  t.voter_count <- Node_id.Set.cardinal m.m_voters;
+  t.quorum <- (t.voter_count / 2) + 1
 
-let is_voter_id t n = Node_id.Set.mem n t.current.m_voters
-let self_is_voter t = is_voter_id t t.id
-let self_weight t = if self_is_voter t then 1 else 0
-
-(* Quorum evidence (CheckQuorum, ReadIndex) only ever counts voters. *)
-let note_ack t from =
-  if is_voter_id t from then t.quorum_acks <- Node_id.Set.add from t.quorum_acks
+let is_voter_id t n = Roles.is_voter t.roles n
+let is_member t n = Roles.mem t.roles n
+let is_learner t n = Roles.is_learner t.roles n
+let self_is_voter t = t.self_voter
+let self_weight t = if t.self_voter then 1 else 0
 
 (* Re-derive the live configuration: the boundary config plus every
    config entry still stored in the log (applied-on-append). *)
@@ -320,6 +380,9 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       base;
       current = base;
       others = [];
+      roles = [| Roles.absent |];
+      self_voter = false;
+      voter_count = 0;
       latest_config_index = 0;
       config_mutations = 0;
       transfer = None;
@@ -332,7 +395,7 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       quorum = 1;
       match_scratch = [||];
       votes = Node_id.Set.empty;
-      quorum_acks = Node_id.Set.empty;
+      ack_round = 0;
       progress = [||];
       all_progress = [];
       batches = [||];
@@ -523,7 +586,7 @@ let fresh_ctx t ~now =
 
 (* randomizedTimeout = Et + uniform[0, Et), as etcd draws it. *)
 let draw_timeout t =
-  let et = Stdlib.max 1 (election_timeout_now t) in
+  let et = Int.max 1 (election_timeout_now t) in
   et + Stats.Rng.int t.rng et
 
 let arm_election t ctx =
@@ -562,7 +625,13 @@ let note_tuner_decision t ctx =
               | None -> Dynatune.Tuner.heartbeat_interval tuner
             in
             let k = Dynatune.Tuner.required_heartbeats tuner in
-            if t.last_decision <> Some (et, h, k) then begin
+            let changed =
+              match t.last_decision with
+              | Some (et', h', k') ->
+                  not (Int.equal et et' && Int.equal h h' && Int.equal k k')
+              | None -> true
+            in
+            if changed then begin
               let reason =
                 if t.rewarm_pending then Probe.Reconfigured
                 else
@@ -625,6 +694,29 @@ let progress_of t peer =
       t.progress.(i) <- Some p;
       t.all_progress <- p :: t.all_progress;
       p
+
+(* Quorum evidence (CheckQuorum, ReadIndex) only ever counts voters. *)
+let note_ack t from =
+  if is_voter_id t from then
+    Progress.note_ack (progress_of t from) ~round:t.ack_round
+
+(* Start a new CheckQuorum round: every ack so far is forgotten. *)
+let forget_acks t = t.ack_round <- t.ack_round + 1
+
+(* Voters other than self that acknowledged in the current round. *)
+let rec acked_voters t n = function
+  | [] -> n
+  | peer :: rest ->
+      let i = Node_id.to_int peer in
+      let acked =
+        is_voter_id t peer
+        && i < Array.length t.progress
+        &&
+        match t.progress.(i) with
+        | Some pr -> Progress.acked_in pr ~round:t.ack_round
+        | None -> false
+      in
+      acked_voters t (if acked then n + 1 else n) rest
 
 (* The sliced windows are immutable once built (receivers must not
    mutate them, and the log only ever truncates/extends whole entries),
@@ -763,7 +855,7 @@ let send_heartbeat t ctx ~now peer =
   let hb_id = Dynatune.Leader_path.next_id p in
   let measured_rtt = Dynatune.Leader_path.take_rtt p in
   let commit =
-    Stdlib.min t.commit_index (Progress.match_index (progress_of t peer))
+    Int.min t.commit_index (Progress.match_index (progress_of t peer))
   in
   emit ctx
     (Send
@@ -984,7 +1076,7 @@ let[@hot] note_read_confirmation t ctx ~from ~sent_at =
          echo takes nothing back. *)
       let pr = progress_of t from in
       let k =
-        ref (Stdlib.max 0 (Progress.reads_confirmed pr + 1 - q.Reads.first))
+        ref (Int.max 0 (Progress.reads_confirmed pr + 1 - q.Reads.first))
       in
       while
         !k < q.Reads.len && (Reads.get q !k).Reads.registered_at <= sent_at
@@ -1039,7 +1131,7 @@ let rec gather_matches t m n = function
    match indices >= N and log term N = current term. *)
 let[@hot] maybe_advance_commit t ctx =
   let q = t.quorum in
-  let voters = Node_id.Set.cardinal t.current.m_voters in
+  let voters = t.voter_count in
   if Array.length t.match_scratch < voters then
     t.match_scratch <- Array.make voters 0;
   let m = t.match_scratch in
@@ -1066,7 +1158,10 @@ let[@hot] maybe_advance_commit t ctx =
     let candidate = m.(q - 1) in
     if
       candidate > t.commit_index
-      && Log.term_at t.log candidate = Some t.term
+      &&
+      match Log.term_at t.log candidate with
+      | Some term -> Int.equal term t.term
+      | None -> false
     then begin
       let newly =
         Log.slice t.log ~from:(t.commit_index + 1)
@@ -1080,7 +1175,7 @@ let[@hot] maybe_advance_commit t ctx =
   end
 
 let follower_advance_commit t ctx ~leader_commit =
-  let target = Stdlib.min leader_commit (Log.last_index t.log) in
+  let target = Int.min leader_commit (Log.last_index t.log) in
   if target > t.commit_index then begin
     let newly =
       Log.slice t.log ~from:(t.commit_index + 1) ~max:(target - t.commit_index)
@@ -1097,7 +1192,7 @@ let follower_advance_commit t ctx ~leader_commit =
 let maybe_promote_learner t ctx from =
   if
     Types.is_leader t.role
-    && Node_id.Set.mem from t.current.m_learners
+    && is_learner t from
     && t.latest_config_index <= t.commit_index
     && (not (Option.is_some t.transfer))
     && Progress.match_index (progress_of t from)
@@ -1127,14 +1222,14 @@ let arm_leader_heartbeats t ctx ~immediately =
               if immediately then 0
               else
                 let interval = Dynatune.Leader_path.interval (path t peer) in
-                1 + Stats.Rng.int t.rng (Stdlib.max 1 interval)
+                1 + Stats.Rng.int t.rng (Int.max 1 interval)
             in
             emit ctx (Arm_heartbeat { peer; after }))
           t.others
 
 let become_leader t ctx =
   t.leader <- Some t.id;
-  t.quorum_acks <- Node_id.Set.empty;
+  forget_acks t;
   t.transfer <- None;
   emit ctx Disarm_election;
   if t.config.Config.check_quorum then
@@ -1221,17 +1316,23 @@ let on_election_timeout t ctx =
 
 (* {2 Leader contact (heartbeats / appends)} *)
 
+(* Does [t] already follow [from]?  The stored [Some] box is then kept,
+   not rebuilt per heartbeat. *)
+let led_by t from =
+  match t.leader with Some l -> Node_id.equal l from | None -> false
+
 let note_leader_contact t ctx ~now ~from ~term =
   t.last_leader_contact <- now;
-  let new_leader = t.leader <> Some from in
+  let new_leader = not (led_by t from) in
   (match t.role with
   | Types.Pre_candidate ->
       emit ctx (Probe (Probe.Pre_vote_aborted { id = t.id; term = t.term }))
   | Types.Follower | Types.Candidate | Types.Leader -> ());
   if term > t.term || not (Types.equal_role t.role Types.Follower) then
-    become_follower t ctx ~term ~leader:(Some from)
+    become_follower t ctx ~term
+      ~leader:(if new_leader then Some from else t.leader)
   else begin
-    t.leader <- Some from;
+    if new_leader then t.leader <- Some from;
     arm_election t ctx
   end;
   (* A change of leader starts measurement from scratch (Step 0 with the
@@ -1427,11 +1528,12 @@ let on_heartbeat t ctx ~now ~from ~term:hb_term ~commit ~hb_id ~sent_at
     | Types.Pre_candidate ->
         emit ctx (Probe (Probe.Pre_vote_aborted { id = t.id; term = t.term }))
     | Types.Follower | Types.Candidate | Types.Leader -> ());
-    let new_leader = t.leader <> Some from in
+    let new_leader = not (led_by t from) in
     t.last_leader_contact <- now;
     if hb_term > t.term || not (Types.equal_role t.role Types.Follower) then
-      become_follower t ctx ~term:hb_term ~leader:(Some from)
-    else t.leader <- Some from;
+      become_follower t ctx ~term:hb_term
+        ~leader:(if new_leader then Some from else t.leader)
+    else if new_leader then t.leader <- Some from;
     if new_leader then reset_tuner t ctx;
     (* Record the measurement sample before re-arming so the timer uses
        the freshest tuned Et. *)
@@ -1453,6 +1555,12 @@ let on_heartbeat t ctx ~now ~from ~term:hb_term ~commit ~hb_id ~sent_at
     arm_election t ctx
   end
 
+(* No append response from [pr]'s follower for over an election
+   timeout. *)
+let stale_clock t pr ~now =
+  Des.Time.diff now (Progress.last_response_at pr)
+  > Config.election_timeout_base t.config
+
 let on_heartbeat_response t ctx ~now ~from ~term:resp_term ~echo_sent_at
     ~tuned_h =
   if resp_term > t.term then become_follower t ctx ~term:resp_term ~leader:None
@@ -1469,12 +1577,8 @@ let on_heartbeat_response t ctx ~now ~from ~term:resp_term ~echo_sent_at
        clock, in which case [next] is rewound to just past its match. *)
     let pr = progress_of t from in
     let last_index = Log.last_index t.log in
-    let stale_clock () =
-      Des.Time.diff now (Progress.last_response_at pr)
-      > Config.election_timeout_base t.config
-    in
     if Progress.needs_entries pr ~last_index then begin
-      if Progress.inflight pr > 0 && stale_clock () then begin
+      if Progress.inflight pr > 0 && stale_clock t pr ~now then begin
         (* The window is full of sends that never drew a response: they
            were dropped while the follower was unreachable, and no nack
            will ever drain them.  Rewind to re-probe from its match. *)
@@ -1484,7 +1588,8 @@ let on_heartbeat_response t ctx ~now ~from ~term:resp_term ~echo_sent_at
       end
       else replicate t ctx from
     end
-    else if Progress.match_index pr < last_index && stale_clock () then begin
+    else if Progress.match_index pr < last_index && stale_clock t pr ~now
+    then begin
       Progress.record_conflict pr ~hint:(Progress.match_index pr + 1);
       Progress.note_response pr ~at:now;
       send_append t ctx from
@@ -1584,7 +1689,7 @@ let handle t ~now event =
   | Heartbeat_due peer ->
       if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
-        if member_of t.current peer then begin
+        if is_member t peer then begin
           let interval = Dynatune.Leader_path.interval (path t peer) in
           if not (heartbeat_suppressed t ctx peer ~interval) then
             send_heartbeat t ctx ~now peer;
@@ -1606,13 +1711,8 @@ let handle t ~now event =
   | Quorum_check_due ->
       if Types.is_leader t.role && t.config.Config.check_quorum then begin
         check_transfer_deadline t ctx ~now;
-        if
-          self_weight t
-          + Node_id.Set.cardinal
-              (Node_id.Set.inter t.quorum_acks t.current.m_voters)
-          >= t.quorum
-        then begin
-          t.quorum_acks <- Node_id.Set.empty;
+        if self_weight t + acked_voters t 0 t.others >= t.quorum then begin
+          forget_acks t;
           emit ctx (Arm_quorum_check (Config.election_timeout_base t.config))
         end
         else
@@ -1675,7 +1775,7 @@ let handle t ~now event =
   | Restarted ->
       if Types.is_leader t.role then begin
         arm_leader_heartbeats t ctx ~immediately:true;
-        t.quorum_acks <- Node_id.Set.empty;
+        forget_acks t;
         if t.config.Config.check_quorum then
           emit ctx (Arm_quorum_check (Config.election_timeout_base t.config))
       end

@@ -84,7 +84,11 @@ let run_saturation_one ~hold ~window ~lanes () =
     let errs =
       List.filter_map
         (fun id ->
-          if leader = Some id then None
+          if
+            match leader with
+            | Some l -> Netsim.Node_id.equal l id
+            | None -> false
+          then None
           else
             match
               Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id))

@@ -56,8 +56,10 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ~n ~config () =
   let cpu_probe node _cluster =
     let now_sec = Des.Time.to_sec_f (Cluster.now cluster) in
     Netsim.Cpu.utilization_in (Raft.Node.cpu node)
-      ~lo_sec:(Stdlib.max 0. (now_sec -. window_sec))
-      ~hi_sec:(Stdlib.max window_sec now_sec)
+      ~lo_sec:
+        (let lo = now_sec -. window_sec in
+         if 0. >= lo then 0. else lo)
+      ~hi_sec:(if window_sec >= now_sec then window_sec else now_sec)
   in
   let duration = List.length loss_schedule * hold in
   let watched, window =
@@ -127,7 +129,9 @@ let print ppf results =
       Report.kv ppf "unnecessary elections" (string_of_int r.elections);
       Report.kv ppf "timer expiries" (string_of_int r.timer_expiries);
       let cpu_peak =
-        List.fold_left (fun acc (_, v) -> Stdlib.max acc v) 0. r.leader_cpu
+        List.fold_left
+          (fun (acc : float) (_, v) -> if acc >= v then acc else v)
+          0. r.leader_cpu
       in
       Report.kv ppf "leader cpu peak" (Printf.sprintf "%.0f%%" cpu_peak))
     results

@@ -13,7 +13,7 @@ let name = function
 
 (* Approximate AWS inter-region mean RTTs (ms). *)
 let rtt_ms a b =
-  let key a b = if a <= b then (a, b) else (b, a) in
+  let key (a : int) b = if a <= b then (a, b) else (b, a) in
   let idx = function
     | Tokyo -> 0
     | London -> 1

@@ -32,7 +32,7 @@ let add t x =
   else if x >= t.hi then t.overflow <- t.overflow + 1
   else
     let w = (t.hi -. t.lo) /. float_of_int (bins t) in
-    let i = Stdlib.min (bins t - 1) (int_of_float ((x -. t.lo) /. w)) in
+    let i = Int.min (bins t - 1) (int_of_float ((x -. t.lo) /. w)) in
     t.counts.(i) <- t.counts.(i) + 1
 
 let merge a b =

@@ -28,7 +28,7 @@ let percentile t q =
   else
     let rank = q /. 100. *. float_of_int (n - 1) in
     let lo = int_of_float (floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
+    let hi = Int.min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     t.sorted.(lo) +. (frac *. (t.sorted.(hi) -. t.sorted.(lo)))
 
@@ -41,10 +41,10 @@ let cdf t ~points =
     List.init points (fun i ->
         let prob = float_of_int (i + 1) /. float_of_int points in
         let idx =
-          Stdlib.min (n - 1)
+          Int.min (n - 1)
             (int_of_float (ceil (prob *. float_of_int n)) - 1)
         in
-        (t.sorted.(Stdlib.max 0 idx), prob))
+        (t.sorted.(Int.max 0 idx), prob))
 
 let cdf_at t v =
   let n = count t in

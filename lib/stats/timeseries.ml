@@ -37,8 +37,10 @@ let reduce agg vs =
   | _, [] -> nan
   | Mean, vs -> List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs)
   | Sum, vs -> List.fold_left ( +. ) 0. vs
-  | Max, v :: vs -> List.fold_left Stdlib.max v vs
-  | Min, v :: vs -> List.fold_left Stdlib.min v vs
+  | Max, v :: vs ->
+      List.fold_left (fun (acc : float) x -> if acc >= x then acc else x) v vs
+  | Min, v :: vs ->
+      List.fold_left (fun (acc : float) x -> if acc <= x then acc else x) v vs
   | Last, vs -> List.nth vs (List.length vs - 1)
   | Count, vs -> float_of_int (List.length vs)
 

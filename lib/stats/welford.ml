@@ -41,6 +41,6 @@ let merge a b =
       n;
       mean = a.mean +. (delta *. fb /. float_of_int n);
       m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n);
-      min = Stdlib.min a.min b.min;
-      max = Stdlib.max a.max b.max;
+      min = (if a.min <= b.min then a.min else b.min);
+      max = (if a.max >= b.max then a.max else b.max);
     }

@@ -1,8 +1,13 @@
+(* The running sum lives in an all-float record: a float field of a
+   record that also holds ints is boxed, so every store to it would
+   allocate. *)
+type acc = { mutable sum : float }
+
 type t = {
   buf : float array;
   mutable head : int; (* index of oldest sample *)
   mutable len : int;
-  mutable sum : float;
+  acc : acc;
   mutable pushes_since_rebuild : int;
 }
 
@@ -17,7 +22,7 @@ let create ~capacity =
     buf = Array.make capacity 0.;
     head = 0;
     len = 0;
-    sum = 0.;
+    acc = { sum = 0. };
     pushes_since_rebuild = 0;
   }
 
@@ -27,7 +32,7 @@ let length t = t.len
 let clear t =
   t.head <- 0;
   t.len <- 0;
-  t.sum <- 0.;
+  t.acc.sum <- 0.;
   t.pushes_since_rebuild <- 0
 
 let get t i =
@@ -38,13 +43,16 @@ let get t i =
    escapes, so ocamlopt keeps it unboxed in a register: no allocation
    per sample, and no memory round trip either.  (A float argument to a
    non-inlined recursive call, by contrast, is boxed on every call.)
-   [std] runs on the tuner's per-heartbeat path.
+   [std] runs on the tuner's per-heartbeat path.  It and [push] are
+   [@inline]: a float argument or result crossing a call that is not
+   inlined is boxed, and these two take and return floats on every
+   heartbeat.
 
    The ring's contents are two contiguous runs, [head, head + first)
    then [0, len - first).  Looping over them in that order visits the
    samples oldest first, the summation order of indexing each one by
    [mod], so results are bit-identical without a division per sample. *)
-let first_run t = Stdlib.min t.len (Array.length t.buf - t.head)
+let first_run t = Int.min t.len (Array.length t.buf - t.head)
 
 let rebuild t =
   (* [get] is not inlined, and a non-inlined float return is a fresh box
@@ -58,14 +66,14 @@ let rebuild t =
   for i = 0 to t.len - first - 1 do
     acc := !acc +. buf.(i)
   done;
-  t.sum <- !acc;
+  t.acc.sum <- !acc;
   t.pushes_since_rebuild <- 0
 
-let push t x =
+let[@inline] push t x =
   let cap = Array.length t.buf in
   if t.len = cap then begin
     let old = t.buf.(t.head) in
-    t.sum <- t.sum -. old;
+    t.acc.sum <- t.acc.sum -. old;
     t.buf.(t.head) <- x;
     t.head <- (t.head + 1) mod cap
   end
@@ -73,20 +81,20 @@ let push t x =
     t.buf.((t.head + t.len) mod cap) <- x;
     t.len <- t.len + 1
   end;
-  t.sum <- t.sum +. x;
+  t.acc.sum <- t.acc.sum +. x;
   t.pushes_since_rebuild <- t.pushes_since_rebuild + 1;
   if t.pushes_since_rebuild >= rebuild_period then rebuild t
 
-let mean t = if t.len = 0 then 0. else t.sum /. float_of_int t.len
+let[@inline] mean t = if t.len = 0 then 0. else t.acc.sum /. float_of_int t.len
 
 (* Two-pass variance over the (bounded) window contents: immune to the
    catastrophic cancellation that the E[x²] − E[x]² shortcut suffers when
    the mean dwarfs the spread. *)
-let std t =
+let[@inline] std t =
   if t.len < 2 then 0.
   else begin
     let n = float_of_int t.len in
-    let m = t.sum /. n in
+    let m = t.acc.sum /. n in
     let buf = t.buf and head = t.head and first = first_run t in
     let acc = ref 0. in
     for i = head to head + first - 1 do
@@ -108,10 +116,12 @@ let fold t ~init ~f =
   !acc
 
 let min t =
-  if t.len = 0 then nan else fold t ~init:infinity ~f:Stdlib.min
+  if t.len = 0 then nan
+  else fold t ~init:infinity ~f:(fun acc x -> if acc <= x then acc else x)
 
 let max t =
-  if t.len = 0 then nan else fold t ~init:neg_infinity ~f:Stdlib.max
+  if t.len = 0 then nan
+  else fold t ~init:neg_infinity ~f:(fun acc x -> if acc >= x then acc else x)
 
 let last t = if t.len = 0 then None else Some (get t (t.len - 1))
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc x -> x :: acc))

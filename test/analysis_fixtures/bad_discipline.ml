@@ -17,6 +17,11 @@ let cast x = Obj.magic x
 let cmp a b = Stdlib.compare a b
 let bucket x = Hashtbl.hash x
 let order xs = List.sort compare xs
+let larger a b = max a b
+let smaller a b = Stdlib.min a b
+let changed leader from = leader <> Some from
+let same_pair a b = (a, b) = (1, 2)
+let before x = x < `Tag 3
 
 (* mutable-global *)
 let counter = ref 0

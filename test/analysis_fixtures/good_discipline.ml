@@ -8,6 +8,14 @@ let compare_ints (a : int) b = Int.compare a b
    polymorphic one. *)
 let sort_with compare xs = List.sort compare xs
 
+(* Typed min/max, physical equality, and a comparison with a constant
+   constructor are not polymorphic compares on a built value. *)
+let larger (a : int) b = Int.max a b
+let larger_f a b = Float.max a b
+let same_box a b = a == Some b
+let unset x = x = None
+let first_of max xs = List.fold_left max 0 xs
+
 (* A function returning a fresh ref is not a mutable global... *)
 let fresh_counter () = ref 0
 

@@ -295,6 +295,22 @@ let test_compare_exact () =
   Alcotest.(check (list int)) "only the polymorphic compares fire" [ 1; 2 ]
     (lines_of "poly-compare" (analyze [ file "lib/kvsm/x.ml" source ]))
 
+let test_compare_boxed () =
+  let source =
+    "let a x y = x <> Some y\n\
+     let b x y = Stdlib.(=) (x, y) (1, 2)\n\
+     let c x = x >= `Tag 3\n\
+     let d x y = Int.max x y + max x y\n\
+     let e x = x = None\n\
+     let f x y = x == Some y\n\
+     let g (x : int) y = x < y\n\
+     let h ( = ) x y = x = Some y\n\
+     let i max x = max x 0\n"
+  in
+  Alcotest.(check (list int)) "boxed operands and untyped min/max fire"
+    [ 1; 2; 3; 4 ]
+    (lines_of "poly-compare" (analyze [ file "lib/kvsm/x.ml" source ]))
+
 let test_hot_and_binding () =
   let fs =
     analyze
@@ -405,6 +421,7 @@ let tests =
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
     Alcotest.test_case "stdlib-exit-exact" `Quick test_exit_exact;
     Alcotest.test_case "poly-compare-exact" `Quick test_compare_exact;
+    Alcotest.test_case "poly-compare-boxed" `Quick test_compare_boxed;
     Alcotest.test_case "hot-and-binding" `Quick test_hot_and_binding;
     Alcotest.test_case "hot-unparenthesized-lambda" `Quick
       test_hot_unparenthesized_lambda;
