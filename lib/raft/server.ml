@@ -53,10 +53,10 @@ type membership = {
 }
 
 (* The live configuration's roles as an open-addressing table of at
-   least twice as many slots as members, rebuilt by [set_current]: the
-   per-heartbeat membership and voter checks probe it with int compares,
-   where [Node_id.Set.mem] walks a tree through the functor's comparator.
-   A slot holds [id * 2 + 1] for a voter, [id * 2] for a learner, or -1.
+   least twice as many slots as members: the leader's per-heartbeat
+   membership and voter checks probe it with int compares, where
+   [Node_id.Set.mem] walks a tree through the functor's comparator.  A
+   slot holds [id * 2 + 1] for a voter, [id * 2] for a learner, or -1.
    Ids are small and mostly consecutive, so with the mask as hash nearly
    every probe ends at its first slot.  [Node_id.Set] stays the canonical
    membership; this is a cache of it, O(members) in size. *)
@@ -70,10 +70,10 @@ module Roles = struct
     if v = absent || v lsr 1 = id then v
     else probe slots mask id ((i + 1) land mask)
 
-  (* The slot of [id], or -1. *)
+  (* The slot of [id], or -1 (always, in the empty table). *)
   let find slots id =
     let mask = Array.length slots - 1 in
-    probe slots mask id (id land mask)
+    if mask < 0 then absent else probe slots mask id (id land mask)
 
   let rec pow2_above n size = if size >= n then size else pow2_above n (2 * size)
 
@@ -177,7 +177,10 @@ type t = {
          effective as soon as appended (dissertation §4.1) *)
   mutable others : Node_id.t list;
       (* [current.m_order] minus self, cached for the hot paths *)
-  mutable roles : Roles.t;  (* [current]'s roles, cached by [set_current] *)
+  mutable roles : Roles.t;
+      (* [current]'s roles while leader, empty otherwise: only a leader
+         checks membership per heartbeat, so a group holds one table
+         rather than one per server *)
   mutable self_voter : bool;
   mutable voter_count : int;
   mutable latest_config_index : Types.index;
@@ -272,17 +275,31 @@ let apply_change m = function
         m_order = List.filter (fun x -> not (Node_id.equal x n)) m.m_order;
       }
 
+(* Called whenever [current] or the role changes. *)
+let refresh_roles t =
+  t.roles <-
+    (if Types.is_leader t.role then Roles.of_membership t.current else [||])
+
 let set_current t m =
   t.current <- m;
   t.others <- List.filter (fun n -> not (Node_id.equal n t.id)) m.m_order;
-  t.roles <- Roles.of_membership m;
-  t.self_voter <- Roles.is_voter t.roles t.id;
+  t.self_voter <- Node_id.Set.mem t.id m.m_voters;
   t.voter_count <- Node_id.Set.cardinal m.m_voters;
-  t.quorum <- (t.voter_count / 2) + 1
+  t.quorum <- (t.voter_count / 2) + 1;
+  refresh_roles t
 
-let is_voter_id t n = Roles.is_voter t.roles n
-let is_member t n = Roles.mem t.roles n
-let is_learner t n = Roles.is_learner t.roles n
+let is_voter_id t n =
+  if Types.is_leader t.role then Roles.is_voter t.roles n
+  else Node_id.Set.mem n t.current.m_voters
+
+let is_member t n =
+  if Types.is_leader t.role then Roles.mem t.roles n
+  else member_of t.current n
+
+let is_learner t n =
+  if Types.is_leader t.role then Roles.is_learner t.roles n
+  else Node_id.Set.mem n t.current.m_learners
+
 let self_is_voter t = t.self_voter
 let self_weight t = if t.self_voter then 1 else 0
 
@@ -380,7 +397,7 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       base;
       current = base;
       others = [];
-      roles = [| Roles.absent |];
+      roles = [||];
       self_voter = false;
       voter_count = 0;
       latest_config_index = 0;
@@ -596,6 +613,7 @@ let arm_election t ctx =
 let set_role t ctx role =
   if not (Types.equal_role t.role role) then begin
     t.role <- role;
+    refresh_roles t;
     emit ctx (Probe (Probe.Role_change { id = t.id; role; term = t.term }))
   end
 
