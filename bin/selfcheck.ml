@@ -357,7 +357,7 @@ let perf_table () =
       Digest
         ( "3a819493db80435d",
           fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
-    ("fig4 plan", per_event fig4 46.39);
+    ("fig4 plan", per_event fig4 46.46);
     ( "multiraft seed=11 groups=4 rates=500,1000 digest",
       Digest
         ( "536b7e1522590f1d",
@@ -387,11 +387,11 @@ let perf_table () =
   @ [
       ( "steady-state cluster",
         Budget
-          (ratchet 29.90, "words/event", fun () ->
+          (ratchet 30.08, "words/event", fun () ->
             Bench_loops.cluster_words_per_event ()) );
       ( "steady-state cluster, forensics on",
         Budget
-          (ratchet 30.92, "words/event", fun () ->
+          (ratchet 31.10, "words/event", fun () ->
             Bench_loops.cluster_words_per_event
               ~forensics:(Raft.Forensics.create ())
               ()) );
