@@ -66,6 +66,55 @@ let make_heartbeat_loop () =
     release_sends pool
       (Raft.Server.handle follower ~now:(Des.Time.ms (!i + 50)) event)
 
+let from_peer p m =
+  Raft.Server.Message { from = Netsim.Node_id.of_int p; msg = m }
+
+(* Node 0 of a 5-node cluster, brought to power at [now] by feeding the
+   vote flow by hand: its timeout, then pre-votes and votes from peers 1
+   and 2. *)
+let elected_leader ~config ~seed ~now =
+  let leader =
+    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+      ~peers:(List.tl (Netsim.Node_id.range 5))
+      ~config
+      ~rng:(Stats.Rng.create ~seed ())
+      ()
+  in
+  ignore (Raft.Server.start leader);
+  ignore (Raft.Server.handle leader ~now Raft.Server.Election_timeout_fired);
+  List.iter
+    (fun pre ->
+      List.iter
+        (fun p ->
+          ignore
+            (Raft.Server.handle leader ~now
+               (from_peer p
+                  (Raft.Rpc.Vote_response
+                     { term = 1; granted = true; pre_vote = pre }))))
+        [ 1; 2 ])
+    [ true; false ];
+  assert (Raft.Types.is_leader (Raft.Server.role leader));
+  leader
+
+(* Every follower acknowledges the leader's no-op, so heartbeat
+   responses trigger no catch-up sends. *)
+let ack_noop leader ~now =
+  List.iter
+    (fun p ->
+      ignore
+        (Raft.Server.handle leader ~now
+           (from_peer p
+              (Raft.Rpc.Append_response
+                 {
+                   term = 1;
+                   success = true;
+                   match_index = 1;
+                   conflict_hint = 0;
+                   req_prev = 0;
+                   ap_gen = 0;
+                 }))))
+    [ 1; 2; 3; 4 ]
+
 (* The follower's tuner on one heartbeat: the observation, then the Et,
    h and K queries that re-arm the timer and fill the response.  Every
    tenth id is skipped (10% loss, so K > 1 and the log formula runs) and
@@ -73,7 +122,9 @@ let make_heartbeat_loop () =
    fresh sample and recomputes every derived value. *)
 let make_tuner_loop () =
   let tuner = Dynatune.Tuner.create Dynatune.Config.default in
-  let rtts = Array.init 7 (fun k -> Some (Des.Time.us (100_000 + (1_337 * k)))) in
+  let rtts =
+    Array.init 7 (fun k -> Some (Des.Time.us (100_000 + (1_337 * k))))
+  in
   let id = ref 0 in
   let beat () =
     incr id;
@@ -97,46 +148,11 @@ let make_tuner_loop () =
    with its no-op acknowledged; the response is a gen-0 record replayed
    with the heartbeat's send time. *)
 let make_leader_heartbeat_loop () =
-  let config = Raft.Config.dynatune () in
-  let rng = Stats.Rng.create ~seed:7L () in
-  let leader =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
-      ~peers:(List.tl (Netsim.Node_id.range 5))
-      ~config ~rng ()
-  in
-  let from_peer p m =
-    Raft.Server.Message { from = Netsim.Node_id.of_int p; msg = m }
-  in
   let now = Des.Time.zero in
-  ignore (Raft.Server.start leader);
-  ignore (Raft.Server.handle leader ~now Raft.Server.Election_timeout_fired);
-  List.iter
-    (fun pre ->
-      List.iter
-        (fun p ->
-          ignore
-            (Raft.Server.handle leader ~now
-               (from_peer p
-                  (Raft.Rpc.Vote_response
-                     { term = 1; granted = true; pre_vote = pre }))))
-        [ 1; 2 ])
-    [ true; false ];
-  assert (Raft.Types.is_leader (Raft.Server.role leader));
-  List.iter
-    (fun p ->
-      ignore
-        (Raft.Server.handle leader ~now
-           (from_peer p
-              (Raft.Rpc.Append_response
-                 {
-                   term = 1;
-                   success = true;
-                   match_index = 1;
-                   conflict_hint = 0;
-                   req_prev = 0;
-                   ap_gen = 0;
-                 }))))
-    [ 1; 2; 3; 4 ];
+  let leader =
+    elected_leader ~config:(Raft.Config.dynatune ()) ~seed:7L ~now
+  in
+  ack_noop leader ~now;
   let pool = Raft.Server.pool leader in
   let peer = Netsim.Node_id.of_int 1 in
   let due = Raft.Server.Heartbeat_due peer in
@@ -171,30 +187,8 @@ let make_leader_append_loop () =
     Raft.Config.with_replication ~max_entries_per_append:64
       (Raft.Config.static ())
   in
-  let rng = Stats.Rng.create ~seed:2L () in
-  let leader =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
-      ~peers:(List.tl (Netsim.Node_id.range 5))
-      ~config ~rng ()
-  in
   let now = Des.Time.ms 1000 in
-  let from_peer p m =
-    Raft.Server.Message { from = Netsim.Node_id.of_int p; msg = m }
-  in
-  ignore (Raft.Server.start leader);
-  ignore (Raft.Server.handle leader ~now Raft.Server.Election_timeout_fired);
-  List.iter
-    (fun pre ->
-      List.iter
-        (fun p ->
-          ignore
-            (Raft.Server.handle leader ~now
-               (from_peer p
-                  (Raft.Rpc.Vote_response
-                     { term = 1; granted = true; pre_vote = pre }))))
-        [ 1; 2 ])
-    [ true; false ];
-  assert (Raft.Types.is_leader (Raft.Server.role leader));
+  let leader = elected_leader ~config ~seed:2L ~now in
   for seq = 1 to 500 do
     ignore
       (Raft.Server.handle leader ~now
@@ -225,46 +219,9 @@ let make_leader_append_loop () =
    leader's own vote that is a quorum of 3, serving exactly that read.
    The echoes are gen-0 records replayed with a new timestamp. *)
 let make_read_index_loop () =
-  let config = Raft.Config.static () in
-  let rng = Stats.Rng.create ~seed:6L () in
-  let leader =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
-      ~peers:(List.tl (Netsim.Node_id.range 5))
-      ~config ~rng ()
-  in
-  let from_peer p m =
-    Raft.Server.Message { from = Netsim.Node_id.of_int p; msg = m }
-  in
   let now = Des.Time.zero in
-  ignore (Raft.Server.start leader);
-  ignore (Raft.Server.handle leader ~now Raft.Server.Election_timeout_fired);
-  List.iter
-    (fun pre ->
-      List.iter
-        (fun p ->
-          ignore
-            (Raft.Server.handle leader ~now
-               (from_peer p
-                  (Raft.Rpc.Vote_response
-                     { term = 1; granted = true; pre_vote = pre }))))
-        [ 1; 2 ])
-    [ true; false ];
-  assert (Raft.Types.is_leader (Raft.Server.role leader));
-  List.iter
-    (fun p ->
-      ignore
-        (Raft.Server.handle leader ~now
-           (from_peer p
-              (Raft.Rpc.Append_response
-                 {
-                   term = 1;
-                   success = true;
-                   match_index = 1;
-                   conflict_hint = 0;
-                   req_prev = 0;
-                   ap_gen = 0;
-                 }))))
-    [ 1; 2; 3; 4 ];
+  let leader = elected_leader ~config:(Raft.Config.static ()) ~seed:6L ~now in
+  ack_noop leader ~now;
   let pool = Raft.Server.pool leader in
   let i = ref 0 in
   let read () =

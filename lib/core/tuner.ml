@@ -98,6 +98,7 @@ let compute_required_heartbeats t ~et =
   match phase t with
   | Warming -> 1
   | Tuned ->
+      (* Not [loss_rate t]: its float result would be boxed. *)
       let p = Loss_estimator.loss_rate t.loss in
       let k = required_heartbeats_for ~p ~x:t.config.arrival_probability in
       (* K beyond Et / min_h cannot be honoured; clamp so h stays above

@@ -40,7 +40,9 @@ let run_ramp ~engine ~target ?route ~rates ~hold ?(client_rtt = 0) () =
     rates
 
 let peak_throughput reports =
-  List.fold_left (fun acc r -> if acc >= r.throughput_rps then acc else r.throughput_rps) 0. reports
+  List.fold_left
+    (fun acc r -> if acc >= r.throughput_rps then acc else r.throughput_rps)
+    0. reports
 
 let saturation_rate reports =
   List.find_map

@@ -75,7 +75,8 @@ module Roles = struct
     let mask = Array.length slots - 1 in
     if mask < 0 then absent else probe slots mask id (id land mask)
 
-  let rec pow2_above n size = if size >= n then size else pow2_above n (2 * size)
+  let rec pow2_above n size =
+    if size >= n then size else pow2_above n (2 * size)
 
   let of_membership m =
     let n =

@@ -176,7 +176,8 @@ let list_size_sweep ?(jobs = 1) () =
             {
               cfg with
               Dynatune.Config.min_list_size;
-              max_list_size = Int.max min_list_size cfg.Dynatune.Config.max_list_size;
+              max_list_size =
+                Int.max min_list_size cfg.Dynatune.Config.max_list_size;
             })
       in
       let step_at = Des.Time.sec 120 in

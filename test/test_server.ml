@@ -855,7 +855,9 @@ let run_quorum_script name script =
           let voters = List.map Node_id.to_int (Server.voters s) in
           let self = if List.mem 0 voters then 1 else 0 in
           let heard = List.filter (fun p -> List.mem p voters) !acks in
-          let model = self + List.length heard >= (List.length voters / 2) + 1 in
+          let model =
+            self + List.length heard >= (List.length voters / 2) + 1
+          in
           Alcotest.(check bool) (what ^ ": set rule") expected model;
           ignore (Server.handle s ~now:(tick ()) Server.Quorum_check_due);
           Alcotest.(check bool) (what ^ ": leader after the check") expected

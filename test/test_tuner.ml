@@ -458,7 +458,8 @@ let same_tuner i tuner reference =
       QCheck.Test.fail_reportf "step %d: %s %h <> %h" i what a b
   in
   ints "Et" (Tuner.election_timeout tuner) (Ref.election_timeout reference);
-  ints "K" (Tuner.required_heartbeats tuner) (Ref.required_heartbeats reference);
+  ints "K" (Tuner.required_heartbeats tuner)
+    (Ref.required_heartbeats reference);
   ints "h" (Tuner.heartbeat_interval tuner) (Ref.heartbeat_interval reference);
   bits "loss_rate" (Tuner.loss_rate tuner) (Ref.loss_rate reference);
   ints "rtt_mean" (Tuner.rtt_mean tuner) (Ref.rtt_mean reference);
