@@ -6,7 +6,9 @@
       [obj-magic], [poly-compare], [direct-print] (lib/ minus
       [scenarios/report.ml]), [stdlib-exit], [raw-fabric-send]
       (lib/raft/ minus [replication.*]).  An unqualified name bound by
-      an enclosing pattern is a local and never fires.
+      an enclosing pattern is a local and never fires.  [poly-compare]
+      also fires on [=], [<>], [<], [>], [<=], [>=] with an operand
+      that is a constructor with a payload or a tuple literal.
     - [mutable-global]: a module-level binding in lib/raft/ that
       {!Shared_state.mutable_bindings} classifies as mutable.
     - [hot-alloc]: a [[@hot]]/[[@@hot]] binding whose body, below its

@@ -66,14 +66,14 @@ module Roles = struct
   let absent = -1
 
   let rec probe slots mask id i =
-    let v = Array.unsafe_get slots i in
+    let v = slots.(i) in
     if v = absent || v lsr 1 = id then v
     else probe slots mask id ((i + 1) land mask)
 
-  (* The slot of [id], or -1 (always, in the empty table). *)
+  (* The slot of [id], or -1. *)
   let find slots id =
     let mask = Array.length slots - 1 in
-    if mask < 0 then absent else probe slots mask id (id land mask)
+    probe slots mask id (id land mask)
 
   let rec pow2_above n size =
     if size >= n then size else pow2_above n (2 * size)
