@@ -44,10 +44,7 @@ let length t = t.count
 let warmed_up t = t.count >= t.min_samples
 let mean t = Des.Time.of_ms_f t.est.srtt
 let deviation t = Des.Time.of_ms_f t.est.rttvar
-let tuned_timeout t ~s = Des.Time.of_ms_f (t.est.srtt +. (s *. t.est.rttvar))
-
-let election_timeout t ~s =
-  if not (warmed_up t) then None else Some (tuned_timeout t ~s)
+let election_timeout t ~s = Des.Time.of_ms_f (t.est.srtt +. (s *. t.est.rttvar))
 
 let clear t =
   t.est.srtt <- 0.;

@@ -31,11 +31,8 @@ val mean : t -> Des.Time.span
 val deviation : t -> Des.Time.span
 (** Smoothed mean absolute deviation (the [rttvar] term). *)
 
-val election_timeout : t -> s:float -> Des.Time.span option
-(** [srtt + s·rttvar], or [None] until warmed up. *)
-
-val tuned_timeout : t -> s:float -> Des.Time.span
-(** [srtt + s·rttvar] whether warmed up or not, with no option to
-    allocate: the tuner asks only once warmed up. *)
+val election_timeout : t -> s:float -> Des.Time.span
+(** [srtt + s·rttvar], whether warmed up or not: callers check
+    {!warmed_up} first. *)
 
 val clear : t -> unit

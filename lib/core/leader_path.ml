@@ -2,7 +2,7 @@ type t = {
   config : Config.t;
   mutable next_id : int;
   mutable pending_rtt : Des.Time.span option;
-  mutable last_rtt : Des.Time.span;  (* -1 before the first measurement *)
+  mutable last_rtt : Des.Time.span option;
   mutable interval : Des.Time.span;
 }
 
@@ -11,7 +11,7 @@ let create (config : Config.t) =
     config;
     next_id = 0;
     pending_rtt = None;
-    last_rtt = -1;
+    last_rtt = None;
     interval = config.default_heartbeat_interval;
   }
 
@@ -29,8 +29,9 @@ let take_rtt t =
 
 let on_response t ~now ~echo_sent_at ~tuned_h =
   if echo_sent_at <= now then begin
-    let rtt = Des.Time.diff now echo_sent_at in
-    t.pending_rtt <- Some rtt;
+    (* One box for both fields: it is immutable. *)
+    let rtt = Some (Des.Time.diff now echo_sent_at) in
+    t.pending_rtt <- rtt;
     t.last_rtt <- rtt
   end;
   match tuned_h with
@@ -40,11 +41,11 @@ let on_response t ~now ~echo_sent_at ~tuned_h =
   | None -> ()
 
 let interval t = t.interval
-let last_rtt t = if t.last_rtt < 0 then None else Some t.last_rtt
+let last_rtt t = t.last_rtt
 let sent_count t = t.next_id
 
 let reset t =
   t.next_id <- 0;
   t.pending_rtt <- None;
-  t.last_rtt <- -1;
+  t.last_rtt <- None;
   t.interval <- t.config.default_heartbeat_interval

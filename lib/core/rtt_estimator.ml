@@ -15,9 +15,6 @@ let[@inline] mean_ms t = Stats.Window.mean t.window
 let[@inline] std_ms t = Stats.Window.std t.window
 let mean t = Des.Time.of_ms_f (mean_ms t)
 let std t = Des.Time.of_ms_f (std_ms t)
-let tuned_timeout t ~s = Des.Time.of_ms_f (mean_ms t +. (s *. std_ms t))
-
-let election_timeout t ~s =
-  if not (warmed_up t) then None else Some (tuned_timeout t ~s)
+let election_timeout t ~s = Des.Time.of_ms_f (mean_ms t +. (s *. std_ms t))
 
 let clear t = Stats.Window.clear t.window

@@ -28,12 +28,10 @@ val std : t -> Des.Time.span
 val mean_ms : t -> float
 val std_ms : t -> float
 
-val election_timeout : t -> s:float -> Des.Time.span option
-(** [μ + s·σ], or [None] until warmed up. *)
-
-val tuned_timeout : t -> s:float -> Des.Time.span
-(** [μ + s·σ] whether warmed up or not, with no option to allocate: the
-    tuner asks only once warmed up. *)
+val election_timeout : t -> s:float -> Des.Time.span
+(** [μ + s·σ] over the samples held, whether warmed up or not: callers
+    check {!warmed_up} first.  No option, so the tuner's per-heartbeat
+    refresh allocates nothing. *)
 
 val clear : t -> unit
 (** Discard all samples (leader change / timer expiry fallback). *)

@@ -57,11 +57,11 @@ let rtt_observe t sample =
   | Window w -> Rtt_estimator.observe w sample
   | Smoothed e -> Ewma_estimator.observe e sample
 
-(* Only asked once the estimator is warmed up, so no option is built. *)
+(* Only asked once the estimator is warmed up. *)
 let rtt_et t ~s =
   match t.rtt with
-  | Window w -> Rtt_estimator.tuned_timeout w ~s
-  | Smoothed e -> Ewma_estimator.tuned_timeout e ~s
+  | Window w -> Rtt_estimator.election_timeout w ~s
+  | Smoothed e -> Ewma_estimator.election_timeout e ~s
 
 let phase t =
   if rtt_warmed t && Loss_estimator.warmed_up t.loss then Tuned else Warming

@@ -293,14 +293,6 @@ let is_voter_id t n =
   if Types.is_leader t.role then Roles.is_voter t.roles n
   else Node_id.Set.mem n t.current.m_voters
 
-let is_member t n =
-  if Types.is_leader t.role then Roles.mem t.roles n
-  else member_of t.current n
-
-let is_learner t n =
-  if Types.is_leader t.role then Roles.is_learner t.roles n
-  else Node_id.Set.mem n t.current.m_learners
-
 let self_is_voter t = t.self_voter
 let self_weight t = if t.self_voter then 1 else 0
 
@@ -1211,7 +1203,7 @@ let follower_advance_commit t ctx ~leader_commit =
 let maybe_promote_learner t ctx from =
   if
     Types.is_leader t.role
-    && is_learner t from
+    && Roles.is_learner t.roles from
     && t.latest_config_index <= t.commit_index
     && (not (Option.is_some t.transfer))
     && Progress.match_index (progress_of t from)
@@ -1708,7 +1700,7 @@ let handle t ~now event =
   | Heartbeat_due peer ->
       if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
-        if is_member t peer then begin
+        if Roles.mem t.roles peer then begin
           let interval = Dynatune.Leader_path.interval (path t peer) in
           if not (heartbeat_suppressed t ctx peer ~interval) then
             send_heartbeat t ctx ~now peer;

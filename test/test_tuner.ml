@@ -41,7 +41,9 @@ let test_rtt_warmup_threshold () =
   Rtt.observe r (Time.ms 10);
   Rtt.observe r (Time.ms 12);
   Alcotest.(check bool) "not warm at 2" false (Rtt.warmed_up r);
-  Alcotest.(check (option int)) "no Et before warm" None
+  (* Before warm-up Et is still the formula over the samples held
+     (mean 11ms, std 1ms); warmed_up is what tells callers to ignore it. *)
+  check_ms "Et over the samples held" (Time.ms 13)
     (Rtt.election_timeout r ~s:2.);
   Rtt.observe r (Time.ms 14);
   Alcotest.(check bool) "warm at 3" true (Rtt.warmed_up r)
@@ -51,12 +53,9 @@ let test_rtt_election_timeout_formula () =
   Rtt.observe r (Time.ms 100);
   Rtt.observe r (Time.ms 140);
   (* mean = 120ms, population std = 20ms, s = 2 -> 160ms *)
-  (match Rtt.election_timeout r ~s:2. with
-  | Some et -> check_ms "mu + 2 sigma" (Time.ms 160) et
-  | None -> Alcotest.fail "warmed up");
-  match Rtt.election_timeout r ~s:0. with
-  | Some et -> check_ms "s=0 gives mean" (Time.ms 120) et
-  | None -> Alcotest.fail "warmed up"
+  Alcotest.(check bool) "warmed up" true (Rtt.warmed_up r);
+  check_ms "mu + 2 sigma" (Time.ms 160) (Rtt.election_timeout r ~s:2.);
+  check_ms "s=0 gives mean" (Time.ms 120) (Rtt.election_timeout r ~s:0.)
 
 let test_rtt_window_slides () =
   let r = Rtt.create ~min_size:2 ~max_size:3 in
@@ -285,7 +284,8 @@ let test_ewma_warmup_and_clear () =
   Ewma.observe e (Time.ms 10);
   Ewma.observe e (Time.ms 10);
   Alcotest.(check bool) "not warm at 2" false (Ewma.warmed_up e);
-  Alcotest.(check (option int)) "no Et before warm" None
+  (* srtt 10ms, rttvar 0.75 * 5ms: Et is the formula before warm-up too. *)
+  check_ms "Et over the samples held" (Time.of_ms_f 17.5)
     (Ewma.election_timeout e ~s:2.);
   Ewma.observe e (Time.ms 10);
   Alcotest.(check bool) "warm at 3" true (Ewma.warmed_up e);
