@@ -7,8 +7,6 @@
                          to banned ambient effects, through wrappers
      shared-state        top-level mutable values in modules reachable
                          from domain-spawned closures
-     protocol-wildcard   catch-all arms in matches over [@@protocol]
-                         variant constructors
      parse-error         a file the frontend cannot parse
      wall-clock, global-rng, obj-magic, poly-compare, direct-print,
      stdlib-exit, raw-fabric-send, mutable-global, hot-alloc
@@ -16,6 +14,9 @@
                          discipline.ml); lib/ only
      unset-optional      a ?label on a lib/**/*.mli value that no call
                          outside its own module passes
+
+   Catch-all match arms are not a rule here: fragile-match (warning 4)
+   is a build error in lib/ and bin/.
 
    Usage:
      analyze.exe [--allow FILE] [--callers DIR]... [--exclude DIR]... DIR...

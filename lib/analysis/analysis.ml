@@ -7,7 +7,6 @@ module Source = Source
 module Callgraph = Callgraph
 module Effects = Effects
 module Shared_state = Shared_state
-module Exhaustive = Exhaustive
 module Discipline = Discipline
 module Unset_optional = Unset_optional
 module Driver = Driver

@@ -37,9 +37,6 @@ val value_key : value -> string
 val display : value -> string
 (** ["Raft.Server.tick"]-style name for reports. *)
 
-val init_name : string
-(** The pooled module-initialization node name, ["(init)"]. *)
-
 val build : Source.t list -> t
 
 val lookup : t -> path:string -> name:string -> value option

@@ -61,9 +61,6 @@ let rules =
       "top-level mutable value in a module reachable from closures handed \
        to Parallel.Pool/Campaign or Domain.spawn (campaign domains would \
        share it)" );
-    ( "protocol-wildcard",
-      "catch-all arm in a match over [@@protocol] variant constructors \
-       (growing the protocol would be silently swallowed)" );
     (Unset_optional.rule, Unset_optional.doc);
   ]
   @ Discipline.rules
@@ -99,7 +96,6 @@ let analyze ?config ~callers files =
     List.concat_map parse_findings sources
     @ Effects.findings ~entry_dirs:config.entry_dirs cg
     @ Shared_state.findings cg sources
-    @ Exhaustive.findings sources
     @ Discipline.findings sources
     (* A graph of its own: caller modules must not change how the other
        rules resolve lib/ and bin/ names. *)

@@ -10,14 +10,6 @@ type config = {
   allow : Finding.allow;
 }
 
-val default_libraries : (string * string) list
-(** This repository's layout: [lib/core] -> [Dynatune], [lib/cluster]
-    -> [Harness], every other [lib/<d>] -> capitalized [<d>]. *)
-
-val default_entry_dirs : string list
-(** [lib/des/], [lib/raft/], [lib/parallel/], [lib/multiraft/] and the
-    cause and recorder modules of [lib/telemetry]. *)
-
 val default_config : ?allow:Finding.allow -> unit -> config
 
 val rules : (string * string) list

@@ -8,13 +8,6 @@
 
 val rule : string
 
-val spawn_function : string list -> bool
-(** Is this identifier one of the domain-spawning entry points? *)
-
-val mutable_ctor : string list -> bool
-(** Does this identifier allocate mutable state ([ref],
-    [Hashtbl.create], [Array.make], [Atomic.make], ...)? *)
-
 type binding = {
   bpath : string;
   bname : string;  (** ["x"], or ["Sub.x"] inside [module Sub = struct] *)

@@ -13,8 +13,6 @@ type t = {
   kind : kind;
 }
 
-val modname_of_path : string -> string
-
 val parse : library:string -> path:string -> string -> t
 (** Parse [.ml] as a structure, [.mli] as a signature.  Never raises on
     bad input: syntax and lexing failures yield [Broken]. *)

@@ -251,7 +251,9 @@ let on_probe t time probe =
             "second leader elected in term %d: %a was already leader" term
             Node_id.pp other
       | Some _ | None -> Hashtbl.replace t.leaders_by_term term id)
-  | Raft.Probe.Role_change _ | Raft.Probe.Timeout_expired _
+  | Raft.Probe.Role_change
+      { role = Types.Follower | Types.Pre_candidate | Types.Candidate; _ }
+  | Raft.Probe.Timeout_expired _
   | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
   | Raft.Probe.Tuner_decision _ | Raft.Probe.Election_started _
   | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
@@ -440,7 +442,7 @@ let check_node t ~max_term tr =
     for i = commit + 1 to last do
       match v.entry_at i with
       | Some { Log.command = Log.Config _; _ } -> incr pending
-      | Some _ | None -> ()
+      | Some { Log.command = Log.Noop | Log.Data _; _ } | None -> ()
     done;
     if !pending > 1 then
       fail t ~invariant:"single-pending-config" ~node:v.id ~term

@@ -103,7 +103,9 @@ let attach_probe_counters ~scope telemetry trace =
         | Raft.Probe.Role_change { role = Raft.Types.Leader; _ } ->
             Telemetry.Metrics.Counter.incr h.c_leader_wins;
             Telemetry.Metrics.Counter.incr c_leader_changes
-        | Raft.Probe.Role_change _ | Raft.Probe.Node_paused _
+        | Raft.Probe.Role_change
+            { role = Raft.Types.(Follower | Pre_candidate | Candidate); _ }
+        | Raft.Probe.Node_paused _
         | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
         | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
             ())
@@ -195,7 +197,11 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
   Des.Mtrace.subscribe trace (fun time probe ->
       match probe with
       | Raft.Probe.Tuner_decision _ -> ()
-      | _ ->
+      | Raft.Probe.Role_change _ | Raft.Probe.Timeout_expired _
+      | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
+      | Raft.Probe.Election_started _ | Raft.Probe.Node_paused _
+      | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
+      | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
           Check.Digest.feed_int digest time;
           Buffer.clear rendered;
           Raft.Probe.add_to_buffer rendered probe;

@@ -80,9 +80,6 @@ val slot_node_deliver : int
 val slot_node_work : int
 (** {!cached_op} slot owned by [Raft.Node]'s client-request handler. *)
 
-val n_cached_slots : int
-(** Number of {!cached_op} slots ([slot] must be below this). *)
-
 val schedule_op_at : t -> Time.t -> ('a, 'b) op -> 'a -> 'b -> int -> unit
 (** Opcode form of {!schedule_at}: fire [op]'s handler with the given
     operands.  Returns no handle (the common case never cancels);

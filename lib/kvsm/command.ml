@@ -3,9 +3,6 @@ type t =
   | Get of string
   | Delete of string
   | Cas of { key : string; expect : string option; value : string }
-[@@protocol]
-(* [@@protocol]: matches over these constructors may not use a
-   catch-all arm (bin/analyze.exe, protocol-wildcard rule). *)
 
 let equal a b =
   match (a, b) with

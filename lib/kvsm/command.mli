@@ -13,9 +13,6 @@ type t =
   | Cas of { key : string; expect : string option; value : string }
       (** compare-and-swap: succeeds iff the current value equals
           [expect] ([None] = key absent) *)
-[@@protocol]
-(** [[@@protocol]]: matches over these constructors may not use a
-    catch-all arm (bin/analyze.exe, protocol-wildcard rule). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ module Node_id = Netsim.Node_id
 type request =
   | Write of { key : string; value : string }
   | Read of { key : string }
-[@@protocol]
 
 type response = Committed | Value of string option | Failed
 

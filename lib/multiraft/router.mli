@@ -9,10 +9,7 @@
 type request =
   | Write of { key : string; value : string }
   | Read of { key : string }
-[@@protocol]
-(** The front-door protocol.  [[@@protocol]]: matches over these
-    constructors may not use a catch-all arm (bin/analyze.exe,
-    protocol-wildcard rule). *)
+(** The front-door protocol. *)
 
 type response =
   | Committed  (** the write committed *)

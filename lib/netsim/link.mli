@@ -26,9 +26,6 @@ val conditions : t -> Conditions.t
 val counters : t -> counters
 (** The link's live counter record (not a copy). *)
 
-val profile_now : t -> Conditions.profile
-(** The profile in force at the current simulation time. *)
-
 type outcome =
   | Lost
   | Delivered of Des.Time.span  (** one-way latency *)

@@ -2,13 +2,13 @@ type change =
   | Add_learner of Netsim.Node_id.t
   | Promote of Netsim.Node_id.t
   | Remove of Netsim.Node_id.t
-[@@deriving show, eq] [@@protocol]
+[@@deriving show, eq]
 
 type command =
   | Noop
   | Data of { payload : string; client_id : int; seq : int }
   | Config of change
-[@@deriving show, eq] [@@protocol]
+[@@deriving show, eq]
 
 type entry = { term : Types.term; index : Types.index; command : command }
 [@@deriving show, eq]

@@ -15,19 +15,17 @@ type change =
       (** join as a non-voting learner that receives replication only *)
   | Promote of Netsim.Node_id.t  (** grant a caught-up learner its vote *)
   | Remove of Netsim.Node_id.t  (** drop a voter or learner entirely *)
-[@@deriving show, eq] [@@protocol]
+[@@deriving show, eq]
 (** A single-server membership change (Raft dissertation §4): each entry
     alters the configuration by exactly one server, which keeps the
-    quorums of consecutive configurations overlapping.  [[@@protocol]]:
-    matches over these constructors may not use a catch-all arm
-    (bin/analyze.exe, protocol-wildcard). *)
+    quorums of consecutive configurations overlapping. *)
 
 type command =
   | Noop  (** the empty entry a new leader commits to establish its term *)
   | Data of { payload : string; client_id : int; seq : int }
   | Config of change
       (** a membership change, effective as soon as it is {e appended} *)
-[@@deriving show, eq] [@@protocol]
+[@@deriving show, eq]
 
 type entry = { term : Types.term; index : Types.index; command : command }
 [@@deriving show, eq]

@@ -222,7 +222,11 @@ let deliver t msg src =
     | Server.Message m ->
         m.from <- Node_id.of_int src;
         m.msg <- msg
-    | _ -> assert false);
+    | Server.Election_timeout_fired | Server.Heartbeat_due _
+    | Server.Broadcast_due | Server.Quorum_check_due | Server.Flush_due
+    | Server.Propose _ | Server.Read _ | Server.Transfer_leadership _
+    | Server.Snapshot_ready _ | Server.Restarted ->
+        assert false);
     dispatch t t.scratch
   end
 

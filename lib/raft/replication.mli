@@ -6,15 +6,6 @@
     queued replication bursts.  The analyzer's [raw-fabric-send] rule
     keeps every other module in [lib/raft] from sending directly. *)
 
-val lane_of : Rpc.message -> Netsim.Transport.lane
-(** [Bulk] for payload-bearing transfers (entry-carrying AppendEntries,
-    InstallSnapshot); [Urgent] for everything else, including the empty
-    consistency probes. *)
-
-val wire_units : Rpc.message -> int
-(** Serialization units: 1 per frame plus 1 per entry carried (snapshot
-    payloads count in 256-byte frames). *)
-
 val transmit :
   Rpc.message Netsim.Fabric.t ->
   lanes:bool ->

@@ -75,10 +75,6 @@ type message =
   | Install_snapshot of install_snapshot
   | Install_snapshot_response of install_snapshot_response
   | Timeout_now of { term : Types.term }
-[@@protocol]
-(* The [@@protocol] mark feeds bin/analyze.exe's protocol-wildcard rule:
-   a match naming these constructors may not have a catch-all arm, so a
-   message kind added later cannot be silently dropped. *)
 
 let kind_name = function
   | Vote_request { pre_vote = true; _ } -> "prevote_req"
@@ -189,7 +185,7 @@ module Pool = struct
   (* Each allocator pops a dead record and overwrites every field (so
      [release] need not clear them) — or builds a fresh one at gen 1 if
      the pool is dry.  The popped constructor is guaranteed by which
-     stack it sits on; the protocol-wildcard rule still wants the other
+     stack it sits on; fragile-match (warning 4) still wants the other
      arms spelled out. *)
 
   let[@hot] heartbeat p ~term ~commit ~hb_id ~sent_at ~measured_rtt =

@@ -106,10 +106,6 @@ type message =
   | Timeout_now of { term : Types.term }
       (** leadership transfer: the leader orders the target to campaign
           immediately (skipping pre-vote and leases) *)
-[@@protocol]
-(** The [@@protocol] mark feeds [bin/analyze.exe]'s protocol-wildcard
-    rule: a match naming these constructors may not have a catch-all
-    arm, so a message kind added later cannot be silently dropped. *)
 
 val pp : Format.formatter -> message -> unit
 

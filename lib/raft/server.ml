@@ -306,7 +306,7 @@ let refresh_membership t =
       | Some { Log.command = Log.Config c; _ } ->
           m := apply_change !m c;
           latest := i
-      | Some _ | None -> ())
+      | Some { Log.command = Log.Noop | Log.Data _; _ } | None -> ())
     (Log.config_indices t.log);
   set_current t !m;
   t.latest_config_index <- latest.contents;
@@ -319,9 +319,9 @@ let fold_base t ~upto =
   List.iter
     (fun i ->
       match Log.entry_at t.log i with
-      | Some { Log.command = Log.Config c; _ } when i <= upto ->
-          m := apply_change !m c
-      | Some _ | None -> ())
+      | Some { Log.command = Log.Config c; _ } ->
+          if i <= upto then m := apply_change !m c
+      | Some { Log.command = Log.Noop | Log.Data _; _ } | None -> ())
     (Log.config_indices t.log);
   t.base <- m.contents
 
@@ -1353,6 +1353,15 @@ let note_leader_contact t ctx ~now ~from ~term =
 (* {2 Message handlers} *)
 
 let on_vote_request t ctx ~now ~from (req : Rpc.vote_request) =
+  let reply ~term ~granted ~pre_vote =
+    emit ctx
+      (Send
+         {
+           dst = from;
+           kind = Netsim.Transport.Reliable;
+           msg = Rpc.Vote_response { term; granted; pre_vote };
+         })
+  in
   if not (self_is_voter t) then begin
     (* A learner (or removed server) has no vote to give.  Adopt newer
        real terms so later messages are not mistaken for stale ones. *)
@@ -1360,15 +1369,7 @@ let on_vote_request t ctx ~now ~from (req : Rpc.vote_request) =
       t.term <- req.term;
       t.voted_for <- None
     end;
-    emit ctx
-      (Send
-         {
-           dst = from;
-           kind = Netsim.Transport.Reliable;
-           msg =
-             Rpc.Vote_response
-               { term = t.term; granted = false; pre_vote = req.pre_vote };
-         })
+    reply ~term:t.term ~granted:false ~pre_vote:req.pre_vote
   end
   else begin
   let log_ok =
@@ -1385,32 +1386,14 @@ let on_vote_request t ctx ~now ~from (req : Rpc.vote_request) =
   if req.pre_vote then begin
     let granted = req.term > t.term && log_ok && not lease_active in
     let term = if granted then req.term else t.term in
-    emit ctx
-      (Send
-         {
-           dst = from;
-           kind = Netsim.Transport.Reliable;
-           msg = Rpc.Vote_response { term; granted; pre_vote = true };
-         })
+    reply ~term ~granted ~pre_vote:true
   end
   else if req.term < t.term then
-    emit ctx
-      (Send
-         {
-           dst = from;
-           kind = Netsim.Transport.Reliable;
-           msg = Rpc.Vote_response { term = t.term; granted = false; pre_vote = false };
-         })
+    reply ~term:t.term ~granted:false ~pre_vote:false
   else if lease_active && req.term > t.term then
     (* Within the lease we ignore higher-term campaigns entirely (etcd's
        CheckQuorum behaviour): do not adopt the term, reject. *)
-    emit ctx
-      (Send
-         {
-           dst = from;
-           kind = Netsim.Transport.Reliable;
-           msg = Rpc.Vote_response { term = t.term; granted = false; pre_vote = false };
-         })
+    reply ~term:t.term ~granted:false ~pre_vote:false
   else begin
     if req.term > t.term then become_follower t ctx ~term:req.term ~leader:None;
     let can_vote =
@@ -1423,14 +1406,7 @@ let on_vote_request t ctx ~now ~from (req : Rpc.vote_request) =
       t.voted_for <- Some from;
       arm_election t ctx
     end;
-    emit ctx
-      (Send
-         {
-           dst = from;
-           kind = Netsim.Transport.Reliable;
-           msg =
-             Rpc.Vote_response { term = t.term; granted; pre_vote = false };
-         })
+    reply ~term:t.term ~granted ~pre_vote:false
   end
   end
 
@@ -1447,7 +1423,7 @@ let on_vote_response t ctx ~from (resp : Rpc.vote_response) =
     | Types.Candidate, false when resp.granted && resp.term = t.term ->
         if is_voter_id t from then t.votes <- Node_id.Set.add from t.votes;
         if Node_id.Set.cardinal t.votes >= t.quorum then become_leader t ctx
-    | _ -> ()
+    | Types.(Follower | Pre_candidate | Candidate | Leader), _ -> ()
 
 (* Top-level predicate: a per-call closure here would charge every
    follower append five words. *)

@@ -63,7 +63,9 @@ let analyze records =
             }
             :: !out
       | Forensics.Probe
-          ( Probe.Role_change _ | Probe.Timeout_expired _
+          ( Probe.Role_change
+              { role = Raft.Types.(Follower | Pre_candidate | Candidate); _ }
+          | Probe.Timeout_expired _
           | Probe.Election_started _ | Probe.Tuner_reset _
           | Probe.Pre_vote_aborted _ | Probe.Transfer_started _
           | Probe.Transfer_aborted _ | Probe.Config_change _ )

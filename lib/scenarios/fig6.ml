@@ -14,7 +14,7 @@ type series = {
 
 type pattern = Gradual | Radical
 
-let rtt_schedule pattern ~hold:_ =
+let rtt_schedule pattern =
   match pattern with
   | Gradual ->
       let up = List.init 16 (fun i -> 50. +. (10. *. float_of_int i)) in
@@ -24,7 +24,7 @@ let rtt_schedule pattern ~hold:_ =
 
 let run ?(seed = 11L) ?(hold = Des.Time.sec 60) ~pattern ~config () =
   let warmup = Des.Time.sec 30 in
-  let values = rtt_schedule pattern ~hold in
+  let values = rtt_schedule pattern in
   let jitter = 0.02 in
   (* Warm-up segment at the first RTT, then the staircase. *)
   let segments =

@@ -26,9 +26,6 @@ type series = {
 
 type pattern = Gradual | Radical
 
-val rtt_schedule : pattern -> hold:Des.Time.span -> float list
-(** The RTT step values of each pattern. *)
-
 val run :
   ?seed:int64 ->
   ?hold:Des.Time.span ->

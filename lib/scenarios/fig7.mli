@@ -21,9 +21,6 @@ type result = {
   timer_expiries : int;
 }
 
-val loss_schedule : float list
-(** 0, 5, 10, 15, 20, 25, 30, 25, 20, 15, 10, 5, 0 (percent). *)
-
 val run :
   ?seed:int64 ->
   ?hold:Des.Time.span ->

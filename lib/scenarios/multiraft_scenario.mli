@@ -30,7 +30,6 @@ type result = {
 }
 
 val default_rates : float list
-val default_group_counts : int list
 
 val run_one :
   ?seed:int64 ->

@@ -8,8 +8,6 @@ type t
 (** An immutable summary of a batch of samples. *)
 
 val of_list : float list -> t
-val of_array : float array -> t
-(** The input array is copied; the original is not mutated. *)
 
 val of_parts : t list -> t
 (** [of_parts parts] summarizes the union of the samples behind

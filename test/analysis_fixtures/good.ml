@@ -2,20 +2,6 @@
    though this file is analyzed under a virtual lib/raft/ path (taint
    entry domain). *)
 
-type msg2 = Stop | Go [@@protocol]
-type plain = Red | Green | Blue
-
-(* A wildcard over an unmarked variant type is fine... *)
-let color_code = function Red -> 0 | _ -> 1
-
-(* ...and an exhaustive match over a protocol type is the sanctioned
-   shape. *)
-let full = function Stop -> 0 | Go -> 1
-
-(* A guarded catch-all does not hide protocol growth: removing it (or
-   adding a variant) re-exposes warning 8. *)
-let guarded c = match c with Stop -> 0 | g when g = Go -> 1 | Go -> 2
-
 (* Functions returning fresh mutable state are fine; only top-level
    allocations are shared. *)
 let fresh_table () : (string, int) Hashtbl.t = Hashtbl.create 16

@@ -1,8 +1,11 @@
 (* Unit tests for the static checker (lib/analysis): call graph
    construction and resolution, interprocedural effect taint,
-   cross-domain shared-state detection, protocol-match exhaustiveness,
-   parse-error surfacing, the allowlist and its stale-entry gate, and
-   the cases where lib/'s source discipline is exact on the AST. *)
+   cross-domain shared-state detection, parse-error surfacing, the
+   allowlist and its stale-entry gate, and the cases where lib/'s
+   source discipline is exact on the AST.  Catch-all arms over a
+   variant are the compiler's fragile-match error: the fragile-match
+   cases type-check snippets in-process under it, and the
+   test/match_fixtures rule pins the compiler's exact messages. *)
 
 module A = Analysis
 module F = Analysis.Finding
@@ -206,33 +209,49 @@ let test_shared_state_needs_spawn () =
   Alcotest.(check int) "clean without a spawn site" 0
     (List.length (with_rule "shared-state" fs))
 
-(* {2 Protocol exhaustiveness} *)
+(* {2 Fragile matches}
 
-let test_protocol_wildcard_fires () =
-  let fs =
-    analyze
-      [
-        file "lib/raft/m.ml"
-          "type m = A | B [@@protocol]\nlet f = function A -> 0 | _ -> 1";
-      ]
-  in
-  match with_rule "protocol-wildcard" fs with
-  | [ f ] -> Alcotest.(check int) "line" 2 f.F.line
-  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+   lib/ and bin/ build with warning 4 as an error, so a catch-all arm
+   over a variant never reaches the analyzer.  [fragile_lines src]
+   type-checks [src] under that warning and returns the lines it fires
+   on. *)
 
-let test_protocol_wildcard_negative () =
-  let fs =
-    analyze
-      [
-        file "lib/raft/m.ml"
-          ("type m = A | B [@@protocol]\n"
-          ^ "let exhaustive = function A -> 0 | B -> 1\n"
-          ^ "type u = C | D\n"
-          ^ "let unmarked = function C -> 0 | _ -> 1");
-      ]
-  in
-  Alcotest.(check int) "no findings" 0
-    (List.length (with_rule "protocol-wildcard" fs))
+let fragile_lines src =
+  let fired = ref [] in
+  let warnings = Warnings.backup () and reporter = !Location.warning_reporter in
+  ignore (Warnings.parse_options false "+4");
+  (Location.warning_reporter :=
+     fun loc w ->
+       (match w with
+       | Warnings.Fragile_match _ ->
+           fired := loc.Location.loc_start.pos_lnum :: !fired
+       | _ -> ());
+       None);
+  Fun.protect
+    ~finally:(fun () ->
+      Warnings.restore warnings;
+      Location.warning_reporter := reporter)
+    (fun () ->
+      Compmisc.init_path ();
+      let ast = Parse.implementation (Lexing.from_string src) in
+      ignore (Typemod.type_structure (Compmisc.initial_env ()) ast));
+  List.rev !fired
+
+let test_fragile_match_fires () =
+  Alcotest.(check (list int)) "lines" [ 2; 3 ]
+    (fragile_lines
+       ("type m = A | B\n"
+       ^ "let f = function A -> 0 | _ -> 1\n"
+       ^ "let nested = function Some A -> 0 | Some _ | None -> 1"))
+
+let test_fragile_match_negative () =
+  Alcotest.(check (list int)) "no fragile match" []
+    (fragile_lines
+       ("type m = A | B\n"
+       ^ "let exhaustive = function A -> 0 | B -> 1\n"
+       ^ "let guarded = function A when true -> 0 | A -> 1 | B -> 2\n"
+       ^ "let nested = function Some A -> 0 | Some B | None -> 1\n"
+       ^ "let payload = function Some _ -> 0 | None -> 1"))
 
 (* {2 Parse errors, rendering, allowlist parsing} *)
 
@@ -413,9 +432,9 @@ let tests =
     Alcotest.test_case "shared-state-fires" `Quick test_shared_state_fires;
     Alcotest.test_case "shared-state-needs-spawn" `Quick
       test_shared_state_needs_spawn;
-    Alcotest.test_case "protocol-wildcard" `Quick test_protocol_wildcard_fires;
-    Alcotest.test_case "protocol-wildcard-negative" `Quick
-      test_protocol_wildcard_negative;
+    Alcotest.test_case "fragile-match" `Quick test_fragile_match_fires;
+    Alcotest.test_case "fragile-match-negative" `Quick
+      test_fragile_match_negative;
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "finding-render" `Quick test_render;
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
