@@ -3,15 +3,12 @@
    Parses every .ml/.mli under the given directories into a Parsetree
    (via compiler-libs) and runs the rules of lib/analysis:
 
-     effect-taint        call paths from DES/raft/parallel entry points
-                         to banned ambient effects, through wrappers
-     shared-state        top-level mutable values in modules reachable
-                         from domain-spawned closures
      parse-error         a file the frontend cannot parse
-     wall-clock, global-rng, obj-magic, poly-compare, direct-print,
-     stdlib-exit, raw-fabric-send, mutable-global, hot-alloc
+     wall-clock, global-rng, ambient-effect, obj-magic, poly-compare,
+     stdlib-exit, raw-fabric-send, hot-alloc
                          lib/'s source discipline (lib/analysis/
                          discipline.ml); lib/ only
+     mutable-global      a top-level mutable value in lib/ or bin/
      unset-optional      a ?label on a lib/**/*.mli value that no call
                          outside its own module passes
 
@@ -27,19 +24,37 @@
          fixture mode: every rule must fire in bad*.ml(i) files, none
          in good*.ml(i)
 
+   A path that cannot be read, or a malformed allowlist, exits 2.
+
    The allowlist (lint.allow) holds [path-suffix:rule-id] lines and #
    comments.  An entry that suppresses no finding is stale and fails the
    scan, so the list only ever shrinks with the code it excuses. *)
 
+(* Sys_error messages read "PATH: reason". *)
+let cannot_read path msg =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
+  in
+  Printf.eprintf "analyze: cannot read %s: %s\n" path reason;
+  exit 2
+
 let read_file path =
-  let ic = open_in_bin path in
+  let ic =
+    try open_in_bin path with Sys_error msg -> cannot_read path msg
+  in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let rec source_files ~exclude path =
   if List.mem path exclude then []
-  else if Sys.is_directory path then
+  else if
+    try Sys.is_directory path with Sys_error msg -> cannot_read path msg
+  then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.concat_map (fun entry ->
            source_files ~exclude (Filename.concat path entry))
@@ -87,8 +102,8 @@ let run_scan ~allow_file ~callers ~exclude dirs =
   end
 
 (* Fixture mode: fixtures are given virtual paths under lib/raft/ so
-   they sit in a taint entry domain and in every discipline rule's
-   scope; every rule must fire at least once across bad*.ml(i), and
+   they sit in every rule's scope (raw-fabric-send's is lib/raft/ alone);
+   every rule must fire at least once across bad*.ml(i), and
    good*.ml(i) must stay entirely clean. *)
 let self_test dir =
   let files = source_files ~exclude:[] dir in

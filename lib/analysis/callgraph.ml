@@ -1,4 +1,5 @@
-(* A per-module value-level call graph over the whole source tree.
+(* A per-module value-level call graph over the whole source tree,
+   which [unset-optional] resolves applications against.
 
    Nodes are top-level value bindings (nested modules contribute
    dot-prefixed names, module-initialization code is pooled into a
@@ -22,7 +23,7 @@
    locally (a local binding shadowing a top-level name still counts as a
    reference to the top-level) and under-approximates globally (calls
    through higher-order parameters are invisible), which is the usual
-   static-call-graph trade-off and errs on the side of reporting. *)
+   static-call-graph trade-off. *)
 
 type value = {
   vpath : string;  (* file the binding lives in *)
@@ -34,7 +35,6 @@ type value = {
 }
 
 type t = {
-  values : value list;  (* in file order, bindings in source order *)
   by_key : (string, value) Hashtbl.t;  (* vpath ^ "#" ^ vname *)
   module_file : (string, string) Hashtbl.t;  (* "Lib.Mod" -> .ml path *)
   mod_paths : (string, string list) Hashtbl.t;  (* "Mod" -> .ml paths *)
@@ -44,7 +44,6 @@ type t = {
 }
 
 let key ~path ~name = path ^ "#" ^ name
-let value_key v = key ~path:v.vpath ~name:v.vname
 
 let display v =
   let lib = if v.vlib = "" || v.vlib = v.vmod then "" else v.vlib ^ "." in
@@ -90,7 +89,6 @@ let pattern_names pat =
 let init_name = "(init)"
 
 type builder = {
-  mutable bvalues : value list;  (* reversed *)
   bby_key : (string, value) Hashtbl.t;
   baliases : (string, string list) Hashtbl.t;
 }
@@ -100,12 +98,10 @@ let add_value b ~path ~lib ~modname ~name ~line refs =
   match Hashtbl.find_opt b.bby_key k with
   | Some existing ->
       (* several [let () = ...] blocks pool into one (init) node *)
-      let merged = { existing with vrefs = existing.vrefs @ refs } in
-      Hashtbl.replace b.bby_key k merged;
-      b.bvalues <-
-        merged :: List.filter (fun v -> value_key v <> k) b.bvalues
+      Hashtbl.replace b.bby_key k
+        { existing with vrefs = existing.vrefs @ refs }
   | None ->
-      let v =
+      Hashtbl.replace b.bby_key k
         {
           vpath = path;
           vlib = lib;
@@ -114,9 +110,6 @@ let add_value b ~path ~lib ~modname ~name ~line refs =
           vline = line;
           vrefs = refs;
         }
-      in
-      Hashtbl.replace b.bby_key k v;
-      b.bvalues <- v :: b.bvalues
 
 let rec structure_values b ~path ~lib ~modname ~prefix items =
   List.iter
@@ -174,9 +167,7 @@ and bind_module b ~path ~lib ~modname ~prefix (mb : Parsetree.module_binding) =
         (idents_of_module_expr mb.pmb_expr)
 
 let build (sources : Source.t list) =
-  let b =
-    { bvalues = []; bby_key = Hashtbl.create 256; baliases = Hashtbl.create 64 }
-  in
+  let b = { bby_key = Hashtbl.create 256; baliases = Hashtbl.create 64 } in
   let module_file = Hashtbl.create 64 in
   let mod_paths = Hashtbl.create 64 in
   let libraries = Hashtbl.create 16 in
@@ -195,7 +186,6 @@ let build (sources : Source.t list) =
       | Source.Intf _ | Source.Broken _ -> ())
     sources;
   {
-    values = List.rev b.bvalues;
     by_key = b.bby_key;
     module_file;
     mod_paths;
@@ -257,49 +247,3 @@ let callees t v =
       | Some callee -> Some (callee, line)
       | None -> None)
     v.vrefs
-
-(* {1 Reachability} *)
-
-type walk = {
-  visited : (string, value) Hashtbl.t;
-  order : value list;  (* BFS order *)
-  parents : (string, string * int) Hashtbl.t;  (* key -> caller key, line *)
-}
-
-let reach t roots =
-  let visited = Hashtbl.create 256 in
-  let parents = Hashtbl.create 256 in
-  let order = ref [] in
-  let q = Queue.create () in
-  List.iter
-    (fun v ->
-      let k = value_key v in
-      if not (Hashtbl.mem visited k) then begin
-        Hashtbl.replace visited k v;
-        Queue.push v q
-      end)
-    roots;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    order := v :: !order;
-    List.iter
-      (fun (callee, line) ->
-        let k = value_key callee in
-        if not (Hashtbl.mem visited k) then begin
-          Hashtbl.replace visited k callee;
-          Hashtbl.replace parents k (value_key v, line);
-          Queue.push callee q
-        end)
-      (callees t v)
-  done;
-  { visited; order = List.rev !order; parents }
-
-let chain walk v =
-  let rec up k acc =
-    match Hashtbl.find_opt walk.parents k with
-    | Some (parent, _) -> up parent (parent :: acc)
-    | None -> acc
-  in
-  List.filter_map
-    (fun k -> Hashtbl.find_opt walk.visited k)
-    (up (value_key v) [ value_key v ])

@@ -22,7 +22,6 @@ type value = {
 }
 
 type t = {
-  values : value list;  (** in file order, bindings in source order *)
   by_key : (string, value) Hashtbl.t;
   module_file : (string, string) Hashtbl.t;
   mod_paths : (string, string list) Hashtbl.t;
@@ -30,9 +29,6 @@ type t = {
   aliases : (string, string list) Hashtbl.t;
       (** [path ^ "#" ^ M] -> target of [module M = A.B] in that file *)
 }
-
-val value_key : value -> string
-(** Stable node id: [vpath ^ "#" ^ vname]. *)
 
 val display : value -> string
 (** ["Raft.Server.tick"]-style name for reports. *)
@@ -47,21 +43,6 @@ val resolve : t -> path:string -> lib:string -> string list -> value option
 
 val callees : t -> value -> (value * int) list
 (** Resolved outgoing edges of a value, with the referencing line. *)
-
-type walk = {
-  visited : (string, value) Hashtbl.t;
-  order : value list;  (** BFS order *)
-  parents : (string, string * int) Hashtbl.t;
-}
-
-val reach : t -> value list -> walk
-(** Forward BFS from the roots; deterministic order. *)
-
-val chain : walk -> value -> value list
-(** The discovered call chain from a root down to [v], inclusive. *)
-
-val idents_of_expr : Parsetree.expression -> (string list * int) list
-(** All flattened identifiers referenced in an expression. *)
 
 val pattern_names : Parsetree.pattern -> string list
 (** All variable names a pattern binds, in source order. *)

@@ -1,8 +1,10 @@
-(* The source discipline of lib/: per-file rules that need no call
-   graph.
+(* The source discipline of lib/ and bin/: per-file rules that need no
+   call graph.  Each hazard has one rule, checked at the site that
+   names it, so a wrapper cannot hide it and no reachability question
+   decides whether it counts.
 
-   - Identifier bans ([wall-clock], [global-rng], [obj-magic],
-     [poly-compare], [direct-print], [stdlib-exit], [raw-fabric-send]):
+   - Identifier bans ([wall-clock], [global-rng], [ambient-effect],
+     [obj-magic], [poly-compare], [stdlib-exit], [raw-fabric-send]):
      one pass over every [Pexp_ident], checked against a table of
      (rule, doc, path scope, predicate).  [poly-compare] also fires on
      [=], [<>], [<], [>], [<=], [>=] applied to a constructor with a
@@ -10,19 +12,22 @@
      binding names are not identifiers, and an unqualified identifier
      bound by an enclosing pattern is a local, not the stdlib value it
      shadows — so a field, pun or parameter named [exit] never fires.
-   - [mutable-global]: a module-level binding in lib/raft/ whose
-     right-hand side allocates mutable state (protocol state belongs in
-     [Server.t], so that campaign domains share nothing).
+   - [mutable-global]: a module-level binding whose right-hand side
+     allocates mutable state.  Campaign domains share every module's
+     top-level state, so per-run state belongs in the values a run
+     creates ([Server.t], the engine, the cluster).
    - [hot-alloc]: a binding marked [[@hot]]/[[@@hot]] (the append,
      heartbeat and delivery hot paths) whose body, below its own
      parameters, calls an allocating list/array combinator, formats
      ([Printf]/[Format] build closures and buffers per call), or holds a
      lambda (a closure allocation per call unless hoisted).
 
-   Every rule applies to lib/ only: bin/ legitimately prints and
+   [mutable-global] applies to lib/ and bin/; every other rule to lib/
+   only, since bin/ legitimately prints, reads its environment and
    exits. *)
 
 let in_lib path = Source.contains path "lib/"
+let in_bin path = Source.contains path "bin/"
 let in_raft path = Source.contains path "lib/raft/"
 let anywhere _ = true
 
@@ -35,9 +40,18 @@ type ident_rule = {
 
 let named names parts = List.mem (String.concat "." parts) names
 
-(* [wall-clock] and [global-rng] are the zero-hop case of effect-taint. *)
 let effect category parts =
   Option.equal String.equal (Effects.classify parts) (Some category)
+
+(* Simulation results must be a function of the seed and the arguments,
+   so lib/ takes what it needs as parameters and returns data.  The one
+   exemption is the exporter that writes the file it is asked for. *)
+let ambient_effect = "ambient-effect"
+
+let ambient parts =
+  match Effects.classify parts with
+  | Some ("ambient Sys" | "ambient Unix" | "ambient I/O") -> true
+  | Some _ | None -> false
 
 (* Without flambda, [Stdlib.min]/[max] on ints are an out-of-line
    polymorphic compare; so is [=] or [<>] against a freshly built
@@ -78,6 +92,17 @@ let ident_rules =
       bans = effect "global Random";
     };
     {
+      id = ambient_effect;
+      doc =
+        "ambient system access or I/O in lib/ (take a formatter, path or \
+         value as an argument, or return data; only telemetry/chrome_trace.ml \
+         writes the file it is asked for)";
+      scope =
+        (fun path ->
+          not (Filename.check_suffix path "lib/telemetry/chrome_trace.ml"));
+      bans = ambient;
+    };
+    {
       id = "obj-magic";
       doc = "Obj.magic defeats the type system";
       scope = anywhere;
@@ -92,28 +117,6 @@ let ident_rules =
           [
             "compare"; "Stdlib.compare"; "Hashtbl.hash"; "min"; "max";
             "Stdlib.min"; "Stdlib.max";
-          ];
-    };
-    {
-      id = "direct-print";
-      doc =
-        "direct printing from lib/ (take a formatter or return data; only \
-         scenarios/report.ml owns rendering)";
-      scope =
-        (fun path -> not (Filename.check_suffix path "scenarios/report.ml"));
-      bans =
-        named
-          [
-            "Printf.printf";
-            "Printf.eprintf";
-            "Format.printf";
-            "Format.eprintf";
-            "print_endline";
-            "prerr_endline";
-            "print_string";
-            "print_newline";
-            "Format.std_formatter";
-            "Format.err_formatter";
           ];
     };
     {
@@ -140,7 +143,8 @@ let ident_rules =
 let mutable_global = "mutable-global"
 
 let mutable_global_doc =
-  "top-level mutable value in lib/raft (protocol state belongs in Server.t)"
+  "top-level mutable value (campaign domains would share it; keep it in \
+   the state a run creates, or allowlist it with the reason it is safe)"
 
 let hot_alloc = "hot-alloc"
 
@@ -171,12 +175,13 @@ let ident_findings path str rules =
   let boxed_compares =
     List.exists (fun r -> String.equal r.id poly_compare) rules
   in
-  let report (e : Parsetree.expression) rule parts doc =
+  let report (e : Parsetree.expression) rule what doc =
     acc :=
       Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc) ~rule
-        (Printf.sprintf "`%s`: %s" (String.concat "." parts) doc)
+        (Printf.sprintf "%s: %s" what doc)
       :: !acc
   in
+  let quoted parts = "`" ^ String.concat "." parts ^ "`" in
   let expr self (e : Parsetree.expression) =
     match e.pexp_desc with
     | Parsetree.Pexp_ident lid -> (
@@ -184,7 +189,15 @@ let ident_findings path str rules =
         | Some [ name ] when List.mem name !locals -> ()
         | Some parts ->
             List.iter
-              (fun r -> if r.bans parts then report e r.id parts r.doc)
+              (fun r ->
+                if r.bans parts then
+                  let what =
+                    match Effects.classify parts with
+                    | Some category when String.equal r.id ambient_effect ->
+                        Printf.sprintf "%s (%s)" (quoted parts) category
+                    | Some _ | None -> quoted parts
+                  in
+                  report e r.id what r.doc)
               rules
         | None -> ())
     | Parsetree.Pexp_apply
@@ -196,7 +209,7 @@ let ident_findings path str rules =
                && List.mem name comparison_ops
                && (not (List.mem name !locals))
                && (boxed_operand a || boxed_operand b) ->
-            report op poly_compare parts boxed_compare_doc
+            report op poly_compare (quoted parts) boxed_compare_doc
         | Some _ | None -> ());
         Ast_iterator.default_iterator.expr self e
     | Parsetree.Pexp_fun (_, default, pat, body) ->
@@ -301,22 +314,20 @@ let hot_findings path str =
 
 let findings (sources : Source.t list) =
   let mutable_bindings = Shared_state.mutable_bindings sources in
+  let globals (s : Source.t) =
+    List.map
+      (fun (b : Shared_state.binding) ->
+        Finding.v ~path:s.path ~line:b.bline ~rule:mutable_global
+          (Printf.sprintf "`%s` (%s): %s" b.bname b.bshape mutable_global_doc))
+      (mutable_bindings s)
+  in
   List.concat_map
     (fun (s : Source.t) ->
       match s.kind with
       | Source.Impl str when in_lib s.path ->
-          let globals =
-            if in_raft s.path then
-              List.map
-                (fun (b : Shared_state.binding) ->
-                  Finding.v ~path:s.path ~line:b.bline ~rule:mutable_global
-                    (Printf.sprintf "`%s` (%s): %s" b.bname b.bshape
-                       mutable_global_doc))
-                (mutable_bindings s)
-            else []
-          in
           ident_findings s.path str
             (List.filter (fun r -> r.scope s.path) ident_rules)
-          @ globals @ hot_findings s.path str
+          @ globals s @ hot_findings s.path str
+      | Source.Impl _ when in_bin s.path -> globals s
       | Source.Impl _ | Source.Intf _ | Source.Broken _ -> [])
     sources

@@ -8,8 +8,6 @@
 type file = { path : string; content : string }
 
 type config = {
-  entry_dirs : string list;
-      (* directories whose values are taint entry points *)
   libraries : (string * string) list;
       (* directory prefix -> wrapper module name *)
   allow : Finding.allow;
@@ -32,35 +30,12 @@ let default_libraries =
     ("lib/analysis", "Analysis");
   ]
 
-(* The forensics layer (cause allocation, recorder sampling) rides the
-   hot paths it observes, so its entry points are taint roots like the
-   DES/raft ones (the ring itself lives in lib/raft).  File-level
-   prefixes, not the whole directory: the exporters (chrome_trace)
-   legitimately write files when asked. *)
-let default_entry_dirs =
-  [
-    "lib/des/";
-    "lib/raft/";
-    "lib/parallel/";
-    "lib/multiraft/";
-    "lib/telemetry/cause";
-    "lib/telemetry/recorder";
-  ]
-
 let default_config ?(allow = []) () =
-  { entry_dirs = default_entry_dirs; libraries = default_libraries; allow }
+  { libraries = default_libraries; allow }
 
 let rules =
   [
     ("parse-error", "the file does not parse, so nothing in it can be checked");
-    ( "effect-taint",
-      "call path from a DES/raft/parallel/forensics entry point to a banned \
-       ambient effect (wall clock, global Random, Sys, I/O), through any \
-       number of wrappers" );
-    ( "shared-state",
-      "top-level mutable value in a module reachable from closures handed \
-       to Parallel.Pool/Campaign or Domain.spawn (campaign domains would \
-       share it)" );
     (Unset_optional.rule, Unset_optional.doc);
   ]
   @ Discipline.rules
@@ -91,17 +66,11 @@ let analyze ?config ~callers files =
   in
   let sources = parse files in
   let everything = sources @ parse callers in
-  let cg = Callgraph.build sources in
   let raw =
     List.concat_map parse_findings sources
-    @ Effects.findings ~entry_dirs:config.entry_dirs cg
-    @ Shared_state.findings cg sources
     @ Discipline.findings sources
-    (* A graph of its own: caller modules must not change how the other
-       rules resolve lib/ and bin/ names. *)
-    @ Unset_optional.findings
-        (Callgraph.build everything)
-        ~scanned:sources ~callers:everything
+    @ Unset_optional.findings (Callgraph.build everything) ~scanned:sources
+        ~callers:everything
   in
   let findings =
     raw

@@ -3,8 +3,6 @@
 type file = { path : string; content : string }
 
 type config = {
-  entry_dirs : string list;
-      (** directories whose values are taint entry points *)
   libraries : (string * string) list;
       (** directory prefix -> wrapper module name *)
   allow : Finding.allow;

@@ -1,20 +1,12 @@
-(* Interprocedural effect taint.
+(* Ambient-effect classification.
 
-   The determinism contract says simulation code — everything reachable
-   from the DES, the Raft protocol, and the parallel campaign runner —
-   may not read the wall clock, draw from the global [Random] state,
-   query the ambient system, or perform ambient I/O.  The [wall-clock]
-   and [global-rng] rules (Discipline) catch direct uses anywhere in
-   lib/; this pass catches them through any number of local wrappers:
-   it walks the call graph forward from every value defined under the
-   entry directories and reports each reached value that directly
-   references a banned effect, with the full call chain as evidence.
-
-   A finding points at the value that references the effect, never at
-   its callers, so allowlisting a file for [effect-taint] cuts the taint
-   at that file. *)
-
-let rule = "effect-taint"
+   The determinism contract says simulation code may not read the wall
+   clock, draw from the global [Random] state, query the ambient system
+   or perform ambient I/O: every figure is a function of the seed.
+   [classify] names the category of a banned identifier; Discipline's
+   [wall-clock], [global-rng] and [ambient-effect] rules check every
+   identifier of lib/ against it, file by file, so a wrapper that hides
+   an effect is flagged where it references the effect. *)
 
 let benign_sys =
   [
@@ -78,37 +70,3 @@ let rec classify parts =
   | "In_channel" :: _ :: _ | "Out_channel" :: _ :: _ -> Some "ambient I/O"
   | "Stdlib" :: (_ :: _ as rest) -> classify rest
   | _ -> None
-
-let findings ~entry_dirs (cg : Callgraph.t) =
-  let is_entry path = List.exists (Source.contains path) entry_dirs in
-  let roots =
-    List.filter (fun (v : Callgraph.value) -> is_entry v.vpath) cg.values
-  in
-  let walk = Callgraph.reach cg roots in
-  let seen = Hashtbl.create 64 in
-  List.concat_map
-    (fun (v : Callgraph.value) ->
-      List.filter_map
-        (fun (parts, line) ->
-          match classify parts with
-          | None -> None
-          | Some category ->
-              let effect_name = String.concat "." parts in
-              let k = Callgraph.value_key v ^ "!" ^ effect_name in
-              if Hashtbl.mem seen k then None
-              else begin
-                Hashtbl.replace seen k ();
-                let chain =
-                  List.map Callgraph.display (Callgraph.chain walk v)
-                  @ [ effect_name ]
-                in
-                Some
-                  (Finding.v ~path:v.vpath ~line ~rule
-                     (Printf.sprintf
-                        "%s reaches banned effect `%s` (%s) from a \
-                         DES/raft/parallel entry point: %s"
-                        (Callgraph.display v) effect_name category
-                        (String.concat " -> " chain)))
-              end)
-        v.vrefs)
-    walk.order

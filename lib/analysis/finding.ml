@@ -1,13 +1,15 @@
 (* A structured finding from the analyzer, plus the allowlist that
    suppresses sanctioned hits ([lint.allow]): one [path-suffix:rule-id]
    per line, [#] comments and blanks ignored; a finding is suppressed
-   when its path ends with the suffix and the rule id matches. *)
+   when its path ends with the suffix at a path-component boundary and
+   the rule id matches.  An empty suffix or rule id is malformed: it
+   would silently excuse a rule everywhere, or nothing. *)
 
 type t = {
   path : string;  (** path of the file the finding points at *)
   line : int;  (** 1-based line of the offending construct *)
-  rule : string;  (** rule id, e.g. ["effect-taint"] *)
-  message : string;  (** human-readable explanation, incl. call chains *)
+  rule : string;  (** rule id, e.g. ["mutable-global"] *)
+  message : string;  (** human-readable explanation *)
 }
 
 let v ~path ~line ~rule message = { path; line; rule; message }
@@ -38,6 +40,7 @@ let parse_allow source =
          match (acc, String.rindex_opt l ':') with
          | Error e, _ -> Error e
          | Ok _, None -> Error l
+         | Ok _, Some c when c = 0 || c = String.length l - 1 -> Error l
          | Ok entries, Some c ->
              let rule_id = String.sub l (c + 1) (String.length l - c - 1) in
              Ok ({ suffix = String.sub l 0 c; rule_id; lineno } :: entries))
@@ -45,4 +48,6 @@ let parse_allow source =
   |> Result.map List.rev
 
 let suppresses e f =
-  String.equal e.rule_id f.rule && Filename.check_suffix f.path e.suffix
+  String.equal e.rule_id f.rule
+  && (String.equal f.path e.suffix
+     || Filename.check_suffix f.path ("/" ^ e.suffix))

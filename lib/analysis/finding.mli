@@ -2,13 +2,15 @@
 
     The allowlist ([lint.allow]) holds one [path-suffix:rule-id] per
     line, [#] comments and blank lines ignored.  A finding is suppressed
-    when its path ends with the suffix and the rule id matches exactly. *)
+    when its path ends with the suffix at a path-component boundary
+    ([engine.ml] covers [lib/des/engine.ml], not [lib/myengine.ml]) and
+    the rule id matches exactly. *)
 
 type t = {
   path : string;  (** path of the file the finding points at *)
   line : int;  (** 1-based line of the offending construct *)
-  rule : string;  (** rule id, e.g. ["effect-taint"] *)
-  message : string;  (** human-readable explanation, incl. call chains *)
+  rule : string;  (** rule id, e.g. ["mutable-global"] *)
+  message : string;  (** human-readable explanation *)
 }
 
 val v : path:string -> line:int -> rule:string -> string -> t
@@ -27,6 +29,7 @@ type entry = {
 type allow = entry list
 
 val parse_allow : string -> (allow, string) result
-(** Parse allowlist file contents; [Error line] on a malformed entry. *)
+(** Parse allowlist file contents; [Error line] on a malformed entry:
+    one without a [:], or with an empty suffix or rule id. *)
 
 val suppresses : entry -> t -> bool

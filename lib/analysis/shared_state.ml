@@ -1,33 +1,13 @@
-(* Cross-domain shared-state detection.
+(* Module-level mutable state: the classifier behind Discipline's
+   [mutable-global] rule.
 
    Campaign shards run on separate OCaml 5 domains and must share no
-   mutable state — every shard owns its engine, cluster and PRNG
-   streams.  Top-level mutable values (refs, arrays, hash tables,
-   queues, buffers, atomics, records with mutable fields) are
-   process-global, so any module reachable from a closure handed to
-   [Parallel.Pool.map] / [Parallel.Campaign.sharded] / [Domain.spawn]
-   must not define one.
-
-   The pass finds every spawn call site, takes the values referenced in
-   its argument expressions as domain roots, walks the call graph
-   forward, and flags every top-level mutable binding in a file that
-   contains a reached value.  (Flagging the whole file, not just
-   reached bindings, is deliberate: once a domain executes any code of
-   a module, the module's top-level state is shared.) *)
-
-let rule = "shared-state"
-
-let spawn_function parts =
-  match parts with
-  | [ "Pool"; ("map" | "create") ]
-  | [ "Parallel"; "Pool"; ("map" | "create") ]
-  | [ "Campaign"; ("sharded" | "all") ]
-  | [ "Parallel"; "Campaign"; ("sharded" | "all") ]
-  | [ "Domain"; ("spawn" | "spawn_on") ] ->
-      true
-  | _ -> false
-
-(* {1 Mutable top-level bindings} *)
+   mutable state: every shard owns its engine, cluster and PRNG
+   streams.  A top-level mutable value (ref, array, hash table, queue,
+   buffer, atomic, record with a mutable field) is process-global, so
+   any domain that runs code of its module shares it.  Rather than
+   guess which modules a domain reaches, lib/ and bin/ define none;
+   the few sanctioned ones are allowlisted with their reason. *)
 
 let mutable_ctor parts =
   match parts with
@@ -178,13 +158,12 @@ let field_mutable table ~lib ~modname parts =
         keys
 
 type binding = {
-  bpath : string;
   bname : string;
   bline : int;
   bshape : string;  (* e.g. "Hashtbl.create" *)
 }
 
-let rec mutable_bindings_of_structure ~field_mutable ~path ~prefix items acc =
+let rec mutable_bindings_of_structure ~field_mutable ~prefix items acc =
   List.fold_left
     (fun acc (item : Parsetree.structure_item) ->
       match item.pstr_desc with
@@ -202,7 +181,6 @@ let rec mutable_bindings_of_structure ~field_mutable ~path ~prefix items acc =
                   List.fold_left
                     (fun acc n ->
                       {
-                        bpath = path;
                         bname = prefix ^ n;
                         bline = Source.line_of_loc vb.pvb_loc;
                         bshape = shape;
@@ -216,7 +194,7 @@ let rec mutable_bindings_of_structure ~field_mutable ~path ~prefix items acc =
             pmb_expr = { pmod_desc = Parsetree.Pmod_structure items; _ };
             _;
           } ->
-          mutable_bindings_of_structure ~field_mutable ~path
+          mutable_bindings_of_structure ~field_mutable
             ~prefix:(prefix ^ m ^ ".") items acc
       | _ -> acc)
     acc items
@@ -230,77 +208,5 @@ let mutable_bindings sources =
           (mutable_bindings_of_structure
              ~field_mutable:
                (field_mutable table ~lib:s.library ~modname:s.modname)
-             ~path:s.path ~prefix:"" str [])
+             ~prefix:"" str [])
     | Source.Intf _ | Source.Broken _ -> []
-
-(* {1 Domain roots} *)
-
-(* Values referenced inside the argument expressions of spawn call
-   sites: the closures (and everything they capture) that will run on
-   other domains. *)
-let spawn_root_refs (sources : Source.t list) =
-  let acc = ref [] in
-  let record path (args : (Asttypes.arg_label * Parsetree.expression) list) =
-    List.iter
-      (fun (_, arg) ->
-        List.iter
-          (fun (parts, _line) -> acc := (path, parts) :: !acc)
-          (Callgraph.idents_of_expr arg))
-      args
-  in
-  let expr path self (e : Parsetree.expression) =
-    (match e.pexp_desc with
-    | Parsetree.Pexp_apply
-        ({ pexp_desc = Parsetree.Pexp_ident lid; _ }, args) -> (
-        match Source.flatten_longident lid.Asttypes.txt with
-        | Some parts when spawn_function parts -> record path args
-        | Some _ | None -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr self e
-  in
-  List.iter
-    (fun (s : Source.t) ->
-      match s.kind with
-      | Source.Impl str ->
-          let it =
-            { Ast_iterator.default_iterator with expr = expr s.path }
-          in
-          it.Ast_iterator.structure it str
-      | Source.Intf _ | Source.Broken _ -> ())
-    sources;
-  List.rev !acc
-
-let findings (cg : Callgraph.t) (sources : Source.t list) =
-  let lib_of path =
-    match
-      List.find_opt (fun (s : Source.t) -> String.equal s.path path) sources
-    with
-    | Some s -> s.library
-    | None -> ""
-  in
-  let roots =
-    List.filter_map
-      (fun (path, parts) -> Callgraph.resolve cg ~path ~lib:(lib_of path) parts)
-      (spawn_root_refs sources)
-  in
-  let walk = Callgraph.reach cg roots in
-  let reached_files =
-    List.sort_uniq String.compare
-      (List.map (fun (v : Callgraph.value) -> v.vpath) walk.order)
-  in
-  let bindings_of = mutable_bindings sources in
-  let bindings =
-    List.concat_map
-      (fun (s : Source.t) ->
-        if List.mem s.path reached_files then bindings_of s else [])
-      sources
-  in
-  List.map
-    (fun b ->
-      Finding.v ~path:b.bpath ~line:b.bline ~rule
-        (Printf.sprintf
-           "top-level mutable value `%s` (%s) in a module reachable from \
-            closures handed to Parallel.Pool/Campaign or Domain.spawn — \
-            campaign domains would share it; move it into per-shard state"
-           b.bname b.bshape))
-    bindings

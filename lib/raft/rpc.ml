@@ -145,7 +145,7 @@ module Pool = struct
      would pay a cons per release, a third of the record it recycles).
      Each stack owns its slot filler — a pool is single-domain, and
      keeping the filler off the toplevel keeps the whole module free of
-     shared mutable state (the shared-state analyzer rule checks). *)
+     shared mutable state (the mutable-global analyzer rule checks). *)
   type stack = {
     mutable items : message array;
     mutable len : int;

@@ -42,7 +42,7 @@ let[@hot] relay_all peers msg =
   Format.eprintf "relaying %d@." (List.length framed);
   Array.of_list framed
 
-(* direct-print *)
+(* ambient-effect: printing *)
 let show x = Printf.printf "%d\n" x
 let complain msg = Format.eprintf "%s@." msg
 let announce () = print_endline "ready"

@@ -1,8 +1,8 @@
-(* Analyzer self-test fixture: cross-domain shared state.  The
-   [Pool.map] call site below hands [work] to other domains, which
-   makes this whole module domain-reachable — so its top-level mutable
-   values (a hash table, a ref, a mutable-field record, an array) must
-   all be flagged. *)
+(* Analyzer self-test fixture for [mutable-global]: module-level
+   mutable values of every shape — a hash table, a ref, a record with a
+   mutable field, an array.  Nothing here hands work to another domain:
+   every domain that runs a module shares its top-level state, so each
+   one is flagged where it is defined.  Never compiled. *)
 
 let table : (string, int) Hashtbl.t = Hashtbl.create 16
 let hits = ref 0
@@ -14,5 +14,3 @@ let scratch = Array.make 8 0
 
 let work shard =
   Hashtbl.length table + !hits + shared_cell.count + scratch.(0) + shard
-
-let run pool shards = Pool.map pool work shards

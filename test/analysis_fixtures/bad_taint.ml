@@ -1,21 +1,21 @@
-(* Analyzer self-test fixture: effect taint through local wrappers.
-   Never compiled — parsed by [analyze --self-test] under a virtual
-   lib/raft/ path, so every value here is a taint entry point.  The
-   banned effects hide behind one and two levels of wrapping; the
-   per-file discipline rules only see the direct uses, the taint pass
-   must also walk [stamp] and [doubly_wrapped] to them. *)
+(* Analyzer self-test fixture: ambient effects, each flagged where it is
+   named.  Never compiled — parsed by [analyze --self-test] under a
+   virtual lib/raft/ path.  [stamp] and [jittered] only call a
+   flagged value, so they stay quiet: the site that names the effect is
+   the one that answers for it. *)
 
-(* wall clock, direct and wrapped *)
+(* wall clock, and a wrapper around it *)
 let now () = Unix.gettimeofday ()
 let stamp () = now () +. 1.
-let doubly_wrapped () = stamp () *. 2.
 
-(* global Random behind a helper *)
+(* global Random, and a wrapper around it *)
 let jitter () = Random.float 1.0
 let jittered x = x +. jitter ()
 
-(* ambient Sys *)
+(* ambient-effect: Sys, Unix and channels *)
 let home () = Sys.getenv "HOME"
-
-(* ambient I/O *)
+let args () = Sys.argv
+let pid () = Unix.getpid ()
 let log_line s = print_endline s
+let trace_file path = open_out path
+let err = Stdlib.stderr

@@ -1,11 +1,12 @@
 (* Unit tests for the static checker (lib/analysis): call graph
-   construction and resolution, interprocedural effect taint,
-   cross-domain shared-state detection, parse-error surfacing, the
-   allowlist and its stale-entry gate, and the cases where lib/'s
-   source discipline is exact on the AST.  Catch-all arms over a
-   variant are the compiler's fragile-match error: the fragile-match
-   cases type-check snippets in-process under it, and the
-   test/match_fixtures rule pins the compiler's exact messages. *)
+   construction and resolution, parse-error surfacing, the allowlist
+   and its stale-entry gate, and the cases where the per-file source
+   discipline is exact on the AST: ambient effects flagged where they
+   are named, in any lib/ directory, and module-level mutable state in
+   lib/ and bin/.  Catch-all arms over a variant are the compiler's
+   fragile-match error: the fragile-match cases type-check snippets
+   in-process under it, and the test/match_fixtures rule pins the
+   compiler's exact messages. *)
 
 module A = Analysis
 module F = Analysis.Finding
@@ -14,6 +15,7 @@ module Cg = Analysis.Callgraph
 let file path content = { A.Driver.path; content }
 let analyze ?config files = fst (A.Driver.analyze ?config ~callers:[] files)
 let with_rule rule fs = List.filter (fun (f : F.t) -> f.rule = rule) fs
+let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -93,99 +95,95 @@ let test_callgraph_aliases () =
        (Cg.resolve cg ~path:"lib/scenarios/scenarios.ml" ~lib:"Scenarios"
           [ "Gm"; "create" ]))
 
-(* {2 Effect taint} *)
+(* {2 Ambient effects} *)
 
-(* The wrappers live OUTSIDE the entry directories, so the only way to
-   reach the sink is the two-hop chain from the lib/raft entry point. *)
-let taint_files =
+(* An ambient effect behind a wrapper in another library: the rule
+   fires where the effect is named, whoever calls it. *)
+let effect_files =
   [
     file "lib/raft/entry.ml" "let run () = Stats.Util.step ()";
     file "lib/stats/util.ml"
-      "let step () = clock ()\nlet clock () = Unix.gettimeofday ()";
+      "let step () = home ()\nlet home () = Sys.getenv \"HOME\"";
   ]
 
-let test_taint_two_hops () =
-  match with_rule "effect-taint" (analyze taint_files) with
+let test_ambient_effect_at_sink () =
+  match analyze effect_files with
   | [ f ] ->
+      Alcotest.(check string) "rule" "ambient-effect" f.F.rule;
       Alcotest.(check string) "points at the effectful file" "lib/stats/util.ml"
         f.F.path;
-      Alcotest.(check int) "line of the sink" 2 f.F.line;
-      (* the full chain through both wrappers must be in the message *)
-      List.iter
-        (fun part ->
-          Alcotest.(check bool) ("chain mentions " ^ part) true
-            (contains f.F.message part))
-        [ "run"; "step"; "clock"; "Unix.gettimeofday" ]
-  | fs -> Alcotest.failf "expected one taint finding, got %d" (List.length fs)
+      Alcotest.(check int) "line of the reference" 2 f.F.line;
+      Alcotest.(check bool) "names the identifier and category" true
+        (contains f.F.message "`Sys.getenv` (ambient Sys)")
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
-let test_taint_requires_entry_reachability () =
-  (* Same sink, but in a module no entry point reaches: clean. *)
-  let fs =
-    analyze [ file "lib/telemetry/t.ml" "let now () = Unix.gettimeofday ()" ]
-  in
-  Alcotest.(check int) "no findings" 0 (List.length (with_rule "effect-taint" fs))
+let test_ambient_effect_any_dir () =
+  let home = "let home () = Sys.getenv \"HOME\"" in
+  List.iter
+    (fun path ->
+      Alcotest.(check (list int)) path [ 1 ]
+        (lines_of "ambient-effect" (analyze [ file path home ])))
+    [ "lib/scenarios/report.ml"; "lib/analysis/finding.ml" ]
 
-let test_taint_forensics_entry () =
-  (* The forensics modules are taint roots themselves: an ambient
-     effect reachable from one fires without any lib/raft caller... *)
-  let fs =
-    analyze
-      [ file "lib/telemetry/cause.ml" "let stamp () = Unix.gettimeofday ()" ]
-  in
-  Alcotest.(check int) "cause is an entry dir" 1
-    (List.length (with_rule "effect-taint" fs));
-  let fs =
-    analyze
-      [ file "lib/telemetry/recorder.ml" "let jitter () = Random.float 1." ]
-  in
-  Alcotest.(check int) "recorder is an entry dir" 1
-    (List.length (with_rule "effect-taint" fs));
-  (* ...but the exporters are not: chrome_trace writing a file when
-     asked stays legitimate. *)
-  let fs =
-    analyze
-      [
-        file "lib/telemetry/chrome_trace.ml"
-          "let write path = open_out path";
-      ]
-  in
-  Alcotest.(check int) "chrome_trace stays exempt" 0
-    (List.length (with_rule "effect-taint" fs))
+let test_ambient_effect_exporter () =
+  let write = "let write path = open_out path" in
+  let hits path rule = lines_of rule (analyze [ file path write ]) in
+  Alcotest.(check (list int)) "chrome_trace writes the file it is asked for"
+    [] (hits "lib/telemetry/chrome_trace.ml" "ambient-effect");
+  Alcotest.(check (list int)) "the same call in the recorder" [ 1 ]
+    (hits "lib/telemetry/recorder.ml" "ambient-effect");
+  Alcotest.(check (list int)) "the exemption is ambient-effect's alone" [ 1 ]
+    (lines_of "wall-clock"
+       (analyze
+          [
+            file "lib/telemetry/chrome_trace.ml"
+              "let stamp () = Unix.gettimeofday ()";
+          ]))
 
 let allow_of source =
   match F.parse_allow source with
   | Ok allow -> allow
   | Error line -> Alcotest.failf "parse_allow failed: %s" line
 
-let test_taint_allowlist () =
+let test_allowlist_mutable_global () =
   let config =
-    A.Driver.default_config ~allow:(allow_of "util.ml:effect-taint") ()
+    A.Driver.default_config
+      ~allow:
+        (allow_of
+           "telemetry/metrics.ml:mutable-global\n\
+            lib/telemetry/gone.ml:mutable-global\n")
+      ()
   in
-  let fs = with_rule "effect-taint" (analyze ~config taint_files) in
-  Alcotest.(check int) "suppressed" 0 (List.length fs)
+  let findings, stale =
+    A.Driver.analyze ~config ~callers:[]
+      [ file "lib/telemetry/metrics.ml" "let dead = ref 0" ]
+  in
+  Alcotest.(check int) "suppressed by path suffix" 0 (List.length findings);
+  Alcotest.(check (list string)) "the entry that matches nothing is stale"
+    [ "lib/telemetry/gone.ml" ]
+    (List.map (fun (e : F.entry) -> e.suffix) stale)
 
 let test_stale_allow_entries () =
-  (* util.ml holds the sink, so its entry cuts the taint; entry.ml only
-     calls a wrapper and the shared-state entry matches nothing. *)
+  (* util.ml names the effect; entry.ml only calls it, and util.ml holds
+     no mutable global. *)
   let allow =
     allow_of
       "# header\n\
-       util.ml:effect-taint\n\
-       entry.ml:effect-taint\n\n\
-       util.ml:shared-state\n"
+       util.ml:ambient-effect\n\
+       entry.ml:ambient-effect\n\n\
+       util.ml:mutable-global\n"
   in
   let config = A.Driver.default_config ~allow () in
-  let findings, stale = A.Driver.analyze ~config ~callers:[] taint_files in
-  Alcotest.(check int) "taint suppressed" 0
-    (List.length (with_rule "effect-taint" findings));
+  let findings, stale = A.Driver.analyze ~config ~callers:[] effect_files in
+  Alcotest.(check int) "effect suppressed" 0 (List.length findings);
   Alcotest.(check (list (pair int string)))
     "stale entries, by line"
-    [ (3, "entry.ml:effect-taint"); (5, "util.ml:shared-state") ]
+    [ (3, "entry.ml:ambient-effect"); (5, "util.ml:mutable-global") ]
     (List.map
        (fun (e : F.entry) -> (e.lineno, e.suffix ^ ":" ^ e.rule_id))
        stale)
 
-(* {2 Shared state} *)
+(* {2 Mutable globals} *)
 
 let shared_body =
   "let tbl = Hashtbl.create 4\n\
@@ -193,21 +191,32 @@ let shared_body =
    let cell = { n = 0 }\n\
    let work x = Hashtbl.length tbl + cell.n + x\n"
 
-let test_shared_state_fires () =
-  let fs =
-    analyze
-      [ file "lib/raft/s.ml" (shared_body ^ "let run p xs = Pool.map p work xs") ]
-  in
-  let lines =
-    with_rule "shared-state" fs |> List.map (fun (f : F.t) -> f.line)
-  in
-  Alcotest.(check (list int)) "hashtbl and mutable record flagged" [ 1; 3 ] lines
+let test_mutable_global_everywhere () =
+  (* No spawn site anywhere: module-level state is shared by whichever
+     domain runs the module. *)
+  List.iter
+    (fun path ->
+      Alcotest.(check (list int)) path [ 1; 3 ]
+        (lines_of "mutable-global" (analyze [ file path shared_body ])))
+    [ "lib/telemetry/s.ml"; "bin/s.ml" ]
 
-let test_shared_state_needs_spawn () =
-  (* Identical mutable state, but nothing hands the module to a pool. *)
-  let fs = analyze [ file "lib/raft/s.ml" shared_body ] in
-  Alcotest.(check int) "clean without a spawn site" 0
-    (List.length (with_rule "shared-state" fs))
+let test_mutable_global_near_misses () =
+  let source =
+    "let fresh () = Hashtbl.create 4\n\
+     let distinct xs =\n\
+    \  let seen = Hashtbl.create 4 in\n\
+    \  List.iter (fun x -> Hashtbl.replace seen x ()) xs;\n\
+    \  Hashtbl.length seen\n\
+     let counter () = ref 0\n\
+     type p = { n : int }\n\
+     let origin = { n = 0 }\n\
+     let digits = [ 3; 1; 4 ]\n"
+  in
+  List.iter
+    (fun path ->
+      Alcotest.(check (list int)) path []
+        (lines_of "mutable-global" (analyze [ file path source ])))
+    [ "lib/stats/q.ml"; "lib/telemetry/q.ml"; "bin/q.ml" ]
 
 (* {2 Fragile matches}
 
@@ -261,26 +270,40 @@ let test_parse_error () =
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_render () =
-  let f = F.v ~path:"lib/x.ml" ~line:3 ~rule:"effect-taint" "msg" in
-  Alcotest.(check string) "render" "lib/x.ml:3: [effect-taint] msg" (F.render f)
+  let f = F.v ~path:"lib/x.ml" ~line:3 ~rule:"mutable-global" "msg" in
+  Alcotest.(check string) "render" "lib/x.ml:3: [mutable-global] msg"
+    (F.render f)
 
 let test_parse_allow () =
-  (match allow_of "# comment\n\nlib/x.ml:effect-taint\n" with
+  let finding ?(path = "lib/x.ml") rule = F.v ~path ~line:1 ~rule "" in
+  (match allow_of "# comment\n\nlib/x.ml:ambient-effect\n" with
   | [ e ] ->
       Alcotest.(check int) "line" 3 e.F.lineno;
-      let finding rule = F.v ~path:"lib/x.ml" ~line:1 ~rule "" in
       Alcotest.(check bool) "suffix match" true
-        (F.suppresses e (finding "effect-taint"));
+        (F.suppresses e (finding "ambient-effect"));
       Alcotest.(check bool) "rule must match" false
-        (F.suppresses e (finding "shared-state"))
+        (F.suppresses e (finding "mutable-global"))
   | entries -> Alcotest.failf "expected one entry, got %d" (List.length entries));
-  match F.parse_allow "garbage-without-colon" with
-  | Ok _ -> Alcotest.fail "malformed entry accepted"
-  | Error _ -> ()
+  (match allow_of "engine.ml:mutable-global" with
+  | [ e ] ->
+      List.iter
+        (fun (path, expected) ->
+          Alcotest.(check bool) path expected
+            (F.suppresses e (finding ~path "mutable-global")))
+        [
+          ("engine.ml", true);
+          ("lib/des/engine.ml", true);
+          ("lib/des/myengine.ml", false);
+        ]
+  | entries -> Alcotest.failf "expected one entry, got %d" (List.length entries));
+  List.iter
+    (fun source ->
+      match F.parse_allow source with
+      | Ok _ -> Alcotest.failf "malformed entry accepted: %S" source
+      | Error _ -> ())
+    [ "garbage-without-colon"; ":mutable-global"; "lib/x.ml:" ]
 
 (* {2 Source discipline (lib/ only)} *)
-
-let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
 
 let test_exit_exact () =
   let source =
@@ -375,7 +398,7 @@ let test_mutable_global_without_spawn () =
   let source = "let counter = ref 0\nlet fresh () = ref 0\nlet n = 3\n" in
   Alcotest.(check (list int)) "lib/raft top-level ref" [ 1 ]
     (lines_of "mutable-global" (analyze [ file "lib/raft/g.ml" source ]));
-  Alcotest.(check (list int)) "outside lib/raft" []
+  Alcotest.(check (list int)) "outside lib/raft" [ 1 ]
     (lines_of "mutable-global" (analyze [ file "lib/stats/g.ml" source ]))
 
 (* {2 unset-optional} *)
@@ -422,16 +445,19 @@ let tests =
     Alcotest.test_case "unset-optional" `Quick test_unset_optional;
     Alcotest.test_case "callers-are-not-checked" `Quick
       test_callers_are_not_checked;
-    Alcotest.test_case "taint-two-hops" `Quick test_taint_two_hops;
-    Alcotest.test_case "taint-needs-entry" `Quick
-      test_taint_requires_entry_reachability;
-    Alcotest.test_case "taint-forensics-entry" `Quick
-      test_taint_forensics_entry;
-    Alcotest.test_case "taint-allowlist" `Quick test_taint_allowlist;
+    Alcotest.test_case "ambient-effect-at-sink" `Quick
+      test_ambient_effect_at_sink;
+    Alcotest.test_case "ambient-effect-any-dir" `Quick
+      test_ambient_effect_any_dir;
+    Alcotest.test_case "ambient-effect-exporter" `Quick
+      test_ambient_effect_exporter;
+    Alcotest.test_case "allowlist-mutable-global" `Quick
+      test_allowlist_mutable_global;
     Alcotest.test_case "stale-allow-entries" `Quick test_stale_allow_entries;
-    Alcotest.test_case "shared-state-fires" `Quick test_shared_state_fires;
-    Alcotest.test_case "shared-state-needs-spawn" `Quick
-      test_shared_state_needs_spawn;
+    Alcotest.test_case "mutable-global-everywhere" `Quick
+      test_mutable_global_everywhere;
+    Alcotest.test_case "mutable-global-near-misses" `Quick
+      test_mutable_global_near_misses;
     Alcotest.test_case "fragile-match" `Quick test_fragile_match_fires;
     Alcotest.test_case "fragile-match-negative" `Quick
       test_fragile_match_negative;
