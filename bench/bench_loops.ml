@@ -553,7 +553,9 @@ let loops =
       make = make_cpu_execute_loop;
     };
     (* One [Des.Engine.await] of 1 s in 1 ms slices on an engine with no
-       events: the harness's wait loop with nothing to do. *)
+       events: the harness's wait loop with nothing to do.  With no live
+       event ahead, the wait jumps its empty slices and lands on the
+       deadline in one step. *)
     {
       name = "engine idle await 1s/1ms";
       budget = 0.;

@@ -31,6 +31,7 @@ let no_handler (_ : Obj.t) (_ : Obj.t) (_ : int) = ()
 let slot_timer = 0
 let slot_node_deliver = 1
 let slot_node_work = 2
+let slot_client_arrival = 3
 let n_cached_slots = 8
 
 let create ?seed () =
@@ -80,53 +81,42 @@ let cached_op t ~slot f =
     op
   end
 
+(* Every event, closure or op, enters the queue through the timing
+   wheel: it parks in a slot until its tick comes up, so the heap holds
+   only the tick being drained (and past-horizon overflow) rather than
+   every in-flight delivery.  The heap still orders by [(at, seq)], so
+   the path an event took cannot change when it fires. *)
 let schedule_at t at action =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: %d is in the past (now %d)" at
          t.clock);
-  let ev = Event_heap.schedule t.queue ~at ~seq:t.seq action in
+  let ev = Event_heap.make t.queue ~at ~seq:t.seq action in
   t.seq <- t.seq + 1;
+  Event_heap.push_timer t.queue ~now:t.clock ev;
   ev
 
 let schedule_after t span action =
   schedule_at t (Time.add t.clock (Time.max_span 0 span)) action
 
-(* Timer deadlines are overwhelmingly cancelled and re-armed before they
-   come due (election resets, heartbeat re-arms), so they park in the
-   timing wheel where cancellation is a free in-place drop.  One-shot
-   work — message deliveries, CPU completions — nearly always fires and
-   would pay the wheel's flush bookkeeping for nothing, so the plain
-   [schedule_at]/[schedule_after] keep it on the heap. *)
-let schedule_timer_after t span action =
-  let at = Time.add t.clock (Time.max_span 0 span) in
-  let ev = Event_heap.make t.queue ~at ~seq:t.seq action in
+let schedule_op t at op a b arg =
+  let ev = Event_heap.alloc t.queue ~at ~seq:t.seq in
   t.seq <- t.seq + 1;
-  Event_heap.push_timer t.queue ev;
+  Event_heap.set_payload ev op (Obj.repr a) (Obj.repr b) arg;
+  Event_heap.push_timer t.queue ~now:t.clock ev;
   ev
-
-let[@inline] fill_op ev op a b arg =
-  Event_heap.set_payload ev op (Obj.repr a) (Obj.repr b) arg
 
 let schedule_op_at t at op a b arg =
   if at < t.clock then invalid_arg "Engine.schedule_op_at: past deadline";
-  let ev = Event_heap.alloc t.queue ~at ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  fill_op ev op a b arg;
-  Event_heap.push_event t.queue ev
+  ignore (schedule_op t at op a b arg : handle)
 
 let call_op t op a b arg = t.handlers.(op) (Obj.repr a) (Obj.repr b) arg
 
-let schedule_op_after t span op a b arg =
-  schedule_op_at t (Time.add t.clock (Time.max_span 0 span)) op a b arg
-
 let schedule_timer_op t span op a b arg =
-  let at = Time.add t.clock (Time.max_span 0 span) in
-  let ev = Event_heap.alloc t.queue ~at ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  fill_op ev op a b arg;
-  Event_heap.push_timer t.queue ev;
-  ev
+  schedule_op t (Time.add t.clock (Time.max_span 0 span)) op a b arg
+
+let schedule_op_after t span op a b arg =
+  ignore (schedule_timer_op t span op a b arg : handle)
 
 let cancel = Event_heap.cancel
 let is_pending = Event_heap.is_pending
@@ -194,6 +184,17 @@ let run_until t limit =
 
 let run_for t span = run_until t (Time.add t.clock span)
 
+(* The end of the next slice that can run an event: the slice holding
+   the next live event, on the grid [clock + k * slice], or the
+   deadline when that comes first.  The slices skipped run nothing, so
+   stepping through them one by one would change nothing either. *)
+let slice_end t ~slice ~deadline =
+  let ev = next_live t in
+  if ev == Event_heap.never || ev.Event_heap.at >= deadline then deadline
+  else
+    let slices = ((ev.Event_heap.at - t.clock - 1) / slice) + 1 in
+    Int.min deadline (t.clock + (slices * slice))
+
 (* Simulation state changes only inside events, so a slice that ran none
    cannot have made [cond] true: skip the re-evaluation.  A top-level
    loop rather than a local closure, so a wait allocates nothing. *)
@@ -201,7 +202,7 @@ let rec await_from t ~slice ~deadline cond =
   if t.clock >= deadline then false
   else begin
     let before = t.processed in
-    run_until t (Int.min deadline (Time.add t.clock slice));
+    run_until t (slice_end t ~slice ~deadline);
     (t.processed <> before && cond ()) || await_from t ~slice ~deadline cond
   end
 

@@ -15,7 +15,17 @@
       the callback is a handler registered once per engine, and each
       schedule passes it two operand words plus an immediate int.  After
       the event pool warms up, scheduling allocates {e zero} minor
-      words — this is what the delivery and timer hot paths use. *)
+      words — this is what the delivery and timer hot paths use.
+
+    {b One path, and what it costs.}  Every entry point queues its
+    event the same way: a pooled record parked in the timing wheel's
+    slot for its deadline (O(1) link), moved into the heap when its
+    tick comes up, and popped from a heap that holds about one tick's
+    events.  An event due in the tick being drained, or more than
+    ~4.9 h ahead, goes to the heap directly.  Cancelling a parked event
+    unlinks it at once; cancelling one already in the heap leaves a
+    tombstone.  So the entry points differ only in what the call site
+    allocates: the closure form, its closure; the op forms, nothing. *)
 
 type t
 
@@ -41,15 +51,6 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> handle
 val schedule_after : t -> Time.span -> (unit -> unit) -> handle
 (** Schedule after a relative delay (clamped to be non-negative). *)
 
-val schedule_timer_after : t -> Time.span -> (unit -> unit) -> handle
-(** Like {!schedule_after}, but for deadlines that are likely to be
-    cancelled before coming due (timer re-arm churn): the event parks in
-    the timing wheel, where cancellation drops it in place — no heap
-    push, sift, or tombstone.  Firing order and semantics are identical
-    to {!schedule_after}; one-shot work that nearly always fires should
-    keep using the plain entry points, which skip the wheel's flush
-    bookkeeping. *)
-
 type ('a, 'b) op
 (** A handler-table index for the opcode scheduling form: the handler
     receives the two operand values and the immediate int passed at
@@ -67,7 +68,8 @@ val cached_op : t -> slot:int -> (unit -> ('a, 'b) op) -> ('a, 'b) op
     times per engine but need only one shared handler.  The slot
     registry is a fixed convention: slot {!slot_timer} belongs to
     {!Timer}, slots {!slot_node_deliver} and {!slot_node_work} to
-    [Raft.Node]; slots above them are unassigned.  The thunk runs on first
+    [Raft.Node], slot {!slot_client_arrival} to [Kvsm.Client]; slots
+    above them are unassigned.  The thunk runs on first
     use only.  Callers must ensure a slot is always used at one type —
     the memoization is untyped. *)
 
@@ -79,6 +81,10 @@ val slot_node_deliver : int
 
 val slot_node_work : int
 (** {!cached_op} slot owned by [Raft.Node]'s client-request handler. *)
+
+val slot_client_arrival : int
+(** {!cached_op} slot owned by [Kvsm.Client]'s open-loop arrival
+    handler. *)
 
 val schedule_op_at : t -> Time.t -> ('a, 'b) op -> 'a -> 'b -> int -> unit
 (** Opcode form of {!schedule_at}: fire [op]'s handler with the given
@@ -94,8 +100,8 @@ val schedule_op_after : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> unit
 (** Opcode form of {!schedule_after}. *)
 
 val schedule_timer_op : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> handle
-(** Opcode form of {!schedule_timer_after}; returns a handle because
-    timer deadlines are routinely cancelled. *)
+(** {!schedule_op_after} returning a handle, because timer deadlines are
+    routinely cancelled. *)
 
 val cancel : handle -> unit
 (** Cancel a scheduled event; cancelling a fired or already-cancelled
@@ -126,9 +132,12 @@ val await : t -> slice:Time.span -> timeout:Time.span -> (unit -> bool) -> bool
     [cond] is evaluated first, then after each {!run_until} step of
     [slice] (the last step clamped to the deadline) — but only after a
     step that executed at least one event, since nothing else changes
-    simulation state.  On [false] the clock is exactly at the deadline.
-    This is the harness's one wait loop; it allocates nothing per slice.
-    Raises [Invalid_argument] unless [slice > 0]. *)
+    simulation state.  Slices that hold no event are not stepped one by
+    one: the wait advances straight to the end of the slice, on the same
+    grid, that holds the next live event.  On [false] the clock is
+    exactly at the deadline.  This is the harness's one wait loop; it
+    allocates nothing per slice.  Raises [Invalid_argument] unless
+    [slice > 0]. *)
 
 val step : t -> bool
 (** Process the single next event; [false] if the queue was empty. *)

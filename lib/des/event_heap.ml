@@ -67,6 +67,7 @@ and t = {
   mutable free : int; (* free-list head; -1 = empty *)
   slot_head : int array; (* wheel-slot chain heads, by id; -1 = empty *)
   slot_bits : int array; (* wheel-slot occupancy, 32 slots per word *)
+  summary : int array; (* per level: bit [w] set iff its word [w] <> 0 *)
   mutable cursor : int; (* tick; every parked event's tick is >= this *)
   mutable due_lb : int; (* cached [next_due_tick]; -1 = recompute *)
   stats : stats;
@@ -95,6 +96,7 @@ let create () =
     free = -1;
     slot_head = Array.make wheel_slots (-1);
     slot_bits = Array.make (wheel_slots / 32) 0;
+    summary = Array.make 3 0;
     cursor = 0;
     due_lb = -1;
     stats = fresh_stats ();
@@ -270,11 +272,6 @@ let push_event t ev =
   ev.state <- st_heap;
   sift_up t.h_at t.h_seq t.h_id n ev.at ev.seq ev.id
 
-let schedule t ~at ~seq action =
-  let ev = make t ~at ~seq action in
-  push_event t ev;
-  ev
-
 (* {2 Timing wheel}
 
    A hierarchical timing wheel (Varghese & Lauck) in front of the heap.
@@ -286,10 +283,13 @@ let schedule t ~at ~seq action =
    bit-identical (see DESIGN.md, "Timer wheel and the determinism
    contract").
 
-   What the wheel buys is the churn case: a timer armed far ahead and
-   cancelled before coming due (election resets, heartbeat re-arms) is
-   linked and unlinked in O(1) without ever touching the heap — no
-   sift_up, no tombstone, no compaction debt.
+   Every event the engine schedules enters here.  What the wheel buys
+   is a small heap: it holds only the events of the tick being drained
+   (plus the rare past-horizon ones), so a sift runs a few levels
+   instead of the depth of every in-flight delivery.  A timer armed far
+   ahead and cancelled before coming due (election resets, heartbeat
+   re-arms) is linked and unlinked in O(1) without ever touching the
+   heap — no sift_up, no tombstone, no compaction debt.
 
    Level 0 spans ~268 ms at tick resolution, level 1 ~68.7 s, level 2
    ~4.9 h; deadlines beyond that, or behind the cursor, go to the heap
@@ -297,14 +297,26 @@ let schedule t ~at ~seq action =
    unlink in place; chain order is irrelevant because the heap re-orders
    on flush.
 
-   Invariant: every parked event's tick is >= [cursor], and a slot is
-   non-empty iff its occupancy bit is set. *)
+   Invariant: every parked event's tick is >= [cursor], a slot is
+   non-empty iff its occupancy bit is set, and a level's summary bit is
+   set iff its occupancy word is non-zero. *)
 
-let[@inline] set_bit bits slot =
-  bits.(slot lsr 5) <- bits.(slot lsr 5) lor (1 lsl (slot land 31))
+(* Occupancy bits, and the per-level summary word above them: bit
+   [w land 7] of [summary.(w lsr 3)] is set iff occupancy word [w] is
+   non-zero. *)
+let set_bit t slot =
+  let w = slot lsr 5 in
+  let v = t.slot_bits.(w) in
+  if v = 0 then
+    t.summary.(w lsr 3) <- t.summary.(w lsr 3) lor (1 lsl (w land 7));
+  t.slot_bits.(w) <- v lor (1 lsl (slot land 31))
 
-let[@inline] clear_bit bits slot =
-  bits.(slot lsr 5) <- bits.(slot lsr 5) land lnot (1 lsl (slot land 31))
+let clear_bit t slot =
+  let w = slot lsr 5 in
+  let v = t.slot_bits.(w) land lnot (1 lsl (slot land 31)) in
+  t.slot_bits.(w) <- v;
+  if v = 0 then
+    t.summary.(w lsr 3) <- t.summary.(w lsr 3) land lnot (1 lsl (w land 7))
 
 let link t slot ev =
   let head = t.slot_head.(slot) in
@@ -312,18 +324,20 @@ let link t slot ev =
   ev.prev <- -1;
   ev.next <- head;
   if head >= 0 then t.by_id.(head).prev <- ev.id
-  else set_bit t.slot_bits slot;
+  else set_bit t slot;
   t.slot_head.(slot) <- ev.id
 
 (* Empty a slot, returning the id at the head of its chain. *)
 let take_slot t slot =
   let head = t.slot_head.(slot) in
   t.slot_head.(slot) <- -1;
-  clear_bit t.slot_bits slot;
+  clear_bit t slot;
   head
 
 (* O(1) removal of a parked event.  Emptying a slot may raise the
-   earliest occupied tick, so the cached due bound is dropped. *)
+   earliest occupied tick, so the cached due bound is dropped when this
+   slot's candidate (its tick at level 0, else its range start clamped
+   to the cursor; see [cand0]/[cand_hi]) could have set it. *)
 let unlink t slot ev =
   let prev = ev.prev and next = ev.next in
   if next >= 0 then t.by_id.(next).prev <- prev;
@@ -331,8 +345,10 @@ let unlink t slot ev =
   else begin
     t.slot_head.(slot) <- next;
     if next < 0 then begin
-      clear_bit t.slot_bits slot;
-      t.due_lb <- -1
+      clear_bit t slot;
+      let shift = (slot lsr level_bits) * level_bits in
+      let start = ((ev.at lsr tick_bits) lsr shift) lsl shift in
+      if Int.max t.cursor start <= t.due_lb then t.due_lb <- -1
     end
   end
 
@@ -346,25 +362,22 @@ let[@inline] ctz v =
   Char.code ctz_table.[(((v land -v) * 0x077CB531) lsr 27) land 31]
 
 (* Distance (in slots, 0..255) from [pos] to the first occupied slot of
-   the level whose bitmap starts at word [base], scanning circularly; -1
-   when the level is empty.  A top-level recursive worker, not a nested
-   one: nesting would capture the scan state in a fresh closure on every
-   call, and this runs per flush. *)
-let rec scan_from bm base pos w0 b0 k =
-  if k > 8 then -1
+   [level], scanning circularly; -1 when the level is empty.  O(1): the
+   bits at or after [pos] in its own word, else the first non-zero word
+   after it by the summary, else (wrapping) the first non-zero word from
+   the level's start — which may be [pos]'s own word, whose bits at or
+   after [pos] are then known to be clear. *)
+let first_set_from t level pos =
+  let base = 8 * level and w0 = pos lsr 5 in
+  let v = t.slot_bits.(base + w0) land (-1 lsl (pos land 31)) in
+  if v <> 0 then (w0 lsl 5) + ctz v - pos
   else
-    let wi = (w0 + k) land 7 in
-    let v = bm.(base + wi) in
-    let v =
-      if k = 0 then v land lnot ((1 lsl b0) - 1)
-      else if k = 8 then v land ((1 lsl b0) - 1)
-      else v
-    in
-    if v = 0 then scan_from bm base pos w0 b0 (k + 1)
-    else (((wi lsl 5) + ctz v) - pos) land 255
-
-let[@inline] first_set_from t level pos =
-  scan_from t.slot_bits (8 * level) pos (pos lsr 5) (pos land 31) 0
+    let s = t.summary.(level) in
+    if s = 0 then -1
+    else
+      let after = s land (-2 lsl w0) in
+      let w = ctz (if after <> 0 then after else s) in
+      ((w lsl 5) + ctz t.slot_bits.(base + w) - pos) land 255
 
 (* Park [ev] in the slot its deadline selects; false = out of range
    (past the cursor, or beyond level 2) and the caller must heap it.
@@ -406,9 +419,15 @@ let file t ev =
     end
   end
 
-let push_timer t ev =
+(* An empty wheel holds nothing back: its cursor first catches up with
+   the clock, so a deadline files relative to now rather than
+   overflowing a horizon measured from a cursor left behind by an idle
+   stretch. *)
+let push_timer t ~now ev =
+  let s = t.stats in
+  if s.wheel_occupancy = 0 then
+    t.cursor <- Int.max t.cursor (now lsr tick_bits);
   if file t ev then begin
-    let s = t.stats in
     s.wheel_occupancy <- s.wheel_occupancy + 1;
     if s.wheel_occupancy > s.wheel_high_water then
       s.wheel_high_water <- s.wheel_occupancy;
@@ -459,6 +478,7 @@ let rec cascade_chain t id =
    cursor first advances to the slot's range start, so every re-filed
    event lands within the finer level's span. *)
 let cascade t slot start =
+  t.due_lb <- -1;
   t.cursor <- start;
   t.stats.cascades <- t.stats.cascades + 1;
   cascade_chain t (take_slot t slot)
@@ -480,9 +500,10 @@ let drain t idx tick =
 (* Process exactly one slot: cascade the earliest-due level-1/2 slot, or
    drain the earliest level-0 slot into the heap.  Ties go to the
    coarser level — its range may contain deadlines earlier than the
-   level-0 candidate. *)
+   level-0 candidate.  A drain leaves the due bound computed: the
+   level-1/2 candidates are later than the drained tick, so moving the
+   cursor just past it leaves them as they were. *)
 let flush_next t =
-  t.due_lb <- -1;
   let a = cand0 t in
   let c1 = t.cursor lsr level_bits in
   let d1 = first_set_from t 1 (c1 land 0xFF) in
@@ -498,7 +519,10 @@ let flush_next t =
   if c <= a && c <= b then
     cascade t ((2 * level_slots) + ((c2 + d2) land 0xFF)) c
   else if b <= a then cascade t (level_slots + ((c1 + d1) land 0xFF)) b
-  else drain t (a land 0xFF) a
+  else begin
+    drain t (a land 0xFF) a;
+    t.due_lb <- Int.min (cand0 t) (Int.min b c)
+  end
 
 (* {2 Cancellation and draining} *)
 

@@ -23,11 +23,14 @@
     {b Timing wheel.}  3 levels x 256 slots at 2^20 ns (~1.05 ms) per
     tick: level 0 spans ~268 ms, level 1 ~68.7 s, level 2 ~4.9 h.
     {!push_timer} parks an event in the slot its deadline selects;
-    deeper deadlines, and deadlines behind the wheel's cursor, go to the
-    heap.  Parked events are pushed into the heap with their original
-    [(at, seq)] just before they come due ({!flush_next}), so the heap
-    alone decides firing order whether or not an event took the wheel
-    shortcut.
+    deeper deadlines, and deadlines behind the wheel's cursor (the tick
+    being drained), go to the heap.  Parked events are pushed into the
+    heap with their original [(at, seq)] just before they come due
+    ({!flush_next}), so the heap alone decides firing order whether or
+    not an event took the wheel.  The engine queues every event through
+    {!push_timer}, so the heap holds about one tick's events.  Finding
+    the earliest occupied slot is O(1): a summary word per level marks
+    its non-empty occupancy words, and two [ctz]s pick the slot.
 
     Cancellation: a heap-resident event is marked dead in place, and
     the heap compacts once more than 64 entries are dead and the dead
@@ -96,20 +99,21 @@ val set_payload : event -> int -> Obj.t -> Obj.t -> int -> unit
 
 val make : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
 (** {!alloc} an event carrying a closure payload ([op] = 0) {e without}
-    queueing it — the caller hands it to {!push_event} or
-    {!push_timer}. *)
+    queueing it — the caller hands it to {!push_timer} (or, bypassing
+    the wheel, {!push_event}). *)
 
 val push_event : t -> event -> unit
-(** Push an event obtained from {!make}/{!alloc} into the heap. *)
+(** Push an event obtained from {!make}/{!alloc} straight into the
+    heap.  The wheel's flush uses it; outside this module only tests and
+    the heap's microbenchmark do. *)
 
-val push_timer : t -> event -> unit
+val push_timer : t -> now:Time.t -> event -> unit
 (** Queue an event obtained from {!make}/{!alloc} through the timing
     wheel: parked in a slot when its deadline is in the wheel's range,
-    pushed into the heap otherwise.  For deadlines likely to be
-    cancelled before they come due. *)
-
-val schedule : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
-(** [make] + [push_event]. *)
+    pushed into the heap when it falls in the tick being drained or past
+    level 2's horizon.  [now] is the clock, a lower bound on every
+    deadline still to come: an empty wheel moves its cursor up to it.
+    The engine's one way in. *)
 
 val cancel : event -> unit
 (** Cancel a pending event.  A heap-resident event becomes a dead entry

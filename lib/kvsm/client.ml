@@ -9,6 +9,9 @@ type target =
 
 type t = {
   engine : Des.Engine.t;
+  arrival : (t, unit) Des.Engine.op;
+      (* the engine's shared arrival handler: an arrival event is an op
+         on this client, so it allocates no closure *)
   target : target;
   client_id : int;
   rate : float;
@@ -33,30 +36,6 @@ type t = {
 let value = String.make 64 'v'
 let max_redirects = 3
 let redirect_backoff = Des.Time.ms 1
-
-let create ~engine ~target ~client_id ~rate ?(client_rtt = 0) ?route () =
-  if rate <= 0. then invalid_arg "Client.create: rate must be positive";
-  {
-    engine;
-    target;
-    client_id;
-    rate;
-    client_rtt;
-    route;
-    rng =
-      Stats.Rng.split_int
-        (Stats.Rng.split (Des.Engine.rng engine) "kv-client")
-        client_id;
-    running = false;
-    seq = 0;
-    offered = 0;
-    completed = 0;
-    rejected = 0;
-    redirected = 0;
-    abandoned = 0;
-    latencies = Float.Array.create 0;
-    n_latencies = 0;
-  }
 
 let record_latency t elapsed =
   let n = t.n_latencies in
@@ -102,15 +81,45 @@ let issue t =
   in
   attempt ~via:t.target ~hops:0
 
+(* Open-loop arrivals: each one issues a request and draws the gap to
+   the next. *)
 let rec schedule_next t =
   let gap = Stats.Dist.exponential t.rng ~rate:t.rate in
-  ignore
-    (Des.Engine.schedule_after t.engine (Des.Time.of_sec_f gap) (fun () ->
-         if t.running then begin
-           issue t;
-           schedule_next t
-         end)
-      : Des.Engine.handle)
+  Des.Engine.schedule_op_after t.engine (Des.Time.of_sec_f gap) t.arrival t ()
+    0
+
+and arrive t () (_ : int) =
+  if t.running then begin
+    issue t;
+    schedule_next t
+  end
+
+let create ~engine ~target ~client_id ~rate ?(client_rtt = 0) ?route () =
+  if rate <= 0. then invalid_arg "Client.create: rate must be positive";
+  {
+    engine;
+    arrival =
+      Des.Engine.cached_op engine ~slot:Des.Engine.slot_client_arrival
+        (fun () -> Des.Engine.register_op engine arrive);
+    target;
+    client_id;
+    rate;
+    client_rtt;
+    route;
+    rng =
+      Stats.Rng.split_int
+        (Stats.Rng.split (Des.Engine.rng engine) "kv-client")
+        client_id;
+    running = false;
+    seq = 0;
+    offered = 0;
+    completed = 0;
+    rejected = 0;
+    redirected = 0;
+    abandoned = 0;
+    latencies = Float.Array.create 0;
+    n_latencies = 0;
+  }
 
 let start t =
   if not t.running then begin

@@ -22,6 +22,11 @@ type 'msg node_state = {
    pure function of the send sequence. *)
 type 'msg egress = {
   mutable busy : bool;  (* a message currently occupies the wire *)
+  mutable wire_kind : Transport.kind;
+  mutable wire_msg : 'msg;
+      (* the message on the wire while [busy] (afterwards the last one
+         sent, until the next replaces it): the wire-free event carries
+         only (port, egress) and the cause *)
   eg_urgent : (Transport.kind * int * int * 'msg) Queue.t;
       (* (kind, units, cause, msg); cause 0 = none *)
   eg_bulk : (Transport.kind * int * int * 'msg) Queue.t;
@@ -40,6 +45,10 @@ type 'msg t = {
       (* engine handler delivering [msg] through a port; the schedule's
          int operand carries the causal token, so a delivery event
          allocates nothing *)
+  wire_free_op : ('msg port, 'msg egress) Des.Engine.op;
+      (* engine handler run when a serialized message leaves the wire:
+         transmit it, then start the next; the int operand is its
+         cause *)
   mutable default_serialization : Des.Time.span;
       (* for ports created later; 0 = wire never busy *)
   mutable default_conditions : Conditions.t;
@@ -101,8 +110,70 @@ let dispatch_deliver port msg cause =
     t.last_cause <- 0
   end
 
+(* Put one message on the (now free) wire: sample the link model and
+   schedule the delivery through the engine's handler table.  This is
+   the entire send path when no serialization delay is configured, and
+   the wire-free continuation when one is.  Allocation-free for
+   datagrams (the dominant kind): packed link sample, pooled event,
+   int-carried cause. *)
+let[@hot] transmit_port t p kind ~cause msg =
+  let extra =
+    match p.pt_src_state.congestion with
+    | None -> 0
+    | Some c -> Congestion.extra_delay c ~now:(Des.Engine.now t.engine)
+  in
+  match kind with
+  | Transport.Datagram ->
+      let d1 = Link.sample_datagram_packed p.pt_link in
+      if d1 < 0 then t.lost <- t.lost + 1
+      else begin
+        let d2 = Link.dup_latency p.pt_link in
+        Des.Engine.schedule_op_after t.engine (d1 + extra) t.deliver_op p msg
+          cause;
+        if d2 >= 0 then begin
+          t.duplicated <- t.duplicated + 1;
+          Des.Engine.schedule_op_after t.engine (d2 + extra) t.deliver_op p
+            (t.dup_clone msg) cause
+        end
+      end
+  | Transport.Reliable ->
+      let latency = Link.sample_reliable p.pt_link + extra in
+      let now = Des.Engine.now t.engine in
+      let at = Transport.Channel.delivery_time p.pt_channel ~now ~latency in
+      Des.Engine.schedule_op_at t.engine at t.deliver_op p msg cause
+
+let egress_depth eg =
+  Queue.length eg.eg_urgent + Queue.length eg.eg_bulk
+  + if eg.busy then 1 else 0
+
+(* Drain the egress: urgent lane first, then bulk, FIFO within each —
+   deterministic because sends on one link happen in engine sequence
+   order.  Each message occupies the wire for [units x serialization]
+   before the link's propagation model takes over; the egress holds it
+   meanwhile, so the wire-free event is an op on (port, egress) with
+   the cause as its int, and allocates nothing. *)
+let[@hot] rec pump t p eg =
+  if not (Queue.is_empty eg.eg_urgent) then
+    occupy t p eg (Queue.pop eg.eg_urgent)
+  else if not (Queue.is_empty eg.eg_bulk) then
+    occupy t p eg (Queue.pop eg.eg_bulk)
+  else eg.busy <- false
+
+and[@hot] occupy t p eg (kind, units, cause, msg) =
+  eg.busy <- true;
+  eg.wire_kind <- kind;
+  eg.wire_msg <- msg;
+  Des.Engine.schedule_op_after t.engine (units * p.pt_serialization)
+    t.wire_free_op p eg cause
+
+and[@hot] wire_free p eg cause =
+  let t = p.pt_fabric in
+  transmit_port t p eg.wire_kind ~cause eg.wire_msg;
+  pump t p eg
+
 let create engine =
   let deliver_op = Des.Engine.register_op engine dispatch_deliver in
+  let wire_free_op = Des.Engine.register_op engine wire_free in
   {
     engine;
     rng = Stats.Rng.split (Des.Engine.rng engine) "fabric";
@@ -110,6 +181,7 @@ let create engine =
     node_order = [];
     ports = Itab.create 64;
     deliver_op;
+    wire_free_op;
     default_serialization = 0;
     default_conditions = Conditions.(constant (profile ~rtt_ms:0. ()));
     groups = None;
@@ -280,63 +352,6 @@ let set_uniform_serialization t span =
   t.default_serialization <- span;
   Itab.fold (fun _ p () -> p.pt_serialization <- span) t.ports ()
 
-(* Put one message on the (now free) wire: sample the link model and
-   schedule the delivery through the engine's handler table.  This is
-   the entire send path when no serialization delay is configured, and
-   the wire-free continuation when one is.  Allocation-free for
-   datagrams (the dominant kind): packed link sample, pooled event,
-   int-carried cause. *)
-let[@hot] transmit_port t p kind ~cause msg =
-  let extra =
-    match p.pt_src_state.congestion with
-    | None -> 0
-    | Some c -> Congestion.extra_delay c ~now:(Des.Engine.now t.engine)
-  in
-  match kind with
-  | Transport.Datagram ->
-      let d1 = Link.sample_datagram_packed p.pt_link in
-      if d1 < 0 then t.lost <- t.lost + 1
-      else begin
-        let d2 = Link.dup_latency p.pt_link in
-        Des.Engine.schedule_op_after t.engine (d1 + extra) t.deliver_op p msg
-          cause;
-        if d2 >= 0 then begin
-          t.duplicated <- t.duplicated + 1;
-          Des.Engine.schedule_op_after t.engine (d2 + extra) t.deliver_op p
-            (t.dup_clone msg) cause
-        end
-      end
-  | Transport.Reliable ->
-      let latency = Link.sample_reliable p.pt_link + extra in
-      let now = Des.Engine.now t.engine in
-      let at = Transport.Channel.delivery_time p.pt_channel ~now ~latency in
-      Des.Engine.schedule_op_at t.engine at t.deliver_op p msg cause
-
-let egress_depth eg =
-  Queue.length eg.eg_urgent + Queue.length eg.eg_bulk
-  + if eg.busy then 1 else 0
-
-(* Drain the egress: urgent lane first, then bulk, FIFO within each —
-   deterministic because sends on one link happen in engine sequence
-   order.  Each message occupies the wire for [units x serialization]
-   before the link's propagation model takes over. *)
-let[@hot] rec pump t p eg =
-  let next =
-    if not (Queue.is_empty eg.eg_urgent) then Some (Queue.pop eg.eg_urgent)
-    else if not (Queue.is_empty eg.eg_bulk) then Some (Queue.pop eg.eg_bulk)
-    else None
-  in
-  match next with
-  | None -> eg.busy <- false
-  | Some (kind, units, cause, msg) ->
-      eg.busy <- true;
-      let wire = units * p.pt_serialization in
-      ignore
-        (Des.Engine.schedule_after t.engine wire (fun () ->
-             transmit_port t p kind ~cause msg;
-             pump t p eg)
-          : Des.Engine.handle)
-
 (* Route one message through a resolved port: free wire -> transmit now;
    serialized wire -> queue on the egress. *)
 let[@hot] send_port t p kind lane units ~cause msg =
@@ -349,6 +364,8 @@ let[@hot] send_port t p kind lane units ~cause msg =
           let eg =
             {
               busy = false;
+              wire_kind = kind;
+              wire_msg = msg;
               eg_urgent = Queue.create ();
               eg_bulk = Queue.create ();
               depth_high_water = 0;

@@ -177,6 +177,51 @@ let test_await_zero_timeout () =
   Alcotest.(check int) "clock unmoved" Time.zero (Engine.now e);
   Alcotest.(check int) "nothing ran" 0 (Engine.processed_events e)
 
+(* The slice grid, pinned: from a clock off the millisecond grid, [cond]
+   runs at the end of each 1 ms slice that ran an event and at no other
+   slice end, whatever the gaps between events (empty slices are
+   jumped over), and a failed wait ends exactly at the deadline.  An
+   event on a slice's end runs in that slice; an event scheduled by an
+   event, and a timer, count like any other. *)
+let test_await_slice_grid () =
+  let run ~ready_at_end =
+    let e = Engine.create () in
+    Engine.run_until e (Time.us 400);
+    let ready = ref false and seen = ref [] in
+    let at us f =
+      ignore (Engine.schedule_at e (Time.us us) f : Engine.handle)
+    in
+    let noop () = () in
+    at 2_300 noop;
+    at 2_700 noop;
+    at 9_050 noop;
+    at 9_400 noop;
+    at 12_000 (fun () ->
+        ignore
+          (Engine.schedule_after e (Time.us 5_500) (fun () ->
+               ready := ready_at_end)
+            : Engine.handle));
+    Timer.arm (Timer.create e noop) (Time.us 19_600);
+    at 40_000 noop;
+    let r =
+      Engine.await e ~slice:(Time.ms 1) ~timeout:(Time.ms 25) (fun () ->
+          seen := Engine.now e :: !seen;
+          !ready)
+    in
+    (r, List.rev_map Time.to_ms_f !seen, Time.to_ms_f (Engine.now e))
+  in
+  let check name (r, seen, ret) (r', seen', ret') =
+    Alcotest.(check bool) (name ^ ": result") r' r;
+    Alcotest.(check (list (float 1e-9))) (name ^ ": cond instants") seen' seen;
+    Alcotest.(check (float 1e-9)) (name ^ ": clock on return") ret' ret
+  in
+  check "cond holds"
+    (run ~ready_at_end:true)
+    (true, [ 0.4; 2.4; 3.4; 9.4; 12.4; 18.4 ], 18.4);
+  check "timeout"
+    (run ~ready_at_end:false)
+    (false, [ 0.4; 2.4; 3.4; 9.4; 12.4; 18.4; 20.4 ], 25.4)
+
 let test_await_rejects_bad_slice () =
   List.iter
     (fun slice ->
@@ -194,7 +239,7 @@ let test_wheel_cancel_recycles () =
   let e = Engine.create () in
   let noop () = () in
   for _ = 1 to 1000 do
-    Engine.cancel (Engine.schedule_timer_after e (Time.ms 500) noop)
+    Engine.cancel (Engine.schedule_after e (Time.ms 500) noop)
   done;
   let st = Engine.stats e in
   Alcotest.(check int) "every cancel absorbed in place" 1000
@@ -202,10 +247,43 @@ let test_wheel_cancel_recycles () =
   Alcotest.(check int) "one record serves every arm" 1 st.Engine.pool_size;
   Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e)
 
+let test_op_parks_in_wheel () =
+  let e = Engine.create () in
+  let order = ref [] in
+  ignore
+    (Engine.schedule_at e (Time.ms 100) (fun () -> order := "closure" :: !order)
+      : Engine.handle);
+  let op =
+    Engine.register_op e (fun tag () (_ : int) -> order := tag :: !order)
+  in
+  Engine.schedule_op_after e (Time.ms 100) op "op" () 0;
+  let st = Engine.stats e in
+  Alcotest.(check int) "both parked in the wheel" 2 st.Engine.wheel_occupancy;
+  Alcotest.(check int) "the heap never held an event" 0
+    st.Engine.heap_high_water;
+  Engine.run e;
+  Alcotest.(check (list string)) "scheduling order at one instant"
+    [ "closure"; "op" ] (List.rev !order);
+  Alcotest.(check int) "fired at its deadline" (Time.ms 100) (Engine.now e);
+  (* Idle for longer than the wheel's ~4.9 h horizon: the next event
+     still parks, because an empty wheel's cursor catches up with the
+     clock. *)
+  Engine.run_until e (Time.sec 20_000);
+  Engine.schedule_op_after e (Time.ms 100) op "late" () 0;
+  let st = Engine.stats e in
+  Alcotest.(check int) "parked after the idle stretch" 1
+    st.Engine.wheel_occupancy;
+  Alcotest.(check int) "and only there" 1 st.Engine.pending
+
 let test_heap_tombstones_compact () =
   let e = Engine.create () in
   let noop () = () in
-  let hs = List.init 100 (fun i -> Engine.schedule_at e (Time.ms (i + 1)) noop) in
+  (* Five hours out, past the timing wheel's ~4.9 h horizon: these
+     overflow to the heap, where a cancel leaves a tombstone. *)
+  let far = Time.sec 18_000 in
+  let hs =
+    List.init 100 (fun i -> Engine.schedule_at e (far + Time.ms (i + 1)) noop)
+  in
   List.iter Engine.cancel hs;
   ignore (Engine.schedule_at e (Time.ms 1) noop : Engine.handle);
   let st = Engine.stats e in
@@ -404,10 +482,14 @@ let tests =
       test_await_stops_after_slice;
     Alcotest.test_case "await: zero timeout tests cond once" `Quick
       test_await_zero_timeout;
+    Alcotest.test_case "await: cond instants on the slice grid" `Quick
+      test_await_slice_grid;
     Alcotest.test_case "await: rejects a non-positive slice" `Quick
       test_await_rejects_bad_slice;
     Alcotest.test_case "pool: wheel cancel recycles at once" `Quick
       test_wheel_cancel_recycles;
+    Alcotest.test_case "queue: an op event parks in the wheel" `Quick
+      test_op_parks_in_wheel;
     Alcotest.test_case "pool: heap tombstones compact" `Quick
       test_heap_tombstones_compact;
     Alcotest.test_case "pool: bounded under timer churn" `Quick

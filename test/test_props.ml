@@ -719,7 +719,11 @@ let prop_conditions_piecewise_lookup =
    events, and cancel bursts of heap entries large enough to force
    compaction.  The offset generator lands on same-tick bursts, on the
    level-0/1 and level-1/2 cascade boundaries, and on past-horizon
-   deadlines (which overflow to the heap).
+   deadlines (which overflow to the heap).  [Q_slot] aims a wheel
+   deadline at a chosen slot of a chosen level, reached on the cursor's
+   current rotation or, for a slot behind the cursor's, the next one: so
+   deadlines land in every occupancy word of each level, on both sides
+   of the cursor's own word (the summary scan's wrap-around cases).
 
    Firing runs the engine's merged drain by hand, with a flush budget,
    so a wheel flush that never terminates fails with the wheel's state
@@ -731,6 +735,8 @@ type queue_op =
   | Q_cancel of int  (** cancel the k-th pending event (mod count) *)
   | Q_dead_burst of int  (** schedule n heap events, then cancel them all *)
   | Q_advance of int  (** fire n events *)
+  | Q_slot of int * int * int
+      (** on the wheel path, in (level, slot), at a sub-slot offset *)
 
 let queue_op_gen =
   let tick = 1 lsl Des.Event_heap.tick_bits in
@@ -756,6 +762,11 @@ let queue_op_gen =
       (3, Q.Gen.map (fun k -> Q_cancel k) (Q.Gen.int_range 0 100));
       (1, Q.Gen.map (fun n -> Q_dead_burst n) (Q.Gen.int_range 65 150));
       (2, Q.Gen.map (fun n -> Q_advance n) (Q.Gen.int_range 1 20));
+      ( 3,
+        Q.Gen.map3
+          (fun level slot within -> Q_slot (level, slot, within))
+          (Q.Gen.int_range 0 2) (Q.Gen.int_range 0 255)
+          (Q.Gen.int_range 0 ((1 lsl 36) - 1)) );
     ]
 
 let queue_op_print = function
@@ -764,6 +775,7 @@ let queue_op_print = function
   | Q_cancel k -> Printf.sprintf "cancel(%d)" k
   | Q_dead_burst n -> Printf.sprintf "dead_burst(%d)" n
   | Q_advance n -> Printf.sprintf "advance(%d)" n
+  | Q_slot (l, i, w) -> Printf.sprintf "slot(%d,%d,+%d)" l i w
 
 let prop_queue_matches_model =
   Q.Test.make ~count:200 ~name:"wheel and heap fire identically"
@@ -785,7 +797,7 @@ let prop_queue_matches_model =
         incr next_seq;
         let at = !now + offset in
         let ev = H.make h ~at ~seq:s noop in
-        if wheel then H.push_timer h ev else H.push_event h ev;
+        if wheel then H.push_timer h ~now:!now ev else H.push_event h ev;
         model := (at, s) :: !model;
         handles := (s, ev) :: !handles;
         s
@@ -856,6 +868,21 @@ let prop_queue_matches_model =
             for _ = 1 to n do
               fire_one ()
             done
+        | Q_slot (level, slot, within) ->
+            (* The first tick at or after the cursor whose level-[level]
+               slot is [slot], plus [within]'s low bits as ticks inside
+               that slot and its next 20 bits as ns inside the tick. *)
+            let shift = 8 * level and tick_bits = H.tick_bits in
+            let base = Int.max (H.cursor_tick h) (!now lsr tick_bits) in
+            let c = base lsr shift in
+            let tick =
+              Int.max base
+                (((c + ((slot - c) land 255)) lsl shift)
+                + (within land ((1 lsl shift) - 1)))
+            in
+            let ns = (within lsr 16) land ((1 lsl tick_bits) - 1) in
+            let at = Int.max !now ((tick lsl tick_bits) + ns) in
+            ignore (schedule ~wheel:true (at - !now) : int)
       in
       List.iter
         (fun op ->
