@@ -469,6 +469,19 @@ let make_store_put_loop () =
   fun () ->
     ignore (Kvsm.Store.apply_entry store entry : Kvsm.Store.result option)
 
+(* The randomness one datagram draws in [Netsim.Link] (its loss coin
+   and its jitter multiplier) plus one [Stats.Rng.int], the draw behind
+   every randomized election timeout.  The sum lands in a ref so the
+   draws cannot be dropped. *)
+let make_rng_draws_loop () =
+  let rng = Stats.Rng.create ~seed:8L () in
+  let sink = ref 0 in
+  fun () ->
+    let lost = Stats.Rng.bernoulli rng 0.1 in
+    let mult = Stats.Dist.lognormal_mean_preserving rng ~sigma:0.2 in
+    sink :=
+      !sink + Bool.to_int lost + int_of_float mult + Stats.Rng.int rng 1000
+
 (* The harness's wait loop on an idle engine: one [Engine.await] of 1 s
    in 1 ms slices, so 1000 [run_until] steps per call.  Nothing fires,
    so [cond] runs once; what remains is the per-slice cost. *)
@@ -487,8 +500,9 @@ let loops =
   [
     (* Follower handling one dynatune heartbeat (tuner observation
        included): the response send, the election re-arm and the action
-       list they travel in. *)
-    { name = "server heartbeat"; budget = 29.; make = make_heartbeat_loop };
+       list they travel in.  The re-arm's randomized timeout draws
+       without allocating. *)
+    { name = "server heartbeat"; budget = 18.; make = make_heartbeat_loop };
     (* The follower tuner's share of that heartbeat: one observation and
        the Et, h and K that follow it, recomputed from a fresh sample. *)
     { name = "tuner observe + refresh"; budget = 0.; make = make_tuner_loop };
@@ -511,7 +525,7 @@ let loops =
        [Server.handle]: the full RPC path over the prefix scan. *)
     {
       name = "follower duplicate append 64";
-      budget = 38.;
+      budget = 27.;
       make = make_follower_append_loop;
     };
     (* The same duplicate append straight into [Raft.Log.try_append]: the
@@ -526,7 +540,7 @@ let loops =
        one-off log wipe. *)
     {
       name = "stale snapshot install";
-      budget = 34.;
+      budget = 23.;
       make = make_snapshot_install_loop;
     };
     (* Leader registering one linearizable read and handling the two
@@ -535,6 +549,14 @@ let loops =
       name = "leader ReadIndex round, 32 reads in flight";
       budget = 68.;
       make = make_read_index_loop;
+    };
+    (* One datagram's loss and jitter draws plus one [Rng.int]: the
+       generator updates its state in place and the inlined float draws
+       stay unboxed. *)
+    {
+      name = "rng datagram draws + int";
+      budget = 0.;
+      make = make_rng_draws_loop;
     };
     (* One opcode event through the DES kernel: [Engine.schedule_op_after]
        then [Engine.step], from the event pool once it is warm. *)
@@ -575,11 +597,12 @@ let loops =
        command and the result. *)
     { name = "kv decode put"; budget = 17.; make = make_decode_put_loop };
     (* [Kvsm.Store.apply_entry] of that write with its key already
-       present: the value is kept by reference, so only the key is
-       copied. *)
+       present: one scan of the headers, the key looked up through the
+       store's buffer for its length, the value kept by reference, so
+       nothing is copied. *)
     {
       name = "kv store apply put (key present)";
-      budget = 2.;
+      budget = 0.;
       make = make_store_put_loop;
     };
   ]

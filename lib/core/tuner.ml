@@ -13,8 +13,15 @@ type t = {
      recorded, so they are cached behind a dirty flag.  The cached
      numbers are exactly what the direct computation would produce —
      recomputing them eagerly would give bit-identical traces, just three
-     O(window) statistics passes per heartbeat instead of one. *)
+     O(window) statistics passes per heartbeat instead of one.
+
+     The raw Et of the RTT estimator (before the clamp) has a flag of
+     its own: it depends on the RTT samples alone, so a heartbeat that
+     is recorded without an RTT sample moves the loss rate, K and h but
+     leaves it as it was, and the window's O(window) std is not rerun. *)
   mutable dirty : bool;
+  mutable rtt_dirty : bool;
+  mutable cached_raw_et : Des.Time.span;
   mutable cached_et : Des.Time.span;
   mutable cached_k : int;
   mutable cached_h : Des.Time.span;
@@ -40,6 +47,8 @@ let create config =
           Loss_estimator.create ~min_size:config.min_list_size
             ~max_size:config.max_list_size;
         dirty = true;
+        rtt_dirty = true;
+        cached_raw_et = config.default_election_timeout;
         cached_et = config.default_election_timeout;
         cached_k = 1;
         cached_h = config.default_heartbeat_interval;
@@ -58,10 +67,16 @@ let rtt_observe t sample =
   | Smoothed e -> Ewma_estimator.observe e sample
 
 (* Only asked once the estimator is warmed up. *)
-let rtt_et t ~s =
-  match t.rtt with
-  | Window w -> Rtt_estimator.election_timeout w ~s
-  | Smoothed e -> Ewma_estimator.election_timeout e ~s
+let rtt_et t =
+  if t.rtt_dirty then begin
+    let s = t.config.safety_factor in
+    t.cached_raw_et <-
+      (match t.rtt with
+      | Window w -> Rtt_estimator.election_timeout w ~s
+      | Smoothed e -> Ewma_estimator.election_timeout e ~s);
+    t.rtt_dirty <- false
+  end;
+  t.cached_raw_et
 
 let phase t =
   if rtt_warmed t && Loss_estimator.warmed_up t.loss then Tuned else Warming
@@ -72,7 +87,9 @@ let observe_heartbeat t ~hb_id ~rtt =
   | `Recorded -> (
       t.dirty <- true;
       match rtt with
-      | Some sample -> rtt_observe t sample
+      | Some sample ->
+          rtt_observe t sample;
+          t.rtt_dirty <- true
       | None -> ()))
 
 (* [@inline] keeps [p] unboxed on the per-heartbeat path. *)
@@ -88,7 +105,7 @@ let compute_election_timeout t =
   match phase t with
   | Tuned ->
       Des.Time.clamp
-        (rtt_et t ~s:t.config.safety_factor)
+        (rtt_et t)
         ~lo:Config.min_election_timeout ~hi:t.config.max_election_timeout
   | Warming -> t.config.default_election_timeout
 
@@ -153,7 +170,8 @@ let reset t =
   | Window w -> Rtt_estimator.clear w
   | Smoothed e -> Ewma_estimator.clear e);
   Loss_estimator.clear t.loss;
-  t.dirty <- true
+  t.dirty <- true;
+  t.rtt_dirty <- true
 
 let pp ppf t =
   let phase_str = match phase t with Warming -> "warming" | Tuned -> "tuned" in

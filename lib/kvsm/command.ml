@@ -219,7 +219,37 @@ let payload_key s =
   let code = check s in
   if code < 0 then Error (error_text s code) else Ok (field s 1 (field_end s 1))
 
-let put_key_end s =
-  if String.length s > 0 && String.unsafe_get s 0 = 'P' && check s = 0 then
-    field_end s 1
-  else -1
+type put_span = {
+  mutable key_start : int;
+  mutable key_end : int;
+  mutable value_start : int;
+}
+
+let put_span () = { key_start = 0; key_end = 0; value_start = 0 }
+
+(* [check] and the two [field_end]s of a Put, fused: each header is read
+   once, and the offsets [of_payload] would slice at are kept.  The
+   value's header must end the payload exactly, which is [check]'s
+   range and trailing-bytes tests together. *)
+let[@hot] scan_put span s =
+  let n = String.length s in
+  n > 0
+  && String.unsafe_get s 0 = 'P'
+  &&
+  let key_colon = colon_from s 1 in
+  key_colon >= 0
+  &&
+  let key_len = header_value s 1 key_colon in
+  key_len >= 0
+  && key_len <= n - key_colon - 1
+  &&
+  let key_end = key_colon + 1 + key_len in
+  let value_colon = colon_from s key_end in
+  value_colon >= 0
+  && header_value s key_end value_colon = n - value_colon - 1
+  && begin
+       span.key_start <- key_colon + 1;
+       span.key_end <- key_end;
+       span.value_start <- value_colon + 1;
+       true
+     end

@@ -37,14 +37,20 @@ val payload_key : string -> (string, string) result
     [Ok key] exactly when {!of_payload} accepts the payload, and
     {!of_payload}'s [Error] otherwise. *)
 
-val put_key_end : string -> int
-(** [-1] unless {!of_payload} decodes the payload to a [Put]; then the
-    offset just past the key's bytes, where the value's length header
-    starts.  The key is the bytes from [field_start p 1] up to
-    [put_key_end p]; the value runs from [field_start p (put_key_end p)]
-    to the end of [p]. *)
+type put_span = {
+  mutable key_start : int;
+  mutable key_end : int;
+  mutable value_start : int;
+}
+(** Where a Put's fields lie in its payload: the key is the bytes from
+    [key_start] up to [key_end], the value those from [value_start] to
+    the end of the payload. *)
 
-val field_start : string -> int -> int
-(** [field_start p pos] is the offset of the first byte of the field
-    whose length header starts at [pos], in a payload {!of_payload}
-    accepts. *)
+val put_span : unit -> put_span
+
+val scan_put : put_span -> string -> bool
+(** [scan_put span p] is [true] exactly when {!of_payload} decodes [p]
+    to a [Put], and then fills [span] with its key's and value's
+    offsets.  One pass over the two length headers, reading none of the
+    key's or value's bytes and allocating nothing.  On [false], [span]
+    is left as it was. *)

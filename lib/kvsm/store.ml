@@ -1,11 +1,26 @@
 (* A value is held by reference: [len] bytes of [src] from [off].  A Put
    applied from the log points into the committed payload itself — the
    log retains that string anyway, and every replica shares it
-   physically — so applying a Put copies only its key.  A value is
-   materialised when it is read. *)
+   physically — so applying a Put copies at most its key, and only when
+   the key is new.  A value is materialised when it is read. *)
 type slot = { mutable src : string; mutable off : int; mutable len : int }
 
-type t = { table : (string, slot) Hashtbl.t; mutable applied : int }
+(* Keys are hashed and compared as strings, with no polymorphic
+   [caml_hash]/[compare_val] call. *)
+module Keys = Hashtbl.Make (String)
+
+(* [probes] holds one reusable buffer per key length applied so far.  A
+   committed Put's key is blitted into the buffer of its length and
+   looked up through [Bytes.unsafe_to_string]; the table never retains
+   the buffer (a new key is inserted as a fresh copy), so a key already
+   present is found and rebound without allocating.  [span] receives
+   [Command.scan_put]'s offsets. *)
+type t = {
+  table : slot Keys.t;
+  span : Command.put_span;
+  mutable probes : Bytes.t list;
+  mutable applied : int;
+}
 
 type result =
   | Value of string option
@@ -14,26 +29,64 @@ type result =
   | Swapped of bool
   | Invalid of string
 
-let create () = { table = Hashtbl.create 256; applied = 0 }
-let size t = Hashtbl.length t.table
+let of_applied applied =
+  {
+    table = Keys.create 256;
+    span = Command.put_span ();
+    probes = [];
+    applied;
+  }
+
+let create () = of_applied 0
+let size t = Keys.length t.table
 
 let value_of slot =
   if slot.off = 0 && slot.len = String.length slot.src then slot.src
   else String.sub slot.src slot.off slot.len
 
-let find t key = Option.map value_of (Hashtbl.find_opt t.table key)
+let find t key = Option.map value_of (Keys.find_opt t.table key)
 
-(* Bind [key] to [len] bytes of [src] from [off], updating the key's
-   slot in place when it has one. *)
-let bind t key src off len =
-  match Hashtbl.find t.table key with
-  | slot ->
-      slot.src <- src;
-      slot.off <- off;
-      slot.len <- len
-  | exception Not_found -> Hashtbl.add t.table key { src; off; len }
+let rebind slot src off len =
+  slot.src <- src;
+  slot.off <- off;
+  slot.len <- len
 
-let bind_value t key value = bind t key value 0 (String.length value)
+let bind_value t key value =
+  let len = String.length value in
+  match Keys.find t.table key with
+  | slot -> rebind slot value 0 len
+  | exception Not_found -> Keys.add t.table key { src = value; off = 0; len }
+
+(* The first buffer of length [len] in the list; [Bytes.empty], whose
+   length is 0, when there is none. *)
+let rec probe_of_length len = function
+  | [] -> Bytes.empty
+  | probe :: rest ->
+      if Bytes.length probe = len then probe else probe_of_length len rest
+
+let probe t len =
+  let probe = probe_of_length len t.probes in
+  if Bytes.length probe = len then probe
+  else begin
+    let probe = Bytes.create len in
+    t.probes <- probe :: t.probes;
+    probe
+  end
+
+(* Bind the key [t.span] locates in [payload] to the value it locates,
+   updating the key's slot in place when it has one. *)
+let bind_put t payload =
+  let { Command.key_start; key_end; value_start } = t.span in
+  let key_len = key_end - key_start in
+  let probe = probe t key_len in
+  Bytes.blit_string payload key_start probe 0 key_len;
+  let off = value_start and len = String.length payload - value_start in
+  match Keys.find t.table (Bytes.unsafe_to_string probe) with
+  | slot -> rebind slot payload off len
+  | exception Not_found ->
+      Keys.add t.table
+        (String.sub payload key_start key_len)
+        { src = payload; off; len }
 
 let apply_command t command =
   t.applied <- t.applied + 1;
@@ -43,8 +96,8 @@ let apply_command t command =
       Written
   | Command.Get key -> Value (find t key)
   | Command.Delete key ->
-      let existed = Hashtbl.mem t.table key in
-      if existed then Hashtbl.remove t.table key;
+      let existed = Keys.mem t.table key in
+      if existed then Keys.remove t.table key;
       Deleted existed
   | Command.Cas { key; expect; value } ->
       if Option.equal String.equal (find t key) expect then begin
@@ -57,15 +110,9 @@ let[@hot] apply_entry t (entry : Raft.Log.entry) =
   match entry.command with
   | Raft.Log.Noop | Raft.Log.Config _ -> None
   | Raft.Log.Data { payload; _ } -> (
-      let key_end = Command.put_key_end payload in
-      if key_end >= 0 then begin
-        let key_start = Command.field_start payload 1 in
-        let value_start = Command.field_start payload key_end in
+      if Command.scan_put t.span payload then begin
         t.applied <- t.applied + 1;
-        bind t
-          (String.sub payload key_start (key_end - key_start))
-          payload value_start
-          (String.length payload - value_start);
+        bind_put t payload;
         Some Written
       end
       else
@@ -84,7 +131,7 @@ let sorted_bindings t =
     match String.compare k1 k2 with 0 -> String.compare v1 v2 | c -> c
   in
   List.sort by_binding
-    (Hashtbl.fold (fun k slot acc -> (k, value_of slot) :: acc) t.table [])
+    (Keys.fold (fun k slot acc -> (k, value_of slot) :: acc) t.table [])
 
 (* Snapshot format: "<applied>\n" then each binding as two
    length-prefixed fields "<len>:<bytes>". *)
@@ -111,7 +158,7 @@ let of_serialized s =
       match int_of_string_opt (String.sub s 0 nl) with
       | None -> Error "malformed applied count"
       | Some applied ->
-          let t = { table = Hashtbl.create 256; applied } in
+          let t = of_applied applied in
           let parse_field pos =
             match String.index_from_opt s pos ':' with
             | None -> Error "missing length delimiter"

@@ -58,8 +58,8 @@ let test_codec_rejects_garbage () =
       | Error msg ->
           Alcotest.(check string) ("payload_key " ^ what) expected msg
       | Ok _ -> Alcotest.failf "payload_key accepted garbage: %s" what);
-      Alcotest.(check int) ("put_key_end " ^ what) (-1)
-        (Command.put_key_end payload);
+      Alcotest.(check bool) ("scan_put " ^ what) false
+        (Command.scan_put (Command.put_span ()) payload);
       let entry =
         {
           Raft.Log.term = 1;

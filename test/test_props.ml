@@ -362,6 +362,22 @@ let all_tags key value other =
     C.Cas { key; expect = None; value };
   ]
 
+(* [scan_put] accepts exactly the payloads [expected] (the decoding
+   under test) holds a Put for, and its offsets slice out that Put's key
+   and value. *)
+let scan_agrees p expected =
+  let span = C.put_span () in
+  match (C.scan_put span p, expected) with
+  | true, Ok (C.Put { key; value }) ->
+      String.equal key
+        (String.sub p span.key_start (span.key_end - span.key_start))
+      && String.equal value
+           (String.sub p span.value_start (String.length p - span.value_start))
+  | false, (Ok (C.Get _ | C.Delete _ | C.Cas _) | Error _) -> true
+  | true, (Ok (C.Get _ | C.Delete _ | C.Cas _) | Error _) | false, Ok (C.Put _)
+    ->
+      false
+
 let prop_codec_roundtrip =
   Q.Test.make ~count:500 ~name:"command codec roundtrips"
     Q.(triple field_string field_string field_string)
@@ -376,8 +392,7 @@ let prop_codec_roundtrip =
           && (match C.payload_key p with
              | Ok k -> String.equal k key
              | Error _ -> false)
-          && C.put_key_end p >= 0
-             = match c with C.Put _ -> true | C.Get _ | C.Delete _ | C.Cas _ -> false)
+          && scan_agrees p (Ok c))
         (all_tags key value other))
 
 let prop_client_encoder_matches_sprintf_key =
@@ -432,8 +447,7 @@ let prop_decoder_matches_reference =
              | Ok c, Ok k -> String.equal k (key_of c)
              | Error a, Error b -> String.equal a b
              | Ok _, Error _ | Error _, Ok _ -> false)
-          && C.put_key_end p >= 0
-             = match expected with Ok (C.Put _) -> true | Ok _ | Error _ -> false)
+          && scan_agrees p expected)
 
 (* {2 Store against a copying model}
 
@@ -449,7 +463,21 @@ type store_op =
   | S_cas of int * string option * string
   | S_cas_current of int * string  (** expect the model's current value *)
 
-let store_keys = [| ""; "k"; "c1-k7"; "key:with:colons"; String.make 12 'K' |]
+(* "c1-k7" and "c1-k8" share a length and differ in their last byte
+   only, so the store's per-length lookup buffer holds one while the
+   other is found or missed; the 40- and 57-byte keys are lengths no
+   earlier key has. *)
+let store_keys =
+  [|
+    "";
+    "k";
+    "c1-k7";
+    "c1-k8";
+    "key:with:colons";
+    String.make 12 'K';
+    String.init 40 (fun i -> Char.chr (97 + (i mod 26)));
+    String.make 57 'L';
+  |]
 
 let store_op_gen =
   let open Q.Gen in

@@ -93,6 +93,56 @@ let test_rng_shuffle_permutes () =
   Alcotest.(check (array int)) "still a permutation"
     (Array.init 100 Fun.id) sorted
 
+(* The stream itself, pinned as literals: every simulated value descends
+   from these draws, so a change to the generator's representation must
+   reproduce them bit for bit.  Floats are compared by their bits. *)
+let test_rng_stream_pinned () =
+  let root = Rng.create ~seed:42L () in
+  let int64s what r expected =
+    List.iter
+      (fun e -> Alcotest.(check int64) what e (Rng.int64 r))
+      expected
+  in
+  let bits what expected got =
+    Alcotest.(check int64) what (Int64.bits_of_float expected)
+      (Int64.bits_of_float got)
+  in
+  int64s "int64" root
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ];
+  List.iter
+    (fun (n, e) -> Alcotest.(check int) (Printf.sprintf "int %d" n) e (Rng.int root n))
+    [ (7, 2); (1000, 889); (1 lsl 40, 102898967728);
+      (max_int, 1288224301085851122) ];
+  Alcotest.(check int) "bits" 705096088656582996 (Rng.bits root);
+  List.iter (fun e -> bits "float" e (Rng.float root))
+    [ 0x1.8578493c50ec1p-1; 0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1 ];
+  Alcotest.(check (list bool)) "bernoulli 0.3"
+    [ false; false; true; true; false; true; true; true ]
+    (List.init 8 (fun _ -> Rng.bernoulli root 0.3));
+  bits "exponential" 0x1.179818d8fab8ep-1 (Dist.exponential root ~rate:2.);
+  bits "normal" 0x1.0e6e170ac5277p+0 (Dist.normal root ~mu:1. ~sigma:0.5);
+  bits "lognormal" 0x1.c218e1f9772bdp-1 (Dist.lognormal root ~mu:0.1 ~sigma:0.2);
+  bits "lognormal mean-preserving" 0x1.515bd94326bcep+0
+    (Dist.lognormal_mean_preserving root ~sigma:0.3);
+  let a = Rng.split root "alpha" in
+  int64s "split" a [ 2768826310605462963L; 1562686704216864510L ];
+  Alcotest.(check int) "split int" 4 (Rng.int a 10);
+  bits "split float" 0x1.60c5ccd8d294ap-1 (Rng.float a);
+  let b = Rng.split_int root 5 in
+  int64s "split_int" b [ -9191933660326429901L; -6325764831712274421L ];
+  Alcotest.(check int) "split_int int" 3 (Rng.int b 10);
+  bits "split_int float" 0x1.29f9de3e6db64p-2 (Rng.float b);
+  let c = Rng.copy root in
+  int64s "copy" c [ 2099798786249847244L; -6577945819713090270L ];
+  int64s "copy leaves the original" root
+    [ 2099798786249847244L; -6577945819713090270L ];
+  (* Half of all draws are rejected at this bound, so the loop runs. *)
+  List.iter
+    (fun e -> Alcotest.(check int) "int, rejection" e (Rng.int root ((1 lsl 61) + 1)))
+    [ 91854136807699183; 321535476775920064 ];
+  Alcotest.(check int64) "derive" 3528034841101151585L (Rng.derive 42L 3);
+  int64s "default seed" (Rng.create ()) [ 6701405656414939238L ]
+
 (* {2 Dist} *)
 
 let sample_stats n f =
@@ -415,6 +465,7 @@ let tests =
       test_rng_bernoulli_extremes;
     Alcotest.test_case "rng: bernoulli rate" `Slow test_rng_bernoulli_rate;
     Alcotest.test_case "rng: shuffle permutes" `Quick test_rng_shuffle_permutes;
+    Alcotest.test_case "rng: stream pinned" `Quick test_rng_stream_pinned;
     Alcotest.test_case "dist: exponential mean" `Slow test_exponential_mean;
     Alcotest.test_case "dist: exponential positive" `Quick
       test_exponential_positive;

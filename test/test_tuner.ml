@@ -492,6 +492,67 @@ let prop_tuner_matches_reference =
         steps;
       true)
 
+(* The tuner caches Et, K and h behind two flags: one for any recorded
+   heartbeat, one for the RTT window alone.  Against the reference's
+   compute functions, called directly (no cache at all), the cached
+   values must agree bit for bit.  The stream leans on what splits the
+   flags apart: beats without an RTT sample, duplicates and resets; a
+   step queries the tuner or not, so a cache can also go stale across
+   several steps before it is read. *)
+let gen_cached_steps =
+  QCheck.Gen.(
+    let rtt =
+      frequency
+        [ (3, return None); (2, map Option.some (int_range 1 500_000_000)) ]
+    in
+    let step =
+      frequency
+        [
+          (12, map (fun r -> Beat (1, r)) rtt);
+          (4, map (fun r -> Beat (0, r)) rtt);
+          (2, map2 (fun d r -> Beat (-d, r)) (int_range 1 10) rtt);
+          (2, map2 (fun d r -> Beat (d, r)) (int_range 2 20) rtt);
+          (1, return Reset);
+        ]
+    in
+    pair gen_config (list_size (int_range 0 400) (pair step bool)))
+
+let prop_tuner_caches_match_eager =
+  QCheck.Test.make ~count:300
+    ~name:"tuner: cached Et, K and h equal an eager recompute"
+    (QCheck.make
+       ~print:(fun (cfg, steps) -> print_run (cfg, List.map fst steps))
+       gen_cached_steps)
+    (fun (cfg, steps) ->
+      let tuner = Tuner.create cfg and eager = Ref.create cfg in
+      let top = ref (-1) in
+      List.iteri
+        (fun i (step, query) ->
+          (match step with
+          | Reset ->
+              Tuner.reset tuner;
+              Ref.reset eager;
+              top := -1
+          | Beat (offset, rtt) ->
+              let hb_id = !top + offset in
+              if hb_id > !top then top := hb_id;
+              Tuner.observe_heartbeat tuner ~hb_id ~rtt;
+              Ref.observe_heartbeat eager ~hb_id ~rtt);
+          if query then begin
+            let et = Ref.compute_election_timeout eager in
+            let k = Ref.compute_required_heartbeats eager ~et in
+            let h = Ref.compute_heartbeat_interval eager ~et ~k in
+            let ints what a b =
+              if a <> b then
+                QCheck.Test.fail_reportf "step %d: %s %d <> %d" i what a b
+            in
+            ints "Et" (Tuner.election_timeout tuner) et;
+            ints "K" (Tuner.required_heartbeats tuner) k;
+            ints "h" (Tuner.heartbeat_interval tuner) h
+          end)
+        steps;
+      true)
+
 let tests =
   [
     Alcotest.test_case "config: default valid" `Quick test_config_default_valid;
@@ -550,4 +611,5 @@ let tests =
       test_leader_path_future_echo_ignored;
     Alcotest.test_case "path: reset" `Quick test_leader_path_reset;
     QCheck_alcotest.to_alcotest prop_tuner_matches_reference;
+    QCheck_alcotest.to_alcotest prop_tuner_caches_match_eager;
   ]
