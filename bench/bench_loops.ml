@@ -423,6 +423,26 @@ let make_schedule_op_loop () =
     Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
     ignore (Des.Engine.step engine : bool)
 
+(* A follower's election reset on a heartbeat: re-arm a timer whose
+   event is still parked in the timing wheel.  The same record moves to
+   its new slot, so the loop must allocate nothing at all. *)
+let make_timer_rearm_loop () =
+  let engine = Des.Engine.create () in
+  let timer = Des.Timer.create engine (fun () -> ()) in
+  Des.Timer.arm timer (Des.Time.ms 300);
+  fun () -> Des.Timer.arm timer (Des.Time.ms 300)
+
+(* A follower's loss window taking the next heartbeat id in order, with
+   the window full: evict the oldest id, append the new one. *)
+let make_loss_observe_loop () =
+  let window = Dynatune.Loss_estimator.create ~min_size:20 ~max_size:100 in
+  let id = ref 0 in
+  fun () ->
+    incr id;
+    ignore
+      (Dynatune.Loss_estimator.observe window !id
+        : [ `Recorded | `Duplicate ])
+
 let make_cpu_execute_loop () =
   let engine = Des.Engine.create () in
   let cpu = Netsim.Cpu.create engine ~cores:2. in
@@ -564,6 +584,19 @@ let loops =
       name = "engine schedule_op_after+step";
       budget = 0.;
       make = make_schedule_op_loop;
+    };
+    (* [Des.Timer.arm] on a timer whose event is parked in the wheel. *)
+    {
+      name = "timer re-arm while parked";
+      budget = 0.;
+      make = make_timer_rearm_loop;
+    };
+    (* [Dynatune.Loss_estimator.observe] of the next id on a full
+       100-id window. *)
+    {
+      name = "loss window in-order observe";
+      budget = 0.;
+      make = make_loss_observe_loop;
     };
     (* One 140 us receive through a 2-core CPU model:
        [Netsim.Cpu.execute] then [Engine.step], accounting included.  A

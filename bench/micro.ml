@@ -27,15 +27,6 @@ let test_tuner_retune =
           ignore (Dynatune.Tuner.election_timeout tuner : int);
           ignore (Dynatune.Tuner.heartbeat_interval tuner : int)))
 
-let test_loss_observe =
-  Test.make ~name:"loss_estimator.observe"
-    (Staged.stage
-       (let l = Dynatune.Loss_estimator.create ~min_size:20 ~max_size:100 in
-        let i = ref 0 in
-        fun () ->
-          incr i;
-          ignore (Dynatune.Loss_estimator.observe l !i)))
-
 let test_window_push =
   Test.make ~name:"window.push+std"
     (Staged.stage
@@ -160,7 +151,6 @@ let tests =
   [
     test_tuner_observe;
     test_tuner_retune;
-    test_loss_observe;
     test_window_push;
     test_engine_schedule;
     test_event_heap_push_pop 5;

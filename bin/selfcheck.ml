@@ -357,12 +357,12 @@ let perf_table () =
       Digest
         ( "3a819493db80435d",
           fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
-    ("fig4 plan", per_event fig4 24.96);
+    ("fig4 plan", per_event fig4 24.29);
     ( "multiraft seed=11 groups=4 rates=500,1000 digest",
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 32.45);
+    ("multiraft plan", per_event multiraft 27.07);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -375,7 +375,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        60.28 );
+        41.70 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->

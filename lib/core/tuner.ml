@@ -8,6 +8,7 @@ type t = {
   config : Config.t;
   rtt : rtt_backend;
   loss : Loss_estimator.t;
+  log_miss : float;  (* log (1 - arrival_probability), for K *)
   (* Derived values are queried on every heartbeat (to arm the election
      timer and pick the piggybacked h) but change only when a sample is
      recorded, so they are cached behind a dirty flag.  The cached
@@ -46,6 +47,7 @@ let create config =
         loss =
           Loss_estimator.create ~min_size:config.min_list_size
             ~max_size:config.max_list_size;
+        log_miss = log (1. -. config.arrival_probability);
         dirty = true;
         rtt_dirty = true;
         cached_raw_et = config.default_election_timeout;
@@ -92,14 +94,18 @@ let observe_heartbeat t ~hb_id ~rtt =
           t.rtt_dirty <- true
       | None -> ()))
 
-(* [@inline] keeps [p] unboxed on the per-heartbeat path. *)
-let[@inline] required_heartbeats_for ~p ~x =
+(* [@inline] keeps [p] unboxed on the per-heartbeat path.  [log_miss]
+   is [log (1 - x)], which a tuner takes once. *)
+let[@inline] heartbeats_needed ~p ~log_miss =
   if p <= 0. then 1
   else if p >= 1. then max_int
   else
     (* 1 - p^K >= x  ⟺  K >= log_p(1 - x); both logs are negative. *)
-    let k = log (1. -. x) /. log p in
+    let k = log_miss /. log p in
     Int.max 1 (int_of_float (ceil k))
+
+let required_heartbeats_for ~p ~x =
+  heartbeats_needed ~p ~log_miss:(log (1. -. x))
 
 let compute_election_timeout t =
   match phase t with
@@ -117,7 +123,7 @@ let compute_required_heartbeats t ~et =
   | Tuned ->
       (* Not [loss_rate t]: its float result would be boxed. *)
       let p = Loss_estimator.loss_rate t.loss in
-      let k = required_heartbeats_for ~p ~x:t.config.arrival_probability in
+      let k = heartbeats_needed ~p ~log_miss:t.log_miss in
       (* K beyond Et / min_h cannot be honoured; clamp so h stays above
          its floor. *)
       let cap = Int.max 1 (et / t.config.min_heartbeat_interval) in

@@ -118,6 +118,15 @@ let schedule_timer_op t span op a b arg =
 let schedule_op_after t span op a b arg =
   ignore (schedule_timer_op t span op a b arg : handle)
 
+let reschedule_timer_op t ev span =
+  Event_heap.repark ev ~now:t.clock
+    ~at:(Time.add t.clock (Time.max_span 0 span))
+    ~seq:t.seq
+  && begin
+       t.seq <- t.seq + 1;
+       true
+     end
+
 let cancel = Event_heap.cancel
 let is_pending = Event_heap.is_pending
 

@@ -103,6 +103,14 @@ val schedule_timer_op : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> hand
 (** {!schedule_op_after} returning a handle, because timer deadlines are
     routinely cancelled. *)
 
+val reschedule_timer_op : t -> handle -> Time.span -> bool
+(** [reschedule_timer_op t h span] moves a handle still parked in the
+    timing wheel to [now + span], keeping its payload and its handle:
+    exactly what {!cancel} followed by {!schedule_timer_op} with the
+    same payload would do, counted as that cancel.  [false], changing
+    nothing, when [h] is not parked (in the heap, fired or cancelled);
+    the caller then cancels and schedules. *)
+
 val cancel : handle -> unit
 (** Cancel a scheduled event; cancelling a fired or already-cancelled
     event is a no-op (as long as its record has not been reused).

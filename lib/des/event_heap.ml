@@ -70,6 +70,9 @@ and t = {
   summary : int array; (* per level: bit [w] set iff its word [w] <> 0 *)
   mutable cursor : int; (* tick; every parked event's tick is >= this *)
   mutable due_lb : int; (* cached [next_due_tick]; -1 = recompute *)
+  level_lb : int array;
+      (* per level: range start (in ticks) of its first occupied slot;
+         max_int = level empty, -1 = rescan *)
   stats : stats;
 }
 
@@ -99,6 +102,7 @@ let create () =
     summary = Array.make 3 0;
     cursor = 0;
     due_lb = -1;
+    level_lb = Array.make 3 max_int;
     stats = fresh_stats ();
   }
 
@@ -253,10 +257,14 @@ let alloc t ~at ~seq =
   ev.state <- st_idle;
   ev
 
+(* A recycled record often carries the same operands again (a timer's
+   own record, a port's deliveries): storing an identical pointer would
+   still pay the write barrier, so [a]/[b] are written only when they
+   change. *)
 let[@inline] set_payload ev op a b arg =
   ev.op <- op;
-  ev.a <- a;
-  ev.b <- b;
+  if ev.a != a then ev.a <- a;
+  if ev.b != b then ev.b <- b;
   ev.arg <- arg
 
 let make t ~at ~seq action =
@@ -299,7 +307,11 @@ let push_event t ev =
 
    Invariant: every parked event's tick is >= [cursor], a slot is
    non-empty iff its occupancy bit is set, and a level's summary bit is
-   set iff its occupancy word is non-zero. *)
+   set iff its occupancy word is non-zero.  All events in one slot share
+   one range (level 0: one tick), so a level's earliest occupied range
+   is a fixed tick that moving the cursor cannot change: [level_lb]
+   caches it, a link can only lower it, and it is dropped (-1) only
+   when the slot holding it empties. *)
 
 (* Occupancy bits, and the per-level summary word above them: bit
    [w land 7] of [summary.(w lsr 3)] is set iff occupancy word [w] is
@@ -318,20 +330,28 @@ let clear_bit t slot =
   if v = 0 then
     t.summary.(w lsr 3) <- t.summary.(w lsr 3) land lnot (1 lsl (w land 7))
 
-let link t slot ev =
+(* [start] is the slot's range start in ticks.  A stale level bound
+   (-1) stays stale. *)
+let link t slot start ev =
   let head = t.slot_head.(slot) in
   ev.state <- st_slot0 + slot;
   ev.prev <- -1;
   ev.next <- head;
   if head >= 0 then t.by_id.(head).prev <- ev.id
-  else set_bit t slot;
+  else begin
+    set_bit t slot;
+    let level = slot lsr level_bits in
+    if start < t.level_lb.(level) then t.level_lb.(level) <- start
+  end;
   t.slot_head.(slot) <- ev.id
 
-(* Empty a slot, returning the id at the head of its chain. *)
+(* Empty a slot, returning the id at the head of its chain.  Only the
+   level's earliest slot is ever taken, so its bound goes stale. *)
 let take_slot t slot =
   let head = t.slot_head.(slot) in
   t.slot_head.(slot) <- -1;
   clear_bit t slot;
+  t.level_lb.(slot lsr level_bits) <- -1;
   head
 
 (* O(1) removal of a parked event.  Emptying a slot may raise the
@@ -346,8 +366,10 @@ let unlink t slot ev =
     t.slot_head.(slot) <- next;
     if next < 0 then begin
       clear_bit t slot;
-      let shift = (slot lsr level_bits) * level_bits in
+      let level = slot lsr level_bits in
+      let shift = level * level_bits in
       let start = ((ev.at lsr tick_bits) lsr shift) lsl shift in
+      if t.level_lb.(level) = start then t.level_lb.(level) <- -1;
       if Int.max t.cursor start <= t.due_lb then t.due_lb <- -1
     end
   end
@@ -396,22 +418,21 @@ let file t ev =
   let tick = ev.at lsr tick_bits in
   if tick < t.cursor then false
   else if tick - t.cursor < level_slots then begin
-    link t (tick land 0xFF) ev;
+    link t (tick land 0xFF) tick ev;
     true
   end
   else begin
-    let dist1 = (tick lsr level_bits) - (t.cursor lsr level_bits) in
-    if dist1 < level_slots then begin
-      link t (level_slots + ((tick lsr level_bits) land 0xFF)) ev;
+    let r1 = tick lsr level_bits in
+    if r1 - (t.cursor lsr level_bits) < level_slots then begin
+      link t (level_slots + (r1 land 0xFF)) (r1 lsl level_bits) ev;
       true
     end
     else begin
-      let dist2 =
-        (tick lsr (2 * level_bits)) - (t.cursor lsr (2 * level_bits))
-      in
-      if dist2 < level_slots then begin
+      let r2 = tick lsr (2 * level_bits) in
+      if r2 - (t.cursor lsr (2 * level_bits)) < level_slots then begin
         link t
-          ((2 * level_slots) + ((tick lsr (2 * level_bits)) land 0xFF))
+          ((2 * level_slots) + (r2 land 0xFF))
+          (r2 lsl (2 * level_bits))
           ev;
         true
       end
@@ -438,24 +459,33 @@ let push_timer t ~now ev =
   end
   else push_event t ev
 
-(* Candidate due lower bounds, in ticks.  Level 0's first occupied slot
-   pins an exact tick; levels 1/2 pin only their slot's range start,
-   clamped to the cursor (the d = 0 slot's range began in the past). *)
-let cand0 t =
-  let d = first_set_from t 0 (t.cursor land 0xFF) in
-  if d < 0 then max_int else t.cursor + d
+(* The range start of [level]'s first occupied slot, scanning the
+   level only when its cached bound is stale.  Level 0's pins an exact
+   tick, always at or after the cursor. *)
+let level_start t level =
+  let b = t.level_lb.(level) in
+  if b >= 0 then b
+  else begin
+    let shift = level * level_bits in
+    let c = t.cursor lsr shift in
+    let d = first_set_from t level (c land 0xFF) in
+    let b = if d < 0 then max_int else (c + d) lsl shift in
+    t.level_lb.(level) <- b;
+    b
+  end
 
-let cand_hi t level =
-  let shift = level * level_bits in
-  let c = t.cursor lsr shift in
-  let d = first_set_from t level (c land 0xFF) in
-  if d < 0 then max_int else Int.max t.cursor ((c + d) lsl shift)
+(* Candidate due lower bound of level 1/2, in ticks: its first slot's
+   range start, clamped to the cursor (the d = 0 slot's range began in
+   the past). *)
+let cand_hi t level = Int.max t.cursor (level_start t level)
 
 let next_due_tick t =
   if t.stats.wheel_occupancy = 0 then max_int
   else if t.due_lb >= 0 then t.due_lb
   else begin
-    let lb = Int.min (cand0 t) (Int.min (cand_hi t 1) (cand_hi t 2)) in
+    let lb =
+      Int.min (level_start t 0) (Int.min (cand_hi t 1) (cand_hi t 2))
+    in
     t.due_lb <- lb;
     lb
   end
@@ -504,24 +534,14 @@ let drain t idx tick =
    level-1/2 candidates are later than the drained tick, so moving the
    cursor just past it leaves them as they were. *)
 let flush_next t =
-  let a = cand0 t in
-  let c1 = t.cursor lsr level_bits in
-  let d1 = first_set_from t 1 (c1 land 0xFF) in
-  let b =
-    if d1 < 0 then max_int else Int.max t.cursor ((c1 + d1) lsl level_bits)
-  in
-  let c2 = t.cursor lsr (2 * level_bits) in
-  let d2 = first_set_from t 2 (c2 land 0xFF) in
-  let c =
-    if d2 < 0 then max_int
-    else Int.max t.cursor ((c2 + d2) lsl (2 * level_bits))
-  in
+  let a = level_start t 0 and b = cand_hi t 1 and c = cand_hi t 2 in
   if c <= a && c <= b then
-    cascade t ((2 * level_slots) + ((c2 + d2) land 0xFF)) c
-  else if b <= a then cascade t (level_slots + ((c1 + d1) land 0xFF)) b
+    cascade t ((2 * level_slots) + ((c lsr (2 * level_bits)) land 0xFF)) c
+  else if b <= a then
+    cascade t (level_slots + ((b lsr level_bits) land 0xFF)) b
   else begin
     drain t (a land 0xFF) a;
-    t.due_lb <- Int.min (cand0 t) (Int.min b c)
+    t.due_lb <- Int.min (level_start t 0) (Int.min b c)
   end
 
 (* {2 Cancellation and draining} *)
@@ -545,6 +565,29 @@ let cancel ev =
       release t ev
     end
   end
+
+(* Re-arm a parked event in place under a new [(at, seq)]: unlink it
+   and file it again.  A cancel followed by a fresh queueing would do
+   the same: the cancel recycles the record, and the next alloc (after
+   the same compaction check) takes it straight back off the free list
+   with the payload it already holds.  So this counts as that cancel,
+   and only skips the pool round trip and the payload stores. *)
+let repark ev ~now ~at ~seq =
+  let st = ev.state in
+  st >= st_slot0
+  && begin
+       let t = ev.owner in
+       let s = t.stats in
+       s.cancelled <- s.cancelled + 1;
+       unlink t (st - st_slot0) ev;
+       s.cancelled_in_place <- s.cancelled_in_place + 1;
+       s.wheel_occupancy <- s.wheel_occupancy - 1;
+       if s.dead > compact_min_dead && 2 * s.dead > t.len then compact t;
+       ev.at <- at;
+       ev.seq <- seq;
+       push_timer t ~now ev;
+       true
+     end
 
 let is_pending ev = ev.state >= 0
 

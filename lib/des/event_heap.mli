@@ -95,7 +95,9 @@ val alloc : t -> at:Time.t -> seq:int -> event
     fires. *)
 
 val set_payload : event -> int -> Obj.t -> Obj.t -> int -> unit
-(** [set_payload ev op a b arg] fills an allocated event's payload. *)
+(** [set_payload ev op a b arg] fills an allocated event's payload.  An
+    operand word physically equal to the one the record already holds
+    is not stored again (no write barrier). *)
 
 val make : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
 (** {!alloc} an event carrying a closure payload ([op] = 0) {e without}
@@ -121,6 +123,14 @@ val cancel : event -> unit
     unlinked from its slot and recycled at once (counted as
     cancelled-in-place).  Cancelling an event that is not pending —
     fired, already cancelled, or {!never} — is a no-op. *)
+
+val repark : event -> now:Time.t -> at:Time.t -> seq:int -> bool
+(** Re-queue a wheel-parked event in place under a new [(at, seq)],
+    keeping its payload, as {!push_timer} would file it.  This is the
+    same as a {!cancel} followed by {!alloc} and {!push_timer}, which
+    would hand the same record straight back, and it is counted as that
+    cancel (in-place).  [false], changing nothing, when the event is not
+    parked in a slot (heap-resident, fired, cancelled or {!never}). *)
 
 val is_pending : event -> bool
 

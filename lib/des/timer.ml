@@ -5,8 +5,9 @@
    stayed gone — [cancel] marks the underlying event, and the engine
    guarantees a cancelled event never fires, which is the whole
    stale-fire guard.  Pool safety: [fire] clears [pending] before
-   running the callback, and [disarm]/[arm] clear-or-replace it, so this
-   module never holds a handle whose event could have been recycled. *)
+   running the callback, [disarm] clears it, and [arm] either moves the
+   still-parked event it names or replaces it, so this module never
+   holds a handle whose event could have been recycled. *)
 
 type t = {
   engine : Engine.t;
@@ -41,12 +42,18 @@ let disarm t =
   Engine.cancel t.pending;
   t.pending <- Engine.never
 
+(* A re-arm while the event is parked in the wheel (an election reset
+   on every heartbeat) moves that same event: no release, no alloc, no
+   payload store.  Only a handle already in the heap is cancelled and
+   replaced. *)
 let arm t span =
-  Engine.cancel t.pending;
   t.ever_armed <- true;
   t.last_span <- span;
   t.deadline <- Time.add (Engine.now t.engine) span;
-  t.pending <- Engine.schedule_timer_op t.engine span t.op t () 0
+  if not (Engine.reschedule_timer_op t.engine t.pending span) then begin
+    Engine.cancel t.pending;
+    t.pending <- Engine.schedule_timer_op t.engine span t.op t () 0
+  end
 
 let is_armed t = Engine.is_pending t.pending
 let deadline t = if is_armed t then Some t.deadline else None

@@ -3,9 +3,12 @@
     The idiom Raft needs everywhere: a timer that is re-armed on every
     heartbeat, fires at most once per arming, and can be disarmed.
     Re-arming cancels the previous deadline's event (the engine never
-    fires a cancelled event, so no stale callback can slip through),
-    and the arm path allocates nothing beyond the engine's own event
-    record — the fire closure is built once per timer. *)
+    fires a cancelled event, so no stale callback can slip through);
+    while that event is still parked in the timing wheel, it is moved
+    to the new deadline instead ({!Engine.reschedule_timer_op}), with
+    the same firing order and counters.  The arm path allocates nothing
+    beyond the engine's own event record — the fire closure is built
+    once per timer. *)
 
 type t
 

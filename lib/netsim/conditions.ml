@@ -10,9 +10,32 @@ let profile ?(jitter = 0.) ?(loss = 0.) ?(duplicate = 0.) ~rtt_ms () =
   if loss < 0. || loss > 1. then invalid_arg "Conditions.profile: loss not in [0,1]";
   { rtt_ms; jitter; loss; duplicate }
 
-type t = { starts : Des.Time.t array; profiles : profile array }
+type t = {
+  starts : Des.Time.t array;
+  mutable segments : segment array;  (* filled once, by [make] *)
+}
 
-let constant p = { starts = [| 0 |]; profiles = [| p |] }
+and segment = {
+  seg_schedule : t;
+  seg_profile : profile;
+  seg_until : Des.Time.t;
+}
+
+let make starts profiles =
+  let t = { starts; segments = [||] } in
+  let n = Array.length starts in
+  t.segments <-
+    Array.mapi
+      (fun i p ->
+        {
+          seg_schedule = t;
+          seg_profile = p;
+          seg_until = (if i + 1 < n then starts.(i + 1) else max_int);
+        })
+      profiles;
+  t
+
+let constant p = make [| 0 |] [| p |]
 
 let piecewise segments =
   match segments with
@@ -28,10 +51,9 @@ let piecewise segments =
         | _ -> ()
       in
       check segments;
-      {
-        starts = Array.of_list (List.map fst segments);
-        profiles = Array.of_list (List.map snd segments);
-      }
+      make
+        (Array.of_list (List.map fst segments))
+        (Array.of_list (List.map snd segments))
 
 let staircase ~hold profiles =
   if hold <= 0 then invalid_arg "Conditions.staircase: hold must be positive";
@@ -45,14 +67,16 @@ let loss_staircase ~base ~hold ~losses =
 
 (* Binary search for the last segment with start <= time.  Invariant:
    starts.(lo) <= time, hi = first index > time or n.  Top-level, so a
-   lookup (one per message sent) allocates no closure. *)
+   lookup allocates no closure. *)
 let rec search t time lo hi =
-  if lo + 1 >= hi then t.profiles.(lo)
+  if lo + 1 >= hi then lo
   else
     let mid = (lo + hi) / 2 in
     if t.starts.(mid) <= time then search t time mid hi
     else search t time lo mid
 
-let at t time =
-  if time <= t.starts.(0) then t.profiles.(0)
-  else search t time 0 (Array.length t.starts)
+let index t time =
+  if time <= t.starts.(0) then 0 else search t time 0 (Array.length t.starts)
+
+let segment_at t time = t.segments.(index t time)
+let at t time = (segment_at t time).seg_profile

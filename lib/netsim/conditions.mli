@@ -46,3 +46,18 @@ val loss_staircase :
 
 val at : t -> Des.Time.t -> profile
 (** Profile in force at an instant. *)
+
+type segment = private {
+  seg_schedule : t;
+  seg_profile : profile;
+  seg_until : Des.Time.t;
+      (** the next segment's start; [max_int] for the last *)
+}
+(** One segment of a schedule, built with it and shared by every
+    holder: {!at} returns [seg_profile] from the instant it was found
+    for up to [seg_until].  A caller asking at non-decreasing instants
+    (a link, once per message) keeps the segment and searches again
+    only once the clock reaches [seg_until]. *)
+
+val segment_at : t -> Des.Time.t -> segment
+(** The segment in force at an instant. *)

@@ -58,11 +58,21 @@ let rec spread t ~cost ~span at remaining =
 (* Attribute [cost] ns of work to the seconds spanned by [start, start+cost).
    The busy window is the *service* window (cost / cores); the charged cost
    is the raw cost so that utilization can exceed 100%% on multi-core
-   nodes, matching docker-stats semantics. *)
+   nodes, matching docker-stats semantics.
+
+   A window inside one second takes all of [cost]: [spread]'s share
+   [cost * span / span] is exact in floats while [cost * span < 2^53]
+   (the [cost] bound keeps the int product from overflowing, as
+   [span <= 1 s < 2^30]).  Any other window takes the general path. *)
 let account t ~start ~service ~cost =
   t.busy_total <- t.busy_total + cost;
   let span = Int.max 1 service in
-  spread t ~cost ~span start span
+  let sec = start / sec_len in
+  if start + span <= (sec + 1) * sec_len
+     && cost < 1 lsl 32
+     && cost * span < 1 lsl 53
+  then add_to_second t sec cost
+  else spread t ~cost ~span start span
 
 let enqueue t ~cost =
   let now = Des.Engine.now t.engine in

@@ -9,7 +9,10 @@ type counters = {
 type t = {
   engine : Des.Engine.t;
   rng : Stats.Rng.t;
-  mutable conditions : Conditions.t;
+  (* The segment of the link's schedule in force at the last lookup.
+     The clock never goes back, so a message searches the schedule
+     again only when it crosses into a later segment. *)
+  mutable segment : Conditions.segment;
   counters : counters;
   mutable dup : int;  (* second-copy latency of the last packed sample *)
 }
@@ -18,16 +21,27 @@ let create engine ~rng conditions =
   {
     engine;
     rng;
-    conditions;
+    segment = Conditions.segment_at conditions (Des.Engine.now engine);
     counters =
       { sent = 0; delivered = 0; lost = 0; duplicated = 0; retransmissions = 0 };
     dup = -1;
   }
 
-let set_conditions t c = t.conditions <- c
-let conditions t = t.conditions
+let set_conditions t c =
+  t.segment <- Conditions.segment_at c (Des.Engine.now t.engine)
+
+let conditions t = t.segment.Conditions.seg_schedule
 let counters t = t.counters
-let profile_now t = Conditions.at t.conditions (Des.Engine.now t.engine)
+
+let find_segment t now =
+  let s = Conditions.segment_at t.segment.Conditions.seg_schedule now in
+  t.segment <- s;
+  s.Conditions.seg_profile
+
+let profile_now t =
+  let now = Des.Engine.now t.engine and s = t.segment in
+  if now < s.Conditions.seg_until then s.Conditions.seg_profile
+  else find_segment t now
 
 type outcome =
   | Lost

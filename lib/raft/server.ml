@@ -467,14 +467,13 @@ let tuner t = t.tuner
 let set_instrument t on = t.instrument <- on
 let set_congestion_probe t f = t.congestion <- f
 
-(* Ensure a per-peer option array covers index [i]. *)
+(* A per-peer option array [arr] grown to hold index [i].  Callers reassign their field only
+   when it grew: writing back the same pointer would still pay the write
+   barrier on every heartbeat. *)
 let peer_array arr i =
-  if i < Array.length arr then arr
-  else begin
-    let bigger = Array.make (i + 8) None in
-    Array.blit arr 0 bigger 0 (Array.length arr);
-    bigger
-  end
+  let bigger = Array.make (i + 8) None in
+  Array.blit arr 0 bigger 0 (Array.length arr);
+  bigger
 
 let appends_inflight t =
   Array.fold_left
@@ -508,7 +507,7 @@ let pending_config t =
 
 let path t peer =
   let i = Node_id.to_int peer in
-  t.paths <- peer_array t.paths i;
+  if i >= Array.length t.paths then t.paths <- peer_array t.paths i;
   match t.paths.(i) with
   | Some p -> p
   | None ->
@@ -697,7 +696,7 @@ let become_follower t ctx ~term ~leader =
 
 let progress_of t peer =
   let i = Node_id.to_int peer in
-  t.progress <- peer_array t.progress i;
+  if i >= Array.length t.progress then t.progress <- peer_array t.progress i;
   match t.progress.(i) with
   | Some p -> p
   | None ->
@@ -739,7 +738,7 @@ let batch_for t peer ~from =
     Log.slice t.log ~from ~max:t.config.Config.max_entries_per_append
   in
   let i = Node_id.to_int peer in
-  t.batches <- peer_array t.batches i;
+  if i >= Array.length t.batches then t.batches <- peer_array t.batches i;
   match t.batches.(i) with
   | Some bc ->
       let muts = Log.mutations t.log in

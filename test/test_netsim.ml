@@ -88,6 +88,48 @@ let test_link_delay_is_half_rtt () =
   | Link.Lost | Link.Duplicated _ -> Alcotest.fail "lossless link dropped");
   Alcotest.(check int) "reliable same" (Time.ms 50) (Link.sample_reliable l)
 
+(* The link keeps the segment it last found and searches again only
+   when the clock leaves it or [set_conditions] replaces the schedule:
+   every instant either side of a staircase boundary, then two swaps of
+   schedule mid-run, must still read the profile in force. *)
+let test_link_segment_cache () =
+  let e, l =
+    make_link
+      (Conditions.rtt_staircase ~base:(profile ~rtt_ms:0. ()) ~hold:(Time.ms 100)
+         ~rtts_ms:[ 10.; 20.; 30.; 40. ])
+  in
+  let one_way what want =
+    Alcotest.(check int) what want (Link.sample_datagram_packed l);
+    match Link.sample_datagram l with
+    | Link.Delivered d -> Alcotest.(check int) (what ^ " (outcome)") want d
+    | Link.Lost | Link.Duplicated _ -> Alcotest.fail "lossless link dropped"
+  in
+  List.iter
+    (fun (at, ms) ->
+      Engine.run_until e at;
+      one_way (Printf.sprintf "at %dns" at) (Time.ms ms))
+    [
+      (0, 5);
+      (Time.ms 100 - 1, 5);
+      (Time.ms 100, 10);
+      (Time.ms 150, 10);
+      (Time.ms 200 - 1, 10);
+      (Time.ms 200, 15);
+      (Time.ms 300, 20);
+      (Time.sec 5, 20);
+    ];
+  (* A schedule whose segment in force has a lower index than the one
+     cached, then a constant one. *)
+  Link.set_conditions l
+    (Conditions.rtt_staircase ~base:(profile ~rtt_ms:0. ()) ~hold:(Time.sec 4)
+       ~rtts_ms:[ 60.; 80. ]);
+  one_way "after set_conditions" (Time.ms 40);
+  Engine.run_until e (Time.sec 9);
+  one_way "later in the new schedule" (Time.ms 40);
+  Link.set_conditions l (Conditions.constant (profile ~rtt_ms:2. ()));
+  one_way "constant" (Time.ms 1);
+  Alcotest.(check int) "reliable follows" (Time.ms 1) (Link.sample_reliable l)
+
 let test_link_loss_rate () =
   let _, l =
     make_link (Conditions.constant (profile ~rtt_ms:10. ~loss:0.5 ()))
@@ -446,6 +488,116 @@ let test_cpu_window_past_end () =
   let idle = Cpu.create e ~cores:1. in
   Alcotest.(check pct) "never charged" 0. (util idle ~lo:0. ~hi:5.)
 
+(* The per-second accounting as it was before [Cpu.account] charged a
+   window inside one second directly: every charge goes through the
+   proportional float share, second by second. *)
+module Cpu_reference = struct
+  type t = {
+    cores : float;
+    mutable busy_until : int;
+    mutable busy_total : int;
+    per_second : (int, int) Hashtbl.t;
+  }
+
+  let create ~cores =
+    { cores; busy_until = 0; busy_total = 0; per_second = Hashtbl.create 16 }
+
+  let sec_len = Time.sec 1
+
+  let add t sec charged =
+    let v = Option.value ~default:0 (Hashtbl.find_opt t.per_second sec) in
+    Hashtbl.replace t.per_second sec (v + charged)
+
+  let rec spread t ~cost ~span at remaining =
+    if remaining > 0 then begin
+      let sec = at / sec_len in
+      let sec_end = (sec + 1) * sec_len in
+      let here = Int.min remaining (sec_end - at) in
+      let charged =
+        int_of_float
+          (float_of_int cost *. float_of_int here /. float_of_int span)
+      in
+      add t sec charged;
+      spread t ~cost ~span sec_end (remaining - here)
+    end
+
+  let charge t ~now ~cost =
+    let start = Int.max now t.busy_until in
+    let service = Int.max 0 (int_of_float (float_of_int cost /. t.cores)) in
+    t.busy_until <- start + service;
+    if cost > 0 then begin
+      t.busy_total <- t.busy_total + cost;
+      let span = Int.max 1 service in
+      spread t ~cost ~span start span
+    end
+
+  let charged t sec =
+    Option.value ~default:0 (Hashtbl.find_opt t.per_second sec)
+end
+
+(* Random charges on a random core count: windows inside one second,
+   windows straddling one or more second boundaries, and costs of 2^26
+   and beyond, where [cost * span] can leave the float's exact range.
+   Every second's utilization (and the whole run's) must carry the same
+   bits as the reference's. *)
+let prop_cpu_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let advance =
+        frequency
+          [
+            (4, int_range 0 (Time.ms 5));
+            (2, int_range 0 (Time.sec 2));
+            (1, return 0);
+          ]
+      in
+      let cost =
+        frequency
+          [
+            (6, int_range 0 (Time.us 500));
+            (3, int_range 0 (Time.ms 700));
+            (2, int_range (1 lsl 26) (1 lsl 28));
+            (1, int_range (1 lsl 32) ((1 lsl 32) + 1000));
+          ]
+      in
+      pair
+        (oneofl [ 0.25; 0.5; 1.; 2.; 3.; 7.5 ])
+        (list_size (int_range 0 120) (pair advance cost)))
+  in
+  QCheck.Test.make ~count:300 ~name:"cpu: per-second charges match the reference"
+    (QCheck.make
+       ~print:(fun (cores, steps) ->
+         Printf.sprintf "cores=%g [%s]" cores
+           (String.concat ";"
+              (List.map (fun (a, c) -> Printf.sprintf "+%d:%d" a c) steps)))
+       gen)
+    (fun (cores, steps) ->
+      let e = Engine.create () in
+      let cpu = Cpu.create e ~cores and r = Cpu_reference.create ~cores in
+      List.iter
+        (fun (advance, cost) ->
+          Engine.run_until e (Engine.now e + advance);
+          Cpu.charge cpu ~cost;
+          Cpu_reference.charge r ~now:(Engine.now e) ~cost)
+        steps;
+      let last = r.Cpu_reference.busy_until / Cpu_reference.sec_len in
+      let bits x = Int64.bits_of_float x in
+      let util_ref lo hi busy =
+        float_of_int busy /. ((hi -. lo) *. 1e9) *. 100.
+      in
+      let total = ref 0 and ok = ref true in
+      for s = 0 to last do
+        let busy = Cpu_reference.charged r s in
+        total := !total + busy;
+        let lo = float_of_int s and hi = float_of_int (s + 1) in
+        if bits (util cpu ~lo ~hi) <> bits (util_ref lo hi busy) then
+          ok := false
+      done;
+      let hi = float_of_int (last + 1) in
+      !ok
+      && bits (util cpu ~lo:0. ~hi) = bits (util_ref 0. hi !total)
+      && Cpu.busy_total cpu = r.Cpu_reference.busy_total)
+
 let test_cpu_multicore_over_100 () =
   let e = Engine.create () in
   let cpu = Cpu.create e ~cores:2. in
@@ -490,6 +642,7 @@ let tests =
     Alcotest.test_case "link: reliable loss adds delay" `Slow
       test_link_reliable_loss_adds_delay;
     Alcotest.test_case "link: duplication" `Quick test_link_duplication;
+    Alcotest.test_case "link: cached segment" `Quick test_link_segment_cache;
     Alcotest.test_case "transport: channel FIFO" `Quick test_channel_fifo;
     Alcotest.test_case "fabric: delivers" `Quick test_fabric_delivers;
     Alcotest.test_case "fabric: pause drops" `Quick test_fabric_pause_drops;
@@ -515,4 +668,5 @@ let tests =
       test_cpu_window_past_end;
     Alcotest.test_case "cpu: multi-core over 100%" `Quick
       test_cpu_multicore_over_100;
+    QCheck_alcotest.to_alcotest prop_cpu_matches_reference;
   ]

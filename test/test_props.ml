@@ -265,6 +265,57 @@ let prop_summary_mean_within_range =
       Stats.Summary.mean s >= Stats.Summary.min s -. 1e-6
       && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-6)
 
+(* [Summary.of_array] sorts with a float-specialised copy of
+   [Array.sort]'s heap sort.  It must leave the same sequence as
+   [Array.sort Float.compare] does, equal keys ([0.] and [-0.], NaNs)
+   included: every percentile, the extremes, the mean and the std keep
+   their bits.  The reference below is the previous summary: the
+   polymorphic sort, Welford over the sorted samples, and the same
+   interpolation. *)
+let prop_summary_sort_matches_stdlib =
+  let value =
+    Q.Gen.oneof
+      [
+        Q.Gen.oneofl [ 0.; -0.; nan; -.nan; infinity; neg_infinity; 1.; -1. ];
+        Q.Gen.map float_of_int (Q.Gen.int_range (-5) 5);
+        Q.Gen.float;
+      ]
+  in
+  Q.Test.make ~count:500 ~name:"summary sort keeps Array.sort's sequence"
+    (Q.make
+       ~print:Q.Print.(list float)
+       (Q.Gen.list_size (Q.Gen.int_range 0 200) value))
+    (fun samples ->
+      let s = Stats.Summary.of_list samples in
+      let sorted = Array.of_list samples in
+      Array.sort Float.compare sorted;
+      let w = Stats.Welford.create () in
+      Array.iter (Stats.Welford.add w) sorted;
+      let n = Array.length sorted in
+      let percentile q =
+        if n = 0 then nan
+        else if q <= 0. then sorted.(0)
+        else if q >= 100. then sorted.(n - 1)
+        else
+          let rank = q /. 100. *. float_of_int (n - 1) in
+          let lo = int_of_float (floor rank) in
+          let hi = Stdlib.min (lo + 1) (n - 1) in
+          let frac = rank -. float_of_int lo in
+          sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let qs =
+        List.init (Stdlib.max n 1) (fun i ->
+            100. *. float_of_int i /. float_of_int (Stdlib.max 1 (n - 1)))
+        @ [ 0.; 12.5; 50.; 90.; 99.; 99.9; 100. ]
+      in
+      List.for_all (fun q -> same (Stats.Summary.percentile s q) (percentile q)) qs
+      && (n = 0
+         || same (Stats.Summary.min s) sorted.(0)
+            && same (Stats.Summary.max s) sorted.(n - 1))
+      && same (Stats.Summary.mean s) (Stats.Welford.mean w)
+      && same (Stats.Summary.std s) (Stats.Welford.std w))
+
 (* {2 Command codec} *)
 
 let printable_string = Q.string_gen Q.Gen.printable
@@ -765,6 +816,9 @@ type queue_op =
   | Q_advance of int  (** fire n events *)
   | Q_slot of int * int * int
       (** on the wheel path, in (level, slot), at a sub-slot offset *)
+  | Q_rearm of int * int
+      (** move the k-th pending event (mod count) to now + offset:
+          [repark] when it is parked, else cancel and schedule anew *)
 
 let queue_op_gen =
   let tick = 1 lsl Des.Event_heap.tick_bits in
@@ -788,6 +842,7 @@ let queue_op_gen =
       (3, Q.Gen.map (fun o -> Q_heap o) offset);
       (3, Q.Gen.map (fun o -> Q_timer o) offset);
       (3, Q.Gen.map (fun k -> Q_cancel k) (Q.Gen.int_range 0 100));
+      (3, Q.Gen.map2 (fun k o -> Q_rearm (k, o)) (Q.Gen.int_range 0 100) offset);
       (1, Q.Gen.map (fun n -> Q_dead_burst n) (Q.Gen.int_range 65 150));
       (2, Q.Gen.map (fun n -> Q_advance n) (Q.Gen.int_range 1 20));
       ( 3,
@@ -804,6 +859,7 @@ let queue_op_print = function
   | Q_dead_burst n -> Printf.sprintf "dead_burst(%d)" n
   | Q_advance n -> Printf.sprintf "advance(%d)" n
   | Q_slot (l, i, w) -> Printf.sprintf "slot(%d,%d,+%d)" l i w
+  | Q_rearm (k, o) -> Printf.sprintf "rearm(%d,+%d)" k o
 
 let prop_queue_matches_model =
   Q.Test.make ~count:200 ~name:"wheel and heap fire identically"
@@ -850,6 +906,39 @@ let prop_queue_matches_model =
       in
       (* The engine's merged drain: the heap top may fire only while it
          is strictly before everything the wheel could still owe. *)
+      (* A re-arm as [Des.Timer.arm] does it: in place while parked,
+         counted as one in-place cancel, compacting the heap when the
+         alloc it replaces would have, and leaving the pool and the
+         pending count as they were. *)
+      let rearm s offset =
+        let ev = List.assoc s !handles in
+        let st = H.stats h in
+        let cancelled = st.H.cancelled
+        and in_place = st.H.cancelled_in_place
+        and compactions = st.H.compactions
+        and compacts = st.H.dead > 64 && st.H.dead > H.live_length h
+        and pending_before = pending ()
+        and pool = H.pool_size h in
+        let at = !now + offset and s' = !next_seq in
+        if H.repark ev ~now:!now ~at ~seq:s' then begin
+          incr next_seq;
+          handles := (s', ev) :: List.remove_assoc s !handles;
+          model := (at, s') :: List.filter (fun (_, x) -> x <> s) !model;
+          expect
+            (H.is_pending ev && ev.H.at = at && ev.H.seq = s'
+            && st.H.cancelled = cancelled + 1
+            && st.H.cancelled_in_place = in_place + 1
+            && st.H.compactions = compactions + Bool.to_int compacts
+            && pending () = pending_before
+            && H.pool_size h = pool)
+        end
+        else begin
+          expect
+            (st.H.cancelled = cancelled && st.H.cancelled_in_place = in_place);
+          cancel s;
+          ignore (schedule ~wheel:true offset : int)
+        end
+      in
       let rec next_live fuel =
         let top = H.top_live h in
         let lb = H.next_due_ns h in
@@ -889,6 +978,10 @@ let prop_queue_matches_model =
             match !handles with
             | [] -> ()
             | hs -> cancel (fst (List.nth hs (k mod List.length hs))))
+        | Q_rearm (k, o) -> (
+            match !handles with
+            | [] -> ()
+            | hs -> rearm (fst (List.nth hs (k mod List.length hs))) o)
         | Q_dead_burst n ->
             List.iter cancel
               (List.init n (fun i -> schedule ~wheel:false (i * 1000)))
@@ -923,6 +1016,159 @@ let prop_queue_matches_model =
       fire_one ();
       let st = H.stats h in
       expect (H.pool_size h <= st.H.high_water + st.H.wheel_high_water);
+      !ok)
+
+(* {2 Timer re-arm against cancel + schedule}
+
+   [Des.Timer.arm] moves a timer's event in place while it is parked in
+   the wheel.  Two engines run the same steps: one arms [Des.Timer]s,
+   the other reference timers that always cancel and schedule anew (the
+   arm before the in-place path).  Both must fire the same labels at the
+   same instants, in the order of a sorted [(at, seq)] model, and agree
+   on every queue statistic after every step (cancels, in-place
+   cancels, cascades, high-water marks, pool size); the cancels also
+   match the model's count.  Steps re-arm a timer while it is parked,
+   while it is due in the tick being drained (so in the heap: the
+   fallback), after it fired, and disarm it; one-shot events keep the
+   heap busy. *)
+
+type timer_step =
+  | T_arm of int * int  (** timer k (mod count) after a span *)
+  | T_disarm of int
+  | T_event of int  (** a one-shot op event after a span *)
+  | T_fire of int  (** step n events *)
+
+let timer_step_gen =
+  let tick = 1 lsl Des.Event_heap.tick_bits in
+  let span =
+    Q.Gen.oneof
+      [
+        (* inside the tick being drained, or the next one *)
+        Q.Gen.int_range 0 (2 * tick);
+        Q.Gen.int_range 0 (300 * tick);
+        Q.Gen.map (fun k -> k * tick) (Q.Gen.int_range 250 262);
+        Q.Gen.map (fun k -> k * tick) (Q.Gen.int_range 65_530 65_545);
+      ]
+  in
+  Q.Gen.frequency
+    [
+      (6, Q.Gen.map2 (fun k s -> T_arm (k, s)) (Q.Gen.int_range 0 7) span);
+      (1, Q.Gen.map (fun k -> T_disarm k) (Q.Gen.int_range 0 7));
+      (2, Q.Gen.map (fun s -> T_event s) span);
+      (3, Q.Gen.map (fun n -> T_fire n) (Q.Gen.int_range 1 6));
+    ]
+
+let timer_step_print = function
+  | T_arm (k, s) -> Printf.sprintf "arm(%d,+%d)" k s
+  | T_disarm k -> Printf.sprintf "disarm(%d)" k
+  | T_event s -> Printf.sprintf "event(+%d)" s
+  | T_fire n -> Printf.sprintf "fire(%d)" n
+
+type ref_timer = { mutable ref_pending : Des.Engine.handle }
+
+let prop_timer_rearm_matches_reschedule =
+  Q.Test.make ~count:300 ~name:"timer re-arm in place = cancel + schedule"
+    (Q.make
+       ~print:Q.Print.(list timer_step_print)
+       (Q.Gen.list_size (Q.Gen.int_range 0 150) timer_step_gen))
+    (fun steps ->
+      let n = 8 in
+      let e_new = Des.Engine.create () and e_ref = Des.Engine.create () in
+      let fired_new = ref [] and fired_ref = ref [] in
+      let timers =
+        Array.init n (fun k ->
+            Des.Timer.create e_new (fun () ->
+                fired_new := (k, Des.Engine.now e_new) :: !fired_new))
+      in
+      let ref_fire =
+        Des.Engine.register_op e_ref (fun rt () (k : int) ->
+            rt.ref_pending <- Des.Engine.never;
+            fired_ref := (k, Des.Engine.now e_ref) :: !fired_ref)
+      in
+      let refs = Array.init n (fun _ -> { ref_pending = Des.Engine.never }) in
+      let event_op e fired =
+        Des.Engine.register_op e (fun () () (label : int) ->
+            fired := (label, Des.Engine.now e) :: !fired)
+      in
+      let ev_new = event_op e_new fired_new and ev_ref = event_op e_ref fired_ref in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      (* The model: pending [(at, seq, label)], each timer's pending
+         [(at, seq)], and the cancels so far. *)
+      let model = ref [] and armed = Array.make n None in
+      let now = ref 0 and next_seq = ref 0 and next_label = ref n in
+      let cancels = ref 0 in
+      let add at label =
+        let s = !next_seq in
+        incr next_seq;
+        model := (at, s, label) :: !model;
+        (at, s)
+      in
+      let drop k =
+        match armed.(k) with
+        | None -> ()
+        | Some (_, s) ->
+            incr cancels;
+            armed.(k) <- None;
+            model := List.filter (fun (_, s', _) -> s' <> s) !model
+      in
+      let fire_one () =
+        let stepped_new = Des.Engine.step e_new
+        and stepped_ref = Des.Engine.step e_ref in
+        match List.sort compare !model with
+        | [] -> expect ((not stepped_new) && not stepped_ref)
+        | (at, _, label) :: rest ->
+            model := rest;
+            if label < n then armed.(label) <- None;
+            now := at;
+            expect
+              (stepped_new && stepped_ref
+              && List.hd !fired_new = (label, at)
+              && List.hd !fired_ref = (label, at))
+      in
+      let step = function
+        | T_arm (k, span) ->
+            let k = k mod n in
+            drop k;
+            armed.(k) <- Some (add (!now + span) k);
+            Des.Timer.arm timers.(k) span;
+            let rt = refs.(k) in
+            Des.Engine.cancel rt.ref_pending;
+            rt.ref_pending <- Des.Engine.schedule_timer_op e_ref span ref_fire rt () k
+        | T_disarm k ->
+            let k = k mod n in
+            drop k;
+            Des.Timer.disarm timers.(k);
+            Des.Engine.cancel refs.(k).ref_pending;
+            refs.(k).ref_pending <- Des.Engine.never
+        | T_event span ->
+            let label = !next_label in
+            incr next_label;
+            ignore (add (!now + span) label : int * int);
+            Des.Engine.schedule_op_after e_new span ev_new () () label;
+            Des.Engine.schedule_op_after e_ref span ev_ref () () label
+        | T_fire m ->
+            for _ = 1 to m do
+              fire_one ()
+            done
+      in
+      let same_stats () =
+        let a = Des.Engine.stats e_new and b = Des.Engine.stats e_ref in
+        expect (a = b && a.Des.Engine.cancelled = !cancels)
+      in
+      List.iter
+        (fun s ->
+          step s;
+          same_stats ())
+        steps;
+      while !model <> [] do
+        fire_one ()
+      done;
+      fire_one ();
+      same_stats ();
+      Array.iteri
+        (fun k t -> expect (Des.Timer.is_armed t = (armed.(k) <> None)))
+        timers;
       !ok)
 
 (* {2 Pipelined replication}
@@ -1245,6 +1491,7 @@ let tests =
   List.map to_alcotest
     [
       prop_queue_matches_model;
+      prop_timer_rearm_matches_reschedule;
       prop_window_matches_batch;
       prop_window_keeps_newest;
       prop_window_matches_mod_indexing;
@@ -1258,6 +1505,7 @@ let tests =
       prop_tuner_reset_restores_defaults;
       prop_summary_percentile_monotone;
       prop_summary_mean_within_range;
+      prop_summary_sort_matches_stdlib;
       prop_codec_roundtrip;
       prop_client_encoder_matches_sprintf_key;
       prop_decoder_matches_reference;

@@ -553,6 +553,77 @@ let prop_tuner_caches_match_eager =
         steps;
       true)
 
+(* {2 The loss window against the shifting reference}
+
+   [Loss.observe] appends an in-order id in O(1) and indexes its ring
+   without [mod]; [Tuner_reference.Loss_estimator] is the search and
+   shift it replaces.  Small windows make the ring wrap and evict
+   often; steps are offsets from the highest id sent: in order, a
+   duplicate of the newest, an older id (a reorder or an older
+   duplicate), a gap, or a clear.  After every step both must agree on
+   the outcome, [length], [span], [expected], [warmed_up] and the bits
+   of [loss_rate]. *)
+
+module Ref_loss = Tuner_reference.Loss_estimator
+
+type loss_step = Id of int | Clear
+
+let gen_loss_run =
+  QCheck.Gen.(
+    let* min_size = int_range 1 6 in
+    let* extra = frequency [ (4, int_range 0 8); (1, int_range 9 120) ] in
+    let step =
+      frequency
+        [
+          (12, return (Id 1));
+          (2, return (Id 0));
+          (4, map (fun d -> Id (-d)) (int_range 1 20));
+          (2, map (fun d -> Id d) (int_range 2 50));
+          (1, return Clear);
+        ]
+    in
+    let* steps = list_size (int_range 0 500) step in
+    return (min_size, min_size + extra, steps))
+
+let prop_loss_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"loss window: bit-identical to the shifting reference"
+    (QCheck.make
+       ~print:(fun (lo, hi, steps) ->
+         Printf.sprintf "min=%d max=%d [%s]" lo hi
+           (String.concat ";"
+              (List.map
+                 (function Id d -> string_of_int d | Clear -> "clear")
+                 steps)))
+       gen_loss_run)
+    (fun (min_size, max_size, steps) ->
+      let l = Loss.create ~min_size ~max_size
+      and r = Ref_loss.create ~min_size ~max_size in
+      let top = ref 0 in
+      List.iteri
+        (fun i step ->
+          let fail what = QCheck.Test.fail_reportf "step %d: %s" i what in
+          (match step with
+          | Clear ->
+              Loss.clear l;
+              Ref_loss.clear r
+          | Id d ->
+              let id = !top + d in
+              if id > !top then top := id;
+              if Loss.observe l id <> Ref_loss.observe r id then fail "outcome");
+          if Loss.length l <> Ref_loss.length r then fail "length";
+          if Loss.span l <> Ref_loss.span r then fail "span";
+          if Loss.expected l <> Ref_loss.expected r then fail "expected";
+          if Loss.warmed_up l <> Ref_loss.warmed_up r then fail "warmed_up";
+          if
+            not
+              (Int64.equal
+                 (Int64.bits_of_float (Loss.loss_rate l))
+                 (Int64.bits_of_float (Ref_loss.loss_rate r)))
+          then fail "loss_rate")
+        steps;
+      true)
+
 let tests =
   [
     Alcotest.test_case "config: default valid" `Quick test_config_default_valid;
@@ -612,4 +683,5 @@ let tests =
     Alcotest.test_case "path: reset" `Quick test_leader_path_reset;
     QCheck_alcotest.to_alcotest prop_tuner_matches_reference;
     QCheck_alcotest.to_alcotest prop_tuner_caches_match_eager;
+    QCheck_alcotest.to_alcotest prop_loss_matches_reference;
   ]
