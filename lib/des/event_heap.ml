@@ -347,7 +347,7 @@ let link t slot start ev =
 
 (* Empty a slot, returning the id at the head of its chain.  Only the
    level's earliest slot is ever taken, so its bound goes stale. *)
-let take_slot t slot =
+let[@inline] take_slot t slot =
   let head = t.slot_head.(slot) in
   t.slot_head.(slot) <- -1;
   clear_bit t slot;
@@ -459,25 +459,26 @@ let push_timer t ~now ev =
   end
   else push_event t ev
 
+let rescan t level =
+  let shift = level * level_bits in
+  let c = t.cursor lsr shift in
+  let d = first_set_from t level (c land 0xFF) in
+  let b = if d < 0 then max_int else (c + d) lsl shift in
+  t.level_lb.(level) <- b;
+  b
+
 (* The range start of [level]'s first occupied slot, scanning the
    level only when its cached bound is stale.  Level 0's pins an exact
-   tick, always at or after the cursor. *)
-let level_start t level =
+   tick, always at or after the cursor.  Inlined: the cached bound is
+   the common case, one load and a test. *)
+let[@inline] level_start t level =
   let b = t.level_lb.(level) in
-  if b >= 0 then b
-  else begin
-    let shift = level * level_bits in
-    let c = t.cursor lsr shift in
-    let d = first_set_from t level (c land 0xFF) in
-    let b = if d < 0 then max_int else (c + d) lsl shift in
-    t.level_lb.(level) <- b;
-    b
-  end
+  if b >= 0 then b else rescan t level
 
 (* Candidate due lower bound of level 1/2, in ticks: its first slot's
    range start, clamped to the cursor (the d = 0 slot's range began in
    the past). *)
-let cand_hi t level = Int.max t.cursor (level_start t level)
+let[@inline] cand_hi t level = Int.max t.cursor (level_start t level)
 
 let next_due_tick t =
   if t.stats.wheel_occupancy = 0 then max_int
