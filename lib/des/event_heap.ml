@@ -571,8 +571,10 @@ let cancel ev =
    and file it again.  A cancel followed by a fresh queueing would do
    the same: the cancel recycles the record, and the next alloc (after
    the same compaction check) takes it straight back off the free list
-   with the payload it already holds.  So this counts as that cancel,
-   and only skips the pool round trip and the payload stores. *)
+   with the payload it already holds, or, when that check compacted,
+   a freed twin; which record carries an event is invisible to the
+   simulation.  So this counts as that cancel, and only skips the pool
+   round trip and the payload stores. *)
 let repark ev ~now ~at ~seq =
   let st = ev.state in
   st >= st_slot0

@@ -795,8 +795,8 @@ let prop_conditions_piecewise_lookup =
    specification: the pending events in a list, each step firing the
    smallest [(at, seq)].  Ops schedule on the heap path ([push_event])
    and on the wheel path ([push_timer]), cancel heap- and wheel-resident
-   events, and cancel bursts of heap entries large enough to force
-   compaction.  The offset generator lands on same-tick bursts, on the
+   events, re-arm them ([repark] in place while parked), and cancel
+   bursts of heap entries large enough to force compaction.  The offset generator lands on same-tick bursts, on the
    level-0/1 and level-1/2 cascade boundaries, and on past-horizon
    deadlines (which overflow to the heap).  [Q_slot] aims a wheel
    deadline at a chosen slot of a chosen level, reached on the cursor's
@@ -904,8 +904,6 @@ let prop_queue_matches_model =
           && pending () = pending_before
           && H.pool_size h = pool)
       in
-      (* The engine's merged drain: the heap top may fire only while it
-         is strictly before everything the wheel could still owe. *)
       (* A re-arm as [Des.Timer.arm] does it: in place while parked,
          counted as one in-place cancel, compacting the heap when the
          alloc it replaces would have, and leaving the pool and the
@@ -939,6 +937,8 @@ let prop_queue_matches_model =
           ignore (schedule ~wheel:true offset : int)
         end
       in
+      (* The engine's merged drain: the heap top may fire only while it
+         is strictly before everything the wheel could still owe. *)
       let rec next_live fuel =
         let top = H.top_live h in
         let lb = H.next_due_ns h in
