@@ -13,7 +13,12 @@
 
    --jobs N fans campaigns out over N domains (default: all cores minus
    one for the coordinator).  --jobs 1 reproduces the sequential run bit
-   for bit; any N is deterministic for a fixed (seed, N). *)
+   for bit; any N is deterministic for a fixed (seed, N).
+
+   A figure's --json wall_s depends on what ran before it in the same
+   process (heap size, GC state), so per-figure rows of one multi-figure
+   run do not compare across builds: to compare builds, run one figure
+   per process (`-- --json out.json fig5`) over many pairs of runs. *)
 
 module Fig4 = Scenarios.Fig4
 module Report = Scenarios.Report

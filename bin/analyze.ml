@@ -4,16 +4,18 @@
    (via compiler-libs) and runs the rules of lib/analysis:
 
      parse-error         a file the frontend cannot parse
-     wall-clock, global-rng, ambient-effect, obj-magic, poly-compare,
-     stdlib-exit, raw-fabric-send, hot-alloc
-                         lib/'s source discipline (lib/analysis/
-                         discipline.ml); lib/ only
+     poly-compare        =, <>, <, >, <=, >= against a constructor with a
+                         payload or a tuple literal; lib/ only
+     hot-alloc           allocation inside a [@hot] binding; lib/ only
      mutable-global      a top-level mutable value in lib/ or bin/
      unset-optional      a ?label on a lib/**/*.mli value that no call
                          outside its own module passes
 
-   Catch-all match arms are not a rule here: fragile-match (warning 4)
-   is a build error in lib/ and bin/.
+   Two bans are the compiler's, not rules here: catch-all match arms
+   (fragile-match, warning 4, a build error in lib/ and bin/), and the
+   identifiers lib/prelude marks with an alert (the wall clock, global
+   Random, ambient Sys/Unix/I/O, Obj.magic, polymorphic compare/hash/
+   min/max, exit, and Netsim.Fabric.send), errors in lib/.
 
    Usage:
      analyze.exe [--allow FILE] [--callers DIR]... [--exclude DIR]... DIR...
@@ -101,10 +103,9 @@ let run_scan ~allow_file ~callers ~exclude dirs =
     exit 1
   end
 
-(* Fixture mode: fixtures are given virtual paths under lib/raft/ so
-   they sit in every rule's scope (raw-fabric-send's is lib/raft/ alone);
-   every rule must fire at least once across bad*.ml(i), and
-   good*.ml(i) must stay entirely clean. *)
+(* Fixture mode: fixtures are given virtual paths directly under lib/,
+   inside every rule's scope; every rule must fire at least once across
+   bad*.ml(i), and good*.ml(i) must stay entirely clean. *)
 let self_test dir =
   let files = source_files ~exclude:[] dir in
   if files = [] then begin
@@ -115,7 +116,7 @@ let self_test dir =
     List.map
       (fun path ->
         {
-          Analysis.Driver.path = "lib/raft/" ^ Filename.basename path;
+          Analysis.Driver.path = "lib/" ^ Filename.basename path;
           content = read_file path;
         })
       files

@@ -392,7 +392,7 @@ let calc_cmd =
 let explain_cmd =
   let failures =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "failures" ] ~docv:"K"
           ~doc:"Leader kills (each recovered before the next).")
   in

@@ -5,7 +5,6 @@
 module Finding = Finding
 module Source = Source
 module Callgraph = Callgraph
-module Effects = Effects
 module Shared_state = Shared_state
 module Discipline = Discipline
 module Unset_optional = Unset_optional

@@ -1,12 +1,13 @@
 (** The repository's static checker (DESIGN.md §12).
 
     Parses every [.ml]/[.mli] into a Parsetree ([compiler-libs.common])
-    and runs per-file rules ({!Discipline}: banned identifiers, ambient
-    effects, mutable globals in lib/ and bin/, allocation in [[@hot]]
+    and runs per-file rules ({!Discipline}: comparisons against a boxed
+    operand, mutable globals in lib/ and bin/, allocation in [[@hot]]
     bindings) plus one over the whole tree: optional parameters no
     caller passes ({!Unset_optional}).  {!Driver.analyze} runs them all.
-    Catch-all match arms are no rule here: fragile-match (warning 4)
-    is a build error in lib/ and bin/.
+    Two bans are the compiler's, not rules here: catch-all match arms
+    (fragile-match, warning 4, a build error in lib/ and bin/) and the
+    identifiers lib/prelude marks with an alert (errors in lib/).
 
     The library is pure: callers ([bin/analyze.ml], tests) own file
     loading, printing and process exit. *)
@@ -14,7 +15,6 @@
 module Finding = Finding
 module Source = Source
 module Callgraph = Callgraph
-module Effects = Effects
 module Shared_state = Shared_state
 module Discipline = Discipline
 module Unset_optional = Unset_optional

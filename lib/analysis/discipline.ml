@@ -1,17 +1,16 @@
-(* The source discipline of lib/ and bin/: per-file rules that need no
-   call graph.  Each hazard has one rule, checked at the site that
-   names it, so a wrapper cannot hide it and no reachability question
-   decides whether it counts.
+(* The source discipline of lib/ and bin/ that the compiler does not
+   enforce: per-file rules that need no call graph.  Each hazard has one
+   rule, checked at the site that names it, so a wrapper cannot hide it
+   and no reachability question decides whether it counts.  (The
+   identifier bans — wall clock, global Random, ambient Sys/Unix/I/O,
+   Obj.magic, polymorphic compare/hash/min/max, exit, raw Fabric.send —
+   are alerts of lib/prelude, errors in every lib/ build.)
 
-   - Identifier bans ([wall-clock], [global-rng], [ambient-effect],
-     [obj-magic], [poly-compare], [stdlib-exit], [raw-fabric-send]):
-     one pass over every [Pexp_ident], checked against a table of
-     (rule, doc, path scope, predicate).  [poly-compare] also fires on
-     [=], [<>], [<], [>], [<=], [>=] applied to a constructor with a
-     payload or a tuple literal ([x <> Some y]).  Record fields, labels and
-     binding names are not identifiers, and an unqualified identifier
-     bound by an enclosing pattern is a local, not the stdlib value it
-     shadows — so a field, pun or parameter named [exit] never fires.
+   - [poly-compare]: [=], [<>], [<], [>], [<=], [>=] applied to a
+     constructor with a payload or a tuple literal ([x <> Some y]).
+     Without flambda that allocates the operand, then calls compare_val.
+     An operator bound by an enclosing pattern is a local, not the
+     polymorphic one, and never fires.
    - [mutable-global]: a module-level binding whose right-hand side
      allocates mutable state.  Campaign domains share every module's
      top-level state, so per-run state belongs in the values a run
@@ -22,47 +21,15 @@
      ([Printf]/[Format] build closures and buffers per call), or holds a
      lambda (a closure allocation per call unless hoisted).
 
-   [mutable-global] applies to lib/ and bin/; every other rule to lib/
-   only, since bin/ legitimately prints, reads its environment and
-   exits. *)
+   [mutable-global] applies to lib/ and bin/; the other two to lib/
+   only. *)
 
 let in_lib path = Source.contains path "lib/"
 let in_bin path = Source.contains path "bin/"
-let in_raft path = Source.contains path "lib/raft/"
-let anywhere _ = true
-
-type ident_rule = {
-  id : string;
-  doc : string;
-  scope : string -> bool;  (* within lib/, does it apply to this path? *)
-  bans : string list -> bool;  (* on the flattened identifier *)
-}
-
 let named names parts = List.mem (String.concat "." parts) names
-
-let effect category parts =
-  Option.equal String.equal (Effects.classify parts) (Some category)
-
-(* Simulation results must be a function of the seed and the arguments,
-   so lib/ takes what it needs as parameters and returns data.  The one
-   exemption is the exporter that writes the file it is asked for. *)
-let ambient_effect = "ambient-effect"
-
-let ambient parts =
-  match Effects.classify parts with
-  | Some ("ambient Sys" | "ambient Unix" | "ambient I/O") -> true
-  | Some _ | None -> false
-
-(* Without flambda, [Stdlib.min]/[max] on ints are an out-of-line
-   polymorphic compare; so is [=] or [<>] against a freshly built
-   constructor or tuple, which allocates the operand as well. *)
 let poly_compare = "poly-compare"
 
 let poly_compare_doc =
-  "polymorphic compare/hash/min/max (use Int/Float/String.compare, \
-   Int.min/max, or a typed comparison)"
-
-let boxed_compare_doc =
   "polymorphic comparison against a constructor with a payload or a tuple \
    literal (allocates the operand, then calls compare_val; match instead)"
 
@@ -76,69 +43,6 @@ let boxed_operand (e : Parsetree.expression) =
   | Parsetree.Pexp_tuple _ ->
       true
   | _ -> false
-
-let ident_rules =
-  [
-    {
-      id = "wall-clock";
-      doc = "wall-clock read (the DES virtual clock is the only clock)";
-      scope = anywhere;
-      bans = effect "wall clock";
-    };
-    {
-      id = "global-rng";
-      doc = "global Random state (use seeded Stats.Rng streams)";
-      scope = anywhere;
-      bans = effect "global Random";
-    };
-    {
-      id = ambient_effect;
-      doc =
-        "ambient system access or I/O in lib/ (take a formatter, path or \
-         value as an argument, or return data; only telemetry/chrome_trace.ml \
-         writes the file it is asked for)";
-      scope =
-        (fun path ->
-          not (Filename.check_suffix path "lib/telemetry/chrome_trace.ml"));
-      bans = ambient;
-    };
-    {
-      id = "obj-magic";
-      doc = "Obj.magic defeats the type system";
-      scope = anywhere;
-      bans = named [ "Obj.magic" ];
-    };
-    {
-      id = poly_compare;
-      doc = poly_compare_doc;
-      scope = anywhere;
-      bans =
-        named
-          [
-            "compare"; "Stdlib.compare"; "Hashtbl.hash"; "min"; "max";
-            "Stdlib.min"; "Stdlib.max";
-          ];
-    };
-    {
-      id = "stdlib-exit";
-      doc =
-        "exit from lib/ (raise or return a result; only bin/ may end the \
-         process)";
-      scope = anywhere;
-      bans = named [ "exit"; "Stdlib.exit" ];
-    };
-    {
-      id = "raw-fabric-send";
-      doc =
-        "direct Fabric.send from lib/raft (every RPC leaves through \
-         Replication.transmit so bulk appends cannot bypass the \
-         lane/backpressure policy)";
-      scope =
-        (fun path ->
-          in_raft path && not (Source.contains path "/replication."));
-      bans = named [ "Fabric.send"; "Netsim.Fabric.send" ];
-    };
-  ]
 
 let mutable_global = "mutable-global"
 
@@ -155,12 +59,15 @@ let hot_alloc_why =
 let hot_alloc_doc = "allocation inside a [@hot] binding (" ^ hot_alloc_why ^ ")"
 
 let rules =
-  List.map (fun r -> (r.id, r.doc)) ident_rules
-  @ [ (mutable_global, mutable_global_doc); (hot_alloc, hot_alloc_doc) ]
+  [
+    (poly_compare, poly_compare_doc);
+    (mutable_global, mutable_global_doc);
+    (hot_alloc, hot_alloc_doc);
+  ]
 
-(* {1 Identifier bans} *)
+(* {1 poly-compare} *)
 
-let ident_findings path str rules =
+let compare_findings path str =
   let acc = ref [] in
   let locals = ref [] in
   let within pats f =
@@ -172,44 +79,22 @@ let ident_findings path str rules =
   let case self (c : Parsetree.case) =
     within [ c.pc_lhs ] (fun () -> self.Ast_iterator.case self c)
   in
-  let boxed_compares =
-    List.exists (fun r -> String.equal r.id poly_compare) rules
-  in
-  let report (e : Parsetree.expression) rule what doc =
-    acc :=
-      Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc) ~rule
-        (Printf.sprintf "%s: %s" what doc)
-      :: !acc
-  in
-  let quoted parts = "`" ^ String.concat "." parts ^ "`" in
   let expr self (e : Parsetree.expression) =
     match e.pexp_desc with
-    | Parsetree.Pexp_ident lid -> (
-        match Source.flatten_longident lid.Asttypes.txt with
-        | Some [ name ] when List.mem name !locals -> ()
-        | Some parts ->
-            List.iter
-              (fun r ->
-                if r.bans parts then
-                  let what =
-                    match Effects.classify parts with
-                    | Some category when String.equal r.id ambient_effect ->
-                        Printf.sprintf "%s (%s)" (quoted parts) category
-                    | Some _ | None -> quoted parts
-                  in
-                  report e r.id what r.doc)
-              rules
-        | None -> ())
     | Parsetree.Pexp_apply
         ( ({ pexp_desc = Parsetree.Pexp_ident lid; _ } as op),
           [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] ) ->
         (match Source.flatten_longident lid.Asttypes.txt with
         | Some ([ name ] | [ "Stdlib"; name ] as parts)
-          when boxed_compares
-               && List.mem name comparison_ops
+          when List.mem name comparison_ops
                && (not (List.mem name !locals))
                && (boxed_operand a || boxed_operand b) ->
-            report op poly_compare (quoted parts) boxed_compare_doc
+            acc :=
+              Finding.v ~path ~line:(Source.line_of_loc op.pexp_loc)
+                ~rule:poly_compare
+                (Printf.sprintf "`%s`: %s" (String.concat "." parts)
+                   poly_compare_doc)
+              :: !acc
         | Some _ | None -> ());
         Ast_iterator.default_iterator.expr self e
     | Parsetree.Pexp_fun (_, default, pat, body) ->
@@ -325,9 +210,7 @@ let findings (sources : Source.t list) =
     (fun (s : Source.t) ->
       match s.kind with
       | Source.Impl str when in_lib s.path ->
-          ident_findings s.path str
-            (List.filter (fun r -> r.scope s.path) ident_rules)
-          @ globals s @ hot_findings s.path str
+          compare_findings s.path str @ globals s @ hot_findings s.path str
       | Source.Impl _ when in_bin s.path -> globals s
       | Source.Impl _ | Source.Intf _ | Source.Broken _ -> [])
     sources

@@ -52,6 +52,10 @@ val send :
   dst:Node_id.t ->
   'msg ->
   unit
+[@@alert
+  raw_fabric_send
+    "every RPC leaves through Raft.Replication.transmit, so bulk appends \
+     cannot bypass the lane/backpressure policy"]
 (** Transmit a message.  Self-sends are delivered immediately.  [cause]
     is the message's causal token ([0] = none), read back by the
     receiver with {!delivery_cause}.

@@ -1,9 +1,9 @@
 (* The single seam between the Raft layer and the fabric's egress.
    Every RPC a node sends leaves through [transmit], which classifies it
    into a wire lane and sizes its serialization cost; nothing else in
-   lib/raft may call [Netsim.Fabric.send] (the analyzer's
-   raw-fabric-send rule), so bulk
-   replication traffic cannot bypass the priority/backpressure policy. *)
+   lib/ may call [Netsim.Fabric.send] (its raw_fabric_send alert is an
+   error there, turned off at the one call below), so bulk replication
+   traffic cannot bypass the priority/backpressure policy. *)
 
 (* Control traffic — heartbeats, votes, acks, TimeoutNow, and the empty
    consistency probes — rides the urgent lane: it is what election
@@ -39,5 +39,5 @@ let wire_units (msg : Rpc.message) =
    send would have to fill. *)
 let transmit fabric ~lanes ~cause ~src ~dst kind msg =
   let lane = if lanes then lane_of msg else Netsim.Transport.Urgent in
-  Netsim.Fabric.send fabric kind ~lane ~units:(wire_units msg) ~cause ~src ~dst
-    msg
+  (Netsim.Fabric.send [@alert "-raw_fabric_send"])
+    fabric kind ~lane ~units:(wire_units msg) ~cause ~src ~dst msg

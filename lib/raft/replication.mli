@@ -3,8 +3,9 @@
     Classifies outgoing RPCs into the fabric's two egress lanes and
     sizes their serialization cost, so that on links with a wire model
     ({!Netsim.Fabric.set_uniform_serialization}) control traffic overtakes
-    queued replication bursts.  The analyzer's [raw-fabric-send] rule
-    keeps every other module in [lib/raft] from sending directly. *)
+    queued replication bursts.  The [raw_fabric_send] alert on
+    {!Netsim.Fabric.send}, an error in lib/, keeps every other module
+    from sending directly. *)
 
 val transmit :
   Rpc.message Netsim.Fabric.t ->

@@ -1,7 +1,13 @@
 (* Chrome trace-event JSON writer (the format Perfetto and
    chrome://tracing load).  Events are appended to an in-memory buffer
    and serialized once at the end; timestamps are virtual DES time
-   converted to the format's microsecond unit. *)
+   converted to the format's microsecond unit.
+
+   The one lib/ module that touches the file system: [write] opens the
+   file it is asked for, so ambient I/O is allowed for this file alone
+   (the prelude's other bans still hold). *)
+
+[@@@alert "-ambient_effect"]
 
 type arg =
   | Int of int

@@ -1,12 +1,13 @@
 (* Unit tests for the static checker (lib/analysis): call graph
    construction and resolution, parse-error surfacing, the allowlist
    and its stale-entry gate, and the cases where the per-file source
-   discipline is exact on the AST: ambient effects flagged where they
-   are named, in any lib/ directory, and module-level mutable state in
-   lib/ and bin/.  Catch-all arms over a variant are the compiler's
-   fragile-match error: the fragile-match cases type-check snippets
-   in-process under it, and the test/match_fixtures rule pins the
-   compiler's exact messages. *)
+   discipline is exact on the AST: comparisons against a boxed operand,
+   [@hot] allocation, and module-level mutable state in lib/ and bin/.
+   Two bans are the compiler's: catch-all arms over a variant are its
+   fragile-match error (the fragile-match cases type-check snippets
+   in-process under it; test/match_fixtures pins its exact messages),
+   and lib/'s identifier bans are lib/prelude's alerts
+   (test/prelude_fixtures pins those). *)
 
 module A = Analysis
 module F = Analysis.Finding
@@ -16,11 +17,6 @@ let file path content = { A.Driver.path; content }
 let analyze ?config files = fst (A.Driver.analyze ?config ~callers:[] files)
 let with_rule rule fs = List.filter (fun (f : F.t) -> f.rule = rule) fs
 let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 let src lib path content = A.Source.parse ~library:lib ~path content
 
@@ -95,50 +91,15 @@ let test_callgraph_aliases () =
        (Cg.resolve cg ~path:"lib/scenarios/scenarios.ml" ~lib:"Scenarios"
           [ "Gm"; "create" ]))
 
-(* {2 Ambient effects} *)
+(* {2 Allowlist} *)
 
-(* An ambient effect behind a wrapper in another library: the rule
-   fires where the effect is named, whoever calls it. *)
-let effect_files =
+(* A mutable global behind a wrapper in another library: the rule fires
+   where the global is defined, whoever reads it. *)
+let global_files =
   [
     file "lib/raft/entry.ml" "let run () = Stats.Util.step ()";
-    file "lib/stats/util.ml"
-      "let step () = home ()\nlet home () = Sys.getenv \"HOME\"";
+    file "lib/stats/util.ml" "let step () = !hits\nlet hits = ref 0";
   ]
-
-let test_ambient_effect_at_sink () =
-  match analyze effect_files with
-  | [ f ] ->
-      Alcotest.(check string) "rule" "ambient-effect" f.F.rule;
-      Alcotest.(check string) "points at the effectful file" "lib/stats/util.ml"
-        f.F.path;
-      Alcotest.(check int) "line of the reference" 2 f.F.line;
-      Alcotest.(check bool) "names the identifier and category" true
-        (contains f.F.message "`Sys.getenv` (ambient Sys)")
-  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
-
-let test_ambient_effect_any_dir () =
-  let home = "let home () = Sys.getenv \"HOME\"" in
-  List.iter
-    (fun path ->
-      Alcotest.(check (list int)) path [ 1 ]
-        (lines_of "ambient-effect" (analyze [ file path home ])))
-    [ "lib/scenarios/report.ml"; "lib/analysis/finding.ml" ]
-
-let test_ambient_effect_exporter () =
-  let write = "let write path = open_out path" in
-  let hits path rule = lines_of rule (analyze [ file path write ]) in
-  Alcotest.(check (list int)) "chrome_trace writes the file it is asked for"
-    [] (hits "lib/telemetry/chrome_trace.ml" "ambient-effect");
-  Alcotest.(check (list int)) "the same call in the recorder" [ 1 ]
-    (hits "lib/telemetry/recorder.ml" "ambient-effect");
-  Alcotest.(check (list int)) "the exemption is ambient-effect's alone" [ 1 ]
-    (lines_of "wall-clock"
-       (analyze
-          [
-            file "lib/telemetry/chrome_trace.ml"
-              "let stamp () = Unix.gettimeofday ()";
-          ]))
 
 let allow_of source =
   match F.parse_allow source with
@@ -164,21 +125,21 @@ let test_allowlist_mutable_global () =
     (List.map (fun (e : F.entry) -> e.suffix) stale)
 
 let test_stale_allow_entries () =
-  (* util.ml names the effect; entry.ml only calls it, and util.ml holds
-     no mutable global. *)
+  (* util.ml defines the global; entry.ml only calls it, and util.ml
+     holds no boxed compare. *)
   let allow =
     allow_of
       "# header\n\
-       util.ml:ambient-effect\n\
-       entry.ml:ambient-effect\n\n\
-       util.ml:mutable-global\n"
+       util.ml:mutable-global\n\
+       entry.ml:mutable-global\n\n\
+       util.ml:poly-compare\n"
   in
   let config = A.Driver.default_config ~allow () in
-  let findings, stale = A.Driver.analyze ~config ~callers:[] effect_files in
-  Alcotest.(check int) "effect suppressed" 0 (List.length findings);
+  let findings, stale = A.Driver.analyze ~config ~callers:[] global_files in
+  Alcotest.(check int) "global suppressed" 0 (List.length findings);
   Alcotest.(check (list (pair int string)))
     "stale entries, by line"
-    [ (3, "entry.ml:ambient-effect"); (5, "util.ml:mutable-global") ]
+    [ (3, "entry.ml:mutable-global"); (5, "util.ml:poly-compare") ]
     (List.map
        (fun (e : F.entry) -> (e.lineno, e.suffix ^ ":" ^ e.rule_id))
        stale)
@@ -276,11 +237,11 @@ let test_render () =
 
 let test_parse_allow () =
   let finding ?(path = "lib/x.ml") rule = F.v ~path ~line:1 ~rule "" in
-  (match allow_of "# comment\n\nlib/x.ml:ambient-effect\n" with
+  (match allow_of "# comment\n\nlib/x.ml:poly-compare\n" with
   | [ e ] ->
       Alcotest.(check int) "line" 3 e.F.lineno;
       Alcotest.(check bool) "suffix match" true
-        (F.suppresses e (finding "ambient-effect"));
+        (F.suppresses e (finding "poly-compare"));
       Alcotest.(check bool) "rule must match" false
         (F.suppresses e (finding "mutable-global"))
   | entries -> Alcotest.failf "expected one entry, got %d" (List.length entries));
@@ -305,52 +266,17 @@ let test_parse_allow () =
 
 (* {2 Source discipline (lib/ only)} *)
 
-let test_exit_exact () =
-  let source =
-    "type o = { mutable exit : int }\n\
-     let bail () = exit 1\n\
-     let die c = Stdlib.exit c\n\
-     let mk exit = { exit }\n\
-     let field o = o.exit\n\
-     let labelled ~exit = exit + 1\n\
-     let optional ?(exit = 0) () = exit\n\
-     let call f exit = f ~exit\n\
-     let matched = function { exit } -> exit\n\
-     let local () = let exit = 2 in exit\n\
-     let rec loop n = n and exit = 3\n\
-     let set o = o.exit <- o.exit + 1\n"
-  in
-  Alcotest.(check (list int)) "only real exits fire" [ 2; 3 ]
-    (lines_of "stdlib-exit" (analyze [ file "lib/kvsm/x.ml" source ]));
-  Alcotest.(check (list int)) "bin/ may exit" []
-    (lines_of "stdlib-exit" (analyze [ file "bin/x.ml" source ]))
-
-let test_compare_exact () =
-  let source =
-    "let a xs = List.sort compare xs\n\
-     let b x y = Stdlib.compare x y\n\
-     let c xs = List.sort Int.compare xs\n\
-     let d compare xs = List.sort compare xs\n\
-     let e xs = let compare = Float.compare in List.sort compare xs\n\
-     let f = function compare -> compare 1 2\n"
-  in
-  Alcotest.(check (list int)) "only the polymorphic compares fire" [ 1; 2 ]
-    (lines_of "poly-compare" (analyze [ file "lib/kvsm/x.ml" source ]))
-
 let test_compare_boxed () =
   let source =
     "let a x y = x <> Some y\n\
      let b x y = Stdlib.(=) (x, y) (1, 2)\n\
      let c x = x >= `Tag 3\n\
-     let d x y = Int.max x y + max x y\n\
      let e x = x = None\n\
      let f x y = x == Some y\n\
      let g (x : int) y = x < y\n\
-     let h ( = ) x y = x = Some y\n\
-     let i max x = max x 0\n"
+     let h ( = ) x y = x = Some y\n"
   in
-  Alcotest.(check (list int)) "boxed operands and untyped min/max fire"
-    [ 1; 2; 3; 4 ]
+  Alcotest.(check (list int)) "boxed operands fire" [ 1; 2; 3 ]
     (lines_of "poly-compare" (analyze [ file "lib/kvsm/x.ml" source ]))
 
 let test_hot_and_binding () =
@@ -424,16 +350,20 @@ let test_unset_optional () =
     (unset [ file "bench/b.ml" "let f size = Kvsm.K.make ?size ()" ])
 
 let test_callers_are_not_checked () =
-  let findings, _ =
-    A.Driver.analyze
-      ~callers:
-        [
-          file "bench/b.mli" "val f : ?x:int -> unit -> float";
-          file "bench/b.ml" "let f ?x () = ignore x; Unix.gettimeofday ()";
-          file "lib/raft/caller.ml" "let counter = ref 0";
-        ]
-      []
+  let planted =
+    [
+      file "lib/kvsm/b.mli" "val f : ?x:int -> unit -> bool";
+      file "lib/kvsm/b.ml" "let f ?x () = x <> Some 1";
+      file "lib/raft/caller.ml" "let counter = ref 0";
+    ]
   in
+  let rules files =
+    List.map (fun (f : F.t) -> f.rule) (fst (A.Driver.analyze ~callers:[] files))
+  in
+  Alcotest.(check (list string)) "each planted line fires when scanned"
+    [ "poly-compare"; "unset-optional"; "mutable-global" ]
+    (rules planted);
+  let findings, _ = A.Driver.analyze ~callers:planted [] in
   Alcotest.(check int) "caller-only files raise nothing" 0
     (List.length findings)
 
@@ -445,12 +375,6 @@ let tests =
     Alcotest.test_case "unset-optional" `Quick test_unset_optional;
     Alcotest.test_case "callers-are-not-checked" `Quick
       test_callers_are_not_checked;
-    Alcotest.test_case "ambient-effect-at-sink" `Quick
-      test_ambient_effect_at_sink;
-    Alcotest.test_case "ambient-effect-any-dir" `Quick
-      test_ambient_effect_any_dir;
-    Alcotest.test_case "ambient-effect-exporter" `Quick
-      test_ambient_effect_exporter;
     Alcotest.test_case "allowlist-mutable-global" `Quick
       test_allowlist_mutable_global;
     Alcotest.test_case "stale-allow-entries" `Quick test_stale_allow_entries;
@@ -464,8 +388,6 @@ let tests =
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "finding-render" `Quick test_render;
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
-    Alcotest.test_case "stdlib-exit-exact" `Quick test_exit_exact;
-    Alcotest.test_case "poly-compare-exact" `Quick test_compare_exact;
     Alcotest.test_case "poly-compare-boxed" `Quick test_compare_boxed;
     Alcotest.test_case "hot-and-binding" `Quick test_hot_and_binding;
     Alcotest.test_case "hot-unparenthesized-lambda" `Quick
