@@ -6,8 +6,9 @@
    Two bans are the compiler's: catch-all arms over a variant are its
    fragile-match error (the fragile-match cases type-check snippets
    in-process under it; test/match_fixtures pins its exact messages),
-   and lib/'s identifier bans are lib/prelude's alerts
-   (test/prelude_fixtures pins those). *)
+   and lib/'s identifier bans are lib/prelude's alerts (those cases
+   type-check snippets in-process under a lib/ module's own compile
+   flags; test/prelude_fixtures pins the exact alerts). *)
 
 module A = Analysis
 module F = Analysis.Finding
@@ -223,6 +224,134 @@ let test_fragile_match_negative () =
        ^ "let nested = function Some A -> 0 | Some B | None -> 1\n"
        ^ "let payload = function Some _ -> 0 | None -> 1"))
 
+(* {2 lib/'s identifier bans}
+
+   Every lib/ library compiles with lib/prelude opened and its alerts
+   as errors, so a banned identifier never reaches the analyzer.
+   [alerts ~cmt src] type-checks [src] in-process under the [-I],
+   [-open] and [-alert] arguments that the lib/ module behind [cmt]
+   was compiled with (dune runs the compiler one level above this
+   test), and returns each active alert as (line, kind);
+   test/prelude_fixtures pins the exact messages. *)
+
+let lib_args cmt =
+  let rec pick = function
+    | ("-I" as f) :: dir :: rest when Filename.is_relative dir ->
+        (f, Filename.concat Filename.parent_dir_name dir) :: pick rest
+    | (("-open" | "-alert") as f) :: arg :: rest -> (f, arg) :: pick rest
+    | _ :: rest -> pick rest
+    | [] -> []
+  in
+  pick (Array.to_list (Cmt_format.read_cmt cmt).Cmt_format.cmt_args)
+
+let alerts_under args src =
+  let all flag =
+    List.filter_map (fun (f, a) -> if f = flag then Some a else None) args
+  in
+  let fired = ref [] in
+  let warnings = Warnings.backup ()
+  and reporters = (!Location.warning_reporter, !Location.alert_reporter)
+  and dirs = !Clflags.include_dirs
+  and opens = !Clflags.open_modules in
+  List.iter Warnings.parse_alert_option (all "-alert");
+  (Location.warning_reporter := fun _ _ -> None);
+  (Location.alert_reporter :=
+     fun loc (a : Warnings.alert) ->
+       (match Warnings.report_alert a with
+       | `Active _ ->
+           fired := (loc.Location.loc_start.pos_lnum, a.kind) :: !fired
+       | `Inactive -> ());
+       None);
+  Clflags.include_dirs := List.rev (all "-I");
+  Clflags.open_modules := List.rev (all "-open");
+  Fun.protect
+    ~finally:(fun () ->
+      Warnings.restore warnings;
+      Location.warning_reporter := fst reporters;
+      Location.alert_reporter := snd reporters;
+      Clflags.include_dirs := dirs;
+      Clflags.open_modules := opens;
+      Compmisc.init_path ())
+    (fun () ->
+      Compmisc.init_path ();
+      let ast = Parse.implementation (Lexing.from_string src) in
+      ignore (Typemod.type_structure (Compmisc.initial_env ()) ast));
+  List.rev !fired
+
+let objs lib m =
+  Printf.sprintf "../lib/%s/.%s.objs/byte/%s__%s.cmt" lib lib lib m
+
+let alerts ?(cmt = objs "kvsm" "Store") src = alerts_under (lib_args cmt) src
+let lines_of_kind kind =
+  List.filter_map (fun (l, k) -> if k = kind then Some l else None)
+
+(* An ambient effect behind a wrapper: the alert fires where the effect
+   is named, and the wrapper's callers name nothing banned. *)
+let test_ambient_effect_at_sink () =
+  Alcotest.(check (list (pair int string)))
+    "only the line naming Sys"
+    [ (2, "ambient_effect") ]
+    (alerts
+       "let run () = 0\n\
+        let home () = Sys.getenv \"HOME\"\n\
+        let step () = home ()\n\
+        let entry () = String.length (step ()) + run ()\n")
+
+let test_ambient_effect_any_dir () =
+  let home = "let home () = Sys.getenv \"HOME\"" in
+  List.iter
+    (fun cmt ->
+      Alcotest.(check (list int)) cmt [ 1 ]
+        (lines_of_kind "ambient_effect" (alerts ~cmt home)))
+    [ objs "scenarios" "Report"; objs "analysis" "Finding" ]
+
+(* telemetry/chrome_trace.ml writes the trace file it is asked for
+   under a file-level [[@@@alert "-ambient_effect"]]; the lift is
+   ambient_effect's alone. *)
+let test_ambient_effect_exporter () =
+  let cmt = objs "telemetry" "Recorder"
+  and lift = "[@@@alert \"-ambient_effect\"]\n" in
+  let write = "let write path = open_out path" in
+  Alcotest.(check (list int)) "the exporter writes the file it is asked for"
+    [] (lines_of_kind "ambient_effect" (alerts ~cmt (lift ^ write)));
+  Alcotest.(check (list int)) "the same call in the recorder" [ 1 ]
+    (lines_of_kind "ambient_effect" (alerts ~cmt write));
+  Alcotest.(check (list int)) "the exemption is ambient_effect's alone" [ 2 ]
+    (lines_of_kind "wall_clock"
+       (alerts ~cmt (lift ^ "let stamp () = Sys.time ()")))
+
+let test_exit_exact () =
+  let source =
+    "type o = { mutable exit : int }\n\
+     let bail () = exit 1\n\
+     let die c = Stdlib.exit c\n\
+     let mk exit = { exit }\n\
+     let field o = o.exit\n\
+     let labelled ~exit = exit + 1\n\
+     let optional ?(exit = 0) () = exit\n\
+     let call f exit = f ~exit\n\
+     let matched = function { exit } -> exit\n\
+     let local () = let exit = 2 in exit\n\
+     let rec loop n = n and exit = 3\n\
+     let set o = o.exit <- o.exit + 1\n"
+  in
+  Alcotest.(check (list int)) "only real exits fire" [ 2; 3 ]
+    (lines_of_kind "stdlib_exit" (alerts source));
+  Alcotest.(check (list int)) "bin/ may exit" []
+    (lines_of_kind "stdlib_exit" (alerts_under [] source))
+
+let test_compare_exact () =
+  let source =
+    "let a xs = List.sort compare xs\n\
+     let b x y = Stdlib.compare x y\n\
+     let c xs = List.sort Int.compare xs\n\
+     let d compare xs = List.sort compare xs\n\
+     let e xs = let compare = Float.compare in List.sort compare xs\n\
+     let f = function compare -> compare 1 2\n"
+  in
+  Alcotest.(check (list int)) "only the polymorphic compares fire" [ 1; 2 ]
+    (lines_of_kind "poly_compare" (alerts source))
+
 (* {2 Parse errors, rendering, allowlist parsing} *)
 
 let test_parse_error () =
@@ -375,6 +504,12 @@ let tests =
     Alcotest.test_case "unset-optional" `Quick test_unset_optional;
     Alcotest.test_case "callers-are-not-checked" `Quick
       test_callers_are_not_checked;
+    Alcotest.test_case "ambient-effect-at-sink" `Quick
+      test_ambient_effect_at_sink;
+    Alcotest.test_case "ambient-effect-any-dir" `Quick
+      test_ambient_effect_any_dir;
+    Alcotest.test_case "ambient-effect-exporter" `Quick
+      test_ambient_effect_exporter;
     Alcotest.test_case "allowlist-mutable-global" `Quick
       test_allowlist_mutable_global;
     Alcotest.test_case "stale-allow-entries" `Quick test_stale_allow_entries;
@@ -388,6 +523,8 @@ let tests =
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "finding-render" `Quick test_render;
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
+    Alcotest.test_case "stdlib-exit-exact" `Quick test_exit_exact;
+    Alcotest.test_case "poly-compare-exact" `Quick test_compare_exact;
     Alcotest.test_case "poly-compare-boxed" `Quick test_compare_boxed;
     Alcotest.test_case "hot-and-binding" `Quick test_hot_and_binding;
     Alcotest.test_case "hot-unparenthesized-lambda" `Quick
