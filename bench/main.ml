@@ -12,8 +12,9 @@
    runs the paper's exact parameters.
 
    --jobs N fans campaigns out over N domains (default: all cores minus
-   one for the coordinator).  --jobs 1 reproduces the sequential run bit
-   for bit; any N is deterministic for a fixed (seed, N).
+   one for the coordinator).  It changes only the wall time: every figure
+   prints the same text at any N.  fig4, fig8 and reconfig split their
+   campaigns into four shards, so domains beyond four sit idle on them.
 
    A figure's --json wall_s depends on what ran before it in the same
    process (heap size, GC state), so per-figure rows of one multi-figure
@@ -105,17 +106,18 @@ let write_json path ~full ~jobs ~metrics ~recorder ~multiraft =
       Format.fprintf ppf "[wrote %s]@." path
 
 (* The metrics section of the JSON report: a small instrumented failover
-   campaign on a pinned 4-shard plan.  Pinning the plan makes the merged
-   snapshot a function of the seed alone — byte-identical whatever
-   --jobs says — so the report doubles as a determinism witness. *)
+   campaign, four shards.  The shard plan does not depend on --jobs, so
+   the merged snapshot is a function of the seed alone — byte-identical
+   whatever --jobs says — and the report doubles as a determinism
+   witness. *)
 let metrics_json ~jobs =
   let r =
-    Fig4.run ~seed:42L ~failures:40 ~shards:4 ~jobs ~instrument:true
+    Fig4.run ~seed:42L ~failures:40 ~jobs ~instrument:true
       ~config:(Raft.Config.dynatune ()) ()
   in
   Telemetry.Metrics.to_json r.Fig4.metrics
 
-(* The recorder section: the same pinned instrumented plan with the
+(* The recorder section: the same instrumented campaign with the
    time-series recorder sampling every 500 ms of virtual time.  Like the
    metrics section it is a determinism witness — series count, total
    samples and the CSV byte count are functions of (seed, shard plan)
@@ -123,7 +125,7 @@ let metrics_json ~jobs =
    bare instrumented one. *)
 let recorder_json ~jobs =
   let r =
-    Fig4.run ~seed:42L ~failures:40 ~shards:4 ~jobs ~instrument:true
+    Fig4.run ~seed:42L ~failures:40 ~jobs ~instrument:true
       ~record:(Des.Time.ms 500)
       ~config:(Raft.Config.dynatune ()) ()
   in

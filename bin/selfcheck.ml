@@ -10,17 +10,18 @@
       200-seed multi-group sweep: several Raft groups on one shared
       fabric behind the shard router, group leaders pausing and
       crashing mid-burst, ending in per-group store convergence;
-   3. the determinism sanitizer — pinned shard plans (failover,
-      reconfig and multiraft campaigns) must produce bit-identical
-      trace digests and metrics snapshots with one worker and with
-      many;
+   3. the determinism sanitizer — failover, reconfig and multiraft
+      campaigns, whose shard plans do not depend on the worker count,
+      must produce bit-identical trace digests and metrics snapshots
+      with one worker and with many;
    4. a deliberately broken fixture — two leaders sharing a term — that
       the checker is required to catch.
 
    `selfcheck --perf` (the @perf alias) instead checks one table of
    host-independent constants: the fig4, multiraft and fig8 trace digests bit
-   for bit, and minor words per operation (the Bench_loops hot paths)
-   or per DES event (pinned runs) under fixed budgets. *)
+   for bit, digests of the printed fig5, fig7 and extensions text at
+   short holds, and minor words per operation (the Bench_loops hot
+   paths) or per DES event (pinned runs) under fixed budgets. *)
 
 module Cluster = Harness.Cluster
 
@@ -251,8 +252,8 @@ let multiraft_chaos ~seed =
       checker_ran what ~seed cluster;
       stores_converged what ~seed cluster)
 
-(* A pinned shard plan must be a function of the seed alone: the same
-   trace digest and a byte-identical merged metrics snapshot (JSON)
+(* A shard plan is a function of the seed and the trial count alone: the
+   same trace digest and a byte-identical merged metrics snapshot (JSON)
    whether one worker runs every shard or two share them.  [run jobs]
    returns both. *)
 let jobs_invariant what run =
@@ -267,14 +268,14 @@ let determinism () =
   let json = Telemetry.Metrics.to_json in
   jobs_invariant "fig4" (fun jobs ->
       let r =
-        Scenarios.Fig4.run ~failures:4 ~jobs ~shards:2 ~check:Check.Sample
+        Scenarios.Fig4.run ~failures:4 ~jobs ~check:Check.Sample
           ~config:(Raft.Config.dynatune ()) ()
       in
       (* Uninstrumented: only the digest is compared. *)
       (r.Scenarios.Fig4.digest, ""));
   jobs_invariant "reconfig" (fun jobs ->
       let r =
-        Scenarios.Reconfig.run ~rounds:2 ~jobs ~shards:2 ~check:Check.Sample
+        Scenarios.Reconfig.run ~rounds:2 ~jobs ~check:Check.Sample
           ~instrument:true
           ~config:(Raft.Config.dynatune ())
           ()
@@ -336,11 +337,15 @@ type row =
 
 let ratchet reading = (reading *. 1.10) +. 1.
 
+(* A figure's rendered text, as [bench] prints it. *)
+let text_digest print results =
+  Check.Digest.of_string (Format.asprintf "%a" print results)
+
 let perf_table () =
   let fig4 =
     lazy
       (Bench_loops.words_per_event (fun () ->
-           Scenarios.Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
+           Scenarios.Fig4.run ~seed:42L ~failures:400 ~jobs:1
              ~config:(Raft.Config.dynatune ()) ()))
   in
   let multiraft =
@@ -367,9 +372,29 @@ let perf_table () =
       Digest
         ( "243dba1fc941868e",
           fun () ->
-            (Scenarios.Fig8.run ~seed:23L ~failures:40 ~shards:4 ~jobs:1
+            (Scenarios.Fig8.run ~seed:23L ~failures:40 ~jobs:1
                ~config:(Raft.Config.dynatune ()) ())
               .Scenarios.Fig4.digest ) );
+    ( "fig5 text hold=200ms digest",
+      Digest
+        ( "134b56572cec542a",
+          fun () ->
+            text_digest Scenarios.Fig5.print
+              (Scenarios.Fig5.compare_modes ~hold:(Des.Time.ms 200) ~jobs:1 ())
+        ) );
+    ( "fig7 text hold=10s n=5,17 digest",
+      Digest
+        ( "86c45f7fa2c6583f",
+          fun () ->
+            text_digest Scenarios.Fig7.print
+              (Scenarios.Fig7.compare_modes ~hold:(Des.Time.sec 10) ~jobs:1
+                 ~ns:[ 5; 17 ] ()) ) );
+    ( "extensions text hold=100ms digest",
+      Digest
+        ( "6ed8549e1c6f1814",
+          fun () ->
+            text_digest Scenarios.Extensions.print
+              (Scenarios.Extensions.run ~hold:(Des.Time.ms 100) ~jobs:1 ()) ) );
     ( "fig5sat hold=1s",
       per_event
         (lazy

@@ -1,13 +1,12 @@
 type shard = { index : int; shards : int; seed : int64; quota : int }
 
-let plan ?shards ~jobs ~seed ~total () =
-  let count =
-    match shards with
-    | Some s ->
-        if s <= 0 then invalid_arg "Campaign.plan: shards must be positive";
-        Int.max 1 (Int.min s total)
-    | None -> if jobs <= 1 || total <= 1 then 1 else Int.min jobs total
-  in
+(* The shard count of every campaign of more than one trial.  It is a
+   constant, not the worker count, so a campaign's result does not depend
+   on the host. *)
+let max_shards = 4
+
+let plan ~seed ~total =
+  let count = Int.max 1 (Int.min max_shards total) in
   if count = 1 then [ { index = 0; shards = 1; seed; quota = total } ]
   else begin
     let base = total / count and extra = total mod count in
@@ -22,20 +21,6 @@ let plan ?shards ~jobs ~seed ~total () =
         })
   end
 
-let sharded ?shards ~jobs ~seed ~total ~f () =
-  match plan ?shards ~jobs ~seed ~total () with
-  | [ single ] -> [ f single ]
-  | plan when jobs <= 1 ->
-      (* A pinned shard count with one worker: the same plan, executed
-         sequentially — results and traces bit-identical to the pooled
-         run. *)
-      List.map f plan
-  | plan ->
-      let pool = Pool.create ~domains:(Int.min jobs (List.length plan)) in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.map pool f plan)
-
 let all ~jobs thunks =
   let n = List.length thunks in
   if jobs <= 1 || n <= 1 then List.map (fun f -> f ()) thunks
@@ -45,3 +30,6 @@ let all ~jobs thunks =
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () -> Pool.map pool (fun f -> f ()) thunks)
   end
+
+let sharded ~jobs ~seed ~total ~f =
+  all ~jobs (List.map (fun s () -> f s) (plan ~seed ~total))

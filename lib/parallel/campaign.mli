@@ -2,17 +2,13 @@
 
     A campaign is a batch of [total] independent trials (e.g. leader
     failures to measure) driven by a single root seed.  [sharded]
-    splits the batch into at most [jobs] shards; each shard gets a
-    quota of trials and an independent seed derived from the campaign
-    seed with {!Stats.Rng.derive}, so the plan — and therefore every
-    shard's draw sequence — is a pure function of [(seed, jobs,
-    total)].  Running the same plan with any worker count, or on any
-    machine, produces identical results.
-
-    With [jobs <= 1] the campaign collapses to a single shard whose
-    seed is the campaign seed {e unchanged}, executed inline on the
-    calling domain: the sequential code path of the pre-sharding
-    simulator, bit for bit. *)
+    splits the batch into [min 4 total] shards; each shard gets a quota
+    of trials and an independent seed derived from the campaign seed
+    with {!Stats.Rng.derive}.  The plan — and therefore every shard's
+    draw sequence — is a pure function of [(seed, total)]: running it
+    with any worker count, or on any machine, produces identical
+    results.  The worker count only chooses how many domains execute
+    the shards; workers beyond the shard count sit idle. *)
 
 type shard = {
   index : int;  (** 0-based shard number. *)
@@ -21,34 +17,24 @@ type shard = {
   quota : int;  (** Number of trials this shard must complete. *)
 }
 
-val plan : ?shards:int -> jobs:int -> seed:int64 -> total:int -> unit -> shard list
-(** The shard plan that {!sharded} executes, exposed for testing.
-
-    Without [shards], the plan is a function of [(jobs, total)]:
-    [jobs <= 1] or [total <= 1] yields the single shard
-    [{index = 0; shards = 1; seed; quota = total}]; otherwise there are
-    [min jobs total] shards.  With [shards], the shard count is pinned
-    to [min shards total] {e independently of [jobs]} — the determinism
-    sanitizer uses this to hold the plan (and therefore every trace)
-    fixed while varying only the worker count.  In every plan, quotas
-    differ by at most one and sum to [total]; a multi-shard plan gives
-    shard [i] the seed [Stats.Rng.derive seed i], while a single-shard
-    plan keeps the campaign seed unchanged (the sequential code path,
-    bit for bit).  Raises [Invalid_argument] if [shards <= 0]. *)
+val plan : seed:int64 -> total:int -> shard list
+(** The shard plan that {!sharded} executes, exposed for testing:
+    [min 4 total] shards whose quotas differ by at most one and sum to
+    [total].  A multi-shard plan gives shard [i] the seed
+    [Stats.Rng.derive seed i]; a campaign of at most one trial is the
+    single shard [{index = 0; shards = 1; seed; quota = total}], its
+    seed unchanged. *)
 
 val sharded :
-  ?shards:int -> jobs:int -> seed:int64 -> total:int -> f:(shard -> 'a) ->
-  unit -> 'a list
-(** [sharded ?shards ~jobs ~seed ~total ~f ()] runs [f] on every shard
-    of [plan ?shards ~jobs ~seed ~total ()] and returns the results in
-    shard order.  Single-shard plans run inline on the calling domain
-    (no pool), as does any plan when [jobs <= 1]; otherwise the shards
-    fan out over a fresh {!Pool} of [min jobs shards] domains, which is
-    shut down before returning. *)
+  jobs:int -> seed:int64 -> total:int -> f:(shard -> 'a) -> 'a list
+(** [sharded ~jobs ~seed ~total ~f] is {!all} applied to [f] on every
+    shard of [plan ~seed ~total]: the results in shard order, the same
+    whatever [jobs] is. *)
 
 val all : jobs:int -> (unit -> 'a) list -> 'a list
 (** [all ~jobs thunks] runs independent thunks — complete scenario
     runs that cannot be subdivided, such as the legs of a parameter
     sweep — and returns their results in order.  [jobs <= 1] or a
     single thunk runs inline sequentially; otherwise the thunks fan
-    out over a pool of [min jobs (List.length thunks)] domains. *)
+    out over a pool of [min jobs (List.length thunks)] domains, which
+    is shut down before returning. *)

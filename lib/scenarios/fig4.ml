@@ -18,7 +18,7 @@ type result = {
 }
 
 let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
-    ?(jitter = 0.02) ?(warmup = Des.Time.sec 30) ?(jobs = 1) ?shards
+    ?(jitter = 0.02) ?(warmup = Des.Time.sec 30) ?(jobs = 1)
     ?(check = Check.Off) ?(instrument = false) ?record ?on_cluster ~config () =
   let shard (s : Parallel.Campaign.shard) =
     let conditions =
@@ -49,7 +49,7 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
       Telemetry.Recorder.dump recorder )
   in
   let outcomes =
-    Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:failures ~f:shard ()
+    Parallel.Campaign.sharded ~jobs ~seed ~total:failures ~f:shard
   in
   let measured = List.concat_map (fun (o, _, _, _) -> o) outcomes in
   let failures = List.length measured in

@@ -19,17 +19,17 @@ type result = {
   digest : int64;
       (** {!Check.Digest.combine} of every shard's probe-trace digest,
           in shard order — the determinism sanitizer's witness: two runs
-          of the same [(seed, shard plan)] must agree on it, whatever
-          the worker count. *)
+          of the same [(seed, failures)] must agree on it, whatever the
+          worker count. *)
   metrics : Telemetry.Metrics.snapshot;
       (** Merged per-shard telemetry, empty unless [run ~instrument:true].
           Merged in shard order, so — like [digest] — it is a function of
-          [(seed, shard plan)] alone: [--jobs 1] and [--jobs n] runs of a
-          pinned plan agree bit-for-bit. *)
+          [(seed, failures)] alone: [--jobs 1] and [--jobs n] runs agree
+          bit-for-bit. *)
   recorder : Telemetry.Recorder.dump;
       (** Merged per-shard time series ({!Telemetry.Recorder.merge},
           keys prefixed by shard), empty unless [run ~record].  Same
-          shard-plan determinism as [metrics]. *)
+          determinism as [metrics]. *)
 }
 
 val run :
@@ -40,7 +40,6 @@ val run :
   ?jitter:float ->
   ?warmup:Des.Time.span ->
   ?jobs:int ->
-  ?shards:int ->
   ?check:Check.mode ->
   ?instrument:bool ->
   ?record:Des.Time.span ->
@@ -53,23 +52,13 @@ val run :
     noiseless, and the tuner needs a non-degenerate σ), 30 s warm-up.
     [failures] defaults to 1000 as in the paper.
 
-    [jobs] (default 1) splits the campaign into up to [jobs] shards run
-    on parallel domains, each an independent cluster seeded by
-    {!Parallel.Campaign}.  [jobs = 1] runs the single-cluster
-    sequential campaign with [seed] unchanged — bit-for-bit the
-    pre-sharding behaviour; [jobs > 1] draws the same total number of
-    failovers from [jobs] decorrelated clusters, so summaries are
-    statistically equivalent but not numerically identical to the
-    sequential run.  Output depends only on [(seed, jobs)], never on
-    scheduling.
-
-    [shards] pins the shard count independently of [jobs] (see
-    {!Parallel.Campaign.plan}): with it, the result — including
-    [digest] — is a function of [(seed, shards)] alone, so running the
-    same plan with [jobs = 1] and [jobs = n] must produce bit-identical
-    digests.  [check] (default {!Check.Off}) runs the safety-invariant
-    checker inside every shard's cluster and a full check at the end of
-    its campaign.
+    The campaign is split into [min 4 failures] shards, each an
+    independent cluster seeded by {!Parallel.Campaign.plan}; [jobs]
+    (default 1) is the number of domains that run them.  The result —
+    including [digest] — is a function of [(seed, failures)] alone,
+    never of [jobs] or of scheduling.  [check] (default {!Check.Off})
+    runs the safety-invariant checker inside every shard's cluster and
+    a full check at the end of its campaign.
 
     [instrument] (default false) gives every shard an enabled telemetry
     registry — filling [result.metrics] — and turns on tuner-decision

@@ -2,9 +2,9 @@
    cluster before it starts: [Geo.apply] overrides all 20 directed
    links, so the uniform profile [Fig4.run] creates them with never
    carries a message. *)
-let run ?(seed = 23L) ?(failures = 300) ?jobs ?shards ?instrument ?record
+let run ?(seed = 23L) ?(failures = 300) ?jobs ?instrument ?record
     ~config () =
-  Fig4.run ~seed ~n:5 ~failures ?jobs ?shards ?instrument ?record
+  Fig4.run ~seed ~n:5 ~failures ?jobs ?instrument ?record
     ~on_cluster:(fun ~shard:_ cluster -> Geo.apply cluster)
     ~config ()
 

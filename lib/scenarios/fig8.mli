@@ -11,15 +11,14 @@ val run :
   ?seed:int64 ->
   ?failures:int ->
   ?jobs:int ->
-  ?shards:int ->
   ?instrument:bool ->
   ?record:Des.Time.span ->
   config:Raft.Config.t ->
   unit ->
   Fig4.result
 (** {!Fig4.run} with [n = 5] and {!Geo.apply}'s default WAN installed
-    on every shard cluster before it starts, so [jobs], [shards],
-    [instrument] and [record] mean exactly what they mean there.
+    on every shard cluster before it starts, so [jobs], [instrument]
+    and [record] mean exactly what they mean there.
     Defaults: seed 23, 300 failures. *)
 
 val compare_modes : ?failures:int -> ?jobs:int -> unit -> Fig4.result list

@@ -246,31 +246,23 @@ let shard_campaign ~check ~telemetry ~config ~on_cluster ~rounds ~seed
   in
   (raw, Cluster.trace_digest cluster, Telemetry.Metrics.snapshot telemetry)
 
-let run ?(seed = 42L) ?(rounds = 4) ?(jobs = 1) ?shards ?(check = Check.Off)
+let run ?(seed = 42L) ?(rounds = 4) ?(jobs = 1) ?(check = Check.Off)
     ?(instrument = false) ?on_cluster ~config () =
   let shard (s : Parallel.Campaign.shard) =
     let telemetry = Telemetry.Metrics.create ~enabled:instrument () in
     shard_campaign ~check ~telemetry ~config ~on_cluster ~rounds:s.quota
       ~seed:s.seed ~shard_index:s.index ()
   in
-  let outcomes =
-    Parallel.Campaign.sharded ?shards ~jobs ~seed ~total:rounds ~f:shard ()
-  in
+  let outcomes = Parallel.Campaign.sharded ~jobs ~seed ~total:rounds ~f:shard in
   result_of_raw ~mode:(Raft.Config.mode_name config)
     ~digest:(Check.Digest.combine (List.map (fun (_, d, _) -> d) outcomes))
     ~metrics:(Telemetry.Metrics.merge (List.map (fun (_, _, m) -> m) outcomes))
     (merge_raw (List.map (fun (r, _, _) -> r) outcomes))
 
-(* The plan is pinned to two shards so the tuner-off/on comparison is a
-   function of [(seed, rounds)] alone, whatever [--jobs] says — and so
-   each shard runs several rounds against one long-lived cluster, where
-   the between-round recovery holds let the re-warmed tuners reach
-   steady state (a one-round shard only ever measures the first
-   failover). *)
 let compare_modes ?(rounds = 4) ?(jobs = 1) () =
   [
-    run ~rounds ~jobs ~shards:2 ~config:(Raft.Config.static ()) ();
-    run ~rounds ~jobs ~shards:2 ~config:(Raft.Config.dynatune ()) ();
+    run ~rounds ~jobs ~config:(Raft.Config.static ()) ();
+    run ~rounds ~jobs ~config:(Raft.Config.dynatune ()) ();
   ]
 
 let print ppf results =

@@ -34,7 +34,6 @@ val run :
   ?seed:int64 ->
   ?rounds:int ->
   ?jobs:int ->
-  ?shards:int ->
   ?check:Check.mode ->
   ?instrument:bool ->
   ?on_cluster:(shard:int -> Harness.Cluster.t -> unit) ->
@@ -42,20 +41,17 @@ val run :
   unit ->
   result
 (** Run [rounds] rolling-replace rounds (default 4), sharded like the
-    failover campaigns: [shards] pins the plan independently of [jobs],
-    so the merged metrics snapshot and digest are functions of [(seed,
-    shards, rounds)] alone.  The open-loop client offers 20 requests/s
-    and follows leader redirects.  Each shard
-    warms its tuners for 30 s before the first round and holds 15 s,
-    unsampled, between rounds — the config churn re-warms every tuner,
-    and the hold lets measurement finish before the next round's
-    un-announced failure.  [on_cluster]
+    failover campaigns into [min 4 rounds] shards, so the merged metrics
+    snapshot and digest are functions of [(seed, rounds)] alone,
+    whatever [jobs] is.  The open-loop client offers 20 requests/s and
+    follows leader redirects.  Each shard warms its tuners for 30 s
+    before the first round and holds 15 s, unsampled, between rounds —
+    the config churn re-warms every tuner, and the hold lets measurement
+    finish before the next round's un-announced failure.  [on_cluster]
     fires once per shard cluster before it starts (trace bridges). *)
 
 val compare_modes : ?rounds:int -> ?jobs:int -> unit -> result list
 (** [static] then [dynatune], both at {!run}'s default seed 42 — the
-    tuner-off/on pair.  The plan is pinned to two shards, so the
-    comparison is a function of [rounds] alone, independent of
-    [jobs]. *)
+    tuner-off/on pair, a function of [rounds] alone. *)
 
 val print : Format.formatter -> result list -> unit

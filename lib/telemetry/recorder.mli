@@ -45,8 +45,7 @@ val dump : t -> dump
 val merge : dump list -> dump
 (** Shard merge: part [i]'s keys are prefixed ["s<i>/"] and the parts
     concatenated in the given order, so the result depends only on the
-    shard plan — [--jobs 1] and [--jobs N] merges are equal on a pinned
-    plan. *)
+    shard plan — [--jobs 1] and [--jobs N] merges are equal. *)
 
 val to_csv : dump -> string
 (** Wide CSV: header [t_ms,<key>,...], one row per sampled instant

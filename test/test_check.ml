@@ -394,20 +394,20 @@ let test_digest_same_seed_same_run () =
 
 let test_fig4_digest_worker_invariant () =
   let run jobs =
-    Scenarios.Fig4.run ~failures:4 ~jobs ~shards:2 ~config:(Raft.Config.static ())
+    Scenarios.Fig4.run ~failures:4 ~jobs ~config:(Raft.Config.static ())
       ()
   in
   Alcotest.(check int64)
-    "fig4: jobs=1 and jobs=2 digests identical on a pinned plan"
+    "fig4: jobs=1 and jobs=2 digests identical"
     (run 1).Scenarios.Fig4.digest (run 2).Scenarios.Fig4.digest
 
 let test_fig8_digest_worker_invariant () =
   let run jobs =
-    Scenarios.Fig8.run ~failures:4 ~jobs ~shards:2 ~config:(Raft.Config.static ())
+    Scenarios.Fig8.run ~failures:4 ~jobs ~config:(Raft.Config.static ())
       ()
   in
   Alcotest.(check int64)
-    "fig8: jobs=1 and jobs=2 digests identical on a pinned plan"
+    "fig8: jobs=1 and jobs=2 digests identical"
     (run 1).Scenarios.Fig4.digest (run 2).Scenarios.Fig4.digest
 
 let tests =

@@ -256,12 +256,12 @@ let test_recorder_merge_prefixes () =
 
 (* {1 Campaign determinism with the recorder on} *)
 
-(* Acceptance: on a pinned shard plan the merged time series — and the
-   probe-trace digest — are functions of the seed alone, equal at
+(* Acceptance: the merged time series — and the probe-trace digest —
+   are functions of the seed alone, equal at
    [--jobs 1] and [--jobs 4]; and turning the recorder on does not
    perturb the digest (its sampling events draw no randomness). *)
 let fig4_recorded ~seed ~jobs =
-  Scenarios.Fig4.run ~seed ~failures:6 ~shards:4 ~jobs ~instrument:true
+  Scenarios.Fig4.run ~seed ~failures:6 ~jobs ~instrument:true
     ~record:(Des.Time.ms 500)
     ~config:(Raft.Config.dynatune ())
     ()
@@ -277,7 +277,7 @@ let test_fig4_recorder_jobs_invariant () =
     r4.Scenarios.Fig4.digest;
   (* Digest neutrality: the same plan without the recorder agrees. *)
   let bare =
-    Scenarios.Fig4.run ~seed:11L ~failures:6 ~shards:4 ~jobs:1
+    Scenarios.Fig4.run ~seed:11L ~failures:6 ~jobs:1
       ~instrument:true
       ~config:(Raft.Config.dynatune ())
       ()
@@ -289,7 +289,7 @@ let test_fig4_recorder_jobs_invariant () =
    functions of (seed, shard plan) with the recorder on. *)
 let test_fig8_recorder_jobs_invariant () =
   let run jobs =
-    Scenarios.Fig8.run ~seed:11L ~failures:4 ~shards:4 ~jobs ~instrument:true
+    Scenarios.Fig8.run ~seed:11L ~failures:4 ~jobs ~instrument:true
       ~record:(Des.Time.ms 500)
       ~config:(Raft.Config.dynatune ())
       ()
@@ -309,7 +309,7 @@ let prop_recorder_jobs_invariant =
       let seed = Int64.of_int (seed + 1) in
       let run jobs =
         let r =
-          Scenarios.Fig4.run ~seed ~failures:4 ~shards:2 ~jobs
+          Scenarios.Fig4.run ~seed ~failures:4 ~jobs
             ~instrument:true
             ~record:(Des.Time.ms 500)
             ~config:(Raft.Config.dynatune ())

@@ -497,7 +497,7 @@ let test_fig4_instrument_keeps_digest () =
   (* Instrumented servers add Tuner_decision probes; the digest must not
      see them. *)
   let digest instrument =
-    (Scenarios.Fig4.run ~seed:42L ~failures:20 ~shards:2 ~instrument
+    (Scenarios.Fig4.run ~seed:42L ~failures:20 ~instrument
        ~config:(Raft.Config.dynatune ()) ())
       .Scenarios.Fig4.digest
   in

@@ -63,21 +63,21 @@ let test_pool_create_invalid () =
 
 let test_plan_single_shard () =
   List.iter
-    (fun (jobs, total) ->
-      match Campaign.plan ~jobs ~seed:42L ~total () with
+    (fun total ->
+      match Campaign.plan ~seed:42L ~total with
       | [ s ] ->
           Alcotest.(check int) "index" 0 s.Campaign.index;
           Alcotest.(check int) "shards" 1 s.Campaign.shards;
           Alcotest.(check int64) "seed unchanged" 42L s.Campaign.seed;
           Alcotest.(check int) "quota" total s.Campaign.quota
       | l ->
-          Alcotest.failf "expected 1 shard for jobs=%d total=%d, got %d" jobs
-            total (List.length l))
-    [ (1, 100); (0, 100); (4, 1); (4, 0) ]
+          Alcotest.failf "expected 1 shard for total=%d, got %d" total
+            (List.length l))
+    [ 1; 0 ]
 
 let test_plan_quotas_and_seeds () =
   let seed = 42L in
-  let shards = Campaign.plan ~jobs:4 ~seed ~total:10 () in
+  let shards = Campaign.plan ~seed ~total:10 in
   Alcotest.(check int) "shard count" 4 (List.length shards);
   Alcotest.(check int) "quotas sum to total" 10
     (List.fold_left (fun a s -> a + s.Campaign.quota) 0 shards);
@@ -94,38 +94,24 @@ let test_plan_quotas_and_seeds () =
   Alcotest.(check int) "seeds pairwise distinct"
     (List.length seeds)
     (List.length (List.sort_uniq Int64.compare seeds));
-  (* More workers than work: one shard per unit of work. *)
-  Alcotest.(check int) "jobs > total collapses to total" 3
-    (List.length (Campaign.plan ~jobs:8 ~seed ~total:3 ()));
-  (* A pinned shard count overrides jobs in both directions. *)
-  Alcotest.(check int) "pinned shards with jobs=1" 4
-    (List.length (Campaign.plan ~shards:4 ~jobs:1 ~seed ~total:10 ()));
-  Alcotest.(check int) "pinned shards with jobs=8" 4
-    (List.length (Campaign.plan ~shards:4 ~jobs:8 ~seed ~total:10 ()));
-  Alcotest.(check bool) "pinned plan independent of jobs" true
-    (Campaign.plan ~shards:4 ~jobs:1 ~seed ~total:10 ()
-    = Campaign.plan ~shards:4 ~jobs:8 ~seed ~total:10 ())
+  (* Fewer trials than the shard cap: one shard per trial. *)
+  Alcotest.(check int) "total below the cap gives total shards" 3
+    (List.length (Campaign.plan ~seed ~total:3))
 
 let test_sharded_runs_all_shards () =
   let quotas =
-    Campaign.sharded ~jobs:4 ~seed:7L ~total:10
-      ~f:(fun s -> s.Campaign.quota)
-      ()
+    Campaign.sharded ~jobs:4 ~seed:7L ~total:10 ~f:(fun s -> s.Campaign.quota)
   in
   Alcotest.(check int) "full campaign covered" 10
     (List.fold_left ( + ) 0 quotas);
   let indexes =
-    Campaign.sharded ~jobs:4 ~seed:7L ~total:10
-      ~f:(fun s -> s.Campaign.index)
-      ()
+    Campaign.sharded ~jobs:4 ~seed:7L ~total:10 ~f:(fun s -> s.Campaign.index)
   in
   Alcotest.(check (list int)) "results in shard order" [ 0; 1; 2; 3 ] indexes;
-  (* Pinned shards, one worker: the same plan runs inline. *)
-  let seq =
-    Campaign.sharded ~shards:4 ~jobs:1 ~seed:7L ~total:10 ~f:Fun.id ()
-  in
-  Alcotest.(check bool) "pinned plan identical inline vs pooled" true
-    (seq = Campaign.sharded ~shards:4 ~jobs:4 ~seed:7L ~total:10 ~f:Fun.id ())
+  (* One worker runs the same plan inline. *)
+  let seq = Campaign.sharded ~jobs:1 ~seed:7L ~total:10 ~f:Fun.id in
+  Alcotest.(check bool) "plan identical inline vs pooled" true
+    (seq = Campaign.sharded ~jobs:4 ~seed:7L ~total:10 ~f:Fun.id)
 
 let test_all_runs_in_order () =
   let thunks = List.init 9 (fun i () -> i * i) in
@@ -168,6 +154,26 @@ let test_fig4_sharded_meets_quota () =
   Alcotest.(check int) "all shard quotas measured" 9
     r.Scenarios.Fig4.failures
 
+(* The printed figure is what a reader compares across hosts: the same
+   text whatever the worker count. *)
+let test_printed_figures_jobs_invariant () =
+  let render print results = Format.asprintf "%a" print results in
+  let fig4 jobs =
+    render Scenarios.Fig4.print
+      (Scenarios.Fig4.compare_modes ~failures:8 ~jobs ())
+  in
+  Alcotest.(check string) "fig4 text: jobs 1 = jobs 3" (fig4 1) (fig4 3);
+  let reconfig jobs =
+    render Scenarios.Reconfig.print
+      [
+        Scenarios.Reconfig.run ~rounds:3 ~jobs
+          ~config:(Raft.Config.dynatune ())
+          ();
+      ]
+  in
+  Alcotest.(check string) "reconfig text: jobs 1 = jobs 3" (reconfig 1)
+    (reconfig 3)
+
 let tests =
   [
     Alcotest.test_case "pool: map 1000 tasks in order" `Quick
@@ -194,4 +200,6 @@ let tests =
       test_fig4_deterministic_across_runs;
     Alcotest.test_case "fig4: sharded campaign meets its quota" `Slow
       test_fig4_sharded_meets_quota;
+    Alcotest.test_case "figures: printed text independent of jobs" `Slow
+      test_printed_figures_jobs_invariant;
   ]

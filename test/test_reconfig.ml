@@ -412,7 +412,7 @@ let test_scenario_tuner_reduces_downtime () =
 
 let test_scenario_jobs_invariant () =
   let run jobs =
-    Scenarios.Reconfig.run ~rounds:2 ~jobs ~shards:2 ~check:Check.Sample
+    Scenarios.Reconfig.run ~rounds:2 ~jobs ~check:Check.Sample
       ~config:(Raft.Config.dynatune ())
       ()
   in

@@ -115,13 +115,13 @@ let test_merge_kind_mismatch () =
 
 (* {2 Campaign determinism} *)
 
-(* The acceptance criterion behind [bench --json]: with the shard plan
-   pinned, the merged metrics snapshot is a function of the seed alone —
-   byte-identical whatever [--jobs] says. *)
+(* The acceptance criterion behind [bench --json]: the shard plan does
+   not depend on the worker count, so the merged metrics snapshot is a
+   function of the seed alone — byte-identical whatever [--jobs] says. *)
 let test_fig4_metrics_jobs_invariant () =
   let run jobs =
     let r =
-      Scenarios.Fig4.run ~seed:11L ~failures:6 ~shards:4 ~jobs
+      Scenarios.Fig4.run ~seed:11L ~failures:6 ~jobs
         ~instrument:true
         ~config:(Raft.Config.dynatune ())
         ()
@@ -134,7 +134,7 @@ let test_fig4_metrics_jobs_invariant () =
 
 let test_fig4_uninstrumented_is_empty () =
   let r =
-    Scenarios.Fig4.run ~seed:11L ~failures:2 ~shards:2 ~jobs:1
+    Scenarios.Fig4.run ~seed:11L ~failures:2 ~jobs:1
       ~config:(Raft.Config.dynatune ())
       ()
   in
