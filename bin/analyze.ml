@@ -1,13 +1,16 @@
 (* The static checker's CLI (see DESIGN.md §12).
 
    Parses every .ml/.mli under the given directories into a Parsetree
-   (via compiler-libs) and runs the rules of lib/analysis:
+   (via compiler-libs), reads the .cmt/.cmti files the compiler wrote
+   for them and for the --callers directories into a typed reference
+   index, and runs the rules of lib/analysis:
 
-     parse-error         a file the frontend cannot parse
      poly-compare        =, <>, <, >, <=, >= against a constructor with a
                          payload or a tuple literal; lib/ only
      hot-alloc           allocation inside a [@hot] binding; lib/ only
      mutable-global      a top-level mutable value in lib/ or bin/
+     unused-export       a val of a lib/**/*.mli that nothing outside its
+                         own module references (lib/prelude exempt)
      unset-optional      a ?label on a lib/**/*.mli value that no call
                          outside its own module passes
 
@@ -17,20 +20,34 @@
    Random, ambient Sys/Unix/I/O, Obj.magic, polymorphic compare/hash/
    min/max, exit, and Netsim.Fabric.send), errors in lib/.
 
-   Usage:
-     analyze.exe [--allow FILE] [--callers DIR]... [--exclude DIR]... DIR...
-         scan; exit 1 on unsuppressed hits or on a stale allowlist entry.
-         A --callers DIR is read only for the call sites unset-optional
-         counts; an --exclude DIR is not read at all.
-     analyze.exe --self-test DIR
-         fixture mode: every rule must fire in bad*.ml(i) files, none
-         in good*.ml(i)
+   The compiled units name their sources relative to the build root, so
+   run it there: `dune build @analysis` does, with the object
+   directories of every library and executable as dependencies.
 
-   A path that cannot be read, or a malformed allowlist, exits 2.
+   Usage:
+     analyze.exe [--self-test] [--allow FILE] [--callers DIR]... DIR...
+         scan; exit 1 on unsuppressed hits or on a stale allowlist entry.
+         A --callers DIR is read only for its .cmt files: the references
+         the interface rules count.  --self-test judges fixtures
+         instead: every rule must fire in bad*.ml(i) files, none in
+         good*.ml(i).
+
+   Exit 2 on a path that cannot be read, a malformed allowlist, a file
+   that does not parse (named with its line), a lib/**/*.mli with no
+   .cmti among the inputs, or a --callers directory with no .cmt: a
+   lib/ library or a callers directory missing from the dune
+   dependencies fails loudly instead of passing with fewer callers.
 
    The allowlist (lint.allow) holds [path-suffix:rule-id] lines and #
    comments.  An entry that suppresses no finding is stale and fails the
    scan, so the list only ever shrinks with the code it excuses. *)
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("analyze: " ^ msg);
+      exit 2)
+    fmt
 
 (* Sys_error messages read "PATH: reason". *)
 let cannot_read path msg =
@@ -41,8 +58,7 @@ let cannot_read path msg =
         (String.length msg - String.length prefix)
     else msg
   in
-  Printf.eprintf "analyze: cannot read %s: %s\n" path reason;
-  exit 2
+  fail "cannot read %s: %s" path reason
 
 let read_file path =
   let ic =
@@ -52,41 +68,69 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec source_files ~exclude path =
-  if List.mem path exclude then []
-  else if
-    try Sys.is_directory path with Sys_error msg -> cannot_read path msg
+(* Every file under [path] with one of [suffixes], hidden object
+   directories included. *)
+let rec files_under suffixes path =
+  if try Sys.is_directory path with Sys_error msg -> cannot_read path msg
   then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.concat_map (fun entry ->
-           source_files ~exclude (Filename.concat path entry))
-  else if
-    (Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli")
-    (* When run under dune the tree also holds ppx-preprocessed [.pp.ml]
-       marshalled-AST artifacts; only real sources are analyzable. *)
-    && not (Filename.check_suffix (Filename.chop_extension path) ".pp")
-  then [ path ]
+           files_under suffixes (Filename.concat path entry))
+  else if List.exists (Filename.check_suffix path) suffixes then [ path ]
   else []
 
-let load_files ~exclude dirs =
-  List.concat_map (source_files ~exclude) dirs
+let load_sources dirs =
+  List.concat_map (files_under [ ".ml"; ".mli" ]) dirs
+  (* A ppx-preprocessed [.pp.ml] is a marshalled AST, not a source. *)
+  |> List.filter (fun p ->
+         not (Filename.check_suffix (Filename.chop_extension p) ".pp"))
   |> List.map (fun path -> { Analysis.Driver.path; content = read_file path })
+
+let load_units suffixes dir =
+  List.map
+    (fun path ->
+      try Cmt_format.read_cmt path
+      with exn -> fail "cannot read %s: %s" path (Printexc.to_string exn))
+    (files_under suffixes dir)
 
 let load_allow path =
   match Analysis.Finding.parse_allow (read_file path) with
   | Ok allow -> allow
-  | Error line ->
-      prerr_endline ("analyze: malformed allowlist entry: " ^ line);
-      exit 2
+  | Error line -> fail "malformed allowlist entry: %s" line
 
-let run_scan ~allow_file ~callers ~exclude dirs =
-  let allow = Option.fold ~none:[] ~some:load_allow allow_file in
-  let config = Analysis.Driver.default_config ~allow () in
-  let findings, stale =
-    Analysis.Driver.analyze ~config
-      ~callers:(load_files ~exclude callers)
-      (load_files ~exclude dirs)
+(* Fixture verdict: every rule fires at least once across bad*.ml(i),
+   and good*.ml(i) stay entirely clean. *)
+let self_test findings =
+  let is_bad (f : Analysis.Finding.t) =
+    String.starts_with ~prefix:"bad" (Filename.basename f.path)
   in
+  let bad_hits, good_hits = List.partition is_bad findings in
+  let silent =
+    List.filter
+      (fun (rule, _doc) ->
+        not
+          (List.exists
+             (fun (f : Analysis.Finding.t) -> String.equal f.rule rule)
+             bad_hits))
+      Analysis.Driver.rules
+  in
+  List.iter
+    (fun (rule, _doc) ->
+      Printf.eprintf
+        "analyze --self-test: rule %s never fired on the bad fixtures\n" rule)
+    silent;
+  List.iter
+    (fun f ->
+      Printf.eprintf
+        "analyze --self-test: false positive in clean fixture:\n  %s\n"
+        (Analysis.Finding.render f))
+    good_hits;
+  if silent <> [] || good_hits <> [] then exit 1;
+  Printf.printf
+    "analyze --self-test: all %d rules fire, clean fixtures clean\n"
+    (List.length Analysis.Driver.rules)
+
+let report ~allow_file (findings, stale) =
   List.iter
     (fun f -> prerr_endline (Analysis.Finding.render f))
     findings;
@@ -103,76 +147,51 @@ let run_scan ~allow_file ~callers ~exclude dirs =
     exit 1
   end
 
-(* Fixture mode: fixtures are given virtual paths directly under lib/,
-   inside every rule's scope; every rule must fire at least once across
-   bad*.ml(i), and good*.ml(i) must stay entirely clean. *)
-let self_test dir =
-  let files = source_files ~exclude:[] dir in
-  if files = [] then begin
-    prerr_endline ("analyze --self-test: no fixtures under " ^ dir);
-    exit 2
-  end;
-  let virtual_files =
-    List.map
-      (fun path ->
-        {
-          Analysis.Driver.path = "lib/" ^ Filename.basename path;
-          content = read_file path;
-        })
-      files
+let run ~self_check ~allow_file ~callers dirs =
+  let allow = Option.fold ~none:[] ~some:load_allow allow_file in
+  let callers =
+    List.concat_map
+      (fun dir ->
+        match load_units [ ".cmt" ] dir with
+        | [] -> fail "--callers %s yields no .cmt" dir
+        | units -> units)
+      callers
   in
-  let findings, _stale = Analysis.Driver.analyze ~callers:[] virtual_files in
-  let is_bad (f : Analysis.Finding.t) =
-    let base = Filename.basename f.path in
-    String.length base >= 3 && String.equal (String.sub base 0 3) "bad"
-  in
-  let bad_hits, good_hits = List.partition is_bad findings in
-  let failures = ref 0 in
+  let files = load_sources dirs in
+  let units = List.concat_map (load_units [ ".cmt"; ".cmti" ]) dirs in
+  let compiled = List.filter_map Analysis.Index.source units in
   List.iter
-    (fun (rule, _doc) ->
+    (fun (f : Analysis.Driver.file) ->
       if
-        not
-          (List.exists
-             (fun (f : Analysis.Finding.t) -> String.equal f.rule rule)
-             bad_hits)
-      then begin
-        Printf.eprintf "analyze --self-test: rule %s never fired on the bad \
-                        fixtures\n"
-          rule;
-        incr failures
-      end)
-    Analysis.Driver.rules;
-  List.iter
-    (fun f ->
-      Printf.eprintf "analyze --self-test: false positive in clean fixture:\n  %s\n"
-        (Analysis.Finding.render f);
-      incr failures)
-    good_hits;
-  if !failures > 0 then exit 1;
-  Printf.printf
-    "analyze --self-test: all %d rules fire, clean fixtures clean\n"
-    (List.length Analysis.Driver.rules)
+        Filename.check_suffix f.path ".mli"
+        && Analysis.Source.contains f.path "lib/"
+        && not (List.mem f.path compiled)
+      then fail "%s has no .cmti among the inputs" f.path)
+    files;
+  match Analysis.Driver.analyze ~allow ~callers ~units files with
+  | Error e -> fail "%s" e
+  | Ok (findings, _) when self_check -> self_test findings
+  | Ok result -> report ~allow_file result
 
 let () =
-  let allow_file = ref None and callers = ref [] and exclude = ref [] in
-  let dirs = ref [] and fixtures = ref None in
+  let allow_file = ref None and callers = ref [] and dirs = ref [] in
+  let self_check = ref false in
   let add r x = r := !r @ [ x ] in
   let specs =
     [
       ("--allow", Arg.String (fun f -> allow_file := Some f), "FILE allowlist");
-      ("--callers", Arg.String (add callers), "DIR read for call sites only");
-      ("--exclude", Arg.String (add exclude), "DIR not read at all");
-      ("--self-test", Arg.String (fun d -> fixtures := Some d), "DIR fixtures");
+      ("--callers", Arg.String (add callers), "DIR read for references only");
+      ("--self-test", Arg.Set self_check, " judge bad*/good* fixtures");
     ]
   in
-  let usage = "usage: analyze [--allow FILE] [--callers DIR]... \
-               [--exclude DIR]... DIR...\n       analyze --self-test DIR" in
+  let usage =
+    "usage: analyze [--self-test] [--allow FILE] [--callers DIR]... DIR..."
+  in
   Arg.parse specs (add dirs) usage;
-  match (!fixtures, !dirs) with
-  | Some dir, [] -> self_test dir
-  | None, _ :: _ ->
-      run_scan ~allow_file:!allow_file ~callers:!callers ~exclude:!exclude
-        !dirs
-  | _ ->
+  match !dirs with
+  | [] ->
       Arg.usage specs usage;
       exit 2
+  | dirs ->
+      run ~self_check:!self_check ~allow_file:!allow_file ~callers:!callers
+        dirs

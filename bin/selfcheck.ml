@@ -21,7 +21,9 @@
    host-independent constants: the fig4, multiraft and fig8 trace digests bit
    for bit, digests of the printed fig5, fig7 and extensions text at
    short holds, and minor words per operation (the Bench_loops hot
-   paths) or per DES event (pinned runs) under fixed budgets. *)
+   paths) or per DES event (pinned runs) under fixed budgets.  README.md
+   shows the same table; a digest or budget cell there that differs
+   from this file's fails the run too. *)
 
 module Cluster = Harness.Cluster
 
@@ -422,9 +424,62 @@ let perf_table () =
               ()) );
     ]
 
+(* README.md's copy of the table: the rows below its header line, up to
+   the first line that is not a table row, as (row name, pinned digest or
+   budget) with backticks dropped. *)
+let readme_header =
+  "| `selfcheck --perf` row | pinned digest or budget | unit | seed was |"
+
+let readme_rows () =
+  let cell c =
+    String.trim c |> String.split_on_char '`' |> String.concat ""
+  in
+  let rec rows = function
+    | l :: rest when String.starts_with ~prefix:"| " l -> (
+        match String.split_on_char '|' l with
+        | _ :: name :: value :: _ -> (cell name, cell value) :: rows rest
+        | _ -> rows rest)
+    | _ -> []
+  in
+  let rec find = function
+    | l :: _ :: rest when String.equal l readme_header -> rows rest
+    | _ :: rest -> find rest
+    | [] -> []
+  in
+  find
+    (String.split_on_char '\n'
+       (In_channel.with_open_bin "README.md" In_channel.input_all))
+
+(* Each mismatch between the README's table and [table], by row; the
+   row's own line below shows the table's value. *)
+let readme_drift table =
+  let readme = readme_rows () in
+  let matches got = function
+    | Digest (pinned, _) -> String.equal got pinned
+    | Budget (budget, _, _) -> (
+        match float_of_string_opt got with
+        | Some v -> Float.abs (v -. budget) < 0.005
+        | None -> false)
+  in
+  List.filter_map
+    (fun (name, row) ->
+      match List.assoc_opt name readme with
+      | None -> Some (Printf.sprintf "README.md lacks row %S" name)
+      | Some got when matches got row -> None
+      | Some got -> Some (Printf.sprintf "README.md row %S reads %s" name got))
+    table
+  @ List.filter_map
+      (fun (name, _) ->
+        if List.mem_assoc name table then None
+        else Some (Printf.sprintf "README.md row %S is not in the table" name))
+      readme
+
 (* Every row is measured and printed, "!!" marking a failure, so one
    run shows everything that moved. *)
 let run_perf () =
+  let table = perf_table () in
+  let drift = readme_drift table in
+  List.iter (fun d -> Printf.printf "!! %s\n%!" d) drift;
   let failed =
     List.filter
       (fun (name, row) ->
@@ -440,11 +495,11 @@ let run_perf () =
         in
         Printf.printf "%s %-48s %s\n%!" (if ok then "  " else "!!") name reading;
         not ok)
-      (perf_table ())
+      table
   in
-  if failed <> [] then
+  if failed <> [] || drift <> [] then
     fail "perf: over budget or drifted: %s"
-      (String.concat ", " (List.map fst failed));
+      (String.concat ", " (List.map fst failed @ drift));
   print_endline "selfcheck --perf: every row within budget"
 
 let usage () =

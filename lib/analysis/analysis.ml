@@ -4,8 +4,8 @@
 
 module Finding = Finding
 module Source = Source
-module Callgraph = Callgraph
+module Index = Index
 module Shared_state = Shared_state
 module Discipline = Discipline
-module Unset_optional = Unset_optional
+module Exports = Exports
 module Driver = Driver

@@ -3,8 +3,11 @@
     Parses every [.ml]/[.mli] into a Parsetree ([compiler-libs.common])
     and runs per-file rules ({!Discipline}: comparisons against a boxed
     operand, mutable globals in lib/ and bin/, allocation in [[@hot]]
-    bindings) plus one over the whole tree: optional parameters no
-    caller passes ({!Unset_optional}).  {!Driver.analyze} runs them all.
+    bindings), then reads the compiler's [.cmt]/[.cmti] files into a
+    typed reference index ({!Index}) for two rules over the values of
+    lib/ interfaces ({!Exports}): exports nothing outside their module
+    references, and optional parameters no caller passes.
+    {!Driver.analyze} runs them all.
     Two bans are the compiler's, not rules here: catch-all match arms
     (fragile-match, warning 4, a build error in lib/ and bin/) and the
     identifiers lib/prelude marks with an alert (errors in lib/).
@@ -14,8 +17,8 @@
 
 module Finding = Finding
 module Source = Source
-module Callgraph = Callgraph
+module Index = Index
 module Shared_state = Shared_state
 module Discipline = Discipline
-module Unset_optional = Unset_optional
+module Exports = Exports
 module Driver = Driver

@@ -72,7 +72,7 @@ let compare_findings path str =
   let locals = ref [] in
   let within pats f =
     let saved = !locals in
-    locals := List.concat_map Callgraph.pattern_names pats @ saved;
+    locals := List.concat_map Source.pattern_names pats @ saved;
     f ();
     locals := saved
   in
@@ -186,7 +186,7 @@ let hot_findings path str =
         (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt "hot")
         vb.pvb_attributes
     then begin
-      let name = String.concat ", " (Callgraph.pattern_names vb.pvb_pat) in
+      let name = String.concat ", " (Source.pattern_names vb.pvb_pat) in
       body (scan name) vb.pvb_expr
     end;
     Ast_iterator.default_iterator.value_binding self vb
@@ -212,5 +212,5 @@ let findings (sources : Source.t list) =
       | Source.Impl str when in_lib s.path ->
           compare_findings s.path str @ globals s @ hot_findings s.path str
       | Source.Impl _ when in_bin s.path -> globals s
-      | Source.Impl _ | Source.Intf _ | Source.Broken _ -> [])
+      | Source.Impl _ | Source.Intf _ -> [])
     sources

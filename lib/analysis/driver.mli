@@ -1,26 +1,17 @@
-(** Analyzer driver: parse, run every rule, apply the allowlist. *)
-
 type file = { path : string; content : string }
-
-type config = {
-  libraries : (string * string) list;
-      (** directory prefix -> wrapper module name *)
-  allow : Finding.allow;
-}
-
-val default_config : ?allow:Finding.allow -> unit -> config
 
 val rules : (string * string) list
 (** [(rule-id, one-line doc)] for every rule the driver can emit. *)
 
 val analyze :
-  ?config:config ->
-  callers:file list ->
+  ?allow:Finding.allow ->
+  callers:Cmt_format.cmt_infos list ->
+  units:Cmt_format.cmt_infos list ->
   file list ->
-  Finding.t list * Finding.allow
-(** Unsuppressed findings in [files], sorted and de-duplicated, and the
-    stale allowlist entries: those that suppressed no finding.
-    [callers] are read only for the applications [unset-optional]
-    counts; no rule checks them.  Pure: never
-    prints, never exits, never raises on malformed input (parse failures
-    come back as [parse-error] findings). *)
+  (Finding.t list * Finding.allow, string) result
+(** Unsuppressed findings in [files] and in the interfaces among
+    [units], sorted and de-duplicated, minus those [allow] suppresses,
+    and the stale allowlist entries: those that suppressed no finding.  [callers] are read only for the
+    references the interface rules count; no rule checks them.  Pure:
+    never prints, never exits; a file that does not parse is
+    [Error "path:line: syntax error"]. *)

@@ -113,8 +113,7 @@ let field_table (sources : Source.t list) =
       fields := [];
       (match s.kind with
       | Source.Impl str -> it.Ast_iterator.structure it str
-      | Source.Intf sg -> it.Ast_iterator.signature it sg
-      | Source.Broken _ -> ());
+      | Source.Intf sg -> it.Ast_iterator.signature it sg);
       if !fields <> [] then begin
         let key = s.library ^ "." ^ s.modname in
         if s.library <> "" then Hashtbl.replace t.ft_libs s.library ();
@@ -174,7 +173,7 @@ let rec mutable_bindings_of_structure ~field_mutable ~prefix items acc =
               | None -> acc
               | Some shape ->
                   let names =
-                    match Callgraph.pattern_names vb.pvb_pat with
+                    match Source.pattern_names vb.pvb_pat with
                     | [] -> [ "_" ]
                     | ns -> ns
                   in
@@ -209,4 +208,4 @@ let mutable_bindings sources =
              ~field_mutable:
                (field_mutable table ~lib:s.library ~modname:s.modname)
              ~prefix:"" str [])
-    | Source.Intf _ | Source.Broken _ -> []
+    | Source.Intf _ -> []

@@ -1,12 +1,8 @@
 (* One parsed source file.  Parsing uses the vendored compiler frontend
-   ([compiler-libs.common]); a file that fails to parse is kept as
-   [Broken] so the driver can surface it as a finding instead of
-   silently skipping it. *)
+   ([compiler-libs.common]); a file that fails to parse is an error of
+   the run, never skipped. *)
 
-type kind =
-  | Impl of Parsetree.structure
-  | Intf of Parsetree.signature
-  | Broken of { line : int; error : string }
+type kind = Impl of Parsetree.structure | Intf of Parsetree.signature
 
 type t = {
   path : string;  (* as given, e.g. "lib/raft/rpc.ml" *)
@@ -27,27 +23,24 @@ let error_location exn =
 let parse ~library ~path content =
   let lexbuf = Lexing.from_string content in
   Location.init lexbuf path;
-  let kind =
-    match
-      if Filename.check_suffix path ".mli" then Intf (Parse.interface lexbuf)
-      else Impl (Parse.implementation lexbuf)
-    with
-    | parsed -> parsed
-    | exception exn ->
-        let line =
-          match error_location exn with
-          | Some loc -> loc.Location.loc_start.Lexing.pos_lnum
-          | None -> 1
-        in
-        let error =
-          match exn with
-          | Syntaxerr.Error _ -> "syntax error"
-          | Lexer.Error _ -> "lexing error"
-          | exn -> Printexc.to_string exn
-        in
-        Broken { line; error }
-  in
-  { path; library; modname = modname_of_path path; kind }
+  match
+    if Filename.check_suffix path ".mli" then Intf (Parse.interface lexbuf)
+    else Impl (Parse.implementation lexbuf)
+  with
+  | kind -> Ok { path; library; modname = modname_of_path path; kind }
+  | exception exn ->
+      let line =
+        match error_location exn with
+        | Some loc -> loc.Location.loc_start.Lexing.pos_lnum
+        | None -> 1
+      in
+      let error =
+        match exn with
+        | Syntaxerr.Error _ -> "syntax error"
+        | Lexer.Error _ -> "lexing error"
+        | exn -> Printexc.to_string exn
+      in
+      Error (Printf.sprintf "%s:%d: %s" path line error)
 
 let line_of_loc (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
@@ -66,3 +59,16 @@ let rec flatten_longident (lid : Longident.t) =
   | Longident.Ldot (p, s) ->
       Option.map (fun ps -> ps @ [ s ]) (flatten_longident p)
   | Longident.Lapply _ -> None
+
+let pattern_names pat =
+  let acc = ref [] in
+  let pat_it self (p : Parsetree.pattern) =
+    (match p.ppat_desc with
+    | Parsetree.Ppat_var name | Parsetree.Ppat_alias (_, name) ->
+        acc := name.Asttypes.txt :: !acc
+    | _ -> ());
+    Ast_iterator.default_iterator.pat self p
+  in
+  let it = { Ast_iterator.default_iterator with pat = pat_it } in
+  it.Ast_iterator.pat it pat;
+  List.rev !acc

@@ -1,10 +1,6 @@
 (** Parsed source files, via the compiler frontend. *)
 
-type kind =
-  | Impl of Parsetree.structure
-  | Intf of Parsetree.signature
-  | Broken of { line : int; error : string }
-      (** the file failed to parse; reported as a finding, never skipped *)
+type kind = Impl of Parsetree.structure | Intf of Parsetree.signature
 
 type t = {
   path : string;  (** as given, e.g. ["lib/raft/rpc.ml"] *)
@@ -13,9 +9,10 @@ type t = {
   kind : kind;
 }
 
-val parse : library:string -> path:string -> string -> t
+val parse : library:string -> path:string -> string -> (t, string) result
 (** Parse [.ml] as a structure, [.mli] as a signature.  Never raises on
-    bad input: syntax and lexing failures yield [Broken]. *)
+    bad input: a syntax or lexing failure is [Error "path:line: syntax
+    error"]. *)
 
 val line_of_loc : Location.t -> int
 (** 1-based start line. *)
@@ -27,3 +24,6 @@ val contains : string -> string -> bool
 val flatten_longident : Longident.t -> string list option
 (** Like [Longident.flatten], but [None] on functor-application paths
     instead of raising. *)
+
+val pattern_names : Parsetree.pattern -> string list
+(** All variable names a pattern binds, in source order. *)

@@ -21,7 +21,6 @@ type t = {
   digest : Check.Digest.t;
   telemetry : Telemetry.Metrics.t;
   forensics : Raft.Forensics.t;
-  recorder : Telemetry.Recorder.t;
   pool : Raft.Rpc.Pool.t;
       (* one message free-list for the whole group, so a record released
          at its receiver refills the sender's next allocation *)
@@ -250,7 +249,6 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
     digest;
     telemetry;
     forensics;
-    recorder;
     costs;
     cores;
     config;
@@ -265,8 +263,6 @@ let engine t = t.engine
 let fabric t = t.fabric
 let trace t = t.trace
 let checker t = t.checker
-let telemetry t = t.telemetry
-let recorder t = t.recorder
 
 (* Fold the pull-style sources (engine, fabric, links) into the registry.
    Exposed standalone so a multiraft host sharing one engine/fabric
@@ -403,8 +399,6 @@ let boot ?(timeout = Des.Time.sec 30) t ~label =
       failwith
         (Format.asprintf "%s: no leader elected within %a" label Des.Time.pp
            timeout)
-
-let set_uniform_conditions t c = Netsim.Fabric.set_uniform_conditions t.fabric c
 
 let set_pair_conditions t a b c =
   Netsim.Fabric.set_pair_conditions t.fabric a b c

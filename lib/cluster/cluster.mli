@@ -74,14 +74,6 @@ val checker : t -> Check.t option
 (** The online invariant checker, when [create] was given a mode other
     than {!Check.Off}. *)
 
-val telemetry : t -> Telemetry.Metrics.t
-(** The registry passed at creation ({!Telemetry.Metrics.noop} when none
-    was). *)
-
-val recorder : t -> Telemetry.Recorder.t
-(** The time-series recorder passed at creation
-    ({!Telemetry.Recorder.noop} when none was). *)
-
 val collect_metrics : t -> unit
 (** Fold the cumulative engine, fabric and per-link statistics into the
     telemetry registry (scopes ["des"], ["net"], ["link"], ["fabric"],
@@ -142,8 +134,6 @@ val boot : ?timeout:Des.Time.span -> t -> label:string -> Raft.Node.t
 (** {!start} the cluster and {!await_leader} (default [timeout] 30 s);
     returns the first leader.  Raises [Failure] naming [label] when no
     leader is elected in time. *)
-
-val set_uniform_conditions : t -> Netsim.Conditions.t -> unit
 
 val set_pair_conditions :
   t -> Netsim.Node_id.t -> Netsim.Node_id.t -> Netsim.Conditions.t -> unit

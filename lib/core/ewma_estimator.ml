@@ -24,7 +24,6 @@ let create ?(alpha = 0.125) ~min_samples () =
     count = 0;
   }
 
-let alpha t = t.alpha
 
 let observe t rtt =
   let r = Des.Time.to_ms_f rtt and e = t.est in

@@ -18,7 +18,6 @@ val create : ?alpha:float -> min_samples:int -> unit -> t
 (** [alpha] defaults to 1/8 (TCP's).  Requires [0 < alpha <= 1] and
     [min_samples > 0]. *)
 
-val alpha : t -> float
 val observe : t -> Des.Time.span -> unit
 val length : t -> int
 (** Samples observed since the last [clear] (saturates; only used for

@@ -25,9 +25,6 @@ val mean : t -> Des.Time.span
 val std : t -> Des.Time.span
 (** Population standard deviation of the window. *)
 
-val mean_ms : t -> float
-val std_ms : t -> float
-
 val election_timeout : t -> s:float -> Des.Time.span
 (** [μ + s·σ] over the samples held, whether warmed up or not: callers
     check {!warmed_up} first.  No option, so the tuner's per-heartbeat

@@ -56,7 +56,6 @@ let create config =
         cached_h = config.default_heartbeat_interval;
       }
 
-let config t = t.config
 
 let rtt_warmed t =
   match t.rtt with

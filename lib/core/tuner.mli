@@ -21,8 +21,6 @@ val create : Config.t -> t
 (** Raises [Invalid_argument] if the configuration fails
     {!Config.validate}. *)
 
-val config : t -> Config.t
-
 type phase = Warming | Tuned
 
 val phase : t -> phase

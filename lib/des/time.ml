@@ -2,7 +2,6 @@ type t = int
 type span = int
 
 let zero = 0
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000

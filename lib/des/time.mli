@@ -12,7 +12,6 @@ type span = int
 (** A duration in nanoseconds. *)
 
 val zero : t
-val ns : int -> span
 val us : int -> span
 val ms : int -> span
 val sec : int -> span

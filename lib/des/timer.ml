@@ -56,7 +56,6 @@ let arm t span =
   end
 
 let is_armed t = Engine.is_pending t.pending
-let deadline t = if is_armed t then Some t.deadline else None
 
 let remaining t =
   if is_armed t then Some (Time.diff t.deadline (Engine.now t.engine))

@@ -23,9 +23,6 @@ val disarm : t -> unit
 
 val is_armed : t -> bool
 
-val deadline : t -> Time.t option
-(** Absolute expiry instant, when armed. *)
-
 val remaining : t -> Time.span option
 (** Time left until expiry, when armed. *)
 

@@ -55,7 +55,6 @@ let create manager =
     refreshes = 0;
   }
 
-let manager t = t.manager
 let group_of_key t key = shard_of_key ~groups:(Group_manager.group_count t.manager) key
 let hint t g = t.hints.(g)
 let hint_hits t = t.hits

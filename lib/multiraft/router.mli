@@ -23,8 +23,6 @@ val create : Group_manager.t -> t
     [multiraft/router_hint_{hits,misses,refreshes}] counters on the
     manager's telemetry registry. *)
 
-val manager : t -> Group_manager.t
-
 val shard_of_key : groups:int -> string -> int
 (** The partition function, exposed pure for property tests.  Raises
     [Invalid_argument] unless [groups > 0]. *)

@@ -124,7 +124,7 @@ let[@hot] transmit_port t p kind ~cause msg =
   in
   match kind with
   | Transport.Datagram ->
-      let d1 = Link.sample_datagram_packed p.pt_link in
+      let d1 = Link.sample_datagram p.pt_link in
       if d1 < 0 then t.lost <- t.lost + 1
       else begin
         let d2 = Link.dup_latency p.pt_link in
@@ -208,7 +208,6 @@ let add_node t id =
     { handler = None; paused = false; congestion = None; alive = true };
   t.node_order <- t.node_order @ [ id ]
 
-let nodes t = t.node_order
 
 let remove_node t id =
   match Node_id.Table.find_opt t.nodes id with

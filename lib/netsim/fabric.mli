@@ -25,8 +25,6 @@ val remove_node : 'msg t -> Node_id.t -> unit
     it are dropped on arrival (counted as [dropped_paused]); new sends to
     it are counted as [lost].  Removing an unknown id is an error. *)
 
-val nodes : _ t -> Node_id.t list
-
 val set_handler : 'msg t -> Node_id.t -> (src:Node_id.t -> 'msg -> unit) -> unit
 (** Install the delivery callback for a node. *)
 

@@ -30,7 +30,6 @@ let create engine ~rng conditions =
 let set_conditions t c =
   t.segment <- Conditions.segment_at c (Des.Engine.now t.engine)
 
-let conditions t = t.segment.Conditions.seg_schedule
 let counters t = t.counters
 
 let find_segment t now =
@@ -43,39 +42,15 @@ let profile_now t =
   if now < s.Conditions.seg_until then s.Conditions.seg_profile
   else find_segment t now
 
-type outcome =
-  | Lost
-  | Delivered of Des.Time.span
-  | Duplicated of Des.Time.span * Des.Time.span
-
 let one_way t (p : Conditions.profile) =
   let base = p.rtt_ms /. 2. in
   let mult = Stats.Dist.lognormal_mean_preserving t.rng ~sigma:p.jitter in
   Des.Time.of_ms_f (base *. mult)
 
+(* The outcome is an int (-1 = lost, else the one-way latency) with any
+   duplicate's latency parked in [t.dup] until the next sample: no
+   outcome block per message on the fabric's hot path. *)
 let sample_datagram t =
-  let c = t.counters in
-  c.sent <- c.sent + 1;
-  let p = profile_now t in
-  if Stats.Rng.bernoulli t.rng p.loss then begin
-    c.lost <- c.lost + 1;
-    Lost
-  end
-  else begin
-    c.delivered <- c.delivered + 1;
-    let d1 = one_way t p in
-    if p.duplicate > 0. && Stats.Rng.bernoulli t.rng p.duplicate then begin
-      c.duplicated <- c.duplicated + 1;
-      Duplicated (d1, one_way t p)
-    end
-    else Delivered d1
-  end
-
-(* Variant-free [sample_datagram] for the fabric's hot path: identical
-   draws in identical order, but the outcome is an int (-1 = lost, else
-   the one-way latency) with any duplicate's latency parked in [t.dup]
-   until the next packed sample.  Saves one outcome block per message. *)
-let sample_datagram_packed t =
   let c = t.counters in
   c.sent <- c.sent + 1;
   let p = profile_now t in

@@ -21,29 +21,19 @@ type counters = private {
 
 val create : Des.Engine.t -> rng:Stats.Rng.t -> Conditions.t -> t
 val set_conditions : t -> Conditions.t -> unit
-val conditions : t -> Conditions.t
 
 val counters : t -> counters
 (** The link's live counter record (not a copy). *)
 
-type outcome =
-  | Lost
-  | Delivered of Des.Time.span  (** one-way latency *)
-  | Duplicated of Des.Time.span * Des.Time.span
-      (** two copies with independent latencies *)
-
-val sample_datagram : t -> outcome
-(** Unreliable (UDP-like) transmission: loss and duplication apply. *)
-
-val sample_datagram_packed : t -> int
-(** Variant-free {!sample_datagram} for the fabric's hot path: same
-    draws in the same order, but returns [-1] for a lost datagram or the
-    one-way latency otherwise, and parks any duplicate copy's latency
-    for {!dup_latency} instead of boxing an outcome. *)
+val sample_datagram : t -> int
+(** Unreliable (UDP-like) transmission: loss and duplication apply.
+    Returns [-1] for a lost datagram or the one-way latency otherwise,
+    and parks a duplicate copy's latency for {!dup_latency}, so the
+    fabric's hot path boxes nothing per message. *)
 
 val dup_latency : t -> int
-(** Second-copy latency of the last {!sample_datagram_packed} ([-1] when
-    it produced no duplicate).  Overwritten by the next packed sample. *)
+(** Second-copy latency of the last {!sample_datagram} ([-1] when it
+    produced no duplicate).  Overwritten by the next sample. *)
 
 val sample_reliable : t -> Des.Time.span
 (** Reliable (TCP-like) transmission latency: message loss is converted to

@@ -6,7 +6,6 @@ let of_int i =
 
 let to_int i = i
 let equal = Int.equal
-let compare = Int.compare
 let hash i = i
 (* One format for both printers: probe text rendered with either is
    hashed into trace digests. *)

@@ -10,8 +10,6 @@ val of_int : int -> t
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Render as ["n<id>"], e.g. ["n3"]. *)
 

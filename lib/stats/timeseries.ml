@@ -8,7 +8,6 @@ type t = {
 let create ?(name = "") () =
   { name; times = Array.make 64 0.; values = Array.make 64 0.; len = 0 }
 
-let name t = t.name
 let length t = t.len
 
 let grow t =

@@ -9,7 +9,6 @@
 type t
 
 val create : ?name:string -> unit -> t
-val name : t -> string
 val length : t -> int
 
 val push : t -> time:float -> value:float -> unit

@@ -26,7 +26,6 @@ let create ~capacity =
     pushes_since_rebuild = 0;
   }
 
-let capacity t = Array.length t.buf
 let length t = t.len
 
 let clear t =
@@ -123,5 +122,4 @@ let max t =
   if t.len = 0 then nan
   else fold t ~init:neg_infinity ~f:(fun acc x -> if acc >= x then acc else x)
 
-let last t = if t.len = 0 then None else Some (get t (t.len - 1))
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc x -> x :: acc))

@@ -12,7 +12,6 @@ val create : capacity:int -> t
 (** [create ~capacity] holds at most [capacity] samples.
     Requires [capacity > 0]. *)
 
-val capacity : t -> int
 val length : t -> int
 val clear : t -> unit
 
@@ -31,14 +30,5 @@ val min : t -> float
 val max : t -> float
 (** Largest current sample; [nan] when empty. O(n). *)
 
-val get : t -> int -> float
-(** [get t i] is the i-th oldest sample, [0 <= i < length t]. *)
-
-val last : t -> float option
-(** Most recently pushed sample. *)
-
 val to_list : t -> float list
 (** Contents, oldest first. *)
-
-val fold : t -> init:'a -> f:('a -> float -> 'a) -> 'a
-(** Left fold, oldest first. *)

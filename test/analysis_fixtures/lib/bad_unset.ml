@@ -1,6 +1,6 @@
 (* Implementation of the bad_unset.mli fixture: the module passes its
    own optional parameter, which does not count as a caller setting
-   it.  Never compiled. *)
+   it. *)
 
 let make ?(size = 1) () = size
 let twice () = make ~size:2 () + make ()

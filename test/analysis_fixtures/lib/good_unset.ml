@@ -1,4 +1,4 @@
-(* Implementation of the good_unset.mli fixture.  Never compiled. *)
+(* Implementation of the good_unset.mli fixture. *)
 
 let make ?(size = 1) () = size
 let pick ?(seed = 0L) ~choices () = List.length choices + Int64.to_int seed

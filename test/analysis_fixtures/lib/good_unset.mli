@@ -1,6 +1,6 @@
 (* Analyzer self-test fixture: optional parameters that callers outside
-   the module do pass, through every form [unset-optional] must see.
-   Never compiled. *)
+   the module do pass, through every form [unset-optional] must see;
+   the callers are in ../callers, as if in the tests directory. *)
 
 val make : ?size:int -> unit -> int
 (* passed as [~size] through a module alias *)

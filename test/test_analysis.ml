@@ -1,96 +1,181 @@
-(* Unit tests for the static checker (lib/analysis): call graph
-   construction and resolution, parse-error surfacing, the allowlist
-   and its stale-entry gate, and the cases where the per-file source
-   discipline is exact on the AST: comparisons against a boxed operand,
-   [@hot] allocation, and module-level mutable state in lib/ and bin/.
-   Two bans are the compiler's: catch-all arms over a variant are its
-   fragile-match error (the fragile-match cases type-check snippets
-   in-process under it; test/match_fixtures pins its exact messages),
-   and lib/'s identifier bans are lib/prelude's alerts (those cases
-   type-check snippets in-process under a lib/ module's own compile
-   flags; test/prelude_fixtures pins the exact alerts). *)
+(* Unit tests for the static checker (lib/analysis): the typed
+   reference index and the interface rules over the compiled fixtures of
+   analysis_fixtures/, parse errors,
+   the allowlist and its stale-entry gate, and the cases where the
+   per-file source discipline is exact on the AST: comparisons against a
+   boxed operand, [@hot] allocation, and module-level mutable state in
+   lib/ and bin/.  Two bans are the compiler's: catch-all arms over a
+   variant are its fragile-match error (the fragile-match cases
+   type-check snippets in-process under it; test/match_fixtures pins its
+   exact messages), and lib/'s identifier bans are lib/prelude's alerts
+   (those cases type-check snippets in-process under a lib/ module's own
+   compile flags; test/prelude_fixtures pins the exact alerts). *)
 
 module A = Analysis
 module F = Analysis.Finding
-module Cg = Analysis.Callgraph
 
 let file path content = { A.Driver.path; content }
-let analyze ?config files = fst (A.Driver.analyze ?config ~callers:[] files)
+
+let run ?allow ~callers ~units files =
+  match A.Driver.analyze ?allow ~callers ~units files with
+  | Ok result -> result
+  | Error e -> Alcotest.failf "unexpected parse error: %s" e
+
+let analyze files = fst (run ~callers:[] ~units:[] files)
 let with_rule rule fs = List.filter (fun (f : F.t) -> f.rule = rule) fs
 let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
 
-let src lib path content = A.Source.parse ~library:lib ~path content
+(* {2 Compiled fixtures}
 
-(* {2 Call graph} *)
+   The interface rules read the .cmt/.cmti files dune compiles from
+   analysis_fixtures/lib (scanned as lib/ code) and
+   analysis_fixtures/callers (read as the tests directory is). *)
 
-let test_callgraph_build () =
-  let cg =
-    Cg.build [ src "Raft" "lib/raft/a.ml" "let f x = x + 1\nlet g y = f y" ]
-  in
-  let g =
-    match Cg.lookup cg ~path:"lib/raft/a.ml" ~name:"g" with
-    | Some v -> v
-    | None -> Alcotest.fail "g not found"
-  in
-  Alcotest.(check int) "g line" 2 g.Cg.vline;
-  Alcotest.(check string) "display" "Raft.A.g" (Cg.display g);
-  match Cg.callees cg g with
-  | [ (callee, line) ] ->
-      Alcotest.(check string) "edge g->f" "f" callee.Cg.vname;
-      Alcotest.(check int) "edge line" 2 line
-  | edges -> Alcotest.failf "expected one edge, got %d" (List.length edges)
+let fixture_objs = "analysis_fixtures/lib/.analysis_fixtures.objs/byte"
 
-let test_callgraph_resolution () =
-  let cg =
-    Cg.build
-      [
-        src "Stats" "lib/stats/rng.ml" "let fresh () = 0";
-        src "Raft" "lib/raft/a.ml" "let f x = x";
-        src "Raft" "lib/raft/b.ml" "let h () = A.f (Stats.Rng.fresh ())";
-      ]
-  in
-  let resolve parts =
-    Cg.resolve cg ~path:"lib/raft/b.ml" ~lib:"Raft" parts
-  in
-  (match resolve [ "A"; "f" ] with
-  | Some v -> Alcotest.(check string) "same-library" "lib/raft/a.ml" v.Cg.vpath
-  | None -> Alcotest.fail "A.f unresolved");
-  (match resolve [ "Stats"; "Rng"; "fresh" ] with
-  | Some v ->
-      Alcotest.(check string) "library-qualified" "lib/stats/rng.ml" v.Cg.vpath
-  | None -> Alcotest.fail "Stats.Rng.fresh unresolved");
-  Alcotest.(check bool) "locals stay unresolved" true
-    (resolve [ "nonexistent" ] = None)
+let caller_objs =
+  "analysis_fixtures/callers/.analysis_fixture_callers.objs/byte"
 
-let test_callgraph_aliases () =
-  let cg =
-    Cg.build
-      [
-        src "Multiraft" "lib/multiraft/group_manager.ml" "let create () = 0";
-        src "Scenarios" "lib/scenarios/multiraft_scenario.ml" "let sweep () = 1";
-        src "Scenarios" "lib/scenarios/scenarios.ml"
-          "module Multiraft = Multiraft_scenario";
-        src "" "bin/x.ml"
-          "module Gm = Multiraft.Group_manager
-           let a = Gm.create ()
-           let b = Scenarios.Multiraft.sweep ()";
-      ]
+let units_in dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.filter (fun f ->
+         Filename.check_suffix f ".cmt" || Filename.check_suffix f ".cmti")
+  |> List.map (fun f -> Cmt_format.read_cmt (Filename.concat dir f))
+
+let read dir f = Cmt_format.read_cmt (Filename.concat dir f)
+
+(* The .cmt and .cmti of one fixture module. *)
+let fixture m = [ read fixture_objs (m ^ ".cmt"); read fixture_objs (m ^ ".cmti") ]
+let caller m = read caller_objs (m ^ ".cmt")
+
+let fixture_source name =
+  let path = "analysis_fixtures/lib/" ^ name in
+  file ("test/" ^ path) (In_channel.with_open_bin path In_channel.input_all)
+
+let test_typed_fixtures () =
+  let findings, _ =
+    run ~callers:(units_in caller_objs) ~units:(units_in fixture_objs) []
   in
-  let resolved parts =
-    Option.map
-      (fun v -> v.Cg.vpath)
-      (Cg.resolve cg ~path:"bin/x.ml" ~lib:"" parts)
+  Alcotest.(check (list string))
+    "bad cases fire, near-misses do not"
+    [
+      "bad_exports.mli:7: unused-export";
+      "bad_exports.mli:16: unused-export";
+      "bad_exports.mli:19: unused-export";
+      "bad_exports.mli:22: unused-export";
+      "bad_exports.mli:25: unused-export";
+      "bad_planted.mli:4: unset-optional";
+      "bad_unset.mli:5: unset-optional";
+      "bad_unset.mli:5: unused-export";
+      "bad_unset.mli:9: unset-optional";
+      "bad_unset.mli:13: unset-optional";
+    ]
+    (List.map
+       (fun (f : F.t) ->
+         Printf.sprintf "%s:%d: %s" (Filename.basename f.path) f.line f.rule)
+       findings)
+
+(* {2 Reference index} *)
+
+let index ~callers units = A.Index.build ~callers (List.concat units)
+
+let decl idx path name =
+  match
+    List.find_opt
+      (fun (d : A.Index.decl) ->
+        Filename.basename d.path = path && d.name = name)
+      (A.Index.decls idx)
+  with
+  | Some d -> d
+  | None -> Alcotest.failf "%s: %s not declared" path name
+
+let referenced idx path name = A.Index.referenced idx (decl idx path name)
+
+let test_index_build () =
+  let idx = index ~callers:[] [ fixture "good_exports" ] in
+  Alcotest.(check (list string))
+    "the interface's vals in source order, nested ones qualified"
+    [ "aliased"; "Ord.compare"; "Shape.shaped"; "Packed.size"; "helper"; "mean" ]
+    (List.map (fun (d : A.Index.decl) -> d.name) (A.Index.decls idx));
+  Alcotest.(check (list (option string)))
+    "units name their sources relative to the build root"
+    [
+      Some "test/analysis_fixtures/lib/good_exports.ml";
+      Some "test/analysis_fixtures/lib/good_exports.mli";
+    ]
+    (List.map A.Index.source (fixture "good_exports"));
+  Alcotest.(check bool) "a module's own use never reaches its interface" false
+    (referenced idx "good_exports.mli" "helper")
+
+let test_index_resolution () =
+  let idx =
+    index
+      ~callers:[ caller "exports_callers" ]
+      [ fixture "bad_exports"; fixture "good_exports" ]
   in
-  Alcotest.(check (option string)) "file alias"
-    (Some "lib/multiraft/group_manager.ml") (resolved [ "Gm"; "create" ]);
-  Alcotest.(check (option string)) "library wrapper alias"
-    (Some "lib/scenarios/multiraft_scenario.ml")
-    (resolved [ "Scenarios"; "Multiraft"; "sweep" ]);
-  Alcotest.(check (option string)) "an alias is per file" None
-    (Option.map
-       (fun v -> v.Cg.vpath)
-       (Cg.resolve cg ~path:"lib/scenarios/scenarios.ml" ~lib:"Scenarios"
-          [ "Gm"; "create" ]))
+  Alcotest.(check bool) "a qualified call from another module" true
+    (referenced idx "good_exports.mli" "helper");
+  Alcotest.(check bool) "only its own module calls it" false
+    (referenced idx "bad_exports.mli" "helper");
+  Alcotest.(check bool) "the caller's own [mean] is not this one" false
+    (referenced idx "bad_exports.mli" "mean");
+  Alcotest.(check bool) "Good_exports.mean beside a local [mean]" true
+    (referenced idx "good_exports.mli" "mean")
+
+let test_index_aliases () =
+  let idx =
+    index
+      ~callers:[ caller "exports_callers"; caller "unset_alias" ]
+      [ fixture "bad_exports"; fixture "good_exports"; fixture "good_unset" ]
+  in
+  let check msg expected path name =
+    Alcotest.(check bool) msg expected (referenced idx path name)
+  in
+  check "a value through a module alias" true "good_exports.mli" "aliased";
+  check "a module alias alone uses nothing" false "bad_exports.mli" "aliased";
+  check "a functor argument's values" true "bad_exports.mli" "Ord.compare";
+  check "not its neighbours" false "bad_exports.mli" "beside_ord";
+  check "an include's values" true "good_exports.mli" "Shape.shaped";
+  check "[module type of] uses none" false "bad_exports.mli" "shaped";
+  check "a pack's values" true "good_exports.mli" "Packed.size";
+  let passed name label =
+    A.Index.passed idx (decl idx "good_unset.mli" name) label
+  in
+  Alcotest.(check bool) "a label passed through an alias" true
+    (passed "make" "size");
+  Alcotest.(check bool) "a label passed by a qualified nested name" true
+    (passed "Inner.build" "depth");
+  Alcotest.(check bool) "a left-out optional is not passed" false
+    (passed "pick" "seed")
+
+(* good_unset.mli's ?size (line 5), ?seed (8) and ?depth (15), each
+   set by one caller file only. *)
+let test_unset_optional () =
+  let unset callers =
+    lines_of "unset-optional"
+      (fst (run ~callers ~units:(fixture "good_unset") []))
+  in
+  Alcotest.(check (list int)) "no caller sets any" [ 5; 8; 15 ] (unset []);
+  Alcotest.(check (list int))
+    "a tests-directory caller sets ?size through an alias, ?depth by name"
+    [ 8 ]
+    (unset [ caller "unset_alias" ]);
+  Alcotest.(check (list int)) "forwarding an option counts" [ 5; 15 ]
+    (unset [ caller "unset_forward" ])
+
+let test_callers_are_not_checked () =
+  let planted = fixture "bad_planted" in
+  let sources =
+    [ fixture_source "bad_planted.ml"; fixture_source "bad_planted.mli" ]
+  in
+  Alcotest.(check (list string)) "each planted line fires when scanned"
+    [ "poly-compare"; "mutable-global"; "unset-optional" ]
+    (List.map
+       (fun (f : F.t) -> f.rule)
+       (fst (run ~callers:[ caller "unset_alias" ] ~units:planted sources)));
+  let findings, _ = run ~callers:planted ~units:[] [] in
+  Alcotest.(check int) "caller-only units raise nothing" 0
+    (List.length findings)
 
 (* {2 Allowlist} *)
 
@@ -108,16 +193,13 @@ let allow_of source =
   | Error line -> Alcotest.failf "parse_allow failed: %s" line
 
 let test_allowlist_mutable_global () =
-  let config =
-    A.Driver.default_config
-      ~allow:
-        (allow_of
-           "telemetry/metrics.ml:mutable-global\n\
-            lib/telemetry/gone.ml:mutable-global\n")
-      ()
+  let allow =
+    allow_of
+      "telemetry/metrics.ml:mutable-global\n\
+       lib/telemetry/gone.ml:mutable-global\n"
   in
   let findings, stale =
-    A.Driver.analyze ~config ~callers:[]
+    run ~allow ~callers:[] ~units:[]
       [ file "lib/telemetry/metrics.ml" "let dead = ref 0" ]
   in
   Alcotest.(check int) "suppressed by path suffix" 0 (List.length findings);
@@ -135,8 +217,7 @@ let test_stale_allow_entries () =
        entry.ml:mutable-global\n\n\
        util.ml:poly-compare\n"
   in
-  let config = A.Driver.default_config ~allow () in
-  let findings, stale = A.Driver.analyze ~config ~callers:[] global_files in
+  let findings, stale = run ~allow ~callers:[] ~units:[] global_files in
   Alcotest.(check int) "global suppressed" 0 (List.length findings);
   Alcotest.(check (list (pair int string)))
     "stale entries, by line"
@@ -354,10 +435,16 @@ let test_compare_exact () =
 
 (* {2 Parse errors, rendering, allowlist parsing} *)
 
+(* A file that does not parse stops the run, named with its line
+   (bin/analyze exits 2 on it; test/golden/cli_errors.golden.txt). *)
 let test_parse_error () =
-  match analyze [ file "lib/raft/broken.ml" "let = (" ] with
-  | [ f ] -> Alcotest.(check string) "rule" "parse-error" f.F.rule
-  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+  match
+    A.Driver.analyze ~callers:[] ~units:[]
+      [ file "lib/raft/ok.ml" "let x = 1"; file "lib/raft/broken.ml" "\nlet = (" ]
+  with
+  | Error e ->
+      Alcotest.(check string) "file and line" "lib/raft/broken.ml:2: syntax error" e
+  | Ok _ -> Alcotest.fail "an unparsable file was analyzed"
 
 let test_render () =
   let f = F.v ~path:"lib/x.ml" ~line:3 ~rule:"mutable-global" "msg" in
@@ -456,51 +543,12 @@ let test_mutable_global_without_spawn () =
   Alcotest.(check (list int)) "outside lib/raft" [ 1 ]
     (lines_of "mutable-global" (analyze [ file "lib/stats/g.ml" source ]))
 
-(* {2 unset-optional} *)
-
-let knob_mli = "val make : ?size:int -> unit -> int\nval pick : ?seed:int -> unit -> int\n"
-
-let knob_ml =
-  "let make ?(size = 1) () = size\n\
-   let pick ?(seed = 0) () = seed\n\
-   let own () = make ~size:2 ()\n"
-
-let test_unset_optional () =
-  let unset callers =
-    lines_of "unset-optional"
-      (fst
-         (A.Driver.analyze ~callers
-            [ file "lib/kvsm/k.mli" knob_mli; file "lib/kvsm/k.ml" knob_ml ]))
-  in
-  Alcotest.(check (list int)) "no caller sets either" [ 1; 2 ] (unset []);
-  Alcotest.(check (list int)) "a caller-only file sets ?seed" [ 1 ]
-    (unset [ file "test/t.ml" "module K = Kvsm.K\nlet x = K.pick ~seed:3 ()" ]);
-  Alcotest.(check (list int)) "forwarding an option counts" [ 2 ]
-    (unset [ file "bench/b.ml" "let f size = Kvsm.K.make ?size ()" ])
-
-let test_callers_are_not_checked () =
-  let planted =
-    [
-      file "lib/kvsm/b.mli" "val f : ?x:int -> unit -> bool";
-      file "lib/kvsm/b.ml" "let f ?x () = x <> Some 1";
-      file "lib/raft/caller.ml" "let counter = ref 0";
-    ]
-  in
-  let rules files =
-    List.map (fun (f : F.t) -> f.rule) (fst (A.Driver.analyze ~callers:[] files))
-  in
-  Alcotest.(check (list string)) "each planted line fires when scanned"
-    [ "poly-compare"; "unset-optional"; "mutable-global" ]
-    (rules planted);
-  let findings, _ = A.Driver.analyze ~callers:planted [] in
-  Alcotest.(check int) "caller-only files raise nothing" 0
-    (List.length findings)
-
 let tests =
   [
-    Alcotest.test_case "callgraph-build" `Quick test_callgraph_build;
-    Alcotest.test_case "callgraph-resolution" `Quick test_callgraph_resolution;
-    Alcotest.test_case "callgraph-aliases" `Quick test_callgraph_aliases;
+    Alcotest.test_case "index-build" `Quick test_index_build;
+    Alcotest.test_case "index-resolution" `Quick test_index_resolution;
+    Alcotest.test_case "index-aliases" `Quick test_index_aliases;
+    Alcotest.test_case "typed-fixtures" `Quick test_typed_fixtures;
     Alcotest.test_case "unset-optional" `Quick test_unset_optional;
     Alcotest.test_case "callers-are-not-checked" `Quick
       test_callers_are_not_checked;

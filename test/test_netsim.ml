@@ -80,12 +80,21 @@ let make_link ?(seed = 1L) conditions =
   let e = Engine.create ~seed () in
   (e, Link.create e ~rng:(Stats.Rng.create ~seed ()) conditions)
 
+(* One datagram sample read back as a variant: the packed latency and
+   the duplicate copy parked for [Link.dup_latency]. *)
+type sample = Lost | Delivered of Time.span | Duplicated of Time.span * Time.span
+
+let sample l =
+  match Link.sample_datagram l with
+  | -1 -> Lost
+  | d -> (
+      match Link.dup_latency l with -1 -> Delivered d | d2 -> Duplicated (d, d2))
+
 let test_link_delay_is_half_rtt () =
   let _, l = make_link (Conditions.constant (profile ~rtt_ms:100. ())) in
-  (match Link.sample_datagram l with
-  | Link.Delivered d ->
-      Alcotest.(check int) "one-way = rtt/2" (Time.ms 50) d
-  | Link.Lost | Link.Duplicated _ -> Alcotest.fail "lossless link dropped");
+  (match sample l with
+  | Delivered d -> Alcotest.(check int) "one-way = rtt/2" (Time.ms 50) d
+  | Lost | Duplicated _ -> Alcotest.fail "lossless link dropped");
   Alcotest.(check int) "reliable same" (Time.ms 50) (Link.sample_reliable l)
 
 (* The link keeps the segment it last found and searches again only
@@ -99,10 +108,10 @@ let test_link_segment_cache () =
          ~rtts_ms:[ 10.; 20.; 30.; 40. ])
   in
   let one_way what want =
-    Alcotest.(check int) what want (Link.sample_datagram_packed l);
-    match Link.sample_datagram l with
-    | Link.Delivered d -> Alcotest.(check int) (what ^ " (outcome)") want d
-    | Link.Lost | Link.Duplicated _ -> Alcotest.fail "lossless link dropped"
+    Alcotest.(check int) what want (Link.sample_datagram l);
+    match sample l with
+    | Delivered d -> Alcotest.(check int) (what ^ " (outcome)") want d
+    | Lost | Duplicated _ -> Alcotest.fail "lossless link dropped"
   in
   List.iter
     (fun (at, ms) ->
@@ -137,9 +146,7 @@ let test_link_loss_rate () =
   let lost = ref 0 in
   let n = 20_000 in
   for _ = 1 to n do
-    match Link.sample_datagram l with
-    | Link.Lost -> incr lost
-    | Link.Delivered _ | Link.Duplicated _ -> ()
+    match sample l with Lost -> incr lost | Delivered _ | Duplicated _ -> ()
   done;
   let rate = float_of_int !lost /. float_of_int n in
   Alcotest.(check bool)
@@ -153,9 +160,9 @@ let test_link_jitter_mean_preserved () =
   in
   let w = Stats.Welford.create () in
   for _ = 1 to 50_000 do
-    match Link.sample_datagram l with
-    | Link.Delivered d -> Stats.Welford.add w (Time.to_ms_f d)
-    | Link.Lost | Link.Duplicated _ -> ()
+    match sample l with
+    | Delivered d -> Stats.Welford.add w (Time.to_ms_f d)
+    | Lost | Duplicated _ -> ()
   done;
   Alcotest.(check bool)
     (Printf.sprintf "mean %.2f near 50" (Stats.Welford.mean w))
@@ -208,9 +215,9 @@ let test_link_duplication () =
   let _, l =
     make_link (Conditions.constant (profile ~rtt_ms:10. ~duplicate:1.0 ()))
   in
-  match Link.sample_datagram l with
-  | Link.Duplicated _ -> ()
-  | Link.Delivered _ | Link.Lost -> Alcotest.fail "expected duplication"
+  match sample l with
+  | Duplicated _ -> ()
+  | Delivered _ | Lost -> Alcotest.fail "expected duplication"
 
 (* {2 Transport.Channel} *)
 
