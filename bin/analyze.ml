@@ -1,9 +1,9 @@
 (* The static checker's CLI (see DESIGN.md §12).
 
-   Parses every .ml/.mli under the given directories into a Parsetree
-   (via compiler-libs), reads the .cmt/.cmti files the compiler wrote
-   for them and for the --callers directories into a typed reference
-   index, and runs the rules of lib/analysis:
+   Reads the .cmt/.cmti files the compiler wrote for every .ml/.mli
+   under the given directories and under the --callers directories
+   (via compiler-libs), and runs the rules of lib/analysis over their
+   typed trees and the typed reference index built from them:
 
      poly-compare        =, <>, <, >, <=, >= against a constructor with a
                          payload or a tuple literal; lib/ only
@@ -32,11 +32,11 @@
          instead: every rule must fire in bad*.ml(i) files, none in
          good*.ml(i).
 
-   Exit 2 on a path that cannot be read, a malformed allowlist, a file
-   that does not parse (named with its line), a lib/**/*.mli with no
-   .cmti among the inputs, or a --callers directory with no .cmt: a
-   lib/ library or a callers directory missing from the dune
-   dependencies fails loudly instead of passing with fewer callers.
+   Exit 2 on a path that cannot be read, a malformed allowlist, an .ml
+   with no .cmt or an .mli with no .cmti among the inputs (named), or a
+   --callers directory with no .cmt: a library or executable missing
+   from the dune dependencies fails loudly instead of passing with
+   fewer files or callers.
 
    The allowlist (lint.allow) holds [path-suffix:rule-id] lines and #
    comments.  An entry that suppresses no finding is stale and fails the
@@ -79,12 +79,11 @@ let rec files_under suffixes path =
   else if List.exists (Filename.check_suffix path) suffixes then [ path ]
   else []
 
-let load_sources dirs =
+(* A ppx-preprocessed [.pp.ml] is a marshalled AST, not a source. *)
+let sources dirs =
   List.concat_map (files_under [ ".ml"; ".mli" ]) dirs
-  (* A ppx-preprocessed [.pp.ml] is a marshalled AST, not a source. *)
   |> List.filter (fun p ->
          not (Filename.check_suffix (Filename.chop_extension p) ".pp"))
-  |> List.map (fun path -> { Analysis.Driver.path; content = read_file path })
 
 let load_units suffixes dir =
   List.map
@@ -157,21 +156,14 @@ let run ~self_check ~allow_file ~callers dirs =
         | units -> units)
       callers
   in
-  let files = load_sources dirs in
   let units = List.concat_map (load_units [ ".cmt"; ".cmti" ]) dirs in
-  let compiled = List.filter_map Analysis.Index.source units in
   List.iter
-    (fun (f : Analysis.Driver.file) ->
-      if
-        Filename.check_suffix f.path ".mli"
-        && Analysis.Source.contains f.path "lib/"
-        && not (List.mem f.path compiled)
-      then fail "%s has no .cmti among the inputs" f.path)
-    files;
-  match Analysis.Driver.analyze ~allow ~callers ~units files with
-  | Error e -> fail "%s" e
-  | Ok (findings, _) when self_check -> self_test findings
-  | Ok result -> report ~allow_file result
+    (fun path ->
+      fail "%s has no %s among the inputs" path
+        (if Filename.check_suffix path ".mli" then ".cmti" else ".cmt"))
+    (Analysis.Driver.uncompiled units (sources dirs));
+  let result = Analysis.Driver.analyze ~allow ~callers units in
+  if self_check then self_test (fst result) else report ~allow_file result
 
 let () =
   let allow_file = ref None and callers = ref [] and dirs = ref [] in

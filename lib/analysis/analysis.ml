@@ -3,9 +3,7 @@
    driver. *)
 
 module Finding = Finding
-module Source = Source
 module Index = Index
-module Shared_state = Shared_state
 module Discipline = Discipline
 module Exports = Exports
 module Driver = Driver

@@ -1,12 +1,12 @@
 (** The repository's static checker (DESIGN.md §12).
 
-    Parses every [.ml]/[.mli] into a Parsetree ([compiler-libs.common])
-    and runs per-file rules ({!Discipline}: comparisons against a boxed
-    operand, mutable globals in lib/ and bin/, allocation in [[@hot]]
-    bindings), then reads the compiler's [.cmt]/[.cmti] files into a
-    typed reference index ({!Index}) for two rules over the values of
-    lib/ interfaces ({!Exports}): exports nothing outside their module
-    references, and optional parameters no caller passes.
+    Reads the compiler's [.cmt]/[.cmti] files ([compiler-libs.common])
+    and runs per-file rules over each implementation's typed tree
+    ({!Discipline}: comparisons against a boxed operand, mutable
+    globals in lib/ and bin/, allocation in [[@hot]] bindings), and two
+    rules over the values of lib/ interfaces, read from a typed
+    reference index ({!Index}, {!Exports}): exports nothing outside
+    their module references, and optional parameters no caller passes.
     {!Driver.analyze} runs them all.
     Two bans are the compiler's, not rules here: catch-all match arms
     (fragile-match, warning 4, a build error in lib/ and bin/) and the
@@ -16,9 +16,7 @@
     loading, printing and process exit. *)
 
 module Finding = Finding
-module Source = Source
 module Index = Index
-module Shared_state = Shared_state
 module Discipline = Discipline
 module Exports = Exports
 module Driver = Driver

@@ -1,16 +1,17 @@
 (* The source discipline of lib/ and bin/ that the compiler does not
-   enforce: per-file rules that need no call graph.  Each hazard has one
-   rule, checked at the site that names it, so a wrapper cannot hide it
-   and no reachability question decides whether it counts.  (The
-   identifier bans — wall clock, global Random, ambient Sys/Unix/I/O,
-   Obj.magic, polymorphic compare/hash/min/max, exit, raw Fabric.send —
-   are alerts of lib/prelude, errors in every lib/ build.)
+   enforce: per-file rules that need no call graph, read from the typed
+   tree of each compiled implementation.  Each hazard has one rule,
+   checked at the site that names it, so a wrapper cannot hide it and no
+   reachability question decides whether it counts.  (The identifier
+   bans — wall clock, global Random, ambient Sys/Unix/I/O, Obj.magic,
+   polymorphic compare/hash/min/max, exit, raw Fabric.send — are alerts
+   of lib/prelude, errors in every lib/ build.)
 
-   - [poly-compare]: [=], [<>], [<], [>], [<=], [>=] applied to a
-     constructor with a payload or a tuple literal ([x <> Some y]).
-     Without flambda that allocates the operand, then calls compare_val.
-     An operator bound by an enclosing pattern is a local, not the
-     polymorphic one, and never fires.
+   - [poly-compare]: Stdlib's comparison primitives ([=], [<>], [<],
+     [>], [<=], [>=]) applied to a constructor with a payload or a tuple
+     literal ([x <> Some y]).  Without flambda that allocates the
+     operand, then calls compare_val.  A locally bound operator is no
+     primitive and never fires.
    - [mutable-global]: a module-level binding whose right-hand side
      allocates mutable state.  Campaign domains share every module's
      top-level state, so per-run state belongs in the values a run
@@ -21,26 +22,31 @@
      ([Printf]/[Format] build closures and buffers per call), or holds a
      lambda (a closure allocation per call unless hoisted).
 
-   [mutable-global] applies to lib/ and bin/; the other two to lib/
-   only. *)
+   An identifier counts by the declaration the compiler resolved it to,
+   so [module H = Hashtbl] hides nothing and a local [List] is not
+   Stdlib's.  [mutable-global] applies to lib/ and bin/; the other two
+   to lib/ only. *)
 
-let in_lib path = Source.contains path "lib/"
-let in_bin path = Source.contains path "bin/"
-let named names parts = List.mem (String.concat "." parts) names
+let in_lib path = Finding.contains path "lib/"
+let in_bin path = Finding.contains path "bin/"
 let poly_compare = "poly-compare"
 
 let poly_compare_doc =
   "polymorphic comparison against a constructor with a payload or a tuple \
    literal (allocates the operand, then calls compare_val; match instead)"
 
-let comparison_ops = [ "="; "<>"; "<"; ">"; "<="; ">=" ]
+let comparison_prims =
+  [
+    "%equal"; "%notequal"; "%lessthan"; "%greaterthan"; "%lessequal";
+    "%greaterequal";
+  ]
 
 (* A constructor with a payload, or a tuple, built in place. *)
-let boxed_operand (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Parsetree.Pexp_construct (_, Some _)
-  | Parsetree.Pexp_variant (_, Some _)
-  | Parsetree.Pexp_tuple _ ->
+let boxed_operand (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_construct (_, _, _ :: _)
+  | Typedtree.Texp_variant (_, Some _)
+  | Typedtree.Texp_tuple _ ->
       true
   | _ -> false
 
@@ -65,152 +71,187 @@ let rules =
     (hot_alloc, hot_alloc_doc);
   ]
 
-(* {1 poly-compare} *)
+(* The value an identifier resolved to, named by the module that
+   declares it: ["Hashtbl.create"] through any alias, Stdlib's own
+   values bare (["ref"]). *)
+let declared p (vd : Types.value_description) =
+  match
+    Filename.(remove_extension (basename vd.val_loc.loc_start.pos_fname))
+  with
+  | "stdlib" -> Path.last p
+  | file -> String.capitalize_ascii file ^ "." ^ Path.last p
 
-let compare_findings path str =
-  let acc = ref [] in
-  let locals = ref [] in
-  let within pats f =
-    let saved = !locals in
-    locals := List.concat_map Source.pattern_names pats @ saved;
-    f ();
-    locals := saved
-  in
-  let case self (c : Parsetree.case) =
-    within [ c.pc_lhs ] (fun () -> self.Ast_iterator.case self c)
-  in
-  let expr self (e : Parsetree.expression) =
-    match e.pexp_desc with
-    | Parsetree.Pexp_apply
-        ( ({ pexp_desc = Parsetree.Pexp_ident lid; _ } as op),
-          [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] ) ->
-        (match Source.flatten_longident lid.Asttypes.txt with
-        | Some ([ name ] | [ "Stdlib"; name ] as parts)
-          when List.mem name comparison_ops
-               && (not (List.mem name !locals))
-               && (boxed_operand a || boxed_operand b) ->
-            acc :=
-              Finding.v ~path ~line:(Source.line_of_loc op.pexp_loc)
-                ~rule:poly_compare
-                (Printf.sprintf "`%s`: %s" (String.concat "." parts)
-                   poly_compare_doc)
-              :: !acc
-        | Some _ | None -> ());
-        Ast_iterator.default_iterator.expr self e
-    | Parsetree.Pexp_fun (_, default, pat, body) ->
-        Option.iter (self.Ast_iterator.expr self) default;
-        within [ pat ] (fun () -> self.Ast_iterator.expr self body)
-    | Parsetree.Pexp_function cases -> List.iter (case self) cases
-    | Parsetree.Pexp_match (scrutinee, cases)
-    | Parsetree.Pexp_try (scrutinee, cases) ->
-        self.Ast_iterator.expr self scrutinee;
-        List.iter (case self) cases
-    | Parsetree.Pexp_let (rec_flag, vbs, body) ->
-        let pats =
-          List.map (fun (vb : Parsetree.value_binding) -> vb.pvb_pat) vbs
-        in
-        let rhs () =
-          List.iter
-            (fun (vb : Parsetree.value_binding) ->
-              self.Ast_iterator.expr self vb.pvb_expr)
-            vbs
-        in
-        (match rec_flag with
-        | Asttypes.Recursive -> within pats rhs
-        | Asttypes.Nonrecursive -> rhs ());
-        within pats (fun () -> self.Ast_iterator.expr self body)
-    | _ -> Ast_iterator.default_iterator.expr self e
-  in
-  let it = { Ast_iterator.default_iterator with expr } in
-  it.structure it str;
-  !acc
+let names (pat : Typedtree.pattern) =
+  List.map Ident.name (Typedtree.pat_bound_idents pat)
 
-(* {1 hot-alloc} *)
+let attribute name (attrs : Typedtree.attributes) =
+  List.exists
+    (fun (a : Typedtree.attribute) -> String.equal a.attr_name.txt name)
+    attrs
 
-let hot_banned parts =
-  match parts with
-  | ("Printf" | "Format") :: _ :: _ -> true
-  | _ ->
-      named
-        [
-          "List.map"; "List.mapi"; "List.rev_map"; "List.concat_map";
-          "List.filter_map"; "List.filter"; "List.append"; "List.concat";
-          "Array.append"; "Array.concat"; "Array.of_list"; "Array.to_list";
-        ]
-        parts
+(* {1 mutable-global} *)
 
-(* What in a hot body allocates, if anything. *)
-let allocation (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ ->
-      Some "a lambda literal"
-  | Parsetree.Pexp_ident lid -> (
-      match Source.flatten_longident lid.Asttypes.txt with
-      | Some parts when hot_banned parts ->
-          Some ("`" ^ String.concat "." parts ^ "`")
-      | Some _ | None -> None)
+let mutable_ctors =
+  [
+    "ref"; "Hashtbl.create"; "Hashtbl.of_seq"; "Hashtbl.copy";
+    "Hashtbl.rebuild"; "Queue.create"; "Queue.copy"; "Queue.of_seq";
+    "Stack.create"; "Stack.of_seq"; "Buffer.create"; "Bytes.create";
+    "Bytes.make"; "Bytes.init"; "Bytes.of_string"; "Bytes.copy"; "Bytes.sub";
+    "Array.make"; "Array.init"; "Array.create_float"; "Array.make_matrix";
+    "Array.of_list"; "Array.copy"; "Array.append"; "Array.concat"; "Array.sub";
+    "Array.map"; "Array.mapi"; "Atomic.make"; "Weak.create"; "Mutex.create";
+    "Condition.create"; "Semaphore.make";
+  ]
+
+(* The shape of a right-hand side that allocates mutable state at
+   module initialization.  Functions are skipped: a function returning
+   a fresh ref is fine.  A record counts when its type, as the compiler
+   resolved it, has a mutable field. *)
+let rec mutable_shape (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_apply
+      ({ exp_desc = Typedtree.Texp_ident (p, _, vd); _ }, _) ->
+      let ctor = declared p vd in
+      if List.mem ctor mutable_ctors then Some ctor else None
+  | Typedtree.Texp_array _ -> Some "array literal"
+  | Typedtree.Texp_record { fields; _ } ->
+      Array.find_map
+        (fun ((l : Types.label_description), _) ->
+          match l.lbl_mut with
+          | Asttypes.Mutable ->
+              Some ("record with mutable field `" ^ l.lbl_name ^ "`")
+          | Asttypes.Immutable -> None)
+        fields
+  | Typedtree.Texp_tuple es | Typedtree.Texp_construct (_, _, es) ->
+      List.find_map mutable_shape es
+  | Typedtree.Texp_open (_, e)
+  | Typedtree.Texp_letmodule (_, _, _, _, e)
+  | Typedtree.Texp_sequence (_, e)
+  | Typedtree.Texp_let (_, _, e) ->
+      mutable_shape e
+  | Typedtree.Texp_ifthenelse (_, a, b) -> (
+      match mutable_shape a with
+      | Some s -> Some s
+      | None -> Option.bind b mutable_shape)
   | _ -> None
 
-let hot_findings path str =
+let rec globals path prefix (str : Typedtree.structure) =
+  List.concat_map
+    (fun (item : Typedtree.structure_item) ->
+      match item.str_desc with
+      | Typedtree.Tstr_value (_, vbs) ->
+          List.concat_map
+            (fun (vb : Typedtree.value_binding) ->
+              match mutable_shape vb.vb_expr with
+              | None -> []
+              | Some shape ->
+                  List.map
+                    (fun n ->
+                      Finding.v ~path ~line:(Finding.line vb.vb_loc)
+                        ~rule:mutable_global
+                        (Printf.sprintf "`%s` (%s): %s" (prefix ^ n) shape
+                           mutable_global_doc))
+                    (match names vb.vb_pat with [] -> [ "_" ] | ns -> ns))
+            vbs
+      | Typedtree.Tstr_module
+          {
+            mb_name = { txt = Some m; _ };
+            mb_expr = { mod_desc = Typedtree.Tmod_structure str; _ };
+            _;
+          } ->
+          globals path (prefix ^ m ^ ".") str
+      | _ -> [])
+    str.str_items
+
+(* {1 poly-compare and hot-alloc} *)
+
+let hot_banned name =
+  String.starts_with ~prefix:"Printf." name
+  || String.starts_with ~prefix:"Format." name
+  || List.mem name
+       [
+         "List.map"; "List.mapi"; "List.rev_map"; "List.concat_map";
+         "List.filter_map"; "List.filter"; "List.append"; "List.concat";
+         "Array.append"; "Array.concat"; "Array.of_list"; "Array.to_list";
+       ]
+
+(* What in a hot body allocates, if anything. *)
+let allocation (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_function _ -> Some "a lambda literal"
+  | Typedtree.Texp_ident (p, _, vd) ->
+      let name = declared p vd in
+      if hot_banned name then Some ("`" ^ name ^ "`") else None
+  | _ -> None
+
+let lib_findings path str =
   let acc = ref [] in
+  let add ~rule loc message =
+    acc := Finding.v ~path ~line:(Finding.line loc) ~rule message :: !acc
+  in
   let scan name =
-    let expr self (e : Parsetree.expression) =
+    let expr self (e : Typedtree.expression) =
       Option.iter
         (fun what ->
-          acc :=
-            Finding.v ~path ~line:(Source.line_of_loc e.pexp_loc)
-              ~rule:hot_alloc
-              (Printf.sprintf "%s in [@hot] binding `%s`: %s" what name
-                 hot_alloc_why)
-            :: !acc)
+          add ~rule:hot_alloc e.exp_loc
+            (Printf.sprintf "%s in [@hot] binding `%s`: %s" what name
+               hot_alloc_why))
         (allocation e);
-      Ast_iterator.default_iterator.expr self e
+      Tast_iterator.default_iterator.expr self e
     in
-    { Ast_iterator.default_iterator with expr }
+    { Tast_iterator.default_iterator with expr }
   in
   (* The binding's own parameter chain is the function being defined,
-     not an allocation inside it. *)
-  let rec body it (e : Parsetree.expression) =
-    match e.pexp_desc with
-    | Parsetree.Pexp_fun (_, _, _, e)
-    | Parsetree.Pexp_newtype (_, e)
-    | Parsetree.Pexp_constraint (e, _) ->
-        body it e
-    | Parsetree.Pexp_function cases ->
-        List.iter (it.Ast_iterator.case it) cases
-    | _ -> it.Ast_iterator.expr it e
+     not an allocation inside it: one single-case function per
+     parameter, an optional parameter's default bound by a [let] the
+     compiler marks [#default]. *)
+  let rec body it (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_function { cases = [ { c_guard = None; c_rhs; _ } ]; _ }
+      ->
+        body it c_rhs
+    | Typedtree.Texp_function { cases; _ } ->
+        List.iter (it.Tast_iterator.case it) cases
+    | Typedtree.Texp_let (_, _, inner)
+      when attribute "#default" e.exp_attributes ->
+        body it inner
+    | _ -> it.Tast_iterator.expr it e
   in
-  let value_binding self (vb : Parsetree.value_binding) =
-    if
-      List.exists
-        (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt "hot")
-        vb.pvb_attributes
-    then begin
-      let name = String.concat ", " (Source.pattern_names vb.pvb_pat) in
-      body (scan name) vb.pvb_expr
-    end;
-    Ast_iterator.default_iterator.value_binding self vb
+  let value_binding self (vb : Typedtree.value_binding) =
+    if attribute "hot" vb.vb_attributes then
+      body (scan (String.concat ", " (names vb.vb_pat))) vb.vb_expr;
+    Tast_iterator.default_iterator.value_binding self vb
   in
-  let it = { Ast_iterator.default_iterator with value_binding } in
+  let expr self (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_apply
+        ( ({
+             exp_desc =
+               Typedtree.Texp_ident
+                 (p, _, { val_kind = Types.Val_prim prim; _ });
+             _;
+           } as op),
+          [ (Asttypes.Nolabel, Some a); (Asttypes.Nolabel, Some b) ] )
+      when List.mem prim.prim_name comparison_prims
+           && (boxed_operand a || boxed_operand b) ->
+        add ~rule:poly_compare op.exp_loc
+          (Printf.sprintf "`%s`: %s" (Path.last p) poly_compare_doc)
+    | _ -> ());
+    Tast_iterator.default_iterator.expr self e
+  in
+  let it = { Tast_iterator.default_iterator with expr; value_binding } in
   it.structure it str;
   !acc
 
 (* {1 Driver entry} *)
 
-let findings (sources : Source.t list) =
-  let mutable_bindings = Shared_state.mutable_bindings sources in
-  let globals (s : Source.t) =
-    List.map
-      (fun (b : Shared_state.binding) ->
-        Finding.v ~path:s.path ~line:b.bline ~rule:mutable_global
-          (Printf.sprintf "`%s` (%s): %s" b.bname b.bshape mutable_global_doc))
-      (mutable_bindings s)
-  in
+let findings units =
   List.concat_map
-    (fun (s : Source.t) ->
-      match s.kind with
-      | Source.Impl str when in_lib s.path ->
-          compare_findings s.path str @ globals s @ hot_findings s.path str
-      | Source.Impl _ when in_bin s.path -> globals s
-      | Source.Impl _ | Source.Intf _ -> [])
-    sources
+    (fun (u : Cmt_format.cmt_infos) ->
+      match (u.cmt_annots, Index.source u) with
+      | Cmt_format.Implementation str, Some path when in_lib path ->
+          lib_findings path str @ globals path "" str
+      | Cmt_format.Implementation str, Some path when in_bin path ->
+          globals path "" str
+      | _ -> [])
+    units

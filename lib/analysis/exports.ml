@@ -18,8 +18,6 @@ let unset_optional_doc =
 let rules =
   [ (unused_export, unused_export_doc); (unset_optional, unset_optional_doc) ]
 
-let line (loc : Location.t) = loc.loc_start.pos_lnum
-
 let findings index =
   let check (d : Index.decl) =
     let modname =
@@ -30,7 +28,8 @@ let findings index =
         match t.ctyp_desc with
         | Typedtree.Ttyp_arrow (Asttypes.Optional label, _, rest)
           when not (Index.passed index d label) ->
-            Finding.v ~path:d.path ~line:(line t.ctyp_loc) ~rule:unset_optional
+            Finding.v ~path:d.path ~line:(Finding.line t.ctyp_loc)
+              ~rule:unset_optional
               (Printf.sprintf "`?%s` of `%s.%s`: %s" label modname d.name
                  unset_optional_doc)
             :: go rest
@@ -40,14 +39,15 @@ let findings index =
       in
       go d.desc.val_desc
     in
-    if Source.contains d.path "lib/prelude/" || Index.referenced index d then
+    if Finding.contains d.path "lib/prelude/" || Index.referenced index d then
       unset
     else
-      Finding.v ~path:d.path ~line:(line d.desc.val_loc) ~rule:unused_export
+      Finding.v ~path:d.path ~line:(Finding.line d.desc.val_loc)
+        ~rule:unused_export
         (Printf.sprintf "`%s.%s`: %s" modname d.name unused_export_doc)
       :: unset
   in
   List.concat_map
     (fun (d : Index.decl) ->
-      if Source.contains d.path "lib/" then check d else [])
+      if Finding.contains d.path "lib/" then check d else [])
     (Index.decls index)

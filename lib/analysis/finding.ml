@@ -13,6 +13,14 @@ type t = {
 }
 
 let v ~path ~line ~rule message = { path; line; rule; message }
+let line (loc : Location.t) = loc.loc_start.pos_lnum
+
+let contains path sub =
+  let n = String.length path and m = String.length sub in
+  let rec go i =
+    i + m <= n && (String.equal (String.sub path i m) sub || go (i + 1))
+  in
+  go 0
 
 let render t = Printf.sprintf "%s:%d: [%s] %s" t.path t.line t.rule t.message
 

@@ -14,6 +14,14 @@ type t = {
 }
 
 val v : path:string -> line:int -> rule:string -> string -> t
+
+val line : Location.t -> int
+(** 1-based start line. *)
+
+val contains : string -> string -> bool
+(** [contains path sub]: [sub] occurs in [path] (rule scopes such as
+    ["lib/"] are substrings of the path a unit names). *)
+
 val render : t -> string
 (** ["path:line: [rule] message"]. *)
 

@@ -36,7 +36,7 @@ type probe = { name : string; read : Cluster.t -> float }
 let watch t ~every ~duration ~probes =
   if every <= 0 then invalid_arg "Monitor.watch: period must be positive";
   let series =
-    List.map (fun p -> (p, Stats.Timeseries.create ~name:p.name ())) probes
+    List.map (fun p -> (p, Stats.Timeseries.create ())) probes
   in
   let engine = Cluster.engine t in
   let stop_at = Des.Time.add (Des.Engine.now engine) duration in

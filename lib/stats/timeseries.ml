@@ -1,12 +1,11 @@
 type t = {
-  name : string;
   mutable times : float array;
   mutable values : float array;
   mutable len : int;
 }
 
-let create ?(name = "") () =
-  { name; times = Array.make 64 0.; values = Array.make 64 0.; len = 0 }
+let create () =
+  { times = Array.make 64 0.; values = Array.make 64 0.; len = 0 }
 
 let length t = t.len
 

@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 val length : t -> int
 
 val push : t -> time:float -> value:float -> unit

@@ -1,5 +1,5 @@
 (* Analyzer self-test fixture for lib/'s source discipline: every
-   pattern the analyzer's three discipline rules forbid.  Never compiled. *)
+   pattern the analyzer's three discipline rules forbid, as compiled. *)
 
 (* poly-compare: a comparison against a boxed operand *)
 let changed leader from = leader <> Some from
@@ -18,8 +18,8 @@ let[@hot] relay_all peers msg =
   Array.of_list framed
 
 (* hot-alloc, continued: an [and] binding marked [@@hot] whose lambda
-   follows [@@] with no parenthesis to give it away, and a [@hot]
-   binding nested in a module *)
+   follows [@@] unparenthesized, and a [@hot] binding in a module *)
+type relay = { lock : Mutex.t; queue : int Queue.t }
 let plain xs = xs
 and drain t f =
   Mutex.protect t.lock @@ fun () -> Queue.iter f t.queue

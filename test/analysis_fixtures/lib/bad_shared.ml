@@ -2,7 +2,7 @@
    mutable values of every shape — a hash table, a ref, a record with a
    mutable field, an array.  Nothing here hands work to another domain:
    every domain that runs a module shares its top-level state, so each
-   one is flagged where it is defined.  Never compiled. *)
+   one is flagged where it is defined. *)
 
 let table : (string, int) Hashtbl.t = Hashtbl.create 16
 let hits = ref 0

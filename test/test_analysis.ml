@@ -1,35 +1,101 @@
 (* Unit tests for the static checker (lib/analysis): the typed
-   reference index and the interface rules over the compiled fixtures of
-   analysis_fixtures/, parse errors,
-   the allowlist and its stale-entry gate, and the cases where the
-   per-file source discipline is exact on the AST: comparisons against a
+   reference index and every rule over the compiled fixtures of
+   analysis_fixtures/, the allowlist and its stale-entry gate, and the
+   per-file source discipline on the typed tree: comparisons against a
    boxed operand, [@hot] allocation, and module-level mutable state in
-   lib/ and bin/.  Two bans are the compiler's: catch-all arms over a
-   variant are its fragile-match error (the fragile-match cases
-   type-check snippets in-process under it; test/match_fixtures pins its
-   exact messages), and lib/'s identifier bans are lib/prelude's alerts
-   (those cases type-check snippets in-process under a lib/ module's own
-   compile flags; test/prelude_fixtures pins the exact alerts). *)
+   lib/ and bin/.  Those cases type-check snippets in-process under a
+   lib/ module's own compile flags, as the identifier-ban cases do.  Two
+   bans are the compiler's: catch-all arms over a variant are its
+   fragile-match error (the fragile-match cases type-check snippets
+   in-process under it; test/match_fixtures pins its exact messages),
+   and lib/'s identifier bans are lib/prelude's alerts
+   (test/prelude_fixtures pins the exact alerts). *)
 
 module A = Analysis
 module F = Analysis.Finding
 
-let file path content = { A.Driver.path; content }
-
-let run ?allow ~callers ~units files =
-  match A.Driver.analyze ?allow ~callers ~units files with
-  | Ok result -> result
-  | Error e -> Alcotest.failf "unexpected parse error: %s" e
-
-let analyze files = fst (run ~callers:[] ~units:[] files)
+let run ?allow ~callers units = A.Driver.analyze ?allow ~callers units
 let with_rule rule fs = List.filter (fun (f : F.t) -> f.rule = rule) fs
 let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
 
+(* {2 Snippets under a lib/ module's flags}
+
+   [check_under args src] type-checks [src] in-process under the [-I],
+   [-open] and [-alert] arguments among [args] ([lib_args cmt]: those
+   the lib/ module behind [cmt] was compiled with; dune runs the
+   compiler one level above this test), and returns its typed tree and
+   each active alert as (line, kind).  [typed path src] is that tree as
+   the compiled unit of [path]. *)
+
+let lib_args cmt =
+  let rec pick = function
+    | ("-I" as f) :: dir :: rest when Filename.is_relative dir ->
+        (f, Filename.concat Filename.parent_dir_name dir) :: pick rest
+    | (("-open" | "-alert") as f) :: arg :: rest -> (f, arg) :: pick rest
+    | _ :: rest -> pick rest
+    | [] -> []
+  in
+  pick (Array.to_list (Cmt_format.read_cmt cmt).Cmt_format.cmt_args)
+
+let check_under args src =
+  let all flag =
+    List.filter_map (fun (f, a) -> if f = flag then Some a else None) args
+  in
+  let fired = ref [] in
+  let warnings = Warnings.backup ()
+  and reporters = (!Location.warning_reporter, !Location.alert_reporter)
+  and dirs = !Clflags.include_dirs
+  and opens = !Clflags.open_modules in
+  List.iter Warnings.parse_alert_option (all "-alert");
+  (Location.warning_reporter := fun _ _ -> None);
+  (Location.alert_reporter :=
+     fun loc (a : Warnings.alert) ->
+       (match Warnings.report_alert a with
+       | `Active _ ->
+           fired := (loc.Location.loc_start.pos_lnum, a.kind) :: !fired
+       | `Inactive -> ());
+       None);
+  Clflags.include_dirs := List.rev (all "-I");
+  Clflags.open_modules := List.rev (all "-open");
+  Fun.protect
+    ~finally:(fun () ->
+      Warnings.restore warnings;
+      Location.warning_reporter := fst reporters;
+      Location.alert_reporter := snd reporters;
+      Clflags.include_dirs := dirs;
+      Clflags.open_modules := opens;
+      Compmisc.init_path ())
+    (fun () ->
+      Compmisc.init_path ();
+      let ast = Parse.implementation (Lexing.from_string src) in
+      let str, _, _, _, _ =
+        Typemod.type_structure (Compmisc.initial_env ()) ast
+      in
+      (str, List.rev !fired))
+
+let alerts_under args src = snd (check_under args src)
+
+let objs lib m =
+  Printf.sprintf "../lib/%s/.%s.objs/byte/%s__%s.cmt" lib lib lib m
+
+let store = objs "kvsm" "Store"
+
+let typed path src =
+  let unit = Cmt_format.read_cmt store in
+  {
+    unit with
+    cmt_annots =
+      Cmt_format.Implementation (fst (check_under (lib_args store) src));
+    cmt_sourcefile = Some path;
+  }
+
+let analyze units = fst (run ~callers:[] units)
+
 (* {2 Compiled fixtures}
 
-   The interface rules read the .cmt/.cmti files dune compiles from
-   analysis_fixtures/lib (scanned as lib/ code) and
-   analysis_fixtures/callers (read as the tests directory is). *)
+   Every rule reads the .cmt/.cmti files dune compiles from
+   analysis_fixtures/lib (scanned as lib/ code); the interface rules
+   also read analysis_fixtures/callers (as the tests directory is). *)
 
 let fixture_objs = "analysis_fixtures/lib/.analysis_fixtures.objs/byte"
 
@@ -48,23 +114,36 @@ let read dir f = Cmt_format.read_cmt (Filename.concat dir f)
 let fixture m = [ read fixture_objs (m ^ ".cmt"); read fixture_objs (m ^ ".cmti") ]
 let caller m = read caller_objs (m ^ ".cmt")
 
-let fixture_source name =
-  let path = "analysis_fixtures/lib/" ^ name in
-  file ("test/" ^ path) (In_channel.with_open_bin path In_channel.input_all)
-
 let test_typed_fixtures () =
   let findings, _ =
-    run ~callers:(units_in caller_objs) ~units:(units_in fixture_objs) []
+    run ~callers:(units_in caller_objs) (units_in fixture_objs)
   in
   Alcotest.(check (list string))
     "bad cases fire, near-misses do not"
     [
+      "bad_discipline.ml:5: poly-compare";
+      "bad_discipline.ml:6: poly-compare";
+      "bad_discipline.ml:7: poly-compare";
+      "bad_discipline.ml:10: mutable-global";
+      "bad_discipline.ml:11: mutable-global";
+      "bad_discipline.ml:16: hot-alloc";
+      "bad_discipline.ml:16: hot-alloc";
+      "bad_discipline.ml:17: hot-alloc";
+      "bad_discipline.ml:18: hot-alloc";
+      "bad_discipline.ml:25: hot-alloc";
+      "bad_discipline.ml:29: hot-alloc";
       "bad_exports.mli:7: unused-export";
       "bad_exports.mli:16: unused-export";
       "bad_exports.mli:19: unused-export";
       "bad_exports.mli:22: unused-export";
       "bad_exports.mli:25: unused-export";
+      "bad_planted.ml:4: poly-compare";
+      "bad_planted.ml:5: mutable-global";
       "bad_planted.mli:4: unset-optional";
+      "bad_shared.ml:7: mutable-global";
+      "bad_shared.ml:8: mutable-global";
+      "bad_shared.ml:12: mutable-global";
+      "bad_shared.ml:13: mutable-global";
       "bad_unset.mli:5: unset-optional";
       "bad_unset.mli:5: unused-export";
       "bad_unset.mli:9: unset-optional";
@@ -153,7 +232,7 @@ let test_index_aliases () =
 let test_unset_optional () =
   let unset callers =
     lines_of "unset-optional"
-      (fst (run ~callers ~units:(fixture "good_unset") []))
+      (fst (run ~callers (fixture "good_unset")))
   in
   Alcotest.(check (list int)) "no caller sets any" [ 5; 8; 15 ] (unset []);
   Alcotest.(check (list int))
@@ -165,26 +244,24 @@ let test_unset_optional () =
 
 let test_callers_are_not_checked () =
   let planted = fixture "bad_planted" in
-  let sources =
-    [ fixture_source "bad_planted.ml"; fixture_source "bad_planted.mli" ]
-  in
   Alcotest.(check (list string)) "each planted line fires when scanned"
     [ "poly-compare"; "mutable-global"; "unset-optional" ]
     (List.map
        (fun (f : F.t) -> f.rule)
-       (fst (run ~callers:[ caller "unset_alias" ] ~units:planted sources)));
-  let findings, _ = run ~callers:planted ~units:[] [] in
+       (fst (run ~callers:[ caller "unset_alias" ] planted)));
+  let findings, _ = run ~callers:planted [] in
   Alcotest.(check int) "caller-only units raise nothing" 0
     (List.length findings)
 
 (* {2 Allowlist} *)
 
-(* A mutable global behind a wrapper in another library: the rule fires
-   where the global is defined, whoever reads it. *)
-let global_files =
+(* A mutable global behind a wrapper, and a module in another library
+   that only calls a wrapper: the rule fires where the global is
+   defined, whoever reads it. *)
+let global_files () =
   [
-    file "lib/raft/entry.ml" "let run () = Stats.Util.step ()";
-    file "lib/stats/util.ml" "let step () = !hits\nlet hits = ref 0";
+    typed "lib/raft/entry.ml" "let run step = step ()";
+    typed "lib/stats/util.ml" "let hits = ref 0\nlet step () = !hits";
   ]
 
 let allow_of source =
@@ -199,8 +276,8 @@ let test_allowlist_mutable_global () =
        lib/telemetry/gone.ml:mutable-global\n"
   in
   let findings, stale =
-    run ~allow ~callers:[] ~units:[]
-      [ file "lib/telemetry/metrics.ml" "let dead = ref 0" ]
+    run ~allow ~callers:[]
+      [ typed "lib/telemetry/metrics.ml" "let dead = ref 0" ]
   in
   Alcotest.(check int) "suppressed by path suffix" 0 (List.length findings);
   Alcotest.(check (list string)) "the entry that matches nothing is stale"
@@ -217,7 +294,7 @@ let test_stale_allow_entries () =
        entry.ml:mutable-global\n\n\
        util.ml:poly-compare\n"
   in
-  let findings, stale = run ~allow ~callers:[] ~units:[] global_files in
+  let findings, stale = run ~allow ~callers:[] (global_files ()) in
   Alcotest.(check int) "global suppressed" 0 (List.length findings);
   Alcotest.(check (list (pair int string)))
     "stale entries, by line"
@@ -240,8 +317,18 @@ let test_mutable_global_everywhere () =
   List.iter
     (fun path ->
       Alcotest.(check (list int)) path [ 1; 3 ]
-        (lines_of "mutable-global" (analyze [ file path shared_body ])))
-    [ "lib/telemetry/s.ml"; "bin/s.ml" ]
+        (lines_of "mutable-global" (analyze [ typed path shared_body ])))
+    [ "lib/telemetry/s.ml"; "bin/s.ml" ];
+  (* The fields are out of scope: the annotation picks them from
+     Kvsm.Command, where they are mutable. *)
+  Alcotest.(check (list int)) "a field resolved by its type" [ 1 ]
+    (lines_of "mutable-global"
+       (analyze
+          [
+            typed "lib/kvsm/s.ml"
+              "let span : Command.put_span =\n\
+              \  { key_start = 0; key_end = 0; value_start = 0 }\n";
+          ]))
 
 let test_mutable_global_near_misses () =
   let source =
@@ -258,7 +345,7 @@ let test_mutable_global_near_misses () =
   List.iter
     (fun path ->
       Alcotest.(check (list int)) path []
-        (lines_of "mutable-global" (analyze [ file path source ])))
+        (lines_of "mutable-global" (analyze [ typed path source ])))
     [ "lib/stats/q.ml"; "lib/telemetry/q.ml"; "bin/q.ml" ]
 
 (* {2 Fragile matches}
@@ -309,60 +396,11 @@ let test_fragile_match_negative () =
 
    Every lib/ library compiles with lib/prelude opened and its alerts
    as errors, so a banned identifier never reaches the analyzer.
-   [alerts ~cmt src] type-checks [src] in-process under the [-I],
-   [-open] and [-alert] arguments that the lib/ module behind [cmt]
-   was compiled with (dune runs the compiler one level above this
-   test), and returns each active alert as (line, kind);
-   test/prelude_fixtures pins the exact messages. *)
+   [alerts ~cmt src] returns the active alerts of [src] under the flags
+   of the lib/ module behind [cmt]; test/prelude_fixtures pins the exact
+   messages. *)
 
-let lib_args cmt =
-  let rec pick = function
-    | ("-I" as f) :: dir :: rest when Filename.is_relative dir ->
-        (f, Filename.concat Filename.parent_dir_name dir) :: pick rest
-    | (("-open" | "-alert") as f) :: arg :: rest -> (f, arg) :: pick rest
-    | _ :: rest -> pick rest
-    | [] -> []
-  in
-  pick (Array.to_list (Cmt_format.read_cmt cmt).Cmt_format.cmt_args)
-
-let alerts_under args src =
-  let all flag =
-    List.filter_map (fun (f, a) -> if f = flag then Some a else None) args
-  in
-  let fired = ref [] in
-  let warnings = Warnings.backup ()
-  and reporters = (!Location.warning_reporter, !Location.alert_reporter)
-  and dirs = !Clflags.include_dirs
-  and opens = !Clflags.open_modules in
-  List.iter Warnings.parse_alert_option (all "-alert");
-  (Location.warning_reporter := fun _ _ -> None);
-  (Location.alert_reporter :=
-     fun loc (a : Warnings.alert) ->
-       (match Warnings.report_alert a with
-       | `Active _ ->
-           fired := (loc.Location.loc_start.pos_lnum, a.kind) :: !fired
-       | `Inactive -> ());
-       None);
-  Clflags.include_dirs := List.rev (all "-I");
-  Clflags.open_modules := List.rev (all "-open");
-  Fun.protect
-    ~finally:(fun () ->
-      Warnings.restore warnings;
-      Location.warning_reporter := fst reporters;
-      Location.alert_reporter := snd reporters;
-      Clflags.include_dirs := dirs;
-      Clflags.open_modules := opens;
-      Compmisc.init_path ())
-    (fun () ->
-      Compmisc.init_path ();
-      let ast = Parse.implementation (Lexing.from_string src) in
-      ignore (Typemod.type_structure (Compmisc.initial_env ()) ast));
-  List.rev !fired
-
-let objs lib m =
-  Printf.sprintf "../lib/%s/.%s.objs/byte/%s__%s.cmt" lib lib lib m
-
-let alerts ?(cmt = objs "kvsm" "Store") src = alerts_under (lib_args cmt) src
+let alerts ?(cmt = store) src = alerts_under (lib_args cmt) src
 let lines_of_kind kind =
   List.filter_map (fun (l, k) -> if k = kind then Some l else None)
 
@@ -433,18 +471,28 @@ let test_compare_exact () =
   Alcotest.(check (list int)) "only the polymorphic compares fire" [ 1; 2 ]
     (lines_of_kind "poly_compare" (alerts source))
 
-(* {2 Parse errors, rendering, allowlist parsing} *)
+(* {2 Rendering, allowlist parsing} *)
 
-(* A file that does not parse stops the run, named with its line
-   (bin/analyze exits 2 on it; test/golden/cli_errors.golden.txt). *)
+(* A file that does not parse (or type-check) has no compiled unit, so
+   bin/analyze names it and exits 2 (test/golden/cli_errors.golden.txt)
+   instead of scanning fewer files; an .ml is paired with its .cmt and
+   an .mli with its .cmti. *)
 let test_parse_error () =
-  match
-    A.Driver.analyze ~callers:[] ~units:[]
-      [ file "lib/raft/ok.ml" "let x = 1"; file "lib/raft/broken.ml" "\nlet = (" ]
-  with
-  | Error e ->
-      Alcotest.(check string) "file and line" "lib/raft/broken.ml:2: syntax error" e
-  | Ok _ -> Alcotest.fail "an unparsable file was analyzed"
+  (match check_under [] "\nlet = (" with
+  | exception Syntaxerr.Error _ -> ()
+  | _ -> Alcotest.fail "an unparsable snippet type-checked");
+  let dir = "test/analysis_fixtures/lib/" in
+  Alcotest.(check (list string)) "the sources with no unit, in order"
+    [ dir ^ "broken.ml"; "lib/raft/ok.mli" ]
+    (A.Driver.uncompiled
+       (typed "lib/raft/ok.ml" "let x = 1" :: fixture "good_exports")
+       [
+         dir ^ "good_exports.ml";
+         dir ^ "broken.ml";
+         dir ^ "good_exports.mli";
+         "lib/raft/ok.ml";
+         "lib/raft/ok.mli";
+       ])
 
 let test_render () =
   let f = F.v ~path:"lib/x.ml" ~line:3 ~rule:"mutable-global" "msg" in
@@ -493,13 +541,13 @@ let test_compare_boxed () =
      let h ( = ) x y = x = Some y\n"
   in
   Alcotest.(check (list int)) "boxed operands fire" [ 1; 2; 3 ]
-    (lines_of "poly-compare" (analyze [ file "lib/kvsm/x.ml" source ]))
+    (lines_of "poly-compare" (analyze [ typed "lib/kvsm/x.ml" source ]))
 
 let test_hot_and_binding () =
   let fs =
     analyze
       [
-        file "lib/netsim/h.ml"
+        typed "lib/netsim/h.ml"
           "let cold xs = List.map succ xs\n\
            and warm xs =\n\
           \  List.map succ xs\n\
@@ -507,16 +555,23 @@ let test_hot_and_binding () =
       ]
   in
   Alcotest.(check (list int)) "only the marked and-binding" [ 3 ]
-    (lines_of "hot-alloc" fs)
+    (lines_of "hot-alloc" fs);
+  Alcotest.(check (list int)) "through a module alias" [ 2 ]
+    (lines_of "hot-alloc"
+       (analyze
+          [
+            typed "lib/netsim/l.ml"
+              "module L = List\nlet[@hot] warm xs = L.map succ xs\n";
+          ]))
 
 let test_hot_unparenthesized_lambda () =
   let fs =
     analyze
       [
-        file "lib/netsim/h.ml"
+        typed "lib/netsim/h.ml"
           "let[@hot] each f xs =\n\
           \  List.iter f xs;\n\
-          \  List.iter ignore @@ fun x -> f x\n";
+          \  ignore @@ fun x -> f x\n";
       ]
   in
   Alcotest.(check (list int)) "lambda after @@" [ 3 ] (lines_of "hot-alloc" fs)
@@ -525,7 +580,7 @@ let test_hot_own_parameters () =
   let fs =
     analyze
       [
-        file "lib/netsim/h.ml"
+        typed "lib/netsim/h.ml"
           "let[@hot] step t ~dt ?(k = 1) = t + (dt * k)\n\
            let classify = function 0 -> `Zero | _ -> `Other [@@hot]\n\
            module Inner = struct\n\
@@ -539,9 +594,15 @@ let test_hot_own_parameters () =
 let test_mutable_global_without_spawn () =
   let source = "let counter = ref 0\nlet fresh () = ref 0\nlet n = 3\n" in
   Alcotest.(check (list int)) "lib/raft top-level ref" [ 1 ]
-    (lines_of "mutable-global" (analyze [ file "lib/raft/g.ml" source ]));
+    (lines_of "mutable-global" (analyze [ typed "lib/raft/g.ml" source ]));
   Alcotest.(check (list int)) "outside lib/raft" [ 1 ]
-    (lines_of "mutable-global" (analyze [ file "lib/stats/g.ml" source ]))
+    (lines_of "mutable-global" (analyze [ typed "lib/stats/g.ml" source ]));
+  Alcotest.(check (list int)) "through a module alias" [ 2 ]
+    (lines_of "mutable-global"
+       (analyze
+          [
+            typed "lib/stats/h.ml" "module H = Hashtbl\nlet t = H.create 4\n";
+          ]))
 
 let tests =
   [

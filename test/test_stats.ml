@@ -315,7 +315,7 @@ let test_histogram_bounds () =
 (* {2 Timeseries} *)
 
 let test_timeseries_bucketing () =
-  let ts = Timeseries.create ~name:"t" () in
+  let ts = Timeseries.create () in
   Timeseries.push ts ~time:0.1 ~value:1.;
   Timeseries.push ts ~time:0.2 ~value:3.;
   Timeseries.push ts ~time:1.4 ~value:10.;
