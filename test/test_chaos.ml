@@ -151,8 +151,32 @@ let chaos_case ~config ~seed () =
     true
     (List.length writes = 0 || List.length acked > 0)
 
+(* One seed pinned: its trace digest, the checker's pass count and a
+   digest of every replica's store at the end of the episode.  A pin that
+   moves means the driver no longer runs the schedule it ran when the
+   pin was taken. *)
+let fingerprint c =
+  let checks =
+    match Cluster.checker c with
+    | Some k -> string_of_int (Check.checks_run k)
+    | None -> "-"
+  in
+  let stores =
+    List.map
+      (fun id -> Kvsm.Store.state_digest (Cluster.store c id))
+      (Cluster.node_ids c)
+  in
+  Printf.sprintf "%Lx checks=%s stores=%Lx" (Cluster.trace_digest c) checks
+    (Check.Digest.of_string (String.concat "," stores))
+
+let pinned_case () =
+  let c, _ = run_chaos ~seed:3L ~config:(Raft.Config.dynatune ()) ~steps:40 in
+  Alcotest.(check string) "seed 3 fingerprint"
+    "a3c285530f80386d checks=58175 stores=126c507809fee8fd" (fingerprint c)
+
 let tests =
   [
+    Alcotest.test_case "chaos: dynatune, seed 3 pinned" `Slow pinned_case;
     Alcotest.test_case "chaos: static raft, seed 1" `Slow
       (chaos_case ~config:(Raft.Config.static ()) ~seed:1L);
     Alcotest.test_case "chaos: static raft, seed 2" `Slow
