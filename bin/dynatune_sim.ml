@@ -286,32 +286,20 @@ let watch_cmd =
     Format.fprintf ppf "  %6s %10s %8s %16s %8s@." "t(s)" "rtt(ms)" "loss"
       "majority-rTO(ms)" "leader";
     let duration = List.length profiles * hold in
-    let series =
-      Harness.Monitor.watch cluster ~every:(Des.Time.sec 2) ~duration
-        ~probes:
-          [
-            {
-              Harness.Monitor.name = "rto";
-              read =
-                (fun c ->
-                  Harness.Monitor.gap (Harness.Monitor.majority_randomized_ms c));
-            };
-            {
-              Harness.Monitor.name = "led";
-              read = (fun c -> if Harness.Monitor.has_leader c then 1. else 0.);
-            };
-          ]
+    let samples =
+      Harness.Monitor.watch cluster ~every:(Des.Time.sec 2) ~duration (fun c ->
+          ( Harness.Monitor.gap (Harness.Monitor.majority_randomized_ms c),
+            Harness.Monitor.has_leader c ))
     in
-    let rto = List.assoc "rto" series and led = List.assoc "led" series in
-    List.iter2
-      (fun (t, v) (_, l) ->
+    List.iter
+      (fun (t, (v, led)) ->
         let p = Netsim.Conditions.at conditions (Des.Time.of_sec_f t) in
         Format.fprintf ppf "  %6.0f %10.0f %7.1f%% %16.0f %8s@." t
           p.Netsim.Conditions.rtt_ms
           (100. *. p.Netsim.Conditions.loss)
           v
-          (if l > 0. then "yes" else "NO"))
-      (Stats.Timeseries.points rto) (Stats.Timeseries.points led)
+          (if led then "yes" else "NO"))
+      samples
   in
   Cmd.v
     (Cmd.info "watch"

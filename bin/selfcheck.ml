@@ -1,20 +1,18 @@
 (* End-to-end exercise of the correctness analyses (the @check alias):
 
-   1. short hostile runs under [Check.Always] — leader pauses and
-      crash-restarts across several seeds must violate no invariant;
-   2. a 200-seed reconfiguration sweep — random membership changes and
-      leader failures mid-campaign, also under [Check.Always] — plus a
-      200-seed pipelined-replication sweep: small windows and batches
-      over a lossy, duplicating, serializing wire with nodes sleeping
-      through write bursts, ending in store convergence — plus a
-      200-seed multi-group sweep: several Raft groups on one shared
-      fabric behind the shard router, group leaders pausing and
-      crashing mid-burst, ending in per-group store convergence;
-   3. the determinism sanitizer — failover, reconfig and multiraft
+   1. four chaos sweeps under [Check.Always], each a fault mix whose
+      rounds are [Fault.plan]s run by [Fault.run] and checked by
+      [Fault.verify]: leader pauses and crash-restarts (3 seeds); random
+      membership changes and leader pauses (200 seeds); small pipelining
+      windows over a lossy, duplicating, serializing wire with nodes
+      sleeping through write bursts (200 seeds); several Raft groups
+      behind the shard router, group leaders sleeping or crashing
+      mid-burst (200 seeds).  One seed of each is pinned and replayed;
+   2. the determinism sanitizer — failover, reconfig and multiraft
       campaigns, whose shard plans do not depend on the worker count,
       must produce bit-identical trace digests and metrics snapshots
       with one worker and with many;
-   4. a deliberately broken fixture — two leaders sharing a term — that
+   3. a deliberately broken fixture — two leaders sharing a term — that
       the checker is required to catch.
 
    `selfcheck --perf` (the @perf alias) instead checks one table of
@@ -26,6 +24,9 @@
    from this file's fails the run too. *)
 
 module Cluster = Harness.Cluster
+module Fault = Harness.Fault
+module Gm = Multiraft.Group_manager
+module Router = Multiraft.Router
 
 let fail fmt =
   Format.kasprintf
@@ -34,53 +35,172 @@ let fail fmt =
       exit 1)
     fmt
 
-(* The checks every chaos run shares.  [what] names the sweep (and the
-   group, where there is one) in failure messages. *)
-let boot what ~seed cluster =
+(* A booted system under chaos: one cluster, or a multiraft manager's
+   groups on one clock.  [round r] reads the leader or membership as
+   round [r] of [rounds] begins and returns the group it targets and its
+   plan; [settle] is the quiet period before [Fault.verify] checks each
+   group against the keys of its acknowledged writes. *)
+type system = {
+  groups : Cluster.t array;
+  write : Fault.writer;
+  acked : string list array;
+  rounds : int;
+  round : int -> int * Fault.plan;
+  settle : unit -> unit;
+}
+
+let sec = Des.Time.sec
+let id node = Netsim.Node_id.to_int (Raft.Node.id node)
+
+let lan ?(jitter = 0.05) ?(loss = 0.) ?(duplicate = 0.) rtt_ms =
+  Netsim.Conditions.(constant (profile ~rtt_ms ~jitter ~loss ~duplicate ()))
+
+(* Boot [c] and run it [warm]; [round c rng r] then draws from the RNG
+   stream [stream], split off the engine's.  Writes go to the leader as
+   client 7. *)
+let one_cluster ?(settle = ignore) ~seed ~stream ~warm ~rounds round c =
   ignore
-    (Cluster.boot cluster ~label:(Printf.sprintf "%s (seed %Ld)" what seed)
-      : Raft.Node.t)
+    (Cluster.boot c ~label:(Printf.sprintf "%s (seed %Ld)" stream seed)
+      : Raft.Node.t);
+  Cluster.run_for c warm;
+  let rng = Stats.Rng.split (Des.Engine.rng (Cluster.engine c)) stream in
+  let acked = [| [] |] in
+  {
+    groups = [| c |];
+    write =
+      Fault.submit c ~client_id:7 ~acked:(fun k -> acked.(0) <- k :: acked.(0));
+    acked;
+    rounds;
+    round = (fun r -> (0, round c rng r));
+    settle = (fun () -> settle c);
+  }
 
-(* The checker was installed and actually ran. *)
-let checker_ran what ~seed cluster =
-  match Cluster.checker cluster with
-  | Some c ->
-      if Check.checks_run c = 0 then
-        fail "%s: checker never ran (seed %Ld)" what seed
-  | None -> fail "%s: checker missing despite Check.Always (seed %Ld)" what seed
+(* Round [r]'s burst: [count] writes [gap] apart, keys [prefix:seq]
+   numbered on from the earlier rounds', each of [faults] placed before
+   the write it names (1-based). *)
+let burst ~prefix ~count ~gap ~faults r =
+  List.concat
+    (List.init count (fun i ->
+         let seq = ((r - 1) * count) + i + 1 in
+         List.filter_map (fun (at, a) -> if at = i + 1 then Some a else None)
+           faults
+         @ [
+             Fault.Write
+               { seq; key = Printf.sprintf "%s:%d" prefix seq; value = "v" };
+             Run gap;
+           ]))
 
-(* After the quiet period every replica holds the same store. *)
-let stores_converged what ~seed cluster =
-  match
-    List.map
-      (fun id -> Kvsm.Store.state_digest (Cluster.store cluster id))
-      (Cluster.node_ids cluster)
-  with
-  | [] -> fail "%s: no stores (seed %Ld)" what seed
-  | d :: rest ->
-      if not (List.for_all (String.equal d) rest) then
-        fail "%s: replicas diverged after quiet period (seed %Ld)" what seed
+(* The leader sleeps (odd rounds) or crashes (even rounds) for 4 s. *)
+let mini ~seed =
+  one_cluster ~seed ~stream:"selfcheck-mini" ~warm:(sec 10) ~rounds:3
+    (fun c _ r : Fault.plan ->
+      match Cluster.leader c with
+      | Some l when r mod 2 = 0 ->
+          [ Crash (id l); Run (sec 4); Restart (id l); Run (sec 4) ]
+      | Some l -> [ Pause (id l); Run (sec 4); Resume (id l); Run (sec 4) ]
+      | None -> [ Run (sec 4) ])
+    (Cluster.create ~seed ~n:5 ~config:(Raft.Config.dynatune ())
+       ~conditions:(lan 50.) ~check:Check.Always ())
 
-(* What a pin records of a finished run: its trace digest, each group's
-   checker pass count and a digest of every replica's store, groups in
-   order. *)
-let fingerprint ~digest clusters =
-  let checks c =
-    match Cluster.checker c with
-    | Some k -> string_of_int (Check.checks_run k)
-    | None -> "-"
+(* Random single-server adds and removes (the leader included, which
+   exercises the hand-off; a refused pick is worth hitting too), plus
+   leader pauses. *)
+let reconfig ~seed =
+  one_cluster ~seed ~stream:"selfcheck-chaos" ~warm:(sec 2) ~rounds:4
+    ~settle:(fun c ->
+      ignore (Cluster.await_config_quiet c ~timeout:(sec 30) : bool))
+    (fun c rng _ : Fault.plan ->
+      match Stats.Rng.int rng 4 with
+      | 0 -> [ Add_server; Run (sec 3) ]
+      | 1 ->
+          let ids = Cluster.node_ids c in
+          let victim = List.nth ids (Stats.Rng.int rng (List.length ids)) in
+          [ Remove_server (Netsim.Node_id.to_int victim); Run (sec 3) ]
+      | _ -> (
+          match Cluster.leader c with
+          | Some l -> [ Pause (id l); Run (sec 3); Resume (id l); Run (sec 3) ]
+          | None -> [ Run (sec 3) ]))
+    (Cluster.create ~seed ~n:3 ~config:(Raft.Config.dynatune ())
+       ~conditions:(lan 20.) ~check:Check.Always ())
+
+(* Replication engine v2 under fire: a small pipelining window and tiny
+   batches over a lossy, duplicating, serializing wire, a random node
+   sleeping through the middle of each write burst.  The stale-nack rule
+   and the stalled-window nudge sit on the path to convergence. *)
+let pipelined ~seed =
+  let c =
+    Cluster.create ~seed ~n:5 ~check:Check.Always
+      ~config:
+        (Raft.Config.with_replication ~max_inflight_appends:4
+           ~append_backpressure:8 ~max_entries_per_append:8
+           (Raft.Config.dynatune ()))
+      ~conditions:(lan ~jitter:0.3 ~loss:0.08 ~duplicate:0.04 20.)
+      ()
   in
-  let stores c =
-    List.map
-      (fun id -> Kvsm.Store.state_digest (Cluster.store c id))
-      (Cluster.node_ids c)
-  in
-  Printf.sprintf "%Lx checks=%s stores=%Lx" digest
-    (String.concat "," (List.map checks clusters))
-    (Check.Digest.of_string (String.concat "," (List.concat_map stores clusters)))
+  Netsim.Fabric.set_uniform_serialization (Cluster.fabric c) (Des.Time.us 50);
+  one_cluster ~seed ~stream:"selfcheck-pipe" ~warm:(sec 2) ~rounds:2
+    ~settle:(fun c -> Cluster.run_for c (sec 8))
+    (fun c rng r ->
+      let ids = Cluster.node_ids c in
+      let v = List.nth ids (Stats.Rng.int rng (List.length ids)) in
+      let v = Netsim.Node_id.to_int v in
+      burst ~prefix:"pipe" ~count:15 ~gap:(Des.Time.ms 20)
+        ~faults:[ (5, Fault.Pause v); (12, Fault.Resume v) ]
+        r
+      @ [ Run (sec 3) ])
+    c
 
-(* One seed per sweep, pinned: a pin that moves means the sweep no longer
-   runs the schedule it ran when the pin was taken. *)
+(* Three groups on one fabric and clock behind the shard router.  A
+   random group's leader sleeps or crashes through a write burst;
+   per-group convergence is also the isolation witness (a misrouted or
+   cross-applied entry would diverge some group's store). *)
+let multiraft ~seed =
+  let m =
+    Gm.create ~seed ~conditions:(lan ~jitter:0.1 20.) ~check:Check.Always
+      ~groups:3 ~replicas:3 ~config:(Raft.Config.dynatune ()) ()
+  in
+  Gm.start m;
+  if not (Gm.await_leaders m ~timeout:(sec 30)) then
+    fail "multiraft chaos: initial elections incomplete (seed %Ld)" seed;
+  Gm.run_for m (sec 2);
+  let router = Router.create m in
+  let rng = Stats.Rng.split (Des.Engine.rng (Gm.engine m)) "selfcheck-mr" in
+  let groups = Array.init (Gm.group_count m) (Gm.group m) in
+  let acked = Array.make (Array.length groups) [] in
+  let commit key = function
+    | Router.Committed ->
+        let g = Router.group_of_key router key in
+        acked.(g) <- key :: acked.(g)
+    | Router.Value _ | Router.Failed -> ()
+  in
+  let round r =
+    let g = Stats.Rng.int rng (Array.length groups) in
+    let faults =
+      match (Cluster.leader groups.(g), Stats.Rng.int rng 2) with
+      | Some l, 0 -> [ (4, Fault.Crash (id l)); (10, Fault.Restart (id l)) ]
+      | Some l, _ -> [ (4, Fault.Pause (id l)); (10, Fault.Resume (id l)) ]
+      | None, _ -> []
+    in
+    ( g,
+      burst ~prefix:"mr" ~count:12 ~gap:(Des.Time.ms 50) ~faults r
+      @ [ Run (sec 3) ] )
+  in
+  {
+    groups;
+    write =
+      (fun ~seq ~key ~value ->
+        ignore
+          (Router.dispatch router (Router.Write { key; value }) ~client_id:9
+             ~seq ~on_result:(commit key)
+            : Kvsm.Client.submit_result));
+    acked;
+    rounds = 2;
+    round;
+    settle = (fun () -> Gm.run_for m (sec 5));
+  }
+
+(* One seed per sweep: [Fault.fingerprint] of its run, pinned.  Its
+   executed rounds, replayed on a fresh system, must reproduce it. *)
 let pins =
   [
     (11L, "1ce8f975f9e057a6 checks=6354 stores=92dd9819c3be0cd8");
@@ -89,213 +209,60 @@ let pins =
     (3000L, "5cab983931f59f61 checks=3037,3037,3037 stores=df2a9e3f8195e704");
   ]
 
-let check_pin what ~seed got =
-  match List.assoc_opt seed pins with
-  | Some want when not (String.equal want got) ->
-      fail "%s: pinned seed %Ld moved: %s, pinned %s" what seed got want
-  | Some _ | None -> ()
+(* One run: play the rounds (or replay recorded ones) through
+   [Fault.run], settle, verify each group.  A violation or a failed
+   verdict names the sweep, the seed and the plan played so far, the
+   round that raised as planned (a replay raises at the same action).
+   Returns the rounds as executed and the run's fingerprint. *)
+let chaos name setup ?replay seed =
+  let sys = setup ~seed in
+  let pp_round ppf (g, plan) =
+    Format.fprintf ppf "group %d: %a@," g Fault.pp_plan plan
+  in
+  let report rounds why =
+    fail "%s, seed %Ld: %s@.@[<v>plan, by round:@,%a@]" name seed why
+      (Format.pp_print_list pp_round) rounds
+  in
+  let violation v = Format.asprintf "%a" Check.pp_violation v in
+  let rec play r played =
+    if r > sys.rounds then List.rev played
+    else
+      let g, plan =
+        match replay with
+        | Some rounds -> List.nth rounds (r - 1)
+        | None -> sys.round r
+      in
+      match Fault.run sys.groups.(g) ~write:sys.write plan with
+      | executed -> play (r + 1) ((g, executed) :: played)
+      | exception Check.Violation v ->
+          report (List.rev ((g, plan) :: played)) (violation v)
+  in
+  let rounds = play 1 [] in
+  let verify g c =
+    Fault.verify c ~acked:sys.acked.(g)
+    |> Result.iter_error (fun why ->
+           report rounds (Printf.sprintf "group %d: %s" g why))
+  in
+  (try
+     sys.settle ();
+     Array.iteri verify sys.groups
+   with Check.Violation v -> report rounds (violation v));
+  (rounds, Fault.fingerprint (Array.to_list sys.groups))
 
-let mini_chaos ~seed =
-  let conditions =
-    Netsim.Conditions.(constant (profile ~rtt_ms:50. ~jitter:0.05 ()))
-  in
-  let cluster =
-    Cluster.create ~seed ~n:5 ~config:(Raft.Config.dynatune ()) ~conditions
-      ~check:Check.Always ()
-  in
-  boot "chaos" ~seed cluster;
-  Cluster.run_for cluster (Des.Time.sec 10);
-  for round = 1 to 3 do
-    (match Cluster.leader cluster with
-    | Some l when round mod 2 = 0 ->
-        Raft.Node.crash l;
-        Cluster.run_for cluster (Des.Time.sec 4);
-        Raft.Node.restart l
-    | Some l ->
-        Raft.Node.pause l;
-        Cluster.run_for cluster (Des.Time.sec 4);
-        Raft.Node.resume l
-    | None -> ());
-    Cluster.run_for cluster (Des.Time.sec 4)
-  done;
-  Cluster.check_now cluster;
-  checker_ran "chaos" ~seed cluster;
-  check_pin "chaos" ~seed
-    (fingerprint ~digest:(Cluster.trace_digest cluster) [ cluster ])
+let sweep (name, seeds, setup) =
+  List.iter
+    (fun seed ->
+      let rounds, got = chaos name setup seed in
+      match List.assoc_opt seed pins with
+      | None -> ()
+      | Some want ->
+          let again = snd (chaos name setup ~replay:rounds seed) in
+          if not (String.equal want got && String.equal got again) then
+            fail "%s: pinned seed %Ld moved: run %s, replay %s, pinned %s" name
+              seed got again want)
+    seeds
 
-(* Random single-server add/remove (plus leader pauses) mid-campaign,
-   with every safety and reconfiguration invariant checked after every
-   delivered event.  One short hostile run per seed. *)
-let reconfig_chaos ~seed =
-  let conditions =
-    Netsim.Conditions.(constant (profile ~rtt_ms:20. ~jitter:0.05 ()))
-  in
-  let cluster =
-    Cluster.create ~seed ~n:3 ~config:(Raft.Config.dynatune ()) ~conditions
-      ~check:Check.Always ()
-  in
-  boot "reconfig chaos" ~seed cluster;
-  Cluster.run_for cluster (Des.Time.sec 2);
-  let rng =
-    Stats.Rng.split (Des.Engine.rng (Cluster.engine cluster)) "selfcheck-chaos"
-  in
-  for _op = 1 to 4 do
-    (match Stats.Rng.int rng 4 with
-    | 0 ->
-        (* Grow: spawn a joiner and ask the leader to adopt it. *)
-        ignore (Cluster.add_server cluster : Netsim.Node_id.t * _)
-    | 1 -> (
-        (* Shrink: remove a random member (the leader included — that
-           exercises the automatic hand-off; an invalid pick is refused
-           by the leader, which is also worth hitting). *)
-        let ids = Cluster.node_ids cluster in
-        let victim = List.nth ids (Stats.Rng.int rng (List.length ids)) in
-        match Cluster.remove_server cluster victim with
-        | `Ok _ ->
-            if Cluster.await_config_quiet cluster ~timeout:(Des.Time.sec 20)
-            then begin
-              match Cluster.leader cluster with
-              | Some l
-                when not
-                       (List.exists (Netsim.Node_id.equal victim)
-                          (Raft.Server.members (Raft.Node.server l))) ->
-                  Cluster.retire cluster victim
-              | Some _ | None -> ()
-            end
-        | `Not_leader | `Pending | `Invalid _ -> ())
-    | _ -> (
-        (* Unplanned leader failure in the middle of it all. *)
-        match Cluster.leader cluster with
-        | Some l ->
-            Raft.Node.pause l;
-            Cluster.run_for cluster (Des.Time.sec 3);
-            if List.exists
-                 (Netsim.Node_id.equal (Raft.Node.id l))
-                 (Cluster.node_ids cluster)
-            then Raft.Node.resume l
-        | None -> ()));
-    Cluster.run_for cluster (Des.Time.sec 3)
-  done;
-  ignore (Cluster.await_config_quiet cluster ~timeout:(Des.Time.sec 30) : bool);
-  Cluster.check_now cluster;
-  checker_ran "reconfig chaos" ~seed cluster;
-  check_pin "reconfig chaos" ~seed
-    (fingerprint ~digest:(Cluster.trace_digest cluster) [ cluster ])
-
-(* Replication engine v2 under fire: a small pipelining window and tiny
-   batches over a lossy, duplicating, serializing wire, with followers
-   sleeping through bursts of writes.  Every delivered event runs the
-   full invariant suite ([Check.Always]); at the end the replicas must
-   also have converged on one store — the stale-nack rule and the
-   stalled-window nudge both sit on this path. *)
-let pipelined_chaos ~seed =
-  let config =
-    Raft.Config.with_replication ~max_inflight_appends:4 ~append_backpressure:8
-      ~max_entries_per_append:8
-      (Raft.Config.dynatune ())
-  in
-  let conditions =
-    Netsim.Conditions.(
-      constant (profile ~rtt_ms:20. ~jitter:0.3 ~loss:0.08 ~duplicate:0.04 ()))
-  in
-  let cluster =
-    Cluster.create ~seed ~n:5 ~config ~conditions ~check:Check.Always ()
-  in
-  Netsim.Fabric.set_uniform_serialization (Cluster.fabric cluster)
-    (Des.Time.us 50);
-  boot "pipelined chaos" ~seed cluster;
-  Cluster.run_for cluster (Des.Time.sec 2);
-  let rng =
-    Stats.Rng.split (Des.Engine.rng (Cluster.engine cluster)) "selfcheck-pipe"
-  in
-  let target = Cluster.submit_target cluster in
-  let seq = ref 0 in
-  for _round = 1 to 2 do
-    (* A follower (or, one time in four, the leader) sleeps through the
-       middle of the burst. *)
-    let ids = Cluster.node_ids cluster in
-    let victim = List.nth ids (Stats.Rng.int rng (List.length ids)) in
-    for i = 1 to 15 do
-      if i = 5 then Raft.Node.pause (Cluster.node cluster victim);
-      if i = 12 then Raft.Node.resume (Cluster.node cluster victim);
-      incr seq;
-      ignore
-        (target
-           ~payload:
-             (Kvsm.Command.to_payload
-                (Kvsm.Command.Put
-                   { key = Printf.sprintf "pipe:%d" !seq; value = "v" }))
-           ~client_id:7 ~seq:!seq
-           ~on_result:(fun ~committed:_ -> ()));
-      Cluster.run_for cluster (Des.Time.ms 20)
-    done;
-    Cluster.run_for cluster (Des.Time.sec 3)
-  done;
-  Cluster.run_for cluster (Des.Time.sec 8);
-  Cluster.check_now cluster;
-  checker_ran "pipelined chaos" ~seed cluster;
-  stores_converged "pipelined chaos" ~seed cluster;
-  check_pin "pipelined chaos" ~seed
-    (fingerprint ~digest:(Cluster.trace_digest cluster) [ cluster ])
-
-(* Several consensus groups on one shared fabric/clock behind the shard
-   router, every delivered event running the full invariant suite in
-   every group's checker.  Random group leaders sleep or crash through
-   write bursts; after the quiet period each group's replicas must
-   agree on that group's store — per-group convergence is also the
-   cross-group isolation witness (a misrouted or cross-applied entry
-   would diverge some group's digest). *)
-let multiraft_chaos ~seed =
-  let module Gm = Multiraft.Group_manager in
-  let module Router = Multiraft.Router in
-  let conditions =
-    Netsim.Conditions.(constant (profile ~rtt_ms:20. ~jitter:0.1 ()))
-  in
-  let m =
-    Gm.create ~seed ~conditions ~check:Check.Always ~groups:3 ~replicas:3
-      ~config:(Raft.Config.dynatune ())
-      ()
-  in
-  Gm.start m;
-  if not (Gm.await_leaders m ~timeout:(Des.Time.sec 30)) then
-    fail "multiraft chaos: initial elections incomplete (seed %Ld)" seed;
-  Gm.run_for m (Des.Time.sec 2);
-  let router = Router.create m in
-  let rng = Stats.Rng.split (Des.Engine.rng (Gm.engine m)) "selfcheck-mr" in
-  let seq = ref 0 in
-  for _round = 1 to 2 do
-    (* A random group's leader drops out mid-burst; one time in two it
-       crashes (losing volatile state) rather than just sleeping. *)
-    let g = Stats.Rng.int rng (Gm.group_count m) in
-    let victim = Harness.Cluster.leader (Gm.group m g) in
-    let crash = Stats.Rng.int rng 2 = 0 in
-    for i = 1 to 12 do
-      (match victim with
-      | Some l when i = 4 ->
-          if crash then Raft.Node.crash l else Raft.Node.pause l
-      | Some l when i = 10 ->
-          if crash then Raft.Node.restart l else Raft.Node.resume l
-      | Some _ | None -> ());
-      incr seq;
-      ignore
-        (Router.dispatch router
-           (Router.Write { key = Printf.sprintf "mr:%d" !seq; value = "v" })
-           ~client_id:9 ~seq:!seq
-           ~on_result:(fun (_ : Router.response) -> ())
-          : Kvsm.Client.submit_result);
-      Gm.run_for m (Des.Time.ms 50)
-    done;
-    Gm.run_for m (Des.Time.sec 3)
-  done;
-  Gm.run_for m (Des.Time.sec 5);
-  Gm.check_now m;
-  Gm.iter_groups m (fun g cluster ->
-      let what = Printf.sprintf "multiraft chaos: group %d" g in
-      checker_ran what ~seed cluster;
-      stores_converged what ~seed cluster);
-  check_pin "multiraft chaos" ~seed
-    (fingerprint ~digest:(Gm.digest m)
-       (List.init (Gm.group_count m) (Gm.group m)))
+let seeds first = List.init 200 (fun i -> Int64.add first (Int64.of_int i))
 
 (* A shard plan is a function of the seed and the trial count alone: the
    same trace digest and a byte-identical merged metrics snapshot (JSON)
@@ -553,16 +520,13 @@ let () =
   match Sys.argv with
   | [| _; "--perf" |] -> run_perf ()
   | [| _ |] ->
-      List.iter (fun seed -> mini_chaos ~seed) [ 11L; 12L; 13L ];
-      for i = 0 to 199 do
-        reconfig_chaos ~seed:(Int64.of_int (1000 + i))
-      done;
-      for i = 0 to 199 do
-        pipelined_chaos ~seed:(Int64.of_int (2000 + i))
-      done;
-      for i = 0 to 199 do
-        multiraft_chaos ~seed:(Int64.of_int (3000 + i))
-      done;
+      List.iter sweep
+        [
+          ("mini chaos", [ 11L; 12L; 13L ], mini);
+          ("reconfig chaos", seeds 1000L, reconfig);
+          ("pipelined chaos", seeds 2000L, pipelined);
+          ("multiraft chaos", seeds 3000L, multiraft);
+        ];
       broken_fixture ();
       determinism ();
       print_endline

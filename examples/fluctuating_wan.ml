@@ -30,23 +30,13 @@ let () =
   printf "@.  %6s %10s %22s %14s@." "t(s)" "RTT(ms)" "majority randTO (ms)"
     "leader?";
   let duration = List.length rtts * hold in
-  let series =
-    Monitor.watch cluster ~every:(Des.Time.sec 2) ~duration
-      ~probes:
-        [
-          {
-            Monitor.name = "rto";
-            read = (fun c -> Monitor.gap (Monitor.majority_randomized_ms c));
-          };
-          {
-            Monitor.name = "leader";
-            read = (fun c -> if Monitor.has_leader c then 1. else 0.);
-          };
-        ]
+  let samples =
+    Monitor.watch cluster ~every:(Des.Time.sec 2) ~duration (fun c ->
+        ( Monitor.gap (Monitor.majority_randomized_ms c),
+          Monitor.has_leader c ))
   in
-  let rto = List.assoc "rto" series and led = List.assoc "leader" series in
-  List.iter2
-    (fun (t, v) (_, l) ->
+  List.iter
+    (fun (t, (v, led)) ->
       let rtt =
         (Netsim.Conditions.at conditions (Des.Time.of_sec_f t))
           .Netsim.Conditions.rtt_ms
@@ -55,10 +45,9 @@ let () =
         String.make (Stdlib.max 1 (int_of_float (v /. 25.))) '#'
       in
       printf "  %6.0f %10.0f %10.0f %s%s@." t rtt v
-        (if l > 0. then "" else "[NO LEADER] ")
+        (if led then "" else "[NO LEADER] ")
         bar)
-    (Stats.Timeseries.points rto)
-    (Stats.Timeseries.points led);
+    samples;
   printf
     "@.the timeout hugs the RTT curve: fast detection at low RTT, safety at \
      high RTT.@.static Raft would sit at ~1500ms throughout; Raft-Low \

@@ -35,31 +35,17 @@ let () =
   printf "@.  %6s %8s %12s %8s %14s@." "t(s)" "loss" "h (ms)" "K"
     "heartbeats/s";
   let duration = List.length losses * hold in
-  let series =
-    Monitor.watch cluster ~every:(Des.Time.sec 3) ~duration
-      ~probes:
-        [
-          {
-            Monitor.name = "h";
-            read = (fun c -> Monitor.gap (Monitor.leader_h_ms c ~follower));
-          };
-          {
-            Monitor.name = "k";
-            read =
-              (fun c ->
-                match
-                  Raft.Server.tuner
-                    (Raft.Node.server (Cluster.node c follower))
-                with
-                | Some tuner ->
-                    float_of_int (Dynatune.Tuner.required_heartbeats tuner)
-                | None -> nan);
-          };
-        ]
+  let samples =
+    Monitor.watch cluster ~every:(Des.Time.sec 3) ~duration (fun c ->
+        ( Monitor.gap (Monitor.leader_h_ms c ~follower),
+          match
+            Raft.Server.tuner (Raft.Node.server (Cluster.node c follower))
+          with
+          | Some tuner -> float_of_int (Dynatune.Tuner.required_heartbeats tuner)
+          | None -> nan ))
   in
-  let h = List.assoc "h" series and k = List.assoc "k" series in
-  List.iter2
-    (fun (t, h_ms) (_, k_now) ->
+  List.iter
+    (fun (t, (h_ms, k_now)) ->
       let loss =
         (Netsim.Conditions.at conditions (Des.Time.of_sec_f t))
           .Netsim.Conditions.loss
@@ -67,7 +53,7 @@ let () =
       printf "  %6.0f %7.0f%% %12.1f %8.0f %14.1f@." t (100. *. loss) h_ms
         k_now
         (if h_ms > 0. then 1000. /. h_ms else nan))
-    (Stats.Timeseries.points h) (Stats.Timeseries.points k);
+    samples;
   printf
     "@.more loss -> more heartbeats needed for the same assurance (K = \
      ceil(log_p(1-x))) -> smaller h;@.as the network heals, Dynatune backs \

@@ -3,13 +3,16 @@ module Node_id = Netsim.Node_id
 let pause t id = Raft.Node.pause (Cluster.node t id)
 let recover t id = Raft.Node.resume (Cluster.node t id)
 
+(* The state machine is volatile below the commit index: recovery
+   replays the persisted log into a fresh replica. *)
+let restart t id =
+  Cluster.reset_store t id;
+  Raft.Node.restart (Cluster.node t id)
+
 let crash_and_restart t id ~downtime =
   Raft.Node.crash (Cluster.node t id);
   Cluster.run_for t downtime;
-  (* The state machine is volatile below the commit index: recovery
-     replays the persisted log into a fresh replica. *)
-  Cluster.reset_store t id;
-  Raft.Node.restart (Cluster.node t id)
+  restart t id
 
 let kill_leader t =
   match Cluster.leader t with
@@ -156,3 +159,134 @@ let fail_and_measure t () =
              paper's repeated-failure campaign does. *)
           settle_until_tuned t;
           outcome)
+
+type action =
+  | Run of Des.Time.span
+  | Pause of int
+  | Resume of int
+  | Crash of int
+  | Restart of int
+  | Partition of int list list
+  | Heal
+  | Add_server
+  | Remove_server of int
+  | Write of { seq : int; key : string; value : string }
+
+type plan = action list
+
+let pp_list sep pp =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf sep) pp
+
+let pp_action ppf = function
+  | Run span -> Format.fprintf ppf "Run %d" span
+  | Pause id -> Format.fprintf ppf "Pause %d" id
+  | Resume id -> Format.fprintf ppf "Resume %d" id
+  | Crash id -> Format.fprintf ppf "Crash %d" id
+  | Restart id -> Format.fprintf ppf "Restart %d" id
+  | Partition sides ->
+      let side ppf ids =
+        Format.fprintf ppf "[ %a ]" (pp_list "; " Format.pp_print_int) ids
+      in
+      Format.fprintf ppf "Partition [ %a ]" (pp_list "; " side) sides
+  | Heal -> Format.fprintf ppf "Heal"
+  | Add_server -> Format.fprintf ppf "Add_server"
+  | Remove_server id -> Format.fprintf ppf "Remove_server %d" id
+  | Write { seq; key; value } ->
+      Format.fprintf ppf "Write { seq = %d; key = %S; value = %S }" seq key
+        value
+
+let pp_plan ppf plan =
+  Format.fprintf ppf "@[<v 2>[ %a ]@]" (pp_list ";@," pp_action) plan
+
+type writer = seq:int -> key:string -> value:string -> unit
+
+let submit t ~client_id ~acked ~seq ~key ~value =
+  match
+    Cluster.submit_target t ~client_id ~seq
+      ~payload:(Kvsm.Command.to_payload (Kvsm.Command.Put { key; value }))
+      ~on_result:(fun ~committed -> if committed then acked key)
+  with
+  | `Accepted | `Not_leader _ -> ()
+
+(* Whether the cluster's state admits [action] now. *)
+let admits t action =
+  let member id =
+    List.exists (fun m -> Node_id.to_int m = id) (Cluster.node_ids t)
+  in
+  let paused id =
+    member id && Raft.Node.is_paused (Cluster.node t (Node_id.of_int id))
+  in
+  match action with
+  | Pause id | Crash id -> member id && not (paused id)
+  | Resume id | Restart id -> paused id
+  | Remove_server id -> member id
+  | Run _ | Partition _ | Heal | Add_server | Write _ -> true
+
+let apply t ~write action =
+  let node id = Cluster.node t (Node_id.of_int id) in
+  match action with
+  | Run span -> Cluster.run_for t span
+  | Pause id -> Raft.Node.pause (node id)
+  | Resume id -> Raft.Node.resume (node id)
+  | Crash id -> Raft.Node.crash (node id)
+  | Restart id -> restart t (Node_id.of_int id)
+  | Partition sides ->
+      Cluster.partition t (List.map (List.map Node_id.of_int) sides)
+  | Heal -> Cluster.heal_partition t
+  | Add_server -> ignore (Cluster.add_server t : Node_id.t * _)
+  | Remove_server id -> (
+      let id = Node_id.of_int id in
+      let listed l =
+        List.exists (Node_id.equal id) (Raft.Server.members (Raft.Node.server l))
+      in
+      match Cluster.remove_server t id with
+      | `Ok _ when Cluster.await_config_quiet t ~timeout:(Des.Time.sec 20) -> (
+          (* The removal committed; retire the server once the leader's
+             configuration drops it. *)
+          match Cluster.leader t with
+          | Some l when not (listed l) -> Cluster.retire t id
+          | Some _ | None -> ())
+      | `Ok _ | `Not_leader | `Pending | `Invalid _ -> ())
+  | Write { seq; key; value } -> write ~seq ~key ~value
+
+let rec run t ~write = function
+  | [] -> []
+  | action :: rest when admits t action ->
+      apply t ~write action;
+      action :: run t ~write rest
+  | _ :: rest -> run t ~write rest
+
+let verify t ~acked =
+  Cluster.check_now t;
+  let stores = List.map (Cluster.store t) (Cluster.node_ids t) in
+  match (Cluster.checker t, stores) with
+  | None, _ -> Error "no checker installed"
+  | Some c, _ when Check.checks_run c = 0 -> Error "the checker never ran"
+  | Some _, [] -> Error "no replicas"
+  | Some _, store :: rest -> (
+      let d = Kvsm.Store.state_digest store in
+      let diverged o = not (String.equal d (Kvsm.Store.state_digest o)) in
+      let lost key = Option.is_none (Kvsm.Store.find store key) in
+      if List.exists diverged rest then Error "replicas diverged"
+      else
+        match List.find_opt lost acked with
+        | Some key -> Error ("acknowledged write " ^ key ^ " was lost")
+        | None -> Ok ())
+
+let fingerprint clusters =
+  let digest =
+    match clusters with
+    | [ c ] -> Cluster.trace_digest c
+    | cs -> Check.Digest.combine (List.map Cluster.trace_digest cs)
+  in
+  let checks c =
+    match Cluster.checker c with
+    | Some k -> string_of_int (Check.checks_run k)
+    | None -> "-"
+  in
+  let store c id = Kvsm.Store.state_digest (Cluster.store c id) in
+  let stores c = List.map (store c) (Cluster.node_ids c) in
+  Printf.sprintf "%Lx checks=%s stores=%Lx" digest
+    (String.concat "," (List.map checks clusters))
+    (Check.Digest.of_string
+       (String.concat "," (List.concat_map stores clusters)))

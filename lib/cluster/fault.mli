@@ -46,3 +46,51 @@ val fail_and_measure : Cluster.t -> unit -> (failure_outcome, string) result
     the failover ends where the window's first leaderless interval
     ends, and only the expiries and campaigns stamped up to that
     instant count.  Other trace observers are unaffected. *)
+
+(** {1 Fault plans}
+
+    A chaos run as data: the actions {!run} applies to a cluster, in
+    order.  Nodes are plain ints, so a printed plan is a literal. *)
+
+type action =
+  | Run of Des.Time.span
+  | Pause of int  (** as {!pause} *)
+  | Resume of int  (** as {!recover} *)
+  | Crash of int  (** volatile state lost; down until [Restart] *)
+  | Restart of int
+      (** reset the KV replica, recover from the persisted state *)
+  | Partition of int list list
+  | Heal
+  | Add_server
+  | Remove_server of int
+      (** once the removal commits (awaited up to 20 s) and the leader's
+          configuration drops the node, {!Cluster.retire} it *)
+  | Write of { seq : int; key : string; value : string }  (** one [Put] *)
+
+type plan = action list
+
+val pp_plan : Format.formatter -> plan -> unit
+(** The OCaml list literal of the plan, one action per line. *)
+
+type writer = seq:int -> key:string -> value:string -> unit
+
+val submit : Cluster.t -> client_id:int -> acked:(string -> unit) -> writer
+(** Writes through {!Cluster.submit_target}; [acked] gets each committed
+    key. *)
+
+val run : Cluster.t -> write:writer -> plan -> plan
+(** Apply the plan, [Write]s through [write]; returns the actions
+    applied.  One the cluster's state does not admit is skipped: [Pause]
+    or [Crash] of a paused node, [Resume] or [Restart] of a running one,
+    or any naming a non-member.  A {!Check.Violation} escapes. *)
+
+val verify : Cluster.t -> acked:string list -> (unit, string) result
+(** The end-of-run verdict: {!Cluster.check_now} (raising
+    {!Check.Violation}), the checker ran, every replica holds the same
+    store, and each [acked] key is in it. *)
+
+val fingerprint : Cluster.t list -> string
+(** The trace digest (several clusters' combined in order, as the
+    multiraft group manager's digest is), each checker's pass count
+    and a digest of every replica's store: what a pinned run records
+    and its replay must reproduce. *)

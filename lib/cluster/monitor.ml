@@ -31,23 +31,16 @@ let leader_h_ms t ~follower =
 let gap = function Some v -> v | None -> nan
 let has_leader t = Cluster.leader t <> None
 
-type probe = { name : string; read : Cluster.t -> float }
-
-let watch t ~every ~duration ~probes =
+let watch t ~every ~duration read =
   if every <= 0 then invalid_arg "Monitor.watch: period must be positive";
-  let series =
-    List.map (fun p -> (p, Stats.Timeseries.create ())) probes
-  in
+  let samples = ref [] in
   let engine = Cluster.engine t in
   let stop_at = Des.Time.add (Des.Engine.now engine) duration in
   let rec arm () =
     ignore
       (Des.Engine.schedule_after engine every (fun () ->
            let now_sec = Des.Time.to_sec_f (Des.Engine.now engine) in
-           List.iter
-             (fun (p, ts) ->
-               Stats.Timeseries.push ts ~time:now_sec ~value:(p.read t))
-             series;
+           samples := (now_sec, read t) :: !samples;
            (* Re-arm only inside the window, so nothing outlives it. *)
            if Des.Time.add (Des.Engine.now engine) every <= stop_at then
              arm ())
@@ -55,7 +48,7 @@ let watch t ~every ~duration ~probes =
   in
   arm ();
   Des.Engine.run_until engine stop_at;
-  List.map (fun (p, ts) -> (p.name, ts)) series
+  List.rev !samples
 
 type expiry = { at : Des.Time.t; node : Node_id.t; randomized : Des.Time.span }
 

@@ -26,17 +26,15 @@ val gap : float option -> float
 
 val has_leader : Cluster.t -> bool
 
-type probe = { name : string; read : Cluster.t -> float }
-
 val watch :
   Cluster.t ->
   every:Des.Time.span ->
   duration:Des.Time.span ->
-  probes:probe list ->
-  (string * Stats.Timeseries.t) list
-(** Advance the simulation by [duration], sampling every probe at the
-    given period; returns one time series (times in seconds) per probe.
-    NaN samples are recorded as-is (plotted series show gaps).  No
+  (Cluster.t -> 'a) ->
+  (float * 'a) list
+(** Advance the simulation by [duration], calling the reader at the
+    given period; returns its samples with their times in seconds,
+    oldest first (NaN samples as-is: plotted series show gaps).  No
     sampling event stays queued after it returns, even when [duration]
     is not a multiple of [every]. *)
 

@@ -14,16 +14,12 @@ let dynatune_with f = Raft.Config.dynatune ~cfg:(f Dynatune.Config.default) ()
 (* Sample [read] once a second for [duration], skipping [None]s
    (samples taken while warming / leaderless are excluded). *)
 let sample_each_second cluster ~duration ~read =
-  let probe =
-    { Monitor.name = "sample"; read = (fun c -> Monitor.gap (read c)) }
-  in
   let w = Stats.Welford.create () in
   List.iter
-    (fun (_, ts) ->
-      List.iter
-        (fun (_, v) -> if not (Float.is_nan v) then Stats.Welford.add w v)
-        (Stats.Timeseries.points ts))
-    (Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration ~probes:[ probe ]);
+    (fun (_, v) ->
+      let v = Monitor.gap v in
+      if not (Float.is_nan v) then Stats.Welford.add w v)
+    (Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration read);
   w
 
 let mean_or_nan w =

@@ -49,21 +49,10 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60) ~pattern ~config () =
   ignore (Cluster.boot cluster ~label:"fig6" : Raft.Node.t);
   Des.Engine.run_until (Cluster.engine cluster) warmup;
   let duration = List.length values * hold in
-  let watched, window =
+  let majority_timeout, window =
     Monitor.observe cluster (fun () ->
-        Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration
-          ~probes:
-            [
-              {
-                Monitor.name = "majority_timeout";
-                read = (fun c -> Monitor.gap (Monitor.majority_randomized_ms c));
-              };
-            ])
-  in
-  let majority_timeout =
-    match watched with
-    | [ (_, ts) ] -> Stats.Timeseries.points ts
-    | _ -> assert false
+        Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration (fun c ->
+            Monitor.gap (Monitor.majority_randomized_ms c)))
   in
   let rtt =
     List.map

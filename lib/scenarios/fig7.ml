@@ -62,27 +62,15 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ~n ~config () =
       ~hi_sec:(if window_sec >= now_sec then window_sec else now_sec)
   in
   let duration = List.length loss_schedule * hold in
-  let watched, window =
+  let samples, window =
     Monitor.observe cluster (fun () ->
-        Monitor.watch cluster ~every:sample_every ~duration
-          ~probes:
-            [
-              {
-                Monitor.name = "h";
-                read =
-                  (fun c ->
-                    Monitor.gap (Monitor.leader_h_ms c ~follower:follower_id));
-              };
-              { Monitor.name = "leader_cpu"; read = cpu_probe leader_node };
-              { Monitor.name = "follower_cpu"; read = cpu_probe follower_node };
-            ])
+        Monitor.watch cluster ~every:sample_every ~duration (fun c ->
+            ( Monitor.gap (Monitor.leader_h_ms c ~follower:follower_id),
+              cpu_probe leader_node c,
+              cpu_probe follower_node c )))
   in
-  let series name =
-    match List.assoc_opt name watched with
-    | Some ts -> Stats.Timeseries.points ts
-    | None -> []
-  in
-  let h = series "h" in
+  let series f = List.map (fun (t, sample) -> (t, f sample)) samples in
+  let h = series (fun (h, _, _) -> h) in
   let loss =
     List.map
       (fun (sec, _) ->
@@ -95,8 +83,8 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180) ~n ~config () =
     n;
     loss;
     h;
-    leader_cpu = series "leader_cpu";
-    follower_cpu = series "follower_cpu";
+    leader_cpu = series (fun (_, cpu, _) -> cpu);
+    follower_cpu = series (fun (_, _, cpu) -> cpu);
     elections = List.length window.Monitor.elections;
     timer_expiries = List.length window.Monitor.timeouts;
   }

@@ -318,6 +318,71 @@ let test_pipelined_laggard_catchup () =
     (Raft.Log.last_index (Raft.Server.log (Raft.Node.server (Cluster.node c leader))))
     (Raft.Log.last_index (Raft.Server.log (Raft.Node.server (Cluster.node c laggard))))
 
+(* {2 Fault plans} *)
+
+(* The printed plan is the OCaml literal that builds it. *)
+let test_plan_literal () =
+  let plan : Fault.plan =
+    [
+      Run 1_500_000_000;
+      Pause 1;
+      Crash 2;
+      Restart 2;
+      Resume 1;
+      Partition [ [ 0; 3 ]; [ 4 ] ];
+      Heal;
+      Add_server;
+      Remove_server 5;
+      Write { seq = 1; key = "k:1"; value = "x" };
+    ]
+  in
+  Alcotest.(check string) "pp_plan"
+    {|[ Run 1500000000;
+  Pause 1;
+  Crash 2;
+  Restart 2;
+  Resume 1;
+  Partition [ [ 0; 3 ]; [ 4 ] ];
+  Heal;
+  Add_server;
+  Remove_server 5;
+  Write { seq = 1; key = "k:1"; value = "x" } ]|}
+    (Format.asprintf "%a" Fault.pp_plan plan)
+
+(* An action the cluster's state does not admit is skipped and left out
+   of the executed plan; the rest run, writes through [write], and a
+   crash-restart replays the log into an empty replica. *)
+let test_plan_skips_what_does_not_apply () =
+  let c = make () in
+  ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
+  let f = (Node_id.to_int (leader_id c) + 1) mod 5 in
+  let acked = ref [] in
+  let write = Fault.submit c ~client_id:1 ~acked:(fun k -> acked := k :: !acked) in
+  let plan : Fault.plan =
+    [
+      Resume f;
+      Write { seq = 1; key = "a"; value = "1" };
+      Run (Time.sec 1);
+      Crash f;
+      Pause f;
+      Crash f;
+      Restart 9;
+      Run (Time.sec 1);
+      Restart f;
+      Run (Time.sec 2);
+    ]
+  in
+  let executed = Fault.run c ~write plan in
+  Alcotest.(check bool) "skipped: resume, pause and crash of a paused node, \
+     a non-member" true
+    (executed
+    = List.filteri (fun i _ -> not (List.mem i [ 0; 4; 5; 6 ])) plan);
+  Alcotest.(check (list string)) "acked" [ "a" ] !acked;
+  Alcotest.(check bool) "restarted" false
+    (Raft.Node.is_paused (Cluster.node c (Node_id.of_int f)));
+  Alcotest.(check (result unit string)) "verified" (Ok ())
+    (Fault.verify c ~acked:!acked)
+
 let tests =
   [
     Alcotest.test_case "partition: reachability" `Quick
@@ -338,4 +403,8 @@ let tests =
       test_full_cluster_crash_recovery;
     Alcotest.test_case "pipelined laggard catches up under loss" `Quick
       test_pipelined_laggard_catchup;
+    Alcotest.test_case "plan: printed as its own literal" `Quick
+      test_plan_literal;
+    Alcotest.test_case "plan: inadmissible actions skipped" `Quick
+      test_plan_skips_what_does_not_apply;
   ]

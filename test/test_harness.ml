@@ -172,31 +172,25 @@ let test_monitor_randomized_sampling () =
 
 let test_monitor_watch_sample_count () =
   let c = make () in
-  let series =
-    Monitor.watch c ~every:(Time.sec 1) ~duration:(Time.sec 10)
-      ~probes:[ { Monitor.name = "const"; read = (fun _ -> 42.) } ]
+  let points =
+    Monitor.watch c ~every:(Time.sec 1) ~duration:(Time.sec 10) (fun _ -> 42.)
   in
-  match series with
-  | [ ("const", ts) ] ->
-      Alcotest.(check int) "ten samples" 10 (Stats.Timeseries.length ts);
-      List.iter
-        (fun (_, v) -> Alcotest.(check (float 1e-9)) "value" 42. v)
-        (Stats.Timeseries.points ts)
-  | _ -> Alcotest.fail "expected one series"
+  Alcotest.(check int) "ten samples" 10 (List.length points);
+  List.iter (fun (_, v) -> Alcotest.(check (float 1e-9)) "value" 42. v) points
 
 (* A window that is not a multiple of the period leaves no sampler
-   armed: running on afterwards must not grow the returned series. *)
+   armed: running on afterwards must not call the reader again. *)
 let test_monitor_watch_leaves_nothing_armed () =
   let c = make () in
-  let series =
-    Monitor.watch c ~every:(Time.sec 2) ~duration:(Time.sec 5)
-      ~probes:[ { Monitor.name = "const"; read = (fun _ -> 1.) } ]
+  let reads = ref 0 in
+  let points =
+    Monitor.watch c ~every:(Time.sec 2) ~duration:(Time.sec 5) (fun _ ->
+        incr reads;
+        1.)
   in
   Cluster.run_for c (Time.sec 10);
-  match series with
-  | [ ("const", ts) ] ->
-      Alcotest.(check int) "two samples" 2 (Stats.Timeseries.length ts)
-  | _ -> Alcotest.fail "expected one series"
+  Alcotest.(check int) "two samples" 2 (List.length points);
+  Alcotest.(check int) "no read after the window" 2 !reads
 
 let test_monitor_leaderless_intervals () =
   let c = make () in

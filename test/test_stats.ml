@@ -6,7 +6,6 @@ module Welford = Stats.Welford
 module Window = Stats.Window
 module Summary = Stats.Summary
 module Histogram = Stats.Histogram
-module Timeseries = Stats.Timeseries
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-6) msg a b = Alcotest.(check (float eps)) msg a b
@@ -312,46 +311,6 @@ let test_histogram_bounds () =
   check_float "bin lo" 25. lo;
   check_float "bin hi" 50. hi
 
-(* {2 Timeseries} *)
-
-let test_timeseries_bucketing () =
-  let ts = Timeseries.create () in
-  Timeseries.push ts ~time:0.1 ~value:1.;
-  Timeseries.push ts ~time:0.2 ~value:3.;
-  Timeseries.push ts ~time:1.4 ~value:10.;
-  Timeseries.push ts ~time:2.9 ~value:5.;
-  let buckets = Timeseries.bucket ts ~width:1. ~agg:Timeseries.Mean in
-  match buckets with
-  | [ (_, b0); (_, b1); (_, b2) ] ->
-      check_float "bucket 0 mean" 2. b0;
-      check_float "bucket 1" 10. b1;
-      check_float "bucket 2" 5. b2
-  | l -> Alcotest.failf "expected 3 buckets, got %d" (List.length l)
-
-let test_timeseries_values_in () =
-  let ts = Timeseries.create () in
-  List.iter
-    (fun (t, v) -> Timeseries.push ts ~time:t ~value:v)
-    [ (0., 1.); (1., 2.); (2., 3.); (3., 4.) ];
-  Alcotest.(check (list (float 1e-9))) "window [1,3)" [ 2.; 3. ]
-    (Timeseries.values_in ts ~lo:1. ~hi:3.)
-
-let test_timeseries_aggregations () =
-  let ts = Timeseries.create () in
-  List.iter
-    (fun v -> Timeseries.push ts ~time:0.5 ~value:v)
-    [ 1.; 5.; 3. ];
-  let get agg =
-    match Timeseries.bucket ts ~width:1. ~agg with
-    | [ (_, v) ] -> v
-    | _ -> Alcotest.fail "expected one bucket"
-  in
-  check_float "sum" 9. (get Timeseries.Sum);
-  check_float "max" 5. (get Timeseries.Max);
-  check_float "min" 1. (get Timeseries.Min);
-  check_float "last" 3. (get Timeseries.Last);
-  check_float "count" 3. (get Timeseries.Count)
-
 (* {2 Mergeable accumulators (campaign sharding)} *)
 
 (* NaN-tolerant closeness with a relative term, for property checks over
@@ -498,9 +457,4 @@ let tests =
       test_histogram_merge_layout_mismatch;
     QCheck_alcotest.to_alcotest prop_welford_merge_matches_concat;
     Alcotest.test_case "histogram: bounds" `Quick test_histogram_bounds;
-    Alcotest.test_case "timeseries: bucketing" `Quick test_timeseries_bucketing;
-    Alcotest.test_case "timeseries: window query" `Quick
-      test_timeseries_values_in;
-    Alcotest.test_case "timeseries: aggregations" `Quick
-      test_timeseries_aggregations;
   ]
