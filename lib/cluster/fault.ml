@@ -184,10 +184,10 @@ let pp_action ppf = function
   | Crash id -> Format.fprintf ppf "Crash %d" id
   | Restart id -> Format.fprintf ppf "Restart %d" id
   | Partition sides ->
-      let side ppf ids =
-        Format.fprintf ppf "[ %a ]" (pp_list "; " Format.pp_print_int) ids
+      let ints ppf =
+        Format.fprintf ppf "[ %a ]" (pp_list "; " Format.pp_print_int)
       in
-      Format.fprintf ppf "Partition [ %a ]" (pp_list "; " side) sides
+      Format.fprintf ppf "Partition [ %a ]" (pp_list "; " ints) sides
   | Heal -> Format.fprintf ppf "Heal"
   | Add_server -> Format.fprintf ppf "Add_server"
   | Remove_server id -> Format.fprintf ppf "Remove_server %d" id
@@ -236,17 +236,17 @@ let apply t ~write action =
   | Add_server -> ignore (Cluster.add_server t : Node_id.t * _)
   | Remove_server id -> (
       let id = Node_id.of_int id in
-      let listed l =
-        List.exists (Node_id.equal id) (Raft.Server.members (Raft.Node.server l))
+      let dropped l =
+        let members = Raft.Server.members (Raft.Node.server l) in
+        not (List.exists (Node_id.equal id) members)
       in
       match Cluster.remove_server t id with
-      | `Ok _ when Cluster.await_config_quiet t ~timeout:(Des.Time.sec 20) -> (
-          (* The removal committed; retire the server once the leader's
-             configuration drops it. *)
-          match Cluster.leader t with
-          | Some l when not (listed l) -> Cluster.retire t id
-          | Some _ | None -> ())
-      | `Ok _ | `Not_leader | `Pending | `Invalid _ -> ())
+      | `Ok _ ->
+          if Cluster.await_config_quiet t ~timeout:(Des.Time.sec 20) then
+            Option.iter
+              (fun l -> if dropped l then Cluster.retire t id)
+              (Cluster.leader t)
+      | `Not_leader | `Pending | `Invalid _ -> ())
   | Write { seq; key; value } -> write ~seq ~key ~value
 
 let rec run t ~write = function

@@ -113,13 +113,8 @@ let test_partition_heals_consistently () =
   (* Heal: the minority catches up and every replica converges. *)
   Cluster.heal_partition c;
   Cluster.run_for c (Time.sec 10);
-  let digests =
-    List.map (fun id -> Kvsm.Store.state_digest (Cluster.store c id))
-      (Cluster.node_ids c)
-  in
-  (match digests with
-  | d :: rest -> List.iter (Alcotest.(check string) "converged" d) rest
-  | [] -> Alcotest.fail "no stores");
+  Alcotest.(check (result unit string)) "converged" (Ok ())
+    (Fault.verify c ~acked:[]);
   (* Exactly one leader after healing. *)
   let leaders =
     List.filter
@@ -304,14 +299,8 @@ let test_pipelined_laggard_catchup () =
   Alcotest.(check int) "quorum committed while the laggard slept" 30 !committed;
   Fault.recover c laggard;
   Cluster.run_for c (Time.sec 15);
-  let digests =
-    List.map
-      (fun id -> Kvsm.Store.state_digest (Cluster.store c id))
-      (Cluster.node_ids c)
-  in
-  (match digests with
-  | d :: rest -> List.iter (Alcotest.(check string) "laggard caught up" d) rest
-  | [] -> Alcotest.fail "no stores");
+  Alcotest.(check (result unit string)) "laggard caught up" (Ok ())
+    (Fault.verify c ~acked:[]);
   (* The catch-up must not have re-appended entries it already sent:
      the laggard's log is exactly the leader's. *)
   Alcotest.(check int) "log lengths equal"
@@ -323,18 +312,9 @@ let test_pipelined_laggard_catchup () =
 (* The printed plan is the OCaml literal that builds it. *)
 let test_plan_literal () =
   let plan : Fault.plan =
-    [
-      Run 1_500_000_000;
-      Pause 1;
-      Crash 2;
-      Restart 2;
-      Resume 1;
-      Partition [ [ 0; 3 ]; [ 4 ] ];
-      Heal;
-      Add_server;
-      Remove_server 5;
-      Write { seq = 1; key = "k:1"; value = "x" };
-    ]
+    [ Run 1_500_000_000; Pause 1; Crash 2; Restart 2; Resume 1;
+      Partition [ [ 0; 3 ]; [ 4 ] ]; Heal; Add_server; Remove_server 5;
+      Write { seq = 1; key = "k:1"; value = "x" } ]
   in
   Alcotest.(check string) "pp_plan"
     {|[ Run 1500000000;
@@ -356,21 +336,13 @@ let test_plan_skips_what_does_not_apply () =
   let c = make () in
   ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
   let f = (Node_id.to_int (leader_id c) + 1) mod 5 in
+  let replica = Cluster.store c (Node_id.of_int f) in
   let acked = ref [] in
   let write = Fault.submit c ~client_id:1 ~acked:(fun k -> acked := k :: !acked) in
   let plan : Fault.plan =
-    [
-      Resume f;
-      Write { seq = 1; key = "a"; value = "1" };
-      Run (Time.sec 1);
-      Crash f;
-      Pause f;
-      Crash f;
-      Restart 9;
-      Run (Time.sec 1);
-      Restart f;
-      Run (Time.sec 2);
-    ]
+    [ Resume f; Write { seq = 1; key = "a"; value = "1" }; Run (Time.sec 1);
+      Crash f; Pause f; Crash f; Restart 9; Run (Time.sec 1);
+      Restart f; Run (Time.sec 2) ]
   in
   let executed = Fault.run c ~write plan in
   Alcotest.(check bool) "skipped: resume, pause and crash of a paused node, \
@@ -380,6 +352,8 @@ let test_plan_skips_what_does_not_apply () =
   Alcotest.(check (list string)) "acked" [ "a" ] !acked;
   Alcotest.(check bool) "restarted" false
     (Raft.Node.is_paused (Cluster.node c (Node_id.of_int f)));
+  Alcotest.(check bool) "fresh replica" false
+    (replica == Cluster.store c (Node_id.of_int f));
   Alcotest.(check (result unit string)) "verified" (Ok ())
     (Fault.verify c ~acked:!acked)
 

@@ -1216,29 +1216,28 @@ let prop_pipelined_replication_converges =
                  (Harness.Cluster.node_ids c))
               victim_pick
           in
-          let target = Harness.Cluster.submit_target c in
-          for i = 1 to 30 do
-            if i = 8 then Harness.Fault.pause c victim;
-            if i = 22 then Harness.Fault.recover c victim;
-            ignore
-              (target
-                 ~payload:
-                   (Kvsm.Command.to_payload
-                      (Kvsm.Command.Put
-                         { key = Printf.sprintf "p:%d" i; value = "v" }))
-                 ~client_id:1 ~seq:i
-                 ~on_result:(fun ~committed:_ -> ()));
-            Harness.Cluster.run_for c (Des.Time.ms 25)
-          done;
-          Harness.Cluster.run_for c (Des.Time.sec 15);
-          let digests =
-            List.map
-              (fun id -> Kvsm.Store.state_digest (Harness.Cluster.store c id))
-              (Harness.Cluster.node_ids c)
+          let victim = Netsim.Node_id.to_int victim in
+          let burst i =
+            Harness.Fault.(
+              (if i = 8 then [ Pause victim ]
+               else if i = 22 then [ Resume victim ]
+               else [])
+              @ [
+                  Write { seq = i; key = Printf.sprintf "p:%d" i; value = "v" };
+                  Run (Des.Time.ms 25);
+                ])
           in
-          (match digests with
-          | d :: rest -> List.for_all (String.equal d) rest
-          | [] -> false))
+          let acked = ref [] in
+          let write =
+            Harness.Fault.submit c ~client_id:1 ~acked:(fun k ->
+                acked := k :: !acked)
+          in
+          ignore
+            (Harness.Fault.run c ~write
+               (List.concat_map burst (List.init 30 succ)
+               @ [ Harness.Fault.Run (Des.Time.sec 15) ])
+              : Harness.Fault.plan);
+          Result.is_ok (Harness.Fault.verify c ~acked:!acked))
 
 (* {2 Message pool safety}
 
