@@ -58,7 +58,7 @@ let lan ?(jitter = 0.05) ?(loss = 0.) ?(duplicate = 0.) rtt_ms =
 (* Boot [c] and run it [warm]; [round c rng r] then draws from the RNG
    stream [stream], split off the engine's.  Writes go to the leader as
    client 7. *)
-let one_cluster ?(settle = ignore) ~seed ~stream ~warm ~rounds round c =
+let one_cluster ~seed ~stream ~warm ~rounds ~settle round c =
   ignore
     (Cluster.boot c ~label:(Printf.sprintf "%s (seed %Ld)" stream seed)
       : Raft.Node.t);
@@ -93,6 +93,7 @@ let burst ~prefix ~count ~gap ~faults r =
 (* The leader sleeps (odd rounds) or crashes (even rounds) for 4 s. *)
 let mini ~seed =
   one_cluster ~seed ~stream:"selfcheck-mini" ~warm:(sec 10) ~rounds:3
+    ~settle:ignore
     (fun c _ r : Fault.plan ->
       match Cluster.leader c with
       | Some l when r mod 2 = 0 ->
@@ -199,8 +200,8 @@ let multiraft ~seed =
     settle = (fun () -> Gm.run_for m (sec 5));
   }
 
-(* One seed per sweep: [Fault.fingerprint] of its run, pinned.  Its
-   executed rounds, replayed on a fresh system, must reproduce it. *)
+(* One seed per sweep: its run's [Fault.fingerprint], which a replay of
+   its executed rounds on a fresh system must reproduce. *)
 let pins =
   [
     (11L, "1ce8f975f9e057a6 checks=6354 stores=92dd9819c3be0cd8");
@@ -209,11 +210,10 @@ let pins =
     (3000L, "5cab983931f59f61 checks=3037,3037,3037 stores=df2a9e3f8195e704");
   ]
 
-(* One run: play the rounds (or replay recorded ones) through
-   [Fault.run], settle, verify each group.  A violation or a failed
-   verdict names the sweep, the seed and the plan played so far, the
-   round that raised as planned (a replay raises at the same action).
-   Returns the rounds as executed and the run's fingerprint. *)
+(* One run: play the rounds (or replay recorded ones), settle, verify
+   each group; returns the executed rounds and the fingerprint.  A
+   failure names the sweep, the seed and the rounds played, the one that
+   raised as planned (a replay raises at the same action). *)
 let chaos name setup ?replay seed =
   let sys = setup ~seed in
   let pp_round ppf (g, plan) =

@@ -41,7 +41,8 @@ let () =
           match
             Raft.Server.tuner (Raft.Node.server (Cluster.node c follower))
           with
-          | Some tuner -> float_of_int (Dynatune.Tuner.required_heartbeats tuner)
+          | Some tuner ->
+              float_of_int (Dynatune.Tuner.required_heartbeats tuner)
           | None -> nan ))
   in
   List.iter

@@ -208,7 +208,6 @@ let submit t ~client_id ~acked ~seq ~key ~value =
   with
   | `Accepted | `Not_leader _ -> ()
 
-(* Whether the cluster's state admits [action] now. *)
 let admits t action =
   let member id =
     List.exists (fun m -> Node_id.to_int m = id) (Cluster.node_ids t)

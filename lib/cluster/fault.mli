@@ -80,9 +80,10 @@ val submit : Cluster.t -> client_id:int -> acked:(string -> unit) -> writer
 
 val run : Cluster.t -> write:writer -> plan -> plan
 (** Apply the plan, [Write]s through [write]; returns the actions
-    applied.  One the cluster's state does not admit is skipped: [Pause]
-    or [Crash] of a paused node, [Resume] or [Restart] of a running one,
-    or any naming a non-member.  A {!Check.Violation} escapes. *)
+    applied.  An action the cluster's state does not admit is skipped:
+    [Pause] or [Crash] of a paused node, [Resume] or [Restart] of a
+    running one, any action naming a non-member.  A {!Check.Violation}
+    escapes. *)
 
 val verify : Cluster.t -> acked:string list -> (unit, string) result
 (** The end-of-run verdict: {!Cluster.check_now} (raising

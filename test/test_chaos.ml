@@ -36,7 +36,9 @@ let plan_of_seed ~seed ~steps : Fault.plan =
     | 2 when spare () ->
         let id = Stats.Rng.int rng n in
         if Hashtbl.mem paused id then []
-        else [ Crash id; Run (Time.ms (50 + Stats.Rng.int rng 2000)); Restart id ]
+        else
+          let downtime = Time.ms (50 + Stats.Rng.int rng 2000) in
+          [ Crash id; Run downtime; Restart id ]
     | 3 ->
         (* 1-2 nodes split off. *)
         let k = 1 + Stats.Rng.int rng 2 and ids = Array.init n Fun.id in
@@ -49,7 +51,8 @@ let plan_of_seed ~seed ~steps : Fault.plan =
         seq := !seq + k;
         List.init k (fun i ->
             let seq = first + i in
-            Fault.Write { seq; key = Printf.sprintf "chaos:%d" seq; value = "x" })
+            let key = Printf.sprintf "chaos:%d" seq in
+            Fault.Write { seq; key; value = "x" })
     | _ -> []
   in
   let steps =
@@ -57,8 +60,14 @@ let plan_of_seed ~seed ~steps : Fault.plan =
         let actions = step () in
         actions @ [ Run (Time.ms (100 + Stats.Rng.int rng 3000)) ])
   in
-  let resumes = Hashtbl.fold (fun k () acc -> Fault.Resume k :: acc) paused [] in
+  let resumes = Hashtbl.fold (fun k () l -> Fault.Resume k :: l) paused [] in
   List.concat steps @ (Fault.Heal :: List.rev resumes) @ [ Run (Time.sec 30) ]
+
+(* A failure names the plan: replayed, it fails at the same action. *)
+let fail_with plan why =
+  Alcotest.failf "%s@.plan:@.%a" why Fault.pp_plan plan
+
+let violation v = Format.asprintf "%a" Check.pp_violation v
 
 (* [plan] against a fresh cluster, then a leader and 10 s more.  Returns
    the cluster, the executed plan and the acknowledged keys. *)
@@ -66,17 +75,24 @@ let run_plan ~seed ~config plan =
   let c =
     Cluster.create ~seed ~n ~config ~check:Check.Always
       ~conditions:
-        Netsim.Conditions.(constant (profile ~rtt_ms:20. ~jitter:0.1 ~loss:0.01 ()))
+        Netsim.Conditions.(
+          constant (profile ~rtt_ms:20. ~jitter:0.1 ~loss:0.01 ()))
       ()
   in
   Cluster.start c;
   let acked = ref [] in
-  let write = Fault.submit c ~client_id:7 ~acked:(fun k -> acked := k :: !acked) in
-  let executed = Fault.run c ~write plan in
-  if Option.is_none (Cluster.await_leader c ~timeout:(Time.sec 60)) then
-    Alcotest.failf "no leader after the plan@.%a" Fault.pp_plan executed;
-  Cluster.run_for c (Time.sec 10);
-  (c, executed, !acked)
+  let write =
+    Fault.submit c ~client_id:7 ~acked:(fun k -> acked := k :: !acked)
+  in
+  match
+    let executed = Fault.run c ~write plan in
+    if Option.is_none (Cluster.await_leader c ~timeout:(Time.sec 60)) then
+      fail_with plan "no leader after the plan";
+    Cluster.run_for c (Time.sec 10);
+    executed
+  with
+  | executed -> (c, executed, !acked)
+  | exception Check.Violation v -> fail_with plan (violation v)
 
 (* A [pin] is [Fault.fingerprint] of the episode, taken before the
    verdict's own checker pass; replaying the executed plan on a fresh
@@ -89,15 +105,18 @@ let chaos_case ?pin ~config ~seed () =
       Alcotest.(check string) "pinned" pin (Fault.fingerprint [ c ]);
       let again, replayed, _ = run_plan ~seed ~config executed in
       Alcotest.(check string) "replayed" pin (Fault.fingerprint [ again ]);
-      Alcotest.(check bool) "replay runs every action" true (replayed = executed))
+      Alcotest.(check bool) "replay runs every action" true
+        (replayed = executed))
     pin;
   (match Fault.verify c ~acked with
   | Ok () -> ()
-  | Error why -> Alcotest.failf "%s@.%a" why Fault.pp_plan executed);
+  | Error why -> fail_with executed why
+  | exception Check.Violation v -> fail_with executed (violation v));
   (* Quorum holds most of the time: if no write commits, the test is
      vacuous. *)
   let wrote = List.exists (function Fault.Write _ -> true | _ -> false) in
-  if wrote executed && acked = [] then Alcotest.fail "no write acknowledged"
+  if wrote executed && acked = [] then
+    fail_with executed "no write acknowledged"
 
 let case ?pin name config seed =
   Alcotest.test_case

@@ -338,7 +338,9 @@ let test_plan_skips_what_does_not_apply () =
   let f = (Node_id.to_int (leader_id c) + 1) mod 5 in
   let replica = Cluster.store c (Node_id.of_int f) in
   let acked = ref [] in
-  let write = Fault.submit c ~client_id:1 ~acked:(fun k -> acked := k :: !acked) in
+  let write =
+    Fault.submit c ~client_id:1 ~acked:(fun k -> acked := k :: !acked)
+  in
   let plan : Fault.plan =
     [ Resume f; Write { seq = 1; key = "a"; value = "1" }; Run (Time.sec 1);
       Crash f; Pause f; Crash f; Restart 9; Run (Time.sec 1);
