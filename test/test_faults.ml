@@ -312,7 +312,7 @@ let test_pipelined_laggard_catchup () =
 (* The printed plan is the OCaml literal that builds it. *)
 let test_plan_literal () =
   let plan : Fault.plan =
-    [ Run 1_500_000_000; Pause 1; Crash 2; Restart 2; Resume 1;
+    [ Run 1500000000; Pause 1; Crash 2; Restart 2; Resume 1;
       Partition [ [ 0; 3 ]; [ 4 ] ]; Heal; Add_server; Remove_server 5;
       Write { seq = 1; key = "k:1"; value = "x" } ]
   in
