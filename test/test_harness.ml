@@ -192,6 +192,45 @@ let test_monitor_watch_leaves_nothing_armed () =
   Alcotest.(check int) "two samples" 2 (List.length points);
   Alcotest.(check int) "no read after the window" 2 !reads
 
+(* Samples carry the instant they were taken, in seconds, oldest
+   first, counted from wherever the simulation stood when [watch]
+   was called. *)
+let test_monitor_watch_times_oldest_first () =
+  let c = make () in
+  Cluster.run_for c (Time.sec 3);
+  let start = Time.to_sec_f (Cluster.now c) in
+  let points =
+    Monitor.watch c ~every:(Time.ms 500) ~duration:(Time.sec 2) (fun c ->
+        Time.to_sec_f (Cluster.now c))
+  in
+  let expected = List.map (fun k -> start +. k) [ 0.5; 1.0; 1.5; 2.0 ] in
+  Alcotest.(check (list (float 1e-9)))
+    "sample times" expected (List.map fst points);
+  List.iter
+    (fun (at, v) -> Alcotest.(check (float 1e-9)) "read at its time" at v)
+    points
+
+(* A missing sample stays a NaN at its place in the list, so a plotted
+   series shows a gap there rather than losing the point. *)
+let test_monitor_watch_keeps_nan_samples () =
+  let c = make () in
+  let reads = ref 0 in
+  let points =
+    Monitor.watch c ~every:(Time.sec 1) ~duration:(Time.sec 4) (fun _ ->
+        incr reads;
+        Monitor.gap (if !reads mod 2 = 0 then None else Some 7.))
+  in
+  Alcotest.(check (list bool))
+    "NaN at every second sample" [ false; true; false; true ]
+    (List.map (fun (_, v) -> Float.is_nan v) points)
+
+let test_monitor_watch_rejects_nonpositive_period () =
+  let c = make () in
+  Alcotest.check_raises "zero period"
+    (Invalid_argument "Monitor.watch: period must be positive") (fun () ->
+      ignore
+        (Monitor.watch c ~every:Time.zero ~duration:(Time.sec 1) (fun _ -> 0.)))
+
 let test_monitor_leaderless_intervals () =
   let c = make () in
   ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
@@ -649,4 +688,10 @@ let tests =
     Alcotest.test_case "fig7: series pinned" `Quick test_fig7_series_pinned;
     Alcotest.test_case "extensions: variants valid" `Quick
       test_extensions_variants;
+    Alcotest.test_case "monitor: watch times in seconds, oldest first" `Quick
+      test_monitor_watch_times_oldest_first;
+    Alcotest.test_case "monitor: watch keeps NaN samples" `Quick
+      test_monitor_watch_keeps_nan_samples;
+    Alcotest.test_case "monitor: watch rejects a non-positive period" `Quick
+      test_monitor_watch_rejects_nonpositive_period;
   ]
