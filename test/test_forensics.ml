@@ -285,6 +285,46 @@ let test_fig4_recorder_jobs_invariant () =
   Alcotest.(check int64) "recorder does not perturb the digest"
     bare.Scenarios.Fig4.digest r1.Scenarios.Fig4.digest
 
+(* The forensics ring is digest neutral too: the same seeds through five
+   leader kills give the same trace digest, checker passes and stores
+   with the cluster's default ring, an explicit disabled ring and an
+   enabled one, checked or not. *)
+let test_ring_digest_neutral () =
+  let fingerprint ~seed ~check forensics =
+    let c =
+      Harness.Cluster.create ~seed ~n:5 ~config:(Raft.Config.dynatune ())
+        ~conditions:
+          Netsim.Conditions.(
+            constant (profile ~rtt_ms:20. ~jitter:0.1 ~loss:0.01 ()))
+        ~check ?forensics ()
+    in
+    Harness.Cluster.start c;
+    for _ = 1 to 5 do
+      match Harness.Fault.fail_and_measure c () with
+      | Ok _ -> ()
+      | Error why -> Alcotest.failf "seed %Ld: %s" seed why
+    done;
+    Harness.Fault.fingerprint [ c ]
+  in
+  List.iter
+    (fun (seed, check) ->
+      let default = fingerprint ~seed ~check None in
+      List.iter
+        (fun (label, enabled) ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %Ld, ring %s" seed label)
+            default
+            (fingerprint ~seed ~check (Some (Forensics.create ~enabled ()))))
+        [ ("off", false); ("on", true) ])
+    [
+      (1L, Check.Off);
+      (2L, Check.Off);
+      (3L, Check.Off);
+      (1L, Check.Always);
+      (2L, Check.Always);
+      (3L, Check.Always);
+    ]
+
 (* Same contract on the geo WAN: fig8 digests and recorder series are
    functions of (seed, shard plan) with the recorder on. *)
 let test_fig8_recorder_jobs_invariant () =
@@ -581,4 +621,6 @@ let tests =
       test_violation_carries_flight_dump;
     Alcotest.test_case "check: default flight dump empty" `Quick
       test_violation_default_flight_empty;
+    Alcotest.test_case "ring: digest neutral, checked or not" `Quick
+      test_ring_digest_neutral;
   ]
