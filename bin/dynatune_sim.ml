@@ -45,6 +45,28 @@ let open_probability =
   checked Arg.float ~expected:"a probability in (0,1)" (fun p ->
       p > 0. && p < 1.)
 
+(* An output file is checked when the command line is parsed: its
+   directory must exist and it must be writable, so a bad path fails
+   before the run, not after it. *)
+let output_file =
+  let parse path =
+    let dir = Filename.dirname path in
+    let invalid why =
+      Error (`Msg (Printf.sprintf "invalid value '%s', %s" path why))
+    in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      invalid (Printf.sprintf "no directory %s" dir)
+    else if Sys.file_exists path && Sys.is_directory path then
+      invalid "a directory, expected a file path"
+    else
+      let target = if Sys.file_exists path then path else dir in
+      match Unix.access target [ Unix.W_OK ] with
+      | () -> Ok path
+      | exception Unix.Unix_error _ ->
+          invalid (Printf.sprintf "%s is not writable" target)
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let mode_conv =
   let parse = function
     | "raft" -> Ok (Raft.Config.static ())
@@ -121,7 +143,7 @@ let failover_cmd =
   let trace_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some output_file) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace-event JSON file of the campaign (open in \
@@ -142,14 +164,14 @@ let failover_cmd =
   let record_csv =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some output_file) None
       & info [ "record-csv" ] ~docv:"FILE"
           ~doc:"Write the recorded time series as wide CSV.")
   in
   let record_om =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some output_file) None
       & info [ "record-openmetrics" ] ~docv:"FILE"
           ~doc:"Write the recorded time series as OpenMetrics text.")
   in
@@ -212,7 +234,7 @@ let reconfig_cmd =
   let trace_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some output_file) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace-event JSON file of the campaign (open in \
@@ -457,7 +479,7 @@ let multiraft_cmd =
   let trace_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some output_file) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace-event JSON file of the first group \

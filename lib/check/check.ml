@@ -102,7 +102,6 @@ type violation = {
   node : Node_id.t option;
   term : Types.term;
   detail : string;
-  recent : string list;
   flight : string list;
 }
 
@@ -114,10 +113,6 @@ let pp_violation ppf v =
   | Some id -> Format.fprintf ppf " by %a" Node_id.pp id
   | None -> ());
   Format.fprintf ppf " (term %d): %s" v.term v.detail;
-  if v.recent <> [] then begin
-    Format.fprintf ppf "@,last %d trace events:" (List.length v.recent);
-    List.iter (fun line -> Format.fprintf ppf "@,  %s" line) v.recent
-  end;
   if v.flight <> [] then begin
     Format.fprintf ppf "@,flight recorder (%d lines):" (List.length v.flight);
     List.iter (fun line -> Format.fprintf ppf "@,  %s" line) v.flight
@@ -146,8 +141,6 @@ type tracked = {
       (* (term, last_index, term of last entry) when last seen leading *)
 }
 
-let ring_size = 50
-
 type t = {
   mode : mode;
   mutable nodes : tracked array;
@@ -156,12 +149,6 @@ type t = {
          Config entries replay on top of it in the deep check *)
   committed : (Types.index, Types.term * Log.command) Hashtbl.t;
   leaders_by_term : (Types.term, Node_id.t) Hashtbl.t;
-  ring_times : Des.Time.t array;
-  ring_probes : Raft.Probe.t array;
-      (* the last [ring_size] probes, rendered only when a violation
-         reports them *)
-  mutable ring_len : int;
-  mutable ring_next : int;
   mutable events : int;
   mutable checks : int;
   mutable flight_fn : unit -> string list;
@@ -192,11 +179,6 @@ let create ~mode ~nodes () =
       (match nodes with [] -> [] | v :: _ -> v.voters ());
     committed = Hashtbl.create 256;
     leaders_by_term = Hashtbl.create 64;
-    ring_times = Array.make ring_size Des.Time.zero;
-    ring_probes =
-      Array.make ring_size (Raft.Probe.Tuner_reset { id = Node_id.of_int 0 });
-    ring_len = 0;
-    ring_next = 0;
     events = 0;
     checks = 0;
     flight_fn = (fun () -> []);
@@ -210,39 +192,18 @@ let set_flight_recorder t fn = t.flight_fn <- fn
 let events_seen t = t.events
 let checks_run t = t.checks
 
-let ring_push t time probe =
-  t.ring_times.(t.ring_next) <- time;
-  t.ring_probes.(t.ring_next) <- probe;
-  t.ring_next <- (t.ring_next + 1) mod ring_size;
-  if t.ring_len < ring_size then t.ring_len <- t.ring_len + 1
-
-let ring_contents t =
-  List.init t.ring_len (fun i ->
-      let slot = (t.ring_next - t.ring_len + i + ring_size) mod ring_size in
-      Format.asprintf "%a %a" Des.Time.pp t.ring_times.(slot) Raft.Probe.pp
-        t.ring_probes.(slot))
-
 let fail t ~invariant ?node ~term fmt =
   Format.kasprintf
     (fun detail ->
       raise
-        (Violation
-           {
-             invariant;
-             node;
-             term;
-             detail;
-             recent = ring_contents t;
-             flight = t.flight_fn ();
-           }))
+        (Violation { invariant; node; term; detail; flight = t.flight_fn () }))
     fmt
 
 (* {2 Election safety (historical, probe-driven)} *)
 
 (* The Role_change probe stream is complete even when state checks are
    sampled, so leadership history is checked exactly. *)
-let on_probe t time probe =
-  ring_push t time probe;
+let on_probe t _time probe =
   match probe with
   | Raft.Probe.Role_change { id; role = Types.Leader; term } -> (
       match Hashtbl.find_opt t.leaders_by_term term with

@@ -16,8 +16,9 @@
       domain-sharded campaign runner — identical [(seed, shard plan)]
       must produce bit-identical digests whatever the worker count;
     - structured {!Violation} reporting carrying the invariant name, the
-      offending node and term, and the tail of the measurement trace so
-      failures are diagnosable without re-running.
+      offending node and term, and the context the installed dump hook
+      returns ({!set_flight_recorder}: a checked cluster's forensics ring
+      tail) so failures are diagnosable without re-running.
 
     The checker never mutates the cluster: it reads server state through
     the {!node_view} closures, so a deliberately broken state (or a toy
@@ -100,13 +101,10 @@ type violation = {
   node : Netsim.Node_id.t option;  (** offending node, when one exists *)
   term : Raft.Types.term;  (** term in which the violation was observed *)
   detail : string;
-  recent : string list;
-      (** the last [<= 50] trace events (oldest first) before the
-          violation, rendered — the context needed to diagnose it *)
   flight : string list;
       (** the flight-recorder dump ({!set_flight_recorder}) captured at
           the instant of the violation: rendered forensics records and
-          recorder window, empty when no recorder is installed *)
+          recorder window, empty when no hook is installed *)
 }
 
 exception Violation of violation
@@ -134,10 +132,9 @@ val set_flight_recorder : t -> (unit -> string list) -> unit
     [fun () -> []]. *)
 
 val observe_trace : t -> Raft.Probe.t Des.Mtrace.t -> unit
-(** Subscribe to a cluster trace: every probe is recorded into the
-    ring buffer reported by violations, and role-change probes feed the
-    historical election-safety registry (which sees {e every} leadership
-    transition even in [Sample] mode). *)
+(** Subscribe to a cluster trace: role-change probes feed the historical
+    election-safety registry (which sees {e every} leadership transition
+    even in [Sample] mode). *)
 
 val step : t -> unit
 (** The per-event hook (install via {!Des.Engine.set_post_hook}):

@@ -144,11 +144,23 @@ let make_member ~engine ~fabric ~trace ~costs ~cores ~telemetry ~forensics
   Lazy.force member
 
 let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
-    ?(telemetry = Telemetry.Metrics.noop)
-    ?(forensics = Raft.Forensics.create ~enabled:false ())
+    ?(telemetry = Telemetry.Metrics.noop) ?forensics
     ?(recorder = Telemetry.Recorder.noop) ?(scope = "") ?shared ~n ~config ()
     =
   if n <= 0 then invalid_arg "Cluster.create: n must be positive";
+  (* A checked cluster records the probe stream by default: the ring's
+     tail is what a violation report shows. *)
+  let forensics =
+    match forensics with
+    | Some ring -> ring
+    | None ->
+        let enabled =
+          match check with
+          | Check.Off -> false
+          | Check.Sample | Check.Always -> true
+        in
+        Raft.Forensics.create ~enabled ()
+  in
   let owns_infra = match shared with None -> true | Some _ -> false in
   let engine, fabric, first_id =
     match shared with
@@ -219,13 +231,9 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
         (* The flight recorder: when a violation fires, its report carries
            the tail of the forensics ring and the recorder's last ticks —
            captured lazily, only on an actual failure. *)
-        if
-          Raft.Forensics.enabled forensics
-          || Telemetry.Recorder.enabled recorder
-        then
-          Check.set_flight_recorder c (fun () ->
-              Raft.Forensics.tail forensics 32
-              @ Telemetry.Recorder.window recorder 8);
+        Check.set_flight_recorder c (fun () ->
+            Raft.Forensics.tail forensics 50
+            @ Telemetry.Recorder.window recorder 8);
         (* The engine supports a single post hook.  A shared-infra host
            (multiraft) owns it and steps every group's checker from one
            combined hook; a standalone cluster installs its own. *)
@@ -263,6 +271,7 @@ let engine t = t.engine
 let fabric t = t.fabric
 let trace t = t.trace
 let checker t = t.checker
+let forensics t = t.forensics
 
 (* Fold the pull-style sources (engine, fabric, links) into the registry.
    Exposed standalone so a multiraft host sharing one engine/fabric

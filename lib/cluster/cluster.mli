@@ -52,13 +52,14 @@ val create :
     {!collect_metrics} to fold in the pull-style engine/fabric/link
     statistics before taking the snapshot.
 
-    [forensics] (default: a disabled ring) is handed to every node:
-    every probe on {!trace} is also recorded there, causally stamped
-    (see {!Raft.Node.create}).  [recorder] (default
+    [forensics] (default: a fresh ring, enabled exactly when [check] is
+    not {!Check.Off}) is handed to every node: every probe on {!trace}
+    is also recorded there, causally stamped (see {!Raft.Node.create}).
+    Several clusters may share one ring.  [recorder] (default
     {!Telemetry.Recorder.noop}) samples the telemetry registry on the
-    DES clock.  When either is enabled and checking is on, invariant
-    violations carry a flight-recorder dump (ring tail + last recorder
-    ticks) in {!Check.violation.flight}.
+    DES clock.  When checking is on, invariant violations carry a
+    flight-recorder dump in {!Check.violation.flight}: the ring's last
+    50 records and the recorder's last 8 ticks.
 
     [scope] (default [""]) prefixes every metrics scope this cluster
     registers (["raft"] → ["g3/raft"]), so N clusters sharing one
@@ -69,6 +70,9 @@ val create :
 val engine : t -> Des.Engine.t
 val fabric : t -> Raft.Rpc.message Netsim.Fabric.t
 val trace : t -> Raft.Probe.t Des.Mtrace.t
+
+val forensics : t -> Raft.Forensics.t
+(** The ring every node records into ([create]'s [forensics]). *)
 
 val checker : t -> Check.t option
 (** The online invariant checker, when [create] was given a mode other

@@ -76,11 +76,6 @@ let add_to_buffer b = function
   | Transfer_aborted { id; term } ->
       Printf.bprintf b "%a transfer aborted (term %d)" add_node id term
 
-let pp ppf p =
-  let b = Buffer.create 64 in
-  add_to_buffer b p;
-  Format.pp_print_string ppf (Buffer.contents b)
-
 let node = function
   | Role_change { id; _ }
   | Timeout_expired { id; _ }

@@ -75,7 +75,4 @@ val add_to_buffer : Buffer.t -> t -> unit
 (** Append the event's one-line rendering.  Trace digests hash exactly
     these bytes, so the text is part of every pinned digest. *)
 
-val pp : Format.formatter -> t -> unit
-(** The same text as {!add_to_buffer}. *)
-
 val node : t -> Netsim.Node_id.t

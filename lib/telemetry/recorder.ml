@@ -7,9 +7,9 @@ type t = {
   mutable count : int;
 }
 
-let create ?(enabled = true) ~every () =
+let create ~every () =
   if every <= 0 then invalid_arg "Recorder.create: every must be positive";
-  { on = enabled; every; ticks = []; count = 0 }
+  { on = true; every; ticks = []; count = 0 }
 
 let noop = { on = false; every = 1; ticks = []; count = 0 }
 let enabled t = t.on

@@ -12,15 +12,15 @@
     A recorder reschedules itself forever; drive the engine with
     [run_for]/[run_until] (as every scenario does), never run-to-empty.
 
-    Disabled recorders ({!noop}, [create ~enabled:false]) never touch
-    the engine: {!attach} is a no-op, keeping the disabled path free of
-    extra events and allocation. *)
+    The disabled recorder ({!noop}) never touches the engine: {!attach}
+    is a no-op, keeping the disabled path free of extra events and
+    allocation. *)
 
 type t
 
-val create : ?enabled:bool -> every:Des.Time.span -> unit -> t
-(** A recorder sampling every [every] of virtual time (first sample one
-    period after {!attach}).  Raises [Invalid_argument] if
+val create : every:Des.Time.span -> unit -> t
+(** An enabled recorder sampling every [every] of virtual time (first
+    sample one period after {!attach}).  Raises [Invalid_argument] if
     [every <= 0]. *)
 
 val noop : t

@@ -52,7 +52,7 @@ let test_digest_buffer_feed () =
     true (per_call <= 3.)
 
 (* The probe text is hashed into every trace digest, so it must not
-   drift: [pp] and [add_to_buffer] print the same bytes. *)
+   drift: [add_to_buffer] prints exactly these bytes. *)
 let test_probe_rendering () =
   let id = Node_id.of_int 3 in
   let probes =
@@ -97,8 +97,7 @@ let test_probe_rendering () =
     (fun (p, want) ->
       let b = Buffer.create 16 in
       Raft.Probe.add_to_buffer b p;
-      Alcotest.(check string) "add_to_buffer" want (Buffer.contents b);
-      Alcotest.(check string) "pp" want (Format.asprintf "%a" Raft.Probe.pp p))
+      Alcotest.(check string) "add_to_buffer" want (Buffer.contents b))
     probes
 
 (* {1 Broken toy nodes} *)
@@ -188,36 +187,52 @@ let test_catches_election_safety () =
       b.term <- 3)
     [ a; b ]
 
-(* A violation reports the last 50 probes the checker saw, oldest
-   first, each as its instant and its trace text. *)
-let test_violation_recent_lines () =
-  let a = fake (List.nth two_ids 0) and b = fake (List.nth two_ids 1) in
-  let engine = Des.Engine.create () in
-  let trace = Des.Mtrace.create engine in
-  Check.observe_trace (checker_for [ a; b ]) trace;
-  for i = 1 to 60 do
-    Des.Engine.run_until engine (Des.Time.ms (10 * i));
-    Des.Mtrace.emit trace (Raft.Probe.Election_started { id = a.fid; term = i })
-  done;
-  let elected id =
-    Raft.Probe.Role_change { id; role = Raft.Types.Leader; term = 60 }
+(* A checked cluster records into its own forensics ring, and a
+   violation's report is that ring's last 50 records, oldest first, with
+   their causes.  The violation is planted: a fake leader of the live
+   leader's term joins the checker. *)
+let test_violation_reports_ring_tail () =
+  let c =
+    Cluster.create ~seed:5L ~n:5 ~config:(Raft.Config.static ())
+      ~conditions:
+        Netsim.Conditions.(constant (profile ~rtt_ms:10. ~jitter:0.05 ()))
+      ~check:Check.Always ()
   in
-  Des.Mtrace.emit trace (elected a.fid);
-  match Des.Mtrace.emit trace (elected b.fid) with
-  | () -> Alcotest.fail "checker missed the second leader of term 60"
+  Cluster.start c;
+  (* Failovers give the ring more history than one report holds. *)
+  for _ = 1 to 4 do
+    match Harness.Fault.fail_and_measure c () with
+    | Ok _ -> ()
+    | Error why -> Alcotest.fail why
+  done;
+  let leader =
+    match Cluster.leader c with
+    | Some l -> l
+    | None -> Alcotest.fail "no leader"
+  in
+  let impostor = fake (Node_id.of_int 99) in
+  impostor.role <- Raft.Types.Leader;
+  impostor.term <- Raft.Server.term (Raft.Node.server leader);
+  (match Cluster.checker c with
+  | Some ck -> Check.add_view ck (view impostor)
+  | None -> Alcotest.fail "no checker despite Check.Always");
+  match Cluster.run_for c (Des.Time.sec 1) with
+  | () -> Alcotest.fail "checker missed the planted second leader"
   | exception Check.Violation v ->
-      Alcotest.(check int) "ring length" 50 (List.length v.Check.recent);
+      let ring = Cluster.forensics c in
+      Alcotest.(check string) "invariant" "election-safety" v.Check.invariant;
+      Alcotest.(check bool) "ring holds more than the report" true
+        (Raft.Forensics.length ring > 50);
       Alcotest.(check (list string))
-        "oldest lines" [ "0.130s n0 election started (term 13)" ]
-        (List.filteri (fun i _ -> i = 0) v.Check.recent);
-      Alcotest.(check (list string))
-        "newest lines"
-        [
-          "0.600s n0 election started (term 60)";
-          "0.600s n0 -> leader (term 60)";
-          "0.600s n1 -> leader (term 60)";
-        ]
-        (List.filteri (fun i _ -> i >= 47) v.Check.recent)
+        "report is the ring's last 50 records"
+        (Raft.Forensics.tail ring 50) v.Check.flight;
+      let records = Raft.Forensics.records ring in
+      let tail = List.filteri (fun i _ -> i >= List.length records - 50) records in
+      Alcotest.(check bool) "every reported record carries a cause" true
+        (List.for_all
+           (fun (r : Raft.Forensics.record) ->
+             not (Telemetry.Cause.is_none r.Raft.Forensics.cause))
+           tail)
 
 let test_catches_term_monotonic () =
   let a = fake (List.hd two_ids) in
@@ -424,8 +439,8 @@ let tests =
       test_catches_election_safety;
     Alcotest.test_case "catches: term monotonicity" `Quick
       test_catches_term_monotonic;
-    Alcotest.test_case "violation: recent lines are time and probe" `Quick
-      test_violation_recent_lines;
+    Alcotest.test_case "violation: report is the ring's last 50 records"
+      `Quick test_violation_reports_ring_tail;
     Alcotest.test_case "catches: commit monotonicity" `Quick
       test_catches_commit_monotonic;
     Alcotest.test_case "catches: single vote per term" `Quick

@@ -244,7 +244,7 @@ let test_recorder_disabled_inert () =
       Alcotest.(check int) "no samples" 0 (Recorder.samples r);
       Alcotest.(check int) "empty dump" 0 (List.length (Recorder.dump r));
       Alcotest.(check (list string)) "empty window" [] (Recorder.window r 4))
-    [ Recorder.noop; Recorder.create ~enabled:false ~every:(Des.Time.ms 10) () ]
+    [ Recorder.noop ]
 
 let test_recorder_merge_prefixes () =
   let part i = [ (Printf.sprintf "k%d" i, [| (1., float_of_int i) |]) ] in

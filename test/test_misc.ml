@@ -72,12 +72,13 @@ let test_rpc_pp_total () =
         (String.length rendered > 3))
     all_messages
 
-let test_probe_pp_total () =
+let test_probe_text_total () =
   let id = Netsim.Node_id.of_int 2 in
   List.iter
     (fun p ->
-      Alcotest.(check bool) "non-empty" true
-        (String.length (asprintf "%a" Raft.Probe.pp p) > 2))
+      let b = Buffer.create 64 in
+      Raft.Probe.add_to_buffer b p;
+      Alcotest.(check bool) "non-empty" true (Buffer.length b > 2))
     [
       Raft.Probe.Role_change { id; role = Raft.Types.Leader; term = 3 };
       Raft.Probe.Timeout_expired
@@ -342,7 +343,7 @@ let tests =
     Alcotest.test_case "types: role helpers" `Quick test_role_helpers;
     Alcotest.test_case "rpc: kind names" `Quick test_rpc_kind_names;
     Alcotest.test_case "rpc: pp total" `Quick test_rpc_pp_total;
-    Alcotest.test_case "probe: pp total" `Quick test_probe_pp_total;
+    Alcotest.test_case "probe: text total" `Quick test_probe_text_total;
     Alcotest.test_case "cost: zero is free" `Quick test_cost_model_zero_is_free;
     Alcotest.test_case "cost: tuning surcharge" `Quick
       test_cost_model_tuning_surcharge;
