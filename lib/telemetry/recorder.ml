@@ -12,7 +12,6 @@ let create ~every () =
   { on = true; every; ticks = []; count = 0 }
 
 let noop = { on = false; every = 1; ticks = []; count = 0 }
-let enabled t = t.on
 
 (* Counters and gauges only: a histogram is already a cumulative
    structure, and flattening one per tick would dwarf the scalars. *)

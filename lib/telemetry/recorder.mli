@@ -26,8 +26,6 @@ val create : every:Des.Time.span -> unit -> t
 val noop : t
 (** A shared disabled recorder. *)
 
-val enabled : t -> bool
-
 val attach : t -> Des.Engine.t -> (unit -> Metrics.snapshot) -> unit
 (** Start sampling [snapshot ()] on the engine's clock.  No-op when
     disabled.  Attach at most once per recorder. *)

@@ -206,7 +206,6 @@ let test_recorder_cadence () =
   let c = Metrics.counter m ~scope:"test" ~name:"ticks" () in
   let g = Metrics.gauge m ~scope:"test" ~name:"level" () in
   let r = Recorder.create ~every:(Des.Time.ms 10) () in
-  Alcotest.(check bool) "enabled" true (Recorder.enabled r);
   Recorder.attach r engine (fun () -> Metrics.snapshot m);
   Metrics.Counter.add c 3;
   Metrics.Gauge.set g 2.5;
@@ -236,15 +235,12 @@ let test_recorder_cadence () =
 
 let test_recorder_disabled_inert () =
   let engine = Des.Engine.create ~seed:1L () in
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "disabled" false (Recorder.enabled r);
-      Recorder.attach r engine (fun () -> Metrics.snapshot Metrics.noop);
-      Des.Engine.run_for engine (Des.Time.ms 50);
-      Alcotest.(check int) "no samples" 0 (Recorder.samples r);
-      Alcotest.(check int) "empty dump" 0 (List.length (Recorder.dump r));
-      Alcotest.(check (list string)) "empty window" [] (Recorder.window r 4))
-    [ Recorder.noop ]
+  let r = Recorder.noop in
+  Recorder.attach r engine (fun () -> Metrics.snapshot Metrics.noop);
+  Des.Engine.run_for engine (Des.Time.ms 50);
+  Alcotest.(check int) "no samples" 0 (Recorder.samples r);
+  Alcotest.(check int) "empty dump" 0 (List.length (Recorder.dump r));
+  Alcotest.(check (list string)) "empty window" [] (Recorder.window r 4)
 
 let test_recorder_merge_prefixes () =
   let part i = [ (Printf.sprintf "k%d" i, [| (1., float_of_int i) |]) ] in
