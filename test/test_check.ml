@@ -227,7 +227,9 @@ let test_violation_reports_ring_tail () =
         "report is the ring's last 50 records"
         (Raft.Forensics.tail ring 50) v.Check.flight;
       let records = Raft.Forensics.records ring in
-      let tail = List.filteri (fun i _ -> i >= List.length records - 50) records in
+      let tail =
+        List.filteri (fun i _ -> i >= List.length records - 50) records
+      in
       Alcotest.(check bool) "every reported record carries a cause" true
         (List.for_all
            (fun (r : Raft.Forensics.record) ->
