@@ -72,38 +72,40 @@ let figures =
    written by hand rather than pulling in a serialization library.  The
    wall-clock rows follow the host, so the report names it: core count
    and compiler version. *)
-let write_json path ~full ~jobs ~metrics ~recorder ~multiraft =
+let write_json (path, oc) ~full ~jobs ~metrics ~recorder ~multiraft =
+  let rows = List.rev !records in
+  Printf.fprintf oc
+    "{\n  \"full\": %b,\n  \"jobs\": %d,\n  \"nproc\": %d,\n  \"ocaml\": \
+     %S,\n  \"figures\": [\n"
+    full jobs
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version;
+  List.iteri
+    (fun i r ->
+      let eps = if r.wall > 0. then float_of_int r.events /. r.wall else 0. in
+      Printf.fprintf oc
+        "    {\"name\": %S, \"wall_s\": %.3f, \"events\": %d, \
+         \"events_per_s\": %.0f, \"minor_words\": %.0f, \
+         \"major_words\": %.0f}%s\n"
+        r.name r.wall r.events eps r.minor_words r.major_words
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  Printf.fprintf oc
+    "  ],\n  \"multiraft\": %s,\n  \"recorder\": %s,\n  \"metrics\": \
+     %s\n}\n"
+    multiraft recorder metrics;
+  close_out oc;
+  Format.fprintf ppf "[wrote %s]@." path
+
+(* [--json FILE] is opened before any figure runs: an unwritable path is
+   a usage error (exit 2) naming the path and the reason, not a warning
+   after minutes of campaigns. *)
+let open_report path =
   match open_out path with
+  | oc -> (path, oc)
   | exception Sys_error msg ->
-      (* The figures already went to stdout; don't let a bad report path
-         look like a failed run. *)
-      Format.eprintf "warning: cannot write JSON report: %s@." msg
-  | oc ->
-      let rows = List.rev !records in
-      Printf.fprintf oc
-        "{\n  \"full\": %b,\n  \"jobs\": %d,\n  \"nproc\": %d,\n  \"ocaml\": \
-         %S,\n  \"figures\": [\n"
-        full jobs
-        (Domain.recommended_domain_count ())
-        Sys.ocaml_version;
-      List.iteri
-        (fun i r ->
-          let eps =
-            if r.wall > 0. then float_of_int r.events /. r.wall else 0.
-          in
-          Printf.fprintf oc
-            "    {\"name\": %S, \"wall_s\": %.3f, \"events\": %d, \
-             \"events_per_s\": %.0f, \"minor_words\": %.0f, \
-             \"major_words\": %.0f}%s\n"
-            r.name r.wall r.events eps r.minor_words r.major_words
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc
-        "  ],\n  \"multiraft\": %s,\n  \"recorder\": %s,\n  \"metrics\": \
-         %s\n}\n"
-        multiraft recorder metrics;
-      close_out oc;
-      Format.fprintf ppf "[wrote %s]@." path
+      Format.eprintf "--json: cannot write the report: %s@." msg;
+      exit 2
 
 (* The metrics section of the JSON report: a small instrumented failover
    campaign, four shards.  The shard plan does not depend on --jobs, so
@@ -250,6 +252,7 @@ let () =
           names;
         names
   in
+  let report = Option.map open_report !json in
   Format.fprintf ppf
     "Dynatune reproduction benchmarks (%s scale, %d job%s)@.figures: %s@."
     (if !full then "paper (--full)" else "quick")
@@ -261,8 +264,8 @@ let () =
       timed name (fun () -> (List.assoc name figures) ~full:!full ~jobs ppf))
     wanted;
   Option.iter
-    (fun path ->
-      write_json path ~full:!full ~jobs ~metrics:(metrics_json ~jobs)
+    (fun report ->
+      write_json report ~full:!full ~jobs ~metrics:(metrics_json ~jobs)
         ~recorder:(recorder_json ~jobs) ~multiraft:(multiraft_json ()))
-    !json;
+    report;
   Format.pp_print_flush ppf ()

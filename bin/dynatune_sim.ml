@@ -90,10 +90,16 @@ let seed =
     value & opt int64 42L
     & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (runs are deterministic).")
 
+(* A cluster of fewer than 3 has no quorum once its leader is killed, so
+   a campaign on it would measure nothing. *)
+let cluster_size =
+  checked positive_int ~expected:"a cluster size >= 3" (fun n -> n >= 3)
+
 let servers =
   Arg.(
-    value & opt positive_int 5
-    & info [ "n"; "servers" ] ~docv:"N" ~doc:"Cluster size (odd).")
+    value & opt cluster_size 5
+    & info [ "n"; "servers" ] ~docv:"N"
+        ~doc:"Cluster size; at least 3, so a quorum survives a leader kill.")
 
 let rtt =
   Arg.(

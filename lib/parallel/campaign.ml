@@ -21,14 +21,33 @@ let plan ~seed ~total =
         })
   end
 
+(* Each slot is written by the one domain that claimed its index and read
+   only after every domain is joined, so the slots need no lock. *)
 let all ~jobs thunks =
   let n = List.length thunks in
   if jobs <= 1 || n <= 1 then List.map (fun f -> f ()) thunks
   else begin
-    let pool = Pool.create ~domains:(Int.min jobs n) in
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.map pool (fun f -> f ()) thunks)
+    let thunks = Array.of_list thunks in
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (match thunks.(i) () with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let domains = List.init (Int.min jobs n) (fun _ -> Domain.spawn work) in
+    List.iter Domain.join domains;
+    Array.to_list results
+    |> List.map (function
+         | Some (Ok v) -> v
+         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
   end
 
 let sharded ~jobs ~seed ~total ~f =

@@ -2,6 +2,8 @@ module Cluster = Harness.Cluster
 
 type result = {
   mode : string;
+  n : int;
+  rtt_ms : float;
   failures : int;
   detection : Stats.Summary.t;
   majority_detection : Stats.Summary.t;
@@ -60,6 +62,8 @@ let run ?(seed = 42L) ?(n = 5) ?(failures = 1000) ?(rtt_ms = 100.)
   in
   {
     mode = Raft.Config.mode_name config;
+    n;
+    rtt_ms;
     digest = Check.Digest.combine (List.map (fun (_, d, _, _) -> d) outcomes);
     metrics =
       Telemetry.Metrics.merge (List.map (fun (_, _, m, _) -> m) outcomes);
@@ -107,8 +111,12 @@ let print_comparison ppf ~paper:(paper_det, paper_ots) results =
     ~points:10
 
 let print ppf results =
-  Report.banner ppf
-    "Fig 4: detection & OTS time CDFs (5 servers, RTT 100ms, p=0)";
+  let setup =
+    match results with
+    | r :: _ -> Printf.sprintf " (%d servers, RTT %gms, p=0)" r.n r.rtt_ms
+    | [] -> ""
+  in
+  Report.banner ppf ("Fig 4: detection & OTS time CDFs" ^ setup);
   List.iter
     (fun r ->
       Report.subhead ppf

@@ -8,6 +8,8 @@
 
 type result = {
   mode : string;
+  n : int;  (** cluster size *)
+  rtt_ms : float;  (** the uniform link RTT the cluster was created with *)
   failures : int;  (** measured failovers *)
   detection : Stats.Summary.t;  (** ms *)
   majority_detection : Stats.Summary.t;  (** ms; (f+1)-th expiry *)
@@ -83,3 +85,5 @@ val print_comparison :
     (detection, OTS) figures; then both CDFs. *)
 
 val print : Format.formatter -> result list -> unit
+(** The full report; its banner names the first result's [n] and
+    [rtt_ms]. *)

@@ -86,11 +86,6 @@ let of_array a =
 
 let of_list l = of_array (Array.of_list l)
 
-let of_parts parts =
-  (* Concatenating the retained (sorted) sample arrays and rebuilding
-     gives the summary of the union of the raw samples — exact, not an
-     approximation, because [t] keeps every sample. *)
-  of_array (Array.concat (List.map (fun t -> t.sorted) parts))
 let count t = Array.length t.sorted
 let mean t = t.mean
 let std t = t.std
@@ -110,28 +105,3 @@ let percentile t q =
     t.sorted.(lo) +. (frac *. (t.sorted.(hi) -. t.sorted.(lo)))
 
 let median t = percentile t 50.
-
-let cdf t ~points =
-  let n = count t in
-  if n = 0 || points <= 0 then []
-  else
-    List.init points (fun i ->
-        let prob = float_of_int (i + 1) /. float_of_int points in
-        let idx =
-          Int.min (n - 1)
-            (int_of_float (ceil (prob *. float_of_int n)) - 1)
-        in
-        (t.sorted.(Int.max 0 idx), prob))
-
-let cdf_at t v =
-  let n = count t in
-  if n = 0 then nan
-  else
-    (* Binary search for the number of samples <= v. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if t.sorted.(mid) <= v then search (mid + 1) hi else search lo mid
-    in
-    float_of_int (search 0 n) /. float_of_int n

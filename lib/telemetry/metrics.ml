@@ -149,8 +149,8 @@ let merge_values key a b =
         ("Metrics.merge: " ^ key_label key ^ " has mismatched kinds across parts")
 
 (* Union of keys; counters sum, gauges keep the max, timers merge their
-   congruent histograms — the same associative part-merging contract as
-   [Summary.of_parts], so sharded campaigns aggregate deterministically
+   congruent histograms.  The merge is associative and campaigns apply it
+   in shard order, so sharded campaigns aggregate deterministically
    whatever the worker count. *)
 let merge parts =
   let merged = Hashtbl.create 64 in

@@ -11,9 +11,9 @@
       hands out {e dead} handles; emitting on a dead handle is a single
       load-and-branch, so instrumented hot paths stay within noise of the
       uninstrumented build.
-    - {b Mergeable like [Summary.of_parts].}  {!snapshot} is a pure value;
-      {!merge} combines per-shard snapshots associatively (counters sum,
-      gauges max, timer histograms bin-wise add), so a [--jobs N] campaign
+    - {b Mergeable per shard.}  {!snapshot} is a pure value; {!merge}
+      combines per-shard snapshots associatively (counters sum, gauges
+      max, timer histograms bin-wise add), so a [--jobs N] campaign
       aggregates to the same bytes whatever the worker count. *)
 
 type t

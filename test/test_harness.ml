@@ -537,6 +537,21 @@ let test_fig4_instrument_keeps_digest () =
   Alcotest.(check int64) "same digest instrumented" (digest false)
     (digest true)
 
+(* The report's banner describes the run it prints, not the paper's
+   default setup. *)
+let test_fig4_banner_names_setup () =
+  let r =
+    Scenarios.Fig4.run ~seed:1L ~n:3 ~rtt_ms:40. ~failures:1
+      ~warmup:(Time.sec 10) ~config:(Raft.Config.static ()) ()
+  in
+  let lines =
+    String.split_on_char '\n'
+      (Format.asprintf "%a" Scenarios.Fig4.print [ r ])
+  in
+  Alcotest.(check bool) "banner names 3 servers and RTT 40ms" true
+    (List.mem "= Fig 4: detection & OTS time CDFs (3 servers, RTT 40ms, p=0) ="
+       lines)
+
 let test_fig6_radical_smoke () =
   let r =
     Scenarios.Fig6.run ~seed:1L ~hold:(Time.sec 5)
@@ -694,4 +709,6 @@ let tests =
       test_monitor_watch_keeps_nan_samples;
     Alcotest.test_case "monitor: watch rejects a non-positive period" `Quick
       test_monitor_watch_rejects_nonpositive_period;
+    Alcotest.test_case "fig4: banner names the run's servers and RTT" `Quick
+      test_fig4_banner_names_setup;
   ]

@@ -1,65 +1,48 @@
-(* Domain pool and campaign sharding: result ordering, failure handling,
-   shutdown discipline, and the determinism contract of sharded
-   campaigns. *)
+(* Campaign fan-out and sharding: result ordering, failure handling,
+   and the determinism contract of sharded campaigns. *)
 
-module Pool = Parallel.Pool
 module Campaign = Parallel.Campaign
 
-let with_pool ~domains f =
-  let pool = Pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+let test_all_1000_in_order () =
+  let xs = List.init 1000 Fun.id in
+  Alcotest.(check (list int))
+    "1000 results in input order"
+    (List.map (fun x -> x * x) xs)
+    (Campaign.all ~jobs:4 (List.map (fun x () -> x * x) xs))
 
-let test_pool_map_in_order () =
-  with_pool ~domains:4 (fun pool ->
-      let xs = List.init 1000 Fun.id in
-      Alcotest.(check (list int))
-        "1000 results in input order"
-        (List.map (fun x -> x * x) xs)
-        (Pool.map pool (fun x -> x * x) xs))
+let test_all_empty_and_single () =
+  Alcotest.(check (list int)) "empty" [] (Campaign.all ~jobs:2 []);
+  Alcotest.(check (list int))
+    "single" [ 7 ]
+    (Campaign.all ~jobs:2 [ (fun () -> 7) ])
 
-let test_pool_map_empty_and_single () =
-  with_pool ~domains:2 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Pool.map pool Fun.id []);
-      Alcotest.(check (list int)) "single" [ 7 ] (Pool.map pool Fun.id [ 7 ]))
+let test_all_lowest_index_exception_wins () =
+  let ran = Atomic.make 0 in
+  let thunk x () =
+    Atomic.incr ran;
+    if x >= 2 then raise (Failure (string_of_int x)) else x
+  in
+  (match Campaign.all ~jobs:4 (List.map thunk [ 0; 1; 2; 3; 4 ]) with
+  | _ -> Alcotest.fail "expected an exception"
+  | exception Failure msg ->
+      Alcotest.(check string) "first failing index re-raised" "2" msg);
+  Alcotest.(check int) "every thunk ran before the re-raise" 5 (Atomic.get ran)
 
-let test_pool_survives_raising_task () =
-  with_pool ~domains:2 (fun pool ->
-      (match
-         Pool.map pool (fun x -> if x = 3 then failwith "boom" else x)
-           [ 1; 2; 3; 4; 5 ]
-       with
-      | _ -> Alcotest.fail "expected the task's exception to re-raise"
-      | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-      Alcotest.(check (list int))
-        "pool usable after a failed batch" [ 2; 4; 6 ]
-        (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ]))
-
-let test_pool_lowest_index_exception_wins () =
-  with_pool ~domains:4 (fun pool ->
-      match
-        Pool.map pool
-          (fun x -> if x >= 2 then raise (Failure (string_of_int x)) else x)
-          [ 0; 1; 2; 3; 4 ]
-      with
-      | _ -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
-          Alcotest.(check string) "first failing index re-raised" "2" msg)
-
-let test_pool_shutdown () =
-  let pool = Pool.create ~domains:3 in
-  Alcotest.(check int) "size" 3 (Pool.size pool);
-  Alcotest.(check (list int)) "works" [ 1; 2; 3 ] (Pool.map pool Fun.id [ 1; 2; 3 ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* Idempotent; submitting afterwards is an error. *)
-  match Pool.map pool Fun.id [ 1 ] with
-  | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
-  | exception Invalid_argument _ -> ()
-
-let test_pool_create_invalid () =
-  match Pool.create ~domains:0 with
-  | _ -> Alcotest.fail "expected Invalid_argument for domains = 0"
-  | exception Invalid_argument _ -> ()
+let test_all_more_jobs_than_thunks () =
+  let runs = Array.init 3 (fun _ -> Atomic.make 0) in
+  let results =
+    Campaign.all ~jobs:8
+      (List.init 3 (fun i () ->
+           Atomic.incr runs.(i);
+           i))
+  in
+  Alcotest.(check (list int)) "results in order" [ 0; 1; 2 ] results;
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int)
+        (Printf.sprintf "thunk %d ran once" i)
+        1 (Atomic.get r))
+    runs
 
 let test_plan_single_shard () =
   List.iter
@@ -110,7 +93,7 @@ let test_sharded_runs_all_shards () =
   Alcotest.(check (list int)) "results in shard order" [ 0; 1; 2; 3 ] indexes;
   (* One worker runs the same plan inline. *)
   let seq = Campaign.sharded ~jobs:1 ~seed:7L ~total:10 ~f:Fun.id in
-  Alcotest.(check bool) "plan identical inline vs pooled" true
+  Alcotest.(check bool) "plan identical inline vs parallel" true
     (seq = Campaign.sharded ~jobs:4 ~seed:7L ~total:10 ~f:Fun.id)
 
 let test_all_runs_in_order () =
@@ -176,18 +159,14 @@ let test_printed_figures_jobs_invariant () =
 
 let tests =
   [
-    Alcotest.test_case "pool: map 1000 tasks in order" `Quick
-      test_pool_map_in_order;
-    Alcotest.test_case "pool: map empty and singleton" `Quick
-      test_pool_map_empty_and_single;
-    Alcotest.test_case "pool: survives raising task" `Quick
-      test_pool_survives_raising_task;
-    Alcotest.test_case "pool: lowest-index exception wins" `Quick
-      test_pool_lowest_index_exception_wins;
-    Alcotest.test_case "pool: shutdown joins and rejects" `Quick
-      test_pool_shutdown;
-    Alcotest.test_case "pool: create rejects domains < 1" `Quick
-      test_pool_create_invalid;
+    Alcotest.test_case "campaign: all runs 1000 thunks in order" `Quick
+      test_all_1000_in_order;
+    Alcotest.test_case "campaign: all empty and singleton" `Quick
+      test_all_empty_and_single;
+    Alcotest.test_case "campaign: all re-raises the lowest-index exception"
+      `Quick test_all_lowest_index_exception_wins;
+    Alcotest.test_case "campaign: all with more jobs than thunks" `Quick
+      test_all_more_jobs_than_thunks;
     Alcotest.test_case "campaign: single-shard plans" `Quick
       test_plan_single_shard;
     Alcotest.test_case "campaign: quotas and derived seeds" `Quick

@@ -187,29 +187,13 @@ let test_welford_basic () =
   let w = Welford.create () in
   List.iter (Welford.add w) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   check_float "mean" 5. (Welford.mean w);
-  check_float "population variance" 4. (Welford.variance w);
-  check_float "min" 2. (Welford.min w);
-  check_float "max" 9. (Welford.max w);
+  check_float "population std" 2. (Welford.std w);
   Alcotest.(check int) "count" 8 (Welford.count w)
 
 let test_welford_empty () =
   let w = Welford.create () in
   check_float "empty mean" 0. (Welford.mean w);
-  check_float "empty variance" 0. (Welford.variance w)
-
-let test_welford_merge () =
-  let all = Welford.create () in
-  let a = Welford.create () and b = Welford.create () in
-  List.iteri
-    (fun i x ->
-      Welford.add all x;
-      if i mod 2 = 0 then Welford.add a x else Welford.add b x)
-    [ 1.; 5.; 2.; 8.; 3.; 9.; 4.; 7.; 6.; 0. ];
-  let merged = Welford.merge a b in
-  check_close "merged mean" (Welford.mean all) (Welford.mean merged);
-  check_close "merged variance" (Welford.variance all)
-    (Welford.variance merged);
-  check_float "merged min" (Welford.min all) (Welford.min merged)
+  check_float "empty std" 0. (Welford.std w)
 
 (* {2 Window} *)
 
@@ -269,24 +253,6 @@ let test_summary_percentiles () =
   check_float "median" 5.5 (Summary.median s);
   check_float "mean" 5.5 (Summary.mean s)
 
-let test_summary_cdf_at () =
-  let s = Summary.of_list [ 1.; 2.; 3.; 4. ] in
-  check_float "cdf below" 0. (Summary.cdf_at s 0.5);
-  check_float "cdf mid" 0.5 (Summary.cdf_at s 2.);
-  check_float "cdf above" 1. (Summary.cdf_at s 10.)
-
-let test_summary_cdf_monotone () =
-  let s = Summary.of_list [ 5.; 1.; 3.; 2.; 4.; 9.; 7. ] in
-  let points = Summary.cdf s ~points:20 in
-  let rec check_sorted = function
-    | (v1, p1) :: ((v2, p2) :: _ as rest) ->
-        Alcotest.(check bool) "values non-decreasing" true (v2 >= v1);
-        Alcotest.(check bool) "probs non-decreasing" true (p2 >= p1);
-        check_sorted rest
-    | _ -> ()
-  in
-  check_sorted points
-
 let test_summary_empty () =
   let s = Summary.of_list [] in
   Alcotest.(check int) "count" 0 (Summary.count s);
@@ -311,41 +277,7 @@ let test_histogram_bounds () =
   check_float "bin lo" 25. lo;
   check_float "bin hi" 50. hi
 
-(* {2 Mergeable accumulators (campaign sharding)} *)
-
-(* NaN-tolerant closeness with a relative term, for property checks over
-   arbitrary magnitudes. *)
-let close a b =
-  (Float.is_nan a && Float.is_nan b)
-  || abs_float (a -. b) <= 1e-9 *. (1. +. abs_float a +. abs_float b)
-
-let prop_welford_merge_matches_concat =
-  QCheck.Test.make ~count:200
-    ~name:"welford: merge matches single pass over concatenation"
-    QCheck.(
-      pair
-        (list (float_range (-1e6) 1e6))
-        (list (float_range (-1e6) 1e6)))
-    (fun (xs, ys) ->
-      let wa = Welford.create ()
-      and wb = Welford.create ()
-      and all = Welford.create () in
-      List.iter
-        (fun x ->
-          Welford.add wa x;
-          Welford.add all x)
-        xs;
-      List.iter
-        (fun y ->
-          Welford.add wb y;
-          Welford.add all y)
-        ys;
-      let m = Welford.merge wa wb in
-      Welford.count m = Welford.count all
-      && close (Welford.mean m) (Welford.mean all)
-      && close (Welford.variance m) (Welford.variance all)
-      && close (Welford.min m) (Welford.min all)
-      && close (Welford.max m) (Welford.max all))
+(* {2 Histogram merge (per-shard telemetry)} *)
 
 let test_histogram_merge () =
   let rng = Rng.create ~seed:99L () in
@@ -386,28 +318,6 @@ let test_histogram_merge_layout_mismatch () =
       Histogram.create ~lo:0. ~hi:100. ~bins:20;
     ]
 
-let test_summary_of_parts_exact () =
-  let rng = Rng.create ~seed:123L () in
-  let parts =
-    List.map
-      (fun n -> List.init n (fun _ -> Rng.uniform rng (-50.) 50.))
-      [ 17; 0; 41; 1; 23 ]
-  in
-  let merged = Summary.of_parts (List.map Summary.of_list parts) in
-  let whole = Summary.of_list (List.concat parts) in
-  Alcotest.(check int) "count" (Summary.count whole) (Summary.count merged);
-  (* Exact: a summary retains every sample, so rebuilding from parts is
-     the same sorted array — identical to the last bit. *)
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "p%g" q)
-        (Summary.percentile whole q)
-        (Summary.percentile merged q))
-    [ 0.; 10.; 25.; 50.; 75.; 90.; 99.; 100. ];
-  Alcotest.(check (float 0.)) "mean" (Summary.mean whole) (Summary.mean merged);
-  Alcotest.(check (float 0.)) "std" (Summary.std whole) (Summary.std merged)
-
 let tests =
   [
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
@@ -435,7 +345,6 @@ let tests =
       test_lognormal_zero_sigma;
     Alcotest.test_case "welford: basic moments" `Quick test_welford_basic;
     Alcotest.test_case "welford: empty" `Quick test_welford_empty;
-    Alcotest.test_case "welford: merge" `Quick test_welford_merge;
     Alcotest.test_case "window: eviction" `Quick test_window_eviction;
     Alcotest.test_case "window: stats" `Quick test_window_stats;
     Alcotest.test_case "window: stats after eviction" `Quick
@@ -446,15 +355,10 @@ let tests =
     Alcotest.test_case "window: single sample std" `Quick
       test_window_single_element_std;
     Alcotest.test_case "summary: percentiles" `Quick test_summary_percentiles;
-    Alcotest.test_case "summary: cdf_at" `Quick test_summary_cdf_at;
-    Alcotest.test_case "summary: cdf monotone" `Quick test_summary_cdf_monotone;
     Alcotest.test_case "summary: empty" `Quick test_summary_empty;
-    Alcotest.test_case "summary: of_parts exact merge" `Quick
-      test_summary_of_parts_exact;
     Alcotest.test_case "histogram: binning" `Quick test_histogram_binning;
     Alcotest.test_case "histogram: merge" `Quick test_histogram_merge;
     Alcotest.test_case "histogram: merge layout mismatch" `Quick
       test_histogram_merge_layout_mismatch;
-    QCheck_alcotest.to_alcotest prop_welford_merge_matches_concat;
     Alcotest.test_case "histogram: bounds" `Quick test_histogram_bounds;
   ]

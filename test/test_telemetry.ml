@@ -71,8 +71,8 @@ let test_registry_disabled () =
 (* {2 Merge} *)
 
 (* Two shards each record part of the workload; their merged snapshots
-   must equal a single registry that saw everything — the same
-   [Summary.of_parts] shape the campaign runner relies on. *)
+   must equal a single registry that saw everything, which is what the
+   campaign runner relies on when it merges shard snapshots in order. *)
 let test_merge_equals_combined () =
   let record m ~hits ~depth ~obs =
     let c = Metrics.counter m ~scope:"s" ~name:"hits" () in
