@@ -552,6 +552,21 @@ let test_fig4_banner_names_setup () =
     (List.mem "= Fig 4: detection & OTS time CDFs (3 servers, RTT 40ms, p=0) ="
        lines)
 
+(* At the paper's setup the banner is the text the figures golden pins. *)
+let test_fig4_banner_default_setup () =
+  let r =
+    Scenarios.Fig4.run ~seed:1L ~failures:1 ~warmup:(Time.sec 10)
+      ~config:(Raft.Config.static ()) ()
+  in
+  let lines =
+    String.split_on_char '\n'
+      (Format.asprintf "%a" Scenarios.Fig4.print [ r ])
+  in
+  Alcotest.(check bool) "banner names 5 servers and RTT 100ms" true
+    (List.mem
+       "= Fig 4: detection & OTS time CDFs (5 servers, RTT 100ms, p=0) ="
+       lines)
+
 let test_fig6_radical_smoke () =
   let r =
     Scenarios.Fig6.run ~seed:1L ~hold:(Time.sec 5)
@@ -711,4 +726,6 @@ let tests =
       test_monitor_watch_rejects_nonpositive_period;
     Alcotest.test_case "fig4: banner names the run's servers and RTT" `Quick
       test_fig4_banner_names_setup;
+    Alcotest.test_case "fig4: default banner is the paper's setup" `Quick
+      test_fig4_banner_default_setup;
   ]

@@ -44,6 +44,31 @@ let test_all_more_jobs_than_thunks () =
         1 (Atomic.get r))
     runs
 
+(* With more than one job the caller only joins: every thunk runs on a
+   spawned domain. *)
+let test_all_runs_off_the_calling_domain () =
+  let caller = (Domain.self () :> int) in
+  let ran_on =
+    Campaign.all ~jobs:3
+      (List.init 6 (fun _ () -> (Domain.self () :> int)))
+  in
+  Alcotest.(check int) "one result per thunk" 6 (List.length ran_on);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "thunk ran on a spawned domain" true (d <> caller))
+    ran_on
+
+let test_all_inline_raises_first_failure () =
+  let thunk x () = if x >= 2 then raise (Failure (string_of_int x)) else x in
+  (match Campaign.all ~jobs:1 (List.map thunk [ 0; 1; 2; 3; 4 ]) with
+  | _ -> Alcotest.fail "expected an exception"
+  | exception Failure msg ->
+      Alcotest.(check string) "first failing index raised" "2" msg);
+  match Campaign.all ~jobs:4 [ thunk 3 ] with
+  | _ -> Alcotest.fail "expected an exception"
+  | exception Failure msg ->
+      Alcotest.(check string) "single thunk's failure raised" "3" msg
+
 let test_plan_single_shard () =
   List.iter
     (fun total ->
@@ -181,4 +206,8 @@ let tests =
       test_fig4_sharded_meets_quota;
     Alcotest.test_case "figures: printed text independent of jobs" `Slow
       test_printed_figures_jobs_invariant;
+    Alcotest.test_case "campaign: all runs thunks off the calling domain"
+      `Quick test_all_runs_off_the_calling_domain;
+    Alcotest.test_case "campaign: inline all raises the first failure" `Quick
+      test_all_inline_raises_first_failure;
   ]

@@ -195,6 +195,14 @@ let test_welford_empty () =
   check_float "empty mean" 0. (Welford.mean w);
   check_float "empty std" 0. (Welford.std w)
 
+(* Welford's update never forms a sum of squares, so a large common
+   offset costs no precision in the spread. *)
+let test_welford_large_offset () =
+  let w = Welford.create () in
+  List.iter (fun x -> Welford.add w (1e9 +. x)) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
+  check_close "mean" (1e9 +. 5.) (Welford.mean w);
+  check_close "std unaffected by the offset" 2. (Welford.std w)
+
 (* {2 Window} *)
 
 let test_window_eviction () =
@@ -258,6 +266,50 @@ let test_summary_empty () =
   Alcotest.(check int) "count" 0 (Summary.count s);
   Alcotest.(check bool) "nan percentile" true
     (Float.is_nan (Summary.percentile s 50.))
+
+let test_summary_moments_and_extremes () =
+  let s = Summary.of_list [ 9.; 4.; 2.; 5.; 4.; 7.; 4.; 5. ] in
+  Alcotest.(check int) "count" 8 (Summary.count s);
+  check_float "mean" 5. (Summary.mean s);
+  check_float "population std" 2. (Summary.std s);
+  check_float "min" 2. (Summary.min s);
+  check_float "max" 9. (Summary.max s);
+  Alcotest.(check bool) "empty min is nan" true
+    (Float.is_nan (Summary.min (Summary.of_list [])))
+
+let test_summary_percentile_interpolates () =
+  let s = Summary.of_list [ 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10. ] in
+  check_float "p25 between the 3rd and 4th order statistics" 3.25
+    (Summary.percentile s 25.);
+  check_float "p90" 9.1 (Summary.percentile s 90.);
+  let rng = Rng.create ~seed:53L () in
+  let s = Summary.of_list (List.init 200 (fun _ -> Rng.uniform rng 0. 50.)) in
+  let prev = ref neg_infinity in
+  for q = 0 to 100 do
+    let v = Summary.percentile s (float_of_int q) in
+    if v < !prev then Alcotest.failf "percentile decreases at q=%d" q;
+    prev := v
+  done
+
+(* Campaigns concatenate their shards' raw samples and summarize once;
+   the summary must not depend on the order the samples arrive in. *)
+let test_summary_order_independent () =
+  let rng = Rng.create ~seed:59L () in
+  let a = Array.init 1000 (fun _ -> Rng.uniform rng 0. 400.) in
+  let b = Array.copy a in
+  Rng.shuffle rng b;
+  let sa = Summary.of_list (Array.to_list a)
+  and sb = Summary.of_list (Array.to_list b) in
+  let bits what x y =
+    Alcotest.(check int64) what (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  bits "mean" (Summary.mean sa) (Summary.mean sb);
+  bits "std" (Summary.std sa) (Summary.std sb);
+  List.iter
+    (fun q ->
+      bits (Printf.sprintf "p%g" q) (Summary.percentile sa q)
+        (Summary.percentile sb q))
+    [ 0.; 50.; 90.; 99.; 100. ]
 
 (* {2 Histogram} *)
 
@@ -361,4 +413,12 @@ let tests =
     Alcotest.test_case "histogram: merge layout mismatch" `Quick
       test_histogram_merge_layout_mismatch;
     Alcotest.test_case "histogram: bounds" `Quick test_histogram_bounds;
+    Alcotest.test_case "welford: std stable under a large offset" `Quick
+      test_welford_large_offset;
+    Alcotest.test_case "summary: moments and extremes" `Quick
+      test_summary_moments_and_extremes;
+    Alcotest.test_case "summary: percentile interpolates, monotone" `Quick
+      test_summary_percentile_interpolates;
+    Alcotest.test_case "summary: independent of sample order" `Quick
+      test_summary_order_independent;
   ]
