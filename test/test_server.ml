@@ -924,6 +924,51 @@ let test_checkquorum_matches_set_rule () =
   run_quorum_script "restart, then a fresh quorum"
     (warm @ [ Ack 1; Ack 2; Restart; Ack 3; Ack 4; Check true ])
 
+(* {2 Heartbeat-timer schedule} *)
+
+(* The spans a leader's [Broadcast_due] re-arms its broadcast timer with. *)
+let broadcast_rearm config =
+  let s = make ~config ~self:0 () in
+  ignore (Server.start s);
+  ignore (elect s ~now:Time.zero);
+  List.filter_map
+    (function Server.Arm_broadcast span -> Some span | _ -> None)
+    (Server.handle s ~now:(Time.ms 10) Server.Broadcast_due)
+
+let test_static_broadcast_rearms_at_h () =
+  Alcotest.(check (list int)) "raft: one re-arm at 100 ms" [ Time.ms 100 ]
+    (broadcast_rearm (Config.static ()));
+  Alcotest.(check (list int)) "raft-low: one re-arm at 10 ms" [ Time.ms 10 ]
+    (broadcast_rearm (Config.raft_low ()))
+
+(* The peers an [Add_learner] of node 5 arms a per-peer heartbeat timer
+   for, on a freshly elected leader. *)
+let learner_heartbeat_arms config =
+  let s = make ~config ~self:0 () in
+  ignore (Server.start s);
+  ignore (elect s ~now:Time.zero);
+  let acts, result =
+    Server.reconfigure s ~now:(Time.ms 10) (Raft.Log.Add_learner (nid 5))
+  in
+  (match result with
+  | `Ok _ -> ()
+  | `Not_leader | `Pending | `Invalid _ -> Alcotest.fail "change refused");
+  List.filter_map
+    (function
+      | Server.Arm_heartbeat { peer; _ } -> Some (Node_id.to_int peer)
+      | _ -> None)
+    acts
+
+let test_add_learner_heartbeat_timer () =
+  Alcotest.(check (list int)) "static: broadcast covers the learner" []
+    (learner_heartbeat_arms (Config.static ()));
+  Alcotest.(check (list int)) "consolidated dynatune: broadcast covers it" []
+    (learner_heartbeat_arms
+       (Config.with_extensions ~consolidated_timer:true (Config.dynatune ())));
+  Alcotest.(check (list int)) "per-peer dynatune: a timer for the learner"
+    [ 5 ]
+    (learner_heartbeat_arms (Config.dynatune ()))
+
 let tests =
   [
     Alcotest.test_case "checkquorum: matches the ack-set rule" `Quick
@@ -978,4 +1023,8 @@ let tests =
       test_stale_nack_no_duplicate_resend;
     Alcotest.test_case "backpressure throttles the stream" `Quick
       test_backpressure_throttles_stream;
+    Alcotest.test_case "static broadcast re-arms at h" `Quick
+      test_static_broadcast_rearms_at_h;
+    Alcotest.test_case "add learner: heartbeat timer follows the schedule"
+      `Quick test_add_learner_heartbeat_timer;
   ]
