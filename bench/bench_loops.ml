@@ -121,7 +121,12 @@ let ack_noop leader ~now =
    the RTT samples cycle through prebuilt boxes, so each call records a
    fresh sample and recomputes every derived value. *)
 let make_tuner_loop () =
-  let tuner = Dynatune.Tuner.create Dynatune.Config.default in
+  let base = Raft.Config.dynatune () in
+  let tuner =
+    Dynatune.Tuner.create Dynatune.Config.default
+      ~election_timeout:base.Raft.Config.election_timeout
+      ~heartbeat_interval:base.Raft.Config.heartbeat_interval
+  in
   let rtts =
     Array.init 7 (fun k -> Some (Des.Time.us (100_000 + (1_337 * k))))
   in

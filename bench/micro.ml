@@ -5,10 +5,17 @@
 open Bechamel
 open Toolkit
 
+(* A tuner over etcd's base parameters, as a Dynatune server builds it. *)
+let default_tuner () =
+  let base = Raft.Config.dynatune () in
+  Dynatune.Tuner.create Dynatune.Config.default
+    ~election_timeout:base.Raft.Config.election_timeout
+    ~heartbeat_interval:base.Raft.Config.heartbeat_interval
+
 let test_tuner_observe =
   Test.make ~name:"tuner.observe_heartbeat"
     (Staged.stage
-       (let tuner = Dynatune.Tuner.create Dynatune.Config.default in
+       (let tuner = default_tuner () in
         let i = ref 0 in
         fun () ->
           incr i;
@@ -18,7 +25,7 @@ let test_tuner_observe =
 let test_tuner_retune =
   Test.make ~name:"tuner.election_timeout+interval"
     (Staged.stage
-       (let tuner = Dynatune.Tuner.create Dynatune.Config.default in
+       (let tuner = default_tuner () in
         for i = 0 to 99 do
           Dynatune.Tuner.observe_heartbeat tuner ~hb_id:i
             ~rtt:(Some (Des.Time.ms 100))

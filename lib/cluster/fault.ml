@@ -150,9 +150,9 @@ let fail_and_measure t () =
              next iteration. *)
           Cluster.run_for t
             (Des.Time.max_span (Des.Time.ms 500)
-               (2 * Raft.Config.election_timeout_base
-                      (Raft.Server.config
-                         (Raft.Node.server (Cluster.node t failed)))));
+               (2
+               * (Raft.Server.config (Raft.Node.server (Cluster.node t failed)))
+                   .Raft.Config.election_timeout));
           (* Under a tuned mode, followers discarded their measurements at
              the failover; wait for them to warm back up (Step 0 → Tuned)
              so the next iteration measures tuned behaviour, as the

@@ -6,8 +6,6 @@ type t = {
   arrival_probability : float;
   min_list_size : int;
   max_list_size : int;
-  default_election_timeout : Des.Time.span;
-  default_heartbeat_interval : Des.Time.span;
   max_election_timeout : Des.Time.span;
   min_heartbeat_interval : Des.Time.span;
 }
@@ -21,8 +19,6 @@ let default =
     arrival_probability = 0.999;
     min_list_size = 20;
     max_list_size = 100;
-    default_election_timeout = Des.Time.ms 1000;
-    default_heartbeat_interval = Des.Time.ms 100;
     max_election_timeout = Des.Time.ms 5000;
     min_heartbeat_interval = Des.Time.ms 1;
   }
@@ -43,8 +39,4 @@ let validate t =
     err "max_election_timeout must be >= min_election_timeout"
   else if t.min_heartbeat_interval <= 0 then
     err "min_heartbeat_interval must be positive"
-  else if t.default_election_timeout <= 0 then
-    err "default_election_timeout must be positive"
-  else if t.default_heartbeat_interval <= 0 then
-    err "default_heartbeat_interval must be positive"
   else Ok t

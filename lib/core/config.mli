@@ -2,9 +2,12 @@
 
     These are the four knobs the paper exposes as runtime arguments —
     safety factor [s], arrival probability [x], and the two list-size
-    bounds — plus the default (fallback) election parameters and safety
-    clamps that keep a mis-measured path from driving the timers to
-    degenerate values. *)
+    bounds — plus the safety clamps that keep a mis-measured path from
+    driving the timers to degenerate values.  The base (fallback)
+    election parameters the tuner starts from and falls back to are not
+    here: they are [Raft.Config]'s [election_timeout] and
+    [heartbeat_interval], in every mode, and {!Tuner.create} and
+    {!Leader_path.create} take them as arguments. *)
 
 type estimator =
   | Sliding_window
@@ -31,11 +34,6 @@ type t = {
   max_list_size : int;
       (** Sample windows evict their oldest entry beyond this size.  Paper
           default: 100. *)
-  default_election_timeout : Des.Time.span;
-      (** Fallback [Et]; also the value restored when an election timer
-          expires.  Paper default: 1000 ms (etcd default). *)
-  default_heartbeat_interval : Des.Time.span;
-      (** Fallback [h].  Paper default: 100 ms (etcd default). *)
   max_election_timeout : Des.Time.span;
       (** Upper clamp on tuned [Et]; the conservative default is the
           natural ceiling. *)
@@ -50,8 +48,8 @@ val min_election_timeout : Des.Time.span
 
 val default : t
 (** The paper's experimental configuration: [s = 2], [x = 0.999],
-    [min_list_size = 20], [max_list_size = 100], defaults 1000 ms /
-    100 ms, clamps 5000 ms on [Et] and 1 ms on [h]. *)
+    [min_list_size = 20], [max_list_size = 100], clamps 5000 ms on [Et]
+    and 1 ms on [h]. *)
 
 val validate : t -> (t, string) result
 (** Check internal consistency (list sizes ordered, probabilities in

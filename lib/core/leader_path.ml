@@ -1,18 +1,20 @@
 type t = {
   config : Config.t;
+  base_h : Des.Time.span;
   mutable next_id : int;
   mutable pending_rtt : Des.Time.span option;
   mutable last_rtt : Des.Time.span option;
   mutable interval : Des.Time.span;
 }
 
-let create (config : Config.t) =
+let create config ~heartbeat_interval =
   {
     config;
+    base_h = heartbeat_interval;
     next_id = 0;
     pending_rtt = None;
     last_rtt = None;
-    interval = config.default_heartbeat_interval;
+    interval = heartbeat_interval;
   }
 
 let next_id t =
@@ -48,4 +50,4 @@ let reset t =
   t.next_id <- 0;
   t.pending_rtt <- None;
   t.last_rtt <- None;
-  t.interval <- t.config.default_heartbeat_interval
+  t.interval <- t.base_h

@@ -14,7 +14,9 @@
 
 type t
 
-val create : Config.t -> t
+val create : Config.t -> heartbeat_interval:Des.Time.span -> t
+(** A path whose sending interval starts at, and {!reset} returns to,
+    the base [heartbeat_interval] (the Raft server's configured [h]). *)
 
 val next_id : t -> int
 (** Allocate the sequential id for the next heartbeat on this path. *)
@@ -42,5 +44,5 @@ val sent_count : t -> int
 (** Heartbeats stamped so far (= the id of the next heartbeat). *)
 
 val reset : t -> unit
-(** Forget measurements and return the interval to the default (used on
+(** Forget measurements and return the interval to the base [h] (used on
     leadership change). *)

@@ -6,6 +6,8 @@ type rtt_backend =
 
 type t = {
   config : Config.t;
+  base_et : Des.Time.span;  (* Et while warming, and after [reset] *)
+  base_h : Des.Time.span;  (* h while warming *)
   rtt : rtt_backend;
   loss : Loss_estimator.t;
   log_miss : float;  (* log (1 - arrival_probability), for K *)
@@ -28,12 +30,16 @@ type t = {
   mutable cached_h : Des.Time.span;
 }
 
-let create config =
+let create config ~election_timeout ~heartbeat_interval =
+  if election_timeout <= 0 || heartbeat_interval <= 0 then
+    invalid_arg "Tuner.create: base Et and h must be positive";
   match Config.validate config with
   | Error msg -> invalid_arg ("Tuner.create: " ^ msg)
   | Ok config ->
       {
         config;
+        base_et = election_timeout;
+        base_h = heartbeat_interval;
         rtt =
           (match config.rtt_estimator with
           | Config.Sliding_window ->
@@ -50,10 +56,10 @@ let create config =
         log_miss = log (1. -. config.arrival_probability);
         dirty = true;
         rtt_dirty = true;
-        cached_raw_et = config.default_election_timeout;
-        cached_et = config.default_election_timeout;
+        cached_raw_et = election_timeout;
+        cached_et = election_timeout;
         cached_k = 1;
-        cached_h = config.default_heartbeat_interval;
+        cached_h = heartbeat_interval;
       }
 
 
@@ -112,7 +118,7 @@ let compute_election_timeout t =
       Des.Time.clamp
         (rtt_et t)
         ~lo:Config.min_election_timeout ~hi:t.config.max_election_timeout
-  | Warming -> t.config.default_election_timeout
+  | Warming -> t.base_et
 
 let loss_rate t = Loss_estimator.loss_rate t.loss
 
@@ -130,7 +136,7 @@ let compute_required_heartbeats t ~et =
 
 let compute_heartbeat_interval t ~et ~k =
   match phase t with
-  | Warming -> t.config.default_heartbeat_interval
+  | Warming -> t.base_h
   | Tuned -> Des.Time.max_span t.config.min_heartbeat_interval (et / k)
 
 let refresh t =

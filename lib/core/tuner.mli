@@ -4,7 +4,7 @@
     This is the follower-side state machine:
 
     - {b Step 0} ([`Warming]): record heartbeat metadata until both sample
-      lists reach [min_list_size]; the default election parameters are in
+      lists reach [min_list_size]; the base election parameters are in
       force.
     - {b Steps 1–3} ([`Tuned]): on every heartbeat, re-estimate RTT
       statistics and loss rate, derive [Et = μ + s·σ] and
@@ -13,13 +13,17 @@
 
     [reset] implements the fallback rule: when the election timer expires
     (leader failure or RTT spike), all measurements are discarded and the
-    conservative defaults are restored. *)
+    conservative base parameters are restored. *)
 
 type t
 
-val create : Config.t -> t
-(** Raises [Invalid_argument] if the configuration fails
-    {!Config.validate}. *)
+val create :
+  Config.t -> election_timeout:Des.Time.span ->
+  heartbeat_interval:Des.Time.span -> t
+(** A tuner whose base [Et] and [h] — in force while warming and after
+    {!reset} — are the Raft server's configured ones.  Raises
+    [Invalid_argument] if either is not positive or the configuration
+    fails {!Config.validate}. *)
 
 type phase = Warming | Tuned
 
@@ -32,11 +36,11 @@ val observe_heartbeat : t -> hb_id:int -> rtt:Des.Time.span option -> unit
 
 val election_timeout : t -> Des.Time.span
 (** Current [Et]: the tuned value clamped to the configured range when
-    [Tuned], the default otherwise. *)
+    [Tuned], the base otherwise. *)
 
 val heartbeat_interval : t -> Des.Time.span
 (** Current [h = Et / K], clamped below by [min_heartbeat_interval];
-    the default interval while [Warming]. *)
+    the base interval while [Warming]. *)
 
 val required_heartbeats : t -> int
 (** Current [K = ⌈log_p(1−x)⌉] (1 when the measured loss rate is 0). *)
@@ -48,8 +52,8 @@ val samples : t -> int
 (** RTT samples currently held. *)
 
 val reset : t -> unit
-(** Discard all measurements and fall back to the defaults (back to
-    Step 0). *)
+(** Discard all measurements and fall back to the base parameters (back
+    to Step 0). *)
 
 val required_heartbeats_for : p:float -> x:float -> int
 (** The pure formula [K = ⌈log_p(1−x)⌉], exposed for analysis and

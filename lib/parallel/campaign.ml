@@ -21,34 +21,33 @@ let plan ~seed ~total =
         })
   end
 
-(* Each slot is written by the one domain that claimed its index and read
-   only after every domain is joined, so the slots need no lock. *)
+(* Each slot is written by the one worker that claimed its index and read
+   only after every worker is done, so the slots need no lock.  One
+   worker is the calling domain itself, with no domain spawned. *)
 let all ~jobs thunks =
-  let n = List.length thunks in
-  if jobs <= 1 || n <= 1 then List.map (fun f -> f ()) thunks
-  else begin
-    let thunks = Array.of_list thunks in
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let rec work () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <-
-          Some
-            (match thunks.(i) () with
-            | v -> Ok v
-            | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-        work ()
-      end
-    in
-    let domains = List.init (Int.min jobs n) (fun _ -> Domain.spawn work) in
-    List.iter Domain.join domains;
-    Array.to_list results
-    |> List.map (function
-         | Some (Ok v) -> v
-         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-         | None -> assert false)
-  end
+  let thunks = Array.of_list thunks in
+  let n = Array.length thunks in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <-
+        Some
+          (match thunks.(i) () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+      work ()
+    end
+  in
+  let workers = Int.min jobs n in
+  if workers <= 1 then work ()
+  else List.iter Domain.join (List.init workers (fun _ -> Domain.spawn work));
+  Array.to_list results
+  |> List.map (function
+       | Some (Ok v) -> v
+       | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+       | None -> assert false)
 
 let sharded ~jobs ~seed ~total ~f =
   all ~jobs (List.map (fun s () -> f s) (plan ~seed ~total))

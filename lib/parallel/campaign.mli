@@ -34,10 +34,11 @@ val sharded :
 val all : jobs:int -> (unit -> 'a) list -> 'a list
 (** [all ~jobs thunks] runs independent thunks — complete scenario
     runs that cannot be subdivided, such as the legs of a parameter
-    sweep — and returns their results in order.  [jobs <= 1] or a
-    single thunk runs inline sequentially; otherwise it spawns
-    [min jobs (List.length thunks)] domains, each claiming the next
-    unrun thunk until none is left, and joins them.  Thunks must not
-    share mutable state.  A raising thunk does not stop the others:
-    once every thunk has run, the exception of the lowest-indexed
-    failure is re-raised with its backtrace. *)
+    sweep — and returns their results in order.  Workers claim the next
+    unrun thunk until none is left: [jobs <= 1] or a single thunk runs
+    that loop on the calling domain, with no domain spawned; otherwise
+    [min jobs (List.length thunks)] spawned domains run it and the
+    caller joins them.  Thunks must not share mutable state.  A
+    raising thunk does not stop the others: once every thunk has run,
+    the exception of the lowest-indexed failure is re-raised with its
+    backtrace. *)

@@ -7,7 +7,6 @@ type t = {
   election_timeout : Des.Time.span;
   heartbeat_interval : Des.Time.span;
   pre_vote : bool;
-  check_quorum : bool;
   tuning : tuning;
   max_entries_per_append : int;
   suppress_heartbeats_under_load : bool;
@@ -37,13 +36,13 @@ let with_extensions ?(suppress_heartbeats_under_load = true)
     ?(consolidated_timer = false) t =
   { t with suppress_heartbeats_under_load; consolidated_timer }
 
-let static_with ~election_timeout ~heartbeat_interval =
+(* The one record literal: etcd's defaults, in every mode. *)
+let etcd tuning =
   {
-    election_timeout;
-    heartbeat_interval;
+    election_timeout = Des.Time.ms 1000;
+    heartbeat_interval = Des.Time.ms 100;
     pre_vote = true;
-    check_quorum = true;
-    tuning = Static;
+    tuning;
     max_entries_per_append = 1024;
     suppress_heartbeats_under_load = false;
     consolidated_timer = false;
@@ -53,33 +52,20 @@ let static_with ~election_timeout ~heartbeat_interval =
     priority_lanes = true;
   }
 
-let static () =
-  static_with ~election_timeout:(Des.Time.ms 1000)
-    ~heartbeat_interval:(Des.Time.ms 100)
+let static () = etcd Static
 
 let raft_low () =
-  static_with ~election_timeout:(Des.Time.ms 100)
-    ~heartbeat_interval:(Des.Time.ms 10)
-
-let dynatune ?(cfg = Dynatune.Config.default) () =
   {
-    election_timeout = cfg.Dynatune.Config.default_election_timeout;
-    heartbeat_interval = cfg.Dynatune.Config.default_heartbeat_interval;
-    pre_vote = true;
-    check_quorum = true;
-    tuning = Dynatune cfg;
-    max_entries_per_append = 1024;
-    suppress_heartbeats_under_load = false;
-    consolidated_timer = false;
-    snapshot_threshold = 0;
-    max_inflight_appends = 1024;
-    append_backpressure = 64;
-    priority_lanes = true;
+    (etcd Static) with
+    election_timeout = Des.Time.ms 100;
+    heartbeat_interval = Des.Time.ms 10;
   }
+
+let dynatune ?(cfg = Dynatune.Config.default) () = etcd (Dynatune cfg)
 
 let fix_k ~k () =
   if k <= 0 then invalid_arg "Config.fix_k: k must be positive";
-  { (dynatune ()) with tuning = Fix_k { cfg = Dynatune.Config.default; k } }
+  etcd (Fix_k { cfg = Dynatune.Config.default; k })
 
 let validate t =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
@@ -110,18 +96,6 @@ let heartbeat_transport t =
   match t.tuning with
   | Static -> Netsim.Transport.Reliable
   | Dynatune _ | Fix_k _ -> Netsim.Transport.Datagram
-
-let election_timeout_base t =
-  match t.tuning with
-  | Static -> t.election_timeout
-  | Dynatune cfg | Fix_k { cfg; _ } ->
-      cfg.Dynatune.Config.default_election_timeout
-
-let heartbeat_interval_base t =
-  match t.tuning with
-  | Static -> t.heartbeat_interval
-  | Dynatune cfg | Fix_k { cfg; _ } ->
-      cfg.Dynatune.Config.default_heartbeat_interval
 
 let mode_name t =
   match t.tuning with

@@ -21,16 +21,15 @@ type tuning =
 
 type t = {
   election_timeout : Des.Time.span;
-      (** Base [Et] for [Static] mode (tuned modes take defaults from
-          their [Dynatune.Config.t]). *)
-  heartbeat_interval : Des.Time.span;  (** Base [h] for [Static] mode. *)
+      (** Base [Et], in every mode: the fixed value under [Static]; the
+          value a tuned mode starts from while warming and falls back to
+          when an election timer expires.  CheckQuorum (see {!static}),
+          the leadership-transfer deadline and the leader's
+          stale-response test run on it in every mode. *)
+  heartbeat_interval : Des.Time.span;
+      (** Base [h], in every mode: the fixed interval under [Static]; the
+          interval toward a follower until it piggybacks a tuned one. *)
   pre_vote : bool;  (** Run the pre-vote phase before real elections. *)
-  check_quorum : bool;
-      (** Leader self-demotion (etcd's CheckQuorum): step down when no
-          response from a quorum arrived within one election timeout.
-          Load-bearing for the Fig 6 Raft-Low result — when the RTT
-          exceeds [Et], responses always lag and the leader perpetually
-          abdicates. *)
   tuning : tuning;
   max_entries_per_append : int;
       (** Replication batch size limit. *)
@@ -82,16 +81,20 @@ val with_snapshots : threshold:int -> t -> t
 (** Enable log compaction every [threshold] committed entries. *)
 
 val static : unit -> t
-(** etcd defaults: [Et = 1000 ms], [h = 100 ms], pre-vote and
-    CheckQuorum on, heartbeats over TCP.  Every mode keeps etcd's
-    leader-stickiness lease. *)
+(** etcd defaults: [Et = 1000 ms], [h = 100 ms], pre-vote on, heartbeats
+    over TCP.  Every mode keeps etcd's leader-stickiness lease and its
+    CheckQuorum: a leader steps down when no response from a quorum
+    arrived within one base [Et] (load-bearing for the Fig 6 Raft-Low
+    result — when the RTT exceeds [Et], responses always lag and the
+    leader perpetually abdicates). *)
 
 val raft_low : unit -> t
 (** The paper's Raft-Low comparator: static parameters at 1/10 of the
     defaults. *)
 
 val dynatune : ?cfg:Dynatune.Config.t -> unit -> t
-(** Dynatune with the paper's runtime arguments; heartbeats over UDP. *)
+(** Dynatune with the paper's runtime arguments, over etcd's base
+    parameters ([Et = 1000 ms], [h = 100 ms]); heartbeats over UDP. *)
 
 val fix_k : k:int -> unit -> t
 (** The Fig 7 ablation, on the paper's runtime arguments. *)
@@ -106,11 +109,6 @@ val learner_promotion_gap : int
 val heartbeat_transport : t -> Netsim.Transport.kind
 (** Dynatune sends heartbeats over UDP, default etcd over TCP (Section
     III-E): [Reliable] under [Static], [Datagram] under a tuned mode. *)
-
-val election_timeout_base : t -> Des.Time.span
-(** The configured fallback/base [Et] (mode-aware). *)
-
-val heartbeat_interval_base : t -> Des.Time.span
 
 val mode_name : t -> string
 (** ["raft"], ["raft-low"], ["dynatune"] or ["fix-k"]; used in reports. *)

@@ -161,11 +161,7 @@ and interpret t = function
       Des.Timer.arm (hb_timer t peer) after
   | Server.Arm_broadcast after -> Des.Timer.arm t.broadcast_timer after
   | Server.Arm_quorum_check after -> Des.Timer.arm t.quorum_timer after
-  | Server.Disarm_heartbeats ->
-      Des.Timer.disarm t.broadcast_timer;
-      Array.iter
-        (function Some timer -> Des.Timer.disarm timer | None -> ())
-        t.hb_timers
+  | Server.Disarm_heartbeats -> disarm_heartbeats t
   | Server.Request_flush ->
       if not (Des.Timer.is_armed t.flush_timer) then
         Des.Timer.arm t.flush_timer flush_delay
@@ -189,6 +185,28 @@ and interpret t = function
       complete t ~client_id ~seq ~committed:false
   | Server.Probe p -> emit t p
 
+(* The one body every node timer fires through: a paused node ignores
+   the fire; otherwise it charges the CPU's [timer_fire] cost when
+   [charge] is set, roots a fresh cause of [kind], and dispatches
+   [event]. *)
+and fire t ~charge kind event =
+  if not t.paused then begin
+    if charge then Netsim.Cpu.charge t.cpu ~cost:t.costs.Cost_model.timer_fire;
+    if t.fo_on then new_cause t kind;
+    dispatch t event
+  end
+
+(* The one timer constructor.  The event is built here, once per timer,
+   so a fire allocates no [Server.event]. *)
+and timer engine (t : t Lazy.t) ~charge kind event =
+  Des.Timer.create engine (fun () -> fire (Lazy.force t) ~charge kind event)
+
+and disarm_heartbeats t =
+  Des.Timer.disarm t.broadcast_timer;
+  Array.iter
+    (function Some timer -> Des.Timer.disarm timer | None -> ())
+    t.hb_timers
+
 and hb_timer t peer =
   let i = Node_id.to_int peer in
   if i >= Array.length t.hb_timers then begin
@@ -199,16 +217,12 @@ and hb_timer t peer =
   match t.hb_timers.(i) with
   | Some timer -> timer
   | None ->
-      let timer =
-        Des.Timer.create t.engine (fun () ->
-            if not t.paused then begin
-              Netsim.Cpu.charge t.cpu ~cost:t.costs.Cost_model.timer_fire;
-              if t.fo_on then new_cause t Telemetry.Cause.Heartbeat_timer;
-              dispatch t (Server.Heartbeat_due peer)
-            end)
+      let hb =
+        timer t.engine (Lazy.from_val t) ~charge:true
+          Telemetry.Cause.Heartbeat_timer (Server.Heartbeat_due peer)
       in
-      t.hb_timers.(i) <- Some timer;
-      timer
+      t.hb_timers.(i) <- Some hb;
+      hb
 
 (* A delivery's receive work has completed: fill the scratch event now,
    not when the work was enqueued, so each message queued behind a busy
@@ -298,35 +312,16 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
         cpu;
         costs;
         election_timer =
-          Des.Timer.create engine (fun () ->
-              let t = Lazy.force t in
-              if not t.paused then begin
-                Netsim.Cpu.charge cpu ~cost:costs.Cost_model.timer_fire;
-                if t.fo_on then new_cause t Telemetry.Cause.Election_timer;
-                dispatch t Server.Election_timeout_fired
-              end);
+          timer engine t ~charge:true Telemetry.Cause.Election_timer
+            Server.Election_timeout_fired;
         broadcast_timer =
-          Des.Timer.create engine (fun () ->
-              let t = Lazy.force t in
-              if not t.paused then begin
-                Netsim.Cpu.charge cpu ~cost:costs.Cost_model.timer_fire;
-                if t.fo_on then new_cause t Telemetry.Cause.Heartbeat_timer;
-                dispatch t Server.Broadcast_due
-              end);
+          timer engine t ~charge:true Telemetry.Cause.Heartbeat_timer
+            Server.Broadcast_due;
         quorum_timer =
-          Des.Timer.create engine (fun () ->
-              let t = Lazy.force t in
-              if not t.paused then begin
-                if t.fo_on then new_cause t Telemetry.Cause.Internal;
-                dispatch t Server.Quorum_check_due
-              end);
+          timer engine t ~charge:false Telemetry.Cause.Internal
+            Server.Quorum_check_due;
         flush_timer =
-          Des.Timer.create engine (fun () ->
-              let t = Lazy.force t in
-              if not t.paused then begin
-                if t.fo_on then new_cause t Telemetry.Cause.Internal;
-                dispatch t Server.Flush_due
-              end);
+          timer engine t ~charge:false Telemetry.Cause.Internal Server.Flush_due;
         hb_timers = [||];
         waiters = Waiters.create 64;
         instrumented = Telemetry.Metrics.enabled metrics;
@@ -485,12 +480,9 @@ let resume t =
 
 let disarm_all t =
   Des.Timer.disarm t.election_timer;
-  Des.Timer.disarm t.broadcast_timer;
   Des.Timer.disarm t.quorum_timer;
   Des.Timer.disarm t.flush_timer;
-  Array.iter
-        (function Some timer -> Des.Timer.disarm timer | None -> ())
-        t.hb_timers
+  disarm_heartbeats t
 
 let crash t =
   t.paused <- true;

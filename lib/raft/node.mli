@@ -1,10 +1,10 @@
 (** A Raft server bound to the simulation: timers, network, CPU, trace.
 
     [Node] owns the election timer, the heartbeat timer(s) (one per
-    follower under Dynatune, a single broadcast timer under static Raft —
-    the very asymmetry whose cost Section IV-E discusses), the replication
-    flush timer, and the fault switch that models the paper's
-    container-sleep leader failures. *)
+    follower under Dynatune, a single broadcast timer under static Raft or
+    the consolidated timer — the asymmetry Section IV-E discusses), the
+    replication flush timer, and the fault switch that models the
+    paper's container-sleep leader failures. *)
 
 type t
 

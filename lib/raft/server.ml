@@ -227,9 +227,9 @@ type t = {
   mutable instrument : bool;
   mutable last_decision : (Des.Time.span * Des.Time.span * int) option;
   mutable pb_h : Des.Time.span option;
-      (* cache of the last piggybacked [Some h]: the tuned interval
-         changes rarely relative to heartbeat volume, so the same box is
-         shipped in nearly every response instead of a fresh [Some] *)
+      (* the last piggybacked [Some h], shipped again while h is unchanged;
+         a tuned h moves with most RTT samples, so only 5-24% of responses
+         reuse it (fig4 7.7%, fig5 23%, fig7 23.7%, multiraft 4.9%) *)
   pool : Rpc.Pool.t;
       (* free lists for the hot message payloads; shared across a
          cluster's servers so a record released at the receiver refills
@@ -335,7 +335,10 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
     match config.Config.tuning with
     | Config.Static -> None
     | Config.Dynatune cfg | Config.Fix_k { cfg; _ } ->
-        Some (Dynatune.Tuner.create cfg)
+        Some
+          (Dynatune.Tuner.create cfg
+             ~election_timeout:config.Config.election_timeout
+             ~heartbeat_interval:config.Config.heartbeat_interval)
   in
   let log = Log.create () in
   let term, voted_for, snapshot_data, base =
@@ -517,13 +520,12 @@ let path t peer =
         | Config.Static ->
             (* Static mode still stamps measurement metadata (followers
                simply ignore it), so a path record exists per peer. *)
-            {
-              Dynatune.Config.default with
-              default_heartbeat_interval = t.config.Config.heartbeat_interval;
-              default_election_timeout = t.config.Config.election_timeout;
-            }
+            Dynatune.Config.default
       in
-      let p = Dynatune.Leader_path.create cfg in
+      let p =
+        Dynatune.Leader_path.create cfg
+          ~heartbeat_interval:t.config.Config.heartbeat_interval
+      in
       t.paths.(i) <- Some p;
       p
 
@@ -548,8 +550,7 @@ let piggyback_h_value t =
           let et = Dynatune.Tuner.election_timeout tuner in
           Des.Time.max_span cfg.Dynatune.Config.min_heartbeat_interval (et / k))
 
-(* Boxed via the per-server cache: a heartbeat response carries the same
-   h as the previous one except just after a tuner decision. *)
+(* Boxed via the per-server cache ([pb_h]). *)
 let piggyback_h t =
   let v = piggyback_h_value t in
   if v < 0 then None
@@ -885,19 +886,27 @@ let heartbeat_suppressed t ctx peer ~interval =
        (Progress.last_append_sent_at (progress_of t peer))
      < interval
 
-(* Section IV-E extension 2: the single-timer interval is the minimum h
-   across all follower paths. *)
-let consolidated_interval t =
-  List.fold_left
-    (fun acc peer ->
-      Des.Time.min_span acc (Dynatune.Leader_path.interval (path t peer)))
-    (Config.heartbeat_interval_base t.config)
-    t.others
-
-let broadcast_interval t =
+(* The one heartbeat-timer rule: the leader drives every follower from a
+   single timer under [Static] (etcd's broadcast ticker) and under a
+   tuned mode with Section IV-E extension 2; otherwise each follower has
+   a timer of its own, at its own h. *)
+let single_heartbeat_timer t =
   match t.config.Config.tuning with
-  | Config.Static -> t.config.Config.heartbeat_interval
-  | Config.Dynatune _ | Config.Fix_k _ -> consolidated_interval t
+  | Config.Static -> true
+  | Config.Dynatune _ | Config.Fix_k _ -> t.config.Config.consolidated_timer
+
+let rec min_interval t acc = function
+  | [] -> acc
+  | peer :: rest ->
+      min_interval t
+        (Des.Time.min_span acc (Dynatune.Leader_path.interval (path t peer)))
+        rest
+
+(* The single timer's interval: the minimum h across all follower paths,
+   starting from the base h.  Under [Static] no follower piggybacks an h,
+   so every path keeps the base and the minimum is exactly it. *)
+let consolidated_interval t =
+  min_interval t t.config.Config.heartbeat_interval t.others
 
 (* {2 Leadership transfer} *)
 
@@ -928,7 +937,7 @@ let begin_transfer t ctx ~now target =
             {
               tr_target = target;
               tr_deadline =
-                Des.Time.add now (Config.election_timeout_base t.config);
+                Des.Time.add now t.config.Config.election_timeout;
               tr_sent = false;
             };
         emit ctx
@@ -979,13 +988,10 @@ let append_config t ctx change =
       let pr = progress_of t n in
       Progress.record_conflict pr ~hint:(Log.first_available t.log);
       send_append t ctx n;
-      (match t.config.Config.tuning with
-      | Config.Static -> ()
-      | Config.Dynatune _ | Config.Fix_k _ ->
-          if not t.config.Config.consolidated_timer then
-            emit ctx
-              (Arm_heartbeat
-                 { peer = n; after = Dynatune.Leader_path.interval (path t n) }))
+      if not (single_heartbeat_timer t) then
+        emit ctx
+          (Arm_heartbeat
+             { peer = n; after = Dynatune.Leader_path.interval (path t n) })
   | Log.Promote _ | Log.Remove _ -> ());
   if not t.flush_requested then begin
     t.flush_requested <- true;
@@ -1212,38 +1218,31 @@ let maybe_promote_learner t ctx from =
 (* {2 Leadership} *)
 
 let arm_leader_heartbeats t ctx ~immediately =
-  match t.config.Config.tuning with
-  | Config.Static ->
-      let after = if immediately then 0 else t.config.Config.heartbeat_interval in
-      emit ctx (Arm_broadcast after)
-  | Config.Dynatune _ | Config.Fix_k _ ->
-      if t.config.Config.consolidated_timer then
-        let after = if immediately then 0 else broadcast_interval t in
-        emit ctx (Arm_broadcast after)
-      else
-        List.iter
-          (fun peer ->
-            (* Stagger the initial phase of each per-peer timer uniformly
-               over one interval: real schedulers drift the n−1 timers
-               apart, and the resulting independent heartbeat phases
-               spread follower expiries after a leader failure (fewer
-               simultaneous candidacies, hence fewer split votes). *)
-            let after =
-              if immediately then 0
-              else
-                let interval = Dynatune.Leader_path.interval (path t peer) in
-                1 + Stats.Rng.int t.rng (Int.max 1 interval)
-            in
-            emit ctx (Arm_heartbeat { peer; after }))
-          t.others
+  if single_heartbeat_timer t then
+    emit ctx (Arm_broadcast (if immediately then 0 else consolidated_interval t))
+  else
+    List.iter
+      (fun peer ->
+        (* Stagger the initial phase of each per-peer timer uniformly over
+           one interval: real schedulers drift the n−1 timers apart, and
+           the resulting independent heartbeat phases spread follower
+           expiries after a leader failure (fewer simultaneous
+           candidacies, hence fewer split votes). *)
+        let after =
+          if immediately then 0
+          else
+            let interval = Dynatune.Leader_path.interval (path t peer) in
+            1 + Stats.Rng.int t.rng (Int.max 1 interval)
+        in
+        emit ctx (Arm_heartbeat { peer; after }))
+      t.others
 
 let become_leader t ctx =
   t.leader <- Some t.id;
   forget_acks t;
   t.transfer <- None;
   emit ctx Disarm_election;
-  if t.config.Config.check_quorum then
-    emit ctx (Arm_quorum_check (Config.election_timeout_base t.config));
+  emit ctx (Arm_quorum_check t.config.Config.election_timeout);
   Array.fill t.progress 0 (Array.length t.progress) None;
   t.all_progress <- [];
   Array.fill t.batches 0 (Array.length t.batches) None;
@@ -1376,7 +1375,8 @@ let on_vote_request t ctx ~now ~from (req : Rpc.vote_request) =
       ~last_term:req.last_log_term
   in
   (* etcd's CheckQuorum lease: campaigns are ignored while we have heard
-     from a leader within the (base, un-randomized) election timeout. *)
+     from a leader within the current un-randomized election timeout
+     (the tuned Et under a tuned mode, else the base). *)
   let lease_active =
     (not req.force)
     && t.leader <> None
@@ -1545,7 +1545,7 @@ let on_heartbeat t ctx ~now ~from ~term:hb_term ~commit ~hb_id ~sent_at
    timeout. *)
 let stale_clock t pr ~now =
   Des.Time.diff now (Progress.last_response_at pr)
-  > Config.election_timeout_base t.config
+  > t.config.Config.election_timeout
 
 let on_heartbeat_response t ctx ~now ~from ~term:resp_term ~echo_sent_at
     ~tuned_h =
@@ -1686,7 +1686,7 @@ let handle t ~now event =
   | Broadcast_due ->
       if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
-        let interval = broadcast_interval t in
+        let interval = consolidated_interval t in
         List.iter
           (fun peer ->
             if not (heartbeat_suppressed t ctx peer ~interval) then
@@ -1695,11 +1695,11 @@ let handle t ~now event =
         emit ctx (Arm_broadcast interval)
       end
   | Quorum_check_due ->
-      if Types.is_leader t.role && t.config.Config.check_quorum then begin
+      if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
         if self_weight t + acked_voters t 0 t.others >= t.quorum then begin
           forget_acks t;
-          emit ctx (Arm_quorum_check (Config.election_timeout_base t.config))
+          emit ctx (Arm_quorum_check t.config.Config.election_timeout)
         end
         else
           (* No quorum heard from within an election timeout: the leader
@@ -1762,8 +1762,7 @@ let handle t ~now event =
       if Types.is_leader t.role then begin
         arm_leader_heartbeats t ctx ~immediately:true;
         forget_acks t;
-        if t.config.Config.check_quorum then
-          emit ctx (Arm_quorum_check (Config.election_timeout_base t.config))
+        emit ctx (Arm_quorum_check t.config.Config.election_timeout)
       end
       else begin
         t.leader <- None;

@@ -21,8 +21,9 @@ type event =
           retains the event. *)
   | Election_timeout_fired
   | Heartbeat_due of Netsim.Node_id.t
-      (** per-follower heartbeat timer (tuned modes) *)
-  | Broadcast_due  (** the single heartbeat timer of static mode *)
+      (** per-follower heartbeat timer (tuned modes, no consolidated timer) *)
+  | Broadcast_due
+      (** the single heartbeat timer (static mode, or a consolidated timer) *)
   | Quorum_check_due
       (** periodic CheckQuorum evaluation on the leader *)
   | Flush_due  (** replication batch flush *)
@@ -160,7 +161,7 @@ val randomized_timeout : t -> Des.Time.span
     samples). *)
 
 val election_timeout_now : t -> Des.Time.span
-(** The current base [Et] (tuned when warmed up, default otherwise). *)
+(** The current [Et]: tuned when warmed up, else the configured base. *)
 
 val tuner : t -> Dynatune.Tuner.t option
 (** The follower-side tuner, when a tuned mode is configured. *)

@@ -24,6 +24,13 @@ type arg =
 
 val create : unit -> t
 
+val escape : string -> string
+(** The body of a JSON string literal holding [s]: quotes, backslashes
+    and control characters escaped, well-formed UTF-8 kept verbatim and
+    each malformed byte replaced with [\ufffd], so the output is valid
+    JSON whatever the bytes.  The one escaper of this library (also
+    {!Metrics.to_json}'s). *)
+
 val event_count : t -> int
 (** Events emitted so far (metadata records included). *)
 

@@ -179,22 +179,6 @@ let json_float x =
       if float_of_string shorter = x then shorter else s
     else s
 
-let escape_json s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let value_to_json = function
   | Count n -> string_of_int n
   | Level v -> json_float v
@@ -223,7 +207,7 @@ let to_json snapshot =
     (fun i (key, v) ->
       if i > 0 then Buffer.add_string b ",";
       Buffer.add_string b "\n    \"";
-      Buffer.add_string b (escape_json (key_label key));
+      Buffer.add_string b (Chrome_trace.escape (key_label key));
       Buffer.add_string b "\": ";
       Buffer.add_string b (value_to_json v))
     snapshot;

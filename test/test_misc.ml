@@ -212,12 +212,12 @@ let test_config_fix_k_rejects_nonpositive () =
 let test_config_bases () =
   let d = Raft.Config.dynatune () in
   Alcotest.(check int) "dynatune base Et is the fallback" (Time.ms 1000)
-    (Raft.Config.election_timeout_base d);
+    d.Raft.Config.election_timeout;
   Alcotest.(check int) "dynatune base h is the fallback" (Time.ms 100)
-    (Raft.Config.heartbeat_interval_base d);
+    d.Raft.Config.heartbeat_interval;
   let low = Raft.Config.raft_low () in
   Alcotest.(check int) "raft-low base" (Time.ms 100)
-    (Raft.Config.election_timeout_base low)
+    low.Raft.Config.election_timeout
 
 (* {2 Report} *)
 

@@ -59,11 +59,16 @@ let test_all_runs_off_the_calling_domain () =
     ran_on
 
 let test_all_inline_raises_first_failure () =
-  let thunk x () = if x >= 2 then raise (Failure (string_of_int x)) else x in
+  let ran = ref 0 in
+  let thunk x () =
+    incr ran;
+    if x >= 2 then raise (Failure (string_of_int x)) else x
+  in
   (match Campaign.all ~jobs:1 (List.map thunk [ 0; 1; 2; 3; 4 ]) with
   | _ -> Alcotest.fail "expected an exception"
   | exception Failure msg ->
       Alcotest.(check string) "first failing index raised" "2" msg);
+  Alcotest.(check int) "every thunk ran before the raise" 5 !ran;
   match Campaign.all ~jobs:4 [ thunk 3 ] with
   | _ -> Alcotest.fail "expected an exception"
   | exception Failure msg ->

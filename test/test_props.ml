@@ -187,6 +187,14 @@ let tuner_cfg =
     max_list_size = 50;
   }
 
+(* The base parameters, etcd's defaults. *)
+let tuner_et = Des.Time.ms 1000
+let tuner_h = Des.Time.ms 100
+
+let new_tuner () =
+  Dynatune.Tuner.create tuner_cfg ~election_timeout:tuner_et
+    ~heartbeat_interval:tuner_h
+
 let prop_required_heartbeats_minimal =
   Q.Test.make ~count:500 ~name:"K is the minimal satisfying count"
     Q.(pair (float_range 0.01 0.95) (float_range 0.9 0.9999))
@@ -202,7 +210,7 @@ let prop_tuner_h_bounds =
         (list_of_size (Q.Gen.int_range 2 40) (float_range 0.5 800.))
         (list_of_size (Q.Gen.int_range 0 30) (int_range 0 100)))
     (fun (rtts_ms, drop_ids) ->
-      let t = Dynatune.Tuner.create tuner_cfg in
+      let t = new_tuner () in
       List.iteri
         (fun i rtt ->
           if not (List.mem i drop_ids) then
@@ -217,7 +225,7 @@ let prop_tuner_et_bounds =
   Q.Test.make ~count:300 ~name:"tuned Et respects its clamps"
     Q.(list_of_size (Q.Gen.int_range 2 40) (float_range 0.0001 100000.))
     (fun rtts_ms ->
-      let t = Dynatune.Tuner.create tuner_cfg in
+      let t = new_tuner () in
       List.iteri
         (fun i rtt ->
           Dynatune.Tuner.observe_heartbeat t ~hb_id:i
@@ -231,7 +239,7 @@ let prop_tuner_reset_restores_defaults =
   Q.Test.make ~count:200 ~name:"reset always restores the defaults"
     Q.(list_of_size (Q.Gen.int_range 0 40) (float_range 1. 1000.))
     (fun rtts_ms ->
-      let t = Dynatune.Tuner.create tuner_cfg in
+      let t = new_tuner () in
       List.iteri
         (fun i rtt ->
           Dynatune.Tuner.observe_heartbeat t ~hb_id:i
@@ -239,10 +247,8 @@ let prop_tuner_reset_restores_defaults =
         rtts_ms;
       Dynatune.Tuner.reset t;
       Dynatune.Tuner.phase t = Dynatune.Tuner.Warming
-      && Dynatune.Tuner.election_timeout t
-         = tuner_cfg.Dynatune.Config.default_election_timeout
-      && Dynatune.Tuner.heartbeat_interval t
-         = tuner_cfg.Dynatune.Config.default_heartbeat_interval)
+      && Dynatune.Tuner.election_timeout t = tuner_et
+      && Dynatune.Tuner.heartbeat_interval t = tuner_h)
 
 (* {2 Summary} *)
 

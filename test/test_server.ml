@@ -969,6 +969,72 @@ let test_add_learner_heartbeat_timer () =
     [ 5 ]
     (learner_heartbeat_arms (Config.dynatune ()))
 
+(* A tuned mode's base parameters are [Raft.Config]'s fields: the tuner
+   warms up at them, falls back to them, and the expiry probe reports the
+   base h while warming. *)
+let test_tuned_base_from_config () =
+  let config =
+    {
+      (Config.dynatune
+         ~cfg:{ Dynatune.Config.default with Dynatune.Config.min_list_size = 2 }
+         ())
+      with
+      Config.election_timeout = Time.ms 500;
+      heartbeat_interval = Time.ms 50;
+    }
+  in
+  let s = make ~config ~self:0 () in
+  let tuner =
+    match Server.tuner s with
+    | Some tuner -> tuner
+    | None -> Alcotest.fail "a tuned mode has a tuner"
+  in
+  let base label =
+    Alcotest.(check bool) (label ^ ": warming") true
+      (Dynatune.Tuner.phase tuner = Dynatune.Tuner.Warming);
+    Alcotest.(check int) (label ^ ": Et") (Time.ms 500)
+      (Server.election_timeout_now s);
+    Alcotest.(check int) (label ^ ": h") (Time.ms 50)
+      (Dynatune.Tuner.heartbeat_interval tuner)
+  in
+  List.iter
+    (fun (et, h) ->
+      Alcotest.(check bool) "non-positive base rejected" true
+        (try
+           ignore
+             (Dynatune.Tuner.create Dynatune.Config.default ~election_timeout:et
+                ~heartbeat_interval:h
+               : Dynatune.Tuner.t);
+           false
+         with Invalid_argument _ -> true))
+    [ (0, Time.ms 50); (Time.ms 500, 0) ];
+  ignore (Server.start s);
+  base "start";
+  let hb i now =
+    ignore
+      (recv s ~from:3
+         (heartbeat ~id:i ~sent_at:now ~rtt:(Time.ms 20) ~term:1 ~commit:0 ())
+         ~now)
+  in
+  hb 0 Time.zero;
+  hb 1 (Time.ms 100);
+  hb 2 (Time.ms 200);
+  Alcotest.(check bool) "tuned" true
+    (Dynatune.Tuner.phase tuner = Dynatune.Tuner.Tuned);
+  Dynatune.Tuner.reset tuner;
+  base "after reset";
+  match
+    List.filter_map
+      (function
+        | Server.Probe (Probe.Timeout_expired { et; h; _ }) -> Some (et, h)
+        | _ -> None)
+      (Server.handle s ~now:(Time.sec 2) Server.Election_timeout_fired)
+  with
+  | [ (et, h) ] ->
+      Alcotest.(check (pair int int)) "probe while warming" (Time.ms 500, Time.ms 50)
+        (et, h)
+  | _ -> Alcotest.fail "expected one Timeout_expired"
+
 let tests =
   [
     Alcotest.test_case "checkquorum: matches the ack-set rule" `Quick
@@ -1027,4 +1093,6 @@ let tests =
       test_static_broadcast_rearms_at_h;
     Alcotest.test_case "add learner: heartbeat timer follows the schedule"
       `Quick test_add_learner_heartbeat_timer;
+    Alcotest.test_case "tuned mode: base Et/h from the config" `Quick
+      test_tuned_base_from_config;
   ]

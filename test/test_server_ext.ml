@@ -125,19 +125,6 @@ let test_checkquorum_window_resets () =
   Alcotest.(check bool) "second silent window abdicates" true
     (Server.role s = Types.Follower)
 
-let test_checkquorum_disabled () =
-  let config = { (Config.static ()) with Config.check_quorum = false } in
-  let s = make ~config ~self:0 () in
-  ignore (Server.start s);
-  let acts = elect s ~now:Time.zero in
-  Alcotest.(check bool) "no quorum timer when disabled" false
-    (List.exists
-       (function Server.Arm_quorum_check _ -> true | _ -> false)
-       acts);
-  ignore (Server.handle s ~now:(Time.sec 5) Server.Quorum_check_due);
-  Alcotest.(check bool) "event ignored when disabled" true
-    (Server.role s = Types.Leader)
-
 let test_lease_expires_after_base_timeout () =
   (* A voter grants once its last leader contact is older than the base
      election timeout, even if its own randomized timer has not fired. *)
@@ -481,8 +468,6 @@ let tests =
       test_checkquorum_survives_with_acks;
     Alcotest.test_case "checkquorum: window resets" `Quick
       test_checkquorum_window_resets;
-    Alcotest.test_case "checkquorum: can be disabled" `Quick
-      test_checkquorum_disabled;
     Alcotest.test_case "lease: expires after base timeout" `Quick
       test_lease_expires_after_base_timeout;
     Alcotest.test_case "suppression: skips after append" `Quick

@@ -264,6 +264,255 @@ let test_chrome_write () =
       in
       Alcotest.(check string) "write = to_string" (Chrome.to_string s) body)
 
+(* {2 A strict JSON reader} *)
+
+(* Enough of RFC 8259 to check that a writer's output is valid JSON and
+   to read a Chrome trace back.  A string must be well-formed UTF-8 with
+   no raw control character and only the standard escapes; a number is
+   a run of [-+.eE0-9] that [float_of_string] accepts. *)
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+exception Bad_json of int
+
+let parse_json s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail () = raise (Bad_json !pos) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let rec ws () =
+    match peek () with
+    | Some (' ' | '\n' | '\t' | '\r') ->
+        incr pos;
+        ws ()
+    | _ -> ()
+  in
+  let eat c =
+    ws ();
+    if peek () = Some c then incr pos else fail ()
+  in
+  let lit word v =
+    let len = String.length word in
+    if !pos + len <= n && String.sub s !pos len = word then begin
+      pos := !pos + len;
+      v
+    end
+    else fail ()
+  in
+  let str () =
+    eat '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> fail ()
+      | Some c -> (
+          incr pos;
+          match c with
+          | '"' -> ()
+          | '\\' ->
+              (match peek () with
+              | Some (('"' | '\\' | '/') as e) -> Buffer.add_char b e
+              | Some 'n' -> Buffer.add_char b '\n'
+              | Some 't' -> Buffer.add_char b '\t'
+              | Some 'r' -> Buffer.add_char b '\r'
+              | Some 'b' -> Buffer.add_char b '\b'
+              | Some 'f' -> Buffer.add_char b '\012'
+              | Some 'u' when !pos + 5 <= n -> (
+                  match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
+                  | Some code when Uchar.is_valid code ->
+                      Buffer.add_utf_8_uchar b (Uchar.of_int code);
+                      pos := !pos + 4
+                  | _ -> fail ())
+              | _ -> fail ());
+              incr pos;
+              go ()
+          | c when Char.code c < 0x20 -> fail ()
+          | c ->
+              Buffer.add_char b c;
+              go ())
+    in
+    go ();
+    let v = Buffer.contents b in
+    if String.is_valid_utf_8 v then v else fail ()
+  in
+  let items close item =
+    ws ();
+    if peek () = Some close then begin
+      incr pos;
+      []
+    end
+    else
+      let rec more acc =
+        let acc = item () :: acc in
+        ws ();
+        match peek () with
+        | Some ',' ->
+            incr pos;
+            more acc
+        | Some c when c = close ->
+            incr pos;
+            List.rev acc
+        | _ -> fail ()
+      in
+      more []
+  in
+  let rec value () =
+    ws ();
+    match peek () with
+    | Some '{' ->
+        incr pos;
+        Obj (items '}' (fun () ->
+                 let k = str () in
+                 eat ':';
+                 (k, value ())))
+    | Some '[' ->
+        incr pos;
+        Arr (items ']' value)
+    | Some '"' -> Str (str ())
+    | Some 't' -> lit "true" (Bool true)
+    | Some 'f' -> lit "false" (Bool false)
+    | Some 'n' -> lit "null" Null
+    | _ ->
+        let start = !pos in
+        while
+          match peek () with
+          | Some ('-' | '+' | '.' | 'e' | 'E' | '0' .. '9') -> true
+          | _ -> false
+        do
+          incr pos
+        done;
+        if !pos = start then fail ();
+        match float_of_string_opt (String.sub s start (!pos - start)) with
+        | Some x -> Num x
+        | None -> fail ()
+  in
+  let v = value () in
+  ws ();
+  if !pos = n then v else fail ()
+
+let valid_json s =
+  match parse_json s with _ -> true | exception Bad_json _ -> false
+
+(* Both writers share one escaper: a metric key holding malformed UTF-8
+   still renders as valid JSON, and its well-formed keys are unchanged. *)
+let test_metrics_json_malformed_label () =
+  let m = Metrics.create () in
+  Metrics.Counter.incr
+    (Metrics.counter m ~scope:"rpc" ~name:"sent" ~node:"n\xC3\xA9\xFF\x80" ());
+  Metrics.Counter.incr (Metrics.counter m ~scope:"rpc" ~name:"sent" ~node:"n1" ());
+  let out = Metrics.to_json (Metrics.snapshot m) in
+  Alcotest.(check bool) "valid JSON" true (valid_json out);
+  Alcotest.(check bool) "malformed bytes replaced" true
+    (contains ~needle:"n\xC3\xA9\\ufffd\\ufffd" out);
+  Alcotest.(check bool) "a plain key verbatim" true
+    (contains ~needle:{|"rpc/sent@n1": 1|} out)
+
+(* {2 Trace bridge} *)
+
+let events_of sink =
+  match parse_json (Chrome.to_string sink) with
+  | Obj fields -> (
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Arr events) ->
+          List.map (function Obj e -> e | _ -> Alcotest.fail "event") events
+      | _ -> Alcotest.fail "no traceEvents")
+  | _ -> Alcotest.fail "trace is not an object"
+
+let field e k = List.assoc_opt k e
+
+let str_field e k =
+  match field e k with Some (Str v) -> v | _ -> Alcotest.failf "no %s" k
+
+let int_field e k =
+  match field e k with
+  | Some (Num v) -> int_of_float v
+  | _ -> Alcotest.failf "no %s" k
+
+(* A bridge on a 5-node cluster through one failover: leader killed, a
+   new one elected, the old one recovered.  Spans pair up per thread,
+   the new leader's thread holds a leader span, [finish] adds one fabric
+   counter and one counter per link, and nothing lands after it. *)
+let test_tracing_bridge () =
+  let c =
+    Harness.Cluster.create ~seed:3L ~n:5 ~config:(Raft.Config.dynatune ()) ()
+  in
+  let sink = Chrome.create () in
+  let bridge = Harness.Tracing.attach c sink in
+  ignore (Harness.Cluster.boot c ~label:"tracing" : Raft.Node.t);
+  let old =
+    match Harness.Fault.kill_leader c with
+    | Some (id, _) -> id
+    | None -> Alcotest.fail "no leader to kill"
+  in
+  let fresh =
+    match Harness.Cluster.await_leader c ~timeout:(Time.sec 30) with
+    | Some node -> Raft.Node.id node
+    | None -> Alcotest.fail "no new leader"
+  in
+  Harness.Fault.recover c old;
+  Harness.Cluster.run_for c (Time.sec 1);
+  Harness.Tracing.finish bridge;
+  let events = events_of sink in
+  (* Every B closed by an E of the same name, later, on its own thread. *)
+  let stacks = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let key = (int_field e "pid", int_field e "tid") in
+      let stack = Option.value ~default:[] (Hashtbl.find_opt stacks key) in
+      match str_field e "ph" with
+      | "B" ->
+          Hashtbl.replace stacks key
+            ((str_field e "name", int_field e "ts") :: stack)
+      | "E" -> (
+          match stack with
+          | (name, ts) :: rest ->
+              Alcotest.(check string) "E closes its B" name (str_field e "name");
+              Alcotest.(check bool) "E after its B" true (int_field e "ts" >= ts);
+              Hashtbl.replace stacks key rest
+          | [] -> Alcotest.fail "E without a B")
+      | _ -> ())
+    events;
+  Hashtbl.iter
+    (fun _ stack ->
+      Alcotest.(check int) "every span closed" 0 (List.length stack))
+    stacks;
+  let named ph name e = str_field e "ph" = ph && str_field e "name" = name in
+  Alcotest.(check bool) "new leader differs from the old" true
+    (not (Netsim.Node_id.equal old fresh));
+  Alcotest.(check bool) "new leader's thread opens a leader span" true
+    (List.exists
+       (fun e ->
+         named "B" "leader" e
+         && int_field e "tid" = Netsim.Node_id.to_int fresh)
+       events);
+  Alcotest.(check int) "one fabric counter" 1
+    (List.length (List.filter (named "C" "fabric") events));
+  let link_counters =
+    List.filter_map
+      (fun e ->
+        let name = str_field e "name" in
+        if str_field e "ph" = "C" && String.starts_with ~prefix:"link " name
+        then Some name
+        else None)
+      events
+  in
+  Alcotest.(check (list string)) "one counter per link"
+    (List.map
+       (fun ((src, dst), _) -> Printf.sprintf "link n%d->n%d" src dst)
+       (Netsim.Fabric.link_counters (Harness.Cluster.fabric c)))
+    link_counters;
+  (* A second finish, and the probes of another failover, add nothing. *)
+  let before = Chrome.to_string sink in
+  Harness.Tracing.finish bridge;
+  ignore (Harness.Fault.kill_leader c : (Netsim.Node_id.t * Time.t) option);
+  Harness.Cluster.run_for c (Time.sec 5);
+  Alcotest.(check string) "nothing after finish" before (Chrome.to_string sink)
+
 let tests =
   [
     Alcotest.test_case "registry: basics" `Quick test_registry_basics;
@@ -282,4 +531,8 @@ let tests =
     Alcotest.test_case "chrome: JSON shape" `Quick test_chrome_shape;
     Alcotest.test_case "chrome: UTF-8 escaping" `Quick test_chrome_utf8;
     Alcotest.test_case "chrome: write" `Quick test_chrome_write;
+    Alcotest.test_case "metrics: malformed UTF-8 label is valid JSON" `Quick
+      test_metrics_json_malformed_label;
+    Alcotest.test_case "tracing: bridge through a failover" `Quick
+      test_tracing_bridge;
   ]

@@ -144,6 +144,16 @@ let test_required_heartbeats_guarantee () =
 
 (* {2 Tuner} *)
 
+(* The base parameters a Dynatune server hands its tuner and leader
+   paths: etcd's defaults. *)
+let base_et = Time.ms 1000
+let base_h = Time.ms 100
+
+let new_tuner cfg =
+  Tuner.create cfg ~election_timeout:base_et ~heartbeat_interval:base_h
+
+let new_path () = Leader_path.create Config.default ~heartbeat_interval:base_h
+
 let small_cfg =
   {
     Config.default with
@@ -160,15 +170,15 @@ let feed tuner ~n ~rtt ?(skip = fun _ -> false) () =
   done
 
 let test_tuner_warming_uses_defaults () =
-  let t = Tuner.create small_cfg in
+  let t = new_tuner small_cfg in
   Alcotest.(check bool) "starts warming" true (Tuner.phase t = Tuner.Warming);
-  check_ms "default Et" Config.default.Config.default_election_timeout
+  check_ms "default Et" base_et
     (Tuner.election_timeout t);
-  check_ms "default h" Config.default.Config.default_heartbeat_interval
+  check_ms "default h" base_h
     (Tuner.heartbeat_interval t)
 
 let test_tuner_tunes_after_warmup () =
-  let t = Tuner.create small_cfg in
+  let t = new_tuner small_cfg in
   feed t ~n:5 ~rtt:(Time.ms 100) ();
   Alcotest.(check bool) "tuned" true (Tuner.phase t = Tuner.Tuned);
   (* Zero variance: Et = mean = 100ms (above the 10ms clamp). *)
@@ -178,7 +188,7 @@ let test_tuner_tunes_after_warmup () =
   check_ms "h = Et" (Time.ms 100) (Tuner.heartbeat_interval t)
 
 let test_tuner_h_under_loss () =
-  let t = Tuner.create { small_cfg with Config.max_list_size = 100 } in
+  let t = new_tuner { small_cfg with Config.max_list_size = 100 } in
   (* Drop 30% of heartbeat ids (deterministic pattern: 3 in 10).  With
      ids 3..99 retained, p = 1 - 70/97 ≈ 0.278. *)
   feed t ~n:100 ~rtt:(Time.ms 100) ~skip:(fun i -> i mod 10 < 3) ();
@@ -194,30 +204,30 @@ let test_tuner_h_under_loss () =
     (Tuner.heartbeat_interval t)
 
 let test_tuner_reset_falls_back () =
-  let t = Tuner.create small_cfg in
+  let t = new_tuner small_cfg in
   feed t ~n:5 ~rtt:(Time.ms 50) ();
   Alcotest.(check bool) "tuned before reset" true (Tuner.phase t = Tuner.Tuned);
   Tuner.reset t;
   Alcotest.(check bool) "warming after reset" true
     (Tuner.phase t = Tuner.Warming);
   check_ms "default Et restored"
-    Config.default.Config.default_election_timeout (Tuner.election_timeout t)
+    base_et (Tuner.election_timeout t)
 
 let test_tuner_et_clamped_below () =
-  let t = Tuner.create small_cfg in
+  let t = new_tuner small_cfg in
   feed t ~n:5 ~rtt:(Time.us 100) ();
   check_ms "clamped to min_election_timeout"
     Config.min_election_timeout (Tuner.election_timeout t)
 
 let test_tuner_et_clamped_above () =
   let cfg = { small_cfg with Config.max_election_timeout = Time.ms 300 } in
-  let t = Tuner.create cfg in
+  let t = new_tuner cfg in
   feed t ~n:5 ~rtt:(Time.ms 2000) ();
   check_ms "clamped to max_election_timeout" (Time.ms 300)
     (Tuner.election_timeout t)
 
 let test_tuner_duplicate_ids_dont_advance () =
-  let t = Tuner.create small_cfg in
+  let t = new_tuner small_cfg in
   for _ = 1 to 10 do
     Tuner.observe_heartbeat t ~hb_id:0 ~rtt:(Some (Time.ms 10))
   done;
@@ -225,7 +235,7 @@ let test_tuner_duplicate_ids_dont_advance () =
   Alcotest.(check bool) "still warming" true (Tuner.phase t = Tuner.Warming)
 
 let test_tuner_et_tracks_rtt_increase () =
-  let t = Tuner.create small_cfg in
+  let t = new_tuner small_cfg in
   feed t ~n:10 ~rtt:(Time.ms 50) ();
   let et_before = Tuner.election_timeout t in
   (* Window slides: feed higher RTTs with fresh ids. *)
@@ -310,7 +320,7 @@ let test_tuner_with_ewma_backend () =
       Config.rtt_estimator = Config.Ewma 0.25;
     }
   in
-  let t = Tuner.create cfg in
+  let t = new_tuner cfg in
   feed t ~n:30 ~rtt:(Time.ms 100) ();
   Alcotest.(check bool) "tuned" true (Tuner.phase t = Tuner.Tuned);
   let et = Time.to_ms_f (Tuner.election_timeout t) in
@@ -322,18 +332,18 @@ let test_tuner_with_ewma_backend () =
   Tuner.reset t;
   Alcotest.(check bool) "reset rewinds to warming" true
     (Tuner.phase t = Tuner.Warming);
-  check_ms "defaults after reset" cfg.Config.default_election_timeout
+  check_ms "defaults after reset" base_et
     (Tuner.election_timeout t)
 
 (* {2 Leader_path} *)
 
 let test_leader_path_meta_sequence () =
-  let p = Leader_path.create Config.default in
+  let p = new_path () in
   Alcotest.(check int) "ids sequential" 0 (Leader_path.next_id p);
   Alcotest.(check int) "ids sequential" 1 (Leader_path.next_id p)
 
 let test_leader_path_rtt_shipped_once () =
-  let p = Leader_path.create Config.default in
+  let p = new_path () in
   Alcotest.(check (option int)) "no measurement yet" None (Leader_path.take_rtt p);
   Leader_path.on_response p ~now:(Time.ms 30) ~echo_sent_at:Time.zero
     ~tuned_h:None;
@@ -342,36 +352,36 @@ let test_leader_path_rtt_shipped_once () =
   Alcotest.(check (option int)) "shipped only once" None (Leader_path.take_rtt p)
 
 let test_leader_path_applies_h () =
-  let p = Leader_path.create Config.default in
+  let p = new_path () in
   check_ms "default interval"
-    Config.default.Config.default_heartbeat_interval (Leader_path.interval p);
+    base_h (Leader_path.interval p);
   Leader_path.on_response p ~now:(Time.ms 10) ~echo_sent_at:Time.zero
     ~tuned_h:(Some (Time.ms 42));
   check_ms "tuned interval applied" (Time.ms 42) (Leader_path.interval p)
 
 let test_leader_path_h_clamped () =
-  let p = Leader_path.create Config.default in
+  let p = new_path () in
   Leader_path.on_response p ~now:(Time.ms 10) ~echo_sent_at:Time.zero
     ~tuned_h:(Some 1);
   check_ms "clamped to min interval"
     Config.default.Config.min_heartbeat_interval (Leader_path.interval p)
 
 let test_leader_path_future_echo_ignored () =
-  let p = Leader_path.create Config.default in
+  let p = new_path () in
   Leader_path.on_response p ~now:(Time.ms 10) ~echo_sent_at:(Time.ms 20)
     ~tuned_h:None;
   Alcotest.(check (option int)) "future timestamp rejected" None
     (Leader_path.last_rtt p)
 
 let test_leader_path_reset () =
-  let p = Leader_path.create Config.default in
+  let p = new_path () in
   ignore (Leader_path.next_id p : int);
   Leader_path.on_response p ~now:(Time.ms 5) ~echo_sent_at:Time.zero
     ~tuned_h:(Some (Time.ms 7));
   Leader_path.reset p;
   Alcotest.(check int) "id counter reset" 0 (Leader_path.sent_count p);
   check_ms "interval reset"
-    Config.default.Config.default_heartbeat_interval (Leader_path.interval p)
+    base_h (Leader_path.interval p)
 
 (* {2 The tuner against its pre-rewrite reference}
 
@@ -423,7 +433,6 @@ let gen_config =
     let* max_et = int_range 10 5000 in
     return
       {
-        Config.default with
         Config.rtt_estimator = estimator;
         min_list_size;
         max_list_size = min_list_size + extra;
@@ -474,7 +483,10 @@ let prop_tuner_matches_reference =
     ~name:"tuner: bit-identical to the pre-rewrite reference"
     (QCheck.make ~print:print_run gen_run)
     (fun (cfg, steps) ->
-      let tuner = Tuner.create cfg and reference = Ref.create cfg in
+      let tuner = new_tuner cfg
+      and reference =
+        Ref.create cfg ~election_timeout:base_et ~heartbeat_interval:base_h
+      in
       let top = ref (-1) in
       List.iteri
         (fun i step ->
@@ -524,7 +536,10 @@ let prop_tuner_caches_match_eager =
        ~print:(fun (cfg, steps) -> print_run (cfg, List.map fst steps))
        gen_cached_steps)
     (fun (cfg, steps) ->
-      let tuner = Tuner.create cfg and eager = Ref.create cfg in
+      let tuner = new_tuner cfg
+      and eager =
+        Ref.create cfg ~election_timeout:base_et ~heartbeat_interval:base_h
+      in
       let top = ref (-1) in
       List.iteri
         (fun i (step, query) ->

@@ -299,6 +299,8 @@ type rtt_backend =
 
 type t = {
   config : Config.t;
+  base_et : Des.Time.span;
+  base_h : Des.Time.span;
   rtt : rtt_backend;
   loss : Loss_estimator.t;
   (* Derived values are queried on every heartbeat (to arm the election
@@ -313,12 +315,14 @@ type t = {
   mutable cached_h : Des.Time.span;
 }
 
-let create config =
+let create config ~election_timeout ~heartbeat_interval =
   match Config.validate config with
   | Error msg -> invalid_arg ("Tuner.create: " ^ msg)
   | Ok config ->
       {
         config;
+        base_et = election_timeout;
+        base_h = heartbeat_interval;
         rtt =
           (match config.rtt_estimator with
           | Config.Sliding_window ->
@@ -333,9 +337,9 @@ let create config =
           Loss_estimator.create ~min_size:config.min_list_size
             ~max_size:config.max_list_size;
         dirty = true;
-        cached_et = config.default_election_timeout;
+        cached_et = election_timeout;
         cached_k = 1;
-        cached_h = config.default_heartbeat_interval;
+        cached_h = heartbeat_interval;
       }
 
 let config t = t.config
@@ -380,7 +384,7 @@ let compute_election_timeout t =
   | Tuned, Some et ->
       Des.Time.clamp et ~lo:Config.min_election_timeout
         ~hi:t.config.max_election_timeout
-  | (Warming | Tuned), _ -> t.config.default_election_timeout
+  | (Warming | Tuned), _ -> t.base_et
 
 let loss_rate t = Loss_estimator.loss_rate t.loss
 
@@ -397,7 +401,7 @@ let compute_required_heartbeats t ~et =
 
 let compute_heartbeat_interval t ~et ~k =
   match phase t with
-  | Warming -> t.config.default_heartbeat_interval
+  | Warming -> t.base_h
   | Tuned -> Des.Time.max_span t.config.min_heartbeat_interval (et / k)
 
 let refresh t =
