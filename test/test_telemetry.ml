@@ -513,6 +513,66 @@ let test_tracing_bridge () =
   Harness.Cluster.run_for c (Time.sec 5);
   Alcotest.(check string) "nothing after finish" before (Chrome.to_string sink)
 
+(* {2 Node sinks} *)
+
+(* A restart builds a fresh server, which must still emit tuner
+   decisions once it re-warms when the cluster's registry is enabled,
+   and never when it is the noop registry. *)
+let test_restart_keeps_tuner_decisions () =
+  let decisions telemetry =
+    let c =
+      Harness.Cluster.create ~seed:5L ~n:3 ~telemetry
+        ~config:(Raft.Config.dynatune ()) ()
+    in
+    ignore (Harness.Cluster.boot c ~label:"restart decisions" : Raft.Node.t);
+    Harness.Cluster.run_for c (Time.sec 10);
+    let follower =
+      List.find
+        (fun id ->
+          let server = Raft.Node.server (Harness.Cluster.node c id) in
+          not (Raft.Types.is_leader (Raft.Server.role server)))
+        (Harness.Cluster.node_ids c)
+    in
+    Harness.Fault.crash_and_restart c follower ~downtime:(Time.sec 1);
+    let after = ref 0 and total = ref 0 in
+    Des.Mtrace.subscribe (Harness.Cluster.trace c) (fun _ -> function
+      | Raft.Probe.Tuner_decision { id; _ } ->
+          incr total;
+          if Netsim.Node_id.equal id follower then incr after
+      | _ -> ());
+    Harness.Cluster.run_for c (Time.sec 20);
+    (!after, !total)
+  in
+  let after, _ = decisions (Metrics.create ()) in
+  Alcotest.(check bool) "restarted follower decides again" true (after > 0);
+  let _, total = decisions Metrics.noop in
+  Alcotest.(check int) "noop registry: no decisions" 0 total
+
+(* The two node metrics that stay: perfbench's registry pass reads
+   [raft/append_batch_size], and README's saturation walkthrough both. *)
+let test_fig4_node_append_metrics () =
+  let r =
+    Scenarios.Fig4.run ~seed:11L ~failures:3 ~instrument:true
+      ~config:(Raft.Config.dynatune ()) ()
+  in
+  let snap = r.Scenarios.Fig4.metrics in
+  let named name (key : Metrics.key) = String.equal key.Metrics.name name in
+  Alcotest.(check bool) "append_batch_size has samples on some node" true
+    (List.exists
+       (fun ((key : Metrics.key), v) ->
+         named "append_batch_size" key
+         && String.equal key.Metrics.scope "raft"
+         &&
+         match v with
+         | Metrics.Series h -> Stats.Histogram.count h > 0
+         | Metrics.Count _ | Metrics.Level _ -> false)
+       snap);
+  Alcotest.(check bool) "appends_inflight present" true
+    (List.exists
+       (fun ((key : Metrics.key), _) ->
+         named "appends_inflight" key && String.equal key.Metrics.scope "raft")
+       snap)
+
 let tests =
   [
     Alcotest.test_case "registry: basics" `Quick test_registry_basics;
@@ -535,4 +595,8 @@ let tests =
       test_metrics_json_malformed_label;
     Alcotest.test_case "tracing: bridge through a failover" `Quick
       test_tracing_bridge;
+    Alcotest.test_case "node: restarted follower decides again" `Quick
+      test_restart_keeps_tuner_decisions;
+    Alcotest.test_case "fig4: node append metrics kept" `Quick
+      test_fig4_node_append_metrics;
   ]
