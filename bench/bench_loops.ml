@@ -36,7 +36,8 @@ let make_heartbeat_loop () =
   let config = Raft.Config.dynatune () in
   let rng = Stats.Rng.create ~seed:1L () in
   let follower =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
+      ~id:(Netsim.Node_id.of_int 0)
       ~peers:(List.tl (Netsim.Node_id.range 5))
       ~config ~rng ()
   in
@@ -74,7 +75,8 @@ let from_peer p m =
    and 2. *)
 let elected_leader ~config ~seed ~now =
   let leader =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
+      ~id:(Netsim.Node_id.of_int 0)
       ~peers:(List.tl (Netsim.Node_id.range 5))
       ~config
       ~rng:(Stats.Rng.create ~seed ())
@@ -286,7 +288,8 @@ let make_follower_append_loop () =
   in
   let rng = Stats.Rng.create ~seed:3L () in
   let follower =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
+      ~id:(Netsim.Node_id.of_int 0)
       ~peers:(List.tl (Netsim.Node_id.range 5))
       ~config ~rng ()
   in
@@ -334,7 +337,8 @@ let make_vote_round_loop () =
   let config = Raft.Config.static () in
   let rng = Stats.Rng.create ~seed:4L () in
   let follower =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
+      ~id:(Netsim.Node_id.of_int 0)
       ~peers:(List.tl (Netsim.Node_id.range 5))
       ~config ~rng ()
   in
@@ -372,7 +376,8 @@ let make_snapshot_install_loop () =
   in
   let rng = Stats.Rng.create ~seed:5L () in
   let follower =
-    Raft.Server.create ~id:(Netsim.Node_id.of_int 0)
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
+      ~id:(Netsim.Node_id.of_int 0)
       ~peers:(List.tl (Netsim.Node_id.range 5))
       ~config ~rng ()
   in

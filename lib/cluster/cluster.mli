@@ -47,7 +47,7 @@ val create :
     whatever [run_for] / [await_leader] call delivered the event.
 
     [telemetry] (default {!Telemetry.Metrics.noop}) is handed to every
-    node (per-node RPC metrics, tuner-decision probes) and fed per-node
+    node (append metrics, tuner-decision probes) and fed per-node
     protocol counters through a live trace subscription; finish with
     {!collect_metrics} to fold in the pull-style engine/fabric/link
     statistics before taking the snapshot.
@@ -105,8 +105,9 @@ val check_now : t -> unit
 val trace_digest : t -> int64
 (** Order-sensitive FNV-1a digest of every probe emitted on this
     cluster's trace so far (timestamps included), except
-    [Tuner_decision]: only instrumented servers emit those, so turning
-    instrumentation on never changes a digest.  Accumulated through a
+    [Tuner_decision]: only instrumented servers emit those, about two
+    per three heartbeats, so turning instrumentation on never changes a
+    digest.  Accumulated through a
     live subscription made at creation, so it covers the whole run and
     serves as a determinism sanitizer: equal seeds and schedules must
     yield equal digests. *)

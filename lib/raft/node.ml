@@ -41,11 +41,8 @@ type t = {
   mutable election_arm_cause : int;
       (* [cur_cause] when the election timer was last armed — the parent
          of the timeout that fires from it *)
-  m_sent : Telemetry.Metrics.Counter.t;
-  m_recv : Telemetry.Metrics.Counter.t;
-  m_hb_rtt : Telemetry.Metrics.Timer.t;
   m_inflight : Telemetry.Metrics.Gauge.t;
-  m_batch : Telemetry.Metrics.Timer.t;
+  m_batch : Telemetry.Metrics.Histogram.t;
   mutable paused : bool;
   mutable incarnation : int;
       (* bumped on every crash-recovery: volatile server state does not
@@ -77,9 +74,14 @@ let complete t ~client_id ~seq ~committed =
     | None -> ()
   end
 
-(* The one probe emission path: record the probe in the ring, stamped
-   with the causal context of the event being processed, then emit it
-   to the trace.  Terms come from the probe where it carries one: by
+(* The one ring write: [ev] stamped with the instant, this node, [term],
+   the causal context of the event being processed and [parent]. *)
+let record t ~term ~parent ev =
+  Forensics.record t.fo ~at:(Des.Engine.now t.engine) ~node:(id t) ~term
+    ~cause:t.cur_cause ~parent ev
+
+(* The one probe emission path: record the probe in the ring, then emit
+   it to the trace.  Terms come from the probe where it carries one: by
    the time actions are interpreted the server may already have moved
    on (a timeout increments the term before its probe is seen here). *)
 let emit t p =
@@ -99,8 +101,7 @@ let emit t p =
       | Probe.Node_resumed _ ->
           (Server.term t.server, Telemetry.Cause.none)
     in
-    Forensics.record t.fo ~at:(Des.Engine.now t.engine) ~node:(id t) ~term
-      ~cause:t.cur_cause ~parent (Forensics.Probe p)
+    record t ~term ~parent (Forensics.Probe p)
   end;
   Des.Mtrace.emit t.trace p
 
@@ -130,11 +131,10 @@ and new_cause t kind =
 
 and interpret t = function
   | Server.Send { dst; kind; msg } ->
-      Telemetry.Metrics.Counter.incr t.m_sent;
       if t.instrumented then begin
         match msg with
         | Rpc.Append_request { entries; _ } when Array.length entries > 0 ->
-            Telemetry.Metrics.Timer.observe_ms t.m_batch
+            Telemetry.Metrics.Histogram.observe t.m_batch
               (float_of_int (Array.length entries));
             Telemetry.Metrics.Gauge.set_max t.m_inflight
               (float_of_int (Server.appends_inflight t.server))
@@ -267,6 +267,9 @@ let datagram_overflow t msg =
           false)
   | Netsim.Transport.Reliable -> false)
 
+(* The egress-depth probe a node's server throttles bulk appends on. *)
+let congestion fabric src dst = Netsim.Fabric.pending fabric ~src ~dst
+
 let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
     ?install_sm ?(metrics = Telemetry.Metrics.noop)
     ?(forensics = Forensics.create ~enabled:false ()) ?(joining = false) ?pool
@@ -281,13 +284,12 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
       (Stats.Rng.split (Des.Engine.rng engine) "raft-node")
       (Node_id.to_int node_id)
   in
+  let instrumented = Telemetry.Metrics.enabled metrics in
   let server =
-    Server.create ~joining ?pool ~id:node_id ~peers ~config
+    Server.create ~joining ?pool ~instrument:instrumented
+      ~congestion:(congestion fabric node_id) ~id:node_id ~peers ~config
       ~rng:(Stats.Rng.copy rng) ()
   in
-  Server.set_instrument server (Telemetry.Metrics.enabled metrics);
-  Server.set_congestion_probe server (fun dst ->
-      Netsim.Fabric.pending fabric ~src:node_id ~dst);
   let deliver_op =
     Des.Engine.cached_op engine ~slot:Des.Engine.slot_node_deliver (fun () ->
         Des.Engine.register_op engine deliver)
@@ -324,26 +326,16 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
           timer engine t ~charge:false Telemetry.Cause.Internal Server.Flush_due;
         hb_timers = [||];
         waiters = Waiters.create 64;
-        instrumented = Telemetry.Metrics.enabled metrics;
+        instrumented;
         fo = forensics;
         fo_on = Forensics.enabled forensics;
         cur_cause = 0;
         election_arm_cause = 0;
-        m_sent =
-          Telemetry.Metrics.counter metrics ~scope:"rpc" ~name:"sent"
-            ~node:node_label ();
-        m_recv =
-          Telemetry.Metrics.counter metrics ~scope:"rpc" ~name:"recv"
-            ~node:node_label ();
-        m_hb_rtt =
-          Telemetry.Metrics.timer metrics ~scope:"rpc" ~name:"hb_rtt_ms"
-            ~node:node_label ~lo:0. ~hi:1000. ~bins:100 ();
         m_inflight =
           Telemetry.Metrics.gauge metrics ~scope:"raft"
             ~name:"appends_inflight" ~node:node_label ();
         m_batch =
-          (* bins are batch sizes, not milliseconds *)
-          Telemetry.Metrics.timer metrics ~scope:"raft"
+          Telemetry.Metrics.histogram metrics ~scope:"raft"
             ~name:"append_batch_size" ~node:node_label ~lo:0. ~hi:1024.
             ~bins:64 ();
         apply;
@@ -369,21 +361,6 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
       if not t.paused then
         if datagram_overflow t msg then ()
         else begin
-          if t.instrumented then begin
-            Telemetry.Metrics.Counter.incr t.m_recv;
-            (* Heartbeat echoes carry their send instant, so the leader
-               observes the full heartbeat round-trip at delivery. *)
-            match msg with
-            | Rpc.Heartbeat_response { echo_sent_at; _ } ->
-                Telemetry.Metrics.Timer.observe_ms t.m_hb_rtt
-                  (Des.Time.to_ms_f
-                     (Des.Time.diff (Des.Engine.now t.engine) echo_sent_at))
-            | Rpc.Heartbeat _ | Rpc.Vote_request _ | Rpc.Vote_response _
-            | Rpc.Append_request _ | Rpc.Append_response _
-            | Rpc.Install_snapshot _ | Rpc.Install_snapshot_response _
-            | Rpc.Timeout_now _ ->
-                ()
-          end;
           if t.fo_on then begin
             (* The sender's cause, surfaced by the fabric for the
                duration of this delivery: adopt it as our causal context
@@ -393,10 +370,8 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
             t.cur_cause <- Netsim.Fabric.delivery_cause t.fabric;
             match msg with
             | Rpc.Vote_response { granted; pre_vote; _ } ->
-                Forensics.record t.fo
-                  ~at:(Des.Engine.now t.engine)
-                  ~node:node_id ~term:(Server.term t.server)
-                  ~cause:t.cur_cause ~parent:Telemetry.Cause.none
+                record t ~term:(Server.term t.server)
+                  ~parent:Telemetry.Cause.none
                   (Forensics.Vote { from = src; granted; pre = pre_vote })
             | Rpc.Heartbeat _ | Rpc.Heartbeat_response _ | Rpc.Vote_request _
             | Rpc.Append_request _ | Rpc.Append_response _
@@ -501,12 +476,9 @@ let restart t =
      but not a replay of the pre-crash randomized-timeout draws. *)
   let rng = Stats.Rng.split_int t.rng (Des.Engine.now t.engine) in
   t.server <-
-    Server.create ~restore
-      ~pool:(Server.pool t.server)
+    Server.create ~restore ~pool:(Server.pool t.server)
+      ~instrument:t.instrumented ~congestion:(congestion t.fabric (id t))
       ~id:(id t) ~peers:t.peers ~config:t.config ~rng ();
-  Server.set_instrument t.server t.instrumented;
-  Server.set_congestion_probe t.server (fun dst ->
-      Netsim.Fabric.pending t.fabric ~src:(id t) ~dst);
   t.incarnation <- t.incarnation + 1;
   (* Seed the state machine from the persisted snapshot; entries above
      the boundary are replayed as the leader re-teaches the commit

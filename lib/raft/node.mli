@@ -36,11 +36,11 @@ val create :
     state machine and [install_sm] must replace it with a received
     serialization.
 
-    [metrics] (default {!Telemetry.Metrics.noop}) receives per-node RPC
-    counters ([rpc/sent], [rpc/recv]) and the heartbeat round-trip
-    histogram ([rpc/hb_rtt_ms]); when it is enabled the node also turns
-    on [Server.set_instrument] (and keeps it on across {!restart}), so
-    tuner decisions reach the trace.
+    [metrics] (default {!Telemetry.Metrics.noop}) receives the node's
+    [raft/append_batch_size] histogram and [raft/appends_inflight]
+    high-water mark.  When it is enabled, the node builds its server,
+    here and at every {!restart}, with tuner decisions on
+    ([Server.create ~instrument]), so they reach the trace.
 
     [forensics] (default: a disabled ring) receives every probe the
     node emits, causally stamped: every timer fire, client request and

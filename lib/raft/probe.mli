@@ -42,9 +42,10 @@ type t =
       reason : decision_reason;
     }
       (** A follower's tuner adopted new parameters.  Emitted only by
-          instrumented servers ([Server.set_instrument]) and only when the
-          chosen [(et, h, k)] differs from the previous decision, so the
-          trace records parameter {e changes}, not every heartbeat. *)
+          instrumented servers ([Server.create ~instrument]), when the
+          chosen [(et, h, k)] differs from the last decision; [et] is in
+          nanoseconds, so nearly every RTT sample moves it (a 5-failure
+          [failover] run: two decisions per three heartbeats). *)
   | Election_started of { id : Netsim.Node_id.t; term : Types.term }
       (** a real (post-pre-vote) campaign began *)
   | Node_paused of { id : Netsim.Node_id.t }

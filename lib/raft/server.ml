@@ -214,8 +214,7 @@ type t = {
       (* per-peer reuse of the last sliced entry window: retransmits and
          probes of an unchanged log region ship the same (immutable)
          array instead of re-slicing *)
-  mutable congestion : Node_id.t -> int;
-      (* host-installed egress-depth probe; [fun _ -> 0] until set *)
+  congestion : Node_id.t -> int;  (* the host's egress-depth probe *)
   mutable paths : Dynatune.Leader_path.t option array;
   tuner : Dynatune.Tuner.t option;
   mutable randomized : Des.Time.span;
@@ -224,7 +223,7 @@ type t = {
   mutable snapshot_data : string option;
   mutable force_campaign : bool;
   reads : Reads.t;
-  mutable instrument : bool;
+  instrument : bool;
   mutable last_decision : (Des.Time.span * Des.Time.span * int) option;
   mutable pb_h : Des.Time.span option;
       (* the last piggybacked [Some h], shipped again while h is unchanged;
@@ -325,7 +324,8 @@ let fold_base t ~upto =
     (Log.config_indices t.log);
   t.base <- m.contents
 
-let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
+let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
+    ~peers ~config ~rng () =
   (match Config.validate config with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Server.create: " ^ msg));
@@ -412,7 +412,7 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       progress = [||];
       all_progress = [];
       batches = [||];
-      congestion = (fun _ -> 0);
+      congestion;
       paths = [||];
       tuner;
       randomized = 0;
@@ -421,7 +421,7 @@ let create ?restore ?pool ?(joining = false) ~id ~peers ~config ~rng () =
       snapshot_data;
       force_campaign = false;
       reads = Reads.create ();
-      instrument = false;
+      instrument;
       last_decision = None;
       pb_h = None;
       pool =
@@ -467,8 +467,6 @@ let log t = t.log
 let config t = t.config
 let randomized_timeout t = t.randomized
 let tuner t = t.tuner
-let set_instrument t on = t.instrument <- on
-let set_congestion_probe t f = t.congestion <- f
 
 (* A per-peer option array [arr] grown to hold index [i].  Callers reassign their field only
    when it grew: writing back the same pointer would still pay the write

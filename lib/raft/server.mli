@@ -98,6 +98,8 @@ val create :
   ?restore:persistent ->
   ?pool:Rpc.Pool.t ->
   ?joining:bool ->
+  instrument:bool ->
+  congestion:(Netsim.Node_id.t -> int) ->
   id:Netsim.Node_id.t ->
   peers:Netsim.Node_id.t list ->
   config:Config.t ->
@@ -116,7 +118,14 @@ val create :
     payloads from and releases delivered messages into (fresh private
     pool by default).  Servers that exchange messages should share one —
     records released at the receiver then refill the sender — and a pool
-    must never be shared across domains. *)
+    must never be shared across domains.
+
+    [instrument] turns on [Probe.Tuner_decision] emission (off, a plain
+    campaign pays nothing).  [congestion] is the per-destination egress
+    depth bulk appends throttle on (the fabric's [pending]; [fun _ -> 0]
+    never throttles).  Both hold for the server's life: a restarted node
+    passes them to its fresh server.  They are labels, not options, so
+    passing them allocates nothing. *)
 
 val pool : t -> Rpc.Pool.t
 (** The server's message pool (for the host's restart path and the
@@ -165,18 +174,6 @@ val election_timeout_now : t -> Des.Time.span
 
 val tuner : t -> Dynatune.Tuner.t option
 (** The follower-side tuner, when a tuned mode is configured. *)
-
-val set_instrument : t -> bool -> unit
-(** Enable (or disable) emission of [Probe.Tuner_decision] events.  Off
-    by default so plain campaigns pay nothing; the telemetry harness
-    turns it on, and must turn it on again after a restart (a restart
-    builds a fresh server). *)
-
-val set_congestion_probe : t -> (Netsim.Node_id.t -> int) -> unit
-(** Install the per-destination egress-depth probe the replication
-    driver throttles bulk appends on (typically the fabric's
-    [pending] count).  Defaults to [fun _ -> 0] — no backpressure —
-    and, like {!set_instrument}, must be reinstalled after a restart. *)
 
 val appends_inflight : t -> int
 (** Entry-carrying appends (and snapshots) sent but not yet

@@ -45,20 +45,20 @@ module Gauge = struct
   let value g = g.v
 end
 
-module Timer = struct
+module Histogram = struct
   (* [None] is the dead handle. *)
   type t = Stats.Histogram.t option
 
   let dead : t = None
 
-  let observe_ms t x =
+  let observe t x =
     match t with None -> () | Some h -> Stats.Histogram.add h x
 end
 
 type cell =
   | Counter_cell of Counter.t
   | Gauge_cell of Gauge.t
-  | Timer_cell of Stats.Histogram.t
+  | Histogram_cell of Stats.Histogram.t
 
 type t = {
   enabled : bool;
@@ -96,7 +96,7 @@ let counter t ~scope ~name ?(node = "") () =
     let key = { scope; name; node } in
     match register t key (fun () -> Counter_cell { Counter.n = 0; live = true }) with
     | Counter_cell c -> c
-    | Gauge_cell _ | Timer_cell _ -> kind_error key "counter"
+    | Gauge_cell _ | Histogram_cell _ -> kind_error key "counter"
 
 let gauge t ~scope ~name ?(node = "") () =
   if not t.enabled then Gauge.dead
@@ -107,17 +107,17 @@ let gauge t ~scope ~name ?(node = "") () =
           Gauge_cell { Gauge.v = 0.; present = false; live = true })
     with
     | Gauge_cell g -> g
-    | Counter_cell _ | Timer_cell _ -> kind_error key "gauge"
+    | Counter_cell _ | Histogram_cell _ -> kind_error key "gauge"
 
-let timer t ~scope ~name ?(node = "") ~lo ~hi ~bins () =
-  if not t.enabled then Timer.dead
+let histogram t ~scope ~name ?(node = "") ~lo ~hi ~bins () =
+  if not t.enabled then Histogram.dead
   else
     let key = { scope; name; node } in
     match
-      register t key (fun () -> Timer_cell (Stats.Histogram.create ~lo ~hi ~bins))
+      register t key (fun () -> Histogram_cell (Stats.Histogram.create ~lo ~hi ~bins))
     with
-    | Timer_cell h -> Some h
-    | Counter_cell _ | Gauge_cell _ -> kind_error key "timer"
+    | Histogram_cell h -> Some h
+    | Counter_cell _ | Gauge_cell _ -> kind_error key "histogram"
 
 (* {2 Snapshots} *)
 
@@ -135,7 +135,7 @@ let snapshot t =
          | Some (Counter_cell c) -> Some (key, Count c.Counter.n)
          | Some (Gauge_cell g) ->
              if g.Gauge.present then Some (key, Level g.Gauge.v) else None
-         | Some (Timer_cell h) -> Some (key, Series (Stats.Histogram.copy h))
+         | Some (Histogram_cell h) -> Some (key, Series (Stats.Histogram.copy h))
          | None -> None)
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
@@ -148,8 +148,8 @@ let merge_values key a b =
       invalid_arg
         ("Metrics.merge: " ^ key_label key ^ " has mismatched kinds across parts")
 
-(* Union of keys; counters sum, gauges keep the max, timers merge their
-   congruent histograms.  The merge is associative and campaigns apply it
+(* Union of keys; counters sum, gauges keep the max, histograms merge
+   bin-wise when congruent.  The merge is associative and campaigns apply it
    in shard order, so sharded campaigns aggregate deterministically
    whatever the worker count. *)
 let merge parts =

@@ -1,19 +1,19 @@
-(** Typed metrics registry: counters, gauges and histogram-backed timers
-    keyed by [(scope, name, node)].
+(** Typed metrics registry: counters, gauges and histograms keyed by
+    [(scope, name, node)].
 
     The registry is the quantitative half of the observability layer (the
     qualitative half is span tracing, {!Chrome_trace}).  Design contract:
 
     - {b Handles, not lookups, on the hot path.}  Instrumented code
       registers once and keeps the returned handle; each emission
-      ([Counter.incr], [Timer.observe_ms]) is a field mutation.
+      ([Counter.incr], [Histogram.observe]) is a field mutation.
     - {b Near-no-op when disabled.}  A disabled registry (or {!noop})
       hands out {e dead} handles; emitting on a dead handle is a single
       load-and-branch, so instrumented hot paths stay within noise of the
       uninstrumented build.
     - {b Mergeable per shard.}  {!snapshot} is a pure value; {!merge}
       combines per-shard snapshots associatively (counters sum, gauges
-      max, timer histograms bin-wise add), so a [--jobs N] campaign
+      max, histograms bin-wise add), so a [--jobs N] campaign
       aggregates to the same bytes whatever the worker count. *)
 
 type t
@@ -56,11 +56,11 @@ module Gauge : sig
   val value : t -> float
 end
 
-module Timer : sig
+module Histogram : sig
   type t
 
-  val observe_ms : t -> float -> unit
-  (** Record one duration sample, in milliseconds. *)
+  val observe : t -> float -> unit
+  (** Record one sample, in the unit the metric's name states. *)
 end
 
 val counter : t -> scope:string -> name:string -> ?node:string -> unit -> Counter.t
@@ -70,7 +70,7 @@ val counter : t -> scope:string -> name:string -> ?node:string -> unit -> Counte
 val gauge : t -> scope:string -> name:string -> ?node:string -> unit -> Gauge.t
 (** Gauges appear in snapshots only once set. *)
 
-val timer :
+val histogram :
   t ->
   scope:string ->
   name:string ->
@@ -79,7 +79,7 @@ val timer :
   hi:float ->
   bins:int ->
   unit ->
-  Timer.t
+  Histogram.t
 (** [lo]/[hi]/[bins] fix the histogram layout; shards must register the
     same layout for {!merge} to accept their snapshots (they do, since
     they run the same code). *)
@@ -98,13 +98,13 @@ val snapshot : t -> snapshot
 (** Empty for a disabled registry. *)
 
 val merge : snapshot list -> snapshot
-(** Associative shard merge: counters sum, gauges keep the max, timer
+(** Associative shard merge: counters sum, gauges keep the max,
     histograms add bin-wise ({!Stats.Histogram.merge}).  Raises
     [Invalid_argument] on kind or histogram-layout mismatch. *)
 
 val to_json : snapshot -> string
 (** A deterministic JSON object, one member per key in sorted order:
-    counters as integers, gauges as numbers, timers as
+    counters as integers, gauges as numbers, histograms as
     [{"count", "lo", "hi", "underflow", "overflow", "bins"}].  Equal
     snapshots render to equal bytes — the property the [--jobs]
     bit-identity test pins. *)

@@ -307,14 +307,15 @@ let test_server_rejects_self_peer () =
   Alcotest.(check bool) "self in peers rejected" true
     (try
        ignore
-         (Raft.Server.create ~id ~peers:[ id ] ~config:(Raft.Config.static ())
+         (Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0) ~id
+            ~peers:[ id ] ~config:(Raft.Config.static ())
             ~rng:(Stats.Rng.create ()) ());
        false
      with Invalid_argument _ -> true)
 
 let test_single_node_cluster_self_elects () =
   let s =
-    Raft.Server.create
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
       ~id:(Netsim.Node_id.of_int 0)
       ~peers:[] ~config:(Raft.Config.static ())
       ~rng:(Stats.Rng.create ~seed:5L ())

@@ -1390,7 +1390,7 @@ let prop_reads_match_set_model =
       let module S = Raft.Server in
       let nid = Netsim.Node_id.of_int in
       let s =
-        S.create ~id:(nid 0)
+        S.create ~instrument:false ~congestion:(fun _ -> 0) ~id:(nid 0)
           ~peers:(List.map nid [ 1; 2; 3; 4 ])
           ~config:(Raft.Config.static ())
           ~rng:(Stats.Rng.create ~seed:7L ())

@@ -31,7 +31,8 @@ let await_leader_exn c =
    reverts to what the surviving log implies. *)
 let test_truncation_retracts_config () =
   let s =
-    Raft.Server.create ~id:(nid 0) ~peers:[ nid 1; nid 2 ]
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0) ~id:(nid 0)
+      ~peers:[ nid 1; nid 2 ]
       ~config:(Raft.Config.static ())
       ~rng:(Stats.Rng.create ~seed:3L ())
       ()
@@ -83,7 +84,8 @@ let test_truncation_retracts_config () =
 let test_compaction_folds_configs () =
   let module S = Raft.Server in
   let s =
-    S.create ~id:(nid 0) ~peers:[ nid 1; nid 2 ]
+    S.create ~instrument:false ~congestion:(fun _ -> 0) ~id:(nid 0)
+      ~peers:[ nid 1; nid 2 ]
       ~config:(Raft.Config.static ())
       ~rng:(Stats.Rng.create ~seed:4L ())
       ()

@@ -11,10 +11,11 @@ module Config = Raft.Config
 
 let nid = Node_id.of_int
 
-let make ?(n = 5) ?(config = Config.static ()) ?(seed = 11L) ~self () =
+let make ?(n = 5) ?(config = Config.static ()) ?(seed = 11L)
+    ?(instrument = false) ?(congestion = fun _ -> 0) ~self () =
   let ids = Node_id.range n in
   let peers = List.filter (fun p -> Node_id.to_int p <> self) ids in
-  Server.create ~id:(nid self) ~peers ~config
+  Server.create ~instrument ~congestion ~id:(nid self) ~peers ~config
     ~rng:(Stats.Rng.create ~seed ())
     ()
 
@@ -533,8 +534,7 @@ let tuned_follower () =
       ~cfg:{ Dynatune.Config.default with Dynatune.Config.min_list_size = 2 }
       ()
   in
-  let s = make ~config:cfg ~self:0 () in
-  Server.set_instrument s true;
+  let s = make ~config:cfg ~instrument:true ~self:0 () in
   ignore (Server.start s);
   let hb i rtt now =
     recv s ~from:3 (heartbeat ~id:i ~sent_at:now ?rtt ~term:1 ~commit:0 ()) ~now
@@ -753,12 +753,12 @@ let test_backpressure_throttles_stream () =
     Config.with_replication ~max_entries_per_append:1 ~append_backpressure:2
       (Config.static ())
   in
-  let s = make ~self:0 ~config () in
+  let depth = ref 0 in
+  let s = make ~self:0 ~config ~congestion:(fun _ -> !depth) () in
   ignore (Server.start s);
   let now = Time.ms 100 in
   ignore (elect s ~now);
-  let depth = ref 10 in
-  Server.set_congestion_probe s (fun _ -> !depth);
+  depth := 10;
   let ack =
     Rpc.Append_response
       {

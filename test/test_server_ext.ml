@@ -13,7 +13,8 @@ let nid = Node_id.of_int
 let make ?(n = 5) ?(config = Config.static ()) ?(seed = 21L) ~self () =
   let ids = Node_id.range n in
   let peers = List.filter (fun p -> Node_id.to_int p <> self) ids in
-  Server.create ~id:(nid self) ~peers ~config
+  Server.create ~instrument:false ~congestion:(fun _ -> 0) ~id:(nid self)
+    ~peers ~config
     ~rng:(Stats.Rng.create ~seed ())
     ()
 

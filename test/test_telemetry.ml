@@ -20,10 +20,10 @@ let test_registry_basics () =
   Metrics.Gauge.set_max g 3.;
   Alcotest.(check (float 0.)) "gauge keeps max" 7. (Metrics.Gauge.value g);
   let t =
-    Metrics.timer m ~scope:"s" ~name:"lat_ms" ~lo:0. ~hi:10. ~bins:10 ()
+    Metrics.histogram m ~scope:"s" ~name:"lat_ms" ~lo:0. ~hi:10. ~bins:10 ()
   in
-  Metrics.Timer.observe_ms t 1.5;
-  Metrics.Timer.observe_ms t 2.5;
+  Metrics.Histogram.observe t 1.5;
+  Metrics.Histogram.observe t 2.5;
   let snap = Metrics.snapshot m in
   Alcotest.(check int) "three keys" 3 (List.length snap);
   List.iter
@@ -61,9 +61,9 @@ let test_registry_disabled () =
       let g = Metrics.gauge m ~scope:"s" ~name:"g" () in
       Metrics.Gauge.set g 9.;
       let t =
-        Metrics.timer m ~scope:"s" ~name:"t" ~lo:0. ~hi:1. ~bins:2 ()
+        Metrics.histogram m ~scope:"s" ~name:"t" ~lo:0. ~hi:1. ~bins:2 ()
       in
-      Metrics.Timer.observe_ms t 0.5;
+      Metrics.Histogram.observe t 0.5;
       Alcotest.(check int) "empty snapshot" 0
         (List.length (Metrics.snapshot m)))
     [ Metrics.noop; Metrics.create ~enabled:false () ]
@@ -80,9 +80,9 @@ let test_merge_equals_combined () =
     let g = Metrics.gauge m ~scope:"s" ~name:"depth" () in
     Metrics.Gauge.set_max g depth;
     let t =
-      Metrics.timer m ~scope:"s" ~name:"lat_ms" ~lo:0. ~hi:10. ~bins:10 ()
+      Metrics.histogram m ~scope:"s" ~name:"lat_ms" ~lo:0. ~hi:10. ~bins:10 ()
     in
-    List.iter (Metrics.Timer.observe_ms t) obs
+    List.iter (Metrics.Histogram.observe t) obs
   in
   let s1 = Metrics.create () and s2 = Metrics.create () in
   record s1 ~hits:3 ~depth:5. ~obs:[ 1.; 2. ];
@@ -548,8 +548,9 @@ let test_restart_keeps_tuner_decisions () =
   let _, total = decisions Metrics.noop in
   Alcotest.(check int) "noop registry: no decisions" 0 total
 
-(* The two node metrics that stay: perfbench's registry pass reads
-   [raft/append_batch_size], and README's saturation walkthrough both. *)
+(* The node's metrics are the two append metrics, and nothing under
+   [rpc]: perfbench's registry pass reads [raft/append_batch_size], and
+   README's saturation walkthrough documents both. *)
 let test_fig4_node_append_metrics () =
   let r =
     Scenarios.Fig4.run ~seed:11L ~failures:3 ~instrument:true
@@ -571,6 +572,13 @@ let test_fig4_node_append_metrics () =
     (List.exists
        (fun ((key : Metrics.key), _) ->
          named "appends_inflight" key && String.equal key.Metrics.scope "raft")
+       snap);
+  Alcotest.(check (list string)) "no rpc scope" []
+    (List.filter_map
+       (fun ((key : Metrics.key), _) ->
+         if String.equal key.Metrics.scope "rpc" then
+           Some (Metrics.key_label key)
+         else None)
        snap)
 
 let tests =
