@@ -522,15 +522,14 @@ let test_restart_keeps_tuner_decisions () =
   let decisions telemetry =
     let c =
       Harness.Cluster.create ~seed:5L ~n:3 ~telemetry
+        ~conditions:Netsim.Conditions.(constant (profile ~rtt_ms:50. ()))
         ~config:(Raft.Config.dynatune ()) ()
     in
-    ignore (Harness.Cluster.boot c ~label:"restart decisions" : Raft.Node.t);
+    let leader = Harness.Cluster.boot c ~label:"restart decisions" in
     Harness.Cluster.run_for c (Time.sec 10);
     let follower =
       List.find
-        (fun id ->
-          let server = Raft.Node.server (Harness.Cluster.node c id) in
-          not (Raft.Types.is_leader (Raft.Server.role server)))
+        (fun id -> not (Netsim.Node_id.equal id (Raft.Node.id leader)))
         (Harness.Cluster.node_ids c)
     in
     Harness.Fault.crash_and_restart c follower ~downtime:(Time.sec 1);
@@ -541,6 +540,10 @@ let test_restart_keeps_tuner_decisions () =
           if Netsim.Node_id.equal id follower then incr after
       | _ -> ());
     Harness.Cluster.run_for c (Time.sec 20);
+    Alcotest.(check bool) "leader kept through the restart" true
+      (match Harness.Cluster.leader c with
+      | Some l -> Netsim.Node_id.equal (Raft.Node.id l) (Raft.Node.id leader)
+      | None -> false);
     (!after, !total)
   in
   let after, _ = decisions (Metrics.create ()) in
