@@ -42,10 +42,9 @@ type t =
       reason : decision_reason;
     }
       (** A follower's tuner adopted new parameters.  Emitted only by
-          instrumented servers ([Server.create ~instrument]), when the
-          chosen [(et, h, k)] differs from the last decision; [et] is in
-          nanoseconds, so nearly every RTT sample moves it (a 5-failure
-          [failover] run: two decisions per three heartbeats). *)
+          instrumented servers ([Server.create ~instrument]) when
+          [(et, h, k)] changes; [et] is in nanoseconds, so nearly every
+          RTT sample moves it: two decisions per three heartbeats. *)
   | Election_started of { id : Netsim.Node_id.t; term : Types.term }
       (** a real (post-pre-vote) campaign began *)
   | Node_paused of { id : Netsim.Node_id.t }

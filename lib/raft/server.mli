@@ -120,11 +120,10 @@ val create :
     records released at the receiver then refill the sender — and a pool
     must never be shared across domains.
 
-    [instrument] turns on [Probe.Tuner_decision] emission (off, a plain
-    campaign pays nothing).  [congestion] is the per-destination egress
-    depth bulk appends throttle on (the fabric's [pending]; [fun _ -> 0]
-    never throttles).  Both hold for the server's life: a restarted node
-    passes them to its fresh server.  They are labels, not options, so
+    [instrument] turns on [Probe.Tuner_decision] emission.  [congestion]
+    is the per-destination egress depth bulk appends throttle on ([fun _
+    -> 0] never throttles).  Both hold for the server's life; a restart
+    passes them to the fresh server.  They are labels, not options, so
     passing them allocates nothing. *)
 
 val pool : t -> Rpc.Pool.t

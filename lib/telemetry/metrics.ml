@@ -114,7 +114,8 @@ let histogram t ~scope ~name ?(node = "") ~lo ~hi ~bins () =
   else
     let key = { scope; name; node } in
     match
-      register t key (fun () -> Histogram_cell (Stats.Histogram.create ~lo ~hi ~bins))
+      register t key (fun () ->
+          Histogram_cell (Stats.Histogram.create ~lo ~hi ~bins))
     with
     | Histogram_cell h -> Some h
     | Counter_cell _ | Gauge_cell _ -> kind_error key "histogram"

@@ -21,7 +21,7 @@ type t
     registry and the shard snapshots are merged afterwards. *)
 
 type key = private { scope : string; name : string; node : string }
-(** [scope] groups related metrics ("des", "net", "raft", "rpc"); [node]
+(** [scope] groups related metrics ("des", "net", "link", "raft"); [node]
     is a free-form instance label (["n3"], ["n0->n1"], or [""] for
     process-wide metrics). *)
 
@@ -60,7 +60,7 @@ module Histogram : sig
   type t
 
   val observe : t -> float -> unit
-  (** Record one sample, in the unit the metric's name states. *)
+  (** Record one sample. *)
 end
 
 val counter : t -> scope:string -> name:string -> ?node:string -> unit -> Counter.t
