@@ -107,10 +107,9 @@ val trace_digest : t -> int64
     cluster's trace so far (timestamps included), except
     [Tuner_decision]: only instrumented servers emit those, about two
     per three heartbeats, so turning instrumentation on never changes a
-    digest.  Accumulated through a
-    live subscription made at creation, so it covers the whole run and
-    serves as a determinism sanitizer: equal seeds and schedules must
-    yield equal digests. *)
+    digest.  Accumulated through a live subscription made at creation,
+    so it covers the whole run and serves as a determinism sanitizer:
+    equal seeds and schedules must yield equal digests. *)
 
 val size : t -> int
 val quorum : t -> int
