@@ -203,6 +203,106 @@ let test_apply_entry () =
   | Some (Store.Invalid _) -> ()
   | _ -> Alcotest.fail "expected Invalid for garbage payload"
 
+let data_entry ~index payload =
+  {
+    Raft.Log.term = 1;
+    index;
+    command = Raft.Log.Data { payload; client_id = 1; seq = index };
+  }
+
+let apply_payloads s payloads =
+  List.iteri
+    (fun i payload ->
+      match Store.apply_entry s (data_entry ~index:(i + 1) payload) with
+      | Some Store.Written -> ()
+      | _ -> Alcotest.failf "expected %S to apply as Written" payload)
+    payloads
+
+(* The codec reads a length header through [int_of_string_opt] when it
+   is not a plain digit run, so a sign, a leading zero, a base prefix or
+   an underscore spells the same key as plain decimal does. *)
+let test_store_put_header_spellings () =
+  let fed payloads =
+    let s = Store.create () in
+    apply_payloads s payloads;
+    s
+  in
+  let canonical = fed [ "P3:abc1:v" ] in
+  List.iter
+    (fun header ->
+      let s = fed [ "P" ^ header ^ ":abc1:v" ] in
+      Alcotest.(check (option string)) header (Some "v") (Store.find s "abc");
+      Alcotest.(check string)
+        (header ^ ": digest")
+        (Store.state_digest canonical) (Store.state_digest s);
+      Alcotest.(check string)
+        (header ^ ": serialize") (Store.serialize canonical) (Store.serialize s);
+      let s = fed [ "P" ^ header ^ ":abc1:v"; "P3:abc1:w" ] in
+      Alcotest.(check (option string))
+        (header ^ ": rebound by plain decimal")
+        (Some "w") (Store.find s "abc");
+      Alcotest.(check int) (header ^ ": one key") 1 (Store.size s))
+    [ "+3"; "03"; "0x3"; "0_3" ]
+
+(* Keys whose length headers take one, two and three digits live in one
+   store, and each lookup follows one of a longer key. *)
+let test_store_key_header_widths () =
+  let s = Store.create () in
+  let keys = [ String.make 120 'k'; "k"; String.make 12 'k'; "k:"; "x" ] in
+  let value key = "v" ^ string_of_int (String.length key) ^ key in
+  apply_payloads s
+    (List.map
+       (fun key -> Command.to_payload (Command.Put { key; value = value key }))
+       keys);
+  Alcotest.(check int) "all bound" (List.length keys) (Store.size s);
+  let long = String.make 150 'k' in
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string)) "absent, longer" None (Store.find s long);
+      Alcotest.(check (option string))
+        (Printf.sprintf "%d-byte key" (String.length key))
+        (Some (value key)) (Store.find s key))
+    keys;
+  let longest = List.hd keys in
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string))
+        "longer first" (Some (value longest)) (Store.find s longest);
+      Alcotest.(check (option string))
+        (Printf.sprintf "absent %d-byte key" (String.length key))
+        None (Store.find s key))
+    [ "kk"; String.make 11 'k'; String.make 119 'k'; "" ];
+  (match Store.apply_command s (Command.Delete "k") with
+  | Store.Deleted true -> ()
+  | _ -> Alcotest.fail "expected Deleted true");
+  Alcotest.(check (option string)) "deleted" None (Store.find s "k");
+  Alcotest.(check (option string))
+    "neighbour kept" (Some (value "x")) (Store.find s "x")
+
+(* Applies a fresh Put payload of [key] and records it in [weak] at
+   [slot]; no reference to the payload outlives the call but the
+   store's. *)
+let[@inline never] apply_fresh s weak slot key value =
+  let payload = Command.to_payload (Command.Put { key; value }) in
+  Weak.set weak slot (Some payload);
+  apply_payloads s [ payload ]
+
+let test_store_retention () =
+  let s = Store.create () in
+  let weak = Weak.create 2 in
+  apply_fresh s weak 0 "k" "v1";
+  apply_fresh s weak 1 "k" "v2";
+  Gc.full_major ();
+  Alcotest.(check bool) "superseded payload released" false (Weak.check weak 0);
+  Alcotest.(check bool) "bound payload held" true (Weak.check weak 1);
+  Alcotest.(check (option string)) "rebound" (Some "v2") (Store.find s "k");
+  (match Store.apply_command s (Command.Delete "k") with
+  | Store.Deleted true -> ()
+  | _ -> Alcotest.fail "expected Deleted true");
+  Gc.full_major ();
+  Alcotest.(check bool) "deleted payload released" false (Weak.check weak 1);
+  Alcotest.(check int) "empty" 0 (Store.size s)
+
 (* {2 Client (driven against a fake target)} *)
 
 let test_client_open_loop_rate () =
@@ -314,4 +414,9 @@ let tests =
       test_client_counts_redirects;
     Alcotest.test_case "workload: saturation detection" `Quick
       test_workload_saturation_detection;
+    Alcotest.test_case "store: put header spellings" `Quick
+      test_store_put_header_spellings;
+    Alcotest.test_case "store: key header widths" `Quick
+      test_store_key_header_widths;
+    Alcotest.test_case "store: retention" `Quick test_store_retention;
   ]
