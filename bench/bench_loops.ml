@@ -674,20 +674,20 @@ let loops =
        command and the result. *)
     { name = "kv decode put"; budget = 17.; make = make_decode_put_loop };
     (* [Kvsm.Store.apply_entry] of that write with its key already
-       present: one scan of the headers, the key looked up through the
-       store's buffer for its length, the value kept by reference, so
-       nothing is copied. *)
+       present: one scan of the headers, and the key's cell rebound to
+       the payload, which is looked up in place, so nothing is
+       copied. *)
     {
       name = "kv store apply put (key present)";
       budget = 0.;
       make = make_store_put_loop;
     };
     (* [Kvsm.Store.apply_entry] of a write whose key is new: the
-       binding of a copy of the key to a slot that points into the
-       payload. *)
+       table's cell binding the committed payload, which is both the
+       cell's key and its data. *)
     {
       name = "kv store apply put (new key)";
-      budget = 11.04;
+      budget = 4.04;
       make = make_store_new_key_loop;
     };
   ]

@@ -379,7 +379,7 @@ let perf_table () =
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 26.97);
+    ("multiraft plan", per_event multiraft 26.06);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -412,7 +412,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        41.65 );
+        38.47 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->

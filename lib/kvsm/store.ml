@@ -1,24 +1,79 @@
-(* A value is held by reference: [len] bytes of [src] from [off].  A Put
-   applied from the log points into the committed payload itself — the
-   log retains that string anyway, and every replica shares it
-   physically — so applying a Put copies at most its key, and only when
-   the key is new.  A value is materialised when it is read. *)
-type slot = { mutable src : string; mutable off : int; mutable len : int }
+(* Each key is bound to the last Put payload applied to it, encoded as
+   [Command.to_payload] writes it: "P<len>:<key><len>:<value>".  The
+   table's key and its data are both that payload, so the store keeps
+   no bytes of its own per key: a Put applied from the log binds the
+   committed payload itself, which the log retains anyway and every
+   replica shares physically.  [Keys.replace] rebinds a present key's
+   cell, key included, so a superseded payload is not pinned.  A value
+   is materialised when it is read. *)
 
-(* Keys are hashed and compared as strings, with no polymorphic
-   [caml_hash]/[compare_val] call. *)
-module Keys = Hashtbl.Make (String)
+(* A bound payload's key header is plain decimal, with no sign, prefix,
+   underscore or leading zero, so two payloads bind the same key exactly
+   when their bytes agree from the header to the key's end.  Hashing and
+   equality read those bytes in place, eight at a time where they can,
+   and nothing past them. *)
+module Payload = struct
+  type t = string
 
-(* [probes] holds one reusable buffer per key length applied so far.  A
-   committed Put's key is blitted into the buffer of its length and
-   looked up through [Bytes.unsafe_to_string]; the table never retains
-   the buffer (a new key is inserted as a fresh copy), so a key already
-   present is found and rebound without allocating.  [span] receives
+  (* The offset just past the key whose header starts at [i]. *)
+  let rec key_end_from s i len =
+    match String.unsafe_get s i with
+    | ':' -> i + 1 + len
+    | c -> key_end_from s (i + 1) ((len * 10) + Char.code c - 48)
+
+  let key_end s = key_end_from s 1 0
+
+  let rec same_bytes a b i stop =
+    i = stop
+    || Char.equal (String.unsafe_get a i) (String.unsafe_get b i)
+       && same_bytes a b (i + 1) stop
+
+  let rec same_words a b i stop =
+    if i + 8 <= stop then
+      Int64.equal (String.get_int64_ne a i) (String.get_int64_ne b i)
+      && same_words a b (i + 8) stop
+    else same_bytes a b i stop
+
+  (* The headers byte by byte, summing [a]'s key length; once they agree
+     up to the colon, the keys have one length and end at one offset. *)
+  let rec same_header a b i len =
+    let c = String.unsafe_get a i in
+    Char.equal c (String.unsafe_get b i)
+    &&
+    if Char.equal c ':' then same_words a b (i + 1) (i + 1 + len)
+    else same_header a b (i + 1) ((len * 10) + Char.code c - 48)
+
+  let equal a b = same_header a b 1 0
+
+  (* Multiplicative mixing, a word at a time, then a fold that brings
+     every byte's bits down to the low ones the table indexes by. *)
+  let m = 0x1E3779B97F4A7C15
+
+  let rec tail s i stop w =
+    if i = stop then w
+    else tail s (i + 1) stop ((w lsl 8) lor Char.code (String.unsafe_get s i))
+
+  let rec mix s i stop h =
+    if i + 8 <= stop then
+      mix s (i + 8) stop ((h lxor Int64.to_int (String.get_int64_ne s i)) * m)
+    else (h lxor tail s i stop 0) * m
+
+  let hash s =
+    let h = mix s 1 (key_end s) 0 in
+    let h = (h lxor (h lsr 32)) * m in
+    h lxor (h lsr 29)
+end
+
+module Keys = Hashtbl.Make (Payload)
+
+(* [probe] holds "P<len>:<key>" of the last key looked up by its raw
+   bytes; whatever follows the key is stale and never read, and the
+   table never retains the buffer.  [span] receives
    [Command.scan_put]'s offsets. *)
 type t = {
-  table : slot Keys.t;
+  table : string Keys.t;
   span : Command.put_span;
-  mutable probes : Bytes.t list;
+  mutable probe : Bytes.t;
   mutable applied : int;
 }
 
@@ -33,72 +88,85 @@ let of_applied applied =
   {
     table = Keys.create 256;
     span = Command.put_span ();
-    probes = [];
+    probe = Bytes.empty;
     applied;
   }
 
 let create () = of_applied 0
 let size t = Keys.length t.table
 
-let value_of slot =
-  if slot.off = 0 && slot.len = String.length slot.src then slot.src
-  else String.sub slot.src slot.off slot.len
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
 
-let find t key = Option.map value_of (Keys.find_opt t.table key)
+let rec write_digits b i n =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then write_digits b (i - 1) (n / 10)
 
-let rebind slot src off len =
-  slot.src <- src;
-  slot.off <- off;
-  slot.len <- len
+(* [key] as a bound payload's prefix, in [t.probe]. *)
+let probe t key =
+  let len = String.length key in
+  let width = decimal_width len in
+  let stop = width + 2 + len in
+  if Bytes.length t.probe < stop then t.probe <- Bytes.create stop;
+  let b = t.probe in
+  Bytes.unsafe_set b 0 'P';
+  write_digits b width len;
+  Bytes.unsafe_set b (width + 1) ':';
+  Bytes.unsafe_blit_string key 0 b (width + 2) len;
+  Bytes.unsafe_to_string b
+
+let key_of payload =
+  let start = String.index payload ':' + 1 in
+  String.sub payload start (Payload.key_end payload - start)
+
+let value_of payload =
+  let start = String.index_from payload (Payload.key_end payload) ':' + 1 in
+  String.sub payload start (String.length payload - start)
+
+let find t key =
+  match Keys.find t.table (probe t key) with
+  | payload -> Some (value_of payload)
+  | exception Not_found -> None
+
+let bind t payload = Keys.replace t.table payload payload
 
 let bind_value t key value =
-  let len = String.length value in
-  match Keys.find t.table key with
-  | slot -> rebind slot value 0 len
-  | exception Not_found -> Keys.add t.table key { src = value; off = 0; len }
+  bind t (Command.to_payload (Command.Put { key; value }))
 
-(* The first buffer of length [len] in the list; [Bytes.empty], whose
-   length is 0, when there is none. *)
-let rec probe_of_length len = function
-  | [] -> Bytes.empty
-  | probe :: rest ->
-      if Bytes.length probe = len then probe else probe_of_length len rest
+(* Whether the header before [key_start] is [len] in plain decimal. *)
+let rec digits_from s i stop =
+  i = stop
+  ||
+  match String.unsafe_get s i with
+  | '0' .. '9' -> digits_from s (i + 1) stop
+  | _ -> false
 
-let probe t len =
-  let probe = probe_of_length len t.probes in
-  if Bytes.length probe = len then probe
-  else begin
-    let probe = Bytes.create len in
-    t.probes <- probe :: t.probes;
-    probe
-  end
+let plain_header s ~key_start len =
+  key_start - 2 = decimal_width len && digits_from s 1 (key_start - 1)
 
-(* Bind the key [t.span] locates in [payload] to the value it locates,
-   updating the key's slot in place when it has one. *)
+(* Bind the Put [t.span] locates in [payload]: the payload itself when
+   its key header is plain decimal, else a re-encoding of its key and
+   value ([Command.scan_put] also reads a sign, a leading zero, a base
+   prefix or an underscore there). *)
 let bind_put t payload =
   let { Command.key_start; key_end; value_start } = t.span in
-  let key_len = key_end - key_start in
-  let probe = probe t key_len in
-  Bytes.blit_string payload key_start probe 0 key_len;
-  let off = value_start and len = String.length payload - value_start in
-  match Keys.find t.table (Bytes.unsafe_to_string probe) with
-  | slot -> rebind slot payload off len
-  | exception Not_found ->
-      Keys.add t.table
-        (String.sub payload key_start key_len)
-        { src = payload; off; len }
+  let len = key_end - key_start in
+  if plain_header payload ~key_start len then bind t payload
+  else
+    bind_value t
+      (String.sub payload key_start len)
+      (String.sub payload value_start (String.length payload - value_start))
 
 let apply_command t command =
   t.applied <- t.applied + 1;
   match command with
-  | Command.Put { key; value } ->
-      bind_value t key value;
+  | Command.Put _ ->
+      bind t (Command.to_payload command);
       Written
   | Command.Get key -> Value (find t key)
   | Command.Delete key ->
-      let existed = Keys.mem t.table key in
-      if existed then Keys.remove t.table key;
-      Deleted existed
+      let before = Keys.length t.table in
+      Keys.remove t.table (probe t key);
+      Deleted (Keys.length t.table < before)
   | Command.Cas { key; expect; value } ->
       if Option.equal String.equal (find t key) expect then begin
         bind_value t key value;
@@ -131,8 +199,9 @@ let sorted_bindings t =
     match String.compare k1 k2 with 0 -> String.compare v1 v2 | c -> c
   in
   List.sort by_binding
-    (Keys.fold (fun k slot acc -> (k, value_of slot) :: acc) t.table [])
-
+    (Keys.fold
+       (fun payload _ acc -> (key_of payload, value_of payload) :: acc)
+       t.table [])
 (* Snapshot format: "<applied>\n" then each binding as two
    length-prefixed fields "<len>:<bytes>". *)
 let serialize t =
