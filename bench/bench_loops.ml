@@ -723,10 +723,15 @@ let words_per_event f =
 
 (* A steady-state 3-node dynatune cluster — the follower heartbeat path
    end to end, timers through fabric to delivery — measured over 120 s
-   of virtual time after election and a 10 s settle. *)
+   of virtual time after election and a 10 s settle.  Its links are
+   50 ms: on the fabric's default 0 ms links the tuned Et falls below
+   the leader's heartbeat interval and the cluster re-elects every ~2 s. *)
 let cluster_words_per_event ?forensics () =
   let cluster =
     Harness.Cluster.create ~seed:5L ~n:3
+      ~conditions:
+        (Netsim.Conditions.constant
+           (Netsim.Conditions.profile ~rtt_ms:50. ~jitter:0.02 ()))
       ~config:(Raft.Config.dynatune ())
       ?forensics ()
   in

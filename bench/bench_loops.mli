@@ -33,5 +33,6 @@ val words_per_event : (unit -> 'a) -> 'a * float
 
 val cluster_words_per_event : ?forensics:Raft.Forensics.t -> unit -> float
 (** {!words_per_event} of a pinned steady-state 3-node dynatune cluster
-    (seed 5) over 120 s of virtual time, after its first election and a
-    10 s settle.  [forensics] is handed to the cluster as is. *)
+    (seed 5, 50 ms links) over 120 s of virtual time, after its first
+    election and a 10 s settle.  [forensics] is handed to the cluster as
+    is. *)

@@ -424,11 +424,11 @@ let perf_table () =
   @ [
       ( "steady-state cluster",
         Budget
-          (ratchet 22.89, "words/event", fun () ->
+          (ratchet 14.50, "words/event", fun () ->
             Bench_loops.cluster_words_per_event ()) );
       ( "steady-state cluster, forensics on",
         Budget
-          (ratchet 23.91, "words/event", fun () ->
+          (ratchet 14.62, "words/event", fun () ->
             Bench_loops.cluster_words_per_event
               ~forensics:(Raft.Forensics.create ())
               ()) );
