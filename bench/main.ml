@@ -35,6 +35,7 @@ type record = {
   wall : float;
   events : int;
   minor_words : float;
+  promoted_words : float;
   major_words : float;
 }
 
@@ -54,6 +55,7 @@ let timed name f =
       wall;
       events;
       minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
       major_words = g1.Gc.major_words -. g0.Gc.major_words;
     }
     :: !records;
@@ -86,8 +88,9 @@ let write_json (path, oc) ~full ~jobs ~metrics ~recorder ~multiraft =
       Printf.fprintf oc
         "    {\"name\": %S, \"wall_s\": %.3f, \"events\": %d, \
          \"events_per_s\": %.0f, \"minor_words\": %.0f, \
-         \"major_words\": %.0f}%s\n"
-        r.name r.wall r.events eps r.minor_words r.major_words
+         \"promoted_words\": %.0f, \"major_words\": %.0f}%s\n"
+        r.name r.wall r.events eps r.minor_words r.promoted_words
+        r.major_words
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc
