@@ -1,7 +1,7 @@
-(* The hot-path loop builders shared between the bechamel
-   microbenchmarks (bench/micro.ml) and the perf-regression guard
-   (`selfcheck --perf`): both must price exactly the same code, or the
-   guard would budget numbers the benchmark never reported.
+(* The hot-path loop builders shared between the wall-time table
+   (bench/micro.ml) and the perf-regression guard (`selfcheck --perf`):
+   both must price exactly the same code, or the guard would budget
+   words of a loop the table never timed.
 
    Each builder returns a closure whose per-call minor-heap allocation
    is a constant of the code path alone (no GC- or time-dependent
@@ -330,6 +330,16 @@ let make_try_append_loop () =
       (Raft.Log.try_append log ~prev_index:0 ~prev_term:0 ~entries
         : [ `Ok of Raft.Types.index | `Conflict of Raft.Types.index ])
 
+(* A leader's plain 64-entry slice of a 1000-entry log, from a start
+   index that walks the log: the array copy a batch costs without the
+   per-peer batch cache. *)
+let make_log_slice_loop () =
+  let log = bench_log () in
+  let i = ref 0 in
+  fun () ->
+    i := (!i mod 900) + 1;
+    ignore (Raft.Log.slice log ~from:!i ~max:64 : Raft.Log.entry array)
+
 (* One pre-vote round at the granting follower, replayed: request checks
    (log up-to-dateness, stickiness lease) plus the response build.
    Pre-vote grants mutate no durable state, so the replay is exact. *)
@@ -431,6 +441,22 @@ let make_schedule_op_loop () =
   let op = Des.Engine.register_op engine (fun () () (_ : int) -> ()) in
   fun () ->
     Des.Engine.schedule_op_after engine (Des.Time.us 1) op () () 0;
+    ignore (Des.Engine.step engine : bool)
+
+(* The same kernel path under the load the fanout workload keeps in
+   flight: 1,500 op events pending over the next 100 ms.  Each call
+   schedules one more 100 ms ahead (it parks in the timing wheel) and
+   fires the earliest, paying a wheel link, its share of a slot flush
+   and a pop from a heap of one tick's events. *)
+let make_pending_op_loop () =
+  let engine = Des.Engine.create () in
+  let op = Des.Engine.register_op engine (fun () () (_ : int) -> ()) in
+  let ahead = Des.Time.ms 100 in
+  for i = 1 to 1_500 do
+    Des.Engine.schedule_op_at engine (i * ahead / 1_500) op () () 0
+  done;
+  fun () ->
+    Des.Engine.schedule_op_after engine ahead op () () 0;
     ignore (Des.Engine.step engine : bool)
 
 (* A follower's election reset on a heartbeat: re-arm a timer whose
@@ -596,6 +622,9 @@ let loops =
        log-matching prefix scan alone, the floor under the follower
        figure. *)
     { name = "log try_append 64"; budget = 3.; make = make_try_append_loop };
+    (* [Raft.Log.slice] of 64 entries: the batch array, with no cache in
+       front of it. *)
+    { name = "log.slice 64"; budget = 65.; make = make_log_slice_loop };
     (* Follower granting one replayed pre-vote request: the vote checks
        and the response build, with no durable-state mutation. *)
     { name = "pre-vote round"; budget = 16.; make = make_vote_round_loop };
@@ -628,6 +657,13 @@ let loops =
       name = "engine schedule_op_after+step";
       budget = 0.;
       make = make_schedule_op_loop;
+    };
+    (* The same, with 1,500 op events pending: the wheel link, a share
+       of the slot flush and the pop from one tick's heap. *)
+    {
+      name = "engine op 100ms+step, 1,500 pending";
+      budget = 0.01;
+      make = make_pending_op_loop;
     };
     (* [Des.Timer.arm] on a timer whose event is parked in the wheel. *)
     {
@@ -693,7 +729,7 @@ let loops =
   ]
 
 (* Minor-heap allocation per operation, by [Gc.minor_words] delta: the
-   number bechamel's timing tables can't show.  [Gc.minor_words] counts
+   number a wall-time table can't show.  [Gc.minor_words] counts
    words allocated on the minor heap since program start, so the delta
    over N iterations divided by N is exact (modulo the loop's own
    constant). *)

@@ -1,5 +1,5 @@
-(** Hot-path loop builders shared by the bechamel microbenchmarks and
-    the perf-regression guard (`selfcheck --perf`).
+(** Hot-path loop builders shared by the wall-time table ([bench micro])
+    and the perf-regression guard (`selfcheck --perf`).
 
     Every {!loops} row builds a closure that replays one pinned
     operation; its minor-heap allocation per call is a constant of the

@@ -66,7 +66,7 @@ let figures =
   @ [
       ( "micro",
         fun ~full:_ ~jobs:_ ppf ->
-          Report.banner ppf "Microbenchmarks (bechamel)";
+          Report.banner ppf "Microbenchmarks";
           Micro.run ppf );
     ]
 

@@ -280,14 +280,14 @@ let determinism () =
   let json = Telemetry.Metrics.to_json in
   jobs_invariant "fig4" (fun jobs ->
       let r =
-        Scenarios.Fig4.run ~failures:4 ~jobs ~check:Check.Sample
+        Scenarios.Fig4.run ~failures:4 ~jobs ~check:Check.Always
           ~config:(Raft.Config.dynatune ()) ()
       in
       (* Uninstrumented: only the digest is compared. *)
       (r.Scenarios.Fig4.digest, ""));
   jobs_invariant "reconfig" (fun jobs ->
       let r =
-        Scenarios.Reconfig.run ~rounds:2 ~jobs ~check:Check.Sample
+        Scenarios.Reconfig.run ~rounds:2 ~jobs ~check:Check.Always
           ~instrument:true
           ~config:(Raft.Config.dynatune ())
           ()
@@ -296,7 +296,7 @@ let determinism () =
   jobs_invariant "multiraft" (fun jobs ->
       let r =
         Scenarios.Multiraft.sweep ~seed:7L ~group_counts:[ 2; 3 ] ~replicas:3
-          ~rates:[ 300.; 600. ] ~hold:(Des.Time.sec 1) ~check:Check.Sample
+          ~rates:[ 300.; 600. ] ~hold:(Des.Time.sec 1) ~check:Check.Always
           ~instrument:true ~jobs ()
       in
       (r.Scenarios.Multiraft.digest, json r.Scenarios.Multiraft.metrics))

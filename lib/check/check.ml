@@ -54,7 +54,7 @@ end
 
 (* {1 Modes and views} *)
 
-type mode = Off | Sample | Always
+type mode = Off | Always
 
 type node_view = {
   id : Node_id.t;
@@ -156,8 +156,9 @@ type t = {
          violation is raised; defaults to nothing *)
 }
 
-let cheap_every = function Off -> 0 | Sample -> 64 | Always -> 1
-let deep_every = function Off -> 0 | Sample -> 8192 | Always -> 512
+(* The deep (pairwise log-matching) checks run on every [deep_every]th
+   event; the cheap ones on every event. *)
+let deep_every = 512
 
 let tracked_of_view view =
   {
@@ -201,8 +202,8 @@ let fail t ~invariant ?node ~term fmt =
 
 (* {2 Election safety (historical, probe-driven)} *)
 
-(* The Role_change probe stream is complete even when state checks are
-   sampled, so leadership history is checked exactly. *)
+(* The Role_change probe stream sees every transition, even several
+   within one event, so leadership history is checked exactly. *)
 let on_probe t _time probe =
   match probe with
   | Raft.Probe.Role_change { id; role = Types.Leader; term } -> (
@@ -336,12 +337,11 @@ let check_node t ~max_term tr =
             "vote for %a retracted within term %d" Node_id.pp a term
       | (None | Some _), _ -> ()
     end;
-    (* Pre-vote must not disturb terms.  Only sound when every event is
-       observed: under sampling, a legitimate real candidacy can hide
-       between two observations of the same node. *)
+    (* Pre-vote must not disturb terms.  Sound because every event is
+       observed: a legitimate real candidacy cannot hide between two
+       observations of the same node. *)
     if
-      t.mode = Always
-      && Types.equal_role role Types.Pre_candidate
+      Types.equal_role role Types.Pre_candidate
       && (not (Types.equal_role tr.prev_role Types.Pre_candidate))
       && term <> tr.prev_term
     then
@@ -571,10 +571,10 @@ let deep_check t =
 let step t =
   match t.mode with
   | Off -> ()
-  | Sample | Always ->
+  | Always ->
       t.events <- t.events + 1;
-      if t.events mod cheap_every t.mode = 0 then cheap_check t;
-      if t.events mod deep_every t.mode = 0 then deep_check t
+      cheap_check t;
+      if t.events mod deep_every = 0 then deep_check t
 
 let check_now t =
   if t.mode <> Off then begin

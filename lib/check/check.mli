@@ -54,14 +54,11 @@ end
 
 type mode =
   | Off  (** no checking, no per-event overhead *)
-  | Sample
-      (** cheap state checks every 64th event, deep (pairwise log
-          matching) checks every 8192nd — for long campaigns *)
   | Always
-      (** cheap checks after every delivered event, deep checks every
-          512th — for tests.  Transition-sensitive checks (pre-vote
-          non-disruption) only run in this mode, since they require
-          observing every intermediate state. *)
+      (** cheap checks after every delivered event, deep (pairwise log
+          matching) checks every 512th.  Transition-sensitive checks
+          (pre-vote non-disruption) need every intermediate state, which
+          this cadence observes. *)
 
 (** {1 Node views} *)
 
@@ -133,22 +130,22 @@ val set_flight_recorder : t -> (unit -> string list) -> unit
 
 val observe_trace : t -> Raft.Probe.t Des.Mtrace.t -> unit
 (** Subscribe to a cluster trace: role-change probes feed the historical
-    election-safety registry (which sees {e every} leadership transition
-    even in [Sample] mode). *)
+    election-safety registry, which sees {e every} leadership transition,
+    including those between two checked events. *)
 
 val step : t -> unit
 (** The per-event hook (install via {!Des.Engine.set_post_hook}):
-    counts the event and runs the cheap and/or deep checks the mode's
-    sampling schedule calls for.  Raises {!Violation} on the first
-    broken invariant. *)
+    counts the event, runs the cheap checks and, on every 512th event,
+    the deep ones.  Raises {!Violation} on the first broken
+    invariant. *)
 
 val check_now : t -> unit
-(** Run the full battery (cheap + deep) immediately, regardless of mode
-    and sampling — call at the end of a scenario for a final verdict.
-    Raises {!Violation}. *)
+(** Run the full battery (cheap + deep) immediately, whatever the event
+    count — call at the end of a scenario for a final verdict.  No-op
+    under [Off].  Raises {!Violation}. *)
 
 val events_seen : t -> int
-(** Events observed through {!step} (for sampling diagnostics). *)
+(** Events observed through {!step}. *)
 
 val checks_run : t -> int
 (** Cheap check passes actually executed. *)

@@ -155,9 +155,7 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
     | Some ring -> ring
     | None ->
         let enabled =
-          match check with
-          | Check.Off -> false
-          | Check.Sample | Check.Always -> true
+          match check with Check.Off -> false | Check.Always -> true
         in
         Raft.Forensics.create ~enabled ()
   in
@@ -220,7 +218,7 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
   let checker =
     match check with
     | Check.Off -> None
-    | (Check.Sample | Check.Always) as mode ->
+    | Check.Always as mode ->
         let views =
           List.map
             (fun id -> Check.view_of_node (Node_id.Table.find members id).node)

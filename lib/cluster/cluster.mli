@@ -42,9 +42,10 @@ val create :
     allocation).
 
     [check] (default {!Check.Off}) runs the online safety-invariant
-    checker after every delivered simulation event, on the schedule the
-    mode selects; a broken invariant raises {!Check.Violation} out of
-    whatever [run_for] / [await_leader] call delivered the event.
+    checker after every delivered simulation event, on the cadence
+    {!Check.Always} describes; a broken invariant raises
+    {!Check.Violation} out of whatever [run_for] / [await_leader] call
+    delivered the event.
 
     [telemetry] (default {!Telemetry.Metrics.noop}) is handed to every
     node (append metrics, tuner-decision probes) and fed per-node

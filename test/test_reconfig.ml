@@ -414,7 +414,7 @@ let test_scenario_tuner_reduces_downtime () =
 
 let test_scenario_jobs_invariant () =
   let run jobs =
-    Scenarios.Reconfig.run ~rounds:2 ~jobs ~check:Check.Sample
+    Scenarios.Reconfig.run ~rounds:2 ~jobs ~check:Check.Always
       ~config:(Raft.Config.dynatune ())
       ()
   in

@@ -436,10 +436,17 @@ let int_field e k =
 (* A bridge on a 5-node cluster through one failover: leader killed, a
    new one elected, the old one recovered.  Spans pair up per thread,
    the new leader's thread holds a leader span, [finish] adds one fabric
-   counter and one counter per link, and nothing lands after it. *)
+   counter and one counter per link, and nothing lands after it.  The
+   links are 50 ms, where the cluster keeps its leader (on 0 ms links
+   the tuned Et falls below the heartbeat interval and it re-elects
+   every ~2 s), and the new leader still leads at [finish], so its
+   leader span is the injected failover's. *)
 let test_tracing_bridge () =
   let c =
-    Harness.Cluster.create ~seed:3L ~n:5 ~config:(Raft.Config.dynatune ()) ()
+    Harness.Cluster.create ~seed:3L ~n:5
+      ~conditions:
+        Netsim.Conditions.(constant (profile ~rtt_ms:50. ~jitter:0.02 ()))
+      ~config:(Raft.Config.dynatune ()) ()
   in
   let sink = Chrome.create () in
   let bridge = Harness.Tracing.attach c sink in
@@ -456,6 +463,10 @@ let test_tracing_bridge () =
   in
   Harness.Fault.recover c old;
   Harness.Cluster.run_for c (Time.sec 1);
+  Alcotest.(check bool) "new leader still leads at finish" true
+    (match Harness.Cluster.leader c with
+    | Some l -> Netsim.Node_id.equal (Raft.Node.id l) fresh
+    | None -> false);
   Harness.Tracing.finish bridge;
   let events = events_of sink in
   (* Every B closed by an E of the same name, later, on its own thread. *)
