@@ -186,8 +186,8 @@ let make_leader_heartbeat_loop () =
    (no fabric, no engine).  The leader is brought to power by feeding the
    vote flow by hand; each iteration then replays a conflict nack that
    rewinds to index 1, so [handle] re-builds and re-sends the same
-   64-entry batch — in steady state a batch-cache hit, which is the
-   number the allocation-lean work moves.  The follower replays one
+   64-entry batch — in steady state the log re-serves the window it last
+   sliced, so no entry is copied.  The follower replays one
    prebuilt duplicate append: the [try_append] prefix-scan hot path. *)
 let make_leader_append_loop () =
   let config =
@@ -331,8 +331,8 @@ let make_try_append_loop () =
         : [ `Ok of Raft.Types.index | `Conflict of Raft.Types.index ])
 
 (* A leader's plain 64-entry slice of a 1000-entry log, from a start
-   index that walks the log: the array copy a batch costs without the
-   per-peer batch cache. *)
+   index that walks the log: every call misses the log's one-window
+   memo, so this is the array copy a fresh batch costs. *)
 let make_log_slice_loop () =
   let log = bench_log () in
   let i = ref 0 in
@@ -604,11 +604,11 @@ let loops =
       budget = 21.;
       make = make_leader_heartbeat_loop;
     };
-    (* Leader handling a conflict nack that forces a 64-entry rebatch — a
-       batch-cache hit in steady state. *)
+    (* Leader handling a conflict nack that forces a 64-entry rebatch — the
+       log's last window, served again, in steady state. *)
     {
       name = "leader nack + rebatch 64";
-      budget = 17.;
+      budget = 12.;
       make = make_leader_append_loop;
     };
     (* Follower handling a duplicate 64-entry append through

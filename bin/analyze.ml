@@ -33,10 +33,11 @@
          good*.ml(i).
 
    Exit 2 on a path that cannot be read, a malformed allowlist, an .ml
-   with no .cmt or an .mli with no .cmti among the inputs (named), or a
+   with no .cmt or an .mli with no .cmti among the inputs (named), a
+   unit whose source changed after it was compiled (named), or a
    --callers directory with no .cmt: a library or executable missing
-   from the dune dependencies fails loudly instead of passing with
-   fewer files or callers.
+   from the dune dependencies, or a stale build, fails loudly instead
+   of passing with fewer files or callers or with old typed trees.
 
    The allowlist (lint.allow) holds [path-suffix:rule-id] lines and #
    comments.  An entry that suppresses no finding is stale and fails the
@@ -157,11 +158,20 @@ let run ~self_check ~allow_file ~callers dirs =
       callers
   in
   let units = List.concat_map (load_units [ ".cmt"; ".cmti" ]) dirs in
+  let sources = sources dirs in
   List.iter
     (fun path ->
       fail "%s has no %s among the inputs" path
         (if Filename.check_suffix path ".mli" then ".cmti" else ".cmt"))
-    (Analysis.Driver.uncompiled units (sources dirs));
+    (Analysis.Driver.uncompiled units sources);
+  let digest path =
+    try (path, Digest.file path) with Sys_error msg -> cannot_read path msg
+  in
+  List.iter
+    (fun (u : Cmt_format.cmt_infos) ->
+      fail "unit %s is stale: %s changed after it was compiled" u.cmt_modname
+        (Option.value ~default:"" u.cmt_sourcefile))
+    (Analysis.Driver.stale units (List.map digest sources));
   let result = Analysis.Driver.analyze ~allow ~callers units in
   if self_check then self_test (fst result) else report ~allow_file result
 

@@ -374,12 +374,12 @@ let perf_table () =
       Digest
         ( "3a819493db80435d",
           fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
-    ("fig4 plan", per_event fig4 23.73);
+    ("fig4 plan", per_event fig4 23.62);
     ( "multiraft seed=11 groups=4 rates=500,1000 digest",
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 26.06);
+    ("multiraft plan", per_event multiraft 25.16);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -412,7 +412,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        38.47 );
+        37.89 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->

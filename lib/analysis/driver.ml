@@ -27,3 +27,15 @@ let uncompiled units sources =
   List.filter
     (fun path -> not (List.exists (String.equal path) compiled))
     sources
+
+let stale units sources =
+  List.filter
+    (fun (u : Cmt_format.cmt_infos) ->
+      match (u.cmt_sourcefile, u.cmt_source_digest) with
+      | Some file, Some recorded ->
+          List.exists
+            (fun (path, digest) ->
+              String.equal path file && not (Digest.equal digest recorded))
+            sources
+      | _ -> false)
+    units

@@ -18,3 +18,12 @@ val uncompiled : Cmt_format.cmt_infos list -> string list -> string list
     [.cmti].  A file that does not parse or type-check has none, and
     neither has a directory missing from the build, so the caller stops
     on any of them instead of passing with fewer files. *)
+
+val stale :
+  Cmt_format.cmt_infos list -> (string * Digest.t) list -> Cmt_format.cmt_infos list
+(** [stale units sources]: the [units], in order, compiled from one of
+    [sources] (each a path and the digest of its contents now) whose
+    recorded source digest differs: the source changed after the unit
+    was compiled, so its typed tree no longer describes it.  A unit
+    built from a preprocessed [.pp.ml] names that file, which is never
+    among [sources], and is not judged. *)

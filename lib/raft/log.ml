@@ -21,6 +21,7 @@ type t = {
   mutable mutations : int;
   mutable configs : Types.index list;
       (* indices of the stored [Config] entries, ascending *)
+  mutable window : entry array;  (* the last [slice]; [scrub] drops it *)
 }
 
 let create () =
@@ -31,6 +32,7 @@ let create () =
     snapshot_term = 0;
     mutations = 0;
     configs = [];
+    window = [||];
   }
 
 let mutations t = t.mutations
@@ -91,8 +93,10 @@ let blank = { term = 0; index = 0; command = Noop }
 
 (* Clear slots [t.len, old_len) and shrink the backing array once
    occupancy drops below a quarter, so a log that shrank (truncation,
-   compaction, snapshot install) cannot pin its high-water storage. *)
+   compaction, snapshot install) cannot pin its high-water storage.
+   Every rewrite or drop of a stored slot comes through here. *)
 let scrub t ~old_len =
+  t.window <- [||];
   for i = t.len to old_len - 1 do
     t.entries.(i) <- blank
   done;
@@ -183,12 +187,20 @@ let install_snapshot t ~index ~term =
   scrub t ~old_len
 
 (* Entries are stored contiguously, so a slice is a single [Array.sub]
-   (and the empty case is the static atom [| |] — no allocation). *)
+   (and the empty case is the static atom [| |] — no allocation).  A
+   retransmit, probe or commit of the last window gets that array back:
+   windows are immutable, and no slot of it changed unless [scrub] ran. *)
 let slice t ~from ~max =
   let from = Int.max (first_available t) from in
   let stop = Int.min (last_index t) (from + max - 1) in
+  let len = stop - from + 1 in
   if from > stop then [||]
-  else Array.sub t.entries (from - t.snapshot_index - 1) (stop - from + 1)
+  else if Array.length t.window = len && t.window.(0).index = from then
+    t.window
+  else begin
+    t.window <- Array.sub t.entries (from - t.snapshot_index - 1) len;
+    t.window
+  end
 
 let up_to_date t ~last_index:cand_index ~last_term:cand_term =
   let mine = last_term t in

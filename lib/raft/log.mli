@@ -91,11 +91,13 @@ val install_snapshot : t -> index:Types.index -> term:Types.term -> unit
     and the boundary set to [(index, term)]. *)
 
 val slice : t -> from:Types.index -> max:int -> entry array
-(** Up to [max] entries starting at [from] (inclusive), as a fresh array
-    copied straight out of contiguous storage (a single [Array.sub]; the
-    empty slice allocates nothing).  Entries below [first_available]
-    cannot be served and are silently skipped — use {!snapshot_index} to
-    detect that a snapshot is needed instead. *)
+(** Up to [max] entries starting at [from] (inclusive), copied straight
+    out of contiguous storage (a single [Array.sub]; the empty slice
+    allocates nothing).  A call with the same first index and length as
+    the last one may return the window it served: callers must not
+    mutate the result.  Entries below [first_available] cannot be served
+    and are silently skipped — use {!snapshot_index} to detect that a
+    snapshot is needed instead. *)
 
 val up_to_date : t -> last_index:Types.index -> last_term:Types.term -> bool
 (** Raft's voting rule: is a candidate log described by

@@ -274,8 +274,8 @@ module Pool = struct
     | Heartbeat_response h -> if h.hr_gen > 0 then push p.hbr m
     | Append_request r ->
         if r.ar_gen > 0 then begin
-          (* Do not pin the batch window in the pool: the array belongs
-             to the leader's batch cache and may be large. *)
+          (* Do not pin the batch window in the pool: the array may be
+             the leader log's current window and may be large. *)
           r.entries <- [||];
           push p.areq m
         end

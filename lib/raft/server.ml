@@ -210,10 +210,6 @@ type t = {
       (* every record [progress] has held this leadership, members or
          not: a voter removed while reads are pending still counts for
          the reads it confirmed *)
-  mutable batches : batch_cache option array;
-      (* per-peer reuse of the last sliced entry window: retransmits and
-         probes of an unchanged log region ship the same (immutable)
-         array instead of re-slicing *)
   congestion : Node_id.t -> int;  (* the host's egress-depth probe *)
   mutable paths : Dynatune.Leader_path.t option array;
   tuner : Dynatune.Tuner.t option;
@@ -239,12 +235,6 @@ type t = {
          [finish] before the host interprets them), so one per server
          suffices *)
 }
-and batch_cache = {
-  mutable bc_from : Types.index;
-  mutable bc_mutations : int;
-  mutable bc_entries : Log.entry array;
-}
-
 and ctx = { mutable acts : action list; mutable now : Des.Time.t }
 
 (* {2 Membership} *)
@@ -411,7 +401,6 @@ let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
       ack_round = 0;
       progress = [||];
       all_progress = [];
-      batches = [||];
       congestion;
       paths = [||];
       tuner;
@@ -727,49 +716,14 @@ let rec acked_voters t n = function
       in
       acked_voters t (if acked then n + 1 else n) rest
 
-(* The sliced windows are immutable once built (receivers must not
-   mutate them, and the log only ever truncates/extends whole entries),
-   so a window already shipped may be shipped again by reference.  Probes
-   and retransmits of an unchanged log region therefore reuse the cached
-   array; the cache is invalidated by the log's mutation counter. *)
-let batch_for t peer ~from =
-  let slice () =
-    Log.slice t.log ~from ~max:t.config.Config.max_entries_per_append
-  in
-  let i = Node_id.to_int peer in
-  if i >= Array.length t.batches then t.batches <- peer_array t.batches i;
-  match t.batches.(i) with
-  | Some bc ->
-      let muts = Log.mutations t.log in
-      let len = Array.length bc.bc_entries in
-      let still_valid =
-        bc.bc_from = from && bc.bc_mutations = muts
-        && (* a window short of the batch limit grows as the log does *)
-        (len >= t.config.Config.max_entries_per_append
-        || from + len > Log.last_index t.log)
-      in
-      if still_valid then bc.bc_entries
-      else begin
-        let entries = slice () in
-        bc.bc_from <- from;
-        bc.bc_mutations <- muts;
-        bc.bc_entries <- entries;
-        entries
-      end
-  | None ->
-      let entries = slice () in
-      t.batches.(i) <-
-        Some
-          { bc_from = from; bc_mutations = Log.mutations t.log;
-            bc_entries = entries };
-      entries
-
 let append_request_for t peer =
   let pr = progress_of t peer in
   let next = Progress.next_index pr in
   let prev_index = next - 1 in
   let prev_term = Option.value ~default:0 (Log.term_at t.log prev_index) in
-  let entries = batch_for t peer ~from:next in
+  let entries =
+    Log.slice t.log ~from:next ~max:t.config.Config.max_entries_per_append
+  in
   Rpc.Pool.append_request t.pool ~term:t.term ~prev_index ~prev_term ~entries
     ~commit:t.commit_index
 
@@ -1243,7 +1197,6 @@ let become_leader t ctx =
   emit ctx (Arm_quorum_check t.config.Config.election_timeout);
   Array.fill t.progress 0 (Array.length t.progress) None;
   t.all_progress <- [];
-  Array.fill t.batches 0 (Array.length t.batches) None;
   Array.iter
     (function Some p -> Dynatune.Leader_path.reset p | None -> ())
     t.paths;

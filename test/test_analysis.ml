@@ -30,7 +30,8 @@ let lines_of rule fs = with_rule rule fs |> List.map (fun (f : F.t) -> f.line)
 let lib_args cmt =
   let rec pick = function
     | ("-I" as f) :: dir :: rest when Filename.is_relative dir ->
-        (f, Filename.concat Filename.parent_dir_name dir) :: pick rest
+        (f, Filename.concat (Test_data.path Filename.parent_dir_name) dir)
+        :: pick rest
     | (("-open" | "-alert") as f) :: arg :: rest -> (f, arg) :: pick rest
     | _ :: rest -> pick rest
     | [] -> []
@@ -76,7 +77,8 @@ let check_under args src =
 let alerts_under args src = snd (check_under args src)
 
 let objs lib m =
-  Printf.sprintf "../lib/%s/.%s.objs/byte/%s__%s.cmt" lib lib lib m
+  Test_data.path
+    (Printf.sprintf "../lib/%s/.%s.objs/byte/%s__%s.cmt" lib lib lib m)
 
 let store = objs "kvsm" "Store"
 
@@ -97,10 +99,11 @@ let analyze units = fst (run ~callers:[] units)
    analysis_fixtures/lib (scanned as lib/ code); the interface rules
    also read analysis_fixtures/callers (as the tests directory is). *)
 
-let fixture_objs = "analysis_fixtures/lib/.analysis_fixtures.objs/byte"
+let fixture_objs =
+  Test_data.path "analysis_fixtures/lib/.analysis_fixtures.objs/byte"
 
 let caller_objs =
-  "analysis_fixtures/callers/.analysis_fixture_callers.objs/byte"
+  Test_data.path "analysis_fixtures/callers/.analysis_fixture_callers.objs/byte"
 
 let units_in dir =
   Sys.readdir dir |> Array.to_list |> List.sort String.compare
@@ -494,6 +497,43 @@ let test_parse_error () =
          "lib/raft/ok.mli";
        ])
 
+(* A unit whose recorded source digest is not its source's digest now
+   was compiled from an older text, so bin/analyze names it and exits 2
+   instead of judging a typed tree that no longer describes the file.
+   A unit built from a preprocessed .pp.ml records that file, never a
+   scanned source, and is not judged. *)
+let test_stale_unit () =
+  let unit path text =
+    {
+      (read fixture_objs "good_exports.cmt") with
+      Cmt_format.cmt_sourcefile = Some path;
+      cmt_source_digest = Some (Digest.string text);
+    }
+  in
+  let units =
+    [
+      unit "lib/raft/a.ml" "let x = 1";
+      unit "lib/raft/a.mli" "val x : int";
+      unit "lib/raft/b.pp.ml" "let y = 2";
+    ]
+  in
+  let stale sources =
+    List.filter_map
+      (fun (u : Cmt_format.cmt_infos) -> u.cmt_sourcefile)
+      (A.Driver.stale units
+         (List.map (fun (path, text) -> (path, Digest.string text)) sources))
+  in
+  Alcotest.(check (list string)) "sources as compiled" []
+    (stale [ ("lib/raft/a.ml", "let x = 1"); ("lib/raft/a.mli", "val x : int") ]);
+  Alcotest.(check (list string)) "the units whose source changed, in order"
+    [ "lib/raft/a.ml"; "lib/raft/a.mli" ]
+    (stale
+       [
+         ("lib/raft/a.mli", "val x : float");
+         ("lib/raft/a.ml", "let x = 1.");
+         ("lib/raft/b.ml", "let y = 3");
+       ])
+
 let test_render () =
   let f = F.v ~path:"lib/x.ml" ~line:3 ~rule:"mutable-global" "msg" in
   Alcotest.(check string) "render" "lib/x.ml:3: [mutable-global] msg"
@@ -641,4 +681,5 @@ let tests =
     Alcotest.test_case "hot-own-parameters" `Quick test_hot_own_parameters;
     Alcotest.test_case "mutable-global-no-spawn" `Quick
       test_mutable_global_without_spawn;
+    Alcotest.test_case "stale-unit" `Quick test_stale_unit;
   ]

@@ -452,7 +452,7 @@ let test_explain_analyze_synthetic () =
     e3.Scenarios.Explain.prior_leader
 
 let read_golden name =
-  let path = Filename.concat "golden" name in
+  let path = Test_data.path (Filename.concat "golden" name) in
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
@@ -464,14 +464,17 @@ let test_explain_print_golden () =
     Format.asprintf "%a" Scenarios.Explain.print
       (Scenarios.Explain.analyze (synthetic_ring ()))
   in
-  (* Regenerate with: DYNATUNE_GOLDEN_REGEN=1 (run from test/). *)
+  (* Regenerate with DYNATUNE_GOLDEN_REGEN=1, run from the source test/
+     directory: the source golden is written relative to the working
+     directory, since the build's copy beside the executable is dune's. *)
   if Sys.getenv_opt "DYNATUNE_GOLDEN_REGEN" <> None then begin
     let oc = open_out_bin "golden/explain.golden.txt" in
     output_string oc rendered;
     close_out oc
-  end;
-  Alcotest.(check string) "explain output pinned" (read_golden "explain.golden.txt")
-    rendered
+  end
+  else
+    Alcotest.(check string) "explain output pinned"
+      (read_golden "explain.golden.txt") rendered
 
 (* {1 Explain: live ring} *)
 

@@ -111,6 +111,62 @@ let test_slice () =
   in
   Alcotest.(check (list int)) "contiguous" [ 2; 3; 4 ] indices
 
+(* [slice] re-serves the window it last returned; anything that rewrites
+   or drops a stored slot must make the next slice copy afresh. *)
+let terms w = Array.to_list (Array.map (fun (e : Log.entry) -> e.Log.term) w)
+
+let log_of_terms ts =
+  let l = Log.create () in
+  List.iter (fun term -> ignore (Log.append_new l ~term Log.Noop : Log.entry)) ts;
+  l
+
+let test_slice_reserves_window () =
+  let l = log_of_terms [ 1; 1; 1; 1; 1 ] in
+  let w = Log.slice l ~from:2 ~max:3 in
+  Alcotest.(check bool) "same window, same array" true
+    (w == Log.slice l ~from:2 ~max:3);
+  ignore (Log.append_new l ~term:1 Log.Noop : Log.entry);
+  Alcotest.(check bool) "an append leaves a full window alone" true
+    (w == Log.slice l ~from:2 ~max:3);
+  let tail = Log.slice l ~from:5 ~max:10 in
+  ignore (Log.append_new l ~term:1 Log.Noop : Log.entry);
+  let grown = Log.slice l ~from:5 ~max:10 in
+  Alcotest.(check (list int)) "a tail window grows with the log" [ 5; 6; 7 ]
+    (Array.to_list (Array.map (fun (e : Log.entry) -> e.Log.index) grown));
+  Alcotest.(check int) "the old tail window is untouched" 2 (Array.length tail)
+
+let test_slice_window_after_truncate () =
+  let l = log_of_terms [ 1; 1; 1; 1; 1 ] in
+  ignore (Log.slice l ~from:3 ~max:2 : Log.entry array);
+  (match
+     Log.try_append l ~prev_index:2 ~prev_term:1
+       ~entries:[| entry 2 3; entry 2 4 |]
+   with
+  | `Ok covered -> Alcotest.(check int) "covered" 4 covered
+  | `Conflict _ -> Alcotest.fail "append after a matching prefix succeeds");
+  Alcotest.(check (list int)) "conflicting try_append: the new entries"
+    [ 2; 2 ]
+    (terms (Log.slice l ~from:3 ~max:2))
+
+(* Compaction rewrites no entry it keeps, but the window it drops may
+   hold compacted ones: it must not outlive them. *)
+let test_slice_window_after_compact () =
+  let l = log_of_terms [ 1; 1; 1; 1; 1 ] in
+  let w = Log.slice l ~from:3 ~max:2 in
+  Log.compact l ~upto:2;
+  let after = Log.slice l ~from:3 ~max:2 in
+  Alcotest.(check bool) "compact drops the window" false (w == after);
+  Alcotest.(check (list int)) "compact keeps the entries" [ 1; 1 ] (terms after)
+
+let test_slice_window_after_install () =
+  let l = log_of_terms [ 1; 1; 1; 1; 1; 1 ] in
+  ignore (Log.slice l ~from:5 ~max:2 : Log.entry array);
+  Log.install_snapshot l ~index:4 ~term:2;
+  ignore (Log.append_new l ~term:3 Log.Noop : Log.entry);
+  ignore (Log.append_new l ~term:3 Log.Noop : Log.entry);
+  Alcotest.(check (list int)) "install_snapshot: the new entries" [ 3; 3 ]
+    (terms (Log.slice l ~from:5 ~max:2))
+
 let test_up_to_date () =
   let l = Log.create () in
   ignore (Log.append_new l ~term:2 Log.Noop);
@@ -327,4 +383,12 @@ let tests =
     to_alcotest prop_append_below_boundary_matches;
     to_alcotest prop_append_conflict_truncates_at_boundary;
     to_alcotest prop_append_wholly_compacted_is_noop;
+    Alcotest.test_case "slice: an unchanged window is served again" `Quick
+      test_slice_reserves_window;
+    Alcotest.test_case "slice: truncation drops the window" `Quick
+      test_slice_window_after_truncate;
+    Alcotest.test_case "slice: compaction drops the window" `Quick
+      test_slice_window_after_compact;
+    Alcotest.test_case "slice: a snapshot install drops the window" `Quick
+      test_slice_window_after_install;
   ]

@@ -171,7 +171,7 @@ tab	end|} ~pid:1 ~tid:0 ~at:(Time.ms 8) ();
   s
 
 let test_chrome_golden () =
-  let golden_path = "golden/chrome_trace.golden.json" in
+  let golden_path = Test_data.path "golden/chrome_trace.golden.json" in
   let golden =
     let ic = open_in_bin golden_path in
     Fun.protect
