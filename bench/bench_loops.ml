@@ -528,26 +528,30 @@ let make_store_put_loop () =
 (* Writes to [new_keys] slots of one client in turn, each binding a key
    the store lacks; the slots are numbered from 1000, so every key is 8
    bytes long.  When the slots run out the store is replaced by a fresh
-   one, whose creation adds 0.03 words/op over the run.  Tables past 256
-   buckets grow on the major heap, so growth adds nothing. *)
+   one.  Only creating a store and doubling its table allocate, so the
+   row's words are that store's creation and its doublings; slot
+   arrays past 128 slots are allocated on the major heap. *)
 let new_keys = 8192
+
+(* Log entry [index]: client [client_id]'s write to [slot]. *)
+let put_entry ~index ~client_id ~slot =
+  {
+    Raft.Log.term = 1;
+    index;
+    command =
+      Raft.Log.Data
+        {
+          payload =
+            Kvsm.Command.client_put_payload ~client_id ~slot ~value:kv_value;
+          client_id;
+          seq = index - 1;
+        };
+  }
 
 let make_store_new_key_loop () =
   let entries =
-    Array.init new_keys (fun slot ->
-        {
-          Raft.Log.term = 1;
-          index = slot + 1;
-          command =
-            Raft.Log.Data
-              {
-                payload =
-                  Kvsm.Command.client_put_payload ~client_id:1
-                    ~slot:(1000 + slot) ~value:kv_value;
-                client_id = 1;
-                seq = slot;
-              };
-        })
+    Array.init new_keys (fun i ->
+        put_entry ~index:(i + 1) ~client_id:1 ~slot:(1000 + i))
   in
   let store = ref (Kvsm.Store.create ()) and next = ref 0 in
   fun () ->
@@ -558,6 +562,31 @@ let make_store_new_key_loop () =
     ignore
       (Kvsm.Store.apply_entry !store entries.(!next) : Kvsm.Store.result option);
     incr next
+
+(* [saturation]'s working set: its nine ramp levels' clients write
+   1024 keys each, and three replicas apply every write.  Each call
+   applies the next of those 9,216 writes to all three stores, which
+   already bind every key, so the call is three lookups at wherever
+   the key's hash puts it in a 32,768-slot array, rather than the one
+   key of the key-present row, which stays in cache. *)
+let working_set_clients = 9
+
+let make_store_working_set_loop () =
+  let entries =
+    Array.init (working_set_clients * 1024) (fun i ->
+        put_entry ~index:(i + 1) ~client_id:(1 + (i / 1024)) ~slot:(i mod 1024))
+  in
+  let stores = Array.init 3 (fun _ -> Kvsm.Store.create ()) in
+  let apply entry =
+    for r = 0 to Array.length stores - 1 do
+      ignore (Kvsm.Store.apply_entry stores.(r) entry : Kvsm.Store.result option)
+    done
+  in
+  Array.iter apply entries;
+  let next = ref 0 in
+  fun () ->
+    apply entries.(!next);
+    next := (!next + 1) mod Array.length entries
 
 (* The randomness one datagram draws in [Netsim.Link] (its loss coin
    and its jitter multiplier) plus one [Stats.Rng.int], the draw behind
@@ -710,7 +739,7 @@ let loops =
        command and the result. *)
     { name = "kv decode put"; budget = 17.; make = make_decode_put_loop };
     (* [Kvsm.Store.apply_entry] of that write with its key already
-       present: one scan of the headers, and the key's cell rebound to
+       present: one scan of the headers, and the key's slot rebound to
        the payload, which is looked up in place, so nothing is
        copied. *)
     {
@@ -719,12 +748,20 @@ let loops =
       make = make_store_put_loop;
     };
     (* [Kvsm.Store.apply_entry] of a write whose key is new: the
-       table's cell binding the committed payload, which is both the
-       cell's key and its data. *)
+       committed payload written into a free slot, and the table's
+       doublings. *)
     {
       name = "kv store apply put (new key)";
-      budget = 4.04;
+      budget = 0.07;
       make = make_store_new_key_loop;
+    };
+    (* Three replicas applying the next write of [saturation]'s 9,216-key
+       working set, every key present: the probe sequences the workload
+       walks, with nothing allocated. *)
+    {
+      name = "kv store apply put (9,216-key working set)";
+      budget = 0.;
+      make = make_store_working_set_loop;
     };
   ]
 

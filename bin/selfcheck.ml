@@ -353,6 +353,34 @@ let ratchet reading = (reading *. 1.10) +. 1.
 let text_digest print results =
   Check.Digest.of_string (Format.asprintf "%a" print results)
 
+(* The words one store retains per key, over 25,600 keys of the
+   [c<id>-k<slot>] shape (25 clients of 1024 slots, each a 64-byte
+   value), applied as committed Puts.  The payloads are what the log
+   holds anyway, so their words are not the store's. *)
+let store_words_per_key () =
+  let keys = 25 * 1024 in
+  let payloads =
+    Array.init keys (fun i ->
+        Kvsm.Command.client_put_payload ~client_id:(1 + (i / 1024))
+          ~slot:(i mod 1024) ~value:(String.make 64 'v'))
+  in
+  let store = Kvsm.Store.create () in
+  Array.iteri
+    (fun i payload ->
+      ignore
+        (Kvsm.Store.apply_entry store
+           {
+             Raft.Log.term = 1;
+             index = i + 1;
+             command = Raft.Log.Data { payload; client_id = 1; seq = i };
+           }
+          : Kvsm.Store.result option))
+    payloads;
+  float_of_int
+    (Obj.reachable_words (Obj.repr (store, payloads))
+    - Obj.reachable_words (Obj.repr payloads))
+  /. float_of_int keys
+
 let perf_table () =
   let fig4 =
     lazy
@@ -374,12 +402,12 @@ let perf_table () =
       Digest
         ( "3a819493db80435d",
           fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
-    ("fig4 plan", per_event fig4 23.62);
+    ("fig4 plan", per_event fig4 23.60);
     ( "multiraft seed=11 groups=4 rates=500,1000 digest",
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 25.16);
+    ("multiraft plan", per_event multiraft 24.64);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -412,7 +440,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        37.89 );
+        35.80 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->
@@ -422,6 +450,8 @@ let perf_table () =
         ))
       Bench_loops.loops
   @ [
+      ( "kv store retained words per key",
+        Budget (2.561, "words/key", store_words_per_key) );
       ( "steady-state cluster",
         Budget
           (ratchet 14.50, "words/event", fun () ->

@@ -95,7 +95,8 @@ and arrive t () (_ : int) =
   end
 
 let create ~engine ~target ~client_id ~rate ?(client_rtt = 0) ?route () =
-  if rate <= 0. then invalid_arg "Client.create: rate must be positive";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Client.create: rate must be finite and positive";
   {
     engine;
     arrival =

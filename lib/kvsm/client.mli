@@ -30,8 +30,10 @@ val create :
 (** A stopped client issuing [Put] requests of a 64-byte value at [rate]
     per second with exponential inter-arrival gaps.  [client_rtt] is
     added to every recorded latency (the client→leader network round
-    trip, which the simulation fabric does not carry).  Requires
-    [rate > 0.].
+    trip, which the simulation fabric does not carry).  Raises
+    [Invalid_argument] unless [rate] is finite and positive: a NaN or
+    infinite rate would draw zero gaps, so arrivals would repeat at one
+    instant forever.
 
     With [route], the client follows leader hints: a [`Not_leader (Some
     hint)] reply re-submits the request to [route hint] after 1 ms, at

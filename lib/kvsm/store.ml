@@ -1,11 +1,11 @@
 (* Each key is bound to the last Put payload applied to it, encoded as
    [Command.to_payload] writes it: "P<len>:<key><len>:<value>".  The
-   table's key and its data are both that payload, so the store keeps
-   no bytes of its own per key: a Put applied from the log binds the
-   committed payload itself, which the log retains anyway and every
-   replica shares physically.  [Keys.replace] rebinds a present key's
-   cell, key included, so a superseded payload is not pinned.  A value
-   is materialised when it is read. *)
+   table's slot holds that payload alone, so the store keeps no bytes of
+   its own per key: a Put applied from the log binds the committed
+   payload itself, which the log retains anyway and every replica
+   shares physically.  Rebinding a key overwrites its slot, so a
+   superseded payload is not pinned.  A value is materialised when it
+   is read. *)
 
 (* A bound payload's key header is plain decimal, with no sign, prefix,
    underscore or leading zero, so two payloads bind the same key exactly
@@ -64,14 +64,23 @@ module Payload = struct
     h lxor (h lsr 29)
 end
 
-module Keys = Hashtbl.Make (Payload)
+(* The table is one array of payloads, open-addressed with linear
+   probing over a power-of-two length: a key lives at its hash's slot or
+   past it, with no empty slot between.  [empty] marks a free slot; it
+   is compared with [==] and is no payload, which always starts with
+   'P'.  The table doubles once more than half its slots are bound: a
+   fuller table leaves keys far from their home slot, and every slot a
+   lookup passes costs a read of another key's payload (DESIGN.md
+   15.5).  A deletion shifts the rest of its cluster back, so no slot
+   is ever a tombstone.
 
-(* [probe] holds "P<len>:<key>" of the last key looked up by its raw
+   [probe] holds "P<len>:<key>" of the last key looked up by its raw
    bytes; whatever follows the key is stale and never read, and the
    table never retains the buffer.  [span] receives
    [Command.scan_put]'s offsets. *)
 type t = {
-  table : string Keys.t;
+  mutable slots : string array;
+  mutable bound : int;
   span : Command.put_span;
   mutable probe : Bytes.t;
   mutable applied : int;
@@ -84,16 +93,70 @@ type result =
   | Swapped of bool
   | Invalid of string
 
+let empty = "empty slot"
+let initial_slots = 16
+
 let of_applied applied =
   {
-    table = Keys.create 256;
+    slots = Array.make initial_slots empty;
+    bound = 0;
     span = Command.put_span ();
     probe = Bytes.empty;
     applied;
   }
 
 let create () = of_applied 0
-let size t = Keys.length t.table
+let size t = t.bound
+
+(* The slot of [key] (a bound payload or a probe): the one holding its
+   binding, or the free slot that ends its cluster. *)
+let rec slot_from slots mask key i =
+  let s = slots.(i) in
+  if s == empty || Payload.equal s key then i
+  else slot_from slots mask key ((i + 1) land mask)
+
+let slot slots key =
+  let mask = Array.length slots - 1 in
+  slot_from slots mask key (Payload.hash key land mask)
+
+let grow t =
+  let old = t.slots in
+  let slots = Array.make (2 * Array.length old) empty in
+  Array.iter (fun p -> if p != empty then slots.(slot slots p) <- p) old;
+  t.slots <- slots
+
+let bind t payload =
+  let i = slot t.slots payload in
+  let fresh = t.slots.(i) == empty in
+  t.slots.(i) <- payload;
+  if fresh then begin
+    t.bound <- t.bound + 1;
+    if 2 * t.bound > Array.length t.slots then grow t
+  end
+
+(* Backward-shift deletion: [hole] was just freed.  Each later payload
+   of its cluster whose home slot is at or before the hole (cyclically)
+   moves into it, and the hole moves to where that payload stood. *)
+let rec close_hole slots mask hole i =
+  let s = slots.(i) in
+  if s == empty then slots.(hole) <- empty
+  else if (i - (Payload.hash s land mask)) land mask >= (i - hole) land mask
+  then begin
+    slots.(hole) <- s;
+    close_hole slots mask i ((i + 1) land mask)
+  end
+  else close_hole slots mask hole ((i + 1) land mask)
+
+let remove t key =
+  let slots = t.slots in
+  let i = slot slots key in
+  let found = slots.(i) != empty in
+  if found then begin
+    t.bound <- t.bound - 1;
+    let mask = Array.length slots - 1 in
+    close_hole slots mask i ((i + 1) land mask)
+  end;
+  found
 
 let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
 
@@ -123,11 +186,8 @@ let value_of payload =
   String.sub payload start (String.length payload - start)
 
 let find t key =
-  match Keys.find t.table (probe t key) with
-  | payload -> Some (value_of payload)
-  | exception Not_found -> None
-
-let bind t payload = Keys.replace t.table payload payload
+  let payload = t.slots.(slot t.slots (probe t key)) in
+  if payload == empty then None else Some (value_of payload)
 
 let bind_value t key value =
   bind t (Command.to_payload (Command.Put { key; value }))
@@ -164,9 +224,7 @@ let apply_command t command =
       Written
   | Command.Get key -> Value (find t key)
   | Command.Delete key ->
-      let before = Keys.length t.table in
-      Keys.remove t.table (probe t key);
-      Deleted (Keys.length t.table < before)
+      Deleted (remove t (probe t key))
   | Command.Cas { key; expect; value } ->
       if Option.equal String.equal (find t key) expect then begin
         bind_value t key value;
@@ -199,9 +257,11 @@ let sorted_bindings t =
     match String.compare k1 k2 with 0 -> String.compare v1 v2 | c -> c
   in
   List.sort by_binding
-    (Keys.fold
-       (fun payload _ acc -> (key_of payload, value_of payload) :: acc)
-       t.table [])
+    (Array.fold_left
+       (fun acc payload ->
+         if payload == empty then acc
+         else (key_of payload, value_of payload) :: acc)
+       [] t.slots)
 (* Snapshot format: "<applied>\n" then each binding as two
    length-prefixed fields "<len>:<bytes>". *)
 let serialize t =

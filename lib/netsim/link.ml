@@ -1,9 +1,9 @@
 type counters = {
-  mutable sent : int;
-  mutable delivered : int;
-  mutable lost : int;
-  mutable duplicated : int;
-  mutable retransmissions : int;
+  sent : int;
+  delivered : int;
+  lost : int;
+  duplicated : int;
+  retransmissions : int;
 }
 
 type t = {
@@ -13,7 +13,11 @@ type t = {
      The clock never goes back, so a message searches the schedule
      again only when it crosses into a later segment. *)
   mutable segment : Conditions.segment;
-  counters : counters;
+  mutable sent : int;
+  mutable delivered : int;
+  mutable lost : int;
+  mutable duplicated : int;
+  mutable retransmissions : int;
   mutable dup : int;  (* second-copy latency of the last packed sample *)
 }
 
@@ -22,15 +26,25 @@ let create engine ~rng conditions =
     engine;
     rng;
     segment = Conditions.segment_at conditions (Des.Engine.now engine);
-    counters =
-      { sent = 0; delivered = 0; lost = 0; duplicated = 0; retransmissions = 0 };
+    sent = 0;
+    delivered = 0;
+    lost = 0;
+    duplicated = 0;
+    retransmissions = 0;
     dup = -1;
   }
 
 let set_conditions t c =
   t.segment <- Conditions.segment_at c (Des.Engine.now t.engine)
 
-let counters t = t.counters
+let counters t =
+  {
+    sent = t.sent;
+    delivered = t.delivered;
+    lost = t.lost;
+    duplicated = t.duplicated;
+    retransmissions = t.retransmissions;
+  }
 
 let find_segment t now =
   let s = Conditions.segment_at t.segment.Conditions.seg_schedule now in
@@ -51,19 +65,18 @@ let one_way t (p : Conditions.profile) =
    duplicate's latency parked in [t.dup] until the next sample: no
    outcome block per message on the fabric's hot path. *)
 let sample_datagram t =
-  let c = t.counters in
-  c.sent <- c.sent + 1;
+  t.sent <- t.sent + 1;
   let p = profile_now t in
   if Stats.Rng.bernoulli t.rng p.loss then begin
-    c.lost <- c.lost + 1;
+    t.lost <- t.lost + 1;
     t.dup <- -1;
     -1
   end
   else begin
-    c.delivered <- c.delivered + 1;
+    t.delivered <- t.delivered + 1;
     let d1 = one_way t p in
     if p.duplicate > 0. && Stats.Rng.bernoulli t.rng p.duplicate then begin
-      c.duplicated <- c.duplicated + 1;
+      t.duplicated <- t.duplicated + 1;
       t.dup <- one_way t p
     end
     else t.dup <- -1;
@@ -75,15 +88,14 @@ let min_rto = Des.Time.ms 200
 let max_retransmissions = 8
 
 let sample_reliable t =
-  let c = t.counters in
-  c.sent <- c.sent + 1;
-  c.delivered <- c.delivered + 1;
+  t.sent <- t.sent + 1;
+  t.delivered <- t.delivered + 1;
   let p = profile_now t in
   let rto = Des.Time.max_span min_rto (Des.Time.of_ms_f (2. *. p.rtt_ms)) in
   let rec attempt n penalty =
     if n >= max_retransmissions then penalty
     else if Stats.Rng.bernoulli t.rng p.loss then begin
-      c.retransmissions <- c.retransmissions + 1;
+      t.retransmissions <- t.retransmissions + 1;
       attempt (n + 1) (penalty + (rto * (1 lsl n)))
     end
     else penalty

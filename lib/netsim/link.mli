@@ -7,23 +7,24 @@
 
 type t
 
-type counters = private {
-  mutable sent : int;  (** messages offered to the link *)
-  mutable delivered : int;  (** at least one copy arrived *)
-  mutable lost : int;  (** datagrams dropped by the loss draw *)
-  mutable duplicated : int;  (** datagrams delivered twice *)
-  mutable retransmissions : int;  (** reliable-stream loss events *)
+type counters = {
+  sent : int;  (** messages offered to the link *)
+  delivered : int;  (** at least one copy arrived *)
+  lost : int;  (** datagrams dropped by the loss draw *)
+  duplicated : int;  (** datagrams delivered twice *)
+  retransmissions : int;  (** reliable-stream loss events *)
 }
-(** Per-link transmission statistics, maintained unconditionally (one
-    field increment per sample, on a path that draws from the PRNG).
-    Reliable sends always count as delivered — loss becomes
-    retransmission delay, tallied separately. *)
+(** Per-link transmission statistics.  The link keeps them in its own
+    record, maintained unconditionally (one field increment per sample,
+    on a path that draws from the PRNG).  Reliable sends always count as
+    delivered — loss becomes retransmission delay, tallied
+    separately. *)
 
 val create : Des.Engine.t -> rng:Stats.Rng.t -> Conditions.t -> t
 val set_conditions : t -> Conditions.t -> unit
 
 val counters : t -> counters
-(** The link's live counter record (not a copy). *)
+(** A snapshot of the link's counters: later samples do not change it. *)
 
 val sample_datagram : t -> int
 (** Unreliable (UDP-like) transmission: loss and duplication apply.

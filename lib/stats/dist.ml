@@ -3,7 +3,8 @@
    datagram. *)
 
 let[@inline] exponential rng ~rate =
-  if rate <= 0. then invalid_arg "Dist.exponential: rate must be positive";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Dist.exponential: rate must be finite and positive";
   (* 1 - u avoids log 0 since Rng.float is in [0, 1). *)
   -.log (1. -. Rng.float rng) /. rate
 

@@ -6,8 +6,8 @@
     configured RTT equal to its long-run average RTT. *)
 
 val exponential : Rng.t -> rate:float -> float
-(** [exponential rng ~rate] samples Exp(rate); mean [1/rate].
-    Requires [rate > 0]. *)
+(** [exponential rng ~rate] samples Exp(rate); mean [1/rate].  Raises
+    [Invalid_argument] unless [rate] is finite and positive. *)
 
 val normal : Rng.t -> mu:float -> sigma:float -> float
 (** Gaussian via the Box–Muller transform (no cached spare, so draw

@@ -301,7 +301,29 @@ let test_store_retention () =
   | _ -> Alcotest.fail "expected Deleted true");
   Gc.full_major ();
   Alcotest.(check bool) "deleted payload released" false (Weak.check weak 1);
-  Alcotest.(check int) "empty" 0 (Store.size s)
+  Alcotest.(check int) "empty" 0 (Store.size s);
+  (* "d68" and "d89" start at the last of the table's 16 slots and "d13"
+     at its first, so "d89" wraps to slot 0 and "d13" lands in slot 1.
+     Deleting "d68" shifts both back one slot, across the array's
+     end. *)
+  let weak = Weak.create 3 in
+  List.iteri
+    (fun slot key -> apply_fresh s weak slot key (key ^ "-v"))
+    [ "d68"; "d89"; "d13" ];
+  (match Store.apply_command s (Command.Delete "d68") with
+  | Store.Deleted true -> ()
+  | _ -> Alcotest.fail "expected Deleted true");
+  Gc.full_major ();
+  Alcotest.(check bool) "deleted key's payload released" false
+    (Weak.check weak 0);
+  Alcotest.(check bool) "shifted payloads held" true
+    (Weak.check weak 1 && Weak.check weak 2);
+  Alcotest.(check (option string)) "deleted" None (Store.find s "d68");
+  Alcotest.(check (option string)) "shifted across the end" (Some "d89-v")
+    (Store.find s "d89");
+  Alcotest.(check (option string)) "shifted home" (Some "d13-v")
+    (Store.find s "d13");
+  Alcotest.(check int) "two left" 2 (Store.size s)
 
 (* {2 Client (driven against a fake target)} *)
 
@@ -351,6 +373,19 @@ let test_client_latency_measurement () =
       if abs_float (l -. 40.) > 0.001 then
         Alcotest.failf "latency %.3f, expected 40ms" l)
     lats
+
+let test_client_rejects_bad_rates () =
+  let engine = Des.Engine.create ~seed:5L () in
+  let target ~payload:_ ~client_id:_ ~seq:_ ~on_result:_ = `Accepted in
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Client.create: rate must be finite and positive")
+        (fun () ->
+          ignore
+            (Kvsm.Client.create ~engine ~target ~client_id:1 ~rate ()
+              : Kvsm.Client.t)))
+    [ Float.nan; Float.infinity; 0.; -1. ]
 
 let test_client_counts_redirects () =
   let engine = Des.Engine.create ~seed:5L () in
@@ -419,4 +454,6 @@ let tests =
     Alcotest.test_case "store: key header widths" `Quick
       test_store_key_header_widths;
     Alcotest.test_case "store: retention" `Quick test_store_retention;
+    Alcotest.test_case "client: rejects bad rates" `Quick
+      test_client_rejects_bad_rates;
   ]

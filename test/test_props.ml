@@ -509,9 +509,9 @@ let prop_decoder_matches_reference =
 (* {2 Store against a copying model}
 
    [Store] keeps a Put's value as a reference into the committed
-   payload.  The model is the plain copying table: every result, lookup,
-   digest and snapshot must agree with it, also after the log that held
-   the payloads has been compacted. *)
+   payload.  The model is the plain copying table: after every step,
+   each result, lookup, size, digest and snapshot must agree with it,
+   also after the log that held the payloads has been compacted. *)
 
 type store_op =
   | S_put of int * string
@@ -536,17 +536,24 @@ let store_keys =
     String.make 57 'L';
   |]
 
-let store_op_gen =
+(* Eight keys whose home slots in the store's initial 16-slot table are
+   14, 14, 15, 15, 0, 0, 1 and 1 under its hash.  Eight keys never grow
+   that table, so any few of them bound at once form a cluster that
+   wraps past the array's end, and a Delete among them removes from the
+   middle of that cluster. *)
+let wrap_keys = [| "d6"; "d15"; "d68"; "d89"; "d13"; "d18"; "d7"; "d9" |]
+
+let store_op_gen ~keys ~weights:(put, get, delete, cas, cas_current) =
   let open Q.Gen in
-  let key = int_bound (Array.length store_keys - 1) in
+  let key = int_bound (Array.length keys - 1) in
   let value = string_size ~gen:printable (int_range 0 120) in
   frequency
     [
-      (4, map2 (fun k v -> S_put (k, v)) key value);
-      (2, map (fun k -> S_get k) key);
-      (1, map (fun k -> S_delete k) key);
-      (1, map3 (fun k e v -> S_cas (k, e, v)) key (opt value) value);
-      (2, map2 (fun k v -> S_cas_current (k, v)) key value);
+      (put, map2 (fun k v -> S_put (k, v)) key value);
+      (get, map (fun k -> S_get k) key);
+      (delete, map (fun k -> S_delete k) key);
+      (cas, map3 (fun k e v -> S_cas (k, e, v)) key (opt value) value);
+      (cas_current, map2 (fun k v -> S_cas_current (k, v)) key value);
     ]
 
 let store_op_print = function
@@ -586,22 +593,22 @@ let model_snapshot ~applied model =
     (model_bindings model);
   Buffer.contents buf
 
-let prop_store_matches_copying_model =
-  Q.Test.make ~count:300 ~name:"store applies Puts by reference like a copying table"
+let store_model_test ~name ~keys ~weights =
+  Q.Test.make ~count:300 ~name
     (Q.make
        ~print:Q.Print.(list store_op_print)
-       (Q.Gen.list_size (Q.Gen.int_range 0 80) store_op_gen))
+       (Q.Gen.list_size (Q.Gen.int_range 0 80) (store_op_gen ~keys ~weights)))
     (fun ops ->
       let module S = Kvsm.Store in
       let log = Raft.Log.create () and store = S.create () in
       let model = Hashtbl.create 8 in
       let command = function
-        | S_put (k, value) -> C.Put { key = store_keys.(k); value }
-        | S_get k -> C.Get store_keys.(k)
-        | S_delete k -> C.Delete store_keys.(k)
-        | S_cas (k, expect, value) -> C.Cas { key = store_keys.(k); expect; value }
+        | S_put (k, value) -> C.Put { key = keys.(k); value }
+        | S_get k -> C.Get keys.(k)
+        | S_delete k -> C.Delete keys.(k)
+        | S_cas (k, expect, value) -> C.Cas { key = keys.(k); expect; value }
         | S_cas_current (k, value) ->
-            let key = store_keys.(k) in
+            let key = keys.(k) in
             C.Cas { key; expect = Hashtbl.find_opt model key; value }
       in
       let expected = function
@@ -621,35 +628,47 @@ let prop_store_matches_copying_model =
             else S.Swapped false
       in
       let agrees s =
-        Array.for_all (fun k -> S.find s k = Hashtbl.find_opt model k) store_keys
+        Array.for_all (fun k -> S.find s k = Hashtbl.find_opt model k) keys
         && S.size s = Hashtbl.length model
         && String.equal (S.state_digest s) (model_digest model)
       in
-      let snapshot_agrees () =
+      let snapshot_agrees ~applied =
         let snap = S.serialize store in
-        String.equal snap (model_snapshot ~applied:(List.length ops) model)
+        String.equal snap (model_snapshot ~applied model)
         && match S.of_serialized snap with Ok r -> agrees r | Error _ -> false
       in
-      let applied =
-        List.for_all
-          (fun op ->
+      let rec apply applied = function
+        | [] -> true
+        | op :: rest ->
             let cmd = command op in
             let entry =
               Raft.Log.append_new log ~term:1
                 (Raft.Log.Data
                    { payload = C.to_payload cmd; client_id = 1; seq = 0 })
             in
-            let got = S.apply_entry store entry in
-            got = Some (expected cmd))
-          ops
+            S.apply_entry store entry = Some (expected cmd)
+            && agrees store
+            && snapshot_agrees ~applied:(applied + 1)
+            && apply (applied + 1) rest
       in
-      applied && agrees store && snapshot_agrees ()
+      apply 0 ops
       && begin
            if Raft.Log.last_index log > 0 then
              Raft.Log.compact log ~upto:(Raft.Log.last_index log);
            Gc.minor ();
-           agrees store && snapshot_agrees ()
+           agrees store && snapshot_agrees ~applied:(List.length ops)
          end)
+
+let prop_store_matches_copying_model =
+  store_model_test ~name:"store applies Puts by reference like a copying table"
+    ~keys:store_keys ~weights:(4, 2, 1, 1, 2)
+
+(* Deletes as often as Puts, over [wrap_keys]: clusters that wrap past
+   the table's end, and backward shifts across it. *)
+let prop_store_wrapping_clusters =
+  store_model_test
+    ~name:"store matches a copying table through wrapping, delete-heavy clusters"
+    ~keys:wrap_keys ~weights:(3, 1, 3, 1, 1)
 
 (* {2 Log invariants} *)
 
@@ -1526,4 +1545,5 @@ let tests =
       prop_pipelined_replication_converges;
       prop_pool_recycle_never_aliases_inflight;
       prop_reads_match_set_model;
+      prop_store_wrapping_clusters;
     ]

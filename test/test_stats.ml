@@ -162,6 +162,17 @@ let test_exponential_positive () =
     if Dist.exponential rng ~rate:0.5 < 0. then Alcotest.fail "negative"
   done
 
+(* A NaN or infinite rate would draw a NaN or zero gap; each is refused,
+   as are 0 and a negative rate. *)
+let test_exponential_rejects_bad_rates () =
+  let rng = Rng.create () in
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Dist.exponential: rate must be finite and positive")
+        (fun () -> ignore (Dist.exponential rng ~rate : float)))
+    [ Float.nan; Float.infinity; 0.; -1. ]
+
 let test_normal_moments () =
   let rng = Rng.create ~seed:37L () in
   let w = sample_stats 100_000 (fun () -> Dist.normal rng ~mu:3. ~sigma:2.) in
@@ -421,4 +432,6 @@ let tests =
       test_summary_percentile_interpolates;
     Alcotest.test_case "summary: independent of sample order" `Quick
       test_summary_order_independent;
+    Alcotest.test_case "dist: exponential rejects bad rates" `Quick
+      test_exponential_rejects_bad_rates;
   ]
