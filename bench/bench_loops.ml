@@ -624,7 +624,7 @@ let loops =
     { name = "server heartbeat"; budget = 18.; make = make_heartbeat_loop };
     (* The follower tuner's share of that heartbeat: one observation and
        the Et, h and K that follow it, recomputed from a fresh sample. *)
-    { name = "tuner observe + refresh"; budget = 0.; make = make_tuner_loop };
+    { name = "tuner observe + read"; budget = 0.; make = make_tuner_loop };
     (* Leader: one per-peer [Heartbeat_due] and that peer's response —
        the heartbeat send, the timer re-arm, their action list, and the
        measured RTT's box for the next heartbeat. *)

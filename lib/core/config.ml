@@ -29,7 +29,8 @@ let validate t =
      | Sliding_window -> false
      | Ewma alpha -> not (alpha > 0. && alpha <= 1.))
   then err "ewma alpha must be in (0, 1]"
-  else if t.safety_factor < 0. then err "safety_factor must be non-negative"
+  else if not (Float.is_finite t.safety_factor && t.safety_factor >= 0.) then
+    err "safety_factor must be finite and non-negative"
   else if not (t.arrival_probability > 0. && t.arrival_probability < 1.) then
     err "arrival_probability must be in (0, 1)"
   else if t.min_list_size < 2 then err "min_list_size must be at least 2"

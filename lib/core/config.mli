@@ -52,5 +52,5 @@ val default : t
     and 1 ms on [h]. *)
 
 val validate : t -> (t, string) result
-(** Check internal consistency (list sizes ordered, probabilities in
-    range, clamps ordered). *)
+(** Check internal consistency (safety factor finite and non-negative,
+    list sizes ordered, probabilities in range, clamps ordered). *)

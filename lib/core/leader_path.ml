@@ -3,7 +3,6 @@ type t = {
   base_h : Des.Time.span;
   mutable next_id : int;
   mutable pending_rtt : Des.Time.span option;
-  mutable last_rtt : Des.Time.span option;
   mutable interval : Des.Time.span;
 }
 
@@ -13,7 +12,6 @@ let create config ~heartbeat_interval =
     base_h = heartbeat_interval;
     next_id = 0;
     pending_rtt = None;
-    last_rtt = None;
     interval = heartbeat_interval;
   }
 
@@ -30,12 +28,8 @@ let take_rtt t =
   rtt
 
 let on_response t ~now ~echo_sent_at ~tuned_h =
-  if echo_sent_at <= now then begin
-    (* One box for both fields: it is immutable. *)
-    let rtt = Some (Des.Time.diff now echo_sent_at) in
-    t.pending_rtt <- rtt;
-    t.last_rtt <- rtt
-  end;
+  if echo_sent_at <= now then
+    t.pending_rtt <- Some (Des.Time.diff now echo_sent_at);
   match tuned_h with
   | Some h ->
       t.interval <-
@@ -43,11 +37,8 @@ let on_response t ~now ~echo_sent_at ~tuned_h =
   | None -> ()
 
 let interval t = t.interval
-let last_rtt t = t.last_rtt
-let sent_count t = t.next_id
 
 let reset t =
   t.next_id <- 0;
   t.pending_rtt <- None;
-  t.last_rtt <- None;
   t.interval <- t.base_h

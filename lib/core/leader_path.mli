@@ -37,12 +37,6 @@ val on_response :
 val interval : t -> Des.Time.span
 (** Current heartbeat sending interval toward this follower. *)
 
-val last_rtt : t -> Des.Time.span option
-(** Most recently measured RTT (shipped or not). *)
-
-val sent_count : t -> int
-(** Heartbeats stamped so far (= the id of the next heartbeat). *)
-
 val reset : t -> unit
 (** Forget measurements and return the interval to the base [h] (used on
     leadership change). *)

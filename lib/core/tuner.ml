@@ -1,4 +1,5 @@
 type phase = Warming | Tuned
+type decision = Unchanged | First | Moved
 
 type rtt_backend =
   | Window of Rtt_estimator.t
@@ -8,31 +9,37 @@ type t = {
   config : Config.t;
   base_et : Des.Time.span;  (* Et while warming, and after [reset] *)
   base_h : Des.Time.span;  (* h while warming *)
+  fixed_k : int;  (* Fix-K's k; 0 under Dynatune's K rule *)
   rtt : rtt_backend;
   loss : Loss_estimator.t;
   log_miss : float;  (* log (1 - arrival_probability), for K *)
-  (* Derived values are queried on every heartbeat (to arm the election
-     timer and pick the piggybacked h) but change only when a sample is
-     recorded, so they are cached behind a dirty flag.  The cached
-     numbers are exactly what the direct computation would produce —
-     recomputing them eagerly would give bit-identical traces, just three
-     O(window) statistics passes per heartbeat instead of one.
-
-     The raw Et of the RTT estimator (before the clamp) has a flag of
-     its own: it depends on the RTT samples alone, so a heartbeat that
-     is recorded without an RTT sample moves the loss rate, K and h but
-     leaves it as it was, and the window's O(window) std is not rerun. *)
-  mutable dirty : bool;
-  mutable rtt_dirty : bool;
-  mutable cached_raw_et : Des.Time.span;
-  mutable cached_et : Des.Time.span;
-  mutable cached_k : int;
-  mutable cached_h : Des.Time.span;
+  (* The derived values, recomputed when their inputs change: the raw Et
+     of the RTT estimator (before the clamp) on each RTT sample once the
+     estimator is warm, and Et, K and h on each recorded heartbeat and on
+     [reset].  A heartbeat recorded without an RTT sample moves the loss
+     rate, K and h but not the raw Et, so the window's O(window) std is
+     not rerun. *)
+  mutable raw_et : Des.Time.span;
+  mutable et : Des.Time.span;
+  mutable k : int;
+  mutable h : Des.Time.span;
+  mutable piggyback : Des.Time.span option;
+      (* the last [Some h] handed out, handed out again while h is
+         unchanged; a tuned h moves with most RTT samples, so only 5-24%
+         of responses reuse it (fig4 7.7%, fig5 23%, fig7 23.7%,
+         multiraft 4.9%) *)
+  mutable decision : decision;  (* what {!take_decision} reports next *)
 }
 
-let create config ~election_timeout ~heartbeat_interval =
+let create ?fixed_k config ~election_timeout ~heartbeat_interval =
   if election_timeout <= 0 || heartbeat_interval <= 0 then
     invalid_arg "Tuner.create: base Et and h must be positive";
+  let fixed_k =
+    match fixed_k with
+    | None -> 0
+    | Some k when k > 0 -> k
+    | Some _ -> invalid_arg "Tuner.create: fixed_k must be positive"
+  in
   match Config.validate config with
   | Error msg -> invalid_arg ("Tuner.create: " ^ msg)
   | Ok config ->
@@ -40,6 +47,7 @@ let create config ~election_timeout ~heartbeat_interval =
         config;
         base_et = election_timeout;
         base_h = heartbeat_interval;
+        fixed_k;
         rtt =
           (match config.rtt_estimator with
           | Config.Sliding_window ->
@@ -54,50 +62,21 @@ let create config ~election_timeout ~heartbeat_interval =
           Loss_estimator.create ~min_size:config.min_list_size
             ~max_size:config.max_list_size;
         log_miss = log (1. -. config.arrival_probability);
-        dirty = true;
-        rtt_dirty = true;
-        cached_raw_et = election_timeout;
-        cached_et = election_timeout;
-        cached_k = 1;
-        cached_h = heartbeat_interval;
+        raw_et = election_timeout;
+        et = election_timeout;
+        k = 1;
+        h = heartbeat_interval;
+        piggyback = None;
+        decision = First;
       }
-
 
 let rtt_warmed t =
   match t.rtt with
   | Window w -> Rtt_estimator.warmed_up w
   | Smoothed e -> Ewma_estimator.warmed_up e
 
-let rtt_observe t sample =
-  match t.rtt with
-  | Window w -> Rtt_estimator.observe w sample
-  | Smoothed e -> Ewma_estimator.observe e sample
-
-(* Only asked once the estimator is warmed up. *)
-let rtt_et t =
-  if t.rtt_dirty then begin
-    let s = t.config.safety_factor in
-    t.cached_raw_et <-
-      (match t.rtt with
-      | Window w -> Rtt_estimator.election_timeout w ~s
-      | Smoothed e -> Ewma_estimator.election_timeout e ~s);
-    t.rtt_dirty <- false
-  end;
-  t.cached_raw_et
-
 let phase t =
   if rtt_warmed t && Loss_estimator.warmed_up t.loss then Tuned else Warming
-
-let observe_heartbeat t ~hb_id ~rtt =
-  (match Loss_estimator.observe t.loss hb_id with
-  | `Duplicate -> ()
-  | `Recorded -> (
-      t.dirty <- true;
-      match rtt with
-      | Some sample ->
-          rtt_observe t sample;
-          t.rtt_dirty <- true
-      | None -> ()))
 
 (* [@inline] keeps [p] unboxed on the per-heartbeat path.  [log_miss]
    is [log (1 - x)], which a tuner takes once. *)
@@ -112,54 +91,82 @@ let[@inline] heartbeats_needed ~p ~log_miss =
 let required_heartbeats_for ~p ~x =
   heartbeats_needed ~p ~log_miss:(log (1. -. x))
 
-let compute_election_timeout t =
-  match phase t with
-  | Tuned ->
-      Des.Time.clamp
-        (rtt_et t)
-        ~lo:Config.min_election_timeout ~hi:t.config.max_election_timeout
-  | Warming -> t.base_et
-
-let loss_rate t = Loss_estimator.loss_rate t.loss
-
-let compute_required_heartbeats t ~et =
-  match phase t with
-  | Warming -> 1
-  | Tuned ->
-      (* Not [loss_rate t]: its float result would be boxed. *)
-      let p = Loss_estimator.loss_rate t.loss in
-      let k = heartbeats_needed ~p ~log_miss:t.log_miss in
-      (* K beyond Et / min_h cannot be honoured; clamp so h stays above
-         its floor. *)
-      let cap = Int.max 1 (et / t.config.min_heartbeat_interval) in
-      Int.min k cap
-
-let compute_heartbeat_interval t ~et ~k =
-  match phase t with
-  | Warming -> t.base_h
-  | Tuned -> Des.Time.max_span t.config.min_heartbeat_interval (et / k)
-
-let refresh t =
-  if t.dirty then begin
-    let et = compute_election_timeout t in
-    let k = compute_required_heartbeats t ~et in
-    t.cached_et <- et;
-    t.cached_k <- k;
-    t.cached_h <- compute_heartbeat_interval t ~et ~k;
-    t.dirty <- false
+let[@inline] set t ~et ~k ~h =
+  if not (Int.equal et t.et && Int.equal k t.k && Int.equal h t.h) then begin
+    (match t.decision with
+    | Unchanged -> t.decision <- Moved
+    | First | Moved -> ());
+    t.et <- et;
+    t.k <- k;
+    t.h <- h
   end
 
-let election_timeout t =
-  refresh t;
-  t.cached_et
+let retune t =
+  match phase t with
+  | Warming -> set t ~et:t.base_et ~k:1 ~h:t.base_h
+  | Tuned ->
+      let min_h = t.config.min_heartbeat_interval in
+      let et =
+        Des.Time.clamp t.raw_et ~lo:Config.min_election_timeout
+          ~hi:t.config.max_election_timeout
+      in
+      let k =
+        if t.fixed_k > 0 then t.fixed_k
+        else
+          (* Not [loss_rate t]: its float result would be boxed.  K
+             beyond Et / min_h cannot be honoured; clamp so h stays
+             above its floor. *)
+          let p = Loss_estimator.loss_rate t.loss in
+          Int.min
+            (heartbeats_needed ~p ~log_miss:t.log_miss)
+            (Int.max 1 (et / min_h))
+      in
+      set t ~et ~k ~h:(Des.Time.max_span min_h (et / k))
 
-let required_heartbeats t =
-  refresh t;
-  t.cached_k
+let observe_heartbeat t ~hb_id ~rtt =
+  match Loss_estimator.observe t.loss hb_id with
+  | `Duplicate -> ()
+  | `Recorded ->
+      (match (rtt, t.rtt) with
+      | None, _ -> ()
+      | Some sample, Window w ->
+          Rtt_estimator.observe w sample;
+          if Rtt_estimator.warmed_up w then
+            t.raw_et <-
+              Rtt_estimator.election_timeout w ~s:t.config.safety_factor
+      | Some sample, Smoothed e ->
+          Ewma_estimator.observe e sample;
+          if Ewma_estimator.warmed_up e then
+            t.raw_et <-
+              Ewma_estimator.election_timeout e ~s:t.config.safety_factor);
+      retune t
 
-let heartbeat_interval t =
-  refresh t;
-  t.cached_h
+let election_timeout t = t.et
+let required_heartbeats t = t.k
+let heartbeat_interval t = t.h
+
+let piggyback_h t =
+  match phase t with
+  | Warming -> None
+  | Tuned -> (
+      match t.piggyback with
+      | Some h as box when Int.equal h t.h -> box
+      | Some _ | None ->
+          let box = Some t.h in
+          t.piggyback <- box;
+          box)
+
+let take_decision t =
+  match t.decision with
+  | Unchanged -> Unchanged
+  | (First | Moved) as d -> (
+      match phase t with
+      | Warming -> Unchanged
+      | Tuned ->
+          t.decision <- Unchanged;
+          d)
+
+let loss_rate t = Loss_estimator.loss_rate t.loss
 
 let rtt_mean t =
   match t.rtt with
@@ -181,8 +188,8 @@ let reset t =
   | Window w -> Rtt_estimator.clear w
   | Smoothed e -> Ewma_estimator.clear e);
   Loss_estimator.clear t.loss;
-  t.dirty <- true;
-  t.rtt_dirty <- true
+  t.decision <- First;
+  retune t
 
 let pp ppf t =
   let phase_str = match phase t with Warming -> "warming" | Tuned -> "tuned" in
@@ -191,5 +198,4 @@ let pp ppf t =
     (samples t)
     (Des.Time.to_ms_f (rtt_mean t))
     (Des.Time.to_ms_f (rtt_std t))
-    (loss_rate t) (required_heartbeats t) Des.Time.pp_ms (election_timeout t)
-    Des.Time.pp_ms (heartbeat_interval t)
+    (loss_rate t) t.k Des.Time.pp_ms t.et Des.Time.pp_ms t.h

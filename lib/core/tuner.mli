@@ -13,17 +13,27 @@
 
     [reset] implements the fallback rule: when the election timer expires
     (leader failure or RTT spike), all measurements are discarded and the
-    conservative base parameters are restored. *)
+    conservative base parameters are restored.
+
+    The tuner is the one owner of [(Et, K, h)]: it recomputes them when
+    their inputs change (on each recorded heartbeat and on {!reset}), and
+    the readers below return stored values. *)
 
 type t
 
 val create :
-  Config.t -> election_timeout:Des.Time.span ->
+  ?fixed_k:int -> Config.t -> election_timeout:Des.Time.span ->
   heartbeat_interval:Des.Time.span -> t
 (** A tuner whose base [Et] and [h] — in force while warming and after
-    {!reset} — are the Raft server's configured ones.  Raises
-    [Invalid_argument] if either is not positive or the configuration
-    fails {!Config.validate}. *)
+    {!reset} — are the Raft server's configured ones.
+
+    [fixed_k] selects the Fix-K baseline: [Et] is tuned as above, but
+    once tuned [K] is [fixed_k] whatever the loss rate, with no
+    [Et / min_heartbeat_interval] cap, and
+    [h = max min_heartbeat_interval (Et / fixed_k)].
+
+    Raises [Invalid_argument] if the base [Et] or [h] or [fixed_k] is not
+    positive, or the configuration fails {!Config.validate}. *)
 
 type phase = Warming | Tuned
 
@@ -43,7 +53,27 @@ val heartbeat_interval : t -> Des.Time.span
     the base interval while [Warming]. *)
 
 val required_heartbeats : t -> int
-(** Current [K = ⌈log_p(1−x)⌉] (1 when the measured loss rate is 0). *)
+(** Current [K]: 1 while [Warming]; once [Tuned], [fixed_k] if given,
+    else [⌈log_p(1−x)⌉] (1 when the measured loss rate is 0) capped at
+    [Et / min_heartbeat_interval]. *)
+
+val piggyback_h : t -> Des.Time.span option
+(** The [h] to piggyback to the leader (Step 3): [None] while [Warming].
+    The [Some] box is reused while [h] is unchanged, across {!reset}
+    too, so shipping an unchanged [h] allocates nothing. *)
+
+type decision =
+  | Unchanged
+  | First  (** the first tuned [(Et, K, h)] since creation or {!reset} *)
+  | Moved  (** a recompute changed the tuned [(Et, K, h)] since the last
+             decision was taken *)
+
+val take_decision : t -> decision
+(** Whether [(Et, K, h)] moved since the last decision was taken, without
+    allocating.  [First] and [Moved] mark the current values as taken;
+    [Unchanged] while [Warming].  A caller that takes a decision after
+    every {!observe_heartbeat} sees each change of the triple once, with
+    the values the triple moved to. *)
 
 val loss_rate : t -> float
 val rtt_mean : t -> Des.Time.span

@@ -6,8 +6,15 @@ type profile = {
 }
 
 let profile ?(jitter = 0.) ?(loss = 0.) ?(duplicate = 0.) ~rtt_ms () =
-  if rtt_ms < 0. then invalid_arg "Conditions.profile: negative rtt";
-  if loss < 0. || loss > 1. then invalid_arg "Conditions.profile: loss not in [0,1]";
+  (* Written so that NaN fails every test. *)
+  if not (Float.is_finite rtt_ms && rtt_ms >= 0.) then
+    invalid_arg "Conditions.profile: rtt_ms must be finite and non-negative";
+  if not (Float.is_finite jitter && jitter >= 0.) then
+    invalid_arg "Conditions.profile: jitter must be finite and non-negative";
+  if not (loss >= 0. && loss <= 1.) then
+    invalid_arg "Conditions.profile: loss not in [0,1]";
+  if not (duplicate >= 0. && duplicate <= 1.) then
+    invalid_arg "Conditions.profile: duplicate not in [0,1]";
   { rtt_ms; jitter; loss; duplicate }
 
 type t = {

@@ -19,7 +19,10 @@ type profile = {
 val profile :
   ?jitter:float -> ?loss:float -> ?duplicate:float -> rtt_ms:float -> unit ->
   profile
-(** Profile with defaults [jitter = 0.], [loss = 0.], [duplicate = 0.]. *)
+(** Profile with defaults [jitter = 0.], [loss = 0.], [duplicate = 0.].
+    Raises [Invalid_argument], naming the argument, unless [rtt_ms] and
+    [jitter] are finite and non-negative and [loss] and [duplicate] lie
+    in [0, 1] (NaN is rejected everywhere). *)
 
 type t
 (** A schedule of profiles over simulation time. *)

@@ -220,11 +220,6 @@ type t = {
   mutable force_campaign : bool;
   reads : Reads.t;
   instrument : bool;
-  mutable last_decision : (Des.Time.span * Des.Time.span * int) option;
-  mutable pb_h : Des.Time.span option;
-      (* the last piggybacked [Some h], shipped again while h is unchanged;
-         a tuned h moves with most RTT samples, so only 5-24% of responses
-         reuse it (fig4 7.7%, fig5 23%, fig7 23.7%, multiraft 4.9%) *)
   pool : Rpc.Pool.t;
       (* free lists for the hot message payloads; shared across a
          cluster's servers so a record released at the receiver refills
@@ -322,13 +317,16 @@ let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
   if List.exists (Node_id.equal id) peers then
     invalid_arg "Server.create: peers must not contain the server itself";
   let tuner =
+    let create ?fixed_k cfg =
+      Some
+        (Dynatune.Tuner.create ?fixed_k cfg
+           ~election_timeout:config.Config.election_timeout
+           ~heartbeat_interval:config.Config.heartbeat_interval)
+    in
     match config.Config.tuning with
     | Config.Static -> None
-    | Config.Dynatune cfg | Config.Fix_k { cfg; _ } ->
-        Some
-          (Dynatune.Tuner.create cfg
-             ~election_timeout:config.Config.election_timeout
-             ~heartbeat_interval:config.Config.heartbeat_interval)
+    | Config.Dynatune cfg -> create cfg
+    | Config.Fix_k { cfg; k } -> create ~fixed_k:k cfg
   in
   let log = Log.create () in
   let term, voted_for, snapshot_data, base =
@@ -411,8 +409,6 @@ let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
       force_campaign = false;
       reads = Reads.create ();
       instrument;
-      last_decision = None;
-      pb_h = None;
       pool =
         (match pool with Some p -> p | None -> Rpc.Pool.create ());
       ctx = { acts = []; now = Des.Time.zero };
@@ -521,52 +517,34 @@ let heartbeat_interval_to t peer =
     Some (Dynatune.Leader_path.interval (path t peer))
   else None
 
-(* The h a follower piggybacks to the leader (Step 3); -1 while warming
-   or untuned: the leader then keeps its current (default) interval. *)
-let piggyback_h_value t =
-  match (t.config.Config.tuning, t.tuner) with
-  | Config.Static, _ | _, None -> -1
-  | Config.Dynatune _, Some tuner -> (
-      match Dynatune.Tuner.phase tuner with
-      | Dynatune.Tuner.Warming -> -1
-      | Dynatune.Tuner.Tuned -> Dynatune.Tuner.heartbeat_interval tuner)
-  | Config.Fix_k { cfg; k }, Some tuner -> (
-      match Dynatune.Tuner.phase tuner with
-      | Dynatune.Tuner.Warming -> -1
-      | Dynatune.Tuner.Tuned ->
-          let et = Dynatune.Tuner.election_timeout tuner in
-          Des.Time.max_span cfg.Dynatune.Config.min_heartbeat_interval (et / k))
-
-(* Boxed via the per-server cache ([pb_h]). *)
+(* The h a follower piggybacks to the leader (Step 3); [None] while
+   warming or untuned: the leader then keeps its current (default)
+   interval. *)
 let piggyback_h t =
-  let v = piggyback_h_value t in
-  if v < 0 then None
-  else
-    match t.pb_h with
-    | Some h when h = v -> t.pb_h
-    | Some _ | None ->
-        let boxed = Some v in
-        t.pb_h <- boxed;
-        boxed
+  match t.tuner with
+  | Some tuner -> Dynatune.Tuner.piggyback_h tuner
+  | None -> None
 
 (* The expiry probe, carrying the (Et, h, K) the expired timer ran
    under.  Built before the fallback resets the tuner, so a tuned
-   follower reports its tuned values.  h falls back to the configured
-   interval while warming (or in static mode); K is 0 when no tuner
-   exists. *)
+   follower reports its tuned values.  h is the configured interval
+   while warming (or in static mode); K is 0 when no tuner exists. *)
 let timeout_probe t =
-  let h = piggyback_h_value t in
+  let h, k =
+    match t.tuner with
+    | Some tuner ->
+        ( Dynatune.Tuner.heartbeat_interval tuner,
+          Dynatune.Tuner.required_heartbeats tuner )
+    | None -> (t.config.Config.heartbeat_interval, 0)
+  in
   Probe.Timeout_expired
     {
       id = t.id;
       term = t.term;
       randomized = t.randomized;
       et = election_timeout_now t;
-      h = (if h >= 0 then h else t.config.Config.heartbeat_interval);
-      k =
-        (match t.tuner with
-        | Some tuner -> Dynatune.Tuner.required_heartbeats tuner
-        | None -> 0);
+      h;
+      k;
     }
 
 (* {2 Action accumulation} *)
@@ -601,59 +579,38 @@ let reset_tuner t ctx =
   match t.tuner with
   | Some tuner ->
       Dynatune.Tuner.reset tuner;
-      t.last_decision <- None;
       emit ctx (Probe (Probe.Tuner_reset { id = t.id }))
   | None -> ()
 
+let probe_decision t ctx tuner reason =
+  let reason = if t.rewarm_pending then Probe.Reconfigured else reason in
+  t.rewarm_pending <- false;
+  emit ctx
+    (Probe
+       (Probe.Tuner_decision
+          {
+            id = t.id;
+            rtt_ms = Des.Time.to_ms_f (Dynatune.Tuner.rtt_mean tuner);
+            rtt_std_ms = Des.Time.to_ms_f (Dynatune.Tuner.rtt_std tuner);
+            loss = Dynatune.Tuner.loss_rate tuner;
+            k = Dynatune.Tuner.required_heartbeats tuner;
+            et = Dynatune.Tuner.election_timeout tuner;
+            h = Dynatune.Tuner.heartbeat_interval tuner;
+            reason;
+          }))
+
 (* Probe the tuner's chosen parameters when they change.  Runs only on
-   instrumented servers: the per-heartbeat comparison (and the probe
-   volume) stays out of plain campaigns. *)
+   instrumented servers: the probe volume stays out of plain
+   campaigns. *)
 let note_tuner_decision t ctx =
   if t.instrument then
     match t.tuner with
     | None -> ()
     | Some tuner -> (
-        match Dynatune.Tuner.phase tuner with
-        | Dynatune.Tuner.Warming -> ()
-        | Dynatune.Tuner.Tuned ->
-            let et = election_timeout_now t in
-            let h =
-              match piggyback_h t with
-              | Some h -> h
-              | None -> Dynatune.Tuner.heartbeat_interval tuner
-            in
-            let k = Dynatune.Tuner.required_heartbeats tuner in
-            let changed =
-              match t.last_decision with
-              | Some (et', h', k') ->
-                  not (Int.equal et et' && Int.equal h h' && Int.equal k k')
-              | None -> true
-            in
-            if changed then begin
-              let reason =
-                if t.rewarm_pending then Probe.Reconfigured
-                else
-                  match t.last_decision with
-                  | None -> Probe.Warmed
-                  | Some _ -> Probe.Retuned
-              in
-              t.rewarm_pending <- false;
-              t.last_decision <- Some (et, h, k);
-              emit ctx
-                (Probe
-                   (Probe.Tuner_decision
-                      {
-                        id = t.id;
-                        rtt_ms = Des.Time.to_ms_f (Dynatune.Tuner.rtt_mean tuner);
-                        rtt_std_ms =
-                          Des.Time.to_ms_f (Dynatune.Tuner.rtt_std tuner);
-                        loss = Dynatune.Tuner.loss_rate tuner;
-                        k;
-                        et;
-                        h;
-                        reason;
-                      }))
-            end)
+        match Dynatune.Tuner.take_decision tuner with
+        | Dynatune.Tuner.Unchanged -> ()
+        | Dynatune.Tuner.First -> probe_decision t ctx tuner Probe.Warmed
+        | Dynatune.Tuner.Moved -> probe_decision t ctx tuner Probe.Retuned)
 
 let become_follower t ctx ~term ~leader =
   if term > t.term then begin

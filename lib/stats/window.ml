@@ -42,7 +42,7 @@ let get t i =
    escapes, so ocamlopt keeps it unboxed in a register: no allocation
    per sample, and no memory round trip either.  (A float argument to a
    non-inlined recursive call, by contrast, is boxed on every call.)
-   [std] runs on the tuner's per-heartbeat path.  It and [push] are
+   [std] runs on the tuner's per-RTT-sample path.  It and [push] are
    [@inline]: a float argument or result crossing a call that is not
    inlined is boxed, and these two take and return floats on every
    heartbeat.

@@ -1,10 +1,11 @@
 (** Bounded sliding window of float samples with running statistics.
 
     This is the data structure behind Dynatune's [RTTs] list: samples are
-    appended, the oldest is evicted once [capacity] is exceeded, and the
-    mean / standard deviation of the current contents are available in
-    O(1).  Running sums are periodically recomputed from the stored samples
-    to bound floating-point drift. *)
+    appended, the oldest is evicted once [capacity] is exceeded.  The mean
+    of the current contents is O(1), from a running sum that is
+    periodically recomputed from the stored samples to bound
+    floating-point drift; the standard deviation is a two-pass O(n) scan
+    of the contents. *)
 
 type t
 
@@ -22,7 +23,8 @@ val mean : t -> float
 (** Mean of the current contents; [0.] when empty. *)
 
 val std : t -> float
-(** Population standard deviation of the current contents. *)
+(** Population standard deviation of the current contents; [0.] below two
+    samples.  O(n). *)
 
 val min : t -> float
 (** Smallest current sample; [nan] when empty. O(n). *)

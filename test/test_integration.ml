@@ -243,7 +243,18 @@ let test_fix_k_mode_tunes_et_only () =
   Alcotest.(check bool)
     (Printf.sprintf "h = Et/10 (%.1f vs %.1f)" h (et /. 10.))
     true
-    (abs_float (h -. (et /. 10.)) < 3.)
+    (abs_float (h -. (et /. 10.)) < 3.);
+  (* The follower's tuner reports the K and h it runs with. *)
+  match Raft.Server.tuner (Raft.Node.server (Cluster.node c follower)) with
+  | None -> Alcotest.fail "fix-k follower without a tuner"
+  | Some tuner ->
+      Alcotest.(check int) "K = 10" 10
+        (Dynatune.Tuner.required_heartbeats tuner);
+      Alcotest.(check int) "h = max(min_h, Et/10)"
+        (Des.Time.max_span
+           Dynatune.Config.default.Dynatune.Config.min_heartbeat_interval
+           (Dynatune.Tuner.election_timeout tuner / 10))
+        (Dynatune.Tuner.heartbeat_interval tuner)
 
 let test_fig6b_mechanism_end_to_end () =
   (* The radical RTT spike: Dynatune false-detects but aborts at the

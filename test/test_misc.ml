@@ -209,6 +209,58 @@ let test_config_fix_k_rejects_nonpositive () =
        false
      with Invalid_argument _ -> true)
 
+(* Each bad value at a config boundary raises [Invalid_argument] whose
+   message names the argument; NaN must not slip past a range test. *)
+let test_config_bad_values () =
+  let profile ?jitter ?loss ?duplicate rtt_ms () =
+    ignore (Netsim.Conditions.profile ?jitter ?loss ?duplicate ~rtt_ms ())
+  in
+  let tuner ?fixed_k safety_factor () =
+    ignore
+      (Dynatune.Tuner.create ?fixed_k
+         { Dynatune.Config.default with Dynatune.Config.safety_factor }
+         ~election_timeout:(Time.ms 1000) ~heartbeat_interval:(Time.ms 100))
+  in
+  let cases =
+    [
+      ("rtt_ms", "nan", profile nan);
+      ("rtt_ms", "inf", profile infinity);
+      ("rtt_ms", "-inf", profile neg_infinity);
+      ("rtt_ms", "-1", profile (-1.));
+      ("jitter", "-1", profile ~jitter:(-1.) 1.);
+      ("jitter", "nan", profile ~jitter:nan 1.);
+      ("jitter", "inf", profile ~jitter:infinity 1.);
+      ("loss", "nan", profile ~loss:nan 1.);
+      ("loss", "1.5", profile ~loss:1.5 1.);
+      ("duplicate", "nan", profile ~duplicate:nan 1.);
+      ("duplicate", "2", profile ~duplicate:2. 1.);
+      ("duplicate", "-0.5", profile ~duplicate:(-0.5) 1.);
+      ("safety_factor", "nan", tuner nan);
+      ("safety_factor", "inf", tuner infinity);
+      ("safety_factor", "-1", tuner (-1.));
+      ("fixed_k", "0", tuner ~fixed_k:0 2.);
+    ]
+  in
+  let names msg arg =
+    let n = String.length arg in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = arg || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (arg, value, make) ->
+      match make () with
+      | () -> Alcotest.failf "%s = %s accepted" arg value
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = %s: %S names it" arg value msg)
+            true (names msg arg))
+    cases;
+  (* The valid edges still pass. *)
+  profile ~jitter:0. ~loss:1. ~duplicate:1. 0. ();
+  tuner 0. ()
+
 let test_config_bases () =
   let d = Raft.Config.dynatune () in
   Alcotest.(check int) "dynatune base Et is the fallback" (Time.ms 1000)
@@ -353,6 +405,8 @@ let tests =
     Alcotest.test_case "config: mode names" `Quick test_config_mode_names;
     Alcotest.test_case "config: fix_k bounds" `Quick
       test_config_fix_k_rejects_nonpositive;
+    Alcotest.test_case "config: bad values rejected" `Quick
+      test_config_bad_values;
     Alcotest.test_case "config: base parameters" `Quick test_config_bases;
     Alcotest.test_case "report: float cell" `Quick test_report_float_cell;
     Alcotest.test_case "report: renders" `Quick test_report_renders;

@@ -371,7 +371,7 @@ let test_leader_path_future_echo_ignored () =
   Leader_path.on_response p ~now:(Time.ms 10) ~echo_sent_at:(Time.ms 20)
     ~tuned_h:None;
   Alcotest.(check (option int)) "future timestamp rejected" None
-    (Leader_path.last_rtt p)
+    (Leader_path.take_rtt p)
 
 let test_leader_path_reset () =
   let p = new_path () in
@@ -379,7 +379,7 @@ let test_leader_path_reset () =
   Leader_path.on_response p ~now:(Time.ms 5) ~echo_sent_at:Time.zero
     ~tuned_h:(Some (Time.ms 7));
   Leader_path.reset p;
-  Alcotest.(check int) "id counter reset" 0 (Leader_path.sent_count p);
+  Alcotest.(check int) "id counter reset" 0 (Leader_path.next_id p);
   check_ms "interval reset"
     base_h (Leader_path.interval p)
 
@@ -504,14 +504,17 @@ let prop_tuner_matches_reference =
         steps;
       true)
 
-(* The tuner caches Et, K and h behind two flags: one for any recorded
-   heartbeat, one for the RTT window alone.  Against the reference's
-   compute functions, called directly (no cache at all), the cached
-   values must agree bit for bit.  The stream leans on what splits the
-   flags apart: beats without an RTT sample, duplicates and resets; a
-   step queries the tuner or not, so a cache can also go stale across
-   several steps before it is read. *)
-let gen_cached_steps =
+(* The tuner recomputes Et, K and h when their inputs change: the raw
+   Et on RTT samples alone, K and h on every recorded heartbeat and on
+   [reset].  Against the reference's compute functions, called directly
+   after the step (no stored value at all), what the tuner stores must
+   agree bit for bit.  The stream leans on what splits the inputs apart:
+   beats without an RTT sample, duplicates and resets; a step queries
+   the tuner or not, so stored values can also go unread across several
+   steps.  Some runs draw a Fix-K k: K is then k and h = max(min_h,
+   Et/k) from the reference's Et.  A query also takes the tuner's
+   decision, against a model that notes each change of the triple. *)
+let gen_eager_steps =
   QCheck.Gen.(
     let rtt =
       frequency
@@ -527,19 +530,40 @@ let gen_cached_steps =
           (1, return Reset);
         ]
     in
-    pair gen_config (list_size (int_range 0 400) (pair step bool)))
+    triple gen_config
+      (frequency [ (2, return None); (1, map Option.some (int_range 1 40)) ])
+      (list_size (int_range 0 400) (pair step bool)))
 
-let prop_tuner_caches_match_eager =
+let prop_tuner_matches_eager_recompute =
   QCheck.Test.make ~count:300
-    ~name:"tuner: cached Et, K and h equal an eager recompute"
+    ~name:"tuner: stored Et, K and h equal a recompute after each step"
     (QCheck.make
-       ~print:(fun (cfg, steps) -> print_run (cfg, List.map fst steps))
-       gen_cached_steps)
-    (fun (cfg, steps) ->
-      let tuner = new_tuner cfg
+       ~print:(fun (cfg, fixed_k, steps) ->
+         Printf.sprintf "%s, fixed_k=%s"
+           (print_run (cfg, List.map fst steps))
+           (match fixed_k with Some k -> string_of_int k | None -> "-"))
+       gen_eager_steps)
+    (fun (cfg, fixed_k, steps) ->
+      let tuner =
+        Tuner.create ?fixed_k cfg ~election_timeout:base_et
+          ~heartbeat_interval:base_h
       and eager =
         Ref.create cfg ~election_timeout:base_et ~heartbeat_interval:base_h
       in
+      let derived () =
+        let et = Ref.compute_election_timeout eager in
+        match (fixed_k, Ref.phase eager) with
+        | Some k, Ref.Tuned ->
+            ( et,
+              k,
+              Time.max_span cfg.Config.min_heartbeat_interval (et / k) )
+        | None, _ | Some _, Ref.Warming ->
+            let k = Ref.compute_required_heartbeats eager ~et in
+            (et, k, Ref.compute_heartbeat_interval eager ~et ~k)
+      in
+      (* The decision model: [First] after creation and reset, [Moved]
+         once the triple changes while nothing is pending. *)
+      let pending = ref Tuner.First and last = ref (derived ()) in
       let top = ref (-1) in
       List.iteri
         (fun i (step, query) ->
@@ -547,23 +571,35 @@ let prop_tuner_caches_match_eager =
           | Reset ->
               Tuner.reset tuner;
               Ref.reset eager;
+              pending := Tuner.First;
               top := -1
           | Beat (offset, rtt) ->
               let hb_id = !top + offset in
               if hb_id > !top then top := hb_id;
               Tuner.observe_heartbeat tuner ~hb_id ~rtt;
               Ref.observe_heartbeat eager ~hb_id ~rtt);
+          let ((et, k, h) as now) = derived () in
+          if !pending = Tuner.Unchanged && now <> !last then
+            pending := Tuner.Moved;
+          last := now;
           if query then begin
-            let et = Ref.compute_election_timeout eager in
-            let k = Ref.compute_required_heartbeats eager ~et in
-            let h = Ref.compute_heartbeat_interval eager ~et ~k in
             let ints what a b =
               if a <> b then
                 QCheck.Test.fail_reportf "step %d: %s %d <> %d" i what a b
             in
             ints "Et" (Tuner.election_timeout tuner) et;
             ints "K" (Tuner.required_heartbeats tuner) k;
-            ints "h" (Tuner.heartbeat_interval tuner) h
+            ints "h" (Tuner.heartbeat_interval tuner) h;
+            let expected =
+              match Ref.phase eager with
+              | Ref.Warming -> Tuner.Unchanged
+              | Ref.Tuned ->
+                  let d = !pending in
+                  pending := Tuner.Unchanged;
+                  d
+            in
+            if Tuner.take_decision tuner <> expected then
+              QCheck.Test.fail_reportf "step %d: decision differs" i
           end)
         steps;
       true)
@@ -697,6 +733,6 @@ let tests =
       test_leader_path_future_echo_ignored;
     Alcotest.test_case "path: reset" `Quick test_leader_path_reset;
     QCheck_alcotest.to_alcotest prop_tuner_matches_reference;
-    QCheck_alcotest.to_alcotest prop_tuner_caches_match_eager;
+    QCheck_alcotest.to_alcotest prop_tuner_matches_eager_recompute;
     QCheck_alcotest.to_alcotest prop_loss_matches_reference;
   ]
