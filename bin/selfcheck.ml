@@ -381,6 +381,19 @@ let store_words_per_key () =
     - Obj.reachable_words (Obj.repr payloads))
   /. float_of_int keys
 
+(* Retained words of one follower in a 65-member group, built from a
+   static config: its configuration, log, pool and scratch state. *)
+let server_words () =
+  let server =
+    Raft.Server.create ~instrument:false ~congestion:(fun _ -> 0)
+      ~id:(Netsim.Node_id.of_int 0)
+      ~peers:(List.tl (Netsim.Node_id.range 65))
+      ~config:(Raft.Config.static ())
+      ~rng:(Stats.Rng.create ~seed:1L ())
+      ()
+  in
+  float_of_int (Obj.reachable_words (Obj.repr server))
+
 let perf_table () =
   let fig4 =
     lazy
@@ -452,6 +465,8 @@ let perf_table () =
   @ [
       ( "kv store retained words per key",
         Budget (2.561, "words/key", store_words_per_key) );
+      ( "server retained words, 65 members",
+        Budget (554., "words", server_words) );
       ( "steady-state cluster",
         Budget
           (ratchet 14.50, "words/event", fun () ->

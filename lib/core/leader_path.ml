@@ -1,6 +1,5 @@
 type t = {
   config : Config.t;
-  base_h : Des.Time.span;
   mutable next_id : int;
   mutable pending_rtt : Des.Time.span option;
   mutable interval : Des.Time.span;
@@ -9,7 +8,6 @@ type t = {
 let create config ~heartbeat_interval =
   {
     config;
-    base_h = heartbeat_interval;
     next_id = 0;
     pending_rtt = None;
     interval = heartbeat_interval;
@@ -37,8 +35,3 @@ let on_response t ~now ~echo_sent_at ~tuned_h =
   | None -> ()
 
 let interval t = t.interval
-
-let reset t =
-  t.next_id <- 0;
-  t.pending_rtt <- None;
-  t.interval <- t.base_h

@@ -15,8 +15,10 @@
 type t
 
 val create : Config.t -> heartbeat_interval:Des.Time.span -> t
-(** A path whose sending interval starts at, and {!reset} returns to,
-    the base [heartbeat_interval] (the Raft server's configured [h]). *)
+(** A path whose sending interval starts at the base
+    [heartbeat_interval] (the Raft server's configured [h]), with no
+    heartbeat sent and no RTT pending.  A leader builds a fresh path per
+    follower each time it takes office. *)
 
 val next_id : t -> int
 (** Allocate the sequential id for the next heartbeat on this path. *)
@@ -36,7 +38,3 @@ val on_response :
 
 val interval : t -> Des.Time.span
 (** Current heartbeat sending interval toward this follower. *)
-
-val reset : t -> unit
-(** Forget measurements and return the interval to the base [h] (used on
-    leadership change). *)

@@ -67,10 +67,16 @@ let staircase ~hold profiles =
   piecewise (List.mapi (fun i p -> (i * hold, p)) profiles)
 
 let rtt_staircase ~base ~hold ~rtts_ms =
-  staircase ~hold (List.map (fun rtt_ms -> { base with rtt_ms }) rtts_ms)
+  let { jitter; loss; duplicate; _ } = base in
+  staircase ~hold
+    (List.map
+       (fun rtt_ms -> profile ~jitter ~loss ~duplicate ~rtt_ms ())
+       rtts_ms)
 
 let loss_staircase ~base ~hold ~losses =
-  staircase ~hold (List.map (fun loss -> { base with loss }) losses)
+  let { rtt_ms; jitter; duplicate; _ } = base in
+  staircase ~hold
+    (List.map (fun loss -> profile ~jitter ~loss ~duplicate ~rtt_ms ()) losses)
 
 (* Binary search for the last segment with start <= time.  Invariant:
    starts.(lo) <= time, hi = first index > time or n.  Top-level, so a

@@ -6,7 +6,7 @@
     constant conditions, gradual ramps (Fig 6a), radical steps (Fig 6b) and
     symmetric up-then-down staircases (Fig 7). *)
 
-type profile = {
+type profile = private {
   rtt_ms : float;  (** Mean round-trip time in milliseconds. *)
   jitter : float;
       (** Relative delay jitter: sigma of a mean-preserving lognormal
@@ -22,7 +22,8 @@ val profile :
 (** Profile with defaults [jitter = 0.], [loss = 0.], [duplicate = 0.].
     Raises [Invalid_argument], naming the argument, unless [rtt_ms] and
     [jitter] are finite and non-negative and [loss] and [duplicate] lie
-    in [0, 1] (NaN is rejected everywhere). *)
+    in [0, 1] (NaN is rejected everywhere).  The record is private, so
+    every profile, a staircase's steps included, passes these checks. *)
 
 type t
 (** A schedule of profiles over simulation time. *)
@@ -41,11 +42,13 @@ val staircase : hold:Des.Time.span -> profile list -> t
 
 val rtt_staircase :
   base:profile -> hold:Des.Time.span -> rtts_ms:float list -> t
-(** [staircase] varying only the RTT over [base]. *)
+(** [staircase] varying only the RTT over [base].  Each step is built
+    by {!profile}, so a bad RTT raises as it would there. *)
 
 val loss_staircase :
   base:profile -> hold:Des.Time.span -> losses:float list -> t
-(** [staircase] varying only the loss rate over [base]. *)
+(** [staircase] varying only the loss rate over [base].  Each step is
+    built by {!profile}, so a bad loss rate raises as it would there. *)
 
 val at : t -> Des.Time.t -> profile
 (** Profile in force at an instant. *)

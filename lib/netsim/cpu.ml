@@ -21,7 +21,9 @@ let make engine ~cores ~passthrough =
   }
 
 let create engine ~cores =
-  if cores <= 0. then invalid_arg "Cpu.create: cores must be positive";
+  (* Written so that NaN fails the test. *)
+  if not (Float.is_finite cores && cores > 0.) then
+    invalid_arg "Cpu.create: cores must be finite and positive";
   make engine ~cores ~passthrough:false
 
 let passthrough engine = make engine ~cores:1. ~passthrough:true

@@ -10,8 +10,9 @@
 type t
 
 val create : Des.Engine.t -> cores:float -> t
-(** A CPU with [cores] cores (fractional allowed).  Requires
-    [cores > 0.]. *)
+(** A CPU with [cores] cores (fractional allowed).  Raises
+    [Invalid_argument], naming [cores], unless it is finite and positive
+    (NaN is rejected). *)
 
 val passthrough : Des.Engine.t -> t
 (** A free CPU: [execute] runs work immediately and accounts nothing.

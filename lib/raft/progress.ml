@@ -25,9 +25,10 @@ type t = {
   mutable acked_round : int;
       (* the leader's CheckQuorum round in which this follower last
          acknowledged it as a voter; -1 before any *)
+  path : Dynatune.Leader_path.t;
 }
 
-let create ~last_index =
+let create ~last_index ~path =
   {
     next = last_index + 1;
     matched = 0;
@@ -37,7 +38,10 @@ let create ~last_index =
     last_append_sent_at = Des.Time.zero;
     reads_confirmed = -1;
     acked_round = -1;
+    path;
   }
+
+let path t = t.path
 
 let note_append_sent t ~at = t.last_append_sent_at <- at
 let last_append_sent_at t = t.last_append_sent_at

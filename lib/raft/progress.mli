@@ -10,9 +10,17 @@
 
 type t
 
-val create : last_index:Types.index -> t
+val create : last_index:Types.index -> path:Dynatune.Leader_path.t -> t
 (** Fresh state when a leader takes office: [next = last_index + 1],
-    [match = 0], probing, nothing in flight. *)
+    [match = 0], probing, nothing in flight.  [path] is the heartbeat
+    path toward this follower; the leader passes a fresh one, so each
+    leadership starts its heartbeat ids at 0 with no RTT pending and
+    the base interval. *)
+
+val path : t -> Dynatune.Leader_path.t
+(** The leader's heartbeat path toward this follower (Steps 0 and 3 of
+    Section III-B): the next heartbeat id, the RTT measured from the
+    last echo, and the interval from the follower's piggybacked h. *)
 
 val next_index : t -> Types.index
 (** First entry index to send next. *)

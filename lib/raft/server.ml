@@ -41,25 +41,33 @@ type persistent = {
 type reconfigure_result =
   [ `Ok of Types.index | `Not_leader | `Pending | `Invalid of string ]
 
-(* The cluster configuration in force at some log position.  [m_order]
+(* The cluster configuration in force at some log position.  [members]
    lists every member (voters and learners) in insertion order; iteration
    over it is what replaces the frozen [peers] list, so for a cluster
    that never reconfigures the traversal — and hence every PRNG draw —
-   is identical to the pre-reconfiguration code. *)
-type membership = {
-  m_voters : Node_id.Set.t;
-  m_learners : Node_id.Set.t;
-  m_order : Node_id.t list;
-}
+   is identical to the pre-reconfiguration code.  [learners] holds the
+   learners among them; every other member votes.  Neither list repeats
+   an id. *)
+type membership = { members : Node_id.t list; learners : Node_id.t list }
+
+(* Top-level rather than [List.exists (Node_id.equal n)], which would
+   allocate a closure per call. *)
+let rec mem n = function
+  | [] -> false
+  | x :: rest -> Node_id.equal x n || mem n rest
+
+let votes_in m n = mem n m.members && not (mem n m.learners)
+let voters_of m = List.filter (fun n -> not (mem n m.learners)) m.members
+let learners_of m = List.filter (fun n -> mem n m.learners) m.members
 
 (* The live configuration's roles as an open-addressing table of at
    least twice as many slots as members: the leader's per-heartbeat
-   membership and voter checks probe it with int compares, where
-   [Node_id.Set.mem] walks a tree through the functor's comparator.  A
-   slot holds [id * 2 + 1] for a voter, [id * 2] for a learner, or -1.
-   Ids are small and mostly consecutive, so with the mask as hash nearly
-   every probe ends at its first slot.  [Node_id.Set] stays the canonical
-   membership; this is a cache of it, O(members) in size. *)
+   membership and voter checks probe it with int compares, where the
+   lists would be scanned.  A slot holds [id * 2 + 1] for a voter,
+   [id * 2] for a learner, or -1.  Ids are small and mostly consecutive,
+   so with the mask as hash nearly every probe ends at its first slot.
+   The membership lists stay canonical; this is a cache of them,
+   O(members) in size. *)
 module Roles = struct
   type t = int array
 
@@ -79,21 +87,19 @@ module Roles = struct
     if size >= n then size else pow2_above n (2 * size)
 
   let of_membership m =
-    let n =
-      Node_id.Set.cardinal m.m_voters + Node_id.Set.cardinal m.m_learners
+    let slots =
+      Array.make (pow2_above (2 * List.length m.members) 2) absent
     in
-    let slots = Array.make (pow2_above (2 * n) 2) absent in
     let mask = Array.length slots - 1 in
-    let add role id =
-      let id = Node_id.to_int id in
-      let i = ref (id land mask) in
-      while slots.(!i) <> absent && slots.(!i) lsr 1 <> id do
-        i := (!i + 1) land mask
-      done;
-      if slots.(!i) = absent then slots.(!i) <- (id lsl 1) lor role
-    in
-    Node_id.Set.iter (add 1) m.m_voters;
-    Node_id.Set.iter (add 0) m.m_learners;
+    List.iter
+      (fun n ->
+        let id = Node_id.to_int n in
+        let i = ref (id land mask) in
+        while slots.(!i) <> absent do
+          i := (!i + 1) land mask
+        done;
+        slots.(!i) <- (id lsl 1) lor if mem n m.learners then 0 else 1)
+      m.members;
     slots
 
   let mem slots id = find slots (Node_id.to_int id) >= 0
@@ -177,7 +183,7 @@ type t = {
       (* live configuration: [base] plus every config entry in the log,
          effective as soon as appended (dissertation §4.1) *)
   mutable others : Node_id.t list;
-      (* [current.m_order] minus self, cached for the hot paths *)
+      (* [current.members] minus self, cached for the hot paths *)
   mutable roles : Roles.t;
       (* [current]'s roles while leader, empty otherwise: only a leader
          checks membership per heartbeat, so a group holds one table
@@ -194,7 +200,7 @@ type t = {
   mutable leader : Node_id.t option;
   mutable commit_index : Types.index;
   mutable quorum : int;
-      (* majority of [current.m_voters], cached by [set_current] *)
+      (* majority of [current]'s voters, cached by [set_current] *)
   mutable match_scratch : int array;
       (* [maybe_advance_commit] ranks the voters' match indices here
          instead of building a list; sized by the leader on first use *)
@@ -202,16 +208,15 @@ type t = {
   mutable ack_round : int;
       (* the CheckQuorum round: a voter's ack stamps its [Progress] with
          it, and bumping it forgets every ack at once *)
-  (* Per-peer leader state is kept in option arrays indexed by
-     [Node_id.to_int peer]: the lookups run per heartbeat and per
-     replication op, so they must not hash. *)
+  (* Per-follower leader state, heartbeat path included, is kept in an
+     option array indexed by [Node_id.to_int peer]: the lookups run per
+     heartbeat and per replication op, so they must not hash. *)
   mutable progress : Progress.t option array;
   mutable all_progress : Progress.t list;
       (* every record [progress] has held this leadership, members or
          not: a voter removed while reads are pending still counts for
          the reads it confirmed *)
   congestion : Node_id.t -> int;  (* the host's egress-depth probe *)
-  mutable paths : Dynatune.Leader_path.t option array;
   tuner : Dynatune.Tuner.t option;
   mutable randomized : Des.Time.span;
   mutable last_leader_contact : Des.Time.t;
@@ -234,31 +239,17 @@ and ctx = { mutable acts : action list; mutable now : Des.Time.t }
 
 (* {2 Membership} *)
 
-let member_of m n = Node_id.Set.mem n m.m_voters || Node_id.Set.mem n m.m_learners
+let without n = List.filter (fun x -> not (Node_id.equal x n))
 
 let apply_change m = function
   | Log.Add_learner n ->
-      if member_of m n then m
-      else
-        {
-          m with
-          m_learners = Node_id.Set.add n m.m_learners;
-          m_order = m.m_order @ [ n ];
-        }
+      if mem n m.members then m
+      else { members = m.members @ [ n ]; learners = n :: m.learners }
   | Log.Promote n ->
-      if not (Node_id.Set.mem n m.m_learners) then m
-      else
-        {
-          m with
-          m_voters = Node_id.Set.add n m.m_voters;
-          m_learners = Node_id.Set.remove n m.m_learners;
-        }
+      if mem n m.learners then { m with learners = without n m.learners }
+      else m
   | Log.Remove n ->
-      {
-        m_voters = Node_id.Set.remove n m.m_voters;
-        m_learners = Node_id.Set.remove n m.m_learners;
-        m_order = List.filter (fun x -> not (Node_id.equal x n)) m.m_order;
-      }
+      { members = without n m.members; learners = without n m.learners }
 
 (* Called whenever [current] or the role changes. *)
 let refresh_roles t =
@@ -267,54 +258,51 @@ let refresh_roles t =
 
 let set_current t m =
   t.current <- m;
-  t.others <- List.filter (fun n -> not (Node_id.equal n t.id)) m.m_order;
-  t.self_voter <- Node_id.Set.mem t.id m.m_voters;
-  t.voter_count <- Node_id.Set.cardinal m.m_voters;
+  t.others <- without t.id m.members;
+  t.self_voter <- votes_in m t.id;
+  t.voter_count <- List.length m.members - List.length m.learners;
   t.quorum <- (t.voter_count / 2) + 1;
   refresh_roles t
 
 let is_voter_id t n =
   if Types.is_leader t.role then Roles.is_voter t.roles n
-  else Node_id.Set.mem n t.current.m_voters
+  else votes_in t.current n
 
 let self_is_voter t = t.self_voter
 let self_weight t = if t.self_voter then 1 else 0
 
+(* The boundary config with every config entry stored in the log at or
+   below [upto] applied, and the index of the last one applied (0 if
+   none). *)
+let apply_log_configs t ~upto =
+  List.fold_left
+    (fun ((m, _) as acc) i ->
+      match Log.entry_at t.log i with
+      | Some { Log.command = Log.Config c; _ } when i <= upto ->
+          (apply_change m c, i)
+      | Some { Log.command = Log.Config _ | Log.Noop | Log.Data _; _ } | None
+        ->
+          acc)
+    (t.base, 0) (Log.config_indices t.log)
+
 (* Re-derive the live configuration: the boundary config plus every
    config entry still stored in the log (applied-on-append). *)
 let refresh_membership t =
-  let m = ref t.base and latest = ref 0 in
-  List.iter
-    (fun i ->
-      match Log.entry_at t.log i with
-      | Some { Log.command = Log.Config c; _ } ->
-          m := apply_change !m c;
-          latest := i
-      | Some { Log.command = Log.Noop | Log.Data _; _ } | None -> ())
-    (Log.config_indices t.log);
-  set_current t !m;
-  t.latest_config_index <- latest.contents;
+  let m, latest = apply_log_configs t ~upto:max_int in
+  set_current t m;
+  t.latest_config_index <- latest;
   t.config_mutations <- Log.mutations t.log
 
 (* Fold the config entries at or below [upto] into the boundary config;
    called just before the log compacts to [upto]. *)
-let fold_base t ~upto =
-  let m = ref t.base in
-  List.iter
-    (fun i ->
-      match Log.entry_at t.log i with
-      | Some { Log.command = Log.Config c; _ } ->
-          if i <= upto then m := apply_change !m c
-      | Some { Log.command = Log.Noop | Log.Data _; _ } | None -> ())
-    (Log.config_indices t.log);
-  t.base <- m.contents
+let fold_base t ~upto = t.base <- fst (apply_log_configs t ~upto)
 
 let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
     ~peers ~config ~rng () =
   (match Config.validate config with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Server.create: " ^ msg));
-  if List.exists (Node_id.equal id) peers then
+  if mem id peers then
     invalid_arg "Server.create: peers must not contain the server itself";
   let tuner =
     let create ?fixed_k cfg =
@@ -332,24 +320,11 @@ let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
   let term, voted_for, snapshot_data, base =
     match restore with
     | None ->
-        let base =
-          if joining then
-            (* A joining server starts outside the configuration: it
-               learns of its own membership from the Add_learner entry
-               the leader replicates to it. *)
-            {
-              m_voters = Node_id.Set.of_list peers;
-              m_learners = Node_id.Set.empty;
-              m_order = peers;
-            }
-          else
-            {
-              m_voters = Node_id.Set.of_list (id :: peers);
-              m_learners = Node_id.Set.empty;
-              m_order = id :: peers;
-            }
-        in
-        (0, None, None, base)
+        (* A joining server starts outside the configuration: it learns
+           of its own membership from the Add_learner entry the leader
+           replicates to it. *)
+        let members = if joining then peers else id :: peers in
+        (0, None, None, { members; learners = [] })
     | Some p ->
         let snapshot_data =
           match p.snapshot with
@@ -363,14 +338,13 @@ let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
             let e' = Log.append_new log ~term:e.Log.term e.Log.command in
             assert (e'.Log.index = e.Log.index))
           p.entries;
-        let base =
+        ( p.term,
+          p.voted_for,
+          snapshot_data,
           {
-            m_voters = Node_id.Set.of_list p.base_voters;
-            m_learners = Node_id.Set.of_list p.base_learners;
-            m_order = p.base_voters @ p.base_learners;
-          }
-        in
-        (p.term, p.voted_for, snapshot_data, base)
+            members = p.base_voters @ p.base_learners;
+            learners = p.base_learners;
+          } )
   in
   let t =
     {
@@ -400,7 +374,6 @@ let create ?restore ?pool ?(joining = false) ~instrument ~congestion ~id
       progress = [||];
       all_progress = [];
       congestion;
-      paths = [||];
       tuner;
       randomized = 0;
       last_leader_contact = Des.Time.zero;
@@ -433,12 +406,8 @@ let persisted (srv : t) =
              Log.snapshot_term srv.log,
              Option.value ~default:"" srv.snapshot_data )
        else None);
-    base_voters =
-      List.filter (fun n -> Node_id.Set.mem n srv.base.m_voters)
-        srv.base.m_order;
-    base_learners =
-      List.filter (fun n -> Node_id.Set.mem n srv.base.m_learners)
-        srv.base.m_order;
+    base_voters = voters_of srv.base;
+    base_learners = learners_of srv.base;
   }
 
 let id t = t.id
@@ -453,14 +422,6 @@ let config t = t.config
 let randomized_timeout t = t.randomized
 let tuner t = t.tuner
 
-(* A per-peer option array [arr] grown to hold index [i].  Callers reassign their field only
-   when it grew: writing back the same pointer would still pay the write
-   barrier on every heartbeat. *)
-let peer_array arr i =
-  let bigger = Array.make (i + 8) None in
-  Array.blit arr 0 bigger 0 (Array.length arr);
-  bigger
-
 let appends_inflight t =
   Array.fold_left
     (fun acc p ->
@@ -474,15 +435,9 @@ let election_timeout_now t =
 
 let tuning_active t = t.tuner <> None
 
-let voters t =
-  List.filter (fun n -> Node_id.Set.mem n t.current.m_voters) t.current.m_order
-
-let learners t =
-  List.filter
-    (fun n -> Node_id.Set.mem n t.current.m_learners)
-    t.current.m_order
-
-let members t = t.current.m_order
+let voters t = voters_of t.current
+let learners t = learners_of t.current
+let members t = t.current.members
 let is_voter t n = is_voter_id t n
 let votes t = Node_id.Set.elements t.votes
 let transfer_pending t = Option.map (fun tr -> tr.tr_target) t.transfer
@@ -491,31 +446,16 @@ let pending_config t =
   if t.latest_config_index > t.commit_index then Some t.latest_config_index
   else None
 
-let path t peer =
+(* The interval toward [peer]: its path's, or the base h for a peer
+   with no record this leadership, which is what a fresh path holds. *)
+let interval_to t peer =
   let i = Node_id.to_int peer in
-  if i >= Array.length t.paths then t.paths <- peer_array t.paths i;
-  match t.paths.(i) with
-  | Some p -> p
-  | None ->
-      let cfg =
-        match t.config.Config.tuning with
-        | Config.Dynatune cfg | Config.Fix_k { cfg; _ } -> cfg
-        | Config.Static ->
-            (* Static mode still stamps measurement metadata (followers
-               simply ignore it), so a path record exists per peer. *)
-            Dynatune.Config.default
-      in
-      let p =
-        Dynatune.Leader_path.create cfg
-          ~heartbeat_interval:t.config.Config.heartbeat_interval
-      in
-      t.paths.(i) <- Some p;
-      p
+  match if i < Array.length t.progress then t.progress.(i) else None with
+  | Some pr -> Dynatune.Leader_path.interval (Progress.path pr)
+  | None -> t.config.Config.heartbeat_interval
 
 let heartbeat_interval_to t peer =
-  if Types.is_leader t.role then
-    Some (Dynatune.Leader_path.interval (path t peer))
-  else None
+  if Types.is_leader t.role then Some (interval_to t peer) else None
 
 (* The h a follower piggybacks to the leader (Step 3); [None] while
    warming or untuned: the leader then keeps its current (default)
@@ -639,13 +579,34 @@ let become_follower t ctx ~term ~leader =
 
 (* {2 Leader-side replication} *)
 
+(* [peer]'s record for this leadership, made on first use with a fresh
+   heartbeat path.  The array is reassigned only when it grows: writing
+   back the same pointer would still pay the write barrier on every
+   heartbeat. *)
 let progress_of t peer =
   let i = Node_id.to_int peer in
-  if i >= Array.length t.progress then t.progress <- peer_array t.progress i;
+  if i >= Array.length t.progress then begin
+    let bigger = Array.make (i + 8) None in
+    Array.blit t.progress 0 bigger 0 (Array.length t.progress);
+    t.progress <- bigger
+  end;
   match t.progress.(i) with
   | Some p -> p
   | None ->
-      let p = Progress.create ~last_index:(Log.last_index t.log) in
+      let cfg =
+        match t.config.Config.tuning with
+        | Config.Dynatune cfg | Config.Fix_k { cfg; _ } -> cfg
+        | Config.Static ->
+            (* Static mode still stamps measurement metadata (followers
+               simply ignore it), so every follower has a path. *)
+            Dynatune.Config.default
+      in
+      let p =
+        Progress.create ~last_index:(Log.last_index t.log)
+          ~path:
+            (Dynatune.Leader_path.create cfg
+               ~heartbeat_interval:t.config.Config.heartbeat_interval)
+      in
       t.progress.(i) <- Some p;
       t.all_progress <- p :: t.all_progress;
       p
@@ -700,16 +661,8 @@ let send_install_snapshot t ctx peer ~data =
                term = t.term;
                last_index;
                last_term = Log.snapshot_term t.log;
-               voters =
-                 Array.of_list
-                   (List.filter
-                      (fun n -> Node_id.Set.mem n t.base.m_voters)
-                      t.base.m_order);
-               learners =
-                 Array.of_list
-                   (List.filter
-                      (fun n -> Node_id.Set.mem n t.base.m_learners)
-                      t.base.m_order);
+               voters = Array.of_list (voters_of t.base);
+               learners = Array.of_list (learners_of t.base);
                data;
              };
        })
@@ -771,12 +724,11 @@ and replicate t ctx peer =
   done
 
 let send_heartbeat t ctx ~now peer =
-  let p = path t peer in
+  let pr = progress_of t peer in
+  let p = Progress.path pr in
   let hb_id = Dynatune.Leader_path.next_id p in
   let measured_rtt = Dynatune.Leader_path.take_rtt p in
-  let commit =
-    Int.min t.commit_index (Progress.match_index (progress_of t peer))
-  in
+  let commit = Int.min t.commit_index (Progress.match_index pr) in
   emit ctx
     (Send
        {
@@ -807,9 +759,7 @@ let single_heartbeat_timer t =
 let rec min_interval t acc = function
   | [] -> acc
   | peer :: rest ->
-      min_interval t
-        (Des.Time.min_span acc (Dynatune.Leader_path.interval (path t peer)))
-        rest
+      min_interval t (Des.Time.min_span acc (interval_to t peer)) rest
 
 (* The single timer's interval: the minimum h across all follower paths,
    starting from the base h.  Under [Static] no follower piggybacks an h,
@@ -899,8 +849,7 @@ let append_config t ctx change =
       send_append t ctx n;
       if not (single_heartbeat_timer t) then
         emit ctx
-          (Arm_heartbeat
-             { peer = n; after = Dynatune.Leader_path.interval (path t n) })
+          (Arm_heartbeat { peer = n; after = interval_to t n })
   | Log.Promote _ | Log.Remove _ -> ());
   if not t.flush_requested then begin
     t.flush_requested <- true;
@@ -911,16 +860,13 @@ let append_config t ctx change =
 let validate_change t change =
   match change with
   | Log.Add_learner n ->
-      if member_of t.current n then Error "already a member" else Ok ()
+      if mem n t.current.members then Error "already a member" else Ok ()
   | Log.Promote n ->
-      if Node_id.Set.mem n t.current.m_learners then Ok ()
-      else Error "not a learner"
+      if mem n t.current.learners then Ok () else Error "not a learner"
   | Log.Remove n ->
-      if not (member_of t.current n) then Error "not a member"
-      else if
-        Node_id.Set.mem n t.current.m_voters
-        && Node_id.Set.cardinal t.current.m_voters <= 1
-      then Error "cannot remove the last voter"
+      if not (mem n t.current.members) then Error "not a member"
+      else if (not (mem n t.current.learners)) && t.voter_count <= 1 then
+        Error "cannot remove the last voter"
       else Ok ()
 
 (* React to freshly committed entries: probe committed config changes,
@@ -1140,7 +1086,7 @@ let arm_leader_heartbeats t ctx ~immediately =
         let after =
           if immediately then 0
           else
-            let interval = Dynatune.Leader_path.interval (path t peer) in
+            let interval = interval_to t peer in
             1 + Stats.Rng.int t.rng (Int.max 1 interval)
         in
         emit ctx (Arm_heartbeat { peer; after }))
@@ -1154,9 +1100,6 @@ let become_leader t ctx =
   emit ctx (Arm_quorum_check t.config.Config.election_timeout);
   Array.fill t.progress 0 (Array.length t.progress) None;
   t.all_progress <- [];
-  Array.iter
-    (function Some p -> Dynatune.Leader_path.reset p | None -> ())
-    t.paths;
   List.iter (fun peer -> ignore (progress_of t peer : Progress.t)) t.others;
   ignore (Log.append_new t.log ~term:t.term Log.Noop : Log.entry);
   set_role t ctx Types.Leader;
@@ -1463,27 +1406,22 @@ let on_heartbeat_response t ctx ~now ~from ~term:resp_term ~echo_sent_at
     note_read_confirmation t ctx ~from ~sent_at:echo_sent_at;
     maybe_send_timeout_now t ctx;
     maybe_promote_learner t ctx from;
-    Dynatune.Leader_path.on_response (path t from) ~now ~echo_sent_at ~tuned_h;
+    let pr = progress_of t from in
+    Dynatune.Leader_path.on_response (Progress.path pr) ~now ~echo_sent_at
+      ~tuned_h;
     (* Heartbeat responses double as replication nudges.  A follower can
        be behind in two ways: entries never handed to the transport
        ([needs_entries]), or entries sent optimistically while it was
        unreachable and silently dropped — detected as a stale response
-       clock, in which case [next] is rewound to just past its match. *)
-    let pr = progress_of t from in
+       clock.  Sends that never drew a response will never be drained
+       by a nack either, so a stale clock rewinds [next] to just past
+       the follower's match and re-probes from there. *)
     let last_index = Log.last_index t.log in
-    if Progress.needs_entries pr ~last_index then begin
-      if Progress.inflight pr > 0 && stale_clock t pr ~now then begin
-        (* The window is full of sends that never drew a response: they
-           were dropped while the follower was unreachable, and no nack
-           will ever drain them.  Rewind to re-probe from its match. *)
-        Progress.record_conflict pr ~hint:(Progress.match_index pr + 1);
-        Progress.note_response pr ~at:now;
-        send_append t ctx from
-      end
-      else replicate t ctx from
-    end
-    else if Progress.match_index pr < last_index && stale_clock t pr ~now
-    then begin
+    let needs = Progress.needs_entries pr ~last_index in
+    let stale = stale_clock t pr ~now in
+    if needs && not (Progress.inflight pr > 0 && stale) then
+      replicate t ctx from
+    else if (needs || Progress.match_index pr < last_index) && stale then begin
       Progress.record_conflict pr ~hint:(Progress.match_index pr + 1);
       Progress.note_response pr ~at:now;
       send_append t ctx from
@@ -1507,12 +1445,8 @@ let on_install_snapshot t ctx ~now ~from (snap : Rpc.install_snapshot) =
       Log.install_snapshot t.log ~index:snap.last_index ~term:snap.last_term;
       (* The wire carries the configuration at the snapshot boundary;
          with the log gone it becomes both base and live config. *)
-      t.base <-
-        {
-          m_voters = Node_id.Set.of_list (Array.to_list snap.voters);
-          m_learners = Node_id.Set.of_list (Array.to_list snap.learners);
-          m_order = Array.to_list snap.voters @ Array.to_list snap.learners;
-        };
+      let learners = Array.to_list snap.learners in
+      t.base <- { members = Array.to_list snap.voters @ learners; learners };
       refresh_membership t;
       t.commit_index <- snap.last_index;
       t.snapshot_data <- Some snap.data;
@@ -1584,7 +1518,7 @@ let handle t ~now event =
       if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
         if Roles.mem t.roles peer then begin
-          let interval = Dynatune.Leader_path.interval (path t peer) in
+          let interval = interval_to t peer in
           if not (heartbeat_suppressed t ctx peer ~interval) then
             send_heartbeat t ctx ~now peer;
           emit ctx (Arm_heartbeat { peer; after = interval })

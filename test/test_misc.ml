@@ -221,6 +221,18 @@ let test_config_bad_values () =
          { Dynatune.Config.default with Dynatune.Config.safety_factor }
          ~election_timeout:(Time.ms 1000) ~heartbeat_interval:(Time.ms 100))
   in
+  let base = Netsim.Conditions.profile ~rtt_ms:10. () in
+  let rtt_steps rtts_ms () =
+    ignore
+      (Netsim.Conditions.rtt_staircase ~base ~hold:(Time.sec 1) ~rtts_ms)
+  in
+  let loss_steps losses () =
+    ignore
+      (Netsim.Conditions.loss_staircase ~base ~hold:(Time.sec 1) ~losses)
+  in
+  let cpu cores () =
+    ignore (Netsim.Cpu.create (Des.Engine.create ()) ~cores)
+  in
   let cases =
     [
       ("rtt_ms", "nan", profile nan);
@@ -239,6 +251,11 @@ let test_config_bad_values () =
       ("safety_factor", "inf", tuner infinity);
       ("safety_factor", "-1", tuner (-1.));
       ("fixed_k", "0", tuner ~fixed_k:0 2.);
+      ("rtt_ms", "staircase nan", rtt_steps [ 10.; nan ]);
+      ("loss", "staircase 1.5", loss_steps [ 0.; 1.5 ]);
+      ("cores", "nan", cpu nan);
+      ("cores", "inf", cpu infinity);
+      ("cores", "0", cpu 0.);
     ]
   in
   let names msg arg =
@@ -259,7 +276,10 @@ let test_config_bad_values () =
     cases;
   (* The valid edges still pass. *)
   profile ~jitter:0. ~loss:1. ~duplicate:1. 0. ();
-  tuner 0. ()
+  tuner 0. ();
+  rtt_steps [ 0.; 10. ] ();
+  loss_steps [ 0.; 1. ] ();
+  cpu 0.5 ()
 
 let test_config_bases () =
   let d = Raft.Config.dynatune () in

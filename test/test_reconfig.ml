@@ -133,6 +133,218 @@ let test_compaction_folds_configs () =
   Alcotest.(check (list int)) "live config has dropped it" [ 0; 1; 2 ]
     (ints (S.members s))
 
+(* {2 The membership lists against a set model}
+
+   [Server] keeps a configuration as its member list plus the learners
+   among them.  [Set_model] is the representation it replaced: voter and
+   learner sets beside an insertion-order list.  Random config entries
+   go to a follower, some truncated by a conflicting append and some
+   compacted into the boundary configuration; after every step the
+   server's lists must equal the model's. *)
+
+module Set_model = struct
+  module Set = Node_id.Set
+
+  type t = { voters : Set.t; learners : Set.t; order : Node_id.t list }
+
+  let create ids =
+    { voters = Set.of_list ids; learners = Set.empty; order = ids }
+  let member m n = Set.mem n m.voters || Set.mem n m.learners
+
+  let apply m = function
+    | Raft.Log.Add_learner n ->
+        if member m n then m
+        else { m with learners = Set.add n m.learners; order = m.order @ [ n ] }
+    | Raft.Log.Promote n ->
+        if not (Set.mem n m.learners) then m
+        else
+          {
+            m with
+            voters = Set.add n m.voters;
+            learners = Set.remove n m.learners;
+          }
+    | Raft.Log.Remove n ->
+        {
+          voters = Set.remove n m.voters;
+          learners = Set.remove n m.learners;
+          order = List.filter (fun x -> not (Node_id.equal x n)) m.order;
+        }
+
+  let voters m = List.filter (fun n -> Set.mem n m.voters) m.order
+  let learners m = List.filter (fun n -> Set.mem n m.learners) m.order
+end
+
+type config_step =
+  | Append of Raft.Log.change option list  (** [None] is a no-op entry *)
+  | Overwrite of int * Raft.Log.change option list
+      (** conflicting entries from this many entries back, at a new term *)
+  | Commit_to_last
+  | Compact of int  (** percent of the committed, uncompacted entries *)
+
+let gen_change =
+  QCheck.Gen.(
+    map2
+      (fun kind id ->
+        let n = nid id in
+        match kind with
+        | 0 -> Raft.Log.Add_learner n
+        | 1 -> Raft.Log.Promote n
+        | _ -> Raft.Log.Remove n)
+      (int_bound 2) (int_bound 5))
+
+let gen_entries =
+  QCheck.Gen.(
+    list_size (int_range 1 4)
+      (frequency [ (1, return None); (4, map Option.some gen_change) ]))
+
+let gen_config_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun es -> Append es) gen_entries);
+        (2, map2 (fun k es -> Overwrite (k, es)) (int_range 1 4) gen_entries);
+        (1, return Commit_to_last);
+        (1, map (fun p -> Compact p) (int_range 1 100));
+      ])
+
+let print_config_step =
+  let change = function
+    | None -> "noop"
+    | Some (Raft.Log.Add_learner n) -> "add " ^ string_of_int (Node_id.to_int n)
+    | Some (Raft.Log.Promote n) -> "promote " ^ string_of_int (Node_id.to_int n)
+    | Some (Raft.Log.Remove n) -> "remove " ^ string_of_int (Node_id.to_int n)
+  in
+  let entries es = String.concat "; " (List.map change es) in
+  function
+  | Append es -> Printf.sprintf "append [%s]" (entries es)
+  | Overwrite (k, es) -> Printf.sprintf "overwrite -%d [%s]" k (entries es)
+  | Commit_to_last -> "commit"
+  | Compact p -> Printf.sprintf "compact %d%%" p
+
+let prop_membership_matches_set_model =
+  QCheck.Test.make ~count:300
+    ~name:
+      "follower membership lists = set model under appends, truncation, \
+       compaction"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_config_step)
+       QCheck.Gen.(list_size (int_range 1 30) gen_config_step))
+    (fun steps ->
+      let module S = Raft.Server in
+      let s =
+        S.create ~instrument:false ~congestion:(fun _ -> 0) ~id:(nid 0)
+          ~peers:[ nid 1; nid 2 ]
+          ~config:(Raft.Config.static ())
+          ~rng:(Stats.Rng.create ~seed:5L ())
+          ()
+      in
+      ignore (S.start s : S.action list);
+      let base = ref (Set_model.create [ nid 0; nid 1; nid 2 ]) in
+      (* The model's log: the entries above the snapshot, newest first. *)
+      let log = ref [] and term = ref 1 and commit = ref 0 in
+      let snap_index = ref 0 and snap_term = ref 0 in
+      let last () =
+        match !log with e :: _ -> e.Raft.Log.index | [] -> !snap_index
+      in
+      let term_at i =
+        if i = !snap_index then !snap_term
+        else (List.find (fun e -> e.Raft.Log.index = i) !log).Raft.Log.term
+      in
+      let send ~prev_index entries =
+        let entries =
+          Array.of_list
+            (List.mapi
+               (fun k c ->
+                 {
+                   Raft.Log.term = !term;
+                   index = prev_index + 1 + k;
+                   command =
+                     (match c with
+                     | Some c -> Raft.Log.Config c
+                     | None -> Raft.Log.Noop);
+                 })
+               entries)
+        in
+        ignore
+          (S.handle s ~now:(Time.ms 1)
+             (S.Message
+                {
+                  from = nid 1;
+                  msg =
+                    Raft.Rpc.Append_request
+                      {
+                        term = !term;
+                        prev_index;
+                        prev_term = term_at prev_index;
+                        entries;
+                        commit = !commit;
+                        ar_gen = 0;
+                      };
+                })
+            : S.action list);
+        log :=
+          Array.fold_left
+            (fun acc e -> e :: acc)
+            (List.filter (fun e -> e.Raft.Log.index <= prev_index) !log)
+            entries
+      in
+      let fold_configs m entries =
+        List.fold_left
+          (fun m e ->
+            match e.Raft.Log.command with
+            | Raft.Log.Config c -> Set_model.apply m c
+            | Raft.Log.Noop | Raft.Log.Data _ -> m)
+          m entries
+      in
+      let ints = List.map Node_id.to_int in
+      let check i =
+        let current = fold_configs !base (List.rev !log) in
+        let p = S.persisted s in
+        let same what expected got =
+          if ints expected <> ints got then
+            QCheck.Test.fail_reportf "step %d: %s [%s], model [%s]" i what
+              (String.concat ";" (List.map string_of_int (ints got)))
+              (String.concat ";" (List.map string_of_int (ints expected)))
+        in
+        same "members" current.Set_model.order (S.members s);
+        same "voters" (Set_model.voters current) (S.voters s);
+        same "learners" (Set_model.learners current) (S.learners s);
+        same "base voters" (Set_model.voters !base) p.S.base_voters;
+        same "base learners" (Set_model.learners !base) p.S.base_learners
+      in
+      List.iteri
+        (fun i step ->
+          (match step with
+          | Append es -> send ~prev_index:(last ()) es
+          | Overwrite (k, es) ->
+              (* Committed entries are never overwritten. *)
+              let prev_index = Int.max !commit (last () - k) in
+              incr term;
+              send ~prev_index es
+          | Commit_to_last ->
+              commit := last ();
+              send ~prev_index:(last ()) []
+          | Compact percent ->
+              let upto =
+                !snap_index + ((!commit - !snap_index) * percent / 100)
+              in
+              if upto > !snap_index then begin
+                ignore
+                  (S.handle s ~now:(Time.ms 1)
+                     (S.Snapshot_ready { upto; data = "" })
+                    : S.action list);
+                let folded, kept =
+                  List.partition (fun e -> e.Raft.Log.index <= upto) !log
+                in
+                base := fold_configs !base (List.rev folded);
+                snap_term := term_at upto;
+                snap_index := upto;
+                log := kept
+              end);
+          check i)
+        steps;
+      true)
+
 (* {2 Add / promote / remove} *)
 
 let test_add_server_becomes_voter () =
@@ -456,4 +668,5 @@ let tests =
       test_scenario_tuner_reduces_downtime;
     Alcotest.test_case "scenario: digest jobs-invariant" `Quick
       test_scenario_jobs_invariant;
+    QCheck_alcotest.to_alcotest prop_membership_matches_set_model;
   ]

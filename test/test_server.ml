@@ -644,7 +644,12 @@ let test_dynatune_leader_uses_per_peer_timers () =
 
 let test_progress_window () =
   let module P = Raft.Progress in
-  let pr = P.create ~last_index:0 in
+  let pr =
+    P.create ~last_index:0
+      ~path:
+        (Dynatune.Leader_path.create Dynatune.Config.default
+           ~heartbeat_interval:(Time.ms 100))
+  in
   (* Probing: strictly one append at a time, whatever the window. *)
   Alcotest.(check bool) "probe allowed" true (P.may_send pr ~window:4);
   P.record_sent pr ~upto:2;

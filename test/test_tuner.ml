@@ -373,15 +373,60 @@ let test_leader_path_future_echo_ignored () =
   Alcotest.(check (option int)) "future timestamp rejected" None
     (Leader_path.take_rtt p)
 
-let test_leader_path_reset () =
-  let p = new_path () in
-  ignore (Leader_path.next_id p : int);
-  Leader_path.on_response p ~now:(Time.ms 5) ~echo_sent_at:Time.zero
-    ~tuned_h:(Some (Time.ms 7));
-  Leader_path.reset p;
-  Alcotest.(check int) "id counter reset" 0 (Leader_path.next_id p);
-  check_ms "interval reset"
-    base_h (Leader_path.interval p)
+(* A leader builds a fresh path per follower each time it takes office:
+   the heartbeat ids, the pending RTT and the piggybacked h of one
+   leadership do not carry into the next. *)
+let test_leader_path_fresh_each_leadership () =
+  let module S = Raft.Server in
+  let follower = Netsim.Node_id.of_int 1 in
+  let s = Test_server.make ~config:(Raft.Config.dynatune ()) ~self:0 () in
+  ignore (S.start s : S.action list);
+  ignore (Test_server.elect s ~now:Time.zero : S.action list);
+  let heartbeats_to_follower acts =
+    List.filter_map
+      (function
+        | S.Send
+            {
+              dst;
+              msg = Raft.Rpc.Heartbeat { hb_id; measured_rtt; _ };
+              _;
+            }
+          when Netsim.Node_id.equal dst follower ->
+            Some (hb_id, measured_rtt)
+        | _ -> None)
+      acts
+  in
+  let beat ~now =
+    heartbeats_to_follower (S.handle s ~now (S.Heartbeat_due follower))
+  in
+  ignore (beat ~now:(Time.ms 10));
+  ignore
+    (Test_server.recv s ~from:1
+       (Raft.Rpc.Heartbeat_response
+          {
+            term = S.term s;
+            hb_id = 0;
+            echo_sent_at = Time.ms 10;
+            tuned_h = Some (Time.ms 33);
+            hr_gen = 0;
+          })
+       ~now:(Time.ms 20)
+      : S.action list);
+  Alcotest.(check (option int)) "piggybacked h applied" (Some (Time.ms 33))
+    (S.heartbeat_interval_to s follower);
+  (* Deposed by a higher-term heartbeat, then elected again. *)
+  ignore
+    (Test_server.recv s ~from:1
+       (Test_server.heartbeat ~term:(S.term s + 1) ~commit:0 ())
+       ~now:(Time.ms 30)
+      : S.action list);
+  Alcotest.(check bool) "stepped down" false (Raft.Types.is_leader (S.role s));
+  ignore (Test_server.elect s ~now:(Time.ms 40) : S.action list);
+  Alcotest.(check bool) "leader again" true (Raft.Types.is_leader (S.role s));
+  Alcotest.(check (option int)) "base h again" (Some base_h)
+    (S.heartbeat_interval_to s follower);
+  Alcotest.(check (list (pair int (option int))))
+    "first heartbeat: id 0, no RTT" [ (0, None) ] (beat ~now:(Time.ms 50))
 
 (* {2 The tuner against its pre-rewrite reference}
 
@@ -731,7 +776,8 @@ let tests =
     Alcotest.test_case "path: h clamped" `Quick test_leader_path_h_clamped;
     Alcotest.test_case "path: future echo ignored" `Quick
       test_leader_path_future_echo_ignored;
-    Alcotest.test_case "path: reset" `Quick test_leader_path_reset;
+    Alcotest.test_case "path: fresh each leadership" `Quick
+      test_leader_path_fresh_each_leadership;
     QCheck_alcotest.to_alcotest prop_tuner_matches_reference;
     QCheck_alcotest.to_alcotest prop_tuner_matches_eager_recompute;
     QCheck_alcotest.to_alcotest prop_loss_matches_reference;
