@@ -356,6 +356,87 @@ let test_pinned_plan_pool_bound () =
     (st.Des.Engine.pool_size
     <= st.Des.Engine.heap_high_water + st.Des.Engine.wheel_high_water)
 
+(* {2 One host for every group} *)
+
+(* A group grows on the manager's host: the joiner takes the next id
+   past every group's range, so it collides with no other group's
+   node, and the leader accepts it. *)
+let test_group_add_server () =
+  let m = make ~seed:47L ~groups:2 () in
+  let id, result = Cluster.add_server (Gm.group m 0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "joiner id %d >= 6" (Netsim.Node_id.to_int id))
+    true
+    (Netsim.Node_id.to_int id >= 6);
+  match result with
+  | `Ok _ -> ()
+  | `Not_leader | `Pending | `Invalid _ ->
+      Alcotest.fail "the group's leader refused the joiner"
+
+(* One bridge per group: each process names only the link and egress
+   tracks between its own group's nodes. *)
+let test_group_trace_own_links () =
+  let m = make ~seed:49L ~groups:2 () in
+  Netsim.Fabric.set_uniform_serialization (Gm.fabric m) (Des.Time.us 50);
+  let sink = Telemetry.Chrome_trace.create () in
+  let bridges =
+    List.init 2 (fun g -> Harness.Tracing.attach ~pid:(g + 1) (Gm.group m g) sink)
+  in
+  Gm.run_for m (Des.Time.sec 2);
+  List.iter Harness.Tracing.finish bridges;
+  let tracks = Array.make 2 [] in
+  List.iter
+    (fun line ->
+      match
+        Scanf.sscanf line " {\"ph\": \"C\", \"name\": \"%s@\", \"pid\": %d"
+          (fun name pid -> (name, pid))
+      with
+      | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> ()
+      | name, pid -> (
+          match
+            Scanf.sscanf name "%s n%d->n%d%!" (fun kind a b -> (kind, a, b))
+          with
+          | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> ()
+          | kind, a, b ->
+              tracks.(pid - 1) <- (kind, a, b) :: tracks.(pid - 1)))
+    (String.split_on_char '\n' (Telemetry.Chrome_trace.to_string sink));
+  Array.iteri
+    (fun g named ->
+      let own id = id / 3 = g in
+      let links =
+        List.sort_uniq Stdlib.compare
+          (List.filter_map
+             (fun (kind, a, b) ->
+               if String.equal kind "link" then Some (a, b) else None)
+             named)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "group %d: one link track per own pair" g)
+        6 (List.length links);
+      List.iter
+        (fun (kind, a, b) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "group %d names %s n%d->n%d" g kind a b)
+            true
+            (own a && own b))
+        named)
+    tracks
+
+(* The host folds engine statistics once, whichever handle asks. *)
+let test_collect_once_per_host () =
+  let telemetry = Telemetry.Metrics.create () in
+  let m = make ~seed:51L ~telemetry ~groups:2 () in
+  Gm.run_for m (Des.Time.sec 1);
+  Gm.collect_metrics m;
+  Cluster.collect_metrics (Gm.group m 1);
+  Gm.collect_metrics m;
+  Alcotest.(check int)
+    "des/events_processed counted once"
+    (Des.Engine.processed_events (Gm.engine m))
+    (Telemetry.Metrics.Counter.value
+       (Telemetry.Metrics.counter telemetry ~scope:"des"
+          ~name:"events_processed" ()))
+
 let tests =
   [
     Alcotest.test_case "manager: shape and id partition" `Quick
@@ -381,4 +462,10 @@ let tests =
     Alcotest.test_case "scenario: multiraft smoke" `Slow test_scenario_smoke;
     Alcotest.test_case "scenario: pinned plan keeps the event pool bound"
       `Slow test_pinned_plan_pool_bound;
+    Alcotest.test_case "host: a group grows past every group's ids" `Quick
+      test_group_add_server;
+    Alcotest.test_case "host: a group's trace names only its links" `Quick
+      test_group_trace_own_links;
+    Alcotest.test_case "host: engine statistics collected once" `Quick
+      test_collect_once_per_host;
   ]
