@@ -321,9 +321,7 @@ let broken_fixture () =
     }
   in
   let checker =
-    Check.create ~mode:Check.Always
-      ~nodes:(List.map fake (Netsim.Node_id.range 2))
-      ()
+    Check.create ~nodes:(List.map fake (Netsim.Node_id.range 2)) ()
   in
   match Check.check_now checker with
   | () -> fail "checker missed two concurrent leaders sharing a term"

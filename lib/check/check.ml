@@ -142,7 +142,6 @@ type tracked = {
 }
 
 type t = {
-  mode : mode;
   mutable nodes : tracked array;
   initial_voters : Node_id.t list;
       (* voting membership when the checker was created; committed
@@ -172,9 +171,8 @@ let tracked_of_view view =
     leader_mark = None;
   }
 
-let create ~mode ~nodes () =
+let create ~nodes () =
   {
-    mode;
     nodes = Array.of_list (List.map tracked_of_view nodes);
     initial_voters =
       (match nodes with [] -> [] | v :: _ -> v.voters ());
@@ -569,15 +567,10 @@ let deep_check t =
 (* {2 Entry points} *)
 
 let step t =
-  match t.mode with
-  | Off -> ()
-  | Always ->
-      t.events <- t.events + 1;
-      cheap_check t;
-      if t.events mod deep_every = 0 then deep_check t
+  t.events <- t.events + 1;
+  cheap_check t;
+  if t.events mod deep_every = 0 then deep_check t
 
 let check_now t =
-  if t.mode <> Off then begin
-    cheap_check t;
-    deep_check t
-  end
+  cheap_check t;
+  deep_check t

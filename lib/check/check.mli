@@ -53,7 +53,7 @@ end
 (** {1 Checking modes} *)
 
 type mode =
-  | Off  (** no checking, no per-event overhead *)
+  | Off  (** no checker is built: no per-event overhead *)
   | Always
       (** cheap checks after every delivered event, deep (pairwise log
           matching) checks every 512th.  Transition-sensitive checks
@@ -112,11 +112,11 @@ val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
-val create : mode:mode -> nodes:node_view list -> unit -> t
+val create : nodes:node_view list -> unit -> t
 (** A checker over an initial set of servers ({!add_view} grows it).
     The first view's [voters] at creation time seed the configuration
-    history replayed by the config invariants.  [mode = Off] turns every
-    entry point into a no-op. *)
+    history replayed by the config invariants.  A checker always checks:
+    under {!Off} a cluster builds none. *)
 
 val add_view : t -> node_view -> unit
 (** Track one more server (a node added to the cluster at runtime).
@@ -141,8 +141,8 @@ val step : t -> unit
 
 val check_now : t -> unit
 (** Run the full battery (cheap + deep) immediately, whatever the event
-    count — call at the end of a scenario for a final verdict.  No-op
-    under [Off].  Raises {!Violation}. *)
+    count — call at the end of a scenario for a final verdict.  Raises
+    {!Violation}. *)
 
 val events_seen : t -> int
 (** Events observed through {!step}. *)

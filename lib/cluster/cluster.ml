@@ -2,15 +2,45 @@ module Node_id = Netsim.Node_id
 
 type member = { node : Raft.Node.t; mutable store : Kvsm.Store.t }
 
-type shared = {
-  sh_engine : Des.Engine.t;
-  sh_fabric : Raft.Rpc.message Netsim.Fabric.t;
-  sh_first_id : int;
-}
-
-type t = {
+type host = {
   engine : Des.Engine.t;
   fabric : Raft.Rpc.message Netsim.Fabric.t;
+  mutable next_id : int;  (* next fabric node id to hand out *)
+  mutable checkers : Check.t list;
+      (* stepped after every event, in registration order *)
+  mutable collected : bool;  (* [collect_metrics] already ran *)
+}
+
+let create_host ?seed () =
+  let engine = Des.Engine.create ?seed () in
+  {
+    engine;
+    fabric = Netsim.Fabric.create engine;
+    next_id = 0;
+    checkers = [];
+    collected = false;
+  }
+
+(* The host's next [n] ids, registered on its fabric. *)
+let take_ids host n =
+  let first = host.next_id in
+  host.next_id <- first + n;
+  let ids = List.init n (fun i -> Node_id.of_int (first + i)) in
+  List.iter (Netsim.Fabric.add_node host.fabric) ids;
+  ids
+
+(* The engine has one post hook: the host installs it with its first
+   checker and steps every registered checker from it. *)
+let register_checker host c =
+  (match host.checkers with
+  | [] ->
+      Des.Engine.set_post_hook host.engine
+        (Some (fun () -> List.iter Check.step host.checkers))
+  | _ :: _ -> ());
+  host.checkers <- host.checkers @ [ c ]
+
+type t = {
+  host : host;
   trace : Raft.Probe.t Des.Mtrace.t;
   members : member Node_id.Table.t;
   mutable ids : Node_id.t list;  (* live membership, in join order *)
@@ -27,14 +57,8 @@ type t = {
   (* Creation parameters, kept so [add_server] can build members later. *)
   costs : Raft.Cost_model.t option;
   cores : float;
+  conditions : Netsim.Conditions.t option;
   config : Raft.Config.t;
-  scope : string;  (* metrics-scope prefix, e.g. "g3/" under multiraft *)
-  owns_infra : bool;
-      (* false when engine/fabric are shared with other clusters: the
-         host (the multiraft manager) owns the post hook, the recorder
-         attachment and the infra metrics collection *)
-  mutable next_id : int;  (* next fresh id for [add_server] *)
-  mutable collected : bool;  (* [collect_metrics] already ran *)
   mutable read_seq : int;  (* sequence numbers for internal read clients *)
 }
 
@@ -145,8 +169,7 @@ let make_member ~engine ~fabric ~trace ~costs ~cores ~telemetry ~forensics
 
 let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
     ?(telemetry = Telemetry.Metrics.noop) ?forensics
-    ?(recorder = Telemetry.Recorder.noop) ?(scope = "") ?shared ~n ~config ()
-    =
+    ?(recorder = Telemetry.Recorder.noop) ?(scope = "") ?host ~n ~config () =
   if n <= 0 then invalid_arg "Cluster.create: n must be positive";
   (* A checked cluster records the probe stream by default: the ring's
      tail is what a violation report shows. *)
@@ -159,33 +182,23 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
         in
         Raft.Forensics.create ~enabled ()
   in
-  let owns_infra = match shared with None -> true | Some _ -> false in
-  let engine, fabric, first_id =
-    match shared with
-    | None ->
-        let engine = Des.Engine.create ?seed () in
-        (engine, Netsim.Fabric.create engine, 0)
-    | Some s -> (s.sh_engine, s.sh_fabric, s.sh_first_id)
-  in
+  let host = match host with Some h -> h | None -> create_host ?seed () in
+  let engine = host.engine and fabric = host.fabric in
   let trace = Des.Mtrace.create engine in
-  let ids = List.init n (fun i -> Node_id.of_int (first_id + i)) in
-  List.iter (Netsim.Fabric.add_node fabric) ids;
+  let ids = take_ids host n in
+  (* Conditions go on this cluster's own directed pairs only: the
+     fabric's default stays ideal, so no other cluster on the host is
+     touched.  [spawn_joiner] extends them to each joiner's pairs. *)
   (match conditions with
-  | Some c -> (
-      match shared with
-      | None -> Netsim.Fabric.set_uniform_conditions fabric c
-      | Some _ ->
-          (* Uniform conditions would eagerly touch every registered
-             pair on the shared fabric (other groups' links included);
-             restrict them to this group's own directed pairs. *)
+  | Some c ->
+      List.iter
+        (fun src ->
           List.iter
-            (fun a ->
-              List.iter
-                (fun b ->
-                  if not (Node_id.equal a b) then
-                    Netsim.Fabric.set_pair_conditions fabric a b c)
-                ids)
+            (fun dst ->
+              if not (Node_id.equal src dst) then
+                Netsim.Fabric.set_conditions fabric ~src ~dst c)
             ids)
+        ids
   | None -> ());
   let members = Node_id.Table.create n in
   let pool = Raft.Rpc.Pool.create () in
@@ -218,13 +231,13 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
   let checker =
     match check with
     | Check.Off -> None
-    | Check.Always as mode ->
+    | Check.Always ->
         let views =
           List.map
             (fun id -> Check.view_of_node (Node_id.Table.find members id).node)
             ids
         in
-        let c = Check.create ~mode ~nodes:views () in
+        let c = Check.create ~nodes:views () in
         Check.observe_trace c trace;
         (* The flight recorder: when a violation fires, its report carries
            the tail of the forensics ring and the recorder's last ticks —
@@ -232,72 +245,63 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
         Check.set_flight_recorder c (fun () ->
             Raft.Forensics.tail forensics 50
             @ Telemetry.Recorder.window recorder 8);
-        (* The engine supports a single post hook.  A shared-infra host
-           (multiraft) owns it and steps every group's checker from one
-           combined hook; a standalone cluster installs its own. *)
-        if owns_infra then
-          Des.Engine.set_post_hook engine (Some (fun () -> Check.step c));
+        register_checker host c;
         Some c
   in
-  if owns_infra then
-    Telemetry.Recorder.attach recorder engine (fun () ->
-        Telemetry.Metrics.snapshot telemetry);
+  Telemetry.Recorder.attach recorder engine (fun () ->
+      Telemetry.Metrics.snapshot telemetry);
   attach_probe_counters ~scope telemetry trace;
   {
-    engine;
-    fabric;
-    trace;
-    members;
-    ids;
-    roster = roster_of ~members ~ids;
-    pool;
-    checker;
-    digest;
-    telemetry;
-    forensics;
-    costs;
-    cores;
-    config;
-    scope;
-    owns_infra;
-    next_id = first_id + n;
-    collected = false;
-    read_seq = 0;
-  }
+      host;
+      trace;
+      members;
+      ids;
+      roster = roster_of ~members ~ids;
+      pool;
+      checker;
+      digest;
+      telemetry;
+      forensics;
+      costs;
+      cores;
+      conditions;
+      config;
+      read_seq = 0;
+    }
 
-let engine t = t.engine
-let fabric t = t.fabric
+let engine t = t.host.engine
+let fabric t = t.host.fabric
 let trace t = t.trace
 let checker t = t.checker
 let forensics t = t.forensics
 
-(* Fold the pull-style sources (engine, fabric, links) into the registry.
-   Exposed standalone so a multiraft host sharing one engine/fabric
-   across clusters can collect the infra statistics exactly once. *)
-let collect_infra ~scope ~telemetry ~engine ~fabric =
-  if Telemetry.Metrics.enabled telemetry then begin
-    let m = telemetry in
-    let add sc name v =
+(* Fold the pull-style sources (engine, fabric, links) into the
+   registry, once per host: the counters are cumulative, so a second
+   fold would double them. *)
+let collect_metrics t =
+  let host = t.host in
+  if (not host.collected) && Telemetry.Metrics.enabled t.telemetry then begin
+    host.collected <- true;
+    let m = t.telemetry in
+    let add scope name v =
       Telemetry.Metrics.Counter.add
-        (Telemetry.Metrics.counter m ~scope:(scope ^ sc) ~name ())
+        (Telemetry.Metrics.counter m ~scope ~name ())
         v
     in
-    let es = Des.Engine.stats engine in
+    let es = Des.Engine.stats host.engine in
     add "des" "events_processed" es.Des.Engine.processed;
     add "des" "events_pending" es.Des.Engine.pending;
     add "des" "timers_cancelled" es.Des.Engine.cancelled;
     add "des" "heap_compactions" es.Des.Engine.compactions;
     Telemetry.Metrics.Gauge.set_max
-      (Telemetry.Metrics.gauge m ~scope:(scope ^ "des") ~name:"heap_high_water"
-         ())
+      (Telemetry.Metrics.gauge m ~scope:"des" ~name:"heap_high_water" ())
       (float_of_int es.Des.Engine.heap_high_water);
     add "des" "wheel_cascades" es.Des.Engine.cascades;
     add "des" "wheel_cancelled_in_place" es.Des.Engine.cancelled_in_place;
     Telemetry.Metrics.Gauge.set_max
-      (Telemetry.Metrics.gauge m ~scope:(scope ^ "des")
-         ~name:"wheel_high_water" ())
+      (Telemetry.Metrics.gauge m ~scope:"des" ~name:"wheel_high_water" ())
       (float_of_int es.Des.Engine.wheel_high_water);
-    let fc = Netsim.Fabric.counters fabric in
+    let fc = Netsim.Fabric.counters host.fabric in
     add "net" "sent" fc.Netsim.Fabric.sent;
     add "net" "delivered" fc.Netsim.Fabric.delivered;
     add "net" "lost" fc.Netsim.Fabric.lost;
@@ -308,8 +312,7 @@ let collect_infra ~scope ~telemetry ~engine ~fabric =
         let node = Printf.sprintf "n%d->n%d" src dst in
         let add name v =
           Telemetry.Metrics.Counter.add
-            (Telemetry.Metrics.counter m ~scope:(scope ^ "link") ~name ~node
-               ())
+            (Telemetry.Metrics.counter m ~scope:"link" ~name ~node ())
             v
         in
         add "sent" lc.Netsim.Link.sent;
@@ -317,29 +320,18 @@ let collect_infra ~scope ~telemetry ~engine ~fabric =
         add "lost" lc.Netsim.Link.lost;
         add "duplicated" lc.Netsim.Link.duplicated;
         add "retransmissions" lc.Netsim.Link.retransmissions)
-      (Netsim.Fabric.link_counters fabric);
+      (Netsim.Fabric.link_counters host.fabric);
     (* High-water egress depth per directed link; only links that ever
        queued (a serialization delay was configured) appear. *)
     List.iter
       (fun ((src, dst), depth) ->
         let node = Printf.sprintf "n%d->n%d" src dst in
         Telemetry.Metrics.Gauge.set_max
-          (Telemetry.Metrics.gauge m ~scope:(scope ^ "fabric")
-             ~name:"queue_depth" ~node ())
+          (Telemetry.Metrics.gauge m ~scope:"fabric" ~name:"queue_depth" ~node
+             ())
           (float_of_int depth))
-      (Netsim.Fabric.link_queue_depths fabric)
+      (Netsim.Fabric.link_queue_depths host.fabric)
   end
-
-(* Idempotent per cluster; a shared-infra cluster leaves the (global)
-   engine/fabric statistics to its host. *)
-let collect_metrics t =
-  if t.owns_infra && not t.collected then begin
-    t.collected <- true;
-    collect_infra ~scope:t.scope ~telemetry:t.telemetry ~engine:t.engine
-      ~fabric:t.fabric
-  end
-
-let collect_infra_metrics = collect_infra ~scope:""
 
 let trace_digest t = Check.Digest.value t.digest
 
@@ -388,11 +380,11 @@ let leader t =
   done;
   !best
 
-let run_for t span = Des.Engine.run_for t.engine span
-let now t = Des.Engine.now t.engine
+let run_for t span = Des.Engine.run_for t.host.engine span
+let now t = Des.Engine.now t.host.engine
 
 let await t ~timeout cond =
-  Des.Engine.await t.engine ~slice:(Des.Time.ms 1) ~timeout cond
+  Des.Engine.await t.host.engine ~slice:(Des.Time.ms 1) ~timeout cond
 
 let await_leader t ~timeout =
   if await t ~timeout (fun () -> Option.is_some (leader t)) then leader t
@@ -408,10 +400,10 @@ let boot ?(timeout = Des.Time.sec 30) t ~label =
            timeout)
 
 let set_pair_conditions t a b c =
-  Netsim.Fabric.set_pair_conditions t.fabric a b c
+  Netsim.Fabric.set_pair_conditions t.host.fabric a b c
 
-let partition t groups = Netsim.Fabric.partition t.fabric groups
-let heal_partition t = Netsim.Fabric.heal_partition t.fabric
+let partition t groups = Netsim.Fabric.partition t.host.fabric groups
+let heal_partition t = Netsim.Fabric.heal_partition t.host.fabric
 
 let submit_target t ~payload ~client_id ~seq ~on_result =
   match leader t with
@@ -455,15 +447,19 @@ let reconfigure t change =
   | Some l -> Raft.Node.reconfigure l change
 
 let spawn_joiner t =
-  let id = Node_id.of_int t.next_id in
-  t.next_id <- t.next_id + 1;
-  Netsim.Fabric.add_node t.fabric id;
+  let id = List.hd (take_ids t.host 1) in
   let m =
-    make_member ~engine:t.engine ~fabric:t.fabric ~trace:t.trace
-      ~costs:t.costs ~cores:t.cores
-      ~telemetry:t.telemetry ~forensics:t.forensics ~config:t.config
-      ~joining:true ~pool:t.pool ~id ~peers:t.ids
+    make_member ~engine:t.host.engine ~fabric:t.host.fabric ~trace:t.trace
+      ~costs:t.costs ~cores:t.cores ~telemetry:t.telemetry
+      ~forensics:t.forensics ~config:t.config ~joining:true ~pool:t.pool ~id
+      ~peers:t.ids
   in
+  (match t.conditions with
+  | Some c ->
+      List.iter
+        (fun peer -> Netsim.Fabric.set_pair_conditions t.host.fabric id peer c)
+        t.ids
+  | None -> ());
   Node_id.Table.add t.members id m;
   t.ids <- t.ids @ [ id ];
   t.roster <- roster_of ~members:t.members ~ids:t.ids;
@@ -482,7 +478,7 @@ let remove_server t id = reconfigure t (Raft.Log.Remove id)
 let retire t id =
   let m = member t id in
   if not (Raft.Node.is_paused m.node) then Raft.Node.pause m.node;
-  Netsim.Fabric.remove_node t.fabric id;
+  Netsim.Fabric.remove_node t.host.fabric id;
   t.ids <- List.filter (fun i -> not (Node_id.equal i id)) t.ids;
   t.roster <- roster_of ~members:t.members ~ids:t.ids
 

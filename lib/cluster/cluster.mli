@@ -1,24 +1,22 @@
 (** A complete simulated key-value service cluster.
 
-    Bundles the engine, fabric, trace, n Raft nodes (each applying to its
-    own KV store replica) and optional CPU modelling — the unit every
-    experiment manipulates. *)
+    Bundles a trace, n Raft nodes (each applying to its own KV store
+    replica) and optional CPU modelling on a {!host}'s engine and fabric
+    — the unit every experiment manipulates. *)
 
 type t
 
-type shared = {
-  sh_engine : Des.Engine.t;
-  sh_fabric : Raft.Rpc.message Netsim.Fabric.t;
-  sh_first_id : int;
-}
-(** Pre-existing infrastructure to build a cluster on, for hosts (the
-    multiraft group manager) that run many clusters on one DES clock and
-    one fabric.  [sh_first_id] is the first fabric node id this cluster
-    owns; it takes ids [sh_first_id .. sh_first_id + n - 1].  A cluster
-    built on shared infrastructure does {b not} install the engine post
-    hook (the host steps all checkers from one combined hook), does not
-    attach the recorder, and leaves engine/fabric statistics collection
-    to the host (see {!collect_infra_metrics}). *)
+type host
+(** The infrastructure clusters run on: one engine, one fabric, the next
+    free fabric node id, the checkers stepped after every event and
+    whether the engine/fabric statistics were collected.  A standalone
+    cluster has a private host; the multiraft group manager builds one
+    host and runs every group on it.  A cluster owns everything else:
+    its ids, their links' conditions, its trace, digest, checker and
+    members. *)
+
+val create_host : ?seed:int64 -> unit -> host
+(** A fresh engine (seeded with [seed]) and fabric; ids start at 0. *)
 
 val create :
   ?seed:int64 ->
@@ -30,22 +28,25 @@ val create :
   ?forensics:Raft.Forensics.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?scope:string ->
-  ?shared:shared ->
+  ?host:host ->
   n:int ->
   config:Raft.Config.t ->
   unit ->
   t
-(** An [n]-server cluster where every server runs [config].  [conditions]
-    (default: ideal links) applies to every directed link; per-pair
+(** An [n]-server cluster where every server runs [config], on [host]
+    (default: a private one made from [seed]; [seed] is ignored when a
+    host is given).  The servers take the host's next [n] ids.
+    [conditions] (default: ideal links) applies to every directed pair
+    among them, and to each pair {!spawn_joiner} adds later; per-pair
     overrides can be set afterwards.  When [costs] is given, each node
     gets a CPU with [cores] (default 4., matching the paper's container
     allocation).
 
-    [check] (default {!Check.Off}) runs the online safety-invariant
-    checker after every delivered simulation event, on the cadence
-    {!Check.Always} describes; a broken invariant raises
-    {!Check.Violation} out of whatever [run_for] / [await_leader] call
-    delivered the event.
+    [check] (default {!Check.Off}) builds the online safety-invariant
+    checker, which the host steps after every delivered simulation
+    event, on the cadence {!Check.Always} describes; a broken invariant
+    raises {!Check.Violation} out of whatever [run_for] / [await_leader]
+    call delivered the event.
 
     [telemetry] (default {!Telemetry.Metrics.noop}) is handed to every
     node (append metrics, tuner-decision probes) and fed per-node
@@ -62,11 +63,9 @@ val create :
     flight-recorder dump in {!Check.violation.flight}: the ring's last
     50 records and the recorder's last 8 ticks.
 
-    [scope] (default [""]) prefixes every metrics scope this cluster
-    registers (["raft"] → ["g3/raft"]), so N clusters sharing one
-    registry merge without clobbering each other.  [shared] (default:
-    none) builds the cluster on a host-owned engine and fabric instead
-    of creating its own; [seed] is ignored in that case. *)
+    [scope] (default [""]) prefixes the protocol-counter scope this
+    cluster registers (["raft"] → ["g3/raft"]), so N clusters sharing
+    one registry merge without clobbering each other. *)
 
 val engine : t -> Des.Engine.t
 val fabric : t -> Raft.Rpc.message Netsim.Fabric.t
@@ -80,23 +79,13 @@ val checker : t -> Check.t option
     than {!Check.Off}. *)
 
 val collect_metrics : t -> unit
-(** Fold the cumulative engine, fabric and per-link statistics into the
-    telemetry registry (scopes ["des"], ["net"], ["link"], ["fabric"],
-    each prefixed with the cluster's [scope]).  Call once, at the end of
-    the scenario, just before snapshotting; subsequent calls are no-ops.
-    No-op when telemetry is disabled, and on shared-infrastructure
-    clusters (the host collects once via {!collect_infra_metrics}). *)
-
-val collect_infra_metrics :
-  telemetry:Telemetry.Metrics.t ->
-  engine:Des.Engine.t ->
-  fabric:Raft.Rpc.message Netsim.Fabric.t ->
-  unit
-(** The engine/fabric half of {!collect_metrics}, standalone and
-    unprefixed (scopes ["des"], ["net"], ["link"], ["fabric"]): a
-    multiraft host sharing one engine and fabric across N clusters calls
-    this exactly once.  Not idempotent — the counters are cumulative, so
-    a second call would double them. *)
+(** Fold the cumulative engine, fabric and per-link statistics of the
+    cluster's host into its telemetry registry (scopes ["des"], ["net"],
+    ["link"], ["fabric"], unprefixed: they belong to the host, not to one
+    cluster).  Call at the end of the scenario, just before
+    snapshotting.  Runs once per host: later calls, through this cluster
+    or another on the same host, are no-ops, since a second fold would
+    double the counters.  No-op when telemetry is disabled. *)
 
 val check_now : t -> unit
 (** Run the checker's full battery immediately (final verdict at the end
@@ -145,7 +134,9 @@ val set_pair_conditions :
 
 val partition : t -> Netsim.Node_id.t list list -> unit
 (** Network-partition the cluster into groups (see
-    {!Netsim.Fabric.partition}). *)
+    {!Netsim.Fabric.partition}).  The fabric keeps one partition: on a
+    shared host this replaces another cluster's, and {!heal_partition}
+    heals every cluster's. *)
 
 val heal_partition : t -> unit
 
@@ -176,10 +167,11 @@ val reconfigure : t -> Raft.Log.change -> Raft.Server.reconfigure_result
 (** Submit a membership change to the current leader. *)
 
 val spawn_joiner : t -> Netsim.Node_id.t
-(** Create, register and start a fresh node (next unused id) outside the
-    configuration; it joins once a leader's [Add_learner] entry names
-    it.  Links to it are created lazily with the fabric's current
-    default conditions — set per-pair overrides afterwards. *)
+(** Create, register and start a fresh node (the host's next id) outside
+    the configuration; it joins once a leader's [Add_learner] entry
+    names it.  When [create] was given [conditions], its links to every
+    current node are made now under them; set per-pair overrides
+    afterwards. *)
 
 val add_server : t -> Netsim.Node_id.t * Raft.Server.reconfigure_result
 (** [spawn_joiner] plus an [Add_learner] submitted to the leader. *)

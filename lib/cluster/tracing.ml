@@ -174,7 +174,20 @@ let finish t =
       (fun id -> close_reconfig_span t t.catchup_spans ~at id "catch-up")
       (keys t.catchup_spans);
     (* Fabric- and link-level tallies as counter tracks, so the trace
-       shows where messages were dropped alongside the election spans. *)
+       shows where messages were dropped alongside the election spans.
+       Link tracks cover this cluster's own pairs: a fabric shared with
+       other clusters lists theirs too. *)
+    let own = Node_id.Table.create 8 in
+    List.iter
+      (fun id -> Node_id.Table.replace own id ())
+      (Cluster.node_ids t.cluster);
+    let own_pairs pairs =
+      List.filter
+        (fun ((src, dst), _) ->
+          Node_id.Table.mem own (Node_id.of_int src)
+          && Node_id.Table.mem own (Node_id.of_int dst))
+        pairs
+    in
     let fc = Netsim.Fabric.counters (Cluster.fabric t.cluster) in
     Chrome.counter t.sink ~name:"fabric" ~pid:t.pid ~tid:0 ~at
       ~values:
@@ -199,7 +212,7 @@ let finish t =
               ("retransmissions", float_of_int lc.Netsim.Link.retransmissions);
             ]
           ())
-      (Netsim.Fabric.link_counters (Cluster.fabric t.cluster));
+      (own_pairs (Netsim.Fabric.link_counters (Cluster.fabric t.cluster)));
     (* Replication-engine tallies: the high-water egress queue depth per
        link (only links that ever queued appear) and each node's
        append window occupancy at trace end. *)
@@ -210,7 +223,7 @@ let finish t =
           ~pid:t.pid ~tid:0 ~at
           ~values:[ ("queue_depth_hw", float_of_int depth) ]
           ())
-      (Netsim.Fabric.link_queue_depths (Cluster.fabric t.cluster));
+      (own_pairs (Netsim.Fabric.link_queue_depths (Cluster.fabric t.cluster)));
     Chrome.counter t.sink ~name:"appends_inflight" ~pid:t.pid ~tid:0 ~at
       ~values:
         (List.map

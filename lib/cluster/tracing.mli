@@ -21,6 +21,8 @@ val attach : ?pid:int -> ?name:string -> Cluster.t -> Telemetry.Chrome_trace.t -
 
 val finish : t -> unit
 (** Close any still-open role spans at the cluster's current virtual
-    time and append fabric-wide and per-link counter samples (sent /
-    lost / duplicated / retransmissions).  Call once, after the run;
+    time and append fabric-wide counter samples and, for each directed
+    link between two of the cluster's nodes, per-link ones (sent / lost /
+    duplicated / retransmissions, egress high water): clusters sharing a
+    fabric each list only their own links.  Call once, after the run;
     further probes are then ignored.  Idempotent. *)

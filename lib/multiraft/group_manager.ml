@@ -1,24 +1,19 @@
 (* N independent Raft groups on one DES clock and one fabric.
 
    Each group is a full Harness.Cluster (its own servers, stores, tuners,
-   trace, digest and checker) built on shared infrastructure: the
-   manager owns the engine, the fabric, the single engine post hook
-   (stepping every group's checker) and the one-shot infra metrics
-   collection — exactly the pieces
-   [Cluster.create ~shared] declines.  Fabric node ids are the group
-   tag: group [g] owns ids [g * replicas .. (g + 1) * replicas - 1], so
-   RPC routing through [Raft.Replication.transmit] needs no extra
-   envelope and [group_of_node] is one division. *)
+   trace, digest and checker) built on one Cluster.host, which steps
+   every group's checker and collects the engine/fabric statistics once.
+   Fabric node ids are the group tag: the host hands out ids in order,
+   so group [g] owns ids [g * replicas .. (g + 1) * replicas - 1], RPC
+   routing through [Raft.Replication.transmit] needs no extra envelope
+   and [group_of_node] is one division. *)
 
 module Node_id = Netsim.Node_id
 
 type t = {
-  engine : Des.Engine.t;
-  fabric : Raft.Rpc.message Netsim.Fabric.t;
   groups : Harness.Cluster.t array;
   replicas : int;
   telemetry : Telemetry.Metrics.t;
-  mutable collected : bool;
 }
 
 let scope_of_group g = Printf.sprintf "g%d/" g
@@ -30,30 +25,12 @@ let create ?seed ?conditions ?(check = Check.Off)
     invalid_arg "Group_manager.create: groups must be positive";
   if replicas <= 0 then
     invalid_arg "Group_manager.create: replicas must be positive";
-  let engine = Des.Engine.create ?seed () in
-  let fabric = Netsim.Fabric.create engine in
+  let host = Harness.Cluster.create_host ?seed () in
   let clusters =
     Array.init groups (fun g ->
-        Harness.Cluster.create ?conditions ~check
-          ~telemetry ~scope:(scope_of_group g)
-          ~shared:
-            {
-              Harness.Cluster.sh_engine = engine;
-              sh_fabric = fabric;
-              sh_first_id = g * replicas;
-            }
-          ~n:replicas ~config ())
+        Harness.Cluster.create ?conditions ~check ~telemetry
+          ~scope:(scope_of_group g) ~host ~n:replicas ~config ())
   in
-  (* The engine supports one post hook; step every group's checker from
-     it, in group order. *)
-  let checkers =
-    Array.to_list clusters |> List.filter_map Harness.Cluster.checker
-  in
-  (match checkers with
-  | [] -> ()
-  | _ :: _ ->
-      Des.Engine.set_post_hook engine
-        (Some (fun () -> List.iter Check.step checkers)));
   if Telemetry.Metrics.enabled telemetry then begin
     Telemetry.Metrics.Gauge.set
       (Telemetry.Metrics.gauge telemetry ~scope:"multiraft" ~name:"groups" ())
@@ -63,17 +40,10 @@ let create ?seed ?conditions ?(check = Check.Off)
          ())
       (float_of_int replicas)
   end;
-  {
-    engine;
-    fabric;
-    groups = clusters;
-    replicas;
-    telemetry;
-    collected = false;
-  }
+  { groups = clusters; replicas; telemetry }
 
-let engine t = t.engine
-let fabric t = t.fabric
+let engine t = Harness.Cluster.engine t.groups.(0)
+let fabric t = Harness.Cluster.fabric t.groups.(0)
 let telemetry t = t.telemetry
 let group_count t = Array.length t.groups
 let replicas t = t.replicas
@@ -96,7 +66,7 @@ let group_of_node t id =
 
 let iter_groups t f = Array.iteri f t.groups
 let start t = Array.iter Harness.Cluster.start t.groups
-let run_for t span = Des.Engine.run_for t.engine span
+let run_for t span = Harness.Cluster.run_for t.groups.(0) span
 
 let leaderless t =
   let n = ref 0 in
@@ -106,7 +76,7 @@ let leaderless t =
   !n
 
 let await_leaders t ~timeout =
-  Des.Engine.await t.engine ~slice:(Des.Time.ms 1) ~timeout (fun () ->
+  Des.Engine.await (engine t) ~slice:(Des.Time.ms 1) ~timeout (fun () ->
       leaderless t = 0)
 
 (* How evenly leadership landed: counts by replica slot (leader id minus
@@ -130,9 +100,4 @@ let digest t =
 
 let check_now t = Array.iter Harness.Cluster.check_now t.groups
 
-let collect_metrics t =
-  if not t.collected then begin
-    t.collected <- true;
-    Harness.Cluster.collect_infra_metrics ~telemetry:t.telemetry
-      ~engine:t.engine ~fabric:t.fabric
-  end
+let collect_metrics t = Harness.Cluster.collect_metrics t.groups.(0)

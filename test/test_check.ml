@@ -161,7 +161,7 @@ let view f : Check.node_view =
   }
 
 let checker_for fakes =
-  Check.create ~mode:Check.Always ~nodes:(List.map view fakes) ()
+  Check.create ~nodes:(List.map view fakes) ()
 
 (* [stage] puts the fakes in a healthy state (already done by the
    caller), a first pass records baselines, [break] stages the
@@ -339,14 +339,10 @@ let test_crash_recovery_not_flagged () =
         v.Check.invariant
 
 let test_off_mode_is_inert () =
-  let a = fake (List.hd two_ids) in
-  a.term <- 5;
-  let t = Check.create ~mode:Check.Off ~nodes:[ view a ] () in
-  Check.step t;
-  a.term <- 1;
-  (* a blatant violation, but mode Off never looks *)
-  Check.check_now t;
-  Alcotest.(check int) "no checks ran" 0 (Check.checks_run t)
+  let c =
+    Cluster.create ~check:Check.Off ~n:3 ~config:(Raft.Config.static ()) ()
+  in
+  Alcotest.(check bool) "no checker built" true (Option.is_none (Cluster.checker c))
 
 (* {1 Live clusters} *)
 

@@ -538,11 +538,7 @@ let test_violation_carries_flight_dump () =
   let ids = Netsim.Node_id.range 2 in
   let a = Test_check.fake (List.nth ids 0)
   and b = Test_check.fake (List.nth ids 1) in
-  let t =
-    Check.create ~mode:Check.Always
-      ~nodes:(List.map Test_check.view [ a; b ])
-      ()
-  in
+  let t = Check.create ~nodes:(List.map Test_check.view [ a; b ]) () in
   let ring = Forensics.create () in
   record_n ring 2;
   Check.set_flight_recorder t (fun () -> Forensics.tail ring 4);
@@ -570,11 +566,7 @@ let test_violation_default_flight_empty () =
   let ids = Netsim.Node_id.range 2 in
   let a = Test_check.fake (List.nth ids 0)
   and b = Test_check.fake (List.nth ids 1) in
-  let t =
-    Check.create ~mode:Check.Always
-      ~nodes:(List.map Test_check.view [ a; b ])
-      ()
-  in
+  let t = Check.create ~nodes:(List.map Test_check.view [ a; b ]) () in
   Check.check_now t;
   a.Test_check.role <- Raft.Types.Leader;
   a.Test_check.term <- 3;

@@ -522,7 +522,7 @@ let fixture_view ?(role = Raft.Types.Follower) ?(voters = [ nid 0; nid 1 ])
   }
 
 let expect_violation ~invariant nodes =
-  let t = Check.create ~mode:Check.Always ~nodes () in
+  let t = Check.create ~nodes () in
   match Check.check_now t with
   | () -> Alcotest.failf "checker missed a %s violation" invariant
   | exception Check.Violation v ->
@@ -567,7 +567,7 @@ let test_checker_accepts_valid_history () =
     ]
   in
   let t =
-    Check.create ~mode:Check.Always
+    Check.create
       ~nodes:
         [
           fixture_view ~entries ~commit:3 (nid 0);
