@@ -11,8 +11,7 @@ type host = {
   mutable collected : bool;  (* [collect_metrics] already ran *)
 }
 
-let create_host ?seed () =
-  let engine = Des.Engine.create ?seed () in
+let create_host engine =
   {
     engine;
     fabric = Netsim.Fabric.create engine;
@@ -182,7 +181,11 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
         in
         Raft.Forensics.create ~enabled ()
   in
-  let host = match host with Some h -> h | None -> create_host ?seed () in
+  let host =
+    match host with
+    | Some h -> h
+    | None -> create_host (Des.Engine.create ?seed ())
+  in
   let engine = host.engine and fabric = host.fabric in
   let trace = Des.Mtrace.create engine in
   let ids = take_ids host n in

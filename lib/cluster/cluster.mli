@@ -15,8 +15,8 @@ type host
     its ids, their links' conditions, its trace, digest, checker and
     members. *)
 
-val create_host : ?seed:int64 -> unit -> host
-(** A fresh engine (seeded with [seed]) and fabric; ids start at 0. *)
+val create_host : Des.Engine.t -> host
+(** A host on [engine], with a fresh fabric; its ids start at 0. *)
 
 val create :
   ?seed:int64 ->

@@ -6,11 +6,11 @@ type t = {
   arrival_probability : float;
   min_list_size : int;
   max_list_size : int;
-  max_election_timeout : Des.Time.span;
-  min_heartbeat_interval : Des.Time.span;
 }
 
 let min_election_timeout = Des.Time.ms 10
+let max_election_timeout = Des.Time.ms 5000
+let min_heartbeat_interval = Des.Time.ms 1
 
 let default =
   {
@@ -19,8 +19,6 @@ let default =
     arrival_probability = 0.999;
     min_list_size = 20;
     max_list_size = 100;
-    max_election_timeout = Des.Time.ms 5000;
-    min_heartbeat_interval = Des.Time.ms 1;
   }
 
 let validate t =
@@ -36,8 +34,4 @@ let validate t =
   else if t.min_list_size < 2 then err "min_list_size must be at least 2"
   else if t.max_list_size < t.min_list_size then
     err "max_list_size must be >= min_list_size"
-  else if t.max_election_timeout < min_election_timeout then
-    err "max_election_timeout must be >= min_election_timeout"
-  else if t.min_heartbeat_interval <= 0 then
-    err "min_heartbeat_interval must be positive"
   else Ok t

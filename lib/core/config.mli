@@ -2,12 +2,13 @@
 
     These are the four knobs the paper exposes as runtime arguments —
     safety factor [s], arrival probability [x], and the two list-size
-    bounds — plus the safety clamps that keep a mis-measured path from
-    driving the timers to degenerate values.  The base (fallback)
-    election parameters the tuner starts from and falls back to are not
-    here: they are [Raft.Config]'s [election_timeout] and
-    [heartbeat_interval], in every mode, and {!Tuner.create} and
-    {!Leader_path.create} take them as arguments. *)
+    bounds — plus the choice of RTT estimator.  The safety clamps that
+    keep a mis-measured path from driving the timers to degenerate
+    values are constants.  The base (fallback) election parameters the
+    tuner starts from and falls back to are not here: they are
+    [Raft.Config]'s [election_timeout] and [heartbeat_interval], in every
+    mode, and {!Tuner.create} and {!Leader_path.create} take them as
+    arguments. *)
 
 type estimator =
   | Sliding_window
@@ -34,23 +35,23 @@ type t = {
   max_list_size : int;
       (** Sample windows evict their oldest entry beyond this size.  Paper
           default: 100. *)
-  max_election_timeout : Des.Time.span;
-      (** Upper clamp on tuned [Et]; the conservative default is the
-          natural ceiling. *)
-  min_heartbeat_interval : Des.Time.span;
-      (** Lower clamp on tuned [h]; bounds the heartbeat rate, hence the
-          leader's resource consumption. *)
 }
 
 val min_election_timeout : Des.Time.span
 (** Lower clamp on tuned [Et], 10 ms (guards against a zero-variance
     window on an idealized link). *)
 
+val max_election_timeout : Des.Time.span
+(** Upper clamp on tuned [Et], 5000 ms: the conservative ceiling. *)
+
+val min_heartbeat_interval : Des.Time.span
+(** Lower clamp on tuned [h], 1 ms: bounds the heartbeat rate, hence
+    the leader's resource consumption. *)
+
 val default : t
 (** The paper's experimental configuration: [s = 2], [x = 0.999],
-    [min_list_size = 20], [max_list_size = 100], clamps 5000 ms on [Et]
-    and 1 ms on [h]. *)
+    [min_list_size = 20], [max_list_size = 100]. *)
 
 val validate : t -> (t, string) result
 (** Check internal consistency (safety factor finite and non-negative,
-    list sizes ordered, probabilities in range, clamps ordered). *)
+    list sizes ordered, probabilities in range, EWMA α in (0, 1]). *)

@@ -1,13 +1,11 @@
 type t = {
-  config : Config.t;
   mutable next_id : int;
   mutable pending_rtt : Des.Time.span option;
   mutable interval : Des.Time.span;
 }
 
-let create config ~heartbeat_interval =
+let create ~heartbeat_interval =
   {
-    config;
     next_id = 0;
     pending_rtt = None;
     interval = heartbeat_interval;
@@ -30,8 +28,7 @@ let on_response t ~now ~echo_sent_at ~tuned_h =
     t.pending_rtt <- Some (Des.Time.diff now echo_sent_at);
   match tuned_h with
   | Some h ->
-      t.interval <-
-        Des.Time.max_span t.config.min_heartbeat_interval h
+      t.interval <- Des.Time.max_span Config.min_heartbeat_interval h
   | None -> ()
 
 let interval t = t.interval

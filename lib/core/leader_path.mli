@@ -14,7 +14,7 @@
 
 type t
 
-val create : Config.t -> heartbeat_interval:Des.Time.span -> t
+val create : heartbeat_interval:Des.Time.span -> t
 (** A path whose sending interval starts at the base
     [heartbeat_interval] (the Raft server's configured [h]), with no
     heartbeat sent and no RTT pending.  A leader builds a fresh path per
@@ -32,7 +32,7 @@ val on_response :
   t -> now:Des.Time.t -> echo_sent_at:Des.Time.t -> tuned_h:Des.Time.span option -> unit
 (** Process a heartbeat response: compute the RTT from the echoed send
     time and stash it for the next heartbeat; apply the follower's tuned
-    [h] (clamped below by [min_heartbeat_interval]) as the new sending
+    [h] (clamped below by {!Config.min_heartbeat_interval}) as the new sending
     interval.  Replies whose echoed timestamp is in the future (clock
     anomaly) are ignored. *)
 

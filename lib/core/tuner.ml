@@ -105,10 +105,10 @@ let retune t =
   match phase t with
   | Warming -> set t ~et:t.base_et ~k:1 ~h:t.base_h
   | Tuned ->
-      let min_h = t.config.min_heartbeat_interval in
+      let min_h = Config.min_heartbeat_interval in
       let et =
         Des.Time.clamp t.raw_et ~lo:Config.min_election_timeout
-          ~hi:t.config.max_election_timeout
+          ~hi:Config.max_election_timeout
       in
       let k =
         if t.fixed_k > 0 then t.fixed_k

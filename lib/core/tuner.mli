@@ -29,7 +29,7 @@ val create :
 
     [fixed_k] selects the Fix-K baseline: [Et] is tuned as above, but
     once tuned [K] is [fixed_k] whatever the loss rate, with no
-    [Et / min_heartbeat_interval] cap, and
+    [Et / {!Config.min_heartbeat_interval}] cap, and
     [h = max min_heartbeat_interval (Et / fixed_k)].
 
     Raises [Invalid_argument] if the base [Et] or [h] or [fixed_k] is not
@@ -45,11 +45,13 @@ val observe_heartbeat : t -> hb_id:int -> rtt:Des.Time.span option -> unit
     are ignored. *)
 
 val election_timeout : t -> Des.Time.span
-(** Current [Et]: the tuned value clamped to the configured range when
-    [Tuned], the base otherwise. *)
+(** Current [Et]: the tuned value clamped to
+    [[{!Config.min_election_timeout}, {!Config.max_election_timeout}]]
+    when [Tuned], the base otherwise. *)
 
 val heartbeat_interval : t -> Des.Time.span
-(** Current [h = Et / K], clamped below by [min_heartbeat_interval];
+(** Current [h = Et / K], clamped below by
+    {!Config.min_heartbeat_interval};
     the base interval while [Warming]. *)
 
 val required_heartbeats : t -> int

@@ -25,7 +25,7 @@ let create ?seed ?conditions ?(check = Check.Off)
     invalid_arg "Group_manager.create: groups must be positive";
   if replicas <= 0 then
     invalid_arg "Group_manager.create: replicas must be positive";
-  let host = Harness.Cluster.create_host ?seed () in
+  let host = Harness.Cluster.create_host (Des.Engine.create ?seed ()) in
   let clusters =
     Array.init groups (fun g ->
         Harness.Cluster.create ?conditions ~check ~telemetry

@@ -2,17 +2,22 @@
     fabric.
 
     Each group is a complete {!Harness.Cluster} (servers, KV replicas,
-    tuners, trace, digest, optional checker) built on the manager's
-    shared infrastructure; the manager owns the singleton pieces a
-    shared cluster declines: the engine post hook (one combined hook
-    steps every group's checker, in group order) and the one-shot
-    engine/fabric metrics collection.
+    tuners, trace, digest, optional checker), and all of them are built
+    on one {!Harness.Cluster.host}: the host steps every group's checker,
+    in group order, and collects the engine/fabric statistics once.
 
-    Fabric node ids double as the group tag: group [g] owns ids
-    [g * replicas .. (g + 1) * replicas - 1], so every RPC routed
-    through {!Raft.Replication.transmit} is implicitly group-addressed
-    and {!group_of_node} is a single division — no envelope type, no
-    demux table.
+    Fabric node ids double as the group tag: the host hands ids out in
+    creation order, so group [g] owns ids
+    [g * replicas .. (g + 1) * replicas - 1], every RPC routed through
+    {!Raft.Replication.transmit} is implicitly group-addressed and
+    {!group_of_node} is a single division — no envelope type, no demux
+    table.  A server added to a group later ({!Harness.Cluster.add_server})
+    takes the host's next id, past every group's range, which
+    {!group_of_node} does not map.
+
+    The groups share the fabric's one partition table:
+    {!Harness.Cluster.partition} on one group replaces any other group's
+    partition, and {!Harness.Cluster.heal_partition} heals every group's.
 
     Metrics scopes are prefixed ["g<g>/"] per group (["g3/raft"]), so N
     groups share one {!Telemetry.Metrics.t} without clobbering; the
@@ -31,11 +36,12 @@ val create :
   config:Raft.Config.t ->
   unit ->
   t
-(** [groups] clusters of [replicas] servers each, every server running
-    [config] without a CPU cost model.  [conditions] applies to each group's internal links
-    (groups never talk to each other, so cross-group pairs are never
-    touched).  [check] creates one checker per group; all are stepped
-    from the single engine post hook.  Raises [Invalid_argument] unless
+(** [groups] clusters of [replicas] servers each on one host made from
+    [seed], every server running [config] without a CPU cost model.
+    [conditions] applies to each group's internal links (groups never
+    talk to each other, so cross-group pairs are never touched).
+    [check] creates one checker per group; the host steps them all from
+    the engine's one post hook.  Raises [Invalid_argument] unless
     [groups] and [replicas] are positive. *)
 
 val engine : t -> Des.Engine.t
@@ -85,7 +91,8 @@ val check_now : t -> unit
     {!Check.Violation}. *)
 
 val collect_metrics : t -> unit
-(** Fold the shared engine/fabric statistics into the registry, once
-    (scopes ["des"], ["net"], ["link"], ["fabric"] — unprefixed: the
-    infrastructure is global, unlike the per-group ["g<g>/…"] scopes).
-    Subsequent calls are no-ops. *)
+(** {!Harness.Cluster.collect_metrics} on the groups' host: fold the
+    engine/fabric statistics into the registry once (scopes ["des"],
+    ["net"], ["link"], ["fabric"] — unprefixed: the host is global,
+    unlike the per-group ["g<g>/…"] scopes).  Subsequent calls, through
+    the manager or any group, are no-ops. *)

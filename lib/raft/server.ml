@@ -593,18 +593,12 @@ let progress_of t peer =
   match t.progress.(i) with
   | Some p -> p
   | None ->
-      let cfg =
-        match t.config.Config.tuning with
-        | Config.Dynatune cfg | Config.Fix_k { cfg; _ } -> cfg
-        | Config.Static ->
-            (* Static mode still stamps measurement metadata (followers
-               simply ignore it), so every follower has a path. *)
-            Dynatune.Config.default
-      in
+      (* Static mode still stamps measurement metadata (followers
+         simply ignore it), so every follower has a path. *)
       let p =
         Progress.create ~last_index:(Log.last_index t.log)
           ~path:
-            (Dynatune.Leader_path.create cfg
+            (Dynatune.Leader_path.create
                ~heartbeat_interval:t.config.Config.heartbeat_interval)
       in
       t.progress.(i) <- Some p;

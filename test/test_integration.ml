@@ -251,8 +251,7 @@ let test_fix_k_mode_tunes_et_only () =
       Alcotest.(check int) "K = 10" 10
         (Dynatune.Tuner.required_heartbeats tuner);
       Alcotest.(check int) "h = max(min_h, Et/10)"
-        (Des.Time.max_span
-           Dynatune.Config.default.Dynatune.Config.min_heartbeat_interval
+        (Des.Time.max_span Dynatune.Config.min_heartbeat_interval
            (Dynatune.Tuner.election_timeout tuner / 10))
         (Dynatune.Tuner.heartbeat_interval tuner)
 

@@ -219,7 +219,7 @@ let prop_tuner_h_bounds =
         rtts_ms;
       let h = Dynatune.Tuner.heartbeat_interval t in
       let et = Dynatune.Tuner.election_timeout t in
-      h >= tuner_cfg.Dynatune.Config.min_heartbeat_interval && h <= et)
+      h >= Dynatune.Config.min_heartbeat_interval && h <= et)
 
 let prop_tuner_et_bounds =
   Q.Test.make ~count:300 ~name:"tuned Et respects its clamps"
@@ -233,7 +233,7 @@ let prop_tuner_et_bounds =
         rtts_ms;
       let et = Dynatune.Tuner.election_timeout t in
       et >= Dynatune.Config.min_election_timeout
-      && et <= tuner_cfg.Dynatune.Config.max_election_timeout)
+      && et <= Dynatune.Config.max_election_timeout)
 
 let prop_tuner_reset_restores_defaults =
   Q.Test.make ~count:200 ~name:"reset always restores the defaults"

@@ -647,8 +647,7 @@ let test_progress_window () =
   let pr =
     P.create ~last_index:0
       ~path:
-        (Dynatune.Leader_path.create Dynatune.Config.default
-           ~heartbeat_interval:(Time.ms 100))
+        (Dynatune.Leader_path.create ~heartbeat_interval:(Time.ms 100))
   in
   (* Probing: strictly one append at a time, whatever the window. *)
   Alcotest.(check bool) "probe allowed" true (P.may_send pr ~window:4);

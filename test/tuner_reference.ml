@@ -383,7 +383,7 @@ let compute_election_timeout t =
   match (phase t, rtt_et t ~s:t.config.safety_factor) with
   | Tuned, Some et ->
       Des.Time.clamp et ~lo:Config.min_election_timeout
-        ~hi:t.config.max_election_timeout
+        ~hi:Config.max_election_timeout
   | (Warming | Tuned), _ -> t.base_et
 
 let loss_rate t = Loss_estimator.loss_rate t.loss
@@ -396,13 +396,13 @@ let compute_required_heartbeats t ~et =
       let k = required_heartbeats_for ~p ~x:t.config.arrival_probability in
       (* K beyond Et / min_h cannot be honoured; clamp so h stays above
          its floor. *)
-      let cap = Stdlib.max 1 (et / t.config.min_heartbeat_interval) in
+      let cap = Stdlib.max 1 (et / Config.min_heartbeat_interval) in
       Stdlib.min k cap
 
 let compute_heartbeat_interval t ~et ~k =
   match phase t with
   | Warming -> t.base_h
-  | Tuned -> Des.Time.max_span t.config.min_heartbeat_interval (et / k)
+  | Tuned -> Des.Time.max_span Config.min_heartbeat_interval (et / k)
 
 let refresh t =
   if t.dirty then begin
