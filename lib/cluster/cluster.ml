@@ -255,22 +255,22 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?(check = Check.Off)
       Telemetry.Metrics.snapshot telemetry);
   attach_probe_counters ~scope telemetry trace;
   {
-      host;
-      trace;
-      members;
-      ids;
-      roster = roster_of ~members ~ids;
-      pool;
-      checker;
-      digest;
-      telemetry;
-      forensics;
-      costs;
-      cores;
-      conditions;
-      config;
-      read_seq = 0;
-    }
+    host;
+    trace;
+    members;
+    ids;
+    roster = roster_of ~members ~ids;
+    pool;
+    checker;
+    digest;
+    telemetry;
+    forensics;
+    costs;
+    cores;
+    conditions;
+    config;
+    read_seq = 0;
+  }
 
 let engine t = t.host.engine
 let fabric t = t.host.fabric
