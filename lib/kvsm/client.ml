@@ -29,11 +29,17 @@ type t = {
       (* ms, in completion order, in the first [n_latencies] slots:
          unboxed, so a sample costs neither a list cell nor a float box *)
   mutable n_latencies : int;
+  mutable payloads : string array;
+      (* the Put payload of each key slot written so far, "" where none
+         is built yet; grown on demand up to [key_slots], and released
+         by [stop] *)
 }
 
-(* Every request writes a 64-byte value; a redirected one is re-sent
-   1 ms after the hint, at most 3 times. *)
+(* Every request writes a 64-byte value to one of [key_slots] keys in
+   turn; a redirected one is re-sent 1 ms after the hint, at most 3
+   times. *)
 let value = String.make 64 'v'
+let key_slots = 1024
 let max_redirects = 3
 let redirect_backoff = Des.Time.ms 1
 
@@ -47,14 +53,29 @@ let record_latency t elapsed =
   Float.Array.set t.latencies n (Des.Time.to_ms_f elapsed);
   t.n_latencies <- n + 1
 
+(* A key's payload depends only on its slot, so it is encoded once and
+   every later write of the key reuses it: the log, the wire and every
+   replica's store then share one string per key. *)
+let payload t slot =
+  while slot >= Array.length t.payloads do
+    let n = Array.length t.payloads in
+    let bigger = Array.make (Int.min key_slots (Int.max 16 (2 * n))) "" in
+    Array.blit t.payloads 0 bigger 0 n;
+    t.payloads <- bigger
+  done;
+  let p = t.payloads.(slot) in
+  if String.length p > 0 then p
+  else begin
+    let p = Command.client_put_payload ~client_id:t.client_id ~slot ~value in
+    t.payloads.(slot) <- p;
+    p
+  end
+
 let issue t =
   let seq = t.seq in
   t.seq <- seq + 1;
   t.offered <- t.offered + 1;
-  let payload =
-    Command.client_put_payload ~client_id:t.client_id ~slot:(seq mod 1024)
-      ~value
-  in
+  let payload = payload t (seq mod key_slots) in
   let sent_at = Des.Engine.now t.engine in
   let on_result ~committed =
     if committed then begin
@@ -120,6 +141,7 @@ let create ~engine ~target ~client_id ~rate ?(client_rtt = 0) ?route () =
     abandoned = 0;
     latencies = Float.Array.create 0;
     n_latencies = 0;
+    payloads = [||];
   }
 
 let start t =
@@ -128,7 +150,9 @@ let start t =
     schedule_next t
   end
 
-let stop t = t.running <- false
+let stop t =
+  t.running <- false;
+  t.payloads <- [||]
 let offered t = t.offered
 let completed t = t.completed
 let rejected t = t.rejected

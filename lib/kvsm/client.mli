@@ -28,7 +28,13 @@ val create :
   unit ->
   t
 (** A stopped client issuing [Put] requests of a 64-byte value at [rate]
-    per second with exponential inter-arrival gaps.  [client_rtt] is
+    per second with exponential inter-arrival gaps.  Write [seq] goes to
+    key slot [seq mod 1024], and a slot's payload is
+    {!Command.client_put_payload} of the slot alone: the client encodes
+    it at the slot's first write and hands the same string to every
+    later write of that key, so the log, the wire and every replica's
+    store share one payload per key.  The cache grows with the slots
+    written, up to 1024 strings.  [client_rtt] is
     added to every recorded latency (the client→leader network round
     trip, which the simulation fabric does not carry).  Raises
     [Invalid_argument] unless [rate] is finite and positive: a NaN or
@@ -44,7 +50,8 @@ val create :
 
 val start : t -> unit
 val stop : t -> unit
-(** Stop generating arrivals; outstanding requests may still complete. *)
+(** Stop generating arrivals and release the payload cache; outstanding
+    requests may still complete. *)
 
 (** {2 Counters} *)
 

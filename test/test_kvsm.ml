@@ -398,6 +398,44 @@ let test_client_counts_redirects () =
   Alcotest.(check bool) "redirects counted" true
     (Kvsm.Client.redirected client > 50)
 
+(* Records in [weak] the payload [seen] holds for one slot, and blanks
+   [seen]: the client's cache then holds the only reference. *)
+let[@inline never] keep_weakly weak seen slot =
+  Weak.set weak 0 (Some seen.(slot));
+  Array.fill seen 0 (Array.length seen) ""
+
+let test_client_payload_per_key () =
+  let engine = Des.Engine.create ~seed:6L () in
+  let rounds = 2 * 1024 in
+  let seen = Array.make rounds "" in
+  let target ~payload ~client_id:_ ~seq ~on_result:_ =
+    if seq < rounds then seen.(seq) <- payload;
+    `Accepted
+  in
+  let client_id = 7 in
+  let client = Kvsm.Client.create ~engine ~target ~client_id ~rate:1000. () in
+  Kvsm.Client.start client;
+  Des.Engine.run_for engine (Des.Time.sec 3);
+  Alcotest.(check bool) "two rounds issued" true
+    (Kvsm.Client.offered client > rounds);
+  let value = String.make 64 'v' in
+  for slot = 0 to 1023 do
+    let first = seen.(slot) and second = seen.(slot + 1024) in
+    if first != second then
+      Alcotest.failf "slot %d: the second round built a new payload" slot;
+    Alcotest.(check string)
+      (Printf.sprintf "slot %d bytes" slot)
+      (Command.client_put_payload ~client_id ~slot ~value)
+      first
+  done;
+  let weak = Weak.create 1 in
+  keep_weakly weak seen 5;
+  Gc.full_major ();
+  Alcotest.(check bool) "cached while running" true (Weak.check weak 0);
+  Kvsm.Client.stop client;
+  Gc.full_major ();
+  Alcotest.(check bool) "stop releases the cache" false (Weak.check weak 0)
+
 let test_workload_saturation_detection () =
   (* A fake service that can commit at most 500 req/s (2ms service). *)
   let engine = Des.Engine.create ~seed:6L () in
@@ -456,4 +494,6 @@ let tests =
     Alcotest.test_case "store: retention" `Quick test_store_retention;
     Alcotest.test_case "client: rejects bad rates" `Quick
       test_client_rejects_bad_rates;
+    Alcotest.test_case "client: one payload per key slot" `Quick
+      test_client_payload_per_key;
   ]
