@@ -13,20 +13,33 @@ type command =
 type entry = { term : Types.term; index : Types.index; command : command }
 [@@deriving show, eq]
 
+(* Entries live in fixed-size pages behind a directory.  The entry at
+   log index [i] sits at position [i - 1]: in page [(i - 1) / page_size]
+   counted from the page that holds position [snapshot_index], at slot
+   [(i - 1) mod page_size].  Pages are never copied once full, empty
+   space is at most one page, and compaction drops whole pages from the
+   front.  The first page of a directory starts at 16 slots and doubles
+   up to [page_size], so a near-empty log stays small; every later page
+   is allocated whole, on the major heap. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
 type t = {
-  mutable entries : entry array;
+  mutable pages : entry array array;
+      (* the directory: [[||]] past the last allocated page *)
   mutable len : int;
   mutable snapshot_index : Types.index;
   mutable snapshot_term : Types.term;
   mutable mutations : int;
   mutable configs : Types.index list;
       (* indices of the stored [Config] entries, ascending *)
-  mutable window : entry array;  (* the last [slice]; [scrub] drops it *)
+  mutable window : entry array;  (* the last [slice]; every drop resets it *)
 }
 
 let create () =
   {
-    entries = [||];
+    pages = [||];
     len = 0;
     snapshot_index = 0;
     snapshot_term = 0;
@@ -44,8 +57,13 @@ let snapshot_index t = t.snapshot_index
 let snapshot_term t = t.snapshot_term
 let first_available t = t.snapshot_index + 1
 
+(* Directory slot of the page holding position [pos]. *)
+let page_of t pos = (pos lsr page_bits) - (t.snapshot_index lsr page_bits)
+
 (* Entry with log index [index]; caller guarantees it is stored. *)
-let nth t index = t.entries.(index - t.snapshot_index - 1)
+let nth t index =
+  let pos = index - 1 in
+  t.pages.(page_of t pos).(pos land page_mask)
 
 let last_term t =
   if t.len = 0 then t.snapshot_term else (nth t (last_index t)).term
@@ -65,17 +83,39 @@ let entry_at t index =
   if index <= t.snapshot_index || index > last_index t then None
   else Some (nth t index)
 
-let grow t entry =
-  let cap = Array.length t.entries in
-  if t.len = cap then begin
-    let entries = Array.make (Int.max 16 (2 * cap)) entry in
-    Array.blit t.entries 0 entries 0 t.len;
-    t.entries <- entries
+(* A placeholder for empty and freed slots: without it, truncation and
+   compaction would leave the old entries (and their payloads)
+   reachable through a kept page indefinitely. *)
+let blank = { term = 0; index = 0; command = Noop }
+
+(* The page that will hold [slot] of directory slot [k], at least
+   [slot + 1] long: a directory's first page doubles from 16 slots,
+   every other page is allocated whole. *)
+let page_for t k slot =
+  if k >= Array.length t.pages then begin
+    let pages = Array.make (Int.max 1 (2 * Array.length t.pages)) [||] in
+    Array.blit t.pages 0 pages 0 (Array.length t.pages);
+    t.pages <- pages
+  end;
+  let page = t.pages.(k) in
+  if slot < Array.length page then page
+  else begin
+    let size =
+      ref (if k = 0 then Int.max 16 (2 * Array.length page) else page_size)
+    in
+    while !size <= slot do
+      size := 2 * !size
+    done;
+    let grown = Array.make (Int.min page_size !size) blank in
+    Array.blit page 0 grown 0 (Array.length page);
+    t.pages.(k) <- grown;
+    grown
   end
 
 let push t entry =
-  grow t entry;
-  t.entries.(t.len) <- entry;
+  let pos = entry.index - 1 in
+  (page_for t (page_of t pos) (pos land page_mask)).(pos land page_mask) <-
+    entry;
   t.len <- t.len + 1;
   match entry.command with
   | Config _ -> t.configs <- t.configs @ [ entry.index ]
@@ -86,25 +126,36 @@ let append_new t ~term command =
   push t entry;
   entry
 
-(* A placeholder for freed slots: without it, truncation and compaction
-   would leave the old entries (and their payloads) reachable through
-   the backing array indefinitely. *)
-let blank = { term = 0; index = 0; command = Noop }
+(* Blank positions [from, until) of directory slot [k], where that page
+   exists. *)
+let blank_slots t k ~from ~until =
+  if k < Array.length t.pages then begin
+    let page = t.pages.(k) in
+    for pos = from to until - 1 do
+      let slot = pos land page_mask in
+      if slot < Array.length page then page.(slot) <- blank
+    done
+  end
 
-(* Clear slots [t.len, old_len) and shrink the backing array once
-   occupancy drops below a quarter, so a log that shrank (truncation,
-   compaction, snapshot install) cannot pin its high-water storage.
-   Every rewrite or drop of a stored slot comes through here. *)
-let scrub t ~old_len =
+(* Free the directory's pages from slot [k] on. *)
+let free_pages_from t k =
+  for j = k to Array.length t.pages - 1 do
+    t.pages.(j) <- [||]
+  done
+
+(* Truncation's drop, once [len] fell from [old_len]: the pages past
+   the last kept entry are freed and the kept last page's freed slots
+   blanked, so a truncated entry's payload is not retained.  Every
+   rewrite of a stored slot comes through here. *)
+let drop_back t ~old_len =
   t.window <- [||];
-  for i = t.len to old_len - 1 do
-    t.entries.(i) <- blank
-  done;
-  let cap = Array.length t.entries in
-  if cap > 16 && 4 * t.len < cap then begin
-    let entries = Array.make (Int.max 16 (2 * t.len)) blank in
-    Array.blit t.entries 0 entries 0 t.len;
-    t.entries <- entries
+  if t.len = 0 then free_pages_from t 0
+  else begin
+    let last = t.snapshot_index + t.len - 1 in
+    let k = page_of t last in
+    blank_slots t k ~from:(last + 1)
+      ~until:(Int.min (t.snapshot_index + old_len) ((last lor page_mask) + 1));
+    free_pages_from t (k + 1)
   end
 
 let truncate_from t index =
@@ -116,7 +167,7 @@ let truncate_from t index =
     t.len <- len;
     let last = last_index t in
     t.configs <- List.filter (fun i -> i <= last) t.configs;
-    scrub t ~old_len
+    drop_back t ~old_len
   end
 
 let[@hot] try_append t ~prev_index ~prev_term ~entries =
@@ -163,33 +214,39 @@ let compact t ~upto =
     let term =
       match term_at t upto with Some term -> term | None -> assert false
     in
-    let keep = last_index t - upto in
-    let from = upto - t.snapshot_index in
-    (* Shift the surviving suffix to the front. *)
-    for i = 0 to keep - 1 do
-      t.entries.(i) <- t.entries.(from + i)
+    let from = t.snapshot_index in
+    let drop = page_of t upto in
+    (* Whole pages below the new boundary's page go, the rest move to
+       the directory's front, and the compacted slots of the page that
+       stays are blanked. *)
+    let n = Array.length t.pages in
+    for k = 0 to n - 1 do
+      t.pages.(k) <- (if k + drop < n then t.pages.(k + drop) else [||])
     done;
-    let old_len = t.len in
-    t.len <- keep;
+    t.len <- last_index t - upto;
     t.snapshot_index <- upto;
     t.snapshot_term <- term;
-    t.configs <- List.filter (fun i -> i > upto) t.configs;
-    scrub t ~old_len
+    t.window <- [||];
+    blank_slots t 0
+      ~from:(Int.max from (upto land lnot page_mask))
+      ~until:upto;
+    t.configs <- List.filter (fun i -> i > upto) t.configs
   end
 
 let install_snapshot t ~index ~term =
-  let old_len = t.len in
+  t.pages <- [||];
   t.len <- 0;
   t.snapshot_index <- index;
   t.snapshot_term <- term;
   t.mutations <- t.mutations + 1;
   t.configs <- [];
-  scrub t ~old_len
+  t.window <- [||]
 
-(* Entries are stored contiguously, so a slice is a single [Array.sub]
-   (and the empty case is the static atom [| |] — no allocation).  A
-   retransmit, probe or commit of the last window gets that array back:
-   windows are immutable, and no slot of it changed unless [scrub] ran. *)
+(* A slice inside one page is a single [Array.sub], one that straddles
+   two pages two blits into a fresh array, and the empty case is the
+   static atom [| |] (no allocation).  A retransmit, probe or commit of
+   the last window gets that array back: windows are immutable, and no
+   slot of it changed unless a drop reset the memo. *)
 let slice t ~from ~max =
   let from = Int.max (first_available t) from in
   let stop = Int.min (last_index t) (from + max - 1) in
@@ -198,8 +255,26 @@ let slice t ~from ~max =
   else if Array.length t.window = len && t.window.(0).index = from then
     t.window
   else begin
-    t.window <- Array.sub t.entries (from - t.snapshot_index - 1) len;
-    t.window
+    let pos = from - 1 in
+    let slot = pos land page_mask in
+    let window =
+      if slot + len <= page_size then
+        Array.sub t.pages.(page_of t pos) slot len
+      else begin
+        let window = Array.make len blank in
+        let copied = ref 0 in
+        while !copied < len do
+          let pos = pos + !copied in
+          let slot = pos land page_mask in
+          let n = Int.min (len - !copied) (page_size - slot) in
+          Array.blit t.pages.(page_of t pos) slot window !copied n;
+          copied := !copied + n
+        done;
+        window
+      end
+    in
+    t.window <- window;
+    window
   end
 
 let up_to_date t ~last_index:cand_index ~last_term:cand_term =

@@ -8,7 +8,14 @@
 
     The log enforces the Raft log-matching property at the append
     boundary: [try_append] verifies the predecessor entry and truncates
-    conflicting suffixes before appending. *)
+    conflicting suffixes before appending.
+
+    Entries are stored in pages of 1024 slots behind a directory, so an
+    append never copies the log and empty space is at most one page.  A
+    fresh log's first page starts at 16 slots and doubles up to the page
+    size.  Every slot a truncation, compaction or snapshot install frees
+    is either blanked or on a page that is dropped, so a dropped entry's
+    payload is not retained. *)
 
 type change =
   | Add_learner of Netsim.Node_id.t
@@ -31,6 +38,9 @@ type entry = { term : Types.term; index : Types.index; command : command }
 [@@deriving show, eq]
 
 type t
+
+val page_size : int
+(** Slots per storage page (1024). *)
 
 val create : unit -> t
 
@@ -81,7 +91,9 @@ val try_append :
 
 val compact : t -> upto:Types.index -> unit
 (** Move the snapshot boundary to [upto], discarding the entries at or
-    below it.  Only call for indices known committed and applied.
+    below it: the whole pages below the boundary's page are dropped and
+    its compacted slots blanked, and nothing that survives is copied.
+    Only call for indices known committed and applied.
     Raises [Invalid_argument] if [upto > last_index]; indices at or
     below the current boundary are a no-op. *)
 
@@ -91,9 +103,11 @@ val install_snapshot : t -> index:Types.index -> term:Types.term -> unit
     and the boundary set to [(index, term)]. *)
 
 val slice : t -> from:Types.index -> max:int -> entry array
-(** Up to [max] entries starting at [from] (inclusive), copied straight
-    out of contiguous storage (a single [Array.sub]; the empty slice
-    allocates nothing).  A call with the same first index and length as
+(** Up to [max] entries starting at [from] (inclusive), copied out of
+    the pages into one fresh array: a single [Array.sub] when the range
+    lies in one page, one blit per page when it straddles pages (at most
+    two for [max] up to the page size); the empty slice allocates
+    nothing.  A call with the same first index and length as
     the last one may return the window it served: callers must not
     mutate the result.  Entries below [first_available] cannot be served
     and are silently skipped — use {!snapshot_index} to detect that a

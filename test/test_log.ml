@@ -357,6 +357,250 @@ let test_config_indices_compact_install () =
   ignore (Log.append_new l ~term:2 (Log.Config learner) : Log.entry);
   check_configs "append after install" [ 11 ] l
 
+(* {2 Paged storage against a list model} *)
+
+(* The log as a plain list: the boundary and the stored entries,
+   ascending. *)
+type model = { si : int; st : int; entries : Log.entry list }
+
+let model_last m = m.si + List.length m.entries
+
+let model_term m i =
+  if i = m.si then Some m.st
+  else if i < m.si || i > model_last m then None
+  else Some (List.nth m.entries (i - m.si - 1)).Log.term
+
+(* A batch of contiguous entries: the ones at or below the boundary and
+   those matching a stored term are skipped, and the first mismatch
+   replaces the stored suffix from its index with the rest of the
+   batch. *)
+let model_try_append m ~prev_index ~prev_term ~entries =
+  let prefix =
+    if prev_index < m.si then Some prev_term else model_term m prev_index
+  in
+  match prefix with
+  | None -> (m, `Conflict (model_last m + 1))
+  | Some term when term <> prev_term -> (m, `Conflict prev_index)
+  | Some _ ->
+      let stored = Array.of_list m.entries in
+      let differs (e : Log.entry) =
+        e.index > m.si
+        && (e.index > model_last m || stored.(e.index - m.si - 1).term <> e.term)
+      in
+      let rec suffix = function
+        | [] -> m
+        | (e : Log.entry) :: rest when differs e ->
+            {
+              m with
+              entries =
+                List.filter (fun (s : Log.entry) -> s.index < e.index) m.entries
+                @ (e :: rest);
+            }
+        | _ :: rest -> suffix rest
+      in
+      let n = Array.length entries in
+      let covered = if n = 0 then prev_index else entries.(n - 1).Log.index in
+      (suffix (Array.to_list entries), `Ok (Int.max covered m.si))
+
+let model_slice m ~from ~max =
+  List.filter
+    (fun (e : Log.entry) -> e.index >= from && e.index < from + max)
+    m.entries
+
+let payload_entry ~term ~index =
+  {
+    Log.term;
+    index;
+    command =
+      Log.Data { payload = Printf.sprintf "%d@%d" index term; client_id = 0; seq = index };
+  }
+
+type op =
+  | Append of { n : int; term : int }
+  | Replicate of { back : int; flip : bool; keep : int; fresh : int; term : int }
+      (** [try_append] after [last - back]: [keep] of our own entries,
+          then [fresh] new ones in [term]; [flip] mismatches the
+          predecessor's term *)
+  | Compact of { back : int }
+  | Install of { ahead : int; term : int }
+  | Slice of { page : int; delta : int; max : int }
+      (** from [page * page_size + delta], across page boundaries *)
+
+let show_op = function
+  | Append { n; term } -> Printf.sprintf "append %d@%d" n term
+  | Replicate { back; flip; keep; fresh; term } ->
+      Printf.sprintf "replicate back=%d flip=%b keep=%d fresh=%d@%d" back flip
+        keep fresh term
+  | Compact { back } -> Printf.sprintf "compact back=%d" back
+  | Install { ahead; term } -> Printf.sprintf "install +%d@%d" ahead term
+  | Slice { page; delta; max } ->
+      Printf.sprintf "slice page=%d%+d max=%d" page delta max
+
+let gen_op =
+  let p = Log.page_size in
+  Q.Gen.(
+    frequency
+      [
+        ( 3,
+          map2 (fun n term -> Append { n; term }) (int_range 0 (p + p / 2))
+            (int_range 1 4) );
+        ( 3,
+          map2
+            (fun (back, flip) (keep, fresh, term) ->
+              Replicate { back; flip; keep; fresh; term })
+            (pair (int_range 0 (p + 200)) (frequency [ (4, return false); (1, return true) ]))
+            (triple (int_range 0 40) (int_range 0 (p + 100)) (int_range 1 6)) );
+        (2, map (fun back -> Compact { back }) (int_range 0 (2 * p)));
+        ( 1,
+          map2 (fun ahead term -> Install { ahead; term }) (int_range (-5) (2 * p))
+            (int_range 1 6) );
+        ( 3,
+          map3
+            (fun page delta max -> Slice { page; delta; max })
+            (int_range 0 4) (int_range (-3) 3) (int_range 0 (2 * p + 10)) );
+      ])
+
+let entries_equal a b = List.equal Log.equal_entry a b
+
+(* Every observer of [l] agrees with [m]. *)
+let agrees l m =
+  let stored = Array.of_list m.entries in
+  let last = model_last m in
+  let ok = ref (Log.last_index l = last && Log.snapshot_index l = m.si
+                && Log.snapshot_term l = m.st && Log.length l = Array.length stored
+                && Log.last_term l = Option.get (model_term m last)) in
+  for i = Int.max 0 (m.si - 2) to last + 2 do
+    let want = if i > m.si && i <= last then Some stored.(i - m.si - 1) else None in
+    ok := !ok && Option.equal Log.equal_entry (Log.entry_at l i) want
+          && Option.equal Int.equal (Log.term_at l i)
+               (if i = m.si then Some m.st else Option.map (fun e -> e.Log.term) want)
+  done;
+  !ok
+
+let step (l, m) op =
+  match op with
+  | Append { n; term } ->
+      let appended =
+        List.init n (fun _ ->
+            let index = Log.last_index l + 1 in
+            Log.append_new l ~term (payload_entry ~term ~index).command)
+      in
+      (true, (l, { m with entries = m.entries @ appended }))
+  | Replicate { back; flip; keep; fresh; term } ->
+      let prev_index = Int.max 0 (model_last m - back) in
+      let prev_term =
+        let t = Option.value ~default:0 (model_term m prev_index) in
+        if flip then t + 1 else t
+      in
+      let stored = Array.of_list m.entries in
+      let entries =
+        Array.init (keep + fresh) (fun k ->
+            let index = prev_index + 1 + k in
+            if k < keep && index > m.si && index <= model_last m then
+              stored.(index - m.si - 1)
+            else payload_entry ~term ~index)
+      in
+      let m', want = model_try_append m ~prev_index ~prev_term ~entries in
+      let got = Log.try_append l ~prev_index ~prev_term ~entries in
+      (got = want, (l, m'))
+  | Compact { back } ->
+      let upto = model_last m - back in
+      Log.compact l ~upto;
+      if upto <= m.si then (true, (l, m))
+      else
+        ( true,
+          ( l,
+            {
+              si = upto;
+              st = Option.get (model_term m upto);
+              entries = List.filter (fun (e : Log.entry) -> e.index > upto) m.entries;
+            } ) )
+  | Install { ahead; term } ->
+      let index = Int.max 0 (model_last m + ahead) in
+      Log.install_snapshot l ~index ~term;
+      (true, (l, { si = index; st = term; entries = [] }))
+  | Slice { page; delta; max } ->
+      let from = Int.max 0 ((page * Log.page_size) + delta) in
+      let got = Array.to_list (Log.slice l ~from ~max) in
+      let want = model_slice m ~from:(Int.max from (m.si + 1)) ~max in
+      (entries_equal got want, (l, m))
+
+let prop_paged_log_matches_model =
+  Q.Test.make ~count:60 ~name:"paged log: agrees with a list model"
+    (Q.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       Q.Gen.(list_size (int_range 1 25) gen_op))
+    (fun ops ->
+      let l = Log.create () in
+      let rec run state = function
+        | [] -> true
+        | op :: rest ->
+            let ok, ((l, m) as state) = step state op in
+            ok && agrees l m && run state rest
+      in
+      run (l, { si = 0; st = 0; entries = [] }) ops)
+
+(* {2 Retention: a dropped entry's payload is collected} *)
+
+(* A log of [n] term-1 entries, each with a fresh payload that [weak]
+   records at its index; nothing but the log keeps a payload alive. *)
+let[@inline never] weak_log n =
+  let l = Log.create () and weak = Weak.create (n + 1) in
+  for i = 1 to n do
+    let payload = Printf.sprintf "payload-%d" i in
+    Weak.set weak i (Some payload);
+    ignore
+      (Log.append_new l ~term:1 (Log.Data { payload; client_id = 0; seq = i })
+        : Log.entry)
+  done;
+  (* The last window is memoized; every drop must reset it. *)
+  ignore (Log.slice l ~from:(n / 2) ~max:64 : Log.entry array);
+  (l, weak)
+
+let check_collected weak ~collected ~held =
+  Gc.full_major ();
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "index %d collected" i) false
+        (Weak.check weak i))
+    collected;
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "index %d held" i) true
+        (Weak.check weak i))
+    held
+
+let test_truncated_payloads_collected () =
+  let p = Log.page_size in
+  let l, weak = weak_log (3 * p) in
+  (* A new leader's entry at [p + p/2] truncates the rest: the tail of
+     that page is blanked and the third page freed. *)
+  let at = p + (p / 2) in
+  (match
+     Log.try_append l ~prev_index:(at - 1) ~prev_term:1
+       ~entries:[| { Log.term = 2; index = at; command = Log.Noop } |]
+   with
+  | `Ok _ -> ()
+  | `Conflict _ -> Alcotest.fail "append after a matching entry must succeed");
+  Alcotest.(check int) "last index" at (Log.last_index l);
+  check_collected weak
+    ~collected:[ at; at + 1; (2 * p) - 1; 2 * p; (2 * p) + 1; 3 * p ]
+    ~held:[ 1; p; at - 1 ];
+  ignore (Sys.opaque_identity l : Log.t)
+
+let test_compacted_payloads_collected () =
+  let p = Log.page_size in
+  let l, weak = weak_log (3 * p) in
+  (* The first page goes whole; the compacted head of the second is
+     blanked. *)
+  Log.compact l ~upto:(p + 76);
+  check_collected weak
+    ~collected:[ 1; p; p + 1; p + 76 ]
+    ~held:[ p + 77; 2 * p; 3 * p ];
+  Log.install_snapshot l ~index:(3 * p) ~term:1;
+  check_collected weak ~collected:[ p + 77; 2 * p; 3 * p ] ~held:[];
+  ignore (Sys.opaque_identity l : Log.t)
+
 let tests =
   [
     Alcotest.test_case "empty log" `Quick test_empty_log;
@@ -391,4 +635,9 @@ let tests =
       test_slice_window_after_compact;
     Alcotest.test_case "slice: a snapshot install drops the window" `Quick
       test_slice_window_after_install;
+    to_alcotest prop_paged_log_matches_model;
+    Alcotest.test_case "retention: a truncated entry's payload is collected"
+      `Quick test_truncated_payloads_collected;
+    Alcotest.test_case "retention: a compacted entry's payload is collected"
+      `Quick test_compacted_payloads_collected;
   ]
