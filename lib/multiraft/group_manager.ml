@@ -6,7 +6,7 @@
    Fabric node ids are the group tag: the host hands out ids in order,
    so group [g] owns ids [g * replicas .. (g + 1) * replicas - 1], RPC
    routing through [Raft.Replication.transmit] needs no extra envelope
-   and [group_of_node] is one division. *)
+   and [group_of_node] is one division for every id but a joiner's. *)
 
 module Node_id = Netsim.Node_id
 
@@ -58,11 +58,19 @@ let node_base t g =
     invalid_arg "Group_manager.node_base: no such group";
   g * t.replicas
 
+(* Past the base range an id is a joiner a group added later
+   ([Cluster.add_server]); the group whose members list it owns it. *)
 let group_of_node t id =
   let g = Node_id.to_int id / t.replicas in
-  if g < 0 || g >= Array.length t.groups then
-    invalid_arg "Group_manager.group_of_node: id outside any group";
-  g
+  if g < Array.length t.groups then g
+  else
+    match
+      Array.find_index
+        (fun c -> List.exists (Node_id.equal id) (Harness.Cluster.node_ids c))
+        t.groups
+    with
+    | Some g -> g
+    | None -> invalid_arg "Group_manager.group_of_node: id outside any group"
 
 let iter_groups t f = Array.iteri f t.groups
 let start t = Array.iter Harness.Cluster.start t.groups

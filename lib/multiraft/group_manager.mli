@@ -12,8 +12,8 @@
     {!Raft.Replication.transmit} is implicitly group-addressed and
     {!group_of_node} is a single division — no envelope type, no demux
     table.  A server added to a group later ({!Harness.Cluster.add_server})
-    takes the host's next id, past every group's range, which
-    {!group_of_node} does not map.
+    takes the host's next id, past every group's range; {!group_of_node}
+    finds it in the groups' member lists.
 
     The groups share the fabric's one partition table:
     {!Harness.Cluster.partition} on one group replaces any other group's
@@ -58,8 +58,9 @@ val node_base : t -> int -> int
 
 val group_of_node : t -> Netsim.Node_id.t -> int
 (** The group owning a fabric node id (for leader hints carried in
-    [`Not_leader] replies).  Raises [Invalid_argument] for ids outside
-    every group. *)
+    [`Not_leader] replies): one division in the base range, a scan of
+    the groups' members past it, where joiners sit.  Raises
+    [Invalid_argument] for ids no group holds. *)
 
 val iter_groups : t -> (int -> Harness.Cluster.t -> unit) -> unit
 

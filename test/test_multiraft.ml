@@ -373,6 +373,33 @@ let test_group_add_server () =
   | `Not_leader | `Pending | `Invalid _ ->
       Alcotest.fail "the group's leader refused the joiner"
 
+(* A joiner's id lies past every group's base range: the manager maps
+   it to the group that added it, and a redirect naming it routes
+   there. *)
+let test_joiner_id_maps_to_its_group () =
+  let m = make ~seed:47L ~groups:2 () in
+  let id, _ = Cluster.add_server (Gm.group m 0) in
+  Alcotest.(check int) "joiner id" 6 (Netsim.Node_id.to_int id);
+  Alcotest.(check int) "joiner's group" 0 (Gm.group_of_node m id);
+  Gm.run_for m (Des.Time.sec 1);
+  let router = Router.create m in
+  let result =
+    Router.route router id ~payload:"P1:k1:v" ~client_id:1 ~seq:1
+      ~on_result:(fun ~committed:_ -> ())
+  in
+  Alcotest.(check bool) "hint installed on group 0" true
+    (match Router.hint router 0 with
+    | Some h -> Netsim.Node_id.equal h id
+    | None -> false);
+  Alcotest.(check bool) "group 1 untouched" true
+    (Option.is_none (Router.hint router 1));
+  match result with
+  | `Not_leader (Some leader) ->
+      Alcotest.(check int) "the learner names group 0's leader" 0
+        (Gm.group_of_node m leader)
+  | `Not_leader None | `Accepted ->
+      Alcotest.fail "a learner must redirect to its group's leader"
+
 (* One bridge per group: each process names only the link and egress
    tracks between its own group's nodes. *)
 let test_group_trace_own_links () =
@@ -468,4 +495,6 @@ let tests =
       test_group_trace_own_links;
     Alcotest.test_case "host: engine statistics collected once" `Quick
       test_collect_once_per_host;
+    Alcotest.test_case "manager: a joiner's id maps to its group" `Quick
+      test_joiner_id_maps_to_its_group;
   ]
