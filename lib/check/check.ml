@@ -5,12 +5,14 @@ module Log = Raft.Log
 (* {1 Trace digests} *)
 
 module Digest = struct
-  type t = { mutable h : int64 }
+  type t = { mutable h : int64; mutable scratch : Bytes.t }
+  (* [scratch]: where [feed_buffer] copies a buffer's bytes to fold
+     them, reused from feed to feed *)
 
   let fnv_offset = 0xCBF29CE484222325L
   let fnv_prime = 0x100000001B3L
 
-  let create () = { h = fnv_offset }
+  let create () = { h = fnv_offset; scratch = Bytes.empty }
 
   (* Each feed folds its bytes through a local accumulator, which the
      native compiler keeps unboxed, and stores the boxed field once. *)
@@ -25,9 +27,13 @@ module Digest = struct
     t.h <- !h
 
   let feed_buffer t b =
+    let n = Buffer.length b in
+    if Bytes.length t.scratch < n then
+      t.scratch <- Bytes.create (Int.max 128 (2 * n));
+    Buffer.blit b 0 t.scratch 0 n;
     let h = ref t.h in
-    for i = 0 to Buffer.length b - 1 do
-      h := fold_byte !h (Char.code (Buffer.nth b i))
+    for i = 0 to n - 1 do
+      h := fold_byte !h (Char.code (Bytes.unsafe_get t.scratch i))
     done;
     t.h <- !h
 
@@ -42,9 +48,11 @@ module Digest = struct
   let value t = t.h
 
   let of_string s =
-    let t = create () in
-    feed_string t s;
-    value t
+    let h = ref fnv_offset in
+    for i = 0 to String.length s - 1 do
+      h := fold_byte !h (Char.code s.[i])
+    done;
+    !h
 
   let combine ds =
     let t = create () in

@@ -35,7 +35,9 @@ module Digest : sig
   val feed_string : t -> string -> unit
 
   val feed_buffer : t -> Buffer.t -> unit
-  (** Same as [feed_string t (Buffer.contents b)], without the copy. *)
+  (** Same as [feed_string t (Buffer.contents b)], without a fresh
+      string: the bytes are copied into a scratch the digest keeps, so
+      a feed allocates only when the buffer outgrows it. *)
 
   val feed_int : t -> int -> unit
   (** Folded in as 8 little-endian bytes. *)

@@ -14,7 +14,11 @@ val pp : Format.formatter -> t -> unit
 (** Render as ["n<id>"], e.g. ["n3"]. *)
 
 val add_to_buffer : Buffer.t -> t -> unit
-(** Append the {!pp} text. *)
+(** Append the {!pp} text, without a format interpreter. *)
+
+val add_int_to_buffer : Buffer.t -> int -> unit
+(** Append [string_of_int n] without building the string: the integer
+    writer of the digested probe text. *)
 
 val range : int -> t list
 (** [range n] is the ids [0 .. n-1] — a convenience for building

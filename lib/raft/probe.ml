@@ -44,37 +44,71 @@ let reason_name = function
   | Retuned -> "retuned"
   | Reconfigured -> "reconfigured"
 
+(* The digested text is written with plain [Buffer] adds and an integer
+   writer, no format interpreter: it is rendered for every probe a
+   cluster's digest sees.  Only the tuner's decision, which no digest
+   reads, still goes through [Printf]. *)
 let add_node = Netsim.Node_id.add_to_buffer
+let add_int = Netsim.Node_id.add_int_to_buffer
 let add_ms = Des.Time.add_ms_to_buffer
+let add = Buffer.add_string
+
+(* " (term <term>)" *)
+let add_term b term =
+  add b " (term ";
+  add_int b term;
+  Buffer.add_char b ')'
 
 let add_to_buffer b = function
   | Role_change { id; role; term } ->
-      Printf.bprintf b "%a -> %s (term %d)" add_node id
-        (Types.role_name role) term
+      add_node b id;
+      add b " -> ";
+      add b (Types.role_name role);
+      add_term b term
   | Timeout_expired { id; term; randomized; _ } ->
-      Printf.bprintf b "%a timeout (%a) in term %d" add_node id add_ms
-        randomized term
+      add_node b id;
+      add b " timeout (";
+      add_ms b randomized;
+      add b ") in term ";
+      add_int b term
   | Pre_vote_aborted { id; term } ->
-      Printf.bprintf b "%a pre-vote aborted (term %d)" add_node id term
-  | Tuner_reset { id } -> Printf.bprintf b "%a tuner reset" add_node id
+      add_node b id;
+      add b " pre-vote aborted";
+      add_term b term
+  | Tuner_reset { id } ->
+      add_node b id;
+      add b " tuner reset"
   | Tuner_decision { id; rtt_ms; rtt_std_ms; loss; k; et; h; reason } ->
       Printf.bprintf b
         "%a tuner %s: rtt %.3f±%.3fms loss %.4f -> Et %a H %a k %d" add_node
         id (reason_name reason) rtt_ms rtt_std_ms loss add_ms et add_ms h k
   | Election_started { id; term } ->
-      Printf.bprintf b "%a election started (term %d)" add_node id term
-  | Node_paused { id } -> Printf.bprintf b "%a paused" add_node id
-  | Node_resumed { id } -> Printf.bprintf b "%a resumed" add_node id
+      add_node b id;
+      add b " election started";
+      add_term b term
+  | Node_paused { id } ->
+      add_node b id;
+      add b " paused"
+  | Node_resumed { id } ->
+      add_node b id;
+      add b " resumed"
   | Config_change { id; term; index; change; committed } ->
-      Printf.bprintf b "%a config %s %s at index %d (term %d)" add_node id
-        (if committed then "committed" else "appended")
-        (Log.show_change change)
-        index term
+      add_node b id;
+      add b " config ";
+      add b (if committed then "committed " else "appended ");
+      add b (Log.show_change change);
+      add b " at index ";
+      add_int b index;
+      add_term b term
   | Transfer_started { id; term; target } ->
-      Printf.bprintf b "%a transfer to %a (term %d)" add_node id add_node
-        target term
+      add_node b id;
+      add b " transfer to ";
+      add_node b target;
+      add_term b term
   | Transfer_aborted { id; term } ->
-      Printf.bprintf b "%a transfer aborted (term %d)" add_node id term
+      add_node b id;
+      add b " transfer aborted";
+      add_term b term
 
 let node = function
   | Role_change { id; _ }

@@ -91,6 +91,17 @@ let test_probe_rendering () =
         Format.asprintf "n3 config committed %a at index 42 (term 7)"
           Raft.Log.pp_change
           (Raft.Log.Promote (Node_id.of_int 5)) );
+      ( Raft.Probe.Role_change { id; role = Raft.Types.Pre_candidate; term = 12 },
+        "n3 -> pre-candidate (term 12)" );
+      (Raft.Probe.Pre_vote_aborted { id; term = 0 }, "n3 pre-vote aborted (term 0)");
+      (Raft.Probe.Tuner_reset { id }, "n3 tuner reset");
+      ( Raft.Probe.Election_started { id = Node_id.of_int 10; term = 109 },
+        "n10 election started (term 109)" );
+      (Raft.Probe.Node_paused { id }, "n3 paused");
+      (Raft.Probe.Node_resumed { id }, "n3 resumed");
+      ( Raft.Probe.Transfer_started { id; term = 5; target = Node_id.of_int 64 },
+        "n3 transfer to n64 (term 5)" );
+      (Raft.Probe.Transfer_aborted { id; term = 5 }, "n3 transfer aborted (term 5)");
     ]
   in
   List.iter

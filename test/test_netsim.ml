@@ -629,6 +629,24 @@ let test_cpu_backlog () =
   Engine.run_until e (Time.ms 60);
   Alcotest.(check int) "backlog drains" 0 (Cpu.backlog cpu)
 
+(* The digested text writes ids and integers without a format
+   interpreter; its bytes must be the printers'. *)
+let test_node_id_buffer_writers () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 8 in
+      Netsim.Node_id.add_int_to_buffer b n;
+      Alcotest.(check string) "integer" (string_of_int n) (Buffer.contents b))
+    [ 0; 7; 9; 10; 99; 100; 12345; -1; -10; -987; max_int; min_int ];
+  List.iter
+    (fun i ->
+      let id = Netsim.Node_id.of_int i and b = Buffer.create 8 in
+      Netsim.Node_id.add_to_buffer b id;
+      Alcotest.(check string) "node id"
+        (Format.asprintf "%a" Netsim.Node_id.pp id)
+        (Buffer.contents b))
+    [ 0; 3; 64; 1000 ]
+
 let tests =
   [
     Alcotest.test_case "node_id: basics" `Quick test_node_id_basics;
@@ -676,4 +694,6 @@ let tests =
     Alcotest.test_case "cpu: multi-core over 100%" `Quick
       test_cpu_multicore_over_100;
     QCheck_alcotest.to_alcotest prop_cpu_matches_reference;
+    Alcotest.test_case "node_id: buffer writers match the printers" `Quick
+      test_node_id_buffer_writers;
   ]
