@@ -509,6 +509,43 @@ let make_client_encode_loop () () =
     (Kvsm.Command.client_put_payload ~client_id:1 ~slot:123 ~value:kv_value
       : string)
 
+(* A client whose 1024 key slots are all written once: every later
+   arrival reuses its key's cached payload.  The target accepts and
+   never replies, so an arrival is the whole of an op. *)
+let make_client_issue_loop () =
+  let engine = Des.Engine.create ~seed:1L () in
+  let target ~payload:_ ~client_id:_ ~seq:_ ~on_result:_ = `Accepted in
+  let client =
+    Kvsm.Client.create ~engine ~target ~client_id:1 ~rate:1000. ()
+  in
+  Kvsm.Client.start client;
+  for _ = 1 to 1024 do
+    ignore (Des.Engine.step engine : bool)
+  done;
+  fun () -> ignore (Des.Engine.step engine : bool)
+
+(* The words one replica's log retains per entry over 100,000 client
+   writes, payloads excluded (the clients and stores hold them too):
+   the entry, its command, its page slot, and the pages' and
+   directory's share. *)
+let log_words_per_entry () =
+  let n = 100_000 in
+  let payloads =
+    Array.init 1024 (fun slot ->
+        Kvsm.Command.client_put_payload ~client_id:1 ~slot ~value:kv_value)
+  in
+  let log = Raft.Log.create () in
+  for seq = 0 to n - 1 do
+    ignore
+      (Raft.Log.append_new log ~term:1
+         (Raft.Log.Data { payload = payloads.(seq land 1023); client_id = 1; seq })
+        : Raft.Log.entry)
+  done;
+  float_of_int
+    (Obj.reachable_words (Obj.repr (log, payloads))
+    - Obj.reachable_words (Obj.repr payloads))
+  /. float_of_int n
+
 let make_decode_put_loop () () =
   ignore (Kvsm.Command.of_payload kv_payload : (Kvsm.Command.t, string) result)
 
@@ -737,6 +774,14 @@ let loops =
     };
     (* [Kvsm.Command.of_payload] on that write: the key, the value, the
        command and the result. *)
+    (* One arrival of that client once every key is cached: the issue
+       (its reply callback and send attempt, the payload looked up) and
+       the draw of the next gap. *)
+    {
+      name = "kv client issue, key seen before";
+      budget = 13.;
+      make = make_client_issue_loop;
+    };
     { name = "kv decode put"; budget = 17.; make = make_decode_put_loop };
     (* [Kvsm.Store.apply_entry] of that write with its key already
        present: one scan of the headers, and the key's slot rebound to

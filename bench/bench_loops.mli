@@ -31,6 +31,10 @@ val words_per_event : (unit -> 'a) -> 'a * float
     words allocated per DES event processed meanwhile.  [f] must run its
     engines on the calling domain. *)
 
+val log_words_per_entry : unit -> float
+(** Words one log retains per entry over 100,000 appended client writes
+    that cycle through 1024 shared payloads, the payloads excluded. *)
+
 val cluster_words_per_event : ?forensics:Raft.Forensics.t -> unit -> float
 (** {!words_per_event} of a pinned steady-state 3-node dynatune cluster
     (seed 5, 50 ms links) over 120 s of virtual time, after its first

@@ -413,12 +413,12 @@ let perf_table () =
       Digest
         ( "3a819493db80435d",
           fun () -> (fst (Lazy.force fig4)).Scenarios.Fig4.digest ) );
-    ("fig4 plan", per_event fig4 23.60);
+    ("fig4 plan", per_event fig4 19.04);
     ( "multiraft seed=11 groups=4 rates=500,1000 digest",
       Digest
         ( "536b7e1522590f1d",
           fun () -> (fst (Lazy.force multiraft)).Scenarios.Multiraft.digest ) );
-    ("multiraft plan", per_event multiraft 24.64);
+    ("multiraft plan", per_event multiraft 23.65);
     ( "fig8 seed=23 failures=40 shards=4 digest",
       Digest
         ( "243dba1fc941868e",
@@ -451,7 +451,7 @@ let perf_table () =
         (lazy
           (Bench_loops.words_per_event (fun () ->
                Scenarios.Fig5.saturation ~hold:(Des.Time.sec 1) ~jobs:1 ())))
-        35.80 );
+        32.73 );
   ]
   @ List.map
       (fun { Bench_loops.name; budget; make } ->
@@ -463,15 +463,17 @@ let perf_table () =
   @ [
       ( "kv store retained words per key",
         Budget (2.561, "words/key", store_words_per_key) );
+      ( "log retained words per entry (one replica)",
+        Budget (9.006, "words/entry", Bench_loops.log_words_per_entry) );
       ( "server retained words, 65 members",
         Budget (554., "words", server_words) );
       ( "steady-state cluster",
         Budget
-          (ratchet 14.50, "words/event", fun () ->
+          (ratchet 13.86, "words/event", fun () ->
             Bench_loops.cluster_words_per_event ()) );
       ( "steady-state cluster, forensics on",
         Budget
-          (ratchet 14.62, "words/event", fun () ->
+          (ratchet 13.98, "words/event", fun () ->
             Bench_loops.cluster_words_per_event
               ~forensics:(Raft.Forensics.create ())
               ()) );
