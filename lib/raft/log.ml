@@ -243,8 +243,8 @@ let install_snapshot t ~index ~term =
   t.window <- [||]
 
 (* A slice inside one page is a single [Array.sub], one that straddles
-   two pages two blits into a fresh array, and the empty case is the
-   static atom [| |] (no allocation).  A retransmit, probe or commit of
+   pages one blit per page into a fresh array, and the empty case is
+   the static atom [| |] (no allocation).  A retransmit, probe or commit of
    the last window gets that array back: windows are immutable, and no
    slot of it changed unless a drop reset the memo. *)
 let slice t ~from ~max =
