@@ -385,7 +385,8 @@ let model_try_append m ~prev_index ~prev_term ~entries =
       let stored = Array.of_list m.entries in
       let differs (e : Log.entry) =
         e.index > m.si
-        && (e.index > model_last m || stored.(e.index - m.si - 1).term <> e.term)
+        && (e.index > model_last m
+           || stored.(e.index - m.si - 1).term <> e.term)
       in
       let rec suffix = function
         | [] -> m
@@ -408,21 +409,26 @@ let model_slice m ~from ~max =
     m.entries
 
 let payload_entry ~term ~index =
-  {
-    Log.term;
-    index;
-    command =
-      Log.Data { payload = Printf.sprintf "%d@%d" index term; client_id = 0; seq = index };
-  }
+  let payload = Printf.sprintf "%d@%d" index term in
+  { Log.term; index; command = Log.Data { payload; client_id = 0; seq = index } }
 
 type op =
   | Append of { n : int; term : int }
-  | Replicate of { back : int; flip : bool; keep : int; fresh : int; term : int }
+  | Replicate of {
+      back : int;
+      flip : bool;
+      keep : int;
+      fresh : int;
+      term : int;
+    }
       (** [try_append] after [last - back]: [keep] of our own entries,
           then [fresh] new ones in [term]; [flip] mismatches the
           predecessor's term *)
   | Compact of { back : int }
-  | Install of { ahead : int; term : int }
+  | Compact_to of { page : int; delta : int }
+      (** to [page * page_size + delta], or the last index if lower *)
+  | Install of { page : int; delta : int; term : int }
+      (** at [page * page_size + delta] *)
   | Slice of { page : int; delta : int; max : int }
       (** from [page * page_size + delta], across page boundaries *)
 
@@ -432,60 +438,95 @@ let show_op = function
       Printf.sprintf "replicate back=%d flip=%b keep=%d fresh=%d@%d" back flip
         keep fresh term
   | Compact { back } -> Printf.sprintf "compact back=%d" back
-  | Install { ahead; term } -> Printf.sprintf "install +%d@%d" ahead term
+  | Compact_to { page; delta } ->
+      Printf.sprintf "compact to page=%d%+d" page delta
+  | Install { page; delta; term } ->
+      Printf.sprintf "install page=%d%+d@%d" page delta term
   | Slice { page; delta; max } ->
       Printf.sprintf "slice page=%d%+d max=%d" page delta max
 
+(* Sizes around one page, so logs span several pages and every
+   operation meets a page boundary. *)
 let gen_op =
   let p = Log.page_size in
   Q.Gen.(
     frequency
       [
         ( 3,
-          map2 (fun n term -> Append { n; term }) (int_range 0 (p + p / 2))
+          map2
+            (fun n term -> Append { n; term })
+            (int_range 0 (p + (p / 2)))
             (int_range 1 4) );
         ( 3,
           map2
             (fun (back, flip) (keep, fresh, term) ->
               Replicate { back; flip; keep; fresh; term })
-            (pair (int_range 0 (p + 200)) (frequency [ (4, return false); (1, return true) ]))
-            (triple (int_range 0 40) (int_range 0 (p + 100)) (int_range 1 6)) );
-        (2, map (fun back -> Compact { back }) (int_range 0 (2 * p)));
+            (pair (int_range 0 (p + 200))
+               (frequency [ (4, return false); (1, return true) ]))
+            (triple (int_range 0 40) (int_range 0 (p + 100)) (int_range 1 6))
+        );
+        (1, map (fun back -> Compact { back }) (int_range 0 (2 * p)));
         ( 1,
-          map2 (fun ahead term -> Install { ahead; term }) (int_range (-5) (2 * p))
-            (int_range 1 6) );
+          map2
+            (fun page delta -> Compact_to { page; delta })
+            (int_range 0 4) (int_range (-2) 2) );
+        ( 1,
+          map3
+            (fun page delta term -> Install { page; delta; term })
+            (int_range 0 5) (int_range (-2) 2) (int_range 1 6) );
         ( 3,
           map3
             (fun page delta max -> Slice { page; delta; max })
-            (int_range 0 4) (int_range (-3) 3) (int_range 0 (2 * p + 10)) );
+            (int_range 0 4) (int_range (-3) 3)
+            (int_range 0 ((2 * p) + 10)) );
       ])
-
-let entries_equal a b = List.equal Log.equal_entry a b
 
 (* Every observer of [l] agrees with [m]. *)
 let agrees l m =
   let stored = Array.of_list m.entries in
   let last = model_last m in
-  let ok = ref (Log.last_index l = last && Log.snapshot_index l = m.si
-                && Log.snapshot_term l = m.st && Log.length l = Array.length stored
-                && Log.last_term l = Option.get (model_term m last)) in
+  let ok =
+    ref
+      (Log.last_index l = last
+      && Log.snapshot_index l = m.si
+      && Log.snapshot_term l = m.st
+      && Log.length l = Array.length stored
+      && Option.equal Int.equal (Some (Log.last_term l)) (model_term m last))
+  in
   for i = Int.max 0 (m.si - 2) to last + 2 do
-    let want = if i > m.si && i <= last then Some stored.(i - m.si - 1) else None in
-    ok := !ok && Option.equal Log.equal_entry (Log.entry_at l i) want
-          && Option.equal Int.equal (Log.term_at l i)
-               (if i = m.si then Some m.st else Option.map (fun e -> e.Log.term) want)
+    let want =
+      if i > m.si && i <= last then Some stored.(i - m.si - 1) else None
+    in
+    ok :=
+      !ok
+      && Option.equal Log.equal_entry (Log.entry_at l i) want
+      && Option.equal Int.equal (Log.term_at l i)
+           (if i = m.si then Some m.st
+            else Option.map (fun (e : Log.entry) -> e.term) want)
   done;
   !ok
 
-let step (l, m) op =
-  match op with
+(* [Log.compact] on both sides. *)
+let compact l m ~upto =
+  Log.compact l ~upto;
+  if upto <= m.si then m
+  else
+    {
+      si = upto;
+      st = Option.get (model_term m upto);
+      entries = List.filter (fun (e : Log.entry) -> e.index > upto) m.entries;
+    }
+
+(* Applies [op] to [l] and to [m]: whether their results agree, and the
+   model after it. *)
+let step l m = function
   | Append { n; term } ->
       let appended =
         List.init n (fun _ ->
             let index = Log.last_index l + 1 in
             Log.append_new l ~term (payload_entry ~term ~index).command)
       in
-      (true, (l, { m with entries = m.entries @ appended }))
+      (true, { m with entries = m.entries @ appended })
   | Replicate { back; flip; keep; fresh; term } ->
       let prev_index = Int.max 0 (model_last m - back) in
       let prev_term =
@@ -500,30 +541,21 @@ let step (l, m) op =
               stored.(index - m.si - 1)
             else payload_entry ~term ~index)
       in
-      let m', want = model_try_append m ~prev_index ~prev_term ~entries in
-      let got = Log.try_append l ~prev_index ~prev_term ~entries in
-      (got = want, (l, m'))
-  | Compact { back } ->
-      let upto = model_last m - back in
-      Log.compact l ~upto;
-      if upto <= m.si then (true, (l, m))
-      else
-        ( true,
-          ( l,
-            {
-              si = upto;
-              st = Option.get (model_term m upto);
-              entries = List.filter (fun (e : Log.entry) -> e.index > upto) m.entries;
-            } ) )
-  | Install { ahead; term } ->
-      let index = Int.max 0 (model_last m + ahead) in
+      let m, want = model_try_append m ~prev_index ~prev_term ~entries in
+      (Log.try_append l ~prev_index ~prev_term ~entries = want, m)
+  | Compact { back } -> (true, compact l m ~upto:(model_last m - back))
+  | Compact_to { page; delta } ->
+      let upto = Int.min (model_last m) ((page * Log.page_size) + delta) in
+      (true, compact l m ~upto)
+  | Install { page; delta; term } ->
+      let index = Int.max 0 ((page * Log.page_size) + delta) in
       Log.install_snapshot l ~index ~term;
-      (true, (l, { si = index; st = term; entries = [] }))
+      (true, { si = index; st = term; entries = [] })
   | Slice { page; delta; max } ->
       let from = Int.max 0 ((page * Log.page_size) + delta) in
-      let got = Array.to_list (Log.slice l ~from ~max) in
       let want = model_slice m ~from:(Int.max from (m.si + 1)) ~max in
-      (entries_equal got want, (l, m))
+      let got = Array.to_list (Log.slice l ~from ~max) in
+      (List.equal Log.equal_entry got want, m)
 
 let prop_paged_log_matches_model =
   Q.Test.make ~count:60 ~name:"paged log: agrees with a list model"
@@ -532,13 +564,13 @@ let prop_paged_log_matches_model =
        Q.Gen.(list_size (int_range 1 25) gen_op))
     (fun ops ->
       let l = Log.create () in
-      let rec run state = function
+      let rec run m = function
         | [] -> true
         | op :: rest ->
-            let ok, ((l, m) as state) = step state op in
-            ok && agrees l m && run state rest
+            let ok, m = step l m op in
+            ok && agrees l m && run m rest
       in
-      run (l, { si = 0; st = 0; entries = [] }) ops)
+      run { si = 0; st = 0; entries = [] } ops)
 
 (* {2 Retention: a dropped entry's payload is collected} *)
 
