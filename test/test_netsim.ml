@@ -403,6 +403,46 @@ let test_fabric_unregistered_pair_rejected () =
   Alcotest.(check bool) "no link inherited" false
     (List.mem_assoc (0, 9) (Fabric.link_counters f))
 
+(* Every delivery path hands the receiver the cause its sender passed:
+   an ideal link, a serialized egress where the urgent lane overtakes a
+   queued bulk message, both copies of a duplicated datagram, an
+   untracked send and a self-send. *)
+let test_fabric_cause_reaches_handler () =
+  let e, f, ids = make_fabric () in
+  let n0 = List.nth ids 0 and n1 = List.nth ids 1 and n2 = List.nth ids 2 in
+  let seen = ref [] in
+  let record ~src:_ msg = seen := (msg, Fabric.delivery_cause f) :: !seen in
+  List.iter (fun id -> Fabric.set_handler f id record) ids;
+  let drain () =
+    Engine.run e;
+    let got = List.rev !seen in
+    seen := [];
+    got
+  in
+  let check name want got =
+    Alcotest.(check (list (pair string int))) name want got
+  in
+  Fabric.send f Transport.Datagram ~cause:7 ~src:n0 ~dst:n1 "ideal";
+  check "ideal link" [ ("ideal", 7) ] (drain ());
+  Fabric.set_uniform_serialization f (Time.ms 1);
+  Fabric.send f Transport.Reliable ~cause:10 ~src:n0 ~dst:n1 "wire";
+  Fabric.send f Transport.Reliable ~lane:Transport.Bulk ~cause:11 ~src:n0
+    ~dst:n1 "bulk";
+  Fabric.send f Transport.Reliable ~lane:Transport.Urgent ~cause:12 ~src:n0
+    ~dst:n1 "urgent";
+  check "urgent overtakes bulk, each with its cause"
+    [ ("wire", 10); ("urgent", 12); ("bulk", 11) ]
+    (drain ());
+  Fabric.set_uniform_serialization f 0;
+  Fabric.set_conditions f ~src:n0 ~dst:n2
+    (Conditions.constant (profile ~rtt_ms:10. ~duplicate:1.0 ()));
+  Fabric.send f Transport.Datagram ~cause:13 ~src:n0 ~dst:n2 "dup";
+  check "both copies" [ ("dup", 13); ("dup", 13) ] (drain ());
+  Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n1 "none";
+  check "no cause" [ ("none", 0) ] (drain ());
+  Fabric.send f Transport.Datagram ~cause:14 ~src:n2 ~dst:n2 "self";
+  check "self-send" [ ("self", 14) ] (drain ())
+
 (* {2 Cpu} *)
 
 let test_cpu_queueing () =
@@ -680,6 +720,8 @@ let tests =
       test_fabric_pair_observables;
     Alcotest.test_case "fabric: unregistered pair rejected" `Quick
       test_fabric_unregistered_pair_rejected;
+    Alcotest.test_case "fabric: a send's cause reaches its handler" `Quick
+      test_fabric_cause_reaches_handler;
     Alcotest.test_case "cpu: queueing" `Quick test_cpu_queueing;
     Alcotest.test_case "cpu: cores speedup" `Quick test_cpu_cores_speedup;
     Alcotest.test_case "cpu: passthrough" `Quick test_cpu_passthrough;
