@@ -405,8 +405,21 @@ let boot ?(timeout = Des.Time.sec 30) t ~label =
 let set_pair_conditions t a b c =
   Netsim.Fabric.set_pair_conditions t.host.fabric a b c
 
-let partition t groups = Netsim.Fabric.partition t.host.fabric groups
-let heal_partition t = Netsim.Fabric.heal_partition t.host.fabric
+(* The live members [groups] leaves out form its last group; nodes of
+   other clusters on the host keep their islands. *)
+let partition t groups =
+  let member id = List.exists (Node_id.equal id) t.ids in
+  List.iter
+    (List.iter (fun id ->
+         if not (member id) then
+           invalid_arg
+             ("Cluster.partition: " ^ node_label id ^ " is not a live member")))
+    groups;
+  let listed id = List.exists (List.exists (Node_id.equal id)) groups in
+  Netsim.Fabric.partition t.host.fabric
+    (groups @ [ List.filter (fun id -> not (listed id)) t.ids ])
+
+let heal_partition t = Netsim.Fabric.heal t.host.fabric t.ids
 
 let submit_target t ~payload ~client_id ~seq ~on_result =
   match leader t with

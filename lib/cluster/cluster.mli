@@ -133,12 +133,17 @@ val set_pair_conditions :
   t -> Netsim.Node_id.t -> Netsim.Node_id.t -> Netsim.Conditions.t -> unit
 
 val partition : t -> Netsim.Node_id.t list list -> unit
-(** Network-partition the cluster into groups (see
-    {!Netsim.Fabric.partition}).  The fabric keeps one partition: on a
-    shared host this replaces another cluster's, and {!heal_partition}
-    heals every cluster's. *)
+(** Network-partition the cluster into groups: messages flow only
+    within a group.  The live members not mentioned form an implicit
+    final group, and a server spawned later is cut off from all of them
+    until {!heal_partition}.  A second call replaces the first.  The
+    partition is this cluster's own: other clusters on a shared host
+    keep theirs (see {!Netsim.Fabric.partition}).  Raises
+    [Invalid_argument], naming the id, for an id that is not a live
+    member of this cluster, and for an id listed twice. *)
 
 val heal_partition : t -> unit
+(** Reconnect every live member of this cluster, and no other node. *)
 
 val submit_target : t -> Kvsm.Client.target
 (** A client target that finds the current leader and submits to it. *)

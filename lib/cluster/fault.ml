@@ -219,7 +219,8 @@ let admits t action =
   | Pause id | Crash id -> member id && not (paused id)
   | Resume id | Restart id -> paused id
   | Remove_server id -> member id
-  | Run _ | Partition _ | Heal | Add_server | Write _ -> true
+  | Partition sides -> List.for_all (List.for_all member) sides
+  | Run _ | Heal | Add_server | Write _ -> true
 
 let apply t ~write action =
   let node id = Cluster.node t (Node_id.of_int id) in

@@ -7,8 +7,11 @@ type counters = {
 }
 
 type 'msg node_state = {
-  mutable handler : (src:Node_id.t -> 'msg -> unit) option;
+  mutable handler : (src:Node_id.t -> cause:int -> 'msg -> unit) option;
   mutable paused : bool;
+  mutable island : int;
+      (* messages flow only between nodes on one island; 0 is the one
+         every node starts on and [heal] returns it to *)
   mutable congestion : Congestion.t option;
   mutable alive : bool;
       (* cleared by [remove_node]; in-flight deliveries that still hold
@@ -37,7 +40,6 @@ type 'msg t = {
   engine : Des.Engine.t;
   rng : Stats.Rng.t;
   nodes : 'msg node_state Node_id.Table.t;
-  mutable node_order : Node_id.t list; (* registration order *)
   ports : 'msg port Itab.t;
       (* the only per-pair store, keyed by [key src dst], a single int:
          a tuple key would be allocated afresh on every message send *)
@@ -52,16 +54,12 @@ type 'msg t = {
   mutable default_serialization : Des.Time.span;
       (* for ports created later; 0 = wire never busy *)
   mutable default_conditions : Conditions.t;
-  mutable groups : int Node_id.Table.t option;  (* node -> partition group *)
+  mutable islands : int;  (* the last island [partition] handed out *)
   mutable sent : int;
   mutable delivered : int;
   mutable lost : int;
   mutable dropped_paused : int;
   mutable duplicated : int;
-  mutable last_cause : int;
-      (* cause of the delivery in progress: the opaque int token its
-         sender passed to [send] (the forensics layer's causal
-         piggyback), 0 outside a delivery that carries one *)
   mutable dup_clone : 'msg -> 'msg;
       (* applied to the second copy of a duplicated datagram; identity
          unless the host pools messages (a pooled payload must not be
@@ -87,7 +85,11 @@ and 'msg port = {
       (* made at the port's first serialized send *)
 }
 
-let[@inline] deliver_port t port msg =
+(* The engine-table delivery handler; registered once per fabric,
+   scheduled per message with zero allocation, its int operand the
+   message's cause. *)
+let dispatch_deliver port msg cause =
+  let t = port.pt_fabric in
   let st = port.pt_dst_state in
   if (not st.alive) || st.paused then
     t.dropped_paused <- t.dropped_paused + 1
@@ -96,19 +98,7 @@ let[@inline] deliver_port t port msg =
     | None -> t.dropped_paused <- t.dropped_paused + 1
     | Some handler ->
         t.delivered <- t.delivered + 1;
-        handler ~src:port.pt_src msg
-
-(* The engine-table delivery handler ([cause = 0] is the untracked
-   case); registered once per fabric, scheduled per message with zero
-   allocation. *)
-let dispatch_deliver port msg cause =
-  let t = port.pt_fabric in
-  if cause = 0 then deliver_port t port msg
-  else begin
-    t.last_cause <- cause;
-    deliver_port t port msg;
-    t.last_cause <- 0
-  end
+        handler ~src:port.pt_src ~cause msg
 
 (* Put one message on the (now free) wire: sample the link model and
    schedule the delivery through the engine's handler table.  This is
@@ -178,26 +168,22 @@ let create engine =
     engine;
     rng = Stats.Rng.split (Des.Engine.rng engine) "fabric";
     nodes = Node_id.Table.create 16;
-    node_order = [];
     ports = Itab.create 64;
     deliver_op;
     wire_free_op;
     default_serialization = 0;
     default_conditions = Conditions.(constant (profile ~rtt_ms:0. ()));
-    groups = None;
+    islands = 0;
     sent = 0;
     delivered = 0;
     lost = 0;
     dropped_paused = 0;
     duplicated = 0;
-    last_cause = 0;
     dup_clone = (fun msg -> msg);
   }
 
 let engine t = t.engine
 let set_dup_clone t clone = t.dup_clone <- clone
-
-let delivery_cause t = t.last_cause
 
 let add_node t id =
   if Node_id.to_int id < 0 || Node_id.to_int id > 0xFFFFF then
@@ -205,9 +191,13 @@ let add_node t id =
   if Node_id.Table.mem t.nodes id then
     invalid_arg "Fabric.add_node: duplicate node id";
   Node_id.Table.add t.nodes id
-    { handler = None; paused = false; congestion = None; alive = true };
-  t.node_order <- t.node_order @ [ id ]
-
+    {
+      handler = None;
+      paused = false;
+      island = 0;
+      congestion = None;
+      alive = true;
+    }
 
 let remove_node t id =
   match Node_id.Table.find_opt t.nodes id with
@@ -215,13 +205,8 @@ let remove_node t id =
   | Some st ->
       st.alive <- false;
       Node_id.Table.remove t.nodes id;
-      t.node_order <-
-        List.filter (fun n -> not (Node_id.equal n id)) t.node_order;
       let i = Node_id.to_int id in
-      Itab.filter t.ports (fun k _ -> k lsr 20 <> i && k land 0xFFFFF <> i);
-      (match t.groups with
-      | Some table -> Node_id.Table.remove table id
-      | None -> ())
+      Itab.filter t.ports (fun k _ -> k lsr 20 <> i && k land 0xFFFFF <> i)
 
 let state t id =
   match Node_id.Table.find_opt t.nodes id with
@@ -274,20 +259,20 @@ let set_pair_conditions t a b conditions =
 
 let set_uniform_conditions t conditions =
   t.default_conditions <- conditions;
-  List.iter
-    (fun src ->
-      List.iter
-        (fun dst ->
+  Node_id.Table.iter
+    (fun src _ ->
+      Node_id.Table.iter
+        (fun dst _ ->
           if not (Node_id.equal src dst) then
             set_conditions t ~src ~dst conditions)
-        t.node_order)
-    t.node_order
+        t.nodes)
+    t.nodes
 
 (* Tolerant of unknown destinations: a message in flight toward a node
    that [remove_node] has since deleted counts as dropped, not an
    error.  Only self-sends take this path; everything else delivers
    through a port. *)
-let deliver t ~src ~dst msg =
+let deliver t ~src ~dst ~cause msg =
   match Node_id.Table.find_opt t.nodes dst with
   | None -> t.dropped_paused <- t.dropped_paused + 1
   | Some st -> (
@@ -297,7 +282,7 @@ let deliver t ~src ~dst msg =
         | None -> t.dropped_paused <- t.dropped_paused + 1
         | Some handler ->
             t.delivered <- t.delivered + 1;
-            handler ~src msg)
+            handler ~src ~cause msg)
 
 let set_egress_congestion t id spec =
   let rng =
@@ -307,44 +292,28 @@ let set_egress_congestion t id spec =
   in
   (state t id).congestion <- Some (Congestion.create ~rng spec)
 
+(* Each node's stream is split by its id, so the table's order does not
+   matter. *)
 let set_all_egress_congestion t spec =
-  List.iter (fun id -> set_egress_congestion t id spec) t.node_order
+  Node_id.Table.iter (fun id _ -> set_egress_congestion t id spec) t.nodes
 
+(* Every id is checked before any node moves, so a rejected call leaves
+   the islands as they were. *)
 let partition t groups =
-  let table = Node_id.Table.create 16 in
-  List.iteri
-    (fun group ids ->
-      List.iter
-        (fun id ->
-          ignore (state t id : _ node_state);
-          if Node_id.Table.mem table id then
-            invalid_arg "Fabric.partition: node appears in two groups";
-          Node_id.Table.add table id group)
-        ids)
-    groups;
-  (* Unmentioned nodes share an implicit extra group. *)
-  let extra = List.length groups in
+  let states = List.map (List.map (state t)) groups in
+  let ids = List.concat_map (List.map Node_id.to_int) groups in
+  if List.compare_lengths ids (List.sort_uniq Int.compare ids) <> 0 then
+    invalid_arg "Fabric.partition: node appears in two groups";
   List.iter
-    (fun id ->
-      if not (Node_id.Table.mem table id) then
-        Node_id.Table.add table id extra)
-    t.node_order;
-  t.groups <- Some table
+    (fun group ->
+      t.islands <- t.islands + 1;
+      List.iter (fun st -> st.island <- t.islands) group)
+    states
 
-let heal_partition t = t.groups <- None
+let heal t ids = List.iter (fun id -> (state t id).island <- 0) ids
 
 let reachable t src dst =
-  match t.groups with
-  | None -> true
-  | Some table ->
-      Node_id.equal src dst
-      ||
-      match
-        (Node_id.Table.find_opt table src, Node_id.Table.find_opt table dst)
-      with
-      | Some a, Some b -> Int.equal a b
-      | None, None -> true
-      | Some _, None | None, Some _ -> false
+  Node_id.equal src dst || Int.equal (state t src).island (state t dst).island
 
 let set_uniform_serialization t span =
   if span < 0 then invalid_arg "Fabric.set_uniform_serialization: negative span";
@@ -384,19 +353,13 @@ let[@hot] send_port t p kind lane units ~cause msg =
 let[@hot] send t kind ?(lane = Transport.Urgent) ?(units = 1) ~cause ~src ~dst
     msg =
   t.sent <- t.sent + 1;
-  if Node_id.equal src dst then
-    if cause = 0 then deliver t ~src ~dst msg
-    else begin
-      t.last_cause <- cause;
-      deliver t ~src ~dst msg;
-      t.last_cause <- 0
-    end
+  if Node_id.equal src dst then deliver t ~src ~dst ~cause msg
   else
-    let k = key src dst in
-    match Itab.find t.ports k with
+    match Itab.find t.ports (key src dst) with
     | Some p ->
         (* A found port implies both endpoints are registered. *)
-        if not (reachable t src dst) then t.lost <- t.lost + 1
+        if p.pt_src_state.island <> p.pt_dst_state.island then
+          t.lost <- t.lost + 1
         else send_port t p kind lane units ~cause msg
     | None ->
         if not (Node_id.Table.mem t.nodes dst) then

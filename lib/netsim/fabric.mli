@@ -25,8 +25,10 @@ val remove_node : 'msg t -> Node_id.t -> unit
     it are dropped on arrival (counted as [dropped_paused]); new sends to
     it are counted as [lost].  Removing an unknown id is an error. *)
 
-val set_handler : 'msg t -> Node_id.t -> (src:Node_id.t -> 'msg -> unit) -> unit
-(** Install the delivery callback for a node. *)
+val set_handler :
+  'msg t -> Node_id.t -> (src:Node_id.t -> cause:int -> 'msg -> unit) -> unit
+(** Install the delivery callback for a node.  Each delivery passes the
+    sender and the cause its sender gave {!send}. *)
 
 val set_conditions :
   'msg t -> src:Node_id.t -> dst:Node_id.t -> Conditions.t -> unit
@@ -55,8 +57,9 @@ val send :
     "every RPC leaves through Raft.Replication.transmit, so bulk appends \
      cannot bypass the lane/backpressure policy"]
 (** Transmit a message.  Self-sends are delivered immediately.  [cause]
-    is the message's causal token ([0] = none), read back by the
-    receiver with {!delivery_cause}.
+    is the message's causal token ([0] = none), handed to the receiver's
+    handler as its [~cause] argument.  A message between nodes on
+    different islands ({!partition}) is counted as [lost].
 
     When the link has a serialization delay configured
     ({!set_uniform_serialization}), the message first queues at the sender's
@@ -95,15 +98,9 @@ val link_queue_depths : _ t -> ((int * int) * int) list
     The forensics layer threads an opaque cause token alongside each
     message: the sender passes it to {!send}, the fabric carries it
     through egress queues and link delays as an immediate int, and the
-    receiver reads it back with {!delivery_cause} from inside its
-    delivery handler.  Tokens are plain nonzero ints (packed by the
-    telemetry layer, which this library cannot depend on); [0] means
-    "no cause". *)
-
-val delivery_cause : _ t -> int
-(** The cause of the delivery currently in progress ([0] outside a
-    delivery that carries one).  Only meaningful when called
-    synchronously from a handler installed with {!set_handler}. *)
+    receiver's delivery handler gets it as its [~cause] argument.
+    Tokens are plain nonzero ints (packed by the telemetry layer, which
+    this library cannot depend on); [0] means "no cause". *)
 
 val set_egress_congestion : 'msg t -> Node_id.t -> Congestion.spec -> unit
 (** Attach a sender-side congestion process to a node: during an episode,
@@ -113,16 +110,26 @@ val set_egress_congestion : 'msg t -> Node_id.t -> Congestion.spec -> unit
 val set_all_egress_congestion : 'msg t -> Congestion.spec -> unit
 (** Independent congestion processes on every registered node. *)
 
-val partition : 'msg t -> Node_id.t list list -> unit
-(** Split the cluster into groups: messages are delivered only between
-    nodes of the same group.  Nodes not mentioned form an implicit final
-    group.  Replaces any previous partition. *)
+(** {2 Partitions}
 
-val heal_partition : 'msg t -> unit
-(** Remove the partition; full connectivity is restored. *)
+    Every node sits on an island, and messages flow only between nodes
+    on the same one.  Every node starts on island 0. *)
+
+val partition : 'msg t -> Node_id.t list list -> unit
+(** Move each listed group onto an island of its own, fresh from this
+    fabric.  Unlisted nodes stay where they are, so partitions of
+    disjoint node sets (one per cluster on a shared host) do not
+    disturb each other.  Raises [Invalid_argument], moving no node, for
+    an unregistered id or one listed twice. *)
+
+val heal : 'msg t -> Node_id.t list -> unit
+(** Return the listed nodes to island 0.  Raises [Invalid_argument] for
+    an unregistered id. *)
 
 val reachable : 'msg t -> Node_id.t -> Node_id.t -> bool
-(** Whether messages currently flow from one node to the other. *)
+(** Whether messages currently flow from one registered node to the
+    other: a node always reaches itself, two nodes on one island reach
+    each other.  Raises [Invalid_argument] for an unregistered id. *)
 
 val pause : 'msg t -> Node_id.t -> unit
 (** Start dropping every message delivered to the node. *)

@@ -357,17 +357,16 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
   (* Every delivery takes this one path.  The receive work goes through
      the CPU model; a passthrough CPU runs [deliver] before [execute]
      returns, so the message is dispatched synchronously. *)
-  Netsim.Fabric.set_handler fabric node_id (fun ~src msg ->
+  Netsim.Fabric.set_handler fabric node_id (fun ~src ~cause msg ->
       if not t.paused then
         if datagram_overflow t msg then ()
         else begin
           if t.fo_on then begin
-            (* The sender's cause, surfaced by the fabric for the
-               duration of this delivery: adopt it as our causal context
-               (under a CPU cost model [execute] may defer the dispatch,
-               in which case a later delivery can overwrite it — the
-               forensics scenarios run without a cost model). *)
-            t.cur_cause <- Netsim.Fabric.delivery_cause t.fabric;
+            (* Adopt the sender's cause as our causal context (under a
+               CPU cost model [execute] may defer the dispatch, in which
+               case a later delivery can overwrite it — the forensics
+               scenarios run without a cost model). *)
+            t.cur_cause <- cause;
             match msg with
             | Rpc.Vote_response { granted; pre_vote; _ } ->
                 record t ~term:(Server.term t.server)

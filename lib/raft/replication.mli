@@ -18,6 +18,6 @@ val transmit :
   unit
 (** Send one RPC.  With [lanes:false] everything departs urgent — one
     FIFO, the priority-lane ablation.  [cause] (a {!Telemetry.Cause.t}
-    token; [0] = none) is passed straight to {!Netsim.Fabric.send}, so
-    the receiver's delivery handler can read its causal parent with
-    {!Netsim.Fabric.delivery_cause}. *)
+    token; [0] = none) is passed straight to {!Netsim.Fabric.send},
+    which hands it to the receiver's delivery handler as its causal
+    parent. *)

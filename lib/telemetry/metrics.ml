@@ -12,41 +12,44 @@ let key_label k =
   if k.node = "" then k.scope ^ "/" ^ k.name
   else k.scope ^ "/" ^ k.name ^ "@" ^ k.node
 
-(* Handles are the cells themselves.  A disabled registry hands out
-   shared dead handles whose [live] flag is false, so every emission on
-   the hot path costs exactly one load and one branch. *)
+(* A handle is its cell behind [Some].  A disabled registry hands out
+   [None], the dead handle, so every emission on the hot path costs
+   exactly one branch. *)
 
 module Counter = struct
-  type t = { mutable n : int; live : bool }
+  type cell = { mutable n : int }
+  type t = cell option
 
-  let dead = { n = 0; live = false }
-  let incr c = if c.live then c.n <- c.n + 1
-  let add c k = if c.live then c.n <- c.n + k
-  let value c = c.n
+  let dead : t = None
+  let incr = function None -> () | Some c -> c.n <- c.n + 1
+  let add t k = match t with None -> () | Some c -> c.n <- c.n + k
+  let value = function None -> 0 | Some c -> c.n
 end
 
 module Gauge = struct
-  type t = { mutable v : float; mutable present : bool; live : bool }
+  type cell = { mutable v : float; mutable present : bool }
+  type t = cell option
 
-  let dead = { v = 0.; present = false; live = false }
+  let dead : t = None
 
-  let set g x =
-    if g.live then begin
-      g.v <- x;
-      g.present <- true
-    end
+  let set t x =
+    match t with
+    | None -> ()
+    | Some g ->
+        g.v <- x;
+        g.present <- true
 
-  let set_max g x =
-    if g.live && ((not g.present) || x > g.v) then begin
-      g.v <- x;
-      g.present <- true
-    end
+  let set_max t x =
+    match t with
+    | Some g when (not g.present) || x > g.v ->
+        g.v <- x;
+        g.present <- true
+    | Some _ | None -> ()
 
-  let value g = g.v
+  let value = function None -> 0. | Some g -> g.v
 end
 
 module Histogram = struct
-  (* [None] is the dead handle. *)
   type t = Stats.Histogram.t option
 
   let dead : t = None
@@ -56,8 +59,8 @@ module Histogram = struct
 end
 
 type cell =
-  | Counter_cell of Counter.t
-  | Gauge_cell of Gauge.t
+  | Counter_cell of Counter.cell
+  | Gauge_cell of Gauge.cell
   | Histogram_cell of Stats.Histogram.t
 
 type t = {
@@ -94,8 +97,8 @@ let counter t ~scope ~name ?(node = "") () =
   if not t.enabled then Counter.dead
   else
     let key = { scope; name; node } in
-    match register t key (fun () -> Counter_cell { Counter.n = 0; live = true }) with
-    | Counter_cell c -> c
+    match register t key (fun () -> Counter_cell { Counter.n = 0 }) with
+    | Counter_cell c -> Some c
     | Gauge_cell _ | Histogram_cell _ -> kind_error key "counter"
 
 let gauge t ~scope ~name ?(node = "") () =
@@ -104,9 +107,9 @@ let gauge t ~scope ~name ?(node = "") () =
     let key = { scope; name; node } in
     match
       register t key (fun () ->
-          Gauge_cell { Gauge.v = 0.; present = false; live = true })
+          Gauge_cell { Gauge.v = 0.; present = false })
     with
-    | Gauge_cell g -> g
+    | Gauge_cell g -> Some g
     | Counter_cell _ | Histogram_cell _ -> kind_error key "gauge"
 
 let histogram t ~scope ~name ?(node = "") ~lo ~hi ~bins () =

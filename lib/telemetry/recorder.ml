@@ -1,17 +1,20 @@
 type tick = { t_at : Des.Time.t; t_values : (string * float) list }
 
-type t = {
-  on : bool;
+type live = {
   every : Des.Time.span;
   mutable ticks : tick list;  (* newest first *)
   mutable count : int;
 }
 
+(* [None] is the disabled recorder. *)
+type t = live option
+
 let create ~every () =
   if every <= 0 then invalid_arg "Recorder.create: every must be positive";
-  { on = true; every; ticks = []; count = 0 }
+  Some { every; ticks = []; count = 0 }
 
-let noop = { on = false; every = 1; ticks = []; count = 0 }
+let noop : t = None
+let ticks = function None -> [] | Some t -> t.ticks
 
 (* Counters and gauges only: a histogram is already a cumulative
    structure, and flattening one per tick would dwarf the scalars. *)
@@ -25,19 +28,21 @@ let values_of snapshot =
     snapshot
 
 let attach t engine sample =
-  if t.on then begin
-    let rec fire () =
-      t.ticks <-
-        { t_at = Des.Engine.now engine; t_values = values_of (sample ()) }
-        :: t.ticks;
-      t.count <- t.count + 1;
+  match t with
+  | None -> ()
+  | Some t ->
+      let rec fire () =
+        t.ticks <-
+          { t_at = Des.Engine.now engine; t_values = values_of (sample ()) }
+          :: t.ticks;
+        t.count <- t.count + 1;
+        ignore
+          (Des.Engine.schedule_after engine t.every fire : Des.Engine.handle)
+      in
       ignore
         (Des.Engine.schedule_after engine t.every fire : Des.Engine.handle)
-    in
-    ignore (Des.Engine.schedule_after engine t.every fire : Des.Engine.handle)
-  end
 
-let samples t = t.count
+let samples = function None -> 0 | Some t -> t.count
 
 type dump = (string * (float * float) array) list
 
@@ -54,7 +59,7 @@ let dump t =
           | Some l -> l := (ms, v) :: !l
           | None -> Hashtbl.add series key (ref [ (ms, v) ]))
         tick.t_values)
-    (List.rev t.ticks);
+    (List.rev (ticks t));
   Hashtbl.fold (fun key l acc -> (key, Array.of_list (List.rev !l)) :: acc)
     series []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -159,7 +164,7 @@ let window t n =
     if k <= 0 then []
     else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
   in
-  take n t.ticks
+  take n (ticks t)
   |> List.rev_map (fun tick ->
          let b = Buffer.create 128 in
          Buffer.add_string b (Format.asprintf "%a" Des.Time.pp tick.t_at);

@@ -43,7 +43,7 @@ let test_partition_reachability () =
     (Netsim.Fabric.reachable f (n 4) (n 0));
   Alcotest.(check bool) "self always reachable" true
     (Netsim.Fabric.reachable f (n 4) (n 4));
-  Netsim.Fabric.heal_partition f;
+  Netsim.Fabric.heal f ids;
   Alcotest.(check bool) "healed" true (Netsim.Fabric.reachable f (n 0) (n 2))
 
 let test_partition_rejects_duplicates () =
@@ -359,6 +359,37 @@ let test_plan_skips_what_does_not_apply () =
   Alcotest.(check (result unit string)) "verified" (Ok ())
     (Fault.verify c ~acked:!acked)
 
+(* A partition naming a retired server is skipped like any other action
+   naming a non-member, and the plan runs on to its end. *)
+let test_plan_skips_partition_of_retired () =
+  let c = make () in
+  ignore (Cluster.await_leader c ~timeout:(Time.sec 20));
+  let f = (Node_id.to_int (leader_id c) + 1) mod 5 in
+  let others =
+    List.filter_map
+      (fun id ->
+        let i = Node_id.to_int id in
+        if i = f then None else Some i)
+      (Cluster.node_ids c)
+  in
+  let acked = ref [] in
+  let write =
+    Fault.submit c ~client_id:1 ~acked:(fun k -> acked := k :: !acked)
+  in
+  let plan : Fault.plan =
+    [ Remove_server f; Run (Time.sec 1); Partition [ [ f ]; others ];
+      Run (Time.sec 1); Heal; Write { seq = 1; key = "a"; value = "1" };
+      Run (Time.sec 1) ]
+  in
+  let executed = Fault.run c ~write plan in
+  Alcotest.(check bool) "retired" false
+    (List.exists (fun id -> Node_id.to_int id = f) (Cluster.node_ids c));
+  Alcotest.(check string) "skipped: the partition naming it"
+    (Format.asprintf "%a" Fault.pp_plan
+       (List.filteri (fun i _ -> i <> 2) plan))
+    (Format.asprintf "%a" Fault.pp_plan executed);
+  Alcotest.(check (list string)) "acked" [ "a" ] !acked
+
 let tests =
   [
     Alcotest.test_case "partition: reachability" `Quick
@@ -381,6 +412,8 @@ let tests =
       test_pipelined_laggard_catchup;
     Alcotest.test_case "plan: printed as its own literal" `Quick
       test_plan_literal;
+    Alcotest.test_case "plan: a partition naming a retired server skipped"
+      `Quick test_plan_skips_partition_of_retired;
     Alcotest.test_case "plan: inadmissible actions skipped" `Quick
       test_plan_skips_what_does_not_apply;
   ]

@@ -473,7 +473,7 @@ let test_congestion_delays_delivery () =
        ~extra_hi:(Time.ms 300) ~duration:(Time.sec 3600) ());
   Des.Engine.run_until engine (Time.sec 1);
   let arrival = ref Time.zero in
-  Netsim.Fabric.set_handler fabric b (fun ~src:_ _ ->
+  Netsim.Fabric.set_handler fabric b (fun ~src:_ ~cause:_ _ ->
       arrival := Des.Engine.now engine);
   Netsim.Fabric.send fabric Netsim.Transport.Datagram ~cause:0 ~src:a ~dst:b
     "x";

@@ -464,6 +464,79 @@ let test_collect_once_per_host () =
        (Telemetry.Metrics.counter telemetry ~scope:"des"
           ~name:"events_processed" ()))
 
+(* Two groups partitioned at once on one host: each partition cuts
+   only its own group, healing one leaves the other split, and a group
+   cannot partition another group's node. *)
+let test_group_partition_own () =
+  let m = make ~seed:53L ~groups:2 () in
+  let fabric = Gm.fabric m in
+  let g0 = Gm.group m 0 and g1 = Gm.group m 1 in
+  let split c =
+    let leader = Raft.Node.id (Option.get (Cluster.leader c)) in
+    ( leader,
+      List.filter
+        (fun id -> not (Netsim.Node_id.equal id leader))
+        (Cluster.node_ids c) )
+  in
+  let leader0, followers0 = split g0 in
+  let _, followers1 = split g1 in
+  let lone1 = List.hd followers1 in
+  let rest1 =
+    List.filter
+      (fun id -> not (Netsim.Node_id.equal id lone1))
+      (Cluster.node_ids g1)
+  in
+  Cluster.partition g0 [ [ leader0 ]; followers0 ];
+  Cluster.partition g1 [ [ lone1 ]; rest1 ];
+  let reach a b = Netsim.Fabric.reachable fabric a b in
+  let group0_split () =
+    List.iter
+      (fun f ->
+        Alcotest.(check bool) "group 0's old leader is cut off" false
+          (reach leader0 f))
+      followers0
+  in
+  group0_split ();
+  Alcotest.(check bool) "group 1's majority side connected" true
+    (reach (List.nth rest1 0) (List.nth rest1 1));
+  Alcotest.(check bool) "group 1's lone follower cut off" false
+    (reach lone1 (List.hd rest1));
+  Cluster.heal_partition g1;
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool) "group 1 healed" true (reach a b))
+        (Cluster.node_ids g1))
+    (Cluster.node_ids g1);
+  group0_split ();
+  let router = Router.create m in
+  let key =
+    List.find
+      (fun k -> Router.group_of_key router k = 1)
+      (List.init 16 (fun i -> Printf.sprintf "own:%d" i))
+  in
+  let committed = ref false in
+  ignore
+    (Router.dispatch router
+       (Router.Write { key; value = "v" })
+       ~client_id:5 ~seq:1
+       ~on_result:(function
+         | Router.Committed -> committed := true
+         | Router.Value _ | Router.Failed -> ())
+      : Kvsm.Client.submit_result);
+  Gm.run_for m (Des.Time.sec 5);
+  Alcotest.(check bool) "group 0 elected among its followers" true
+    (match Cluster.leader g0 with
+    | Some l -> List.exists (Netsim.Node_id.equal (Raft.Node.id l)) followers0
+    | None -> false);
+  Alcotest.(check bool) "group 1's write committed" true !committed;
+  Alcotest.(check bool) "group 1 cannot partition group 0's node" true
+    (try
+       Cluster.partition g1 [ [ leader0 ] ];
+       false
+     with Invalid_argument _ -> true)
+
 let tests =
   [
     Alcotest.test_case "manager: shape and id partition" `Quick
@@ -497,4 +570,6 @@ let tests =
       test_collect_once_per_host;
     Alcotest.test_case "manager: a joiner's id maps to its group" `Quick
       test_joiner_id_maps_to_its_group;
+    Alcotest.test_case "host: a group's partition is its own" `Quick
+      test_group_partition_own;
   ]

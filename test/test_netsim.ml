@@ -246,7 +246,7 @@ let test_fabric_delivers () =
   let e, f, ids = make_fabric () in
   let received = ref [] in
   let n0 = List.nth ids 0 and n1 = List.nth ids 1 in
-  Fabric.set_handler f n1 (fun ~src msg ->
+  Fabric.set_handler f n1 (fun ~src ~cause:_ msg ->
       received := (src, msg, Engine.now e) :: !received);
   Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n1 "hello";
   Engine.run e;
@@ -260,7 +260,7 @@ let test_fabric_pause_drops () =
   let e, f, ids = make_fabric () in
   let received = ref 0 in
   let n0 = List.nth ids 0 and n1 = List.nth ids 1 in
-  Fabric.set_handler f n1 (fun ~src:_ _ -> incr received);
+  Fabric.set_handler f n1 (fun ~src:_ ~cause:_ _ -> incr received);
   Fabric.pause f n1;
   Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n1 "x";
   Engine.run e;
@@ -279,7 +279,7 @@ let test_fabric_reliable_fifo_under_loss () =
   in
   let n0 = List.nth ids 0 and n1 = List.nth ids 1 in
   let received = ref [] in
-  Fabric.set_handler f n1 (fun ~src:_ msg -> received := msg :: !received);
+  Fabric.set_handler f n1 (fun ~src:_ ~cause:_ msg -> received := msg :: !received);
   for i = 1 to 50 do
     Fabric.send f Transport.Reliable ~cause:0 ~src:n0 ~dst:n1 (string_of_int i)
   done;
@@ -293,7 +293,7 @@ let test_fabric_per_pair_conditions () =
   Fabric.set_conditions f ~src:n0 ~dst:n2
     (Conditions.constant (profile ~rtt_ms:200. ()));
   let at = ref Time.zero in
-  Fabric.set_handler f n2 (fun ~src:_ _ -> at := Engine.now e);
+  Fabric.set_handler f n2 (fun ~src:_ ~cause:_ _ -> at := Engine.now e);
   Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n2 "slow";
   Engine.run e;
   Alcotest.(check int) "overridden delay" (Time.ms 100) !at
@@ -302,7 +302,7 @@ let test_fabric_self_send_immediate () =
   let e, f, ids = make_fabric () in
   let n0 = List.nth ids 0 in
   let got = ref false in
-  Fabric.set_handler f n0 (fun ~src:_ _ -> got := true);
+  Fabric.set_handler f n0 (fun ~src:_ ~cause:_ _ -> got := true);
   Fabric.send f Transport.Datagram ~cause:0 ~src:n0 ~dst:n0 "loop";
   Alcotest.(check bool) "delivered synchronously" true !got;
   Engine.run e
@@ -373,13 +373,13 @@ let test_fabric_pair_observables () =
   let sent_on f pair =
     (List.assoc pair (Fabric.link_counters f)).Link.sent
   in
-  Fabric.set_handler f n.(1) (fun ~src:_ _ -> ());
+  Fabric.set_handler f n.(1) (fun ~src:_ ~cause:_ _ -> ());
   send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "a";
   Engine.run e;
   Alcotest.(check int) "old link used" 1 (sent_on f (0, 1));
   Fabric.remove_node f n.(1);
   Fabric.add_node f n.(1);
-  Fabric.set_handler f n.(1) (fun ~src:_ _ -> ());
+  Fabric.set_handler f n.(1) (fun ~src:_ ~cause:_ _ -> ());
   send f Transport.Datagram ~src:n.(0) ~dst:n.(1) "b";
   Engine.run e;
   Alcotest.(check int) "counters restart" 1 (sent_on f (0, 1))
@@ -411,7 +411,7 @@ let test_fabric_cause_reaches_handler () =
   let e, f, ids = make_fabric () in
   let n0 = List.nth ids 0 and n1 = List.nth ids 1 and n2 = List.nth ids 2 in
   let seen = ref [] in
-  let record ~src:_ msg = seen := (msg, Fabric.delivery_cause f) :: !seen in
+  let record ~src:_ ~cause msg = seen := (msg, cause) :: !seen in
   List.iter (fun id -> Fabric.set_handler f id record) ids;
   let drain () =
     Engine.run e;

@@ -256,7 +256,7 @@ let test_queued_deliveries_keep_their_sender () =
   let replies = ref [] in
   List.iter
     (fun peer ->
-      Netsim.Fabric.set_handler fabric peer (fun ~src:_ msg ->
+      Netsim.Fabric.set_handler fabric peer (fun ~src:_ ~cause:_ msg ->
           match msg with
           | Raft.Rpc.Vote_response { granted; term; _ } ->
               replies := (Node_id.to_int peer, term, granted) :: !replies

@@ -1312,7 +1312,7 @@ let prop_pool_recycle_never_aliases_inflight =
             c
       in
       let ok = ref true in
-      Netsim.Fabric.set_handler fabric b (fun ~src:_ msg ->
+      Netsim.Fabric.set_handler fabric b (fun ~src:_ ~cause:_ msg ->
           (* gen 0 records are dup clones (or hand-built): unpooled by
              construction, so they cannot alias the free list *)
           if Raft.Rpc.Pool.generation msg > 0 then begin
