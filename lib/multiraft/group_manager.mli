@@ -15,9 +15,9 @@
     takes the host's next id, past every group's range; {!group_of_node}
     finds it in the groups' member lists.
 
-    The groups share the fabric's one partition table:
-    {!Harness.Cluster.partition} on one group replaces any other group's
-    partition, and {!Harness.Cluster.heal_partition} heals every group's.
+    A partition is per group: {!Harness.Cluster.partition} and
+    {!Harness.Cluster.heal_partition} on one group move only that
+    group's members, so other groups keep their own partitions.
 
     Metrics scopes are prefixed ["g<g>/"] per group (["g3/raft"]), so N
     groups share one {!Telemetry.Metrics.t} without clobbering; the
