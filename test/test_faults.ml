@@ -38,7 +38,7 @@ let test_partition_reachability () =
   Alcotest.(check bool) "same group" true (Netsim.Fabric.reachable f (n 0) (n 1));
   Alcotest.(check bool) "cross group" false
     (Netsim.Fabric.reachable f (n 0) (n 2));
-  (* n4 was not mentioned: it forms its own group. *)
+  (* n4 was not listed: it stays on island 0, apart from both groups. *)
   Alcotest.(check bool) "implicit group isolated" false
     (Netsim.Fabric.reachable f (n 4) (n 0));
   Alcotest.(check bool) "self always reachable" true
