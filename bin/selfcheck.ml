@@ -442,7 +442,7 @@ let perf_table () =
                  ~ns:[ 5; 17 ] ()) ) );
     ( "extensions text hold=100ms digest",
       Digest
-        ( "6ed8549e1c6f1814",
+        ( "f5109734cbc14e22",
           fun () ->
             text_digest Scenarios.Extensions.print
               (Scenarios.Extensions.run ~hold:(Des.Time.ms 100) ~jobs:1 ()) ) );
@@ -466,7 +466,7 @@ let perf_table () =
       ( "log retained words per entry (one replica)",
         Budget (9.006, "words/entry", Bench_loops.log_words_per_entry) );
       ( "server retained words, 65 members",
-        Budget (554., "words", server_words) );
+        Budget (553., "words", server_words) );
       ( "steady-state cluster",
         Budget
           (ratchet 13.86, "words/event", fun () ->

@@ -5,8 +5,20 @@ let zero = 0
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
-let of_ms_f x = int_of_float (Float.round (x *. 1e6))
-let of_sec_f x = int_of_float (Float.round (x *. 1e9))
+
+(* [int_of_float] is unspecified for NaN, ±∞ and outside [min_int,
+   max_int] (2^62 is the first float past it); NaN fails both tests.
+   [@inline] keeps the float unboxed in the tuner's per-heartbeat Et. *)
+let[@inline] of_float ~err scale x =
+  let y = Float.round (x *. scale) in
+  if y >= -0x1p62 && y < 0x1p62 then int_of_float y else invalid_arg err
+
+let[@inline] of_ms_f x =
+  of_float ~err:"Time.of_ms_f: non-finite or out of range" 1e6 x
+
+let[@inline] of_sec_f x =
+  of_float ~err:"Time.of_sec_f: non-finite or out of range" 1e9 x
+
 let to_ms_f x = float_of_int x /. 1e6
 let to_sec_f x = float_of_int x /. 1e9
 let to_us_f x = float_of_int x /. 1e3

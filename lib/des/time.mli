@@ -17,9 +17,12 @@ val ms : int -> span
 val sec : int -> span
 
 val of_ms_f : float -> span
-(** Milliseconds (fractional) to span, rounded to the nearest ns. *)
+(** Milliseconds (fractional) to span, rounded to the nearest ns.
+    Raises [Invalid_argument] naming the function unless the rounded
+    value is finite and fits an [int]. *)
 
 val of_sec_f : float -> span
+(** Seconds to span, as {!of_ms_f}. *)
 
 val to_ms_f : span -> float
 val to_sec_f : span -> float

@@ -9,7 +9,6 @@ type t = {
   pre_vote : bool;
   tuning : tuning;
   max_entries_per_append : int;
-  suppress_heartbeats_under_load : bool;
   consolidated_timer : bool;
   snapshot_threshold : int;
   max_inflight_appends : int;
@@ -32,9 +31,7 @@ let with_snapshots ~threshold t =
   if threshold < 0 then invalid_arg "Config.with_snapshots: negative threshold";
   { t with snapshot_threshold = threshold }
 
-let with_extensions ?(suppress_heartbeats_under_load = true)
-    ?(consolidated_timer = false) t =
-  { t with suppress_heartbeats_under_load; consolidated_timer }
+let with_consolidated_timer t = { t with consolidated_timer = true }
 
 (* The one record literal: etcd's defaults, in every mode. *)
 let etcd tuning =
@@ -44,7 +41,6 @@ let etcd tuning =
     pre_vote = true;
     tuning;
     max_entries_per_append = 1024;
-    suppress_heartbeats_under_load = false;
     consolidated_timer = false;
     snapshot_threshold = 0;
     max_inflight_appends = 1024;

@@ -33,13 +33,8 @@ type t = {
   tuning : tuning;
   max_entries_per_append : int;
       (** Replication batch size limit. *)
-  suppress_heartbeats_under_load : bool;
-      (** Section IV-E extension 1: skip a follower's heartbeat when an
-          AppendEntries was sent to it within the current interval —
-          replication traffic already resets its election timer.
-          Recovers throughput headroom at high request rates. *)
   consolidated_timer : bool;
-      (** Section IV-E extension 2: drive all followers from a single
+      (** Section IV-E extension: drive all followers from a single
           heartbeat timer at the minimum tuned [h], instead of n−1
           per-follower timers.  Trades some extra heartbeats on slow
           paths for less leader timer load. *)
@@ -73,9 +68,9 @@ val with_replication :
   t
 (** Override the replication-engine knobs on a configuration. *)
 
-val with_extensions :
-  ?suppress_heartbeats_under_load:bool -> ?consolidated_timer:bool -> t -> t
-(** Enable the Section IV-E extensions on a configuration. *)
+val with_consolidated_timer : t -> t
+(** Turn on the Section IV-E single heartbeat timer
+    ({!field-consolidated_timer}). *)
 
 val with_snapshots : threshold:int -> t -> t
 (** Enable log compaction every [threshold] committed entries. *)

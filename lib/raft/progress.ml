@@ -18,7 +18,6 @@ type t = {
       (* entry-carrying appends (and snapshots) sent but not yet
          acknowledged; cleared wholesale by a rewind *)
   mutable last_response_at : Des.Time.t;
-  mutable last_append_sent_at : Des.Time.t;
   mutable reads_confirmed : int;
       (* registration number of the newest pending read this follower
          has confirmed; -1 before its first confirmation *)
@@ -35,7 +34,6 @@ let create ~last_index ~path =
     state = Probing;
     inflight = 0;
     last_response_at = Des.Time.zero;
-    last_append_sent_at = Des.Time.zero;
     reads_confirmed = -1;
     acked_round = -1;
     path;
@@ -43,8 +41,6 @@ let create ~last_index ~path =
 
 let path t = t.path
 
-let note_append_sent t ~at = t.last_append_sent_at <- at
-let last_append_sent_at t = t.last_append_sent_at
 let reads_confirmed t = t.reads_confirmed
 
 let set_reads_confirmed t n = t.reads_confirmed <- n

@@ -72,12 +72,6 @@ val note_response : t -> at:Des.Time.t -> unit
 val last_response_at : t -> Des.Time.t
 (** Instant of the last AppendEntries response ([Time.zero] if none). *)
 
-val note_append_sent : t -> at:Des.Time.t -> unit
-(** Record that an AppendEntries carrying entries was sent (used by the
-    heartbeat-suppression extension). *)
-
-val last_append_sent_at : t -> Des.Time.t
-
 val reads_confirmed : t -> int
 (** Registration number of the newest pending linearizable read this
     follower has confirmed (a heartbeat echo sent at or after the read's

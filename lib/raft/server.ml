@@ -640,10 +640,8 @@ let append_request_for t peer =
     ~commit:t.commit_index
 
 let send_install_snapshot t ctx peer ~data =
-  let pr = progress_of t peer in
   let last_index = Log.snapshot_index t.log in
-  Progress.record_sent pr ~upto:last_index;
-  Progress.note_append_sent pr ~at:ctx.now;
+  Progress.record_sent (progress_of t peer) ~upto:last_index;
   emit ctx
     (Send
        {
@@ -683,9 +681,7 @@ and send_append_entries t ctx peer =
       (* Slices are contiguous and ascending: the last element is the
          highest index (no fold over the batch). *)
       let upto = entries.(Array.length entries - 1).Log.index in
-      let pr = progress_of t peer in
-      Progress.record_sent pr ~upto;
-      Progress.note_append_sent pr ~at:ctx.now
+      Progress.record_sent (progress_of t peer) ~upto
   | Rpc.Append_request _ | Rpc.Vote_request _ | Rpc.Vote_response _
   | Rpc.Append_response _ | Rpc.Heartbeat _ | Rpc.Heartbeat_response _
   | Rpc.Install_snapshot _ | Rpc.Install_snapshot_response _
@@ -733,18 +729,10 @@ let send_heartbeat t ctx ~now peer =
              ~measured_rtt;
        })
 
-(* Section IV-E extension 1: a follower that just received entries has
-   already reset its election timer; its heartbeat can be skipped. *)
-let heartbeat_suppressed t ctx peer ~interval =
-  t.config.Config.suppress_heartbeats_under_load
-  && Des.Time.diff ctx.now
-       (Progress.last_append_sent_at (progress_of t peer))
-     < interval
-
 (* The one heartbeat-timer rule: the leader drives every follower from a
    single timer under [Static] (etcd's broadcast ticker) and under a
-   tuned mode with Section IV-E extension 2; otherwise each follower has
-   a timer of its own, at its own h. *)
+   tuned mode with the Section IV-E consolidated timer; otherwise each
+   follower has a timer of its own, at its own h. *)
 let single_heartbeat_timer t =
   match t.config.Config.tuning with
   | Config.Static -> true
@@ -1512,10 +1500,9 @@ let handle t ~now event =
       if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
         if Roles.mem t.roles peer then begin
-          let interval = interval_to t peer in
-          if not (heartbeat_suppressed t ctx peer ~interval) then
-            send_heartbeat t ctx ~now peer;
-          emit ctx (Arm_heartbeat { peer; after = interval })
+          let after = interval_to t peer in
+          send_heartbeat t ctx ~now peer;
+          emit ctx (Arm_heartbeat { peer; after })
         end
         (* A removed member's timer simply dies: no re-arm. *)
       end
@@ -1523,11 +1510,7 @@ let handle t ~now event =
       if Types.is_leader t.role then begin
         check_transfer_deadline t ctx ~now;
         let interval = consolidated_interval t in
-        List.iter
-          (fun peer ->
-            if not (heartbeat_suppressed t ctx peer ~interval) then
-              send_heartbeat t ctx ~now peer)
-          t.others;
+        List.iter (send_heartbeat t ctx ~now) t.others;
         emit ctx (Arm_broadcast interval)
       end
   | Quorum_check_due ->

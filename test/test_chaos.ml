@@ -137,7 +137,6 @@ let tests =
       5L;
     case "extensions + snapshots"
       (Raft.Config.with_snapshots ~threshold:10
-         (Raft.Config.with_extensions ~suppress_heartbeats_under_load:true
-            ~consolidated_timer:true dynatune))
+         (Raft.Config.with_consolidated_timer dynatune))
       6L;
   ]

@@ -13,7 +13,22 @@ let test_time_conversions () =
   Alcotest.(check int) "sec" 1_000_000_000 (Time.sec 1);
   Alcotest.(check int) "of_ms_f rounds" 1_500_000 (Time.of_ms_f 1.5);
   Alcotest.(check (float 1e-9)) "to_ms_f" 1.5 (Time.to_ms_f 1_500_000);
-  Alcotest.(check (float 1e-9)) "to_sec_f" 0.25 (Time.to_sec_f 250_000_000)
+  Alcotest.(check (float 1e-9)) "to_sec_f" 0.25 (Time.to_sec_f 250_000_000);
+  (* A float whose ns value is not finite or does not fit an int raises,
+     naming the function; large values inside the range still convert. *)
+  List.iter
+    (fun x ->
+      Alcotest.check_raises "of_ms_f"
+        (Invalid_argument "Time.of_ms_f: non-finite or out of range")
+        (fun () -> ignore (Time.of_ms_f x));
+      Alcotest.check_raises "of_sec_f"
+        (Invalid_argument "Time.of_sec_f: non-finite or out of range")
+        (fun () -> ignore (Time.of_sec_f (x *. 1e-3))))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 1e13; -1e13; 1e300 ];
+  Alcotest.(check int) "4e9 s fits" 4_000_000_000_000_000_000
+    (Time.of_sec_f 4e9);
+  Alcotest.(check int) "-4e12 ms fits" (-4_000_000_000_000_000_000)
+    (Time.of_ms_f (-4e12))
 
 let test_time_clamp () =
   Alcotest.(check int) "below" 10 (Time.clamp 5 ~lo:10 ~hi:20);

@@ -13,8 +13,6 @@ module Recorder = Telemetry.Recorder
 module Metrics = Telemetry.Metrics
 module Q = QCheck
 
-let to_alcotest = QCheck_alcotest.to_alcotest
-
 (* {1 Cause packing} *)
 
 let kinds =
@@ -582,7 +580,7 @@ let tests =
     Alcotest.test_case "cause: pack/unpack round-trips" `Quick
       test_cause_roundtrip;
     Alcotest.test_case "cause: to_string" `Quick test_cause_to_string;
-    to_alcotest prop_cause_roundtrip;
+    Qcheck_case.to_alcotest prop_cause_roundtrip;
     Alcotest.test_case "ring: eviction order and dropped count" `Quick
       test_ring_eviction_order;
     Alcotest.test_case "ring: disabled is inert" `Quick
@@ -601,7 +599,7 @@ let tests =
       `Quick test_fig4_recorder_jobs_invariant;
     Alcotest.test_case "fig8: recorder series jobs-invariant" `Quick
       test_fig8_recorder_jobs_invariant;
-    to_alcotest prop_recorder_jobs_invariant;
+    Qcheck_case.to_alcotest prop_recorder_jobs_invariant;
     Alcotest.test_case "explain: synthetic ring analysis" `Quick
       test_explain_analyze_synthetic;
     Alcotest.test_case "explain: rendered output (golden)" `Quick

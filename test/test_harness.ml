@@ -659,7 +659,7 @@ let test_fig7_series_pinned () =
 
 let test_extensions_variants () =
   let vs = Scenarios.Extensions.variants () in
-  Alcotest.(check int) "four variants" 4 (List.length vs);
+  Alcotest.(check int) "two variants" 2 (List.length vs);
   List.iter
     (fun v ->
       match Raft.Config.validate v.Scenarios.Extensions.config with

@@ -200,21 +200,52 @@ let test_no_false_elections_under_loss () =
   Alcotest.(check (float 0.001)) "no OTS under 10% loss" 0. (Monitor.ots_ms w)
 
 let test_extension_modes_stay_healthy () =
-  (* Both Section IV-E extensions, together, must preserve liveness:
+  (* The Section IV-E single heartbeat timer must preserve liveness:
      election, replication, failover. *)
-  let config =
-    Raft.Config.with_extensions ~suppress_heartbeats_under_load:true
-      ~consolidated_timer:true (Raft.Config.dynatune ())
-  in
+  let config = Raft.Config.with_consolidated_timer (Raft.Config.dynatune ()) in
   let c = make_cluster ~config () in
   ignore (Cluster.await_leader c ~timeout:(Des.Time.sec 10));
   let committed = submit_and_commit c ~n:30 in
-  Alcotest.(check int) "all committed under suppression" 30 committed;
+  Alcotest.(check int) "all committed under the single timer" 30 committed;
   match Fault.fail_and_measure c () with
   | Error msg -> Alcotest.fail msg
   | Ok o ->
       Alcotest.(check bool) "failover still detected quickly" true
         (o.Fault.detection_ms < 2500.)
+
+(* Every leader heartbeat carries an RTT sample, load or not: under
+   500 writes/s the followers' tuned Et must follow an RTT step from 50
+   to 100 ms within 10 s. *)
+let test_tuning_follows_rtt_under_load () =
+  let step_at = Des.Time.sec 30 in
+  let profile rtt_ms = Netsim.Conditions.profile ~rtt_ms ~jitter:0.02 () in
+  let conditions =
+    Netsim.Conditions.piecewise
+      [ (Des.Time.zero, profile 50.); (step_at, profile 100.) ]
+  in
+  let c = make_cluster ~config:(Raft.Config.dynatune ()) ~conditions () in
+  let engine = Cluster.engine c in
+  (* Warm the tuners idle, then write steadily through the step. *)
+  Des.Engine.run_until engine (Des.Time.sec 10);
+  let target = Cluster.submit_target c in
+  let client = Kvsm.Client.create ~engine ~target ~client_id:1 ~rate:500. () in
+  Kvsm.Client.start client;
+  Des.Engine.run_until engine step_at;
+  let check_followers what ok =
+    List.iter
+      (fun id ->
+        if not (Netsim.Node_id.equal id (leader_id c)) then
+          let et = Monitor.election_timeout_ms c id in
+          Alcotest.(check bool) (Printf.sprintf "Et=%.1fms %s" et what) true
+            (ok et))
+      (Cluster.node_ids c)
+  in
+  check_followers "below 100ms at 50ms RTT" (fun et -> et < 100.);
+  let completed = Kvsm.Client.completed client in
+  Des.Engine.run_until engine (Des.Time.add step_at (Des.Time.sec 10));
+  Alcotest.(check bool) "writes kept committing" true
+    (Kvsm.Client.completed client - completed > 1000);
+  check_followers "above 100ms 10s after the step" (fun et -> et > 100.)
 
 let test_fix_k_mode_tunes_et_only () =
   let c =
@@ -297,6 +328,8 @@ let tests =
       test_no_false_elections_under_loss;
     Alcotest.test_case "extension modes stay healthy" `Quick
       test_extension_modes_stay_healthy;
+    Alcotest.test_case "tuning follows an RTT step under load" `Quick
+      test_tuning_follows_rtt_under_load;
     Alcotest.test_case "fix-k tunes Et only" `Quick test_fix_k_mode_tunes_et_only;
     Alcotest.test_case "fig6b mechanism end-to-end" `Slow
       test_fig6b_mechanism_end_to_end;

@@ -194,8 +194,6 @@ let test_up_to_date () =
 
 module Q = QCheck
 
-let to_alcotest = QCheck_alcotest.to_alcotest
-
 (* A log holding [total] entries (terms non-decreasing, bumped at
    [term_switch]) compacted at [boundary]. *)
 let build ~total ~term_switch ~boundary =
@@ -656,9 +654,9 @@ let tests =
       test_config_indices_truncate;
     Alcotest.test_case "config indices: compact and install" `Quick
       test_config_indices_compact_install;
-    to_alcotest prop_append_below_boundary_matches;
-    to_alcotest prop_append_conflict_truncates_at_boundary;
-    to_alcotest prop_append_wholly_compacted_is_noop;
+    Qcheck_case.to_alcotest prop_append_below_boundary_matches;
+    Qcheck_case.to_alcotest prop_append_conflict_truncates_at_boundary;
+    Qcheck_case.to_alcotest prop_append_wholly_compacted_is_noop;
     Alcotest.test_case "slice: an unchanged window is served again" `Quick
       test_slice_reserves_window;
     Alcotest.test_case "slice: truncation drops the window" `Quick
@@ -667,7 +665,7 @@ let tests =
       test_slice_window_after_compact;
     Alcotest.test_case "slice: a snapshot install drops the window" `Quick
       test_slice_window_after_install;
-    to_alcotest prop_paged_log_matches_model;
+    Qcheck_case.to_alcotest prop_paged_log_matches_model;
     Alcotest.test_case "retention: a truncated entry's payload is collected"
       `Quick test_truncated_payloads_collected;
     Alcotest.test_case "retention: a compacted entry's payload is collected"

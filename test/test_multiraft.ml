@@ -8,7 +8,6 @@ module Gm = Multiraft.Group_manager
 module Router = Multiraft.Router
 module Cluster = Harness.Cluster
 
-let to_alcotest = QCheck_alcotest.to_alcotest
 let lan = Netsim.Conditions.(constant (profile ~rtt_ms:10. ~jitter:0.02 ()))
 
 let make ?(seed = 21L) ?check ?telemetry ?(groups = 3) ?(replicas = 3) () =
@@ -555,8 +554,8 @@ let tests =
       test_dispatch_reads_pinned;
     Alcotest.test_case "metrics: group scopes do not clobber" `Quick
       test_metrics_prefixing;
-    to_alcotest prop_shard_total_and_stable;
-    to_alcotest prop_shard_stable_across_jobs;
+    Qcheck_case.to_alcotest prop_shard_total_and_stable;
+    Qcheck_case.to_alcotest prop_shard_stable_across_jobs;
     Alcotest.test_case "sweep: jobs 1 and 2 bit-identical" `Slow
       test_sweep_jobs_identical;
     Alcotest.test_case "scenario: multiraft smoke" `Slow test_scenario_smoke;

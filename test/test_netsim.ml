@@ -735,7 +735,7 @@ let tests =
       test_cpu_window_past_end;
     Alcotest.test_case "cpu: multi-core over 100%" `Quick
       test_cpu_multicore_over_100;
-    QCheck_alcotest.to_alcotest prop_cpu_matches_reference;
+    Qcheck_case.to_alcotest prop_cpu_matches_reference;
     Alcotest.test_case "node_id: buffer writers match the printers" `Quick
       test_node_id_buffer_writers;
   ]

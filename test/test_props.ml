@@ -3,8 +3,6 @@
 
 module Q = QCheck
 
-let to_alcotest = QCheck_alcotest.to_alcotest
-
 (* {2 Window} *)
 
 let prop_window_matches_batch =
@@ -1512,7 +1510,7 @@ let prop_reads_match_set_model =
       List.rev !got = List.rev !want)
 
 let tests =
-  List.map to_alcotest
+  List.map Qcheck_case.to_alcotest
     [
       prop_queue_matches_model;
       prop_timer_rearm_matches_reschedule;

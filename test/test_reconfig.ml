@@ -668,5 +668,5 @@ let tests =
       test_scenario_tuner_reduces_downtime;
     Alcotest.test_case "scenario: digest jobs-invariant" `Quick
       test_scenario_jobs_invariant;
-    QCheck_alcotest.to_alcotest prop_membership_matches_set_model;
+    Qcheck_case.to_alcotest prop_membership_matches_set_model;
   ]

@@ -968,7 +968,7 @@ let test_add_learner_heartbeat_timer () =
     (learner_heartbeat_arms (Config.static ()));
   Alcotest.(check (list int)) "consolidated dynatune: broadcast covers it" []
     (learner_heartbeat_arms
-       (Config.with_extensions ~consolidated_timer:true (Config.dynatune ())));
+       (Config.with_consolidated_timer (Config.dynatune ())));
   Alcotest.(check (list int)) "per-peer dynatune: a timer for the learner"
     [ 5 ]
     (learner_heartbeat_arms (Config.dynatune ()))

@@ -1,5 +1,5 @@
-(* Unit tests for CheckQuorum and the Section IV-E extensions
-   (heartbeat suppression, consolidated timer). *)
+(* Unit tests for CheckQuorum and the Section IV-E consolidated
+   heartbeat timer. *)
 
 module Time = Des.Time
 module Node_id = Netsim.Node_id
@@ -155,45 +155,11 @@ let test_lease_expires_after_base_timeout () =
       Alcotest.(check bool) "granted after lease expiry" true granted
   | _ -> Alcotest.fail "expected one response"
 
-(* {2 Heartbeat suppression} *)
+(* {2 Heartbeats under load} *)
 
-let suppress_config () =
-  Config.with_extensions ~suppress_heartbeats_under_load:true
-    ~consolidated_timer:false (Config.dynatune ())
-
-let test_suppression_skips_heartbeat_after_append () =
-  let s = make ~config:(suppress_config ()) ~self:0 () in
-  ignore (Server.start s);
-  ignore (elect s ~now:Time.zero);
-  (* Propose + flush puts an append in flight toward every follower. *)
-  ignore
-    (Server.handle s ~now:(Time.ms 10)
-       (Server.Propose { payload = "x"; client_id = 1; seq = 1 }));
-  ignore (Server.handle s ~now:(Time.ms 11) Server.Flush_due);
-  (* A heartbeat due right after must be suppressed (but re-armed). *)
-  let acts = Server.handle s ~now:(Time.ms 20) (Server.Heartbeat_due (nid 1)) in
-  Alcotest.(check int) "no heartbeat sent" 0 (List.length (heartbeats acts));
-  Alcotest.(check bool) "timer re-armed" true
-    (List.exists
-       (function Server.Arm_heartbeat _ -> true | _ -> false)
-       acts)
-
-let test_suppression_expires () =
-  let s = make ~config:(suppress_config ()) ~self:0 () in
-  ignore (Server.start s);
-  ignore (elect s ~now:Time.zero);
-  ignore
-    (Server.handle s ~now:(Time.ms 10)
-       (Server.Propose { payload = "x"; client_id = 1; seq = 1 }));
-  ignore (Server.handle s ~now:(Time.ms 11) Server.Flush_due);
-  (* Far beyond the interval, the heartbeat flows again. *)
-  let acts =
-    Server.handle s ~now:(Time.sec 10) (Server.Heartbeat_due (nid 1))
-  in
-  Alcotest.(check int) "heartbeat sent after quiet period" 1
-    (List.length (heartbeats acts))
-
-let test_no_suppression_by_default () =
+(* An append in flight does not replace the heartbeat: the heartbeat
+   carries the RTT sample and the loss id the tuner lives on. *)
+let test_heartbeat_after_append () =
   let s = make ~config:(Config.dynatune ()) ~self:0 () in
   ignore (Server.start s);
   ignore (elect s ~now:Time.zero);
@@ -207,9 +173,7 @@ let test_no_suppression_by_default () =
 
 (* {2 Consolidated timer} *)
 
-let consolidated_config () =
-  Config.with_extensions ~suppress_heartbeats_under_load:false
-    ~consolidated_timer:true (Config.dynatune ())
+let consolidated_config () = Config.with_consolidated_timer (Config.dynatune ())
 
 let test_consolidated_uses_broadcast () =
   let s = make ~config:(consolidated_config ()) ~self:0 () in
@@ -471,11 +435,8 @@ let tests =
       test_checkquorum_window_resets;
     Alcotest.test_case "lease: expires after base timeout" `Quick
       test_lease_expires_after_base_timeout;
-    Alcotest.test_case "suppression: skips after append" `Quick
-      test_suppression_skips_heartbeat_after_append;
-    Alcotest.test_case "suppression: expires" `Quick test_suppression_expires;
-    Alcotest.test_case "suppression: off by default" `Quick
-      test_no_suppression_by_default;
+    Alcotest.test_case "leader heartbeats a follower it just appended to"
+      `Quick test_heartbeat_after_append;
     Alcotest.test_case "consolidated: broadcast timer" `Quick
       test_consolidated_uses_broadcast;
     Alcotest.test_case "consolidated: sends to all" `Quick

@@ -772,7 +772,7 @@ let tests =
       test_leader_path_future_echo_ignored;
     Alcotest.test_case "path: fresh each leadership" `Quick
       test_leader_path_fresh_each_leadership;
-    QCheck_alcotest.to_alcotest prop_tuner_matches_reference;
-    QCheck_alcotest.to_alcotest prop_tuner_matches_eager_recompute;
-    QCheck_alcotest.to_alcotest prop_loss_matches_reference;
+    Qcheck_case.to_alcotest prop_tuner_matches_reference;
+    Qcheck_case.to_alcotest prop_tuner_matches_eager_recompute;
+    Qcheck_case.to_alcotest prop_loss_matches_reference;
   ]
