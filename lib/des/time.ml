@@ -24,7 +24,8 @@ let to_sec_f x = float_of_int x /. 1e9
 let to_us_f x = float_of_int x /. 1e3
 let add t s = t + s
 let diff a b = a - b
-let scale s k = int_of_float (Float.round (float_of_int s *. k))
+let scale s k =
+  of_float ~err:"Time.scale: non-finite or out of range" (float_of_int s) k
 let min_span = Int.min
 let max_span = Int.max
 

@@ -33,7 +33,7 @@ val diff : t -> t -> span
 (** [diff a b] is [a - b]. *)
 
 val scale : span -> float -> span
-(** [scale s k] is [s·k], rounded. *)
+(** [scale s k] is [s·k], rounded; raises as {!of_ms_f} does. *)
 
 val min_span : span -> span -> span
 val max_span : span -> span -> span

@@ -38,6 +38,14 @@ let test_time_clamp () =
 let test_time_scale () =
   Alcotest.(check int) "halving" (Time.ms 50) (Time.scale (Time.ms 100) 0.5)
 
+let test_time_scale_rejects () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises "scale"
+        (Invalid_argument "Time.scale: non-finite or out of range")
+        (fun () -> ignore (Time.scale (Time.ms 100) k)))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 1e30 ]
+
 (* {2 Engine} *)
 
 let test_engine_ordering () =
@@ -474,6 +482,8 @@ let tests =
     Alcotest.test_case "time: conversions" `Quick test_time_conversions;
     Alcotest.test_case "time: clamp" `Quick test_time_clamp;
     Alcotest.test_case "time: scale" `Quick test_time_scale;
+    Alcotest.test_case "time: scale rejects non-finite" `Quick
+      test_time_scale_rejects;
     Alcotest.test_case "engine: time ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine: FIFO on ties" `Quick test_engine_fifo_ties;
     Alcotest.test_case "engine: clock advances" `Quick

@@ -171,6 +171,34 @@ let test_heartbeat_after_append () =
   Alcotest.(check int) "heartbeat still sent" 1
     (List.length (heartbeats acts))
 
+(* The RTT the last echo measured rides on the next heartbeat even while
+   appends are in flight, so the follower's tuner keeps its samples. *)
+let test_heartbeat_after_append_carries_rtt () =
+  let s = make ~config:(Config.dynatune ()) ~self:0 () in
+  ignore (Server.start s);
+  ignore (elect s ~now:Time.zero);
+  ignore
+    (recv s ~from:1
+       (Rpc.Heartbeat_response
+          {
+            term = Server.term s;
+            hb_id = 0;
+            echo_sent_at = Time.ms 10;
+            tuned_h = None;
+            hr_gen = 0;
+          })
+       ~now:(Time.ms 60));
+  ignore
+    (Server.handle s ~now:(Time.ms 61)
+       (Server.Propose { payload = "x"; client_id = 1; seq = 1 }));
+  ignore (Server.handle s ~now:(Time.ms 62) Server.Flush_due);
+  let acts = Server.handle s ~now:(Time.ms 70) (Server.Heartbeat_due (nid 1)) in
+  match heartbeats acts with
+  | [ (_, Rpc.Heartbeat { measured_rtt; _ }) ] ->
+      Alcotest.(check (option int)) "echo RTT piggybacked" (Some (Time.ms 50))
+        measured_rtt
+  | _ -> Alcotest.fail "expected one heartbeat"
+
 (* {2 Consolidated timer} *)
 
 let consolidated_config () = Config.with_consolidated_timer (Config.dynatune ())
@@ -437,6 +465,8 @@ let tests =
       test_lease_expires_after_base_timeout;
     Alcotest.test_case "leader heartbeats a follower it just appended to"
       `Quick test_heartbeat_after_append;
+    Alcotest.test_case "heartbeat after an append carries the echo RTT" `Quick
+      test_heartbeat_after_append_carries_rtt;
     Alcotest.test_case "consolidated: broadcast timer" `Quick
       test_consolidated_uses_broadcast;
     Alcotest.test_case "consolidated: sends to all" `Quick
